@@ -28,7 +28,19 @@
 //! members, entry clock, dtype, optional CheckMode fingerprint,
 //! payload}` — the fingerprint piggybacks on the frame exactly as it
 //! piggybacks on in-memory rendezvous deposits, so checked mode works
-//! unchanged over the wire.
+//! unchanged over the wire. A `Collect` body carries every member's
+//! `{entry clock, fingerprint, payload}` in member order, except that
+//! the receiving rank's own payload is sent with length 0 (it already
+//! holds it).
+//!
+//! ## Copies
+//!
+//! Fixed-width runs (`u8`, `f64`, `usize`) are encoded and decoded in
+//! bulk ([`Wire::put_run`] / [`Wire::take_run`]), a `Deposit` body is
+//! built in one buffer ([`DepositMsg::encode`]), and both message
+//! parsers hand back payload *byte ranges* into the received body
+//! instead of copies, which [`write_frame_parts`] can forward from
+//! where they lie.
 //!
 //! ## Determinism
 //!
@@ -40,6 +52,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
@@ -113,7 +126,9 @@ pub enum FrameKind {
     /// Client → hub: block until the rendezvous for `{comm, seq}` is
     /// full; the hub answers with exactly one `Collect` or `Error`.
     Wait,
-    /// Hub → client: the full deposit set of a completed rendezvous.
+    /// Hub → client: the deposit set of a completed rendezvous — every
+    /// member's clock and fingerprint, and every payload but the
+    /// receiver's own.
     Collect,
     /// Client → hub: the rank's final `(result, timeline report)`.
     Result,
@@ -161,19 +176,51 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
+/// Body parts shorter than this are copied behind the header into one
+/// buffer and leave in a single write; longer ones are written from
+/// where they lie.
+const COALESCE_BELOW: usize = 8 << 10;
+
 /// Write one frame (header + body) and flush.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> Result<(), FrameError> {
-    let len = u32::try_from(body.len()).map_err(|_| FrameError::Oversize(u32::MAX))?;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversize(len));
+    write_frame_parts(w, kind, &[body])
+}
+
+/// Write one frame whose body is the concatenation of `parts`, and
+/// flush. The summed length is checked against [`MAX_FRAME`] before a
+/// byte is written, so a refused frame leaves the stream untouched.
+pub fn write_frame_parts(
+    w: &mut impl Write,
+    kind: FrameKind,
+    parts: &[&[u8]],
+) -> Result<(), FrameError> {
+    let total = parts
+        .iter()
+        .try_fold(0usize, |n, p| n.checked_add(p.len()))
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or(FrameError::Oversize(u32::MAX))?;
+    if total > MAX_FRAME {
+        return Err(FrameError::Oversize(total));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = kind.to_u8();
-    header[6..10].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(body)?;
+    let mut small = Vec::with_capacity(HEADER_LEN + (total as usize).min(COALESCE_BELOW));
+    small.extend_from_slice(&MAGIC);
+    small.push(VERSION);
+    small.push(kind.to_u8());
+    small.extend_from_slice(&total.to_le_bytes());
+    for part in parts {
+        if part.len() < COALESCE_BELOW {
+            small.extend_from_slice(part);
+        } else {
+            if !small.is_empty() {
+                w.write_all(&small)?;
+                small.clear();
+            }
+            w.write_all(part)?;
+        }
+    }
+    if !small.is_empty() {
+        w.write_all(&small)?;
+    }
     w.flush()?;
     Ok(())
 }
@@ -251,15 +298,72 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(le_u64(self.bytes(8)?))
     }
 
     fn f64(&mut self) -> Result<f64, FrameError> {
         Ok(f64::from_bits(self.u64()?))
     }
+
+    /// How many `T`s fit in as many bytes of memory as the body has
+    /// left — the most a decoder may reserve on the word of a count.
+    fn reservable<T>(&self) -> usize {
+        self.remaining() / std::mem::size_of::<T>().max(1)
+    }
+
+    /// Consume a `u64` element count. Every [`Wire`] encoding is ≥ 1
+    /// byte, so a valid count can never exceed the bytes left — reject
+    /// it here, before anyone reserves capacity on its word.
+    fn count(&mut self) -> Result<usize, FrameError> {
+        let n = usize::take(self)?;
+        if n > self.remaining() {
+            return Err(FrameError::Malformed("element count exceeds body"));
+        }
+        Ok(n)
+    }
+
+    /// Consume a `u64` byte count and that many bytes, returning where
+    /// in the buffer they lie — the zero-copy form of `Vec::<u8>::take`.
+    fn counted_span(&mut self) -> Result<Range<usize>, FrameError> {
+        let n = self.count()?;
+        let start = self.pos;
+        self.pos += n;
+        Ok(start..self.pos)
+    }
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(b);
+    u64::from_le_bytes(a)
+}
+
+/// Append `xs` as 8-byte little-endian words: one `reserve`, then
+/// block-wise conversion through a stack buffer so the inner loop is a
+/// straight copy on little-endian hosts.
+fn put_words<T: Copy>(xs: &[T], word: impl Fn(T) -> u64, out: &mut Vec<u8>) {
+    const BLOCK: usize = 512;
+    out.reserve(xs.len() * 8);
+    let mut buf = [0u8; BLOCK * 8];
+    for block in xs.chunks(BLOCK) {
+        for (dst, &x) in buf.chunks_exact_mut(8).zip(block) {
+            dst.copy_from_slice(&word(x).to_le_bytes());
+        }
+        out.extend_from_slice(&buf[..block.len() * 8]);
+    }
+}
+
+/// The `n` 8-byte little-endian words at the reader's position. The
+/// bytes are claimed before anything is allocated, so a count the body
+/// cannot back fails as `body truncated`.
+fn take_words<'a>(
+    r: &mut Reader<'a>,
+    n: usize,
+) -> Result<impl ExactSizeIterator<Item = u64> + Clone + 'a, FrameError> {
+    let nbytes = n
+        .checked_mul(8)
+        .ok_or(FrameError::Malformed("body truncated"))?;
+    Ok(r.bytes(nbytes)?.chunks_exact(8).map(le_u64))
 }
 
 /// Wire serialization for collective payloads and protocol bodies.
@@ -273,6 +377,34 @@ pub trait Wire: Sized {
     fn put(&self, out: &mut Vec<u8>);
     /// Decode one value from the reader.
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+
+    /// Append the encodings of `xs` back to back (no count prefix).
+    /// Fixed-width types override this with a bulk copy; the bytes are
+    /// those of element-wise [`Wire::put`] either way.
+    fn put_run(xs: &[Self], out: &mut Vec<u8>) {
+        for v in xs {
+            v.put(out);
+        }
+    }
+
+    /// Decode `n` values back to back. The caller has checked
+    /// `n <= r.remaining()`. No implementation reserves more bytes than
+    /// the body has left: this one caps its reservation, the overrides
+    /// for fixed-width types claim their `n * width` bytes first.
+    fn take_run(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, FrameError> {
+        let mut out = Vec::with_capacity(n.min(r.reservable::<Self>()));
+        for _ in 0..n {
+            out.push(Self::take(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Append a `u64` element count and then the run — the encoding of a
+/// `Vec<T>`, from a borrowed slice.
+fn put_counted<T: Wire>(xs: &[T], out: &mut Vec<u8>) {
+    (xs.len() as u64).put(out);
+    T::put_run(xs, out);
 }
 
 impl Wire for () {
@@ -307,6 +439,12 @@ impl Wire for u8 {
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         r.u8()
     }
+    fn put_run(xs: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(xs);
+    }
+    fn take_run(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, FrameError> {
+        Ok(r.bytes(n)?.to_vec())
+    }
 }
 
 impl Wire for u64 {
@@ -325,6 +463,18 @@ impl Wire for usize {
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         usize::try_from(r.u64()?).map_err(|_| FrameError::Malformed("usize overflow"))
     }
+    fn put_run(xs: &[Self], out: &mut Vec<u8>) {
+        put_words(xs, |x| x as u64, out);
+    }
+    fn take_run(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, FrameError> {
+        let words = take_words(r, n)?;
+        // Range-check first (free where usize is 64 bits) so the
+        // conversion below is infallible and allocates exactly once.
+        if words.clone().any(|w| usize::try_from(w).is_err()) {
+            return Err(FrameError::Malformed("usize overflow"));
+        }
+        Ok(words.map(|w| w as usize).collect())
+    }
 }
 
 impl Wire for f64 {
@@ -333,6 +483,12 @@ impl Wire for f64 {
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         r.f64()
+    }
+    fn put_run(xs: &[Self], out: &mut Vec<u8>) {
+        put_words(xs, f64::to_bits, out);
+    }
+    fn take_run(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, FrameError> {
+        Ok(take_words(r, n)?.map(f64::from_bits).collect())
     }
 }
 
@@ -372,23 +528,11 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).put(out);
-        for v in self {
-            v.put(out);
-        }
+        put_counted(self, out);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        let n = usize::take(r)?;
-        // Every Wire encoding is ≥ 1 byte, so a valid count can never
-        // exceed the bytes left — reject before reserving capacity.
-        if n > r.remaining() {
-            return Err(FrameError::Malformed("element count exceeds body"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::take(r)?);
-        }
-        Ok(out)
+        let n = r.count()?;
+        T::take_run(r, n)
     }
 }
 
@@ -455,11 +599,10 @@ impl<A: Wire, B: Wire, C: Wire, D: Wire, E: Wire> Wire for (A, B, C, D, E) {
 
 impl Wire for Mat {
     fn put(&self, out: &mut Vec<u8>) {
+        out.reserve(16 + 8 * self.len());
         self.rows().put(out);
         self.cols().put(out);
-        for &x in self.as_slice() {
-            x.put(out);
-        }
+        f64::put_run(self.as_slice(), out);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         let rows = usize::take(r)?;
@@ -473,11 +616,7 @@ impl Wire for Mat {
         if bytes > r.remaining() {
             return Err(FrameError::Malformed("matrix data exceeds body"));
         }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.f64()?);
-        }
-        Ok(Mat::from_vec(rows, cols, data))
+        Ok(Mat::from_vec(rows, cols, f64::take_run(r, n)?))
     }
 }
 
@@ -485,9 +624,9 @@ impl Wire for Csr {
     fn put(&self, out: &mut Vec<u8>) {
         self.rows().put(out);
         self.cols().put(out);
-        self.row_ptr().to_vec().put(out);
-        self.col_idx().to_vec().put(out);
-        self.vals().to_vec().put(out);
+        put_counted(self.row_ptr(), out);
+        put_counted(self.col_idx(), out);
+        put_counted(self.vals(), out);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         let rows = usize::take(r)?;
@@ -495,15 +634,30 @@ impl Wire for Csr {
         let row_ptr = Vec::<usize>::take(r)?;
         let col_idx = Vec::<usize>::take(r)?;
         let vals = Vec::<f64>::take(r)?;
-        if row_ptr.len() != rows + 1
-            || col_idx.len() != vals.len()
-            || row_ptr.last().copied() != Some(col_idx.len())
+        let nnz = col_idx.len();
+        if rows.checked_add(1) != Some(row_ptr.len())
+            || nnz != vals.len()
+            || row_ptr.last().copied() != Some(nnz)
         {
             return Err(FrameError::Malformed("inconsistent CSR arrays"));
         }
-        // Deep structural validation (monotonicity, column bounds) is
-        // `from_raw`'s own contract; its panic aborts the run exactly
-        // like any other poisoned-payload panic.
+        // Everything `from_raw` asserts, as a typed error: the bytes
+        // come from another process and must not be able to panic this
+        // one.
+        for w in row_ptr.windows(2) {
+            if w[0] > w[1] || w[1] > nnz {
+                return Err(FrameError::Malformed("CSR row_ptr not monotone within nnz"));
+            }
+            let row = &col_idx[w[0]..w[1]];
+            if row.windows(2).any(|c| c[0] >= c[1]) {
+                return Err(FrameError::Malformed(
+                    "CSR columns not strictly increasing in a row",
+                ));
+            }
+            if row.last().is_some_and(|&last| last >= cols) {
+                return Err(FrameError::Malformed("CSR column index out of bounds"));
+            }
+        }
         Ok(Csr::from_raw(rows, cols, row_ptr, col_idx, vals))
     }
 }
@@ -923,10 +1077,12 @@ impl Wire for HelloMsg {
     }
 }
 
-/// `Deposit` body: one rank's contribution to a rendezvous — the wire
-/// twin of the in-memory deposit tuple, with the CheckMode fingerprint
-/// piggybacked when verification is on.
-#[derive(Clone, Debug)]
+/// `Deposit` body head: one rank's contribution to a rendezvous — the
+/// wire twin of the in-memory deposit tuple, with the CheckMode
+/// fingerprint piggybacked when verification is on. On the wire the
+/// head is followed by a `u64` byte count and the [`Wire`]-encoded
+/// payload, which runs to the end of the body.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DepositMsg {
     /// Communicator id.
     pub comm: u64,
@@ -944,34 +1100,49 @@ pub struct DepositMsg {
     pub dtype: String,
     /// CheckMode fingerprint (present exactly when checking is on).
     pub fp: Option<Fingerprint>,
-    /// [`Wire`]-encoded payload bytes.
-    pub payload: Vec<u8>,
 }
 
-impl Wire for DepositMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.comm.put(out);
-        self.seq.put(out);
-        self.kind.put(out);
-        self.my_idx.put(out);
-        self.members.put(out);
-        self.entry.put(out);
-        self.dtype.put(out);
-        self.fp.put(out);
-        self.payload.put(out);
+impl DepositMsg {
+    /// Build the whole `Deposit` body in one buffer: the head, an
+    /// 8-byte length slot, then whatever `payload` appends — so the
+    /// payload is encoded once, straight into the frame body.
+    pub fn encode(&self, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.comm.put(&mut out);
+        self.seq.put(&mut out);
+        self.kind.put(&mut out);
+        self.my_idx.put(&mut out);
+        self.members.put(&mut out);
+        self.entry.put(&mut out);
+        self.dtype.put(&mut out);
+        self.fp.put(&mut out);
+        let slot = out.len();
+        0u64.put(&mut out);
+        payload(&mut out);
+        let len = (out.len() - slot - 8) as u64;
+        out[slot..slot + 8].copy_from_slice(&len.to_le_bytes());
+        out
     }
-    fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        Ok(DepositMsg {
-            comm: u64::take(r)?,
-            seq: u64::take(r)?,
-            kind: CollectiveKind::take(r)?,
-            my_idx: usize::take(r)?,
-            members: Vec::<usize>::take(r)?,
-            entry: f64::take(r)?,
-            dtype: String::take(r)?,
-            fp: <Option<Fingerprint> as Wire>::take(r)?,
-            payload: Vec::<u8>::take(r)?,
-        })
+
+    /// Parse a `Deposit` body into its head and the byte range of the
+    /// payload within `body`; no payload byte is read or copied.
+    pub fn parse(body: &[u8]) -> Result<(Self, Range<usize>), FrameError> {
+        let mut r = Reader::new(body);
+        let head = DepositMsg {
+            comm: u64::take(&mut r)?,
+            seq: u64::take(&mut r)?,
+            kind: CollectiveKind::take(&mut r)?,
+            my_idx: usize::take(&mut r)?,
+            members: Vec::<usize>::take(&mut r)?,
+            entry: f64::take(&mut r)?,
+            dtype: String::take(&mut r)?,
+            fp: <Option<Fingerprint> as Wire>::take(&mut r)?,
+        };
+        let payload = r.counted_span()?;
+        if r.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing bytes after value"));
+        }
+        Ok((head, payload))
     }
 }
 
@@ -1009,29 +1180,70 @@ impl Wire for WaitMsg {
     }
 }
 
+/// One member's entry in a `Collect` body.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CollectEntry {
+    /// The member's modeled entry clock.
+    pub entry: f64,
+    /// The member's CheckMode fingerprint, when checking is on.
+    pub fp: Option<Fingerprint>,
+    /// Where the member's encoded payload lies within the body (empty
+    /// for the receiving rank's own entry).
+    pub payload: Range<usize>,
+}
+
 /// `Collect` body: the completed rendezvous — every member's `(entry
-/// clock, fingerprint, payload bytes)` in member order.
-#[derive(Clone, Debug)]
+/// clock, fingerprint, payload bytes)` in member order. The hub never
+/// materialises one: it writes [`CollectMsg::put_head`], then per member
+/// [`CollectMsg::put_entry`] followed by the payload bytes from the
+/// stored deposit; the client parses the received body in place.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CollectMsg {
     /// Communicator id (echoed for cross-checking).
     pub comm: u64,
     /// Collective sequence number (echoed for cross-checking).
     pub seq: u64,
     /// Per-member deposits in member order.
-    pub deposits: Vec<(f64, Option<Fingerprint>, Vec<u8>)>,
+    pub deposits: Vec<CollectEntry>,
 }
 
-impl Wire for CollectMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.comm.put(out);
-        self.seq.put(out);
-        self.deposits.put(out);
+impl CollectMsg {
+    /// Append the body prefix: rendezvous key and member count.
+    pub fn put_head(out: &mut Vec<u8>, comm: u64, seq: u64, members: usize) {
+        comm.put(out);
+        seq.put(out);
+        members.put(out);
     }
-    fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+
+    /// Append one member's entry up to and including its payload byte
+    /// count; the `payload_len` payload bytes follow it on the wire.
+    pub fn put_entry(out: &mut Vec<u8>, entry: f64, fp: &Option<Fingerprint>, payload_len: usize) {
+        entry.put(out);
+        fp.put(out);
+        payload_len.put(out);
+    }
+
+    /// Parse a `Collect` body, locating each payload without copying it.
+    pub fn parse(body: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(body);
+        let comm = u64::take(&mut r)?;
+        let seq = u64::take(&mut r)?;
+        let n = r.count()?;
+        let mut deposits = Vec::with_capacity(n.min(r.reservable::<CollectEntry>()));
+        for _ in 0..n {
+            deposits.push(CollectEntry {
+                entry: f64::take(&mut r)?,
+                fp: <Option<Fingerprint> as Wire>::take(&mut r)?,
+                payload: r.counted_span()?,
+            });
+        }
+        if r.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing bytes after value"));
+        }
         Ok(CollectMsg {
-            comm: u64::take(r)?,
-            seq: u64::take(r)?,
-            deposits: Vec::take(r)?,
+            comm,
+            seq,
+            deposits,
         })
     }
 }
@@ -1266,9 +1478,8 @@ mod tests {
         assert!(matches!(err, FrameError::Malformed(_)), "{err}");
     }
 
-    #[test]
-    fn deposit_msg_roundtrips() {
-        let msg = DepositMsg {
+    fn sample_deposit() -> DepositMsg {
+        DepositMsg {
             comm: 1,
             seq: 7,
             kind: CollectiveKind::Bcast,
@@ -1283,15 +1494,297 @@ mod tests {
                 dtype: "f64",
                 shape: Shape::Words(1),
             }),
-            payload: vec![1, 2, 3],
-        };
-        let back: DepositMsg = decode(&encode(&msg)).expect("decode");
-        assert_eq!(back.comm, 1);
-        assert_eq!(back.seq, 7);
-        assert_eq!(back.members, msg.members);
-        assert_eq!(back.entry, 0.125);
-        assert_eq!(back.fp, msg.fp);
-        assert_eq!(back.payload, msg.payload);
+        }
+    }
+
+    #[test]
+    fn deposit_msg_roundtrips() {
+        let msg = sample_deposit();
+        let body = msg.encode(|out| out.extend_from_slice(&[1, 2, 3]));
+        let (back, payload) = DepositMsg::parse(&body).expect("parse");
+        assert_eq!(back, msg);
+        assert_eq!(&body[payload], &[1, 2, 3]);
+    }
+
+    /// The element-wise encoders the bulk codecs replaced, kept as the
+    /// reference their bytes are held to.
+    mod reference {
+        use super::super::*;
+
+        pub fn vec<T: Wire>(xs: &[T]) -> Vec<u8> {
+            let mut out = Vec::new();
+            (xs.len() as u64).put(&mut out);
+            for v in xs {
+                v.put(&mut out);
+            }
+            out
+        }
+
+        pub fn mat(m: &Mat) -> Vec<u8> {
+            let mut out = Vec::new();
+            m.rows().put(&mut out);
+            m.cols().put(&mut out);
+            for x in m.as_slice() {
+                x.put(&mut out);
+            }
+            out
+        }
+
+        pub fn csr(c: &Csr) -> Vec<u8> {
+            let mut out = Vec::new();
+            c.rows().put(&mut out);
+            c.cols().put(&mut out);
+            out.extend(vec(c.row_ptr()));
+            out.extend(vec(c.col_idx()));
+            out.extend(vec(c.vals()));
+            out
+        }
+
+        pub fn packed(p: &PackedMat) -> Vec<u8> {
+            let mut out = Vec::new();
+            p.precision.put(&mut out);
+            p.rows.put(&mut out);
+            p.cols.put(&mut out);
+            for b in &p.bytes {
+                b.put(&mut out);
+            }
+            out
+        }
+    }
+
+    /// Bit patterns a lossy or value-based copy would disturb: ±0,
+    /// smallest and largest subnormal, quiet and signalling NaNs with
+    /// payloads, infinities.
+    const ODD_BITS: [u64; 9] = [
+        0,
+        0x8000_0000_0000_0000,
+        1,
+        0x000F_FFFF_FFFF_FFFF,
+        0x7FF8_0000_0000_0001,
+        0xFFF4_0000_DEAD_BEEF,
+        0x7FF0_0000_0000_0000,
+        0xFFF0_0000_0000_0000,
+        0x3FF0_0000_0000_0000,
+    ];
+
+    fn odd(i: usize) -> f64 {
+        f64::from_bits(ODD_BITS[i % ODD_BITS.len()] ^ ((i / ODD_BITS.len()) as u64))
+    }
+
+    /// 0×n, n×0, 1×1, and shapes whose runs end before, on and after
+    /// the bulk encoder's 512-word block boundaries.
+    fn odd_mats() -> Vec<Mat> {
+        [(0, 5), (5, 0), (1, 1), (3, 4), (1, 511), (2, 256), (37, 29)]
+            .iter()
+            .map(|&(r, c)| Mat::from_fn(r, c, |i, j| odd(i * c + j)))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_mat_codec_matches_elementwise_reference() {
+        for m in odd_mats() {
+            let bytes = encode(&m);
+            assert_eq!(bytes, reference::mat(&m), "{:?}", m.shape());
+            let back: Mat = decode(&bytes).expect("decode");
+            assert_eq!(back.shape(), m.shape());
+            let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&m), "{:?}", m.shape());
+        }
+    }
+
+    #[test]
+    fn bulk_packed_codec_matches_elementwise_reference() {
+        for m in odd_mats() {
+            for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+                let p = PackedMat::pack(&m, precision);
+                let bytes = encode(&p);
+                assert_eq!(
+                    bytes,
+                    reference::packed(&p),
+                    "{:?} {precision:?}",
+                    m.shape()
+                );
+                assert_eq!(decode::<PackedMat>(&bytes).expect("decode"), p);
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_csr_codec_matches_elementwise_reference() {
+        let wide = 600;
+        let cases = [
+            Csr::from_raw(0, 5, vec![0], vec![], vec![]),
+            Csr::from_raw(5, 0, vec![0; 6], vec![], vec![]),
+            Csr::from_raw(1, 1, vec![0, 1], vec![0], vec![odd(4)]),
+            Csr::from_raw(
+                3,
+                3,
+                vec![0, 2, 2, 3],
+                vec![0, 2, 1],
+                vec![odd(1), odd(2), odd(5)],
+            ),
+            Csr::from_raw(
+                wide,
+                wide,
+                (0..=wide).collect(),
+                (0..wide).map(|i| wide - 1 - i).collect(),
+                (0..wide).map(odd).collect(),
+            ),
+        ];
+        for c in &cases {
+            let bytes = encode(c);
+            assert_eq!(bytes, reference::csr(c), "{}x{}", c.rows(), c.cols());
+            let back: Csr = decode(&bytes).expect("decode");
+            assert_eq!((back.rows(), back.cols()), (c.rows(), c.cols()));
+            assert_eq!(back.row_ptr(), c.row_ptr());
+            assert_eq!(back.col_idx(), c.col_idx());
+            let bits = |c: &Csr| c.vals().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(c));
+        }
+    }
+
+    #[test]
+    fn bulk_run_codecs_match_elementwise_reference() {
+        let usizes: [Vec<usize>; 4] = [
+            vec![],
+            vec![0],
+            vec![usize::MAX, 0, 1],
+            (0..1500).map(|i| i * 7919).collect(),
+        ];
+        for v in &usizes {
+            let bytes = encode(v);
+            assert_eq!(bytes, reference::vec(v));
+            assert_eq!(&decode::<Vec<usize>>(&bytes).expect("decode"), v);
+        }
+        let byte_runs: [Vec<u8>; 3] = [
+            vec![],
+            vec![0],
+            (0..20_000).map(|i| (i % 251) as u8).collect(),
+        ];
+        for v in &byte_runs {
+            let bytes = encode(v);
+            assert_eq!(bytes, reference::vec(v));
+            assert_eq!(&decode::<Vec<u8>>(&bytes).expect("decode"), v);
+        }
+        let floats: Vec<f64> = (0..1100).map(odd).collect();
+        let bytes = encode(&floats);
+        assert_eq!(bytes, reference::vec(&floats));
+        let back: Vec<f64> = decode(&bytes).expect("decode");
+        assert!(back
+            .iter()
+            .zip(&floats)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// A CSR body with the given arrays, valid or not.
+    fn csr_body(
+        rows: usize,
+        cols: usize,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+        vals: &[f64],
+    ) -> Vec<u8> {
+        let mut body = Vec::new();
+        rows.put(&mut body);
+        cols.put(&mut body);
+        body.extend(reference::vec(row_ptr));
+        body.extend(reference::vec(col_idx));
+        body.extend(reference::vec(vals));
+        body
+    }
+
+    #[test]
+    fn hostile_csr_structure_is_malformed_not_a_panic() {
+        let bad = [
+            // row_ptr runs past nnz before coming back (slice index panic).
+            csr_body(2, 3, &[0, 2, 1], &[0], &[1.0]),
+            // row_ptr decreases.
+            csr_body(2, 3, &[1, 0, 1], &[0], &[1.0]),
+            // Repeated and descending columns within a row.
+            csr_body(1, 3, &[0, 2], &[1, 1], &[1.0, 2.0]),
+            csr_body(1, 3, &[0, 2], &[2, 0], &[1.0, 2.0]),
+            // Column index out of range.
+            csr_body(1, 3, &[0, 2], &[0, 3], &[1.0, 2.0]),
+            // `rows + 1` overflows.
+            csr_body(usize::MAX, 3, &[0], &[], &[]),
+            // Array lengths disagree.
+            csr_body(1, 3, &[0, 1], &[0], &[]),
+        ];
+        for body in &bad {
+            let err = decode::<Csr>(body).expect_err("must reject");
+            assert!(matches!(err, FrameError::Malformed(_)), "{err}");
+        }
+    }
+
+    /// A writer that records the size of every `write` it is handed.
+    struct WriteLog(Vec<usize>, Vec<u8>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            self.1.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_parts_write_the_same_bytes_as_one_body() {
+        let small = vec![1u8; 100];
+        let large = vec![2u8; COALESCE_BELOW + 1];
+        let parts: [&[u8]; 5] = [&small, &[], &large, &small, &small];
+        let mut log = WriteLog(Vec::new(), Vec::new());
+        write_frame_parts(&mut log, FrameKind::Collect, &parts).expect("write");
+        let mut whole = Vec::new();
+        write_frame(&mut whole, FrameKind::Collect, &parts.concat()).expect("write");
+        assert_eq!(log.1, whole);
+        // Header and leading small parts leave together, the large part
+        // is written from where it lies, the trailing small parts leave
+        // together.
+        assert_eq!(log.0, [HEADER_LEN + 100, large.len(), 200]);
+
+        let mut log = WriteLog(Vec::new(), Vec::new());
+        write_frame(&mut log, FrameKind::Wait, &small).expect("write");
+        assert_eq!(log.0, [HEADER_LEN + 100], "a small frame is one write");
+    }
+
+    #[test]
+    fn frame_parts_over_the_cap_are_refused_before_any_write() {
+        // Never touched, so the zero pages cost no memory.
+        let half = vec![0u8; (MAX_FRAME as usize >> 1) + 1];
+        let mut log = WriteLog(Vec::new(), Vec::new());
+        let err = write_frame_parts(&mut log, FrameKind::Collect, &[&half, &half])
+            .expect_err("must refuse");
+        assert!(
+            matches!(err, FrameError::Oversize(n) if n == MAX_FRAME + 2),
+            "{err}"
+        );
+        assert!(log.0.is_empty(), "nothing may reach the stream");
+    }
+
+    #[test]
+    fn collect_body_roundtrips_with_payload_ranges() {
+        let fp = sample_deposit().fp;
+        let mut body = Vec::new();
+        CollectMsg::put_head(&mut body, 9, 4, 3);
+        CollectMsg::put_entry(&mut body, 0.25, &fp, 2);
+        body.extend_from_slice(&[7, 8]);
+        CollectMsg::put_entry(&mut body, 0.5, &None, 0);
+        CollectMsg::put_entry(&mut body, 0.75, &fp, 1);
+        body.push(9);
+        let msg = CollectMsg::parse(&body).expect("parse");
+        assert_eq!((msg.comm, msg.seq, msg.deposits.len()), (9, 4, 3));
+        let payloads: Vec<&[u8]> = msg
+            .deposits
+            .iter()
+            .map(|d| &body[d.payload.clone()])
+            .collect();
+        assert_eq!(payloads, [&[7u8, 8][..], &[], &[9]]);
+        assert_eq!(msg.deposits[0].fp, fp);
+        assert_eq!(msg.deposits[1].fp, None);
+        assert_eq!(msg.deposits[2].entry, 0.75);
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! Unix domain socket, spawns `size - 1` worker processes by
 //! re-executing the current binary, and runs a **hub** that owns every
 //! rendezvous: clients send `DEPOSIT` and `WAIT` frames, the hub
-//! answers each `WAIT` with exactly one `COLLECT` (the full
-//! member-ordered deposit set) or `ERROR`. Rank 0 itself participates
-//! as an ordinary client over the same socket, so the protocol is
-//! exercised uniformly.
+//! answers each `WAIT` with exactly one `COLLECT` (the member-ordered
+//! deposit set, minus the waiter's own payload, which it already
+//! holds) or `ERROR`. Rank 0 itself participates as an ordinary client
+//! over the same socket, so the protocol is exercised uniformly.
+//!
+//! A payload is copied once per process it passes through: the sender
+//! encodes it straight into its `DEPOSIT` body, the hub keeps that
+//! received body as one shared buffer and writes each `COLLECT` from
+//! the stored buffers in place, and the receiver decodes on demand from
+//! a range of the one `COLLECT` body it read (DESIGN.md §11).
 //!
 //! Everything above [`CommLink`] is shared with the thread backend:
 //! entry clocks travel as exact `f64` bit patterns, CheckMode
@@ -27,12 +33,14 @@
 //! and exits without returning to the caller.
 //!
 //! All wire I/O in this module goes through [`frame::read_frame`] /
-//! [`frame::write_frame`] — the `raw-socket-io` lint rule keeps raw
-//! socket reads/writes confined to `frame.rs`.
+//! [`frame::write_frame`] / [`frame::write_frame_parts`] — the
+//! `raw-socket-io` lint rule keeps raw socket reads/writes confined to
+//! `frame.rs`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::net::Shutdown;
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -40,7 +48,7 @@ use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use cagnet_check::fingerprint::Fingerprint;
@@ -51,7 +59,8 @@ use crate::cluster::{panic_message, watchdog, Cluster, Ctx};
 use crate::comm::{Communicator, Registry};
 use crate::diag::FirstPanic;
 use crate::frame::{
-    self, CollectMsg, DepositMsg, ErrorMsg, Frame, FrameKind, HelloMsg, PanicMsg, WaitMsg, Wire,
+    self, CollectMsg, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg,
+    WaitMsg, Wire,
 };
 use crate::timeline::{Meter, Timeline, TimelineReport};
 use crate::transport::{
@@ -260,7 +269,7 @@ impl CommLink for SocketLink {
         members: &[usize],
         dep: TxDeposit,
     ) -> Result<(), CollectError> {
-        let msg = DepositMsg {
+        let body = DepositMsg {
             comm: self.id,
             seq,
             kind,
@@ -269,15 +278,15 @@ impl CommLink for SocketLink {
             entry: dep.entry,
             dtype: dep.payload.dtype.to_string(),
             fp: dep.fp,
-            payload: dep.payload.encode_wire(),
-        };
+        }
+        .encode(|out| dep.payload.encode_into(out));
         self.client
             .pending
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert((self.id, seq), dep.payload.local.clone());
+            .insert((self.id, seq), dep.payload.local);
         self.client
-            .send(FrameKind::Deposit, &frame::encode(&msg))
+            .send(FrameKind::Deposit, &body)
             .map_err(CollectError::Transport)
     }
 
@@ -354,8 +363,10 @@ impl CommLink for SocketLink {
 }
 
 impl SocketLink {
-    /// Turn a `COLLECT` frame into member-ordered deposits, substituting
-    /// this rank's own stored `Arc` at its member index.
+    /// Turn a `COLLECT` frame into member-ordered deposits. The hub
+    /// sends this rank's own payload with length 0; its stored `Arc`
+    /// takes that place, and every remote payload stays a range of the
+    /// one received body until a collective extracts it.
     fn accept_collect(
         &self,
         fr: Frame,
@@ -363,7 +374,7 @@ impl SocketLink {
         my_idx: usize,
         size: usize,
     ) -> Result<Vec<RxDeposit>, CollectError> {
-        let msg = frame::decode::<CollectMsg>(&fr.body)
+        let msg = CollectMsg::parse(&fr.body)
             .map_err(|e| CollectError::Transport(format!("bad collect frame: {e}")))?;
         if msg.comm != self.id || msg.seq != seq {
             return Err(CollectError::Transport(format!(
@@ -383,16 +394,29 @@ impl SocketLink {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&(self.id, seq));
+        let Some(own) = own else {
+            return Err(CollectError::Transport(format!(
+                "protocol error: collect for comm {} seq {seq}, where this rank has no deposit \
+                 pending",
+                self.id
+            )));
+        };
+        let body = Arc::new(fr.body);
         Ok(msg
             .deposits
             .into_iter()
             .enumerate()
-            .map(|(idx, (entry, fp, bytes))| {
-                let payload = match (&own, idx == my_idx) {
-                    (Some(local), true) => RxPayload::Local(local.clone()),
-                    _ => RxPayload::Remote(Arc::new(bytes)),
-                };
-                RxDeposit { entry, fp, payload }
+            .map(|(idx, d)| RxDeposit {
+                entry: d.entry,
+                fp: d.fp,
+                payload: if idx == my_idx {
+                    RxPayload::Local(own.clone())
+                } else {
+                    RxPayload::Remote {
+                        body: body.clone(),
+                        range: d.payload,
+                    }
+                },
             })
             .collect())
     }
@@ -402,9 +426,42 @@ impl SocketLink {
 // Hub: the launcher-side rendezvous broker.
 // ---------------------------------------------------------------------
 
-/// A remote rank's contribution as the hub stores it: issue-time
-/// clock, optional CheckMode fingerprint, encoded payload bytes.
-type HubDeposit = (f64, Option<Fingerprint>, Vec<u8>);
+/// A rank's contribution as the hub stores it: the received `DEPOSIT`
+/// body, whole and shared, plus what was parsed out of its head. The
+/// payload is never copied out of `body` — every `COLLECT` that carries
+/// it is written from this one buffer.
+struct HubDeposit {
+    entry: f64,
+    fp: Option<Fingerprint>,
+    body: Arc<Vec<u8>>,
+    payload: Range<usize>,
+}
+
+/// One `COLLECT` ready to be written: the small pieces (rendezvous key,
+/// then each member's clock, fingerprint and payload length) in one
+/// buffer, cut where a payload goes between them, and the payloads as
+/// references into the stored deposit bodies. Built under the state
+/// lock — a few dozen bytes and `Arc` clones — and written after it is
+/// released.
+struct Collect {
+    heads: Vec<u8>,
+    cuts: Vec<usize>,
+    payloads: Vec<(Arc<Vec<u8>>, Range<usize>)>,
+}
+
+impl Collect {
+    /// The frame body as the byte runs to write, in order.
+    fn parts(&self) -> Vec<&[u8]> {
+        let mut parts = Vec::with_capacity(2 * self.cuts.len());
+        let mut from = 0;
+        for (&cut, (body, range)) in self.cuts.iter().zip(&self.payloads) {
+            parts.push(&self.heads[from..cut]);
+            parts.push(&body[range.clone()]);
+            from = cut;
+        }
+        parts
+    }
+}
 
 /// One in-flight rendezvous on the hub.
 struct HubSlot {
@@ -417,8 +474,36 @@ struct HubSlot {
     served: usize,
 }
 
+impl HubSlot {
+    fn complete(&self) -> bool {
+        self.deposits.iter().all(|d| d.is_some())
+    }
+
+    /// The `COLLECT` answering `rank`'s wait on this complete slot:
+    /// everyone's clock and fingerprint, everyone's payload but
+    /// `rank`'s own — the client substitutes the `Arc` it kept.
+    fn collect_for(&self, key: (u64, u64), rank: usize) -> Collect {
+        let mut c = Collect {
+            heads: Vec::new(),
+            cuts: Vec::with_capacity(self.members.len()),
+            payloads: Vec::with_capacity(self.members.len()),
+        };
+        CollectMsg::put_head(&mut c.heads, key.0, key.1, self.members.len());
+        for (&member, dep) in self.members.iter().zip(self.deposits.iter().flatten()) {
+            let payload = if member == rank {
+                dep.payload.start..dep.payload.start
+            } else {
+                dep.payload.clone()
+            };
+            CollectMsg::put_entry(&mut c.heads, dep.entry, &dep.fp, payload.len());
+            c.cuts.push(c.heads.len());
+            c.payloads.push((dep.body.clone(), payload));
+        }
+        c
+    }
+}
+
 struct HubState {
-    conns: Vec<Option<UnixStream>>,
     slots: HashMap<(u64, u64), HubSlot>,
     /// Encoded `(result, report)` per worker rank; index 0 is unused
     /// (rank 0's result never travels through the hub).
@@ -427,13 +512,135 @@ struct HubState {
     dead: Vec<Option<String>>,
 }
 
+/// What the hub owes after a `DEPOSIT` or `WAIT`: the `COLLECT`s to
+/// write (none while the rendezvous is incomplete), or why the frame
+/// is refused.
+type Outcome = Result<Vec<(usize, Collect)>, String>;
+
+impl HubState {
+    /// Store `rank`'s deposit in its slot, opening the slot on the
+    /// first arrival; the last arrival answers every parked waiter.
+    fn deposit(
+        &mut self,
+        rank: usize,
+        msg: DepositMsg,
+        body: Arc<Vec<u8>>,
+        payload: Range<usize>,
+    ) -> Outcome {
+        let key = (msg.comm, msg.seq);
+        let at = || format!("comm {} seq {}", msg.comm, msg.seq);
+        match msg.members.get(msg.my_idx) {
+            Some(&m) if m == rank => {}
+            Some(&m) => {
+                return Err(format!(
+                    "protocol error: deposit at {} names member index {}, which is rank {m}, \
+                     not the depositing rank {rank}",
+                    at(),
+                    msg.my_idx
+                ))
+            }
+            None => {
+                return Err(format!(
+                    "protocol error: deposit at {} names member index {} of a {}-member group",
+                    at(),
+                    msg.my_idx,
+                    msg.members.len()
+                ))
+            }
+        }
+        let slot = self.slots.entry(key).or_insert_with(|| HubSlot {
+            members: msg.members.clone(),
+            deposits: msg.members.iter().map(|_| None).collect(),
+            waiters: Vec::new(),
+            served: 0,
+        });
+        if slot.members != msg.members {
+            return Err(format!(
+                "protocol error: deposit at {} lists members {:?} but the rendezvous was opened \
+                 with {:?}",
+                at(),
+                msg.members,
+                slot.members
+            ));
+        }
+        if slot.deposits[msg.my_idx].is_some() {
+            return Err(format!(
+                "rank deposited twice at {} — collective misuse",
+                at()
+            ));
+        }
+        slot.deposits[msg.my_idx] = Some(HubDeposit {
+            entry: msg.entry,
+            fp: msg.fp,
+            body,
+            payload,
+        });
+        if !slot.complete() {
+            return Ok(Vec::new());
+        }
+        let waiters = std::mem::take(&mut slot.waiters);
+        Ok(self.serve(key, waiters))
+    }
+
+    /// `rank` waits on `key`: answer at once when the rendezvous is
+    /// complete, park the rank otherwise.
+    fn wait(&mut self, rank: usize, key: (u64, u64)) -> Outcome {
+        // The waiter deposits before waiting, so its slot must still
+        // exist and list it; otherwise the protocol was violated.
+        let Some(slot) = self.slots.get_mut(&key) else {
+            return Err(format!(
+                "protocol error: wait for unknown rendezvous comm {} seq {}",
+                key.0, key.1
+            ));
+        };
+        if !slot.members.contains(&rank) {
+            return Err(format!(
+                "protocol error: rank {rank} waits on comm {} seq {}, a rendezvous of ranks {:?}",
+                key.0, key.1, slot.members
+            ));
+        }
+        if !slot.complete() {
+            slot.waiters.push(rank);
+            return Ok(Vec::new());
+        }
+        Ok(self.serve(key, vec![rank]))
+    }
+
+    /// Build the `COLLECT` for each of `ranks` from `key`'s complete
+    /// slot, and retire the slot once every member has been answered.
+    fn serve(&mut self, key: (u64, u64), ranks: Vec<usize>) -> Vec<(usize, Collect)> {
+        let Some(slot) = self.slots.get_mut(&key) else {
+            return Vec::new();
+        };
+        slot.served += ranks.len();
+        let ready = ranks
+            .into_iter()
+            .map(|rank| (rank, slot.collect_for(key, rank)))
+            .collect();
+        if slot.served == slot.members.len() {
+            self.slots.remove(&key);
+        }
+        ready
+    }
+}
+
 /// The rendezvous broker. Mirrors every remote rank's protocol traffic
 /// into the launcher's diagnostics so the watchdog and failure reports
 /// work identically to the thread backend; rank 0's own thread
 /// maintains its diagnostics directly, so its frames are not mirrored.
+///
+/// Lock discipline: `state` guards the rendezvous tables and is held
+/// only to decide what to send; every socket write happens after it is
+/// released, under the target connection's own writer lock. A peer that
+/// stops draining its socket therefore blocks writes to itself and
+/// nothing else — not other ranks' rendezvous, not abort delivery.
 struct Hub {
     registry: Arc<Registry>,
     size: usize,
+    /// Write half of each rank's connection, set once at its `HELLO`.
+    /// The lock is held for one whole frame so frames to a rank never
+    /// interleave.
+    conns: Vec<OnceLock<Mutex<UnixStream>>>,
     state: Mutex<HubState>,
 }
 
@@ -442,8 +649,8 @@ impl Hub {
         Hub {
             registry,
             size,
+            conns: (0..size).map(|_| OnceLock::new()).collect(),
             state: Mutex::new(HubState {
-                conns: (0..size).map(|_| None).collect(),
                 slots: HashMap::new(),
                 results: vec![None; size],
                 dead: vec![None; size],
@@ -455,47 +662,78 @@ impl Hub {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn send_locked(&self, state: &mut HubState, rank: usize, kind: FrameKind, body: &[u8]) {
-        if let Some(conn) = state.conns.get_mut(rank).and_then(|c| c.as_mut()) {
-            // A send failure means the peer died; the connection reader
-            // will notice and take the run down with a named error.
-            let _ = frame::write_frame(conn, kind, body);
+    fn register_conn(&self, rank: usize, writer: UnixStream) {
+        if let Some(conn) = self.conns.get(rank) {
+            // One connection per rank per run; a second claimant of the
+            // same rank is ignored.
+            let _ = conn.set(Mutex::new(writer));
         }
     }
 
-    fn register_conn(&self, rank: usize, writer: UnixStream) {
-        let mut state = self.lock();
-        if let Some(slot) = state.conns.get_mut(rank) {
-            *slot = Some(writer);
+    /// Write one frame to `rank`, taking only that connection's writer
+    /// lock. Must not be called with the state lock held.
+    fn send(&self, rank: usize, kind: FrameKind, parts: &[&[u8]]) -> Result<(), FrameError> {
+        let Some(peer_writer) = self.conns.get(rank).and_then(OnceLock::get) else {
+            return Ok(());
+        };
+        let mut w = peer_writer.lock().unwrap_or_else(PoisonError::into_inner);
+        frame::write_frame_parts(&mut *w, kind, parts)
+    }
+
+    fn send_error(&self, rank: usize, why: String) {
+        let body = frame::encode(&ErrorMsg { message: why });
+        // A send failure means the peer died; the connection reader
+        // will notice and take the run down with a named error.
+        let _ = self.send(rank, FrameKind::Error, &[&body]);
+    }
+
+    /// Act on an [`Outcome`] decided under the state lock, now that it
+    /// is released: write the `COLLECT`s, or refuse `rank`'s frame.
+    fn answer(&self, rank: usize, key: (u64, u64), outcome: Outcome) {
+        let ready = match outcome {
+            Ok(ready) => ready,
+            Err(why) => return self.send_error(rank, why),
+        };
+        for (waiter, collect) in ready {
+            // Only a refusal to send is answered; an I/O failure means
+            // the peer died, which its connection reader reports.
+            if let Err(e @ FrameError::Oversize(_)) =
+                self.send(waiter, FrameKind::Collect, &collect.parts())
+            {
+                self.send_error(
+                    waiter,
+                    format!(
+                        "collect for comm {} seq {} cannot be sent: {e}",
+                        key.0, key.1
+                    ),
+                );
+            }
+            if waiter != 0 {
+                self.registry.diag.set_phase(waiter, RankPhase::Running);
+            }
         }
     }
 
     fn on_frame(&self, rank: usize, fr: Frame) {
         match fr.kind {
-            FrameKind::Deposit => match frame::decode::<DepositMsg>(&fr.body) {
-                Ok(m) => self.on_deposit(rank, m),
-                Err(e) => self.protocol_error(rank, format!("bad deposit frame: {e}")),
+            FrameKind::Deposit => match DepositMsg::parse(&fr.body) {
+                Ok((m, payload)) => self.on_deposit(rank, m, Arc::new(fr.body), payload),
+                Err(e) => self.send_error(rank, format!("bad deposit frame: {e}")),
             },
             FrameKind::Wait => match frame::decode::<WaitMsg>(&fr.body) {
                 Ok(m) => self.on_wait(rank, m),
-                Err(e) => self.protocol_error(rank, format!("bad wait frame: {e}")),
+                Err(e) => self.send_error(rank, format!("bad wait frame: {e}")),
             },
             FrameKind::Result => self.on_result(rank, fr.body),
             FrameKind::Panic => match frame::decode::<PanicMsg>(&fr.body) {
                 Ok(m) => self.on_panic(rank, m),
-                Err(e) => self.protocol_error(rank, format!("bad panic frame: {e}")),
+                Err(e) => self.send_error(rank, format!("bad panic frame: {e}")),
             },
-            other => self.protocol_error(rank, format!("unexpected {other:?} frame from a client")),
+            other => self.send_error(rank, format!("unexpected {other:?} frame from a client")),
         }
     }
 
-    fn protocol_error(&self, rank: usize, why: String) {
-        let body = frame::encode(&ErrorMsg { message: why });
-        let mut state = self.lock();
-        self.send_locked(&mut state, rank, FrameKind::Error, &body);
-    }
-
-    fn on_deposit(&self, rank: usize, msg: DepositMsg) {
+    fn on_deposit(&self, rank: usize, msg: DepositMsg, body: Arc<Vec<u8>>, payload: Range<usize>) {
         if rank != 0 {
             self.registry.diag.record_history(
                 rank,
@@ -510,49 +748,8 @@ impl Hub {
             );
         }
         let key = (msg.comm, msg.seq);
-        let mut state = self.lock();
-        let slot = state.slots.entry(key).or_insert_with(|| HubSlot {
-            members: msg.members.clone(),
-            deposits: vec![None; msg.members.len()],
-            waiters: Vec::new(),
-            served: 0,
-        });
-        if msg.my_idx >= slot.deposits.len() || slot.deposits[msg.my_idx].is_some() {
-            drop(state);
-            self.protocol_error(
-                rank,
-                format!(
-                    "rank deposited twice at comm {} seq {} — collective misuse",
-                    msg.comm, msg.seq
-                ),
-            );
-            return;
-        }
-        slot.deposits[msg.my_idx] = Some((msg.entry, msg.fp, msg.payload));
-        let mut to_serve = Vec::new();
-        let mut body = Vec::new();
-        if slot.deposits.iter().all(|d| d.is_some()) {
-            to_serve = std::mem::take(&mut slot.waiters);
-            slot.served += to_serve.len();
-            let done = slot.served == slot.members.len();
-            body = frame::encode(&CollectMsg {
-                comm: key.0,
-                seq: key.1,
-                deposits: slot.deposits.iter().flatten().cloned().collect(),
-            });
-            if done {
-                state.slots.remove(&key);
-            }
-        }
-        for &w in &to_serve {
-            self.send_locked(&mut state, w, FrameKind::Collect, &body);
-        }
-        drop(state);
-        for w in to_serve {
-            if w != 0 {
-                self.registry.diag.set_phase(w, RankPhase::Running);
-            }
-        }
+        let outcome = self.lock().deposit(rank, msg, body, payload);
+        self.answer(rank, key, outcome);
     }
 
     fn on_wait(&self, rank: usize, msg: WaitMsg) {
@@ -570,43 +767,14 @@ impl Hub {
             );
         }
         let key = (msg.comm, msg.seq);
-        let mut state = self.lock();
-        if let Some(why) = self.wait_error(&state, &msg.members) {
-            let body = frame::encode(&ErrorMsg { message: why });
-            self.send_locked(&mut state, rank, FrameKind::Error, &body);
-            return;
-        }
-        let Some(slot) = state.slots.get_mut(&key) else {
-            // The waiter deposits before waiting, so its slot must still
-            // exist; a missing slot means the protocol was violated.
-            let body = frame::encode(&ErrorMsg {
-                message: format!(
-                    "protocol error: wait for unknown rendezvous comm {} seq {}",
-                    msg.comm, msg.seq
-                ),
-            });
-            self.send_locked(&mut state, rank, FrameKind::Error, &body);
-            return;
+        let outcome = {
+            let mut state = self.lock();
+            match self.wait_error(&state, &msg.members) {
+                Some(why) => Err(why),
+                None => state.wait(rank, key),
+            }
         };
-        if slot.deposits.iter().all(|d| d.is_some()) {
-            slot.served += 1;
-            let done = slot.served == slot.members.len();
-            let body = frame::encode(&CollectMsg {
-                comm: key.0,
-                seq: key.1,
-                deposits: slot.deposits.iter().flatten().cloned().collect(),
-            });
-            if done {
-                state.slots.remove(&key);
-            }
-            self.send_locked(&mut state, rank, FrameKind::Collect, &body);
-            drop(state);
-            if rank != 0 {
-                self.registry.diag.set_phase(rank, RankPhase::Running);
-            }
-        } else {
-            slot.waiters.push(rank);
-        }
+        self.answer(rank, key, outcome);
     }
 
     fn wait_error(&self, state: &HubState, members: &[usize]) -> Option<String> {
@@ -683,19 +851,23 @@ impl Hub {
     /// and whenever the abort flag is observed by the monitor thread
     /// (covering rank-0 panics and watchdog-declared deadlocks).
     fn flush_waiters(&self, why: &str) {
+        let waiters: Vec<usize> = {
+            let mut state = self.lock();
+            state
+                .slots
+                .values_mut()
+                .flat_map(|slot| std::mem::take(&mut slot.waiters))
+                .collect()
+        };
+        if waiters.is_empty() {
+            return;
+        }
         let body = frame::encode(&ErrorMsg {
             message: why.to_string(),
         });
-        let mut state = self.lock();
-        let keys: Vec<(u64, u64)> = state.slots.keys().copied().collect();
-        for key in keys {
-            let waiters = match state.slots.get_mut(&key) {
-                Some(slot) => std::mem::take(&mut slot.waiters),
-                None => Vec::new(),
-            };
-            for w in waiters {
-                self.send_locked(&mut state, w, FrameKind::Error, &body);
-            }
+        for w in waiters {
+            // As in `send_error`: a failed send is a dead peer.
+            let _ = self.send(w, FrameKind::Error, &[&body]);
         }
     }
 
@@ -1105,6 +1277,288 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    /// A hub for `size` ranks whose connections are socket pairs:
+    /// `hub.on_frame(rank, ..)` stands in for `rank`'s connection
+    /// thread, and the hub's answers arrive on `peers[rank]`.
+    struct Rig {
+        hub: Arc<Hub>,
+        peers: Vec<UnixStream>,
+    }
+
+    fn rig(size: usize) -> Rig {
+        let registry = Arc::new(Registry::new(Duration::from_secs(5)));
+        registry.diag.init(size);
+        let hub = Arc::new(Hub::new(registry, size));
+        let peers = (0..size)
+            .map(|rank| {
+                let (hub_end, peer) = UnixStream::pair().expect("socket pair");
+                peer.set_read_timeout(Some(Duration::from_secs(5)))
+                    .expect("read timeout");
+                hub.register_conn(rank, hub_end);
+                peer
+            })
+            .collect();
+        Rig { hub, peers }
+    }
+
+    fn deposit_head(key: (u64, u64), my_idx: usize, members: &[usize]) -> DepositMsg {
+        DepositMsg {
+            comm: key.0,
+            seq: key.1,
+            kind: CollectiveKind::Bcast,
+            my_idx,
+            members: members.to_vec(),
+            entry: 0.5,
+            dtype: "test".to_string(),
+            fp: None,
+        }
+    }
+
+    fn deposit(key: (u64, u64), my_idx: usize, members: &[usize], payload: &[u8]) -> Frame {
+        Frame {
+            kind: FrameKind::Deposit,
+            body: deposit_head(key, my_idx, members).encode(|out| out.extend_from_slice(payload)),
+        }
+    }
+
+    /// A deposit whose `payload_len` payload bytes are zero pages the
+    /// test never touches, so it can be huge without costing memory.
+    fn untouched_deposit(
+        key: (u64, u64),
+        my_idx: usize,
+        members: &[usize],
+        payload_len: usize,
+    ) -> Frame {
+        let head = deposit_head(key, my_idx, members).encode(|_| {});
+        let mut body = vec![0u8; head.len() + payload_len];
+        body[..head.len()].copy_from_slice(&head);
+        body[head.len() - 8..head.len()].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        Frame {
+            kind: FrameKind::Deposit,
+            body,
+        }
+    }
+
+    fn wait(key: (u64, u64), my_idx: usize, members: &[usize]) -> Frame {
+        Frame {
+            kind: FrameKind::Wait,
+            body: frame::encode(&WaitMsg {
+                comm: key.0,
+                seq: key.1,
+                kind: CollectiveKind::Bcast,
+                my_idx,
+                members: members.to_vec(),
+            }),
+        }
+    }
+
+    fn answer_to(peer: &UnixStream) -> Frame {
+        let mut peer = peer;
+        frame::read_frame(&mut peer).expect("the hub answers")
+    }
+
+    fn error_to(peer: &UnixStream) -> String {
+        let fr = answer_to(peer);
+        assert_eq!(fr.kind, FrameKind::Error);
+        frame::decode::<ErrorMsg>(&fr.body)
+            .expect("error body")
+            .message
+    }
+
+    #[test]
+    fn stalled_peer_blocks_neither_other_rendezvous_nor_abort_delivery() {
+        let Rig { hub, peers } = rig(4);
+        // Rank 0 broadcasts 8 MiB to rank 1, whose socket nobody drains:
+        // the COLLECT write to it stalls once the socket buffer is full.
+        let pair = [0, 1];
+        hub.on_frame(0, deposit((1, 0), 0, &pair, &vec![7u8; 8 << 20]));
+        hub.on_frame(1, deposit((1, 0), 1, &pair, &[0]));
+        let stalled = {
+            let hub = hub.clone();
+            std::thread::spawn(move || hub.on_frame(1, wait((1, 0), 1, &pair)))
+        };
+        // The frame header arriving proves that write is in flight.
+        let mut header = [0u8; frame::HEADER_LEN];
+        (&peers[1]).read_exact(&mut header).expect("collect header");
+
+        // Meanwhile ranks 2 and 3 rendezvous on another communicator and
+        // an abort is flushed — on a thread, so a hub that queues them
+        // behind the stalled write fails this test instead of hanging it.
+        let (done_tx, done_rx) = mpsc::channel();
+        {
+            let hub = hub.clone();
+            std::thread::spawn(move || {
+                let others = [2, 3];
+                for idx in 0..2 {
+                    hub.on_frame(others[idx], deposit((9, 0), idx, &others, &[0]));
+                }
+                for idx in 0..2 {
+                    hub.on_frame(others[idx], wait((9, 0), idx, &others));
+                }
+                hub.flush_waiters("abort");
+                let _ = done_tx.send(());
+            });
+        }
+        done_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("served within a second of the stall");
+        for rank in [2, 3] {
+            assert_eq!(answer_to(&peers[rank]).kind, FrameKind::Collect);
+        }
+
+        // Drain rank 1 so the stalled write, and its thread, finish.
+        let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
+        let mut rest = vec![0u8; len as usize];
+        (&peers[1]).read_exact(&mut rest).expect("collect body");
+        stalled.join().expect("stalled writer thread");
+    }
+
+    #[test]
+    fn collect_omits_the_waiters_own_payload_and_forwards_the_stored_buffer() {
+        let Rig { hub, peers } = rig(2);
+        let (key, pair, n) = ((1, 3), [0, 1], 64 << 10);
+        let root = deposit(key, 0, &pair, &vec![0xAB; n]);
+        let root_buf = root.body.as_ptr();
+        hub.on_frame(0, root);
+        hub.on_frame(1, deposit(key, 1, &pair, &frame::encode(&())));
+        {
+            let state = hub.lock();
+            let slot = &state.slots[&key];
+            let stored = slot.deposits[0].as_ref().expect("root deposit stored");
+            // Ingest copied nothing: the hub holds the very buffer the
+            // frame arrived in, once.
+            assert_eq!(stored.body.as_ptr(), root_buf);
+            assert_eq!(Arc::strong_count(&stored.body), 1);
+            // And what goes out to the receiver is that buffer's bytes.
+            let collect = slot.collect_for(key, 1);
+            assert!(Arc::ptr_eq(&collect.payloads[0].0, &stored.body));
+            assert_eq!(
+                collect.parts()[1].as_ptr(),
+                stored.body[stored.payload.clone()].as_ptr()
+            );
+        }
+        hub.on_frame(0, wait(key, 0, &pair));
+        hub.on_frame(1, wait(key, 1, &pair));
+        let to_root = answer_to(&peers[0]);
+        let to_receiver = answer_to(&peers[1]);
+        assert_eq!(to_root.kind, FrameKind::Collect);
+        assert_eq!(to_receiver.kind, FrameKind::Collect);
+        assert!(to_root.body.len() < 256, "root was echoed its own payload");
+        // Same heads both ways; the root's carries the 1-byte bystander
+        // payload, the receiver's the n-byte root payload.
+        assert_eq!(to_receiver.body.len() - n, to_root.body.len() - 1);
+
+        let at_root = CollectMsg::parse(&to_root.body).expect("root collect");
+        assert!(at_root.deposits[0].payload.is_empty());
+        assert_eq!(at_root.deposits[1].payload.len(), 1);
+        let at_receiver = CollectMsg::parse(&to_receiver.body).expect("receiver collect");
+        let got = &to_receiver.body[at_receiver.deposits[0].payload.clone()];
+        assert!(got.len() == n && got.iter().all(|&b| b == 0xAB));
+        assert!(at_receiver.deposits[1].payload.is_empty());
+        for d in at_root.deposits.iter().chain(&at_receiver.deposits) {
+            assert_eq!((d.entry, &d.fp), (0.5, &None), "clocks travel to everyone");
+        }
+        assert!(hub.lock().slots.is_empty(), "slot retired once all served");
+    }
+
+    #[test]
+    fn misaddressed_deposits_are_named_as_such() {
+        let Rig { hub, peers } = rig(3);
+        let all = [0, 1, 2];
+        hub.on_frame(1, deposit((1, 0), 5, &all, &[0]));
+        let why = error_to(&peers[1]);
+        assert!(
+            why.contains("member index 5 of a 3-member group"),
+            "got: {why}"
+        );
+        hub.on_frame(1, deposit((1, 0), 2, &all, &[0]));
+        let why = error_to(&peers[1]);
+        assert!(
+            why.contains("which is rank 2, not the depositing rank 1"),
+            "got: {why}"
+        );
+        assert!(hub.lock().slots.is_empty(), "refused deposits open no slot");
+
+        hub.on_frame(0, deposit((1, 0), 0, &all, &[0]));
+        hub.on_frame(1, deposit((1, 0), 1, &[0, 1], &[0]));
+        let why = error_to(&peers[1]);
+        assert!(
+            why.contains("lists members [0, 1] but the rendezvous was opened with [0, 1, 2]"),
+            "got: {why}"
+        );
+        // A genuine double deposit still reads as one.
+        hub.on_frame(0, deposit((1, 0), 0, &all, &[0]));
+        let why = error_to(&peers[0]);
+        assert!(why.contains("deposited twice"), "got: {why}");
+    }
+
+    #[test]
+    fn oversize_collect_is_refused_with_a_named_error() {
+        let Rig { hub, peers } = rig(3);
+        let (key, all) = ((1, 0), [0, 1, 2]);
+        // Two deposits of just over half the frame cap each: either fits
+        // a frame, their sum in one COLLECT does not.
+        let half = (frame::MAX_FRAME as usize >> 1) + 1;
+        hub.on_frame(0, untouched_deposit(key, 0, &all, half));
+        hub.on_frame(1, untouched_deposit(key, 1, &all, half));
+        hub.on_frame(2, deposit(key, 2, &all, &[0]));
+        hub.on_frame(2, wait(key, 2, &all));
+        let why = error_to(&peers[2]);
+        assert!(
+            why.contains("collect for comm 1 seq 0 cannot be sent")
+                && why.contains(&format!("{}-byte cap", frame::MAX_FRAME)),
+            "got: {why}"
+        );
+    }
+
+    #[test]
+    fn client_substitutes_its_own_deposit_and_refuses_a_collect_without_one() {
+        let (ours, _theirs) = UnixStream::pair().expect("socket pair");
+        let link = SocketLink {
+            id: 7,
+            client: Arc::new(SocketClient {
+                rank: 1,
+                writer: Mutex::new(ours),
+                rx: Mutex::new(mpsc::channel().1),
+                pending: Mutex::new(HashMap::new()),
+            }),
+        };
+        let collect = || {
+            let mut body = Vec::new();
+            CollectMsg::put_head(&mut body, 7, 4, 2);
+            CollectMsg::put_entry(&mut body, 1.0, &None, 8);
+            body.extend_from_slice(&frame::encode(&42u64));
+            CollectMsg::put_entry(&mut body, 2.0, &None, 0);
+            Frame {
+                kind: FrameKind::Collect,
+                body,
+            }
+        };
+        let Err(CollectError::Transport(why)) = link.accept_collect(collect(), 4, 1, 2) else {
+            panic!("a collect with no pending own deposit must be refused");
+        };
+        assert!(
+            why.contains("protocol error") && why.contains("no deposit pending"),
+            "got: {why}"
+        );
+
+        let own: Payload = Arc::new(9u64);
+        link.client
+            .pending
+            .lock()
+            .expect("pending")
+            .insert((7, 4), own.clone());
+        let Ok(deposits) = link.accept_collect(collect(), 4, 1, 2) else {
+            panic!("collect with a pending own deposit");
+        };
+        assert_eq!(*deposits[0].payload.extract::<u64>(), 42);
+        match &deposits[1].payload {
+            RxPayload::Local(p) => assert!(Arc::ptr_eq(p, &own)),
+            RxPayload::Remote { .. } => panic!("own slot must be the stored Arc"),
+        }
+    }
 
     #[test]
     fn derived_ids_are_stable_and_distinct() {

@@ -23,6 +23,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -76,8 +77,9 @@ impl TransportKind {
 
 /// A payload on its way into a rendezvous: the local `Arc` (for
 /// zero-copy shared-memory delivery) plus a deferred encoder the socket
-/// backend invokes to produce frame bytes. The encoder is only called
-/// when the deposit actually crosses a process boundary.
+/// backend invokes to append the payload's bytes to a frame body. The
+/// encoder is only called when the deposit actually crosses a process
+/// boundary.
 pub(crate) struct TxPayload {
     /// The payload as shared-memory ranks will receive it.
     pub local: Payload,
@@ -107,11 +109,9 @@ impl TxPayload {
         TxPayload::of(Arc::new(()))
     }
 
-    /// Produce the wire encoding (socket backend only).
-    pub fn encode_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        (self.encode)(&mut out);
-        out
+    /// Append the wire encoding to `out` (socket backend only).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        (self.encode)(out);
     }
 }
 
@@ -135,8 +135,14 @@ pub(crate) struct TxDeposit {
 pub(crate) enum RxPayload {
     /// Zero-copy local delivery.
     Local(Payload),
-    /// Encoded bytes from a remote rank.
-    Remote(Arc<Vec<u8>>),
+    /// Encoded bytes from a remote rank: a range of the received frame
+    /// body, which all payloads of one collect share.
+    Remote {
+        /// The whole received body.
+        body: Arc<Vec<u8>>,
+        /// Where this member's payload lies in it.
+        range: Range<usize>,
+    },
 }
 
 impl RxPayload {
@@ -152,13 +158,15 @@ impl RxPayload {
                 .clone()
                 .downcast::<T>()
                 .unwrap_or_else(|_| panic!("collective payload type mismatch across ranks")),
-            RxPayload::Remote(bytes) => match crate::frame::decode::<T>(bytes) {
-                Ok(v) => Arc::new(v),
-                Err(e) => panic!(
-                    "collective payload failed to decode as {}: {e}",
-                    std::any::type_name::<T>()
-                ),
-            },
+            RxPayload::Remote { body, range } => {
+                match crate::frame::decode::<T>(&body[range.clone()]) {
+                    Ok(v) => Arc::new(v),
+                    Err(e) => panic!(
+                        "collective payload failed to decode as {}: {e}",
+                        std::any::type_name::<T>()
+                    ),
+                }
+            }
         }
     }
 }
@@ -415,24 +423,36 @@ mod tests {
         let data = Arc::new(vec![1.0f64, 2.0, 3.0]);
         let tx = TxPayload::of(data.clone());
         assert!(tx.dtype.contains("Vec<f64>"));
-        let bytes = tx.encode_wire();
-        let back: Vec<f64> = crate::frame::decode(&bytes).expect("decode");
+        let mut bytes = vec![0xAA];
+        tx.encode_into(&mut bytes);
+        let back: Vec<f64> = crate::frame::decode(&bytes[1..]).expect("decode");
         assert_eq!(back, *data);
         let local = RxPayload::Local(tx.local.clone());
         assert!(Arc::ptr_eq(&local.extract::<Vec<f64>>(), &data));
     }
 
+    /// A remote payload lying at `at` inside a larger received body.
+    fn remote_at(at: usize, payload: &[u8]) -> RxPayload {
+        let mut body = vec![0xEE; at];
+        body.extend_from_slice(payload);
+        body.extend_from_slice(&[0xEE; 3]);
+        RxPayload::Remote {
+            body: Arc::new(body),
+            range: at..at + payload.len(),
+        }
+    }
+
     #[test]
     fn remote_payload_decodes_on_extract() {
         let data = vec![0usize, 7, 42];
-        let rx = RxPayload::Remote(Arc::new(crate::frame::encode(&data)));
+        let rx = remote_at(5, &crate::frame::encode(&data));
         assert_eq!(*rx.extract::<Vec<usize>>(), data);
     }
 
     #[test]
     #[should_panic(expected = "failed to decode")]
     fn remote_payload_rejects_wrong_type() {
-        let rx = RxPayload::Remote(Arc::new(crate::frame::encode(&3u8)));
+        let rx = remote_at(0, &crate::frame::encode(&3u8));
         let _ = rx.extract::<Vec<f64>>();
     }
 }

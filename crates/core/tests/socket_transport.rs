@@ -11,10 +11,13 @@
 
 #![cfg(unix)]
 
-use cagnet_comm::TransportKind;
+use std::sync::Arc;
+
+use cagnet_comm::{Cat, CheckMode, Cluster, TransportKind};
 use cagnet_core::dist::CommMode;
 use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
+use cagnet_dense::Mat;
 use cagnet_sparse::generate::erdos_renyi;
 
 fn small_problem() -> (Problem, GcnConfig) {
@@ -125,6 +128,54 @@ fn one5d_sparsity_aware_p4() {
 #[test]
 fn twod_dense_p4() {
     assert_bit_identical(Algorithm::TwoD, 4, CommMode::Dense, true);
+    assert_checked_split_collectives_bit_identical();
+}
+
+/// The hub sends no rank its own payload back; the client puts the
+/// `Arc` it kept in that place. Pin that off the world communicator and
+/// with fingerprints riding along (`CAGNET_CHECK=1` semantics): on two
+/// split groups of two, every rank is root once — so it both keeps its
+/// own block and decodes its peer's — across a broadcast, a row gather
+/// and an all-reduce, bit-identically to the thread backend.
+fn assert_checked_split_collectives_bit_identical() {
+    let run = |transport| {
+        Cluster::new(4)
+            .with_transport(transport)
+            .with_check(CheckMode::On)
+            .run_wire(|ctx| {
+                let sub = ctx.world.split((ctx.rank % 2) as u64);
+                let me = sub.my_idx();
+                let block = Arc::new(Mat::from_fn(6, 3, |i, j| {
+                    (ctx.rank * 100 + i * 3 + j) as f64 / 7.0
+                }));
+                let mut seen = Vec::new();
+                for root in 0..sub.size() {
+                    let mine = (me == root).then(|| block.clone());
+                    let got = sub.bcast_shared(root, mine.clone(), Cat::DenseComm);
+                    if me == root {
+                        assert!(Arc::ptr_eq(&got, &block), "root gets its own Arc back");
+                    }
+                    seen.extend_from_slice(got.as_slice());
+                    let rows = sub.gather_rows(root, mine, &[1, 4], Some((6, 3)), Cat::DenseComm);
+                    seen.extend_from_slice(rows.mat().as_slice());
+                }
+                let sum = sub.allreduce_mat(&block, Cat::DenseComm);
+                seen.extend_from_slice(sum.as_slice());
+                seen.push(
+                    ctx.world
+                        .allreduce_scalar(seen.iter().sum(), Cat::DenseComm),
+                );
+                seen.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+            })
+    };
+    let shared = run(TransportKind::Shared);
+    let socket = run(TransportKind::Socket);
+    assert_eq!(shared.len(), socket.len());
+    for (rank, ((a, arep), (b, brep))) in shared.iter().zip(socket.iter()).enumerate() {
+        assert_eq!(a, b, "rank {rank} values diverged");
+        assert_eq!(arep, brep, "rank {rank} timeline diverged");
+        assert_eq!(arep.clock.to_bits(), brep.clock.to_bits());
+    }
 }
 
 #[test]
