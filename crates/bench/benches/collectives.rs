@@ -5,6 +5,7 @@
 use cagnet_comm::{Cat, Cluster};
 use cagnet_dense::Mat;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 
 fn bench_bcast(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_bcast_64kB");
@@ -46,9 +47,11 @@ fn bench_reduce_scatter(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             b.iter(|| {
                 Cluster::new(p).run(|ctx| {
-                    let m = Mat::filled(128, 64, ctx.rank as f64);
+                    let m = Arc::new(Mat::filled(128, 64, ctx.rank as f64));
+                    let mut out = Mat::zeros(0, 0);
                     for _ in 0..8 {
-                        let _ = ctx.world.reduce_scatter_rows(&m, Cat::DenseComm);
+                        ctx.world
+                            .reduce_scatter_rows(m.clone(), &mut out, Cat::DenseComm);
                     }
                 })
             })

@@ -23,7 +23,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use crate::cost::{Cat, CommWords, CostModel};
@@ -83,15 +83,22 @@ impl Wire for PackedRowsDeposit {
 /// Result of a [`Communicator::gather_rows`] /
 /// [`Communicator::igather_rows`].
 ///
-/// Receivers hold the **compact** form: a `k × f` matrix whose row `i`
-/// is row `needed[i]` of the root's block (`rows() == Some(needed)`), so
-/// receiver-side memory is `O(k·f)`, never `O(n·f)`. The root — and
-/// every rank at `P = 1` — gets its own full block back without a copy
-/// (`rows() == None`).
+/// A receiver's view is the **compact** form: a `k × f` matrix whose row
+/// `i` is row `needed[i]` of the root's block (`rows() == Some(needed)`).
+/// It is extracted on demand — [`GatheredRows::compact_into`] writes it
+/// straight into a caller-kept buffer, [`GatheredRows::mat`] /
+/// [`GatheredRows::compact`] allocate it once — so the receiver never
+/// allocates more than `O(k·f)`; until then it only holds a handle on the
+/// block the root deposited. The root — and every rank at `P = 1` — gets
+/// its own full block back without a copy (`rows() == None`).
 #[derive(Clone)]
 pub struct GatheredRows {
-    mat: Arc<Mat>,
+    /// The root's block as deposited.
+    block: Arc<Mat>,
+    /// The rows of `block` this rank asked for; `None` at the root.
     rows: Option<Arc<Vec<usize>>>,
+    /// A receiver's allocated compact copy, built on first use.
+    compact: OnceLock<Arc<Mat>>,
 }
 
 impl GatheredRows {
@@ -100,13 +107,43 @@ impl GatheredRows {
     /// Cached-mode serve epochs use this to compact the rank's own fresh
     /// block through the exact code path of a root-side gather result.
     pub fn full(mat: Arc<Mat>) -> Self {
-        GatheredRows { mat, rows: None }
+        GatheredRows {
+            block: mat,
+            rows: None,
+            compact: OnceLock::new(),
+        }
+    }
+
+    /// A receiver's view of `block`: the `needed` rows, in order.
+    fn requested(block: Arc<Mat>, needed: &[usize]) -> Self {
+        if let Some(&last) = needed.last() {
+            assert!(
+                last < block.rows(),
+                "gather_rows: requested row {last} out of range for {}-row block",
+                block.rows()
+            );
+        }
+        GatheredRows {
+            block,
+            rows: Some(Arc::new(needed.to_vec())),
+            compact: OnceLock::new(),
+        }
     }
 
     /// The gathered payload: compact `k × f` at receivers, the root's
     /// full block at the root and at `P = 1`.
     pub fn mat(&self) -> &Arc<Mat> {
-        &self.mat
+        match &self.rows {
+            Some(rows) => self
+                .compact
+                .get_or_init(|| Arc::new(self.block.select_rows(rows))),
+            None => &self.block,
+        }
+    }
+
+    /// Width `f` of the gathered rows.
+    pub fn cols(&self) -> usize {
+        self.block.cols()
     }
 
     /// Row indices of the root block that [`GatheredRows::mat`]'s rows
@@ -118,27 +155,36 @@ impl GatheredRows {
 
     /// The compact `needed.len() × f` operand for an SpMM against a
     /// column-compacted sparse panel ([`cagnet_sparse::Csr::compact_cols`]).
-    /// Receivers already hold it (no copy); the root and `P = 1` extract
-    /// their needed rows locally — unmetered local work on a block the
-    /// rank already owns, like any slice of its own data. `needed` must
-    /// be the same list passed to the collective.
+    /// A receiver's copy is built once and shared; the root and `P = 1`
+    /// extract their needed rows locally — unmetered local work on a
+    /// block the rank already owns, like any slice of its own data.
+    /// `needed` must be the same list passed to the collective.
     pub fn compact(&self, needed: &[usize]) -> Arc<Mat> {
         match &self.rows {
-            Some(rows) => {
-                debug_assert_eq!(
-                    rows.as_slice(),
-                    needed,
-                    "gather_rows: compact() called with a different needed set"
-                );
-                self.mat.clone()
+            Some(_) => {
+                self.check_request(needed);
+                self.mat().clone()
             }
-            None => {
-                let mut m = Mat::zeros(needed.len(), self.mat.cols());
-                for (i, &r) in needed.iter().enumerate() {
-                    m.row_mut(i).copy_from_slice(self.mat.row(r));
-                }
-                Arc::new(m)
-            }
+            None => Arc::new(self.block.select_rows(needed)),
+        }
+    }
+
+    /// [`GatheredRows::compact`] written over `out`, reusing its
+    /// allocation: the same rows in the same order, on the root and on
+    /// receivers alike, with nothing allocated when `out` is large
+    /// enough.
+    pub fn compact_into(&self, needed: &[usize], out: &mut Mat) {
+        self.check_request(needed);
+        self.block.select_rows_into(needed.iter().copied(), out);
+    }
+
+    fn check_request(&self, needed: &[usize]) {
+        if let Some(rows) = &self.rows {
+            debug_assert_eq!(
+                rows.as_slice(),
+                needed,
+                "gather_rows: compact() called with a different needed set"
+            );
         }
     }
 }
@@ -857,28 +903,9 @@ impl Communicator {
             (2.0 * m.alpha + m.beta * w as f64, w)
         };
         let out = if self.my_idx == root_idx {
-            GatheredRows {
-                mat: block,
-                rows: None,
-            }
+            GatheredRows::full(block)
         } else {
-            if let Some(&last) = needed.last() {
-                assert!(
-                    last < block.rows(),
-                    "gather_rows: requested row {last} out of range for {}-row block",
-                    block.rows()
-                );
-            }
-            // Compact: k rows, not block.rows() — receiver allocation is
-            // O(k·f) by construction.
-            let mut m = Mat::zeros(needed.len(), block.cols());
-            for (i, &r) in needed.iter().enumerate() {
-                m.row_mut(i).copy_from_slice(block.row(r));
-            }
-            GatheredRows {
-                mat: Arc::new(m),
-                rows: Some(Arc::new(needed.to_vec())),
-            }
+            GatheredRows::requested(block, needed)
         };
         (out, cost, words)
     }
@@ -936,26 +963,9 @@ impl Communicator {
             let Some(block) = root_block else {
                 unreachable!("packed gather_rows root captured its own block at issue time")
             };
-            GatheredRows {
-                mat: block,
-                rows: None,
-            }
+            GatheredRows::full(block)
         } else {
-            if let Some(&last) = needed.last() {
-                assert!(
-                    last < brows,
-                    "gather_rows: requested row {last} out of range for {brows}-row block"
-                );
-            }
-            let block = packed.widen();
-            let mut m = Mat::zeros(needed.len(), bcols);
-            for (i, &r) in needed.iter().enumerate() {
-                m.row_mut(i).copy_from_slice(block.row(r));
-            }
-            GatheredRows {
-                mat: Arc::new(m),
-                rows: Some(Arc::new(needed.to_vec())),
-            }
+            GatheredRows::requested(Arc::new(packed.widen()), needed)
         };
         (out, cost, words)
     }
@@ -1141,15 +1151,7 @@ impl Communicator {
             let Some(block) = data else {
                 unreachable!("single-rank igather_rows root missing its own data")
             };
-            return PendingOp::ready(
-                self,
-                kind,
-                cat,
-                GatheredRows {
-                    mat: block,
-                    rows: None,
-                },
-            );
+            return PendingOp::ready(self, kind, cat, GatheredRows::full(block));
         }
         if let Some(prec) = self.packed_precision::<Mat>(cat) {
             // Same exception as the blocking form: the root's own result
@@ -1477,16 +1479,51 @@ impl Communicator {
 
     /// Reduce-scatter over block rows: every member contributes an equally
     /// shaped `n x f` matrix; member `i` receives row block `i` (balanced
-    /// block distribution) of the elementwise sum.
+    /// block distribution) of the elementwise sum, accumulated in member
+    /// order from zeros.
     ///
     /// This is the primitive of the 1D backward pass (§IV-A.3): the
     /// low-rank outer products `A_i G_i` are reduce-scattered into block
-    /// rows.
-    pub fn reduce_scatter_rows(&self, m: &Mat, cat: Cat) -> Mat {
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            return self.reduce_scatter_rows_packed(m, prec);
-        }
+    /// rows. Both ends are copy-free: the contribution enters the
+    /// rendezvous as the shared handle the caller built it in (peers read
+    /// their rows from it in place), and the reduced block is written
+    /// over `out`, reusing its allocation.
+    pub fn reduce_scatter_rows(&self, m: Arc<Mat>, out: &mut Mat, cat: Cat) {
         let p = self.size();
+        let (r0, r1) = block_range(m.rows(), p, self.my_idx);
+        out.reset(r1 - r0, m.cols());
+        let mut fold = |part: &Mat| {
+            assert_eq!(part.shape(), m.shape(), "reduce_scatter shape mismatch");
+            for (oi, gi) in (r0..r1).enumerate() {
+                for (d, s) in out.row_mut(oi).iter_mut().zip(part.row(gi)) {
+                    *d += s;
+                }
+            }
+        };
+        if let Some(prec) = self.packed_precision::<Mat>(cat) {
+            // Each contribution is rounded once by its sender; every rank
+            // widens all parts and sums its own block rows in `f64`, so a
+            // later all-gather of the blocks reassembles a
+            // replica-consistent matrix.
+            let packed = Arc::new(PackedMat::pack(&m, prec));
+            let w = packed.comm_words();
+            let fp = self.fingerprint(
+                CollectiveKind::ReduceScatterRows,
+                None,
+                None,
+                prec.packed_dtype(),
+                Shape::Dims(m.rows(), m.cols()),
+            );
+            let (items, tmax) =
+                self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, TxPayload::of(packed));
+            for item in items {
+                fold(&Self::downcast::<PackedMat>(item).widen());
+            }
+            let cost = self.model().reduce_scatter_time(p, w);
+            let words = w * (p as u64 - 1) / p as u64;
+            self.settle(tmax, prec.dense_cat(), cost, words);
+            return;
+        }
         let fp = self.fingerprint(
             CollectiveKind::ReduceScatterRows,
             None,
@@ -1497,19 +1534,10 @@ impl Communicator {
         let (items, tmax) = self.exchange_raw(
             CollectiveKind::ReduceScatterRows,
             fp,
-            TxPayload::of(Arc::new(m.clone())),
+            TxPayload::of(m.clone()),
         );
-        let mats: Vec<Arc<Mat>> = items.into_iter().map(Self::downcast::<Mat>).collect();
-        let (r0, r1) = block_range(m.rows(), p, self.my_idx);
-        let mut out = Mat::zeros(r1 - r0, m.cols());
-        for part in &mats {
-            assert_eq!(part.shape(), m.shape(), "reduce_scatter shape mismatch");
-            for (oi, gi) in (r0..r1).enumerate() {
-                let dst = out.row_mut(oi);
-                for (d, s) in dst.iter_mut().zip(part.row(gi)) {
-                    *d += s;
-                }
-            }
+        for item in items {
+            fold(&Self::downcast::<Mat>(item));
         }
         let w = m.len() as u64;
         let cost = self.model().reduce_scatter_time(p, w);
@@ -1519,44 +1547,6 @@ impl Communicator {
             0
         };
         self.settle(tmax, cat, cost, words);
-        out
-    }
-
-    /// Compressed-precision [`Communicator::reduce_scatter_rows`]: each
-    /// contribution is rounded once by its sender; every rank widens all
-    /// parts and sums its own block rows in `f64` member order, so a
-    /// later all-gather of the blocks reassembles a replica-consistent
-    /// matrix.
-    fn reduce_scatter_rows_packed(&self, m: &Mat, prec: Precision) -> Mat {
-        let p = self.size();
-        let packed = Arc::new(PackedMat::pack(m, prec));
-        let w = packed.comm_words();
-        let fp = self.fingerprint(
-            CollectiveKind::ReduceScatterRows,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let (items, tmax) =
-            self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, TxPayload::of(packed));
-        let (r0, r1) = block_range(m.rows(), p, self.my_idx);
-        let mut out = Mat::zeros(r1 - r0, m.cols());
-        for item in items {
-            let part = Self::downcast::<PackedMat>(item);
-            assert_eq!(part.shape(), m.shape(), "reduce_scatter shape mismatch");
-            let part = part.widen();
-            for (oi, gi) in (r0..r1).enumerate() {
-                let dst = out.row_mut(oi);
-                for (d, s) in dst.iter_mut().zip(part.row(gi)) {
-                    *d += s;
-                }
-            }
-        }
-        let cost = self.model().reduce_scatter_time(p, w);
-        let words = w * (p as u64 - 1) / p as u64;
-        self.settle(tmax, prec.dense_cat(), cost, words);
-        out
     }
 
     /// All-to-all personalized exchange: `parts[j]` is sent to member `j`;
@@ -1933,8 +1923,10 @@ mod tests {
     fn reduce_scatter_rows_gives_block_of_sum() {
         let results = Cluster::new(2).run(|ctx| {
             // Both ranks contribute a 4x1 matrix of their rank+1.
-            let m = Mat::filled(4, 1, (ctx.rank + 1) as f64);
-            ctx.world.reduce_scatter_rows(&m, Cat::DenseComm)
+            let m = Arc::new(Mat::filled(4, 1, (ctx.rank + 1) as f64));
+            let mut out = Mat::zeros(0, 0);
+            ctx.world.reduce_scatter_rows(m, &mut out, Cat::DenseComm);
+            out
         });
         // Sum is all-3s; rank 0 gets rows 0..2, rank 1 rows 2..4.
         for (r, _) in &results {

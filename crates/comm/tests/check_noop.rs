@@ -5,6 +5,7 @@
 use cagnet_comm::trace::TraceEvent;
 use cagnet_comm::{Cat, CheckMode, Cluster, TimelineReport};
 use cagnet_dense::Mat;
+use std::sync::Arc;
 
 /// A workload touching every collective (and a sub-communicator); returns
 /// a result checksum plus the rank's trace.
@@ -22,7 +23,10 @@ fn workload(p: usize, check: CheckMode) -> Vec<((f64, Vec<TraceEvent>), Timeline
         let m = Mat::from_fn(2 * p, 3, |i, j| (r + i * 5 + j) as f64);
         sum += ctx.world.allreduce_mat(&m, Cat::DenseComm).as_slice()[0];
         sum += ctx.world.allreduce_scalar(r as f64, Cat::DenseComm);
-        sum += ctx.world.reduce_scatter_rows(&m, Cat::DenseComm).as_slice()[0];
+        let mut block = Mat::zeros(0, 0);
+        ctx.world
+            .reduce_scatter_rows(Arc::new(m), &mut block, Cat::DenseComm);
+        sum += block.as_slice()[0];
 
         let parts = ctx.world.allgather(vec![r as f64], Cat::SparseComm);
         sum += parts.iter().map(|v| v[0]).sum::<f64>();

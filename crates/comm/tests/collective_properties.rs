@@ -6,6 +6,7 @@
 use cagnet_comm::{Cat, Cluster, CostModel};
 use cagnet_dense::Mat;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -22,11 +23,11 @@ proptest! {
                 ((ctx.rank * 31 + i * 7 + j) as f64 + seed as f64).sin()
             });
             let direct = ctx.world.allreduce_mat(&m, Cat::DenseComm);
-            let scattered = ctx.world.reduce_scatter_rows(&m, Cat::DenseComm);
+            let mut scattered = Mat::zeros(0, 0);
+            ctx.world
+                .reduce_scatter_rows(Arc::new(m), &mut scattered, Cat::DenseComm);
             let parts = ctx.world.allgather(scattered, Cat::DenseComm);
-            let composed = Mat::vstack(
-                &parts.iter().map(|b| (**b).clone()).collect::<Vec<_>>(),
-            );
+            let composed = Mat::vstack(&parts);
             (direct, composed)
         });
         for (rank, ((direct, composed), _)) in results.iter().enumerate() {

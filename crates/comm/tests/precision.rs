@@ -32,7 +32,11 @@ fn f64_mode_is_bitwise_identical_to_default() {
             let summed = ctx.world.allreduce_mat(&m, Cat::DenseComm);
             let payload = (ctx.rank == 0).then(|| irr_mat(4, 3, 99));
             let b = ctx.world.bcast(0, payload, Cat::DenseComm);
-            let part = ctx.world.reduce_scatter_rows(&m, Cat::DenseComm);
+            // Into a dirty, wrong-shaped destination: it must come back
+            // as the reduced block and nothing else.
+            let mut part = Mat::filled(2, 9, f64::NAN);
+            ctx.world
+                .reduce_scatter_rows(Arc::new(m), &mut part, Cat::DenseComm);
             (summed, (*b).clone(), part, ctx.report())
         })
     };

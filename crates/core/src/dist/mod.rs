@@ -34,6 +34,7 @@ pub mod twodim;
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
 use cagnet_dense::Mat;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -134,34 +135,214 @@ impl fmt::Display for SetupError {
 
 impl std::error::Error for SetupError {}
 
-/// A stage fetch in flight. The dense broadcast and the sparsity-aware
-/// row gather resolve to different payloads (a full shared block vs a
-/// compact [`GatheredRows`]), so the issue-ahead pipelines carry this
-/// enum and collapse it to the dense operand the stage SpMM multiplies.
+/// A trainer's large scratch matrices, kept across epochs (DESIGN.md
+/// §16). Every `n x f`-proportional buffer an epoch needs — stage
+/// accumulators, outer-product contributions, compact panels, stacked
+/// slabs, `Z`/`H`/`G` blocks, dropout masks — is taken from here and
+/// given back when its pass is done with it, so once the first two
+/// epochs have filled the pool an epoch allocates none of them. The pool
+/// belongs to the trainer and dies with it; nothing is created before
+/// the first epoch asks for it.
+///
+/// A buffer shared with peers (a collective payload behind an `Arc`)
+/// cannot be reused until they have dropped their handles, and *when*
+/// they do depends on thread timing. It is therefore [lent](Self::lend)
+/// and only taken back at points where the collectives completed since
+/// prove every peer is done with it: one [layer](Self::end_layer) later,
+/// or at the next [world-wide rendezvous](Self::reclaim). Reuse is then
+/// the same on every run, not a race.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// Buffers nobody is using, any shape.
+    free: Vec<Mat>,
+    /// Payloads lent during the layer in progress.
+    lent: Vec<Arc<Mat>>,
+    /// Payloads lent during the layer before it.
+    lent_before: Vec<Arc<Mat>>,
+}
+
+impl Workspace {
+    /// A free buffer that can hold `len` elements without growing — the
+    /// tightest fit, so small requests leave the large buffers to the
+    /// large requests — or an empty matrix to grow when none can. Shape
+    /// and contents are whatever the last user left: overwrite it through
+    /// an `_into` kernel or [`Mat::reset`] before reading.
+    pub(crate) fn take(&mut self, len: usize) -> Mat {
+        let fit = (0..self.free.len())
+            .filter(|&i| self.free[i].capacity() >= len)
+            .min_by_key(|&i| self.free[i].capacity());
+        self.remove_or_empty(fit.filter(|_| len > 0))
+    }
+
+    /// A buffer for a block that will be *stored* — a `Z`, an `H`, a
+    /// dropout mask, kept until the next pass hands it back: only a free
+    /// buffer of exactly `len` elements is recycled into it. Stored
+    /// blocks have the same sizes every epoch, so from the second epoch
+    /// on each finds its own; what this rules out is a small stored block
+    /// sitting in, and for a whole pass withholding, a buffer many times
+    /// its size while the large requests it was made for allocate anew.
+    pub(crate) fn keep(&mut self, len: usize) -> Mat {
+        let fit = self.free.iter().position(|m| m.capacity() == len);
+        self.remove_or_empty(fit.filter(|_| len > 0))
+    }
+
+    fn remove_or_empty(&mut self, fit: Option<usize>) -> Mat {
+        fit.map_or_else(|| Mat::zeros(0, 0), |i| self.free.swap_remove(i))
+    }
+
+    /// A `rows x cols` accumulator of zeros, as [`Mat::zeros`] would
+    /// build it.
+    pub(crate) fn zeros(&mut self, rows: usize, cols: usize) -> Mat {
+        let mut m = self.take(rows * cols);
+        m.reset(rows, cols);
+        m
+    }
+
+    /// [`Workspace::zeros`] for an accumulator that will be stored (see
+    /// [`Workspace::keep`]).
+    pub(crate) fn keep_zeros(&mut self, rows: usize, cols: usize) -> Mat {
+        let mut m = self.keep(rows * cols);
+        m.reset(rows, cols);
+        m
+    }
+
+    /// Hand a buffer back for reuse.
+    pub(crate) fn give(&mut self, m: Mat) {
+        if m.capacity() > 0 {
+            self.free.push(m);
+        }
+    }
+
+    /// Hand back a buffer this rank built and shared. If a peer still
+    /// holds it, it is simply dropped — the pool forgets it and a later
+    /// request allocates afresh.
+    pub(crate) fn give_shared(&mut self, m: Arc<Mat>) {
+        if let Ok(m) = Arc::try_unwrap(m) {
+            self.give(m);
+        }
+    }
+
+    /// Put `m` behind an `Arc` to ride a collective as this rank's
+    /// payload, remembering the handle so the buffer comes back once the
+    /// peers are provably done with it.
+    pub(crate) fn lend(&mut self, m: Mat) -> Arc<Mat> {
+        let m = Arc::new(m);
+        self.lent.push(m.clone());
+        m
+    }
+
+    /// A layer of a pass is complete: every collective it issued has
+    /// been waited on. Peers entered those collectives only after they
+    /// were done with whatever this rank had lent before the layer
+    /// began, so that comes back now; what was lent during this layer
+    /// waits one more. A payload this rank itself still holds (the last
+    /// gradient block of a backward pass) stays lent until it is let go.
+    pub(crate) fn end_layer(&mut self) {
+        let done = std::mem::replace(&mut self.lent_before, std::mem::take(&mut self.lent));
+        for m in done {
+            match Arc::try_unwrap(m) {
+                Ok(m) => self.give(m),
+                Err(m) => self.lent.push(m),
+            }
+        }
+    }
+
+    /// Everything lent comes back. For the points where a collective has
+    /// just completed that *every* peer entered after its last use of
+    /// anything this rank lent: the top of a pass (the pass before ended
+    /// in one), and a world-wide reduction inside one.
+    pub(crate) fn reclaim(&mut self) {
+        self.end_layer();
+        self.end_layer();
+    }
+}
+
+/// A stage operand ready for its SpMM: either a block this rank merely
+/// holds a handle on (a peer's broadcast payload, its own resident
+/// block, a halo-cache slot) or a compact panel it built in a
+/// [`Workspace`] buffer, which goes back there afterwards.
+pub(crate) struct Operand {
+    mat: Arc<Mat>,
+    pooled: bool,
+}
+
+impl Operand {
+    /// An operand owned elsewhere; dropping it releases only the handle.
+    pub(crate) fn shared(mat: Arc<Mat>) -> Self {
+        Operand { mat, pooled: false }
+    }
+
+    /// A compact panel of `len` elements, written by `fill` into a
+    /// workspace buffer.
+    pub(crate) fn pooled(ws: &RefCell<Workspace>, len: usize, fill: impl FnOnce(&mut Mat)) -> Self {
+        let mut m = ws.borrow_mut().take(len);
+        fill(&mut m);
+        Operand {
+            mat: Arc::new(m),
+            pooled: true,
+        }
+    }
+
+    /// The shared handle (what the halo cache stores on refresh epochs).
+    pub(crate) fn handle(&self) -> &Arc<Mat> {
+        &self.mat
+    }
+
+    /// Done multiplying: a workspace panel goes back to the pool unless
+    /// the halo cache kept a handle on it, in which case it is the
+    /// cache's until the next refresh replaces it.
+    pub(crate) fn release(self, ws: &RefCell<Workspace>) {
+        if self.pooled {
+            ws.borrow_mut().give_shared(self.mat);
+        }
+    }
+}
+
+impl std::ops::Deref for Operand {
+    type Target = Mat;
+    fn deref(&self) -> &Mat {
+        &self.mat
+    }
+}
+
+/// A stage fetch, in flight or already arrived. The dense broadcast and
+/// the sparsity-aware row gather resolve to different payloads (a full
+/// shared block vs a compact [`GatheredRows`]), so the stage loops carry
+/// this enum — the issue-ahead pipelines its pending forms, the blocking
+/// arms its arrived ones — and collapse it to the dense operand the
+/// stage SpMM multiplies.
 pub(crate) enum Fetch<'c> {
     /// Pending full-block broadcast (`CommMode::Dense`).
     Dense(PendingOp<'c, Arc<Mat>>),
     /// Pending row gather (`CommMode::SparsityAware`, and cached-mode
     /// refresh epochs).
     Sparse(PendingOp<'c, GatheredRows>),
-    /// Stage operand already resident: a cached compact block served
-    /// without any collective (`CommMode::Cached` non-refresh epochs),
-    /// or a fresh locally-extracted compact of the rank's own block.
-    Cached(Arc<Mat>),
+    /// Completed blocking row gather.
+    Gathered(GatheredRows),
+    /// Stage operand already usable: a completed blocking broadcast, a
+    /// cached compact block served without any collective
+    /// (`CommMode::Cached` non-refresh epochs), or a fresh
+    /// locally-extracted compact of the rank's own block.
+    Ready(Operand),
 }
 
 impl Fetch<'_> {
     /// Block until the stage operand is available. In sparse mode the
-    /// result holds exactly the `needed` rows in request order — pair it
-    /// with the column-compacted sparse panel
-    /// ([`cagnet_sparse::Csr::compact_cols`]) so accumulation order, and
-    /// therefore every bit of the result, matches the dense path.
-    pub(crate) fn wait(self, needed: &[usize]) -> Arc<Mat> {
-        match self {
-            Fetch::Dense(op) => op.wait(),
-            Fetch::Sparse(op) => op.wait().compact(needed),
-            Fetch::Cached(mat) => mat,
-        }
+    /// result holds exactly the `needed` rows in request order, written
+    /// into a `ws` buffer — pair it with the column-compacted sparse
+    /// panel ([`cagnet_sparse::Csr::compact_cols`]) so accumulation
+    /// order, and therefore every bit of the result, matches the dense
+    /// path.
+    pub(crate) fn wait(self, needed: &[usize], ws: &RefCell<Workspace>) -> Operand {
+        let gathered = match self {
+            Fetch::Dense(op) => return Operand::shared(op.wait()),
+            Fetch::Ready(operand) => return operand,
+            Fetch::Sparse(op) => op.wait(),
+            Fetch::Gathered(g) => g,
+        };
+        Operand::pooled(ws, needed.len() * gathered.cols(), |m| {
+            gathered.compact_into(needed, m)
+        })
     }
 }
 
@@ -190,14 +371,20 @@ impl HaloCache {
     /// Refresh is due when the cache has never been filled (or was
     /// invalidated) or when the periodic schedule hits: epochs `1`,
     /// `1 + refresh`, `1 + 2·refresh`, ...
-    pub(crate) fn begin_epoch(&mut self, refresh: usize, epoch: usize) {
+    pub(crate) fn begin_epoch(&mut self, refresh: usize, epoch: usize, ws: &mut Workspace) {
         assert!(refresh >= 1, "CommMode::Cached refresh must be >= 1");
         self.refresh_now = !self.valid || (epoch.max(1) - 1).is_multiple_of(refresh);
         // The pass ahead repopulates every slot it will later serve, and
         // while `refresh_now` holds no slot is read — so the cache can be
-        // declared valid immediately.
+        // declared valid immediately, and the blocks it held go back to
+        // the workspace for the fresh ones to be gathered into: a slot is
+        // swapped, never written through while a stage multiplies it.
         if self.refresh_now {
             self.valid = true;
+            self.slots
+                .drain(..)
+                .flatten()
+                .for_each(|b| ws.give_shared(b));
         }
     }
 
@@ -304,10 +491,4 @@ pub(crate) fn global_accuracy(ctx: &Ctx, correct: usize, total: usize) -> f64 {
     } else {
         c / t
     }
-}
-
-/// Assemble row blocks gathered in rank order into a full matrix.
-pub(crate) fn assemble_row_blocks(blocks: &[std::sync::Arc<Mat>]) -> Mat {
-    let parts: Vec<Mat> = blocks.iter().map(|b| (**b).clone()).collect();
-    Mat::vstack(&parts)
 }

@@ -28,17 +28,17 @@
 //! all-gather of `G`, a column-sliced outer product per replica, and a
 //! replica-group reduce-scatter back to fine blocks.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient};
+use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx, GatheredRows};
-use cagnet_dense::activation::{log_softmax_rows, Activation};
+use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_nt_with, matmul_tn_with, matmul_with, Mat};
+use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_ranges;
-use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
+use cagnet_sparse::spmm::{outer_product_from_transposed_into, spmm_acc_with};
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -95,6 +95,10 @@ pub struct One5DTrainer {
     /// Stored activations, shared so blocks enter broadcast stages
     /// without a copy.
     hs: Vec<Arc<Mat>>,
+    /// Large scratch matrices kept across epochs (see
+    /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
+    /// `&self` stage helpers, like `cache`.
+    ws: RefCell<super::Workspace>,
 }
 
 impl One5DTrainer {
@@ -208,6 +212,7 @@ impl One5DTrainer {
             weights: cfg.init_weights(),
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
+            ws: RefCell::default(),
         })
     }
 
@@ -244,23 +249,24 @@ impl One5DTrainer {
     /// the team's own fine block compacts fresh locally (zero words);
     /// remote blocks come from the cache, metering the skipped gather's
     /// words under [`Cat::CacheHit`].
-    fn serve_cached(&self, l: usize, ip: usize) -> Arc<Mat> {
+    fn serve_cached(&self, l: usize, ip: usize) -> super::Fetch<'static> {
         if ip == self.ti {
-            GatheredRows::full(self.hs[l].clone()).compact(&self.needed[ip])
+            super::Fetch::Gathered(GatheredRows::full(self.hs[l].clone()))
         } else {
             let row_words = self.hs[l].cols() as u64 + 1;
             self.rep.cache_hit(self.needed[ip].len() as u64 * row_words);
-            self.cache.borrow().get(self.slot(l, ip))
+            let block = self.cache.borrow().get(self.slot(l, ip));
+            super::Fetch::Ready(super::Operand::shared(block))
         }
     }
 
     /// Store a freshly gathered compact block on refresh epochs (remote
     /// stages only).
-    fn maybe_store(&self, l: usize, ip: usize, block: &Arc<Mat>) {
+    fn maybe_store(&self, l: usize, ip: usize, block: &super::Operand) {
         if self.cached_refreshing() && ip != self.ti {
             self.cache
                 .borrow_mut()
-                .store(self.slot(l, ip), block.clone());
+                .store(self.slot(l, ip), block.handle().clone());
         }
     }
 
@@ -285,7 +291,7 @@ impl One5DTrainer {
             )),
             super::CommMode::Cached { .. } => {
                 if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(l, ip))
+                    self.serve_cached(l, ip)
                 } else if self.training {
                     super::Fetch::Sparse(self.rep.igather_rows_refresh(
                         ip,
@@ -314,7 +320,7 @@ impl One5DTrainer {
     /// the pipeline lives in this `&self` helper).
     fn coarse_partial(&self, ctx: &Ctx, l: usize, f_in: usize) -> Mat {
         let coarse_rows = self.at_fwd[0].rows();
-        let mut partial = Mat::zeros(coarse_rows, f_in);
+        let mut partial = self.ws.borrow_mut().zeros(coarse_rows, f_in);
         let mut pending = self.overlap.then(|| self.issue_fetch(l, 0));
         for ip in 0..self.p1 {
             let h_b = match pending.take() {
@@ -322,50 +328,46 @@ impl One5DTrainer {
                     if ip + 1 < self.p1 {
                         pending = Some(self.issue_fetch(l, ip + 1));
                     }
-                    op.wait(&self.needed[ip])
+                    op.wait(&self.needed[ip], &self.ws)
                 }
                 None => {
                     let payload = (ip == self.ti).then(|| self.hs[l].clone());
                     match self.comm_mode {
-                        super::CommMode::Dense => {
-                            self.rep.bcast_shared(ip, payload, Cat::DenseComm)
-                        }
-                        super::CommMode::SparsityAware => self
-                            .rep
-                            .gather_rows(
+                        super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
+                            self.rep.bcast_shared(ip, payload, Cat::DenseComm),
+                        )),
+                        super::CommMode::SparsityAware => {
+                            super::Fetch::Gathered(self.rep.gather_rows(
                                 ip,
                                 payload,
                                 &self.needed[ip],
                                 Some(self.stage_dims(l, ip)),
                                 Cat::DenseComm,
-                            )
-                            .compact(&self.needed[ip]),
+                            ))
+                        }
                         super::CommMode::Cached { .. } => {
                             if self.cached_serving() {
                                 self.serve_cached(l, ip)
                             } else if self.training {
-                                self.rep
-                                    .gather_rows_refresh(
-                                        ip,
-                                        payload,
-                                        &self.needed[ip],
-                                        Some(self.stage_dims(l, ip)),
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(&self.needed[ip])
+                                super::Fetch::Gathered(self.rep.gather_rows_refresh(
+                                    ip,
+                                    payload,
+                                    &self.needed[ip],
+                                    Some(self.stage_dims(l, ip)),
+                                    Cat::DenseComm,
+                                ))
                             } else {
-                                self.rep
-                                    .gather_rows(
-                                        ip,
-                                        payload,
-                                        &self.needed[ip],
-                                        Some(self.stage_dims(l, ip)),
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(&self.needed[ip])
+                                super::Fetch::Gathered(self.rep.gather_rows(
+                                    ip,
+                                    payload,
+                                    &self.needed[ip],
+                                    Some(self.stage_dims(l, ip)),
+                                    Cat::DenseComm,
+                                ))
                             }
                         }
                     }
+                    .wait(&self.needed[ip], &self.ws)
                 }
             };
             self.maybe_store(l, ip, &h_b);
@@ -378,6 +380,7 @@ impl One5DTrainer {
             };
             ctx.charge_spmm(a.nnz(), coarse_rows, f_in);
             spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
+            h_b.release(&self.ws);
         }
         partial
     }
@@ -385,29 +388,40 @@ impl One5DTrainer {
     /// Forward pass; returns global mean masked NLL loss.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         let l_total = self.cfg.layers();
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.truncate(1);
+        // The last pass's stored blocks go back to the workspace; this
+        // pass rebuilds them in the same buffers.
+        let ws = self.ws.get_mut();
+        ws.reclaim();
+        self.zs.drain(..).for_each(|z| ws.give(z));
+        self.hs.drain(1..).for_each(|h| ws.give_shared(h));
+        self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
+        self.drop_masks.resize(l_total, None);
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             let partial = self.coarse_partial(ctx, l, f_in);
             // Team reduce-scatter: coarse partials → my fine block of T.
-            let t = self.team.reduce_scatter_rows(&partial, Cat::DenseComm);
+            let partial = self.ws.borrow_mut().lend(partial);
+            let mut t = self.ws.borrow_mut().take(self.hs[l].len());
+            self.team
+                .reduce_scatter_rows(partial, &mut t, Cat::DenseComm);
             ctx.charge_gemm(t.rows(), f_in, f_out);
-            let z = matmul_with(ctx.parallel(), &t, &self.weights[l]);
+            let mut z = self.ws.borrow_mut().keep_zeros(t.rows(), f_out);
+            matmul_acc_with(ctx.parallel(), &t, &self.weights[l], &mut z);
+            self.ws.borrow_mut().give(t);
             // Dense matrices are fine-block row partitioned: even
             // log_softmax is local, as in 1D.
-            let h = if l + 1 == l_total {
-                log_softmax_rows(&z)
+            let mut h = self.ws.borrow_mut().keep(z.len());
+            if l + 1 == l_total {
+                log_softmax_rows_into(&z, &mut h);
             } else {
-                let mut h = self.act.apply(&z);
+                self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, self.fine_r0, f_out, 0, f_out, &mut h);
-                h
-            };
+            }
             ctx.charge_elementwise(z.len());
             self.zs.push(z);
             self.hs.push(Arc::new(h));
+            self.ws.get_mut().end_layer();
         }
         let local = nll_sum(
             super::output_block(&self.hs),
@@ -422,29 +436,44 @@ impl One5DTrainer {
     pub fn backward(&mut self, ctx: &Ctx) {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
-        // Shared so my block enters the team all-gather without a copy.
-        let mut g = Arc::new(output_gradient(
-            &self.zs[l_total - 1],
+        self.ws.get_mut().reclaim();
+        let z_out = &self.zs[l_total - 1];
+        let mut g = self.ws.borrow_mut().take(z_out.len());
+        output_gradient_into(
+            z_out,
             &self.labels,
             &self.mask,
             self.fine_r0,
             self.train_count,
-        ));
+            &mut g,
+        );
+        // Shared so my block enters the team all-gather without a copy.
+        let mut g = self.ws.borrow_mut().lend(g);
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             // Team all-gather: assemble the coarse G block (every replica
-            // needs it for its column slice of the outer product).
-            let parts = self.team.allgather_shared(g.clone(), Cat::DenseComm);
-            let g_coarse = Mat::vstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            // needs it for its column slice of the outer product). The
+            // gathered handles go before the next collective, so the
+            // peers' blocks are free again when they expect them to be.
+            let mut g_coarse = self.ws.borrow_mut().take(self.at_bwd.rows() * f_out);
+            {
+                let parts = self.team.allgather_shared(g.clone(), Cat::DenseComm);
+                Mat::vstack_into(&parts, &mut g_coarse);
+            }
             // Outer product restricted to output fine blocks ≡ r (mod c),
             // stacked in team order.
             ctx.charge_spmm(self.at_bwd.nnz(), self.at_bwd.rows(), f_out);
-            let contrib = outer_product_from_transposed(&self.at_bwd, &g_coarse);
+            let mut contrib = self.ws.borrow_mut().zeros(self.at_bwd.cols(), f_out);
+            outer_product_from_transposed_into(&self.at_bwd, &g_coarse, &mut contrib);
+            self.ws.borrow_mut().give(g_coarse);
             // Replica-group reduce-scatter: piece i' sums across teams and
             // lands on rank (i', r) — exactly my fine block of A G.
-            let ag = self.rep.reduce_scatter_rows(&contrib, Cat::DenseComm);
+            let contrib = self.ws.borrow_mut().lend(contrib);
+            let mut ag = self.ws.borrow_mut().take(g.len());
+            self.rep
+                .reduce_scatter_rows(contrib, &mut ag, Cat::DenseComm);
             debug_assert_eq!(ag.rows(), self.hs[l].rows());
             // With overlap on, the f x f all-reduce is in flight while
             // the next layer's gradient GEMM computes.
@@ -455,13 +484,15 @@ impl One5DTrainer {
                 .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
-                let mut next_g = matmul_nt_with(ctx.parallel(), &ag, &self.weights[l]);
-                hadamard_assign(&mut next_g, &self.act.prime(&self.zs[l - 1]));
+                let mut next_g = self.ws.borrow_mut().zeros(ag.rows(), f_in);
+                matmul_nt_acc_with(ctx.parallel(), &ag, &self.weights[l], &mut next_g);
+                self.act.mul_prime_assign(&mut next_g, &self.zs[l - 1]);
                 if let Some(mask) = self.drop_masks[l - 1].take() {
                     hadamard_assign(&mut next_g, &mask);
+                    self.ws.borrow_mut().give(mask);
                 }
                 ctx.charge_elementwise(next_g.len());
-                g = Arc::new(next_g);
+                g = self.ws.borrow_mut().lend(next_g);
             }
             let y = match y_op {
                 Some(op) => op.wait(),
@@ -469,6 +500,11 @@ impl One5DTrainer {
             };
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
+            // Every rank entered the Y all-reduce after its last use of
+            // this layer's payloads: they are free again.
+            let ws = self.ws.get_mut();
+            ws.give(ag);
+            ws.reclaim();
         }
     }
 
@@ -477,9 +513,11 @@ impl One5DTrainer {
         self.training = true;
         self.epoch_counter += 1;
         if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
+            self.cache.borrow_mut().begin_epoch(
+                refresh,
+                self.epoch_counter as usize,
+                self.ws.get_mut(),
+            );
         }
         let loss = self.forward(ctx);
         self.backward(ctx);
@@ -509,7 +547,8 @@ impl One5DTrainer {
         h: &mut Mat,
     ) {
         if self.training && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
+            let mut mask = self.ws.get_mut().keep(h.len());
+            crate::dropout::mask_block_into(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
                     epoch: self.epoch_counter,
@@ -521,6 +560,7 @@ impl One5DTrainer {
                 f_total,
                 c0,
                 c1,
+                &mut mask,
             );
             cagnet_dense::ops::hadamard_assign(h, &mask);
             self.drop_masks[layer] = Some(mask);
@@ -627,6 +667,6 @@ impl One5DTrainer {
         let blocks = ctx
             .world
             .allgather_shared(super::output_block_shared(&self.hs), Cat::DenseComm);
-        super::assemble_row_blocks(&blocks)
+        Mat::vstack(&blocks)
     }
 }

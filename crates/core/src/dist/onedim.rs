@@ -13,16 +13,16 @@
 //! all-reduce (§IV-A.4), and finishes with the replicated gradient-descent
 //! step.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient};
+use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx, GatheredRows};
-use cagnet_dense::activation::{log_softmax_rows, Activation};
+use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_nt_with, matmul_tn_with, matmul_with, Mat};
+use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
+use cagnet_sparse::spmm::{outer_product_from_transposed_into, spmm_acc_with};
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -74,6 +74,10 @@ pub struct OneDimTrainer {
     /// shared so the owner's block enters broadcast stages without a
     /// copy.
     hs: Vec<Arc<Mat>>,
+    /// Large scratch matrices kept across epochs (see
+    /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
+    /// `&self` fetch helpers, like `cache`.
+    ws: RefCell<super::Workspace>,
 }
 
 impl OneDimTrainer {
@@ -139,6 +143,7 @@ impl OneDimTrainer {
             weights: cfg.init_weights(),
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
+            ws: RefCell::default(),
         })
     }
 
@@ -181,23 +186,24 @@ impl OneDimTrainer {
     /// root of the skipped gather); remote blocks come from the cache,
     /// metering the words the skipped gather would have moved under
     /// [`Cat::CacheHit`].
-    fn serve_cached(&self, ctx: &Ctx, l: usize, j: usize) -> Arc<Mat> {
+    fn serve_cached(&self, ctx: &Ctx, l: usize, j: usize) -> super::Fetch<'static> {
         if j == ctx.rank {
-            GatheredRows::full(self.hs[l].clone()).compact(&self.needed[j])
+            super::Fetch::Gathered(GatheredRows::full(self.hs[l].clone()))
         } else {
             let row_words = self.hs[l].cols() as u64 + 1;
             ctx.world.cache_hit(self.needed[j].len() as u64 * row_words);
-            self.cache.borrow().get(self.slot(l, j))
+            let block = self.cache.borrow().get(self.slot(l, j));
+            super::Fetch::Ready(super::Operand::shared(block))
         }
     }
 
     /// Store a freshly gathered compact block on refresh epochs (remote
     /// stages only — the rank's own block is always served fresh).
-    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &Arc<Mat>) {
+    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &super::Operand) {
         if self.cached_refreshing() && j != ctx.rank {
             self.cache
                 .borrow_mut()
-                .store(self.slot(l, j), block.clone());
+                .store(self.slot(l, j), block.handle().clone());
         }
     }
 
@@ -221,7 +227,7 @@ impl OneDimTrainer {
             )),
             super::CommMode::Cached { .. } => {
                 if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(ctx, l, j))
+                    self.serve_cached(ctx, l, j)
                 } else if self.training {
                     super::Fetch::Sparse(ctx.world.igather_rows_refresh(
                         j,
@@ -248,13 +254,18 @@ impl OneDimTrainer {
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         let l_total = self.cfg.layers();
         let p = ctx.size;
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.truncate(1);
+        // The last pass's stored blocks go back to the workspace; this
+        // pass rebuilds them in the same buffers.
+        let ws = self.ws.get_mut();
+        ws.reclaim();
+        self.zs.drain(..).for_each(|z| ws.give(z));
+        self.hs.drain(1..).for_each(|h| ws.give_shared(h));
+        self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
+        self.drop_masks.resize(l_total, None);
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
-            let mut t = Mat::zeros(self.my_rows(), f_in);
+            let mut t = self.ws.borrow_mut().zeros(self.my_rows(), f_in);
             // Issue-ahead pipeline: stage j+1's block is in flight while
             // stage j's SpMM computes, so its α–β cost hides behind the
             // compute lane. Every rank issues and waits in the same
@@ -266,52 +277,48 @@ impl OneDimTrainer {
                         if j + 1 < p {
                             pending = Some(self.issue_fetch(ctx, l, j + 1));
                         }
-                        op.wait(&self.needed[j])
+                        op.wait(&self.needed[j], &self.ws)
                     }
                     None => {
                         // Arc clone only — the owner's resident block is
                         // never deep-copied, root or not.
                         let payload = (j == ctx.rank).then(|| self.hs[l].clone());
                         match self.comm_mode {
-                            super::CommMode::Dense => {
-                                ctx.world.bcast_shared(j, payload, Cat::DenseComm)
-                            }
-                            super::CommMode::SparsityAware => ctx
-                                .world
-                                .gather_rows(
+                            super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
+                                ctx.world.bcast_shared(j, payload, Cat::DenseComm),
+                            )),
+                            super::CommMode::SparsityAware => {
+                                super::Fetch::Gathered(ctx.world.gather_rows(
                                     j,
                                     payload,
                                     &self.needed[j],
                                     Some(self.stage_dims(l, j)),
                                     Cat::DenseComm,
-                                )
-                                .compact(&self.needed[j]),
+                                ))
+                            }
                             super::CommMode::Cached { .. } => {
                                 if self.cached_serving() {
                                     self.serve_cached(ctx, l, j)
                                 } else if self.training {
-                                    ctx.world
-                                        .gather_rows_refresh(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(l, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
+                                    super::Fetch::Gathered(ctx.world.gather_rows_refresh(
+                                        j,
+                                        payload,
+                                        &self.needed[j],
+                                        Some(self.stage_dims(l, j)),
+                                        Cat::DenseComm,
+                                    ))
                                 } else {
-                                    ctx.world
-                                        .gather_rows(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(l, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
+                                    super::Fetch::Gathered(ctx.world.gather_rows(
+                                        j,
+                                        payload,
+                                        &self.needed[j],
+                                        Some(self.stage_dims(l, j)),
+                                        Cat::DenseComm,
+                                    ))
                                 }
                             }
                         }
+                        .wait(&self.needed[j], &self.ws)
                     }
                 };
                 self.maybe_store(ctx, l, j, &hj);
@@ -326,19 +333,22 @@ impl OneDimTrainer {
                 };
                 ctx.charge_spmm(a.nnz(), a.rows(), f_in);
                 spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
+                hj.release(&self.ws);
             }
-            let z = matmul_with(ctx.parallel(), &t, &self.weights[l]);
+            let mut z = self.ws.borrow_mut().keep_zeros(t.rows(), f_out);
+            matmul_acc_with(ctx.parallel(), &t, &self.weights[l], &mut z);
             ctx.charge_gemm(t.rows(), f_in, f_out);
+            self.ws.borrow_mut().give(t);
             // In the 1D distribution H is row-partitioned, so even the
             // non-elementwise log_softmax needs no communication
             // (§IV-A.2).
-            let h = if l + 1 == l_total {
-                log_softmax_rows(&z)
+            let mut h = self.ws.borrow_mut().keep(z.len());
+            if l + 1 == l_total {
+                log_softmax_rows_into(&z, &mut h);
             } else {
-                let mut h = self.act.apply(&z);
+                self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, self.r0, f_out, 0, f_out, &mut h);
-                h
-            };
+            }
             ctx.charge_elementwise(z.len());
             self.zs.push(z);
             self.hs.push(Arc::new(h));
@@ -356,23 +366,32 @@ impl OneDimTrainer {
     pub fn backward(&mut self, ctx: &Ctx) {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
-        let mut g = output_gradient(
-            &self.zs[l_total - 1],
+        self.ws.get_mut().reclaim();
+        let z_out = &self.zs[l_total - 1];
+        let mut g = self.ws.borrow_mut().take(z_out.len());
+        output_gradient_into(
+            z_out,
             &self.labels,
             &self.mask,
             self.r0,
             self.train_count,
+            &mut g,
         );
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
             let f_out = self.cfg.dims[l + 1];
             let f_in = self.cfg.dims[l];
             // Large 1D outer product: A(:, my block) · G_i, a full-height
-            // low-rank contribution (§IV-A.3).
+            // low-rank contribution (§IV-A.3), built in the buffer it
+            // rides into the reduce-scatter in.
             ctx.charge_spmm(self.at_row.nnz(), self.at_row.rows(), f_out);
-            let contrib = outer_product_from_transposed(&self.at_row, &g);
-            debug_assert_eq!(contrib.shape(), (self.n, f_out));
-            let ag = ctx.world.reduce_scatter_rows(&contrib, Cat::DenseComm);
+            let mut contrib = self.ws.borrow_mut().zeros(self.n, f_out);
+            outer_product_from_transposed_into(&self.at_row, &g, &mut contrib);
+            let contrib = self.ws.borrow_mut().lend(contrib);
+            // G^l has done its work; A·G^l is reduced into its buffer.
+            let mut ag = std::mem::replace(&mut g, Mat::zeros(0, 0));
+            ctx.world
+                .reduce_scatter_rows(contrib, &mut ag, Cat::DenseComm);
             // Small 1D outer product for Y (§IV-A.4), reusing A·G. With
             // overlap on, the f x f all-reduce is in flight while the
             // next layer's gradient GEMM computes; the weight update only
@@ -384,12 +403,15 @@ impl OneDimTrainer {
                 .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
-                g = matmul_nt_with(ctx.parallel(), &ag, &self.weights[l]);
-                hadamard_assign(&mut g, &self.act.prime(&self.zs[l - 1]));
+                let mut next_g = self.ws.borrow_mut().zeros(ag.rows(), f_in);
+                matmul_nt_acc_with(ctx.parallel(), &ag, &self.weights[l], &mut next_g);
+                self.act.mul_prime_assign(&mut next_g, &self.zs[l - 1]);
                 if let Some(mask) = self.drop_masks[l - 1].take() {
-                    hadamard_assign(&mut g, &mask);
+                    hadamard_assign(&mut next_g, &mask);
+                    self.ws.borrow_mut().give(mask);
                 }
-                ctx.charge_elementwise(g.len());
+                ctx.charge_elementwise(next_g.len());
+                g = next_g;
             }
             let y = match y_op {
                 Some(op) => op.wait(),
@@ -397,6 +419,11 @@ impl OneDimTrainer {
             };
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
+            // Every rank entered the Y all-reduce after its
+            // reduce-scatter: the contribution is free again.
+            let ws = self.ws.get_mut();
+            ws.give(ag);
+            ws.reclaim();
         }
     }
 
@@ -405,9 +432,11 @@ impl OneDimTrainer {
         self.training = true;
         self.epoch_counter += 1;
         if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
+            self.cache.borrow_mut().begin_epoch(
+                refresh,
+                self.epoch_counter as usize,
+                self.ws.get_mut(),
+            );
         }
         let loss = self.forward(ctx);
         self.backward(ctx);
@@ -438,7 +467,8 @@ impl OneDimTrainer {
         h: &mut Mat,
     ) {
         if self.training && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
+            let mut mask = self.ws.get_mut().keep(h.len());
+            crate::dropout::mask_block_into(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
                     epoch: self.epoch_counter,
@@ -450,6 +480,7 @@ impl OneDimTrainer {
                 f_total,
                 c0,
                 c1,
+                &mut mask,
             );
             cagnet_dense::ops::hadamard_assign(h, &mask);
             self.drop_masks[layer] = Some(mask);
@@ -548,6 +579,6 @@ impl OneDimTrainer {
         let blocks = ctx
             .world
             .allgather_shared(super::output_block_shared(&self.hs), Cat::DenseComm);
-        super::assemble_row_blocks(&blocks)
+        Mat::vstack(&blocks)
     }
 }

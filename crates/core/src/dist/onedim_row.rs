@@ -11,16 +11,16 @@
 //! same total communication cost." `tests/onedim_variants.rs` verifies
 //! that claim on measured word counters.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient};
+use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx, GatheredRows};
-use cagnet_dense::activation::{log_softmax_rows, Activation};
+use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_nt_with, matmul_tn_with, matmul_with, Mat};
+use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::{outer_product_from_transposed, spmm_acc_with};
+use cagnet_sparse::spmm::{outer_product_from_transposed_into, spmm_acc_with};
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -66,6 +66,9 @@ pub struct OneDimRowTrainer {
     /// Stored activations, shared so blocks enter broadcast stages
     /// without a copy.
     hs: Vec<Arc<Mat>>,
+    /// Large scratch matrices kept across epochs (see
+    /// [`super::Workspace`]; DESIGN.md §16).
+    ws: RefCell<super::Workspace>,
 }
 
 impl OneDimRowTrainer {
@@ -125,6 +128,7 @@ impl OneDimRowTrainer {
             weights: cfg.init_weights(),
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
+            ws: RefCell::default(),
         })
     }
 
@@ -161,23 +165,24 @@ impl OneDimRowTrainer {
     /// blocks come from the cache, metering the skipped gather's words
     /// under [`Cat::CacheHit`]. The served gradients are up to
     /// `refresh − 1` epochs stale (DESIGN.md §13).
-    fn serve_cached(&self, ctx: &Ctx, g: &Arc<Mat>, l: usize, j: usize) -> Arc<Mat> {
+    fn serve_cached(&self, ctx: &Ctx, g: &Arc<Mat>, l: usize, j: usize) -> super::Fetch<'static> {
         if j == ctx.rank {
-            GatheredRows::full(g.clone()).compact(&self.needed[j])
+            super::Fetch::Gathered(GatheredRows::full(g.clone()))
         } else {
             let row_words = g.cols() as u64 + 1;
             ctx.world.cache_hit(self.needed[j].len() as u64 * row_words);
-            self.cache.borrow().get(self.slot(l, j))
+            let block = self.cache.borrow().get(self.slot(l, j));
+            super::Fetch::Ready(super::Operand::shared(block))
         }
     }
 
     /// Store a freshly gathered compact block on refresh epochs (remote
     /// stages only).
-    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &Arc<Mat>) {
+    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &super::Operand) {
         if self.cached_refreshing() && j != ctx.rank {
             self.cache
                 .borrow_mut()
-                .store(self.slot(l, j), block.clone());
+                .store(self.slot(l, j), block.handle().clone());
         }
     }
 
@@ -201,7 +206,7 @@ impl OneDimRowTrainer {
             )),
             super::CommMode::Cached { .. } => {
                 if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(ctx, g, l, j))
+                    self.serve_cached(ctx, g, l, j)
                 } else if self.training {
                     super::Fetch::Sparse(ctx.world.igather_rows_refresh(
                         j,
@@ -227,29 +232,41 @@ impl OneDimRowTrainer {
     /// masked NLL loss.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         let l_total = self.cfg.layers();
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.truncate(1);
+        // The last pass's stored blocks go back to the workspace; this
+        // pass rebuilds them in the same buffers.
+        let ws = self.ws.get_mut();
+        ws.reclaim();
+        self.zs.drain(..).for_each(|z| ws.give(z));
+        self.hs.drain(1..).for_each(|h| ws.give_shared(h));
+        self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
+        self.drop_masks.resize(l_total, None);
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             // Large outer product: Aᵀ(:, my block) · H_i, reduce-scattered
             // back to block rows.
             ctx.charge_spmm(self.a_row.nnz(), self.a_row.rows(), f_in);
-            let contrib = outer_product_from_transposed(&self.a_row, &self.hs[l]);
-            let t = ctx.world.reduce_scatter_rows(&contrib, Cat::DenseComm);
+            let mut contrib = self.ws.borrow_mut().zeros(self.a_row.cols(), f_in);
+            outer_product_from_transposed_into(&self.a_row, &self.hs[l], &mut contrib);
+            let contrib = self.ws.borrow_mut().lend(contrib);
+            let mut t = self.ws.borrow_mut().take(self.hs[l].len());
+            ctx.world
+                .reduce_scatter_rows(contrib, &mut t, Cat::DenseComm);
             ctx.charge_gemm(t.rows(), f_in, f_out);
-            let z = matmul_with(ctx.parallel(), &t, &self.weights[l]);
-            let h = if l + 1 == l_total {
-                log_softmax_rows(&z)
+            let mut z = self.ws.borrow_mut().keep_zeros(t.rows(), f_out);
+            matmul_acc_with(ctx.parallel(), &t, &self.weights[l], &mut z);
+            self.ws.borrow_mut().give(t);
+            let mut h = self.ws.borrow_mut().keep(z.len());
+            if l + 1 == l_total {
+                log_softmax_rows_into(&z, &mut h);
             } else {
-                let mut h = self.act.apply(&z);
+                self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, self.r0, f_out, 0, f_out, &mut h);
-                h
-            };
+            }
             ctx.charge_elementwise(z.len());
             self.zs.push(z);
             self.hs.push(Arc::new(h));
+            self.ws.get_mut().end_layer();
         }
         let local = nll_sum(
             super::output_block(&self.hs),
@@ -265,14 +282,19 @@ impl OneDimRowTrainer {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         let p = ctx.size;
-        // Shared so my block enters the broadcast stages without a copy.
-        let mut g = Arc::new(output_gradient(
-            &self.zs[l_total - 1],
+        self.ws.get_mut().reclaim();
+        let z_out = &self.zs[l_total - 1];
+        let mut g = self.ws.borrow_mut().take(z_out.len());
+        output_gradient_into(
+            z_out,
             &self.labels,
             &self.mask,
             self.r0,
             self.train_count,
-        ));
+            &mut g,
+        );
+        // Shared so my block enters the broadcast stages without a copy.
+        let mut g = self.ws.borrow_mut().lend(g);
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
             let f_in = self.cfg.dims[l];
@@ -281,7 +303,7 @@ impl OneDimRowTrainer {
             // Issue-ahead pipeline: stage j+1's gradient block is in
             // flight while stage j's SpMM computes (mirror of the column
             // variant's forward loop).
-            let mut ag = Mat::zeros(self.a_row.rows(), f_out);
+            let mut ag = self.ws.borrow_mut().zeros(self.a_row.rows(), f_out);
             let mut pending = self.overlap.then(|| self.issue_fetch(ctx, &g, l, 0));
             for j in 0..p {
                 let gj = match pending.take() {
@@ -289,50 +311,46 @@ impl OneDimRowTrainer {
                         if j + 1 < p {
                             pending = Some(self.issue_fetch(ctx, &g, l, j + 1));
                         }
-                        op.wait(&self.needed[j])
+                        op.wait(&self.needed[j], &self.ws)
                     }
                     None => {
                         let payload = (j == ctx.rank).then(|| g.clone());
                         match self.comm_mode {
-                            super::CommMode::Dense => {
-                                ctx.world.bcast_shared(j, payload, Cat::DenseComm)
-                            }
-                            super::CommMode::SparsityAware => ctx
-                                .world
-                                .gather_rows(
+                            super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
+                                ctx.world.bcast_shared(j, payload, Cat::DenseComm),
+                            )),
+                            super::CommMode::SparsityAware => {
+                                super::Fetch::Gathered(ctx.world.gather_rows(
                                     j,
                                     payload,
                                     &self.needed[j],
                                     Some(self.stage_dims(&g, j)),
                                     Cat::DenseComm,
-                                )
-                                .compact(&self.needed[j]),
+                                ))
+                            }
                             super::CommMode::Cached { .. } => {
                                 if self.cached_serving() {
                                     self.serve_cached(ctx, &g, l, j)
                                 } else if self.training {
-                                    ctx.world
-                                        .gather_rows_refresh(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(&g, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
+                                    super::Fetch::Gathered(ctx.world.gather_rows_refresh(
+                                        j,
+                                        payload,
+                                        &self.needed[j],
+                                        Some(self.stage_dims(&g, j)),
+                                        Cat::DenseComm,
+                                    ))
                                 } else {
-                                    ctx.world
-                                        .gather_rows(
-                                            j,
-                                            payload,
-                                            &self.needed[j],
-                                            Some(self.stage_dims(&g, j)),
-                                            Cat::DenseComm,
-                                        )
-                                        .compact(&self.needed[j])
+                                    super::Fetch::Gathered(ctx.world.gather_rows(
+                                        j,
+                                        payload,
+                                        &self.needed[j],
+                                        Some(self.stage_dims(&g, j)),
+                                        Cat::DenseComm,
+                                    ))
                                 }
                             }
                         }
+                        .wait(&self.needed[j], &self.ws)
                     }
                 };
                 self.maybe_store(ctx, l, j, &gj);
@@ -345,6 +363,7 @@ impl OneDimRowTrainer {
                 };
                 ctx.charge_spmm(a.nnz(), a.rows(), f_out);
                 spmm_acc_with(ctx.parallel(), a, &gj, &mut ag);
+                gj.release(&self.ws);
             }
             // Small outer product for Y (unchanged from the column
             // variant). With overlap on, the f x f all-reduce is in
@@ -356,13 +375,15 @@ impl OneDimRowTrainer {
                 .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
-                let mut next_g = matmul_nt_with(ctx.parallel(), &ag, &self.weights[l]);
-                hadamard_assign(&mut next_g, &self.act.prime(&self.zs[l - 1]));
+                let mut next_g = self.ws.borrow_mut().zeros(ag.rows(), f_in);
+                matmul_nt_acc_with(ctx.parallel(), &ag, &self.weights[l], &mut next_g);
+                self.act.mul_prime_assign(&mut next_g, &self.zs[l - 1]);
                 if let Some(mask) = self.drop_masks[l - 1].take() {
                     hadamard_assign(&mut next_g, &mask);
+                    self.ws.borrow_mut().give(mask);
                 }
                 ctx.charge_elementwise(next_g.len());
-                g = Arc::new(next_g);
+                g = self.ws.borrow_mut().lend(next_g);
             }
             let y = match y_op {
                 Some(op) => op.wait(),
@@ -370,6 +391,11 @@ impl OneDimRowTrainer {
             };
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
+            // Every rank entered the Y all-reduce after its last use of
+            // this layer's payloads: they are free again.
+            let ws = self.ws.get_mut();
+            ws.give(ag);
+            ws.reclaim();
         }
     }
 
@@ -378,9 +404,11 @@ impl OneDimRowTrainer {
         self.training = true;
         self.epoch_counter += 1;
         if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
+            self.cache.borrow_mut().begin_epoch(
+                refresh,
+                self.epoch_counter as usize,
+                self.ws.get_mut(),
+            );
         }
         let loss = self.forward(ctx);
         self.backward(ctx);
@@ -410,7 +438,8 @@ impl OneDimRowTrainer {
         h: &mut Mat,
     ) {
         if self.training && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
+            let mut mask = self.ws.get_mut().keep(h.len());
+            crate::dropout::mask_block_into(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
                     epoch: self.epoch_counter,
@@ -422,6 +451,7 @@ impl OneDimRowTrainer {
                 f_total,
                 c0,
                 c1,
+                &mut mask,
             );
             cagnet_dense::ops::hadamard_assign(h, &mask);
             self.drop_masks[layer] = Some(mask);
@@ -519,6 +549,6 @@ impl OneDimRowTrainer {
         let blocks = ctx
             .world
             .allgather_shared(super::output_block_shared(&self.hs), Cat::DenseComm);
-        super::assemble_row_blocks(&blocks)
+        Mat::vstack(&blocks)
     }
 }

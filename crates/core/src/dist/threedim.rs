@@ -24,9 +24,9 @@ use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::grid::int_cbrt;
 use cagnet_comm::{Cat, Ctx, GatheredRows, Grid3D};
-use cagnet_dense::activation::{log_softmax_rows, softmax_rows, Activation};
+use cagnet_dense::activation::{log_softmax_rows_into, softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
+use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
@@ -101,6 +101,10 @@ pub struct ThreeDimTrainer {
     h_out_row: Arc<Mat>,
     /// Output softmax over my Block Split rows (for `G^L`).
     p_out_row: Mat,
+    /// Large scratch matrices kept across epochs (see
+    /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
+    /// `&self` stage helpers, like `cache`.
+    ws: RefCell<super::Workspace>,
 }
 
 impl ThreeDimTrainer {
@@ -201,6 +205,7 @@ impl ThreeDimTrainer {
             hs: vec![Arc::new(h0)],
             h_out_row: Arc::new(Mat::zeros(0, 0)),
             p_out_row: Mat::zeros(0, 0),
+            ws: RefCell::default(),
         })
     }
 
@@ -257,22 +262,28 @@ impl ThreeDimTrainer {
     /// the root of the skipped gather); other rows read the cache,
     /// metering the words the skipped gather would have moved under
     /// [`Cat::CacheHit`].
-    fn serve_cached(&self, d_mine: &Arc<Mat>, needed: &[usize], s: usize, slot: usize) -> Arc<Mat> {
+    fn serve_cached(
+        &self,
+        d_mine: &Arc<Mat>,
+        needed: &[usize],
+        s: usize,
+        slot: usize,
+    ) -> super::Fetch<'static> {
         if self.grid.i == s {
-            GatheredRows::full(d_mine.clone()).compact(needed)
+            super::Fetch::Gathered(GatheredRows::full(d_mine.clone()))
         } else {
             let row_words = d_mine.cols() as u64 + 1;
             self.grid.col.cache_hit(needed.len() as u64 * row_words);
-            self.cache.borrow().get(slot)
+            super::Fetch::Ready(super::Operand::shared(self.cache.borrow().get(slot)))
         }
     }
 
     /// Store a freshly gathered compact `D` block on refresh epochs
     /// (blocks owned by other mesh rows only — the owner's block is
     /// always served fresh).
-    fn maybe_store(&self, s: usize, slot: usize, block: &Arc<Mat>) {
+    fn maybe_store(&self, s: usize, slot: usize, block: &super::Operand) {
         if self.cached_refreshing() && self.grid.i != s {
-            self.cache.borrow_mut().store(slot, block.clone());
+            self.cache.borrow_mut().store(slot, block.handle().clone());
         }
     }
 
@@ -293,7 +304,7 @@ impl ThreeDimTrainer {
     ) -> Mat {
         let q = self.grid.q;
         let f_cols = d_mine.cols();
-        let mut partial = Mat::zeros(self.at_ijk.rows(), f_cols);
+        let mut partial = self.ws.borrow_mut().zeros(self.at_ijk.rows(), f_cols);
         // Issue-ahead pipeline: stage s+1's panels are in flight while
         // stage s's SpMM computes. Arc payloads: the owner's resident
         // block is never deep-copied into the collective.
@@ -318,12 +329,7 @@ impl ThreeDimTrainer {
                 )),
                 super::CommMode::Cached { .. } => {
                     if self.cached_serving() {
-                        super::Fetch::Cached(self.serve_cached(
-                            d_mine,
-                            &needed_tbl[s],
-                            s,
-                            slot_base + s,
-                        ))
+                        self.serve_cached(d_mine, &needed_tbl[s], s, slot_base + s)
                     } else if self.training {
                         super::Fetch::Sparse(self.grid.col.igather_rows_refresh(
                             s,
@@ -352,7 +358,7 @@ impl ThreeDimTrainer {
                     if s + 1 < q {
                         pending = Some(issue(s + 1));
                     }
-                    (a_op.wait(), d_op.wait(needed))
+                    (a_op.wait(), d_op.wait(needed, &self.ws))
                 }
                 None => {
                     let a_hat = self.grid.row.bcast_shared(
@@ -363,48 +369,53 @@ impl ThreeDimTrainer {
                     let d_payload = || (self.grid.i == s).then(|| d_mine.clone());
                     let dims = Some((self.stage_rows[s], f_cols));
                     let d_hat = match self.comm_mode {
-                        super::CommMode::Dense => {
-                            self.grid.col.bcast_shared(s, d_payload(), Cat::DenseComm)
-                        }
-                        super::CommMode::SparsityAware => self
-                            .grid
-                            .col
-                            .gather_rows(s, d_payload(), needed, dims, Cat::DenseComm)
-                            .compact(needed),
+                        super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
+                            self.grid.col.bcast_shared(s, d_payload(), Cat::DenseComm),
+                        )),
+                        super::CommMode::SparsityAware => super::Fetch::Gathered(
+                            self.grid
+                                .col
+                                .gather_rows(s, d_payload(), needed, dims, Cat::DenseComm),
+                        ),
                         super::CommMode::Cached { .. } => {
                             if self.cached_serving() {
                                 self.serve_cached(d_mine, needed, s, slot_base + s)
                             } else if self.training {
-                                self.grid
-                                    .col
-                                    .gather_rows_refresh(
-                                        s,
-                                        d_payload(),
-                                        needed,
-                                        dims,
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(needed)
+                                super::Fetch::Gathered(self.grid.col.gather_rows_refresh(
+                                    s,
+                                    d_payload(),
+                                    needed,
+                                    dims,
+                                    Cat::DenseComm,
+                                ))
                             } else {
-                                self.grid
-                                    .col
-                                    .gather_rows(s, d_payload(), needed, dims, Cat::DenseComm)
-                                    .compact(needed)
+                                super::Fetch::Gathered(self.grid.col.gather_rows(
+                                    s,
+                                    d_payload(),
+                                    needed,
+                                    dims,
+                                    Cat::DenseComm,
+                                ))
                             }
                         }
-                    };
+                    }
+                    .wait(needed, &self.ws);
                     (a_hat, d_hat)
                 }
             };
             self.maybe_store(s, slot_base + s, &d_hat);
             ctx.charge_spmm(a_hat.nnz(), a_hat.rows(), d_hat.cols());
             spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut partial);
+            d_hat.release(&self.ws);
         }
         // Fiber reduction: the ∛P-replicated partials collapse into the
         // Block Split 3D distribution.
+        let partial = self.ws.borrow_mut().lend(partial);
+        let mut out = self.ws.borrow_mut().take(self.my_rows() * f_cols);
         self.grid
             .fiber
-            .reduce_scatter_rows(&partial, Cat::DenseComm)
+            .reduce_scatter_rows(partial, &mut out, Cat::DenseComm);
+        out
     }
 
     /// Partial Split-3D-SpMM against the replicated `W` (within-layer row
@@ -423,7 +434,8 @@ impl ThreeDimTrainer {
     ) -> Mat {
         let q = self.grid.q;
         let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-        let mut out = Mat::zeros(self.my_rows(), oc1 - oc0);
+        // The result is stored as `Z`.
+        let mut out = self.ws.borrow_mut().keep_zeros(self.my_rows(), oc1 - oc0);
         // Issue-ahead pipeline over the q broadcast stages, as in
         // split3d_spmm. Arc payloads: my own T block is never
         // deep-copied into the collective.
@@ -457,8 +469,7 @@ impl ThreeDimTrainer {
             ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
             if transpose_w {
                 let w_slice = w.block(oc0, oc1, ic0, ic1);
-                let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
-                cagnet_dense::ops::add_assign(&mut out, &add);
+                matmul_nt_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
             } else {
                 let w_slice = w.block(ic0, ic1, oc0, oc1);
                 matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
@@ -471,39 +482,56 @@ impl ThreeDimTrainer {
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         let l_total = self.cfg.layers();
         let q = self.grid.q;
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.truncate(1);
+        // The last pass's stored blocks go back to the workspace; this
+        // pass rebuilds them in the same buffers.
+        let ws = self.ws.get_mut();
+        ws.reclaim();
+        self.zs.drain(..).for_each(|z| ws.give_shared(z));
+        self.hs.drain(1..).for_each(|h| ws.give_shared(h));
+        ws.give_shared(std::mem::replace(
+            &mut self.h_out_row,
+            Arc::new(Mat::zeros(0, 0)),
+        ));
+        self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
+        self.drop_masks.resize(l_total, None);
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
-            let t = Arc::new(self.split3d_spmm(
+            let t = self.split3d_spmm(
                 ctx,
                 self.bcast_block(&self.at_ijk, &self.at_compact),
                 &self.hs[l],
                 &self.needed_fwd,
                 self.fwd_slot_base(l),
-            ));
+            );
+            let t = self.ws.borrow_mut().lend(t);
             let z = Arc::new(self.partial_w(ctx, &t, &self.weights[l], f_in, f_out, false));
-            let h = if l + 1 == l_total {
+            let mut h = self.ws.borrow_mut().keep(z.len());
+            if l + 1 == l_total {
                 // log_softmax: within-layer row all-gather assembles full
                 // class rows; no cross-layer communication (§IV-D.2).
-                let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
-                let z_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+                let mut z_row = self.ws.borrow_mut().take(z.rows() * f_out);
+                {
+                    let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
+                    Mat::hstack_into(&parts, &mut z_row);
+                }
                 ctx.charge_elementwise(2 * z_row.len());
-                self.h_out_row = Arc::new(log_softmax_rows(&z_row));
-                self.p_out_row = softmax_rows(&z_row);
+                let mut h_row = self.ws.borrow_mut().keep(z_row.len());
+                log_softmax_rows_into(&z_row, &mut h_row);
+                self.h_out_row = Arc::new(h_row);
+                softmax_rows_into(&z_row, &mut self.p_out_row);
                 let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-                self.h_out_row.block(0, z_row.rows(), oc0, oc1)
+                self.h_out_row.block_into(0, z_row.rows(), oc0, oc1, &mut h);
+                self.ws.borrow_mut().give(z_row);
             } else {
                 ctx.charge_elementwise(z.len());
-                let mut h = self.act.apply(&z);
+                self.act.apply_into(&z, &mut h);
                 let (dc0, dc1) = block_range(f_out, self.grid.q, self.grid.j);
                 self.apply_dropout(l, self.r0, f_out, dc0, dc1, &mut h);
-                h
-            };
+            }
             self.zs.push(z);
             self.hs.push(Arc::new(h));
+            self.ws.get_mut().end_layer();
         }
         let local = if self.grid.j == 0 {
             nll_sum(&self.h_out_row, &self.labels, &self.mask, self.r0)
@@ -513,14 +541,15 @@ impl ThreeDimTrainer {
         ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.train_count as f64
     }
 
-    /// Output-layer gradient block from the stored row softmax.
-    fn output_gradient_block(&self) -> Mat {
+    /// Output-layer gradient block from the stored row softmax, written
+    /// over `g`.
+    fn output_gradient_block_into(&self, g: &mut Mat) {
         let q = self.grid.q;
         let f_out = self.cfg.f_out();
         let (oc0, oc1) = block_range(f_out, q, self.grid.j);
         let rows = self.my_rows();
         let scale = 1.0 / self.train_count as f64;
-        let mut g = Mat::zeros(rows, oc1 - oc0);
+        g.reset(rows, oc1 - oc0);
         for r in 0..rows {
             let gv = self.r0 + r;
             if !self.mask[gv] {
@@ -535,14 +564,16 @@ impl ThreeDimTrainer {
                 out[cl] = v;
             }
         }
-        g
     }
 
     /// Backward pass + replicated gradient-descent step.
     pub fn backward(&mut self, ctx: &Ctx) {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
-        let mut g = Arc::new(self.output_gradient_block());
+        self.ws.get_mut().reclaim();
+        let mut g = self.ws.borrow_mut().take(self.hs[l_total].len());
+        self.output_gradient_block_into(&mut g);
+        let mut g = self.ws.borrow_mut().lend(g);
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
             let f_in = self.cfg.dims[l];
@@ -555,8 +586,14 @@ impl ThreeDimTrainer {
                 &self.needed_bwd,
                 self.bwd_slot_base(l),
             );
-            let parts = self.grid.row.allgather_shared(Arc::new(ag), Cat::DenseComm);
-            let ag_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            // The gathered handles go before the next collective, so the
+            // peers' blocks are free again when they expect them to be.
+            let ag = self.ws.borrow_mut().lend(ag);
+            let mut ag_row = self.ws.borrow_mut().take(self.my_rows() * f_out);
+            {
+                let parts = self.grid.row.allgather_shared(ag, Cat::DenseComm);
+                Mat::hstack_into(&parts, &mut ag_row);
+            }
             debug_assert_eq!(ag_row.shape(), (self.my_rows(), f_out));
             // Y = (H^{l-1})ᵀ A G: local slab product, reduction over all
             // ranks sharing grid column j, then row replication.
@@ -574,23 +611,28 @@ impl ThreeDimTrainer {
                 let (jc0, jc1) = block_range(f_in, self.grid.q, self.grid.j);
                 let w_slice = self.weights[l].block(jc0, jc1, 0, f_out);
                 ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
-                let mut next_g = matmul_nt_with(ctx.parallel(), &ag_row, &w_slice);
-                hadamard_assign(&mut next_g, &self.act.prime(&self.zs[l - 1]));
+                let mut next_g = self.ws.borrow_mut().zeros(self.my_rows(), jc1 - jc0);
+                matmul_nt_acc_with(ctx.parallel(), &ag_row, &w_slice, &mut next_g);
+                self.act.mul_prime_assign(&mut next_g, &self.zs[l - 1]);
                 if let Some(mask) = drop_mask {
                     hadamard_assign(&mut next_g, &mask);
+                    self.ws.borrow_mut().give(mask);
                 }
                 ctx.charge_elementwise(next_g.len());
-                g = Arc::new(next_g);
+                g = self.ws.borrow_mut().lend(next_g);
             }
             let y_j = match y_op {
                 Some(op) => op.wait(),
                 None => self.jgroup.allreduce_mat(&y_local, Cat::DenseComm),
             };
             let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
-            let y = Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            let y = Mat::vstack(&y_parts);
             debug_assert_eq!(y.shape(), (f_in, f_out));
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
+            let ws = self.ws.get_mut();
+            ws.give(ag_row);
+            ws.end_layer();
         }
     }
 
@@ -599,9 +641,11 @@ impl ThreeDimTrainer {
         self.training = true;
         self.epoch_counter += 1;
         if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
+            self.cache.borrow_mut().begin_epoch(
+                refresh,
+                self.epoch_counter as usize,
+                self.ws.get_mut(),
+            );
         }
         let loss = self.forward(ctx);
         self.backward(ctx);
@@ -630,7 +674,8 @@ impl ThreeDimTrainer {
         h: &mut Mat,
     ) {
         if self.training && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
+            let mut mask = self.ws.get_mut().keep(h.len());
+            crate::dropout::mask_block_into(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
                     epoch: self.epoch_counter,
@@ -642,6 +687,7 @@ impl ThreeDimTrainer {
                 f_total,
                 c0,
                 c1,
+                &mut mask,
             );
             cagnet_dense::ops::hadamard_assign(h, &mask);
             self.drop_masks[layer] = Some(mask);
@@ -761,7 +807,7 @@ impl ThreeDimTrainer {
         let mut parts = Vec::with_capacity(q * q);
         for i in 0..q {
             for k in 0..q {
-                parts.push((*blocks[k * q * q + i * q]).clone());
+                parts.push(blocks[k * q * q + i * q].clone());
             }
         }
         Mat::vstack(&parts)

@@ -34,10 +34,10 @@ use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::grid::int_sqrt;
-use cagnet_comm::{Cat, Ctx, GatheredRows, Grid2D, PendingOp};
-use cagnet_dense::activation::{log_softmax_rows, softmax_rows, Activation};
+use cagnet_comm::{Cat, Ctx, Grid2D, PendingOp};
+use cagnet_dense::activation::{log_softmax_rows_into, softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, Mat};
+use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
@@ -78,11 +78,12 @@ pub struct TwoDimTrainer {
     r1: usize,
     /// My global vertex-column range (a union of `K/Pc` fine blocks).
     c0: usize,
-    /// `Aᵀ` block `(i, j)`.
-    at_ij: Csr,
+    /// `Aᵀ` block `(i, j)`, shared so a SUMMA stage spanning the whole
+    /// block broadcasts the block itself.
+    at_ij: Arc<Csr>,
     /// `A` block `(i, j)` (equal to `at_ij` for undirected graphs, sliced
     /// independently to support directed input).
-    a_ij: Csr,
+    a_ij: Arc<Csr>,
     /// Per SUMMA stage `(k, t)` (index `k·stages_per_block + t`): the
     /// sorted distinct nonzero columns of my grid row's `Aᵀ` panel,
     /// relative to the stage's column range — the rows of the stage `D`
@@ -119,14 +120,20 @@ pub struct TwoDimTrainer {
     /// so the output layer's block enters the row all-gather without a
     /// copy.
     zs: Vec<Arc<Mat>>,
-    /// Stored activation blocks (`hs\[0\]` = my feature block).
-    hs: Vec<Mat>,
+    /// Stored activation blocks (`hs\[0\]` = my feature block), shared
+    /// so a SUMMA stage spanning the whole block broadcasts the block
+    /// itself.
+    hs: Vec<Arc<Mat>>,
     /// Full-width row block of output log-probabilities (valid after
     /// forward; identical across a process row), shared so
     /// `gather_embeddings` moves it without a copy.
     h_out_row: Arc<Mat>,
     /// Full-width row block of output softmax (for `G^L`).
     p_out_row: Mat,
+    /// Large scratch matrices kept across epochs (see
+    /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
+    /// `&self` stage helpers, like `cache`.
+    ws: RefCell<super::Workspace>,
 }
 
 /// Vertex ranges of the `Pr` row groups and `Pc` column groups derived
@@ -216,8 +223,8 @@ impl TwoDimTrainer {
         let cols = coarse_ranges(&fine, pc);
         let (r0, r1) = rows[grid.i];
         let (c0, c1) = cols[grid.j];
-        let at_ij = problem.adj_t.block(r0, r1, c0, c1);
-        let a_ij = problem.adj.block(r0, r1, c0, c1);
+        let at_ij = Arc::new(problem.adj_t.block(r0, r1, c0, c1));
+        let a_ij = Arc::new(problem.adj.block(r0, r1, c0, c1));
         // Per-stage needed sets for sparsity-aware mode (uncharged setup,
         // like the slicing above).
         let sub = tcfg.stages_per_block;
@@ -262,9 +269,10 @@ impl TwoDimTrainer {
             drop_masks: Vec::new(),
             weights: cfg.init_weights(),
             zs: Vec::new(),
-            hs: vec![h0],
+            hs: vec![Arc::new(h0)],
             h_out_row: Arc::new(Mat::zeros(0, 0)),
             p_out_row: Mat::zeros(0, 0),
+            ws: RefCell::default(),
         })
     }
 
@@ -301,6 +309,34 @@ impl TwoDimTrainer {
             && self.cache.borrow().refreshing()
     }
 
+    /// Columns `c0..c1` of my resident sparse block as a stage payload —
+    /// column-compacted to `needed` in the sparse-exchange modes: the
+    /// block itself when a dense-mode stage spans all of it, else a
+    /// fresh slice (`nnz`-proportional, not workspace material).
+    fn s_panel(&self, s_mine: &Arc<Csr>, c0: usize, c1: usize, needed: &[usize]) -> Arc<Csr> {
+        let whole = c0 == 0 && c1 == s_mine.cols();
+        match (self.comm_mode.sparse_exchange(), whole) {
+            (false, true) => s_mine.clone(),
+            (false, false) => Arc::new(s_mine.block(0, s_mine.rows(), c0, c1)),
+            (true, true) => Arc::new(s_mine.compact_cols(needed)),
+            (true, false) => Arc::new(s_mine.block(0, s_mine.rows(), c0, c1).compact_cols(needed)),
+        }
+    }
+
+    /// Rows `r0..r1` of my resident dense block as a stage payload: the
+    /// block itself when the stage spans all of it (square grids at one
+    /// stage per block), else a copy in a workspace buffer lent for the
+    /// broadcast.
+    fn d_panel(&self, d_mine: &Arc<Mat>, r0: usize, r1: usize) -> Arc<Mat> {
+        if r0 == 0 && r1 == d_mine.rows() {
+            return d_mine.clone();
+        }
+        let mut ws = self.ws.borrow_mut();
+        let mut panel = ws.take((r1 - r0) * d_mine.cols());
+        d_mine.block_into(r0, r1, 0, d_mine.cols(), &mut panel);
+        ws.lend(panel)
+    }
+
     /// Serve a stage `D` panel without any collective: the owning grid
     /// row compacts fresh from its local block for SUMMA stage
     /// `(fk0, t0, t1)` (zero words, like the root of the skipped
@@ -314,25 +350,26 @@ impl TwoDimTrainer {
         owner_row: usize,
         stage: (usize, usize, usize),
         slot: usize,
-    ) -> Arc<Mat> {
-        let (fk0, t0, t1) = stage;
-        if self.grid.i == owner_row {
-            let lo = fk0 - self.r0;
-            GatheredRows::full(Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols())))
-                .compact(needed)
+    ) -> super::Fetch<'static> {
+        let (fk0, t0, _) = stage;
+        super::Fetch::Ready(if self.grid.i == owner_row {
+            let first = fk0 - self.r0 + t0;
+            super::Operand::pooled(&self.ws, needed.len() * d_mine.cols(), |m| {
+                d_mine.select_rows_into(needed.iter().map(|&r| first + r), m)
+            })
         } else {
             let row_words = d_mine.cols() as u64 + 1;
             self.grid.col.cache_hit(needed.len() as u64 * row_words);
-            self.cache.borrow().get(slot)
-        }
+            super::Operand::shared(self.cache.borrow().get(slot))
+        })
     }
 
     /// Store a freshly gathered compact `D` panel on refresh epochs
     /// (panels owned by other grid rows only — the owner's panel is
     /// always served fresh).
-    fn maybe_store(&self, owner_row: usize, slot: usize, panel: &Arc<Mat>) {
+    fn maybe_store(&self, owner_row: usize, slot: usize, panel: &super::Operand) {
         if self.cached_refreshing() && self.grid.i != owner_row {
-            self.cache.borrow_mut().store(slot, panel.clone());
+            self.cache.borrow_mut().store(slot, panel.handle().clone());
         }
     }
 
@@ -345,8 +382,8 @@ impl TwoDimTrainer {
     #[allow(clippy::type_complexity)]
     fn issue_summa_stage<'s>(
         &'s self,
-        s_mine: &Csr,
-        d_mine: &Mat,
+        s_mine: &Arc<Csr>,
+        d_mine: &Arc<Mat>,
         needed_tbl: &[Vec<usize>],
         slot_base: usize,
         k: usize,
@@ -359,34 +396,26 @@ impl TwoDimTrainer {
         let sub = self.tcfg.stages_per_block;
         let (t0, t1) = block_range(fk1 - fk0, sub, t);
         let needed = &needed_tbl[k * sub + t];
-        let a_op = self.grid.row.ibcast(
+        let a_op = self.grid.row.ibcast_shared(
             owner_col,
             (self.grid.j == owner_col).then(|| {
                 // Local slice of my Aᵀ block covering fine stage k.
                 let lo = fk0 - self.c0;
-                let panel = s_mine.block(0, s_mine.rows(), lo + t0, lo + t1);
-                if self.comm_mode.sparse_exchange() {
-                    panel.compact_cols(needed)
-                } else {
-                    panel
-                }
+                self.s_panel(s_mine, lo + t0, lo + t1, needed)
             }),
             Cat::SparseComm,
         );
         let d_payload = || {
             (self.grid.i == owner_row).then(|| {
                 let lo = fk0 - self.r0;
-                Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols()))
+                self.d_panel(d_mine, lo + t0, lo + t1)
             })
         };
         let dims = Some((t1 - t0, d_mine.cols()));
         let d_op = match self.comm_mode {
-            super::CommMode::Dense => super::Fetch::Dense(self.grid.col.ibcast(
+            super::CommMode::Dense => super::Fetch::Dense(self.grid.col.ibcast_shared(
                 owner_row,
-                (self.grid.i == owner_row).then(|| {
-                    let lo = fk0 - self.r0;
-                    d_mine.block(lo + t0, lo + t1, 0, d_mine.cols())
-                }),
+                d_payload(),
                 Cat::DenseComm,
             )),
             super::CommMode::SparsityAware => super::Fetch::Sparse(self.grid.col.igather_rows(
@@ -398,13 +427,13 @@ impl TwoDimTrainer {
             )),
             super::CommMode::Cached { .. } => {
                 if self.cached_serving() {
-                    super::Fetch::Cached(self.serve_cached(
+                    self.serve_cached(
                         d_mine,
                         needed,
                         owner_row,
                         (fk0, t0, t1),
                         slot_base + k * sub + t,
-                    ))
+                    )
                 } else if self.training {
                     super::Fetch::Sparse(self.grid.col.igather_rows_refresh(
                         owner_row,
@@ -436,8 +465,8 @@ impl TwoDimTrainer {
     fn summa_spmm(
         &self,
         ctx: &Ctx,
-        s_mine: &Csr,
-        d_mine: &Mat,
+        s_mine: &Arc<Csr>,
+        d_mine: &Arc<Mat>,
         f_cols: usize,
         needed_tbl: &[Vec<usize>],
         slot_base: usize,
@@ -446,7 +475,7 @@ impl TwoDimTrainer {
         let col_per = k_total / self.grid.pc;
         let row_per = k_total / self.grid.pr;
         let sub = self.tcfg.stages_per_block;
-        let mut out = Mat::zeros(self.my_rows(), f_cols);
+        let mut out = self.ws.borrow_mut().zeros(self.my_rows(), f_cols);
         let stages: Vec<(usize, usize)> = (0..k_total)
             .flat_map(|k| (0..sub).map(move |t| (k, t)))
             .collect();
@@ -469,49 +498,45 @@ impl TwoDimTrainer {
                             self.issue_summa_stage(s_mine, d_mine, needed_tbl, slot_base, nk, nt),
                         );
                     }
-                    (a_op.wait(), d_op.wait(needed))
+                    (a_op.wait(), d_op.wait(needed, &self.ws))
                 }
                 None => {
                     let owner_col = k / col_per;
                     let owner_row = k / row_per;
                     let (fk0, fk1) = self.fine[k];
                     let (t0, t1) = block_range(fk1 - fk0, sub, t);
-                    let a_panel = self.grid.row.bcast(
+                    let a_panel = self.grid.row.bcast_shared(
                         owner_col,
                         (self.grid.j == owner_col).then(|| {
                             // Local slice of my Aᵀ block covering fine
                             // stage k.
                             let lo = fk0 - self.c0;
-                            let panel = s_mine.block(0, s_mine.rows(), lo + t0, lo + t1);
-                            if self.comm_mode.sparse_exchange() {
-                                panel.compact_cols(needed)
-                            } else {
-                                panel
-                            }
+                            self.s_panel(s_mine, lo + t0, lo + t1, needed)
                         }),
                         Cat::SparseComm,
                     );
                     let d_payload = || {
                         (self.grid.i == owner_row).then(|| {
                             let lo = fk0 - self.r0;
-                            Arc::new(d_mine.block(lo + t0, lo + t1, 0, d_mine.cols()))
+                            self.d_panel(d_mine, lo + t0, lo + t1)
                         })
                     };
                     let dims = Some((t1 - t0, d_mine.cols()));
                     let d_panel = match self.comm_mode {
-                        super::CommMode::Dense => self.grid.col.bcast(
-                            owner_row,
-                            (self.grid.i == owner_row).then(|| {
-                                let lo = fk0 - self.r0;
-                                d_mine.block(lo + t0, lo + t1, 0, d_mine.cols())
-                            }),
-                            Cat::DenseComm,
-                        ),
-                        super::CommMode::SparsityAware => self
-                            .grid
-                            .col
-                            .gather_rows(owner_row, d_payload(), needed, dims, Cat::DenseComm)
-                            .compact(needed),
+                        super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
+                            self.grid
+                                .col
+                                .bcast_shared(owner_row, d_payload(), Cat::DenseComm),
+                        )),
+                        super::CommMode::SparsityAware => {
+                            super::Fetch::Gathered(self.grid.col.gather_rows(
+                                owner_row,
+                                d_payload(),
+                                needed,
+                                dims,
+                                Cat::DenseComm,
+                            ))
+                        }
                         super::CommMode::Cached { .. } => {
                             if self.cached_serving() {
                                 self.serve_cached(
@@ -522,30 +547,25 @@ impl TwoDimTrainer {
                                     slot_base + k * sub + t,
                                 )
                             } else if self.training {
-                                self.grid
-                                    .col
-                                    .gather_rows_refresh(
-                                        owner_row,
-                                        d_payload(),
-                                        needed,
-                                        dims,
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(needed)
+                                super::Fetch::Gathered(self.grid.col.gather_rows_refresh(
+                                    owner_row,
+                                    d_payload(),
+                                    needed,
+                                    dims,
+                                    Cat::DenseComm,
+                                ))
                             } else {
-                                self.grid
-                                    .col
-                                    .gather_rows(
-                                        owner_row,
-                                        d_payload(),
-                                        needed,
-                                        dims,
-                                        Cat::DenseComm,
-                                    )
-                                    .compact(needed)
+                                super::Fetch::Gathered(self.grid.col.gather_rows(
+                                    owner_row,
+                                    d_payload(),
+                                    needed,
+                                    dims,
+                                    Cat::DenseComm,
+                                ))
                             }
                         }
-                    };
+                    }
+                    .wait(needed, &self.ws);
                     (a_panel, d_panel)
                 }
             };
@@ -557,6 +577,7 @@ impl TwoDimTrainer {
             // bit.
             ctx.charge_spmm(a_panel.nnz(), a_panel.rows(), d_panel.cols());
             spmm_acc_with(ctx.parallel(), &a_panel, &d_panel, &mut out);
+            d_panel.release(&self.ws);
         }
         out
     }
@@ -578,7 +599,8 @@ impl TwoDimTrainer {
     ) -> Mat {
         let pc = self.grid.pc;
         let (oc0, oc1) = block_range(f_out, pc, self.grid.j);
-        let mut out = Mat::zeros(self.my_rows(), oc1 - oc0);
+        // The result is stored as `Z`.
+        let mut out = self.ws.borrow_mut().keep_zeros(self.my_rows(), oc1 - oc0);
         // Issue-ahead pipeline over the pc broadcast stages, as in
         // summa_spmm. Arc payloads: my own T block is never deep-copied
         // into the collective.
@@ -613,8 +635,7 @@ impl TwoDimTrainer {
             if transpose_w {
                 // out += t_hat · (W[oc, ic])ᵀ
                 let w_slice = w.block(oc0, oc1, ic0, ic1);
-                let add = matmul_nt_with(ctx.parallel(), &t_hat, &w_slice);
-                cagnet_dense::ops::add_assign(&mut out, &add);
+                matmul_nt_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
             } else {
                 let w_slice = w.block(ic0, ic1, oc0, oc1);
                 matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
@@ -627,42 +648,59 @@ impl TwoDimTrainer {
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         let l_total = self.cfg.layers();
         let pc = self.grid.pc;
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.truncate(1);
+        // The last pass's stored blocks go back to the workspace; this
+        // pass rebuilds them in the same buffers.
+        let ws = self.ws.get_mut();
+        ws.reclaim();
+        self.zs.drain(..).for_each(|z| ws.give_shared(z));
+        self.hs.drain(1..).for_each(|h| ws.give_shared(h));
+        ws.give_shared(std::mem::replace(
+            &mut self.h_out_row,
+            Arc::new(Mat::zeros(0, 0)),
+        ));
+        self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
+        self.drop_masks.resize(l_total, None);
         for l in 0..l_total {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             // Phase 1: T = Aᵀ H (SUMMA SpMM).
-            let t = Arc::new(self.summa_spmm(
+            let t = self.summa_spmm(
                 ctx,
                 &self.at_ij,
                 &self.hs[l],
                 self.hs[l].cols(),
                 &self.needed_fwd,
                 self.fwd_slot_base(l),
-            ));
+            );
+            let t = self.ws.borrow_mut().lend(t);
             // Phase 2: Z = T W (partial SUMMA; W replicated).
             let z = Arc::new(self.partial_summa_w(ctx, &t, &self.weights[l], f_in, f_out, false));
-            let h = if l + 1 == l_total {
+            let mut h = self.ws.borrow_mut().keep(z.len());
+            if l + 1 == l_total {
                 // log_softmax is not elementwise: all-gather Z along the
                 // process row to assemble full rows (§IV-C.2).
-                let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
-                let z_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+                let mut z_row = self.ws.borrow_mut().take(z.rows() * f_out);
+                {
+                    let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
+                    Mat::hstack_into(&parts, &mut z_row);
+                }
                 ctx.charge_elementwise(2 * z_row.len());
-                self.h_out_row = Arc::new(log_softmax_rows(&z_row));
-                self.p_out_row = softmax_rows(&z_row);
+                let mut h_row = self.ws.borrow_mut().keep(z_row.len());
+                log_softmax_rows_into(&z_row, &mut h_row);
+                self.h_out_row = Arc::new(h_row);
+                softmax_rows_into(&z_row, &mut self.p_out_row);
                 let (oc0, oc1) = block_range(f_out, pc, self.grid.j);
-                self.h_out_row.block(0, z_row.rows(), oc0, oc1)
+                self.h_out_row.block_into(0, z_row.rows(), oc0, oc1, &mut h);
+                self.ws.borrow_mut().give(z_row);
             } else {
                 ctx.charge_elementwise(z.len());
-                let mut h = self.act.apply(&z);
+                self.act.apply_into(&z, &mut h);
                 let (dc0, dc1) = block_range(f_out, self.grid.pc, self.grid.j);
                 self.apply_dropout(l, self.r0, f_out, dc0, dc1, &mut h);
-                h
-            };
+            }
             self.zs.push(z);
-            self.hs.push(h);
+            self.hs.push(Arc::new(h));
+            self.ws.get_mut().end_layer();
         }
         // Loss: one rank per process row contributes its row block.
         let local = if self.grid.j == 0 {
@@ -673,14 +711,15 @@ impl TwoDimTrainer {
         ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.train_count as f64
     }
 
-    /// Output-layer gradient block `G^L_ij` from the stored row softmax.
-    fn output_gradient_block(&self) -> Mat {
+    /// Output-layer gradient block `G^L_ij` from the stored row softmax,
+    /// written over `g`.
+    fn output_gradient_block_into(&self, g: &mut Mat) {
         let pc = self.grid.pc;
         let f_out = self.cfg.f_out();
         let (oc0, oc1) = block_range(f_out, pc, self.grid.j);
         let rows = self.my_rows();
         let scale = 1.0 / self.train_count as f64;
-        let mut g = Mat::zeros(rows, oc1 - oc0);
+        g.reset(rows, oc1 - oc0);
         for r in 0..rows {
             let gv = self.r0 + r;
             if !self.mask[gv] {
@@ -695,7 +734,6 @@ impl TwoDimTrainer {
                 out[cl] = v;
             }
         }
-        g
     }
 
     /// Backward pass + replicated gradient-descent step.
@@ -708,7 +746,11 @@ impl TwoDimTrainer {
             // them as "trpose".
             ctx.charge_transpose(2 * self.a_ij.nnz());
         }
-        let mut g = self.output_gradient_block();
+        self.ws.get_mut().reclaim();
+        let mut g = self.ws.borrow_mut().take(self.hs[l_total].len());
+        self.output_gradient_block_into(&mut g);
+        // Shared, like `hs`, for the whole-block SUMMA stages.
+        let mut g = self.ws.borrow_mut().lend(g);
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
             let f_in = self.cfg.dims[l];
@@ -723,9 +765,15 @@ impl TwoDimTrainer {
                 self.bwd_slot_base(l),
             );
             // Row all-gather of AG: serves both Y and A G Wᵀ. The local
-            // block moves into the collective, not a copy of it.
-            let parts = self.grid.row.allgather_shared(Arc::new(ag), Cat::DenseComm);
-            let ag_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            // block moves into the collective, not a copy of it, and the
+            // gathered handles go before the next collective, so the
+            // peers' blocks are free again when they expect them to be.
+            let ag = self.ws.borrow_mut().lend(ag);
+            let mut ag_row = self.ws.borrow_mut().take(self.my_rows() * f_out);
+            {
+                let parts = self.grid.row.allgather_shared(ag, Cat::DenseComm);
+                Mat::hstack_into(&parts, &mut ag_row);
+            }
             debug_assert_eq!(ag_row.shape(), (self.my_rows(), f_out));
             // Y = (H^{l-1})ᵀ (A G): local slab product, column-group
             // reduction, row replication (2D dense SUMMA + all-gather in
@@ -746,22 +794,28 @@ impl TwoDimTrainer {
                 let (jc0, jc1) = block_range(f_in, self.grid.pc, self.grid.j);
                 let w_slice = self.weights[l].block(jc0, jc1, 0, f_out);
                 ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
-                g = matmul_nt_with(ctx.parallel(), &ag_row, &w_slice);
-                hadamard_assign(&mut g, &self.act.prime(&self.zs[l - 1]));
+                let mut next_g = self.ws.borrow_mut().zeros(self.my_rows(), jc1 - jc0);
+                matmul_nt_acc_with(ctx.parallel(), &ag_row, &w_slice, &mut next_g);
+                self.act.mul_prime_assign(&mut next_g, &self.zs[l - 1]);
                 if let Some(mask) = drop_mask {
-                    hadamard_assign(&mut g, &mask);
+                    hadamard_assign(&mut next_g, &mask);
+                    self.ws.borrow_mut().give(mask);
                 }
-                ctx.charge_elementwise(g.len());
+                ctx.charge_elementwise(next_g.len());
+                g = self.ws.borrow_mut().lend(next_g);
             }
             let y_j = match y_op {
                 Some(op) => op.wait(),
                 None => self.grid.col.allreduce_mat(&y_local, Cat::DenseComm),
             };
             let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
-            let y = Mat::vstack(&y_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            let y = Mat::vstack(&y_parts);
             debug_assert_eq!(y.shape(), (f_in, f_out));
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
+            let ws = self.ws.get_mut();
+            ws.give(ag_row);
+            ws.end_layer();
         }
     }
 
@@ -770,9 +824,11 @@ impl TwoDimTrainer {
         self.training = true;
         self.epoch_counter += 1;
         if let Some(refresh) = self.comm_mode.cached_refresh() {
-            self.cache
-                .borrow_mut()
-                .begin_epoch(refresh, self.epoch_counter as usize);
+            self.cache.borrow_mut().begin_epoch(
+                refresh,
+                self.epoch_counter as usize,
+                self.ws.get_mut(),
+            );
         }
         let loss = self.forward(ctx);
         self.backward(ctx);
@@ -801,7 +857,8 @@ impl TwoDimTrainer {
         h: &mut Mat,
     ) {
         if self.training && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
+            let mut mask = self.ws.get_mut().keep(h.len());
+            crate::dropout::mask_block_into(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
                     epoch: self.epoch_counter,
@@ -813,6 +870,7 @@ impl TwoDimTrainer {
                 f_total,
                 c0,
                 c1,
+                &mut mask,
             );
             cagnet_dense::ops::hadamard_assign(h, &mask);
             self.drop_masks[layer] = Some(mask);
@@ -910,9 +968,7 @@ impl TwoDimTrainer {
         let blocks = ctx
             .world
             .allgather_shared(self.h_out_row.clone(), Cat::DenseComm);
-        let parts: Vec<Mat> = (0..self.grid.pr)
-            .map(|i| (*blocks[i * pc]).clone())
-            .collect();
+        let parts: Vec<Arc<Mat>> = (0..self.grid.pr).map(|i| blocks[i * pc].clone()).collect();
         Mat::vstack(&parts)
     }
 }

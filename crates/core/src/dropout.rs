@@ -54,10 +54,27 @@ pub fn mask_block(
     c0: usize,
     c1: usize,
 ) -> Mat {
+    let mut out = Mat::zeros(0, 0);
+    mask_block_into(key, rate, row_offset, rows, f_total, c0, c1, &mut out);
+    out
+}
+
+/// [`mask_block`] written over `out`, reusing its allocation.
+#[allow(clippy::too_many_arguments)]
+pub fn mask_block_into(
+    key: DropoutKey,
+    rate: f64,
+    row_offset: usize,
+    rows: usize,
+    f_total: usize,
+    c0: usize,
+    c1: usize,
+    out: &mut Mat,
+) {
     assert!((0.0..1.0).contains(&rate), "rate must be in [0, 1)");
     assert!(c0 <= c1 && c1 <= f_total, "column window out of range");
     let keep_scale = 1.0 / (1.0 - rate);
-    let mut out = Mat::zeros(rows, c1 - c0);
+    out.reset(rows, c1 - c0);
     for r in 0..rows {
         let mut rng = row_rng(key, row_offset + r);
         // Draw the full global row so column slices are consistent.
@@ -69,7 +86,6 @@ pub fn mask_block(
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

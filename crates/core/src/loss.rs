@@ -7,7 +7,7 @@
 //! log-softmax + NLL collapses to the classic `softmax(Z) − onehot`,
 //! scaled by `1/|train|` on masked rows and zero elsewhere.
 
-use cagnet_dense::activation::softmax_rows;
+use cagnet_dense::activation::softmax_rows_into;
 use cagnet_dense::Mat;
 
 /// Mean NLL over the masked rows of a log-probability matrix.
@@ -37,8 +37,22 @@ pub fn output_gradient(
     row_offset: usize,
     train_count: usize,
 ) -> Mat {
+    let mut g = Mat::zeros(0, 0);
+    output_gradient_into(z, labels, mask, row_offset, train_count, &mut g);
+    g
+}
+
+/// [`output_gradient`] written over `g`, reusing its allocation.
+pub fn output_gradient_into(
+    z: &Mat,
+    labels: &[usize],
+    mask: &[bool],
+    row_offset: usize,
+    train_count: usize,
+    g: &mut Mat,
+) {
     assert!(train_count > 0, "train_count must be positive");
-    let mut g = softmax_rows(z);
+    softmax_rows_into(z, g);
     let scale = 1.0 / train_count as f64;
     for i in 0..g.rows() {
         let gv = row_offset + i;
@@ -52,7 +66,6 @@ pub fn output_gradient(
             g.row_mut(i).fill(0.0);
         }
     }
-    g
 }
 
 /// Classification accuracy over masked rows: fraction of rows whose argmax

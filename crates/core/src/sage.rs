@@ -528,7 +528,7 @@ impl SageTwoDimTrainer {
             self.partial_summa_acc(ctx, &m, &self.weights[l], f_in, f_in, f_out, &mut z);
             let out = if l + 1 == l_total {
                 let parts = self.grid.row.allgather(z.clone(), Cat::DenseComm);
-                let z_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+                let z_row = Mat::hstack(&parts);
                 ctx.charge_elementwise(2 * z_row.len());
                 self.h_out_row = log_softmax_rows(&z_row);
                 self.p_out_row = cagnet_dense::activation::softmax_rows(&z_row);
@@ -585,7 +585,7 @@ impl SageTwoDimTrainer {
             // Row-all-gathered G slab serves Y_top, Y_bot, and the W_topᵀ
             // term.
             let parts = self.grid.row.allgather(g.clone(), Cat::DenseComm);
-            let g_row = Mat::hstack(&parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            let g_row = Mat::hstack(&parts);
             ctx.charge_gemm(self.hs[l].cols(), self.my_rows(), f_out);
             let yt_local = matmul_tn(&self.hs[l], &g_row);
             ctx.charge_gemm(self.ms[l].cols(), self.my_rows(), f_out);
@@ -594,8 +594,8 @@ impl SageTwoDimTrainer {
             let yb_j = self.grid.col.allreduce_mat(&yb_local, Cat::DenseComm);
             let yt_parts = self.grid.row.allgather(yt_j, Cat::DenseComm);
             let yb_parts = self.grid.row.allgather(yb_j, Cat::DenseComm);
-            let y_top = Mat::vstack(&yt_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
-            let y_bot = Mat::vstack(&yb_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+            let y_top = Mat::vstack(&yt_parts);
+            let y_bot = Mat::vstack(&yb_parts);
             let y = Mat::vstack(&[y_top, y_bot]);
             if l > 0 {
                 let (jc0, jc1) = block_range(f_in, self.grid.pc, self.grid.j);
@@ -609,8 +609,7 @@ impl SageTwoDimTrainer {
                 // term2: (Āᵀ G) W_botᵀ via SUMMA + row all-gather.
                 let atg = self.summa_spmm(ctx, &self.abt_ij, &g);
                 let atg_parts = self.grid.row.allgather(atg, Cat::DenseComm);
-                let atg_row =
-                    Mat::hstack(&atg_parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>());
+                let atg_row = Mat::hstack(&atg_parts);
                 ctx.charge_gemm(self.my_rows(), f_out, jc1 - jc0);
                 add_assign(
                     &mut dh,

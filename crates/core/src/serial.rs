@@ -15,14 +15,15 @@
 //! floating point accumulation errors" as serial PyTorch (§V-A), and the
 //! integration tests assert the same property here.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient};
+use crate::dist::Workspace;
+use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_dense::activation::{log_softmax_rows, Activation};
+use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul, matmul_nt, matmul_tn, Mat};
-use cagnet_sparse::spmm::spmm;
+use cagnet_dense::{matmul_acc, matmul_nt_acc, matmul_tn, Mat};
+use cagnet_sparse::spmm::spmm_acc;
 
 /// Serial full-batch GCN trainer (the correctness reference).
 pub struct SerialTrainer<'p> {
@@ -39,6 +40,10 @@ pub struct SerialTrainer<'p> {
     zs: Vec<Mat>,
     /// Stored activations `H⁰..H^L` from the last forward pass.
     hs: Vec<Mat>,
+    /// Large scratch matrices kept across epochs, as in the distributed
+    /// trainers (DESIGN.md §16), so the single-worker baseline pays for
+    /// the same kernels and nothing else.
+    ws: Workspace,
 }
 
 impl<'p> SerialTrainer<'p> {
@@ -60,6 +65,7 @@ impl<'p> SerialTrainer<'p> {
             drop_masks: Vec::new(),
             zs: Vec::new(),
             hs: Vec::new(),
+            ws: Workspace::default(),
         }
     }
 
@@ -67,21 +73,30 @@ impl<'p> SerialTrainer<'p> {
     /// mean masked NLL loss.
     pub fn forward(&mut self) -> f64 {
         let l_total = self.cfg.layers();
-        self.zs.clear();
-        self.drop_masks = vec![None; l_total];
-        self.hs.clear();
-        self.hs.push(self.problem.features.clone());
+        // The last pass's stored matrices go back to the workspace; this
+        // pass rebuilds them in the same buffers.
+        let ws = &mut self.ws;
+        self.zs.drain(..).for_each(|z| ws.give(z));
+        if self.hs.is_empty() {
+            self.hs.push(self.problem.features.clone());
+        }
+        self.hs.drain(1..).for_each(|h| ws.give(h));
+        self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
+        self.drop_masks.resize(l_total, None);
         for l in 0..l_total {
-            let t = spmm(&self.problem.adj_t, &self.hs[l]);
-            let z = matmul(&t, &self.weights[l]);
             let f_out = self.cfg.dims[l + 1];
-            let h = if l + 1 == l_total {
-                log_softmax_rows(&z)
+            let mut t = self.ws.zeros(self.hs[l].rows(), self.hs[l].cols());
+            spmm_acc(&self.problem.adj_t, &self.hs[l], &mut t);
+            let mut z = self.ws.keep_zeros(t.rows(), f_out);
+            matmul_acc(&t, &self.weights[l], &mut z);
+            self.ws.give(t);
+            let mut h = self.ws.keep(z.len());
+            if l + 1 == l_total {
+                log_softmax_rows_into(&z, &mut h);
             } else {
-                let mut h = self.act.apply(&z);
+                self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, 0, f_out, 0, f_out, &mut h);
-                h
-            };
+            }
             self.zs.push(z);
             self.hs.push(h);
         }
@@ -95,29 +110,46 @@ impl<'p> SerialTrainer<'p> {
 
     /// Backward pass + gradient-descent step. Must follow [`Self::forward`].
     pub fn backward(&mut self) {
+        for (l, y) in self.backprop().into_iter().enumerate().rev() {
+            self.opt.step(l, &mut self.weights[l], &y);
+        }
+    }
+
+    /// The weight gradients `Y^1..Y^L` at the current point, from the
+    /// intermediates of the last forward pass.
+    fn backprop(&mut self) -> Vec<Mat> {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
-        let mut g = output_gradient(
-            &self.zs[l_total - 1],
+        let mut grads = vec![Mat::zeros(0, 0); l_total];
+        let z_out = &self.zs[l_total - 1];
+        let mut g = self.ws.take(z_out.len());
+        output_gradient_into(
+            z_out,
             &self.problem.labels,
             &self.problem.train_mask,
             0,
             self.problem.train_count(),
+            &mut g,
         );
         for l in (0..l_total).rev() {
             // Shared intermediate A G^l (reused by both Y and G^{l-1}, as
             // the paper's §IV-A.4 notes).
-            let ag = spmm(&self.problem.adj, &g);
-            let y = matmul_tn(&self.hs[l], &ag);
+            let mut ag = self.ws.zeros(g.rows(), g.cols());
+            spmm_acc(&self.problem.adj, &g, &mut ag);
+            grads[l] = matmul_tn(&self.hs[l], &ag);
             if l > 0 {
-                g = matmul_nt(&ag, &self.weights[l]);
-                hadamard_assign(&mut g, &self.act.prime(&self.zs[l - 1]));
+                g.reset(ag.rows(), self.cfg.dims[l]);
+                matmul_nt_acc(&ag, &self.weights[l], &mut g);
+                self.act.mul_prime_assign(&mut g, &self.zs[l - 1]);
                 if let Some(mask) = self.drop_masks[l - 1].take() {
                     hadamard_assign(&mut g, &mask);
+                    self.ws.give(mask);
                 }
             }
-            self.opt.step(l, &mut self.weights[l], &y);
+            self.ws.give(ag);
         }
+        self.ws.give(g);
+        grads
     }
 
     /// One full epoch (forward + backward); returns the pre-update loss.
@@ -163,28 +195,8 @@ impl<'p> SerialTrainer<'p> {
     /// Gradients of the current point, without updating weights — used by
     /// the finite-difference gradient check.
     pub fn gradients(&mut self) -> Vec<Mat> {
-        let l_total = self.cfg.layers();
         let _ = self.forward();
-        let mut grads = vec![Mat::zeros(0, 0); l_total];
-        let mut g = output_gradient(
-            &self.zs[l_total - 1],
-            &self.problem.labels,
-            &self.problem.train_mask,
-            0,
-            self.problem.train_count(),
-        );
-        for l in (0..l_total).rev() {
-            let ag = spmm(&self.problem.adj, &g);
-            grads[l] = matmul_tn(&self.hs[l], &ag);
-            if l > 0 {
-                g = matmul_nt(&ag, &self.weights[l]);
-                hadamard_assign(&mut g, &self.act.prime(&self.zs[l - 1]));
-                if let Some(mask) = self.drop_masks[l - 1].take() {
-                    hadamard_assign(&mut g, &mask);
-                }
-            }
-        }
-        grads
+        self.backprop()
     }
 
     /// Mean NLL of the current model over an arbitrary vertex mask (runs
@@ -250,7 +262,8 @@ impl<'p> SerialTrainer<'p> {
         h: &mut Mat,
     ) {
         if self.training && self.dropout > 0.0 {
-            let mask = crate::dropout::mask_block(
+            let mut mask = self.ws.keep(h.len());
+            crate::dropout::mask_block_into(
                 crate::dropout::DropoutKey {
                     base_seed: self.cfg.seed,
                     epoch: self.epoch_counter,
@@ -262,6 +275,7 @@ impl<'p> SerialTrainer<'p> {
                 f_total,
                 c0,
                 c1,
+                &mut mask,
             );
             cagnet_dense::ops::hadamard_assign(h, &mask);
             self.drop_masks[layer] = Some(mask);

@@ -28,71 +28,123 @@ pub enum Activation {
 }
 
 impl Activation {
+    /// `σ(x)` for one element.
+    #[inline]
+    fn value(self, x: f64) -> f64 {
+        match self {
+            Activation::Relu => positive_or(x, x, 0.0),
+            Activation::LeakyRelu(a) => positive_or(x, x, a * x),
+            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+        }
+    }
+
+    /// `σ'(x)` for one element (subgradient 0 at ReLU's kink).
+    #[inline]
+    fn slope(self, x: f64) -> f64 {
+        match self {
+            Activation::Relu => positive_or(x, 1.0, 0.0),
+            Activation::LeakyRelu(a) => positive_or(x, 1.0, a),
+            Activation::Tanh => 1.0 - x.tanh().powi(2),
+            Activation::Sigmoid => {
+                let s = 1.0 / (1.0 + (-x).exp());
+                s * (1.0 - s)
+            }
+        }
+    }
+
     /// Apply elementwise.
     pub fn apply(&self, z: &Mat) -> Mat {
-        match *self {
-            Activation::Relu => relu(z),
-            Activation::LeakyRelu(a) => z.map(|x| if x > 0.0 { x } else { a * x }),
-            Activation::Tanh => z.map(f64::tanh),
-            Activation::Sigmoid => z.map(|x| 1.0 / (1.0 + (-x).exp())),
-        }
+        let mut h = Mat::zeros(0, 0);
+        self.apply_into(z, &mut h);
+        h
+    }
+
+    /// [`Activation::apply`] written over `h`, reusing its allocation.
+    pub fn apply_into(&self, z: &Mat, h: &mut Mat) {
+        let act = *self;
+        h.map_from(z, |x| act.value(x));
     }
 
     /// Derivative evaluated at the pre-activation `z`, elementwise.
     pub fn prime(&self, z: &Mat) -> Mat {
-        match *self {
-            Activation::Relu => relu_prime(z),
-            Activation::LeakyRelu(a) => z.map(|x| if x > 0.0 { 1.0 } else { a }),
-            Activation::Tanh => z.map(|x| 1.0 - x.tanh().powi(2)),
-            Activation::Sigmoid => z.map(|x| {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            }),
+        let act = *self;
+        z.map(|x| act.slope(x))
+    }
+
+    /// `g ⊙= σ'(z)` in place — the backpropagation factor of the paper's
+    /// Eq. 1–2 without materializing `σ'(Z)`. Each element is the same
+    /// single product `g · σ'(z)` as `hadamard_assign(g, &prime(z))`.
+    pub fn mul_prime_assign(&self, g: &mut Mat, z: &Mat) {
+        assert_eq!(g.shape(), z.shape(), "mul_prime_assign: shape mismatch");
+        let act = *self;
+        for (x, &zv) in g.as_mut_slice().iter_mut().zip(z.as_slice()) {
+            *x *= act.slope(zv);
         }
+    }
+}
+
+/// `pos` where `x > 0`, else `neg` (so NaN and `-0.0` take `neg`).
+#[inline]
+fn positive_or(x: f64, pos: f64, neg: f64) -> f64 {
+    if x > 0.0 {
+        pos
+    } else {
+        neg
     }
 }
 
 /// ReLU, elementwise: `max(0, x)`.
 pub fn relu(z: &Mat) -> Mat {
-    z.map(|x| if x > 0.0 { x } else { 0.0 })
+    Activation::Relu.apply(z)
 }
 
 /// Derivative of ReLU evaluated at `z`, elementwise (subgradient 0 at 0).
 pub fn relu_prime(z: &Mat) -> Mat {
-    z.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
+    Activation::Relu.prime(z)
 }
 
 /// Numerically-stable row-wise softmax.
 pub fn softmax_rows(z: &Mat) -> Mat {
-    let mut out = Mat::zeros(z.rows(), z.cols());
-    for i in 0..z.rows() {
-        let row = z.row(i);
+    let mut out = Mat::zeros(0, 0);
+    softmax_rows_into(z, &mut out);
+    out
+}
+
+/// [`softmax_rows`] written over `out`, reusing its allocation.
+pub fn softmax_rows_into(z: &Mat, out: &mut Mat) {
+    out.copy_from(z);
+    for i in 0..out.rows() {
+        let row = out.row_mut(i);
         let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut denom = 0.0;
-        for &x in row {
+        for &x in row.iter() {
             denom += (x - m).exp();
         }
-        let orow = out.row_mut(i);
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = (x - m).exp() / denom;
+        for x in row.iter_mut() {
+            *x = (*x - m).exp() / denom;
         }
     }
-    out
 }
 
 /// Numerically-stable row-wise `log_softmax`.
 pub fn log_softmax_rows(z: &Mat) -> Mat {
-    let mut out = Mat::zeros(z.rows(), z.cols());
-    for i in 0..z.rows() {
-        let row = z.row(i);
+    let mut out = Mat::zeros(0, 0);
+    log_softmax_rows_into(z, &mut out);
+    out
+}
+
+/// [`log_softmax_rows`] written over `out`, reusing its allocation.
+pub fn log_softmax_rows_into(z: &Mat, out: &mut Mat) {
+    out.copy_from(z);
+    for i in 0..out.rows() {
+        let row = out.row_mut(i);
         let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let lse = m + row.iter().map(|&x| (x - m).exp()).sum::<f64>().ln();
-        let orow = out.row_mut(i);
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = x - lse;
+        for x in row.iter_mut() {
+            *x -= lse;
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -289,16 +289,29 @@ pub fn matmul_nt(a: &Mat, b: &Mat) -> Mat {
     matmul_nt_with(ParallelCtx::serial(), a, b)
 }
 
-/// `C = A · Bᵀ`, row panels forked across `ctx`. Each output row is an
-/// independent set of dot products, so this parallelizes with no
-/// ordering hazards at all.
+/// `C = A · Bᵀ`, row panels forked across `ctx`.
 pub fn matmul_nt_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
+    let mut c = Mat::zeros(a.rows(), b.rows());
+    matmul_nt_acc_with(ctx, a, b, &mut c);
+    c
+}
+
+/// `C += A · Bᵀ` with accumulation.
+pub fn matmul_nt_acc(a: &Mat, b: &Mat, c: &mut Mat) {
+    matmul_nt_acc_with(ParallelCtx::serial(), a, b, c);
+}
+
+/// `C += A · Bᵀ`, row panels forked across `ctx`. Each output element
+/// is one dot product folded in ascending `k` from a `+0.0` seed and
+/// then added to `C` once, so this parallelizes with no ordering
+/// hazards at all.
+pub fn matmul_nt_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     let (m, k) = a.shape();
     let (n, kb) = b.shape();
     assert_eq!(k, kb, "matmul_nt: inner dimension mismatch");
-    let mut c = Mat::zeros(m, n);
+    assert_eq!(c.shape(), (m, n), "matmul_nt_acc: output shape mismatch");
     if m == 0 || n == 0 {
-        return c;
+        return;
     }
     let av = a.as_slice();
     let bv = b.as_slice();
@@ -318,7 +331,6 @@ pub fn matmul_nt_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
             }
         }
     });
-    c
 }
 
 /// Reference triple-loop GEMM used only to validate the blocked kernels.

@@ -20,7 +20,7 @@ pub mod ops;
 pub mod reference;
 
 pub use gemm::{
-    matmul, matmul_acc, matmul_acc_with, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_acc,
-    matmul_tn_acc_with, matmul_tn_with, matmul_with,
+    matmul, matmul_acc, matmul_acc_with, matmul_nt, matmul_nt_acc, matmul_nt_acc_with,
+    matmul_nt_with, matmul_tn, matmul_tn_acc, matmul_tn_acc_with, matmul_tn_with, matmul_with,
 };
 pub use matrix::Mat;

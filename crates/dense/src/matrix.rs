@@ -6,6 +6,7 @@
 //! assumed by the blocked GEMM in [`crate::gemm`] and by the block
 //! extraction/scatter routines used by the distributed partitioners.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A dense row-major matrix of `f64`.
@@ -138,6 +139,39 @@ impl Mat {
         self.data
     }
 
+    /// Elements the backing allocation can hold without growing — what a
+    /// buffer pool keys on when it hands this matrix out for reuse.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Reshape to `rows x cols` of zeros, reusing the allocation when it
+    /// is large enough. This is how a kept accumulator is re-armed: the
+    /// result is indistinguishable from [`Mat::zeros`].
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.clear_for(rows * cols);
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Empty the buffer and make room for `len` elements — in one exact
+    /// allocation when it has to grow, so a destination filled piecewise
+    /// never goes through amortized doubling.
+    fn clear_for(&mut self, len: usize) {
+        self.data.clear();
+        self.data.reserve_exact(len);
+    }
+
+    /// Overwrite with a copy of `src`, reusing the allocation.
+    pub fn copy_from(&mut self, src: &Mat) {
+        self.clear_for(src.data.len());
+        self.data.extend_from_slice(&src.data);
+        self.rows = src.rows;
+        self.cols = src.cols;
+    }
+
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -173,23 +207,39 @@ impl Mat {
 
     /// Extract the sub-matrix with rows `r0..r1` and columns `c0..c1`.
     pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        self.block_into(r0, r1, c0, c1, &mut out);
+        out
+    }
+
+    /// [`Mat::block`] written over `out`, reusing its allocation.
+    pub fn block_into(&self, r0: usize, r1: usize, c0: usize, c1: usize, out: &mut Mat) {
         assert!(r0 <= r1 && r1 <= self.rows, "row range out of bounds");
         assert!(c0 <= c1 && c1 <= self.cols, "col range out of bounds");
-        let mut out = Mat::zeros(r1 - r0, c1 - c0);
-        for (oi, i) in (r0..r1).enumerate() {
-            let src = &self.data[i * self.cols + c0..i * self.cols + c1];
-            out.row_mut(oi).copy_from_slice(src);
+        out.clear_for((r1 - r0) * (c1 - c0));
+        for i in r0..r1 {
+            out.data
+                .extend_from_slice(&self.data[i * self.cols + c0..i * self.cols + c1]);
         }
-        out
+        out.rows = r1 - r0;
+        out.cols = c1 - c0;
     }
 
     /// Extract the given rows (in order) into a new matrix.
     pub fn select_rows(&self, rows: &[usize]) -> Mat {
-        let mut out = Mat::zeros(rows.len(), self.cols);
-        for (oi, &i) in rows.iter().enumerate() {
-            out.row_mut(oi).copy_from_slice(self.row(i));
-        }
+        let mut out = Mat::zeros(0, 0);
+        self.select_rows_into(rows.iter().copied(), &mut out);
         out
+    }
+
+    /// [`Mat::select_rows`] written over `out`, reusing its allocation.
+    pub fn select_rows_into(&self, rows: impl ExactSizeIterator<Item = usize>, out: &mut Mat) {
+        out.rows = rows.len();
+        out.cols = self.cols;
+        out.clear_for(out.rows * out.cols);
+        for i in rows {
+            out.data.extend_from_slice(self.row(i));
+        }
     }
 
     /// Write `src` into the sub-matrix starting at `(r0, c0)`.
@@ -202,43 +252,68 @@ impl Mat {
         }
     }
 
-    /// Stack matrices vertically (all must share a column count).
-    pub fn vstack(parts: &[Mat]) -> Mat {
-        assert!(!parts.is_empty(), "vstack of zero parts");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut out = Mat::zeros(rows, cols);
-        let mut r = 0;
-        for p in parts {
-            assert_eq!(p.cols, cols, "vstack column mismatch");
-            out.set_block(r, 0, p);
-            r += p.rows;
-        }
+    /// Stack matrices vertically (all must share a column count). Parts
+    /// are borrowed — owned matrices and shared handles both work — so
+    /// gathered `Arc<Mat>` blocks stack without being cloned first.
+    pub fn vstack<M: Borrow<Mat>>(parts: &[M]) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        Mat::vstack_into(parts, &mut out);
         out
     }
 
-    /// Stack matrices horizontally (all must share a row count).
-    pub fn hstack(parts: &[Mat]) -> Mat {
-        assert!(!parts.is_empty(), "hstack of zero parts");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Mat::zeros(rows, cols);
-        let mut c = 0;
+    /// [`Mat::vstack`] written over `out`, reusing its allocation.
+    pub fn vstack_into<M: Borrow<Mat>>(parts: &[M], out: &mut Mat) {
+        assert!(!parts.is_empty(), "vstack of zero parts");
+        out.cols = parts[0].borrow().cols;
+        out.rows = parts.iter().map(|p| p.borrow().rows).sum();
+        out.clear_for(out.rows * out.cols);
         for p in parts {
-            assert_eq!(p.rows, rows, "hstack row mismatch");
-            out.set_block(0, c, p);
-            c += p.cols;
+            let p = p.borrow();
+            assert_eq!(p.cols, out.cols, "vstack column mismatch");
+            out.data.extend_from_slice(&p.data);
         }
+    }
+
+    /// Stack matrices horizontally (all must share a row count); parts
+    /// are borrowed as in [`Mat::vstack`].
+    pub fn hstack<M: Borrow<Mat>>(parts: &[M]) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        Mat::hstack_into(parts, &mut out);
         out
+    }
+
+    /// [`Mat::hstack`] written over `out`, reusing its allocation.
+    pub fn hstack_into<M: Borrow<Mat>>(parts: &[M], out: &mut Mat) {
+        assert!(!parts.is_empty(), "hstack of zero parts");
+        out.rows = parts[0].borrow().rows;
+        out.cols = 0;
+        for p in parts {
+            let p = p.borrow();
+            assert_eq!(p.rows, out.rows, "hstack row mismatch");
+            out.cols += p.cols;
+        }
+        out.clear_for(out.rows * out.cols);
+        for i in 0..out.rows {
+            for p in parts {
+                out.data.extend_from_slice(p.borrow().row(i));
+            }
+        }
     }
 
     /// Apply `f` elementwise, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Mat {
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let mut out = Mat::zeros(0, 0);
+        out.map_from(self, f);
+        out
+    }
+
+    /// Overwrite with `f` applied elementwise to `src`, reusing the
+    /// allocation ([`Mat::map`] into a kept destination).
+    pub fn map_from(&mut self, src: &Mat, f: impl Fn(f64) -> f64) {
+        self.clear_for(src.data.len());
+        self.data.extend(src.data.iter().map(|&x| f(x)));
+        self.rows = src.rows;
+        self.cols = src.cols;
     }
 
     /// Apply `f` elementwise in place.

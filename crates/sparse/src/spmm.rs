@@ -384,10 +384,23 @@ pub fn spmm_semiring_acc_with<S: Semiring>(ctx: ParallelCtx, a: &Csr, b: &Mat, s
 /// the full-height `n x f` low-rank contribution that is then
 /// reduce-scattered (paper §IV-A.3).
 pub fn outer_product_from_transposed(at_block: &Csr, b: &Mat) -> Mat {
+    let mut c = Mat::zeros(at_block.cols(), b.cols());
+    outer_product_from_transposed_into(at_block, b, &mut c);
+    c
+}
+
+/// [`outer_product_from_transposed`] accumulated onto a caller-kept
+/// `n x f` destination: `C += A(:, c0..c1) · B`. Hand it zeros (a re-armed
+/// accumulator, [`Mat::reset`]) for the plain product — every element
+/// then folds the same products in the same order as a fresh result.
+pub fn outer_product_from_transposed_into(at_block: &Csr, b: &Mat, c: &mut Mat) {
     assert_eq!(at_block.rows(), b.rows(), "outer product: inner dims");
-    let n = at_block.cols();
     let f = b.cols();
-    let mut c = Mat::zeros(n, f);
+    assert_eq!(
+        c.shape(),
+        (at_block.cols(), f),
+        "outer product: output shape"
+    );
     let cv = c.as_mut_slice();
     let bv = b.as_slice();
     for k in 0..at_block.rows() {
@@ -399,7 +412,6 @@ pub fn outer_product_from_transposed(at_block: &Csr, b: &Mat) -> Mat {
             }
         }
     }
-    c
 }
 
 /// Flop count of `spmm` on this operand pair (2 flops per stored
