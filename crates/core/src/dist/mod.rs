@@ -33,6 +33,8 @@ pub mod twodim;
 
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
 use cagnet_dense::Mat;
+use cagnet_sparse::spmm::{spmm_acc_scratch, spmm_scratch_len};
+use cagnet_sparse::{Csr, ParallelCtx};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt;
@@ -204,6 +206,15 @@ impl Workspace {
         let mut m = self.keep(rows * cols);
         m.reset(rows, cols);
         m
+    }
+
+    /// `c += a · b` on `par` threads, the wide kernel's pack buffer
+    /// ([`spmm_acc_scratch`]) drawn from the pool and handed back: zero
+    /// elements, so no buffer at all, for operands up to 128 columns.
+    pub(crate) fn spmm_acc_with(&mut self, par: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat) {
+        let mut pack = self.take(spmm_scratch_len(b.rows(), b.cols()));
+        spmm_acc_scratch(par, a, b, c, &mut pack);
+        self.give(pack);
     }
 
     /// Hand a buffer back for reuse.

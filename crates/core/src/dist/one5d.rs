@@ -38,7 +38,7 @@ use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_ranges;
-use cagnet_sparse::spmm::{outer_product_from_transposed_into, spmm_acc_with};
+use cagnet_sparse::spmm::outer_product_from_transposed_into;
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -379,7 +379,9 @@ impl One5DTrainer {
                 &self.at_fwd[ip]
             };
             ctx.charge_spmm(a.nnz(), coarse_rows, f_in);
-            spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
+            self.ws
+                .borrow_mut()
+                .spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
             h_b.release(&self.ws);
         }
         partial

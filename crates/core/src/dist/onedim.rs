@@ -22,7 +22,7 @@ use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::{outer_product_from_transposed_into, spmm_acc_with};
+use cagnet_sparse::spmm::outer_product_from_transposed_into;
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -332,7 +332,9 @@ impl OneDimTrainer {
                     &self.at_blocks[j]
                 };
                 ctx.charge_spmm(a.nnz(), a.rows(), f_in);
-                spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
+                self.ws
+                    .borrow_mut()
+                    .spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
                 hj.release(&self.ws);
             }
             let mut z = self.ws.borrow_mut().keep_zeros(t.rows(), f_out);

@@ -28,7 +28,6 @@ use cagnet_dense::activation::{log_softmax_rows_into, softmax_rows_into, Activat
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
-use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -405,7 +404,9 @@ impl ThreeDimTrainer {
             };
             self.maybe_store(s, slot_base + s, &d_hat);
             ctx.charge_spmm(a_hat.nnz(), a_hat.rows(), d_hat.cols());
-            spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut partial);
+            self.ws
+                .borrow_mut()
+                .spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut partial);
             d_hat.release(&self.ws);
         }
         // Fiber reduction: the ∛P-replicated partials collapse into the

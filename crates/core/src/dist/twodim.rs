@@ -39,7 +39,6 @@ use cagnet_dense::activation::{log_softmax_rows_into, softmax_rows_into, Activat
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::spmm::spmm_acc_with;
 use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -576,7 +575,9 @@ impl TwoDimTrainer {
             // order — and the charged cost — matches dense mode bit for
             // bit.
             ctx.charge_spmm(a_panel.nnz(), a_panel.rows(), d_panel.cols());
-            spmm_acc_with(ctx.parallel(), &a_panel, &d_panel, &mut out);
+            self.ws
+                .borrow_mut()
+                .spmm_acc_with(ctx.parallel(), &a_panel, &d_panel, &mut out);
             d_panel.release(&self.ws);
         }
         out

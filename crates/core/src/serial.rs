@@ -23,7 +23,7 @@ use crate::problem::Problem;
 use cagnet_dense::activation::{log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc, matmul_nt_acc, matmul_tn, Mat};
-use cagnet_sparse::spmm::spmm_acc;
+use cagnet_sparse::ParallelCtx;
 
 /// Serial full-batch GCN trainer (the correctness reference).
 pub struct SerialTrainer<'p> {
@@ -86,7 +86,12 @@ impl<'p> SerialTrainer<'p> {
         for l in 0..l_total {
             let f_out = self.cfg.dims[l + 1];
             let mut t = self.ws.zeros(self.hs[l].rows(), self.hs[l].cols());
-            spmm_acc(&self.problem.adj_t, &self.hs[l], &mut t);
+            self.ws.spmm_acc_with(
+                ParallelCtx::serial(),
+                &self.problem.adj_t,
+                &self.hs[l],
+                &mut t,
+            );
             let mut z = self.ws.keep_zeros(t.rows(), f_out);
             matmul_acc(&t, &self.weights[l], &mut z);
             self.ws.give(t);
@@ -135,7 +140,8 @@ impl<'p> SerialTrainer<'p> {
             // Shared intermediate A G^l (reused by both Y and G^{l-1}, as
             // the paper's §IV-A.4 notes).
             let mut ag = self.ws.zeros(g.rows(), g.cols());
-            spmm_acc(&self.problem.adj, &g, &mut ag);
+            self.ws
+                .spmm_acc_with(ParallelCtx::serial(), &self.problem.adj, &g, &mut ag);
             grads[l] = matmul_tn(&self.hs[l], &ag);
             if l > 0 {
                 g.reset(ag.rows(), self.cfg.dims[l]);

@@ -25,6 +25,8 @@ pub mod relabel;
 pub mod spgemm;
 pub mod spmm;
 
+/// The thread budget the `_with` / `_scratch` kernels take.
+pub use cagnet_parallel::ParallelCtx;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use dcsr::Dcsr;

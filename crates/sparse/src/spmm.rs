@@ -48,22 +48,65 @@ pub fn spmm_acc(a: &Csr, b: &Mat, c: &mut Mat) {
     spmm_acc_with(ParallelCtx::serial(), a, b, c);
 }
 
-/// `C += A · B`, nnz-balanced row chunks forked across `ctx`.
-///
-/// The row loop is **width-specialized** (DESIGN.md §14): for the common
-/// GCN feature widths the per-row accumulator is a fixed-size register
-/// array — the `C` row is loaded once, all of the row's nonzeros
-/// accumulate into registers with fully unrolled `f`-wide inner loops,
-/// and the row is stored once. Other widths up to 128 stream the row's
-/// nonzeros in a single generic-width pass; wider ones
-/// take a column-tiled loop that keeps an L1-resident slice of the
-/// skinny `B` operand hot across the whole CSR row range. All paths
-/// fold each element's products in
-/// stored-entry order with a single accumulator, so results are
-/// bit-identical to the historical per-nonzero axpy loop (kept in
-/// [`crate::reference`] for benchmarking) and to serial at every thread
-/// count.
+/// `C += A · B`, nnz-balanced row chunks forked across `ctx`:
+/// [`spmm_acc_scratch`] with a pack buffer of its own. Callers that
+/// multiply wide operands repeatedly keep one and call that instead.
 pub fn spmm_acc_with(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat) {
+    spmm_acc_scratch(ctx, a, b, c, &mut Mat::zeros(0, 0));
+}
+
+/// Widest `f` multiplied straight out of `B`. Beyond it a row of `B` is
+/// over 1 KiB, the rows a CSR row gathers lie in as many pages, and the
+/// accumulator no longer fits the register file; at and below it the
+/// hypersparse stage panels (4–9 nonzeros per row) gain nothing from
+/// packing (measured at `f = 128`, DESIGN.md §14).
+const SPMM_DIRECT_WIDTH: usize = 128;
+
+/// Columns per packed tile of the wide path. 32 columns are 256 B per
+/// operand row: the tile of an 8192-row operand is 2 MiB in 512 pages —
+/// the size of the L2, a quarter of what the second-level TLB maps —
+/// where the same columns of `B` in place are spread over `8·f`-byte
+/// strides, a page per row from `f = 512`. The accumulator is eight
+/// 256-bit registers. 64 columns ran no faster and double the buffer;
+/// 16 re-walk the CSR twice as often and ran 20 % slower.
+const SPMM_COL_TILE: usize = 32;
+
+/// Rows of `C` warmed at a time ahead of the row kernel on the wide
+/// path (see [`spmm_acc_scratch`]): 64 tile rows are at most 320 cache
+/// lines, well inside L1.
+const SPMM_WARM_ROWS: usize = 64;
+
+/// Fewest operand rows worth a thread of their own when packing a tile.
+const PACK_MIN_ROWS: usize = 1024;
+
+/// Elements of pack buffer [`spmm_acc_scratch`] fills for an operand of
+/// `b_rows x f` — what to ask a buffer pool for. Zero up to
+/// `SPMM_DIRECT_WIDTH`, where nothing is packed.
+pub fn spmm_scratch_len(b_rows: usize, f: usize) -> usize {
+    if f > SPMM_DIRECT_WIDTH {
+        b_rows * SPMM_COL_TILE
+    } else {
+        0
+    }
+}
+
+/// `C += A · B` with the wide path's pack buffer supplied by the caller
+/// (any shape, any contents; it is reshaped and overwritten, and grows
+/// only if it holds fewer than [`spmm_scratch_len`] elements).
+///
+/// Every width runs the one row kernel, [`spmm_rows`] (DESIGN.md §14):
+/// the `C` row is loaded once into the accumulator, the row's nonzeros
+/// fold into it in stored-entry order, and it is stored once. Up to
+/// `SPMM_DIRECT_WIDTH` columns that is a single pass reading `B` in
+/// place. Wider operands go `SPMM_COL_TILE` columns at a time: the tile
+/// of `B` is first copied into `pack` as a contiguous `rows(B) x tile`
+/// matrix, which all row chunks of the fork then read, so the gathers of
+/// a pass stay inside those 256 bytes per row instead of striding across
+/// the whole of `B`. Every output element folds the same products in
+/// the same order on every path, so results are bit-identical to the
+/// historical per-nonzero axpy loop (kept in [`crate::reference`]) and
+/// to serial at every thread count.
+pub fn spmm_acc_scratch(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat, pack: &mut Mat) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -78,153 +121,127 @@ pub fn spmm_acc_with(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat) {
     if f == 0 {
         return;
     }
-    let bv = b.as_slice();
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let vals = a.vals();
+    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
     let ranges = nnz_balanced_ranges(row_ptr, spmm_chunks(ctx, a));
-    ctx.par_partitions(&ranges, f, c.as_mut_slice(), |rows, panel| {
-        // Width dispatch happens per chunk, but every chunk of a given
-        // SpMM sees the same `f`, so all chunks run the same kernel.
-        match f {
-            8 => spmm_rows_fixed::<8>(row_ptr, col_idx, vals, bv, panel, rows),
-            16 => spmm_rows_fixed::<16>(row_ptr, col_idx, vals, bv, panel, rows),
-            32 => spmm_rows_fixed::<32>(row_ptr, col_idx, vals, bv, panel, rows),
-            64 => spmm_rows_fixed::<64>(row_ptr, col_idx, vals, bv, panel, rows),
-            128 => spmm_rows_fixed::<128>(row_ptr, col_idx, vals, bv, panel, rows),
-            _ if f <= SPMM_BUF_WIDTH => {
-                spmm_rows_buffered(row_ptr, col_idx, vals, bv, panel, rows, f)
+    let cv = c.as_mut_slice();
+    // One pass of the row kernel over every chunk: the `w` columns of
+    // `operand` into columns `col0..col0 + w` of `C`. All chunks of a
+    // pass see the same `w` and run the same kernel.
+    let mut pass = |operand: &[f64], col0: usize, w: usize| {
+        ctx.par_partitions(&ranges, f, cv, |rows, panel| {
+            let kernel = match w {
+                8 => spmm_rows::<8>,
+                16 => spmm_rows::<16>,
+                32 => spmm_rows::<32>,
+                64 => spmm_rows::<64>,
+                128 => spmm_rows::<128>,
+                _ => spmm_rows::<0>,
+            };
+            if w == f {
+                return kernel(row_ptr, col_idx, vals, operand, panel, f, 0, w, rows);
             }
-            _ => spmm_rows_tiled(row_ptr, col_idx, vals, bv, panel, rows, f),
+            // A tile of `C` is `w` columns out of rows `8·f` bytes apart
+            // — too far for the hardware prefetcher to follow — and the
+            // kernel can start a row only once its accumulator has
+            // arrived, so it would wait out a memory latency per row and
+            // tile (a fifth of the time at `f = 602`). Reading one
+            // element per cache line of the next rows' tiles first puts
+            // those misses in flight together; the sum is discarded.
+            let starts = rows.clone().step_by(SPMM_WARM_ROWS);
+            for (start, block) in starts.zip(panel.chunks_mut(SPMM_WARM_ROWS * f)) {
+                let mut warmed = 0.0;
+                for crow in block.chunks_exact(f) {
+                    let tile = &crow[col0..col0 + w];
+                    warmed += (0..w).step_by(8).map(|j| tile[j]).sum::<f64>() + tile[w - 1];
+                }
+                std::hint::black_box(warmed);
+                let rows = start..start + block.len() / f;
+                kernel(row_ptr, col_idx, vals, operand, block, f, col0, w, rows);
+            }
+        });
+    };
+    if f <= SPMM_DIRECT_WIDTH {
+        return pass(b.as_slice(), 0, f);
+    }
+    let bv = b.as_slice();
+    for col0 in (0..f).step_by(SPMM_COL_TILE) {
+        let w = SPMM_COL_TILE.min(f - col0);
+        // Only the first and the ragged last tile change the shape;
+        // the copy below overwrites every element either way.
+        if pack.shape() != (b.rows(), w) {
+            pack.reset(b.rows(), w);
         }
-    });
+        let tile = pack.as_mut_slice();
+        ctx.par_rows(b.rows(), w, tile, PACK_MIN_ROWS, |rows, out| {
+            for (dst, i) in out.chunks_exact_mut(w).zip(rows) {
+                dst.copy_from_slice(&bv[i * f + col0..i * f + col0 + w]);
+            }
+        });
+        pass(pack.as_slice(), col0, w);
+    }
 }
 
-/// Width-specialized SpMM over one row chunk: `F` is a compile-time
-/// constant, so the accumulator is `[f64; F]` in registers and the inner
-/// loops unroll/vectorize with no length checks. The degree-specialized
-/// nonzero loop walks four stored entries per step for high-degree rows
-/// (four *sequential* accumulator updates — the per-element fold order
-/// is exactly stored order, as in the scalar loop) with a short tail for
-/// the remainder, so power-law rows and leaf rows both run well.
-fn spmm_rows_fixed<const F: usize>(
+/// The SpMM row kernel, over one row chunk: `operand` is `w` columns
+/// wide and contiguous, and its products go into columns
+/// `col0..col0 + w` of `panel`, whose rows are `ldc` apart.
+///
+/// With `W = w` a compile-time constant — the common GCN widths, and
+/// every full tile of the wide path — the accumulator is `[f64; W]`, in
+/// registers up to 64, and the inner loops unroll with no length checks:
+/// the `C` row is loaded once, the row's nonzeros fold in, and it is
+/// stored once. `W = 0` serves any other `w`, folding into the `C` row
+/// where it lies. The nonzero loop walks eight, then four stored entries
+/// per step: their operand-row gathers are address-independent, so the
+/// loads overlap even though the accumulator updates stay sequential
+/// (the per-element fold order is exactly stored order), with a short
+/// tail so power-law rows and leaf rows both run well.
+///
+/// Slices and scalars only, and never inlined into the dispatch: handed
+/// the `Csr` or a parameter struct by reference, the accumulator was
+/// compiled into stack memory (1.4x slower at `W = 64`).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn spmm_rows<const W: usize>(
     row_ptr: &[usize],
     col_idx: &[usize],
     vals: &[f64],
-    bv: &[f64],
+    operand: &[f64],
     panel: &mut [f64],
+    ldc: usize,
+    col0: usize,
+    w: usize,
     rows: Range<usize>,
 ) {
+    let w = if W > 0 { W } else { w };
     let r0 = rows.start;
     for i in rows {
-        let crow = &mut panel[(i - r0) * F..(i - r0 + 1) * F];
-        let mut acc = [0.0f64; F];
-        acc.copy_from_slice(crow);
-        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-        let mut k = lo;
-        while k + 8 <= hi {
-            // Eight stored entries per step: the eight B-row gathers are
-            // address-independent, so the loads overlap even though the
-            // accumulator updates stay sequential (stored-entry order).
-            for step in 0..8 {
-                let aval = vals[k + step];
-                let brow = &bv[col_idx[k + step] * F..col_idx[k + step] * F + F];
-                for (cj, &bval) in acc.iter_mut().zip(brow) {
-                    *cj += aval * bval;
-                }
-            }
-            k += 8;
-        }
-        while k + 4 <= hi {
-            for step in 0..4 {
-                let aval = vals[k + step];
-                let brow = &bv[col_idx[k + step] * F..col_idx[k + step] * F + F];
-                for (cj, &bval) in acc.iter_mut().zip(brow) {
-                    *cj += aval * bval;
-                }
-            }
-            k += 4;
-        }
-        while k < hi {
+        let crow = &mut panel[(i - r0) * ldc + col0..(i - r0) * ldc + col0 + w];
+        let mut regs = [0.0f64; W];
+        let acc: &mut [f64] = if W > 0 {
+            regs.copy_from_slice(crow);
+            &mut regs
+        } else {
+            &mut *crow
+        };
+        let mut fold = |k: usize| {
             let aval = vals[k];
-            let brow = &bv[col_idx[k] * F..col_idx[k] * F + F];
+            let brow = &operand[col_idx[k] * w..col_idx[k] * w + w];
             for (cj, &bval) in acc.iter_mut().zip(brow) {
                 *cj += aval * bval;
             }
-            k += 1;
+        };
+        let (mut k, hi) = (row_ptr[i], row_ptr[i + 1]);
+        while k + 8 <= hi {
+            (k..k + 8).for_each(&mut fold);
+            k += 8;
         }
-        crow.copy_from_slice(&acc);
-    }
-}
-
-/// Widest generic `f` served by the direct single-pass row loop. Beyond
-/// this the active `B` working set outgrows L2 and tiling pays for its
-/// repeated nonzero walk.
-const SPMM_BUF_WIDTH: usize = 128;
-
-/// Generic-width SpMM for `f ≤ SPMM_BUF_WIDTH` that isn't one of the
-/// fixed-width arms: a single pass over the row's nonzeros streaming
-/// each neighbor's `B` row against the L1-resident `C` row. With a
-/// runtime `f` the accumulator cannot live in a fixed register file, so
-/// this is deliberately the same memory scheme as the historical kernel
-/// — uncommon widths perform no worse than before, and common widths
-/// take the specialized arms above.
-fn spmm_rows_buffered(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    bv: &[f64],
-    panel: &mut [f64],
-    rows: Range<usize>,
-    f: usize,
-) {
-    debug_assert!(f <= SPMM_BUF_WIDTH);
-    let r0 = rows.start;
-    for i in rows {
-        let crow = &mut panel[(i - r0) * f..(i - r0 + 1) * f];
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            let aval = vals[k];
-            let brow = &bv[col_idx[k] * f..(col_idx[k] + 1) * f];
-            for (cj, &bval) in crow.iter_mut().zip(brow) {
-                *cj += aval * bval;
-            }
+        while k + 4 <= hi {
+            (k..k + 4).for_each(&mut fold);
+            k += 4;
         }
-    }
-}
-
-/// Column width of the tiled generic-`f` SpMM path: 64 f64 = 512 bytes
-/// per touched `B` row, so a tile of a few hundred distinct neighbor
-/// rows stays L1/L2-resident across the chunk.
-const SPMM_COL_TILE: usize = 64;
-
-/// Wide-`f` SpMM over one row chunk, column-tiled: each pass covers
-/// `SPMM_COL_TILE` columns of `B`/`C` for the whole row range, so the
-/// active slice of the skinny dense operand stays cache-resident even
-/// when `f` is large. The CSR structure is re-walked per tile (index
-/// arrays are small and stay hot); each output element still folds its
-/// products in stored-entry order.
-#[allow(clippy::too_many_arguments)]
-fn spmm_rows_tiled(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    bv: &[f64],
-    panel: &mut [f64],
-    rows: Range<usize>,
-    f: usize,
-) {
-    let r0 = rows.start;
-    for jt in (0..f).step_by(SPMM_COL_TILE) {
-        let tw = SPMM_COL_TILE.min(f - jt);
-        for i in rows.clone() {
-            let crow = &mut panel[(i - r0) * f + jt..(i - r0) * f + jt + tw];
-            for k in row_ptr[i]..row_ptr[i + 1] {
-                let aval = vals[k];
-                let brow = &bv[col_idx[k] * f + jt..col_idx[k] * f + jt + tw];
-                for (cj, &bval) in crow.iter_mut().zip(brow) {
-                    *cj += aval * bval;
-                }
-            }
+        (k..hi).for_each(&mut fold);
+        if W > 0 {
+            crow.copy_from_slice(&regs);
         }
     }
 }
@@ -572,6 +589,87 @@ mod tests {
             let slow = crate::reference::spmm_reference(&a, &b);
             assert_eq!(fast, slow, "f={f} diverged from the reference kernel");
         }
+    }
+
+    /// Bit patterns, so that `-0.0 != 0.0` and a `NaN` equals itself —
+    /// any `NaN` any other: which operand's sign and payload an
+    /// addition of two `NaN`s keeps is the code generator's choice, in
+    /// the reference loop as much as here.
+    fn bits(m: &Mat) -> Vec<u64> {
+        let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+        m.as_slice()
+            .iter()
+            .map(|x| canonical(x).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn wide_path_matches_reference_bits() {
+        // The packed-tile path on either side of a tile boundary (192 is
+        // six full tiles), with ragged tiles of 1, 22, 31, 12 and 26 columns,
+        // forked or not, onto a fresh and onto a pre-filled `C`. The
+        // graph is large enough for eight chunks, every seventh row is
+        // empty, some stored entries are explicit zeros, and `B` carries
+        // signed zeros, infinities (so `0·inf = NaN` must appear) and a
+        // `NaN`. The pack buffer arrives too long and full of garbage.
+        let n = 600;
+        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+        let er = crate::generate::erdos_renyi(n, 36.0, 5);
+        for i in (0..n).filter(|i| i % 7 != 3) {
+            entries.extend(er.row_entries(i).map(|(j, _)| {
+                let v = ((i * 13 + j * 7) % 11) as f64 * 0.25 - 1.0;
+                (i, j, if (i + j) % 17 == 0 { 0.0 } else { v })
+            }));
+        }
+        let a = Csr::from_coo(Coo::from_entries(n, n, entries));
+        assert!(a.nnz() >= 8 * 2048, "too small to fork eight ways");
+        assert!(a.vals().contains(&0.0));
+        for f in [129usize, 150, 191, 192, 193, 300, 602] {
+            let b = Mat::from_fn(n, f, |i, j| match (i * f + j) % 97 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 if i == 5 => f64::NAN,
+                r => r as f64 * 0.125 - 6.0,
+            });
+            let filled = Mat::from_fn(n, f, |i, j| match (i + 3 * j) % 5 {
+                0 => -0.0,
+                r => r as f64 - 2.5,
+            });
+            let want_fresh = crate::reference::spmm_reference(&a, &b);
+            let mut want_filled = filled.clone();
+            crate::reference::spmm_acc_reference(&a, &b, &mut want_filled);
+            assert!(want_fresh.as_slice().iter().any(|x| x.is_nan()));
+            for threads in [1usize, 2, 3, 8] {
+                let ctx = ParallelCtx::new(threads);
+                let mut pack = Mat::filled(n + 9, 40, f64::NAN);
+                let mut fresh = Mat::zeros(n, f);
+                spmm_acc_scratch(ctx, &a, &b, &mut fresh, &mut pack);
+                assert_eq!(bits(&fresh), bits(&want_fresh), "f={f} threads={threads}");
+                let mut acc = filled.clone();
+                spmm_acc_scratch(ctx, &a, &b, &mut acc, &mut pack);
+                assert_eq!(bits(&acc), bits(&want_filled), "f={f} threads={threads}");
+                assert_eq!(bits(&spmm_with(ctx, &a, &b)), bits(&want_fresh));
+            }
+            // A rank that owns no rows: nothing to do, nothing to read.
+            let mut none = Mat::zeros(0, f);
+            let mut pack = Mat::filled(3, 3, f64::NAN);
+            spmm_acc_scratch(
+                ParallelCtx::new(3),
+                &Csr::empty(0, n),
+                &b,
+                &mut none,
+                &mut pack,
+            );
+            assert_eq!(none.shape(), (0, f));
+        }
+    }
+
+    #[test]
+    fn scratch_len_is_zero_up_to_the_direct_width() {
+        assert_eq!(spmm_scratch_len(1000, 128), 0);
+        assert_eq!(spmm_scratch_len(1000, 129), 1000 * SPMM_COL_TILE);
     }
 
     #[test]

@@ -50,14 +50,16 @@ proptest! {
 
     #[test]
     fn parallel_spmm_is_bit_identical_to_serial(
-        (a, b) in (1usize..48, 1usize..16, 1usize..8)
-            .prop_flat_map(|(m, k, f)| (sparse(m, k, 120), dense(k, f))),
+        (a, b) in (1usize..96, 1usize..96, 1usize..=200)
+            .prop_flat_map(|(m, k, f)| (sparse(m, k, 12_000), dense(k, f))),
         threads in 1usize..=8,
     ) {
         // Exact equality: the nnz-balanced row chunking never splits a
         // row, so each output element keeps its serial accumulation
-        // order. Random matrices here routinely contain empty rows
-        // (the 0 x k degenerate block has its own test below).
+        // order. Widths run past 128 into the packed-tile path, and the
+        // denser draws hold the 4096 entries it takes to fork at all.
+        // Random matrices here routinely contain empty rows (the 0 x k
+        // degenerate block has its own test below).
         let ctx = ParallelCtx::new(threads);
         prop_assert_eq!(spmm_with(ctx, &a, &b), spmm(&a, &b));
         let mut acc_s = Mat::filled(a.rows(), b.cols(), 0.25);

@@ -21,7 +21,8 @@
 //! Shapes include the degenerate ones — one row per block (`n = P`),
 //! stage blocks with no nonzeros (isolated vertices), `f = 1`, and
 //! non-square 2D grids — so 0-row, 0-column and 1-column workspace
-//! requests are exercised.
+//! requests are exercised — and one wide enough (`f = 300`) for the
+//! SpMM pack buffer to be among the pooled ones.
 
 mod common;
 
@@ -156,6 +157,19 @@ fn regular_shapes() {
     let gcn = GcnConfig::three_layer(7, 5, 4);
     for (algo, p) in geometries() {
         check("regular", algo, p, &problem, &gcn);
+    }
+}
+
+#[test]
+fn wide_input_layer() {
+    // 300 input features: every geometry's layer-0 stage operand (150
+    // columns on the 2D and 3D grids) is past the 128 where SpMM packs
+    // it tile by tile into a pooled buffer, which between products is
+    // anybody's — and whose last tile must not outlive the product.
+    let problem = Problem::synthetic(&erdos_renyi(48, 4.0, 15), 300, 4, 0.8, 16);
+    let gcn = GcnConfig::three_layer(300, 5, 4);
+    for (algo, p) in geometries() {
+        check("wide", algo, p, &problem, &gcn);
     }
 }
 
