@@ -146,6 +146,11 @@ fn bench_transpose_and_activations(c: &mut Criterion) {
     c.bench_function("log_softmax_16k_x_41", |b| {
         b.iter(|| activation::log_softmax_rows(&z))
     });
+    // The training forward's form: `log p` and `p` from one `exp` each.
+    let (mut log_p, mut p) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+    c.bench_function("log_softmax_probs_16k_x_41", |b| {
+        b.iter(|| activation::log_softmax_probs_into(&z, 0..41, &mut log_p, &mut p))
+    });
     let z2 = init::uniform(16384, 16, -1.0, 1.0, 11);
     c.bench_function("relu_16k_x_16", |b| b.iter(|| activation::relu(&z2)));
     let m = init::uniform(1024, 1024, -1.0, 1.0, 12);

@@ -1,8 +1,8 @@
 //! Wall-clock micro-benchmark of the local compute kernels: the
-//! register-blocked GEMM and the width-specialized / packed-tile SpMM
-//! against the pre-optimization reference kernels (`cagnet_dense::
-//! reference`, `cagnet_sparse::reference`), at representative GCN shapes
-//! across a thread axis (DESIGN.md §14).
+//! register-blocked GEMM, the width-specialized / packed-tile SpMM and
+//! the output layer against the pre-optimization reference kernels
+//! (`cagnet_dense::reference`, `cagnet_sparse::reference`), at
+//! representative GCN shapes across a thread axis (DESIGN.md §14).
 //!
 //! ```text
 //! cargo run --release -p cagnet-bench --bin kernel_bench -- [--out BENCH_kernels.json]
@@ -15,8 +15,9 @@
 //! Each row records best-of-repetition times for the old and new kernel
 //! and their ratio. The binary asserts that the single-thread speedup at
 //! the representative shapes reaches the 1.5x acceptance floor — and,
-//! separately, that the packed-tile SpMM path (`f = 300`, `602`)
-//! reaches its own — so a
+//! separately, that the packed-tile SpMM path (`f = 300`, `602`) and
+//! the fused output-layer kernel (one `exp` per logit against the
+//! `log_softmax` + `softmax` pair's three) reach their own — so a
 //! kernel regression fails CI rather than silently flattening the perf
 //! trajectory, and that new-kernel results stay bit-identical to the
 //! reference on every measured operand.
@@ -32,7 +33,8 @@ use std::time::Instant;
 #[derive(Serialize)]
 struct KernelRow {
     kernel: String,
-    /// GEMM: `m x k · k x n`. SpMM: `n x n` graph times `n x f`.
+    /// GEMM: `m x k · k x n`. SpMM: `n x n` graph times `n x f`. Output
+    /// layer: `n x f` logits.
     shape: String,
     threads: usize,
     old_seconds: f64,
@@ -170,6 +172,44 @@ fn bench_spmm(rows: &mut Vec<KernelRow>, graph: &Csr, tag: &str, f: usize, threa
     }
 }
 
+/// The output layer as a training forward + backward evaluate it, at
+/// `n x f` logits: the three-`exp` `log_softmax` + `softmax` pair the
+/// trainers called before (`cagnet_dense::reference`) against the fused
+/// one-`exp` kernel, destinations kept across calls as in the trainers.
+fn bench_output_layer(rows: &mut Vec<KernelRow>, n: usize, f: usize) {
+    let z = lcg_mat(n, f, 4);
+    let [mut lp_old, mut p_old, mut lp_new, mut p_new] = [(); 4].map(|_| Mat::zeros(0, 0));
+    let (old, new) = time_pair(
+        reps_for(40 * (n * f) as u64),
+        || {
+            cagnet_dense::reference::log_softmax_rows_into(&z, &mut lp_old);
+            cagnet_dense::reference::softmax_rows_into(&z, &mut p_old);
+        },
+        || cagnet_dense::activation::log_softmax_probs_into(&z, 0..f, &mut lp_new, &mut p_new),
+    );
+    let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&lp_new) == bits(&lp_old) && bits(&p_new) == bits(&p_old),
+        "output layer {n}x{f}: fused kernel diverged from the reference pair"
+    );
+    // One `exp` per logit instead of three; `ln`, the divide and the
+    // stores are what keeps the ratio under 3x.
+    let logits = (n * f) as f64;
+    println!(
+        "output layer {n}x{f}: {:.2} -> {:.2} ns/logit",
+        old * 1e9 / logits,
+        new * 1e9 / logits
+    );
+    rows.push(KernelRow {
+        kernel: "out_layer".into(),
+        shape: format!("{n}x{f}"),
+        threads: 1,
+        old_seconds: old,
+        new_seconds: new,
+        speedup: old / new,
+    });
+}
+
 fn main() {
     let (out_path, quick) = parse_args();
     let threads: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4] };
@@ -210,6 +250,12 @@ fn main() {
     let wide = erdos_renyi(8192, 35.0, 11);
     for &f in &[300usize, 602] {
         bench_spmm(&mut rows, &wide, WIDE_TAG, f, threads);
+    }
+
+    // The output layer at the benchmark workloads' per-rank logit shapes
+    // (protein 3D, Reddit 1D, Amazon 1D / 2D, planted 1.5D).
+    for &(n, f) in &[(4096usize, 256usize), (8192, 41), (8192, 24), (16384, 16)] {
+        bench_output_layer(&mut rows, n, f);
     }
 
     // Report, then gate: ≥1.5x single-thread on the representative GCN
@@ -259,6 +305,17 @@ fn main() {
         w300.max(w602) >= 1.5 && w602 >= 1.3,
         "packed-tile SpMM regressed: single-thread speedup {w300:.2}x at f = 300, \
          {w602:.2}x at f = 602 (floors: best 1.5x, f = 602 1.3x)"
+    );
+    // The fused output layer's floor, at the widest benchmark shape
+    // (protein's 256 classes; 2.3-2.5x measured).
+    let out_wide = rows
+        .iter()
+        .find(|r| r.kernel == "out_layer" && r.shape == "4096x256")
+        .map_or(0.0, |r| r.speedup);
+    assert!(
+        out_wide >= 1.8,
+        "fused output layer regressed: {out_wide:.2}x over the log_softmax + softmax pair \
+         at 4096x256 (floor 1.8x)"
     );
 
     // lint:allow(unwrap): the serde shim only errors on non-string map keys

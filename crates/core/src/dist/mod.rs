@@ -31,13 +31,16 @@ pub mod threedim;
 pub mod transpose;
 pub mod twodim;
 
+use crate::loss::{output_gradient_from_probs, output_gradient_into};
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
+use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows_into};
 use cagnet_dense::Mat;
 use cagnet_sparse::spmm::{spmm_acc_scratch, spmm_scratch_len};
 use cagnet_sparse::{Csr, ParallelCtx};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How the distributed trainers move dense feature/gradient blocks
@@ -265,6 +268,55 @@ impl Workspace {
     pub(crate) fn reclaim(&mut self) {
         self.end_layer();
         self.end_layer();
+    }
+}
+
+/// The output layer of a forward pass (DESIGN.md §14) over whole class
+/// rows `z`: `log p` over `log_p`, and on a training pass — the kind a
+/// backward follows — columns `cols` of the probabilities as well, from
+/// the same single `exp` per logit, in a `ws` buffer that the backward
+/// turns into `G^L` in place. An inference pass returns `None`, and so
+/// tells the trainer that it holds no probabilities for this `Z^L`.
+pub(crate) fn output_layer(
+    ws: &mut Workspace,
+    training: bool,
+    z: &Mat,
+    cols: Range<usize>,
+    log_p: &mut Mat,
+) -> Option<Mat> {
+    if training {
+        let mut p = ws.take(z.rows() * cols.len());
+        log_softmax_probs_into(z, cols, log_p, &mut p);
+        Some(p)
+    } else {
+        log_softmax_rows_into(z, log_p);
+        None
+    }
+}
+
+/// `G^L` over a block of whole class rows (serial, 1D, 1D-row, 1.5D), in
+/// the buffer of the probabilities the forward kept — or, when the stored
+/// `z` came from a pass that kept none, from `z` through the same row
+/// kernel into a `ws` buffer. Same bits either way.
+pub(crate) fn output_gradient_rows(
+    ws: &mut Workspace,
+    probs: Option<Mat>,
+    z: &Mat,
+    labels: &[usize],
+    mask: &[bool],
+    row_offset: usize,
+    train_count: usize,
+) -> Mat {
+    match probs {
+        Some(mut g) => {
+            output_gradient_from_probs(&mut g, labels, mask, row_offset, 0, train_count);
+            g
+        }
+        None => {
+            let mut g = ws.take(z.len());
+            output_gradient_into(z, labels, mask, row_offset, train_count, &mut g);
+            g
+        }
     }
 }
 

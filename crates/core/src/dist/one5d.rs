@@ -28,13 +28,13 @@
 //! all-gather of `G`, a column-sliced outer product per replica, and a
 //! replica-group reduce-scatter back to fine blocks.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
+use crate::loss::{accuracy_counts, nll_sum};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx, GatheredRows};
-use cagnet_dense::activation::{log_softmax_rows_into, Activation};
+use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_ranges;
@@ -95,6 +95,10 @@ pub struct One5DTrainer {
     /// Stored activations, shared so blocks enter broadcast stages
     /// without a copy.
     hs: Vec<Arc<Mat>>,
+    /// Output probabilities of the stored `Z^L`, kept by a training
+    /// forward for the backward to turn into `G^L` (DESIGN.md §14); `None`
+    /// once consumed and after an inference forward.
+    probs: Option<Mat>,
     /// Large scratch matrices kept across epochs (see
     /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
     /// `&self` stage helpers, like `cache`.
@@ -212,6 +216,7 @@ impl One5DTrainer {
             weights: cfg.init_weights(),
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
+            probs: None,
             ws: RefCell::default(),
         })
     }
@@ -415,7 +420,8 @@ impl One5DTrainer {
             // log_softmax is local, as in 1D.
             let mut h = self.ws.borrow_mut().keep(z.len());
             if l + 1 == l_total {
-                log_softmax_rows_into(&z, &mut h);
+                self.probs =
+                    super::output_layer(self.ws.get_mut(), self.training, &z, 0..f_out, &mut h);
             } else {
                 self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, self.fine_r0, f_out, 0, f_out, &mut h);
@@ -439,15 +445,14 @@ impl One5DTrainer {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         self.ws.get_mut().reclaim();
-        let z_out = &self.zs[l_total - 1];
-        let mut g = self.ws.borrow_mut().take(z_out.len());
-        output_gradient_into(
-            z_out,
+        let g = super::output_gradient_rows(
+            self.ws.get_mut(),
+            self.probs.take(),
+            &self.zs[l_total - 1],
             &self.labels,
             &self.mask,
             self.fine_r0,
             self.train_count,
-            &mut g,
         );
         // Shared so my block enters the team all-gather without a copy.
         let mut g = self.ws.borrow_mut().lend(g);
@@ -655,7 +660,11 @@ impl One5DTrainer {
             adjacency: self.at_fwd.iter().map(super::csr_words).sum::<usize>()
                 + self.at_compact.iter().map(super::csr_words).sum::<usize>()
                 + super::csr_words(&self.at_bwd),
-            dense_state: super::mats_words(&self.hs) + super::mats_words(&self.zs),
+            dense_state: super::mats_words(&self.hs)
+                + super::mats_words(&self.zs)
+                // The probabilities a training forward keeps next to
+                // `Z^L`, block for block the same shape.
+                + self.zs.last().map_or(0, |z| z.len()),
             // Forward coarse partial + backward sliced outer product and
             // team-gathered G.
             intermediate: (coarse_rows * f_max)

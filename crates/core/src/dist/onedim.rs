@@ -13,12 +13,12 @@
 //! all-reduce (§IV-A.4), and finishes with the replicated gradient-descent
 //! step.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
+use crate::loss::{accuracy_counts, nll_sum};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx, GatheredRows};
-use cagnet_dense::activation::{log_softmax_rows_into, Activation};
+use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
@@ -74,6 +74,10 @@ pub struct OneDimTrainer {
     /// shared so the owner's block enters broadcast stages without a
     /// copy.
     hs: Vec<Arc<Mat>>,
+    /// Output probabilities of the stored `Z^L`, kept by a training
+    /// forward for the backward to turn into `G^L` (DESIGN.md §14); `None`
+    /// once consumed and after an inference forward.
+    probs: Option<Mat>,
     /// Large scratch matrices kept across epochs (see
     /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
     /// `&self` fetch helpers, like `cache`.
@@ -143,6 +147,7 @@ impl OneDimTrainer {
             weights: cfg.init_weights(),
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
+            probs: None,
             ws: RefCell::default(),
         })
     }
@@ -346,7 +351,8 @@ impl OneDimTrainer {
             // (§IV-A.2).
             let mut h = self.ws.borrow_mut().keep(z.len());
             if l + 1 == l_total {
-                log_softmax_rows_into(&z, &mut h);
+                self.probs =
+                    super::output_layer(self.ws.get_mut(), self.training, &z, 0..f_out, &mut h);
             } else {
                 self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, self.r0, f_out, 0, f_out, &mut h);
@@ -369,15 +375,14 @@ impl OneDimTrainer {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         self.ws.get_mut().reclaim();
-        let z_out = &self.zs[l_total - 1];
-        let mut g = self.ws.borrow_mut().take(z_out.len());
-        output_gradient_into(
-            z_out,
+        let mut g = super::output_gradient_rows(
+            self.ws.get_mut(),
+            self.probs.take(),
+            &self.zs[l_total - 1],
             &self.labels,
             &self.mask,
             self.r0,
             self.train_count,
-            &mut g,
         );
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
@@ -569,7 +574,11 @@ impl OneDimTrainer {
             adjacency: super::csr_words(&self.at_row)
                 + self.at_blocks.iter().map(super::csr_words).sum::<usize>()
                 + self.at_compact.iter().map(super::csr_words).sum::<usize>(),
-            dense_state: super::mats_words(&self.hs) + super::mats_words(&self.zs),
+            dense_state: super::mats_words(&self.hs)
+                + super::mats_words(&self.zs)
+                // The probabilities a training forward keeps next to
+                // `Z^L`, block for block the same shape.
+                + self.zs.last().map_or(0, |z| z.len()),
             // The §IV-A.3 full-height low-rank product: n x f, regardless
             // of P — 1D's memory-scalability problem.
             intermediate: self.n * f_max,

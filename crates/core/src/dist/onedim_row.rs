@@ -11,12 +11,12 @@
 //! same total communication cost." `tests/onedim_variants.rs` verifies
 //! that claim on measured word counters.
 
-use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
+use crate::loss::{accuracy_counts, nll_sum};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::{Cat, Ctx, GatheredRows};
-use cagnet_dense::activation::{log_softmax_rows_into, Activation};
+use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::{block_range, block_ranges};
@@ -66,6 +66,10 @@ pub struct OneDimRowTrainer {
     /// Stored activations, shared so blocks enter broadcast stages
     /// without a copy.
     hs: Vec<Arc<Mat>>,
+    /// Output probabilities of the stored `Z^L`, kept by a training
+    /// forward for the backward to turn into `G^L` (DESIGN.md §14); `None`
+    /// once consumed and after an inference forward.
+    probs: Option<Mat>,
     /// Large scratch matrices kept across epochs (see
     /// [`super::Workspace`]; DESIGN.md §16).
     ws: RefCell<super::Workspace>,
@@ -128,6 +132,7 @@ impl OneDimRowTrainer {
             weights: cfg.init_weights(),
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
+            probs: None,
             ws: RefCell::default(),
         })
     }
@@ -258,7 +263,8 @@ impl OneDimRowTrainer {
             self.ws.borrow_mut().give(t);
             let mut h = self.ws.borrow_mut().keep(z.len());
             if l + 1 == l_total {
-                log_softmax_rows_into(&z, &mut h);
+                self.probs =
+                    super::output_layer(self.ws.get_mut(), self.training, &z, 0..f_out, &mut h);
             } else {
                 self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, self.r0, f_out, 0, f_out, &mut h);
@@ -283,15 +289,14 @@ impl OneDimRowTrainer {
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         let p = ctx.size;
         self.ws.get_mut().reclaim();
-        let z_out = &self.zs[l_total - 1];
-        let mut g = self.ws.borrow_mut().take(z_out.len());
-        output_gradient_into(
-            z_out,
+        let g = super::output_gradient_rows(
+            self.ws.get_mut(),
+            self.probs.take(),
+            &self.zs[l_total - 1],
             &self.labels,
             &self.mask,
             self.r0,
             self.train_count,
-            &mut g,
         );
         // Shared so my block enters the broadcast stages without a copy.
         let mut g = self.ws.borrow_mut().lend(g);
@@ -539,7 +544,11 @@ impl OneDimRowTrainer {
             adjacency: super::csr_words(&self.a_row)
                 + self.a_blocks.iter().map(super::csr_words).sum::<usize>()
                 + self.a_compact.iter().map(super::csr_words).sum::<usize>(),
-            dense_state: super::mats_words(&self.hs) + super::mats_words(&self.zs),
+            dense_state: super::mats_words(&self.hs)
+                + super::mats_words(&self.zs)
+                // The probabilities a training forward keeps next to
+                // `Z^L`, block for block the same shape.
+                + self.zs.last().map_or(0, |z| z.len()),
             // The forward outer product materializes the full n x f
             // contribution here (mirror of the column variant's backward).
             intermediate: self.a_row.cols() * f_max,

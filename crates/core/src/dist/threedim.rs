@@ -17,14 +17,14 @@
 //! intermediate replication the paper highlights — yielding the Block
 //! Split 3D result.
 
-use crate::loss::{accuracy_counts, nll_sum};
+use crate::loss::{accuracy_counts, nll_sum, output_gradient_from_probs};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::grid::int_cbrt;
 use cagnet_comm::{Cat, Ctx, GatheredRows, Grid3D};
-use cagnet_dense::activation::{log_softmax_rows_into, softmax_rows_into, Activation};
+use cagnet_dense::activation::{log_softmax_probs_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
@@ -98,8 +98,11 @@ pub struct ThreeDimTrainer {
     /// Output log-probabilities over my Block Split rows, all classes;
     /// shared so `gather_embeddings` moves it without a copy.
     h_out_row: Arc<Mat>,
-    /// Output softmax over my Block Split rows (for `G^L`).
-    p_out_row: Mat,
+    /// My column block of the output probabilities of the stored `Z^L`
+    /// (the only columns `G^L_ij` reads), kept by a training forward for
+    /// the backward to turn into `G^L` (DESIGN.md §14); `None` once
+    /// consumed and after an inference forward.
+    probs: Option<Mat>,
     /// Large scratch matrices kept across epochs (see
     /// [`super::Workspace`]; DESIGN.md §16). Interior-mutable for the
     /// `&self` stage helpers, like `cache`.
@@ -203,7 +206,7 @@ impl ThreeDimTrainer {
             zs: Vec::new(),
             hs: vec![Arc::new(h0)],
             h_out_row: Arc::new(Mat::zeros(0, 0)),
-            p_out_row: Mat::zeros(0, 0),
+            probs: None,
             ws: RefCell::default(),
         })
     }
@@ -511,17 +514,18 @@ impl ThreeDimTrainer {
             if l + 1 == l_total {
                 // log_softmax: within-layer row all-gather assembles full
                 // class rows; no cross-layer communication (§IV-D.2).
-                let mut z_row = self.ws.borrow_mut().take(z.rows() * f_out);
-                {
-                    let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
-                    Mat::hstack_into(&parts, &mut z_row);
-                }
+                let z_row = self.gather_class_rows(&z);
                 ctx.charge_elementwise(2 * z_row.len());
                 let mut h_row = self.ws.borrow_mut().keep(z_row.len());
-                log_softmax_rows_into(&z_row, &mut h_row);
-                self.h_out_row = Arc::new(h_row);
-                softmax_rows_into(&z_row, &mut self.p_out_row);
                 let (oc0, oc1) = block_range(f_out, q, self.grid.j);
+                self.probs = super::output_layer(
+                    self.ws.get_mut(),
+                    self.training,
+                    &z_row,
+                    oc0..oc1,
+                    &mut h_row,
+                );
+                self.h_out_row = Arc::new(h_row);
                 self.h_out_row.block_into(0, z_row.rows(), oc0, oc1, &mut h);
                 self.ws.borrow_mut().give(z_row);
             } else {
@@ -542,29 +546,41 @@ impl ThreeDimTrainer {
         ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.train_count as f64
     }
 
-    /// Output-layer gradient block from the stored row softmax, written
-    /// over `g`.
-    fn output_gradient_block_into(&self, g: &mut Mat) {
-        let q = self.grid.q;
-        let f_out = self.cfg.f_out();
-        let (oc0, oc1) = block_range(f_out, q, self.grid.j);
-        let rows = self.my_rows();
-        let scale = 1.0 / self.train_count as f64;
-        g.reset(rows, oc1 - oc0);
-        for r in 0..rows {
-            let gv = self.r0 + r;
-            if !self.mask[gv] {
-                continue;
-            }
-            let out = g.row_mut(r);
-            for (cl, c) in (oc0..oc1).enumerate() {
-                let mut v = self.p_out_row[(r, c)] * scale;
-                if c == self.labels[gv] {
-                    v -= scale;
-                }
-                out[cl] = v;
-            }
-        }
+    /// All-gather a `Z^L` block along the process row into whole class
+    /// rows, in a workspace buffer.
+    fn gather_class_rows(&self, z: &Arc<Mat>) -> Mat {
+        let mut z_row = self.ws.borrow_mut().take(z.rows() * self.cfg.f_out());
+        let parts = self.grid.row.allgather_shared(z.clone(), Cat::DenseComm);
+        Mat::hstack_into(&parts, &mut z_row);
+        z_row
+    }
+
+    /// Output-layer gradient block `G^L_ij`, in the buffer of the
+    /// probabilities block the forward kept. When the stored `Z^L` came
+    /// from a pass that kept none (a bare inference `forward`), its class
+    /// rows are gathered once more and go through the same row kernel:
+    /// one extra row all-gather, the same bits.
+    fn output_gradient_block(&mut self) -> Mat {
+        let (oc0, oc1) = block_range(self.cfg.f_out(), self.grid.q, self.grid.j);
+        let mut g = self.probs.take().unwrap_or_else(|| {
+            let z_row = self.gather_class_rows(&self.zs[self.zs.len() - 1]);
+            let ws = self.ws.get_mut();
+            let mut log_p = ws.take(z_row.len());
+            let mut p = ws.take(z_row.rows() * (oc1 - oc0));
+            log_softmax_probs_into(&z_row, oc0..oc1, &mut log_p, &mut p);
+            ws.give(log_p);
+            ws.give(z_row);
+            p
+        });
+        output_gradient_from_probs(
+            &mut g,
+            &self.labels,
+            &self.mask,
+            self.r0,
+            oc0,
+            self.train_count,
+        );
+        g
     }
 
     /// Backward pass + replicated gradient-descent step.
@@ -572,8 +588,7 @@ impl ThreeDimTrainer {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         self.ws.get_mut().reclaim();
-        let mut g = self.ws.borrow_mut().take(self.hs[l_total].len());
-        self.output_gradient_block_into(&mut g);
+        let g = self.output_gradient_block();
         let mut g = self.ws.borrow_mut().lend(g);
         ctx.charge_elementwise(g.len());
         for l in (0..l_total).rev() {
@@ -791,7 +806,9 @@ impl ThreeDimTrainer {
             dense_state: super::mats_words(&self.hs)
                 + super::mats_words(&self.zs)
                 + self.h_out_row.len()
-                + self.p_out_row.len(),
+                // The probabilities a training forward keeps next to
+                // `Z^L`, block for block the same shape.
+                + self.zs.last().map_or(0, |z| z.len()),
             // Pre-fiber-reduction partial: n/q rows x ~f/q cols.
             intermediate: self.at_ijk.rows() * f_max.div_ceil(q) + self.my_rows() * f_max,
         }

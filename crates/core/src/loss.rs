@@ -51,19 +51,36 @@ pub fn output_gradient_into(
     train_count: usize,
     g: &mut Mat,
 ) {
-    assert!(train_count > 0, "train_count must be positive");
     softmax_rows_into(z, g);
+    output_gradient_from_probs(g, labels, mask, row_offset, 0, train_count);
+}
+
+/// [`output_gradient`] in place over the probabilities a training forward
+/// already produced: `g` holds columns `col0..col0 + g.cols()` of
+/// `softmax(Z)` for the row block on entry and the same block of `G^L` on
+/// return.
+pub fn output_gradient_from_probs(
+    g: &mut Mat,
+    labels: &[usize],
+    mask: &[bool],
+    row_offset: usize,
+    col0: usize,
+    train_count: usize,
+) {
+    assert!(train_count > 0, "train_count must be positive");
     let scale = 1.0 / train_count as f64;
     for i in 0..g.rows() {
         let gv = row_offset + i;
+        let row = g.row_mut(i);
         if mask[gv] {
-            let row = g.row_mut(i);
             for x in row.iter_mut() {
                 *x *= scale;
             }
-            row[labels[gv]] -= scale;
+            if let Some(x) = labels[gv].checked_sub(col0).and_then(|c| row.get_mut(c)) {
+                *x -= scale;
+            }
         } else {
-            g.row_mut(i).fill(0.0);
+            row.fill(0.0);
         }
     }
 }

@@ -15,12 +15,12 @@
 //! floating point accumulation errors" as serial PyTorch (§V-A), and the
 //! integration tests assert the same property here.
 
-use crate::dist::Workspace;
-use crate::loss::{accuracy_counts, nll_sum, output_gradient_into};
+use crate::dist::{output_gradient_rows, output_layer, Workspace};
+use crate::loss::{accuracy_counts, nll_sum};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_dense::activation::{log_softmax_rows_into, Activation};
+use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc, matmul_nt_acc, matmul_tn, Mat};
 use cagnet_sparse::ParallelCtx;
@@ -40,6 +40,10 @@ pub struct SerialTrainer<'p> {
     zs: Vec<Mat>,
     /// Stored activations `H⁰..H^L` from the last forward pass.
     hs: Vec<Mat>,
+    /// Output probabilities of the stored `Z^L`, kept by a training
+    /// forward for the backward to turn into `G^L`; `None` once consumed
+    /// and after an inference forward.
+    probs: Option<Mat>,
     /// Large scratch matrices kept across epochs, as in the distributed
     /// trainers (DESIGN.md §16), so the single-worker baseline pays for
     /// the same kernels and nothing else.
@@ -65,6 +69,7 @@ impl<'p> SerialTrainer<'p> {
             drop_masks: Vec::new(),
             zs: Vec::new(),
             hs: Vec::new(),
+            probs: None,
             ws: Workspace::default(),
         }
     }
@@ -97,7 +102,7 @@ impl<'p> SerialTrainer<'p> {
             self.ws.give(t);
             let mut h = self.ws.keep(z.len());
             if l + 1 == l_total {
-                log_softmax_rows_into(&z, &mut h);
+                self.probs = output_layer(&mut self.ws, self.training, &z, 0..f_out, &mut h);
             } else {
                 self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, 0, f_out, 0, f_out, &mut h);
@@ -126,15 +131,14 @@ impl<'p> SerialTrainer<'p> {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         let mut grads = vec![Mat::zeros(0, 0); l_total];
-        let z_out = &self.zs[l_total - 1];
-        let mut g = self.ws.take(z_out.len());
-        output_gradient_into(
-            z_out,
+        let mut g = output_gradient_rows(
+            &mut self.ws,
+            self.probs.take(),
+            &self.zs[l_total - 1],
             &self.problem.labels,
             &self.problem.train_mask,
             0,
             self.problem.train_count(),
-            &mut g,
         );
         for l in (0..l_total).rev() {
             // Shared intermediate A G^l (reused by both Y and G^{l-1}, as

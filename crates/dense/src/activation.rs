@@ -7,9 +7,11 @@
 //! distributions (§IV-C.2, §IV-D.2): a row of `Z` must be assembled before
 //! its log-sum-exp can be computed. The row-wise kernels here operate on
 //! full rows so that the distributed trainers can apply them after their
-//! row all-gathers.
+//! row all-gathers, and share one row kernel that evaluates a single `exp`
+//! per logit whichever of `log p` and `p` is asked for.
 
 use crate::matrix::Mat;
+use std::ops::Range;
 
 /// An elementwise hidden-layer activation, selectable per model. The
 /// paper's architecture uses ReLU; the others are the common GCN-variant
@@ -104,6 +106,44 @@ pub fn relu_prime(z: &Mat) -> Mat {
     Activation::Relu.prime(z)
 }
 
+/// The output layer's row kernel (DESIGN.md §14): `e_j = exp(z_j − m)`
+/// with `m = max_j z_j`, written to `e` while `Σ_j e_j` is folded in
+/// column order — one `exp` per logit, after which `log p_j` and `p_j` are
+/// both one cheap operation away. Returns `(m, Σ_j e_j)`.
+fn exp_shifted_row(z: &[f64], e: &mut [f64]) -> (f64, f64) {
+    let m = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mut denom = 0.0;
+    for (e, &x) in e.iter_mut().zip(z) {
+        *e = (x - m).exp();
+        denom += *e;
+    }
+    (m, denom)
+}
+
+/// Shape `out` like `z`, then per row: [`exp_shifted_row`] into the row
+/// of `out`, and `finish(i, z_row, out_row, m, denom)` to turn the `e_j`
+/// there into the row's result.
+fn for_each_exp_row(
+    z: &Mat,
+    out: &mut Mat,
+    mut finish: impl FnMut(usize, &[f64], &mut [f64], f64, f64),
+) {
+    out.copy_from(z);
+    for i in 0..z.rows() {
+        let (z_row, out_row) = (z.row(i), out.row_mut(i));
+        let (m, denom) = exp_shifted_row(z_row, out_row);
+        finish(i, z_row, out_row, m, denom);
+    }
+}
+
+/// `log p_j = z_j − (m + ln Σ e)` over a row holding the `e_j`.
+fn finish_log_row(z_row: &[f64], out_row: &mut [f64], m: f64, denom: f64) {
+    let lse = m + denom.ln();
+    for (o, &x) in out_row.iter_mut().zip(z_row) {
+        *o = x - lse;
+    }
+}
+
 /// Numerically-stable row-wise softmax.
 pub fn softmax_rows(z: &Mat) -> Mat {
     let mut out = Mat::zeros(0, 0);
@@ -113,18 +153,11 @@ pub fn softmax_rows(z: &Mat) -> Mat {
 
 /// [`softmax_rows`] written over `out`, reusing its allocation.
 pub fn softmax_rows_into(z: &Mat, out: &mut Mat) {
-    out.copy_from(z);
-    for i in 0..out.rows() {
-        let row = out.row_mut(i);
-        let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut denom = 0.0;
-        for &x in row.iter() {
-            denom += (x - m).exp();
+    for_each_exp_row(z, out, |_, _, out_row, _, denom| {
+        for e in out_row {
+            *e /= denom;
         }
-        for x in row.iter_mut() {
-            *x = (*x - m).exp() / denom;
-        }
-    }
+    });
 }
 
 /// Numerically-stable row-wise `log_softmax`.
@@ -136,15 +169,31 @@ pub fn log_softmax_rows(z: &Mat) -> Mat {
 
 /// [`log_softmax_rows`] written over `out`, reusing its allocation.
 pub fn log_softmax_rows_into(z: &Mat, out: &mut Mat) {
-    out.copy_from(z);
-    for i in 0..out.rows() {
-        let row = out.row_mut(i);
-        let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let lse = m + row.iter().map(|&x| (x - m).exp()).sum::<f64>().ln();
-        for x in row.iter_mut() {
-            *x -= lse;
+    for_each_exp_row(z, out, |_, z_row, out_row, m, denom| {
+        finish_log_row(z_row, out_row, m, denom)
+    });
+}
+
+/// The training forward's output layer in one pass: [`log_softmax_rows`]
+/// of `z` over `log_p` and columns `cols` of [`softmax_rows`] of `z` over
+/// `p` (`z.rows() x cols.len()`), both bit-identical to those functions,
+/// from a single `exp` per logit. Each row of `log_p` holds the `e_j`
+/// until its probabilities are out, so no third buffer is needed.
+///
+/// # Panics
+/// When `cols` reaches past `z.cols()`.
+pub fn log_softmax_probs_into(z: &Mat, cols: Range<usize>, log_p: &mut Mat, p: &mut Mat) {
+    assert!(
+        cols.start <= cols.end && cols.end <= z.cols(),
+        "log_softmax_probs_into: column range out of bounds"
+    );
+    p.reset(z.rows(), cols.len());
+    for_each_exp_row(z, log_p, |i, z_row, out_row, m, denom| {
+        for (p, &e) in p.row_mut(i).iter_mut().zip(&out_row[cols.clone()]) {
+            *p = e / denom;
         }
-    }
+        finish_log_row(z_row, out_row, m, denom);
+    });
 }
 
 #[cfg(test)]

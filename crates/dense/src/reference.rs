@@ -1,11 +1,12 @@
-//! Pre-register-blocking reference kernels, kept for benchmarking.
+//! Pre-optimization reference kernels, kept for benchmarking.
 //!
 //! These are the scalar cache-blocked loops that `gemm.rs` shipped before
 //! the `MR×NR` micro-kernel landed (DESIGN.md §14), minus the IEEE-breaking
-//! `aval == 0.0` skip. They exist so `kernel_bench` can report an honest
-//! old-vs-new wall-clock ratio on the same shapes, and as a second,
-//! structurally different implementation for differential tests. They are
-//! **not** called by any trainer.
+//! `aval == 0.0` skip, and the `log_softmax` / `softmax` pair the trainers
+//! called before the one-`exp` output-layer kernel replaced it. They exist
+//! so `kernel_bench` can report an honest old-vs-new wall-clock ratio on
+//! the same shapes, and as a second, structurally different implementation
+//! for differential tests. They are **not** called by any trainer.
 //!
 //! This module is a blessed micro-kernel module for the `scalar-hot-loop`
 //! lint (see `crates/check/src/lint/rules.rs`): raw multiply-accumulate
@@ -58,4 +59,36 @@ pub fn matmul_reference(a: &Mat, b: &Mat) -> Mat {
     let mut c = Mat::zeros(a.rows(), b.cols());
     matmul_acc_reference(a, b, &mut c);
     c
+}
+
+/// Row-wise softmax as the trainers computed it before
+/// [`crate::activation`]'s one-`exp` row kernel: a denominator pass and a
+/// normalizing pass, each evaluating `exp(z − max)`.
+pub fn softmax_rows_into(z: &Mat, out: &mut Mat) {
+    out.copy_from(z);
+    for i in 0..out.rows() {
+        let row = out.row_mut(i);
+        let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut denom = 0.0;
+        for &x in row.iter() {
+            denom += (x - m).exp();
+        }
+        for x in row.iter_mut() {
+            *x = (*x - m).exp() / denom;
+        }
+    }
+}
+
+/// Row-wise `log_softmax` as the trainers computed it next to
+/// [`softmax_rows_into`]: a third `exp(z − max)` per element.
+pub fn log_softmax_rows_into(z: &Mat, out: &mut Mat) {
+    out.copy_from(z);
+    for i in 0..out.rows() {
+        let row = out.row_mut(i);
+        let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let lse = m + row.iter().map(|&x| (x - m).exp()).sum::<f64>().ln();
+        for x in row.iter_mut() {
+            *x -= lse;
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the dense kernels: algebraic identities that
 //! must hold for arbitrary shapes and contents.
 
-use cagnet_dense::activation::{log_softmax_rows, softmax_rows};
+use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows, softmax_rows};
 use cagnet_dense::ops::{add, hadamard, scale, sub};
 use cagnet_dense::{
     matmul, matmul_acc, matmul_acc_with, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_with,
@@ -25,6 +25,87 @@ fn chain3() -> impl Strategy<Value = (Mat, Mat, Mat)> {
 /// A pair of equal-shape random matrices.
 fn pair() -> impl Strategy<Value = (Mat, Mat)> {
     (1usize..10, 1usize..10).prop_flat_map(|(r, c)| (mat(r, c), mat(r, c)))
+}
+
+/// Widths the output layer meets: one column, the benchmark's class
+/// counts (16, 24, 41, 256) and a few ragged ones.
+const WIDTHS: [usize; 8] = [1, 2, 5, 16, 24, 41, 100, 256];
+
+fn bits(m: &Mat) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The one-`exp` kernels against the `log_softmax` + `softmax` pair they
+/// replaced, bit for bit: both public functions over all of `z`, and the
+/// fused form emitting columns `c0..c1` of the probabilities.
+fn assert_output_layer_matches_reference(z: &Mat, c0: usize, c1: usize) {
+    let (mut lp_ref, mut p_ref) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+    cagnet_dense::reference::log_softmax_rows_into(z, &mut lp_ref);
+    cagnet_dense::reference::softmax_rows_into(z, &mut p_ref);
+    assert_eq!(log_softmax_rows(z).shape(), z.shape());
+    assert_eq!(
+        bits(&log_softmax_rows(z)),
+        bits(&lp_ref),
+        "log_softmax_rows"
+    );
+    assert_eq!(bits(&softmax_rows(z)), bits(&p_ref), "softmax_rows");
+    // Destinations arrive holding another shape's leftovers.
+    let (mut lp, mut p) = (Mat::filled(3, 2, 7.0), Mat::filled(1, 9, 7.0));
+    log_softmax_probs_into(z, c0..c1, &mut lp, &mut p);
+    assert_eq!(bits(&lp), bits(&lp_ref), "fused log p");
+    assert_eq!(p.shape(), (z.rows(), c1 - c0));
+    assert_eq!(
+        bits(&p),
+        bits(&p_ref.block(0, z.rows(), c0, c1)),
+        "fused p, columns {c0}..{c1}"
+    );
+}
+
+#[test]
+fn output_layer_edge_shapes_and_values_match_the_reference_bits() {
+    let ramp = |rows: usize, cols: usize| {
+        Mat::from_fn(rows, cols, |i, j| {
+            ((i * 31 + j * 17) % 23) as f64 * 0.37 - 4.0
+        })
+    };
+    // 1 x 1, a single column, no rows, no rows and no columns.
+    for (rows, cols) in [(1, 1), (5, 1), (0, 4), (0, 0)] {
+        assert_output_layer_matches_reference(&ramp(rows, cols), 0, cols);
+    }
+    for cols in WIDTHS {
+        let z = ramp(7, cols);
+        assert_output_layer_matches_reference(&z, 0, cols);
+        assert_output_layer_matches_reference(&z, cols / 2, cols);
+        assert_output_layer_matches_reference(&z, cols / 3, cols / 3);
+    }
+    // What the pair returned on non-finite rows is the contract.
+    let inf = f64::INFINITY;
+    let z = Mat::from_rows(&[
+        &[1000.0, 0.0, -1000.0],
+        &[-1000.0, -1000.0, -1000.0],
+        &[0.5, -inf, 0.25],
+        &[-inf, -inf, -inf],
+        &[0.5, f64::NAN, 0.25],
+        &[inf, 0.0, 1.0],
+    ]);
+    for (c0, c1) in [(0, 3), (1, 2), (2, 3)] {
+        assert_output_layer_matches_reference(&z, c0, c1);
+    }
+    let (lp, p) = (log_softmax_rows(&z), softmax_rows(&z));
+    assert_eq!(lp.row(0), [0.0, -1000.0, -2000.0]);
+    assert_eq!(p.row(0), [1.0, 0.0, 0.0]);
+    assert!(lp.row(1).iter().all(|&x| (x + 3.0f64.ln()).abs() < 1e-12));
+    // A `-inf` logit is an impossible class, not an error ...
+    assert_eq!((lp[(2, 1)], p[(2, 1)]), (-inf, 0.0));
+    assert!(lp[(2, 0)].is_finite() && p[(2, 0)] > 0.0);
+    // ... but a row of them, a NaN, or a `+inf` poisons its whole row,
+    // and only that row.
+    for i in [3, 4, 5] {
+        assert!(
+            lp.row(i).iter().chain(p.row(i)).all(|x| x.is_nan()),
+            "row {i}"
+        );
+    }
 }
 
 proptest! {
@@ -102,6 +183,32 @@ proptest! {
         // consistency with softmax.
         let sm = softmax_rows(&z);
         prop_assert!(ls.map(f64::exp).approx_eq(&sm, 1e-9));
+    }
+
+    #[test]
+    fn output_layer_matches_the_reference_bits(
+        (z, c0, c1) in (0usize..6, 0usize..WIDTHS.len()).prop_flat_map(|(r, w)| {
+            let cols = WIDTHS[w];
+            (mat(r, cols), 0..cols + 1, 0..cols + 1)
+        }),
+        poison in 0usize..6,
+        at in 0usize..256,
+    ) {
+        // One row in some draws carries a value the logits of a diverged
+        // run would: a huge magnitude, an infinity, a NaN.
+        let mut z = z;
+        if z.rows() > 0 {
+            let (i, j) = (at % z.rows(), at % z.cols());
+            match poison {
+                0 => z[(i, j)] = 1000.0,
+                1 => z[(i, j)] = -1000.0,
+                2 => z[(i, j)] = f64::NEG_INFINITY,
+                3 => z.row_mut(i).fill(f64::NEG_INFINITY),
+                4 => z[(i, j)] = f64::NAN,
+                _ => {}
+            }
+        }
+        assert_output_layer_matches_reference(&z, c0.min(c1), c0.max(c1));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The five distributed trainers behind one set of calls, for tests that
-//! drive `epoch` / `forward` / `accuracy` one at a time inside their own
-//! `Cluster::run` closure (`train_distributed` only runs whole trainings).
+//! drive `epoch` / `forward` / `backward` / `accuracy` one at a time
+//! inside their own `Cluster::run` closure (`train_distributed` only runs
+//! whole trainings).
 
 use cagnet::comm::Ctx;
 use cagnet::core::dist::one5d::One5DTrainer;
@@ -59,6 +60,10 @@ impl AnyTrainer {
 
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
         each!(self, t => t.forward(ctx))
+    }
+
+    pub fn backward(&mut self, ctx: &Ctx) {
+        each!(self, t => t.backward(ctx))
     }
 
     pub fn accuracy(&mut self, ctx: &Ctx) -> f64 {

@@ -5,8 +5,12 @@
 //! only recycled. Pinned here on the thread transport, for each of the
 //! five trainers × {Dense, SparsityAware, Cached{refresh: 2}} × overlap
 //! {on, off}, at shapes where every block × f buffer is at least
-//! 256 KiB: four epochs, and **no allocation of 64 KiB or more in epochs
-//! 3 and 4** (cached: one refresh and one serve epoch). The 1D and 2D
+//! 256 KiB: four epochs, each followed by an `accuracy()` pass, and **no
+//! allocation of 64 KiB or more in epochs 3 and 4** (cached: one refresh
+//! and one serve epoch). The training forward keeps the output
+//! probabilities (a block x f buffer of its own) for the backward and the
+//! inference forward inside `accuracy()` does not, so the alternation
+//! also shows that buffer leaving and re-entering the pool. The 1D and 2D
 //! trainers run again with layer-0 operands 192 columns wide, where SpMM
 //! packs tiles of `B` into a pooled buffer, and so does the serial
 //! reference. The epoch-1 census is printed per cell — that is the
@@ -168,6 +172,7 @@ fn no_large_allocation_after_the_second_epoch() {
                         }
                         ctx.world.barrier();
                         trainer.epoch(ctx);
+                        let _ = trainer.accuracy(ctx);
                         ctx.world.barrier();
                         if ctx.rank == 0 {
                             EPOCH.store(0, SeqCst);
@@ -191,6 +196,7 @@ fn no_large_allocation_after_the_second_epoch() {
     for e in 1..=EPOCHS {
         EPOCH.store(e, SeqCst);
         serial.epoch();
+        let _ = serial.accuracy();
         EPOCH.store(0, SeqCst);
     }
     judge("serial n=1024 f=192".to_string(), &mut failures);
