@@ -21,6 +21,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 use crate::cost::{Cat, CommWords, CostModel};
 use crate::diag::Diagnostics;
-use crate::frame::{FrameError, PackedMat, Precision, Reader, Wire};
+use crate::frame::{PackedMat, Precision, RowsPart, Wire};
 use crate::timeline::Meter;
 use crate::transport::{CollectError, CommInner, CommLink, RxPayload, TxDeposit, TxPayload};
 use cagnet_check::fingerprint::{self, CollectiveKind, Fingerprint, Shape};
@@ -37,45 +38,43 @@ use cagnet_check::CheckMode;
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::block_range;
 
-/// One participant's deposit in a [`Communicator::gather_rows`]
-/// rendezvous: the row indices it requests from the root, plus — at the
-/// root only — the shared block itself.
-struct GatherRowsDeposit {
-    needed: Vec<usize>,
-    data: Option<Arc<Mat>>,
+/// A row gather's second round at the root (DESIGN.md §9): the resident
+/// block, and every member's request from round one in member order
+/// (`None` at the root). Shared-memory receivers read their rows from
+/// the block itself; over sockets the payload is encoded as one
+/// [`RowsPart`] per receiver, holding only that receiver's rows, straight
+/// from the block, and the hub forwards each receiver its own part.
+struct ServedRows {
+    block: Arc<Mat>,
+    requests: Vec<Option<Arc<Vec<usize>>>>,
+    /// Wire precision of the served values; `None` serves them exact.
+    prec: Option<Precision>,
 }
 
-impl Wire for GatherRowsDeposit {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.needed.put(out);
-        self.data.put(out);
+impl ServedRows {
+    fn precision(&self) -> Precision {
+        self.prec.unwrap_or(Precision::F64)
     }
-    fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        Ok(GatherRowsDeposit {
-            needed: Vec::take(r)?,
-            data: <Option<Arc<Mat>> as Wire>::take(r)?,
-        })
-    }
-}
 
-/// Compressed-precision analog of [`GatherRowsDeposit`]: the root's
-/// block crosses the wire as a [`PackedMat`]. The root keeps its own
-/// full-precision `Arc` locally — root-resident data never rides the
-/// wire, so it is never rounded (DESIGN.md §14).
-struct PackedRowsDeposit {
-    needed: Vec<usize>,
-    data: Option<PackedMat>,
-}
-
-impl Wire for PackedRowsDeposit {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.needed.put(out);
-        self.data.put(out);
+    /// Encoded length of each member's part.
+    fn part_lens(&self) -> Vec<usize> {
+        let (cols, prec) = (self.block.cols(), self.precision());
+        self.requests
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .map_or(0, |r| RowsPart::encoded_len(r.len(), cols, prec))
+            })
+            .collect()
     }
-    fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        Ok(PackedRowsDeposit {
-            needed: Vec::take(r)?,
-            data: <Option<PackedMat> as Wire>::take(r)?,
+
+    fn into_payload(self) -> TxPayload {
+        let lens = self.part_lens();
+        TxPayload::parted(Arc::new(self), &lens, |served, out| {
+            out.reserve(served.part_lens().iter().sum());
+            for rows in served.requests.iter().flatten() {
+                RowsPart::put(out, &served.block, rows, served.precision());
+            }
         })
     }
 }
@@ -88,17 +87,67 @@ impl Wire for PackedRowsDeposit {
 /// It is extracted on demand — [`GatheredRows::compact_into`] writes it
 /// straight into a caller-kept buffer, [`GatheredRows::mat`] /
 /// [`GatheredRows::compact`] allocate it once — so the receiver never
-/// allocates more than `O(k·f)`; until then it only holds a handle on the
-/// block the root deposited. The root — and every rank at `P = 1` — gets
-/// its own full block back without a copy (`rows() == None`).
+/// allocates more than `O(k·f)`; until then it holds either a handle on
+/// the root's block (shared memory) or its still-encoded part of the
+/// root's served payload (sockets). The root — and every rank at
+/// `P = 1` — gets its own full block back without a copy
+/// (`rows() == None`).
 #[derive(Clone)]
 pub struct GatheredRows {
-    /// The root's block as deposited.
-    block: Arc<Mat>,
-    /// The rows of `block` this rank asked for; `None` at the root.
-    rows: Option<Arc<Vec<usize>>>,
+    src: Source,
     /// A receiver's allocated compact copy, built on first use.
     compact: OnceLock<Arc<Mat>>,
+}
+
+#[derive(Clone)]
+enum Source {
+    /// The root's own block.
+    Full(Arc<Mat>),
+    /// A receiver: the rows it requested, as the root served them.
+    Requested {
+        rows: Arc<Vec<usize>>,
+        served: Served,
+    },
+}
+
+/// The rows a root served one receiver, not yet extracted.
+#[derive(Clone)]
+enum Served {
+    /// In shared memory: the root's block itself, read through the
+    /// requested rows and rounded to the wire precision, if any.
+    Shared {
+        block: Arc<Mat>,
+        prec: Option<Precision>,
+    },
+    /// Over sockets: the receiver's part of the root's payload, still
+    /// encoded, at `at` in the received body.
+    Wire {
+        body: Arc<Vec<u8>>,
+        at: Range<usize>,
+        part: RowsPart,
+    },
+}
+
+impl Served {
+    fn cols(&self) -> usize {
+        match self {
+            Served::Shared { block, .. } => block.cols(),
+            Served::Wire { part, .. } => part.block.1,
+        }
+    }
+
+    /// Write the requested `rows` over `out`, reusing its allocation.
+    fn write_into(&self, rows: &[usize], out: &mut Mat) {
+        match self {
+            Served::Shared { block, prec } => {
+                block.select_rows_into(rows.iter().copied(), out);
+                if let Some(p) = prec {
+                    out.map_inplace(|x| p.round_trip(x));
+                }
+            }
+            Served::Wire { body, at, part } => part.widen_into(&body[at.clone()], out),
+        }
+    }
 }
 
 impl GatheredRows {
@@ -108,49 +157,96 @@ impl GatheredRows {
     /// block through the exact code path of a root-side gather result.
     pub fn full(mat: Arc<Mat>) -> Self {
         GatheredRows {
-            block: mat,
-            rows: None,
+            src: Source::Full(mat),
             compact: OnceLock::new(),
         }
     }
 
-    /// A receiver's view of `block`: the `needed` rows, in order.
-    fn requested(block: Arc<Mat>, needed: &[usize]) -> Self {
-        if let Some(&last) = needed.last() {
-            assert!(
-                last < block.rows(),
-                "gather_rows: requested row {last} out of range for {}-row block",
-                block.rows()
-            );
+    /// A receiver's view of the root's round-two payload, checked
+    /// against its request `rows`, the dims it declared and the wire
+    /// precision it gathers at; the error names the violation.
+    fn served(
+        payload: &RxPayload,
+        rows: Arc<Vec<usize>>,
+        expect: Option<(usize, usize)>,
+        prec: Option<Precision>,
+    ) -> Result<Self, String> {
+        let (served, precision, block) = match payload {
+            RxPayload::Local(p) => {
+                let Ok(root) = p.clone().downcast::<ServedRows>() else {
+                    return Err("collective payload type mismatch across ranks".into());
+                };
+                let served = Served::Shared {
+                    block: root.block.clone(),
+                    prec: root.prec,
+                };
+                (served, root.precision(), root.block.shape())
+            }
+            RxPayload::Remote { body, range } => {
+                let part = RowsPart::parse(&body[range.clone()])
+                    .map_err(|e| format!("protocol error: served rows do not decode: {e}"))?;
+                if part.rows != rows.len() {
+                    return Err(format!(
+                        "protocol error: the root served {} rows for a {}-row request",
+                        part.rows,
+                        rows.len()
+                    ));
+                }
+                let (precision, block) = (part.precision, part.block);
+                let served = Served::Wire {
+                    body: body.clone(),
+                    at: range.clone(),
+                    part,
+                };
+                (served, precision, block)
+            }
+        };
+        if expect.is_some_and(|e| e != block) {
+            return Err("root block shape differs from the receiver-declared dims".into());
         }
-        GatheredRows {
-            block,
-            rows: Some(Arc::new(needed.to_vec())),
+        let want = prec.unwrap_or(Precision::F64);
+        if precision != want {
+            return Err(format!(
+                "protocol error: the root served {} rows to a rank gathering at {}",
+                precision.name(),
+                want.name()
+            ));
+        }
+        Ok(GatheredRows {
+            src: Source::Requested { rows, served },
             compact: OnceLock::new(),
-        }
+        })
     }
 
     /// The gathered payload: compact `k × f` at receivers, the root's
     /// full block at the root and at `P = 1`.
     pub fn mat(&self) -> &Arc<Mat> {
-        match &self.rows {
-            Some(rows) => self
-                .compact
-                .get_or_init(|| Arc::new(self.block.select_rows(rows))),
-            None => &self.block,
+        match &self.src {
+            Source::Full(block) => block,
+            Source::Requested { rows, served } => self.compact.get_or_init(|| {
+                let mut m = Mat::zeros(0, 0);
+                served.write_into(rows, &mut m);
+                Arc::new(m)
+            }),
         }
     }
 
     /// Width `f` of the gathered rows.
     pub fn cols(&self) -> usize {
-        self.block.cols()
+        match &self.src {
+            Source::Full(block) => block.cols(),
+            Source::Requested { served, .. } => served.cols(),
+        }
     }
 
     /// Row indices of the root block that [`GatheredRows::mat`]'s rows
     /// correspond to, in order; `None` means the identity map (the full
     /// block).
     pub fn rows(&self) -> Option<&[usize]> {
-        self.rows.as_deref().map(Vec::as_slice)
+        match &self.src {
+            Source::Full(_) => None,
+            Source::Requested { rows, .. } => Some(rows),
+        }
     }
 
     /// The compact `needed.len() × f` operand for an SpMM against a
@@ -160,32 +256,35 @@ impl GatheredRows {
     /// block the rank already owns, like any slice of its own data.
     /// `needed` must be the same list passed to the collective.
     pub fn compact(&self, needed: &[usize]) -> Arc<Mat> {
-        match &self.rows {
-            Some(_) => {
+        match &self.src {
+            Source::Full(block) => Arc::new(block.select_rows(needed)),
+            Source::Requested { .. } => {
                 self.check_request(needed);
                 self.mat().clone()
             }
-            None => Arc::new(self.block.select_rows(needed)),
         }
     }
 
     /// [`GatheredRows::compact`] written over `out`, reusing its
     /// allocation: the same rows in the same order, on the root and on
     /// receivers alike, with nothing allocated when `out` is large
-    /// enough.
+    /// enough. A socket receiver decodes its part straight into `out`.
     pub fn compact_into(&self, needed: &[usize], out: &mut Mat) {
-        self.check_request(needed);
-        self.block.select_rows_into(needed.iter().copied(), out);
+        match &self.src {
+            Source::Full(block) => block.select_rows_into(needed.iter().copied(), out),
+            Source::Requested { rows, served } => {
+                self.check_request(needed);
+                served.write_into(rows, out);
+            }
+        }
     }
 
     fn check_request(&self, needed: &[usize]) {
-        if let Some(rows) = &self.rows {
-            debug_assert_eq!(
-                rows.as_slice(),
-                needed,
-                "gather_rows: compact() called with a different needed set"
-            );
-        }
+        debug_assert_eq!(
+            self.rows(),
+            Some(needed),
+            "gather_rows: compact() called with a different needed set"
+        );
     }
 }
 
@@ -445,11 +544,15 @@ impl Communicator {
         kind: CollectiveKind,
         fp: Option<Fingerprint>,
         payload: TxPayload,
-    ) -> (Vec<RxPayload>, f64) {
+    ) -> (Vec<RxPayload>, Arrival) {
         let size = self.size();
         let entry = self.meter.borrow().timeline.clock();
         if size == 1 {
-            return (vec![RxPayload::Local(payload.local)], entry);
+            let at = Arrival {
+                tmax: entry,
+                rx_bytes: 0,
+            };
+            return (vec![RxPayload::Local(payload.local)], at);
         }
         let seq = self.next_seq();
         let slot_id = SlotId {
@@ -507,8 +610,8 @@ impl Communicator {
 
     /// Wait half of a split-phase collective: register the wait (for
     /// deadlock diagnostics) and block until every member's deposit for
-    /// `seq` is present. Returns all deposits plus the max entry clock.
-    fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, f64) {
+    /// `seq` is present. Returns all deposits plus their arrival.
+    fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
         let _wait = self.registry.diag.enter_wait(
             self.world_rank(),
             WaitSlot {
@@ -544,14 +647,14 @@ impl Communicator {
     }
 
     /// Block until the rendezvous for `seq` is full, then consume it:
-    /// returns all payloads in member order plus the max entry clock, and
+    /// returns all payloads in member order plus their [`Arrival`], and
     /// verifies fingerprints when checking is on. The caller must have
     /// already deposited (and, for diagnostics, registered its wait).
     ///
     /// Fingerprint verification runs here — above the transport — so
     /// CheckMode gives the identical guarantee whether the fingerprints
     /// arrived through shared memory or piggybacked on socket frames.
-    fn await_and_collect(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, f64) {
+    fn await_and_collect(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
         let size = self.size();
         let slot_id = SlotId {
             comm: self.link.id(),
@@ -576,9 +679,13 @@ impl Communicator {
         );
         let mut out = Vec::with_capacity(size);
         let mut fps = Vec::with_capacity(size);
-        let mut tmax = f64::NEG_INFINITY;
+        let mut at = Arrival {
+            tmax: f64::NEG_INFINITY,
+            rx_bytes: 0,
+        };
         for (idx, d) in deposits.into_iter().enumerate() {
-            tmax = tmax.max(d.entry);
+            at.tmax = at.tmax.max(d.entry);
+            at.rx_bytes += d.payload.wire_len() as u64;
             if let Some(f) = d.fp {
                 fps.push((self.members[idx], f));
             }
@@ -592,7 +699,7 @@ impl Communicator {
                 );
             }
         }
-        (out, tmax)
+        (out, at)
     }
 
     fn downcast<T: Any + Send + Sync + Wire>(p: RxPayload) -> Arc<T> {
@@ -601,33 +708,35 @@ impl Communicator {
 
     /// Settle a blocking collective: align the clock to the group max
     /// (and the network lane), then charge `cost` seconds and `words`
-    /// bandwidth-term words under `cat`.
-    fn settle(&self, tmax: f64, cat: Cat, cost: f64, words: u64) {
+    /// bandwidth-term words under `cat`, next to the bytes that arrived.
+    fn settle(&self, at: Arrival, cat: Cat, cost: f64, words: u64) {
         let mut m = self.meter.borrow_mut();
-        m.timeline.settle_blocking(tmax, cat, cost);
+        m.timeline.settle_blocking(at.tmax, cat, cost);
         if words > 0 || cost > 0.0 {
             m.timeline.record_traffic(cat, words);
         }
+        m.timeline.record_rx(cat, at.rx_bytes);
     }
 
     /// Settle a nonblocking collective at `wait()`: network-lane charging
     /// (only the remainder not hidden behind compute advances the clock)
     /// plus the same traffic bookkeeping as the blocking collectives, so
     /// word and message counts are identical with overlap on and off.
-    fn settle_overlapped(&self, ready: f64, cat: Cat, cost: f64, words: u64) {
+    fn settle_overlapped(&self, at: Arrival, cat: Cat, cost: f64, words: u64) {
         let mut m = self.meter.borrow_mut();
-        m.timeline.settle_pending(ready, cat, cost);
+        m.timeline.settle_pending(at.tmax, cat, cost);
         if words > 0 || cost > 0.0 {
             m.timeline.record_traffic(cat, words);
         }
+        m.timeline.record_rx(cat, at.rx_bytes);
     }
 
     /// Barrier across the group.
     pub fn barrier(&self) {
         let fp = self.fingerprint(CollectiveKind::Barrier, None, None, "()", Shape::Words(0));
-        let (_, tmax) = self.exchange_raw(CollectiveKind::Barrier, fp, TxPayload::unit());
+        let (_, at) = self.exchange_raw(CollectiveKind::Barrier, fp, TxPayload::unit());
         let cost = self.model().barrier_time(self.size());
-        self.settle(tmax, Cat::Misc, cost, 0);
+        self.settle(at, Cat::Misc, cost, 0);
     }
 
     /// Broadcast from member `root_idx`. The root passes `Some(data)`;
@@ -681,11 +790,11 @@ impl Communicator {
             Some(d) => TxPayload::of(d),
             None => TxPayload::unit(),
         };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
+        let (items, at) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
         let out = Self::downcast::<T>(items[root_idx].clone());
         let words = out.comm_words();
         let cost = self.model().bcast_time(self.size(), words);
-        self.settle(tmax, cat, cost, if self.size() > 1 { words } else { 0 });
+        self.settle(at, cat, cost, if self.size() > 1 { words } else { 0 });
         out
     }
 
@@ -713,12 +822,12 @@ impl Communicator {
             Some(d) => TxPayload::of(d),
             None => TxPayload::unit(),
         };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
+        let (items, at) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
         let packed = Self::downcast::<PackedMat>(items[root_idx].clone());
         let out = Arc::new(packed.widen());
         let words = packed.comm_words();
         let cost = self.model().bcast_time(self.size(), words);
-        self.settle(tmax, prec.dense_cat(), cost, words);
+        self.settle(at, prec.dense_cat(), cost, words);
         out
     }
 
@@ -730,6 +839,13 @@ impl Communicator {
     /// sparse panel against the compact result is bit-identical to the
     /// full-block product, because the compaction is a monotone
     /// renumbering. The root gets its own block back without a copy.
+    ///
+    /// The exchange is request-then-serve, in two rendezvous at the same
+    /// entry clock: in the first, each receiver's request reaches the
+    /// root; in the second, the root deposits one payload holding, per
+    /// receiver, only that receiver's rows — over sockets each receiver
+    /// is sent its own part and nothing else, so the bytes that cross
+    /// are the words metered below (DESIGN.md §9).
     ///
     /// `expect` is each receiver's declaration of the root block's
     /// dimensions, cross-checked against the root's deposit both at
@@ -799,51 +915,133 @@ impl Communicator {
         expect: Option<(usize, usize)>,
         cat: Cat,
     ) -> GatheredRows {
-        assert!(root_idx < self.size(), "gather_rows root out of range");
+        let g = match self.issue_gather(kind, root_idx, data, needed, expect, cat) {
+            GatherIssue::Ready(single) => return single,
+            GatherIssue::Served(g) => g,
+        };
+        let (items, mut at) = self.complete_raw(kind, g.seq);
+        at.rx_bytes += g.rx_bytes;
+        let (out, cost, words) = self.finish_gather(kind, g.end, g.prec, items);
+        self.settle(at, g.cat, cost, words);
+        out
+    }
+
+    /// Issue a row gather: check the request, run round one — each
+    /// receiver's rows reach the root, nothing is charged — and deposit
+    /// round two at the same entry clock, the root serving every
+    /// receiver its rows and the receivers a unit. At `P = 1` the root
+    /// has its block and nothing moves.
+    fn issue_gather(
+        &self,
+        kind: CollectiveKind,
+        root_idx: usize,
+        data: Option<Arc<Mat>>,
+        needed: &[usize],
+        expect: Option<(usize, usize)>,
+        cat: Cat,
+    ) -> GatherIssue {
+        assert!(root_idx < self.size(), "{kind} root out of range");
         assert_eq!(
             data.is_some(),
             root_idx == self.my_idx,
-            "gather_rows: exactly the root must supply data"
+            "{kind}: exactly the root must supply data"
         );
         for w in needed.windows(2) {
             assert!(
                 w[0] < w[1],
-                "gather_rows: needed rows must be sorted and distinct"
+                "{kind}: needed rows must be sorted and distinct"
             );
         }
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            // The root's own result must stay exact: capture its
-            // full-precision Arc before packing — root-local data never
-            // crosses the wire, so it is never rounded.
-            let root_block = data.clone();
-            let shape = Self::gather_rows_shape(&data, expect);
-            let fp = self.fingerprint(kind, Some(root_idx), None, prec.packed_dtype(), shape);
-            let deposit = PackedRowsDeposit {
-                needed: needed.to_vec(),
-                data: data.map(|m| PackedMat::pack(&m, prec)),
+        if self.size() == 1 {
+            let Some(block) = data else {
+                unreachable!("single-rank {kind} root missing its own data")
             };
-            let (items, tmax) = self.exchange_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-            let (out, cost, words) =
-                self.gather_rows_finish_packed(root_idx, needed, expect, items, root_block, prec);
-            self.settle(tmax, prec.dense_cat(), cost, words);
-            return out;
+            return GatherIssue::Ready(GatheredRows::full(block));
         }
-        let shape = Self::gather_rows_shape(&data, expect);
+        let prec = self.packed_precision::<Mat>(cat);
+        let dtype = prec.map_or(std::any::type_name::<Mat>(), Precision::packed_dtype);
         let fp = self.fingerprint(
             kind,
             Some(root_idx),
             None,
-            std::any::type_name::<Mat>(),
-            shape,
+            dtype,
+            Self::gather_rows_shape(&data, expect),
         );
-        let deposit = GatherRowsDeposit {
-            needed: needed.to_vec(),
-            data,
+        let rows = Arc::new(needed.to_vec());
+        let request = if self.my_idx == root_idx {
+            TxPayload::unit()
+        } else {
+            // Only the root reads a request: a count word, then one word
+            // per row.
+            let mut lens = vec![0; self.size()];
+            lens[root_idx] = 8 * (1 + needed.len());
+            TxPayload::parted(rows.clone(), &lens, |rows, out| rows.put(out))
         };
-        let (items, tmax) = self.exchange_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-        let (out, cost, words) = self.gather_rows_finish(root_idx, needed, expect, items);
-        self.settle(tmax, cat, cost, words);
-        out
+        let (items, round_one) = self.exchange_raw(kind, fp.clone(), request);
+        let (payload, end) = match data {
+            Some(block) => {
+                if let Some(e) = expect {
+                    assert_eq!(
+                        block.shape(),
+                        e,
+                        "{kind}: root block shape differs from the receiver-declared dims"
+                    );
+                }
+                let requests = self.gather_requests(kind, root_idx, &block, items);
+                let served = requests.iter().flatten().map(|r| r.len() as u64).sum();
+                let payload = ServedRows {
+                    block: block.clone(),
+                    requests,
+                    prec,
+                }
+                .into_payload();
+                (payload, GatherEnd::Root { block, served })
+            }
+            None => (
+                TxPayload::unit(),
+                GatherEnd::Receiver {
+                    root_idx,
+                    rows,
+                    expect,
+                },
+            ),
+        };
+        GatherIssue::Served(ServedGather {
+            seq: self.issue_raw(kind, fp, payload),
+            rx_bytes: round_one.rx_bytes,
+            cat: prec.map_or(cat, Precision::dense_cat),
+            prec,
+            end,
+        })
+    }
+
+    /// The root's view of round one: each receiver's request, checked
+    /// against the block it is served from (`None` at the root).
+    fn gather_requests(
+        &self,
+        kind: CollectiveKind,
+        root_idx: usize,
+        block: &Mat,
+        items: Vec<RxPayload>,
+    ) -> Vec<Option<Arc<Vec<usize>>>> {
+        items
+            .into_iter()
+            .enumerate()
+            .map(|(idx, item)| {
+                (idx != root_idx).then(|| {
+                    let rows = Self::downcast::<Vec<usize>>(item);
+                    if let Some(bad) = rows.iter().find(|&&r| r >= block.rows()) {
+                        panic!(
+                            "{kind}: rank {} requested row {bad} out of range for the {}-row \
+                             block",
+                            self.members[idx],
+                            block.rows()
+                        );
+                    }
+                    rows
+                })
+            })
+            .collect()
     }
 
     /// Fingerprint shape for `gather_rows`/`igather_rows`: the root
@@ -858,116 +1056,46 @@ impl Communicator {
         }
     }
 
-    /// Shared completion of `gather_rows`/`igather_rows`: pick the root
-    /// block out of the deposits, validate the request and the expected
-    /// dims, build the compact result, and compute (cost, words) per the
-    /// α–β formulas of DESIGN.md §9.
-    fn gather_rows_finish(
-        &self,
-        root_idx: usize,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        items: Vec<RxPayload>,
-    ) -> (GatheredRows, f64, u64) {
-        let deposits: Vec<Arc<GatherRowsDeposit>> = items
-            .into_iter()
-            .map(Self::downcast::<GatherRowsDeposit>)
-            .collect();
-        let Some(block) = deposits[root_idx].data.clone() else {
-            panic!("gather_rows: payload missing at declared root — collective misuse")
+    /// Wire words per gathered row: the row — packed values share words,
+    /// and each row is rounded up to whole words — plus its index word.
+    fn row_words(cols: usize, prec: Option<Precision>) -> u64 {
+        let row = match prec {
+            None => cols,
+            Some(p) => (cols * p.bytes_per_value()).div_ceil(8),
         };
-        if let Some((er, ec)) = expect {
-            assert_eq!(
-                (block.rows(), block.cols()),
-                (er, ec),
-                "gather_rows: root block shape differs from the receiver-declared dims"
-            );
-        }
-        let p = self.size();
-        // Wire words per requested row: the row itself plus one index word.
-        let row_words = block.cols() as u64 + 1;
-        let (cost, words) = if p <= 1 {
-            (0.0, 0)
-        } else if self.my_idx == root_idx {
-            let served: u64 = deposits
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != root_idx)
-                .map(|(_, d)| d.needed.len() as u64 * row_words)
-                .sum();
-            let m = self.model();
-            (m.alpha * (p - 1) as f64 + m.beta * served as f64, 0)
-        } else {
-            let w = needed.len() as u64 * row_words;
-            let m = self.model();
-            (2.0 * m.alpha + m.beta * w as f64, w)
-        };
-        let out = if self.my_idx == root_idx {
-            GatheredRows::full(block)
-        } else {
-            GatheredRows::requested(block, needed)
-        };
-        (out, cost, words)
+        row as u64 + 1
     }
 
-    /// Packed-precision completion of `gather_rows`/`igather_rows`. Same
-    /// structure as [`Communicator::gather_rows_finish`], with two wire
-    /// differences: requested row data is metered at the packed width
-    /// (indices stay full-price u64 words), and the root's result is the
-    /// captured full-precision block — root-resident data never crossed
-    /// the wire, so it is never rounded (DESIGN.md §14).
-    fn gather_rows_finish_packed(
+    /// Complete a row gather from its round-two deposits: this rank's
+    /// result, and its cost and words per the α–β formulas of DESIGN.md
+    /// §9. The root's result is its own full-precision block — data
+    /// that never crossed the wire is never rounded (DESIGN.md §14).
+    fn finish_gather(
         &self,
-        root_idx: usize,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
+        kind: CollectiveKind,
+        end: GatherEnd,
+        prec: Option<Precision>,
         items: Vec<RxPayload>,
-        root_block: Option<Arc<Mat>>,
-        prec: Precision,
     ) -> (GatheredRows, f64, u64) {
-        let deposits: Vec<Arc<PackedRowsDeposit>> = items
-            .into_iter()
-            .map(Self::downcast::<PackedRowsDeposit>)
-            .collect();
-        let Some(packed) = deposits[root_idx].data.as_ref() else {
-            panic!("gather_rows: payload missing at declared root — collective misuse")
-        };
-        let (brows, bcols) = packed.shape();
-        if let Some((er, ec)) = expect {
-            assert_eq!(
-                (brows, bcols),
-                (er, ec),
-                "gather_rows: root block shape differs from the receiver-declared dims"
-            );
+        let m = self.model();
+        match end {
+            GatherEnd::Root { block, served } => {
+                let words = served * Self::row_words(block.cols(), prec);
+                let cost = m.alpha * (self.size() - 1) as f64 + m.beta * words as f64;
+                (GatheredRows::full(block), cost, 0)
+            }
+            GatherEnd::Receiver {
+                root_idx,
+                rows,
+                expect,
+            } => {
+                let k = rows.len() as u64;
+                let got = GatheredRows::served(&items[root_idx], rows, expect, prec)
+                    .unwrap_or_else(|why| panic!("{kind}: {why}"));
+                let words = k * Self::row_words(got.cols(), prec);
+                (got, 2.0 * m.alpha + m.beta * words as f64, words)
+            }
         }
-        let p = self.size();
-        // Wire words per requested row: the packed row data (rounded up
-        // to whole words per row — rows are framed individually) plus
-        // one full-price index word.
-        let row_words = 1 + (bcols * prec.bytes_per_value()).div_ceil(8) as u64;
-        let (cost, words) = if self.my_idx == root_idx {
-            let served: u64 = deposits
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != root_idx)
-                .map(|(_, d)| d.needed.len() as u64 * row_words)
-                .sum();
-            let m = self.model();
-            (m.alpha * (p - 1) as f64 + m.beta * served as f64, 0)
-        } else {
-            let w = needed.len() as u64 * row_words;
-            let m = self.model();
-            (2.0 * m.alpha + m.beta * w as f64, w)
-        };
-        let out = if self.my_idx == root_idx {
-            let Some(block) = root_block else {
-                unreachable!("packed gather_rows root captured its own block at issue time")
-            };
-            GatheredRows::full(block)
-        } else {
-            GatheredRows::requested(Arc::new(packed.widen()), needed)
-        };
-        (out, cost, words)
     }
 
     /// Nonblocking [`Communicator::bcast`]: the rendezvous deposit
@@ -1030,6 +1158,7 @@ impl Communicator {
             CollectiveKind::IBcast,
             cat,
             seq,
+            0,
             Box::new(move |comm, items| {
                 let out = Communicator::downcast::<T>(items[root_idx].clone());
                 let words = out.comm_words();
@@ -1072,6 +1201,7 @@ impl Communicator {
             CollectiveKind::IBcast,
             prec.dense_cat(),
             seq,
+            0,
             Box::new(move |comm, items| {
                 let packed = Communicator::downcast::<PackedMat>(items[root_idx].clone());
                 let out = Communicator::arc_from_mat::<T>(Arc::new(packed.widen()));
@@ -1082,10 +1212,11 @@ impl Communicator {
         )
     }
 
-    /// Nonblocking [`Communicator::gather_rows`]: receivers' row requests
-    /// and the root's block deposit at issue; compact-row extraction,
-    /// dim validation, cost, and word accounting (identical to the
-    /// blocking form, DESIGN.md §9) happen at [`PendingOp::wait`].
+    /// Nonblocking [`Communicator::gather_rows`]: the request round runs
+    /// at issue — a small rendezvous, so issuing waits for the group —
+    /// and the served rows are deposited then too; dim validation, cost,
+    /// and word accounting (identical to the blocking form, DESIGN.md
+    /// §9) happen at [`PendingOp::wait`].
     pub fn igather_rows(
         &self,
         root_idx: usize,
@@ -1135,74 +1266,17 @@ impl Communicator {
         expect: Option<(usize, usize)>,
         cat: Cat,
     ) -> PendingOp<'_, GatheredRows> {
-        assert!(root_idx < self.size(), "igather_rows root out of range");
-        assert_eq!(
-            data.is_some(),
-            root_idx == self.my_idx,
-            "igather_rows: exactly the root must supply data"
-        );
-        for w in needed.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "igather_rows: needed rows must be sorted and distinct"
-            );
-        }
-        if self.size() == 1 {
-            let Some(block) = data else {
-                unreachable!("single-rank igather_rows root missing its own data")
-            };
-            return PendingOp::ready(self, kind, cat, GatheredRows::full(block));
-        }
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            // Same exception as the blocking form: the root's own result
-            // is the captured full-precision Arc, never the packed copy.
-            let root_block = data.clone();
-            let shape = Self::gather_rows_shape(&data, expect);
-            let fp = self.fingerprint(kind, Some(root_idx), None, prec.packed_dtype(), shape);
-            let deposit = PackedRowsDeposit {
-                needed: needed.to_vec(),
-                data: data.map(|m| PackedMat::pack(&m, prec)),
-            };
-            let seq = self.issue_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-            let needed = needed.to_vec();
-            return PendingOp::in_flight(
+        match self.issue_gather(kind, root_idx, data, needed, expect, cat) {
+            GatherIssue::Ready(single) => PendingOp::ready(self, kind, cat, single),
+            GatherIssue::Served(g) => PendingOp::in_flight(
                 self,
                 kind,
-                prec.dense_cat(),
-                seq,
-                Box::new(move |comm, items| {
-                    comm.gather_rows_finish_packed(
-                        root_idx,
-                        &needed,
-                        expect,
-                        items,
-                        root_block.clone(),
-                        prec,
-                    )
-                }),
-            );
+                g.cat,
+                g.seq,
+                g.rx_bytes,
+                Box::new(move |comm, items| comm.finish_gather(kind, g.end, g.prec, items)),
+            ),
         }
-        let shape = Self::gather_rows_shape(&data, expect);
-        let fp = self.fingerprint(
-            kind,
-            Some(root_idx),
-            None,
-            std::any::type_name::<Mat>(),
-            shape,
-        );
-        let deposit = GatherRowsDeposit {
-            needed: needed.to_vec(),
-            data,
-        };
-        let seq = self.issue_raw(kind, fp, TxPayload::of(Arc::new(deposit)));
-        let needed = needed.to_vec();
-        PendingOp::in_flight(
-            self,
-            kind,
-            cat,
-            seq,
-            Box::new(move |comm, items| comm.gather_rows_finish(root_idx, &needed, expect, items)),
-        )
     }
 
     /// Meter a cache-served stage operand: record the words the skipped
@@ -1243,6 +1317,7 @@ impl Communicator {
             CollectiveKind::IAllreduceMat,
             cat,
             seq,
+            0,
             Box::new(move |comm, items| {
                 let mut acc: Option<Mat> = None;
                 for p in items {
@@ -1283,6 +1358,7 @@ impl Communicator {
             CollectiveKind::IAllreduceMat,
             prec.dense_cat(),
             seq,
+            0,
             Box::new(move |comm, items| {
                 let mut acc: Option<Mat> = None;
                 for p in items {
@@ -1339,7 +1415,7 @@ impl Communicator {
             std::any::type_name::<T>(),
             Shape::Unknown,
         );
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(data));
+        let (items, at) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(data));
         let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
         let p = self.size();
         let total: u64 = out.iter().map(|x| x.comm_words()).sum();
@@ -1349,7 +1425,7 @@ impl Communicator {
         } else {
             0
         };
-        self.settle(tmax, cat, cost, words);
+        self.settle(at, cat, cost, words);
         out
     }
 
@@ -1366,7 +1442,7 @@ impl Communicator {
             prec.packed_dtype(),
             Shape::Unknown,
         );
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(packed));
+        let (items, at) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(packed));
         let parts: Vec<Arc<PackedMat>> =
             items.into_iter().map(Self::downcast::<PackedMat>).collect();
         let p = self.size();
@@ -1374,7 +1450,7 @@ impl Communicator {
         let out: Vec<Arc<Mat>> = parts.iter().map(|x| Arc::new(x.widen())).collect();
         let cost = self.model().allgather_time(p, total);
         let words = total * (p as u64 - 1) / p as u64;
-        self.settle(tmax, prec.dense_cat(), cost, words);
+        self.settle(at, prec.dense_cat(), cost, words);
         out
     }
 
@@ -1396,7 +1472,7 @@ impl Communicator {
             std::any::type_name::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let (items, tmax) = self.exchange_raw(
+        let (items, at) = self.exchange_raw(
             CollectiveKind::AllreduceMat,
             fp,
             TxPayload::of(Arc::new(m.clone())),
@@ -1420,7 +1496,7 @@ impl Communicator {
         } else {
             0
         };
-        self.settle(tmax, cat, cost, words);
+        self.settle(at, cat, cost, words);
         out
     }
 
@@ -1437,7 +1513,7 @@ impl Communicator {
             prec.packed_dtype(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let (items, tmax) =
+        let (items, at) =
             self.exchange_raw(CollectiveKind::AllreduceMat, fp, TxPayload::of(packed));
         let mut acc: Option<Mat> = None;
         for p in items {
@@ -1453,7 +1529,7 @@ impl Communicator {
         let p = self.size();
         let cost = self.model().allreduce_time(p, w);
         let words = 2 * w * (p as u64 - 1) / p as u64;
-        self.settle(tmax, prec.dense_cat(), cost, words);
+        self.settle(at, prec.dense_cat(), cost, words);
         out
     }
 
@@ -1466,14 +1542,14 @@ impl Communicator {
             "f64",
             Shape::Words(1),
         );
-        let (items, tmax) = self.exchange_raw(
+        let (items, at) = self.exchange_raw(
             CollectiveKind::AllreduceScalar,
             fp,
             TxPayload::of(Arc::new(x)),
         );
         let sum: f64 = items.into_iter().map(|p| *Self::downcast::<f64>(p)).sum();
         let cost = self.model().allreduce_time(self.size(), 1);
-        self.settle(tmax, cat, cost, if self.size() > 1 { 2 } else { 0 });
+        self.settle(at, cat, cost, if self.size() > 1 { 2 } else { 0 });
         sum
     }
 
@@ -1514,14 +1590,14 @@ impl Communicator {
                 prec.packed_dtype(),
                 Shape::Dims(m.rows(), m.cols()),
             );
-            let (items, tmax) =
+            let (items, at) =
                 self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, TxPayload::of(packed));
             for item in items {
                 fold(&Self::downcast::<PackedMat>(item).widen());
             }
             let cost = self.model().reduce_scatter_time(p, w);
             let words = w * (p as u64 - 1) / p as u64;
-            self.settle(tmax, prec.dense_cat(), cost, words);
+            self.settle(at, prec.dense_cat(), cost, words);
             return;
         }
         let fp = self.fingerprint(
@@ -1531,7 +1607,7 @@ impl Communicator {
             std::any::type_name::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let (items, tmax) = self.exchange_raw(
+        let (items, at) = self.exchange_raw(
             CollectiveKind::ReduceScatterRows,
             fp,
             TxPayload::of(m.clone()),
@@ -1546,7 +1622,7 @@ impl Communicator {
         } else {
             0
         };
-        self.settle(tmax, cat, cost, words);
+        self.settle(at, cat, cost, words);
     }
 
     /// All-to-all personalized exchange: `parts[j]` is sent to member `j`;
@@ -1569,7 +1645,7 @@ impl Communicator {
             std::any::type_name::<T>(),
             Shape::Count(parts.len()),
         );
-        let (items, tmax) =
+        let (items, at) =
             self.exchange_raw(CollectiveKind::Alltoall, fp, TxPayload::of(Arc::new(parts)));
         let all: Vec<Arc<Vec<T>>> = items.into_iter().map(Self::downcast::<Vec<T>>).collect();
         let out: Vec<T> = all.iter().map(|v| v[self.my_idx].clone()).collect();
@@ -1585,7 +1661,7 @@ impl Communicator {
         } else {
             0.0
         };
-        self.settle(tmax, cat, cost, recv_words);
+        self.settle(at, cat, cost, recv_words);
         out
     }
 
@@ -1606,7 +1682,7 @@ impl Communicator {
             std::any::type_name::<T>(),
             Shape::Unknown,
         );
-        let (items, tmax) =
+        let (items, at) =
             self.exchange_raw(CollectiveKind::Gather, fp, TxPayload::of(Arc::new(data)));
         let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
         let p = self.size();
@@ -1619,7 +1695,7 @@ impl Communicator {
         } else {
             (self.model().p2p_time(mine), mine)
         };
-        self.settle(tmax, cat, cost, words);
+        self.settle(at, cat, cost, words);
         (self.my_idx == root_idx).then_some(out)
     }
 
@@ -1655,7 +1731,7 @@ impl Communicator {
             Some(p) => TxPayload::of(Arc::new(p)),
             None => TxPayload::unit(),
         };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Scatter, fp, payload);
+        let (items, at) = self.exchange_raw(CollectiveKind::Scatter, fp, payload);
         let all = Self::downcast::<Vec<T>>(items[root_idx].clone());
         let mine = all[self.my_idx].clone();
         let p = self.size();
@@ -1673,7 +1749,7 @@ impl Communicator {
             let w = mine.comm_words();
             (self.model().p2p_time(w), w)
         };
-        self.settle(tmax, cat, cost, words);
+        self.settle(at, cat, cost, words);
         mine
     }
 
@@ -1710,17 +1786,17 @@ impl Communicator {
             Some(d) => TxPayload::of(Arc::new(d)),
             None => TxPayload::unit(),
         };
-        let (items, tmax) = self.exchange_raw(CollectiveKind::Sendrecv, fp, payload);
+        let (items, at) = self.exchange_raw(CollectiveKind::Sendrecv, fp, payload);
         match partner_idx {
             Some(partner) => {
                 let msg = Self::downcast::<T>(items[partner].clone());
                 let words = msg.comm_words();
                 let cost = self.model().p2p_time(words);
-                self.settle(tmax, cat, cost, words);
+                self.settle(at, cat, cost, words);
                 Some(msg)
             }
             None => {
-                self.settle(tmax, cat, 0.0, 0);
+                self.settle(at, cat, 0.0, 0);
                 None
             }
         }
@@ -1732,7 +1808,7 @@ impl Communicator {
         let seq_for_key = self.seq.get(); // same at every member pre-exchange
                                           // Colors are legitimately rank-dependent: wildcard shape.
         let fp = self.fingerprint(CollectiveKind::Split, None, None, "u64", Shape::Unknown);
-        let (items, _tmax) =
+        let (items, _) =
             self.exchange_raw(CollectiveKind::Split, fp, TxPayload::of(Arc::new(color)));
         let colors: Vec<u64> = items
             .into_iter()
@@ -1761,6 +1837,47 @@ impl Communicator {
     }
 }
 
+/// How a rendezvous completed for this rank: the group's latest entry
+/// clock, where the collective's cost starts, and the payload bytes that
+/// reached this rank over the wire (0 in shared memory).
+#[derive(Clone, Copy)]
+struct Arrival {
+    tmax: f64,
+    rx_bytes: u64,
+}
+
+/// What issuing a row gather leaves to do.
+enum GatherIssue {
+    /// `P = 1`: the root's own block, free.
+    Ready(GatheredRows),
+    /// Round one done, round two deposited.
+    Served(ServedGather),
+}
+
+/// A row gather whose round two — the served rows — is in flight.
+struct ServedGather {
+    /// Round two's sequence number.
+    seq: u64,
+    /// Payload bytes received in round one.
+    rx_bytes: u64,
+    /// Metering category: the caller's, or the wire precision's.
+    cat: Cat,
+    prec: Option<Precision>,
+    end: GatherEnd,
+}
+
+/// This rank's side of a row gather, as its completion needs it.
+enum GatherEnd {
+    /// The root: its own block, and how many rows it served.
+    Root { block: Arc<Mat>, served: u64 },
+    /// A receiver: its request and the dims it declared.
+    Receiver {
+        root_idx: usize,
+        rows: Arc<Vec<usize>>,
+        expect: Option<(usize, usize)>,
+    },
+}
+
 /// Maps the full set of rendezvous deposits to this rank's result plus
 /// the op's α–β cost and recordable words.
 type Finisher<'c, T> = Box<dyn FnOnce(&Communicator, Vec<RxPayload>) -> (T, f64, u64) + 'c>;
@@ -1770,7 +1887,12 @@ enum PendingState<'c, T> {
     /// op is free, exactly like the blocking forms at `P = 1`.
     Ready(T),
     /// Rendezvous in flight: deposit made, completion pending.
-    InFlight { seq: u64, finish: Finisher<'c, T> },
+    /// `rx_bytes` arrived at issue (a row gather's requests).
+    InFlight {
+        seq: u64,
+        rx_bytes: u64,
+        finish: Finisher<'c, T>,
+    },
 }
 
 /// A nonblocking collective in flight, returned by
@@ -1779,7 +1901,10 @@ enum PendingState<'c, T> {
 ///
 /// The rendezvous deposit happened at issue time — peers can already
 /// consume it, and CheckMode fingerprints ride along exactly as in the
-/// blocking forms — so issuing is free and never blocks.
+/// blocking forms — so issuing is free and, for every collective but the
+/// row gathers, never blocks: an issued row gather first runs its small
+/// request rendezvous (round one, unmetered), because the root can serve
+/// only rows it has been asked for.
 /// [`PendingOp::wait`] blocks for the group, returns the payload, and
 /// settles the α–β cost on the network lane: compute charged between
 /// issue and wait covers the cost, and only the uncovered remainder
@@ -1813,13 +1938,18 @@ impl<'c, T> PendingOp<'c, T> {
         kind: CollectiveKind,
         cat: Cat,
         seq: u64,
+        rx_bytes: u64,
         finish: Finisher<'c, T>,
     ) -> Self {
         PendingOp {
             comm,
             kind,
             cat,
-            state: Some(PendingState::InFlight { seq, finish }),
+            state: Some(PendingState::InFlight {
+                seq,
+                rx_bytes,
+                finish,
+            }),
         }
     }
 
@@ -1837,10 +1967,15 @@ impl<'c, T> PendingOp<'c, T> {
         };
         match state {
             PendingState::Ready(v) => v,
-            PendingState::InFlight { seq, finish } => {
-                let (items, ready) = self.comm.complete_raw(self.kind, seq);
+            PendingState::InFlight {
+                seq,
+                rx_bytes,
+                finish,
+            } => {
+                let (items, mut at) = self.comm.complete_raw(self.kind, seq);
+                at.rx_bytes += rx_bytes;
                 let (out, cost, words) = finish(self.comm, items);
-                self.comm.settle_overlapped(ready, self.cat, cost, words);
+                self.comm.settle_overlapped(at, self.cat, cost, words);
                 out
             }
         }
@@ -2311,6 +2446,94 @@ mod tests {
         for (v, _) in results {
             assert_eq!(v, 1.0);
         }
+    }
+
+    #[test]
+    fn gather_rows_serves_an_empty_request() {
+        let model = CostModel::summit_like();
+        let alpha = model.alpha;
+        let results = Cluster::new(3).with_model(model).run(|ctx| {
+            let payload = (ctx.rank == 0).then(|| Arc::new(Mat::filled(5, 2, 3.0)));
+            let needed: Vec<usize> = if ctx.rank == 2 { vec![] } else { vec![4] };
+            let got = ctx
+                .world
+                .gather_rows(0, payload, &needed, Some((5, 2)), Cat::DenseComm);
+            let mut out = Mat::filled(7, 7, 1.0);
+            got.compact_into(&needed, &mut out);
+            (out, ctx.report())
+        });
+        let ((empty, rep), _) = &results[2];
+        assert_eq!(empty.shape(), (0, 2));
+        // No rows, no words — but the rendezvous still costs 2α.
+        assert_eq!(rep.words(Cat::DenseComm), 0);
+        assert_eq!(rep.messages(Cat::DenseComm), 1);
+        assert_eq!(rep.clock, 2.0 * alpha);
+        assert!(results[1].0 .0.approx_eq(&Mat::filled(1, 2, 3.0), 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "requested row 4 out of range for the 4-row block")]
+    fn gather_rows_root_refuses_rows_past_its_block() {
+        Cluster::new(2).run(|ctx| {
+            let payload = (ctx.rank == 0).then(|| Arc::new(Mat::zeros(4, 2)));
+            ctx.world
+                .gather_rows(0, payload, &[1, 4], None, Cat::DenseComm);
+        });
+    }
+
+    /// A socket receiver's part as it arrives: at `at` in a larger body.
+    fn received_part(block: &Mat, rows: &[usize], prec: Precision) -> RxPayload {
+        let mut body = vec![0xEE; 5];
+        RowsPart::put(&mut body, block, rows, prec);
+        let range = 5..body.len();
+        body.extend_from_slice(&[0xEE; 3]);
+        RxPayload::Remote {
+            body: Arc::new(body),
+            range,
+        }
+    }
+
+    #[test]
+    fn served_parts_that_disagree_with_the_request_are_named_protocol_errors() {
+        let block = Mat::from_fn(6, 3, |i, j| (i * 3 + j) as f64);
+        let request = |rows: &[usize]| Arc::new(rows.to_vec());
+        let refused = |payload: &RxPayload, rows: &[usize], expect, prec| match GatheredRows::served(
+            payload,
+            request(rows),
+            expect,
+            prec,
+        ) {
+            Err(why) => why,
+            Ok(_) => panic!("a mismatched part must be refused"),
+        };
+        let two_rows = received_part(&block, &[1, 5], Precision::F64);
+        let why = refused(&two_rows, &[1, 2, 5], Some((6, 3)), None);
+        assert!(
+            why.contains("protocol error") && why.contains("2 rows for a 3-row request"),
+            "{why}"
+        );
+        let why = refused(&two_rows, &[1, 5], Some((7, 3)), None);
+        assert!(why.contains("receiver-declared dims"), "{why}");
+        let why = refused(&two_rows, &[1, 5], None, Some(Precision::F32));
+        assert!(
+            why.contains("protocol error") && why.contains("f64"),
+            "{why}"
+        );
+        let mut garbled = received_part(&block, &[1, 5], Precision::F64);
+        if let RxPayload::Remote { range, .. } = &mut garbled {
+            range.end -= 1;
+        }
+        let why = refused(&garbled, &[1, 5], None, None);
+        assert!(why.contains("do not decode"), "{why}");
+
+        // An agreeing part decodes straight into the caller's buffer.
+        let Ok(got) = GatheredRows::served(&two_rows, request(&[1, 5]), Some((6, 3)), None) else {
+            panic!("an agreeing part is accepted")
+        };
+        let mut out = Mat::zeros(0, 0);
+        got.compact_into(&[1, 5], &mut out);
+        assert_eq!(out, block.select_rows(&[1, 5]));
+        assert_eq!((got.cols(), got.rows()), (3, Some(&[1usize, 5][..])));
     }
 
     #[test]

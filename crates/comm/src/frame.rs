@@ -25,13 +25,16 @@
 //! checkpoint loader).
 //!
 //! A `Deposit` body carries `{comm id, seq, collective kind, rank,
-//! members, entry clock, dtype, optional CheckMode fingerprint,
-//! payload}` — the fingerprint piggybacks on the frame exactly as it
-//! piggybacks on in-memory rendezvous deposits, so checked mode works
-//! unchanged over the wire. A `Collect` body carries every member's
+//! members, entry clock, dtype, optional CheckMode fingerprint, optional
+//! part table, payload}` — the fingerprint piggybacks on the frame
+//! exactly as it piggybacks on in-memory rendezvous deposits, so checked
+//! mode works unchanged over the wire. A part table cuts the payload into
+//! one byte range per member, tiling it in member order; the hub then
+//! forwards each member only its own part (a row gather's served rows, a
+//! request only the root reads). A `Collect` body carries every member's
 //! `{entry clock, fingerprint, payload}` in member order, except that
 //! the receiving rank's own payload is sent with length 0 (it already
-//! holds it).
+//! holds it) and a parted payload is sent as the receiver's part.
 //!
 //! ## Copies
 //!
@@ -64,8 +67,8 @@ use crate::trace::TraceEvent;
 
 /// Frame header magic bytes (`CGNT`).
 pub const MAGIC: [u8; 4] = *b"CGNT";
-/// Wire protocol version.
-pub const VERSION: u8 = 1;
+/// Wire protocol version (2: `Deposit` heads carry a part table).
+pub const VERSION: u8 = 2;
 /// Maximum accepted frame body length (1 GiB). Validated before any
 /// allocation happens.
 pub const MAX_FRAME: u32 = 1 << 30;
@@ -734,6 +737,18 @@ impl Precision {
             Precision::Bf16 => Cat::DenseComm16,
         }
     }
+
+    /// The value a receiver holds after `x` crossed the wire at this
+    /// precision: bit-identical to packing `x` and widening it again,
+    /// which is how shared-memory receivers of a packed collective see
+    /// the same rounding as socket receivers without any bytes.
+    pub fn round_trip(self, x: f64) -> f64 {
+        match self {
+            Precision::F64 => x,
+            Precision::F32 => f64::from(x as f32),
+            Precision::Bf16 => bf16_to_f64(bf16_from_f32(x as f32)),
+        }
+    }
 }
 
 impl Wire for Precision {
@@ -766,6 +781,55 @@ fn bf16_from_f32(x: f32) -> u16 {
     (rounded >> 16) as u16
 }
 
+/// Widen a software bfloat16 back to `f64` (exact).
+fn bf16_to_f64(h: u16) -> f64 {
+    f64::from(f32::from_bits(u32::from(h) << 16))
+}
+
+/// Append `xs` rounded to `precision`, `bytes_per_value` little-endian
+/// bytes each — the value encoding of [`PackedMat`] and [`RowsPart`].
+fn put_packed(xs: &[f64], precision: Precision, out: &mut Vec<u8>) {
+    match precision {
+        Precision::F64 => f64::put_run(xs, out),
+        Precision::F32 => {
+            for &x in xs {
+                out.extend_from_slice(&(x as f32).to_bits().to_le_bytes());
+            }
+        }
+        Precision::Bf16 => {
+            for &x in xs {
+                out.extend_from_slice(&bf16_from_f32(x as f32).to_le_bytes());
+            }
+        }
+    }
+}
+
+/// Write the `rows × cols` values packed in `bytes` over `out` as `f64`,
+/// reusing its allocation. `bytes` holds exactly `rows · cols` values.
+fn widen_packed(bytes: &[u8], precision: Precision, rows: usize, cols: usize, out: &mut Mat) {
+    match precision {
+        Precision::F64 => out.assign(
+            rows,
+            cols,
+            bytes.chunks_exact(8).map(|c| f64::from_bits(le_u64(c))),
+        ),
+        Precision::F32 => out.assign(
+            rows,
+            cols,
+            bytes
+                .chunks_exact(4)
+                .map(|c| f64::from(f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))),
+        ),
+        Precision::Bf16 => out.assign(
+            rows,
+            cols,
+            bytes
+                .chunks_exact(2)
+                .map(|c| bf16_to_f64(u16::from_le_bytes([c[0], c[1]]))),
+        ),
+    }
+}
+
 /// A dense matrix converted to a narrower wire precision — the payload
 /// type dense collectives deposit when compression is on. The sender
 /// rounds exactly once ([`PackedMat::pack`]); [`PackedMat::widen`] is
@@ -783,23 +847,7 @@ impl PackedMat {
     /// Convert `m` for the wire, rounding each value to `precision`.
     pub fn pack(m: &Mat, precision: Precision) -> Self {
         let mut bytes = Vec::with_capacity(m.len() * precision.bytes_per_value());
-        match precision {
-            Precision::F64 => {
-                for &x in m.as_slice() {
-                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
-            Precision::F32 => {
-                for &x in m.as_slice() {
-                    bytes.extend_from_slice(&(x as f32).to_bits().to_le_bytes());
-                }
-            }
-            Precision::Bf16 => {
-                for &x in m.as_slice() {
-                    bytes.extend_from_slice(&bf16_from_f32(x as f32).to_le_bytes());
-                }
-            }
-        }
+        put_packed(m.as_slice(), precision, &mut bytes);
         PackedMat {
             precision,
             rows: m.rows(),
@@ -812,31 +860,9 @@ impl PackedMat {
     /// and bf16 value is representable in `f64` — so all receivers of
     /// the same packed payload hold bit-identical replicas.
     pub fn widen(&self) -> Mat {
-        let n = self.rows * self.cols;
-        let mut data = Vec::with_capacity(n);
-        match self.precision {
-            Precision::F64 => {
-                for c in self.bytes.chunks_exact(8) {
-                    let mut a = [0u8; 8];
-                    a.copy_from_slice(c);
-                    data.push(f64::from_bits(u64::from_le_bytes(a)));
-                }
-            }
-            Precision::F32 => {
-                for c in self.bytes.chunks_exact(4) {
-                    let mut a = [0u8; 4];
-                    a.copy_from_slice(c);
-                    data.push(f64::from(f32::from_bits(u32::from_le_bytes(a))));
-                }
-            }
-            Precision::Bf16 => {
-                for c in self.bytes.chunks_exact(2) {
-                    let h = u16::from_le_bytes([c[0], c[1]]);
-                    data.push(f64::from(f32::from_bits(u32::from(h) << 16)));
-                }
-            }
-        }
-        Mat::from_vec(self.rows, self.cols, data)
+        let mut out = Mat::zeros(0, 0);
+        widen_packed(&self.bytes, self.precision, self.rows, self.cols, &mut out);
+        out
     }
 
     /// Wire precision of this payload.
@@ -883,6 +909,89 @@ impl Wire for PackedMat {
             cols,
             bytes,
         })
+    }
+}
+
+/// One receiver's part of a served row gather (DESIGN.md §9): the shape
+/// of the root's block, then the `rows` rows the receiver requested,
+/// back to back, at the wire precision.
+///
+/// ```text
+/// precision (1 B) | block rows | block cols | rows (8 B each) | rows · cols values
+/// ```
+///
+/// The root encodes each part straight from its resident block; the
+/// receiver [parses](RowsPart::parse) the head in place and widens the
+/// values straight into its operand buffer ([`RowsPart::widen_into`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RowsPart {
+    /// Wire precision of the values.
+    pub precision: Precision,
+    /// Dimensions of the root's block the rows were taken from.
+    pub block: (usize, usize),
+    /// How many rows the part carries.
+    pub rows: usize,
+    /// Where the values lie within the parsed bytes.
+    pub values: Range<usize>,
+}
+
+impl RowsPart {
+    /// Bytes before the values.
+    const HEAD_LEN: usize = 25;
+
+    /// Encoded length of a part carrying `rows` rows of width `cols`.
+    pub(crate) fn encoded_len(rows: usize, cols: usize, precision: Precision) -> usize {
+        Self::HEAD_LEN + rows * cols * precision.bytes_per_value()
+    }
+
+    /// Append the part holding rows `rows` of `block`, in that order,
+    /// rounded to `precision`.
+    pub fn put(out: &mut Vec<u8>, block: &Mat, rows: &[usize], precision: Precision) {
+        precision.put(out);
+        block.rows().put(out);
+        block.cols().put(out);
+        rows.len().put(out);
+        for &r in rows {
+            put_packed(block.row(r), precision, out);
+        }
+    }
+
+    /// Parse a part's head and check that exactly its values follow;
+    /// no value is read or copied.
+    pub fn parse(bytes: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(bytes);
+        let precision = Precision::take(&mut r)?;
+        let block = (usize::take(&mut r)?, usize::take(&mut r)?);
+        let rows = usize::take(&mut r)?;
+        let len = rows
+            .checked_mul(block.1)
+            .and_then(|n| n.checked_mul(precision.bytes_per_value()))
+            .ok_or(FrameError::Malformed("served rows exceed body"))?;
+        if len > r.remaining() {
+            return Err(FrameError::Malformed("served rows exceed body"));
+        }
+        if len < r.remaining() {
+            return Err(FrameError::Malformed("trailing bytes after value"));
+        }
+        Ok(RowsPart {
+            precision,
+            block,
+            rows,
+            values: r.pos..bytes.len(),
+        })
+    }
+
+    /// Write the part's rows over `out` as a `rows × cols` `f64` matrix,
+    /// reusing its allocation. `bytes` are the bytes this part was
+    /// parsed from.
+    pub fn widen_into(&self, bytes: &[u8], out: &mut Mat) {
+        widen_packed(
+            &bytes[self.values.clone()],
+            self.precision,
+            self.rows,
+            self.block.1,
+            out,
+        );
     }
 }
 
@@ -1077,6 +1186,16 @@ impl Wire for HelloMsg {
     }
 }
 
+impl Wire for Range<usize> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.start.put(out);
+        self.end.put(out);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(usize::take(r)?..usize::take(r)?)
+    }
+}
+
 /// `Deposit` body head: one rank's contribution to a rendezvous — the
 /// wire twin of the in-memory deposit tuple, with the CheckMode
 /// fingerprint piggybacked when verification is on. On the wire the
@@ -1100,6 +1219,10 @@ pub struct DepositMsg {
     pub dtype: String,
     /// CheckMode fingerprint (present exactly when checking is on).
     pub fp: Option<Fingerprint>,
+    /// Per-member parts of the payload, as byte ranges relative to its
+    /// start that tile it in member order: member `i` is forwarded only
+    /// part `i`. `None` forwards the whole payload to every member.
+    pub parts: Option<Vec<Range<usize>>>,
 }
 
 impl DepositMsg {
@@ -1116,6 +1239,7 @@ impl DepositMsg {
         self.entry.put(&mut out);
         self.dtype.put(&mut out);
         self.fp.put(&mut out);
+        self.parts.put(&mut out);
         let slot = out.len();
         0u64.put(&mut out);
         payload(&mut out);
@@ -1125,7 +1249,9 @@ impl DepositMsg {
     }
 
     /// Parse a `Deposit` body into its head and the byte range of the
-    /// payload within `body`; no payload byte is read or copied.
+    /// payload within `body`; no payload byte is read or copied. A part
+    /// table must hold one range per member, tiling the payload in
+    /// member order.
     pub fn parse(body: &[u8]) -> Result<(Self, Range<usize>), FrameError> {
         let mut r = Reader::new(body);
         let head = DepositMsg {
@@ -1137,13 +1263,45 @@ impl DepositMsg {
             entry: f64::take(&mut r)?,
             dtype: String::take(&mut r)?,
             fp: <Option<Fingerprint> as Wire>::take(&mut r)?,
+            parts: <Option<Vec<Range<usize>>> as Wire>::take(&mut r)?,
         };
         let payload = r.counted_span()?;
         if r.remaining() != 0 {
             return Err(FrameError::Malformed("trailing bytes after value"));
         }
+        if let Some(parts) = &head.parts {
+            check_tiling(parts, head.members.len(), payload.len())?;
+        }
         Ok((head, payload))
     }
+}
+
+/// Check that `parts` holds one range per member and that the ranges
+/// tile `0..len` in order — no member is forwarded bytes outside the
+/// payload, or bytes another member is also forwarded.
+fn check_tiling(parts: &[Range<usize>], members: usize, len: usize) -> Result<(), FrameError> {
+    if parts.len() != members {
+        return Err(FrameError::Malformed(
+            "part table length differs from member count",
+        ));
+    }
+    let mut at = 0;
+    for part in parts {
+        if part.start < at || part.end < part.start {
+            return Err(FrameError::Malformed("part ranges overlap"));
+        }
+        if part.start > at {
+            return Err(FrameError::Malformed("part ranges leave a gap"));
+        }
+        if part.end > len {
+            return Err(FrameError::Malformed("part range runs past the payload"));
+        }
+        at = part.end;
+    }
+    if at != len {
+        return Err(FrameError::Malformed("part ranges leave a gap"));
+    }
+    Ok(())
 }
 
 /// `Wait` body: block for the rendezvous `{comm, seq}`.
@@ -1494,6 +1652,7 @@ mod tests {
                 dtype: "f64",
                 shape: Shape::Words(1),
             }),
+            parts: None,
         }
     }
 
@@ -1504,6 +1663,94 @@ mod tests {
         let (back, payload) = DepositMsg::parse(&body).expect("parse");
         assert_eq!(back, msg);
         assert_eq!(&body[payload], &[1, 2, 3]);
+
+        let parted = DepositMsg {
+            parts: Some(vec![0..1, 1..1, 1..3, 3..3]),
+            ..sample_deposit()
+        };
+        let body = parted.encode(|out| out.extend_from_slice(&[1, 2, 3]));
+        let (back, payload) = DepositMsg::parse(&body).expect("parse parted");
+        assert_eq!(back, parted);
+        assert_eq!(&body[payload], &[1, 2, 3]);
+    }
+
+    #[test]
+    fn part_tables_must_tile_the_payload_in_member_order() {
+        let refused = |parts: Vec<Range<usize>>| {
+            let msg = DepositMsg {
+                parts: Some(parts),
+                ..sample_deposit()
+            };
+            match DepositMsg::parse(&msg.encode(|out| out.extend_from_slice(&[0; 6]))) {
+                Err(FrameError::Malformed(why)) => why,
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        };
+        // Four members, six payload bytes.
+        assert_eq!(
+            refused(vec![0..2, 2..4, 4..6]),
+            "part table length differs from member count"
+        );
+        assert_eq!(
+            refused(vec![0..2, 2..4, 4..6, 6..6, 6..6]),
+            "part table length differs from member count"
+        );
+        assert_eq!(refused(vec![0..3, 2..4, 4..6, 6..6]), "part ranges overlap");
+        let reversed = Range { start: 2, end: 1 };
+        assert_eq!(
+            refused(vec![0..2, reversed, 1..6, 6..6]),
+            "part ranges overlap"
+        );
+        assert_eq!(
+            refused(vec![0..2, 3..4, 4..6, 6..6]),
+            "part ranges leave a gap"
+        );
+        assert_eq!(
+            refused(vec![0..2, 2..4, 4..5, 5..5]),
+            "part ranges leave a gap"
+        );
+        assert_eq!(
+            refused(vec![0..2, 2..4, 4..6, 6..7]),
+            "part range runs past the payload"
+        );
+    }
+
+    #[test]
+    fn rows_parts_carry_the_requested_rows_at_their_precision() {
+        let block = Mat::from_fn(7, 3, |i, j| odd(i * 3 + j) + i as f64 / 3.0);
+        let rows = [0, 4, 6];
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+            let mut bytes = vec![0xEE];
+            RowsPart::put(&mut bytes, &block, &rows, precision);
+            let part = &bytes[1..];
+            assert_eq!(part.len(), RowsPart::encoded_len(3, 3, precision));
+            let head = RowsPart::parse(part).expect("parse");
+            assert_eq!(
+                (head.precision, head.block, head.rows),
+                (precision, (7, 3), 3)
+            );
+            let mut out = Mat::filled(9, 9, 1.0);
+            head.widen_into(part, &mut out);
+            // Bit-identical to packing the whole block, widening it and
+            // selecting the rows — and to the shared-memory round trip.
+            let expect = PackedMat::pack(&block, precision)
+                .widen()
+                .select_rows(&rows);
+            let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(out.shape(), (3, 3));
+            assert_eq!(bits(&out), bits(&expect), "{precision:?}");
+            let shared = block.select_rows(&rows).map(|x| precision.round_trip(x));
+            assert_eq!(bits(&shared), bits(&expect), "{precision:?}");
+        }
+        // Zero rows, and zero columns.
+        for (m, rows) in [(Mat::zeros(4, 2), vec![]), (Mat::zeros(4, 0), vec![1, 3])] {
+            let mut part = Vec::new();
+            RowsPart::put(&mut part, &m, &rows, Precision::F64);
+            let head = RowsPart::parse(&part).expect("parse");
+            let mut out = Mat::filled(2, 2, 1.0);
+            head.widen_into(&part, &mut out);
+            assert_eq!(out.shape(), (rows.len(), m.cols()));
+        }
     }
 
     /// The element-wise encoders the bulk codecs replaced, kept as the

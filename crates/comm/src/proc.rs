@@ -278,6 +278,7 @@ impl CommLink for SocketLink {
             entry: dep.entry,
             dtype: dep.payload.dtype.to_string(),
             fp: dep.fp,
+            parts: dep.payload.parts.clone(),
         }
         .encode(|out| dep.payload.encode_into(out));
         self.client
@@ -435,6 +436,22 @@ struct HubDeposit {
     fp: Option<Fingerprint>,
     body: Arc<Vec<u8>>,
     payload: Range<usize>,
+    /// Each member's part of the payload, as ranges of `body`, when the
+    /// deposit is parted.
+    parts: Option<Vec<Range<usize>>>,
+}
+
+impl HubDeposit {
+    /// The bytes of this deposit that member `idx` is forwarded.
+    fn part_for(&self, idx: usize) -> Range<usize> {
+        match &self.parts {
+            None => self.payload.clone(),
+            Some(parts) => parts
+                .get(idx)
+                .cloned()
+                .unwrap_or(self.payload.start..self.payload.start),
+        }
+    }
 }
 
 /// One `COLLECT` ready to be written: the small pieces (rendezvous key,
@@ -480,8 +497,9 @@ impl HubSlot {
     }
 
     /// The `COLLECT` answering `rank`'s wait on this complete slot:
-    /// everyone's clock and fingerprint, everyone's payload but
-    /// `rank`'s own — the client substitutes the `Arc` it kept.
+    /// everyone's clock and fingerprint, everyone's payload — or, of a
+    /// parted payload, `rank`'s part — but `rank`'s own, for which the
+    /// client substitutes the `Arc` it kept.
     fn collect_for(&self, key: (u64, u64), rank: usize) -> Collect {
         let mut c = Collect {
             heads: Vec::new(),
@@ -489,11 +507,11 @@ impl HubSlot {
             payloads: Vec::with_capacity(self.members.len()),
         };
         CollectMsg::put_head(&mut c.heads, key.0, key.1, self.members.len());
-        for (&member, dep) in self.members.iter().zip(self.deposits.iter().flatten()) {
-            let payload = if member == rank {
-                dep.payload.start..dep.payload.start
-            } else {
-                dep.payload.clone()
+        let me = self.members.iter().position(|&m| m == rank);
+        for (idx, dep) in self.deposits.iter().flatten().enumerate() {
+            let payload = match me {
+                Some(me) if me != idx => dep.part_for(me),
+                _ => dep.payload.start..dep.payload.start,
             };
             CollectMsg::put_entry(&mut c.heads, dep.entry, &dep.fp, payload.len());
             c.cuts.push(c.heads.len());
@@ -569,11 +587,18 @@ impl HubState {
                 at()
             ));
         }
+        let parts = msg.parts.map(|parts| {
+            parts
+                .into_iter()
+                .map(|p| payload.start + p.start..payload.start + p.end)
+                .collect()
+        });
         slot.deposits[msg.my_idx] = Some(HubDeposit {
             entry: msg.entry,
             fp: msg.fp,
             body,
             payload,
+            parts,
         });
         if !slot.complete() {
             return Ok(Vec::new());
@@ -1313,6 +1338,7 @@ mod tests {
             entry: 0.5,
             dtype: "test".to_string(),
             fp: None,
+            parts: None,
         }
     }
 
@@ -1321,6 +1347,53 @@ mod tests {
             kind: FrameKind::Deposit,
             body: deposit_head(key, my_idx, members).encode(|out| out.extend_from_slice(payload)),
         }
+    }
+
+    /// A deposit whose head carries the part table `parts`, valid or not.
+    fn deposit_with_parts(
+        key: (u64, u64),
+        my_idx: usize,
+        members: &[usize],
+        payload: &[u8],
+        parts: Vec<Range<usize>>,
+    ) -> Frame {
+        let head = DepositMsg {
+            parts: Some(parts),
+            ..deposit_head(key, my_idx, members)
+        };
+        Frame {
+            kind: FrameKind::Deposit,
+            body: head.encode(|out| out.extend_from_slice(payload)),
+        }
+    }
+
+    /// A deposit cut into consecutive parts of the byte lengths `lens`.
+    fn parted_deposit(
+        key: (u64, u64),
+        my_idx: usize,
+        members: &[usize],
+        payload: &[u8],
+        lens: &[usize],
+    ) -> Frame {
+        let mut at = 0;
+        let parts = lens
+            .iter()
+            .map(|&n| {
+                at += n;
+                at - n..at
+            })
+            .collect();
+        deposit_with_parts(key, my_idx, members, payload, parts)
+    }
+
+    /// Each member's payload bytes in a `COLLECT`.
+    fn payloads(fr: &Frame) -> Vec<Vec<u8>> {
+        assert_eq!(fr.kind, FrameKind::Collect);
+        let msg = CollectMsg::parse(&fr.body).expect("collect body");
+        msg.deposits
+            .iter()
+            .map(|d| fr.body[d.payload.clone()].to_vec())
+            .collect()
     }
 
     /// A deposit whose `payload_len` payload bytes are zero pages the
@@ -1461,6 +1534,97 @@ mod tests {
             assert_eq!((d.entry, &d.fp), (0.5, &None), "clocks travel to everyone");
         }
         assert!(hub.lock().slots.is_empty(), "slot retired once all served");
+    }
+
+    #[test]
+    fn served_gathers_route_each_member_only_its_part() {
+        let Rig { hub, peers } = rig(3);
+        let all = [0, 1, 2];
+        let (requests, serve) = ((1, 0), (1, 1));
+
+        // Round one: each receiver's request is parted to reach only the
+        // root, member 0, which deposits a unit.
+        hub.on_frame(0, deposit(requests, 0, &all, &[0]));
+        hub.on_frame(1, parted_deposit(requests, 1, &all, &[1; 16], &[16, 0, 0]));
+        hub.on_frame(2, parted_deposit(requests, 2, &all, &[2; 24], &[24, 0, 0]));
+        for (idx, &rank) in all.iter().enumerate() {
+            hub.on_frame(rank, wait(requests, idx, &all));
+        }
+        let to_root = payloads(&answer_to(&peers[0]));
+        assert_eq!(
+            to_root,
+            [vec![], vec![1; 16], vec![2; 24]],
+            "only the requests"
+        );
+        for rank in [1, 2] {
+            let got = payloads(&answer_to(&peers[rank]));
+            assert_eq!(
+                got,
+                [vec![0], vec![], vec![]],
+                "rank {rank} sees no request"
+            );
+        }
+
+        // Round two: the root serves 3000 bytes to member 1 and 5000 to
+        // member 2 in one deposit; the receivers deposit units.
+        let mut served = vec![0xA1; 3000];
+        served.extend_from_slice(&[0xA2; 5000]);
+        hub.on_frame(0, parted_deposit(serve, 0, &all, &served, &[0, 3000, 5000]));
+        hub.on_frame(1, deposit(serve, 1, &all, &[0]));
+        hub.on_frame(2, deposit(serve, 2, &all, &[0]));
+        {
+            let state = hub.lock();
+            let slot = &state.slots[&serve];
+            let stored = slot.deposits[0].as_ref().expect("root deposit stored");
+            let at = stored.payload.start;
+            for (rank, part) in [(1, at..at + 3000), (2, at + 3000..at + 8000)] {
+                // Each part goes out from the one stored body, in place.
+                let collect = slot.collect_for(serve, rank);
+                assert!(Arc::ptr_eq(&collect.payloads[0].0, &stored.body));
+                let sent = collect.parts()[1];
+                assert_eq!(sent.as_ptr(), stored.body[part.clone()].as_ptr());
+                assert_eq!(sent.len(), part.len());
+            }
+        }
+        for (idx, &rank) in all.iter().enumerate() {
+            hub.on_frame(rank, wait(serve, idx, &all));
+        }
+        assert_eq!(payloads(&answer_to(&peers[0])), [vec![], vec![0], vec![0]]);
+        let to_one = answer_to(&peers[1]);
+        assert_eq!(payloads(&to_one), [vec![0xA1; 3000], vec![], vec![0]]);
+        let to_two = answer_to(&peers[2]);
+        assert_eq!(payloads(&to_two), [vec![0xA2; 5000], vec![0], vec![]]);
+        // Nothing but the part and the heads: the same heads both ways.
+        assert_eq!(to_one.body.len() - 3000, to_two.body.len() - 5000);
+        assert!(to_one.body.len() < 3000 + 128, "{}", to_one.body.len());
+        assert!(hub.lock().slots.is_empty(), "both slots retired");
+    }
+
+    #[test]
+    fn malformed_part_tables_are_refused_by_name() {
+        let Rig { hub, peers } = rig(3);
+        let all = [0, 1, 2];
+        for (parts, why) in [
+            (vec![0..4, 2..6, 6..6], "part ranges overlap"),
+            (
+                vec![0..2, 2..6],
+                "part table length differs from member count",
+            ),
+            (
+                vec![0..2, 2..2, 2..2, 2..6],
+                "part table length differs from member count",
+            ),
+            (vec![0..2, 2..6, 6..9], "part range runs past the payload"),
+            (vec![0..2, 3..6, 6..6], "part ranges leave a gap"),
+        ] {
+            hub.on_frame(1, deposit_with_parts((1, 0), 1, &all, &[7; 6], parts));
+            let got = error_to(&peers[1]);
+            assert!(
+                got.contains("bad deposit frame") && got.contains(why),
+                "got: {got}"
+            );
+        }
+        assert!(hub.lock().slots.is_empty(), "refused deposits open no slot");
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub struct Timeline {
     seconds: [f64; NUM_CATS],
     words: [u64; NUM_CATS],
     messages: [u64; NUM_CATS],
+    /// Payload bytes that reached this rank over the wire.
+    rx_bytes: [u64; NUM_CATS],
     /// When `Some`, every charge/wait is recorded as a trace event.
     trace: Option<Vec<TraceEvent>>,
 }
@@ -81,6 +83,14 @@ impl Timeline {
     pub fn record_traffic(&mut self, cat: Cat, w: u64) {
         self.words[cat.index()] += w;
         self.messages[cat.index()] += 1;
+    }
+
+    /// Record `bytes` payload bytes received over the wire for a
+    /// collective metered under `cat` — the measured counterpart of
+    /// [`Timeline::record_traffic`]'s modeled words (0 on shared memory,
+    /// where payloads move as pointers).
+    pub fn record_rx(&mut self, cat: Cat, bytes: u64) {
+        self.rx_bytes[cat.index()] += bytes;
     }
 
     /// Synchronize the clock up to `t` (BSP max at a collective); no-op if
@@ -164,6 +174,11 @@ impl Timeline {
         self.messages[cat.index()]
     }
 
+    /// Payload bytes received over the wire under a category.
+    pub fn rx_bytes(&self, cat: Cat) -> u64 {
+        self.rx_bytes[cat.index()]
+    }
+
     /// Total communication words (dense + sparse).
     pub fn comm_words(&self) -> u64 {
         self.words(Cat::DenseComm)
@@ -179,6 +194,7 @@ impl Timeline {
             seconds: self.seconds,
             words: self.words,
             messages: self.messages,
+            rx_bytes: self.rx_bytes,
         }
     }
 
@@ -189,13 +205,28 @@ impl Timeline {
 }
 
 /// Plain-data snapshot of a [`Timeline`], returned from cluster runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+///
+/// Equality compares the modeled ledger — clock, seconds, words and
+/// messages — and not the received wire bytes, which measure the
+/// transport (0 on shared memory), so a run's reports compare equal
+/// across backends exactly when the model charged the same bits.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TimelineReport {
     /// Final BSP clock.
     pub clock: f64,
     seconds: [f64; NUM_CATS],
     words: [u64; NUM_CATS],
     messages: [u64; NUM_CATS],
+    rx_bytes: [u64; NUM_CATS],
+}
+
+impl PartialEq for TimelineReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.clock == other.clock
+            && self.seconds == other.seconds
+            && self.words == other.words
+            && self.messages == other.messages
+    }
 }
 
 impl crate::frame::Wire for TimelineReport {
@@ -213,6 +244,9 @@ impl crate::frame::Wire for TimelineReport {
         for v in self.messages {
             v.put(out);
         }
+        for v in self.rx_bytes {
+            v.put(out);
+        }
     }
     fn take(r: &mut crate::frame::Reader<'_>) -> Result<Self, crate::frame::FrameError> {
         let clock = f64::take(r)?;
@@ -227,6 +261,9 @@ impl crate::frame::Wire for TimelineReport {
             *v = u64::take(r)?;
         }
         for v in rep.messages.iter_mut() {
+            *v = u64::take(r)?;
+        }
+        for v in rep.rx_bytes.iter_mut() {
             *v = u64::take(r)?;
         }
         Ok(rep)
@@ -247,6 +284,13 @@ impl TimelineReport {
     /// Messages counted under a category.
     pub fn messages(&self, cat: Cat) -> u64 {
         self.messages[cat.index()]
+    }
+
+    /// Payload bytes received over the wire under a category: for each
+    /// completed collective, the payload bytes the transport handed this
+    /// rank (0 on shared memory).
+    pub fn rx_bytes(&self, cat: Cat) -> u64 {
+        self.rx_bytes[cat.index()]
     }
 
     /// Total communication words (dense + sparse).
@@ -280,6 +324,7 @@ impl TimelineReport {
                 out.seconds[i] = out.seconds[i].max(r.seconds[i]);
                 out.words[i] = out.words[i].max(r.words[i]);
                 out.messages[i] = out.messages[i].max(r.messages[i]);
+                out.rx_bytes[i] = out.rx_bytes[i].max(r.rx_bytes[i]);
             }
         }
         out
@@ -296,6 +341,7 @@ impl TimelineReport {
                 out.seconds[i] += r.seconds[i] / n;
                 out.words[i] += r.words[i] / (n as u64).max(1);
                 out.messages[i] += r.messages[i] / (n as u64).max(1);
+                out.rx_bytes[i] += r.rx_bytes[i] / (n as u64).max(1);
             }
         }
         out
@@ -311,6 +357,7 @@ impl TimelineReport {
                 out.seconds[i] += r.seconds[i];
                 out.words[i] += r.words[i];
                 out.messages[i] += r.messages[i];
+                out.rx_bytes[i] += r.rx_bytes[i];
             }
         }
         out
@@ -497,6 +544,32 @@ mod tests {
         let rep = t.report();
         assert_eq!(rep.words(Cat::CacheHit), 500);
         assert!((rep.busy_seconds() - rep.clock).abs() < 1e-12);
+    }
+
+    #[test]
+    fn received_bytes_are_reported_but_not_compared() {
+        let mut t = Timeline::new();
+        t.record_traffic(Cat::DenseComm, 10);
+        let modeled = t.report();
+        t.record_rx(Cat::DenseComm, 80);
+        t.record_rx(Cat::DenseComm, 9);
+        let measured = t.report();
+        assert_eq!(measured.rx_bytes(Cat::DenseComm), 89);
+        assert_eq!(measured.rx_bytes(Cat::SparseComm), 0);
+        // Equality is the modeled ledger: the same charges on a
+        // transport that moved bytes and one that moved pointers.
+        assert_eq!(measured, modeled);
+        assert_eq!(t.clock(), 0.0);
+        // The bytes travel home with the report and reduce like words.
+        let back: TimelineReport =
+            crate::frame::decode(&crate::frame::encode(&measured)).expect("decode");
+        assert_eq!(back.rx_bytes(Cat::DenseComm), 89);
+        let sum = TimelineReport::sum_over(&[measured, back]);
+        assert_eq!(sum.rx_bytes(Cat::DenseComm), 178);
+        assert_eq!(
+            TimelineReport::max_over(&[measured, modeled]).rx_bytes(Cat::DenseComm),
+            89
+        );
     }
 
     #[test]

@@ -85,6 +85,10 @@ pub(crate) struct TxPayload {
     pub local: Payload,
     /// `std::any::type_name` of the concrete payload type.
     pub dtype: &'static str,
+    /// Each member's part of the encoding, as byte ranges tiling it in
+    /// member order: over sockets member `i` is forwarded only part `i`.
+    /// `None` sends everyone the whole payload.
+    pub parts: Option<Vec<Range<usize>>>,
     encode: WireEncoder,
 }
 
@@ -99,7 +103,34 @@ impl TxPayload {
         TxPayload {
             local,
             dtype: std::any::type_name::<T>(),
+            parts: None,
             encode: Box::new(move |out| data.put(out)),
+        }
+    }
+
+    /// A payload whose encoding `encode` writes as consecutive parts of
+    /// the byte lengths `lens`, one per member in member order: each
+    /// member receives only its own part over sockets, and the whole
+    /// `Arc` in shared memory.
+    pub fn parted<T: Any + Send + Sync>(
+        data: Arc<T>,
+        lens: &[usize],
+        encode: impl Fn(&T, &mut Vec<u8>) + Send + 'static,
+    ) -> Self {
+        let mut at = 0;
+        let parts = lens
+            .iter()
+            .map(|&len| {
+                at += len;
+                at - len..at
+            })
+            .collect();
+        let local: Payload = data.clone();
+        TxPayload {
+            local,
+            dtype: std::any::type_name::<T>(),
+            parts: Some(parts),
+            encode: Box::new(move |out| encode(&data, out)),
         }
     }
 
@@ -111,7 +142,14 @@ impl TxPayload {
 
     /// Append the wire encoding to `out` (socket backend only).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         (self.encode)(out);
+        debug_assert!(
+            self.parts
+                .as_ref()
+                .is_none_or(|parts| parts.last().map_or(0, |p| p.end) == out.len() - start),
+            "a parted payload's encoding must be exactly its parts"
+        );
     }
 }
 
@@ -146,6 +184,15 @@ pub(crate) enum RxPayload {
 }
 
 impl RxPayload {
+    /// Payload bytes that reached this rank over the wire (0 for a local
+    /// `Arc`).
+    pub fn wire_len(&self) -> usize {
+        match self {
+            RxPayload::Local(_) => 0,
+            RxPayload::Remote { range, .. } => range.len(),
+        }
+    }
+
     /// Recover the typed payload: downcast the local `Arc` or decode the
     /// wire bytes.
     ///

@@ -1,8 +1,9 @@
-//! Hostile `DEPOSIT` and `COLLECT` bodies: every prefix truncation and
-//! every inflated count field of a valid body must be rejected as
-//! `Malformed`, with the codec's established messages, and without a
-//! single allocation larger than the input — the parsers locate payloads
-//! by range, so no count can drive a reservation.
+//! Hostile `DEPOSIT` and `COLLECT` bodies and served row-gather parts:
+//! every prefix truncation and every inflated count field of a valid
+//! body must be rejected as `Malformed`, with the codec's established
+//! messages, and without a single allocation larger than the input — the
+//! parsers locate payloads by range, so no count can drive a
+//! reservation.
 //!
 //! Allocation sizes are observed through a counting global allocator,
 //! which is why these cases live in their own test binary.
@@ -11,7 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
-use cagnet_comm::frame::{CollectMsg, DepositMsg, FrameError};
+use cagnet_comm::frame::{CollectMsg, DepositMsg, FrameError, Precision, RowsPart};
+use cagnet_dense::Mat;
 
 thread_local! {
     /// Largest single allocation this thread has requested since the
@@ -64,8 +66,9 @@ fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
 }
 
 /// The messages the element-wise codec gave for short or inconsistent
-/// bodies; the range-based parsers must not invent new ones.
-const KNOWN: [&str; 9] = [
+/// bodies, and the ones the part table and served rows add; the
+/// range-based parsers must not invent others.
+const KNOWN: [&str; 15] = [
     "body truncated",
     "element count exceeds body",
     "string length exceeds body",
@@ -75,6 +78,12 @@ const KNOWN: [&str; 9] = [
     "option tag out of range",
     "collective kind out of range",
     "shape tag out of range",
+    "part table length differs from member count",
+    "part ranges overlap",
+    "part ranges leave a gap",
+    "part range runs past the payload",
+    "served rows exceed body",
+    "precision tag out of range",
 ];
 
 fn assert_rejected<T: std::fmt::Debug>(
@@ -178,9 +187,65 @@ fn hostile_deposit_bodies_are_malformed_and_allocate_nothing_large() {
         entry: 0.125,
         dtype: "matrix".to_string(),
         fp: fingerprint(),
+        parts: None,
     };
     let body = head.encode(|out| out.resize(out.len() + 3001, 0xAB));
     check_all("deposit", &body, &[5, 6, 25, 3001], 4, DepositMsg::parse);
+}
+
+#[test]
+fn hostile_part_tables_are_malformed_and_allocate_nothing_large() {
+    // The deposit above, parted: five members' parts tile the 3001-byte
+    // payload. Counts: 5 members and 5 parts, the two dtypes, the
+    // payload length, and every part boundary (1000 four times, 2000
+    // twice, 3001 three times more) — moving any one breaks the tiling.
+    let head = DepositMsg {
+        comm: 0xC0_0000_0001,
+        seq: 0x5E_0000_0002,
+        kind: CollectiveKind::GatherRows,
+        my_idx: 2,
+        members: vec![10, 11, 12, 13, 14],
+        entry: 0.125,
+        dtype: "matrix".to_string(),
+        fp: fingerprint(),
+        parts: Some(vec![
+            0..1000,
+            1000..1000,
+            1000..2000,
+            2000..3001,
+            3001..3001,
+        ]),
+    };
+    let body = head.encode(|out| out.resize(out.len() + 3001, 0xAB));
+    check_all(
+        "parted deposit",
+        &body,
+        &[5, 6, 25, 3001, 1000, 2000],
+        14,
+        DepositMsg::parse,
+    );
+}
+
+#[test]
+fn hostile_served_rows_are_malformed_and_allocate_nothing_large() {
+    // Eleven rows of a 13-column block, at each wire precision. Counts:
+    // the row count and the width; the block's row count is a shape,
+    // not a count, and cannot be told wrong from the part alone.
+    let block = Mat::from_fn(0xB10C, 13, |i, j| 0.25 + (i * 13 + j) as f64);
+    let rows: Vec<usize> = (0..11).map(|i| 17 + 3 * i).collect();
+    for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+        let mut part = Vec::new();
+        RowsPart::put(&mut part, &block, &rows, precision);
+        let name = format!("served {} rows", precision.name());
+        check_all(&name, &part, &[11, 13], 2, RowsPart::parse);
+
+        // What parses widens to exactly the requested rows.
+        let head = RowsPart::parse(&part).expect("valid part");
+        let mut out = Mat::zeros(0, 0);
+        head.widen_into(&part, &mut out);
+        let expect = block.select_rows(&rows).map(|x| precision.round_trip(x));
+        assert_eq!(out, expect, "{name}");
+    }
 }
 
 #[test]

@@ -187,7 +187,7 @@ fn watchdog_detects_deadlock_over_socket() {
 /// each produce a typed error, never an allocation or a hang.
 #[test]
 fn corrupt_frames_rejected_before_allocation() {
-    use cagnet_comm::frame::{read_frame, FrameError, MAX_FRAME};
+    use cagnet_comm::frame::{read_frame, FrameError, MAX_FRAME, VERSION};
 
     // Corrupt magic.
     let mut bad_magic = vec![b'X', b'Y', b'Z', b'W', 1, 1];
@@ -200,7 +200,7 @@ fn corrupt_frames_rejected_before_allocation() {
     // Oversize body length: only the 10 header bytes exist, so an
     // attempted allocation of the claimed body would fail the test by
     // OOM or error — the length check must fire first.
-    let mut oversize = vec![b'C', b'G', b'N', b'T', 1, 2];
+    let mut oversize = vec![b'C', b'G', b'N', b'T', VERSION, 2];
     oversize.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
     match read_frame(&mut &oversize[..]) {
         Err(FrameError::Oversize(_)) => {}

@@ -11,9 +11,10 @@
 
 #![cfg(unix)]
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use cagnet_comm::{Cat, CheckMode, Cluster, TransportKind};
+use cagnet_comm::{Cat, CheckMode, Cluster, Precision, TransportKind};
 use cagnet_core::dist::CommMode;
 use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
@@ -30,6 +31,17 @@ fn small_problem() -> (Problem, GcnConfig) {
 /// Train once per backend and assert the results are bit-identical.
 fn assert_bit_identical(algo: Algorithm, p: usize, comm_mode: CommMode, overlap: bool) {
     let (problem, gcn) = small_problem();
+    assert_bit_identical_on(&problem, &gcn, algo, p, comm_mode, overlap);
+}
+
+fn assert_bit_identical_on(
+    problem: &Problem,
+    gcn: &GcnConfig,
+    algo: Algorithm,
+    p: usize,
+    comm_mode: CommMode,
+    overlap: bool,
+) {
     let run = |transport| {
         let tc = TrainConfig {
             epochs: 3,
@@ -39,8 +51,8 @@ fn assert_bit_identical(algo: Algorithm, p: usize, comm_mode: CommMode, overlap:
             ..TrainConfig::default()
         };
         train_distributed(
-            &problem,
-            &gcn,
+            problem,
+            gcn,
             algo,
             p,
             cagnet_comm::CostModel::summit_like(),
@@ -93,6 +105,31 @@ fn oned_sparsity_aware_p4() {
     assert_bit_identical(Algorithm::OneD, 4, CommMode::SparsityAware, true);
 }
 
+/// Three receivers per gather on the world communicator, each sent only
+/// the rows it asked for.
+#[test]
+fn oned_sparsity_aware_p4_no_overlap() {
+    assert_bit_identical(Algorithm::OneD, 4, CommMode::SparsityAware, false);
+}
+
+/// `n = P`: every rank owns one vertex, and most requests are empty.
+#[test]
+fn oned_sparsity_aware_one_vertex_per_rank() {
+    let g = erdos_renyi(4, 1.5, 0xD1CE);
+    let problem = Problem::synthetic(&g, 6, 3, 1.0, 7);
+    let gcn = GcnConfig::three_layer(6, 8, 3);
+    for overlap in [true, false] {
+        assert_bit_identical_on(
+            &problem,
+            &gcn,
+            Algorithm::OneD,
+            4,
+            CommMode::SparsityAware,
+            overlap,
+        );
+    }
+}
+
 // ------------------------------------------------------------------
 // 1D (row) trainer.
 // ------------------------------------------------------------------
@@ -119,6 +156,13 @@ fn one5d_dense_p4() {
 #[test]
 fn one5d_sparsity_aware_p4() {
     assert_bit_identical(Algorithm::One5D { c: 2 }, 4, CommMode::SparsityAware, true);
+}
+
+#[test]
+fn one5d_cached_p4() {
+    let cached = CommMode::Cached { refresh: 2 };
+    assert_bit_identical(Algorithm::One5D { c: 2 }, 4, cached, true);
+    assert_bit_identical(Algorithm::One5D { c: 2 }, 4, cached, false);
 }
 
 // ------------------------------------------------------------------
@@ -184,6 +228,11 @@ fn twod_sparsity_aware_p4_no_overlap() {
 }
 
 #[test]
+fn twod_sparsity_aware_p4() {
+    assert_bit_identical(Algorithm::TwoD, 4, CommMode::SparsityAware, true);
+}
+
+#[test]
 fn twod_rect_dense_p2() {
     assert_bit_identical(
         Algorithm::TwoDRect { pr: 2, pc: 1 },
@@ -215,4 +264,108 @@ fn threed_sparsity_aware_p8() {
 #[test]
 fn single_rank_socket_config_runs_in_process() {
     assert_bit_identical(Algorithm::OneD, 1, CommMode::Dense, true);
+}
+
+// ------------------------------------------------------------------
+// Served row gathers, collective by collective.
+// ------------------------------------------------------------------
+
+/// Every rank serves a 7 × 3 block once, blocking and nonblocking, to
+/// receivers whose requests differ — one of them empty — at `precision`;
+/// the rows, and the timelines, must match the thread backend bit for
+/// bit.
+fn assert_served_rows_bit_identical(precision: Precision) {
+    let run = |transport| {
+        Cluster::new(4)
+            .with_transport(transport)
+            .with_precision(precision)
+            .run_wire(|ctx| {
+                let block = Arc::new(Mat::from_fn(7, 3, |i, j| {
+                    (ctx.rank * 100 + i * 3 + j) as f64 / 7.0
+                }));
+                let mut seen = Vec::new();
+                for root in 0..4 {
+                    // Rank (root + 2) % 4 asks for nothing.
+                    let needed: Vec<usize> = match (ctx.rank + 4 - root) % 4 {
+                        2 => vec![],
+                        d => (0..7).filter(|r| r % d.max(1) == 0).collect(),
+                    };
+                    let mine = (ctx.rank == root).then(|| block.clone());
+                    let a = ctx.world.gather_rows(
+                        root,
+                        mine.clone(),
+                        &needed,
+                        Some((7, 3)),
+                        Cat::DenseComm,
+                    );
+                    let b = ctx
+                        .world
+                        .igather_rows(root, mine, &needed, Some((7, 3)), Cat::DenseComm)
+                        .wait();
+                    for got in [a, b] {
+                        let mut rows = Mat::zeros(0, 0);
+                        got.compact_into(&needed, &mut rows);
+                        assert_eq!(rows.shape(), (needed.len(), 3));
+                        seen.extend(rows.as_slice().iter().map(|x| x.to_bits()));
+                    }
+                }
+                seen
+            })
+    };
+    let shared = run(TransportKind::Shared);
+    let socket = run(TransportKind::Socket);
+    for (rank, ((a, arep), (b, brep))) in shared.iter().zip(socket.iter()).enumerate() {
+        assert_eq!(a, b, "{precision:?}: rank {rank} rows diverged");
+        assert_eq!(arep, brep, "{precision:?}: rank {rank} timeline diverged");
+        assert_eq!(arep.clock.to_bits(), brep.clock.to_bits());
+    }
+}
+
+#[test]
+fn served_rows_are_bit_identical_at_every_precision() {
+    for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+        assert_served_rows_bit_identical(precision);
+    }
+}
+
+/// A receiver that declared the wrong block dims is stopped by the
+/// runtime check even with `CheckMode` off, from the head of its part.
+#[test]
+#[should_panic(expected = "receiver-declared dims")]
+fn gather_rows_rejects_wrong_expected_dims_over_sockets() {
+    Cluster::new(2)
+        .with_transport(TransportKind::Socket)
+        .with_check(CheckMode::Off)
+        .run_wire(|ctx| {
+            let payload = (ctx.rank == 0).then(|| Arc::new(Mat::zeros(4, 3)));
+            let expect = Some(if ctx.rank == 0 { (4, 3) } else { (5, 3) });
+            ctx.world
+                .gather_rows(0, payload, &[1], expect, Cat::DenseComm);
+        });
+}
+
+/// A root serving a wrong-shaped panel is named by the fingerprints of
+/// the request round, before a row is served.
+#[test]
+fn gather_rows_root_shape_mismatch_is_caught_over_sockets() {
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        Cluster::new(4)
+            .with_transport(TransportKind::Socket)
+            .with_check(CheckMode::On)
+            .run_wire(|ctx| {
+                let payload = (ctx.rank == 1).then(|| Arc::new(Mat::zeros(5, 3)));
+                ctx.world
+                    .gather_rows(1, payload, &[0, 2], Some((6, 3)), Cat::DenseComm);
+            })
+    }))
+    .expect_err("a mis-shaped root panel must fail the checked run");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| "(non-string panic)".to_string());
+    assert!(msg.contains("collective fingerprint mismatch"), "{msg}");
+    assert!(
+        msg.contains("gather_rows") && msg.contains("rank 1"),
+        "{msg}"
+    );
 }

@@ -164,6 +164,24 @@ impl Mat {
         self.data.reserve_exact(len);
     }
 
+    /// Overwrite with `rows x cols` values taken from `values` in
+    /// row-major order, reusing the allocation — how a payload that
+    /// arrives as bytes is decoded into a kept buffer.
+    ///
+    /// # Panics
+    /// If `values` does not yield exactly `rows * cols` values.
+    pub fn assign(&mut self, rows: usize, cols: usize, values: impl Iterator<Item = f64>) {
+        self.clear_for(rows * cols);
+        self.data.extend(values);
+        assert_eq!(
+            self.data.len(),
+            rows * cols,
+            "assign: value count differs from the {rows}x{cols} shape"
+        );
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Overwrite with a copy of `src`, reusing the allocation.
     pub fn copy_from(&mut self, src: &Mat) {
         self.clear_for(src.data.len());
