@@ -11,17 +11,18 @@
 
 use std::fmt;
 
-/// The collective a rank is entering. One variant per public collective
-/// of the communicator, plus [`CollectiveKind::Split`].
+/// The collective a rank is entering. One variant per collective of the
+/// communicator — a blocking name and the split-phase form it waits on
+/// are one collective — plus [`CollectiveKind::Split`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// `barrier()`.
     Barrier,
-    /// `bcast(root, data, cat)`.
+    /// `ibcast_shared(root, data, cat)`, and `bcast` / `bcast_shared`.
     Bcast,
     /// `allgather(data, cat)`.
     Allgather,
-    /// `allreduce_mat(m, cat)`.
+    /// `iallreduce_mat(m, cat)`, and `allreduce_mat`.
     AllreduceMat,
     /// `allreduce_scalar(x, cat)`.
     AllreduceScalar,
@@ -35,26 +36,16 @@ pub enum CollectiveKind {
     Scatter,
     /// `sendrecv(partner, outgoing, cat)`.
     Sendrecv,
-    /// `gather_rows(root, data, needed, cat)` — the sparsity-aware
-    /// variable-sized row exchange.
+    /// `igather_rows(root, data, needed, expect, cat)`, and
+    /// `gather_rows` — the sparsity-aware variable-sized row exchange.
     GatherRows,
     /// `split(color)`.
     Split,
-    /// `ibcast(root, data, cat)` / `ibcast_shared(...)` — the
-    /// nonblocking broadcast (deposit at issue, payload at `wait()`).
-    IBcast,
-    /// `igather_rows(root, data, needed, cat)` — nonblocking
-    /// sparsity-aware row exchange.
-    IGatherRows,
-    /// `iallreduce_mat(m, cat)` — nonblocking matrix all-reduce.
-    IAllreduceMat,
-    /// `gather_rows_refresh(...)` — the cached-mode refresh-epoch
+    /// `igather_rows_refresh(...)` — the cached-mode refresh-epoch
     /// variant of [`CollectiveKind::GatherRows`]. A distinct kind so a
     /// rank serving stale cache while a peer refreshes is a fingerprint
     /// mismatch, not a silent divergence.
     GatherRowsRefresh,
-    /// `igather_rows_refresh(...)` — nonblocking cached-mode refresh.
-    IGatherRowsRefresh,
 }
 
 impl CollectiveKind {
@@ -73,11 +64,7 @@ impl CollectiveKind {
             CollectiveKind::Sendrecv => "sendrecv",
             CollectiveKind::GatherRows => "gather_rows",
             CollectiveKind::Split => "split",
-            CollectiveKind::IBcast => "ibcast",
-            CollectiveKind::IGatherRows => "igather_rows",
-            CollectiveKind::IAllreduceMat => "iallreduce_mat",
             CollectiveKind::GatherRowsRefresh => "gather_rows_refresh",
-            CollectiveKind::IGatherRowsRefresh => "igather_rows_refresh",
         }
     }
 }

@@ -1,21 +1,19 @@
 //! Collective-order analysis: the static counterpart of the runtime
 //! bit-identity tests.
 //!
-//! Every trainer in `crates/core/src/dist/` must issue the *same
-//! collectives in the same order* regardless of which sibling branch
-//! runs — `CommMode::Dense` vs `CommMode::SparsityAware` arms, and
-//! overlap-on (`Some(op) => op.wait()`) vs overlap-off (`None =>
-//! blocking collective`) arms. A divergent branch desynchronizes seq
-//! numbers across ranks and deadlocks (or silently breaks
-//! bit-identity).
+//! Code in `crates/core/src/dist/` must issue the *same collectives in
+//! the same order* regardless of which `CommMode` sibling arm runs — in
+//! practice the one stage-fetch dispatch, `Fetcher::fetch` in
+//! `dist/mod.rs`. A divergent branch desynchronizes seq numbers across
+//! ranks and deadlocks (or silently breaks bit-identity).
 //!
 //! Collective issue sites are extracted per function, *interprocedurally
 //! within the file*: calls to same-file functions and to `let`-bound
-//! closures (the trainers' stage-issue helpers) splice the callee's
-//! issue sequence at the call site. Issue kinds are normalized into
-//! equivalence classes so that the dense and sparse spellings of the
-//! same logical step compare equal (`bcast_shared` ≡ `igather_rows` ≡
-//! "fetch": both fetch the remote block for a stage).
+//! closures splice the callee's issue sequence at the call site. Issue
+//! kinds are normalized into equivalence classes so that the dense and
+//! sparse spellings of the same logical step compare equal
+//! (`ibcast_shared` ≡ `igather_rows` ≡ "fetch": both fetch the remote
+//! block for a stage).
 
 use std::collections::{HashMap, HashSet};
 
@@ -31,17 +29,15 @@ pub(super) struct Event {
 }
 
 /// Normalize a collective method name into its equivalence class.
-/// Dense/sparse and blocking/nonblocking spellings of the same logical
+/// Dense/sparse and blocking/split-phase spellings of the same logical
 /// step share a class.
 fn normalize(name: &str) -> Option<&'static str> {
     Some(match name {
         "bcast"
         | "bcast_shared"
-        | "ibcast"
         | "ibcast_shared"
         | "gather_rows"
         | "igather_rows"
-        | "gather_rows_refresh"
         | "igather_rows_refresh" => "fetch",
         "allreduce_mat" | "iallreduce_mat" => "allreduce_mat",
         "allgather" | "allgather_shared" => "allgather",
@@ -162,7 +158,7 @@ impl<'m, 's> Extractor<'m, 's> {
                         continue;
                     }
                     // A method call resolving to a same-file fn splices
-                    // its summary (e.g. `self.issue_fetch(…)`).
+                    // its summary (e.g. `self.serve_cached(…)`).
                     if let Some(fi) = self.resolve_fn(name) {
                         let events = self.fn_events(fi);
                         out.extend(events);
@@ -207,10 +203,6 @@ impl<'m, 's> Extractor<'m, 's> {
 }
 
 fn classes(seq: &[Event]) -> Vec<&'static str> {
-    seq.iter().map(|e| e.class).collect()
-}
-
-fn class_set(seq: &[Event]) -> HashSet<&'static str> {
     seq.iter().map(|e| e.class).collect()
 }
 
@@ -282,48 +274,6 @@ fn enum_like(m: &FileModel<'_>, pat: (usize, usize)) -> bool {
     false
 }
 
-/// Pattern is exactly the bare identifier `name`?
-fn is_bare(m: &FileModel<'_>, pat: (usize, usize), name: &str) -> bool {
-    pat.1 == pat.0 + 1 && m.code[pat.0].kind == TokKind::Ident && m.text(pat.0) == name
-}
-
-/// Pattern starts with `Some`?
-fn is_some_pat(m: &FileModel<'_>, pat: (usize, usize)) -> bool {
-    pat.1 > pat.0 && m.code[pat.0].kind == TokKind::Ident && m.text(pat.0) == "Some"
-}
-
-/// Classes issued inside closure arguments of `.then(` calls within the
-/// function that contains code token `at` — the overlap-gated prologue
-/// issues (`self.overlap.then(|| self.issue_fetch(…))`).
-fn then_gated_classes(ex: &mut Extractor<'_, '_>, at: usize) -> HashSet<&'static str> {
-    let m = ex.m;
-    let mut gated = HashSet::new();
-    let Some(fi) = m.enclosing_fn(at) else {
-        return gated;
-    };
-    let Some((open, close)) = m.functions[fi].body else {
-        return gated;
-    };
-    let mut i = open;
-    while i + 1 < close {
-        let is_then_call = m.code[i].kind == TokKind::Ident
-            && m.text(i) == "then"
-            && i > 0
-            && m.code[i - 1].is_punct(b'.')
-            && m.code[i + 1].is_punct(b'(');
-        if is_then_call {
-            if let Some(c) = m.matching_close(i + 1) {
-                let events = ex.walk(i + 2, c, Some(fi));
-                gated.extend(events.iter().map(|e| e.class));
-                i = c + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    gated
-}
-
 /// Run the collective-order analysis over one dist file.
 pub(super) fn run(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>) {
     if !flags.is_dist {
@@ -347,68 +297,13 @@ pub(super) fn run(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>) 
             .map(|a| ex.walk(a.body.0, a.body.1, scope))
             .collect();
 
-        // Rule B: overlap on/off — `Some(op) => … op.wait() …` vs
-        // `None => blocking collective`.
-        let some_none = ma.arms.len() == 2
-            && ((is_some_pat(m, ma.arms[0].pattern) && is_bare(m, ma.arms[1].pattern, "None"))
-                || (is_some_pat(m, ma.arms[1].pattern) && is_bare(m, ma.arms[0].pattern, "None")));
-        if some_none {
-            let (si, ni) = if is_some_pat(m, ma.arms[0].pattern) {
-                (0, 1)
-            } else {
-                (1, 0)
-            };
-            let some_waits = (ma.arms[si].body.0..ma.arms[si].body.1).any(|i| {
-                m.code[i].kind == TokKind::Ident
-                    && m.text(i) == "wait"
-                    && i > 0
-                    && m.code[i - 1].is_punct(b'.')
-            });
-            if !some_waits {
-                continue;
-            }
-            let some_set = class_set(&arm_events[si]);
-            let none_set = class_set(&arm_events[ni]);
-            if some_set.is_empty() && none_set.is_empty() {
-                continue;
-            }
-            let gated = then_gated_classes(&mut ex, ma.kw);
-            for &c in some_set.difference(&none_set) {
-                out.push(super::finding(
-                    m,
-                    flags,
-                    m.code[ma.kw].span,
-                    Rule::CollectiveOrder,
-                    format!(
-                        "overlap arm issues `{c}` but the blocking (None) arm does not — \
-                         branches desynchronize collective seq numbers"
-                    ),
-                ));
-            }
-            for &c in none_set.iter() {
-                if !some_set.contains(c) && !gated.contains(c) {
-                    out.push(super::finding(
-                        m,
-                        flags,
-                        m.code[ma.kw].span,
-                        Rule::CollectiveOrder,
-                        format!(
-                            "blocking (None) arm issues `{c}` with no nonblocking counterpart \
-                             in the overlap path"
-                        ),
-                    ));
-                }
-            }
-            continue;
-        }
-
-        // Rule A: enum-variant siblings (CommMode::Dense vs
-        // SparsityAware, Fetch::Dense vs Sparse, …) must issue identical
-        // normalized sequences.
+        // Enum-variant siblings (CommMode::Dense vs SparsityAware, …) must
+        // issue identical normalized sequences.
         //
         // A `CommMode::Cached` arm is special (DESIGN.md §13): its body
-        // is an `if cached_serving() { serve } else if training
-        // { refresh gather } else { exact gather }` chain. The serve
+        // is an `if cached_serving { serve } else if training
+        // { refresh gather } else { exact gather }` chain (the serve
+        // condition names `cached_serving`, a flag or a call). The serve
         // branch legitimately issues *nothing* — the whole point of the
         // tier is to skip the collective — so it is exempt from the
         // comparison but must stay collective-free; every other branch

@@ -37,16 +37,15 @@ pub(super) const CATEGORIZED_COLLECTIVES: [&str; 16] = [
     "gather",
     "scatter",
     "sendrecv",
-    "ibcast",
     "ibcast_shared",
     "igather_rows",
+    "igather_rows_refresh",
     "iallreduce_mat",
 ];
 
-/// Nonblocking collective issue sites — each returns a `PendingOp` that
+/// Split-phase collective issue sites — each returns a `PendingOp` that
 /// must be `.wait(`ed on every control-flow path.
-pub(super) const PENDING_ISSUERS: [&str; 5] = [
-    "ibcast",
+pub(super) const PENDING_ISSUERS: [&str; 4] = [
     "ibcast_shared",
     "igather_rows",
     "igather_rows_refresh",

@@ -426,39 +426,23 @@ impl Communicator {
         self.precision.set(precision);
     }
 
-    /// The active compression, if any, for a collective carrying `T`
-    /// metered under `cat`: packing engages exactly when the handle's
-    /// precision is narrow, the payload is a [`Mat`], the traffic is
-    /// dense-matrix communication ([`Cat::DenseComm`] — weights and
-    /// control payloads under other categories stay exact), and the
-    /// group actually crosses the wire (`size > 1`). Decidable on every
-    /// rank without payload inspection, so all members take the same
-    /// branch.
-    fn packed_precision<T: Any>(&self, cat: Cat) -> Option<Precision> {
+    /// How a collective carrying `T` metered under `cat` crosses: packing
+    /// engages exactly when the handle's precision is narrow, the payload
+    /// is a [`Mat`], the traffic is dense-matrix communication
+    /// ([`Cat::DenseComm`] — weights and control payloads under other
+    /// categories stay exact), and the group actually crosses the wire
+    /// (`size > 1`). Decidable on every rank without payload inspection,
+    /// so all members take the same branch.
+    fn carry<T: Any>(&self, cat: Cat) -> Carry {
         let p = self.precision.get();
-        (p != Precision::F64
+        if p != Precision::F64
             && cat == Cat::DenseComm
             && self.size() > 1
-            && std::any::TypeId::of::<T>() == std::any::TypeId::of::<Mat>())
-        .then_some(p)
-    }
-
-    /// `Arc<T> -> Arc<Mat>` when [`Communicator::packed_precision`] has
-    /// already proven `T == Mat` via `TypeId`.
-    fn arc_as_mat<T: Any + Send + Sync>(data: Arc<T>) -> Arc<Mat> {
-        let any: Arc<dyn Any + Send + Sync> = data;
-        match any.downcast::<Mat>() {
-            Ok(m) => m,
-            Err(_) => unreachable!("packed dispatch proved T == Mat by TypeId"),
-        }
-    }
-
-    /// The inverse coercion of [`Communicator::arc_as_mat`].
-    fn arc_from_mat<T: Any + Send + Sync>(mat: Arc<Mat>) -> Arc<T> {
-        let any: Arc<dyn Any + Send + Sync> = mat;
-        match any.downcast::<T>() {
-            Ok(t) => t,
-            Err(_) => unreachable!("packed dispatch proved T == Mat by TypeId"),
+            && std::any::TypeId::of::<T>() == std::any::TypeId::of::<Mat>()
+        {
+            Carry::Packed(p)
+        } else {
+            Carry::Exact
         }
     }
 
@@ -531,10 +515,11 @@ impl Communicator {
         }
     }
 
-    /// Core rendezvous: deposit `payload` (with this rank's collective
-    /// fingerprint when checking), wait for all members, verify that
-    /// everyone entered the same collective, and return all deposits (in
-    /// member order) plus the maximum entry clock.
+    /// Blocking rendezvous, for the collectives with no split-phase form
+    /// and a row gather's request round: deposit `payload` (with this rank's collective fingerprint when
+    /// checking), wait for all members, verify that everyone entered the
+    /// same collective, and return all deposits (in member order) plus
+    /// the maximum entry clock.
     ///
     /// Fingerprints ride along with the payload deposits, so checked mode
     /// adds no synchronization and charges no modeled cost — timelines
@@ -706,9 +691,10 @@ impl Communicator {
         p.extract()
     }
 
-    /// Settle a blocking collective: align the clock to the group max
-    /// (and the network lane), then charge `cost` seconds and `words`
-    /// bandwidth-term words under `cat`, next to the bytes that arrived.
+    /// Settle a collective with no split-phase form: align the clock to
+    /// the group max (and the network lane), then charge `cost` seconds
+    /// and `words` bandwidth-term words under `cat`, next to the bytes
+    /// that arrived.
     fn settle(&self, at: Arrival, cat: Cat, cost: f64, words: u64) {
         let mut m = self.meter.borrow_mut();
         m.timeline.settle_blocking(at.tmax, cat, cost);
@@ -718,10 +704,10 @@ impl Communicator {
         m.timeline.record_rx(cat, at.rx_bytes);
     }
 
-    /// Settle a nonblocking collective at `wait()`: network-lane charging
+    /// Settle a split-phase collective at `wait()`: network-lane charging
     /// (only the remainder not hidden behind compute advances the clock)
-    /// plus the same traffic bookkeeping as the blocking collectives, so
-    /// word and message counts are identical with overlap on and off.
+    /// plus the same traffic bookkeeping as [`Communicator::settle`], so
+    /// word and message counts do not depend on when the op is waited.
     fn settle_overlapped(&self, at: Arrival, cat: Cat, cost: f64, words: u64) {
         let mut m = self.meter.borrow_mut();
         m.timeline.settle_pending(at.tmax, cat, cost);
@@ -739,99 +725,94 @@ impl Communicator {
         self.settle(at, Cat::Misc, cost, 0);
     }
 
-    /// Broadcast from member `root_idx`. The root passes `Some(data)`;
-    /// everyone receives the root's payload.
-    ///
-    /// Charged `α + β·w` (pipelined) or `α·lg p + β·w` per the model.
+    /// Broadcast from member `root_idx`: [`Communicator::ibcast_shared`],
+    /// waited on at once. The root passes `Some(data)`; everyone receives
+    /// the root's payload.
     pub fn bcast<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         root_idx: usize,
         data: Option<T>,
         cat: Cat,
     ) -> Arc<T> {
-        self.bcast_shared(root_idx, data.map(Arc::new), cat)
+        self.ibcast_shared(root_idx, data.map(Arc::new), cat).wait()
     }
 
-    /// Broadcast an already-shared payload: like [`Communicator::bcast`],
-    /// but the root hands over an `Arc` instead of an owned value, so a
-    /// block a trainer keeps resident (its own `H` slice) rides into the
-    /// rendezvous without being copied. Fingerprinting and charging are
-    /// identical to `bcast`.
+    /// [`Communicator::bcast`] of an already-shared payload, so a block a
+    /// trainer keeps resident rides into the rendezvous without a copy.
     pub fn bcast_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         root_idx: usize,
         data: Option<Arc<T>>,
         cat: Cat,
     ) -> Arc<T> {
+        self.ibcast_shared(root_idx, data, cat).wait()
+    }
+
+    /// Broadcast from member `root_idx`, split-phase: the root's deposit
+    /// happens now, and the payload plus the α–β charge — `α + β·w`
+    /// (pipelined) or `α·lg p + β·w` per the model — arrive at
+    /// [`PendingOp::wait`]. The root hands over an `Arc`, so a block a
+    /// trainer keeps resident (its own `H` slice) rides into the
+    /// rendezvous without being copied. The cost lands on the network
+    /// lane, so compute charged between issue and wait hides it (see
+    /// DESIGN.md §10).
+    ///
+    /// Under a narrow wire precision (a [`Mat`] under
+    /// [`Cat::DenseComm`]), the root rounds its matrix once and **every**
+    /// rank — the root included — widens the packed payload back to
+    /// `f64`, so all members hold bit-identical replicas. It is metered
+    /// under the precision's own category with the packed word count, so
+    /// the β term halves (f32) or quarters (bf16).
+    pub fn ibcast_shared<T: Any + Send + Sync + CommWords + Wire>(
+        &self,
+        root_idx: usize,
+        data: Option<Arc<T>>,
+        cat: Cat,
+    ) -> PendingOp<'_, Arc<T>> {
         assert!(root_idx < self.size(), "bcast root out of range");
         assert_eq!(
             data.is_some(),
             root_idx == self.my_idx,
             "bcast: exactly the root must supply data"
         );
-        if let Some(prec) = self.packed_precision::<T>(cat) {
-            let mat = data.map(Self::arc_as_mat);
-            return Self::arc_from_mat(self.bcast_packed(root_idx, mat, prec));
+        if self.size() == 1 {
+            let Some(d) = data else {
+                unreachable!("single-rank bcast root missing its own data")
+            };
+            return PendingOp::ready(self, CollectiveKind::Bcast, cat, d);
         }
+        let carry = self.carry::<T>(cat);
         // The root declares the payload size; everyone else cannot know
         // it yet and declares a wildcard shape.
-        let shape = match &data {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
+        let (payload, shape) = match data {
+            Some(d) => {
+                let (payload, words) = carry.tx(d);
+                (payload, Shape::Words(words))
+            }
+            None => (TxPayload::unit(), Shape::Unknown),
         };
         let fp = self.fingerprint(
             CollectiveKind::Bcast,
             Some(root_idx),
             None,
-            std::any::type_name::<T>(),
+            carry.dtype::<T>(),
             shape,
         );
-        let payload = match data {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let (items, at) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
-        let out = Self::downcast::<T>(items[root_idx].clone());
-        let words = out.comm_words();
-        let cost = self.model().bcast_time(self.size(), words);
-        self.settle(at, cat, cost, if self.size() > 1 { words } else { 0 });
-        out
-    }
-
-    /// Compressed-precision broadcast: the root rounds its matrix to the
-    /// wire precision once, and **every** rank — the root included —
-    /// widens the packed payload back to `f64`, so all members hold
-    /// bit-identical replicas (the replication invariant every dense
-    /// collective keeps). Metered under the precision's own category
-    /// with the packed word count, so the β term halves (f32) or
-    /// quarters (bf16).
-    fn bcast_packed(&self, root_idx: usize, data: Option<Arc<Mat>>, prec: Precision) -> Arc<Mat> {
-        let packed = data.map(|m| Arc::new(PackedMat::pack(&m, prec)));
-        let shape = match &packed {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
+        let seq = self.issue_raw(CollectiveKind::Bcast, fp, payload);
+        PendingOp::in_flight(
+            self,
             CollectiveKind::Bcast,
-            Some(root_idx),
-            None,
-            prec.packed_dtype(),
-            shape,
-        );
-        let payload = match packed {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let (items, at) = self.exchange_raw(CollectiveKind::Bcast, fp, payload);
-        let packed = Self::downcast::<PackedMat>(items[root_idx].clone());
-        let out = Arc::new(packed.widen());
-        let words = packed.comm_words();
-        let cost = self.model().bcast_time(self.size(), words);
-        self.settle(at, prec.dense_cat(), cost, words);
-        out
+            carry.cat(cat),
+            seq,
+            0,
+            Box::new(move |comm, mut items| {
+                let (out, words) = carry.rx::<T>(items.swap_remove(root_idx));
+                (out, comm.model().bcast_time(comm.size(), words), words)
+            }),
+        )
     }
 
-    /// Sparsity-aware row broadcast: member `root_idx` holds a dense row
+    /// Sparsity-aware row broadcast, split-phase: member `root_idx` holds a dense row
     /// block, and every other member receives **only** the rows named in
     /// its `needed` list (sorted, distinct row indices into the root's
     /// block), as a compact `k × f` [`GatheredRows`] in request order —
@@ -845,7 +826,10 @@ impl Communicator {
     /// root; in the second, the root deposits one payload holding, per
     /// receiver, only that receiver's rows — over sockets each receiver
     /// is sent its own part and nothing else, so the bytes that cross
-    /// are the words metered below (DESIGN.md §9).
+    /// are the words metered below (DESIGN.md §9). Issuing runs the
+    /// request round — a small rendezvous, so issuing waits for the
+    /// group — and deposits the served rows; dim validation, cost and
+    /// word accounting happen at [`PendingOp::wait`].
     ///
     /// `expect` is each receiver's declaration of the root block's
     /// dimensions, cross-checked against the root's deposit both at
@@ -865,15 +849,15 @@ impl Communicator {
     /// `w` — on low-degree graphs `k ≪ rows` and this wins by a large
     /// factor; on near-complete graphs the `+1` index words and the
     /// serialized serving term make dense mode cheaper.
-    pub fn gather_rows(
+    pub fn igather_rows(
         &self,
         root_idx: usize,
         data: Option<Arc<Mat>>,
         needed: &[usize],
         expect: Option<(usize, usize)>,
         cat: Cat,
-    ) -> GatheredRows {
-        self.gather_rows_kind(
+    ) -> PendingOp<'_, GatheredRows> {
+        self.igather_rows_kind(
             CollectiveKind::GatherRows,
             root_idx,
             data,
@@ -883,12 +867,8 @@ impl Communicator {
         )
     }
 
-    /// Cached-mode refresh epoch variant of [`Communicator::gather_rows`]:
-    /// identical exchange, costs, and words, but fingerprinted as
-    /// `gather_rows_refresh` so — under CheckMode — a rank serving its
-    /// stale cache while a peer refreshes is reported as a kind mismatch
-    /// instead of hanging or silently diverging (DESIGN.md §13).
-    pub fn gather_rows_refresh(
+    /// [`Communicator::igather_rows`], waited on at once.
+    pub fn gather_rows(
         &self,
         root_idx: usize,
         data: Option<Arc<Mat>>,
@@ -896,7 +876,25 @@ impl Communicator {
         expect: Option<(usize, usize)>,
         cat: Cat,
     ) -> GatheredRows {
-        self.gather_rows_kind(
+        self.igather_rows(root_idx, data, needed, expect, cat)
+            .wait()
+    }
+
+    /// Cached-mode refresh epoch variant of
+    /// [`Communicator::igather_rows`]: identical exchange, costs, and
+    /// words, but fingerprinted as `gather_rows_refresh` so — under
+    /// CheckMode — a rank serving its stale cache while a peer refreshes
+    /// is reported as a kind mismatch instead of hanging or silently
+    /// diverging (DESIGN.md §13).
+    pub fn igather_rows_refresh(
+        &self,
+        root_idx: usize,
+        data: Option<Arc<Mat>>,
+        needed: &[usize],
+        expect: Option<(usize, usize)>,
+        cat: Cat,
+    ) -> PendingOp<'_, GatheredRows> {
+        self.igather_rows_kind(
             CollectiveKind::GatherRowsRefresh,
             root_idx,
             data,
@@ -906,32 +904,12 @@ impl Communicator {
         )
     }
 
-    fn gather_rows_kind(
-        &self,
-        kind: CollectiveKind,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        cat: Cat,
-    ) -> GatheredRows {
-        let g = match self.issue_gather(kind, root_idx, data, needed, expect, cat) {
-            GatherIssue::Ready(single) => return single,
-            GatherIssue::Served(g) => g,
-        };
-        let (items, mut at) = self.complete_raw(kind, g.seq);
-        at.rx_bytes += g.rx_bytes;
-        let (out, cost, words) = self.finish_gather(kind, g.end, g.prec, items);
-        self.settle(at, g.cat, cost, words);
-        out
-    }
-
     /// Issue a row gather: check the request, run round one — each
     /// receiver's rows reach the root, nothing is charged — and deposit
     /// round two at the same entry clock, the root serving every
     /// receiver its rows and the receivers a unit. At `P = 1` the root
     /// has its block and nothing moves.
-    fn issue_gather(
+    fn igather_rows_kind(
         &self,
         kind: CollectiveKind,
         root_idx: usize,
@@ -939,7 +917,7 @@ impl Communicator {
         needed: &[usize],
         expect: Option<(usize, usize)>,
         cat: Cat,
-    ) -> GatherIssue {
+    ) -> PendingOp<'_, GatheredRows> {
         assert!(root_idx < self.size(), "{kind} root out of range");
         assert_eq!(
             data.is_some(),
@@ -956,15 +934,15 @@ impl Communicator {
             let Some(block) = data else {
                 unreachable!("single-rank {kind} root missing its own data")
             };
-            return GatherIssue::Ready(GatheredRows::full(block));
+            return PendingOp::ready(self, kind, cat, GatheredRows::full(block));
         }
-        let prec = self.packed_precision::<Mat>(cat);
-        let dtype = prec.map_or(std::any::type_name::<Mat>(), Precision::packed_dtype);
+        let carry = self.carry::<Mat>(cat);
+        let prec = carry.precision();
         let fp = self.fingerprint(
             kind,
             Some(root_idx),
             None,
-            dtype,
+            carry.dtype::<Mat>(),
             Self::gather_rows_shape(&data, expect),
         );
         let rows = Arc::new(needed.to_vec());
@@ -1006,13 +984,15 @@ impl Communicator {
                 },
             ),
         };
-        GatherIssue::Served(ServedGather {
-            seq: self.issue_raw(kind, fp, payload),
-            rx_bytes: round_one.rx_bytes,
-            cat: prec.map_or(cat, Precision::dense_cat),
-            prec,
-            end,
-        })
+        let seq = self.issue_raw(kind, fp, payload);
+        PendingOp::in_flight(
+            self,
+            kind,
+            carry.cat(cat),
+            seq,
+            round_one.rx_bytes,
+            Box::new(move |comm, items| comm.finish_gather(kind, end, prec, items)),
+        )
     }
 
     /// The root's view of round one: each receiver's request, checked
@@ -1098,187 +1078,6 @@ impl Communicator {
         }
     }
 
-    /// Nonblocking [`Communicator::bcast`]: the rendezvous deposit
-    /// happens now (so CheckMode fingerprints, sequence alignment, and
-    /// determinism are unchanged) and the payload plus α–β charge arrive
-    /// at [`PendingOp::wait`]. Fingerprinted as `ibcast`, so every rank
-    /// must agree on blocking vs. nonblocking at each call site.
-    pub fn ibcast<T: Any + Send + Sync + CommWords + Wire>(
-        &self,
-        root_idx: usize,
-        data: Option<T>,
-        cat: Cat,
-    ) -> PendingOp<'_, Arc<T>> {
-        self.ibcast_shared(root_idx, data.map(Arc::new), cat)
-    }
-
-    /// Nonblocking [`Communicator::bcast_shared`]: issue now, receive at
-    /// [`PendingOp::wait`]. Identical results, words, and messages to the
-    /// blocking form; the cost lands on the network lane, so compute
-    /// charged between issue and wait hides it (see DESIGN.md §10).
-    pub fn ibcast_shared<T: Any + Send + Sync + CommWords + Wire>(
-        &self,
-        root_idx: usize,
-        data: Option<Arc<T>>,
-        cat: Cat,
-    ) -> PendingOp<'_, Arc<T>> {
-        assert!(root_idx < self.size(), "ibcast root out of range");
-        assert_eq!(
-            data.is_some(),
-            root_idx == self.my_idx,
-            "ibcast: exactly the root must supply data"
-        );
-        if self.size() == 1 {
-            let Some(d) = data else {
-                unreachable!("single-rank ibcast root missing its own data")
-            };
-            return PendingOp::ready(self, CollectiveKind::IBcast, cat, d);
-        }
-        if let Some(prec) = self.packed_precision::<T>(cat) {
-            return self.ibcast_packed(root_idx, data.map(Self::arc_as_mat), prec);
-        }
-        let shape = match &data {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
-            CollectiveKind::IBcast,
-            Some(root_idx),
-            None,
-            std::any::type_name::<T>(),
-            shape,
-        );
-        let payload = match data {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let seq = self.issue_raw(CollectiveKind::IBcast, fp, payload);
-        PendingOp::in_flight(
-            self,
-            CollectiveKind::IBcast,
-            cat,
-            seq,
-            0,
-            Box::new(move |comm, items| {
-                let out = Communicator::downcast::<T>(items[root_idx].clone());
-                let words = out.comm_words();
-                let cost = comm.model().bcast_time(comm.size(), words);
-                (out, cost, words)
-            }),
-        )
-    }
-
-    /// Compressed-precision [`Communicator::ibcast_shared`]: the root
-    /// packs at issue, every rank (root included) widens at `wait()` —
-    /// identical rounding to the blocking [`Communicator::bcast_packed`]
-    /// — and the packed word count settles under the precision's
-    /// category on the network lane.
-    fn ibcast_packed<T: Any + Send + Sync>(
-        &self,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        prec: Precision,
-    ) -> PendingOp<'_, Arc<T>> {
-        let packed = data.map(|m| Arc::new(PackedMat::pack(&m, prec)));
-        let shape = match &packed {
-            Some(d) => Shape::Words(d.comm_words()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
-            CollectiveKind::IBcast,
-            Some(root_idx),
-            None,
-            prec.packed_dtype(),
-            shape,
-        );
-        let payload = match packed {
-            Some(d) => TxPayload::of(d),
-            None => TxPayload::unit(),
-        };
-        let seq = self.issue_raw(CollectiveKind::IBcast, fp, payload);
-        PendingOp::in_flight(
-            self,
-            CollectiveKind::IBcast,
-            prec.dense_cat(),
-            seq,
-            0,
-            Box::new(move |comm, items| {
-                let packed = Communicator::downcast::<PackedMat>(items[root_idx].clone());
-                let out = Communicator::arc_from_mat::<T>(Arc::new(packed.widen()));
-                let words = packed.comm_words();
-                let cost = comm.model().bcast_time(comm.size(), words);
-                (out, cost, words)
-            }),
-        )
-    }
-
-    /// Nonblocking [`Communicator::gather_rows`]: the request round runs
-    /// at issue — a small rendezvous, so issuing waits for the group —
-    /// and the served rows are deposited then too; dim validation, cost,
-    /// and word accounting (identical to the blocking form, DESIGN.md
-    /// §9) happen at [`PendingOp::wait`].
-    pub fn igather_rows(
-        &self,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        cat: Cat,
-    ) -> PendingOp<'_, GatheredRows> {
-        self.igather_rows_kind(
-            CollectiveKind::IGatherRows,
-            root_idx,
-            data,
-            needed,
-            expect,
-            cat,
-        )
-    }
-
-    /// Cached-mode refresh epoch variant of
-    /// [`Communicator::igather_rows`]: identical exchange, costs, and
-    /// words, fingerprinted as `igather_rows_refresh` (see
-    /// [`Communicator::gather_rows_refresh`]).
-    pub fn igather_rows_refresh(
-        &self,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        cat: Cat,
-    ) -> PendingOp<'_, GatheredRows> {
-        self.igather_rows_kind(
-            CollectiveKind::IGatherRowsRefresh,
-            root_idx,
-            data,
-            needed,
-            expect,
-            cat,
-        )
-    }
-
-    fn igather_rows_kind(
-        &self,
-        kind: CollectiveKind,
-        root_idx: usize,
-        data: Option<Arc<Mat>>,
-        needed: &[usize],
-        expect: Option<(usize, usize)>,
-        cat: Cat,
-    ) -> PendingOp<'_, GatheredRows> {
-        match self.issue_gather(kind, root_idx, data, needed, expect, cat) {
-            GatherIssue::Ready(single) => PendingOp::ready(self, kind, cat, single),
-            GatherIssue::Served(g) => PendingOp::in_flight(
-                self,
-                kind,
-                g.cat,
-                g.seq,
-                g.rx_bytes,
-                Box::new(move |comm, items| comm.finish_gather(kind, g.end, g.prec, items)),
-            ),
-        }
-    }
-
     /// Meter a cache-served stage operand: record the words the skipped
     /// gather would have moved (plus one message) under [`Cat::CacheHit`].
     /// Purely bookkeeping — no rendezvous, no clock movement, and no
@@ -1291,92 +1090,51 @@ impl Communicator {
             .record_traffic(Cat::CacheHit, words);
     }
 
-    /// Nonblocking [`Communicator::allreduce_mat`]: deposit now, sum (in
-    /// member order, deterministic) and charge at [`PendingOp::wait`].
+    /// All-reduce (sum) of equally-shaped matrices, split-phase: deposit
+    /// now, sum and charge at [`PendingOp::wait`]. Every rank returns the
+    /// same sum, accumulated in member order (deterministic).
+    ///
+    /// Under a narrow wire precision (and `cat == DenseComm`), each
+    /// contribution is rounded once by its sender and widened back to
+    /// `f64` by every receiver; the sum itself is always accumulated in
+    /// `f64` member order, so all ranks still return identical bits.
     pub fn iallreduce_mat(&self, m: &Mat, cat: Cat) -> PendingOp<'_, Mat> {
         if self.size() == 1 {
-            return PendingOp::ready(self, CollectiveKind::IAllreduceMat, cat, m.clone());
+            return PendingOp::ready(self, CollectiveKind::AllreduceMat, cat, m.clone());
         }
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            return self.iallreduce_mat_packed(m, prec);
-        }
+        let carry = self.carry::<Mat>(cat);
+        let (payload, w) = carry.tx(Arc::new(m.clone()));
         let fp = self.fingerprint(
-            CollectiveKind::IAllreduceMat,
+            CollectiveKind::AllreduceMat,
             None,
             None,
-            std::any::type_name::<Mat>(),
+            carry.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let seq = self.issue_raw(
-            CollectiveKind::IAllreduceMat,
-            fp,
-            TxPayload::of(Arc::new(m.clone())),
-        );
+        let seq = self.issue_raw(CollectiveKind::AllreduceMat, fp, payload);
         PendingOp::in_flight(
             self,
-            CollectiveKind::IAllreduceMat,
-            cat,
+            CollectiveKind::AllreduceMat,
+            carry.cat(cat),
             seq,
             0,
             Box::new(move |comm, items| {
-                let mut acc: Option<Mat> = None;
-                for p in items {
-                    let part = Communicator::downcast::<Mat>(p);
-                    match &mut acc {
-                        None => acc = Some((*part).clone()),
-                        Some(a) => cagnet_dense::ops::add_assign(a, &part),
-                    }
-                }
-                let Some(out) = acc else {
-                    unreachable!("iallreduce over an empty communicator")
+                let mut parts = items.into_iter().map(|p| carry.rx::<Mat>(p).0);
+                let Some(first) = parts.next() else {
+                    unreachable!("allreduce over an empty communicator")
                 };
+                let mut out = Arc::unwrap_or_clone(first);
+                parts.for_each(|part| cagnet_dense::ops::add_assign(&mut out, &part));
                 let p = comm.size();
-                let w = out.len() as u64;
                 let cost = comm.model().allreduce_time(p, w);
-                let words = 2 * w * (p as u64 - 1) / p as u64;
-                (out, cost, words)
+                (out, cost, 2 * w * (p as u64 - 1) / p as u64)
             }),
         )
     }
 
-    /// Compressed-precision [`Communicator::iallreduce_mat`]: pack at
-    /// issue, widen-and-sum in `f64` member order at `wait()` — the same
-    /// rounding as the blocking form.
-    fn iallreduce_mat_packed(&self, m: &Mat, prec: Precision) -> PendingOp<'_, Mat> {
-        let packed = Arc::new(PackedMat::pack(m, prec));
-        let w = packed.comm_words();
-        let fp = self.fingerprint(
-            CollectiveKind::IAllreduceMat,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let seq = self.issue_raw(CollectiveKind::IAllreduceMat, fp, TxPayload::of(packed));
-        PendingOp::in_flight(
-            self,
-            CollectiveKind::IAllreduceMat,
-            prec.dense_cat(),
-            seq,
-            0,
-            Box::new(move |comm, items| {
-                let mut acc: Option<Mat> = None;
-                for p in items {
-                    let part = Communicator::downcast::<PackedMat>(p).widen();
-                    match &mut acc {
-                        None => acc = Some(part),
-                        Some(a) => cagnet_dense::ops::add_assign(a, &part),
-                    }
-                }
-                let Some(out) = acc else {
-                    unreachable!("iallreduce over an empty communicator")
-                };
-                let p = comm.size();
-                let cost = comm.model().allreduce_time(p, w);
-                let words = 2 * w * (p as u64 - 1) / p as u64;
-                (out, cost, words)
-            }),
-        )
+    /// [`Communicator::iallreduce_mat`], waited on at once.
+    pub fn allreduce_mat(&self, m: &Mat, cat: Cat) -> Mat {
+        self.iallreduce_mat(m, cat).wait()
     }
 
     /// All-gather: every member contributes `data`; returns all
@@ -1394,142 +1152,38 @@ impl Communicator {
     /// instead of an owned value, so a block a trainer keeps resident
     /// (its activation slice, its output row block) rides into the
     /// rendezvous without being copied. Fingerprinting and charging are
-    /// identical to `allgather`.
+    /// identical to `allgather`. Under a narrow wire precision every
+    /// member packs its own contribution and widens **all** of them — its
+    /// own included — so the gathered vector is replicated bit-identically
+    /// across ranks.
     pub fn allgather_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         data: Arc<T>,
         cat: Cat,
     ) -> Vec<Arc<T>> {
-        if let Some(prec) = self.packed_precision::<T>(cat) {
-            return self
-                .allgather_packed(Self::arc_as_mat(data), prec)
-                .into_iter()
-                .map(Self::arc_from_mat)
-                .collect();
-        }
+        let carry = self.carry::<T>(cat);
+        let (payload, _) = carry.tx(data);
         // Contribution sizes are legitimately rank-dependent: wildcard.
         let fp = self.fingerprint(
             CollectiveKind::Allgather,
             None,
             None,
-            std::any::type_name::<T>(),
+            carry.dtype::<T>(),
             Shape::Unknown,
         );
-        let (items, at) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(data));
-        let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
+        let (items, at) = self.exchange_raw(CollectiveKind::Allgather, fp, payload);
+        let mut total = 0;
+        let out: Vec<Arc<T>> = items
+            .into_iter()
+            .map(|item| {
+                let (part, words) = carry.rx::<T>(item);
+                total += words;
+                part
+            })
+            .collect();
         let p = self.size();
-        let total: u64 = out.iter().map(|x| x.comm_words()).sum();
         let cost = self.model().allgather_time(p, total);
-        let words = if p > 1 {
-            total * (p as u64 - 1) / p as u64
-        } else {
-            0
-        };
-        self.settle(at, cat, cost, words);
-        out
-    }
-
-    /// Compressed-precision all-gather: every member packs its own
-    /// contribution, and every member widens **all** contributions —
-    /// its own included — so the gathered vector is replicated
-    /// bit-identically across ranks.
-    fn allgather_packed(&self, data: Arc<Mat>, prec: Precision) -> Vec<Arc<Mat>> {
-        let packed = Arc::new(PackedMat::pack(&data, prec));
-        let fp = self.fingerprint(
-            CollectiveKind::Allgather,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Unknown,
-        );
-        let (items, at) = self.exchange_raw(CollectiveKind::Allgather, fp, TxPayload::of(packed));
-        let parts: Vec<Arc<PackedMat>> =
-            items.into_iter().map(Self::downcast::<PackedMat>).collect();
-        let p = self.size();
-        let total: u64 = parts.iter().map(|x| x.comm_words()).sum();
-        let out: Vec<Arc<Mat>> = parts.iter().map(|x| Arc::new(x.widen())).collect();
-        let cost = self.model().allgather_time(p, total);
-        let words = total * (p as u64 - 1) / p as u64;
-        self.settle(at, prec.dense_cat(), cost, words);
-        out
-    }
-
-    /// All-reduce (sum) of equally-shaped matrices; every rank returns the
-    /// same sum, accumulated in member order (deterministic).
-    ///
-    /// Under a narrow wire precision (and `cat == DenseComm`), each
-    /// contribution is rounded once by its sender and widened back to
-    /// `f64` by every receiver; the sum itself is always accumulated in
-    /// `f64` member order, so all ranks still return identical bits.
-    pub fn allreduce_mat(&self, m: &Mat, cat: Cat) -> Mat {
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            return self.allreduce_mat_packed(m, prec);
-        }
-        let fp = self.fingerprint(
-            CollectiveKind::AllreduceMat,
-            None,
-            None,
-            std::any::type_name::<Mat>(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let (items, at) = self.exchange_raw(
-            CollectiveKind::AllreduceMat,
-            fp,
-            TxPayload::of(Arc::new(m.clone())),
-        );
-        let mut acc: Option<Mat> = None;
-        for p in items {
-            let part = Self::downcast::<Mat>(p);
-            match &mut acc {
-                None => acc = Some((*part).clone()),
-                Some(a) => cagnet_dense::ops::add_assign(a, &part),
-            }
-        }
-        let Some(out) = acc else {
-            unreachable!("allreduce over an empty communicator")
-        };
-        let p = self.size();
-        let w = out.len() as u64;
-        let cost = self.model().allreduce_time(p, w);
-        let words = if p > 1 {
-            2 * w * (p as u64 - 1) / p as u64
-        } else {
-            0
-        };
-        self.settle(at, cat, cost, words);
-        out
-    }
-
-    /// Compressed-precision [`Communicator::allreduce_mat`]: narrow on
-    /// the wire, `f64` accumulation on receipt, every rank sums the
-    /// identical widened parts in member order.
-    fn allreduce_mat_packed(&self, m: &Mat, prec: Precision) -> Mat {
-        let packed = Arc::new(PackedMat::pack(m, prec));
-        let w = packed.comm_words();
-        let fp = self.fingerprint(
-            CollectiveKind::AllreduceMat,
-            None,
-            None,
-            prec.packed_dtype(),
-            Shape::Dims(m.rows(), m.cols()),
-        );
-        let (items, at) =
-            self.exchange_raw(CollectiveKind::AllreduceMat, fp, TxPayload::of(packed));
-        let mut acc: Option<Mat> = None;
-        for p in items {
-            let part = Self::downcast::<PackedMat>(p).widen();
-            match &mut acc {
-                None => acc = Some(part),
-                Some(a) => cagnet_dense::ops::add_assign(a, &part),
-            }
-        }
-        let Some(out) = acc else {
-            unreachable!("allreduce over an empty communicator")
-        };
-        let p = self.size();
-        let cost = self.model().allreduce_time(p, w);
-        let words = 2 * w * (p as u64 - 1) / p as u64;
-        self.settle(at, prec.dense_cat(), cost, words);
+        self.settle(at, carry.cat(cat), cost, total * (p as u64 - 1) / p as u64);
         out
     }
 
@@ -1576,53 +1230,26 @@ impl Communicator {
                 }
             }
         };
-        if let Some(prec) = self.packed_precision::<Mat>(cat) {
-            // Each contribution is rounded once by its sender; every rank
-            // widens all parts and sums its own block rows in `f64`, so a
-            // later all-gather of the blocks reassembles a
-            // replica-consistent matrix.
-            let packed = Arc::new(PackedMat::pack(&m, prec));
-            let w = packed.comm_words();
-            let fp = self.fingerprint(
-                CollectiveKind::ReduceScatterRows,
-                None,
-                None,
-                prec.packed_dtype(),
-                Shape::Dims(m.rows(), m.cols()),
-            );
-            let (items, at) =
-                self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, TxPayload::of(packed));
-            for item in items {
-                fold(&Self::downcast::<PackedMat>(item).widen());
-            }
-            let cost = self.model().reduce_scatter_time(p, w);
-            let words = w * (p as u64 - 1) / p as u64;
-            self.settle(at, prec.dense_cat(), cost, words);
-            return;
-        }
+        // Under a narrow wire precision each contribution is rounded
+        // once by its sender; every rank widens all parts and sums its own
+        // block rows in `f64`, so a later all-gather of the blocks
+        // reassembles a replica-consistent matrix.
+        let carry = self.carry::<Mat>(cat);
         let fp = self.fingerprint(
             CollectiveKind::ReduceScatterRows,
             None,
             None,
-            std::any::type_name::<Mat>(),
+            carry.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let (items, at) = self.exchange_raw(
-            CollectiveKind::ReduceScatterRows,
-            fp,
-            TxPayload::of(m.clone()),
-        );
+        let (payload, w) = carry.tx(m.clone());
+        let (items, at) = self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, payload);
         for item in items {
-            fold(&Self::downcast::<Mat>(item));
+            let (part, _) = carry.rx::<Mat>(item);
+            fold(&part);
         }
-        let w = m.len() as u64;
         let cost = self.model().reduce_scatter_time(p, w);
-        let words = if p > 1 {
-            w * (p as u64 - 1) / p as u64
-        } else {
-            0
-        };
-        self.settle(at, cat, cost, words);
+        self.settle(at, carry.cat(cat), cost, w * (p as u64 - 1) / p as u64);
     }
 
     /// All-to-all personalized exchange: `parts[j]` is sent to member `j`;
@@ -1846,24 +1473,82 @@ struct Arrival {
     rx_bytes: u64,
 }
 
-/// What issuing a row gather leaves to do.
-enum GatherIssue {
-    /// `P = 1`: the root's own block, free.
-    Ready(GatheredRows),
-    /// Round one done, round two deposited.
-    Served(ServedGather),
+/// How a collective's payload crosses the wire (DESIGN.md §14): as the
+/// caller's value, or — a [`Mat`] under a narrow wire precision
+/// ([`Communicator::carry`]) — packed once by its sender and widened back
+/// to `f64` by every receiver, the sender included, so all members hold
+/// bit-identical replicas. Fingerprint, rendezvous and settle are the same
+/// either way: only the payload, its dtype label, its word count and its
+/// metering category differ.
+#[derive(Clone, Copy)]
+enum Carry {
+    Exact,
+    Packed(Precision),
 }
 
-/// A row gather whose round two — the served rows — is in flight.
-struct ServedGather {
-    /// Round two's sequence number.
-    seq: u64,
-    /// Payload bytes received in round one.
-    rx_bytes: u64,
-    /// Metering category: the caller's, or the wire precision's.
-    cat: Cat,
-    prec: Option<Precision>,
-    end: GatherEnd,
+impl Carry {
+    /// The wire precision of a packed payload.
+    fn precision(self) -> Option<Precision> {
+        match self {
+            Carry::Exact => None,
+            Carry::Packed(p) => Some(p),
+        }
+    }
+
+    /// The dtype a fingerprint declares for a `T` payload.
+    fn dtype<T>(self) -> &'static str {
+        match self {
+            Carry::Exact => std::any::type_name::<T>(),
+            Carry::Packed(p) => p.packed_dtype(),
+        }
+    }
+
+    /// The category the traffic is metered under: the caller's, or the
+    /// wire precision's own.
+    fn cat(self, cat: Cat) -> Cat {
+        match self {
+            Carry::Exact => cat,
+            Carry::Packed(p) => p.dense_cat(),
+        }
+    }
+
+    /// A sender's payload, and its wire words.
+    fn tx<T: Any + Send + Sync + CommWords + Wire>(self, data: Arc<T>) -> (TxPayload, u64) {
+        match self {
+            Carry::Exact => {
+                let words = data.comm_words();
+                (TxPayload::of(data), words)
+            }
+            Carry::Packed(p) => {
+                let any: Arc<dyn Any + Send + Sync> = data;
+                let Ok(mat) = any.downcast::<Mat>() else {
+                    unreachable!("packed dispatch proved T == Mat by TypeId")
+                };
+                let packed = Arc::new(PackedMat::pack(&mat, p));
+                let words = packed.comm_words();
+                (TxPayload::of(packed), words)
+            }
+        }
+    }
+
+    /// A received payload as the caller's type, and its wire words.
+    fn rx<T: Any + Send + Sync + CommWords + Wire>(self, item: RxPayload) -> (Arc<T>, u64) {
+        match self {
+            Carry::Exact => {
+                let value: Arc<T> = item.extract();
+                let words = value.comm_words();
+                (value, words)
+            }
+            Carry::Packed(_) => {
+                let packed: Arc<PackedMat> = item.extract();
+                let any: Arc<dyn Any + Send + Sync> = Arc::new(packed.widen());
+                let Ok(value) = any.downcast::<T>() else {
+                    unreachable!("packed dispatch proved T == Mat by TypeId")
+                };
+                (value, packed.comm_words())
+            }
+        }
+    }
 }
 
 /// This rank's side of a row gather, as its completion needs it.
@@ -1884,7 +1569,7 @@ type Finisher<'c, T> = Box<dyn FnOnce(&Communicator, Vec<RxPayload>) -> (T, f64,
 
 enum PendingState<'c, T> {
     /// Single-rank fast path: the result was available at issue and the
-    /// op is free, exactly like the blocking forms at `P = 1`.
+    /// op is free, like every collective at `P = 1`.
     Ready(T),
     /// Rendezvous in flight: deposit made, completion pending.
     /// `rx_bytes` arrived at issue (a row gather's requests).
@@ -1895,14 +1580,17 @@ enum PendingState<'c, T> {
     },
 }
 
-/// A nonblocking collective in flight, returned by
-/// [`Communicator::ibcast`], [`Communicator::ibcast_shared`],
-/// [`Communicator::igather_rows`], and [`Communicator::iallreduce_mat`].
+/// A split-phase collective in flight, returned by
+/// [`Communicator::ibcast_shared`], [`Communicator::igather_rows`],
+/// [`Communicator::igather_rows_refresh`] and
+/// [`Communicator::iallreduce_mat`] — the one implementation of each of
+/// these collectives: their blocking names (`bcast`, `bcast_shared`,
+/// `gather_rows`, `allreduce_mat`) issue and wait at once.
 ///
 /// The rendezvous deposit happened at issue time — peers can already
-/// consume it, and CheckMode fingerprints ride along exactly as in the
-/// blocking forms — so issuing is free and, for every collective but the
-/// row gathers, never blocks: an issued row gather first runs its small
+/// consume it, and CheckMode fingerprints ride along with it — so
+/// issuing is free and, for every collective but the row gathers, never
+/// blocks: an issued row gather first runs its small
 /// request rendezvous (round one, unmetered), because the root can serve
 /// only rows it has been asked for.
 /// [`PendingOp::wait`] blocks for the group, returns the payload, and
@@ -2582,6 +2270,113 @@ mod tests {
             assert!((rep.clock - 1.0).abs() < 1e-12);
             assert_eq!(rep.words(Cat::DenseComm), 100 * 100);
             assert_eq!(rep.messages(Cat::DenseComm), 1);
+        }
+    }
+
+    #[test]
+    fn blocking_names_charge_closed_form() {
+        // A blocking name is its split-phase form waited on at once. Pin,
+        // per name x wire precision x P, the closed-form α–β charge —
+        // cost, words, one message, no received bytes on threads, nothing
+        // overlapped — and the clock: max(tmax, net_free) + cost. Ranks
+        // enter at staggered clocks; the second pass enters behind a
+        // pending broadcast whose uncovered remainder has moved the
+        // network lane on.
+        let model = CostModel::summit_like();
+        let (alpha, beta) = (model.alpha, model.beta);
+        let (rows, cols, needed) = (6, 5, [1usize, 4]);
+        for p in [1usize, 2, 4] {
+            let ahead = model.bcast_time(p, 16);
+            for prec in [Precision::F64, Precision::F32, Precision::Bf16] {
+                // Wire words of `n` values; packing engages only at P > 1.
+                let wire = |n: usize| match (p, prec) {
+                    (1, _) | (_, Precision::F64) => n as u64,
+                    _ => (n * prec.bytes_per_value()).div_ceil(8) as u64,
+                };
+                let cat = if p > 1 {
+                    prec.dense_cat()
+                } else {
+                    Cat::DenseComm
+                };
+                for name in ["bcast", "bcast_shared", "gather_rows", "allreduce_mat"] {
+                    for behind_pending in [false, true] {
+                        let cluster = Cluster::new(p)
+                            .with_model(CostModel::summit_like())
+                            .with_precision(prec);
+                        let runs = cluster.run(|ctx| {
+                            if behind_pending {
+                                let payload = (ctx.rank == 0).then(|| Arc::new(Mat::zeros(4, 4)));
+                                let op = ctx.world.ibcast_shared(0, payload, Cat::Misc);
+                                ctx.charge(Cat::Spmm, ahead * ctx.rank as f64 / 8.0);
+                                op.wait();
+                            }
+                            ctx.charge(Cat::Gemm, 1e-6 * ctx.rank as f64);
+                            let before = ctx.report();
+                            let block = Arc::new(Mat::filled(rows, cols, 1.5));
+                            let root = (ctx.rank == 0).then(|| block.clone());
+                            match name {
+                                "bcast" => {
+                                    ctx.world
+                                        .bcast(0, root.map(|b| (*b).clone()), Cat::DenseComm);
+                                }
+                                "bcast_shared" => {
+                                    ctx.world.bcast_shared(0, root, Cat::DenseComm);
+                                }
+                                "gather_rows" => {
+                                    let dims = Some((rows, cols));
+                                    ctx.world
+                                        .gather_rows(0, root, &needed, dims, Cat::DenseComm);
+                                }
+                                _ => {
+                                    ctx.world.allreduce_mat(&block, Cat::DenseComm);
+                                }
+                            }
+                            (before, ctx.report())
+                        });
+                        let tmax = runs.iter().map(|((b, _), _)| b.clock).fold(0.0, f64::max);
+                        let net_free = if behind_pending { ahead } else { 0.0 };
+                        for (rank, ((before, after), _)) in runs.iter().enumerate() {
+                            let case = format!(
+                                "{name} {prec:?} P={p} pending={behind_pending} rank {rank}"
+                            );
+                            let k = needed.len() as u64;
+                            let (cost, words) = match name {
+                                _ if p == 1 => (0.0, 0),
+                                "bcast" | "bcast_shared" => {
+                                    let w = wire(rows * cols);
+                                    (model.bcast_time(p, w), w)
+                                }
+                                "gather_rows" if rank == 0 => {
+                                    let served = (p as u64 - 1) * k * (wire(cols) + 1);
+                                    (alpha * (p - 1) as f64 + beta * served as f64, 0)
+                                }
+                                "gather_rows" => {
+                                    let w = k * (wire(cols) + 1);
+                                    (2.0 * alpha + beta * w as f64, w)
+                                }
+                                _ => {
+                                    let w = wire(rows * cols);
+                                    let p = p as u64;
+                                    (model.allreduce_time(p as usize, w), 2 * w * (p - 1) / p)
+                                }
+                            };
+                            assert_eq!(after.clock, tmax.max(net_free) + cost, "{case}");
+                            let charged = after.seconds(cat) - before.seconds(cat);
+                            assert!((charged - cost).abs() <= 1e-12 * cost, "{case}");
+                            assert_eq!(after.words(cat) - before.words(cat), words, "{case}");
+                            let messages = after.messages(cat) - before.messages(cat);
+                            assert_eq!(messages, u64::from(p > 1), "{case}");
+                            assert_eq!(after.rx_bytes(cat), 0, "{case}");
+                            let overlapped = Cat::Overlapped;
+                            assert_eq!(
+                                after.seconds(overlapped),
+                                before.seconds(overlapped),
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1010,11 +1010,10 @@ impl Wire for CollectiveKind {
             CollectiveKind::Sendrecv => 9,
             CollectiveKind::GatherRows => 10,
             CollectiveKind::Split => 11,
-            CollectiveKind::IBcast => 12,
-            CollectiveKind::IGatherRows => 13,
-            CollectiveKind::IAllreduceMat => 14,
+            // Tags 12, 13, 14 and 16 named the retired split-phase twins
+            // of bcast, gather_rows, allreduce_mat and the refresh gather;
+            // they decode as out of range.
             CollectiveKind::GatherRowsRefresh => 15,
-            CollectiveKind::IGatherRowsRefresh => 16,
         };
         out.push(tag);
     }
@@ -1032,11 +1031,7 @@ impl Wire for CollectiveKind {
             9 => CollectiveKind::Sendrecv,
             10 => CollectiveKind::GatherRows,
             11 => CollectiveKind::Split,
-            12 => CollectiveKind::IBcast,
-            13 => CollectiveKind::IGatherRows,
-            14 => CollectiveKind::IAllreduceMat,
             15 => CollectiveKind::GatherRowsRefresh,
-            16 => CollectiveKind::IGatherRowsRefresh,
             _ => return Err(FrameError::Malformed("collective kind out of range")),
         })
     }
@@ -1583,6 +1578,27 @@ mod tests {
             read_frame(&mut &k[..]).expect_err("kind"),
             FrameError::BadKind(200)
         ));
+    }
+
+    #[test]
+    fn retired_collective_kind_tags_are_out_of_range() {
+        // 12, 13, 14 and 16 named the split-phase twins of bcast,
+        // gather_rows, allreduce_mat and the refresh gather; 17 was never
+        // assigned.
+        for tag in [12u8, 13, 14, 16, 17] {
+            match decode::<CollectiveKind>(&[tag]) {
+                Err(FrameError::Malformed("collective kind out of range")) => {}
+                other => panic!("tag {tag}: expected out of range, got {other:?}"),
+            }
+        }
+        for kind in [
+            CollectiveKind::Bcast,
+            CollectiveKind::AllreduceMat,
+            CollectiveKind::GatherRows,
+            CollectiveKind::GatherRowsRefresh,
+        ] {
+            assert_eq!(decode::<CollectiveKind>(&encode(&kind)).ok(), Some(kind));
+        }
     }
 
     #[test]

@@ -177,7 +177,10 @@ fn packed_nonblocking_forms_match_blocking() {
         let nonblocking = pending.wait();
         let payload = (ctx.rank == 2).then(|| irr_mat(3, 3, 8));
         let b = ctx.world.bcast(2, payload.clone(), Cat::DenseComm);
-        let ib = ctx.world.ibcast(2, payload, Cat::DenseComm).wait();
+        let ib = ctx
+            .world
+            .ibcast_shared(2, payload.map(Arc::new), Cat::DenseComm)
+            .wait();
         let ig = ctx
             .world
             .igather_rows(

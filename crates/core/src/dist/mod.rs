@@ -32,6 +32,7 @@ pub mod transpose;
 pub mod twodim;
 
 use crate::loss::{output_gradient_from_probs, output_gradient_into};
+use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
 use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows_into};
 use cagnet_dense::Mat;
@@ -70,7 +71,7 @@ use std::sync::Arc;
 /// bit-identical to `SparsityAware`. Evaluation forward passes never
 /// read or write the cache.
 ///
-/// [`gather_rows`]: cagnet_comm::comm::Communicator::gather_rows
+/// [`gather_rows`]: cagnet_comm::comm::Communicator::igather_rows
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CommMode {
     /// Broadcast full dense blocks every stage (the paper's baseline).
@@ -368,44 +369,195 @@ impl std::ops::Deref for Operand {
     }
 }
 
-/// A stage fetch, in flight or already arrived. The dense broadcast and
-/// the sparsity-aware row gather resolve to different payloads (a full
-/// shared block vs a compact [`GatheredRows`]), so the stage loops carry
-/// this enum — the issue-ahead pipelines its pending forms, the blocking
-/// arms its arrived ones — and collapse it to the dense operand the
-/// stage SpMM multiplies.
-pub(crate) enum Fetch<'c> {
-    /// Pending full-block broadcast (`CommMode::Dense`).
-    Dense(PendingOp<'c, Arc<Mat>>),
-    /// Pending row gather (`CommMode::SparsityAware`, and cached-mode
-    /// refresh epochs).
-    Sparse(PendingOp<'c, GatheredRows>),
-    /// Completed blocking row gather.
-    Gathered(GatheredRows),
-    /// Stage operand already usable: a completed blocking broadcast, a
-    /// cached compact block served without any collective
-    /// (`CommMode::Cached` non-refresh epochs), or a fresh
-    /// locally-extracted compact of the rank's own block.
-    Ready(Operand),
+/// Run a stage loop of `stages` stages as a pipeline of depth
+/// `overlap as usize` (DESIGN.md §10): `issue(j)` starts stage `j`'s
+/// fetches and `run(j, fetch)` waits on them and computes. With overlap
+/// on, stage `j + 1` is issued before stage `j` runs, so its fetch is in
+/// flight — its α–β cost hidden behind the compute lane — while `j`
+/// computes; at depth 0 each stage is issued and run before the next is
+/// issued. Every rank issues and waits in the same order either way, so
+/// results are bit-identical.
+pub(crate) fn pipeline<S>(
+    overlap: bool,
+    stages: usize,
+    mut issue: impl FnMut(usize) -> S,
+    mut run: impl FnMut(usize, S),
+) {
+    let mut ahead = None;
+    for j in 0..stages {
+        let stage = ahead.take().unwrap_or_else(|| issue(j));
+        if overlap && j + 1 < stages {
+            ahead = Some(issue(j + 1));
+        }
+        run(j, stage);
+    }
+}
+
+/// A stage's leading collective when the stage issues two — the SUMMA
+/// `S` panel ahead of its `D` panel: in flight when the stage is issued
+/// ahead, already waited on at pipeline depth 0, so that unpipelined the
+/// `D` panel is asked for only once the `S` panel has landed — the order,
+/// and so the clocks, of a stage that blocks on each fetch in turn.
+pub(crate) enum Lead<'c, T> {
+    InFlight(PendingOp<'c, T>),
+    Landed(T),
+}
+
+impl<'c, T> Lead<'c, T> {
+    pub(crate) fn new(op: PendingOp<'c, T>, overlap: bool) -> Self {
+        if overlap {
+            Lead::InFlight(op)
+        } else {
+            Lead::Landed(op.wait())
+        }
+    }
+
+    pub(crate) fn wait(self) -> T {
+        match self {
+            Lead::InFlight(op) => op.wait(),
+            Lead::Landed(v) => v,
+        }
+    }
+}
+
+/// How a trainer's stage operands move on the current pass: its comm
+/// tier, whether the pass trains — only training passes read or fill the
+/// halo cache — and the cache and workspace its fetches use. Every stage
+/// fetch of every trainer goes through [`Fetcher::fetch`].
+#[derive(Clone, Copy)]
+pub(crate) struct Fetcher<'a> {
+    pub(crate) mode: CommMode,
+    pub(crate) training: bool,
+    pub(crate) cache: &'a RefCell<HaloCache>,
+    pub(crate) ws: &'a RefCell<Workspace>,
+}
+
+impl<'a> Fetcher<'a> {
+    /// Issue one stage fetch: member `root` of `comm` holds the stage's
+    /// `dims`-shaped block (`payload`, `Some` exactly at the root) and
+    /// this rank multiplies rows `needed` of it. `Dense` broadcasts the
+    /// whole block; the sparse tiers gather the needed rows. In cached
+    /// mode a training pass either refreshes — gathers through the
+    /// `igather_rows_refresh` kind and keeps remote blocks in cache slot
+    /// `slot` — or serves: no collective at all, the rank's own block
+    /// compacted fresh and remote blocks read from the cache. Evaluation
+    /// passes always gather fresh.
+    pub(crate) fn fetch(
+        self,
+        comm: &'a Communicator,
+        root: usize,
+        payload: Option<Arc<Mat>>,
+        needed: &'a [usize],
+        dims: (usize, usize),
+        slot: usize,
+    ) -> Fetch<'a> {
+        let expect = Some(dims);
+        // The collective-order lint knows the serve branch by this name
+        // (DESIGN.md §12).
+        let cached_serving = self.training && !self.cache.borrow().refreshing();
+        let mut keep = None;
+        let op = match self.mode {
+            CommMode::Dense => FetchOp::Bcast(comm.ibcast_shared(root, payload, Cat::DenseComm)),
+            CommMode::SparsityAware => {
+                FetchOp::Gather(comm.igather_rows(root, payload, needed, expect, Cat::DenseComm))
+            }
+            CommMode::Cached { .. } => {
+                if cached_serving {
+                    FetchOp::Served(self.serve_cached(comm, payload, needed, dims.1, slot))
+                } else if self.training {
+                    keep = (root != comm.my_idx()).then_some(slot);
+                    FetchOp::Gather(comm.igather_rows_refresh(
+                        root,
+                        payload,
+                        needed,
+                        expect,
+                        Cat::DenseComm,
+                    ))
+                } else {
+                    FetchOp::Gather(comm.igather_rows(
+                        root,
+                        payload,
+                        needed,
+                        expect,
+                        Cat::DenseComm,
+                    ))
+                }
+            }
+        };
+        Fetch {
+            op,
+            needed,
+            keep,
+            fetcher: self,
+        }
+    }
+
+    /// Serve a stage from the halo cache, with no collective: the root's
+    /// own block compacts fresh from local state (zero words, like the
+    /// root of the skipped gather); a remote block is the cached one,
+    /// metering the words the skipped gather would have moved under
+    /// [`Cat::CacheHit`].
+    fn serve_cached(
+        self,
+        comm: &Communicator,
+        payload: Option<Arc<Mat>>,
+        needed: &[usize],
+        cols: usize,
+        slot: usize,
+    ) -> Operand {
+        match payload {
+            Some(block) => Operand::pooled(self.ws, needed.len() * cols, |m| {
+                block.select_rows_into(needed.iter().copied(), m)
+            }),
+            None => {
+                comm.cache_hit(needed.len() as u64 * (cols as u64 + 1));
+                Operand::shared(self.cache.borrow().get(slot))
+            }
+        }
+    }
+}
+
+/// A stage fetch issued by [`Fetcher::fetch`], in flight or already
+/// served.
+pub(crate) struct Fetch<'a> {
+    op: FetchOp<'a>,
+    needed: &'a [usize],
+    /// On a refresh epoch, the cache slot a remote block is kept in.
+    keep: Option<usize>,
+    fetcher: Fetcher<'a>,
+}
+
+enum FetchOp<'c> {
+    /// Full-block broadcast.
+    Bcast(PendingOp<'c, Arc<Mat>>),
+    /// Row gather.
+    Gather(PendingOp<'c, GatheredRows>),
+    /// Served by the cached tier with no collective.
+    Served(Operand),
 }
 
 impl Fetch<'_> {
-    /// Block until the stage operand is available. In sparse mode the
-    /// result holds exactly the `needed` rows in request order, written
-    /// into a `ws` buffer — pair it with the column-compacted sparse
-    /// panel ([`cagnet_sparse::Csr::compact_cols`]) so accumulation
-    /// order, and therefore every bit of the result, matches the dense
-    /// path.
-    pub(crate) fn wait(self, needed: &[usize], ws: &RefCell<Workspace>) -> Operand {
-        let gathered = match self {
-            Fetch::Dense(op) => return Operand::shared(op.wait()),
-            Fetch::Ready(operand) => return operand,
-            Fetch::Sparse(op) => op.wait(),
-            Fetch::Gathered(g) => g,
+    /// Block until the stage operand is available. In the sparse tiers it
+    /// holds exactly the `needed` rows in request order, written into a
+    /// workspace buffer — pair it with the column-compacted sparse panel
+    /// ([`cagnet_sparse::Csr::compact_cols`]) so accumulation order, and
+    /// therefore every bit of the result, matches the dense path.
+    pub(crate) fn wait(self) -> Operand {
+        let operand = match self.op {
+            FetchOp::Bcast(op) => Operand::shared(op.wait()),
+            FetchOp::Gather(op) => {
+                let gathered = op.wait();
+                Operand::pooled(self.fetcher.ws, self.needed.len() * gathered.cols(), |m| {
+                    gathered.compact_into(self.needed, m)
+                })
+            }
+            FetchOp::Served(operand) => operand,
         };
-        Operand::pooled(ws, needed.len() * gathered.cols(), |m| {
-            gathered.compact_into(needed, m)
-        })
+        if let Some(slot) = self.keep {
+            let block = operand.handle().clone();
+            self.fetcher.cache.borrow_mut().store(slot, block);
+        }
+        operand
     }
 }
 
@@ -417,7 +569,7 @@ impl Fetch<'_> {
 /// counters and refresh periods are identical everywhere), so on serve
 /// epochs no rank issues the collective and the BSP sequence stays
 /// aligned; on refresh epochs every rank gathers through the
-/// `*_refresh`-fingerprinted collectives.
+/// `igather_rows_refresh`-fingerprinted collective.
 #[derive(Debug, Default)]
 pub(crate) struct HaloCache {
     slots: Vec<Option<Arc<Mat>>>,

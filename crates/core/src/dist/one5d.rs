@@ -33,7 +33,7 @@ use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
-use cagnet_comm::{Cat, Ctx, GatheredRows};
+use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
@@ -234,90 +234,6 @@ impl One5DTrainer {
         l * self.p1 + ip
     }
 
-    /// Whether the current pass serves stage operands from the halo cache
-    /// (cached mode, training, non-refresh epoch).
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `ip` of layer `l` with no replica-group collective:
-    /// the team's own fine block compacts fresh locally (zero words);
-    /// remote blocks come from the cache, metering the skipped gather's
-    /// words under [`Cat::CacheHit`].
-    fn serve_cached(&self, l: usize, ip: usize) -> super::Fetch<'static> {
-        if ip == self.ti {
-            super::Fetch::Gathered(GatheredRows::full(self.hs[l].clone()))
-        } else {
-            let row_words = self.hs[l].cols() as u64 + 1;
-            self.rep.cache_hit(self.needed[ip].len() as u64 * row_words);
-            let block = self.cache.borrow().get(self.slot(l, ip));
-            super::Fetch::Ready(super::Operand::shared(block))
-        }
-    }
-
-    /// Store a freshly gathered compact block on refresh epochs (remote
-    /// stages only).
-    fn maybe_store(&self, l: usize, ip: usize, block: &super::Operand) {
-        if self.cached_refreshing() && ip != self.ti {
-            self.cache
-                .borrow_mut()
-                .store(self.slot(l, ip), block.handle().clone());
-        }
-    }
-
-    /// Issue the stage-`ip` replica-group fetch of layer `l`'s fine `H`
-    /// block as a nonblocking collective (dense broadcast or
-    /// sparsity-aware row gather, per [`Self::set_comm_mode`]). In cached
-    /// mode, refresh epochs gather through the `igather_rows_refresh`
-    /// prefetch lane and serve epochs return the resident block with no
-    /// collective.
-    fn issue_fetch(&self, l: usize, ip: usize) -> super::Fetch<'_> {
-        let payload = (ip == self.ti).then(|| self.hs[l].clone());
-        match self.comm_mode {
-            super::CommMode::Dense => {
-                super::Fetch::Dense(self.rep.ibcast_shared(ip, payload, Cat::DenseComm))
-            }
-            super::CommMode::SparsityAware => super::Fetch::Sparse(self.rep.igather_rows(
-                ip,
-                payload,
-                &self.needed[ip],
-                Some(self.stage_dims(l, ip)),
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    self.serve_cached(l, ip)
-                } else if self.training {
-                    super::Fetch::Sparse(self.rep.igather_rows_refresh(
-                        ip,
-                        payload,
-                        &self.needed[ip],
-                        Some(self.stage_dims(l, ip)),
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(self.rep.igather_rows(
-                        ip,
-                        payload,
-                        &self.needed[ip],
-                        Some(self.stage_dims(l, ip)),
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        }
-    }
-
     /// Accumulate the coarse partial sum for layer `l`: replica `r`'s
     /// stages `b ≡ r (mod c)` via replica-group broadcasts of fine `H`
     /// blocks. With overlap on, stage `i'+1`'s block is in flight while
@@ -326,56 +242,26 @@ impl One5DTrainer {
     fn coarse_partial(&self, ctx: &Ctx, l: usize, f_in: usize) -> Mat {
         let coarse_rows = self.at_fwd[0].rows();
         let mut partial = self.ws.borrow_mut().zeros(coarse_rows, f_in);
-        let mut pending = self.overlap.then(|| self.issue_fetch(l, 0));
-        for ip in 0..self.p1 {
-            let h_b = match pending.take() {
-                Some(op) => {
-                    if ip + 1 < self.p1 {
-                        pending = Some(self.issue_fetch(l, ip + 1));
-                    }
-                    op.wait(&self.needed[ip], &self.ws)
-                }
-                None => {
-                    let payload = (ip == self.ti).then(|| self.hs[l].clone());
-                    match self.comm_mode {
-                        super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
-                            self.rep.bcast_shared(ip, payload, Cat::DenseComm),
-                        )),
-                        super::CommMode::SparsityAware => {
-                            super::Fetch::Gathered(self.rep.gather_rows(
-                                ip,
-                                payload,
-                                &self.needed[ip],
-                                Some(self.stage_dims(l, ip)),
-                                Cat::DenseComm,
-                            ))
-                        }
-                        super::CommMode::Cached { .. } => {
-                            if self.cached_serving() {
-                                self.serve_cached(l, ip)
-                            } else if self.training {
-                                super::Fetch::Gathered(self.rep.gather_rows_refresh(
-                                    ip,
-                                    payload,
-                                    &self.needed[ip],
-                                    Some(self.stage_dims(l, ip)),
-                                    Cat::DenseComm,
-                                ))
-                            } else {
-                                super::Fetch::Gathered(self.rep.gather_rows(
-                                    ip,
-                                    payload,
-                                    &self.needed[ip],
-                                    Some(self.stage_dims(l, ip)),
-                                    Cat::DenseComm,
-                                ))
-                            }
-                        }
-                    }
-                    .wait(&self.needed[ip], &self.ws)
-                }
-            };
-            self.maybe_store(l, ip, &h_b);
+        let fetcher = super::Fetcher {
+            mode: self.comm_mode,
+            training: self.training,
+            cache: &self.cache,
+            ws: &self.ws,
+        };
+        let issue = |ip: usize| {
+            let payload = (ip == self.ti).then(|| self.hs[l].clone());
+            let dims = self.stage_dims(l, ip);
+            fetcher.fetch(
+                &self.rep,
+                ip,
+                payload,
+                &self.needed[ip],
+                dims,
+                self.slot(l, ip),
+            )
+        };
+        super::pipeline(self.overlap, self.p1, issue, |ip, fetch| {
+            let h_b = fetch.wait();
             // Same nnz/rows either way (compact only renumbers columns):
             // identical charged cost and accumulation order.
             let a = if self.comm_mode.sparse_exchange() {
@@ -388,7 +274,7 @@ impl One5DTrainer {
                 .borrow_mut()
                 .spmm_acc_with(ctx.parallel(), a, &h_b, &mut partial);
             h_b.release(&self.ws);
-        }
+        });
         partial
     }
 
@@ -486,9 +372,8 @@ impl One5DTrainer {
             // the next layer's gradient GEMM computes.
             ctx.charge_gemm(f_in, ag.rows(), f_out);
             let y_partial = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag);
-            let y_op = self
-                .overlap
-                .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+            let reduce_y = || ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm);
+            let y_op = self.overlap.then(reduce_y);
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
                 let mut next_g = self.ws.borrow_mut().zeros(ag.rows(), f_in);
@@ -501,10 +386,7 @@ impl One5DTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = self.ws.borrow_mut().lend(next_g);
             }
-            let y = match y_op {
-                Some(op) => op.wait(),
-                None => ctx.world.allreduce_mat(&y_partial, Cat::DenseComm),
-            };
+            let y = y_op.unwrap_or_else(reduce_y).wait();
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
             // Every rank entered the Y all-reduce after its last use of

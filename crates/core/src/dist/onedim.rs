@@ -17,7 +17,7 @@ use crate::loss::{accuracy_counts, nll_sum};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_comm::{Cat, Ctx, GatheredRows};
+use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
@@ -169,91 +169,6 @@ impl OneDimTrainer {
         l * self.at_blocks.len() + j
     }
 
-    /// Whether the current pass serves stage operands from the halo cache
-    /// (cached mode, training, non-refresh epoch). Evaluation forwards
-    /// always gather fresh.
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `j` of layer `l` without any collective: the rank's
-    /// own block compacts fresh from local state (zero words, like the
-    /// root of the skipped gather); remote blocks come from the cache,
-    /// metering the words the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(&self, ctx: &Ctx, l: usize, j: usize) -> super::Fetch<'static> {
-        if j == ctx.rank {
-            super::Fetch::Gathered(GatheredRows::full(self.hs[l].clone()))
-        } else {
-            let row_words = self.hs[l].cols() as u64 + 1;
-            ctx.world.cache_hit(self.needed[j].len() as u64 * row_words);
-            let block = self.cache.borrow().get(self.slot(l, j));
-            super::Fetch::Ready(super::Operand::shared(block))
-        }
-    }
-
-    /// Store a freshly gathered compact block on refresh epochs (remote
-    /// stages only — the rank's own block is always served fresh).
-    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &super::Operand) {
-        if self.cached_refreshing() && j != ctx.rank {
-            self.cache
-                .borrow_mut()
-                .store(self.slot(l, j), block.handle().clone());
-        }
-    }
-
-    /// Issue the stage-`j` fetch of layer `l`'s activation block as a
-    /// nonblocking collective (dense broadcast or sparsity-aware row
-    /// gather, per [`Self::set_comm_mode`]). In cached mode, refresh
-    /// epochs gather through the `igather_rows_refresh` prefetch lane and
-    /// serve epochs return the resident block with no collective at all.
-    fn issue_fetch<'c>(&self, ctx: &'c Ctx, l: usize, j: usize) -> super::Fetch<'c> {
-        let payload = (j == ctx.rank).then(|| self.hs[l].clone());
-        match self.comm_mode {
-            super::CommMode::Dense => {
-                super::Fetch::Dense(ctx.world.ibcast_shared(j, payload, Cat::DenseComm))
-            }
-            super::CommMode::SparsityAware => super::Fetch::Sparse(ctx.world.igather_rows(
-                j,
-                payload,
-                &self.needed[j],
-                Some(self.stage_dims(l, j)),
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    self.serve_cached(ctx, l, j)
-                } else if self.training {
-                    super::Fetch::Sparse(ctx.world.igather_rows_refresh(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(l, j)),
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(ctx.world.igather_rows(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(l, j)),
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        }
-    }
-
     /// Forward pass (Algorithm 1 per layer); returns the global mean
     /// masked NLL loss.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
@@ -271,62 +186,28 @@ impl OneDimTrainer {
             let f_in = self.cfg.dims[l];
             let f_out = self.cfg.dims[l + 1];
             let mut t = self.ws.borrow_mut().zeros(self.my_rows(), f_in);
-            // Issue-ahead pipeline: stage j+1's block is in flight while
-            // stage j's SpMM computes, so its α–β cost hides behind the
-            // compute lane. Every rank issues and waits in the same
-            // order, so results stay bit-identical to the blocking loop.
-            let mut pending = self.overlap.then(|| self.issue_fetch(ctx, l, 0));
-            for j in 0..p {
-                let hj = match pending.take() {
-                    Some(op) => {
-                        if j + 1 < p {
-                            pending = Some(self.issue_fetch(ctx, l, j + 1));
-                        }
-                        op.wait(&self.needed[j], &self.ws)
-                    }
-                    None => {
-                        // Arc clone only — the owner's resident block is
-                        // never deep-copied, root or not.
-                        let payload = (j == ctx.rank).then(|| self.hs[l].clone());
-                        match self.comm_mode {
-                            super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
-                                ctx.world.bcast_shared(j, payload, Cat::DenseComm),
-                            )),
-                            super::CommMode::SparsityAware => {
-                                super::Fetch::Gathered(ctx.world.gather_rows(
-                                    j,
-                                    payload,
-                                    &self.needed[j],
-                                    Some(self.stage_dims(l, j)),
-                                    Cat::DenseComm,
-                                ))
-                            }
-                            super::CommMode::Cached { .. } => {
-                                if self.cached_serving() {
-                                    self.serve_cached(ctx, l, j)
-                                } else if self.training {
-                                    super::Fetch::Gathered(ctx.world.gather_rows_refresh(
-                                        j,
-                                        payload,
-                                        &self.needed[j],
-                                        Some(self.stage_dims(l, j)),
-                                        Cat::DenseComm,
-                                    ))
-                                } else {
-                                    super::Fetch::Gathered(ctx.world.gather_rows(
-                                        j,
-                                        payload,
-                                        &self.needed[j],
-                                        Some(self.stage_dims(l, j)),
-                                        Cat::DenseComm,
-                                    ))
-                                }
-                            }
-                        }
-                        .wait(&self.needed[j], &self.ws)
-                    }
-                };
-                self.maybe_store(ctx, l, j, &hj);
+            let fetcher = super::Fetcher {
+                mode: self.comm_mode,
+                training: self.training,
+                cache: &self.cache,
+                ws: &self.ws,
+            };
+            // Stage j fetches H_j from rank j — an Arc clone only: the
+            // owner's resident block is never deep-copied, root or not.
+            let issue = |j: usize| {
+                let payload = (j == ctx.rank).then(|| self.hs[l].clone());
+                let dims = self.stage_dims(l, j);
+                fetcher.fetch(
+                    &ctx.world,
+                    j,
+                    payload,
+                    &self.needed[j],
+                    dims,
+                    self.slot(l, j),
+                )
+            };
+            super::pipeline(self.overlap, p, issue, |j, fetch| {
+                let hj = fetch.wait();
                 // The compact panel has the same nnz/rows as the full
                 // block (columns are only renumbered), so the charged
                 // SpMM cost — and the accumulation order — is identical
@@ -341,7 +222,7 @@ impl OneDimTrainer {
                     .borrow_mut()
                     .spmm_acc_with(ctx.parallel(), a, &hj, &mut t);
                 hj.release(&self.ws);
-            }
+            });
             let mut z = self.ws.borrow_mut().keep_zeros(t.rows(), f_out);
             matmul_acc_with(ctx.parallel(), &t, &self.weights[l], &mut z);
             ctx.charge_gemm(t.rows(), f_in, f_out);
@@ -405,9 +286,8 @@ impl OneDimTrainer {
             // needs Y afterwards.
             ctx.charge_gemm(f_in, ag.rows(), f_out);
             let y_partial = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag);
-            let y_op = self
-                .overlap
-                .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+            let reduce_y = || ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm);
+            let y_op = self.overlap.then(reduce_y);
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
                 let mut next_g = self.ws.borrow_mut().zeros(ag.rows(), f_in);
@@ -420,10 +300,7 @@ impl OneDimTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = next_g;
             }
-            let y = match y_op {
-                Some(op) => op.wait(),
-                None => ctx.world.allreduce_mat(&y_partial, Cat::DenseComm),
-            };
+            let y = y_op.unwrap_or_else(reduce_y).wait();
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
             // Every rank entered the Y all-reduce after its

@@ -15,7 +15,7 @@ use crate::loss::{accuracy_counts, nll_sum};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_comm::{Cat, Ctx, GatheredRows};
+use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
@@ -149,90 +149,6 @@ impl OneDimRowTrainer {
         l * self.a_blocks.len() + j
     }
 
-    /// Whether the current pass serves stage operands from the halo cache
-    /// (cached mode, training, non-refresh epoch).
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `j` from the halo cache with no collective: the rank's
-    /// own gradient block compacts fresh locally (zero words); remote
-    /// blocks come from the cache, metering the skipped gather's words
-    /// under [`Cat::CacheHit`]. The served gradients are up to
-    /// `refresh − 1` epochs stale (DESIGN.md §13).
-    fn serve_cached(&self, ctx: &Ctx, g: &Arc<Mat>, l: usize, j: usize) -> super::Fetch<'static> {
-        if j == ctx.rank {
-            super::Fetch::Gathered(GatheredRows::full(g.clone()))
-        } else {
-            let row_words = g.cols() as u64 + 1;
-            ctx.world.cache_hit(self.needed[j].len() as u64 * row_words);
-            let block = self.cache.borrow().get(self.slot(l, j));
-            super::Fetch::Ready(super::Operand::shared(block))
-        }
-    }
-
-    /// Store a freshly gathered compact block on refresh epochs (remote
-    /// stages only).
-    fn maybe_store(&self, ctx: &Ctx, l: usize, j: usize, block: &super::Operand) {
-        if self.cached_refreshing() && j != ctx.rank {
-            self.cache
-                .borrow_mut()
-                .store(self.slot(l, j), block.handle().clone());
-        }
-    }
-
-    /// Issue the stage-`j` fetch of the gradient block `G_j` as a
-    /// nonblocking collective (dense broadcast or sparsity-aware row
-    /// gather, per [`Self::set_comm_mode`]). In cached mode, refresh
-    /// epochs gather through the `igather_rows_refresh` prefetch lane and
-    /// serve epochs return the resident block with no collective.
-    fn issue_fetch<'c>(&self, ctx: &'c Ctx, g: &Arc<Mat>, l: usize, j: usize) -> super::Fetch<'c> {
-        let payload = (j == ctx.rank).then(|| g.clone());
-        match self.comm_mode {
-            super::CommMode::Dense => {
-                super::Fetch::Dense(ctx.world.ibcast_shared(j, payload, Cat::DenseComm))
-            }
-            super::CommMode::SparsityAware => super::Fetch::Sparse(ctx.world.igather_rows(
-                j,
-                payload,
-                &self.needed[j],
-                Some(self.stage_dims(g, j)),
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    self.serve_cached(ctx, g, l, j)
-                } else if self.training {
-                    super::Fetch::Sparse(ctx.world.igather_rows_refresh(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(g, j)),
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(ctx.world.igather_rows(
-                        j,
-                        payload,
-                        &self.needed[j],
-                        Some(self.stage_dims(g, j)),
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        }
-    }
-
     /// Forward pass (outer-product formulation); returns the global mean
     /// masked NLL loss.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
@@ -309,56 +225,26 @@ impl OneDimRowTrainer {
             // flight while stage j's SpMM computes (mirror of the column
             // variant's forward loop).
             let mut ag = self.ws.borrow_mut().zeros(self.a_row.rows(), f_out);
-            let mut pending = self.overlap.then(|| self.issue_fetch(ctx, &g, l, 0));
-            for j in 0..p {
-                let gj = match pending.take() {
-                    Some(op) => {
-                        if j + 1 < p {
-                            pending = Some(self.issue_fetch(ctx, &g, l, j + 1));
-                        }
-                        op.wait(&self.needed[j], &self.ws)
-                    }
-                    None => {
-                        let payload = (j == ctx.rank).then(|| g.clone());
-                        match self.comm_mode {
-                            super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
-                                ctx.world.bcast_shared(j, payload, Cat::DenseComm),
-                            )),
-                            super::CommMode::SparsityAware => {
-                                super::Fetch::Gathered(ctx.world.gather_rows(
-                                    j,
-                                    payload,
-                                    &self.needed[j],
-                                    Some(self.stage_dims(&g, j)),
-                                    Cat::DenseComm,
-                                ))
-                            }
-                            super::CommMode::Cached { .. } => {
-                                if self.cached_serving() {
-                                    self.serve_cached(ctx, &g, l, j)
-                                } else if self.training {
-                                    super::Fetch::Gathered(ctx.world.gather_rows_refresh(
-                                        j,
-                                        payload,
-                                        &self.needed[j],
-                                        Some(self.stage_dims(&g, j)),
-                                        Cat::DenseComm,
-                                    ))
-                                } else {
-                                    super::Fetch::Gathered(ctx.world.gather_rows(
-                                        j,
-                                        payload,
-                                        &self.needed[j],
-                                        Some(self.stage_dims(&g, j)),
-                                        Cat::DenseComm,
-                                    ))
-                                }
-                            }
-                        }
-                        .wait(&self.needed[j], &self.ws)
-                    }
-                };
-                self.maybe_store(ctx, l, j, &gj);
+            let fetcher = super::Fetcher {
+                mode: self.comm_mode,
+                training: self.training,
+                cache: &self.cache,
+                ws: &self.ws,
+            };
+            let issue = |j: usize| {
+                let payload = (j == ctx.rank).then(|| g.clone());
+                let dims = self.stage_dims(&g, j);
+                fetcher.fetch(
+                    &ctx.world,
+                    j,
+                    payload,
+                    &self.needed[j],
+                    dims,
+                    self.slot(l, j),
+                )
+            };
+            super::pipeline(self.overlap, p, issue, |j, fetch| {
+                let gj = fetch.wait();
                 // Same nnz/rows either way (compact only renumbers
                 // columns): identical charged cost and accumulation order.
                 let a = if self.comm_mode.sparse_exchange() {
@@ -371,15 +257,14 @@ impl OneDimRowTrainer {
                     .borrow_mut()
                     .spmm_acc_with(ctx.parallel(), a, &gj, &mut ag);
                 gj.release(&self.ws);
-            }
+            });
             // Small outer product for Y (unchanged from the column
             // variant). With overlap on, the f x f all-reduce is in
             // flight while the next layer's gradient GEMM computes.
             ctx.charge_gemm(f_in, ag.rows(), f_out);
             let y_partial = matmul_tn_with(ctx.parallel(), &self.hs[l], &ag);
-            let y_op = self
-                .overlap
-                .then(|| ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm));
+            let reduce_y = || ctx.world.iallreduce_mat(&y_partial, Cat::DenseComm);
+            let y_op = self.overlap.then(reduce_y);
             if l > 0 {
                 ctx.charge_gemm(ag.rows(), f_out, f_in);
                 let mut next_g = self.ws.borrow_mut().zeros(ag.rows(), f_in);
@@ -392,10 +277,7 @@ impl OneDimRowTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = self.ws.borrow_mut().lend(next_g);
             }
-            let y = match y_op {
-                Some(op) => op.wait(),
-                None => ctx.world.allreduce_mat(&y_partial, Cat::DenseComm),
-            };
+            let y = y_op.unwrap_or_else(reduce_y).wait();
             self.opt.step(l, &mut self.weights[l], &y);
             ctx.charge_elementwise(y.len());
             // Every rank entered the Y all-reduce after its last use of

@@ -23,7 +23,7 @@ use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::grid::int_cbrt;
-use cagnet_comm::{Cat, Ctx, GatheredRows, Grid3D};
+use cagnet_comm::{Cat, Ctx, Grid3D};
 use cagnet_dense::activation::{log_softmax_probs_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
@@ -242,53 +242,6 @@ impl ThreeDimTrainer {
         (self.cfg.layers() + l) * self.grid.q
     }
 
-    /// Whether the current pass serves `D` blocks from the halo cache
-    /// (cached mode, training, non-refresh epoch). Evaluation forwards
-    /// always gather fresh.
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered blocks into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
-    /// Serve stage `s`'s `D` block without any collective: the owning
-    /// mesh row compacts fresh from its resident block (zero words, like
-    /// the root of the skipped gather); other rows read the cache,
-    /// metering the words the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(
-        &self,
-        d_mine: &Arc<Mat>,
-        needed: &[usize],
-        s: usize,
-        slot: usize,
-    ) -> super::Fetch<'static> {
-        if self.grid.i == s {
-            super::Fetch::Gathered(GatheredRows::full(d_mine.clone()))
-        } else {
-            let row_words = d_mine.cols() as u64 + 1;
-            self.grid.col.cache_hit(needed.len() as u64 * row_words);
-            super::Fetch::Ready(super::Operand::shared(self.cache.borrow().get(slot)))
-        }
-    }
-
-    /// Store a freshly gathered compact `D` block on refresh epochs
-    /// (blocks owned by other mesh rows only — the owner's block is
-    /// always served fresh).
-    fn maybe_store(&self, s: usize, slot: usize, block: &super::Operand) {
-        if self.cached_refreshing() && self.grid.i != s {
-            self.cache.borrow_mut().store(slot, block.handle().clone());
-        }
-    }
-
     /// One full Split-3D-SpMM: per-layer 2D SUMMA (`q` stages of paired
     /// row/column exchanges) followed by a fiber reduce-scatter of the
     /// `n/q x f/q` partial sums. In sparsity-aware mode the dense block
@@ -307,6 +260,12 @@ impl ThreeDimTrainer {
         let q = self.grid.q;
         let f_cols = d_mine.cols();
         let mut partial = self.ws.borrow_mut().zeros(self.at_ijk.rows(), f_cols);
+        let fetcher = super::Fetcher {
+            mode: self.comm_mode,
+            training: self.training,
+            cache: &self.cache,
+            ws: &self.ws,
+        };
         // Issue-ahead pipeline: stage s+1's panels are in flight while
         // stage s's SpMM computes. Arc payloads: the owner's resident
         // block is never deep-copied into the collective.
@@ -316,102 +275,28 @@ impl ThreeDimTrainer {
                 (self.grid.j == s).then(|| s_mine.clone()),
                 Cat::SparseComm,
             );
-            let d_payload = || (self.grid.i == s).then(|| d_mine.clone());
-            let dims = Some((self.stage_rows[s], f_cols));
-            let d_op = match self.comm_mode {
-                super::CommMode::Dense => {
-                    super::Fetch::Dense(self.grid.col.ibcast_shared(s, d_payload(), Cat::DenseComm))
-                }
-                super::CommMode::SparsityAware => super::Fetch::Sparse(self.grid.col.igather_rows(
-                    s,
-                    d_payload(),
-                    &needed_tbl[s],
-                    dims,
-                    Cat::DenseComm,
-                )),
-                super::CommMode::Cached { .. } => {
-                    if self.cached_serving() {
-                        self.serve_cached(d_mine, &needed_tbl[s], s, slot_base + s)
-                    } else if self.training {
-                        super::Fetch::Sparse(self.grid.col.igather_rows_refresh(
-                            s,
-                            d_payload(),
-                            &needed_tbl[s],
-                            dims,
-                            Cat::DenseComm,
-                        ))
-                    } else {
-                        super::Fetch::Sparse(self.grid.col.igather_rows(
-                            s,
-                            d_payload(),
-                            &needed_tbl[s],
-                            dims,
-                            Cat::DenseComm,
-                        ))
-                    }
-                }
-            };
+            let a_op = super::Lead::new(a_op, self.overlap);
+            let d_payload = (self.grid.i == s).then(|| d_mine.clone());
+            let dims = (self.stage_rows[s], f_cols);
+            let d_op = fetcher.fetch(
+                &self.grid.col,
+                s,
+                d_payload,
+                &needed_tbl[s],
+                dims,
+                slot_base + s,
+            );
             (a_op, d_op)
         };
-        let mut pending = self.overlap.then(|| issue(0));
-        for (s, needed) in needed_tbl.iter().enumerate().take(q) {
-            let (a_hat, d_hat) = match pending.take() {
-                Some((a_op, d_op)) => {
-                    if s + 1 < q {
-                        pending = Some(issue(s + 1));
-                    }
-                    (a_op.wait(), d_op.wait(needed, &self.ws))
-                }
-                None => {
-                    let a_hat = self.grid.row.bcast_shared(
-                        s,
-                        (self.grid.j == s).then(|| s_mine.clone()),
-                        Cat::SparseComm,
-                    );
-                    let d_payload = || (self.grid.i == s).then(|| d_mine.clone());
-                    let dims = Some((self.stage_rows[s], f_cols));
-                    let d_hat = match self.comm_mode {
-                        super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
-                            self.grid.col.bcast_shared(s, d_payload(), Cat::DenseComm),
-                        )),
-                        super::CommMode::SparsityAware => super::Fetch::Gathered(
-                            self.grid
-                                .col
-                                .gather_rows(s, d_payload(), needed, dims, Cat::DenseComm),
-                        ),
-                        super::CommMode::Cached { .. } => {
-                            if self.cached_serving() {
-                                self.serve_cached(d_mine, needed, s, slot_base + s)
-                            } else if self.training {
-                                super::Fetch::Gathered(self.grid.col.gather_rows_refresh(
-                                    s,
-                                    d_payload(),
-                                    needed,
-                                    dims,
-                                    Cat::DenseComm,
-                                ))
-                            } else {
-                                super::Fetch::Gathered(self.grid.col.gather_rows(
-                                    s,
-                                    d_payload(),
-                                    needed,
-                                    dims,
-                                    Cat::DenseComm,
-                                ))
-                            }
-                        }
-                    }
-                    .wait(needed, &self.ws);
-                    (a_hat, d_hat)
-                }
-            };
-            self.maybe_store(s, slot_base + s, &d_hat);
+        super::pipeline(self.overlap, q, issue, |_, (a_op, d_op)| {
+            let a_hat = a_op.wait();
+            let d_hat = d_op.wait();
             ctx.charge_spmm(a_hat.nnz(), a_hat.rows(), d_hat.cols());
             self.ws
                 .borrow_mut()
                 .spmm_acc_with(ctx.parallel(), &a_hat, &d_hat, &mut partial);
             d_hat.release(&self.ws);
-        }
+        });
         // Fiber reduction: the ∛P-replicated partials collapse into the
         // Block Split 3D distribution.
         let partial = self.ws.borrow_mut().lend(partial);
@@ -450,25 +335,12 @@ impl ThreeDimTrainer {
                 Cat::DenseComm,
             )
         };
-        let mut pending = self.overlap.then(|| issue(0));
-        for s in 0..q {
-            let t_hat = match pending.take() {
-                Some(op) => {
-                    if s + 1 < q {
-                        pending = Some(issue(s + 1));
-                    }
-                    op.wait()
-                }
-                None => self.grid.row.bcast_shared(
-                    s,
-                    (self.grid.j == s).then(|| t_mine.clone()),
-                    Cat::DenseComm,
-                ),
-            };
+        super::pipeline(self.overlap, q, issue, |s, op| {
+            let t_hat = op.wait();
             let (ic0, ic1) = block_range(f_in, q, s);
             debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
             if ic1 == ic0 || oc1 == oc0 {
-                continue;
+                return;
             }
             ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
             if transpose_w {
@@ -478,7 +350,7 @@ impl ThreeDimTrainer {
                 let w_slice = w.block(ic0, ic1, oc0, oc1);
                 matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
             }
-        }
+        });
         out
     }
 
@@ -620,9 +492,8 @@ impl ThreeDimTrainer {
             // replicated state). The dropout mask is taken up front so
             // no &mut self is needed while the op borrows the jgroup.
             let drop_mask = (l > 0).then(|| self.drop_masks[l - 1].take()).flatten();
-            let y_op = self
-                .overlap
-                .then(|| self.jgroup.iallreduce_mat(&y_local, Cat::DenseComm));
+            let reduce_y = || self.jgroup.iallreduce_mat(&y_local, Cat::DenseComm);
+            let y_op = self.overlap.then(reduce_y);
             if l > 0 {
                 let (jc0, jc1) = block_range(f_in, self.grid.q, self.grid.j);
                 let w_slice = self.weights[l].block(jc0, jc1, 0, f_out);
@@ -637,10 +508,7 @@ impl ThreeDimTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = self.ws.borrow_mut().lend(next_g);
             }
-            let y_j = match y_op {
-                Some(op) => op.wait(),
-                None => self.jgroup.allreduce_mat(&y_local, Cat::DenseComm),
-            };
+            let y_j = y_op.unwrap_or_else(reduce_y).wait();
             let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
             let y = Mat::vstack(&y_parts);
             debug_assert_eq!(y.shape(), (f_in, f_out));

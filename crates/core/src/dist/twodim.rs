@@ -34,7 +34,7 @@ use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_comm::grid::int_sqrt;
-use cagnet_comm::{Cat, Ctx, Grid2D, PendingOp};
+use cagnet_comm::{Cat, Ctx, Grid2D};
 use cagnet_dense::activation::{log_softmax_probs_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
@@ -294,23 +294,6 @@ impl TwoDimTrainer {
         (self.cfg.layers() + l) * self.fine.len() * self.tcfg.stages_per_block
     }
 
-    /// Whether the current pass serves `D` panels from the halo cache
-    /// (cached mode, training, non-refresh epoch). Evaluation forwards
-    /// always gather fresh.
-    fn cached_serving(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && !self.cache.borrow().refreshing()
-    }
-
-    /// Whether the current pass must store its gathered panels into the
-    /// halo cache (cached mode, training, refresh epoch).
-    fn cached_refreshing(&self) -> bool {
-        matches!(self.comm_mode, super::CommMode::Cached { .. })
-            && self.training
-            && self.cache.borrow().refreshing()
-    }
-
     /// Columns `c0..c1` of my resident sparse block as a stage payload —
     /// column-compacted to `needed` in the sparse-exchange modes: the
     /// block itself when a dense-mode stage spans all of it, else a
@@ -339,65 +322,29 @@ impl TwoDimTrainer {
         ws.lend(panel)
     }
 
-    /// Serve a stage `D` panel without any collective: the owning grid
-    /// row compacts fresh from its local block for SUMMA stage
-    /// `(fk0, t0, t1)` (zero words, like the root of the skipped
-    /// gather); other grid rows read the cache, metering the words
-    /// the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(
-        &self,
-        d_mine: &Mat,
-        needed: &[usize],
-        owner_row: usize,
-        stage: (usize, usize, usize),
-        slot: usize,
-    ) -> super::Fetch<'static> {
-        let (fk0, t0, _) = stage;
-        super::Fetch::Ready(if self.grid.i == owner_row {
-            let first = fk0 - self.r0 + t0;
-            super::Operand::pooled(&self.ws, needed.len() * d_mine.cols(), |m| {
-                d_mine.select_rows_into(needed.iter().map(|&r| first + r), m)
-            })
-        } else {
-            let row_words = d_mine.cols() as u64 + 1;
-            self.grid.col.cache_hit(needed.len() as u64 * row_words);
-            super::Operand::shared(self.cache.borrow().get(slot))
-        })
-    }
-
-    /// Store a freshly gathered compact `D` panel on refresh epochs
-    /// (panels owned by other grid rows only — the owner's panel is
-    /// always served fresh).
-    fn maybe_store(&self, owner_row: usize, slot: usize, panel: &super::Operand) {
-        if self.cached_refreshing() && self.grid.i != owner_row {
-            self.cache.borrow_mut().store(slot, panel.handle().clone());
-        }
-    }
-
-    /// Issue SUMMA stage `(k, t)`'s two panel exchanges (the `S` panel
-    /// along the process row, the `D` panel along the process column) as
-    /// nonblocking collectives. In sparsity-aware mode the owner serves
-    /// the column-compacted `S` panel (same nnz — identical SparseComm
-    /// words) and the `D` panel moves as a row gather of each grid row's
-    /// needed rows instead of a full broadcast.
-    #[allow(clippy::type_complexity)]
+    /// Issue SUMMA stage `(k, t)`'s two panel exchanges: the `S` panel
+    /// along the process row, then the `D` panel along the process
+    /// column through the trainer's [`super::Fetcher`]. In the sparse
+    /// tiers the owner serves the column-compacted `S` panel (same nnz —
+    /// identical SparseComm words) and the `D` panel moves as a row
+    /// gather of each grid row's needed rows instead of a full broadcast.
     fn issue_summa_stage<'s>(
         &'s self,
+        fetcher: super::Fetcher<'s>,
         s_mine: &Arc<Csr>,
         d_mine: &Arc<Mat>,
-        needed_tbl: &[Vec<usize>],
+        needed_tbl: &'s [Vec<usize>],
         slot_base: usize,
-        k: usize,
-        t: usize,
-    ) -> (PendingOp<'s, Arc<Csr>>, super::Fetch<'s>) {
+        stage: usize,
+    ) -> (super::Lead<'s, Arc<Csr>>, super::Fetch<'s>) {
+        let sub = self.tcfg.stages_per_block;
+        let (k, t) = (stage / sub, stage % sub);
         let k_total = self.fine.len();
         let owner_col = k / (k_total / self.grid.pc);
         let owner_row = k / (k_total / self.grid.pr);
         let (fk0, fk1) = self.fine[k];
-        let sub = self.tcfg.stages_per_block;
         let (t0, t1) = block_range(fk1 - fk0, sub, t);
-        let needed = &needed_tbl[k * sub + t];
+        let needed = &needed_tbl[stage];
         let a_op = self.grid.row.ibcast_shared(
             owner_col,
             (self.grid.j == owner_col).then(|| {
@@ -407,54 +354,20 @@ impl TwoDimTrainer {
             }),
             Cat::SparseComm,
         );
-        let d_payload = || {
-            (self.grid.i == owner_row).then(|| {
-                let lo = fk0 - self.r0;
-                self.d_panel(d_mine, lo + t0, lo + t1)
-            })
-        };
-        let dims = Some((t1 - t0, d_mine.cols()));
-        let d_op = match self.comm_mode {
-            super::CommMode::Dense => super::Fetch::Dense(self.grid.col.ibcast_shared(
-                owner_row,
-                d_payload(),
-                Cat::DenseComm,
-            )),
-            super::CommMode::SparsityAware => super::Fetch::Sparse(self.grid.col.igather_rows(
-                owner_row,
-                d_payload(),
-                needed,
-                dims,
-                Cat::DenseComm,
-            )),
-            super::CommMode::Cached { .. } => {
-                if self.cached_serving() {
-                    self.serve_cached(
-                        d_mine,
-                        needed,
-                        owner_row,
-                        (fk0, t0, t1),
-                        slot_base + k * sub + t,
-                    )
-                } else if self.training {
-                    super::Fetch::Sparse(self.grid.col.igather_rows_refresh(
-                        owner_row,
-                        d_payload(),
-                        needed,
-                        dims,
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    super::Fetch::Sparse(self.grid.col.igather_rows(
-                        owner_row,
-                        d_payload(),
-                        needed,
-                        dims,
-                        Cat::DenseComm,
-                    ))
-                }
-            }
-        };
+        let a_op = super::Lead::new(a_op, self.overlap);
+        let d_payload = (self.grid.i == owner_row).then(|| {
+            let lo = fk0 - self.r0;
+            self.d_panel(d_mine, lo + t0, lo + t1)
+        });
+        let dims = (t1 - t0, d_mine.cols());
+        let d_op = fetcher.fetch(
+            &self.grid.col,
+            owner_row,
+            d_payload,
+            needed,
+            dims,
+            slot_base + stage,
+        );
         (a_op, d_op)
     }
 
@@ -473,105 +386,19 @@ impl TwoDimTrainer {
         needed_tbl: &[Vec<usize>],
         slot_base: usize,
     ) -> Mat {
-        let k_total = self.fine.len();
-        let col_per = k_total / self.grid.pc;
-        let row_per = k_total / self.grid.pr;
-        let sub = self.tcfg.stages_per_block;
         let mut out = self.ws.borrow_mut().zeros(self.my_rows(), f_cols);
-        let stages: Vec<(usize, usize)> = (0..k_total)
-            .flat_map(|k| (0..sub).map(move |t| (k, t)))
-            .collect();
-        let mut pending = self.overlap.then(|| {
-            self.issue_summa_stage(
-                s_mine,
-                d_mine,
-                needed_tbl,
-                slot_base,
-                stages[0].0,
-                stages[0].1,
-            )
-        });
-        for (idx, &(k, t)) in stages.iter().enumerate() {
-            let needed = &needed_tbl[k * sub + t];
-            let (a_panel, d_panel) = match pending.take() {
-                Some((a_op, d_op)) => {
-                    if let Some(&(nk, nt)) = stages.get(idx + 1) {
-                        pending = Some(
-                            self.issue_summa_stage(s_mine, d_mine, needed_tbl, slot_base, nk, nt),
-                        );
-                    }
-                    (a_op.wait(), d_op.wait(needed, &self.ws))
-                }
-                None => {
-                    let owner_col = k / col_per;
-                    let owner_row = k / row_per;
-                    let (fk0, fk1) = self.fine[k];
-                    let (t0, t1) = block_range(fk1 - fk0, sub, t);
-                    let a_panel = self.grid.row.bcast_shared(
-                        owner_col,
-                        (self.grid.j == owner_col).then(|| {
-                            // Local slice of my Aᵀ block covering fine
-                            // stage k.
-                            let lo = fk0 - self.c0;
-                            self.s_panel(s_mine, lo + t0, lo + t1, needed)
-                        }),
-                        Cat::SparseComm,
-                    );
-                    let d_payload = || {
-                        (self.grid.i == owner_row).then(|| {
-                            let lo = fk0 - self.r0;
-                            self.d_panel(d_mine, lo + t0, lo + t1)
-                        })
-                    };
-                    let dims = Some((t1 - t0, d_mine.cols()));
-                    let d_panel = match self.comm_mode {
-                        super::CommMode::Dense => super::Fetch::Ready(super::Operand::shared(
-                            self.grid
-                                .col
-                                .bcast_shared(owner_row, d_payload(), Cat::DenseComm),
-                        )),
-                        super::CommMode::SparsityAware => {
-                            super::Fetch::Gathered(self.grid.col.gather_rows(
-                                owner_row,
-                                d_payload(),
-                                needed,
-                                dims,
-                                Cat::DenseComm,
-                            ))
-                        }
-                        super::CommMode::Cached { .. } => {
-                            if self.cached_serving() {
-                                self.serve_cached(
-                                    d_mine,
-                                    needed,
-                                    owner_row,
-                                    (fk0, t0, t1),
-                                    slot_base + k * sub + t,
-                                )
-                            } else if self.training {
-                                super::Fetch::Gathered(self.grid.col.gather_rows_refresh(
-                                    owner_row,
-                                    d_payload(),
-                                    needed,
-                                    dims,
-                                    Cat::DenseComm,
-                                ))
-                            } else {
-                                super::Fetch::Gathered(self.grid.col.gather_rows(
-                                    owner_row,
-                                    d_payload(),
-                                    needed,
-                                    dims,
-                                    Cat::DenseComm,
-                                ))
-                            }
-                        }
-                    }
-                    .wait(needed, &self.ws);
-                    (a_panel, d_panel)
-                }
-            };
-            self.maybe_store(k / row_per, slot_base + k * sub + t, &d_panel);
+        let fetcher = super::Fetcher {
+            mode: self.comm_mode,
+            training: self.training,
+            cache: &self.cache,
+            ws: &self.ws,
+        };
+        let stages = self.fine.len() * self.tcfg.stages_per_block;
+        let issue =
+            |stage| self.issue_summa_stage(fetcher, s_mine, d_mine, needed_tbl, slot_base, stage);
+        super::pipeline(self.overlap, stages, issue, |_, (a_op, d_op)| {
+            let a_panel = a_op.wait();
+            let d_panel = d_op.wait();
             // In sparse mode both panels are compact: the S panel's
             // columns are renumbered to needed order (same nnz/rows) and
             // the D panel holds exactly those rows, so the accumulation
@@ -582,7 +409,7 @@ impl TwoDimTrainer {
                 .borrow_mut()
                 .spmm_acc_with(ctx.parallel(), &a_panel, &d_panel, &mut out);
             d_panel.release(&self.ws);
-        }
+        });
         out
     }
 
@@ -615,25 +442,12 @@ impl TwoDimTrainer {
                 Cat::DenseComm,
             )
         };
-        let mut pending = self.overlap.then(|| issue(0));
-        for s in 0..pc {
-            let t_hat = match pending.take() {
-                Some(op) => {
-                    if s + 1 < pc {
-                        pending = Some(issue(s + 1));
-                    }
-                    op.wait()
-                }
-                None => self.grid.row.bcast_shared(
-                    s,
-                    (self.grid.j == s).then(|| t_mine.clone()),
-                    Cat::DenseComm,
-                ),
-            };
+        super::pipeline(self.overlap, pc, issue, |s, op| {
+            let t_hat = op.wait();
             let (ic0, ic1) = block_range(f_in, pc, s);
             debug_assert_eq!(ic1 - ic0, t_hat.cols(), "stage width mismatch");
             if ic1 == ic0 || oc1 == oc0 {
-                continue;
+                return;
             }
             ctx.charge_gemm(t_hat.rows(), ic1 - ic0, oc1 - oc0);
             if transpose_w {
@@ -644,7 +458,7 @@ impl TwoDimTrainer {
                 let w_slice = w.block(ic0, ic1, oc0, oc1);
                 matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
             }
-        }
+        });
         out
     }
 
@@ -801,9 +615,8 @@ impl TwoDimTrainer {
             // replicated state). The dropout mask is taken up front so
             // no &mut self is needed while the op borrows the grid.
             let drop_mask = (l > 0).then(|| self.drop_masks[l - 1].take()).flatten();
-            let y_op = self
-                .overlap
-                .then(|| self.grid.col.iallreduce_mat(&y_local, Cat::DenseComm));
+            let reduce_y = || self.grid.col.iallreduce_mat(&y_local, Cat::DenseComm);
+            let y_op = self.overlap.then(reduce_y);
             if l > 0 {
                 // G^{l-1} = A G (W^l)ᵀ ⊙ σ'(Z^{l-1}): local against
                 // replicated W using the already-gathered AG row slab.
@@ -820,10 +633,7 @@ impl TwoDimTrainer {
                 ctx.charge_elementwise(next_g.len());
                 g = self.ws.borrow_mut().lend(next_g);
             }
-            let y_j = match y_op {
-                Some(op) => op.wait(),
-                None => self.grid.col.allreduce_mat(&y_local, Cat::DenseComm),
-            };
+            let y_j = y_op.unwrap_or_else(reduce_y).wait();
             let y_parts = self.grid.row.allgather(y_j, Cat::DenseComm);
             let y = Mat::vstack(&y_parts);
             debug_assert_eq!(y.shape(), (f_in, f_out));
