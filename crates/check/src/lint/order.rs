@@ -3,7 +3,7 @@
 //!
 //! Code in `crates/core/src/dist/` must issue the *same collectives in
 //! the same order* regardless of which `CommMode` sibling arm runs — in
-//! practice the one stage-fetch dispatch, `Fetcher::fetch` in
+//! practice the one stage-fetch dispatch, `State::fetch` in
 //! `dist/mod.rs`. A divergent branch desynchronizes seq numbers across
 //! ranks and deadlocks (or silently breaks bit-identity).
 //!

@@ -1,44 +1,57 @@
 //! Distributed GCN training algorithms — the paper's §IV.
 //!
-//! Four algorithms, one module each:
+//! One trainer, [`Trainer`], over five layouts. The shell owns what every
+//! algorithm shares — weights, optimizer, activation, dropout, the stored
+//! `Z`/`H` blocks, the comm tier, overlap, the halo cache and the
+//! workspace — and implements the epoch, the setters and the stage fetch
+//! (`State::fetch`) once. A [`Layout`] supplies only its geometry and
+//! stage loops, and runs through one of two shared bodies:
 //!
-//! * [`onedim`] — 1D block-row (Algorithm 1): `A` by block columns, `H`/`G`
-//!   by block rows, `W` replicated. Forward is a block-row SpMM over `P`
-//!   broadcasts; backward is a large 1D outer product reduce-scattered into
-//!   block rows plus a small `f x f` all-reduce.
-//! * [`onedim_row`] — the §IV-A.7 mirror: `A` by block rows, swapping the
-//!   outer-product and block-row roles of forward and backward at equal
-//!   total communication.
-//! * [`one5d`] — 1.5D replicated block-row (§IV-B): interpolates between
-//!   1D and 2D with a replication factor `c`, trading `c`-fold replication
-//!   of `A` for a `c`-fold reduction of the dense broadcast volume.
-//! * [`twodim`] — 2D SUMMA (Algorithm 2): everything on a `√P x √P` grid;
-//!   SUMMA SpMM stages plus "partial SUMMA" against the replicated `W`,
-//!   with a row all-gather for the non-elementwise `log_softmax`.
-//! * [`threedim`] — Split-3D-SpMM (§IV-D): a `∛P`-sided mesh; independent
-//!   2D SUMMAs per layer followed by fiber reduce-scatters. The paper
-//!   analyzes but does not implement this algorithm; here it is
-//!   implemented and verified.
+//! * the row family (`H`/`G` by block rows, whole class rows per rank):
+//!   - [`onedim`] — 1D block-row (Algorithm 1): `A` by block columns.
+//!     Forward is a block-row SpMM over `P` broadcasts; backward is a
+//!     large 1D outer product reduce-scattered into block rows plus a
+//!     small `f x f` all-reduce.
+//!   - [`onedim_row`] — the §IV-A.7 mirror: `A` by block rows, swapping
+//!     the outer-product and block-row roles of forward and backward at
+//!     equal total communication.
+//!   - [`one5d`] — 1.5D replicated block-row (§IV-B): interpolates
+//!     between 1D and 2D with a replication factor `c`, trading `c`-fold
+//!     replication for a `c`-fold reduction of the dense broadcast volume.
+//! * the grid family (`A`, `H`, `G` block-2D):
+//!   - [`twodim`] — 2D SUMMA (Algorithm 2) on square or rectangular
+//!     grids: SUMMA SpMM stages plus "partial SUMMA" against the
+//!     replicated `W`, with a row all-gather for the non-elementwise
+//!     `log_softmax`.
+//!   - [`threedim`] — Split-3D-SpMM (§IV-D): a `∛P`-sided mesh;
+//!     independent 2D SUMMAs per mesh layer followed by fiber
+//!     reduce-scatters. The paper analyzes but does not implement this
+//!     algorithm; here it is implemented and verified.
 //!
-//! All four produce the same weights and embeddings as the serial
+//! All five produce the same weights and embeddings as the serial
 //! reference up to floating-point accumulation order, for any process
 //! count that fits their geometry.
 
+mod grid;
 pub mod one5d;
 pub mod onedim;
 pub mod onedim_row;
+mod rows;
+mod shell;
 pub mod threedim;
 pub mod transpose;
 pub mod twodim;
 
+pub(crate) use shell::State;
+pub use shell::{Layout, Trainer};
+
 use crate::loss::{output_gradient_from_probs, output_gradient_into};
 use cagnet_comm::comm::Communicator;
-use cagnet_comm::{Cat, Ctx, GatheredRows, PendingOp};
+use cagnet_comm::{Cat, GatheredRows, PendingOp};
 use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows_into};
 use cagnet_dense::Mat;
 use cagnet_sparse::spmm::{spmm_acc_scratch, spmm_scratch_len};
 use cagnet_sparse::{Csr, ParallelCtx};
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
@@ -420,19 +433,7 @@ impl<'c, T> Lead<'c, T> {
     }
 }
 
-/// How a trainer's stage operands move on the current pass: its comm
-/// tier, whether the pass trains — only training passes read or fill the
-/// halo cache — and the cache and workspace its fetches use. Every stage
-/// fetch of every trainer goes through [`Fetcher::fetch`].
-#[derive(Clone, Copy)]
-pub(crate) struct Fetcher<'a> {
-    pub(crate) mode: CommMode,
-    pub(crate) training: bool,
-    pub(crate) cache: &'a RefCell<HaloCache>,
-    pub(crate) ws: &'a RefCell<Workspace>,
-}
-
-impl<'a> Fetcher<'a> {
+impl State {
     /// Issue one stage fetch: member `root` of `comm` holds the stage's
     /// `dims`-shaped block (`payload`, `Some` exactly at the root) and
     /// this rank multiplies rows `needed` of it. `Dense` broadcasts the
@@ -441,9 +442,10 @@ impl<'a> Fetcher<'a> {
     /// `igather_rows_refresh` kind and keeps remote blocks in cache slot
     /// `slot` — or serves: no collective at all, the rank's own block
     /// compacted fresh and remote blocks read from the cache. Evaluation
-    /// passes always gather fresh.
-    pub(crate) fn fetch(
-        self,
+    /// passes always gather fresh. Every stage fetch of every trainer
+    /// goes through here.
+    pub(crate) fn fetch<'a>(
+        &'a self,
         comm: &'a Communicator,
         root: usize,
         payload: Option<Arc<Mat>>,
@@ -488,7 +490,7 @@ impl<'a> Fetcher<'a> {
             op,
             needed,
             keep,
-            fetcher: self,
+            state: self,
         }
     }
 
@@ -498,7 +500,7 @@ impl<'a> Fetcher<'a> {
     /// metering the words the skipped gather would have moved under
     /// [`Cat::CacheHit`].
     fn serve_cached(
-        self,
+        &self,
         comm: &Communicator,
         payload: Option<Arc<Mat>>,
         needed: &[usize],
@@ -506,7 +508,7 @@ impl<'a> Fetcher<'a> {
         slot: usize,
     ) -> Operand {
         match payload {
-            Some(block) => Operand::pooled(self.ws, needed.len() * cols, |m| {
+            Some(block) => Operand::pooled(&self.ws, needed.len() * cols, |m| {
                 block.select_rows_into(needed.iter().copied(), m)
             }),
             None => {
@@ -517,14 +519,14 @@ impl<'a> Fetcher<'a> {
     }
 }
 
-/// A stage fetch issued by [`Fetcher::fetch`], in flight or already
+/// A stage fetch issued by [`State::fetch`], in flight or already
 /// served.
 pub(crate) struct Fetch<'a> {
     op: FetchOp<'a>,
     needed: &'a [usize],
     /// On a refresh epoch, the cache slot a remote block is kept in.
     keep: Option<usize>,
-    fetcher: Fetcher<'a>,
+    state: &'a State,
 }
 
 enum FetchOp<'c> {
@@ -547,7 +549,7 @@ impl Fetch<'_> {
             FetchOp::Bcast(op) => Operand::shared(op.wait()),
             FetchOp::Gather(op) => {
                 let gathered = op.wait();
-                Operand::pooled(self.fetcher.ws, self.needed.len() * gathered.cols(), |m| {
+                Operand::pooled(&self.state.ws, self.needed.len() * gathered.cols(), |m| {
                     gathered.compact_into(self.needed, m)
                 })
             }
@@ -555,7 +557,7 @@ impl Fetch<'_> {
         };
         if let Some(slot) = self.keep {
             let block = operand.handle().clone();
-            self.fetcher.cache.borrow_mut().store(slot, block);
+            self.state.cache.borrow_mut().store(slot, block);
         }
         operand
     }
@@ -638,28 +640,6 @@ impl HaloCache {
     }
 }
 
-/// The newest stored activation `H^L` — the trainer's output block.
-/// Trainers seed `hs` with the feature block at construction, so this
-/// cannot fail after `setup`; the message covers direct misuse. Generic
-/// over the storage: plain `Mat` stacks and the `Arc<Mat>` stacks the
-/// broadcast-based trainers keep (so their own block rides into
-/// collectives without a copy) both work.
-pub(crate) fn output_block<M: Borrow<Mat>>(hs: &[M]) -> &Mat {
-    match hs.last() {
-        Some(h) => h.borrow(),
-        None => panic!("no stored activations: run setup/forward first"),
-    }
-}
-
-/// [`output_block`] for the `Arc<Mat>` stacks: the shared handle itself,
-/// so the output block enters `allgather_shared` without a deep copy.
-pub(crate) fn output_block_shared(hs: &[Arc<Mat>]) -> Arc<Mat> {
-    match hs.last() {
-        Some(h) => h.clone(),
-        None => panic!("no stored activations: run setup/forward first"),
-    }
-}
-
 /// Per-rank storage footprint, in 8-byte words — the quantity behind the
 /// paper's memory arguments: 2D "consumes optimal memory" (§I), 1.5D pays
 /// `c`-fold replication (§IV-B), the 1D backward materializes `O(nf)`
@@ -689,21 +669,4 @@ impl StorageReport {
 /// Storage words of a CSR block: values + column indices + row pointers.
 pub(crate) fn csr_words(a: &cagnet_sparse::Csr) -> usize {
     2 * a.nnz() + a.rows() + 1
-}
-
-/// Total elements across a stack of dense matrices.
-pub(crate) fn mats_words<M: Borrow<Mat>>(ms: &[M]) -> usize {
-    ms.iter().map(|m| m.borrow().len()).sum()
-}
-
-/// All-gather per-rank `(correct, total)` accuracy counts and return the
-/// global accuracy fraction. Shared by every distributed trainer.
-pub(crate) fn global_accuracy(ctx: &Ctx, correct: usize, total: usize) -> f64 {
-    let c = ctx.world.allreduce_scalar(correct as f64, Cat::DenseComm);
-    let t = ctx.world.allreduce_scalar(total as f64, Cat::DenseComm);
-    if t == 0.0 {
-        0.0
-    } else {
-        c / t
-    }
 }

@@ -20,7 +20,6 @@ pub mod model;
 pub mod optimizer;
 pub mod problem;
 pub mod propagate;
-pub mod sage;
 pub mod sampling;
 pub mod serial;
 pub mod trainer;

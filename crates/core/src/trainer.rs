@@ -1,16 +1,16 @@
-//! Uniform driver: train a GCN with any of the four distributed
-//! algorithms on a simulated cluster and collect losses, accuracy,
-//! weights, embeddings, and per-rank timeline reports.
+//! Training and inference entry points: run a GCN with any of the five
+//! distributed algorithms on a simulated cluster and collect losses,
+//! accuracy, weights, embeddings, and per-rank timeline reports.
 
 use crate::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, onedim_row::OneDimRowTrainer,
-    threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
+    threedim::ThreeDimTrainer, twodim::TwoDimTrainer, Layout, Trainer,
 };
 use crate::model::GcnConfig;
 use crate::optimizer::OptimizerKind;
 use crate::problem::Problem;
 use cagnet_comm::trace::TraceEvent;
-use cagnet_comm::{Cluster, CostModel, Precision, TimelineReport, TransportKind};
+use cagnet_comm::{Cluster, CostModel, Ctx, Precision, TimelineReport, TransportKind};
 use cagnet_dense::activation::Activation;
 use cagnet_dense::Mat;
 
@@ -84,6 +84,33 @@ impl Algorithm {
             Algorithm::TwoD => cagnet_comm::grid::int_sqrt(p).unwrap_or(1),
             Algorithm::TwoDRect { pr, .. } => *pr,
             Algorithm::ThreeD => cagnet_comm::grid::int_cbrt(p).unwrap_or(1),
+        }
+    }
+}
+
+impl Trainer<Box<dyn Layout>> {
+    /// Set up `algo`'s trainer on this rank (with 2D knobs `twod`), its
+    /// layout behind one type.
+    ///
+    /// # Panics
+    /// When `algo` does not fit the cluster or the problem (see
+    /// [`Algorithm::supports`]).
+    pub fn for_algorithm(
+        ctx: &Ctx,
+        problem: &Problem,
+        gcn: &GcnConfig,
+        algo: Algorithm,
+        twod: TwoDimConfig,
+    ) -> Self {
+        match algo {
+            Algorithm::OneD => OneDimTrainer::setup(ctx, problem, gcn).boxed(),
+            Algorithm::OneDRow => OneDimRowTrainer::setup(ctx, problem, gcn).boxed(),
+            Algorithm::One5D { c } => One5DTrainer::setup(ctx, problem, gcn, c).boxed(),
+            Algorithm::TwoD => TwoDimTrainer::setup(ctx, problem, gcn, twod).boxed(),
+            Algorithm::TwoDRect { pr, pc } => {
+                TwoDimTrainer::setup_rect(ctx, problem, gcn, twod, pr, pc).boxed()
+            }
+            Algorithm::ThreeD => ThreeDimTrainer::setup(ctx, problem, gcn).boxed(),
         }
     }
 }
@@ -302,55 +329,14 @@ pub fn infer_distributed(
         cluster = cluster.with_transport(t);
     }
     let per_rank = cluster.run_wire(|ctx| {
-        macro_rules! run_forward {
-            ($t:expr) => {{
-                let mut t = $t;
-                t.set_weights(weights.to_vec());
-                let loss = t.forward(ctx);
-                let report = ctx.report();
-                let accuracy = t.accuracy(ctx);
-                let embeddings = t.gather_embeddings(ctx);
-                (loss, accuracy, report, embeddings)
-            }};
-        }
-        match algo {
-            Algorithm::OneD => {
-                let mut t = OneDimTrainer::setup(ctx, problem, gcn);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::OneDRow => {
-                let mut t = OneDimRowTrainer::setup(ctx, problem, gcn);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::One5D { c } => {
-                let mut t = One5DTrainer::setup(ctx, problem, gcn, c);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::TwoD => {
-                let mut t = TwoDimTrainer::setup(ctx, problem, gcn, tc.twod);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::TwoDRect { pr, pc } => {
-                let mut t = TwoDimTrainer::setup_rect(ctx, problem, gcn, tc.twod, pr, pc);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-            Algorithm::ThreeD => {
-                let mut t = ThreeDimTrainer::setup(ctx, problem, gcn);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-                run_forward!(t)
-            }
-        }
+        let mut t = Trainer::for_algorithm(ctx, problem, gcn, algo, tc.twod);
+        t.configure(tc);
+        t.set_weights(weights.to_vec());
+        let loss = t.forward(ctx);
+        let report = ctx.report();
+        let accuracy = t.accuracy(ctx);
+        let embeddings = t.gather_embeddings(ctx);
+        (loss, accuracy, report, embeddings)
     });
     let (loss, accuracy, _, embeddings) = per_rank[0].0.clone();
     let embeddings = match relabeling {
@@ -384,14 +370,6 @@ pub fn train_distributed(
         Some((prob, rl)) => (prob, Some(rl.clone())),
         None => (problem, None),
     };
-    enum AnyTrainer {
-        OneD(OneDimTrainer),
-        OneDRow(OneDimRowTrainer),
-        One5D(One5DTrainer),
-        TwoD(Box<TwoDimTrainer>),
-        ThreeD(Box<ThreeDimTrainer>),
-    }
-
     let mut cluster = Cluster::new(p)
         .with_model(model)
         .with_threads_per_rank(tc.threads_per_rank)
@@ -400,71 +378,12 @@ pub fn train_distributed(
         cluster = cluster.with_transport(t);
     }
     let per_rank = cluster.run_wire(|ctx| {
-        let mut tr = match algo {
-            Algorithm::OneD => AnyTrainer::OneD(OneDimTrainer::setup(ctx, problem, gcn)),
-            Algorithm::OneDRow => AnyTrainer::OneDRow(OneDimRowTrainer::setup(ctx, problem, gcn)),
-            Algorithm::One5D { c } => AnyTrainer::One5D(One5DTrainer::setup(ctx, problem, gcn, c)),
-            Algorithm::TwoD => {
-                AnyTrainer::TwoD(Box::new(TwoDimTrainer::setup(ctx, problem, gcn, tc.twod)))
-            }
-            Algorithm::TwoDRect { pr, pc } => AnyTrainer::TwoD(Box::new(
-                TwoDimTrainer::setup_rect(ctx, problem, gcn, tc.twod, pr, pc),
-            )),
-            Algorithm::ThreeD => {
-                AnyTrainer::ThreeD(Box::new(ThreeDimTrainer::setup(ctx, problem, gcn)))
-            }
-        };
-        match &mut tr {
-            AnyTrainer::OneD(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::OneDRow(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::One5D(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::TwoD(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-            AnyTrainer::ThreeD(t) => {
-                t.set_optimizer(tc.optimizer);
-                t.set_hidden_activation(tc.activation);
-                t.set_dropout(tc.dropout);
-                t.set_comm_mode(tc.comm_mode);
-                t.set_overlap(tc.overlap);
-            }
-        }
+        let mut t = Trainer::for_algorithm(ctx, problem, gcn, algo, tc.twod);
+        t.configure(tc);
         if tc.trace {
             ctx.enable_tracing();
         }
-        let mut losses = Vec::with_capacity(tc.epochs);
-        for _ in 0..tc.epochs {
-            let loss = match &mut tr {
-                AnyTrainer::OneD(t) => t.epoch(ctx),
-                AnyTrainer::OneDRow(t) => t.epoch(ctx),
-                AnyTrainer::One5D(t) => t.epoch(ctx),
-                AnyTrainer::TwoD(t) => t.epoch(ctx),
-                AnyTrainer::ThreeD(t) => t.epoch(ctx),
-            };
-            losses.push(loss);
-        }
+        let losses: Vec<f64> = (0..tc.epochs).map(|_| t.epoch(ctx)).collect();
         // Snapshot the timed-epoch ledger (and trace) before the
         // (untimed-in-spirit) evaluation pass.
         let report = ctx.report();
@@ -473,32 +392,10 @@ pub fn train_distributed(
         } else {
             Vec::new()
         };
-        let accuracy = match &mut tr {
-            AnyTrainer::OneD(t) => t.accuracy(ctx),
-            AnyTrainer::OneDRow(t) => t.accuracy(ctx),
-            AnyTrainer::One5D(t) => t.accuracy(ctx),
-            AnyTrainer::TwoD(t) => t.accuracy(ctx),
-            AnyTrainer::ThreeD(t) => t.accuracy(ctx),
-        };
-        let outputs = if tc.collect_outputs {
-            let weights = match &tr {
-                AnyTrainer::OneD(t) => t.weights().to_vec(),
-                AnyTrainer::OneDRow(t) => t.weights().to_vec(),
-                AnyTrainer::One5D(t) => t.weights().to_vec(),
-                AnyTrainer::TwoD(t) => t.weights().to_vec(),
-                AnyTrainer::ThreeD(t) => t.weights().to_vec(),
-            };
-            let embeddings = match &tr {
-                AnyTrainer::OneD(t) => t.gather_embeddings(ctx),
-                AnyTrainer::OneDRow(t) => t.gather_embeddings(ctx),
-                AnyTrainer::One5D(t) => t.gather_embeddings(ctx),
-                AnyTrainer::TwoD(t) => t.gather_embeddings(ctx),
-                AnyTrainer::ThreeD(t) => t.gather_embeddings(ctx),
-            };
-            Some((weights, embeddings))
-        } else {
-            None
-        };
+        let accuracy = t.accuracy(ctx);
+        let outputs = tc
+            .collect_outputs
+            .then(|| (t.weights().to_vec(), t.gather_embeddings(ctx)));
         (losses, accuracy, report, trace, outputs)
     });
 

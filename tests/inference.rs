@@ -5,6 +5,7 @@
 use cagnet::comm::{Cat, CostModel};
 use cagnet::core::trainer::{infer_distributed, train_distributed, Algorithm, TrainConfig};
 use cagnet::core::{GcnConfig, Problem, SerialTrainer};
+use cagnet::dense::activation::Activation;
 use cagnet::sparse::generate::erdos_renyi;
 
 fn setup() -> (
@@ -130,4 +131,32 @@ fn inference_with_trained_distributed_weights_roundtrips() {
     );
     // Sparse traffic present in the 3D forward (SUMMA broadcasts of A).
     assert!(r.reports.iter().any(|rep| rep.words(Cat::SparseComm) > 0));
+}
+
+#[test]
+fn inference_honors_the_hidden_activation() {
+    // A model trained with tanh hidden layers and served with the same
+    // TrainConfig must run tanh at inference too: its embeddings are the
+    // ones train_distributed gathers with the final weights, bit for bit.
+    let (problem, cfg, _, _, _) = setup();
+    let tc = TrainConfig {
+        epochs: 4,
+        activation: Activation::Tanh,
+        ..Default::default()
+    };
+    for (algo, p) in [(Algorithm::OneD, 2), (Algorithm::TwoD, 4)] {
+        let model = CostModel::summit_like();
+        let trained = train_distributed(&problem, &cfg, algo, p, model.clone(), &tc);
+        let served = infer_distributed(&problem, &cfg, &trained.weights, algo, p, model, &tc);
+        let bits = |m: &cagnet::dense::Mat| -> Vec<u64> {
+            m.as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&served.embeddings),
+            bits(&trained.embeddings),
+            "{} P={p}: served embeddings must equal the trained run's",
+            algo.name()
+        );
+        assert_eq!(served.accuracy, trained.accuracy, "{} P={p}", algo.name());
+    }
 }

@@ -18,7 +18,7 @@ use cagnet::core::trainer::Algorithm;
 use cagnet::core::{GcnConfig, Problem, SerialTrainer};
 use cagnet::dense::Mat;
 use cagnet::sparse::generate::erdos_renyi;
-use common::AnyTrainer;
+use common::{AnyTrainer, Setup};
 
 const STEPS: usize = 3;
 

@@ -7,8 +7,10 @@
 //! communicators are non-singleton.
 
 use cagnet::comm::{Cat, CostModel};
-use cagnet::core::trainer::{infer_distributed, train_distributed, Algorithm, TrainConfig};
-use cagnet::core::{CommMode, DistTrainResult, GcnConfig, Problem};
+use cagnet::core::trainer::{
+    infer_distributed, train_distributed, Algorithm, TrainConfig, TwoDimConfig,
+};
+use cagnet::core::{CommMode, DistTrainResult, GcnConfig, Problem, SerialTrainer};
 use cagnet::sparse::generate::erdos_renyi;
 use cagnet::sparse::{Coo, Csr};
 
@@ -346,5 +348,60 @@ fn summa_empty_needed_sets_are_handled() {
             "{} P={p}: zero-row gathers must undercut full broadcasts ({sw} vs {dw})",
             algo.name()
         );
+    }
+}
+
+#[test]
+fn sub_staged_summa_is_bit_identical_across_tiers() {
+    // `stages_per_block > 1` splits every fine SUMMA stage into narrower
+    // sub-panels: sliced S panels, sliced D panels, per-sub-stage needed
+    // sets and cache slots. Every tier must train bit-identically on
+    // them, with and without overlap, on square and rectangular grids,
+    // and match the serial reference.
+    let (problem, cfg) = low_degree_problem();
+    let mut serial = SerialTrainer::new(&problem, cfg.clone());
+    let s_losses = serial.train(3);
+    for (algo, p) in [
+        (Algorithm::TwoD, 4),
+        (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
+    ] {
+        for stages_per_block in [2, 3] {
+            for overlap in [true, false] {
+                let run = |mode| {
+                    let tc = TrainConfig {
+                        epochs: 3,
+                        comm_mode: mode,
+                        overlap,
+                        twod: TwoDimConfig {
+                            stages_per_block,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    };
+                    train_distributed(&problem, &cfg, algo, p, CostModel::summit_like(), &tc)
+                };
+                let case = format!("{} sub={stages_per_block} overlap={overlap}", algo.name());
+                let dense = run(CommMode::Dense);
+                for mode in [CommMode::SparsityAware, CommMode::Cached { refresh: 1 }] {
+                    let r = run(mode);
+                    assert_eq!(r.losses, dense.losses, "{case} {mode:?}: losses");
+                    assert_eq!(r.weights, dense.weights, "{case} {mode:?}: weights");
+                    assert!(
+                        dense_words(&r) < dense_words(&dense),
+                        "{case} {mode:?}: sparse tiers must move fewer DenseComm words"
+                    );
+                }
+                for (e, (a, b)) in s_losses.iter().zip(&dense.losses).enumerate() {
+                    assert!(
+                        (a - b).abs() < 1e-8,
+                        "{case}: epoch {e} loss {b} vs serial {a}"
+                    );
+                }
+                for (l, (sw, dw)) in serial.weights().iter().zip(&dense.weights).enumerate() {
+                    let d = sw.max_abs_diff(dw);
+                    assert!(d < 1e-8, "{case}: weight {l} differs from serial by {d}");
+                }
+            }
+        }
     }
 }

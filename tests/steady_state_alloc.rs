@@ -29,7 +29,7 @@ use cagnet::comm::Cluster;
 use cagnet::core::trainer::Algorithm;
 use cagnet::core::{CommMode, GcnConfig, Problem, SerialTrainer};
 use cagnet::sparse::generate::erdos_renyi;
-use common::AnyTrainer;
+use common::{AnyTrainer, Setup};
 
 /// Allocations at least this large are counted.
 const BIG: usize = 64 * 1024;

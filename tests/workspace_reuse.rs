@@ -32,7 +32,7 @@ use cagnet::core::{CommMode, GcnConfig, Problem};
 use cagnet::dense::Mat;
 use cagnet::sparse::generate::erdos_renyi;
 use cagnet::sparse::{Coo, Csr};
-use common::AnyTrainer;
+use common::{AnyTrainer, Setup};
 
 const DROPOUT: f64 = 0.5;
 
