@@ -246,7 +246,6 @@ fn main() {
         worst_gap_refresh_le_4: worst_gap,
         rows,
     };
-    // lint:allow(unwrap): the serde shim only errors on non-string map keys
     let json = serde_json::to_string(&doc).expect("serialize");
     if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
         eprintln!("cannot write {out_path}: {e}");

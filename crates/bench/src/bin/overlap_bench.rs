@@ -186,7 +186,6 @@ fn main() {
         }
     }
 
-    // lint:allow(unwrap): the serde shim only errors on non-string map keys
     let json = serde_json::to_string(&rows).expect("serialize");
     if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
         eprintln!("cannot write {out_path}: {e}");

@@ -47,6 +47,8 @@ use cagnet_core::{CommMode, GcnConfig, Problem};
 use cagnet_sparse::datasets;
 use cagnet_sparse::generate::{rmat_symmetric, RmatParams};
 use std::collections::HashMap;
+use std::fmt;
+use std::str::FromStr;
 
 /// Flags that take no value.
 const BOOL_FLAGS: [&str; 2] = ["json", "worker"];
@@ -148,29 +150,48 @@ fn parse_partition(s: &str) -> Result<Option<PartitionSpec>, String> {
     })))
 }
 
-fn parse_algo(s: &str) -> Algorithm {
-    if s == "1d" {
-        Algorithm::OneD
-    } else if s == "1d-row" {
-        Algorithm::OneDRow
-    } else if s == "2d" {
-        Algorithm::TwoD
-    } else if s == "3d" {
-        Algorithm::ThreeD
-    } else if let Some(c) = s.strip_prefix("1.5d:") {
-        Algorithm::One5D {
-            c: c.parse().expect("bad replication factor"),
+/// Parse one numeric flag value with the flag named in the error, so
+/// `--processes four` fails loudly instead of panicking.
+fn parse_num<T: FromStr>(flag: &str, s: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    s.parse()
+        .map_err(|e| format!("{flag}: cannot parse '{s}' ({e})"))
+}
+
+fn parse_algo(s: &str) -> Result<Algorithm, String> {
+    Ok(match s {
+        "1d" => Algorithm::OneD,
+        "1d-row" => Algorithm::OneDRow,
+        "2d" => Algorithm::TwoD,
+        "3d" => Algorithm::ThreeD,
+        _ => {
+            if let Some(c) = s.strip_prefix("1.5d:") {
+                Algorithm::One5D {
+                    c: parse_num("--algo 1.5d:<c>", c)?,
+                }
+            } else if let Some(grid) = s.strip_prefix("2d:") {
+                let (pr, pc) = grid
+                    .split_once('x')
+                    .ok_or_else(|| format!("--algo 2d:<pr>x<pc> needs a grid, got '{s}'"))?;
+                Algorithm::TwoDRect {
+                    pr: parse_num("--algo 2d:<pr>x<pc>", pr)?,
+                    pc: parse_num("--algo 2d:<pr>x<pc>", pc)?,
+                }
+            } else {
+                return Err(format!("unknown algorithm '{s}'"));
+            }
         }
-    } else if let Some(grid) = s.strip_prefix("2d:") {
-        let (pr, pc) = grid.split_once('x').expect("grid must be <pr>x<pc>");
-        Algorithm::TwoDRect {
-            pr: pr.parse().expect("bad pr"),
-            pc: pc.parse().expect("bad pc"),
-        }
-    } else {
-        eprintln!("unknown algorithm '{s}'");
+    })
+}
+
+/// The value of a parse, or exit 2 with its named error.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    })
 }
 
 fn main() {
@@ -178,12 +199,16 @@ fn main() {
     let get = |k: &str, d: &str| args.get(k).cloned().unwrap_or_else(|| d.to_string());
 
     let dataset = get("dataset", "rmat:10:8");
-    let algo = parse_algo(&get("algo", "2d"));
-    let p: usize = get("processes", "4").parse().expect("bad process count");
-    let epochs: usize = get("epochs", "3").parse().expect("bad epoch count");
-    let alpha: f64 = get("alpha", "15e-6").parse().expect("bad alpha");
-    let gbps: f64 = get("beta-gbps", "10").parse().expect("bad bandwidth");
-    let hidden: usize = get("hidden", "16").parse().expect("bad hidden width");
+    let algo = or_exit(parse_algo(&get("algo", "2d")));
+    let p: usize = or_exit(parse_num("--processes", &get("processes", "4")));
+    if !algo.supports(p) {
+        eprintln!("{} does not support P={p}", algo.name());
+        std::process::exit(2);
+    }
+    let epochs: usize = or_exit(parse_num("--epochs", &get("epochs", "3")));
+    let alpha: f64 = or_exit(parse_num("--alpha", &get("alpha", "15e-6")));
+    let gbps: f64 = or_exit(parse_num("--beta-gbps", &get("beta-gbps", "10")));
+    let hidden: usize = or_exit(parse_num("--hidden", &get("hidden", "16")));
     let overlap = match get("overlap", "on").as_str() {
         "on" => true,
         "off" => false,
@@ -192,27 +217,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let comm_mode = match parse_comm_mode(&get("comm-mode", "dense")) {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let precision = match parse_precision(&get("precision", "f64")) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let partition = match parse_partition(&get("partition", "block")) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let comm_mode = or_exit(parse_comm_mode(&get("comm-mode", "dense")));
+    let precision = or_exit(parse_precision(&get("precision", "f64")));
+    let partition = or_exit(parse_partition(&get("partition", "block")));
     let transport = match get("transport", "").as_str() {
         "" => None,
         "shared" => Some(TransportKind::Shared),
@@ -232,10 +239,14 @@ fn main() {
     };
 
     let (problem, gcn, name) = if let Some(spec) = dataset.strip_prefix("rmat:") {
-        let (scale, degree) = spec.split_once(':').expect("rmat:<scale>:<degree>");
+        const RMAT: &str = "--dataset rmat:<scale>:<degree>";
+        let (scale, degree) = or_exit(
+            spec.split_once(':')
+                .ok_or_else(|| format!("{RMAT} needs a scale and a degree, got '{dataset}'")),
+        );
         let g = rmat_symmetric(
-            scale.parse().expect("bad scale"),
-            degree.parse().expect("bad degree"),
+            or_exit(parse_num(RMAT, scale)),
+            or_exit(parse_num(RMAT, degree)),
             RmatParams::default(),
             7,
         );
@@ -262,10 +273,6 @@ fn main() {
         (problem, gcn, dataset.clone())
     };
 
-    if !algo.supports(p) {
-        eprintln!("{} does not support P={p}", algo.name());
-        std::process::exit(2);
-    }
     let tc = TrainConfig {
         epochs,
         collect_outputs: false,
@@ -302,7 +309,6 @@ fn main() {
     }
     if json_only {
         // Machine-readable only: a bare JSON array on stdout.
-        // lint:allow(unwrap): the serde shim only errors on non-string map keys
         println!("{}", serde_json::to_string(&[row]).expect("serialize"));
         return;
     }

@@ -82,3 +82,26 @@ fn cached_mode_runs_end_to_end() {
         "expected a JSON row, got: {stdout}"
     );
 }
+
+#[test]
+fn bad_geometry_and_numeric_values_are_named_errors() {
+    // P = 0 fits no geometry; 2D used to pass the check and panic in
+    // the cluster instead.
+    let (code, err) = run_err(&["--processes", "0", "--algo", "2d"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("2d does not support P=0"), "stderr: {err}");
+
+    let (code, err) = run_err(&["--processes", "four"]);
+    assert_eq!(code, 2);
+    assert!(
+        err.contains("--processes: cannot parse 'four'"),
+        "stderr: {err}"
+    );
+
+    let (code, err) = run_err(&["--algo", "1.5d:x"]);
+    assert_eq!(code, 2);
+    assert!(
+        err.contains("--algo 1.5d:<c>: cannot parse 'x'"),
+        "stderr: {err}"
+    );
+}

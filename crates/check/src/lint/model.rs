@@ -1,10 +1,8 @@
 //! Brace-aware file model built on the token stream: line table,
-//! `#[cfg(test)]` ranges, function/closure spans, match-arm
-//! segmentation, and validated `lint:allow(...)` markers.
+//! `#[cfg(test)]` ranges, function spans, and `lint:allow(...)` markers.
 //!
 //! Everything here works on *code token indices* (comments filtered
-//! out) so the rules and analyses never see comment or string interior
-//! text as code.
+//! out) so the rules never see comment or string interior text as code.
 
 use super::lexer::{self, Span, TokKind, Token};
 
@@ -21,42 +19,6 @@ pub struct FnItem {
     /// Inclusive code-token range `[open-brace, close-brace]` of the
     /// body, when the function has one.
     pub body: Option<(usize, usize)>,
-}
-
-/// A named local closure: `let [mut] name = [move] |…| body`. Recorded
-/// so analyses can resolve `name(args)` calls within the enclosing
-/// function (the trainers use these for stage-issue helpers).
-#[derive(Clone, Debug)]
-pub struct ClosureItem {
-    /// Code-token index of the closure's binding name.
-    pub name_idx: usize,
-    /// Inclusive code-token range of the closure body (braces included
-    /// for block bodies).
-    pub body: (usize, usize),
-    /// Index into [`FileModel::functions`] of the enclosing function,
-    /// when there is one. Closure resolution is scoped to it.
-    pub owner: Option<usize>,
-}
-
-/// One `pattern [if guard] => body` arm of a match.
-#[derive(Clone, Debug)]
-pub struct MatchArm {
-    /// Half-open code-token range of the pattern *including* any `if`
-    /// guard (everything before `=>`).
-    pub pattern: (usize, usize),
-    /// Half-open code-token range of the arm body.
-    pub body: (usize, usize),
-}
-
-/// A `match scrutinee { arms }` expression.
-#[derive(Clone, Debug)]
-pub struct MatchItem {
-    /// Code-token index of the `match` keyword.
-    pub kw: usize,
-    /// Half-open code-token range of the scrutinee expression.
-    pub scrutinee: (usize, usize),
-    /// The arms, in source order.
-    pub arms: Vec<MatchArm>,
 }
 
 /// A `lint:allow(<name>)` marker found in a comment token.
@@ -84,10 +46,6 @@ pub struct FileModel<'s> {
     pub test_ranges: Vec<(usize, usize)>,
     /// All function items, in source order (nested fns included).
     pub functions: Vec<FnItem>,
-    /// Named local closures, in source order.
-    pub closures: Vec<ClosureItem>,
-    /// All match expressions, in source order.
-    pub matches: Vec<MatchItem>,
     /// All `lint:allow` markers (valid and unknown alike).
     pub allows: Vec<AllowMarker>,
 }
@@ -118,14 +76,10 @@ impl<'s> FileModel<'s> {
             line_starts,
             test_ranges: Vec::new(),
             functions: Vec::new(),
-            closures: Vec::new(),
-            matches: Vec::new(),
             allows: Vec::new(),
         };
         m.find_test_ranges();
         m.find_functions();
-        m.find_closures();
-        m.find_matches();
         m.find_allows();
         m
     }
@@ -147,18 +101,6 @@ impl<'s> FileModel<'s> {
     pub fn col_of(&self, byte: usize) -> usize {
         let line = self.line_of(byte);
         byte - self.line_starts[line - 1] + 1
-    }
-
-    /// The source line containing `byte`, trimmed.
-    pub fn line_text(&self, byte: usize) -> &'s str {
-        let line = self.line_of(byte);
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map(|&e| e.saturating_sub(1))
-            .unwrap_or(self.src.len());
-        self.src[start..end].trim()
     }
 
     /// Is this byte inside a `#[cfg(test)]` item?
@@ -198,44 +140,6 @@ impl<'s> FileModel<'s> {
             }
         }
         None
-    }
-
-    /// Is code token `i` the first of an adjacent `=>` pair?
-    pub fn is_fat_arrow(&self, i: usize) -> bool {
-        self.code[i].is_punct(b'=')
-            && i + 1 < self.code.len()
-            && self.code[i + 1].is_punct(b'>')
-            && self.code[i].span.end == self.code[i + 1].span.start
-    }
-
-    /// Is code token `i` the first of an adjacent `::` pair?
-    pub fn is_path_sep(&self, i: usize) -> bool {
-        self.code[i].is_punct(b':')
-            && i + 1 < self.code.len()
-            && self.code[i + 1].is_punct(b':')
-            && self.code[i].span.end == self.code[i + 1].span.start
-    }
-
-    /// The innermost function whose body contains code token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (fi, f) in self.functions.iter().enumerate() {
-            if let Some((open, close)) = f.body {
-                if i >= open && i <= close {
-                    let better = match best {
-                        Some(b) => {
-                            let (bo, _) = self.functions[b].body.unwrap_or((0, usize::MAX));
-                            open > bo
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best = Some(fi);
-                    }
-                }
-            }
-        }
-        best
     }
 
     /// `#[cfg(test)]` attribute → mark through the following item.
@@ -335,218 +239,6 @@ impl<'s> FileModel<'s> {
         }
     }
 
-    fn find_closures(&mut self) {
-        let n = self.code.len();
-        let mut i = 0;
-        while i + 3 < n {
-            if !(self.code[i].kind == TokKind::Ident && self.text(i) == "let") {
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            if j < n && self.code[j].kind == TokKind::Ident && self.text(j) == "mut" {
-                j += 1;
-            }
-            if !(j < n && self.code[j].kind == TokKind::Ident) {
-                i += 1;
-                continue;
-            }
-            let name_idx = j;
-            j += 1;
-            if !(j < n && self.code[j].is_punct(b'=')) {
-                i += 1;
-                continue;
-            }
-            j += 1;
-            if j < n && self.code[j].kind == TokKind::Ident && self.text(j) == "move" {
-                j += 1;
-            }
-            if !(j < n && self.code[j].is_punct(b'|')) {
-                i += 1;
-                continue;
-            }
-            // Parameter list: scan to the closing `|` (an immediately
-            // adjacent `|` means empty params).
-            let mut k = j + 1;
-            let mut pdepth = 0i32;
-            while k < n {
-                match self.code[k].kind {
-                    TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'<') => {
-                        pdepth += 1
-                    }
-                    TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'>') => {
-                        pdepth -= 1
-                    }
-                    TokKind::Punct(b'|') if pdepth <= 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            if k >= n {
-                i += 1;
-                continue;
-            }
-            // Optional `-> Type`, then the body.
-            let mut b = k + 1;
-            while b < n && !self.code[b].is_punct(b'{') && !self.code[b].is_punct(b';') {
-                // Expression body without braces: ends at `;` at depth 0.
-                if self.code[b].is_punct(b'-')
-                    || self.code[b].kind == TokKind::Ident
-                    || self.code[b].is_punct(b'>')
-                    || self.code[b].is_punct(b'&')
-                    || self.is_path_sep_at(b)
-                {
-                    b += 1;
-                    continue;
-                }
-                break;
-            }
-            let body = if b < n && self.code[b].is_punct(b'{') {
-                match self.matching_close(b) {
-                    Some(c) => (b, c),
-                    None => (b, n.saturating_sub(1)),
-                }
-            } else {
-                // Expression body: through the terminating `;` at depth 0.
-                let mut depth = 0i32;
-                let mut e = k + 1;
-                while e < n {
-                    match self.code[e].kind {
-                        TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{') => {
-                            depth += 1
-                        }
-                        TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => {
-                            depth -= 1;
-                            if depth < 0 {
-                                break;
-                            }
-                        }
-                        TokKind::Punct(b';') if depth == 0 => break,
-                        _ => {}
-                    }
-                    e += 1;
-                }
-                (k + 1, e.min(n.saturating_sub(1)))
-            };
-            let owner = self.enclosing_fn(name_idx);
-            self.closures.push(ClosureItem {
-                name_idx,
-                body,
-                owner,
-            });
-            i = name_idx + 1;
-        }
-    }
-
-    fn find_matches(&mut self) {
-        let n = self.code.len();
-        for kw in 0..n {
-            if !(self.code[kw].kind == TokKind::Ident && self.text(kw) == "match") {
-                continue;
-            }
-            // Method position (`x.match`) cannot occur — `match` is a
-            // keyword — but guard against field-like uses anyway.
-            if kw > 0 && self.code[kw - 1].is_punct(b'.') {
-                continue;
-            }
-            // Scrutinee: to the first `{` at ()/[] depth 0.
-            let mut depth = 0i32;
-            let mut open = None;
-            let mut j = kw + 1;
-            while j < n {
-                match self.code[j].kind {
-                    TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
-                    TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
-                    TokKind::Punct(b'{') if depth == 0 => {
-                        open = Some(j);
-                        break;
-                    }
-                    TokKind::Punct(b';') if depth == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(open) = open else { continue };
-            let Some(close) = self.matching_close(open) else {
-                continue;
-            };
-            let mut arms = Vec::new();
-            let mut a = open + 1;
-            while a < close {
-                // Pattern (plus guard) to `=>` at depth 0 within the arm.
-                let pat_start = a;
-                let mut depth = 0i32;
-                let mut arrow = None;
-                let mut p = a;
-                while p < close {
-                    match self.code[p].kind {
-                        TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{') => {
-                            depth += 1
-                        }
-                        TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => {
-                            depth -= 1
-                        }
-                        TokKind::Punct(b'=') if depth == 0 && self.is_fat_arrow(p) => {
-                            arrow = Some(p);
-                            break;
-                        }
-                        _ => {}
-                    }
-                    p += 1;
-                }
-                let Some(arrow) = arrow else { break };
-                let body_start = arrow + 2;
-                let body_end;
-                let next_arm;
-                if body_start < close && self.code[body_start].is_punct(b'{') {
-                    let c = self
-                        .matching_close(body_start)
-                        .unwrap_or(close.saturating_sub(1))
-                        .min(close);
-                    body_end = c + 1;
-                    next_arm = if c + 1 < close && self.code[c + 1].is_punct(b',') {
-                        c + 2
-                    } else {
-                        c + 1
-                    };
-                } else {
-                    // Expression body: to `,` at depth 0 or the match end.
-                    let mut depth = 0i32;
-                    let mut e = body_start;
-                    while e < close {
-                        match self.code[e].kind {
-                            TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{') => {
-                                depth += 1
-                            }
-                            TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => {
-                                depth -= 1
-                            }
-                            TokKind::Punct(b',') if depth == 0 => break,
-                            _ => {}
-                        }
-                        e += 1;
-                    }
-                    body_end = e;
-                    next_arm = if e < close { e + 1 } else { e };
-                }
-                arms.push(MatchArm {
-                    pattern: (pat_start, arrow),
-                    body: (body_start, body_end),
-                });
-                a = next_arm.max(pat_start + 1);
-            }
-            self.matches.push(MatchItem {
-                kw,
-                scrutinee: (kw + 1, open),
-                arms,
-            });
-        }
-    }
-
-    fn is_path_sep_at(&self, i: usize) -> bool {
-        self.code[i].is_punct(b':')
-    }
-
     /// Scan comment tokens for `lint:allow(<name>)` markers. Names are
     /// runs of `[A-Za-z0-9_-]`; anything else between the parens (for
     /// example the `<rule>` placeholder in docs) is not a marker.
@@ -589,7 +281,6 @@ mod tests {
         assert_eq!(m.line_of(0), 1);
         assert_eq!(m.line_of(3), 2);
         assert_eq!(m.col_of(4), 2);
-        assert_eq!(m.line_text(4), "cd");
     }
 
     #[test]
@@ -620,57 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn closures_are_scoped_to_fns() {
-        let src = "fn a() { let issue = |s: usize| { go(s) }; issue(0); }\nfn b() { let issue = |s: usize| { other(s) }; }";
-        let m = FileModel::new(src);
-        assert_eq!(m.closures.len(), 2);
-        assert_eq!(m.closures[0].owner, Some(0));
-        assert_eq!(m.closures[1].owner, Some(1));
-    }
-
-    #[test]
-    fn match_arms_segment() {
-        let src = "fn f(x: Option<u8>) -> u8 { match x { Some(v) => v, None => { 0 } } }";
-        let m = FileModel::new(src);
-        assert_eq!(m.matches.len(), 1);
-        let ma = &m.matches[0];
-        assert_eq!(ma.arms.len(), 2);
-        let pat0: Vec<&str> = (ma.arms[0].pattern.0..ma.arms[0].pattern.1)
-            .map(|i| m.text(i))
-            .collect();
-        assert_eq!(pat0.join(""), "Some(v)");
-    }
-
-    #[test]
-    fn match_guard_stays_in_pattern() {
-        let src = "fn f() { match r { Ok(fr) if fr.kind == FrameKind::Hello => a(), _ => b(), } }";
-        let m = FileModel::new(src);
-        let ma = &m.matches[0];
-        assert_eq!(ma.arms.len(), 2);
-        let pat: String = (ma.arms[0].pattern.0..ma.arms[0].pattern.1)
-            .map(|i| m.text(i))
-            .collect();
-        assert!(pat.contains("FrameKind"));
-        assert!(pat.contains("Hello"));
-    }
-
-    #[test]
-    fn struct_pattern_braces_do_not_split_arms() {
-        let src = "fn f() { match x { Frame { kind, .. } => a(), _ => b(), } }";
-        let m = FileModel::new(src);
-        assert_eq!(m.matches[0].arms.len(), 2);
-    }
-
-    #[test]
-    fn nested_match_in_arm_body() {
-        let src = "fn f() { match x { A => match y { C => 1, D => 2 }, B => 3, } }";
-        let m = FileModel::new(src);
-        assert_eq!(m.matches.len(), 2);
-        assert_eq!(m.matches[0].arms.len(), 2);
-        assert_eq!(m.matches[1].arms.len(), 2);
-    }
-
-    #[test]
     fn allow_markers_parse_from_comments_only() {
         let src = "let a = 1; // lint:allow(unwrap): reason\nlet s = \"lint:allow(unwrap)\";\n// docs say lint:allow(<rule>)\n";
         let m = FileModel::new(src);
@@ -680,17 +320,5 @@ mod tests {
         assert!(m.allow_on(1, "unwrap"));
         assert!(m.allow_on(2, "unwrap"));
         assert!(!m.allow_on(3, "unwrap"));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_innermost() {
-        let src = "fn outer() { fn inner() { leaf(); } }";
-        let m = FileModel::new(src);
-        let leaf_idx = m
-            .code
-            .iter()
-            .position(|t| t.text(src) == "leaf")
-            .expect("leaf token");
-        assert_eq!(m.enclosing_fn(leaf_idx), Some(1));
     }
 }

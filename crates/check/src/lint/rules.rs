@@ -1,5 +1,5 @@
-//! The token-level lint rules (the five legacy line-scanner rules
-//! re-implemented on the token model, plus `scalar-hot-loop`).
+//! The per-file token rules: `unwrap`, `serial-kernel`, `raw-socket-io`
+//! and `scalar-hot-loop`.
 //!
 //! Each rule walks code tokens (comments and string interiors already
 //! excluded by the lexer), so none of the old line-scanner false states
@@ -11,7 +11,7 @@ use super::{Finding, PathFlags, Rule};
 
 /// Serial kernels that have `_with` ParallelCtx variants; calling these
 /// bare inside `dist/` bypasses the per-rank thread budget.
-pub(super) const SERIAL_KERNELS: [&str; 8] = [
+const SERIAL_KERNELS: [&str; 8] = [
     "matmul",
     "matmul_acc",
     "matmul_tn",
@@ -22,40 +22,10 @@ pub(super) const SERIAL_KERNELS: [&str; 8] = [
     "spmm_semiring_acc",
 ];
 
-/// Collective methods that take a `Cat` cost category; `barrier` is
-/// exempt (it moves no payload words).
-pub(super) const CATEGORIZED_COLLECTIVES: [&str; 16] = [
-    "bcast",
-    "bcast_shared",
-    "gather_rows",
-    "allgather",
-    "allgather_shared",
-    "allreduce_mat",
-    "allreduce_scalar",
-    "reduce_scatter_rows",
-    "alltoall",
-    "gather",
-    "scatter",
-    "sendrecv",
-    "ibcast_shared",
-    "igather_rows",
-    "igather_rows_refresh",
-    "iallreduce_mat",
-];
-
-/// Split-phase collective issue sites — each returns a `PendingOp` that
-/// must be `.wait(`ed on every control-flow path.
-pub(super) const PENDING_ISSUERS: [&str; 4] = [
-    "ibcast_shared",
-    "igather_rows",
-    "igather_rows_refresh",
-    "iallreduce_mat",
-];
-
 /// Raw byte-stream calls that belong only in `frame.rs` — anywhere
 /// else in `comm/src/` they would move wire bytes around the framed
 /// codec's header validation.
-pub(super) const RAW_STREAM_CALLS: [&str; 7] = [
+const RAW_STREAM_CALLS: [&str; 7] = [
     "read",
     "read_exact",
     "read_to_end",
@@ -65,20 +35,13 @@ pub(super) const RAW_STREAM_CALLS: [&str; 7] = [
     "write_vectored",
 ];
 
-/// Is code token `i` the method name of a `.name(` call? Returns the
-/// index of the opening paren.
-fn method_call_open(m: &FileModel<'_>, i: usize) -> Option<usize> {
-    if m.code[i].kind != TokKind::Ident {
-        return None;
-    }
-    if i == 0 || !m.code[i - 1].is_punct(b'.') {
-        return None;
-    }
-    if i + 1 < m.code.len() && m.code[i + 1].is_punct(b'(') {
-        Some(i + 1)
-    } else {
-        None
-    }
+/// Is code token `i` the method name of a `.name(` call?
+fn method_call(m: &FileModel<'_>, i: usize) -> bool {
+    m.code[i].kind == TokKind::Ident
+        && i > 0
+        && m.code[i - 1].is_punct(b'.')
+        && i + 1 < m.code.len()
+        && m.code[i + 1].is_punct(b'(')
 }
 
 /// Is code token `i` a bare `name(` call (not a method, not part of a
@@ -89,36 +52,33 @@ fn bare_call(m: &FileModel<'_>, i: usize) -> bool {
 
 /// Run the token-level rules over one file.
 pub(super) fn run(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>) {
-    let n = m.code.len();
-    for i in 0..n {
+    for i in 0..m.code.len() {
         let byte = m.code[i].span.start;
         if m.in_test(byte) {
             continue;
         }
         let line = m.line_of(byte);
+        let name = m.text(i);
 
-        // Rule 1: unwrap/expect in library code.
-        if !flags.is_bin {
-            if let Some(_open) = method_call_open(m, i) {
-                let name = m.text(i);
-                if (name == "unwrap" || name == "expect")
-                    && !m.allow_on(line, Rule::UnwrapInLib.name())
-                {
-                    out.push(super::finding(
-                        m,
-                        flags,
-                        m.code[i].span,
-                        Rule::UnwrapInLib,
-                        format!("`.{name}(` in library code outside tests"),
-                    ));
-                }
-            }
+        // unwrap/expect in library code.
+        if !flags.is_bin
+            && method_call(m, i)
+            && (name == "unwrap" || name == "expect")
+            && !m.allow_on(line, Rule::UnwrapInLib.name())
+        {
+            out.push(super::finding(
+                m,
+                flags,
+                m.code[i].span,
+                Rule::UnwrapInLib,
+                format!("`.{name}(` in library code outside tests"),
+            ));
         }
 
-        // Rule 2: serial kernels in dist/.
+        // Serial kernels in dist/.
         if flags.is_dist
             && bare_call(m, i)
-            && SERIAL_KERNELS.contains(&m.text(i))
+            && SERIAL_KERNELS.contains(&name)
             && !m.allow_on(line, Rule::SerialKernelInDist.name())
         {
             out.push(super::finding(
@@ -126,79 +86,26 @@ pub(super) fn run(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>) 
                 flags,
                 m.code[i].span,
                 Rule::SerialKernelInDist,
-                format!(
-                    "serial `{}(` in dist/ — use the `_with` ParallelCtx variant",
-                    m.text(i)
-                ),
+                format!("serial `{name}(` in dist/ — use the `_with` ParallelCtx variant"),
             ));
         }
 
-        // Rule 3: collectives must carry a Cat:: category in-call.
-        if flags.is_core {
-            if let Some(open) = method_call_open(m, i) {
-                let name = m.text(i);
-                if CATEGORIZED_COLLECTIVES.contains(&name) {
-                    match m.matching_close(open) {
-                        None => {
-                            if !m.allow_on(line, Rule::UnbalancedCall.name()) {
-                                out.push(super::finding(
-                                    m,
-                                    flags,
-                                    m.code[i].span,
-                                    Rule::UnbalancedCall,
-                                    format!(
-                                        "`.{name}(` never reaches a matching `)` — cannot check its `Cat::` category"
-                                    ),
-                                ));
-                            }
-                        }
-                        Some(close) => {
-                            let mut has_cat = false;
-                            for j in open + 1..close {
-                                if m.code[j].kind == TokKind::Ident
-                                    && m.text(j) == "Cat"
-                                    && j + 1 < close
-                                    && m.is_path_sep(j + 1)
-                                {
-                                    has_cat = true;
-                                    break;
-                                }
-                            }
-                            if !has_cat && !m.allow_on(line, Rule::UncategorizedCollective.name()) {
-                                out.push(super::finding(
-                                    m,
-                                    flags,
-                                    m.code[i].span,
-                                    Rule::UncategorizedCollective,
-                                    format!("`.{name}(` without a `Cat::` cost category"),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Rule 5: raw stream I/O in comm/ outside the framed codec.
-        if flags.is_comm_nonframe {
-            if let Some(_open) = method_call_open(m, i) {
-                let name = m.text(i);
-                if RAW_STREAM_CALLS.contains(&name) && !m.allow_on(line, Rule::RawSocketIo.name()) {
-                    out.push(super::finding(
-                        m,
-                        flags,
-                        m.code[i].span,
-                        Rule::RawSocketIo,
-                        format!("raw `.{name}(` bypasses the framed codec (frame.rs)"),
-                    ));
-                }
-            }
+        // Raw stream I/O in comm/ outside the framed codec.
+        if flags.is_comm_nonframe
+            && method_call(m, i)
+            && RAW_STREAM_CALLS.contains(&name)
+            && !m.allow_on(line, Rule::RawSocketIo.name())
+        {
+            out.push(super::finding(
+                m,
+                flags,
+                m.code[i].span,
+                Rule::RawSocketIo,
+                format!("raw `.{name}(` bypasses the framed codec (frame.rs)"),
+            ));
         }
     }
 
-    if flags.is_dist {
-        unwaited_pending(m, flags, out);
-    }
     if flags.is_kernel_hot {
         scalar_hot_loop(m, flags, out);
     }
@@ -266,7 +173,7 @@ fn loop_bodies(m: &FileModel<'_>) -> Vec<(usize, usize)> {
     out
 }
 
-/// Rule 11: raw per-element multiply-accumulate loops in `dense/src/`
+/// `scalar-hot-loop`: raw per-element multiply-accumulate loops in `dense/src/`
 /// and `sparse/src/` outside the blessed microkernel modules. The shape
 /// flagged is a loop-body statement `lhs += … * …;` where the store or
 /// a multiply operand is an element access (`c[j] +=`, `*cj +=`, or an
@@ -337,116 +244,5 @@ fn scalar_hot_loop(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>)
              through dense/src/gemm.rs or sparse/src/spmm.rs"
                 .to_string(),
         ));
-    }
-}
-
-/// Rule 4: nonblocking collectives must be waited (statement form and
-/// function form).
-fn unwaited_pending(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>) {
-    let n = m.code.len();
-
-    // Statement form: `let _ = …issuer(…)…;` without a `.wait(`.
-    let mut i = 0;
-    while i + 2 < n {
-        let is_discard = m.code[i].kind == TokKind::Ident
-            && m.text(i) == "let"
-            && m.text(i + 1) == "_"
-            && m.code[i + 2].is_punct(b'=');
-        if !is_discard || m.in_test(m.code[i].span.start) {
-            i += 1;
-            continue;
-        }
-        // Statement runs to `;` at depth 0.
-        let mut depth = 0i32;
-        let mut end = i + 3;
-        while end < n {
-            match m.code[end].kind {
-                TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{') => depth += 1,
-                TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => depth -= 1,
-                TokKind::Punct(b';') if depth == 0 => break,
-                _ => {}
-            }
-            end += 1;
-        }
-        let mut issue_at = None;
-        let mut has_wait = false;
-        for j in i + 3..end {
-            if let Some(_open) = method_call_open(m, j) {
-                let name = m.text(j);
-                if PENDING_ISSUERS.contains(&name) && issue_at.is_none() {
-                    issue_at = Some(j);
-                }
-                if name == "wait" {
-                    has_wait = true;
-                }
-            }
-        }
-        if let Some(j) = issue_at {
-            let line = m.line_of(m.code[j].span.start);
-            if !has_wait && !m.allow_on(line, Rule::UnwaitedPending.name()) {
-                out.push(super::finding(
-                    m,
-                    flags,
-                    m.code[j].span,
-                    Rule::UnwaitedPending,
-                    format!(
-                        "pending `.{}(` discarded into `let _` — dropped ops abort the run",
-                        m.text(j)
-                    ),
-                ));
-            }
-        }
-        i = end + 1;
-    }
-
-    // Function form: a function that issues a nonblocking collective
-    // must `.wait(` on it somewhere, unless it hands the op (or a
-    // `Fetch<` wrapper) back to its caller.
-    for f in &m.functions {
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        if m.in_test(m.code[f.kw].span.start) {
-            continue;
-        }
-        let returns_pending = (f.header.0..f.header.1).any(|j| {
-            m.code[j].kind == TokKind::Ident
-                && (m.text(j) == "PendingOp"
-                    || (m.text(j) == "Fetch"
-                        && j + 1 < m.code.len()
-                        && m.code[j + 1].is_punct(b'<')))
-        });
-        if returns_pending {
-            continue;
-        }
-        let mut first_issue = None;
-        let mut has_wait = false;
-        for j in open + 1..close {
-            if let Some(_o) = method_call_open(m, j) {
-                let name = m.text(j);
-                if PENDING_ISSUERS.contains(&name) && first_issue.is_none() {
-                    first_issue = Some(j);
-                }
-                if name == "wait" {
-                    has_wait = true;
-                }
-            }
-        }
-        if let Some(j) = first_issue {
-            let line = m.line_of(m.code[j].span.start);
-            if !has_wait && !m.allow_on(line, Rule::UnwaitedPending.name()) {
-                out.push(super::finding(
-                    m,
-                    flags,
-                    m.code[j].span,
-                    Rule::UnwaitedPending,
-                    format!(
-                        "fn `{}` issues `.{}(` but never `.wait(`s and does not return the op",
-                        m.text(f.name_idx),
-                        m.text(j)
-                    ),
-                ));
-            }
-        }
     }
 }

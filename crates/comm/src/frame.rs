@@ -5,7 +5,7 @@
 //! **All raw socket I/O in `cagnet-comm` lives in this module** — the
 //! rest of the transport layer (`proc.rs`, `transport.rs`) speaks only
 //! in [`Frame`]s through [`read_frame`] / [`write_frame`]. The repo's
-//! `xtask lint` pass enforces this boundary (`raw-socket-io` rule), so
+//! lint pass enforces this boundary (`raw-socket-io` rule), so
 //! partial reads, header parsing, and allocation-size validation are
 //! audited in exactly one place.
 //!

@@ -325,8 +325,12 @@ impl CommLink for SocketLink {
                             Ok(e) => Err(CollectError::Transport(e.message)),
                             Err(e) => Err(CollectError::Transport(format!("bad error frame: {e}"))),
                         },
-                        other => Err(CollectError::Transport(format!(
-                            "protocol error: unexpected {other:?} frame while awaiting a collect"
+                        kind @ (FrameKind::Hello
+                        | FrameKind::Deposit
+                        | FrameKind::Wait
+                        | FrameKind::Result
+                        | FrameKind::Panic) => Err(CollectError::Transport(format!(
+                            "protocol error: unexpected {kind:?} frame while awaiting a collect"
                         ))),
                     };
                 }
@@ -754,7 +758,9 @@ impl Hub {
                 Ok(m) => self.on_panic(rank, m),
                 Err(e) => self.send_error(rank, format!("bad panic frame: {e}")),
             },
-            other => self.send_error(rank, format!("unexpected {other:?} frame from a client")),
+            kind @ (FrameKind::Hello | FrameKind::Collect | FrameKind::Error) => {
+                self.send_error(rank, format!("unexpected {kind:?} frame from a client"))
+            }
         }
     }
 
@@ -1486,6 +1492,55 @@ mod tests {
         let mut rest = vec![0u8; len as usize];
         (&peers[1]).read_exact(&mut rest).expect("collect body");
         stalled.join().expect("stalled writer thread");
+    }
+
+    #[test]
+    fn frames_sent_to_the_wrong_side_are_named_protocol_errors() {
+        // Client-only kinds at the hub, after the handshake.
+        let Rig { hub, peers } = rig(2);
+        for kind in [FrameKind::Hello, FrameKind::Collect, FrameKind::Error] {
+            hub.on_frame(1, Frame { kind, body: vec![] });
+            let why = error_to(&peers[1]);
+            assert_eq!(why, format!("unexpected {kind:?} frame from a client"));
+        }
+
+        // Anything but a collect or an error at a client awaiting a collect.
+        let (ours, _theirs) = UnixStream::pair().expect("socket pair");
+        let (tx, rx) = mpsc::channel();
+        let link = SocketLink {
+            id: 7,
+            client: Arc::new(SocketClient {
+                rank: 1,
+                writer: Mutex::new(ours),
+                rx: Mutex::new(rx),
+                pending: Mutex::new(HashMap::new()),
+            }),
+        };
+        for kind in [
+            FrameKind::Hello,
+            FrameKind::Deposit,
+            FrameKind::Wait,
+            FrameKind::Result,
+            FrameKind::Panic,
+        ] {
+            tx.send(Event::Frame(Frame { kind, body: vec![] }))
+                .expect("reader channel");
+            let got = link.collect(
+                CollectiveKind::Bcast,
+                0,
+                1,
+                &[0, 1],
+                &|| None,
+                Duration::from_secs(5),
+            );
+            let Err(CollectError::Transport(why)) = got else {
+                panic!("a {kind:?} frame must fail the collect by name");
+            };
+            assert_eq!(
+                why,
+                format!("protocol error: unexpected {kind:?} frame while awaiting a collect")
+            );
+        }
     }
 
     #[test]

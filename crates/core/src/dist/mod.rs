@@ -411,6 +411,7 @@ pub(crate) fn pipeline<S>(
 /// ahead, already waited on at pipeline depth 0, so that unpipelined the
 /// `D` panel is asked for only once the `S` panel has landed — the order,
 /// and so the clocks, of a stage that blocks on each fetch in turn.
+#[must_use = "a stage's leading collective must be wait()ed"]
 pub(crate) enum Lead<'c, T> {
     InFlight(PendingOp<'c, T>),
     Landed(T),
@@ -454,8 +455,6 @@ impl State {
         slot: usize,
     ) -> Fetch<'a> {
         let expect = Some(dims);
-        // The collective-order lint knows the serve branch by this name
-        // (DESIGN.md §12).
         let cached_serving = self.training && !self.cache.borrow().refreshing();
         let mut keep = None;
         let op = match self.mode {
@@ -521,6 +520,7 @@ impl State {
 
 /// A stage fetch issued by [`State::fetch`], in flight or already
 /// served.
+#[must_use = "a stage fetch must be wait()ed"]
 pub(crate) struct Fetch<'a> {
     op: FetchOp<'a>,
     needed: &'a [usize],

@@ -60,15 +60,17 @@ impl Algorithm {
         }
     }
 
-    /// Whether `p` ranks fit this algorithm's process geometry.
+    /// Whether `p` ranks fit this algorithm's process geometry. No
+    /// algorithm runs on zero ranks.
     pub fn supports(&self, p: usize) -> bool {
-        match self {
-            Algorithm::OneD | Algorithm::OneDRow => p >= 1,
-            Algorithm::One5D { c } => *c >= 1 && p.is_multiple_of(*c),
-            Algorithm::TwoD => cagnet_comm::grid::int_sqrt(p).is_some(),
-            Algorithm::TwoDRect { pr, pc } => pr * pc == p,
-            Algorithm::ThreeD => cagnet_comm::grid::int_cbrt(p).is_some(),
-        }
+        p >= 1
+            && match self {
+                Algorithm::OneD | Algorithm::OneDRow => true,
+                Algorithm::One5D { c } => *c >= 1 && p.is_multiple_of(*c),
+                Algorithm::TwoD => cagnet_comm::grid::int_sqrt(p).is_some(),
+                Algorithm::TwoDRect { pr, pc } => pr * pc == p,
+                Algorithm::ThreeD => cagnet_comm::grid::int_cbrt(p).is_some(),
+            }
     }
 
     /// Number of contiguous row blocks this algorithm's geometry splits

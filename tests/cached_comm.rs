@@ -2,13 +2,14 @@
 //! §13): `refresh: 1` trains bit-identically to `SparsityAware` on every
 //! trainer; larger refresh periods collapse `Cat::DenseComm` words by
 //! serving stale remote blocks from the rank-local cache, with the
-//! skipped traffic metered honestly under `Cat::CacheHit`; and
+//! skipped traffic metered honestly under `Cat::CacheHit`; evaluation
+//! passes bypass the cache and match `SparsityAware` bit for bit; and
 //! `set_comm_mode` always drops the cache so a stale block can never
 //! survive a mode re-set.
 
 use cagnet::comm::{Cat, Cluster, CostModel};
 use cagnet::core::dist::onedim::OneDimTrainer;
-use cagnet::core::trainer::{train_distributed, Algorithm, TrainConfig};
+use cagnet::core::trainer::{infer_distributed, train_distributed, Algorithm, TrainConfig};
 use cagnet::core::{CommMode, DistTrainResult, GcnConfig, Problem};
 use cagnet::sparse::generate::erdos_renyi;
 use cagnet::sparse::{Coo, Csr};
@@ -112,6 +113,44 @@ fn refresh_1_is_bit_identical_to_sparsity_aware_on_every_trainer() {
             0,
             "{} P={p}: refresh:1 must never serve from cache",
             algo.name()
+        );
+    }
+}
+
+#[test]
+fn cached_eval_passes_are_bit_identical_to_sparsity_aware() {
+    // An evaluation pass neither serves nor fills the cache: it gathers
+    // fresh rows exactly as SparsityAware does, so inference under any
+    // refresh period matches it in every bit, word, message and clock.
+    let (problem, cfg) = problem();
+    let weights = train(&problem, &cfg, Algorithm::OneD, 2, CommMode::Dense, 2, 0.0).weights;
+    for (algo, p) in all_trainer_cases() {
+        let infer = |comm_mode| {
+            let tc = TrainConfig {
+                comm_mode,
+                ..Default::default()
+            };
+            infer_distributed(
+                &problem,
+                &cfg,
+                &weights,
+                algo,
+                p,
+                CostModel::summit_like(),
+                &tc,
+            )
+        };
+        let sparse = infer(CommMode::SparsityAware);
+        let cached = infer(CommMode::Cached { refresh: 3 });
+        let name = algo.name();
+        assert_eq!(sparse.loss, cached.loss, "{name} P={p}: eval loss");
+        assert_eq!(
+            sparse.embeddings, cached.embeddings,
+            "{name} P={p}: embeddings"
+        );
+        assert_eq!(
+            sparse.reports, cached.reports,
+            "{name} P={p}: a cached eval pass must charge what the sparse tier does"
         );
     }
 }

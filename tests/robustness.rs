@@ -140,6 +140,20 @@ fn unsupported_geometries_are_rejected() {
     assert!(Algorithm::TwoD.supports(49));
     assert!(Algorithm::ThreeD.supports(27));
     assert!(Algorithm::OneD.supports(13));
+    // Zero ranks fit no geometry, though int_sqrt(0) == int_cbrt(0) ==
+    // Some(0) and 0 is a multiple of every c.
+    for algo in [
+        Algorithm::OneD,
+        Algorithm::OneDRow,
+        Algorithm::One5D { c: 1 },
+        Algorithm::One5D { c: 2 },
+        Algorithm::TwoD,
+        Algorithm::TwoDRect { pr: 0, pc: 0 },
+        Algorithm::TwoDRect { pr: 0, pc: 3 },
+        Algorithm::ThreeD,
+    ] {
+        assert!(!algo.supports(0), "{} must not support P=0", algo.name());
+    }
 }
 
 #[test]
