@@ -86,22 +86,6 @@ fn bench_tall_skinny_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dcsr_vs_csr_hypersparse(c: &mut Criterion) {
-    // The §VI hypersparsity regime: a 2D block at high P has mostly-empty
-    // rows; DCSR skips them, CSR scans the row pointer.
-    let mut g = c.benchmark_group("spmm_hypersparse_format");
-    let big = erdos_renyi(65536, 0.25, 13); // ~16k nnz over 64k rows
-    let d = cagnet_sparse::Dcsr::from_csr(&big);
-    let h = init::uniform(65536, 16, -1.0, 1.0, 14);
-    let flops = 2 * big.nnz() as u64 * 16;
-    g.throughput(Throughput::Elements(flops));
-    g.bench_function("csr", |b| b.iter(|| spmm(&big, &h)));
-    g.bench_function("dcsr", |b| {
-        b.iter(|| cagnet_sparse::dcsr::spmm_dcsr(&d, &h))
-    });
-    g.finish();
-}
-
 fn bench_parallel_gemm_threads(c: &mut Criterion) {
     // Serial vs threaded GEMM over a threads axis. The parallel kernels
     // are bit-identical to serial, so this measures pure fork-join
@@ -161,8 +145,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_spmm_hypersparsity, bench_spmm_skinny, bench_gemm,
-              bench_tall_skinny_gemm, bench_dcsr_vs_csr_hypersparse,
-              bench_parallel_gemm_threads, bench_parallel_spmm_threads,
-              bench_transpose_and_activations
+              bench_tall_skinny_gemm, bench_parallel_gemm_threads,
+              bench_parallel_spmm_threads, bench_transpose_and_activations
 }
 criterion_main!(benches);

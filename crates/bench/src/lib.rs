@@ -3,17 +3,25 @@
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§V–§VI), plus the analysis-section comparisons:
 //!
-//! | binary        | reproduces                                        |
-//! |---------------|---------------------------------------------------|
-//! | `table6`      | Table VI — dataset characteristics                |
-//! | `figure2`     | Figure 2 — 2D epoch throughput vs device count    |
-//! | `figure3`     | Figure 3 — per-epoch time breakdown               |
-//! | `comm_volume` | §IV cost analysis — measured vs closed-form words |
-//! | `edgecut`     | §IV-A.8 — partitioner vs random distribution      |
+//! | binary         | reproduces                                         |
+//! |----------------|----------------------------------------------------|
+//! | `table6`       | Table VI — dataset characteristics                 |
+//! | `figure2`      | Figure 2 — 2D epoch throughput vs device count     |
+//! | `figure3`      | Figure 3 — per-epoch time breakdown                |
+//! | `comm_volume`  | §IV cost analysis — measured vs closed-form words  |
+//! | `edgecut`      | §IV-A.8 — partitioner vs random distribution       |
+//! | `rect_grid`    | §IV-C.6 — rectangular grid sparse/dense trade      |
+//! | `paper_scale`  | §IV formulas at the paper's real Table VI sizes    |
+//! | `memory`       | per-rank memory footprints across algorithms       |
+//! | `load_balance` | §I — load balance across distributions             |
+//! | `ablations`    | design-choice ablations called out in DESIGN.md    |
+//! | `runner`       | any dataset × algorithm × P × tier, one row        |
+//! | `trace`        | a Perfetto trace of one 2D epoch                   |
 //!
 //! Criterion benches (`cargo bench`) cover the local kernels, the
-//! simulated collectives, whole training epochs, and the design-choice
-//! ablations called out in DESIGN.md.
+//! simulated collectives and whole training epochs. Wall-clock epochs
+//! and the per-layer kernel, codec and transport numbers are the
+//! repository benchmark's (`benchmark/`).
 //!
 //! All binaries print human-readable tables and emit JSON rows (serde) so
 //! EXPERIMENTS.md can quote machine-checked numbers.
@@ -164,24 +172,11 @@ pub fn measure_epochs(
         collect_outputs: false,
         ..Default::default()
     };
-    measure_epochs_cfg(problem, gcn, dataset, algo, p, model, &tc)
+    measure_epochs_traced(problem, gcn, dataset, algo, p, model, &tc).0
 }
 
 /// Like [`measure_epochs`] but with full control over the run options
-/// (epochs come from `tc.epochs`).
-pub fn measure_epochs_cfg(
-    problem: &Problem,
-    gcn: &GcnConfig,
-    dataset: &str,
-    algo: Algorithm,
-    p: usize,
-    model: CostModel,
-    tc: &TrainConfig,
-) -> EpochRow {
-    measure_epochs_traced(problem, gcn, dataset, algo, p, model, tc).0
-}
-
-/// Like [`measure_epochs_cfg`] but also returns the per-rank execution
+/// (epochs come from `tc.epochs`), also returning the per-rank execution
 /// traces over the timed epochs (empty unless `tc.trace` is set) for
 /// export via [`cagnet_comm::trace::to_chrome_json`].
 pub fn measure_epochs_traced(

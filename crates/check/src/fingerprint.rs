@@ -7,7 +7,7 @@
 //! rank sees all fingerprints and checks them against its own. The rules
 //! are collective-specific — an all-reduce must agree on the matrix
 //! shape, an all-gather legitimately mixes contribution sizes, a
-//! send/recv pair must name each other.
+//! broadcast must agree on its root.
 
 use std::fmt;
 
@@ -30,12 +30,6 @@ pub enum CollectiveKind {
     ReduceScatterRows,
     /// `alltoall(parts, cat)`.
     Alltoall,
-    /// `gather(root, data, cat)`.
-    Gather,
-    /// `scatter(root, parts, cat)`.
-    Scatter,
-    /// `sendrecv(partner, outgoing, cat)`.
-    Sendrecv,
     /// `igather_rows(root, data, needed, expect, cat)`, and
     /// `gather_rows` — the sparsity-aware variable-sized row exchange.
     GatherRows,
@@ -59,9 +53,6 @@ impl CollectiveKind {
             CollectiveKind::AllreduceScalar => "allreduce_scalar",
             CollectiveKind::ReduceScatterRows => "reduce_scatter_rows",
             CollectiveKind::Alltoall => "alltoall",
-            CollectiveKind::Gather => "gather",
-            CollectiveKind::Scatter => "scatter",
-            CollectiveKind::Sendrecv => "sendrecv",
             CollectiveKind::GatherRows => "gather_rows",
             CollectiveKind::Split => "split",
             CollectiveKind::GatherRowsRefresh => "gather_rows_refresh",
@@ -87,7 +78,7 @@ pub enum Shape {
     Words(u64),
     /// Dense matrix dimensions (rows, cols).
     Dims(usize, usize),
-    /// Element count (e.g. parts in a scatter/all-to-all).
+    /// Element count (e.g. parts in an all-to-all).
     Count(usize),
 }
 
@@ -110,17 +101,15 @@ impl fmt::Display for Shape {
     }
 }
 
-/// What one rank claims about the collective it is entering. Roots and
-/// partners are **world** ranks so diagnostics across sub-communicators
-/// name globally meaningful ids.
+/// What one rank claims about the collective it is entering. Roots are
+/// **world** ranks so diagnostics across sub-communicators name globally
+/// meaningful ids.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Fingerprint {
     /// Which collective.
     pub kind: CollectiveKind,
     /// Root (world rank) for rooted collectives.
     pub root: Option<usize>,
-    /// Send/recv partner (world rank); `None` for bystanders.
-    pub partner: Option<usize>,
     /// `std::any::type_name` of the payload element type.
     pub dtype: &'static str,
     /// Declared payload geometry.
@@ -130,21 +119,10 @@ pub struct Fingerprint {
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(", self.kind)?;
-        let mut sep = "";
         if let Some(r) = self.root {
-            write!(f, "root=rank {r}")?;
-            sep = ", ";
+            write!(f, "root=rank {r}, ")?;
         }
-        if let Some(p) = self.partner {
-            write!(f, "{sep}partner=rank {p}")?;
-            sep = ", ";
-        }
-        write!(
-            f,
-            "{sep}shape={}, dtype={})",
-            self.shape,
-            short_type(self.dtype)
-        )
+        write!(f, "shape={}, dtype={})", self.shape, short_type(self.dtype))
     }
 }
 
@@ -236,21 +214,6 @@ pub fn verify(participants: &[(usize, Fingerprint)]) -> Result<(), Mismatch> {
         }
     }
 
-    // Send/recv reciprocity: my partner must name me back.
-    for (rank, fp) in participants {
-        if fp.kind != CollectiveKind::Sendrecv {
-            continue;
-        }
-        let Some(partner) = fp.partner else { continue };
-        let reciprocal = participants
-            .iter()
-            .find(|(r, _)| *r == partner)
-            .is_some_and(|(_, pfp)| pfp.partner == Some(*rank));
-        if (partner == *rank || !reciprocal) && !offenders.contains(rank) {
-            offenders.push(*rank);
-        }
-    }
-
     if offenders.is_empty() {
         return Ok(());
     }
@@ -283,7 +246,6 @@ mod tests {
         Fingerprint {
             kind,
             root,
-            partner: None,
             dtype: "f64",
             shape,
         }
@@ -342,29 +304,6 @@ mod tests {
             (1, fp(CollectiveKind::Bcast, Some(0), Shape::Unknown)),
         ];
         assert!(verify(&parts).is_ok());
-    }
-
-    #[test]
-    fn sendrecv_reciprocity_enforced() {
-        let sr = |partner: Option<usize>| Fingerprint {
-            kind: CollectiveKind::Sendrecv,
-            root: None,
-            partner,
-            dtype: "f64",
-            shape: Shape::Unknown,
-        };
-        // 0 names 1, 1 names 0: fine; 2 and 3 sit out.
-        let ok = vec![
-            (0, sr(Some(1))),
-            (1, sr(Some(0))),
-            (2, sr(None)),
-            (3, sr(None)),
-        ];
-        assert!(verify(&ok).is_ok());
-        // 0 names 1, but 1 names 3.
-        let bad = vec![(0, sr(Some(1))), (1, sr(Some(3))), (3, sr(None))];
-        let err = verify(&bad).unwrap_err();
-        assert!(err.offenders.contains(&0) || err.offenders.contains(&1));
     }
 
     #[test]

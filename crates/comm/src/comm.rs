@@ -458,20 +458,18 @@ impl Communicator {
     }
 
     /// Build this collective's fingerprint when verification is on.
-    /// `root`/`partner` are member indices and are translated to world
-    /// ranks so diagnostics stay meaningful across sub-communicators.
+    /// `root` is a member index and is translated to a world rank so
+    /// diagnostics stay meaningful across sub-communicators.
     fn fingerprint(
         &self,
         kind: CollectiveKind,
         root: Option<usize>,
-        partner: Option<usize>,
         dtype: &'static str,
         shape: Shape,
     ) -> Option<Fingerprint> {
         self.registry.check.is_on().then(|| Fingerprint {
             kind,
             root: root.map(|i| self.members[i]),
-            partner: partner.map(|i| self.members[i]),
             dtype,
             shape,
         })
@@ -719,7 +717,7 @@ impl Communicator {
 
     /// Barrier across the group.
     pub fn barrier(&self) {
-        let fp = self.fingerprint(CollectiveKind::Barrier, None, None, "()", Shape::Words(0));
+        let fp = self.fingerprint(CollectiveKind::Barrier, None, "()", Shape::Words(0));
         let (_, at) = self.exchange_raw(CollectiveKind::Barrier, fp, TxPayload::unit());
         let cost = self.model().barrier_time(self.size());
         self.settle(at, Cat::Misc, cost, 0);
@@ -794,7 +792,6 @@ impl Communicator {
         let fp = self.fingerprint(
             CollectiveKind::Bcast,
             Some(root_idx),
-            None,
             carry.dtype::<T>(),
             shape,
         );
@@ -941,7 +938,6 @@ impl Communicator {
         let fp = self.fingerprint(
             kind,
             Some(root_idx),
-            None,
             carry.dtype::<Mat>(),
             Self::gather_rows_shape(&data, expect),
         );
@@ -1107,7 +1103,6 @@ impl Communicator {
         let fp = self.fingerprint(
             CollectiveKind::AllreduceMat,
             None,
-            None,
             carry.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
@@ -1167,7 +1162,6 @@ impl Communicator {
         let fp = self.fingerprint(
             CollectiveKind::Allgather,
             None,
-            None,
             carry.dtype::<T>(),
             Shape::Unknown,
         );
@@ -1191,7 +1185,6 @@ impl Communicator {
     pub fn allreduce_scalar(&self, x: f64, cat: Cat) -> f64 {
         let fp = self.fingerprint(
             CollectiveKind::AllreduceScalar,
-            None,
             None,
             "f64",
             Shape::Words(1),
@@ -1238,7 +1231,6 @@ impl Communicator {
         let fp = self.fingerprint(
             CollectiveKind::ReduceScatterRows,
             None,
-            None,
             carry.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
@@ -1268,7 +1260,6 @@ impl Communicator {
         let fp = self.fingerprint(
             CollectiveKind::Alltoall,
             None,
-            None,
             std::any::type_name::<T>(),
             Shape::Count(parts.len()),
         );
@@ -1292,149 +1283,12 @@ impl Communicator {
         out
     }
 
-    /// Gather: every member contributes; only `root_idx` receives the
-    /// full vector (others get `None`). Charged like an all-gather's
-    /// bandwidth at the root, `α + β·w` at leaves.
-    pub fn gather<T: Any + Send + Sync + CommWords + Wire>(
-        &self,
-        root_idx: usize,
-        data: T,
-        cat: Cat,
-    ) -> Option<Vec<Arc<T>>> {
-        assert!(root_idx < self.size(), "gather root out of range");
-        let fp = self.fingerprint(
-            CollectiveKind::Gather,
-            Some(root_idx),
-            None,
-            std::any::type_name::<T>(),
-            Shape::Unknown,
-        );
-        let (items, at) =
-            self.exchange_raw(CollectiveKind::Gather, fp, TxPayload::of(Arc::new(data)));
-        let out: Vec<Arc<T>> = items.into_iter().map(Self::downcast::<T>).collect();
-        let p = self.size();
-        let total: u64 = out.iter().map(|x| x.comm_words()).sum();
-        let mine = out[self.my_idx].comm_words();
-        let (cost, words) = if p <= 1 {
-            (0.0, 0)
-        } else if self.my_idx == root_idx {
-            (self.model().allgather_time(p, total), total - mine)
-        } else {
-            (self.model().p2p_time(mine), mine)
-        };
-        self.settle(at, cat, cost, words);
-        (self.my_idx == root_idx).then_some(out)
-    }
-
-    /// Scatter: `root_idx` supplies one part per member (`Some(parts)` of
-    /// length `size`); every member receives its part.
-    pub fn scatter<T: Any + Send + Sync + CommWords + Clone + Wire>(
-        &self,
-        root_idx: usize,
-        parts: Option<Vec<T>>,
-        cat: Cat,
-    ) -> T {
-        assert!(root_idx < self.size(), "scatter root out of range");
-        assert_eq!(
-            parts.is_some(),
-            root_idx == self.my_idx,
-            "scatter: exactly the root must supply parts"
-        );
-        if let Some(p) = &parts {
-            assert_eq!(p.len(), self.size(), "scatter needs one part per member");
-        }
-        let shape = match &parts {
-            Some(p) => Shape::Count(p.len()),
-            None => Shape::Unknown,
-        };
-        let fp = self.fingerprint(
-            CollectiveKind::Scatter,
-            Some(root_idx),
-            None,
-            std::any::type_name::<T>(),
-            shape,
-        );
-        let payload = match parts {
-            Some(p) => TxPayload::of(Arc::new(p)),
-            None => TxPayload::unit(),
-        };
-        let (items, at) = self.exchange_raw(CollectiveKind::Scatter, fp, payload);
-        let all = Self::downcast::<Vec<T>>(items[root_idx].clone());
-        let mine = all[self.my_idx].clone();
-        let p = self.size();
-        let (cost, words) = if p <= 1 {
-            (0.0, 0)
-        } else if self.my_idx == root_idx {
-            // `allgather_time` takes *total* words and applies the
-            // (p−1)/p bandwidth discount itself, so the root charges the
-            // full vector (its own part included, mirroring `gather`) and
-            // records only the words actually sent to the leaves.
-            let total: u64 = all.iter().map(|x| x.comm_words()).sum();
-            let sent = total - all[root_idx].comm_words();
-            (self.model().allgather_time(p, total), sent)
-        } else {
-            let w = mine.comm_words();
-            (self.model().p2p_time(w), w)
-        };
-        self.settle(at, cat, cost, words);
-        mine
-    }
-
-    /// Paired point-to-point exchange: send `outgoing` to `partner_idx`
-    /// and receive its message. Both partners must call this at the same
-    /// collective step; the rest of the group passes `None` as partner
-    /// and participates only in the rendezvous (zero payload, zero
-    /// charge).
-    ///
-    /// This is the bulk-synchronous send/recv used e.g. for pairwise
-    /// block swaps in a distributed transpose (§IV-A.7).
-    pub fn sendrecv<T: Any + Send + Sync + CommWords + Wire>(
-        &self,
-        partner_idx: Option<usize>,
-        outgoing: Option<T>,
-        cat: Cat,
-    ) -> Option<Arc<T>> {
-        assert_eq!(
-            partner_idx.is_some(),
-            outgoing.is_some(),
-            "sendrecv: payload must accompany a partner"
-        );
-        if let Some(p) = partner_idx {
-            assert!(p < self.size(), "sendrecv partner out of range");
-        }
-        let fp = self.fingerprint(
-            CollectiveKind::Sendrecv,
-            None,
-            partner_idx,
-            std::any::type_name::<T>(),
-            Shape::Unknown,
-        );
-        let payload = match outgoing {
-            Some(d) => TxPayload::of(Arc::new(d)),
-            None => TxPayload::unit(),
-        };
-        let (items, at) = self.exchange_raw(CollectiveKind::Sendrecv, fp, payload);
-        match partner_idx {
-            Some(partner) => {
-                let msg = Self::downcast::<T>(items[partner].clone());
-                let words = msg.comm_words();
-                let cost = self.model().p2p_time(words);
-                self.settle(at, cat, cost, words);
-                Some(msg)
-            }
-            None => {
-                self.settle(at, cat, 0.0, 0);
-                None
-            }
-        }
-    }
-
     /// Split into sub-communicators by color (MPI `comm_split` without the
     /// key argument: member order within a color follows parent order).
     pub fn split(&self, color: u64) -> Communicator {
         let seq_for_key = self.seq.get(); // same at every member pre-exchange
                                           // Colors are legitimately rank-dependent: wildcard shape.
-        let fp = self.fingerprint(CollectiveKind::Split, None, None, "u64", Shape::Unknown);
+        let fp = self.fingerprint(CollectiveKind::Split, None, "u64", Shape::Unknown);
         let (items, _) =
             self.exchange_raw(CollectiveKind::Split, fp, TxPayload::of(Arc::new(color)));
         let colors: Vec<u64> = items
@@ -1789,67 +1643,6 @@ mod tests {
             let expect: Vec<usize> = (0..6).filter(|r| r % 2 == rank % 2).collect();
             assert_eq!(*members, expect);
             assert_eq!(expect[*idx], rank);
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root_only() {
-        let results = Cluster::new(4).run(|ctx| {
-            let got = ctx.world.gather(1, vec![ctx.rank as f64], Cat::DenseComm);
-            got.map(|v| v.iter().map(|x| x[0]).collect::<Vec<f64>>())
-        });
-        for (rank, (r, _)) in results.iter().enumerate() {
-            if rank == 1 {
-                assert_eq!(r.as_deref(), Some(&[0.0, 1.0, 2.0, 3.0][..]));
-            } else {
-                assert!(r.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_parts() {
-        let results = Cluster::new(3).run(|ctx| {
-            let parts = (ctx.rank == 2).then(|| vec![10.0f64, 20.0, 30.0]);
-            ctx.world.scatter(2, parts, Cat::DenseComm)
-        });
-        assert_eq!(results[0].0, 10.0);
-        assert_eq!(results[1].0, 20.0);
-        assert_eq!(results[2].0, 30.0);
-    }
-
-    #[test]
-    fn sendrecv_pairs_exchange() {
-        let results = Cluster::new(4).run(|ctx| {
-            // 0<->1 swap; 2 and 3 sit out.
-            let partner = match ctx.rank {
-                0 => Some(1),
-                1 => Some(0),
-                _ => None,
-            };
-            let payload = partner.map(|_| vec![ctx.rank as f64 * 100.0]);
-            ctx.world
-                .sendrecv(partner, payload, Cat::DenseComm)
-                .map(|m| m[0])
-        });
-        assert_eq!(results[0].0, Some(100.0));
-        assert_eq!(results[1].0, Some(0.0));
-        assert_eq!(results[2].0, None);
-        assert_eq!(results[3].0, None);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let results = Cluster::new(4).run(|ctx| {
-            let gathered = ctx
-                .world
-                .gather(0, vec![(ctx.rank + 1) as f64], Cat::DenseComm);
-            let parts = gathered.map(|g| g.iter().map(|v| v.as_ref().clone()).collect::<Vec<_>>());
-            let back = ctx.world.scatter(0, parts, Cat::DenseComm);
-            back[0]
-        });
-        for (rank, (r, _)) in results.iter().enumerate() {
-            assert_eq!(*r, (rank + 1) as f64);
         }
     }
 
@@ -2232,23 +2025,6 @@ mod tests {
             ctx.world
                 .gather_rows(0, Some(block), &[2, 1], None, Cat::DenseComm);
         });
-    }
-
-    #[test]
-    fn scatter_root_charges_full_allgather_volume() {
-        // Audit pin: the root passes *total* words (its own part included)
-        // to allgather_time; the (p−1)/p discount is applied exactly once.
-        let model = CostModel::summit_like();
-        let expect = model.allgather_time(4, 4 * 6);
-        let results = Cluster::new(4).with_model(model).run(|ctx| {
-            let parts = (ctx.rank == 0).then(|| vec![vec![0.0f64; 6]; 4]);
-            ctx.world.scatter(0, parts, Cat::DenseComm);
-            (ctx.clock(), ctx.report())
-        });
-        let ((root_clock, root_rep), _) = &results[0];
-        assert!((root_clock - expect).abs() < 1e-15);
-        // Root records only the 3 parts actually sent.
-        assert_eq!(root_rep.words(Cat::DenseComm), 3 * 6);
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl CostModel {
         2.0 * self.alpha * Self::lg(p) + 2.0 * self.beta * w as f64 * (p - 1) as f64 / p as f64
     }
 
-    /// Point-to-point message of `w` words.
-    pub fn p2p_time(&self, w: u64) -> f64 {
-        self.alpha + self.beta * w as f64
-    }
-
     /// Barrier among `p` ranks.
     pub fn barrier_time(&self, p: usize) -> f64 {
         if p <= 1 {
@@ -431,8 +426,6 @@ mod tests {
                     2.0 * 3.0 * lg(p) + 2.0 * 0.5 * wf * pm1 / p as f64,
                     "ar p={p} w={w}"
                 );
-                // point-to-point: α + β·w
-                assert_eq!(m.p2p_time(w), 3.0 + 0.5 * wf);
             }
         }
         // Pipelined broadcast drops the ⌈lg P⌉ latency factor only.

@@ -67,8 +67,9 @@ use crate::trace::TraceEvent;
 
 /// Frame header magic bytes (`CGNT`).
 pub const MAGIC: [u8; 4] = *b"CGNT";
-/// Wire protocol version (2: `Deposit` heads carry a part table).
-pub const VERSION: u8 = 2;
+/// Wire protocol version (2: `Deposit` heads carry a part table; 3:
+/// fingerprints drop the send/recv partner field).
+pub const VERSION: u8 = 3;
 /// Maximum accepted frame body length (1 GiB). Validated before any
 /// allocation happens.
 pub const MAX_FRAME: u32 = 1 << 30;
@@ -1005,14 +1006,13 @@ impl Wire for CollectiveKind {
             CollectiveKind::AllreduceScalar => 4,
             CollectiveKind::ReduceScatterRows => 5,
             CollectiveKind::Alltoall => 6,
-            CollectiveKind::Gather => 7,
-            CollectiveKind::Scatter => 8,
-            CollectiveKind::Sendrecv => 9,
             CollectiveKind::GatherRows => 10,
             CollectiveKind::Split => 11,
-            // Tags 12, 13, 14 and 16 named the retired split-phase twins
-            // of bcast, gather_rows, allreduce_mat and the refresh gather;
-            // they decode as out of range.
+            // Tags 7, 8 and 9 named the retired rooted gather, rooted
+            // scatter and paired point-to-point exchange; 12, 13, 14 and 16
+            // the retired split-phase twins of bcast, gather_rows,
+            // allreduce_mat and the refresh gather. They decode as out of
+            // range.
             CollectiveKind::GatherRowsRefresh => 15,
         };
         out.push(tag);
@@ -1026,9 +1026,6 @@ impl Wire for CollectiveKind {
             4 => CollectiveKind::AllreduceScalar,
             5 => CollectiveKind::ReduceScatterRows,
             6 => CollectiveKind::Alltoall,
-            7 => CollectiveKind::Gather,
-            8 => CollectiveKind::Scatter,
-            9 => CollectiveKind::Sendrecv,
             10 => CollectiveKind::GatherRows,
             11 => CollectiveKind::Split,
             15 => CollectiveKind::GatherRowsRefresh,
@@ -1071,7 +1068,6 @@ impl Wire for Fingerprint {
     fn put(&self, out: &mut Vec<u8>) {
         self.kind.put(out);
         self.root.put(out);
-        self.partner.put(out);
         self.dtype.to_string().put(out);
         self.shape.put(out);
     }
@@ -1079,7 +1075,6 @@ impl Wire for Fingerprint {
         Ok(Fingerprint {
             kind: CollectiveKind::take(r)?,
             root: <Option<usize> as Wire>::take(r)?,
-            partner: <Option<usize> as Wire>::take(r)?,
             dtype: intern(String::take(r)?),
             shape: Shape::take(r)?,
         })
@@ -1502,7 +1497,6 @@ mod tests {
         let fp = Fingerprint {
             kind: CollectiveKind::GatherRows,
             root: Some(3),
-            partner: None,
             dtype: "cagnet_dense::matrix::Mat",
             shape: Shape::Dims(8, 16),
         };
@@ -1582,10 +1576,11 @@ mod tests {
 
     #[test]
     fn retired_collective_kind_tags_are_out_of_range() {
-        // 12, 13, 14 and 16 named the split-phase twins of bcast,
-        // gather_rows, allreduce_mat and the refresh gather; 17 was never
-        // assigned.
-        for tag in [12u8, 13, 14, 16, 17] {
+        // 7, 8 and 9 named the rooted gather, the rooted scatter and the
+        // paired point-to-point exchange; 12, 13, 14 and 16 the
+        // split-phase twins of bcast, gather_rows, allreduce_mat and the
+        // refresh gather; 17 was never assigned.
+        for tag in [7u8, 8, 9, 12, 13, 14, 16, 17] {
             match decode::<CollectiveKind>(&[tag]) {
                 Err(FrameError::Malformed("collective kind out of range")) => {}
                 other => panic!("tag {tag}: expected out of range, got {other:?}"),
@@ -1664,7 +1659,6 @@ mod tests {
             fp: Some(Fingerprint {
                 kind: CollectiveKind::Bcast,
                 root: Some(0),
-                partner: None,
                 dtype: "f64",
                 shape: Shape::Words(1),
             }),

@@ -36,24 +36,11 @@ fn workload(p: usize, check: CheckMode) -> Vec<((f64, Vec<TraceEvent>), Timeline
             .alltoall((0..p).map(|j| (r * p + j) as f64).collect(), Cat::DenseComm);
         sum += swapped.iter().sum::<f64>();
 
-        if let Some(all) = ctx.world.gather(0, r as f64, Cat::DenseComm) {
-            sum += all.iter().map(|v| **v).sum::<f64>();
-        }
-        sum += ctx.world.scatter(
-            0,
-            (r == 0).then(|| (0..p).map(|j| j as f64).collect::<Vec<_>>()),
-            Cat::DenseComm,
-        );
-
-        if p > 1 {
-            let partner = r ^ 1;
-            let got = ctx
-                .world
-                .sendrecv(Some(partner), Some(vec![r as f64]), Cat::DenseComm);
-            if let Some(v) = got {
-                sum += v[0];
-            }
-        }
+        let root_block = (r == 0).then(|| Arc::new(Mat::from_fn(p, 2, |i, j| (i + j) as f64)));
+        let rows = ctx
+            .world
+            .gather_rows(0, root_block, &[r], Some((p, 2)), Cat::DenseComm);
+        sum += rows.mat().as_slice().iter().sum::<f64>();
 
         let sub = ctx.world.split((r % 2) as u64);
         sub.barrier();

@@ -109,7 +109,6 @@ fn fingerprint() -> Option<Fingerprint> {
     Some(Fingerprint {
         kind: CollectiveKind::Bcast,
         root: Some(1),
-        partner: None,
         dtype: "cagnet_dense::matrix::Mat",
         shape: Shape::Dims(8, 16),
     })

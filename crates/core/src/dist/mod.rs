@@ -79,8 +79,8 @@ use std::sync::Arc;
 /// cached rows. Remote rows are then up to `refresh − 1` epochs stale;
 /// the rank's own block is always fresh. Training results are **not**
 /// bit-identical to exact training for `refresh > 1` — see DESIGN.md §13
-/// for the staleness semantics and the convergence harness
-/// (`cached_bench`). `refresh: 1` refreshes every epoch and is
+/// for the staleness semantics and the bound `tests/cached_comm.rs`
+/// holds them to. `refresh: 1` refreshes every epoch and is
 /// bit-identical to `SparsityAware`. Evaluation forward passes never
 /// read or write the cache.
 ///

@@ -19,7 +19,6 @@ pub mod loss;
 pub mod model;
 pub mod optimizer;
 pub mod problem;
-pub mod propagate;
 pub mod sampling;
 pub mod serial;
 pub mod trainer;

@@ -1,12 +1,12 @@
-//! Pre-optimization reference kernels, kept for benchmarking.
+//! Pre-optimization reference kernels, kept for differential tests.
 //!
 //! These are the scalar cache-blocked loops that `gemm.rs` shipped before
 //! the `MR×NR` micro-kernel landed (DESIGN.md §14), minus the IEEE-breaking
 //! `aval == 0.0` skip, and the `log_softmax` / `softmax` pair the trainers
-//! called before the one-`exp` output-layer kernel replaced it. They exist
-//! so `kernel_bench` can report an honest old-vs-new wall-clock ratio on
-//! the same shapes, and as a second, structurally different implementation
-//! for differential tests. They are **not** called by any trainer.
+//! called before the one-`exp` output-layer kernel replaced it. Tests are
+//! their only users: a second, structurally different implementation the
+//! optimized kernels must match to the bit. They are **not** called by any
+//! trainer.
 //!
 //! This module is a blessed micro-kernel module for the `scalar-hot-loop`
 //! lint (see `crates/check/src/lint/rules.rs`): raw multiply-accumulate

@@ -51,6 +51,16 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
     }
 }
 
+/// Whether a CSR row pointer over `n` rows (`n + 1` words) is
+/// addressable. The readers check every size against it, so a hostile
+/// size is a parse error rather than an overflow inside
+/// [`Csr::from_coo`] or [`Csr::transpose`].
+fn row_ptr_fits(n: usize) -> bool {
+    n.checked_add(1)
+        .and_then(|len| len.checked_mul(std::mem::size_of::<usize>()))
+        .is_some_and(|bytes| bytes <= isize::MAX as usize)
+}
+
 /// Read a Matrix Market coordinate file from any reader.
 ///
 /// Supported header: `%%MatrixMarket matrix coordinate
@@ -115,6 +125,14 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, IoError> {
     let cols: usize = dims[1]
         .parse()
         .map_err(|_| parse_err(sline_no, "bad col count"))?;
+    for (what, n) in [("row", rows), ("col", cols)] {
+        if !row_ptr_fits(n) {
+            return Err(parse_err(
+                sline_no,
+                format!("{what} count {n} is too large"),
+            ));
+        }
+    }
     let nnz: usize = dims[2]
         .parse()
         .map_err(|_| parse_err(sline_no, "bad nnz count"))?;
@@ -194,7 +212,8 @@ pub fn write_matrix_market_file<P: AsRef<Path>>(path: P, a: &Csr) -> Result<(), 
 pub fn read_edge_list<R: Read>(reader: R, num_vertices: Option<usize>) -> Result<Csr, IoError> {
     let reader = BufReader::new(reader);
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    let mut max_id = 0usize;
+    // The largest vertex id and the line it first appears on.
+    let (mut max_id, mut max_line) = (0usize, 0usize);
     for (no, line) in reader.lines().enumerate() {
         let line = line?;
         let t = line.trim();
@@ -215,23 +234,26 @@ pub fn read_edge_list<R: Read>(reader: R, num_vertices: Option<usize>) -> Result
             Some(x) => x.parse().map_err(|_| parse_err(no + 1, "bad weight"))?,
             None => 1.0,
         };
-        max_id = max_id.max(s).max(d);
+        if s.max(d) > max_id {
+            (max_id, max_line) = (s.max(d), no + 1);
+        }
         edges.push((s, d, wgt));
     }
     let n = match num_vertices {
         Some(n) => {
             if max_id >= n && !edges.is_empty() {
-                return Err(parse_err(0, format!("vertex id {max_id} >= n = {n}")));
+                return Err(parse_err(
+                    max_line,
+                    format!("vertex id {max_id} >= n = {n}"),
+                ));
             }
             n
         }
-        None => {
-            if edges.is_empty() {
-                0
-            } else {
-                max_id + 1
-            }
-        }
+        None if edges.is_empty() => 0,
+        None => max_id
+            .checked_add(1)
+            .filter(|&n| row_ptr_fits(n))
+            .ok_or_else(|| parse_err(max_line, format!("vertex id {max_id} is too large")))?,
     };
     let mut coo = Coo::new(n, n);
     for (s, d, w) in edges {

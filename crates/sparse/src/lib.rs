@@ -13,7 +13,6 @@
 pub mod coo;
 pub mod csr;
 pub mod datasets;
-pub mod dcsr;
 pub mod edgecut;
 pub mod generate;
 pub mod io;
@@ -22,13 +21,10 @@ pub mod partition;
 pub mod partitioner;
 pub mod reference;
 pub mod relabel;
-pub mod spgemm;
 pub mod spmm;
 
 /// The thread budget the `_with` / `_scratch` kernels take.
 pub use cagnet_parallel::ParallelCtx;
 pub use coo::Coo;
 pub use csr::Csr;
-pub use dcsr::Dcsr;
-pub use spgemm::spgemm;
 pub use spmm::{spmm, spmm_acc, spmm_semiring};

@@ -1,13 +1,11 @@
-//! Pre-specialization reference SpMM kernel, kept for benchmarking.
+//! Pre-specialization reference SpMM kernel, kept for differential tests.
 //!
 //! This is the per-nonzero axpy row loop that `spmm.rs` shipped before
 //! the width-specialized / column-tiled kernels landed (DESIGN.md §14).
-//! It exists so `kernel_bench` can report an honest old-vs-new
-//! wall-clock ratio on the same operands, and as a structurally
-//! different implementation for differential tests: the new kernels
-//! fold each output element's products in the same stored-entry order,
-//! so results are bit-identical, not merely close. It is **not** called
-//! by any trainer.
+//! Tests are its only users: a structurally different implementation
+//! whose results the new kernels must match bit for bit, since they fold
+//! each output element's products in the same stored-entry order. It is
+//! **not** called by any trainer.
 //!
 //! This module is a blessed micro-kernel module for the
 //! `scalar-hot-loop` lint (see `crates/check/src/lint/rules.rs`).

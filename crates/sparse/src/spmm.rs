@@ -355,10 +355,9 @@ pub fn spmm_semiring<S: Semiring>(a: &Csr, b: &Mat, s: &S) -> Mat {
     c
 }
 
-/// `C ⊕= A ⊗ B` over a semiring — the accumulating form used by block
-/// algorithms (the distributed stages of `cagnet_core::propagate`). `c`
-/// must have been initialized with `s.zero()` (or hold a previous
-/// partial).
+/// `C ⊕= A ⊗ B` over a semiring — the accumulating form a block
+/// algorithm runs once per stage. `c` must have been initialized with
+/// `s.zero()` (or hold a previous partial).
 pub fn spmm_semiring_acc<S: Semiring>(a: &Csr, b: &Mat, s: &S, c: &mut Mat) {
     spmm_semiring_acc_with(ParallelCtx::serial(), a, b, s, c);
 }

@@ -1,7 +1,7 @@
 //! Property tests for the I/O substrate: Matrix Market and edge-list
 //! roundtrips over arbitrary sparse matrices.
 
-use cagnet_sparse::io::{read_edge_list, read_matrix_market, write_matrix_market};
+use cagnet_sparse::io::{read_edge_list, read_matrix_market, write_matrix_market, IoError};
 use cagnet_sparse::{Coo, Csr};
 use proptest::prelude::*;
 
@@ -51,5 +51,38 @@ proptest! {
             "%%MatrixMarket matrix coordinate real general\n{rows} {cols} 2\n1 1 1.0\n"
         );
         prop_assert!(read_matrix_market(text.as_bytes()).is_err());
+    }
+}
+
+/// The line and message of a reader's parse error.
+fn parse_error(result: Result<Csr, IoError>) -> (usize, String) {
+    match result {
+        Err(IoError::Parse { line, message }) => (line, message),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_sizes_are_parse_errors_naming_line_and_value() {
+    // `max_id + 1` overflows; one below, the row pointer past it does.
+    for (text, line_no, id) in [
+        ("0 18446744073709551615\n", 1, usize::MAX),
+        (
+            "# hostile\n0 1\n0 18446744073709551614\n",
+            3,
+            usize::MAX - 1,
+        ),
+    ] {
+        let (line, message) = parse_error(read_edge_list(text.as_bytes(), None));
+        assert_eq!(line, line_no, "{message}");
+        assert!(message.contains(&id.to_string()), "{message}");
+    }
+    // `rows + 1` overflows in the row pointer `Csr::from_coo` builds;
+    // further down, its byte size does.
+    for rows in [usize::MAX, usize::MAX / 8] {
+        let text = format!("%%MatrixMarket matrix coordinate real general\n{rows} 1 0\n");
+        let (line, message) = parse_error(read_matrix_market(text.as_bytes()));
+        assert_eq!(line, 2, "{message}");
+        assert!(message.contains(&rows.to_string()), "{message}");
     }
 }

@@ -1,10 +1,9 @@
 //! Property-based tests of the sparse substrate: SpMM vs densified GEMM,
-//! transpose identities, partition conservation, normalization, edge-cut
-//! invariants, and DCSR equivalence — for arbitrary random graphs.
+//! transpose identities, partition conservation, normalization and
+//! edge-cut invariants — for arbitrary random graphs.
 
 use cagnet_dense::Mat;
 use cagnet_parallel::ParallelCtx;
-use cagnet_sparse::dcsr::{spmm_dcsr, Dcsr};
 use cagnet_sparse::edgecut::{block_partition, evaluate_partition};
 use cagnet_sparse::generate::{apply_permutation, erdos_renyi};
 use cagnet_sparse::normalize::gcn_normalize;
@@ -181,18 +180,6 @@ proptest! {
         let moved = evaluate_partition(&pa, &permuted_part, p);
         prop_assert_eq!(orig.total_cut_edges, moved.total_cut_edges);
         prop_assert_eq!(orig.edgecut_max(), moved.edgecut_max());
-    }
-
-    #[test]
-    fn dcsr_roundtrip_and_spmm(
-        (a, b) in (1usize..20, 1usize..12, 1usize..6)
-            .prop_flat_map(|(m, k, f)| (sparse(m, k, 25), dense(k, f)))
-    ) {
-        let d = Dcsr::from_csr(&a);
-        prop_assert_eq!(d.to_csr(), a.clone());
-        prop_assert!(spmm_dcsr(&d, &b).approx_eq(&spmm(&a, &b), 1e-12));
-        prop_assert_eq!(d.nnz(), a.nnz());
-        prop_assert!(d.non_empty_rows() <= a.rows());
     }
 }
 

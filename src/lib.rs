@@ -5,7 +5,7 @@
 //! re-exporting the four workspace crates:
 //!
 //! * [`dense`] — matrices, GEMM kernels, activations
-//! * [`sparse`] — CSR/COO/DCSR, SpMM, generators, partitioning
+//! * [`sparse`] — CSR/COO, SpMM, generators, partitioning
 //! * [`comm`] — the simulated distributed runtime and α–β cost model
 //! * [`core`] — the serial reference and the 1D/1.5D/2D/3D trainers
 //!

@@ -3,11 +3,11 @@
 //! each algorithm's geometry), `overlap: true` must train
 //! *bit-identically* to `overlap: false` — same per-epoch losses, same
 //! final weights, same metered communication words — while modeled epoch
-//! time never increases and strictly decreases on a communication-bound
-//! configuration. A `PendingOp` dropped without `wait()` must abort with
-//! a diagnostic rather than deadlock.
+//! time never increases, at every wire precision, and strictly decreases
+//! on a communication-bound configuration. A `PendingOp` dropped without
+//! `wait()` must abort with a diagnostic rather than deadlock.
 
-use cagnet::comm::{Cat, CheckMode, Cluster, CostModel};
+use cagnet::comm::{Cat, CheckMode, Cluster, CostModel, Precision};
 use cagnet::core::dist::onedim::OneDimTrainer;
 use cagnet::core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet::core::{CommMode, DistTrainResult, GcnConfig, Problem};
@@ -40,11 +40,12 @@ fn algorithms(p: usize) -> Vec<Algorithm> {
     .collect()
 }
 
-fn config(overlap: bool, mode: CommMode) -> TrainConfig {
+fn config(overlap: bool, mode: CommMode, precision: Precision) -> TrainConfig {
     TrainConfig {
         epochs: EPOCHS,
         overlap,
         comm_mode: mode,
+        precision,
         // Exercise the dropout-mask path that overlap reorders in the
         // backward passes.
         dropout: 0.2,
@@ -63,26 +64,25 @@ fn dense_words(r: &DistTrainResult) -> u64 {
 #[test]
 fn overlap_is_bit_identical_and_never_slower() {
     let (problem, cfg) = problem();
+    let wires = [Precision::F64, Precision::F32, Precision::Bf16];
     for p in [1usize, 2, 4, 8] {
         for mode in [CommMode::Dense, CommMode::SparsityAware] {
-            for algo in algorithms(p) {
-                let off = train_distributed(
-                    &problem,
-                    &cfg,
-                    algo,
-                    p,
-                    CostModel::summit_like(),
-                    &config(false, mode),
-                );
-                let on = train_distributed(
-                    &problem,
-                    &cfg,
-                    algo,
-                    p,
-                    CostModel::summit_like(),
-                    &config(true, mode),
-                );
-                let tag = format!("{} P={p} {mode:?}", algo.name());
+            for (algo, precision) in algorithms(p)
+                .into_iter()
+                .flat_map(|a| wires.map(|w| (a, w)))
+            {
+                let run = |overlap| {
+                    train_distributed(
+                        &problem,
+                        &cfg,
+                        algo,
+                        p,
+                        CostModel::summit_like(),
+                        &config(overlap, mode, precision),
+                    )
+                };
+                let (off, on) = (run(false), run(true));
+                let tag = format!("{} P={p} {mode:?} {}", algo.name(), precision.name());
                 assert_eq!(
                     off.losses, on.losses,
                     "{tag}: losses must be bit-identical across overlap modes"
@@ -125,7 +125,7 @@ fn overlap_strictly_reduces_modeled_time_when_comm_bound() {
             algo,
             4,
             CostModel::slow_network(),
-            &config(false, CommMode::Dense),
+            &config(false, CommMode::Dense, Precision::F64),
         );
         let on = train_distributed(
             &problem,
@@ -133,7 +133,7 @@ fn overlap_strictly_reduces_modeled_time_when_comm_bound() {
             algo,
             4,
             CostModel::slow_network(),
-            &config(true, CommMode::Dense),
+            &config(true, CommMode::Dense, Precision::F64),
         );
         assert_eq!(off.losses, on.losses, "{}", algo.name());
         let (t_off, t_on) = (off.epoch_seconds(EPOCHS), on.epoch_seconds(EPOCHS));

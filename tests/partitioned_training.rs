@@ -127,7 +127,8 @@ fn partitioned_run_equals_manually_relabeled_run() {
 /// partition strictly lowers DenseComm words vs the natural-id block
 /// distribution at `P > 1`, under both the sparsity-aware and cached
 /// tiers — while keeping loss trajectories the right length and the cap
-/// on epochs intact.
+/// on epochs intact. An edge-cut partition never moves more words than
+/// the block distribution either.
 #[test]
 fn volume_partition_strictly_cuts_sparse_words_at_p_gt_1() {
     let (problem, cfg) = clustered_problem();
@@ -154,6 +155,24 @@ fn volume_partition_strictly_cuts_sparse_words_at_p_gt_1() {
                 dense_words(&vol) < dense_words(&block),
                 "{mode:?} P={p}: partitioned words {} not below block words {}",
                 dense_words(&vol),
+                dense_words(&block)
+            );
+            let edgecut = PartitionConfig {
+                objective: PartitionObjective::EdgeCut,
+                ..volume_cfg()
+            };
+            let cut = train_distributed(
+                &problem,
+                &cfg,
+                Algorithm::OneD,
+                p,
+                CostModel::summit_like(),
+                &config(mode, Some(PartitionSpec::Auto(edgecut))),
+            );
+            assert!(
+                dense_words(&cut) <= dense_words(&block),
+                "{mode:?} P={p}: edge-cut words {} above block words {}",
+                dense_words(&cut),
                 dense_words(&block)
             );
         }
