@@ -51,7 +51,7 @@ fn bench_reduce_scatter(c: &mut Criterion) {
                     let mut out = Mat::zeros(0, 0);
                     for _ in 0..8 {
                         ctx.world
-                            .reduce_scatter_rows(m.clone(), &mut out, Cat::DenseComm);
+                            .reduce_scatter_rows(m.clone(), None, &mut out, Cat::DenseComm);
                     }
                 })
             })

@@ -6,14 +6,22 @@
 //! `O(√P)` fewer words than 1D; the 3D algorithm another `O(P^{1/6})`
 //! fewer than 2D; 1.5D interpolates with its replication factor `c`.
 //!
+//! Sparse-tier section: for 1D and 1.5D at `P = 4`, the reduce-scatter
+//! words a `SparsityAware` epoch meters are set against the prediction
+//! from the needed-row sets — `Σ min(k·(f+1), rows·f)` over every part a
+//! rank receives — and the binary exits non-zero on any mismatch.
+//!
 //! Run with: `cargo run --release -p cagnet-bench --bin comm_volume`
 
 use cagnet_bench::measure_epochs;
-use cagnet_comm::CostModel;
+use cagnet_comm::{Cat, CostModel};
 use cagnet_core::analysis::{self, Shape};
-use cagnet_core::trainer::Algorithm;
+use cagnet_core::dist::CommMode;
+use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
 use cagnet_sparse::generate::{rmat_symmetric, RmatParams};
+use cagnet_sparse::partition::block_ranges;
+use cagnet_sparse::Csr;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -118,4 +126,176 @@ fn main() {
         64f64.powf(1.0 / 6.0)
     );
     cagnet_bench::emit_json(&rows);
+
+    println!("\nSPARSE-TIER REDUCE-SCATTERS — needed-row prediction vs metered (words per epoch, all ranks)\n");
+    println!(
+        "{:<12} {:>5} {:>12} {:>15} {:>15} {:>15}",
+        "algorithm", "P", "dims", "dense", "predicted", "metered"
+    );
+    // The narrow widths make many parts no smaller indexed than whole,
+    // so the dense-when-not-smaller rule is exercised too.
+    let narrow = GcnConfig {
+        dims: vec![F, 1, F],
+        ..gcn.clone()
+    };
+    let mut mismatches = 0;
+    for gcn in [&gcn, &narrow] {
+        for (algo, p) in [(Algorithm::OneD, 4), (Algorithm::One5D { c: 2 }, 4)] {
+            let want = match algo {
+                Algorithm::OneD => predict_1d(&problem, &gcn.dims, p),
+                _ => predict_1p5d(&problem, &gcn.dims, p, 2),
+            };
+            let words = |comm_mode| {
+                let tc = TrainConfig {
+                    epochs: 1,
+                    comm_mode,
+                    collect_outputs: false,
+                    ..Default::default()
+                };
+                let r = train_distributed(&problem, gcn, algo, p, CostModel::summit_like(), &tc);
+                r.reports
+                    .iter()
+                    .map(|rep| rep.words(Cat::DenseComm))
+                    .sum::<u64>()
+            };
+            // Everything else an epoch meters — all-reduces, all-gathers,
+            // the loss — is the same in both tiers: the Dense epoch less
+            // its closed-form fetches and reduce-scatters.
+            let rest = words(CommMode::Dense) - want.fetch_dense - want.reduce_dense;
+            let metered = words(CommMode::SparsityAware) - rest - want.fetch_sparse;
+            let verdict = if metered == want.reduce_sparse {
+                "ok"
+            } else {
+                mismatches += 1;
+                "MISMATCH"
+            };
+            println!(
+                "{:<12} {:>5} {:>12} {:>15} {:>15} {:>15} {verdict}",
+                algo.name(),
+                p,
+                format!("{:?}", gcn.dims),
+                want.reduce_dense,
+                want.reduce_sparse,
+                metered
+            );
+        }
+    }
+    if mismatches > 0 {
+        eprintln!("{mismatches} sparse reduce-scatter word count(s) differ from the prediction");
+        std::process::exit(1);
+    }
+}
+
+/// Closed-form `DenseComm` words of one epoch's stage fetches and
+/// reduce-scatters, summed over ranks, in the Dense and sparse tiers.
+#[derive(Default)]
+struct Predicted {
+    fetch_dense: u64,
+    fetch_sparse: u64,
+    reduce_dense: u64,
+    reduce_sparse: u64,
+}
+
+/// Words a sparse-tier part meters: `k` rows of width `f` and their
+/// indices, or the whole `rows`-row block when that is not more.
+fn part(k: usize, rows: usize, f: usize) -> u64 {
+    (k * (f + 1)).min(rows * f) as u64
+}
+
+/// A dense reduce-scatter's words at one of `p` ranks: `(p−1)/p` of the
+/// `rows × f` contribution.
+fn dense_reduce(rows: usize, f: usize, p: usize) -> u64 {
+    (rows * f * (p - 1) / p) as u64
+}
+
+/// 1D: member `i` fetches the columns `needed[i][j]` of stage `j` from
+/// member `j` on the way forward, and on the way back sends member `j`
+/// those same rows of its outer product.
+fn predict_1d(problem: &Problem, dims: &[usize], p: usize) -> Predicted {
+    let n = problem.vertices();
+    let blocks = block_ranges(n, p);
+    let k: Vec<Vec<usize>> = blocks
+        .iter()
+        .map(|&(r0, r1)| {
+            let at_row = problem.adj_t.block(r0, r1, 0, n);
+            let stage = |&(c0, c1): &(usize, usize)| at_row.block(0, r1 - r0, c0, c1);
+            blocks
+                .iter()
+                .map(|b| stage(b).needed_cols().len())
+                .collect()
+        })
+        .collect();
+    let mut w = Predicted::default();
+    for l in 0..dims.len() - 1 {
+        let (f_in, f_out) = (dims[l], dims[l + 1]);
+        for (i, k) in k.iter().enumerate() {
+            w.reduce_dense += dense_reduce(n, f_out, p);
+            for (j, &(c0, c1)) in blocks.iter().enumerate() {
+                w.fetch_dense += ((c1 - c0) * f_in) as u64;
+                if j != i {
+                    w.fetch_sparse += (k[j] * (f_in + 1)) as u64;
+                    w.reduce_sparse += part(k[j], c1 - c0, f_out);
+                }
+            }
+        }
+    }
+    w
+}
+
+/// 1.5D on a `p/c × c` grid: replica `r` of team `t` fetches the fine
+/// blocks `≡ r (mod c)` over its replica group and reduce-scatters its
+/// coarse partial over the team on the way forward — sending team member
+/// `m` the rows of `m`'s fine block where its column slices store entries
+/// — and on the way back reduce-scatters its outer product over the
+/// replica group, sending member `i'` the columns of stage `i'`.
+fn predict_1p5d(problem: &Problem, dims: &[usize], p: usize, c: usize) -> Predicted {
+    let (n, p1) = (problem.vertices(), p / c);
+    let fine = block_ranges(n, p);
+    let len = |b: usize| fine[b].1 - fine[b].0;
+    // Per rank: the needed columns of each stage, and per team member the
+    // live rows of its fine block in the coarse partial.
+    let (mut k, mut live) = (Vec::new(), Vec::new());
+    for rank in 0..p {
+        let (t, r) = (rank / c, rank % c);
+        let (cr0, cr1) = (fine[t * c].0, fine[(t + 1) * c - 1].1);
+        let coarse = problem.adj_t.block(cr0, cr1, 0, n);
+        let stages: Vec<Csr> = (0..p1)
+            .map(|i| coarse.block(0, cr1 - cr0, fine[i * c + r].0, fine[i * c + r].1))
+            .collect();
+        k.push(
+            stages
+                .iter()
+                .map(|s| s.needed_cols().len())
+                .collect::<Vec<_>>(),
+        );
+        let stored = |v: usize| stages.iter().any(|s| s.row_nnz(v) > 0);
+        let team = block_ranges(cr1 - cr0, c);
+        live.push(
+            team.iter()
+                .map(|&(b0, b1)| (b0..b1).filter(|&v| stored(v)).count())
+                .collect::<Vec<_>>(),
+        );
+    }
+    let mut w = Predicted::default();
+    for l in 0..dims.len() - 1 {
+        let (f_in, f_out) = (dims[l], dims[l + 1]);
+        for rank in 0..p {
+            let (t, r) = (rank / c, rank % c);
+            let coarse_rows: usize = (0..c).map(|m| len(t * c + m)).sum();
+            let group_rows: usize = (0..p1).map(|i| len(i * c + r)).sum();
+            w.reduce_dense +=
+                dense_reduce(coarse_rows, f_in, c) + dense_reduce(group_rows, f_out, p1);
+            for (i, &k) in k[rank].iter().enumerate() {
+                w.fetch_dense += (len(i * c + r) * f_in) as u64;
+                if i != t {
+                    w.fetch_sparse += (k * (f_in + 1)) as u64;
+                    w.reduce_sparse += part(k, len(i * c + r), f_out);
+                }
+            }
+            for m in (0..c).filter(|&m| m != r) {
+                w.reduce_sparse += part(live[rank][m], len(t * c + m), f_in);
+            }
+        }
+    }
+    w
 }

@@ -26,7 +26,7 @@ pub enum CollectiveKind {
     AllreduceMat,
     /// `allreduce_scalar(x, cat)`.
     AllreduceScalar,
-    /// `reduce_scatter_rows(m, cat)`.
+    /// `reduce_scatter_rows(m, sends, out, cat)`.
     ReduceScatterRows,
     /// `alltoall(parts, cat)`.
     Alltoall,

@@ -63,7 +63,7 @@ impl ServedRows {
             .iter()
             .map(|r| {
                 r.as_ref()
-                    .map_or(0, |r| RowsPart::encoded_len(r.len(), cols, prec))
+                    .map_or(0, |r| RowsPart::encoded_len(r.len(), cols, prec, false))
             })
             .collect()
     }
@@ -76,6 +76,112 @@ impl ServedRows {
                 RowsPart::put(out, &served.block, rows, served.precision());
             }
         })
+    }
+}
+
+/// A reduce-scatter contribution in the rendezvous (DESIGN.md §9): the
+/// sender's whole matrix, cut into one part per member — that member's
+/// row block or, given send sets, only the rows of it the matrix can make
+/// nonzero. Shared-memory members read their part from the matrix
+/// itself; over sockets each member is sent its part as a [`RowsPart`]
+/// encoded straight from the matrix, and the sender's own part is empty.
+struct ReducedRows {
+    m: Arc<Mat>,
+    /// Per member, the rows of its block the matrix can make nonzero.
+    sends: Option<Arc<Vec<Vec<usize>>>>,
+    /// Wire precision of the values; `None` sends them exact.
+    prec: Option<Precision>,
+    /// Members of the communicator.
+    p: usize,
+    /// The sender's member index.
+    from: usize,
+}
+
+impl ReducedRows {
+    fn block(&self, j: usize) -> Range<usize> {
+        let (r0, r1) = block_range(self.m.rows(), self.p, j);
+        r0..r1
+    }
+
+    /// The rows of member `j`'s block its part carries with their
+    /// indices: its send set, unless the whole block is not more words.
+    fn index(&self, j: usize) -> Option<&[usize]> {
+        let rows = &self.sends.as_ref()?[j];
+        let f = self.m.cols();
+        (part_words(rows.len(), true, f, self.prec)
+            < part_words(self.block(j).len(), false, f, self.prec))
+        .then_some(rows)
+    }
+
+    /// Encoded length of each member's part.
+    fn part_lens(&self) -> Vec<usize> {
+        let (f, prec) = (self.m.cols(), self.prec.unwrap_or(Precision::F64));
+        (0..self.p)
+            .map(|j| match (j == self.from, self.index(j)) {
+                (true, _) => 0,
+                (false, Some(rows)) => RowsPart::encoded_len(rows.len(), f, prec, true),
+                (false, None) => RowsPart::encoded_len(self.block(j).len(), f, prec, false),
+            })
+            .collect()
+    }
+
+    fn into_payload(self) -> TxPayload {
+        let lens = self.part_lens();
+        let total = lens.iter().sum();
+        TxPayload::parted(Arc::new(self), &lens, move |c, out| {
+            out.reserve(total);
+            let prec = c.prec.unwrap_or(Precision::F64);
+            for j in (0..c.p).filter(|&j| j != c.from) {
+                RowsPart::put_block(out, &c.m, c.block(j), c.index(j), prec);
+            }
+        })
+    }
+
+    /// Add this contribution's part for member `to` into `to`'s block
+    /// `out`, each value rounded to the wire precision; returns the words
+    /// the part carries.
+    fn add_into(&self, to: usize, out: &mut Mat) -> u64 {
+        let (block, f) = (self.block(to), self.m.cols());
+        let src = &self.m.as_slice()[block.start * f..block.end * f];
+        match self.index(to) {
+            Some(rows) => {
+                for &r in rows {
+                    add_rounded(out.row_mut(r), &src[r * f..(r + 1) * f], self.prec);
+                }
+                part_words(rows.len(), true, f, self.prec)
+            }
+            None => {
+                add_rounded(out.as_mut_slice(), src, self.prec);
+                part_words(block.len(), false, f, self.prec)
+            }
+        }
+    }
+}
+
+/// `dst += src`, each `src` value rounded to the wire precision, if any.
+fn add_rounded(dst: &mut [f64], src: &[f64], prec: Option<Precision>) {
+    match prec {
+        None => dst.iter_mut().zip(src).for_each(|(d, s)| *d += s),
+        Some(p) => dst
+            .iter_mut()
+            .zip(src)
+            .for_each(|(d, &s)| *d += p.round_trip(s)),
+    }
+}
+
+/// Wire words of `values` values: packed values share words.
+fn packed_words(values: usize, prec: Option<Precision>) -> u64 {
+    prec.map_or(values, |p| (values * p.bytes_per_value()).div_ceil(8)) as u64
+}
+
+/// Metered words of a row part: `rows` rows of width `cols`, each rounded
+/// up to whole words plus an index word when `indexed`, else the packed
+/// block.
+fn part_words(rows: usize, indexed: bool, cols: usize, prec: Option<Precision>) -> u64 {
+    if indexed {
+        rows as u64 * (packed_words(cols, prec) + 1)
+    } else {
+        packed_words(rows * cols, prec)
     }
 }
 
@@ -962,7 +1068,7 @@ impl Communicator {
                     );
                 }
                 let requests = self.gather_requests(kind, root_idx, &block, items);
-                let served = requests.iter().flatten().map(|r| r.len() as u64).sum();
+                let served = requests.iter().flatten().map(|r| r.len()).sum();
                 let payload = ServedRows {
                     block: block.clone(),
                     requests,
@@ -1032,16 +1138,6 @@ impl Communicator {
         }
     }
 
-    /// Wire words per gathered row: the row — packed values share words,
-    /// and each row is rounded up to whole words — plus its index word.
-    fn row_words(cols: usize, prec: Option<Precision>) -> u64 {
-        let row = match prec {
-            None => cols,
-            Some(p) => (cols * p.bytes_per_value()).div_ceil(8),
-        };
-        row as u64 + 1
-    }
-
     /// Complete a row gather from its round-two deposits: this rank's
     /// result, and its cost and words per the α–β formulas of DESIGN.md
     /// §9. The root's result is its own full-precision block — data
@@ -1056,7 +1152,7 @@ impl Communicator {
         let m = self.model();
         match end {
             GatherEnd::Root { block, served } => {
-                let words = served * Self::row_words(block.cols(), prec);
+                let words = part_words(served, true, block.cols(), prec);
                 let cost = m.alpha * (self.size() - 1) as f64 + m.beta * words as f64;
                 (GatheredRows::full(block), cost, 0)
             }
@@ -1065,10 +1161,10 @@ impl Communicator {
                 rows,
                 expect,
             } => {
-                let k = rows.len() as u64;
+                let k = rows.len();
                 let got = GatheredRows::served(&items[root_idx], rows, expect, prec)
                     .unwrap_or_else(|why| panic!("{kind}: {why}"));
-                let words = k * Self::row_words(got.cols(), prec);
+                let words = part_words(k, true, got.cols(), prec);
                 (got, 2.0 * m.alpha + m.beta * words as f64, words)
             }
         }
@@ -1200,48 +1296,153 @@ impl Communicator {
         sum
     }
 
-    /// Reduce-scatter over block rows: every member contributes an equally
-    /// shaped `n x f` matrix; member `i` receives row block `i` (balanced
-    /// block distribution) of the elementwise sum, accumulated in member
-    /// order from zeros.
+    /// Reduce-scatter over block rows: every member contributes an
+    /// equally shaped `n x f` matrix; member `i` receives row block `i`
+    /// (balanced block distribution) of the elementwise sum, accumulated
+    /// in member order from `+0.0` and written over `out`, reusing its
+    /// allocation.
     ///
     /// This is the primitive of the 1D backward pass (§IV-A.3): the
     /// low-rank outer products `A_i G_i` are reduce-scattered into block
-    /// rows. Both ends are copy-free: the contribution enters the
-    /// rendezvous as the shared handle the caller built it in (peers read
-    /// their rows from it in place), and the reduced block is written
-    /// over `out`, reusing its allocation.
-    pub fn reduce_scatter_rows(&self, m: Arc<Mat>, out: &mut Mat, cat: Cat) {
-        let p = self.size();
-        let (r0, r1) = block_range(m.rows(), p, self.my_idx);
-        out.reset(r1 - r0, m.cols());
-        let mut fold = |part: &Mat| {
-            assert_eq!(part.shape(), m.shape(), "reduce_scatter shape mismatch");
-            for (oi, gi) in (r0..r1).enumerate() {
-                for (d, s) in out.row_mut(oi).iter_mut().zip(part.row(gi)) {
-                    *d += s;
-                }
+    /// rows. The contribution enters the rendezvous as the shared handle
+    /// the caller built it in, cut into one part per member: in shared
+    /// memory member `j` reads its part from the handle in place; over
+    /// sockets only `j`'s part crosses to `j`, and `j` adds it into its
+    /// block straight from the received bytes (DESIGN.md §9).
+    ///
+    /// Without `sends`, each part is the member's whole block, and a
+    /// rank is charged the dense [`CostModel::reduce_scatter_time`] of
+    /// the `n·f` words of `m`. With `sends` — the sparsity-aware form —
+    /// `sends[j]` lists, ascending, the rows of member `j`'s block
+    /// (offsets into it) that `m` can make nonzero; every other row of
+    /// that block must be exactly `+0.0`. The part for `j` then holds
+    /// only those `k` rows and their indices, `k·(f+1)` words, or the
+    /// whole block whenever that is not more words, and a rank is
+    /// charged [`CostModel::sparse_reduce_scatter_time`] of the words it
+    /// receives.
+    ///
+    /// Either way the sum is bit-identical to the dense one: it starts at
+    /// `+0.0`, so it is never `−0.0`, and adding an absent row's `+0.0`
+    /// leaves every other value unchanged.
+    ///
+    /// Under a narrow wire precision every row is rounded once on its
+    /// way to the member that sums it (its own rows included), and the
+    /// sums are accumulated in `f64`, so a later all-gather of the blocks
+    /// reassembles a replica-consistent matrix.
+    pub fn reduce_scatter_rows(
+        &self,
+        m: Arc<Mat>,
+        sends: Option<&Arc<Vec<Vec<usize>>>>,
+        out: &mut Mat,
+        cat: Cat,
+    ) {
+        let (p, me) = (self.size(), self.my_idx);
+        let (n, f) = m.shape();
+        if let Some(sends) = sends {
+            assert_eq!(
+                sends.len(),
+                p,
+                "reduce_scatter_rows needs one send set per member"
+            );
+            for (j, rows) in sends.iter().enumerate() {
+                let (r0, r1) = block_range(n, p, j);
+                let sorted = rows.windows(2).all(|w| w[0] < w[1]);
+                assert!(
+                    sorted && rows.last().is_none_or(|&r| r < r1 - r0),
+                    "reduce_scatter_rows: the send set of member {j} must be sorted, distinct \
+                     and inside its block"
+                );
             }
-        };
-        // Under a narrow wire precision each contribution is rounded
-        // once by its sender; every rank widens all parts and sums its own
-        // block rows in `f64`, so a later all-gather of the blocks
-        // reassembles a replica-consistent matrix.
+        }
         let carry = self.carry::<Mat>(cat);
+        let prec = carry.precision();
         let fp = self.fingerprint(
             CollectiveKind::ReduceScatterRows,
             None,
             carry.dtype::<Mat>(),
-            Shape::Dims(m.rows(), m.cols()),
+            Shape::Dims(n, f),
         );
-        let (payload, w) = carry.tx(m.clone());
-        let (items, at) = self.exchange_raw(CollectiveKind::ReduceScatterRows, fp, payload);
-        for item in items {
-            let (part, _) = carry.rx::<Mat>(item);
-            fold(&part);
+        let contribution = ReducedRows {
+            m,
+            sends: sends.cloned(),
+            prec,
+            p,
+            from: me,
+        };
+        let (items, at) = self.exchange_raw(
+            CollectiveKind::ReduceScatterRows,
+            fp,
+            contribution.into_payload(),
+        );
+        let (r0, r1) = block_range(n, p, me);
+        out.reset(r1 - r0, f);
+        let mut received = 0;
+        for (i, item) in items.into_iter().enumerate() {
+            let words = self.fold_part(item, (n, f), prec, out);
+            if i != me {
+                received += words;
+            }
         }
-        let cost = self.model().reduce_scatter_time(p, w);
-        self.settle(at, carry.cat(cat), cost, w * (p as u64 - 1) / p as u64);
+        let model = self.model();
+        let (cost, words) = match sends {
+            Some(_) => (model.sparse_reduce_scatter_time(p, received), received),
+            None => {
+                let w = packed_words(n * f, prec);
+                (
+                    model.reduce_scatter_time(p, w),
+                    w * (p as u64 - 1) / p as u64,
+                )
+            }
+        };
+        self.settle(at, carry.cat(cat), cost, words);
+    }
+
+    /// Add one member's part of a reduce-scatter into this rank's block
+    /// `out`, checked against the `dims` of the contributions and the wire
+    /// precision; returns the words the part carried.
+    fn fold_part(
+        &self,
+        item: RxPayload,
+        dims: (usize, usize),
+        prec: Option<Precision>,
+        out: &mut Mat,
+    ) -> u64 {
+        match item {
+            RxPayload::Local(p) => {
+                let Ok(c) = p.downcast::<ReducedRows>() else {
+                    panic!("reduce_scatter_rows: collective payload type mismatch across ranks");
+                };
+                assert_eq!(c.m.shape(), dims, "reduce_scatter shape mismatch");
+                c.add_into(self.my_idx, out)
+            }
+            RxPayload::Remote { body, range } => {
+                let bytes = &body[range];
+                let part = RowsPart::parse(bytes).unwrap_or_else(|e| {
+                    panic!("reduce_scatter_rows: protocol error: a part does not decode: {e}")
+                });
+                let want = prec.unwrap_or(Precision::F64);
+                assert!(
+                    part.precision == want && part.block == out.shape(),
+                    "reduce_scatter_rows: protocol error: a {} part of a {:?} block reached a \
+                     rank reducing a {:?} block at {}",
+                    part.precision.name(),
+                    part.block,
+                    out.shape(),
+                    want.name()
+                );
+                // Gather parts may be short without indices; a reduce
+                // part without them is its whole block.
+                assert!(
+                    part.index.is_some() || part.rows == part.block.0,
+                    "reduce_scatter_rows: protocol error: an unindexed part holds {} of its \
+                     block's {} rows",
+                    part.rows,
+                    part.block.0
+                );
+                part.add_into(bytes, out);
+                part_words(part.rows, part.index.is_some(), part.block.1, prec)
+            }
+        }
     }
 
     /// All-to-all personalized exchange: `parts[j]` is sent to member `j`;
@@ -1408,7 +1609,7 @@ impl Carry {
 /// This rank's side of a row gather, as its completion needs it.
 enum GatherEnd {
     /// The root: its own block, and how many rows it served.
-    Root { block: Arc<Mat>, served: u64 },
+    Root { block: Arc<Mat>, served: usize },
     /// A receiver: its request and the dims it declared.
     Receiver {
         root_idx: usize,
@@ -1602,7 +1803,8 @@ mod tests {
             // Both ranks contribute a 4x1 matrix of their rank+1.
             let m = Arc::new(Mat::filled(4, 1, (ctx.rank + 1) as f64));
             let mut out = Mat::zeros(0, 0);
-            ctx.world.reduce_scatter_rows(m, &mut out, Cat::DenseComm);
+            ctx.world
+                .reduce_scatter_rows(m, None, &mut out, Cat::DenseComm);
             out
         });
         // Sum is all-3s; rank 0 gets rows 0..2, rank 1 rows 2..4.
@@ -2015,6 +2217,17 @@ mod tests {
         got.compact_into(&[1, 5], &mut out);
         assert_eq!(out, block.select_rows(&[1, 5]));
         assert_eq!((got.cols(), got.rows()), (3, Some(&[1usize, 5][..])));
+    }
+
+    #[test]
+    #[should_panic(expected = "protocol error: an unindexed part holds 2 of its block's 4 rows")]
+    fn reduce_scatter_rows_refuses_a_short_unindexed_part() {
+        // A gather's served rows: two rows of a 4-row block, no indices.
+        let part = received_part(&Mat::zeros(4, 3), &[1, 3], Precision::F64);
+        Cluster::new(1).run(|ctx| {
+            let mut out = Mat::zeros(4, 3);
+            ctx.world.fold_part(part.clone(), (8, 3), None, &mut out);
+        });
     }
 
     #[test]

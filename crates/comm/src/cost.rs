@@ -227,6 +227,17 @@ impl CostModel {
         self.alpha * Self::lg(p) + self.beta * w as f64 * (p - 1) as f64 / p as f64
     }
 
+    /// Sparsity-aware reduce-scatter among `p` ranks at a rank that
+    /// receives `w` words: the dense form's latency, and only the words
+    /// that reach this rank. With every part dense and the blocks
+    /// balanced, `w = n·f·(p−1)/p` and this is [`Self::reduce_scatter_time`].
+    pub fn sparse_reduce_scatter_time(&self, p: usize, w: u64) -> f64 {
+        if p <= 1 {
+            return 0.0;
+        }
+        self.alpha * Self::lg(p) + self.beta * w as f64
+    }
+
     /// All-gather producing `w` total words among `p` ranks.
     pub fn allgather_time(&self, p: usize, w: u64) -> f64 {
         if p <= 1 {

@@ -31,7 +31,8 @@
 //! mode works unchanged over the wire. A part table cuts the payload into
 //! one byte range per member, tiling it in member order; the hub then
 //! forwards each member only its own part (a row gather's served rows, a
-//! request only the root reads). A `Collect` body carries every member's
+//! request only the root reads, a reduce-scatter's rows of one member's
+//! block). A `Collect` body carries every member's
 //! `{entry clock, fingerprint, payload}` in member order, except that
 //! the receiving rank's own payload is sent with length 0 (it already
 //! holds it) and a parted payload is sent as the receiver's part.
@@ -68,8 +69,10 @@ use crate::trace::TraceEvent;
 /// Frame header magic bytes (`CGNT`).
 pub const MAGIC: [u8; 4] = *b"CGNT";
 /// Wire protocol version (2: `Deposit` heads carry a part table; 3:
-/// fingerprints drop the send/recv partner field).
-pub const VERSION: u8 = 3;
+/// fingerprints drop the send/recv partner field; 4: a [`RowsPart`]
+/// carries an index flag, and a reduce-scatter deposit is parted, one
+/// [`RowsPart`] per member).
+pub const VERSION: u8 = 4;
 /// Maximum accepted frame body length (1 GiB). Validated before any
 /// allocation happens.
 pub const MAX_FRAME: u32 = 1 << 30;
@@ -913,57 +916,128 @@ impl Wire for PackedMat {
     }
 }
 
-/// One receiver's part of a served row gather (DESIGN.md §9): the shape
-/// of the root's block, then the `rows` rows the receiver requested,
-/// back to back, at the wire precision.
+/// One member's part of a parted row collective (DESIGN.md §9): the
+/// shape of the block the rows belong to, then `rows` of its rows, back
+/// to back, at the wire precision — optionally preceded by their row
+/// indices within the block.
 ///
 /// ```text
-/// precision (1 B) | block rows | block cols | rows (8 B each) | rows · cols values
+/// precision (1 B) | block rows | block cols | rows | indexed (1 B)
+///   | rows indices (8 B each, when indexed) | rows · cols values
 /// ```
 ///
-/// The root encodes each part straight from its resident block; the
-/// receiver [parses](RowsPart::parse) the head in place and widens the
-/// values straight into its operand buffer ([`RowsPart::widen_into`]).
+/// A row gather serves each receiver an unindexed part holding the rows
+/// it requested, in request order, straight from the root's block. A
+/// reduce-scatter sends each member a part of that member's row block:
+/// unindexed, the whole block; indexed, only the rows the sender's
+/// contribution can make nonzero, in ascending order. The receiver
+/// [parses](RowsPart::parse) the head in place and widens the values
+/// straight into its operand buffer ([`RowsPart::widen_into`]) or adds
+/// them into its reduced block ([`RowsPart::add_into`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowsPart {
     /// Wire precision of the values.
     pub precision: Precision,
-    /// Dimensions of the root's block the rows were taken from.
+    /// Dimensions of the block the rows were taken from.
     pub block: (usize, usize),
     /// How many rows the part carries.
     pub rows: usize,
+    /// Where the row indices lie within the parsed bytes, when indexed.
+    pub index: Option<Range<usize>>,
     /// Where the values lie within the parsed bytes.
     pub values: Range<usize>,
 }
 
 impl RowsPart {
-    /// Bytes before the values.
-    const HEAD_LEN: usize = 25;
+    /// Bytes before the indices (or, unindexed, the values).
+    const HEAD_LEN: usize = 26;
 
-    /// Encoded length of a part carrying `rows` rows of width `cols`.
-    pub(crate) fn encoded_len(rows: usize, cols: usize, precision: Precision) -> usize {
-        Self::HEAD_LEN + rows * cols * precision.bytes_per_value()
+    /// Encoded length of a part carrying `rows` rows of width `cols`,
+    /// with their indices when `indexed`.
+    pub(crate) fn encoded_len(
+        rows: usize,
+        cols: usize,
+        precision: Precision,
+        indexed: bool,
+    ) -> usize {
+        Self::HEAD_LEN + rows * (8 * usize::from(indexed) + cols * precision.bytes_per_value())
     }
 
-    /// Append the part holding rows `rows` of `block`, in that order,
-    /// rounded to `precision`.
+    /// Append the unindexed part holding rows `rows` of `block`, in that
+    /// order, rounded to `precision` — a row gather's served rows.
     pub fn put(out: &mut Vec<u8>, block: &Mat, rows: &[usize], precision: Precision) {
-        precision.put(out);
-        block.rows().put(out);
-        block.cols().put(out);
-        rows.len().put(out);
+        Self::put_head(out, precision, block.shape(), rows.len(), None);
         for &r in rows {
             put_packed(block.row(r), precision, out);
         }
     }
 
-    /// Parse a part's head and check that exactly its values follow;
-    /// no value is read or copied.
+    /// Append the part for the row block `block` of `src`, rounded to
+    /// `precision`: with `index`, only those rows of the block (ascending
+    /// offsets into it) and their indices; without, the whole block.
+    pub fn put_block(
+        out: &mut Vec<u8>,
+        src: &Mat,
+        block: Range<usize>,
+        index: Option<&[usize]>,
+        precision: Precision,
+    ) {
+        let (r0, cols) = (block.start, src.cols());
+        let rows = index.map_or(block.len(), <[usize]>::len);
+        Self::put_head(out, precision, (block.len(), cols), rows, index);
+        match index {
+            Some(index) => {
+                for &r in index {
+                    put_packed(src.row(r0 + r), precision, out);
+                }
+            }
+            None => put_packed(&src.as_slice()[r0 * cols..block.end * cols], precision, out),
+        }
+    }
+
+    fn put_head(
+        out: &mut Vec<u8>,
+        precision: Precision,
+        block: (usize, usize),
+        rows: usize,
+        index: Option<&[usize]>,
+    ) {
+        precision.put(out);
+        block.0.put(out);
+        block.1.put(out);
+        rows.put(out);
+        index.is_some().put(out);
+        if let Some(index) = index {
+            usize::put_run(index, out);
+        }
+    }
+
+    /// Parse a part's head, check that it holds no more rows than its
+    /// block, that an index is ascending and inside the block, and that
+    /// exactly the values follow; no value is read or copied.
     pub fn parse(bytes: &[u8]) -> Result<Self, FrameError> {
         let mut r = Reader::new(bytes);
         let precision = Precision::take(&mut r)?;
         let block = (usize::take(&mut r)?, usize::take(&mut r)?);
         let rows = usize::take(&mut r)?;
+        if rows > block.0 {
+            return Err(FrameError::Malformed("part holds more rows than its block"));
+        }
+        let index = if bool::take(&mut r)? {
+            let start = r.pos;
+            let mut next = 0;
+            for i in take_words(&mut r, rows)? {
+                if i < next || i >= block.0 as u64 {
+                    return Err(FrameError::Malformed(
+                        "row index out of order or past the block",
+                    ));
+                }
+                next = i + 1;
+            }
+            Some(start..r.pos)
+        } else {
+            None
+        };
         let len = rows
             .checked_mul(block.1)
             .and_then(|n| n.checked_mul(precision.bytes_per_value()))
@@ -978,6 +1052,7 @@ impl RowsPart {
             precision,
             block,
             rows,
+            index,
             values: r.pos..bytes.len(),
         })
     }
@@ -993,6 +1068,50 @@ impl RowsPart {
             self.block.1,
             out,
         );
+    }
+
+    /// Add the part's rows into `out`, the block they belong to — row
+    /// `i` of the part into the block row its index names, or into row
+    /// `i` when unindexed. `bytes` are the bytes this part was parsed
+    /// from.
+    ///
+    /// # Panics
+    /// When `out` is not the part's block shape.
+    pub fn add_into(&self, bytes: &[u8], out: &mut Mat) {
+        assert_eq!(out.shape(), self.block, "a part adds into its own block");
+        let cols = self.block.1;
+        let width = cols * self.precision.bytes_per_value();
+        if cols == 0 {
+            return;
+        }
+        let values = bytes[self.values.clone()].chunks_exact(width);
+        let mut add = |row: usize, packed: &[u8]| match self.precision {
+            Precision::F64 => {
+                add_widened(out.row_mut(row), packed, 8, |c| f64::from_bits(le_u64(c)))
+            }
+            Precision::F32 => add_widened(out.row_mut(row), packed, 4, |c| {
+                f64::from(f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+            }),
+            Precision::Bf16 => add_widened(out.row_mut(row), packed, 2, |c| {
+                bf16_to_f64(u16::from_le_bytes([c[0], c[1]]))
+            }),
+        };
+        match &self.index {
+            Some(index) => bytes[index.clone()]
+                .chunks_exact(8)
+                .zip(values)
+                .for_each(|(i, packed)| add(le_u64(i) as usize, packed)),
+            None => values
+                .enumerate()
+                .for_each(|(row, packed)| add(row, packed)),
+        }
+    }
+}
+
+/// `dst[j] += widen(packed value j)`, the values `width` bytes each.
+fn add_widened(dst: &mut [f64], packed: &[u8], width: usize, widen: impl Fn(&[u8]) -> f64) {
+    for (d, c) in dst.iter_mut().zip(packed.chunks_exact(width)) {
+        *d += widen(c);
     }
 }
 
@@ -1733,7 +1852,7 @@ mod tests {
             let mut bytes = vec![0xEE];
             RowsPart::put(&mut bytes, &block, &rows, precision);
             let part = &bytes[1..];
-            assert_eq!(part.len(), RowsPart::encoded_len(3, 3, precision));
+            assert_eq!(part.len(), RowsPart::encoded_len(3, 3, precision, false));
             let head = RowsPart::parse(part).expect("parse");
             assert_eq!(
                 (head.precision, head.block, head.rows),
@@ -1761,6 +1880,62 @@ mod tests {
             head.widen_into(&part, &mut out);
             assert_eq!(out.shape(), (rows.len(), m.cols()));
         }
+    }
+
+    #[test]
+    fn block_parts_add_their_rows_into_the_block() {
+        // Rows 3..8 of a 10 × 3 source: indexed, only block rows 0, 2
+        // and 4; unindexed, the whole block.
+        let src = Mat::from_fn(10, 3, |i, j| odd(i * 3 + j) + i as f64 / 3.0);
+        let index = [0, 2, 4];
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+            for index in [Some(&index[..]), None] {
+                let mut part = Vec::new();
+                RowsPart::put_block(&mut part, &src, 3..8, index, precision);
+                let rows = index.map_or(5, <[usize]>::len);
+                let len = RowsPart::encoded_len(rows, 3, precision, index.is_some());
+                assert_eq!(part.len(), len);
+                let head = RowsPart::parse(&part).expect("parse");
+                assert_eq!((head.block, head.rows), ((5, 3), rows));
+                let mut out = Mat::filled(5, 3, 0.5);
+                head.add_into(&part, &mut out);
+                let mut expect = Mat::filled(5, 3, 0.5);
+                for r in index.map_or((0..5).collect(), <[usize]>::to_vec) {
+                    for (d, s) in expect.row_mut(r).iter_mut().zip(src.row(3 + r)) {
+                        *d += precision.round_trip(*s);
+                    }
+                }
+                let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&expect), "{precision:?} {index:?}");
+            }
+        }
+        // An index out of order, repeated or past the block, a flag that
+        // is no bool, and more rows than the block are all refused.
+        let refused = |index: &[usize], flag: u8, block_rows: usize| {
+            let mut part = Vec::new();
+            Precision::F64.put(&mut part);
+            block_rows.put(&mut part);
+            1usize.put(&mut part);
+            index.len().put(&mut part);
+            part.push(flag);
+            if flag == 1 {
+                usize::put_run(index, &mut part);
+            }
+            part.resize(part.len() + 8 * index.len(), 0);
+            match RowsPart::parse(&part) {
+                Err(FrameError::Malformed(why)) => why,
+                other => panic!("{index:?}: expected Malformed, got {other:?}"),
+            }
+        };
+        let bad_index = "row index out of order or past the block";
+        assert_eq!(refused(&[2, 1], 1, 4), bad_index);
+        assert_eq!(refused(&[1, 1], 1, 4), bad_index);
+        assert_eq!(refused(&[0, 4], 1, 4), bad_index);
+        assert_eq!(refused(&[0, 1], 2, 4), "bool out of range");
+        assert_eq!(
+            refused(&[0, 1, 2], 0, 2),
+            "part holds more rows than its block"
+        );
     }
 
     /// The element-wise encoders the bulk codecs replaced, kept as the

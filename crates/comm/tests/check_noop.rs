@@ -25,7 +25,7 @@ fn workload(p: usize, check: CheckMode) -> Vec<((f64, Vec<TraceEvent>), Timeline
         sum += ctx.world.allreduce_scalar(r as f64, Cat::DenseComm);
         let mut block = Mat::zeros(0, 0);
         ctx.world
-            .reduce_scatter_rows(Arc::new(m), &mut block, Cat::DenseComm);
+            .reduce_scatter_rows(Arc::new(m), None, &mut block, Cat::DenseComm);
         sum += block.as_slice()[0];
 
         let parts = ctx.world.allgather(vec![r as f64], Cat::SparseComm);

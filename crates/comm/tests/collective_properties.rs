@@ -25,7 +25,7 @@ proptest! {
             let direct = ctx.world.allreduce_mat(&m, Cat::DenseComm);
             let mut scattered = Mat::zeros(0, 0);
             ctx.world
-                .reduce_scatter_rows(Arc::new(m), &mut scattered, Cat::DenseComm);
+                .reduce_scatter_rows(Arc::new(m), None, &mut scattered, Cat::DenseComm);
             let parts = ctx.world.allgather(scattered, Cat::DenseComm);
             let composed = Mat::vstack(&parts);
             (direct, composed)
@@ -139,5 +139,149 @@ proptest! {
         for (clock, _) in results {
             prop_assert!((clock - expect).abs() < 1e-12);
         }
+    }
+}
+
+/// Values a sparse reduce-scatter must carry through bit for bit: signed
+/// zeros, infinities, NaN and ordinary numbers.
+const EDGES: [f64; 8] = [
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    1.5,
+    -2.25,
+    1e300,
+    -1e-300,
+];
+
+#[test]
+fn sparse_reduce_matches_dense_bit_for_bit_at_the_edges() {
+    use cagnet_comm::{Precision, TransportKind};
+    use cagnet_sparse::partition::block_range;
+    // Rank r's contribution is +0.0 outside the rows v with
+    // (v + r) mod (r + 2) ≠ 0, which it names as its send sets: about
+    // half of each block at rank 0 (sent indexed), four fifths at rank 3
+    // (sent whole, the indexed form not being smaller at f = 3). Its
+    // other rows hold −0.0, ±inf, NaN and ordinary values.
+    let (n, f) = (11, 3);
+    let live = |rank: usize, v: usize| !(v + rank).is_multiple_of(rank + 2);
+    let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let transports = if cfg!(unix) {
+        vec![TransportKind::Shared, TransportKind::Socket]
+    } else {
+        vec![TransportKind::Shared]
+    };
+    for p in 2..=4 {
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+            let mut first: Option<Vec<Vec<u64>>> = None;
+            for &transport in &transports {
+                let results = Cluster::new(p)
+                    .with_transport(transport)
+                    .with_precision(precision)
+                    .run_wire(|ctx| {
+                        let m = Arc::new(Mat::from_fn(n, f, |v, c| {
+                            if live(ctx.rank, v) {
+                                EDGES[(v * f + c + ctx.rank) % EDGES.len()]
+                            } else {
+                                0.0
+                            }
+                        }));
+                        let sends: Vec<Vec<usize>> = (0..p)
+                            .map(|j| {
+                                let (r0, r1) = block_range(n, p, j);
+                                (r0..r1)
+                                    .filter(|&v| live(ctx.rank, v))
+                                    .map(|v| v - r0)
+                                    .collect()
+                            })
+                            .collect();
+                        let (mut sparse, mut dense) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+                        ctx.world.reduce_scatter_rows(
+                            m.clone(),
+                            Some(&Arc::new(sends)),
+                            &mut sparse,
+                            Cat::DenseComm,
+                        );
+                        ctx.world
+                            .reduce_scatter_rows(m, None, &mut dense, Cat::DenseComm);
+                        vec![sparse, dense]
+                    });
+                let mut seen = Vec::new();
+                for (rank, (pair, _)) in results.iter().enumerate() {
+                    let case = format!("P={p} {precision:?} {transport:?} rank {rank}");
+                    assert_eq!(pair[0].shape(), pair[1].shape(), "{case}");
+                    assert_eq!(bits(&pair[0]), bits(&pair[1]), "{case}: sparse vs dense");
+                    seen.push(bits(&pair[0]));
+                }
+                match &first {
+                    None => first = Some(seen),
+                    Some(shared) => assert_eq!(shared, &seen, "P={p} {precision:?}: transports"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_reduce_meters_what_each_rank_receives() {
+    use cagnet_sparse::partition::block_range;
+    // Every row of every block is named, so every part goes whole. On
+    // balanced blocks that is the dense form's words and clock; on
+    // unbalanced ones each rank meters its own block from p − 1 peers,
+    // against the dense form's floored average.
+    let model = CostModel::summit_like();
+    for (n, p, sparse_words, dense_words) in [
+        (8, 4, vec![6, 6, 6, 6], 6),
+        (10, 4, vec![9, 9, 6, 6], 7),
+        (7, 3, vec![6, 4, 4], 4),
+    ] {
+        let results = Cluster::new(p).run(|ctx| {
+            let m = Arc::new(Mat::from_fn(n, 1, |v, _| (v + ctx.rank) as f64));
+            let sends: Vec<Vec<usize>> = (0..p)
+                .map(|j| {
+                    let (r0, r1) = block_range(n, p, j);
+                    (0..r1 - r0).collect()
+                })
+                .collect();
+            let (mut sparse, mut dense) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+            ctx.world.reduce_scatter_rows(
+                m.clone(),
+                Some(&Arc::new(sends)),
+                &mut sparse,
+                Cat::DenseComm,
+            );
+            let after_sparse = ctx.report();
+            ctx.world
+                .reduce_scatter_rows(m, None, &mut dense, Cat::DenseComm);
+            assert_eq!(sparse, dense, "n={n} P={p} rank {}", ctx.rank);
+            (after_sparse, ctx.report())
+        });
+        for (rank, ((sparse, both), _)) in results.iter().enumerate() {
+            let case = format!("n={n} P={p} rank {rank}");
+            let w = sparse.words(Cat::DenseComm);
+            assert_eq!(w, sparse_words[rank], "{case}: sparse words");
+            assert_eq!(
+                both.words(Cat::DenseComm) - w,
+                dense_words,
+                "{case}: dense words"
+            );
+            let lg = (p as f64).log2().ceil();
+            let sparse_cost = model.alpha * lg + model.beta * w as f64;
+            assert!(
+                (sparse.seconds(Cat::DenseComm) - sparse_cost).abs() <= 1e-15,
+                "{case}: sparse clock"
+            );
+        }
+        if n % p == 0 {
+            let (sparse, both) = &results[0].0;
+            assert_eq!(
+                sparse.seconds(Cat::DenseComm),
+                both.seconds(Cat::DenseComm) - sparse.seconds(Cat::DenseComm),
+                "n={n} P={p}: balanced blocks price both forms alike"
+            );
+        }
+        let total: u64 = sparse_words.iter().sum();
+        assert!(total - (p as u64 * dense_words) < p as u64, "n={n} P={p}");
     }
 }

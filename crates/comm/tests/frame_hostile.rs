@@ -1,4 +1,5 @@
-//! Hostile `DEPOSIT` and `COLLECT` bodies and served row-gather parts:
+//! Hostile `DEPOSIT` and `COLLECT` bodies and row parts — a gather's
+//! served rows, a reduce-scatter's rows of one block:
 //! every prefix truncation and every inflated count field of a valid
 //! body must be rejected as `Malformed`, with the codec's established
 //! messages, and without a single allocation larger than the input — the
@@ -12,7 +13,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
-use cagnet_comm::frame::{CollectMsg, DepositMsg, FrameError, Precision, RowsPart};
+use cagnet_comm::frame::{
+    read_frame, write_frame, CollectMsg, DepositMsg, FrameError, FrameKind, Precision, RowsPart,
+    Wire, VERSION,
+};
 use cagnet_dense::Mat;
 
 thread_local! {
@@ -68,7 +72,7 @@ fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// The messages the element-wise codec gave for short or inconsistent
 /// bodies, and the ones the part table and served rows add; the
 /// range-based parsers must not invent others.
-const KNOWN: [&str; 15] = [
+const KNOWN: [&str; 17] = [
     "body truncated",
     "element count exceeds body",
     "string length exceeds body",
@@ -84,6 +88,8 @@ const KNOWN: [&str; 15] = [
     "part range runs past the payload",
     "served rows exceed body",
     "precision tag out of range",
+    "part holds more rows than its block",
+    "row index out of order or past the block",
 ];
 
 fn assert_rejected<T: std::fmt::Debug>(
@@ -244,6 +250,60 @@ fn hostile_served_rows_are_malformed_and_allocate_nothing_large() {
         head.widen_into(&part, &mut out);
         let expect = block.select_rows(&rows).map(|x| precision.round_trip(x));
         assert_eq!(out, expect, "{name}");
+    }
+}
+
+#[test]
+fn hostile_reduced_rows_are_malformed_and_allocate_nothing_large() {
+    // Eleven indexed rows of an 8192 × 13 block of a taller source, at
+    // each wire precision. Counts: the row count and the width; the
+    // indices are checked against the block, not counted.
+    let src = Mat::from_fn(0xB10C, 13, |i, j| 0.25 + (i * 13 + j) as f64);
+    let index: Vec<usize> = (0..11).map(|i| 17 + 3 * i).collect();
+    for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+        let mut part = Vec::new();
+        RowsPart::put_block(&mut part, &src, 0x100..0x2100, Some(&index), precision);
+        let name = format!("reduced {} rows", precision.name());
+        check_all(&name, &part, &[11, 13], 2, RowsPart::parse);
+
+        // What parses adds exactly the indexed rows into the block.
+        let head = RowsPart::parse(&part).expect("valid part");
+        let mut out = Mat::zeros(0x2000, 13);
+        head.add_into(&part, &mut out);
+        let mut expect = Mat::zeros(0x2000, 13);
+        for &r in &index {
+            for (d, s) in expect.row_mut(r).iter_mut().zip(src.row(0x100 + r)) {
+                *d = precision.round_trip(*s);
+            }
+        }
+        assert_eq!(out, expect, "{name}");
+    }
+}
+
+#[test]
+fn frames_and_parts_of_the_previous_layout_are_refused() {
+    // Version 3 headers: refused before the body is read.
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FrameKind::Hello, b"x").expect("write");
+    frame[4] = VERSION - 1;
+    assert!(matches!(
+        read_frame(&mut &frame[..]),
+        Err(FrameError::BadVersion(v)) if v == VERSION - 1
+    ));
+    // A version-3 row part had no index flag: the first value byte is
+    // read as the flag, and the values then never fit.
+    for first in [0u8, 1, 0x40] {
+        let mut part = Vec::new();
+        Precision::F64.put(&mut part);
+        for word in [9usize, 2, 3] {
+            word.put(&mut part);
+        }
+        part.push(first);
+        part.resize(part.len() + 3 * 2 * 8 - 1, 0x3F);
+        assert!(
+            matches!(RowsPart::parse(&part), Err(FrameError::Malformed(_))),
+            "a version-3 part starting {first:#x} must not parse"
+        );
     }
 }
 

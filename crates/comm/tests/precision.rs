@@ -36,7 +36,7 @@ fn f64_mode_is_bitwise_identical_to_default() {
             // as the reduced block and nothing else.
             let mut part = Mat::filled(2, 9, f64::NAN);
             ctx.world
-                .reduce_scatter_rows(Arc::new(m), &mut part, Cat::DenseComm);
+                .reduce_scatter_rows(Arc::new(m), None, &mut part, Cat::DenseComm);
             (summed, (*b).clone(), part, ctx.report())
         })
     };

@@ -194,7 +194,7 @@ impl Grid {
         };
         let partial = s.ws.borrow_mut().lend(out);
         let mut out = s.ws.borrow_mut().take(s.hs[0].rows() * f);
-        fiber.reduce_scatter_rows(partial, &mut out, Cat::DenseComm);
+        fiber.reduce_scatter_rows(partial, None, &mut out, Cat::DenseComm);
         out
     }
 

@@ -28,7 +28,7 @@
 //! all-gather of `G`, a column-sliced outer product per replica, and a
 //! replica-group reduce-scatter back to fine blocks.
 
-use super::rows::{outer_product, RowLayout, Stages};
+use super::rows::{outer_product, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
 use crate::model::GcnConfig;
@@ -38,6 +38,7 @@ use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::block_ranges;
 use cagnet_sparse::Csr;
+use std::sync::Arc;
 
 /// The 1.5D trainer.
 pub type One5DTrainer = Trainer<One5D>;
@@ -58,6 +59,9 @@ pub struct One5D {
     /// Backward operand: `Aᵀ(coarse rows i, ·)` restricted to the columns
     /// of all fine blocks `≡ r (mod c)`, concatenated in team order.
     at_bwd: Csr,
+    /// Per team member, the rows of its fine block that the coarse
+    /// partial can make nonzero: the rows `at_bwd` stores entries in.
+    team_sends: Arc<Vec<Vec<usize>>>,
 }
 
 impl Trainer<One5D> {
@@ -125,6 +129,16 @@ impl Trainer<One5D> {
             Csr::from_coo(coo)
         };
 
+        let team_sends = block_ranges(cr1 - cr0, c)
+            .into_iter()
+            .map(|(b0, b1)| {
+                (b0..b1)
+                    .filter(|&v| at_bwd.row_nnz(v) > 0)
+                    .map(|v| v - b0)
+                    .collect()
+            })
+            .collect();
+
         let (fr0, fr1) = fine[ctx.rank];
         let h0 = problem.features.block(fr0, fr1, 0, problem.features.cols());
         let layout = One5D {
@@ -133,6 +147,7 @@ impl Trainer<One5D> {
             rep,
             stages: Stages::new(at_fwd),
             at_bwd,
+            team_sends: Arc::new(team_sends),
         };
         Ok(Trainer::new(layout, problem, cfg, fr0, h0))
     }
@@ -153,8 +168,7 @@ impl RowLayout for One5D {
         // Team reduce-scatter: coarse partials → my fine block of T.
         let partial = s.ws.borrow_mut().lend(partial);
         let mut t = s.ws.borrow_mut().take(s.hs[l].len());
-        self.team
-            .reduce_scatter_rows(partial, &mut t, Cat::DenseComm);
+        reduce(s, &self.team, partial, &self.team_sends, &mut t);
         t
     }
 
@@ -175,10 +189,10 @@ impl RowLayout for One5D {
         let contrib = outer_product(s, ctx, &self.at_bwd, &g_coarse);
         s.ws.borrow_mut().give(g_coarse);
         // Replica-group reduce-scatter: piece i' sums across teams and
-        // lands on rank (i', r) — exactly my fine block of A G.
+        // lands on rank (i', r) — exactly my fine block of A G, sent only
+        // the columns of stage block i'.
         let mut ag = s.ws.borrow_mut().take(g.len());
-        self.rep
-            .reduce_scatter_rows(contrib, &mut ag, Cat::DenseComm);
+        reduce(s, &self.rep, contrib, self.stages.needed(), &mut ag);
         ag
     }
 }

@@ -13,12 +13,12 @@
 //! all-reduce (§IV-A.4), and finishes with the replicated gradient-descent
 //! step.
 
-use super::rows::{outer_product, RowLayout, Stages};
+use super::rows::{outer_product, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
-use cagnet_comm::{Cat, Ctx};
+use cagnet_comm::Ctx;
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::Csr;
@@ -85,10 +85,11 @@ impl RowLayout for OneDim {
 
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, _l: usize, g: Mat) -> Mat {
         let contrib = outer_product(s, ctx, &self.at_row, &g);
-        // G^l has done its work; A·G^l is reduced into its buffer.
+        // G^l has done its work; A·G^l is reduced into its buffer. Row v
+        // of the contribution is nonzero only where Aᵀ_i has column v:
+        // member j is sent the columns of stage block j.
         let mut ag = g;
-        ctx.world
-            .reduce_scatter_rows(contrib, &mut ag, Cat::DenseComm);
+        reduce(s, &ctx.world, contrib, self.stages.needed(), &mut ag);
         ag
     }
 }

@@ -11,12 +11,12 @@
 //! same total communication cost." `tests/onedim_variants.rs` verifies
 //! that claim on measured word counters.
 
-use super::rows::{outer_product, RowLayout, Stages};
+use super::rows::{outer_product, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
-use cagnet_comm::{Cat, Ctx};
+use cagnet_comm::Ctx;
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::{block_range, block_ranges};
 use cagnet_sparse::Csr;
@@ -70,11 +70,11 @@ impl Trainer<OneDimRow> {
 impl RowLayout for OneDimRow {
     fn aggregate(&self, s: &State, ctx: &Ctx, l: usize) -> Mat {
         // Large outer product: Aᵀ(:, my block) · H_i, reduce-scattered
-        // back to block rows.
+        // back to block rows — member j is sent the rows of its block
+        // that are columns of stage block j.
         let contrib = outer_product(s, ctx, &self.a_row, &s.hs[l]);
         let mut t = s.ws.borrow_mut().take(s.hs[l].len());
-        ctx.world
-            .reduce_scatter_rows(contrib, &mut t, Cat::DenseComm);
+        reduce(s, &ctx.world, contrib, self.stages.needed(), &mut t);
         t
     }
 

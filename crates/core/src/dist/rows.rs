@@ -6,7 +6,7 @@
 //! is `Y = Hᵀ(AG)` with an `f x f` world all-reduce (§IV-A.4) plus the
 //! next `G`. The layouts differ only in how they aggregate — stage
 //! fetches ([`Stages`]) or a large outer product reduce-scattered back to
-//! block rows ([`outer_product`]) — in each direction.
+//! block rows ([`outer_product`], [`reduce`]) — in each direction.
 
 use super::shell::State;
 use super::{output_gradient_rows, output_layer, pipeline, CommMode};
@@ -101,8 +101,10 @@ pub(crate) fn backward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) {
 pub(crate) struct Stages {
     blocks: Vec<Csr>,
     /// Per stage: the sorted distinct columns of `blocks[j]` — the rows
-    /// of `D_j` this rank actually reads (sparse tiers).
-    needed: Vec<Vec<usize>>,
+    /// of `D_j` this rank actually reads (sparse tiers), and so the rows
+    /// of member `j`'s block that an outer product through the transpose
+    /// of this block row can make nonzero.
+    needed: Arc<Vec<Vec<usize>>>,
     /// Column-compacted copies of `blocks` (columns renumbered to
     /// `needed[j]` order) for multiplying compact gathered operands.
     /// Built on the first switch to a sparse tier.
@@ -111,12 +113,17 @@ pub(crate) struct Stages {
 
 impl Stages {
     pub(crate) fn new(blocks: Vec<Csr>) -> Self {
-        let needed = blocks.iter().map(Csr::needed_cols).collect();
+        let needed = Arc::new(blocks.iter().map(Csr::needed_cols).collect());
         Stages {
             blocks,
             needed,
             compact: Vec::new(),
         }
+    }
+
+    /// Per stage `j`, the sorted distinct columns of `blocks[j]`.
+    pub(crate) fn needed(&self) -> &Arc<Vec<Vec<usize>>> {
+        &self.needed
     }
 
     /// Rows of every stage block.
@@ -129,7 +136,7 @@ impl Stages {
             self.compact = self
                 .blocks
                 .iter()
-                .zip(&self.needed)
+                .zip(self.needed.iter())
                 .map(|(a, nd)| a.compact_cols(nd))
                 .collect();
         }
@@ -180,6 +187,21 @@ impl Stages {
             d.release(&s.ws);
         });
     }
+}
+
+/// Reduce-scatter `m` over `comm` into `out`. In the sparse tiers each
+/// member `j` is sent only the rows `sends[j]` of its block that `m` can
+/// make nonzero (DESIGN.md §9); `Dense` sends every member its whole
+/// block.
+pub(crate) fn reduce(
+    s: &State,
+    comm: &Communicator,
+    m: Arc<Mat>,
+    sends: &Arc<Vec<Vec<usize>>>,
+    out: &mut Mat,
+) {
+    let sends = s.mode.sparse_exchange().then_some(sends);
+    comm.reduce_scatter_rows(m, sends, out, Cat::DenseComm);
 }
 
 /// The large 1D outer product `A(:, my block) · d` (`at` is the CSR of

@@ -10,6 +10,7 @@ use cagnet_core::dist::CommMode;
 use cagnet_core::trainer::{train_distributed, Algorithm, DistTrainResult, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
 use cagnet_sparse::generate::erdos_renyi;
+use cagnet_sparse::partition::block_ranges;
 
 fn small_problem() -> (Problem, GcnConfig) {
     let g = erdos_renyi(48, 3.0, 0xC0FFEE);
@@ -18,10 +19,13 @@ fn small_problem() -> (Problem, GcnConfig) {
     (problem, gcn)
 }
 
+/// Training epochs of every [`run`].
+const EPOCHS: usize = 8;
+
 fn run(algo: Algorithm, p: usize, comm_mode: CommMode, precision: Precision) -> DistTrainResult {
     let (problem, gcn) = small_problem();
     let tc = TrainConfig {
-        epochs: 8,
+        epochs: EPOCHS,
         comm_mode,
         precision,
         ..TrainConfig::default()
@@ -34,6 +38,31 @@ fn run(algo: Algorithm, p: usize, comm_mode: CommMode, precision: Precision) -> 
         cagnet_comm::CostModel::summit_like(),
         &tc,
     )
+}
+
+/// Index words a sparsity-aware 1D run of `small_problem` meters over
+/// its training epochs at wire precision `prec`. Per layer, rank `i`
+/// fetches the `k` rows stage `j` needs with one index each, and on the
+/// way back sends member `j` those rows of its outer product with their
+/// indices — unless the `k` indexed rows are not fewer words than `j`'s
+/// whole block, which then goes without indices.
+fn oned_index_words(p: usize, prec: Precision) -> u64 {
+    let (problem, gcn) = small_problem();
+    let n = problem.vertices();
+    let blocks = block_ranges(n, p);
+    let packed = |values: usize| (values * prec.bytes_per_value()).div_ceil(8);
+    let mut words = 0;
+    for (i, &(r0, r1)) in blocks.iter().enumerate() {
+        let at_row = problem.adj_t.block(r0, r1, 0, n);
+        for &(c0, c1) in blocks.iter().take(i).chain(&blocks[i + 1..]) {
+            let k = at_row.block(0, r1 - r0, c0, c1).needed_cols().len();
+            for f_out in &gcn.dims[1..] {
+                let indexed = k * (packed(*f_out) + 1) < packed((c1 - c0) * f_out);
+                words += (k + if indexed { k } else { 0 }) as u64;
+            }
+        }
+    }
+    EPOCHS as u64 * words
 }
 
 /// Total dense words at the given packed category across ranks.
@@ -74,12 +103,30 @@ fn assert_f32_parity(algo: Algorithm, p: usize, comm_mode: CommMode) {
     assert_eq!(words(&full, Cat::DenseComm32), 0);
     assert_eq!(words(&packed, Cat::DenseComm16), 0);
     assert!(halved > 0, "no packed dense words metered");
-    let mat_words = full_dense - unpacked_remainder;
-    let ratio = halved as f64 / mat_words as f64;
+    // The sparse tier also meters one index word per row that a stage
+    // fetch or a backward reduce-scatter part carries, and an index word
+    // does not shrink with the values; both runs' index words come out
+    // before the ratio is taken.
+    let (index_full, index_packed) = match comm_mode {
+        CommMode::Dense => (0, 0),
+        _ => {
+            assert!(
+                matches!(algo, Algorithm::OneD),
+                "index words are counted for 1D only"
+            );
+            (
+                oned_index_words(p, Precision::F64),
+                oned_index_words(p, Precision::F32),
+            )
+        }
+    };
+    let mat_words = full_dense - unpacked_remainder - index_full;
+    let ratio = (halved - index_packed) as f64 / mat_words as f64;
     assert!(
         (0.45..=0.55).contains(&ratio),
         "{} P={p}: packed/full dense ratio {ratio:.3} outside [0.45, 0.55] \
-         ({halved} packed vs {mat_words} full-width payload words)",
+         ({halved} packed vs {mat_words} full-width payload words, less \
+         {index_packed} / {index_full} index words)",
         algo.name()
     );
 

@@ -2,7 +2,10 @@
 //! row-gather receiver is sent its `k` requested rows — `8·k·f` payload
 //! bytes — and the root its receivers' requests — `8·k` bytes each —
 //! plus a fixed head per message; summed over ranks, the payload bytes
-//! of a gather are 8 × its metered words within that head budget.
+//! of a gather are 8 × its metered words within that head budget. A
+//! reduce-scatter member is sent one part per peer: that peer's rows of
+//! its block and, in the sparse form, their indices — exactly 8 × its
+//! metered words plus a fixed head per part.
 //!
 //! The received bytes come from `TimelineReport::rx_bytes`: for every
 //! completed collective, the payload bytes the link handed the rank (0 on
@@ -20,6 +23,7 @@ use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
 use cagnet_dense::Mat;
 use cagnet_sparse::generate::erdos_renyi;
+use cagnet_sparse::partition::block_range;
 
 /// Payload bytes one rank may receive per gather message beyond its row
 /// and index words: the served part's head (precision tag, block dims,
@@ -27,10 +31,18 @@ use cagnet_sparse::generate::erdos_renyi;
 /// of the other members.
 const HEAD: u64 = 64;
 
+/// Payload bytes of each reduce-scatter part beyond its row and index
+/// words: precision tag, block dims, row count and index flag.
+const PART_HEAD: u64 = 26;
+
 /// `(received bytes, metered words, messages)` of one rank under
 /// `DenseComm` between two reports.
 fn delta(before: &TimelineReport, after: &TimelineReport) -> (u64, u64, u64) {
-    let cat = Cat::DenseComm;
+    delta_in(Cat::DenseComm, before, after)
+}
+
+/// [`delta`] under `cat`.
+fn delta_in(cat: Cat, before: &TimelineReport, after: &TimelineReport) -> (u64, u64, u64) {
     (
         after.rx_bytes(cat) - before.rx_bytes(cat),
         after.words(cat) - before.words(cat),
@@ -145,12 +157,25 @@ fn packed_gathers_receive_their_rows_at_the_wire_precision() {
 
 /// Per-rank reports, summed, of `epochs` training epochs over sockets.
 fn trained(algo: Algorithm, p: usize, comm_mode: CommMode, epochs: usize) -> TimelineReport {
+    trained_at(algo, p, comm_mode, Precision::F64, 3, epochs)
+}
+
+/// [`trained`] at a wire precision, with `labels` output columns.
+fn trained_at(
+    algo: Algorithm,
+    p: usize,
+    comm_mode: CommMode,
+    precision: Precision,
+    labels: usize,
+    epochs: usize,
+) -> TimelineReport {
     let g = erdos_renyi(64, 3.0, 0xB17E5);
-    let problem = Problem::synthetic(&g, 6, 3, 1.0, 7);
-    let gcn = GcnConfig::three_layer(6, 8, 3);
+    let problem = Problem::synthetic(&g, 6, labels, 1.0, 7);
+    let gcn = GcnConfig::three_layer(6, 8, labels);
     let tc = TrainConfig {
         epochs,
         comm_mode,
+        precision,
         transport: Some(TransportKind::Socket),
         collect_outputs: false,
         ..TrainConfig::default()
@@ -201,4 +226,156 @@ fn one5d_gathers_move_their_metered_words() {
 #[test]
 fn twod_gathers_move_their_metered_words() {
     assert_meter_equals_wire(Algorithm::TwoD, 4);
+}
+
+#[test]
+fn each_reduce_receives_its_peers_rows_and_their_indices() {
+    // P = 4 over a 12 × 6 contribution, three rows per block. Rank r can
+    // make nonzero only the rows v with (v + r) mod 3 = 0, one per block:
+    // the sparse form sends each peer that row and its index (7 words at
+    // f64, 4 at f32) where the dense form sends the whole block (18 and
+    // 9 words).
+    let (p, n, f) = (4, 12, 6);
+    let live = |rank: usize, v: usize| (v + rank).is_multiple_of(3);
+    let precisions = [Precision::F64, Precision::F32];
+    let runs: Vec<_> = precisions
+        .iter()
+        .map(|&precision| {
+            Cluster::new(p)
+                .with_transport(TransportKind::Socket)
+                .with_precision(precision)
+                .run_wire(|ctx| {
+                    let m = Arc::new(Mat::from_fn(n, f, |v, c| {
+                        if live(ctx.rank, v) {
+                            (v * f + c) as f64 + 0.5
+                        } else {
+                            0.0
+                        }
+                    }));
+                    let sends: Vec<Vec<usize>> = (0..p)
+                        .map(|j| {
+                            let (r0, r1) = block_range(n, p, j);
+                            (r0..r1)
+                                .filter(|&v| live(ctx.rank, v))
+                                .map(|v| v - r0)
+                                .collect()
+                        })
+                        .collect();
+                    let sends = Arc::new(sends);
+                    let mut seen = Vec::new();
+                    for sparse in [false, true] {
+                        let before = ctx.report();
+                        let mut out = Mat::zeros(0, 0);
+                        let sends = sparse.then_some(&sends);
+                        ctx.world
+                            .reduce_scatter_rows(m.clone(), sends, &mut out, Cat::DenseComm);
+                        let (bytes, words, msgs) =
+                            delta_in(precision.dense_cat(), &before, &ctx.report());
+                        seen.push(vec![bytes, words, msgs]);
+                    }
+                    seen
+                })
+        })
+        .collect();
+    for (&precision, results) in precisions.iter().zip(&runs) {
+        let row = match precision {
+            Precision::F64 => f as u64,
+            _ => (f as u64).div_ceil(2),
+        };
+        for (rank, (seen, _)) in results.iter().enumerate() {
+            for (form, expect_words) in [("dense", 3 * 3 * row), ("sparse", 3 * (row + 1))] {
+                let at = usize::from(form == "sparse");
+                let (b, w, m) = (seen[at][0], seen[at][1], seen[at][2]);
+                let case = format!("{precision:?} {form} rank {rank}");
+                assert_eq!(m, 1, "{case}: one message per reduce");
+                assert_eq!(w, expect_words, "{case}: words");
+                assert_eq!(b, 8 * w + (p as u64 - 1) * PART_HEAD, "{case}: bytes");
+            }
+        }
+    }
+}
+
+/// One steady epoch — the second — of `mode` at `precision`, summed
+/// over ranks: `(received bytes, metered words, messages)` under the
+/// precision's dense category. Four output columns keep every width
+/// even, so packed f32 rows fill whole words.
+fn epoch_traffic(
+    algo: Algorithm,
+    p: usize,
+    mode: CommMode,
+    precision: Precision,
+) -> (u64, u64, u64) {
+    let at = |epochs| trained_at(algo, p, mode, precision, 4, epochs);
+    delta_in(precision.dense_cat(), &at(1), &at(2))
+}
+
+#[test]
+fn reducing_epochs_move_their_metered_words() {
+    // At P = 2 every collective of an epoch receives 8 × its metered
+    // words within a fixed head per message: the reduce-scatters exactly
+    // (one part head each), the gathers and the f × f all-reduces within
+    // their heads, the loss all-reduce a word short. Only a dense
+    // broadcast's root meters words it never receives — 1D's forward
+    // stage roots, n·f per layer, added back below. 1.5D at c = 2 runs
+    // its team reduce-scatter forward; at c = 1, its replica-group one
+    // backward.
+    let p = 2;
+    let cached = CommMode::Cached { refresh: 2 };
+    let cases = [
+        (Algorithm::OneD, CommMode::Dense, Precision::F64),
+        (Algorithm::OneD, CommMode::SparsityAware, Precision::F64),
+        (Algorithm::OneD, cached, Precision::F64),
+        (Algorithm::OneD, CommMode::Dense, Precision::F32),
+        (Algorithm::OneD, CommMode::SparsityAware, Precision::F32),
+        (Algorithm::OneDRow, CommMode::SparsityAware, Precision::F64),
+        (Algorithm::One5D { c: 2 }, CommMode::Dense, Precision::F64),
+        (
+            Algorithm::One5D { c: 2 },
+            CommMode::SparsityAware,
+            Precision::F64,
+        ),
+        (
+            Algorithm::One5D { c: 2 },
+            CommMode::SparsityAware,
+            Precision::F32,
+        ),
+        (
+            Algorithm::One5D { c: 1 },
+            CommMode::SparsityAware,
+            Precision::F64,
+        ),
+    ];
+    let dims = [6u64, 8, 8];
+    let traffic: Vec<_> = cases
+        .iter()
+        .map(|&(algo, mode, precision)| epoch_traffic(algo, p, mode, precision))
+        .collect();
+    let mut sparse_over_dense = Vec::new();
+    for ((algo, mode, precision), (bytes, mut words, msgs)) in cases.into_iter().zip(traffic) {
+        if mode == CommMode::Dense && algo == Algorithm::OneD {
+            let bytes_per_value = precision.bytes_per_value() as u64;
+            words -= dims
+                .iter()
+                .map(|f| 64 * f * bytes_per_value / 8)
+                .sum::<u64>();
+        }
+        let case = format!("{} {mode:?} {precision:?}", algo.name());
+        assert!(words > 0 && msgs > 0, "{case}: nothing moved");
+        assert!(
+            bytes.abs_diff(8 * words) <= msgs * HEAD,
+            "{case}: {bytes} bytes received for {words} metered words in {msgs} messages"
+        );
+        if algo == Algorithm::OneD && precision == Precision::F64 {
+            sparse_over_dense.push((mode, bytes));
+        }
+    }
+    let dense = sparse_over_dense[0].1 as f64;
+    for (mode, bytes) in &sparse_over_dense[1..] {
+        let ratio = *bytes as f64 / dense;
+        println!("1d P=2 socket epoch: {mode:?} / Dense received bytes = {ratio:.3}");
+        assert!(
+            ratio < 1.0,
+            "{mode:?}: the sparse tiers receive fewer bytes"
+        );
+    }
 }

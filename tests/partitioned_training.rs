@@ -8,7 +8,8 @@
 
 use cagnet::comm::{Cat, CostModel};
 use cagnet::core::trainer::{
-    train_distributed, Algorithm, PartitionConfig, PartitionObjective, PartitionSpec, TrainConfig,
+    infer_distributed, train_distributed, Algorithm, PartitionConfig, PartitionObjective,
+    PartitionSpec, TrainConfig,
 };
 use cagnet::core::{CommMode, DistTrainResult, GcnConfig, Problem};
 use cagnet::sparse::generate::{permute_symmetric, planted_partition, PlantedPartitionParams};
@@ -123,15 +124,47 @@ fn partitioned_run_equals_manually_relabeled_run() {
     }
 }
 
+/// Forward and backward `DenseComm` words of one 1D training epoch: the
+/// forward is what an inference pass meters, the backward the rest.
+fn epoch_words(problem: &Problem, cfg: &GcnConfig, p: usize, tc: &TrainConfig) -> (u64, u64) {
+    let model = CostModel::summit_like;
+    let tc = TrainConfig {
+        epochs: 1,
+        ..tc.clone()
+    };
+    let trained = train_distributed(problem, cfg, Algorithm::OneD, p, model(), &tc);
+    let inferred = infer_distributed(
+        problem,
+        cfg,
+        &trained.weights,
+        Algorithm::OneD,
+        p,
+        model(),
+        &tc,
+    );
+    let forward: u64 = inferred
+        .reports
+        .iter()
+        .map(|r| r.words(Cat::DenseComm))
+        .sum();
+    (forward, dense_words(&trained) - forward)
+}
+
 /// The tentpole communication claim: on a clustered graph a volume-aware
 /// partition strictly lowers DenseComm words vs the natural-id block
 /// distribution at `P > 1`, under both the sparsity-aware and cached
-/// tiers — while keeping loss trajectories the right length and the cap
-/// on epochs intact. An edge-cut partition never moves more words than
-/// the block distribution either.
+/// tiers, in each direction — the forward's row gathers and the
+/// backward's reduce-scatters, whose send sets are the same needed rows
+/// transposed — while keeping loss trajectories the right length and the
+/// cap on epochs intact. An edge-cut partition never moves more words
+/// than the block distribution in either direction.
 #[test]
 fn volume_partition_strictly_cuts_sparse_words_at_p_gt_1() {
     let (problem, cfg) = clustered_problem();
+    let edgecut = PartitionConfig {
+        objective: PartitionObjective::EdgeCut,
+        ..volume_cfg()
+    };
     for mode in [CommMode::SparsityAware, CommMode::Cached { refresh: 2 }] {
         for p in [2usize, 4, 8] {
             let block = train_distributed(
@@ -157,10 +190,6 @@ fn volume_partition_strictly_cuts_sparse_words_at_p_gt_1() {
                 dense_words(&vol),
                 dense_words(&block)
             );
-            let edgecut = PartitionConfig {
-                objective: PartitionObjective::EdgeCut,
-                ..volume_cfg()
-            };
             let cut = train_distributed(
                 &problem,
                 &cfg,
@@ -175,6 +204,23 @@ fn volume_partition_strictly_cuts_sparse_words_at_p_gt_1() {
                 dense_words(&cut),
                 dense_words(&block)
             );
+            let words = |partition| epoch_words(&problem, &cfg, p, &config(mode, partition));
+            let block = words(None);
+            let vol = words(Some(PartitionSpec::Auto(volume_cfg())));
+            let cut = words(Some(PartitionSpec::Auto(edgecut)));
+            for (dir, b, v, c) in [
+                ("forward", block.0, vol.0, cut.0),
+                ("backward", block.1, vol.1, cut.1),
+            ] {
+                assert!(
+                    v < b,
+                    "{mode:?} P={p}: {dir} volume words {v} not below block {b}"
+                );
+                assert!(
+                    c <= b,
+                    "{mode:?} P={p}: {dir} edge-cut words {c} above block {b}"
+                );
+            }
         }
     }
 }
