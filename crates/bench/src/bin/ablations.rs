@@ -52,7 +52,6 @@ fn main() {
             collect_outputs: false,
             twod: TwoDimConfig {
                 stages_per_block: stages,
-                charge_transpose: true,
             },
             ..Default::default()
         };

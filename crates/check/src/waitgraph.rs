@@ -2,13 +2,21 @@
 //!
 //! The runtime reports, per world rank, whether it is running, blocked
 //! at a collective rendezvous (and on which communicator slot), done, or
-//! panicked. This module is the pure half: given that snapshot it
-//! decides whether the system is deadlocked (no rank can ever make
-//! progress), extracts the wait-for edges and any cycle, and renders a
-//! report that names every blocked rank's collective and dumps each
-//! rank's last-N collective history.
+//! panicked, and how far it has deposited on each communicator. This
+//! module is the pure half: given that snapshot it decides whether the
+//! system is deadlocked (no rank can ever make progress), extracts the
+//! wait-for edges and any cycle, and renders a report that names every
+//! blocked rank's collective and dumps each rank's last-N collective
+//! history.
+//!
+//! Every rank deposits into a rendezvous before it waits on it, so a
+//! rendezvous can complete exactly when every member has deposited into
+//! it — whether or not those members are still parked there. The
+//! deposit record is a slice indexed by world rank of maps from
+//! communicator id to the highest seq that rank has deposited on it.
 
 use crate::fingerprint::CollectiveKind;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identity of one rendezvous: communicator id plus per-communicator
@@ -87,20 +95,27 @@ impl fmt::Display for HistoryEntry {
     }
 }
 
-fn blocked_on(snap: &RankSnapshot, slot: SlotId) -> bool {
-    snap.phase == RankPhase::Blocked && snap.wait.as_ref().is_some_and(|w| w.slot == slot)
+/// Whether world rank `m` has deposited into `slot`: its highest seq on
+/// the slot's communicator is at or past the slot's.
+fn deposited(deposits: &[HashMap<u64, u64>], m: usize, slot: SlotId) -> bool {
+    deposits
+        .get(m)
+        .and_then(|d| d.get(&slot.comm))
+        .is_some_and(|&seq| seq >= slot.seq)
 }
 
 /// True when the system can never make progress again: every rank is
 /// done or blocked, at least one is blocked, and no blocked rendezvous
-/// can still complete (each is missing at least one member that is done
-/// or parked on a *different* rendezvous).
+/// can still complete (each is missing the deposit of a member that is
+/// done or parked elsewhere).
 ///
-/// The caller is responsible for sampling this over a *stable* snapshot
-/// (unchanged across a few polls) so momentary states — a rank between
-/// registering and depositing, or a completed slot whose waiters have
-/// not woken yet — are never misread as deadlock.
-pub fn is_quiescent_deadlock(snapshot: &[RankSnapshot]) -> bool {
+/// A slot every member has deposited into is completable even while a
+/// member is parked on a later slot — a finished rendezvous whose waiter
+/// has not woken yet, or a prefetched stage collected ahead of it. The
+/// caller samples `deposits` after `snapshot` (deposits only grow, so
+/// none a parked rank made is missed) and acts only on a verdict stable
+/// across a few polls.
+pub fn is_quiescent_deadlock(snapshot: &[RankSnapshot], deposits: &[HashMap<u64, u64>]) -> bool {
     let mut any_blocked = false;
     for s in snapshot {
         match s.phase {
@@ -112,25 +127,22 @@ pub fn is_quiescent_deadlock(snapshot: &[RankSnapshot]) -> bool {
     if !any_blocked {
         return false;
     }
-    // No blocked slot may be completable: a slot with every member
-    // parked on it is about to complete, so the system is not stuck.
-    for s in snapshot {
-        let Some(wait) = &s.wait else { continue };
-        let completable = wait.members.iter().all(|&m| {
-            snapshot
-                .get(m)
-                .is_some_and(|other| blocked_on(other, wait.slot))
-        });
-        if completable {
-            return false;
-        }
-    }
-    true
+    // No blocked slot may be completable: a slot every member has
+    // deposited into is about to complete, so the system is not stuck.
+    !snapshot.iter().filter_map(|s| s.wait.as_ref()).any(|wait| {
+        wait.members
+            .iter()
+            .all(|&m| deposited(deposits, m, wait.slot))
+    })
 }
 
 /// Wait-for edges: each blocked rank paired with the sorted member ranks
-/// it is still waiting on (members not parked on the same rendezvous).
-pub fn wait_edges(snapshot: &[RankSnapshot]) -> Vec<(usize, Vec<usize>)> {
+/// it is still waiting on (members that have not deposited into its
+/// rendezvous).
+pub fn wait_edges(
+    snapshot: &[RankSnapshot],
+    deposits: &[HashMap<u64, u64>],
+) -> Vec<(usize, Vec<usize>)> {
     let mut edges = Vec::new();
     for (rank, s) in snapshot.iter().enumerate() {
         let Some(wait) = &s.wait else { continue };
@@ -141,12 +153,7 @@ pub fn wait_edges(snapshot: &[RankSnapshot]) -> Vec<(usize, Vec<usize>)> {
             .members
             .iter()
             .copied()
-            .filter(|&m| {
-                m != rank
-                    && !snapshot
-                        .get(m)
-                        .is_some_and(|other| blocked_on(other, wait.slot))
-            })
+            .filter(|&m| m != rank && !deposited(deposits, m, wait.slot))
             .collect();
         missing.sort_unstable();
         edges.push((rank, missing));
@@ -196,7 +203,11 @@ pub fn find_cycle(edges: &[(usize, Vec<usize>)]) -> Option<Vec<usize>> {
 
 /// Render the full deadlock report: per-rank wait states, the wait-for
 /// edges, any cycle, and each rank's last-N collective history.
-pub fn deadlock_report(snapshot: &[RankSnapshot], histories: &[Vec<HistoryEntry>]) -> String {
+pub fn deadlock_report(
+    snapshot: &[RankSnapshot],
+    deposits: &[HashMap<u64, u64>],
+    histories: &[Vec<HistoryEntry>],
+) -> String {
     let blocked = snapshot
         .iter()
         .filter(|s| s.phase == RankPhase::Blocked)
@@ -205,7 +216,7 @@ pub fn deadlock_report(snapshot: &[RankSnapshot], histories: &[Vec<HistoryEntry>
         "deadlock detected: {blocked}/{} rank(s) blocked with no possible progress\n",
         snapshot.len()
     );
-    let edges = wait_edges(snapshot);
+    let edges = wait_edges(snapshot, deposits);
     for (rank, s) in snapshot.iter().enumerate() {
         match (&s.phase, &s.wait) {
             (RankPhase::Blocked, Some(w)) => {
@@ -263,6 +274,14 @@ mod tests {
         }
     }
 
+    /// The deposits of `snap` alone: each parked rank has deposited into
+    /// the slot it is parked on, and nothing else.
+    fn parked(snap: &[RankSnapshot]) -> Vec<HashMap<u64, u64>> {
+        snap.iter()
+            .map(|s| s.wait.iter().map(|w| (w.slot.comm, w.slot.seq)).collect())
+            .collect()
+    }
+
     const A: SlotId = SlotId { comm: 1, seq: 0 };
     const B: SlotId = SlotId { comm: 2, seq: 0 };
 
@@ -273,7 +292,30 @@ mod tests {
             blocked(A, CollectiveKind::Barrier, vec![0, 1]),
             blocked(A, CollectiveKind::Barrier, vec![0, 1]),
         ];
-        assert!(!is_quiescent_deadlock(&snap));
+        assert!(!is_quiescent_deadlock(&snap, &parked(&snap)));
+    }
+
+    #[test]
+    fn prefetched_stage_collected_ahead_is_not_deadlock() {
+        // Rank 1 deposited S0 and S1 (a prefetched stage) and is parked on
+        // S0; rank 0 already collected S0 and is parked on S1. Neither
+        // slot has every member parked on it, yet both can complete.
+        let s1 = SlotId { comm: 1, seq: 1 };
+        let snap = vec![
+            blocked(s1, CollectiveKind::GatherRows, vec![0, 1]),
+            blocked(A, CollectiveKind::GatherRows, vec![0, 1]),
+        ];
+        let both_at_s1: Vec<HashMap<u64, u64>> = vec![HashMap::from([(1, 1)]); 2];
+        assert!(!is_quiescent_deadlock(&snap, &both_at_s1));
+        assert_eq!(
+            wait_edges(&snap, &both_at_s1),
+            vec![(0, vec![]), (1, vec![])]
+        );
+        // Had rank 1 not issued S1, rank 0 would wait on it, but S0 could
+        // still complete and wake rank 1.
+        let only_s0 = vec![HashMap::from([(1, 1)]), HashMap::from([(1, 0)])];
+        assert!(!is_quiescent_deadlock(&snap, &only_s0));
+        assert_eq!(wait_edges(&snap, &only_s0), vec![(0, vec![1]), (1, vec![])]);
     }
 
     #[test]
@@ -282,17 +324,17 @@ mod tests {
             blocked(A, CollectiveKind::Barrier, vec![0, 1]),
             RankSnapshot::running(),
         ];
-        assert!(!is_quiescent_deadlock(&snap));
+        assert!(!is_quiescent_deadlock(&snap, &parked(&snap)));
     }
 
     #[test]
     fn orphaned_barrier_is_deadlock() {
         let snap = vec![blocked(A, CollectiveKind::Barrier, vec![0, 1]), done()];
-        assert!(is_quiescent_deadlock(&snap));
-        let edges = wait_edges(&snap);
+        assert!(is_quiescent_deadlock(&snap, &parked(&snap)));
+        let edges = wait_edges(&snap, &parked(&snap));
         assert_eq!(edges, vec![(0, vec![1])]);
         assert!(find_cycle(&edges).is_none());
-        let report = deadlock_report(&snap, &[vec![], vec![]]);
+        let report = deadlock_report(&snap, &parked(&snap), &[vec![], vec![]]);
         assert!(report.contains("rank 0: blocked in barrier"));
         assert!(report.contains("rank 1: done"));
     }
@@ -304,12 +346,12 @@ mod tests {
             blocked(A, CollectiveKind::Barrier, vec![0, 1]),
             blocked(B, CollectiveKind::Bcast, vec![0, 1]),
         ];
-        assert!(is_quiescent_deadlock(&snap));
-        let edges = wait_edges(&snap);
+        assert!(is_quiescent_deadlock(&snap, &parked(&snap)));
+        let edges = wait_edges(&snap, &parked(&snap));
         let cycle = find_cycle(&edges).expect("cycle exists");
         assert_eq!(cycle.first(), cycle.last());
         assert!(cycle.len() >= 3);
-        let report = deadlock_report(&snap, &[vec![], vec![]]);
+        let report = deadlock_report(&snap, &parked(&snap), &[vec![], vec![]]);
         assert!(report.contains("wait cycle"));
     }
 
@@ -327,8 +369,8 @@ mod tests {
             blocked(col0, CollectiveKind::Barrier, vec![0, 2]),
             blocked(row1, CollectiveKind::Barrier, vec![2, 3]),
         ];
-        assert!(is_quiescent_deadlock(&snap));
-        let cycle = find_cycle(&wait_edges(&snap)).expect("ring cycle");
+        assert!(is_quiescent_deadlock(&snap, &parked(&snap)));
+        let cycle = find_cycle(&wait_edges(&snap, &parked(&snap))).expect("ring cycle");
         assert!(cycle.len() >= 3);
     }
 
@@ -343,7 +385,7 @@ mod tests {
             }],
             vec![],
         ];
-        let report = deadlock_report(&snap, &hist);
+        let report = deadlock_report(&snap, &parked(&snap), &hist);
         assert!(report.contains("recent collectives"));
         assert!(report.contains("bcast@comm 1 seq 0"));
     }

@@ -5,7 +5,14 @@
 //! OS threads, "GPUs" are the rank-local kernels, and the interconnect is
 //! the α–β model. One rank per simulated GPU, exactly like the paper's one
 //! process per GPU on Summit.
+//!
+//! Both transports run a rank through one body, `Cluster::run_rank`:
+//! the thread runner here, and the socket launcher's rank 0 and each
+//! socket worker (`proc.rs`) differ only in the link they hand it and in
+//! what a panic does — resume it on the thread, fail the launch, or ship
+//! a `PANIC` frame and exit.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -16,9 +23,9 @@ use crate::comm::{Communicator, Registry};
 use crate::cost::{Cat, CostModel};
 use crate::diag::FirstPanic;
 use crate::frame::{Precision, Wire};
-use crate::timeline::{Meter, Timeline, TimelineReport};
-use crate::transport::{SharedLink, TransportKind};
-use cagnet_check::waitgraph::{deadlock_report, is_quiescent_deadlock, RankPhase, RankSnapshot};
+use crate::timeline::{Meter, TimelineReport};
+use crate::transport::{CommLink, SharedLink, TransportKind};
+use cagnet_check::waitgraph::{deadlock_report, is_quiescent_deadlock, RankPhase};
 use cagnet_check::CheckMode;
 use cagnet_parallel::ParallelCtx;
 
@@ -286,23 +293,56 @@ impl Cluster {
         }
     }
 
+    /// Run `f` as world rank `rank` over `link` — the one rank body of
+    /// both transports: build the meter, world communicator and [`Ctx`],
+    /// run `f` under `catch_unwind`, and record the rank `Done` or, on a
+    /// panic, its first-panic entry, its `Panicked` phase and the abort
+    /// flag, so peers stop within one wait tick. Returns the result and
+    /// timeline report, or what was recorded of the panic and its payload;
+    /// the caller decides what a panic does to its process.
+    pub(crate) fn run_rank<R, F>(
+        &self,
+        registry: &Arc<Registry>,
+        link: Arc<dyn CommLink>,
+        rank: usize,
+        f: &F,
+    ) -> RankRun<R>
+    where
+        F: Fn(&mut Ctx) -> R,
+    {
+        let meter = Rc::new(RefCell::new(Meter::new(self.effective_model())));
+        let world = Communicator::new_world(registry.clone(), link, self.size, rank, meter.clone());
+        let parallel = ParallelCtx::new(self.threads_per_rank);
+        let mut ctx = Ctx::for_rank(rank, self.size, world, parallel, meter.clone());
+        let diag = &registry.diag;
+        match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+            Ok(out) => {
+                diag.set_phase(rank, RankPhase::Done);
+                let report = meter.borrow().timeline.report();
+                Ok((out, report))
+            }
+            Err(payload) => {
+                let first = FirstPanic {
+                    rank,
+                    during: diag.last_collective_label(rank),
+                    message: panic_message(payload.as_ref()),
+                };
+                diag.record_first_panic(first.clone());
+                diag.set_phase(rank, RankPhase::Panicked);
+                diag.set_abort(format!("rank {rank} panicked during {}", first.during));
+                Err((first, payload))
+            }
+        }
+    }
+
     fn run_threads<R, F>(&self, f: F) -> Vec<(R, TimelineReport)>
     where
         R: Send,
         F: Fn(&mut Ctx) -> R + Send + Sync,
     {
-        let registry = Arc::new(
-            Registry::new(self.timeout)
-                .with_check(self.check)
-                .with_precision(self.precision),
-        );
-        registry.diag.init(self.size);
+        let registry = Registry::for_run(self);
         let world_link = SharedLink::world(&registry, self.size);
-        let size = self.size;
-        let model = self.effective_model();
-        let parallel = ParallelCtx::new(self.threads_per_rank);
         let f = &f;
-
         std::thread::scope(|scope| {
             // The watchdog polls rank states and declares quiescent
             // deadlock (every rank done or parked, no rendezvous
@@ -311,62 +351,22 @@ impl Cluster {
                 let registry = registry.clone();
                 scope.spawn(move || watchdog(&registry));
             }
-            let mut handles = Vec::with_capacity(size);
-            for rank in 0..size {
-                let registry = registry.clone();
-                let world_link = world_link.clone();
-                let model = model.clone();
-                handles.push(scope.spawn(move || {
-                    let meter = Rc::new(RefCell::new(Meter {
-                        model,
-                        timeline: Timeline::new(),
-                    }));
-                    let world = Communicator::new_world(
-                        registry.clone(),
-                        world_link,
-                        size,
-                        rank,
-                        meter.clone(),
-                    );
-                    let mut ctx = Ctx::for_rank(rank, size, world, parallel, meter.clone());
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                    match result {
-                        Ok(out) => {
-                            registry.diag.set_phase(rank, RankPhase::Done);
-                            let report = meter.borrow().timeline.report();
-                            (out, report)
-                        }
-                        Err(payload) => {
-                            // Record which rank failed first and during
-                            // which collective, raise the abort flag so
-                            // peers stop within one wait tick, then let
-                            // the panic continue unwinding.
-                            let during = registry.diag.last_collective_label(rank);
-                            let message = panic_message(payload.as_ref());
-                            registry.diag.record_first_panic(FirstPanic {
-                                rank,
-                                during: during.clone(),
-                                message: message.clone(),
-                            });
-                            registry.diag.set_phase(rank, RankPhase::Panicked);
-                            registry
-                                .diag
-                                .set_abort(format!("rank {rank} panicked during {during}"));
-                            std::panic::resume_unwind(payload)
-                        }
-                    }
-                }));
-            }
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let mut out = Vec::with_capacity(size);
+            let handles: Vec<_> = (0..self.size)
+                .map(|rank| {
+                    let (registry, link) = (&registry, world_link.clone());
+                    scope.spawn(move || match self.run_rank(registry, link, rank, f) {
+                        Ok(done) => done,
+                        Err((_, payload)) => std::panic::resume_unwind(payload),
+                    })
+                })
+                .collect();
+            let mut out = Vec::with_capacity(self.size);
             let mut first_err = None;
-            for j in joined {
-                match j {
+            for joined in handles.into_iter().map(|h| h.join()) {
+                match joined {
                     Ok(v) => out.push(v),
                     Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
+                        first_err.get_or_insert(e);
                     }
                 }
             }
@@ -385,8 +385,12 @@ impl Cluster {
     }
 }
 
+/// How one rank's run ended: its result and timeline report, or what the
+/// diagnostics recorded of its panic plus the panic payload.
+pub(crate) type RankRun<R> = Result<(R, TimelineReport), (FirstPanic, Box<dyn Any + Send>)>;
+
 /// Extract a readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else {
@@ -399,11 +403,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Deadlock watchdog: exits once every rank is done or panicked (or the
 /// run is already aborting); raises the abort flag with a full
-/// wait-for-graph report when the rank states show a quiescent deadlock
-/// stable across [`STABLE_POLLS`] polls.
+/// wait-for-graph report when the rank states and deposits show a
+/// quiescent deadlock stable across [`STABLE_POLLS`] polls.
 pub(crate) fn watchdog(registry: &Registry) {
     let mut stable = 0usize;
-    let mut last: Option<Vec<RankSnapshot>> = None;
+    let mut last = None;
     loop {
         std::thread::sleep(WATCHDOG_TICK);
         if registry.diag.abort_message().is_some() {
@@ -416,17 +420,20 @@ pub(crate) fn watchdog(registry: &Registry) {
         {
             return;
         }
-        if is_quiescent_deadlock(&snap) && last.as_ref() == Some(&snap) {
+        // Deposits are read after the states, so none a parked rank made
+        // is missed.
+        let state = (snap, registry.diag.deposited());
+        if is_quiescent_deadlock(&state.0, &state.1) && last.as_ref() == Some(&state) {
             stable += 1;
             if stable >= STABLE_POLLS {
-                let report = deadlock_report(&snap, &registry.diag.histories());
+                let report = deadlock_report(&state.0, &state.1, &registry.diag.histories());
                 registry.diag.set_abort(report);
                 return;
             }
         } else {
             stable = 0;
         }
-        last = Some(snap);
+        last = Some(state);
     }
 }
 

@@ -10,13 +10,18 @@
 //! are charged through the α–β model of [`crate::cost::CostModel`] onto
 //! each rank's [`crate::timeline::Timeline`].
 //!
-//! Collective time semantics (BSP): on completion every participant's
-//! clock becomes `max(entry clocks) + modeled collective cost`, and the
-//! bandwidth-term word count is recorded under the caller-supplied
-//! category ([`Cat::DenseComm`] or [`Cat::SparseComm`]). Entry clocks,
-//! fingerprint verification, and deterministic member-order reductions
-//! all live here, above the transport trait, which is why results are
-//! bit-identical across backends.
+//! Every collective runs one path: *issue* deposits this rank's payload
+//! at its entry clock, *wait* collects every member's deposit, and one
+//! settle charges the cost (DESIGN.md §10). Time semantics (BSP): the
+//! cost occupies the network lane from `max(entry clocks)`, so a
+//! collective waited on at once leaves every participant's clock at
+//! `max(entry clocks) + modeled cost`, and compute charged between issue
+//! and wait hides it. The bandwidth-term word count is recorded under
+//! the caller-supplied category ([`Cat::DenseComm`] or
+//! [`Cat::SparseComm`]). Entry clocks, fingerprint verification, and
+//! deterministic member-order reductions all live here, above the
+//! transport trait, which is why results are bit-identical across
+//! backends.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -27,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
+use crate::cluster::Cluster;
 use crate::cost::{Cat, CommWords, CostModel};
 use crate::diag::Diagnostics;
 use crate::frame::{PackedMat, Precision, RowsPart, Wire};
@@ -394,14 +400,14 @@ impl GatheredRows {
     }
 }
 
-/// Global registry: creates communicator state on first touch so that
+/// One run's registry: creates communicator state on first touch so that
 /// `split` needs no out-of-band coordination.
-pub struct Registry {
+pub(crate) struct Registry {
     comms: Mutex<HashMap<(u64, u64, u64), Arc<CommInner>>>,
     next_id: AtomicU64,
     /// How long a rank waits at a collective before declaring the program
     /// deadlocked (collective order mismatch across ranks).
-    pub timeout: Duration,
+    pub(crate) timeout: Duration,
     /// Whether collective fingerprint verification is enabled.
     pub(crate) check: CheckMode,
     /// Wire precision every rank's communicators start with.
@@ -411,29 +417,19 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// New registry; `timeout` bounds collective waits. Verification is
-    /// off; see [`Registry::with_check`].
-    pub fn new(timeout: Duration) -> Self {
-        Registry {
+    /// The registry of a fresh run of `cluster`: its collective timeout,
+    /// check mode and wire precision, with diagnostics sized to its ranks.
+    pub(crate) fn for_run(cluster: &Cluster) -> Arc<Self> {
+        let registry = Registry {
             comms: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            timeout,
-            check: CheckMode::Off,
-            precision: Precision::F64,
+            timeout: cluster.timeout,
+            check: cluster.check,
+            precision: cluster.precision,
             diag: Diagnostics::default(),
-        }
-    }
-
-    /// Enable or disable collective fingerprint verification.
-    pub fn with_check(mut self, check: CheckMode) -> Self {
-        self.check = check;
-        self
-    }
-
-    /// Select the wire precision of dense collectives (DESIGN.md §14).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
+        };
+        registry.diag.init(cluster.size);
+        Arc::new(registry)
     }
 
     pub(crate) fn fresh_world(&self, size: usize) -> Arc<CommInner> {
@@ -599,13 +595,16 @@ impl Communicator {
             }
             CollectError::Timeout { arrived } => {
                 let diag = &self.registry.diag;
-                let report = deadlock_report(&diag.snapshot(), &diag.histories());
+                let report =
+                    deadlock_report(&diag.snapshot(), &diag.deposited(), &diag.histories());
+                let what = match arrived {
+                    Some(n) => format!("only {n}/{} ranks arrived", self.size()),
+                    None => "the rendezvous did not complete".to_string(),
+                };
                 panic!(
-                    "collective deadlock: comm {} seq {seq}: only {arrived}/{} ranks \
-                     arrived within {:?} — ranks are calling collectives in different \
-                     orders\n{report}",
+                    "collective deadlock: comm {} seq {seq}: {what} within {:?} — ranks are \
+                     calling collectives in different orders\n{report}",
                     self.link.id(),
-                    self.size(),
                     self.registry.timeout
                 );
             }
@@ -619,70 +618,20 @@ impl Communicator {
         }
     }
 
-    /// Blocking rendezvous, for the collectives with no split-phase form
-    /// and a row gather's request round: deposit `payload` (with this rank's collective fingerprint when
-    /// checking), wait for all members, verify that everyone entered the
-    /// same collective, and return all deposits (in member order) plus
-    /// the maximum entry clock.
+    /// Issue half of every collective: deposit this rank's payload (with
+    /// its fingerprint when checking) under the next sequence number and
+    /// return that number, without blocking. The rank stays `Running`,
+    /// and its deposit is on record (DESIGN.md §8), so the watchdog never
+    /// misreads an issued op as a stuck rendezvous; the wait registration
+    /// happens in [`Communicator::complete_raw`].
     ///
     /// Fingerprints ride along with the payload deposits, so checked mode
     /// adds no synchronization and charges no modeled cost — timelines
     /// are bit-identical with checking on and off.
-    fn exchange_raw(
-        &self,
-        kind: CollectiveKind,
-        fp: Option<Fingerprint>,
-        payload: TxPayload,
-    ) -> (Vec<RxPayload>, Arrival) {
-        let size = self.size();
-        let entry = self.meter.borrow().timeline.clock();
-        if size == 1 {
-            let at = Arrival {
-                tmax: entry,
-                rx_bytes: 0,
-            };
-            return (vec![RxPayload::Local(payload.local)], at);
-        }
-        let seq = self.next_seq();
-        let slot_id = SlotId {
-            comm: self.link.id(),
-            seq,
-        };
-        let diag = &self.registry.diag;
-        let my_world = self.world_rank();
-        diag.record_history(
-            my_world,
-            HistoryEntry {
-                slot: slot_id,
-                kind,
-                clock: entry,
-            },
-        );
-        // Register the wait BEFORE depositing: the watchdog must never
-        // observe a deposit from a rank it still considers running, or a
-        // rendezvous one arrival short could be misread as stuck.
-        let _wait = diag.enter_wait(
-            my_world,
-            WaitSlot {
-                slot: slot_id,
-                kind,
-                members: self.members.as_ref().clone(),
-            },
-        );
-        self.deposit(kind, seq, entry, fp, payload);
-        self.await_and_collect(kind, seq)
-    }
-
-    /// Issue half of a split-phase collective: deposit this rank's
-    /// payload and return the op's sequence number — without registering
-    /// a wait or blocking. The rank stays `Running`, which the deadlock
-    /// watchdog treats as progress, so an in-flight pending op can never
-    /// be misread as a stuck rendezvous; the wait registration happens in
-    /// [`Communicator::complete_raw`] when the op is actually awaited.
     fn issue_raw(&self, kind: CollectiveKind, fp: Option<Fingerprint>, payload: TxPayload) -> u64 {
         let entry = self.meter.borrow().timeline.clock();
         let seq = self.next_seq();
-        self.registry.diag.record_history(
+        self.registry.diag.record_deposit(
             self.world_rank(),
             HistoryEntry {
                 slot: SlotId {
@@ -693,39 +642,6 @@ impl Communicator {
                 clock: entry,
             },
         );
-        self.deposit(kind, seq, entry, fp, payload);
-        seq
-    }
-
-    /// Wait half of a split-phase collective: register the wait (for
-    /// deadlock diagnostics) and block until every member's deposit for
-    /// `seq` is present. Returns all deposits plus their arrival.
-    fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
-        let _wait = self.registry.diag.enter_wait(
-            self.world_rank(),
-            WaitSlot {
-                slot: SlotId {
-                    comm: self.link.id(),
-                    seq,
-                },
-                kind,
-                members: self.members.as_ref().clone(),
-            },
-        );
-        self.await_and_collect(kind, seq)
-    }
-
-    /// Place this rank's deposit (entry clock, fingerprint, payload) into
-    /// the rendezvous slot for `seq` through the transport link, waking
-    /// (or notifying) the group when it is the last arrival.
-    fn deposit(
-        &self,
-        kind: CollectiveKind,
-        seq: u64,
-        entry: f64,
-        fp: Option<Fingerprint>,
-        payload: TxPayload,
-    ) {
         let dep = TxDeposit { entry, fp, payload };
         if let Err(e) = self
             .link
@@ -733,23 +649,32 @@ impl Communicator {
         {
             self.link_failure(kind, seq, e);
         }
+        seq
     }
 
-    /// Block until the rendezvous for `seq` is full, then consume it:
-    /// returns all payloads in member order plus their [`Arrival`], and
-    /// verifies fingerprints when checking is on. The caller must have
-    /// already deposited (and, for diagnostics, registered its wait).
+    /// Wait half of every collective: register the wait (for deadlock
+    /// diagnostics), block until every member's deposit for `seq` is
+    /// present, and consume it: returns all payloads in member order plus
+    /// their [`Arrival`], and verifies fingerprints when checking is on.
     ///
     /// Fingerprint verification runs here — above the transport — so
     /// CheckMode gives the identical guarantee whether the fingerprints
     /// arrived through shared memory or piggybacked on socket frames.
-    fn await_and_collect(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
+    fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
         let size = self.size();
         let slot_id = SlotId {
             comm: self.link.id(),
             seq,
         };
         let diag = &self.registry.diag;
+        let _wait = diag.enter_wait(
+            self.world_rank(),
+            WaitSlot {
+                slot: slot_id,
+                kind,
+                members: self.members.as_ref().clone(),
+            },
+        );
         let deposits = match self.link.collect(
             kind,
             seq,
@@ -791,28 +716,15 @@ impl Communicator {
         (out, at)
     }
 
-    fn downcast<T: Any + Send + Sync + Wire>(p: RxPayload) -> Arc<T> {
-        p.extract()
-    }
-
-    /// Settle a collective with no split-phase form: align the clock to
-    /// the group max (and the network lane), then charge `cost` seconds
-    /// and `words` bandwidth-term words under `cat`, next to the bytes
-    /// that arrived.
+    /// Settle a completed collective (DESIGN.md §10): its α–β `cost`
+    /// occupies the network lane from the group's latest entry clock, and
+    /// only the remainder not hidden behind compute charged since issue
+    /// advances the clock — all of it for a collective waited on at once,
+    /// which lands on `max(tmax, net_free) + cost`. Records `words`
+    /// bandwidth-term words and one message under `cat`, next to the
+    /// bytes that arrived, so counts do not depend on when the op is
+    /// waited.
     fn settle(&self, at: Arrival, cat: Cat, cost: f64, words: u64) {
-        let mut m = self.meter.borrow_mut();
-        m.timeline.settle_blocking(at.tmax, cat, cost);
-        if words > 0 || cost > 0.0 {
-            m.timeline.record_traffic(cat, words);
-        }
-        m.timeline.record_rx(cat, at.rx_bytes);
-    }
-
-    /// Settle a split-phase collective at `wait()`: network-lane charging
-    /// (only the remainder not hidden behind compute advances the clock)
-    /// plus the same traffic bookkeeping as [`Communicator::settle`], so
-    /// word and message counts do not depend on when the op is waited.
-    fn settle_overlapped(&self, at: Arrival, cat: Cat, cost: f64, words: u64) {
         let mut m = self.meter.borrow_mut();
         m.timeline.settle_pending(at.tmax, cat, cost);
         if words > 0 || cost > 0.0 {
@@ -821,12 +733,48 @@ impl Communicator {
         m.timeline.record_rx(cat, at.rx_bytes);
     }
 
+    /// Issue a `kind` collective: deposit `payload` now; the returned op
+    /// completes it through `finish` at [`PendingOp::wait`].
+    fn issue<'c, T>(
+        &'c self,
+        kind: CollectiveKind,
+        cat: Cat,
+        fp: Option<Fingerprint>,
+        payload: TxPayload,
+        finish: Finisher<'c, T>,
+    ) -> PendingOp<'c, T> {
+        let seq = self.issue_raw(kind, fp, payload);
+        PendingOp::in_flight(self, kind, cat, seq, 0, finish)
+    }
+
+    /// A collective waited on at once: [`Communicator::issue`], then
+    /// [`PendingOp::wait`]. At `P = 1` nothing is issued or settled —
+    /// `finish` reads this rank's own payload, and its cost and words,
+    /// which are zero there, are dropped.
+    fn issue_and_wait<'c, T>(
+        &'c self,
+        kind: CollectiveKind,
+        cat: Cat,
+        fp: Option<Fingerprint>,
+        payload: TxPayload,
+        finish: impl FnOnce(&Communicator, Vec<RxPayload>) -> (T, f64, u64) + 'c,
+    ) -> T {
+        if self.size() == 1 {
+            return finish(self, vec![RxPayload::Local(payload.local)]).0;
+        }
+        self.issue(kind, cat, fp, payload, Box::new(finish)).wait()
+    }
+
     /// Barrier across the group.
     pub fn barrier(&self) {
         let fp = self.fingerprint(CollectiveKind::Barrier, None, "()", Shape::Words(0));
-        let (_, at) = self.exchange_raw(CollectiveKind::Barrier, fp, TxPayload::unit());
-        let cost = self.model().barrier_time(self.size());
-        self.settle(at, Cat::Misc, cost, 0);
+        self.issue_and_wait(
+            CollectiveKind::Barrier,
+            Cat::Misc,
+            fp,
+            TxPayload::unit(),
+            |comm, _| ((), comm.model().barrier_time(comm.size()), 0),
+        );
     }
 
     /// Broadcast from member `root_idx`: [`Communicator::ibcast_shared`],
@@ -901,13 +849,11 @@ impl Communicator {
             carry.dtype::<T>(),
             shape,
         );
-        let seq = self.issue_raw(CollectiveKind::Bcast, fp, payload);
-        PendingOp::in_flight(
-            self,
+        self.issue(
             CollectiveKind::Bcast,
             carry.cat(cat),
-            seq,
-            0,
+            fp,
+            payload,
             Box::new(move |comm, mut items| {
                 let (out, words) = carry.rx::<T>(items.swap_remove(root_idx));
                 (out, comm.model().bcast_time(comm.size(), words), words)
@@ -1057,7 +1003,8 @@ impl Communicator {
             lens[root_idx] = 8 * (1 + needed.len());
             TxPayload::parted(rows.clone(), &lens, |rows, out| rows.put(out))
         };
-        let (items, round_one) = self.exchange_raw(kind, fp.clone(), request);
+        let seq = self.issue_raw(kind, fp.clone(), request);
+        let (items, round_one) = self.complete_raw(kind, seq);
         let (payload, end) = match data {
             Some(block) => {
                 if let Some(e) = expect {
@@ -1111,7 +1058,7 @@ impl Communicator {
             .enumerate()
             .map(|(idx, item)| {
                 (idx != root_idx).then(|| {
-                    let rows = Self::downcast::<Vec<usize>>(item);
+                    let rows = item.extract::<Vec<usize>>();
                     if let Some(bad) = rows.iter().find(|&&r| r >= block.rows()) {
                         panic!(
                             "{kind}: rank {} requested row {bad} out of range for the {}-row \
@@ -1202,13 +1149,11 @@ impl Communicator {
             carry.dtype::<Mat>(),
             Shape::Dims(m.rows(), m.cols()),
         );
-        let seq = self.issue_raw(CollectiveKind::AllreduceMat, fp, payload);
-        PendingOp::in_flight(
-            self,
+        self.issue(
             CollectiveKind::AllreduceMat,
             carry.cat(cat),
-            seq,
-            0,
+            fp,
+            payload,
             Box::new(move |comm, items| {
                 let mut parts = items.into_iter().map(|p| carry.rx::<Mat>(p).0);
                 let Some(first) = parts.next() else {
@@ -1261,20 +1206,26 @@ impl Communicator {
             carry.dtype::<T>(),
             Shape::Unknown,
         );
-        let (items, at) = self.exchange_raw(CollectiveKind::Allgather, fp, payload);
-        let mut total = 0;
-        let out: Vec<Arc<T>> = items
-            .into_iter()
-            .map(|item| {
-                let (part, words) = carry.rx::<T>(item);
-                total += words;
-                part
-            })
-            .collect();
-        let p = self.size();
-        let cost = self.model().allgather_time(p, total);
-        self.settle(at, carry.cat(cat), cost, total * (p as u64 - 1) / p as u64);
-        out
+        self.issue_and_wait(
+            CollectiveKind::Allgather,
+            carry.cat(cat),
+            fp,
+            payload,
+            |comm, items| {
+                let mut total = 0;
+                let out = items
+                    .into_iter()
+                    .map(|item| {
+                        let (part, words) = carry.rx::<T>(item);
+                        total += words;
+                        part
+                    })
+                    .collect();
+                let p = comm.size();
+                let cost = comm.model().allgather_time(p, total);
+                (out, cost, total * (p as u64 - 1) / p as u64)
+            },
+        )
     }
 
     /// All-reduce (sum) of scalars.
@@ -1285,15 +1236,16 @@ impl Communicator {
             "f64",
             Shape::Words(1),
         );
-        let (items, at) = self.exchange_raw(
+        self.issue_and_wait(
             CollectiveKind::AllreduceScalar,
+            cat,
             fp,
             TxPayload::of(Arc::new(x)),
-        );
-        let sum: f64 = items.into_iter().map(|p| *Self::downcast::<f64>(p)).sum();
-        let cost = self.model().allreduce_time(self.size(), 1);
-        self.settle(at, cat, cost, if self.size() > 1 { 2 } else { 0 });
-        sum
+            |comm, items| {
+                let sum = items.into_iter().map(|p| *p.extract::<f64>()).sum();
+                (sum, comm.model().allreduce_time(comm.size(), 1), 2)
+            },
+        )
     }
 
     /// Reduce-scatter over block rows: every member contributes an
@@ -1369,32 +1321,32 @@ impl Communicator {
             p,
             from: me,
         };
-        let (items, at) = self.exchange_raw(
+        let sparse = sends.is_some();
+        self.issue_and_wait(
             CollectiveKind::ReduceScatterRows,
+            carry.cat(cat),
             fp,
             contribution.into_payload(),
-        );
-        let (r0, r1) = block_range(n, p, me);
-        out.reset(r1 - r0, f);
-        let mut received = 0;
-        for (i, item) in items.into_iter().enumerate() {
-            let words = self.fold_part(item, (n, f), prec, out);
-            if i != me {
-                received += words;
-            }
-        }
-        let model = self.model();
-        let (cost, words) = match sends {
-            Some(_) => (model.sparse_reduce_scatter_time(p, received), received),
-            None => {
-                let w = packed_words(n * f, prec);
-                (
-                    model.reduce_scatter_time(p, w),
-                    w * (p as u64 - 1) / p as u64,
-                )
-            }
-        };
-        self.settle(at, carry.cat(cat), cost, words);
+            move |comm, items| {
+                let (r0, r1) = block_range(n, p, me);
+                out.reset(r1 - r0, f);
+                let mut received = 0;
+                for (i, item) in items.into_iter().enumerate() {
+                    let words = comm.fold_part(item, (n, f), prec, out);
+                    if i != me {
+                        received += words;
+                    }
+                }
+                let model = comm.model();
+                if sparse {
+                    ((), model.sparse_reduce_scatter_time(p, received), received)
+                } else {
+                    let w = packed_words(n * f, prec);
+                    let words = w * (p as u64 - 1) / p as u64;
+                    ((), model.reduce_scatter_time(p, w), words)
+                }
+            },
+        )
     }
 
     /// Add one member's part of a reduce-scatter into this rank's block
@@ -1464,38 +1416,44 @@ impl Communicator {
             std::any::type_name::<T>(),
             Shape::Count(parts.len()),
         );
-        let (items, at) =
-            self.exchange_raw(CollectiveKind::Alltoall, fp, TxPayload::of(Arc::new(parts)));
-        let all: Vec<Arc<Vec<T>>> = items.into_iter().map(Self::downcast::<Vec<T>>).collect();
-        let out: Vec<T> = all.iter().map(|v| v[self.my_idx].clone()).collect();
-        let p = self.size();
-        let recv_words: u64 = out
-            .iter()
-            .enumerate()
-            .filter(|(src, _)| *src != self.my_idx)
-            .map(|(_, x)| x.comm_words())
-            .sum();
-        let cost = if p > 1 {
-            self.model().alpha * (p - 1) as f64 + self.model().beta * recv_words as f64
-        } else {
-            0.0
-        };
-        self.settle(at, cat, cost, recv_words);
-        out
+        self.issue_and_wait(
+            CollectiveKind::Alltoall,
+            cat,
+            fp,
+            TxPayload::of(Arc::new(parts)),
+            |comm, items| {
+                let me = comm.my_idx;
+                let out: Vec<T> = items
+                    .into_iter()
+                    .map(|item| item.extract::<Vec<T>>()[me].clone())
+                    .collect();
+                let recv_words: u64 = out
+                    .iter()
+                    .enumerate()
+                    .filter(|&(src, _)| src != me)
+                    .map(|(_, x)| x.comm_words())
+                    .sum();
+                let m = comm.model();
+                let cost = m.alpha * (comm.size() - 1) as f64 + m.beta * recv_words as f64;
+                (out, cost, recv_words)
+            },
+        )
     }
 
     /// Split into sub-communicators by color (MPI `comm_split` without the
     /// key argument: member order within a color follows parent order).
     pub fn split(&self, color: u64) -> Communicator {
         let seq_for_key = self.seq.get(); // same at every member pre-exchange
-                                          // Colors are legitimately rank-dependent: wildcard shape.
-        let fp = self.fingerprint(CollectiveKind::Split, None, "u64", Shape::Unknown);
-        let (items, _) =
-            self.exchange_raw(CollectiveKind::Split, fp, TxPayload::of(Arc::new(color)));
-        let colors: Vec<u64> = items
-            .into_iter()
-            .map(|p| *Self::downcast::<u64>(p))
-            .collect();
+        let colors: Vec<u64> = if self.size() == 1 {
+            vec![color]
+        } else {
+            // Colors are legitimately rank-dependent: wildcard shape. The
+            // exchange is bookkeeping, so it settles nothing.
+            let fp = self.fingerprint(CollectiveKind::Split, None, "u64", Shape::Unknown);
+            let seq = self.issue_raw(CollectiveKind::Split, fp, TxPayload::of(Arc::new(color)));
+            let (items, _) = self.complete_raw(CollectiveKind::Split, seq);
+            items.into_iter().map(|p| *p.extract::<u64>()).collect()
+        };
         let group: Vec<usize> = (0..self.size())
             .filter(|&i| colors[i] == color)
             .map(|i| self.members[i])
@@ -1635,12 +1593,11 @@ enum PendingState<'c, T> {
     },
 }
 
-/// A split-phase collective in flight, returned by
-/// [`Communicator::ibcast_shared`], [`Communicator::igather_rows`],
-/// [`Communicator::igather_rows_refresh`] and
-/// [`Communicator::iallreduce_mat`] — the one implementation of each of
-/// these collectives: their blocking names (`bcast`, `bcast_shared`,
-/// `gather_rows`, `allreduce_mat`) issue and wait at once.
+/// A collective in flight, returned by [`Communicator::ibcast_shared`],
+/// [`Communicator::igather_rows`], [`Communicator::igather_rows_refresh`]
+/// and [`Communicator::iallreduce_mat`]. Every collective completes
+/// through one: the blocking names (`bcast`, `gather_rows`, `barrier`,
+/// `allgather`, `reduce_scatter_rows`, ...) issue and wait at once.
 ///
 /// The rendezvous deposit happened at issue time — peers can already
 /// consume it, and CheckMode fingerprints ride along with it — so
@@ -1718,7 +1675,7 @@ impl<'c, T> PendingOp<'c, T> {
                 let (items, mut at) = self.comm.complete_raw(self.kind, seq);
                 at.rx_bytes += rx_bytes;
                 let (out, cost, words) = finish(self.comm, items);
-                self.comm.settle_overlapped(at, self.cat, cost, words);
+                self.comm.settle(at, self.cat, cost, words);
                 out
             }
         }
@@ -2264,13 +2221,13 @@ mod tests {
 
     #[test]
     fn blocking_names_charge_closed_form() {
-        // A blocking name is its split-phase form waited on at once. Pin,
-        // per name x wire precision x P, the closed-form α–β charge —
-        // cost, words, one message, no received bytes on threads, nothing
-        // overlapped — and the clock: max(tmax, net_free) + cost. Ranks
-        // enter at staggered clocks; the second pass enters behind a
-        // pending broadcast whose uncovered remainder has moved the
-        // network lane on.
+        // Every blocking name is an issue waited on at once. Pin, per name
+        // x wire precision x P, the closed-form α–β charge — cost, words,
+        // one message, no received bytes on threads, nothing overlapped —
+        // and the clock: max(tmax, net_free) + cost. Ranks enter at
+        // staggered clocks; the second pass enters behind a pending
+        // broadcast whose uncovered remainder has moved the network lane
+        // on.
         let model = CostModel::summit_like();
         let (alpha, beta) = (model.alpha, model.beta);
         let (rows, cols, needed) = (6, 5, [1usize, 4]);
@@ -2282,12 +2239,29 @@ mod tests {
                     (1, _) | (_, Precision::F64) => n as u64,
                     _ => (n * prec.bytes_per_value()).div_ceil(8) as u64,
                 };
-                let cat = if p > 1 {
+                let packed = if p > 1 {
                     prec.dense_cat()
                 } else {
                     Cat::DenseComm
                 };
-                for name in ["bcast", "bcast_shared", "gather_rows", "allreduce_mat"] {
+                // Sparse reduce-scatter: each member's send set is the
+                // first row of its block, the only nonzero row there.
+                let sends = Arc::new(vec![vec![0]; p]);
+                let block_start = |i: usize| (0..p).any(|j| block_range(rows, p, j).0 == i);
+                let names = [
+                    "bcast",
+                    "bcast_shared",
+                    "gather_rows",
+                    "allreduce_mat",
+                    "barrier",
+                    "allgather",
+                    "allgather_shared",
+                    "allreduce_scalar",
+                    "reduce_scatter_rows",
+                    "reduce_scatter_rows_sparse",
+                    "alltoall",
+                ];
+                for name in names {
                     for behind_pending in [false, true] {
                         let cluster = Cluster::new(p)
                             .with_model(CostModel::summit_like())
@@ -2303,21 +2277,52 @@ mod tests {
                             let before = ctx.report();
                             let block = Arc::new(Mat::filled(rows, cols, 1.5));
                             let root = (ctx.rank == 0).then(|| block.clone());
+                            let (world, dense) = (&ctx.world, Cat::DenseComm);
+                            let mut out = Mat::zeros(0, 0);
                             match name {
                                 "bcast" => {
-                                    ctx.world
-                                        .bcast(0, root.map(|b| (*b).clone()), Cat::DenseComm);
+                                    world.bcast(0, root.map(|b| (*b).clone()), dense);
                                 }
                                 "bcast_shared" => {
-                                    ctx.world.bcast_shared(0, root, Cat::DenseComm);
+                                    world.bcast_shared(0, root, dense);
                                 }
                                 "gather_rows" => {
                                     let dims = Some((rows, cols));
-                                    ctx.world
-                                        .gather_rows(0, root, &needed, dims, Cat::DenseComm);
+                                    world.gather_rows(0, root, &needed, dims, dense);
+                                }
+                                "allreduce_mat" => {
+                                    world.allreduce_mat(&block, dense);
+                                }
+                                "barrier" => world.barrier(),
+                                "allgather" => {
+                                    world.allgather((*block).clone(), dense);
+                                }
+                                "allgather_shared" => {
+                                    world.allgather_shared(block, dense);
+                                }
+                                "allreduce_scalar" => {
+                                    world.allreduce_scalar(1.5, dense);
+                                }
+                                "reduce_scatter_rows" => {
+                                    world.reduce_scatter_rows(block, None, &mut out, dense)
+                                }
+                                "reduce_scatter_rows_sparse" => {
+                                    let m = Mat::from_fn(rows, cols, |i, _| {
+                                        if block_start(i) {
+                                            1.5
+                                        } else {
+                                            0.0
+                                        }
+                                    });
+                                    world.reduce_scatter_rows(
+                                        Arc::new(m),
+                                        Some(&sends),
+                                        &mut out,
+                                        dense,
+                                    )
                                 }
                                 _ => {
-                                    ctx.world.allreduce_mat(&block, Cat::DenseComm);
+                                    world.alltoall(vec![vec![1.5; 3]; p], dense);
                                 }
                             }
                             (before, ctx.report())
@@ -2329,6 +2334,12 @@ mod tests {
                                 "{name} {prec:?} P={p} pending={behind_pending} rank {rank}"
                             );
                             let k = needed.len() as u64;
+                            let others = p as u64 - 1;
+                            let cat = match name {
+                                "barrier" => Cat::Misc,
+                                "allreduce_scalar" | "alltoall" => Cat::DenseComm,
+                                _ => packed,
+                            };
                             let (cost, words) = match name {
                                 _ if p == 1 => (0.0, 0),
                                 "bcast" | "bcast_shared" => {
@@ -2336,17 +2347,38 @@ mod tests {
                                     (model.bcast_time(p, w), w)
                                 }
                                 "gather_rows" if rank == 0 => {
-                                    let served = (p as u64 - 1) * k * (wire(cols) + 1);
-                                    (alpha * (p - 1) as f64 + beta * served as f64, 0)
+                                    let served = others * k * (wire(cols) + 1);
+                                    (alpha * others as f64 + beta * served as f64, 0)
                                 }
                                 "gather_rows" => {
                                     let w = k * (wire(cols) + 1);
                                     (2.0 * alpha + beta * w as f64, w)
                                 }
-                                _ => {
+                                "allreduce_mat" => {
                                     let w = wire(rows * cols);
-                                    let p = p as u64;
-                                    (model.allreduce_time(p as usize, w), 2 * w * (p - 1) / p)
+                                    (model.allreduce_time(p, w), 2 * w * others / p as u64)
+                                }
+                                "barrier" => (model.barrier_time(p), 0),
+                                "allgather" | "allgather_shared" => {
+                                    let total = p as u64 * wire(rows * cols);
+                                    (model.allgather_time(p, total), total * others / p as u64)
+                                }
+                                "allreduce_scalar" => (model.allreduce_time(p, 1), 2),
+                                "reduce_scatter_rows" => {
+                                    let w = wire(rows * cols);
+                                    (model.reduce_scatter_time(p, w), w * others / p as u64)
+                                }
+                                "reduce_scatter_rows_sparse" => {
+                                    // Each peer's part: the indexed row, or
+                                    // the whole block when not more words.
+                                    let (r0, r1) = block_range(rows, p, rank);
+                                    let part = (wire(cols) + 1).min(wire((r1 - r0) * cols));
+                                    let w = others * part;
+                                    (model.sparse_reduce_scatter_time(p, w), w)
+                                }
+                                _ => {
+                                    let w = others * 3;
+                                    (alpha * others as f64 + beta * w as f64, w)
                                 }
                             };
                             assert_eq!(after.clock, tmax.max(net_free) + cost, "{case}");

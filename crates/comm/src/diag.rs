@@ -1,14 +1,14 @@
 //! Shared run-wide diagnostics: rank lifecycle states, wait
-//! registrations for the watchdog, per-rank collective histories, the
-//! first-panic record, and the abort flag that lets one failing rank
-//! take the whole run down with a single clear error instead of leaving
-//! its peers parked until the collective timeout.
+//! registrations and deposits for the watchdog, per-rank collective
+//! histories, the first-panic record, and the abort flag that lets one
+//! failing rank take the whole run down with a single clear error
+//! instead of leaving its peers parked until the collective timeout.
 //!
 //! Every lock here recovers from poisoning (`PoisonError::into_inner`):
 //! this state is diagnostic metadata that must stay readable precisely
 //! when some rank has panicked.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, PoisonError};
 
 use cagnet_check::waitgraph::{HistoryEntry, RankPhase, RankSnapshot, WaitSlot};
@@ -40,7 +40,7 @@ impl FirstPanic {
 #[derive(Debug, Default)]
 pub(crate) struct Diagnostics {
     states: Mutex<Vec<RankSnapshot>>,
-    history: Mutex<Vec<VecDeque<HistoryEntry>>>,
+    logs: Mutex<Vec<RankLog>>,
     first_panic: Mutex<Option<FirstPanic>>,
     abort: Mutex<Option<String>>,
 }
@@ -49,17 +49,19 @@ impl Diagnostics {
     /// Size the per-rank tables; called once per cluster run.
     pub fn init(&self, size: usize) {
         *lock(&self.states) = vec![RankSnapshot::running(); size];
-        *lock(&self.history) = vec![VecDeque::with_capacity(HISTORY_LEN); size];
+        *lock(&self.logs) = vec![RankLog::default(); size];
     }
 
-    /// Record a collective entry in `rank`'s history ring.
-    pub fn record_history(&self, rank: usize, entry: HistoryEntry) {
-        let mut h = lock(&self.history);
-        if let Some(ring) = h.get_mut(rank) {
-            if ring.len() == HISTORY_LEN {
-                ring.pop_front();
+    /// Record that `rank` deposited into `entry.slot`: the entry joins its
+    /// history ring, and the slot's seq becomes its highest deposited on
+    /// that communicator (deposits on one communicator are in seq order).
+    pub fn record_deposit(&self, rank: usize, entry: HistoryEntry) {
+        if let Some(log) = lock(&self.logs).get_mut(rank) {
+            if log.history.len() == HISTORY_LEN {
+                log.history.pop_front();
             }
-            ring.push_back(entry);
+            log.history.push_back(entry);
+            log.highest.insert(entry.slot.comm, entry.slot.seq);
         }
     }
 
@@ -119,9 +121,17 @@ impl Diagnostics {
 
     /// Clone the per-rank collective histories.
     pub fn histories(&self) -> Vec<Vec<HistoryEntry>> {
-        lock(&self.history)
+        lock(&self.logs)
             .iter()
-            .map(|ring| ring.iter().copied().collect())
+            .map(|log| log.history.iter().copied().collect())
+            .collect()
+    }
+
+    /// Per rank, the highest seq it has deposited on each communicator.
+    pub fn deposited(&self) -> Vec<HashMap<u64, u64>> {
+        lock(&self.logs)
+            .iter()
+            .map(|log| log.highest.clone())
             .collect()
     }
 
@@ -131,7 +141,10 @@ impl Diagnostics {
         if let Some(w) = lock(&self.states).get(rank).and_then(|s| s.wait.clone()) {
             return format!("{} on {}", w.kind, w.slot);
         }
-        match lock(&self.history).get(rank).and_then(|h| h.back()) {
+        match lock(&self.logs)
+            .get(rank)
+            .and_then(|log| log.history.back())
+        {
             Some(e) => format!("{} on {}", e.kind, e.slot),
             None => "(no collective in flight)".to_string(),
         }
@@ -163,6 +176,14 @@ impl Diagnostics {
     pub fn abort_message(&self) -> Option<String> {
         lock(&self.abort).clone()
     }
+}
+
+/// One rank's deposits: the last [`HISTORY_LEN`] collectives it entered,
+/// and the highest seq it deposited per communicator id.
+#[derive(Clone, Debug, Default)]
+struct RankLog {
+    history: VecDeque<HistoryEntry>,
+    highest: HashMap<u64, u64>,
 }
 
 /// RAII wait registration: restores the rank to running on drop, even
@@ -217,7 +238,7 @@ mod tests {
         let d = Diagnostics::default();
         d.init(1);
         for seq in 0..(HISTORY_LEN as u64 + 5) {
-            d.record_history(
+            d.record_deposit(
                 0,
                 HistoryEntry {
                     slot: SlotId { comm: 1, seq },

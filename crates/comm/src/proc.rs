@@ -29,23 +29,23 @@
 //! replays every socket-dispatched run before its target index through
 //! the deterministic thread backend, so it reaches the target run with
 //! identical program state; at the target it connects, runs its rank
-//! closure, ships `(result, timeline report)` back as a `RESULT` frame,
-//! and exits without returning to the caller.
+//! through the same body as every other rank of either transport
+//! ([`Cluster::run_rank`](crate::cluster::Cluster::run_rank)), ships
+//! `(result, timeline report)` back as a `RESULT` frame, and exits
+//! without returning to the caller.
 //!
 //! All wire I/O in this module goes through [`frame::read_frame`] /
 //! [`frame::write_frame`] / [`frame::write_frame_parts`] — the
 //! `raw-socket-io` lint rule keeps raw socket reads/writes confined to
 //! `frame.rs`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::net::Shutdown;
 use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -53,16 +53,15 @@ use std::time::{Duration, Instant};
 
 use cagnet_check::fingerprint::Fingerprint;
 use cagnet_check::waitgraph::{HistoryEntry, RankPhase, SlotId, WaitSlot};
-use cagnet_parallel::ParallelCtx;
 
-use crate::cluster::{panic_message, watchdog, Cluster, Ctx};
-use crate::comm::{Communicator, Registry};
+use crate::cluster::{watchdog, Cluster, Ctx};
+use crate::comm::Registry;
 use crate::diag::FirstPanic;
 use crate::frame::{
     self, CollectMsg, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg,
     WaitMsg, Wire,
 };
-use crate::timeline::{Meter, Timeline, TimelineReport};
+use crate::timeline::TimelineReport;
 use crate::transport::{
     CollectError, CommLink, Payload, RxDeposit, RxPayload, TxDeposit, WAIT_TICK,
 };
@@ -347,7 +346,7 @@ impl CommLink for SocketLink {
                     if waited >= timeout {
                         // The hub holds the arrival counts; a socket
                         // client only knows its own wait expired.
-                        return Err(CollectError::Timeout { arrived: 0 });
+                        return Err(CollectError::Timeout { arrived: None });
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -766,7 +765,7 @@ impl Hub {
 
     fn on_deposit(&self, rank: usize, msg: DepositMsg, body: Arc<Vec<u8>>, payload: Range<usize>) {
         if rank != 0 {
-            self.registry.diag.record_history(
+            self.registry.diag.record_deposit(
                 rank,
                 HistoryEntry {
                     slot: SlotId {
@@ -1089,12 +1088,7 @@ where
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
     let size = cl.size;
-    let registry = Arc::new(
-        Registry::new(cl.timeout)
-            .with_check(cl.check)
-            .with_precision(cl.precision),
-    );
-    registry.diag.init(size);
+    let registry = Registry::for_run(cl);
     let sock_path = socket_path();
     let _ = std::fs::remove_file(&sock_path);
     let _guard = SocketGuard(sock_path.clone());
@@ -1120,8 +1114,6 @@ where
         std::thread::spawn(move || monitor_loop(&hub, &children, &registry, &stop));
     }
 
-    let model = cl.effective_model();
-    let parallel = ParallelCtx::new(cl.threads_per_rank);
     let f = &f;
     let registry_ref = &registry;
     let sock_ref = &sock_path;
@@ -1140,40 +1132,9 @@ where
                     return None;
                 }
             };
-            let meter = Rc::new(RefCell::new(Meter {
-                model,
-                timeline: Timeline::new(),
-            }));
-            let world = Communicator::new_world(
-                registry_ref.clone(),
-                SocketLink::world(client.clone()),
-                size,
-                0,
-                meter.clone(),
-            );
-            let mut ctx = Ctx::for_rank(0, size, world, parallel, meter.clone());
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            let out = match result {
-                Ok(out) => {
-                    registry_ref.diag.set_phase(0, RankPhase::Done);
-                    let report = meter.borrow().timeline.report();
-                    Some((out, report))
-                }
-                Err(payload) => {
-                    let during = registry_ref.diag.last_collective_label(0);
-                    let message = panic_message(payload.as_ref());
-                    registry_ref.diag.record_first_panic(FirstPanic {
-                        rank: 0,
-                        during: during.clone(),
-                        message,
-                    });
-                    registry_ref.diag.set_phase(0, RankPhase::Panicked);
-                    registry_ref
-                        .diag
-                        .set_abort(format!("rank 0 panicked during {during}"));
-                    None
-                }
-            };
+            let out = cl
+                .run_rank(registry_ref, SocketLink::world(client.clone()), 0, f)
+                .ok();
             // Unblock the hub's reader for rank 0 — the launcher keeps
             // no long-lived client once rank 0 is finished.
             client.close();
@@ -1249,12 +1210,6 @@ where
         "socket worker run {}: cluster size {} != spawned world size {}",
         env.run, cl.size, env.world
     );
-    let registry = Arc::new(
-        Registry::new(cl.timeout)
-            .with_check(cl.check)
-            .with_precision(cl.precision),
-    );
-    registry.diag.init(cl.size);
     let client =
         match SocketClient::connect(&env.socket, env.rank, env.world, env.run, CONNECT_TIMEOUT) {
             Ok(c) => c,
@@ -1263,41 +1218,19 @@ where
                 std::process::exit(3);
             }
         };
-    let meter = Rc::new(RefCell::new(Meter {
-        model: cl.effective_model(),
-        timeline: Timeline::new(),
-    }));
-    let world = Communicator::new_world(
-        registry.clone(),
-        SocketLink::world(client.clone()),
-        cl.size,
-        env.rank,
-        meter.clone(),
-    );
-    let mut ctx = Ctx::for_rank(
-        env.rank,
-        cl.size,
-        world,
-        ParallelCtx::new(cl.threads_per_rank),
-        meter.clone(),
-    );
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-    match result {
-        Ok(out) => {
-            let report = meter.borrow().timeline.report();
-            let body = frame::encode(&(out, report));
-            match client.send(FrameKind::Result, &body) {
-                Ok(()) => std::process::exit(0),
-                Err(e) => {
-                    eprintln!("cagnet socket worker rank {}: {e}", env.rank);
-                    std::process::exit(4);
-                }
+    let link = SocketLink::world(client.clone());
+    match cl.run_rank(&Registry::for_run(cl), link, env.rank, &f) {
+        Ok(done) => match client.send(FrameKind::Result, &frame::encode(&done)) {
+            Ok(()) => std::process::exit(0),
+            Err(e) => {
+                eprintln!("cagnet socket worker rank {}: {e}", env.rank);
+                std::process::exit(4);
             }
-        }
-        Err(payload) => {
+        },
+        Err((first, _)) => {
             let msg = PanicMsg {
-                during: registry.diag.last_collective_label(env.rank),
-                message: panic_message(payload.as_ref()),
+                during: first.during,
+                message: first.message,
             };
             let _ = client.send(FrameKind::Panic, &frame::encode(&msg));
             std::process::exit(101);
@@ -1319,8 +1252,7 @@ mod tests {
     }
 
     fn rig(size: usize) -> Rig {
-        let registry = Arc::new(Registry::new(Duration::from_secs(5)));
-        registry.diag.init(size);
+        let registry = Registry::for_run(&Cluster::new(size).with_timeout(Duration::from_secs(5)));
         let hub = Arc::new(Hub::new(registry, size));
         let peers = (0..size)
             .map(|rank| {

@@ -11,12 +11,13 @@
 //!
 //! The timeline is **dual-lane** (DESIGN.md §10): the clock is the
 //! *compute lane*, while `net_free` tracks when the *network lane* next
-//! becomes free. Blocking collectives occupy both lanes; a nonblocking
-//! collective's α–β cost occupies only the network lane from issue
-//! readiness onward, so local charges issued before its `wait()` run
-//! concurrently — the covered portion is metered as [`Cat::Overlapped`]
-//! and only the uncovered remainder advances the clock, making a
-//! pipelined stage cost `max(compute, comm)` instead of their sum.
+//! becomes free. A collective's α–β cost occupies the network lane from
+//! the group's latest entry onward, so local charges made between its
+//! issue and its `wait()` run concurrently — the covered portion is
+//! metered as [`Cat::Overlapped`] and only the uncovered remainder
+//! advances the clock, making a pipelined stage cost `max(compute,
+//! comm)` instead of their sum. A collective waited on at once hides
+//! nothing, and its cost advances both lanes together.
 
 use crate::cost::{Cat, CostModel, ALL_CATS, NUM_CATS};
 use crate::trace::TraceEvent;
@@ -24,16 +25,13 @@ use crate::trace::TraceEvent;
 /// Modeled-time ledger for one rank.
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
-    clock: f64,
+    /// The clock and per-category counters, as [`Timeline::report`]
+    /// hands them out.
+    ledger: TimelineReport,
     /// Time at which the single modeled NIC is next free — the network
-    /// lane of the dual-lane model. Never ahead of `clock` unless a
-    /// pending (nonblocking) op is in flight.
+    /// lane of the dual-lane model. Never ahead of the clock unless a
+    /// pending op is in flight.
     net_free: f64,
-    seconds: [f64; NUM_CATS],
-    words: [u64; NUM_CATS],
-    messages: [u64; NUM_CATS],
-    /// Payload bytes that reached this rank over the wire.
-    rx_bytes: [u64; NUM_CATS],
     /// When `Some`, every charge/wait is recorded as a trace event.
     trace: Option<Vec<TraceEvent>>,
 }
@@ -46,24 +44,25 @@ impl Timeline {
 
     /// Current BSP clock (seconds).
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.ledger.clock
     }
 
     /// Advance the clock by `dt` seconds, attributing them to `cat`.
     pub fn charge(&mut self, cat: Cat, dt: f64) {
         debug_assert!(dt >= 0.0, "negative charge");
+        let l = &mut self.ledger;
         if let Some(tr) = &mut self.trace {
             if dt > 0.0 {
                 tr.push(TraceEvent {
                     name: cat.label(),
                     cat,
-                    start: self.clock,
-                    end: self.clock + dt,
+                    start: l.clock,
+                    end: l.clock + dt,
                 });
             }
         }
-        self.clock += dt;
-        self.seconds[cat.index()] += dt;
+        l.clock += dt;
+        l.seconds[cat.index()] += dt;
     }
 
     /// Start recording trace events (see [`crate::trace`]).
@@ -81,8 +80,8 @@ impl Timeline {
     /// Record `w` words moved and one message under `cat` (bookkeeping
     /// only; time is charged separately via [`Timeline::charge`]).
     pub fn record_traffic(&mut self, cat: Cat, w: u64) {
-        self.words[cat.index()] += w;
-        self.messages[cat.index()] += 1;
+        self.ledger.words[cat.index()] += w;
+        self.ledger.messages[cat.index()] += 1;
     }
 
     /// Record `bytes` payload bytes received over the wire for a
@@ -90,13 +89,14 @@ impl Timeline {
     /// [`Timeline::record_traffic`]'s modeled words (0 on shared memory,
     /// where payloads move as pointers).
     pub fn record_rx(&mut self, cat: Cat, bytes: u64) {
-        self.rx_bytes[cat.index()] += bytes;
+        self.ledger.rx_bytes[cat.index()] += bytes;
     }
 
     /// Synchronize the clock up to `t` (BSP max at a collective); no-op if
     /// already past `t`.
     pub fn sync_to(&mut self, t: f64) {
-        if t > self.clock {
+        let l = &mut self.ledger;
+        if t > l.clock {
             // Waiting-at-barrier time is attributed to Idle: it is load
             // imbalance, not any kernel — and keeping it out of Misc lets
             // reports separate real work from rendezvous blocking.
@@ -104,41 +104,30 @@ impl Timeline {
                 tr.push(TraceEvent {
                     name: "wait",
                     cat: Cat::Idle,
-                    start: self.clock,
+                    start: l.clock,
                     end: t,
                 });
             }
-            self.seconds[Cat::Idle.index()] += t - self.clock;
-            self.clock = t;
+            l.seconds[Cat::Idle.index()] += t - l.clock;
+            l.clock = t;
         }
     }
 
-    /// Settle a **blocking** collective: both lanes engage. The op starts
-    /// when the last participant arrived (`tmax`) *and* the network lane
-    /// is free; the gap to the start is idle wait, the cost advances both
-    /// lanes together. With no pending ops in flight `net_free ≤ clock`,
-    /// so this reduces exactly to the historic `sync_to(tmax)` +
-    /// `charge(cat, cost)`.
-    pub fn settle_blocking(&mut self, tmax: f64, cat: Cat, cost: f64) {
-        let start = tmax.max(self.net_free);
-        self.sync_to(start);
-        self.charge(cat, cost);
-        self.net_free = self.clock;
-    }
-
-    /// Settle a **nonblocking** collective at `wait()` time: its α–β
-    /// `cost` occupies the network lane from `max(ready, net_free)`,
-    /// where `ready` is the rendezvous' max entry clock. The portion the
-    /// compute lane has already covered is metered as
-    /// [`Cat::Overlapped`] without advancing the clock; only the
-    /// uncovered remainder (plus any gap until the op could start) moves
-    /// the clock, so a fully hidden op costs zero modeled time.
+    /// Settle a collective at `wait()` time: its α–β `cost` occupies the
+    /// network lane from `max(ready, net_free)`, where `ready` is the
+    /// rendezvous' max entry clock. The portion the compute lane has
+    /// already covered is metered as [`Cat::Overlapped`] without
+    /// advancing the clock; only the uncovered remainder (plus any gap
+    /// until the op could start) moves the clock, so a fully hidden op
+    /// costs zero modeled time. An op waited on at its issue clock hides
+    /// nothing: the gap to `max(ready, net_free)` is idle, and the clock
+    /// lands on `max(ready, net_free) + cost`.
     pub fn settle_pending(&mut self, ready: f64, cat: Cat, cost: f64) {
         debug_assert!(cost >= 0.0, "negative pending cost");
         let net_start = ready.max(self.net_free);
         let finish = net_start + cost;
         self.net_free = finish;
-        let hidden = (self.clock - net_start).clamp(0.0, cost);
+        let hidden = (self.clock() - net_start).clamp(0.0, cost);
         if hidden > 0.0 {
             // Overlapped intervals overlay compute events on the trace:
             // the network lane is busy concurrently with the clock lane.
@@ -150,52 +139,18 @@ impl Timeline {
                     end: net_start + hidden,
                 });
             }
-            self.seconds[Cat::Overlapped.index()] += hidden;
+            self.ledger.seconds[Cat::Overlapped.index()] += hidden;
         }
         // If every participant only became ready after our compute ended,
         // the gap is rendezvous idle time.
         self.sync_to(net_start);
-        let remainder = (finish - self.clock).max(0.0);
+        let remainder = (finish - self.clock()).max(0.0);
         self.charge(cat, remainder);
-    }
-
-    /// Seconds attributed to a category.
-    pub fn seconds(&self, cat: Cat) -> f64 {
-        self.seconds[cat.index()]
-    }
-
-    /// Words moved under a category.
-    pub fn words(&self, cat: Cat) -> u64 {
-        self.words[cat.index()]
-    }
-
-    /// Messages counted under a category.
-    pub fn messages(&self, cat: Cat) -> u64 {
-        self.messages[cat.index()]
-    }
-
-    /// Payload bytes received over the wire under a category.
-    pub fn rx_bytes(&self, cat: Cat) -> u64 {
-        self.rx_bytes[cat.index()]
-    }
-
-    /// Total communication words (dense + sparse).
-    pub fn comm_words(&self) -> u64 {
-        self.words(Cat::DenseComm)
-            + self.words(Cat::DenseComm32)
-            + self.words(Cat::DenseComm16)
-            + self.words(Cat::SparseComm)
     }
 
     /// Immutable snapshot for reporting.
     pub fn report(&self) -> TimelineReport {
-        TimelineReport {
-            clock: self.clock,
-            seconds: self.seconds,
-            words: self.words,
-            messages: self.messages,
-            rx_bytes: self.rx_bytes,
-        }
+        self.ledger
     }
 
     /// Reset all accumulators (used between warmup and measured epochs).
@@ -419,8 +374,8 @@ mod tests {
         t.charge(Cat::DenseComm, 0.5);
         t.charge(Cat::Spmm, 1.0);
         assert_eq!(t.clock(), 3.0);
-        assert_eq!(t.seconds(Cat::Spmm), 2.5);
-        assert_eq!(t.seconds(Cat::DenseComm), 0.5);
+        assert_eq!(t.report().seconds(Cat::Spmm), 2.5);
+        assert_eq!(t.report().seconds(Cat::DenseComm), 0.5);
     }
 
     #[test]
@@ -432,24 +387,27 @@ mod tests {
         t.sync_to(5.0);
         assert_eq!(t.clock(), 5.0);
         // Wait time lands in Idle; the original Misc charge is untouched.
-        assert_eq!(t.seconds(Cat::Misc), 2.0);
-        assert_eq!(t.seconds(Cat::Idle), 3.0);
+        assert_eq!(t.report().seconds(Cat::Misc), 2.0);
+        assert_eq!(t.report().seconds(Cat::Idle), 3.0);
     }
 
     #[test]
-    fn settle_blocking_matches_historic_sync_then_charge() {
-        // With no pending ops, the lane-aware settle is numerically
-        // identical to sync_to + charge.
+    fn settle_pending_waited_at_issue_is_sync_then_charge() {
+        // A collective waited on at its issue clock hides nothing: with
+        // no other op in flight, the settle is sync_to + charge.
         let mut a = Timeline::new();
         a.charge(Cat::Spmm, 1.0);
-        a.settle_blocking(3.0, Cat::DenseComm, 0.5);
+        a.settle_pending(3.0, Cat::DenseComm, 0.5);
         let mut b = Timeline::new();
         b.charge(Cat::Spmm, 1.0);
         b.sync_to(3.0);
         b.charge(Cat::DenseComm, 0.5);
         assert_eq!(a.clock(), b.clock());
-        assert_eq!(a.seconds(Cat::Idle), b.seconds(Cat::Idle));
-        assert_eq!(a.seconds(Cat::DenseComm), b.seconds(Cat::DenseComm));
+        assert_eq!(a.report().seconds(Cat::Idle), b.report().seconds(Cat::Idle));
+        assert_eq!(
+            a.report().seconds(Cat::DenseComm),
+            b.report().seconds(Cat::DenseComm)
+        );
     }
 
     #[test]
@@ -460,8 +418,8 @@ mod tests {
         t.charge(Cat::Spmm, 5.0);
         t.settle_pending(1.0, Cat::DenseComm, 2.0);
         assert_eq!(t.clock(), 5.0);
-        assert_eq!(t.seconds(Cat::Overlapped), 2.0);
-        assert_eq!(t.seconds(Cat::DenseComm), 0.0);
+        assert_eq!(t.report().seconds(Cat::Overlapped), 2.0);
+        assert_eq!(t.report().seconds(Cat::DenseComm), 0.0);
     }
 
     #[test]
@@ -472,8 +430,8 @@ mod tests {
         t.charge(Cat::Spmm, 3.0);
         t.settle_pending(1.0, Cat::DenseComm, 4.0);
         assert_eq!(t.clock(), 5.0);
-        assert_eq!(t.seconds(Cat::Overlapped), 2.0);
-        assert_eq!(t.seconds(Cat::DenseComm), 2.0);
+        assert_eq!(t.report().seconds(Cat::Overlapped), 2.0);
+        assert_eq!(t.report().seconds(Cat::DenseComm), 2.0);
     }
 
     #[test]
@@ -484,9 +442,9 @@ mod tests {
         t.charge(Cat::Spmm, 1.0);
         t.settle_pending(4.0, Cat::DenseComm, 2.0);
         assert_eq!(t.clock(), 6.0);
-        assert_eq!(t.seconds(Cat::Idle), 3.0);
-        assert_eq!(t.seconds(Cat::Overlapped), 0.0);
-        assert_eq!(t.seconds(Cat::DenseComm), 2.0);
+        assert_eq!(t.report().seconds(Cat::Idle), 3.0);
+        assert_eq!(t.report().seconds(Cat::Overlapped), 0.0);
+        assert_eq!(t.report().seconds(Cat::DenseComm), 2.0);
     }
 
     #[test]
@@ -498,12 +456,12 @@ mod tests {
         t.settle_pending(0.0, Cat::DenseComm, 4.0);
         t.settle_pending(0.0, Cat::DenseComm, 4.0);
         assert_eq!(t.clock(), 10.0);
-        assert_eq!(t.seconds(Cat::Overlapped), 8.0);
+        assert_eq!(t.report().seconds(Cat::Overlapped), 8.0);
         // A third op spills past the compute cover: 8→12, 2 uncovered.
         t.settle_pending(0.0, Cat::DenseComm, 4.0);
         assert_eq!(t.clock(), 12.0);
-        assert_eq!(t.seconds(Cat::Overlapped), 10.0);
-        assert_eq!(t.seconds(Cat::DenseComm), 2.0);
+        assert_eq!(t.report().seconds(Cat::Overlapped), 10.0);
+        assert_eq!(t.report().seconds(Cat::DenseComm), 2.0);
     }
 
     #[test]
@@ -511,7 +469,7 @@ mod tests {
         let mut t = Timeline::new();
         t.charge(Cat::Spmm, 2.0);
         t.settle_pending(0.5, Cat::DenseComm, 3.0);
-        t.settle_blocking(7.0, Cat::Misc, 0.25);
+        t.settle_pending(7.0, Cat::Misc, 0.25);
         let rep = t.report();
         assert!((rep.busy_seconds() - rep.clock).abs() < 1e-12);
         assert!(rep.seconds(Cat::Overlapped) > 0.0);
@@ -523,9 +481,9 @@ mod tests {
         t.record_traffic(Cat::SparseComm, 100);
         t.record_traffic(Cat::SparseComm, 50);
         t.record_traffic(Cat::DenseComm, 10);
-        assert_eq!(t.words(Cat::SparseComm), 150);
-        assert_eq!(t.messages(Cat::SparseComm), 2);
-        assert_eq!(t.comm_words(), 160);
+        assert_eq!(t.report().words(Cat::SparseComm), 150);
+        assert_eq!(t.report().messages(Cat::SparseComm), 2);
+        assert_eq!(t.report().comm_words(), 160);
         // Traffic does not advance the clock.
         assert_eq!(t.clock(), 0.0);
     }
@@ -535,12 +493,12 @@ mod tests {
         let mut t = Timeline::new();
         t.record_traffic(Cat::CacheHit, 500);
         t.record_traffic(Cat::DenseComm, 10);
-        assert_eq!(t.words(Cat::CacheHit), 500);
-        assert_eq!(t.messages(Cat::CacheHit), 1);
+        assert_eq!(t.report().words(Cat::CacheHit), 500);
+        assert_eq!(t.report().messages(Cat::CacheHit), 1);
         // Served stages cost no modeled time and stay out of the
         // dense+sparse wire total — the collapse remains visible.
         assert_eq!(t.clock(), 0.0);
-        assert_eq!(t.comm_words(), 10);
+        assert_eq!(t.report().comm_words(), 10);
         let rep = t.report();
         assert_eq!(rep.words(Cat::CacheHit), 500);
         assert!((rep.busy_seconds() - rep.clock).abs() < 1e-12);
@@ -597,8 +555,8 @@ mod tests {
         let mut m = Meter::new(model.clone());
         m.charge_gemm(10, 20, 30);
         let expect = model.gemm_time(10, 20, 30);
-        assert!((m.timeline.seconds(Cat::Gemm) - expect).abs() < 1e-18);
+        assert!((m.timeline.report().seconds(Cat::Gemm) - expect).abs() < 1e-18);
         m.charge_spmm(100, 10, 8);
-        assert!(m.timeline.seconds(Cat::Spmm) > 0.0);
+        assert!(m.timeline.report().seconds(Cat::Spmm) > 0.0);
     }
 }

@@ -237,8 +237,9 @@ pub(crate) enum CollectError {
     Abort(String),
     /// The rendezvous stayed incomplete past the collective timeout.
     Timeout {
-        /// How many members had arrived when time ran out.
-        arrived: usize,
+        /// How many members had arrived when time ran out, when the
+        /// transport knows.
+        arrived: Option<usize>,
     },
     /// The link itself failed: poisoned rendezvous, dead peer process,
     /// socket error. The string names the cause (and the rank, where
@@ -402,7 +403,9 @@ impl CommLink for SharedLink {
                         break;
                     }
                     let arrived = slots.get(&seq).map(|s| s.arrived).unwrap_or(0);
-                    return Err(CollectError::Timeout { arrived });
+                    return Err(CollectError::Timeout {
+                        arrived: Some(arrived),
+                    });
                 }
             }
         }

@@ -182,6 +182,44 @@ fn watchdog_detects_deadlock_over_socket() {
     );
 }
 
+/// With the watchdog off, the rendezvous timeout is the backstop. A
+/// socket client knows only that its own wait expired, so its message
+/// names the comm and seq and claims no arrival count; the thread
+/// transport counts the arrivals and says so.
+#[test]
+fn rendezvous_timeout_claims_only_what_the_transport_knows() {
+    let run = |transport| {
+        let err = std::panic::catch_unwind(|| {
+            Cluster::new(2)
+                .with_transport(transport)
+                .with_check(cagnet_comm::CheckMode::Off)
+                .with_timeout(Duration::from_millis(300))
+                .run_wire(|ctx| {
+                    if ctx.rank == 0 {
+                        ctx.world.barrier(); // rank 1 skips it
+                    }
+                })
+        })
+        .expect_err("an unmatched barrier must time out");
+        err.downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "(non-string panic)".to_string())
+    };
+    // The socket run first: a worker re-executes this test and must
+    // reach it as its target run.
+    let socket = run(TransportKind::Socket);
+    assert!(
+        socket.contains("collective deadlock: comm 1 seq 0: the rendezvous did not complete"),
+        "{socket}"
+    );
+    assert!(!socket.contains("arrived"), "{socket}");
+    let threads = run(TransportKind::Shared);
+    assert!(
+        threads.contains("collective deadlock: comm 1 seq 0: only 1/2 ranks arrived"),
+        "{threads}"
+    );
+}
+
 /// Hostile frame headers are rejected by `read_frame` before any body
 /// allocation: a corrupt magic, a bogus length, and a truncated header
 /// each produce a typed error, never an allocation or a hang.

@@ -39,16 +39,12 @@ pub struct TwoDimConfig {
     /// Algorithm 2 expressed as a divisor). 1 = one stage per fine block
     /// (widest panels, fewest messages).
     pub stages_per_block: usize,
-    /// Charge the paper-implementation's per-epoch matrix-transpose cost
-    /// ("trpose" in Figure 3): two local sparse transposes per epoch.
-    pub charge_transpose: bool,
 }
 
 impl Default for TwoDimConfig {
     fn default() -> Self {
         TwoDimConfig {
             stages_per_block: 1,
-            charge_transpose: true,
         }
     }
 }
@@ -164,7 +160,7 @@ impl Trainer<TwoDim> {
             jgroup: None,
             fiber: None,
             stages,
-            transpose_nnz: tcfg.charge_transpose.then(|| a_ij.nnz()),
+            transpose_nnz: Some(a_ij.nnz()),
             fwd: Side::new(problem.adj_t.block(r0, r1, c0, c1), needed_fwd),
             bwd: Side::new(a_ij, needed_bwd),
             output_ranks: (0..pr).map(|i| i * pc).collect(),

@@ -418,10 +418,7 @@ fn sub_staged_summa_is_bit_identical_across_tiers() {
                         epochs: 3,
                         comm_mode: mode,
                         overlap,
-                        twod: TwoDimConfig {
-                            stages_per_block,
-                            ..Default::default()
-                        },
+                        twod: TwoDimConfig { stages_per_block },
                         ..Default::default()
                     };
                     train_distributed(&problem, &cfg, algo, p, CostModel::summit_like(), &tc)
