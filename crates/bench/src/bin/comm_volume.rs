@@ -9,7 +9,17 @@
 //! Sparse-tier section: for 1D and 1.5D at `P = 4`, the reduce-scatter
 //! words a `SparsityAware` epoch meters are set against the prediction
 //! from the needed-row sets — `Σ min(k·(f+1), rows·f)` over every part a
-//! rank receives — and the binary exits non-zero on any mismatch.
+//! rank receives. The binary exits non-zero on any mismatch in this
+//! section or the next.
+//!
+//! Narrow-side section: for 2D (2×2, 2×3) and 3D (`P = 8`), the
+//! `DenseComm` words a Dense-tier epoch meters at every rank are set
+//! against the paper's broadcast form less the closed-form saving of
+//! moving the narrow side of each dense-weight product
+//! ([`cagnet_bench::grid_epoch_words`]), on a shape where both directions
+//! fire and on uniform widths, where the saving must be zero. Forcing the
+//! broadcast form in `dist/grid.rs` makes the first shape's rows
+//! mismatch.
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin comm_volume`
 
@@ -180,8 +190,49 @@ fn main() {
             );
         }
     }
+
+    println!("\nNARROW SIDE OF THE DENSE-WEIGHT PRODUCTS — closed form vs metered (Dense tier, words per epoch, all ranks)\n");
+    println!(
+        "{:<12} {:>5} {:>16} {:>15} {:>12} {:>15}",
+        "algorithm", "P", "dims", "broadcast form", "saved", "metered"
+    );
+    // Layers 0 and 2 narrow and hidden layer 1 widens past 2·f_in, so the
+    // forward reduce-scatters T·W terms and the backward gathers H¹; the
+    // uniform shape fires nothing and must save exactly zero.
+    let skewed = GcnConfig {
+        dims: vec![F, 12, 40, F],
+        ..gcn.clone()
+    };
+    for gcn in [&skewed, &gcn] {
+        for (algo, p) in [
+            (Algorithm::TwoD, 4),
+            (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
+            (Algorithm::ThreeD, 8),
+        ] {
+            let want = cagnet_bench::grid_epoch_words(problem.vertices(), &gcn.dims, algo, p);
+            let metered = cagnet_bench::epoch_dense_words(&problem, gcn, algo, p);
+            let exact =
+                (0..p).all(|r| metered[r] as i64 == want.broadcast_form[r] as i64 - want.saved[r]);
+            let uniform = gcn.dims.iter().all(|&f| f == F);
+            let verdict = if exact && uniform == want.saved.iter().all(|&w| w == 0) {
+                "ok"
+            } else {
+                mismatches += 1;
+                "MISMATCH"
+            };
+            println!(
+                "{:<12} {:>5} {:>16} {:>15} {:>12} {:>15} {verdict}",
+                algo.name(),
+                p,
+                format!("{:?}", gcn.dims),
+                want.broadcast_form.iter().sum::<u64>(),
+                want.saved.iter().sum::<i64>(),
+                metered.iter().sum::<u64>()
+            );
+        }
+    }
     if mismatches > 0 {
-        eprintln!("{mismatches} sparse reduce-scatter word count(s) differ from the prediction");
+        eprintln!("{mismatches} word count(s) differ from the prediction");
         std::process::exit(1);
     }
 }

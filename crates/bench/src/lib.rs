@@ -209,6 +209,118 @@ pub fn measure_epochs_traced(
     (row, r.traces)
 }
 
+/// Closed-form `DenseComm` words of one Dense-tier, f64-wire training
+/// epoch of the 2D (`TwoD`, `TwoDRect`) or 3D trainer at each rank, in
+/// world-rank order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GridWords {
+    /// With every dense-weight product in the paper's form: the forward
+    /// partial SUMMA broadcasts `T` blocks, the backward row-gathers `AG`.
+    pub broadcast_form: Vec<u64>,
+    /// What moving the narrow side saves against that: forward layers
+    /// with `f_out < f_in` reduce-scatter their `f_out`-wide terms; backward
+    /// layers with `f_in·(1 + [l > 0]) < f_out` row-gather `Hˡ`,
+    /// reduce-scatter the `f_in`-wide next gradient above layer 0, and
+    /// reduce a column block of `Y` instead of a row block.
+    pub saved: Vec<i64>,
+}
+
+/// [`GridWords`] of `algo` on `p` ranks for an `n`-vertex graph and layer
+/// widths `dims`, from the block partitions alone. Every member of a
+/// broadcast meters its words, an all-gather or reduce-scatter of `w`
+/// words over `m` members `⌊w·(m−1)/m⌋`, an all-reduce `⌊2w·(m−1)/m⌋`.
+pub fn grid_epoch_words(n: usize, dims: &[usize], algo: Algorithm, p: usize) -> GridWords {
+    use cagnet_sparse::partition::{block_range, block_ranges};
+    let len = |(a, b): (usize, usize)| b - a;
+    let part = |w: usize, m: usize| w * (m - 1) / m;
+    let allreduce = |w: usize, m: usize| 2 * w * (m - 1) / m;
+    let root = |e: u32| {
+        (1..=p)
+            .find(|q| q.pow(e) == p)
+            .unwrap_or_else(|| panic!("{} needs P = q^{e}, got {p}", algo.name()))
+    };
+    let mut out = GridWords::default();
+    for rank in 0..p {
+        // This rank's rows, its process-row size and index in it, the
+        // process-column size, the Y group size, the D-panel rows summed
+        // over the stages of one SpMM, and in 3D the fiber partial's rows.
+        let (rows, qr, j, qc, qy, d_rows, fiber) = match algo {
+            Algorithm::ThreeD => {
+                let q = root(3);
+                let (k, i, j) = (rank / (q * q), rank % (q * q) / q, rank % q);
+                let slab = len(block_range(n, q, i));
+                let d: usize = (0..q)
+                    .map(|s| len(block_range(len(block_range(n, q, s)), q, k)))
+                    .sum();
+                (len(block_range(slab, q, k)), q, j, q, q * q, d, slab)
+            }
+            Algorithm::TwoD | Algorithm::TwoDRect { .. } => {
+                let (pr, pc) = match algo {
+                    Algorithm::TwoDRect { pr, pc } => (pr, pc),
+                    _ => (root(2), root(2)),
+                };
+                let (i, j) = (rank / pc, rank % pc);
+                let fine = block_ranges(n, pr / cagnet_core::analysis::gcf(pr, pc) * pc);
+                let per = fine.len() / pr;
+                let rows = fine[i * per..(i + 1) * per].iter().map(|&b| len(b)).sum();
+                (rows, pc, j, pr, pr, n, 0)
+            }
+            other => panic!("{} is not a grid trainer", other.name()),
+        };
+        let cols = |f: usize| len(block_range(f, qr, j));
+        let spmm = |f: usize| d_rows * cols(f) * usize::from(qc > 1) + part(fiber * cols(f), qr);
+        let layers = dims.len() - 1;
+        let (mut words, mut saved) = (if p > 1 { 2 } else { 0 }, 0i64);
+        for l in 0..layers {
+            let (f_in, f_out) = (dims[l], dims[l + 1]);
+            let t_blocks = if qr > 1 { rows * f_in } else { 0 };
+            words += spmm(f_in) + t_blocks + spmm(f_out) + part(rows * f_out, qr);
+            words += allreduce(cols(f_in) * f_out, qy) + part(f_in * f_out, qr);
+            if l + 1 == layers {
+                words += part(rows * f_out, qr);
+            }
+            if qr > 1 && f_out < f_in {
+                saved += t_blocks as i64 - part(rows * f_out, qr) as i64;
+            }
+            let moved = if l > 0 { 2 * f_in } else { f_in };
+            if qr > 1 && moved < f_out {
+                let h = part(rows * f_in, qr) * if l > 0 { 2 } else { 1 };
+                saved += part(rows * f_out, qr) as i64 - h as i64;
+                saved += allreduce(cols(f_in) * f_out, qy) as i64
+                    - allreduce(f_in * cols(f_out), qy) as i64;
+            }
+        }
+        out.broadcast_form.push(words as u64);
+        out.saved.push(saved);
+    }
+    out
+}
+
+/// `DenseComm` words each rank meters in one Dense-tier training epoch
+/// (default run options otherwise): two epochs less one, so the setup's
+/// words cancel.
+pub fn epoch_dense_words(
+    problem: &Problem,
+    gcn: &GcnConfig,
+    algo: Algorithm,
+    p: usize,
+) -> Vec<u64> {
+    let words = |epochs| {
+        let tc = TrainConfig {
+            epochs,
+            collect_outputs: false,
+            ..Default::default()
+        };
+        let r = train_distributed(problem, gcn, algo, p, CostModel::summit_like(), &tc);
+        r.reports
+            .iter()
+            .map(|rep| rep.words(Cat::DenseComm))
+            .collect::<Vec<_>>()
+    };
+    let (one, two) = (words(1), words(2));
+    two.iter().zip(one).map(|(b, a)| b - a).collect()
+}
+
 /// Print rows as a JSON array on the final line (machine-readable trailer
 /// after the human tables).
 pub fn emit_json<T: Serialize>(rows: &[T]) {

@@ -1,13 +1,21 @@
 //! The shared body of the SUMMA family — 2D (Algorithm 2, §IV-C) and
 //! Split-3D-SpMM (§IV-D). `A`, `H` and `G` are block-2D over a process
 //! grid (in 3D, over each layer of the mesh) and `W` is replicated. Per
-//! layer, forward runs a SUMMA SpMM `T = AᵀH`, then a partial SUMMA
-//! against `W` (only `T` blocks move, along the process row); the output
-//! layer's `log_softmax` is not elementwise, so the process row
-//! all-gathers its `Z` blocks first (§IV-C.2, §IV-D.2). Backward runs the
-//! SUMMA SpMM for `AG`, row-all-gathers it once for both the weight
-//! gradient `Y = Hᵀ(AG)` (§IV-C.4) and `AG·Wᵀ`, and reduces `Y` over the
-//! ranks sharing the rank's feature columns.
+//! layer, forward runs a SUMMA SpMM `T = AᵀH`, then the product against
+//! `W` along the process row; the output layer's `log_softmax` is not
+//! elementwise, so the process row all-gathers its `Z` blocks first
+//! (§IV-C.2, §IV-D.2). Backward runs the SUMMA SpMM for `AG`, row-all-
+//! gathers one slab for both the weight gradient `Y = Hᵀ(AG)` (§IV-C.4)
+//! and `AG·Wᵀ`, and reduces `Y` over the ranks sharing the rank's feature
+//! columns.
+//!
+//! Each dense-weight product moves its narrow side across the process
+//! row ([`reduce_z`], [`gather_h`]): forward broadcasts the `f_in`-wide
+//! `T` blocks (the paper's partial SUMMA) unless the layer narrows, when
+//! each rank multiplies its own `T` block at width `f_out` and the row
+//! reduce-scatters the terms; backward gathers the `f_out`-wide `AG`
+//! unless the layer widens past what gathering `Hˡ` and reduce-scattering
+//! the `f_in`-wide next gradient move. Ties keep the paper's form.
 //!
 //! The two layouts differ only in data: the stage table ([`Stage`]), the
 //! `Y` reduction group, 3D's fiber reduce-scatter after each SpMM, 2D's
@@ -25,6 +33,23 @@ use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Whether layer `l`'s forward sums `T·W` by reduce-scattering the
+/// `f_out`-wide terms `T_ij · W[in-block j, :]` over a process row of `q`
+/// members, instead of broadcasting the `f_in`-wide `T` blocks: exactly
+/// when the layer narrows and the row moves anything at all.
+pub(crate) fn reduce_z(dims: &[usize], l: usize, q: usize) -> bool {
+    q > 1 && dims[l + 1] < dims[l]
+}
+
+/// Whether layer `l`'s backward row-gathers `Hˡ` (`f_in` wide) — and,
+/// above layer 0, reduce-scatters the `f_in`-wide terms of the next
+/// gradient — instead of row-gathering `AG` (`f_out` wide): exactly when
+/// that moves fewer columns over a process row of `q > 1` members.
+pub(crate) fn gather_h(dims: &[usize], l: usize, q: usize) -> bool {
+    let moved = if l > 0 { 2 * dims[l] } else { dims[l] };
+    q > 1 && moved < dims[l + 1]
+}
 
 /// One SUMMA stage as every rank sees it.
 pub(crate) struct Stage {
@@ -102,6 +127,17 @@ impl Grid {
     pub(crate) fn cols(&self, f: usize) -> Range<usize> {
         let (c0, c1) = block_range(f, self.row.size(), self.row.my_idx());
         c0..c1
+    }
+
+    /// Width of the widest slab a pass row-gathers: `Z^L`, and per
+    /// backward layer `AG` or `Hˡ` ([`gather_h`]).
+    pub(crate) fn widest_row_gather(&self, dims: &[usize]) -> usize {
+        let q = self.row.size();
+        (0..dims.len() - 1)
+            .map(|l| dims[if gather_h(dims, l, q) { l } else { l + 1 }])
+            .chain(dims.last().copied())
+            .max()
+            .unwrap_or(0)
     }
 
     pub(crate) fn owns_output(&self) -> bool {
@@ -198,10 +234,13 @@ impl Grid {
         out
     }
 
-    /// Partial SUMMA against the replicated `Wˡ`: `Z_ij = Σ_k T_ik ·
-    /// W[in-block k, out-block j]` over the process row. These stages stay
-    /// dense broadcasts in every tier: the stage GEMM reads *all* rows of
-    /// the broadcast `T` block, so a row gather would request every row
+    /// `Z_ij = Σ_k T_ik · W[in-block k, out-block j]` over the process
+    /// row, against the replicated `Wˡ`. When the layer narrows
+    /// ([`reduce_z`]), each rank forms its own term at the full output
+    /// width and the row reduce-scatters the terms. Otherwise this is the
+    /// paper's partial SUMMA: `q` stages, each broadcasting one `T` block.
+    /// Either way the exchange is dense in every tier: the GEMM reads
+    /// *all* rows of a `T` block, so a row gather would request every row
     /// and only add the per-row index words.
     fn partial_w(&self, s: &State, ctx: &Ctx, t_mine: &Arc<Mat>, l: usize) -> Mat {
         let (f_in, f_out) = (s.cfg.dims[l], s.cfg.dims[l + 1]);
@@ -209,6 +248,15 @@ impl Grid {
         let oc = self.cols(f_out);
         // The result is stored as `Z`.
         let mut out = s.ws.borrow_mut().keep_zeros(t_mine.rows(), oc.len());
+        if reduce_z(&s.cfg.dims, l, q) {
+            let ic = self.cols(f_in);
+            ctx.charge_gemm(t_mine.rows(), ic.len(), f_out);
+            let w_slice = s.weights[l].block(ic.start, ic.end, 0, f_out);
+            let mut term = s.ws.borrow_mut().zeros(t_mine.rows(), f_out);
+            matmul_acc_with(ctx.parallel(), t_mine, &w_slice, &mut term);
+            self.reduce_scatter_cols(&s.ws, term, &mut out);
+            return out;
+        }
         let issue = |k: usize| {
             let payload = (self.row.my_idx() == k).then(|| t_mine.clone());
             self.row.ibcast_shared(k, payload, Cat::DenseComm)
@@ -225,6 +273,48 @@ impl Grid {
             matmul_acc_with(ctx.parallel(), &t_hat, &w_slice, &mut out);
         });
         out
+    }
+
+    /// Sum `term` — this rank's `rows x f` term of a product the process
+    /// row splits by columns — over the row, writing this rank's columns
+    /// [`Grid::cols`]`(f)` of the sum over `out`. Laid out as `f x rows`,
+    /// the terms go through the dense row reduce-scatter, which delivers
+    /// member `j` exactly rows `block_range(f, q, j)`; the two transposes
+    /// are local and uncharged, like `hstack_into`.
+    fn reduce_scatter_cols(&self, ws: &RefCell<Workspace>, term: Mat, out: &mut Mat) {
+        let mut pool = ws.borrow_mut();
+        let mut term_t = pool.take(term.len());
+        term.transpose_into(&mut term_t);
+        pool.give(term);
+        let term_t = pool.lend(term_t);
+        let mut mine = pool.take(self.cols(term_t.rows()).len() * term_t.cols());
+        drop(pool);
+        self.row
+            .reduce_scatter_rows(term_t, None, &mut mine, Cat::DenseComm);
+        mine.transpose_into(out);
+        ws.borrow_mut().give(mine);
+    }
+
+    /// `G^{l-1}` on this rank's block when layer `l`'s backward gathered
+    /// `Hˡ` ([`gather_h`]): the term `AG_ij · W[:, out-block j]ᵀ` at the
+    /// full input width, summed over the process row, then the σ′ and
+    /// dropout tail of [`State::next_gradient`].
+    fn next_gradient_reduced(&self, s: &mut State, ctx: &Ctx, l: usize, ag: &Mat) -> Mat {
+        let f_in = s.cfg.dims[l];
+        let oc = self.cols(s.cfg.dims[l + 1]);
+        ctx.charge_gemm(ag.rows(), oc.len(), f_in);
+        let ws = s.ws.get_mut();
+        let mut w_t = ws.take(oc.len() * f_in);
+        s.weights[l]
+            .block(0, f_in, oc.start, oc.end)
+            .transpose_into(&mut w_t);
+        let mut term = ws.zeros(ag.rows(), f_in);
+        matmul_acc_with(ctx.parallel(), ag, &w_t, &mut term);
+        ws.give(w_t);
+        let mut g = ws.take(ag.rows() * self.cols(f_in).len());
+        self.reduce_scatter_cols(&s.ws, term, &mut g);
+        s.gradient_tail(ctx, l, &mut g);
+        g
     }
 
     /// All-gather a `Z^L` block along the process row into whole class
@@ -329,35 +419,58 @@ pub(crate) fn backward(g: &Grid, s: &mut State, ctx: &Ctx) {
         let (f_in, f_out) = (s.cfg.dims[l], s.cfg.dims[l + 1]);
         // AG = A G, saved and reused (§IV-C.4, §IV-D.4).
         let ag = g.aggregate(s, ctx, &g.bwd, &grad, l_total + l);
-        // Row all-gather of AG: serves both Y and A G Wᵀ. The local block
-        // moves into the collective, not a copy of it, and the gathered
-        // handles go before the next collective, so the peers' blocks are
-        // free again when they expect them to be.
         let ag = s.ws.get_mut().lend(ag);
-        let mut ag_row = s.ws.get_mut().take(my_rows * f_out);
+        // One row all-gather serves both Y and the next gradient: of AG,
+        // or of Hˡ when the layer widens. The local block rides into the
+        // collective as a shared handle, and the gathered handles go
+        // before the next collective, so the peers' blocks are free again
+        // when they expect them to be.
+        let h_side = gather_h(&s.cfg.dims, l, g.row.size());
+        let (mine, width) = if h_side {
+            (s.hs[l].clone(), f_in)
+        } else {
+            (ag.clone(), f_out)
+        };
+        let mut slab = s.ws.get_mut().take(my_rows * width);
         {
-            let parts = g.row.allgather_shared(ag, Cat::DenseComm);
-            Mat::hstack_into(&parts, &mut ag_row);
+            let parts = g.row.allgather_shared(mine, Cat::DenseComm);
+            Mat::hstack_into(&parts, &mut slab);
         }
-        // Y = (H^{l-1})ᵀ (A G): local slab product, reduction over the
-        // ranks sharing my feature columns, then row replication. With
-        // overlap on, the reduction is in flight while the G^{l-1} GEMM
-        // computes (both read only ag_row and replicated state).
-        ctx.charge_gemm(s.hs[l].cols(), my_rows, f_out);
-        let y_local = matmul_tn_with(ctx.parallel(), &s.hs[l], &ag_row);
+        // Y = (Hˡ)ᵀ (A G): a local product giving a block of Y's rows (AG
+        // slab) or columns (Hˡ slab), reduced over the ranks sharing my
+        // feature columns, then row-gathered. With overlap on, the
+        // reduction is in flight while the G^{l-1} GEMM computes (both
+        // read only local blocks and replicated state).
+        let (h, a) = if h_side {
+            (&slab, &*ag)
+        } else {
+            (&*s.hs[l], &slab)
+        };
+        ctx.charge_gemm(h.cols(), my_rows, a.cols());
+        let y_local = matmul_tn_with(ctx.parallel(), h, a);
         let reduce_y = || g.y_comm().iallreduce_mat(&y_local, Cat::DenseComm);
         let y_op = s.overlap.then(reduce_y);
         if l > 0 {
-            let next = s.next_gradient(ctx, l, &ag_row, g.cols(f_in));
+            let next = if h_side {
+                g.next_gradient_reduced(s, ctx, l, &ag)
+            } else {
+                s.next_gradient(ctx, l, &slab, g.cols(f_in))
+            };
             grad = s.ws.get_mut().lend(next);
         }
-        let y_j = y_op.unwrap_or_else(reduce_y).wait();
-        let y = Mat::vstack(&g.row.allgather(y_j, Cat::DenseComm));
+        let y_parts = g
+            .row
+            .allgather(y_op.unwrap_or_else(reduce_y).wait(), Cat::DenseComm);
+        let y = if h_side {
+            Mat::hstack(&y_parts)
+        } else {
+            Mat::vstack(&y_parts)
+        };
         debug_assert_eq!(y.shape(), (f_in, f_out));
         s.opt.step(l, &mut s.weights[l], &y);
         ctx.charge_elementwise(y.len());
         let ws = s.ws.get_mut();
-        ws.give(ag_row);
+        ws.give(slab);
         ws.end_layer();
     }
 }

@@ -426,13 +426,20 @@ impl State {
         ctx.charge_gemm(ag.rows(), w.cols(), w.rows());
         let mut g = self.ws.get_mut().zeros(ag.rows(), w.rows());
         matmul_nt_acc_with(ctx.parallel(), ag, w, &mut g);
-        self.act.mul_prime_assign(&mut g, &self.zs[l - 1]);
+        self.gradient_tail(ctx, l, &mut g);
+        g
+    }
+
+    /// The elementwise tail of [`State::next_gradient`]: `g ⊙ σ′(Z^{l-1})`
+    /// on this rank's block of `Z^{l-1}`, masked by layer `l − 1`'s
+    /// dropout, in place.
+    pub(crate) fn gradient_tail(&mut self, ctx: &Ctx, l: usize, g: &mut Mat) {
+        self.act.mul_prime_assign(g, &self.zs[l - 1]);
         if let Some(mask) = self.drop_masks[l - 1].take() {
-            hadamard_assign(&mut g, &mask);
+            hadamard_assign(g, &mask);
             self.ws.get_mut().give(mask);
         }
         ctx.charge_elementwise(g.len());
-        g
     }
 
     /// Words of the stored `H` and `Z` blocks plus the probabilities a

@@ -136,13 +136,14 @@ impl Layout for ThreeDim {
     /// is `n/q x f/q` — `q = ∛P` times larger than the rank's own
     /// `n/q² x f/q` state blocks.
     fn storage(&self, s: &State) -> StorageReport {
-        let f_max = s.cfg.f_max();
-        let q = self.0.row.size();
+        let g = &self.0;
+        let partial = g.fwd.rows() * s.cfg.f_max().div_ceil(g.row.size());
         StorageReport {
-            adjacency: self.0.adjacency_words(),
+            adjacency: g.adjacency_words(),
             dense_state: s.dense_words() + s.out_row.len(),
-            // Pre-fiber-reduction partial: n/q rows x ~f/q cols.
-            intermediate: self.0.fwd.rows() * f_max.div_ceil(q) + s.hs[0].rows() * f_max,
+            // Pre-fiber-reduction partial (n/q rows x ~f/q cols) next to
+            // the widest row-gathered slab.
+            intermediate: partial + s.hs[0].rows() * g.widest_row_gather(&s.cfg.dims),
         }
     }
 }

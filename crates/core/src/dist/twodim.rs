@@ -188,8 +188,9 @@ impl Layout for TwoDim {
         StorageReport {
             adjacency: self.0.adjacency_words(),
             dense_state: s.dense_words() + s.out_row.len(),
-            // Row-all-gathered AG slab (n/Pr x f) dominates transients.
-            intermediate: s.hs[0].rows() * s.cfg.f_max(),
+            // The widest row-gathered slab (n/Pr rows) dominates
+            // transients.
+            intermediate: s.hs[0].rows() * self.0.widest_row_gather(&s.cfg.dims),
         }
     }
 }

@@ -206,7 +206,14 @@ impl Mat {
 
     /// Out-of-place transpose.
     pub fn transpose(&self) -> Mat {
-        let mut t = Mat::zeros(self.cols, self.rows);
+        let mut t = Mat::zeros(0, 0);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`Mat::transpose`] written over `out`, reusing its allocation.
+    pub fn transpose_into(&self, out: &mut Mat) {
+        out.reset(self.cols, self.rows);
         // Block the transpose for cache friendliness on large matrices.
         const B: usize = 32;
         for ib in (0..self.rows).step_by(B) {
@@ -215,12 +222,11 @@ impl Mat {
                 let jmax = (jb + B).min(self.cols);
                 for i in ib..imax {
                     for j in jb..jmax {
-                        t.data[j * self.rows + i] = self.data[i * self.cols + j];
+                        out.data[j * self.rows + i] = self.data[i * self.cols + j];
                     }
                 }
             }
         }
-        t
     }
 
     /// Extract the sub-matrix with rows `r0..r1` and columns `c0..c1`.
@@ -442,6 +448,26 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(0, 1)], 4.0);
         assert_eq!(t[(2, 0)], 3.0);
+    }
+
+    #[test]
+    fn transpose_into_reuses_a_dirty_buffer_bit_for_bit() {
+        // Shapes across the 32-wide cache blocks, and the empty edges;
+        // signed zeros and NaN payloads must move as bits.
+        let mut out = Mat::filled(40, 40, f64::NAN);
+        for (rows, cols) in [(0, 5), (5, 0), (0, 0), (1, 1), (33, 7), (7, 65)] {
+            let m = Mat::from_fn(rows, cols, |i, j| match (i + j) % 3 {
+                0 => -0.0,
+                1 => f64::from_bits(0x7ff8_0000_0000_0000 | (i * cols + j) as u64),
+                _ => (i as f64) - 0.5 * j as f64,
+            });
+            m.transpose_into(&mut out);
+            assert_eq!(out.shape(), (cols, rows));
+            let want = Mat::from_fn(cols, rows, |j, i| m[(i, j)]);
+            let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "{rows}x{cols}");
+            assert_eq!(bits(&m.transpose()), bits(&want), "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use cagnet::core::analysis::{self, Shape};
 use cagnet::core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet::core::{GcnConfig, Problem};
 use cagnet::sparse::generate::{rmat_symmetric, RmatParams};
+use cagnet_bench::{epoch_dense_words, grid_epoch_words};
 
 const F: usize = 16;
 const CLASSES: usize = 16;
@@ -171,6 +172,51 @@ fn sparse_traffic_only_in_2d_and_3d() {
     assert!(r2.reports.iter().any(|r| r.words(Cat::SparseComm) > 0));
     let r3 = train_distributed(&p, &gcn(), Algorithm::ThreeD, 8, model(), &tc);
     assert!(r3.reports.iter().any(|r| r.words(Cat::SparseComm) > 0));
+}
+
+#[test]
+fn narrow_side_drop_matches_closed_form_to_the_word() {
+    // Every dense-weight product of the grid family moves its narrow side
+    // across the process row. The metered Dense-tier epoch must equal the
+    // paper's broadcast form less the closed-form saving, word for word
+    // at every rank; with uniform widths nothing fires and the saving is
+    // zero.
+    let g = rmat_symmetric(8, 8, RmatParams::default(), 41); // 256 vertices
+    let shapes: [&[usize]; 3] = [
+        // Layer 0 and the output layer narrow; layer 1 widens past 2·f_in.
+        &[24, 7, 20, 5],
+        // Only layer 0's Y side fires.
+        &[5, 16, 16],
+        &[F, F, F],
+    ];
+    for dims in shapes {
+        let problem = Problem::synthetic(&g, dims[0], dims[dims.len() - 1], 1.0, 42);
+        let cfg = GcnConfig {
+            dims: dims.to_vec(),
+            lr: 0.01,
+            seed: 5,
+        };
+        for (algo, p) in [
+            (Algorithm::TwoD, 4),
+            (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
+            (Algorithm::ThreeD, 8),
+        ] {
+            let want = grid_epoch_words(problem.vertices(), dims, algo, p);
+            let metered = epoch_dense_words(&problem, &cfg, algo, p);
+            let uniform = dims.iter().all(|&f| f == dims[0]);
+            for (r, &m) in metered.iter().enumerate() {
+                let drop = want.broadcast_form[r] as i64 - m as i64;
+                assert_eq!(
+                    drop,
+                    want.saved[r],
+                    "{} P={p} {dims:?} rank {r}: metered {m}, broadcast form {}",
+                    algo.name(),
+                    want.broadcast_form[r]
+                );
+                assert_eq!(uniform, want.saved[r] == 0, "{dims:?} rank {r}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -87,6 +87,34 @@ fn two_d_memory_scales_with_p() {
 }
 
 #[test]
+fn grid_intermediate_is_the_widest_row_gathered_slab() {
+    // The 2D intermediate is the widest slab a pass row-gathers: `Z^L`,
+    // and per backward layer `AG` (f_out wide) — or `Hˡ` (f_in wide) when
+    // the layer widens past what gathering it moves (`dist/grid.rs`). On
+    // an Amazon-like [300, 16, 16, 24] nothing gathered is wider than 24
+    // columns, though f_max is 300; a hidden layer widening 8 → 40
+    // gathers `H¹` at 8 instead of `AG` at 40, which leaves `Z^L`'s 12
+    // the widest; uniform widths keep rows x f.
+    let g = rmat_symmetric(10, 8, RmatParams::default(), 81);
+    for (dims, widest) in [
+        (vec![300, 16, 16, 24], 24),
+        (vec![16, 8, 40, 12], 12),
+        (vec![F, F, F], F),
+    ] {
+        let prob = Problem::synthetic(&g, dims[0], dims[dims.len() - 1], 1.0, 82);
+        let cfg = GcnConfig { dims, ..gcn() };
+        let reports = Cluster::new(4).run(|ctx| {
+            let mut t = TwoDimTrainer::setup(ctx, &prob, &cfg, TwoDimConfig::default());
+            t.forward(ctx);
+            (t.storage_words(), prob.vertices() / 2)
+        });
+        for ((s, rows), _) in reports {
+            assert_eq!(s.intermediate, rows * widest, "{:?}", cfg.dims);
+        }
+    }
+}
+
+#[test]
 fn one5_d_memory_lives_in_partial_sums_not_adjacency() {
     // Our 1.5D variant stores only the A column slices each replica
     // actually multiplies, so per-rank adjacency stays ~nnz/P for every

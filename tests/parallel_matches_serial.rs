@@ -3,9 +3,9 @@
 //! epochs as the serial implementation, but also output the same
 //! embeddings up to floating point accumulation errors".
 
-use cagnet::comm::CostModel;
+use cagnet::comm::{CostModel, Precision};
 use cagnet::core::trainer::{train_distributed, Algorithm, TrainConfig};
-use cagnet::core::{GcnConfig, Problem, SerialTrainer};
+use cagnet::core::{CommMode, GcnConfig, Problem, SerialTrainer};
 use cagnet::sparse::generate::{erdos_renyi, rmat_symmetric, RmatParams};
 
 const EPOCHS: usize = 5;
@@ -20,20 +20,47 @@ fn gcn() -> GcnConfig {
     GcnConfig::three_layer(10, 7, 4)
 }
 
-fn serial_reference(p: &Problem) -> (Vec<f64>, Vec<cagnet::dense::Mat>, cagnet::dense::Mat) {
-    let mut t = SerialTrainer::new(p, gcn());
+/// Shapes where a grid-family dense-weight product moves its narrow side
+/// (`dist/grid.rs`), every width past the input indivisible by 2 and 3:
+/// only layer 0 narrows; layers 0 and 2 narrow and hidden layer 1 widens
+/// past `2·f_in`; only layer 0's `Y` side fires.
+fn narrow_side_shapes() -> Vec<(Problem, GcnConfig)> {
+    [vec![10, 5, 5, 7], vec![10, 5, 11, 7], vec![5, 11, 11]]
+        .into_iter()
+        .map(|dims| {
+            let g = erdos_renyi(58, 4.0, 13);
+            let problem = Problem::synthetic(&g, dims[0], dims[dims.len() - 1], 0.7, 113);
+            let cfg = GcnConfig {
+                dims,
+                lr: 0.05,
+                seed: 17,
+            };
+            (problem, cfg)
+        })
+        .collect()
+}
+
+fn serial_reference(
+    p: &Problem,
+    cfg: &GcnConfig,
+) -> (Vec<f64>, Vec<cagnet::dense::Mat>, cagnet::dense::Mat) {
+    let mut t = SerialTrainer::new(p, cfg.clone());
     let losses = t.train(EPOCHS);
     let _ = t.forward(); // refresh embeddings at the final weights
     (losses, t.weights().to_vec(), t.embeddings().clone())
 }
 
 fn check(algo: Algorithm, p: usize, problem: &Problem) {
-    let (s_losses, s_weights, s_emb) = serial_reference(problem);
+    check_shape(algo, p, problem, &gcn());
+}
+
+fn check_shape(algo: Algorithm, p: usize, problem: &Problem, cfg: &GcnConfig) {
+    let (s_losses, s_weights, s_emb) = serial_reference(problem, cfg);
     let tc = TrainConfig {
         epochs: EPOCHS,
         ..Default::default()
     };
-    let r = train_distributed(problem, &gcn(), algo, p, CostModel::summit_like(), &tc);
+    let r = train_distributed(problem, cfg, algo, p, CostModel::summit_like(), &tc);
     for (e, (a, b)) in s_losses.iter().zip(&r.losses).enumerate() {
         assert!(
             (a - b).abs() < TOL,
@@ -65,11 +92,63 @@ fn one5_d_matches_serial_across_replication_factors() {
     }
 }
 
+/// Every comm tier and overlap setting trains `algo` bit-identically at
+/// each wire precision. At f64 all six runs agree; under a narrow wire a
+/// broadcast root widens its own rounded block where a gather root keeps
+/// it exact, so there Dense agrees with itself across overlap and the two
+/// sparse tiers with each other.
+fn tiers_agree(algo: Algorithm, p: usize, problem: &Problem, cfg: &GcnConfig) {
+    for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+        let mut reference: Vec<(bool, cagnet::core::trainer::DistTrainResult)> = Vec::new();
+        for mode in [
+            CommMode::Dense,
+            CommMode::SparsityAware,
+            CommMode::Cached { refresh: 1 },
+        ] {
+            for overlap in [true, false] {
+                let tc = TrainConfig {
+                    epochs: 3,
+                    comm_mode: mode,
+                    overlap,
+                    precision,
+                    dropout: 0.25,
+                    ..Default::default()
+                };
+                let r = train_distributed(problem, cfg, algo, p, CostModel::summit_like(), &tc);
+                let sparse = mode != CommMode::Dense && precision != Precision::F64;
+                let case = format!(
+                    "{} P={p} {:?} {mode:?} overlap={overlap} {precision:?}",
+                    algo.name(),
+                    cfg.dims
+                );
+                match reference.iter().find(|(s, _)| *s == sparse) {
+                    Some((_, want)) => {
+                        assert_eq!(r.losses, want.losses, "{case}: losses");
+                        assert_eq!(r.weights, want.weights, "{case}: weights");
+                        assert_eq!(r.embeddings, want.embeddings, "{case}: embeddings");
+                    }
+                    None => reference.push((sparse, r)),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn two_d_matches_serial_across_grids() {
     let p = problem(58, 3);
     for ranks in [1, 4, 9, 16] {
         check(Algorithm::TwoD, ranks, &p);
+    }
+    for (problem, cfg) in narrow_side_shapes() {
+        for (algo, ranks) in [
+            (Algorithm::TwoD, 4),
+            (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
+            (Algorithm::TwoDRect { pr: 3, pc: 2 }, 6),
+        ] {
+            check_shape(algo, ranks, &problem, &cfg);
+            tiers_agree(algo, ranks, &problem, &cfg);
+        }
     }
 }
 
@@ -78,6 +157,10 @@ fn three_d_matches_serial_across_meshes() {
     let p = problem(64, 4);
     for ranks in [1, 8, 27] {
         check(Algorithm::ThreeD, ranks, &p);
+    }
+    for (problem, cfg) in narrow_side_shapes() {
+        check_shape(Algorithm::ThreeD, 8, &problem, &cfg);
+        tiers_agree(Algorithm::ThreeD, 8, &problem, &cfg);
     }
 }
 

@@ -15,33 +15,44 @@ fn gcn() -> GcnConfig {
 #[test]
 fn rect_grids_match_serial() {
     let g = erdos_renyi(60, 4.0, 31);
-    let problem = Problem::synthetic(&g, 12, 4, 0.8, 32);
-    let mut s = SerialTrainer::new(&problem, gcn());
-    let s_losses = s.train(4);
-    let tc = TrainConfig {
-        epochs: 4,
-        ..Default::default()
-    };
-    for (pr, pc) in [(2, 3), (3, 2), (1, 6), (6, 1), (4, 2), (2, 6), (5, 3)] {
-        let r = train_distributed(
-            &problem,
-            &gcn(),
-            Algorithm::TwoDRect { pr, pc },
-            pr * pc,
-            CostModel::summit_like(),
-            &tc,
-        );
-        for (e, (a, b)) in s_losses.iter().zip(&r.losses).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-8,
-                "grid {pr}x{pc}: loss diverges at epoch {e}: {a} vs {b}"
+    // The uniform-ish default, then shapes where a dense-weight product
+    // moves its narrow side along the process row: only layer 0 narrows;
+    // layers 0 and 2 narrow and hidden layer 1 widens past 2·f_in; only
+    // layer 0's Y side fires.
+    let shapes = [
+        gcn().dims,
+        vec![12, 5, 5, 7],
+        vec![12, 5, 11, 7],
+        vec![5, 11, 11],
+    ];
+    for dims in shapes {
+        let problem = Problem::synthetic(&g, dims[0], dims[dims.len() - 1], 0.8, 32);
+        let cfg = GcnConfig { dims, ..gcn() };
+        let mut s = SerialTrainer::new(&problem, cfg.clone());
+        let s_losses = s.train(4);
+        let tc = TrainConfig {
+            epochs: 4,
+            ..Default::default()
+        };
+        for (pr, pc) in [(2, 3), (3, 2), (1, 6), (6, 1), (4, 2), (2, 6), (5, 3)] {
+            let r = train_distributed(
+                &problem,
+                &cfg,
+                Algorithm::TwoDRect { pr, pc },
+                pr * pc,
+                CostModel::summit_like(),
+                &tc,
             );
-        }
-        for (l, (sw, dw)) in s.weights().iter().zip(&r.weights).enumerate() {
-            assert!(
-                sw.max_abs_diff(dw) < 1e-8,
-                "grid {pr}x{pc}: weight {l} differs"
-            );
+            let case = format!("grid {pr}x{pc} {:?}", cfg.dims);
+            for (e, (a, b)) in s_losses.iter().zip(&r.losses).enumerate() {
+                assert!(
+                    (a - b).abs() < 1e-8,
+                    "{case}: loss diverges at epoch {e}: {a} vs {b}"
+                );
+            }
+            for (l, (sw, dw)) in s.weights().iter().zip(&r.weights).enumerate() {
+                assert!(sw.max_abs_diff(dw) < 1e-8, "{case}: weight {l} differs");
+            }
         }
     }
 }

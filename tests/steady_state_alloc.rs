@@ -13,7 +13,9 @@
 //! also shows that buffer leaving and re-entering the pool. The 1D and 2D
 //! trainers run again with layer-0 operands 192 columns wide, where SpMM
 //! packs tiles of `B` into a pooled buffer, and so does the serial
-//! reference. The epoch-1 census is printed per cell — that is the
+//! reference; the 2D and 3D trainers run once more at widths where every
+//! dense-weight product moves its narrow side, both directions. The
+//! epoch-1 census is printed per cell — that is the
 //! workspace being built, and its total is the workspace footprint.
 //!
 //! Allocation sizes are observed through a counting global allocator,
@@ -136,6 +138,16 @@ fn no_large_allocation_after_the_second_epoch() {
     // epoch 5 to stop re-allocating a 64-80 KiB `Z` block whose kept
     // buffer a smaller request borrowed (with or without a pack buffer
     // in the pool), which is not what these cells are about.
+    //
+    // The last two move the narrow side of the dense-weight products
+    // (`dist/grid.rs`) both ways: layers 0 and 2 narrow, so the forward
+    // reduce-scatters transposed `T·W` terms, and layer 1 widens past
+    // 2·f_in, so the backward row-gathers `H¹` and reduce-scatters the
+    // transposed next-gradient terms — every such buffer 256 KiB here.
+    let both_sides = GcnConfig {
+        dims: vec![64, 32, 128, 32],
+        ..GcnConfig::three_layer(64, 32, 32)
+    };
     let narrow = GcnConfig::three_layer(64, 64, 64);
     let wide = GcnConfig::three_layer(192, 32, 32);
     let cells = [
@@ -146,6 +158,8 @@ fn no_large_allocation_after_the_second_epoch() {
         (Algorithm::ThreeD, 8, 4096, narrow),
         (Algorithm::OneD, 2, 1024, wide.clone()),
         (Algorithm::TwoD, 4, 2048, GcnConfig::three_layer(384, 8, 8)),
+        (Algorithm::TwoD, 4, 2048, both_sides.clone()),
+        (Algorithm::ThreeD, 8, 4096, both_sides),
     ];
     let modes = [
         CommMode::Dense,
