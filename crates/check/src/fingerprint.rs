@@ -28,8 +28,6 @@ pub enum CollectiveKind {
     AllreduceScalar,
     /// `reduce_scatter_rows(m, sends, out, cat)`.
     ReduceScatterRows,
-    /// `alltoall(parts, cat)`.
-    Alltoall,
     /// `igather_rows(root, data, needed, expect, cat)`, and
     /// `gather_rows` — the sparsity-aware variable-sized row exchange.
     GatherRows,
@@ -52,7 +50,6 @@ impl CollectiveKind {
             CollectiveKind::AllreduceMat => "allreduce_mat",
             CollectiveKind::AllreduceScalar => "allreduce_scalar",
             CollectiveKind::ReduceScatterRows => "reduce_scatter_rows",
-            CollectiveKind::Alltoall => "alltoall",
             CollectiveKind::GatherRows => "gather_rows",
             CollectiveKind::Split => "split",
             CollectiveKind::GatherRowsRefresh => "gather_rows_refresh",
@@ -78,8 +75,6 @@ pub enum Shape {
     Words(u64),
     /// Dense matrix dimensions (rows, cols).
     Dims(usize, usize),
-    /// Element count (e.g. parts in an all-to-all).
-    Count(usize),
 }
 
 impl Shape {
@@ -96,7 +91,6 @@ impl fmt::Display for Shape {
             Shape::Unknown => write!(f, "?"),
             Shape::Words(w) => write!(f, "{w} words"),
             Shape::Dims(r, c) => write!(f, "{r}x{c}"),
-            Shape::Count(n) => write!(f, "{n} parts"),
         }
     }
 }

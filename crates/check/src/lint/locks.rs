@@ -2,8 +2,9 @@
 //!
 //! Builds the Mutex acquisition graph: which lock is acquired while
 //! which other lock is held — across `diag.rs`
-//! (states/history/first_panic/abort), `proc.rs` (hub state, writer,
-//! rx, pending, children) and the rest of the comm layer — and flags
+//! (states/history/first_panic/abort), `transport.rs` (mailbox slots),
+//! `proc.rs` (hub state, unclaimed queues, client writer, children) and
+//! the rest of the comm layer — and flags
 //!
 //! * cyclic acquisition orders (two call paths taking the same pair of
 //!   locks in opposite orders can deadlock under the right

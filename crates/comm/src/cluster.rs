@@ -341,7 +341,7 @@ impl Cluster {
         F: Fn(&mut Ctx) -> R + Send + Sync,
     {
         let registry = Registry::for_run(self);
-        let world_link = SharedLink::world(&registry, self.size);
+        let world_link = SharedLink::world(&registry);
         let f = &f;
         std::thread::scope(|scope| {
             // The watchdog polls rank states and declares quiescent

@@ -28,7 +28,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -37,7 +36,7 @@ use crate::cost::{Cat, CommWords, CostModel};
 use crate::diag::Diagnostics;
 use crate::frame::{PackedMat, Precision, RowsPart, Wire};
 use crate::timeline::Meter;
-use crate::transport::{CollectError, CommInner, CommLink, RxPayload, TxDeposit, TxPayload};
+use crate::transport::{CollectError, CommLink, Mailbox, RxPayload, TxDeposit, TxPayload};
 use cagnet_check::fingerprint::{self, CollectiveKind, Fingerprint, Shape};
 use cagnet_check::waitgraph::{deadlock_report, HistoryEntry, SlotId, WaitSlot};
 use cagnet_check::CheckMode;
@@ -400,11 +399,11 @@ impl GatheredRows {
     }
 }
 
-/// One run's registry: creates communicator state on first touch so that
-/// `split` needs no out-of-band coordination.
+/// One run's registry: creates a shared-memory communicator's mailbox on
+/// first touch, by communicator id, so that `split` needs no
+/// out-of-band coordination.
 pub(crate) struct Registry {
-    comms: Mutex<HashMap<(u64, u64, u64), Arc<CommInner>>>,
-    next_id: AtomicU64,
+    comms: Mutex<HashMap<u64, Arc<Mailbox>>>,
     /// How long a rank waits at a collective before declaring the program
     /// deadlocked (collective order mismatch across ranks).
     pub(crate) timeout: Duration,
@@ -422,7 +421,6 @@ impl Registry {
     pub(crate) fn for_run(cluster: &Cluster) -> Arc<Self> {
         let registry = Registry {
             comms: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
             timeout: cluster.timeout,
             check: cluster.check,
             precision: cluster.precision,
@@ -432,26 +430,12 @@ impl Registry {
         Arc::new(registry)
     }
 
-    pub(crate) fn fresh_world(&self, size: usize) -> Arc<CommInner> {
-        Arc::new(CommInner::new(
-            self.next_id.fetch_add(1, Ordering::Relaxed),
-            size,
-        ))
-    }
-
-    pub(crate) fn get_or_create(&self, key: (u64, u64, u64), size: usize) -> Arc<CommInner> {
+    /// The mailbox of the shared-memory communicator `id`.
+    pub(crate) fn mailbox(&self, id: u64) -> Arc<Mailbox> {
         // The table stays consistent across a poisoning panic (plain
         // entry/insert), so recover the guard rather than cascading.
         let mut comms = self.comms.lock().unwrap_or_else(PoisonError::into_inner);
-        comms
-            .entry(key)
-            .or_insert_with(|| {
-                Arc::new(CommInner::new(
-                    self.next_id.fetch_add(1, Ordering::Relaxed),
-                    size,
-                ))
-            })
-            .clone()
+        comms.entry(id).or_default().clone()
     }
 }
 
@@ -597,14 +581,11 @@ impl Communicator {
                 let diag = &self.registry.diag;
                 let report =
                     deadlock_report(&diag.snapshot(), &diag.deposited(), &diag.histories());
-                let what = match arrived {
-                    Some(n) => format!("only {n}/{} ranks arrived", self.size()),
-                    None => "the rendezvous did not complete".to_string(),
-                };
                 panic!(
-                    "collective deadlock: comm {} seq {seq}: {what} within {:?} — ranks are \
-                     calling collectives in different orders\n{report}",
+                    "collective deadlock: comm {} seq {seq}: only {arrived}/{} ranks arrived \
+                     within {:?} — ranks are calling collectives in different orders\n{report}",
                     self.link.id(),
+                    self.size(),
                     self.registry.timeout
                 );
             }
@@ -1397,49 +1378,6 @@ impl Communicator {
         }
     }
 
-    /// All-to-all personalized exchange: `parts[j]` is sent to member `j`;
-    /// returns what each member sent to me, in member order. `parts` must
-    /// have exactly `size` entries.
-    pub fn alltoall<T: Any + Send + Sync + CommWords + Clone + Wire>(
-        &self,
-        parts: Vec<T>,
-        cat: Cat,
-    ) -> Vec<T> {
-        assert_eq!(
-            parts.len(),
-            self.size(),
-            "alltoall needs one part per member"
-        );
-        let fp = self.fingerprint(
-            CollectiveKind::Alltoall,
-            None,
-            std::any::type_name::<T>(),
-            Shape::Count(parts.len()),
-        );
-        self.issue_and_wait(
-            CollectiveKind::Alltoall,
-            cat,
-            fp,
-            TxPayload::of(Arc::new(parts)),
-            |comm, items| {
-                let me = comm.my_idx;
-                let out: Vec<T> = items
-                    .into_iter()
-                    .map(|item| item.extract::<Vec<T>>()[me].clone())
-                    .collect();
-                let recv_words: u64 = out
-                    .iter()
-                    .enumerate()
-                    .filter(|&(src, _)| src != me)
-                    .map(|(_, x)| x.comm_words())
-                    .sum();
-                let m = comm.model();
-                let cost = m.alpha * (comm.size() - 1) as f64 + m.beta * recv_words as f64;
-                (out, cost, recv_words)
-            },
-        )
-    }
-
     /// Split into sub-communicators by color (MPI `comm_split` without the
     /// key argument: member order within a color follows parent order).
     pub fn split(&self, color: u64) -> Communicator {
@@ -1461,7 +1399,7 @@ impl Communicator {
         let Some(my_pos) = group.iter().position(|&w| w == self.members[self.my_idx]) else {
             unreachable!("split: own color missing from own group")
         };
-        let link = self.link.derive(seq_for_key, color, group.len());
+        let link = self.link.derive(seq_for_key, color);
         Communicator {
             link,
             registry: self.registry.clone(),
@@ -1768,19 +1706,6 @@ mod tests {
         for (r, _) in &results {
             assert_eq!(r.shape(), (2, 1));
             assert!(r.approx_eq(&Mat::filled(2, 1, 3.0), 1e-12));
-        }
-    }
-
-    #[test]
-    fn alltoall_routes_parts() {
-        let results = Cluster::new(3).run(|ctx| {
-            let parts: Vec<f64> = (0..3).map(|j| (ctx.rank * 10 + j) as f64).collect();
-            ctx.world.alltoall(parts, Cat::DenseComm)
-        });
-        for (rank, (r, _)) in results.iter().enumerate() {
-            // From src j I receive j*10 + my_rank.
-            let expect: Vec<f64> = (0..3).map(|j| (j * 10 + rank) as f64).collect();
-            assert_eq!(*r, expect);
         }
     }
 
@@ -2259,7 +2184,6 @@ mod tests {
                     "allreduce_scalar",
                     "reduce_scatter_rows",
                     "reduce_scatter_rows_sparse",
-                    "alltoall",
                 ];
                 for name in names {
                     for behind_pending in [false, true] {
@@ -2306,7 +2230,7 @@ mod tests {
                                 "reduce_scatter_rows" => {
                                     world.reduce_scatter_rows(block, None, &mut out, dense)
                                 }
-                                "reduce_scatter_rows_sparse" => {
+                                _ => {
                                     let m = Mat::from_fn(rows, cols, |i, _| {
                                         if block_start(i) {
                                             1.5
@@ -2321,9 +2245,6 @@ mod tests {
                                         dense,
                                     )
                                 }
-                                _ => {
-                                    world.alltoall(vec![vec![1.5; 3]; p], dense);
-                                }
                             }
                             (before, ctx.report())
                         });
@@ -2337,7 +2258,7 @@ mod tests {
                             let others = p as u64 - 1;
                             let cat = match name {
                                 "barrier" => Cat::Misc,
-                                "allreduce_scalar" | "alltoall" => Cat::DenseComm,
+                                "allreduce_scalar" => Cat::DenseComm,
                                 _ => packed,
                             };
                             let (cost, words) = match name {
@@ -2368,17 +2289,13 @@ mod tests {
                                     let w = wire(rows * cols);
                                     (model.reduce_scatter_time(p, w), w * others / p as u64)
                                 }
-                                "reduce_scatter_rows_sparse" => {
+                                _ => {
                                     // Each peer's part: the indexed row, or
                                     // the whole block when not more words.
                                     let (r0, r1) = block_range(rows, p, rank);
                                     let part = (wire(cols) + 1).min(wire((r1 - r0) * cols));
                                     let w = others * part;
                                     (model.sparse_reduce_scatter_time(p, w), w)
-                                }
-                                _ => {
-                                    let w = others * 3;
-                                    (alpha * others as f64 + beta * w as f64, w)
                                 }
                             };
                             assert_eq!(after.clock, tmax.max(net_free) + cost, "{case}");

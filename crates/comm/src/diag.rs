@@ -67,14 +67,11 @@ impl Diagnostics {
 
     /// Set a rank's lifecycle phase (clears any wait registration).
     ///
-    /// `Done` and `Panicked` are terminal. On the socket transport a
-    /// rank's frames are handled by per-connection threads: the peer
-    /// that completes a collective marks the served members `Running`
-    /// *after* sending their collect frames, so a fast member can ship
-    /// its `RESULT` (→ `Done`) in that window and then be stomped back
-    /// to `Running` by the slower thread. The watchdog only exits when
-    /// every rank is terminal, so that lost update would hang the
-    /// launcher; refusing to leave a terminal phase closes the race.
+    /// `Done` and `Panicked` are terminal: no later update moves a rank
+    /// out of them. The watchdog only exits when every rank is terminal,
+    /// so a terminal phase overwritten by a late update — a worker's
+    /// mirrored frame handled after the monitor recorded its death, say —
+    /// would hang the launcher.
     pub fn set_phase(&self, rank: usize, phase: RankPhase) {
         let mut s = lock(&self.states);
         if let Some(snap) = s.get_mut(rank) {
@@ -100,9 +97,9 @@ impl Diagnostics {
     }
 
     /// Mark `rank` blocked on `wait` with no guard: used by the socket
-    /// hub to mirror a remote worker's WAIT frame into the launcher's
-    /// diagnostics (the matching transition back to running happens when
-    /// the hub serves the collect or the rank reports a result).
+    /// hub to mirror a remote worker's `WAIT` notice into the launcher's
+    /// diagnostics (the rank reads as running again from its next
+    /// `DEPOSIT`, and done from its `RESULT`).
     pub fn set_blocked(&self, rank: usize, wait: WaitSlot) {
         let mut s = lock(&self.states);
         if let Some(snap) = s.get_mut(rank) {

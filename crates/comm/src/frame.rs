@@ -32,19 +32,17 @@
 //! one byte range per member, tiling it in member order; the hub then
 //! forwards each member only its own part (a row gather's served rows, a
 //! request only the root reads, a reduce-scatter's rows of one member's
-//! block). A `Collect` body carries every member's
-//! `{entry clock, fingerprint, payload}` in member order, except that
-//! the receiving rank's own payload is sent with length 0 (it already
-//! holds it) and a parted payload is sent as the receiver's part.
+//! block). The hub forwards a deposit as a `Deposit` frame too: the same
+//! head without a part table, then the receiver's part — or, unparted,
+//! the whole payload — and never back to its sender.
 //!
 //! ## Copies
 //!
 //! Fixed-width runs (`u8`, `f64`, `usize`) are encoded and decoded in
 //! bulk ([`Wire::put_run`] / [`Wire::take_run`]), a `Deposit` body is
-//! built in one buffer ([`DepositMsg::encode`]), and both message
-//! parsers hand back payload *byte ranges* into the received body
-//! instead of copies, which [`write_frame_parts`] can forward from
-//! where they lie.
+//! built in one buffer ([`DepositMsg::encode`]), and its parser hands
+//! back the payload's *byte range* in the received body instead of a
+//! copy, which [`write_frame_parts`] can forward from where it lies.
 //!
 //! ## Determinism
 //!
@@ -71,8 +69,9 @@ pub const MAGIC: [u8; 4] = *b"CGNT";
 /// Wire protocol version (2: `Deposit` heads carry a part table; 3:
 /// fingerprints drop the send/recv partner field; 4: a [`RowsPart`]
 /// carries an index flag, and a reduce-scatter deposit is parted, one
-/// [`RowsPart`] per member).
-pub const VERSION: u8 = 4;
+/// [`RowsPart`] per member; 5: the hub forwards each `Deposit` at once,
+/// `Wait` is a one-way notice, and the `Collect` kind is gone).
+pub const VERSION: u8 = 5;
 /// Maximum accepted frame body length (1 GiB). Validated before any
 /// allocation happens.
 pub const MAX_FRAME: u32 = 1 << 30;
@@ -129,18 +128,18 @@ pub enum FrameKind {
     /// after connecting.
     Hello,
     /// Client → hub: one rank's deposit into a collective rendezvous.
+    /// Hub → client: another member's deposit, forwarded as it arrived,
+    /// carrying only the receiver's part of the payload.
     Deposit,
-    /// Client → hub: block until the rendezvous for `{comm, seq}` is
-    /// full; the hub answers with exactly one `Collect` or `Error`.
+    /// Client → hub: a one-way notice that the rank waits on the
+    /// rendezvous `{comm, seq}`, for the launcher's watchdog mirror. The
+    /// hub never answers it.
     Wait,
-    /// Hub → client: the deposit set of a completed rendezvous — every
-    /// member's clock and fingerprint, and every payload but the
-    /// receiver's own.
-    Collect,
     /// Client → hub: the rank's final `(result, timeline report)`.
     Result,
-    /// Hub → client: the rendezvous cannot complete (peer death, abort,
-    /// deadlock); the message names the failing rank where known.
+    /// Hub → client: the run cannot go on (peer death, abort, deadlock,
+    /// a refused frame or `Hello`); the message names the failing rank
+    /// where known.
     Error,
     /// Client → hub: the rank panicked; carries `{during, message}` so
     /// the launcher's first-panic record matches the thread backend.
@@ -153,7 +152,7 @@ impl FrameKind {
             FrameKind::Hello => 1,
             FrameKind::Deposit => 2,
             FrameKind::Wait => 3,
-            FrameKind::Collect => 4,
+            // 4 was the retired hub → client `Collect`.
             FrameKind::Result => 5,
             FrameKind::Error => 6,
             FrameKind::Panic => 7,
@@ -165,7 +164,6 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::Deposit,
             3 => FrameKind::Wait,
-            4 => FrameKind::Collect,
             5 => FrameKind::Result,
             6 => FrameKind::Error,
             7 => FrameKind::Panic,
@@ -1124,14 +1122,13 @@ impl Wire for CollectiveKind {
             CollectiveKind::AllreduceMat => 3,
             CollectiveKind::AllreduceScalar => 4,
             CollectiveKind::ReduceScatterRows => 5,
-            CollectiveKind::Alltoall => 6,
             CollectiveKind::GatherRows => 10,
             CollectiveKind::Split => 11,
-            // Tags 7, 8 and 9 named the retired rooted gather, rooted
-            // scatter and paired point-to-point exchange; 12, 13, 14 and 16
-            // the retired split-phase twins of bcast, gather_rows,
-            // allreduce_mat and the refresh gather. They decode as out of
-            // range.
+            // Tag 6 named the retired all-to-all; 7, 8 and 9 the rooted
+            // gather, rooted scatter and paired point-to-point exchange;
+            // 12, 13, 14 and 16 the retired split-phase twins of bcast,
+            // gather_rows, allreduce_mat and the refresh gather. They
+            // decode as out of range.
             CollectiveKind::GatherRowsRefresh => 15,
         };
         out.push(tag);
@@ -1144,7 +1141,6 @@ impl Wire for CollectiveKind {
             3 => CollectiveKind::AllreduceMat,
             4 => CollectiveKind::AllreduceScalar,
             5 => CollectiveKind::ReduceScatterRows,
-            6 => CollectiveKind::Alltoall,
             10 => CollectiveKind::GatherRows,
             11 => CollectiveKind::Split,
             15 => CollectiveKind::GatherRowsRefresh,
@@ -1165,11 +1161,8 @@ impl Wire for Shape {
                 out.push(2);
                 r.put(out);
                 c.put(out);
-            }
-            Shape::Count(n) => {
-                out.push(3);
-                n.put(out);
-            }
+            } // Tag 3 was the retired all-to-all's part count; it decodes
+              // as out of range.
         }
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, FrameError> {
@@ -1177,7 +1170,6 @@ impl Wire for Shape {
             0 => Shape::Unknown,
             1 => Shape::Words(u64::take(r)?),
             2 => Shape::Dims(usize::take(r)?, usize::take(r)?),
-            3 => Shape::Count(usize::take(r)?),
             _ => return Err(FrameError::Malformed("shape tag out of range")),
         })
     }
@@ -1339,6 +1331,17 @@ impl DepositMsg {
     /// 8-byte length slot, then whatever `payload` appends — so the
     /// payload is encoded once, straight into the frame body.
     pub fn encode(&self, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = self.head(0);
+        let slot = out.len() - 8;
+        payload(&mut out);
+        let len = (out.len() - slot - 8) as u64;
+        out[slot..slot + 8].copy_from_slice(&len.to_le_bytes());
+        out
+    }
+
+    /// The body up to the payload of a deposit whose payload is
+    /// `payload_len` bytes: the head and the length.
+    pub(crate) fn head(&self, payload_len: usize) -> Vec<u8> {
         let mut out = Vec::new();
         self.comm.put(&mut out);
         self.seq.put(&mut out);
@@ -1349,11 +1352,7 @@ impl DepositMsg {
         self.dtype.put(&mut out);
         self.fp.put(&mut out);
         self.parts.put(&mut out);
-        let slot = out.len();
-        0u64.put(&mut out);
-        payload(&mut out);
-        let len = (out.len() - slot - 8) as u64;
-        out[slot..slot + 8].copy_from_slice(&len.to_le_bytes());
+        payload_len.put(&mut out);
         out
     }
 
@@ -1413,7 +1412,7 @@ fn check_tiling(parts: &[Range<usize>], members: usize, len: usize) -> Result<()
     Ok(())
 }
 
-/// `Wait` body: block for the rendezvous `{comm, seq}`.
+/// `Wait` body: the rank waits on the rendezvous `{comm, seq}`.
 #[derive(Clone, Debug)]
 pub struct WaitMsg {
     /// Communicator id.
@@ -1447,75 +1446,7 @@ impl Wire for WaitMsg {
     }
 }
 
-/// One member's entry in a `Collect` body.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CollectEntry {
-    /// The member's modeled entry clock.
-    pub entry: f64,
-    /// The member's CheckMode fingerprint, when checking is on.
-    pub fp: Option<Fingerprint>,
-    /// Where the member's encoded payload lies within the body (empty
-    /// for the receiving rank's own entry).
-    pub payload: Range<usize>,
-}
-
-/// `Collect` body: the completed rendezvous — every member's `(entry
-/// clock, fingerprint, payload bytes)` in member order. The hub never
-/// materialises one: it writes [`CollectMsg::put_head`], then per member
-/// [`CollectMsg::put_entry`] followed by the payload bytes from the
-/// stored deposit; the client parses the received body in place.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CollectMsg {
-    /// Communicator id (echoed for cross-checking).
-    pub comm: u64,
-    /// Collective sequence number (echoed for cross-checking).
-    pub seq: u64,
-    /// Per-member deposits in member order.
-    pub deposits: Vec<CollectEntry>,
-}
-
-impl CollectMsg {
-    /// Append the body prefix: rendezvous key and member count.
-    pub fn put_head(out: &mut Vec<u8>, comm: u64, seq: u64, members: usize) {
-        comm.put(out);
-        seq.put(out);
-        members.put(out);
-    }
-
-    /// Append one member's entry up to and including its payload byte
-    /// count; the `payload_len` payload bytes follow it on the wire.
-    pub fn put_entry(out: &mut Vec<u8>, entry: f64, fp: &Option<Fingerprint>, payload_len: usize) {
-        entry.put(out);
-        fp.put(out);
-        payload_len.put(out);
-    }
-
-    /// Parse a `Collect` body, locating each payload without copying it.
-    pub fn parse(body: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(body);
-        let comm = u64::take(&mut r)?;
-        let seq = u64::take(&mut r)?;
-        let n = r.count()?;
-        let mut deposits = Vec::with_capacity(n.min(r.reservable::<CollectEntry>()));
-        for _ in 0..n {
-            deposits.push(CollectEntry {
-                entry: f64::take(&mut r)?,
-                fp: <Option<Fingerprint> as Wire>::take(&mut r)?,
-                payload: r.counted_span()?,
-            });
-        }
-        if r.remaining() != 0 {
-            return Err(FrameError::Malformed("trailing bytes after value"));
-        }
-        Ok(CollectMsg {
-            comm,
-            seq,
-            deposits,
-        })
-    }
-}
-
-/// `Error` body: why a wait cannot be satisfied.
+/// `Error` body: why the run cannot go on.
 #[derive(Clone, Debug)]
 pub struct ErrorMsg {
     /// Human-readable failure, naming the responsible rank when known.
@@ -1695,11 +1626,11 @@ mod tests {
 
     #[test]
     fn retired_collective_kind_tags_are_out_of_range() {
-        // 7, 8 and 9 named the rooted gather, the rooted scatter and the
-        // paired point-to-point exchange; 12, 13, 14 and 16 the
-        // split-phase twins of bcast, gather_rows, allreduce_mat and the
-        // refresh gather; 17 was never assigned.
-        for tag in [7u8, 8, 9, 12, 13, 14, 16, 17] {
+        // 6 named the all-to-all; 7, 8 and 9 the rooted gather, the
+        // rooted scatter and the paired point-to-point exchange; 12, 13,
+        // 14 and 16 the split-phase twins of bcast, gather_rows,
+        // allreduce_mat and the refresh gather; 17 was never assigned.
+        for tag in [6u8, 7, 8, 9, 12, 13, 14, 16, 17] {
             match decode::<CollectiveKind>(&[tag]) {
                 Err(FrameError::Malformed("collective kind out of range")) => {}
                 other => panic!("tag {tag}: expected out of range, got {other:?}"),
@@ -1713,6 +1644,13 @@ mod tests {
         ] {
             assert_eq!(decode::<CollectiveKind>(&encode(&kind)).ok(), Some(kind));
         }
+        // Shape tag 3 was the all-to-all's part count.
+        let mut count = vec![3u8];
+        4usize.put(&mut count);
+        assert!(matches!(
+            decode::<Shape>(&count),
+            Err(FrameError::Malformed("shape tag out of range"))
+        ));
     }
 
     #[test]
@@ -2168,9 +2106,9 @@ mod tests {
         let large = vec![2u8; COALESCE_BELOW + 1];
         let parts: [&[u8]; 5] = [&small, &[], &large, &small, &small];
         let mut log = WriteLog(Vec::new(), Vec::new());
-        write_frame_parts(&mut log, FrameKind::Collect, &parts).expect("write");
+        write_frame_parts(&mut log, FrameKind::Deposit, &parts).expect("write");
         let mut whole = Vec::new();
-        write_frame(&mut whole, FrameKind::Collect, &parts.concat()).expect("write");
+        write_frame(&mut whole, FrameKind::Deposit, &parts.concat()).expect("write");
         assert_eq!(log.1, whole);
         // Header and leading small parts leave together, the large part
         // is written from where it lies, the trailing small parts leave
@@ -2187,36 +2125,13 @@ mod tests {
         // Never touched, so the zero pages cost no memory.
         let half = vec![0u8; (MAX_FRAME as usize >> 1) + 1];
         let mut log = WriteLog(Vec::new(), Vec::new());
-        let err = write_frame_parts(&mut log, FrameKind::Collect, &[&half, &half])
+        let err = write_frame_parts(&mut log, FrameKind::Deposit, &[&half, &half])
             .expect_err("must refuse");
         assert!(
             matches!(err, FrameError::Oversize(n) if n == MAX_FRAME + 2),
             "{err}"
         );
         assert!(log.0.is_empty(), "nothing may reach the stream");
-    }
-
-    #[test]
-    fn collect_body_roundtrips_with_payload_ranges() {
-        let fp = sample_deposit().fp;
-        let mut body = Vec::new();
-        CollectMsg::put_head(&mut body, 9, 4, 3);
-        CollectMsg::put_entry(&mut body, 0.25, &fp, 2);
-        body.extend_from_slice(&[7, 8]);
-        CollectMsg::put_entry(&mut body, 0.5, &None, 0);
-        CollectMsg::put_entry(&mut body, 0.75, &fp, 1);
-        body.push(9);
-        let msg = CollectMsg::parse(&body).expect("parse");
-        assert_eq!((msg.comm, msg.seq, msg.deposits.len()), (9, 4, 3));
-        let payloads: Vec<&[u8]> = msg
-            .deposits
-            .iter()
-            .map(|d| &body[d.payload.clone()])
-            .collect();
-        assert_eq!(payloads, [&[7u8, 8][..], &[], &[9]]);
-        assert_eq!(msg.deposits[0].fp, fp);
-        assert_eq!(msg.deposits[1].fp, None);
-        assert_eq!(msg.deposits[2].entry, 0.75);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A deterministic simulated distributed runtime: `P` ranks as threads,
 //! MPI-style communicators with split, bulk-synchronous collectives
-//! (broadcast, all-gather, all-reduce, reduce-scatter, all-to-all,
+//! (broadcast, row gather, all-gather, all-reduce, reduce-scatter,
 //! barrier), 2D/3D process grids, and an α–β + local-kernel cost model
 //! that meters every operation onto per-rank timelines.
 //!

@@ -4,18 +4,23 @@
 //! Topology is hub-and-spoke. The launcher (the process that called
 //! [`Cluster::run_wire`](crate::cluster::Cluster::run_wire)) binds a
 //! Unix domain socket, spawns `size - 1` worker processes by
-//! re-executing the current binary, and runs a **hub** that owns every
-//! rendezvous: clients send `DEPOSIT` and `WAIT` frames, the hub
-//! answers each `WAIT` with exactly one `COLLECT` (the member-ordered
-//! deposit set, minus the waiter's own payload, which it already
-//! holds) or `ERROR`. Rank 0 itself participates as an ordinary client
-//! over the same socket, so the protocol is exercised uniformly.
+//! re-executing the current binary, and runs a **hub** that routes
+//! frames between them and keeps no rendezvous state: a client's
+//! `DEPOSIT` is checked, mirrored, and forwarded at once to every other
+//! member of its group. Each client files its own deposits and the
+//! forwarded ones into its [`Mailbox`], and completes every collective
+//! from it exactly as threads do — so a prefetched stage's bytes move
+//! while the rank computes. A `WAIT` is a one-way notice for the
+//! watchdog mirror; an `ERROR` fails the rank's waiting and later
+//! collects. Rank 0 itself is a client too and receives over its own
+//! socket, but shares the hub's process, so it hands the hub its frames
+//! by a call instead of copying them through the socket.
 //!
 //! A payload is copied once per process it passes through: the sender
 //! encodes it straight into its `DEPOSIT` body, the hub keeps that
-//! received body as one shared buffer and writes each `COLLECT` from
-//! the stored buffers in place, and the receiver decodes on demand from
-//! a range of the one `COLLECT` body it read (DESIGN.md §11).
+//! received body as one shared buffer and writes each forward's part
+//! from it in place, and the receiver decodes on demand from a range of
+//! the forwarded body it read (DESIGN.md §11).
 //!
 //! Everything above [`CommLink`] is shared with the thread backend:
 //! entry clocks travel as exact `f64` bit patterns, CheckMode
@@ -47,23 +52,22 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use cagnet_check::fingerprint::Fingerprint;
 use cagnet_check::waitgraph::{HistoryEntry, RankPhase, SlotId, WaitSlot};
 
 use crate::cluster::{watchdog, Cluster, Ctx};
 use crate::comm::Registry;
 use crate::diag::FirstPanic;
 use crate::frame::{
-    self, CollectMsg, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg,
-    WaitMsg, Wire,
+    self, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg, WaitMsg, Wire,
 };
 use crate::timeline::TimelineReport;
 use crate::transport::{
-    CollectError, CommLink, Payload, RxDeposit, RxPayload, TxDeposit, WAIT_TICK,
+    derived_id, CollectError, CommLink, Mailbox, RxDeposit, RxPayload, TxDeposit, WAIT_TICK,
+    WORLD_COMM_ID,
 };
 use cagnet_check::fingerprint::CollectiveKind;
 
@@ -71,10 +75,9 @@ use cagnet_check::fingerprint::CollectiveKind;
 /// process startup and run replay).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The world communicator's id on the socket backend — matches the
-/// first id the shared backend's registry hands out, so slot labels in
-/// diagnostics read identically across transports.
-const WORLD_COMM_ID: u64 = 1;
+/// How long the hub waits for a fresh connection's `HELLO` before
+/// refusing it and accepting the next.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 // ---------------------------------------------------------------------
 // Run indexing and worker identity.
@@ -148,24 +151,19 @@ pub fn connect_with_retry(path: &Path, timeout: Duration) -> Result<UnixStream, 
     }
 }
 
-/// What the reader thread hands the collecting rank.
-enum Event {
-    Frame(Frame),
-    Closed(String),
-}
-
-/// One rank's connection to the hub: a writer half guarded by a mutex
-/// plus a dedicated reader thread feeding a channel. The reader thread
-/// exists so blocked collects can poll the abort flag every wait tick
-/// without read timeouts ever landing mid-frame on the socket.
+/// One rank's connection to the hub: a writer half guarded by a mutex,
+/// and the rank's [`Mailbox`], which a dedicated reader thread fills with
+/// the deposits the hub forwards. Collects wait on the mailbox, so they
+/// poll the abort flag every wait tick without a read timeout ever
+/// landing mid-frame on the socket.
 struct SocketClient {
     rank: usize,
     writer: Mutex<UnixStream>,
-    rx: Mutex<Receiver<Event>>,
-    /// This rank's own deposits, keyed by `(comm, seq)`: handed back as
-    /// the same `Arc` at collect time so a rank's view of its own
-    /// payload is zero-copy, exactly like the shared backend.
-    pending: Mutex<HashMap<(u64, u64), Payload>>,
+    /// The hub itself, for the launcher's rank 0, which shares its
+    /// process: that rank's frames are handed to the hub in the buffers
+    /// they were encoded into instead of being copied through the socket.
+    hub: Option<Arc<Hub>>,
+    mailbox: Arc<Mailbox>,
 }
 
 impl SocketClient {
@@ -175,43 +173,44 @@ impl SocketClient {
         world: usize,
         run: u64,
         timeout: Duration,
+        hub: Option<Arc<Hub>>,
     ) -> Result<Arc<Self>, String> {
-        let stream = connect_with_retry(path, timeout)?;
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| format!("rank {rank}: could not clone socket: {e}"))?;
+        let mut stream = connect_with_retry(path, timeout)?;
         frame::write_frame(
-            &mut writer,
+            &mut stream,
             FrameKind::Hello,
             &frame::encode(&HelloMsg { rank, world, run }),
         )
         .map_err(|e| format!("rank {rank}: hello failed: {e}"))?;
-        let (tx, rx) = mpsc::channel();
-        let mut reader = stream;
-        std::thread::spawn(move || loop {
-            match frame::read_frame(&mut reader) {
-                Ok(f) => {
-                    if tx.send(Event::Frame(f)).is_err() {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Event::Closed(format!("{e}")));
-                    return;
-                }
-            }
-        });
+        Self::start(rank, stream, hub)
+    }
+
+    /// The client of `rank` over a connection that has said `HELLO`: start
+    /// the reader thread that files what arrives into the mailbox.
+    fn start(rank: usize, stream: UnixStream, hub: Option<Arc<Hub>>) -> Result<Arc<Self>, String> {
+        let reader = stream
+            .try_clone()
+            .map_err(|e| format!("rank {rank}: could not clone socket: {e}"))?;
+        let mailbox = Arc::new(Mailbox::default());
+        {
+            let mailbox = mailbox.clone();
+            std::thread::spawn(move || read_loop(rank, reader, &mailbox));
+        }
         Ok(Arc::new(SocketClient {
             rank,
-            writer: Mutex::new(writer),
-            rx: Mutex::new(rx),
-            pending: Mutex::new(HashMap::new()),
+            writer: Mutex::new(stream),
+            hub,
+            mailbox,
         }))
     }
 
-    fn send(&self, kind: FrameKind, body: &[u8]) -> Result<(), String> {
+    fn send(&self, kind: FrameKind, body: Vec<u8>) -> Result<(), String> {
+        if let Some(hub) = &self.hub {
+            hub.on_frame(self.rank, Frame { kind, body });
+            return Ok(());
+        }
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        frame::write_frame(&mut *w, kind, body)
+        frame::write_frame(&mut *w, kind, &body)
             .map_err(|e| format!("rank {}: sending {kind:?} frame failed: {e}", self.rank))
     }
 
@@ -224,10 +223,74 @@ impl SocketClient {
     }
 }
 
-/// [`CommLink`] over a [`SocketClient`]. Splitting a communicator
-/// derives a new id deterministically from `(parent id, key seq,
-/// color)` — every member computes the same id with no extra round
-/// trip, and the hub just sees a fresh `(comm, seq)` keyspace.
+/// A client's reader thread: file every deposit the hub forwards into
+/// `mailbox`, and poison it — so the waiting collect and every later one
+/// fail by name — on an `ERROR`, a frame that breaks the protocol, or a
+/// lost connection.
+fn read_loop(rank: usize, mut stream: UnixStream, mailbox: &Mailbox) {
+    loop {
+        match frame::read_frame(&mut stream) {
+            Ok(fr) => {
+                if let Err(why) = file_forwarded(rank, fr, mailbox) {
+                    mailbox.poison(why);
+                }
+            }
+            Err(e) => {
+                return mailbox.poison(format!("connection to the launcher hub lost: {e}"));
+            }
+        }
+    }
+}
+
+/// File one frame from the hub into `rank`'s mailbox. The `Err` is why
+/// the mailbox must be poisoned: an `ERROR`'s own message, or a named
+/// protocol error.
+fn file_forwarded(rank: usize, fr: Frame, mailbox: &Mailbox) -> Result<(), String> {
+    match fr.kind {
+        FrameKind::Deposit => {
+            let (msg, payload) =
+                DepositMsg::parse(&fr.body).map_err(|e| format!("bad deposit frame: {e}"))?;
+            let at = format!("comm {} seq {}", msg.comm, msg.seq);
+            match msg.members.iter().position(|&m| m == rank) {
+                None => {
+                    return Err(format!(
+                        "protocol error: deposit at {at} for ranks {:?} was forwarded to rank \
+                         {rank}",
+                        msg.members
+                    ))
+                }
+                Some(me) if me == msg.my_idx => {
+                    return Err(format!(
+                        "protocol error: deposit at {at} forwarded to rank {rank} names its own \
+                         member index {me}"
+                    ))
+                }
+                Some(_) => {}
+            }
+            let dep = RxDeposit {
+                entry: msg.entry,
+                fp: msg.fp,
+                payload: RxPayload::Remote {
+                    body: Arc::new(fr.body),
+                    range: payload,
+                },
+            };
+            mailbox.file((msg.comm, msg.seq), &msg.members, msg.my_idx, dep)
+        }
+        FrameKind::Error => Err(match frame::decode::<ErrorMsg>(&fr.body) {
+            Ok(e) => e.message,
+            Err(e) => format!("bad error frame: {e}"),
+        }),
+        kind @ (FrameKind::Hello | FrameKind::Wait | FrameKind::Result | FrameKind::Panic) => Err(
+            format!("protocol error: unexpected {kind:?} frame from the hub"),
+        ),
+    }
+}
+
+/// [`CommLink`] over a [`SocketClient`]. Every communicator of the rank
+/// shares the client's one mailbox, keyed by communicator id, and a
+/// split derives its id with [`derived_id`] exactly as the thread
+/// backend does.
 struct SocketLink {
     id: u64,
     client: Arc<SocketClient>,
@@ -240,19 +303,6 @@ impl SocketLink {
             client,
         })
     }
-}
-
-/// FNV-1a over the three split coordinates, with the top bit forced so
-/// derived ids can never collide with the small world id.
-fn derived_id(parent: u64, key_seq: u64, color: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [parent, key_seq, color] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h | (1 << 63)
 }
 
 impl CommLink for SocketLink {
@@ -276,17 +326,23 @@ impl CommLink for SocketLink {
             members: members.to_vec(),
             entry: dep.entry,
             dtype: dep.payload.dtype.to_string(),
-            fp: dep.fp,
+            fp: dep.fp.clone(),
             parts: dep.payload.parts.clone(),
         }
         .encode(|out| dep.payload.encode_into(out));
+        // The rank's own deposit stays the same `Arc`, so its view of its
+        // own payload is zero-copy, exactly like the shared backend.
+        let own = RxDeposit {
+            entry: dep.entry,
+            fp: dep.fp,
+            payload: RxPayload::Local(dep.payload.local),
+        };
         self.client
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert((self.id, seq), dep.payload.local);
+            .mailbox
+            .file((self.id, seq), members, my_idx, own)
+            .map_err(CollectError::Transport)?;
         self.client
-            .send(FrameKind::Deposit, &body)
+            .send(FrameKind::Deposit, body)
             .map_err(CollectError::Transport)
     }
 
@@ -299,66 +355,26 @@ impl CommLink for SocketLink {
         abort: &dyn Fn() -> Option<String>,
         timeout: Duration,
     ) -> Result<Vec<RxDeposit>, CollectError> {
-        let msg = WaitMsg {
-            comm: self.id,
-            seq,
-            kind,
-            my_idx,
-            members: members.to_vec(),
-        };
-        self.client
-            .send(FrameKind::Wait, &frame::encode(&msg))
-            .map_err(CollectError::Transport)?;
-        let rx = self
-            .client
-            .rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut waited = Duration::ZERO;
-        loop {
-            match rx.recv_timeout(WAIT_TICK) {
-                Ok(Event::Frame(fr)) => {
-                    return match fr.kind {
-                        FrameKind::Collect => self.accept_collect(fr, seq, my_idx, members.len()),
-                        FrameKind::Error => match frame::decode::<ErrorMsg>(&fr.body) {
-                            Ok(e) => Err(CollectError::Transport(e.message)),
-                            Err(e) => Err(CollectError::Transport(format!("bad error frame: {e}"))),
-                        },
-                        kind @ (FrameKind::Hello
-                        | FrameKind::Deposit
-                        | FrameKind::Wait
-                        | FrameKind::Result
-                        | FrameKind::Panic) => Err(CollectError::Transport(format!(
-                            "protocol error: unexpected {kind:?} frame while awaiting a collect"
-                        ))),
-                    };
-                }
-                Ok(Event::Closed(why)) => {
-                    return Err(CollectError::Transport(format!(
-                        "connection to the launcher hub lost: {why}"
-                    )));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(why) = abort() {
-                        return Err(CollectError::Abort(why));
-                    }
-                    waited += WAIT_TICK;
-                    if waited >= timeout {
-                        // The hub holds the arrival counts; a socket
-                        // client only knows its own wait expired.
-                        return Err(CollectError::Timeout { arrived: None });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CollectError::Transport(
-                        "connection to the launcher hub lost".to_string(),
-                    ));
-                }
-            }
+        let key = (self.id, seq);
+        // The notice feeds the launcher's watchdog mirror of a worker; a
+        // complete slot is collected without a wait, and rank 0, beside
+        // the hub, keeps its own diagnostics.
+        if self.client.hub.is_none() && !self.client.mailbox.is_complete(key) {
+            let msg = WaitMsg {
+                comm: self.id,
+                seq,
+                kind,
+                my_idx,
+                members: members.to_vec(),
+            };
+            self.client
+                .send(FrameKind::Wait, frame::encode(&msg))
+                .map_err(CollectError::Transport)?;
         }
+        self.client.mailbox.collect(key, 1, abort, timeout)
     }
 
-    fn derive(&self, key_seq: u64, color: u64, _size: usize) -> Arc<dyn CommLink> {
+    fn derive(&self, key_seq: u64, color: u64) -> Arc<dyn CommLink> {
         Arc::new(SocketLink {
             id: derived_id(self.id, key_seq, color),
             client: self.client.clone(),
@@ -366,322 +382,137 @@ impl CommLink for SocketLink {
     }
 }
 
-impl SocketLink {
-    /// Turn a `COLLECT` frame into member-ordered deposits. The hub
-    /// sends this rank's own payload with length 0; its stored `Arc`
-    /// takes that place, and every remote payload stays a range of the
-    /// one received body until a collective extracts it.
-    fn accept_collect(
-        &self,
-        fr: Frame,
-        seq: u64,
-        my_idx: usize,
-        size: usize,
-    ) -> Result<Vec<RxDeposit>, CollectError> {
-        let msg = CollectMsg::parse(&fr.body)
-            .map_err(|e| CollectError::Transport(format!("bad collect frame: {e}")))?;
-        if msg.comm != self.id || msg.seq != seq {
-            return Err(CollectError::Transport(format!(
-                "protocol error: collect for comm {} seq {} while awaiting comm {} seq {seq}",
-                msg.comm, msg.seq, self.id
-            )));
+// ---------------------------------------------------------------------
+// Hub: the launcher-side router.
+// ---------------------------------------------------------------------
+
+/// One frame on a connection's queue.
+#[derive(Clone)]
+struct Outgoing {
+    kind: FrameKind,
+    /// The leading bytes of the body.
+    head: Vec<u8>,
+    /// The rest of the body: a range of a received body, written from
+    /// where it lies.
+    payload: Option<(Arc<Vec<u8>>, Range<usize>)>,
+}
+
+impl Outgoing {
+    fn error(why: &str) -> Self {
+        Outgoing {
+            kind: FrameKind::Error,
+            head: frame::encode(&ErrorMsg {
+                message: why.to_string(),
+            }),
+            payload: None,
         }
-        if msg.deposits.len() != size {
-            return Err(CollectError::Transport(format!(
-                "protocol error: collect carried {} deposits for a {size}-member rendezvous",
-                msg.deposits.len()
-            )));
-        }
-        let own = self
-            .client
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&(self.id, seq));
-        let Some(own) = own else {
-            return Err(CollectError::Transport(format!(
-                "protocol error: collect for comm {} seq {seq}, where this rank has no deposit \
-                 pending",
-                self.id
-            )));
-        };
-        let body = Arc::new(fr.body);
-        Ok(msg
-            .deposits
-            .into_iter()
-            .enumerate()
-            .map(|(idx, d)| RxDeposit {
-                entry: d.entry,
-                fp: d.fp,
-                payload: if idx == my_idx {
-                    RxPayload::Local(own.clone())
-                } else {
-                    RxPayload::Remote {
-                        body: body.clone(),
-                        range: d.payload,
-                    }
-                },
-            })
-            .collect())
     }
 }
 
-// ---------------------------------------------------------------------
-// Hub: the launcher-side rendezvous broker.
-// ---------------------------------------------------------------------
-
-/// A rank's contribution as the hub stores it: the received `DEPOSIT`
-/// body, whole and shared, plus what was parsed out of its head. The
-/// payload is never copied out of `body` — every `COLLECT` that carries
-/// it is written from this one buffer.
-struct HubDeposit {
-    entry: f64,
-    fp: Option<Fingerprint>,
-    body: Arc<Vec<u8>>,
+/// The `DEPOSIT` frames that forward `msg`, whose payload lies at
+/// `payload` in the received `body`, to every member but its sender: the
+/// same head without a part table, then the member's part — or the whole
+/// payload, unparted — written from `body` in place.
+fn forwards(
+    mut msg: DepositMsg,
+    body: &Arc<Vec<u8>>,
     payload: Range<usize>,
-    /// Each member's part of the payload, as ranges of `body`, when the
-    /// deposit is parted.
-    parts: Option<Vec<Range<usize>>>,
-}
-
-impl HubDeposit {
-    /// The bytes of this deposit that member `idx` is forwarded.
-    fn part_for(&self, idx: usize) -> Range<usize> {
-        match &self.parts {
-            None => self.payload.clone(),
-            Some(parts) => parts
-                .get(idx)
-                .cloned()
-                .unwrap_or(self.payload.start..self.payload.start),
+) -> Vec<(usize, Outgoing)> {
+    let parts = msg.parts.take();
+    let head = msg.head(0);
+    let len_at = head.len() - 8;
+    let mut out = Vec::with_capacity(msg.members.len().saturating_sub(1));
+    for (idx, &member) in msg.members.iter().enumerate() {
+        if idx == msg.my_idx {
+            continue;
         }
-    }
-}
-
-/// One `COLLECT` ready to be written: the small pieces (rendezvous key,
-/// then each member's clock, fingerprint and payload length) in one
-/// buffer, cut where a payload goes between them, and the payloads as
-/// references into the stored deposit bodies. Built under the state
-/// lock — a few dozen bytes and `Arc` clones — and written after it is
-/// released.
-struct Collect {
-    heads: Vec<u8>,
-    cuts: Vec<usize>,
-    payloads: Vec<(Arc<Vec<u8>>, Range<usize>)>,
-}
-
-impl Collect {
-    /// The frame body as the byte runs to write, in order.
-    fn parts(&self) -> Vec<&[u8]> {
-        let mut parts = Vec::with_capacity(2 * self.cuts.len());
-        let mut from = 0;
-        for (&cut, (body, range)) in self.cuts.iter().zip(&self.payloads) {
-            parts.push(&self.heads[from..cut]);
-            parts.push(&body[range.clone()]);
-            from = cut;
-        }
-        parts
-    }
-}
-
-/// One in-flight rendezvous on the hub.
-struct HubSlot {
-    members: Vec<usize>,
-    deposits: Vec<Option<HubDeposit>>,
-    /// World ranks whose `WAIT` arrived before the slot completed.
-    waiters: Vec<usize>,
-    /// How many `COLLECT`s have been served; the slot is dropped when
-    /// every member has been answered.
-    served: usize,
-}
-
-impl HubSlot {
-    fn complete(&self) -> bool {
-        self.deposits.iter().all(|d| d.is_some())
-    }
-
-    /// The `COLLECT` answering `rank`'s wait on this complete slot:
-    /// everyone's clock and fingerprint, everyone's payload — or, of a
-    /// parted payload, `rank`'s part — but `rank`'s own, for which the
-    /// client substitutes the `Arc` it kept.
-    fn collect_for(&self, key: (u64, u64), rank: usize) -> Collect {
-        let mut c = Collect {
-            heads: Vec::new(),
-            cuts: Vec::with_capacity(self.members.len()),
-            payloads: Vec::with_capacity(self.members.len()),
+        let part = match &parts {
+            None => payload.clone(),
+            Some(parts) => payload.start + parts[idx].start..payload.start + parts[idx].end,
         };
-        CollectMsg::put_head(&mut c.heads, key.0, key.1, self.members.len());
-        let me = self.members.iter().position(|&m| m == rank);
-        for (idx, dep) in self.deposits.iter().flatten().enumerate() {
-            let payload = match me {
-                Some(me) if me != idx => dep.part_for(me),
-                _ => dep.payload.start..dep.payload.start,
-            };
-            CollectMsg::put_entry(&mut c.heads, dep.entry, &dep.fp, payload.len());
-            c.cuts.push(c.heads.len());
-            c.payloads.push((dep.body.clone(), payload));
+        let mut head = head.clone();
+        head[len_at..].copy_from_slice(&(part.len() as u64).to_le_bytes());
+        out.push((
+            member,
+            Outgoing {
+                kind: FrameKind::Deposit,
+                head,
+                payload: Some((body.clone(), part)),
+            },
+        ));
+    }
+    out
+}
+
+/// A connection's writer thread: write every queued frame, in order, to
+/// `stream`, until the queue closes or a write fails (the peer is gone,
+/// which its connection reader reports).
+fn write_loop(mut stream: UnixStream, queue: Receiver<Outgoing>) {
+    for out in queue {
+        let payload = out
+            .payload
+            .as_ref()
+            .map_or(&[][..], |(buf, at)| &buf[at.clone()]);
+        if frame::write_frame_parts(&mut stream, out.kind, &[&out.head, payload]).is_err() {
+            return;
         }
-        c
     }
 }
 
 struct HubState {
-    slots: HashMap<(u64, u64), HubSlot>,
     /// Encoded `(result, report)` per worker rank; index 0 is unused
     /// (rank 0's result never travels through the hub).
     results: Vec<Option<Vec<u8>>>,
-    /// Death reason per rank, for fail-fast answers to later waits.
-    dead: Vec<Option<String>>,
+    /// Which ranks' deaths have been recorded.
+    dead: Vec<bool>,
 }
 
-/// What the hub owes after a `DEPOSIT` or `WAIT`: the `COLLECT`s to
-/// write (none while the rendezvous is incomplete), or why the frame
-/// is refused.
-type Outcome = Result<Vec<(usize, Collect)>, String>;
-
-impl HubState {
-    /// Store `rank`'s deposit in its slot, opening the slot on the
-    /// first arrival; the last arrival answers every parked waiter.
-    fn deposit(
-        &mut self,
-        rank: usize,
-        msg: DepositMsg,
-        body: Arc<Vec<u8>>,
-        payload: Range<usize>,
-    ) -> Outcome {
-        let key = (msg.comm, msg.seq);
-        let at = || format!("comm {} seq {}", msg.comm, msg.seq);
-        match msg.members.get(msg.my_idx) {
-            Some(&m) if m == rank => {}
-            Some(&m) => {
-                return Err(format!(
-                    "protocol error: deposit at {} names member index {}, which is rank {m}, \
-                     not the depositing rank {rank}",
-                    at(),
-                    msg.my_idx
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "protocol error: deposit at {} names member index {} of a {}-member group",
-                    at(),
-                    msg.my_idx,
-                    msg.members.len()
-                ))
-            }
-        }
-        let slot = self.slots.entry(key).or_insert_with(|| HubSlot {
-            members: msg.members.clone(),
-            deposits: msg.members.iter().map(|_| None).collect(),
-            waiters: Vec::new(),
-            served: 0,
-        });
-        if slot.members != msg.members {
-            return Err(format!(
-                "protocol error: deposit at {} lists members {:?} but the rendezvous was opened \
-                 with {:?}",
-                at(),
-                msg.members,
-                slot.members
-            ));
-        }
-        if slot.deposits[msg.my_idx].is_some() {
-            return Err(format!(
-                "rank deposited twice at {} — collective misuse",
-                at()
-            ));
-        }
-        let parts = msg.parts.map(|parts| {
-            parts
-                .into_iter()
-                .map(|p| payload.start + p.start..payload.start + p.end)
-                .collect()
-        });
-        slot.deposits[msg.my_idx] = Some(HubDeposit {
-            entry: msg.entry,
-            fp: msg.fp,
-            body,
-            payload,
-            parts,
-        });
-        if !slot.complete() {
-            return Ok(Vec::new());
-        }
-        let waiters = std::mem::take(&mut slot.waiters);
-        Ok(self.serve(key, waiters))
-    }
-
-    /// `rank` waits on `key`: answer at once when the rendezvous is
-    /// complete, park the rank otherwise.
-    fn wait(&mut self, rank: usize, key: (u64, u64)) -> Outcome {
-        // The waiter deposits before waiting, so its slot must still
-        // exist and list it; otherwise the protocol was violated.
-        let Some(slot) = self.slots.get_mut(&key) else {
-            return Err(format!(
-                "protocol error: wait for unknown rendezvous comm {} seq {}",
-                key.0, key.1
-            ));
-        };
-        if !slot.members.contains(&rank) {
-            return Err(format!(
-                "protocol error: rank {rank} waits on comm {} seq {}, a rendezvous of ranks {:?}",
-                key.0, key.1, slot.members
-            ));
-        }
-        if !slot.complete() {
-            slot.waiters.push(rank);
-            return Ok(Vec::new());
-        }
-        Ok(self.serve(key, vec![rank]))
-    }
-
-    /// Build the `COLLECT` for each of `ranks` from `key`'s complete
-    /// slot, and retire the slot once every member has been answered.
-    fn serve(&mut self, key: (u64, u64), ranks: Vec<usize>) -> Vec<(usize, Collect)> {
-        let Some(slot) = self.slots.get_mut(&key) else {
-            return Vec::new();
-        };
-        slot.served += ranks.len();
-        let ready = ranks
-            .into_iter()
-            .map(|rank| (rank, slot.collect_for(key, rank)))
-            .collect();
-        if slot.served == slot.members.len() {
-            self.slots.remove(&key);
-        }
-        ready
-    }
-}
-
-/// The rendezvous broker. Mirrors every remote rank's protocol traffic
-/// into the launcher's diagnostics so the watchdog and failure reports
-/// work identically to the thread backend; rank 0's own thread
-/// maintains its diagnostics directly, so its frames are not mirrored.
+/// The router between the ranks' connections. It keeps no rendezvous
+/// state: each `DEPOSIT` is forwarded at once to the other members, whose
+/// mailboxes complete the rendezvous. It mirrors every remote rank's
+/// deposits, waits, results and panics into the launcher's diagnostics so
+/// the watchdog and failure reports work identically to the thread
+/// backend; rank 0's own thread maintains its diagnostics directly, so
+/// its frames are not mirrored.
 ///
-/// Lock discipline: `state` guards the rendezvous tables and is held
-/// only to decide what to send; every socket write happens after it is
-/// released, under the target connection's own writer lock. A peer that
-/// stops draining its socket therefore blocks writes to itself and
-/// nothing else — not other ranks' rendezvous, not abort delivery.
+/// Writes: each rank's frames go onto its own queue, which one writer
+/// thread per connection drains, so a peer that stops draining its
+/// socket stalls its own queue and nothing else — not other ranks'
+/// forwards, not abort delivery. The queues exist from the start, so
+/// frames for a rank that has not connected yet wait for it. `state`
+/// guards results and deaths only and is never held across a send.
 struct Hub {
     registry: Arc<Registry>,
     size: usize,
-    /// Write half of each rank's connection, set once at its `HELLO`.
-    /// The lock is held for one whole frame so frames to a rank never
-    /// interleave.
-    conns: Vec<OnceLock<Mutex<UnixStream>>>,
+    /// Index of the socket run this hub serves; a `HELLO` must name it.
+    run: u64,
+    queues: Vec<Sender<Outgoing>>,
+    /// The draining end of each rank's queue until that rank's `HELLO`
+    /// claims it; a second `HELLO` for the rank finds it taken.
+    unclaimed: Mutex<Vec<Option<Receiver<Outgoing>>>>,
+    /// Set once the abort `ERROR` has been queued to every rank.
+    aborted: AtomicBool,
     state: Mutex<HubState>,
 }
 
 impl Hub {
-    fn new(registry: Arc<Registry>, size: usize) -> Self {
+    fn new(registry: Arc<Registry>, size: usize, run: u64) -> Self {
+        let (queues, unclaimed) = (0..size)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel();
+                (tx, Some(rx))
+            })
+            .unzip();
         Hub {
             registry,
             size,
-            conns: (0..size).map(|_| OnceLock::new()).collect(),
+            run,
+            queues,
+            unclaimed: Mutex::new(unclaimed),
+            aborted: AtomicBool::new(false),
             state: Mutex::new(HubState {
-                slots: HashMap::new(),
                 results: vec![None; size],
-                dead: vec![None; size],
+                dead: vec![false; size],
             }),
         }
     }
@@ -690,55 +521,73 @@ impl Hub {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn register_conn(&self, rank: usize, writer: UnixStream) {
-        if let Some(conn) = self.conns.get(rank) {
-            // One connection per rank per run; a second claimant of the
-            // same rank is ignored.
-            let _ = conn.set(Mutex::new(writer));
+    fn lock_unclaimed(&self) -> MutexGuard<'_, Vec<Option<Receiver<Outgoing>>>> {
+        self.unclaimed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admit a connection's `HELLO`: check it names this run's world and
+    /// a rank not yet connected, and start the rank's writer thread on
+    /// `stream`. The `Err` says why the `HELLO` is refused.
+    fn admit(&self, hello: &HelloMsg, stream: UnixStream) -> Result<(), String> {
+        let rank = hello.rank;
+        if hello.world != self.size {
+            return Err(format!(
+                "HELLO expects a {}-rank world, but this run has {}",
+                hello.world, self.size
+            ));
+        }
+        if hello.run != self.run {
+            return Err(format!(
+                "HELLO is for socket run {}, but this hub serves run {}",
+                hello.run, self.run
+            ));
+        }
+        let queue = match self.lock_unclaimed().get_mut(rank) {
+            None => {
+                return Err(format!(
+                    "HELLO names rank {rank} of a {}-rank world",
+                    self.size
+                ))
+            }
+            Some(slot) => slot.take(),
+        };
+        let Some(queue) = queue else {
+            return Err(format!("rank {rank} is already connected"));
+        };
+        std::thread::spawn(move || write_loop(stream, queue));
+        Ok(())
+    }
+
+    fn all_admitted(&self) -> bool {
+        self.lock_unclaimed().iter().all(Option::is_none)
+    }
+
+    /// Queue one frame for `rank`. A closed queue means its writer
+    /// stopped because the peer died, which its connection reader
+    /// reports.
+    fn send(&self, rank: usize, out: Outgoing) {
+        if let Some(queue) = self.queues.get(rank) {
+            let _ = queue.send(out);
         }
     }
 
-    /// Write one frame to `rank`, taking only that connection's writer
-    /// lock. Must not be called with the state lock held.
-    fn send(&self, rank: usize, kind: FrameKind, parts: &[&[u8]]) -> Result<(), FrameError> {
-        let Some(peer_writer) = self.conns.get(rank).and_then(OnceLock::get) else {
-            return Ok(());
-        };
-        let mut w = peer_writer.lock().unwrap_or_else(PoisonError::into_inner);
-        frame::write_frame_parts(&mut *w, kind, parts)
-    }
-
     fn send_error(&self, rank: usize, why: String) {
-        let body = frame::encode(&ErrorMsg { message: why });
-        // A send failure means the peer died; the connection reader
-        // will notice and take the run down with a named error.
-        let _ = self.send(rank, FrameKind::Error, &[&body]);
+        self.send(rank, Outgoing::error(&why));
     }
 
-    /// Act on an [`Outcome`] decided under the state lock, now that it
-    /// is released: write the `COLLECT`s, or refuse `rank`'s frame.
-    fn answer(&self, rank: usize, key: (u64, u64), outcome: Outcome) {
-        let ready = match outcome {
-            Ok(ready) => ready,
-            Err(why) => return self.send_error(rank, why),
-        };
-        for (waiter, collect) in ready {
-            // Only a refusal to send is answered; an I/O failure means
-            // the peer died, which its connection reader reports.
-            if let Err(e @ FrameError::Oversize(_)) =
-                self.send(waiter, FrameKind::Collect, &collect.parts())
-            {
-                self.send_error(
-                    waiter,
-                    format!(
-                        "collect for comm {} seq {} cannot be sent: {e}",
-                        key.0, key.1
-                    ),
-                );
-            }
-            if waiter != 0 {
-                self.registry.diag.set_phase(waiter, RankPhase::Running);
-            }
+    /// Queue one `ERROR` carrying `why` to every rank, the first time
+    /// only. Called on panic, death, and whenever the monitor thread
+    /// observes the abort flag (covering rank-0 panics and
+    /// watchdog-declared deadlocks).
+    fn abort(&self, why: &str) {
+        if self.aborted.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        let error = Outgoing::error(why);
+        for rank in 0..self.size {
+            self.send(rank, error.clone());
         }
     }
 
@@ -757,15 +606,44 @@ impl Hub {
                 Ok(m) => self.on_panic(rank, m),
                 Err(e) => self.send_error(rank, format!("bad panic frame: {e}")),
             },
-            kind @ (FrameKind::Hello | FrameKind::Collect | FrameKind::Error) => {
+            kind @ (FrameKind::Hello | FrameKind::Error) => {
                 self.send_error(rank, format!("unexpected {kind:?} frame from a client"))
             }
         }
     }
 
+    /// Check that `rank`'s deposit names it as its sender and only ranks
+    /// of this world as members, mirror it, and forward it.
     fn on_deposit(&self, rank: usize, msg: DepositMsg, body: Arc<Vec<u8>>, payload: Range<usize>) {
+        let at = || format!("comm {} seq {}", msg.comm, msg.seq);
+        let refusal = match msg.members.get(msg.my_idx) {
+            Some(&m) if m != rank => Some(format!(
+                "protocol error: deposit at {} names member index {}, which is rank {m}, not the \
+                 depositing rank {rank}",
+                at(),
+                msg.my_idx
+            )),
+            Some(_) => msg.members.iter().find(|&&m| m >= self.size).map(|m| {
+                format!(
+                    "protocol error: deposit at {} lists rank {m} of a {}-rank world",
+                    at(),
+                    self.size
+                )
+            }),
+            None => Some(format!(
+                "protocol error: deposit at {} names member index {} of a {}-member group",
+                at(),
+                msg.my_idx,
+                msg.members.len()
+            )),
+        };
+        if let Some(why) = refusal {
+            return self.send_error(rank, why);
+        }
         if rank != 0 {
-            self.registry.diag.record_deposit(
+            let diag = &self.registry.diag;
+            diag.set_phase(rank, RankPhase::Running);
+            diag.record_deposit(
                 rank,
                 HistoryEntry {
                     slot: SlotId {
@@ -777,11 +655,13 @@ impl Hub {
                 },
             );
         }
-        let key = (msg.comm, msg.seq);
-        let outcome = self.lock().deposit(rank, msg, body, payload);
-        self.answer(rank, key, outcome);
+        for (member, out) in forwards(msg, &body, payload) {
+            self.send(member, out);
+        }
     }
 
+    /// Mirror a worker's `WAIT` notice; it is never answered, and the
+    /// rank reads as running again from its next `DEPOSIT`.
     fn on_wait(&self, rank: usize, msg: WaitMsg) {
         if rank != 0 {
             self.registry.diag.set_blocked(
@@ -792,31 +672,10 @@ impl Hub {
                         seq: msg.seq,
                     },
                     kind: msg.kind,
-                    members: msg.members.clone(),
+                    members: msg.members,
                 },
             );
         }
-        let key = (msg.comm, msg.seq);
-        let outcome = {
-            let mut state = self.lock();
-            match self.wait_error(&state, &msg.members) {
-                Some(why) => Err(why),
-                None => state.wait(rank, key),
-            }
-        };
-        self.answer(rank, key, outcome);
-    }
-
-    fn wait_error(&self, state: &HubState, members: &[usize]) -> Option<String> {
-        if let Some(why) = self.registry.diag.abort_message() {
-            return Some(why);
-        }
-        for &m in members {
-            if let Some(reason) = state.dead.get(m).and_then(|d| d.as_ref()) {
-                return Some(format!("rank {m} worker process died ({reason})"));
-            }
-        }
-        None
     }
 
     fn on_result(&self, rank: usize, body: Vec<u8>) {
@@ -841,14 +700,14 @@ impl Hub {
         diag.set_phase(rank, RankPhase::Panicked);
         let why = format!("rank {rank} panicked during {}", msg.during);
         diag.set_abort(why.clone());
-        self.flush_waiters(&why);
+        self.abort(&why);
     }
 
     /// A client connection closed (or its process exited) without a
-    /// result: record the death, raise the abort flag, and answer every
-    /// parked waiter with a named error so no peer hangs until timeout.
-    /// Rank 0 lives in the launcher process, so its connection closing
-    /// is never a death. Idempotent.
+    /// result: record the death, raise the abort flag, and tell every
+    /// rank by name so no peer hangs until timeout. Rank 0 lives in the
+    /// launcher process, so its connection closing is never a death.
+    /// Idempotent.
     fn rank_closed(&self, rank: usize, reason: String) {
         if rank == 0 {
             return;
@@ -856,13 +715,11 @@ impl Hub {
         {
             let mut state = self.lock();
             let finished = state.results.get(rank).is_some_and(|r| r.is_some());
-            let already = state.dead.get(rank).is_some_and(|d| d.is_some());
+            let already = state.dead.get(rank).copied().unwrap_or(true);
             if finished || already {
                 return;
             }
-            if let Some(slot) = state.dead.get_mut(rank) {
-                *slot = Some(reason.clone());
-            }
+            state.dead[rank] = true;
         }
         let diag = &self.registry.diag;
         let during = diag.last_collective_label(rank);
@@ -874,31 +731,7 @@ impl Hub {
         diag.set_phase(rank, RankPhase::Panicked);
         let why = format!("rank {rank} worker process died ({reason})");
         diag.set_abort(why.clone());
-        self.flush_waiters(&why);
-    }
-
-    /// Answer every parked waiter with `why`. Called on panic, death,
-    /// and whenever the abort flag is observed by the monitor thread
-    /// (covering rank-0 panics and watchdog-declared deadlocks).
-    fn flush_waiters(&self, why: &str) {
-        let waiters: Vec<usize> = {
-            let mut state = self.lock();
-            state
-                .slots
-                .values_mut()
-                .flat_map(|slot| std::mem::take(&mut slot.waiters))
-                .collect()
-        };
-        if waiters.is_empty() {
-            return;
-        }
-        let body = frame::encode(&ErrorMsg {
-            message: why.to_string(),
-        });
-        for w in waiters {
-            // As in `send_error`: a failed send is a dead peer.
-            let _ = self.send(w, FrameKind::Error, &[&body]);
-        }
+        self.abort(&why);
     }
 
     fn all_worker_results(&self) -> bool {
@@ -915,39 +748,58 @@ impl Hub {
 // Connection handling.
 // ---------------------------------------------------------------------
 
+/// Accept connections until every rank has been admitted. Each `HELLO`
+/// is read here, one connection at a time and for at most
+/// [`HELLO_TIMEOUT`]; a refused one is answered with an `ERROR` naming
+/// why, its frames are never dispatched, and it takes no rank's place.
 fn accept_loop(listener: UnixListener, hub: Arc<Hub>) {
-    for _ in 0..hub.size {
-        let Ok((stream, _)) = listener.accept() else {
+    while !hub.all_admitted() {
+        let Ok((mut stream, _)) = listener.accept() else {
             return;
         };
-        let hub = hub.clone();
-        std::thread::spawn(move || handle_conn(stream, hub));
+        let admitted = read_hello(&mut stream).and_then(|hello| {
+            let writer = stream
+                .try_clone()
+                .map_err(|e| format!("could not clone socket: {e}"))?;
+            hub.admit(&hello, writer)?;
+            Ok(hello.rank)
+        });
+        match admitted {
+            Ok(rank) => {
+                let hub = hub.clone();
+                std::thread::spawn(move || handle_conn(rank, stream, &hub));
+            }
+            Err(why) => {
+                let body = frame::encode(&ErrorMsg { message: why });
+                let _ = frame::write_frame(&mut stream, FrameKind::Error, &body);
+            }
+        }
     }
 }
 
-fn handle_conn(mut stream: UnixStream, hub: Arc<Hub>) {
-    let hello: HelloMsg = match frame::read_frame(&mut stream) {
-        Ok(fr) if fr.kind == FrameKind::Hello => match frame::decode(&fr.body) {
-            Ok(h) => h,
-            Err(_) => return,
-        },
-        _ => return,
-    };
-    let rank = hello.rank;
-    if rank >= hub.size || hello.world != hub.size {
-        return;
+/// Read a fresh connection's `HELLO`, waiting at most [`HELLO_TIMEOUT`].
+fn read_hello(stream: &mut UnixStream) -> Result<HelloMsg, String> {
+    let fr = stream
+        .set_read_timeout(Some(HELLO_TIMEOUT))
+        .map_err(FrameError::Io)
+        .and_then(|()| frame::read_frame(stream))
+        .map_err(|e| format!("expected a HELLO frame: {e}"))?;
+    if fr.kind != FrameKind::Hello {
+        return Err(format!("expected a HELLO frame, got {:?}", fr.kind));
     }
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    hub.register_conn(rank, writer);
+    let hello = frame::decode(&fr.body).map_err(|e| format!("bad hello frame: {e}"))?;
+    stream
+        .set_read_timeout(None)
+        .map_err(|e| format!("could not clear the read timeout: {e}"))?;
+    Ok(hello)
+}
+
+/// Dispatch an admitted rank's frames until its connection closes.
+fn handle_conn(rank: usize, mut stream: UnixStream, hub: &Hub) {
     loop {
         match frame::read_frame(&mut stream) {
             Ok(fr) => hub.on_frame(rank, fr),
-            Err(e) => {
-                hub.rank_closed(rank, format!("connection lost: {e}"));
-                return;
-            }
+            Err(e) => return hub.rank_closed(rank, format!("connection lost: {e}")),
         }
     }
 }
@@ -1033,10 +885,9 @@ fn reap_children(children: &Mutex<Vec<(usize, Child)>>, kill: bool) {
     kids.clear();
 }
 
-/// The monitor thread: pumps the abort flag out to parked waiters
-/// (covering rank-0 panics and watchdog verdicts, which never pass
-/// through the hub) and detects worker processes that exit without
-/// reporting.
+/// The monitor thread: sends the abort flag out to every rank (covering
+/// rank-0 panics and watchdog verdicts, which never pass through the
+/// hub) and detects worker processes that exit without reporting.
 fn monitor_loop(
     hub: &Hub,
     children: &Mutex<Vec<(usize, Child)>>,
@@ -1052,7 +903,7 @@ fn monitor_loop(
     let mut exited_at: HashMap<usize, (Instant, String)> = HashMap::new();
     while !stop.load(Ordering::Relaxed) {
         if let Some(why) = registry.diag.abort_message() {
-            hub.flush_waiters(&why);
+            hub.abort(&why);
         }
         {
             let mut kids = children.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1096,7 +947,7 @@ where
         Ok(l) => l,
         Err(e) => panic!("socket transport: bind {} failed: {e}", sock_path.display()),
     };
-    let hub = Arc::new(Hub::new(registry.clone(), size));
+    let hub = Arc::new(Hub::new(registry.clone(), size, run_idx));
     {
         let hub = hub.clone();
         std::thread::spawn(move || accept_loop(listener, hub));
@@ -1117,21 +968,24 @@ where
     let f = &f;
     let registry_ref = &registry;
     let sock_ref = &sock_path;
+    let hub_ref = &hub;
     let rank0_res: Option<(R, TimelineReport)> = std::thread::scope(|scope| {
         if cl.check.is_on() {
             let registry = registry.clone();
             scope.spawn(move || watchdog(&registry));
         }
         let handle = scope.spawn(move || {
-            let client = match SocketClient::connect(sock_ref, 0, size, run_idx, CONNECT_TIMEOUT) {
-                Ok(c) => c,
-                Err(e) => {
-                    registry_ref
-                        .diag
-                        .set_abort(format!("rank 0 could not reach its own hub: {e}"));
-                    return None;
-                }
-            };
+            let beside = Some(hub_ref.clone());
+            let client =
+                match SocketClient::connect(sock_ref, 0, size, run_idx, CONNECT_TIMEOUT, beside) {
+                    Ok(c) => c,
+                    Err(e) => {
+                        registry_ref
+                            .diag
+                            .set_abort(format!("rank 0 could not reach its own hub: {e}"));
+                        return None;
+                    }
+                };
             let out = cl
                 .run_rank(registry_ref, SocketLink::world(client.clone()), 0, f)
                 .ok();
@@ -1210,17 +1064,23 @@ where
         "socket worker run {}: cluster size {} != spawned world size {}",
         env.run, cl.size, env.world
     );
-    let client =
-        match SocketClient::connect(&env.socket, env.rank, env.world, env.run, CONNECT_TIMEOUT) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("cagnet socket worker rank {}: {e}", env.rank);
-                std::process::exit(3);
-            }
-        };
+    let client = match SocketClient::connect(
+        &env.socket,
+        env.rank,
+        env.world,
+        env.run,
+        CONNECT_TIMEOUT,
+        None,
+    ) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("cagnet socket worker rank {}: {e}", env.rank);
+            std::process::exit(3);
+        }
+    };
     let link = SocketLink::world(client.clone());
     match cl.run_rank(&Registry::for_run(cl), link, env.rank, &f) {
-        Ok(done) => match client.send(FrameKind::Result, &frame::encode(&done)) {
+        Ok(done) => match client.send(FrameKind::Result, frame::encode(&done)) {
             Ok(()) => std::process::exit(0),
             Err(e) => {
                 eprintln!("cagnet socket worker rank {}: {e}", env.rank);
@@ -1232,7 +1092,7 @@ where
                 during: first.during,
                 message: first.message,
             };
-            let _ = client.send(FrameKind::Panic, &frame::encode(&msg));
+            let _ = client.send(FrameKind::Panic, frame::encode(&msg));
             std::process::exit(101);
         }
     }
@@ -1241,11 +1101,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use crate::transport::{SharedLink, TxPayload};
+    use std::io::{ErrorKind, Read};
 
     /// A hub for `size` ranks whose connections are socket pairs:
     /// `hub.on_frame(rank, ..)` stands in for `rank`'s connection
-    /// thread, and the hub's answers arrive on `peers[rank]`.
+    /// thread, and what the hub sends `rank` arrives on `peers[rank]`.
     struct Rig {
         hub: Arc<Hub>,
         peers: Vec<UnixStream>,
@@ -1253,13 +1114,18 @@ mod tests {
 
     fn rig(size: usize) -> Rig {
         let registry = Registry::for_run(&Cluster::new(size).with_timeout(Duration::from_secs(5)));
-        let hub = Arc::new(Hub::new(registry, size));
+        let hub = Arc::new(Hub::new(registry, size, 0));
         let peers = (0..size)
             .map(|rank| {
                 let (hub_end, peer) = UnixStream::pair().expect("socket pair");
                 peer.set_read_timeout(Some(Duration::from_secs(5)))
                     .expect("read timeout");
-                hub.register_conn(rank, hub_end);
+                let hello = HelloMsg {
+                    rank,
+                    world: size,
+                    run: 0,
+                };
+                hub.admit(&hello, hub_end).expect("admitted");
                 peer
             })
             .collect();
@@ -1324,50 +1190,18 @@ mod tests {
         deposit_with_parts(key, my_idx, members, payload, parts)
     }
 
-    /// Each member's payload bytes in a `COLLECT`.
-    fn payloads(fr: &Frame) -> Vec<Vec<u8>> {
-        assert_eq!(fr.kind, FrameKind::Collect);
-        let msg = CollectMsg::parse(&fr.body).expect("collect body");
-        msg.deposits
-            .iter()
-            .map(|d| fr.body[d.payload.clone()].to_vec())
-            .collect()
-    }
-
-    /// A deposit whose `payload_len` payload bytes are zero pages the
-    /// test never touches, so it can be huge without costing memory.
-    fn untouched_deposit(
-        key: (u64, u64),
-        my_idx: usize,
-        members: &[usize],
-        payload_len: usize,
-    ) -> Frame {
-        let head = deposit_head(key, my_idx, members).encode(|_| {});
-        let mut body = vec![0u8; head.len() + payload_len];
-        body[..head.len()].copy_from_slice(&head);
-        body[head.len() - 8..head.len()].copy_from_slice(&(payload_len as u64).to_le_bytes());
-        Frame {
-            kind: FrameKind::Deposit,
-            body,
-        }
-    }
-
-    fn wait(key: (u64, u64), my_idx: usize, members: &[usize]) -> Frame {
-        Frame {
-            kind: FrameKind::Wait,
-            body: frame::encode(&WaitMsg {
-                comm: key.0,
-                seq: key.1,
-                kind: CollectiveKind::Bcast,
-                my_idx,
-                members: members.to_vec(),
-            }),
-        }
-    }
-
     fn answer_to(peer: &UnixStream) -> Frame {
         let mut peer = peer;
-        frame::read_frame(&mut peer).expect("the hub answers")
+        frame::read_frame(&mut peer).expect("the hub sends a frame")
+    }
+
+    /// The next frame to `peer`, which must be a forwarded deposit: its
+    /// head and its payload bytes.
+    fn forward_to(peer: &UnixStream) -> (DepositMsg, Vec<u8>) {
+        let fr = answer_to(peer);
+        assert_eq!(fr.kind, FrameKind::Deposit);
+        let (msg, payload) = DepositMsg::parse(&fr.body).expect("forwarded body");
+        (msg, fr.body[payload].to_vec())
     }
 
     fn error_to(peer: &UnixStream) -> String {
@@ -1378,149 +1212,193 @@ mod tests {
             .message
     }
 
+    /// Whether nothing reaches `peer` for a tenth of a second.
+    fn silent(peer: &UnixStream) -> bool {
+        peer.set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("read timeout");
+        let mut peer_ref = peer;
+        let got = frame::read_frame(&mut peer_ref);
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        matches!(got, Err(FrameError::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut))
+    }
+
+    /// A client of `rank` whose hub end is the returned stream.
+    fn client(rank: usize) -> (Arc<SocketClient>, UnixStream) {
+        let (ours, hub_end) = UnixStream::pair().expect("socket pair");
+        hub_end
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        (
+            SocketClient::start(rank, ours, None).expect("client"),
+            hub_end,
+        )
+    }
+
+    fn send_to_client(hub_end: &UnixStream, fr: &Frame) {
+        let mut hub_end = hub_end;
+        frame::write_frame(&mut hub_end, fr.kind, &fr.body).expect("write to client");
+    }
+
+    fn collect(
+        link: &dyn CommLink,
+        seq: u64,
+        my_idx: usize,
+        members: &[usize],
+    ) -> Result<Vec<RxDeposit>, CollectError> {
+        let bcast = CollectiveKind::Bcast;
+        link.collect(
+            bcast,
+            seq,
+            my_idx,
+            members,
+            &|| None,
+            Duration::from_secs(5),
+        )
+    }
+
+    fn transport_error(got: Result<Vec<RxDeposit>, CollectError>) -> String {
+        match got {
+            Err(CollectError::Transport(why)) => why,
+            Ok(_) => panic!("the collect must fail"),
+            Err(_) => panic!("the collect must fail on the transport"),
+        }
+    }
+
+    fn unit_deposit() -> TxDeposit {
+        TxDeposit {
+            entry: 0.0,
+            fp: None,
+            payload: TxPayload::unit(),
+        }
+    }
+
     #[test]
     fn stalled_peer_blocks_neither_other_rendezvous_nor_abort_delivery() {
         let Rig { hub, peers } = rig(4);
-        // Rank 0 broadcasts 8 MiB to rank 1, whose socket nobody drains:
-        // the COLLECT write to it stalls once the socket buffer is full.
-        let pair = [0, 1];
-        hub.on_frame(0, deposit((1, 0), 0, &pair, &vec![7u8; 8 << 20]));
-        hub.on_frame(1, deposit((1, 0), 1, &pair, &[0]));
-        let stalled = {
-            let hub = hub.clone();
-            std::thread::spawn(move || hub.on_frame(1, wait((1, 0), 1, &pair)))
-        };
-        // The frame header arriving proves that write is in flight.
+        // Rank 0 broadcasts 8 MiB to ranks 1 and 2. Nobody drains rank
+        // 1's socket, so the forward to it stalls once the socket buffer
+        // is full; the frame header arriving proves that write is in
+        // flight.
+        let n = 8 << 20;
+        hub.on_frame(0, deposit((1, 0), 0, &[0, 1, 2], &vec![7u8; n]));
         let mut header = [0u8; frame::HEADER_LEN];
-        (&peers[1]).read_exact(&mut header).expect("collect header");
+        (&peers[1]).read_exact(&mut header).expect("forward header");
 
-        // Meanwhile ranks 2 and 3 rendezvous on another communicator and
-        // an abort is flushed — on a thread, so a hub that queues them
-        // behind the stalled write fails this test instead of hanging it.
+        // Meanwhile ranks 2 and 3 deposit on another communicator and
+        // the run aborts — on a thread, so a hub that writes them behind
+        // the stalled forward fails this test instead of hanging it.
         let (done_tx, done_rx) = mpsc::channel();
         {
             let hub = hub.clone();
             std::thread::spawn(move || {
                 let others = [2, 3];
                 for idx in 0..2 {
-                    hub.on_frame(others[idx], deposit((9, 0), idx, &others, &[0]));
+                    hub.on_frame(others[idx], deposit((9, 0), idx, &others, &[idx as u8]));
                 }
-                for idx in 0..2 {
-                    hub.on_frame(others[idx], wait((9, 0), idx, &others));
-                }
-                hub.flush_waiters("abort");
+                hub.abort("abort");
                 let _ = done_tx.send(());
             });
         }
         done_rx
             .recv_timeout(Duration::from_secs(1))
-            .expect("served within a second of the stall");
-        for rank in [2, 3] {
-            assert_eq!(answer_to(&peers[rank]).kind, FrameKind::Collect);
+            .expect("handled within a second of the stall");
+        // The other member of the stalled deposit gets its forward, the
+        // other rendezvous its forwards, everyone the error.
+        let (msg, payload) = forward_to(&peers[2]);
+        assert_eq!((msg.comm, msg.my_idx, payload.len()), (1, 0, n));
+        assert_eq!(forward_to(&peers[2]).1, [1]);
+        assert_eq!(forward_to(&peers[3]).1, [0]);
+        for rank in [0, 2, 3] {
+            assert_eq!(error_to(&peers[rank]), "abort");
         }
+        // Abort is sent once.
+        hub.abort("again");
+        assert!(silent(&peers[0]));
 
-        // Drain rank 1 so the stalled write, and its thread, finish.
+        // Drain rank 1: the stalled forward completes, then its error.
         let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
         let mut rest = vec![0u8; len as usize];
-        (&peers[1]).read_exact(&mut rest).expect("collect body");
-        stalled.join().expect("stalled writer thread");
+        (&peers[1]).read_exact(&mut rest).expect("forward body");
+        assert_eq!(error_to(&peers[1]), "abort");
     }
 
     #[test]
     fn frames_sent_to_the_wrong_side_are_named_protocol_errors() {
         // Client-only kinds at the hub, after the handshake.
         let Rig { hub, peers } = rig(2);
-        for kind in [FrameKind::Hello, FrameKind::Collect, FrameKind::Error] {
+        for kind in [FrameKind::Hello, FrameKind::Error] {
             hub.on_frame(1, Frame { kind, body: vec![] });
             let why = error_to(&peers[1]);
             assert_eq!(why, format!("unexpected {kind:?} frame from a client"));
         }
 
-        // Anything but a collect or an error at a client awaiting a collect.
-        let (ours, _theirs) = UnixStream::pair().expect("socket pair");
-        let (tx, rx) = mpsc::channel();
-        let link = SocketLink {
-            id: 7,
-            client: Arc::new(SocketClient {
-                rank: 1,
-                writer: Mutex::new(ours),
-                rx: Mutex::new(rx),
-                pending: Mutex::new(HashMap::new()),
-            }),
-        };
+        // Anything but a deposit or an error at a client fails its
+        // collects by name.
         for kind in [
             FrameKind::Hello,
-            FrameKind::Deposit,
             FrameKind::Wait,
             FrameKind::Result,
             FrameKind::Panic,
         ] {
-            tx.send(Event::Frame(Frame { kind, body: vec![] }))
-                .expect("reader channel");
-            let got = link.collect(
-                CollectiveKind::Bcast,
-                0,
-                1,
-                &[0, 1],
-                &|| None,
-                Duration::from_secs(5),
-            );
-            let Err(CollectError::Transport(why)) = got else {
-                panic!("a {kind:?} frame must fail the collect by name");
-            };
+            let (client, hub_end) = client(1);
+            let link = SocketLink { id: 7, client };
+            send_to_client(&hub_end, &Frame { kind, body: vec![] });
+            let why = transport_error(collect(&link, 0, 1, &[0, 1]));
             assert_eq!(
                 why,
-                format!("protocol error: unexpected {kind:?} frame while awaiting a collect")
+                format!("protocol error: unexpected {kind:?} frame from the hub")
             );
         }
     }
 
     #[test]
-    fn collect_omits_the_waiters_own_payload_and_forwards_the_stored_buffer() {
-        let Rig { hub, peers } = rig(2);
-        let (key, pair, n) = ((1, 3), [0, 1], 64 << 10);
-        let root = deposit(key, 0, &pair, &vec![0xAB; n]);
-        let root_buf = root.body.as_ptr();
-        hub.on_frame(0, root);
-        hub.on_frame(1, deposit(key, 1, &pair, &frame::encode(&())));
-        {
-            let state = hub.lock();
-            let slot = &state.slots[&key];
-            let stored = slot.deposits[0].as_ref().expect("root deposit stored");
-            // Ingest copied nothing: the hub holds the very buffer the
-            // frame arrived in, once.
-            assert_eq!(stored.body.as_ptr(), root_buf);
-            assert_eq!(Arc::strong_count(&stored.body), 1);
-            // And what goes out to the receiver is that buffer's bytes.
-            let collect = slot.collect_for(key, 1);
-            assert!(Arc::ptr_eq(&collect.payloads[0].0, &stored.body));
-            assert_eq!(
-                collect.parts()[1].as_ptr(),
-                stored.body[stored.payload.clone()].as_ptr()
-            );
+    fn deposits_are_forwarded_to_every_other_member_from_the_received_buffer() {
+        let Rig { hub, peers } = rig(3);
+        let (key, all, n) = ((1, 3), [0, 1, 2], 64 << 10);
+        let root = deposit(key, 0, &all, &vec![0xAB; n]);
+        let (head, payload) = DepositMsg::parse(&root.body).expect("root deposit");
+        // What goes out is the received buffer's bytes, in place: one
+        // forward per other member, each holding that very buffer.
+        let body = Arc::new(root.body.clone());
+        let outs = forwards(head.clone(), &body, payload.clone());
+        assert_eq!(outs.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [1, 2]);
+        for (_, out) in &outs {
+            let Some((buf, at)) = &out.payload else {
+                panic!("a forward carries the payload");
+            };
+            assert!(Arc::ptr_eq(buf, &body));
+            assert_eq!(*at, payload);
         }
-        hub.on_frame(0, wait(key, 0, &pair));
-        hub.on_frame(1, wait(key, 1, &pair));
-        let to_root = answer_to(&peers[0]);
-        let to_receiver = answer_to(&peers[1]);
-        assert_eq!(to_root.kind, FrameKind::Collect);
-        assert_eq!(to_receiver.kind, FrameKind::Collect);
-        assert!(to_root.body.len() < 256, "root was echoed its own payload");
-        // Same heads both ways; the root's carries the 1-byte bystander
-        // payload, the receiver's the n-byte root payload.
-        assert_eq!(to_receiver.body.len() - n, to_root.body.len() - 1);
+        assert_eq!(Arc::strong_count(&body), 3);
 
-        let at_root = CollectMsg::parse(&to_root.body).expect("root collect");
-        assert!(at_root.deposits[0].payload.is_empty());
-        assert_eq!(at_root.deposits[1].payload.len(), 1);
-        let at_receiver = CollectMsg::parse(&to_receiver.body).expect("receiver collect");
-        let got = &to_receiver.body[at_receiver.deposits[0].payload.clone()];
-        assert!(got.len() == n && got.iter().all(|&b| b == 0xAB));
-        assert!(at_receiver.deposits[1].payload.is_empty());
-        for d in at_root.deposits.iter().chain(&at_receiver.deposits) {
-            assert_eq!((d.entry, &d.fp), (0.5, &None), "clocks travel to everyone");
+        hub.on_frame(0, root);
+        for rank in [1, 2] {
+            let (msg, got) = forward_to(&peers[rank]);
+            assert_eq!(msg, head, "the head travels as sent");
+            assert!(got.len() == n && got.iter().all(|&b| b == 0xAB));
         }
-        assert!(hub.lock().slots.is_empty(), "slot retired once all served");
+        assert!(silent(&peers[0]), "the root was echoed its own deposit");
+
+        // The launcher's rank 0, beside the hub, hands its deposit over in
+        // memory; it is forwarded alike.
+        let (ours, _unused) = UnixStream::pair().expect("socket pair");
+        let client = SocketClient::start(0, ours, Some(hub.clone())).expect("client");
+        let beside = SocketLink { id: 1, client };
+        let tx = TxDeposit {
+            entry: 0.5,
+            fp: None,
+            payload: TxPayload::of(Arc::new(7u64)),
+        };
+        beside
+            .deposit(CollectiveKind::Bcast, 4, 0, &all, tx)
+            .unwrap_or_else(|_| panic!("deposit beside the hub"));
+        for rank in [1, 2] {
+            let (msg, got) = forward_to(&peers[rank]);
+            assert_eq!((msg.comm, msg.seq, msg.my_idx), (1, 4, 0));
+            assert_eq!(frame::decode::<u64>(&got).ok(), Some(7));
+        }
+        assert!(silent(&peers[0]));
     }
 
     #[test]
@@ -1530,61 +1408,44 @@ mod tests {
         let (requests, serve) = ((1, 0), (1, 1));
 
         // Round one: each receiver's request is parted to reach only the
-        // root, member 0, which deposits a unit.
-        hub.on_frame(0, deposit(requests, 0, &all, &[0]));
+        // root, member 0.
         hub.on_frame(1, parted_deposit(requests, 1, &all, &[1; 16], &[16, 0, 0]));
         hub.on_frame(2, parted_deposit(requests, 2, &all, &[2; 24], &[24, 0, 0]));
-        for (idx, &rank) in all.iter().enumerate() {
-            hub.on_frame(rank, wait(requests, idx, &all));
+        for (from, bytes) in [(1, vec![1; 16]), (2, vec![2; 24])] {
+            let (msg, got) = forward_to(&peers[0]);
+            assert_eq!((msg.my_idx, msg.parts, got), (from, None, bytes));
         }
-        let to_root = payloads(&answer_to(&peers[0]));
-        assert_eq!(
-            to_root,
-            [vec![], vec![1; 16], vec![2; 24]],
-            "only the requests"
-        );
-        for rank in [1, 2] {
-            let got = payloads(&answer_to(&peers[rank]));
-            assert_eq!(
-                got,
-                [vec![0], vec![], vec![]],
-                "rank {rank} sees no request"
-            );
+        for (rank, other) in [(1, 2), (2, 1)] {
+            let (msg, got) = forward_to(&peers[rank]);
+            assert_eq!(msg.my_idx, other);
+            assert!(got.is_empty(), "rank {rank} sees no request");
         }
 
         // Round two: the root serves 3000 bytes to member 1 and 5000 to
-        // member 2 in one deposit; the receivers deposit units.
+        // member 2 in one deposit; each part goes out from the one
+        // received body, in place.
         let mut served = vec![0xA1; 3000];
         served.extend_from_slice(&[0xA2; 5000]);
-        hub.on_frame(0, parted_deposit(serve, 0, &all, &served, &[0, 3000, 5000]));
-        hub.on_frame(1, deposit(serve, 1, &all, &[0]));
-        hub.on_frame(2, deposit(serve, 2, &all, &[0]));
-        {
-            let state = hub.lock();
-            let slot = &state.slots[&serve];
-            let stored = slot.deposits[0].as_ref().expect("root deposit stored");
-            let at = stored.payload.start;
-            for (rank, part) in [(1, at..at + 3000), (2, at + 3000..at + 8000)] {
-                // Each part goes out from the one stored body, in place.
-                let collect = slot.collect_for(serve, rank);
-                assert!(Arc::ptr_eq(&collect.payloads[0].0, &stored.body));
-                let sent = collect.parts()[1];
-                assert_eq!(sent.as_ptr(), stored.body[part.clone()].as_ptr());
-                assert_eq!(sent.len(), part.len());
-            }
+        let root = parted_deposit(serve, 0, &all, &served, &[0, 3000, 5000]);
+        let (head, payload) = DepositMsg::parse(&root.body).expect("serve deposit");
+        let body = Arc::new(root.body.clone());
+        let at = payload.start;
+        let outs = forwards(head, &body, payload);
+        for ((member, out), part) in outs.iter().zip([at..at + 3000, at + 3000..at + 8000]) {
+            let Some((buf, at)) = &out.payload else {
+                panic!("member {member}: a forward carries its part");
+            };
+            assert!(Arc::ptr_eq(buf, &body), "member {member}");
+            assert_eq!(*at, part);
         }
-        for (idx, &rank) in all.iter().enumerate() {
-            hub.on_frame(rank, wait(serve, idx, &all));
-        }
-        assert_eq!(payloads(&answer_to(&peers[0])), [vec![], vec![0], vec![0]]);
-        let to_one = answer_to(&peers[1]);
-        assert_eq!(payloads(&to_one), [vec![0xA1; 3000], vec![], vec![0]]);
-        let to_two = answer_to(&peers[2]);
-        assert_eq!(payloads(&to_two), [vec![0xA2; 5000], vec![0], vec![]]);
-        // Nothing but the part and the heads: the same heads both ways.
-        assert_eq!(to_one.body.len() - 3000, to_two.body.len() - 5000);
-        assert!(to_one.body.len() < 3000 + 128, "{}", to_one.body.len());
-        assert!(hub.lock().slots.is_empty(), "both slots retired");
+        hub.on_frame(0, root);
+        let (to_one, one) = forward_to(&peers[1]);
+        let (to_two, two) = forward_to(&peers[2]);
+        assert_eq!((one, two), (vec![0xA1; 3000], vec![0xA2; 5000]));
+        // Nothing but the part after the head: the same head both ways,
+        // with no part table.
+        assert_eq!(to_one, to_two);
+        assert_eq!(to_one.parts, None);
     }
 
     #[test]
@@ -1611,104 +1472,218 @@ mod tests {
                 "got: {got}"
             );
         }
-        assert!(hub.lock().slots.is_empty(), "refused deposits open no slot");
+        assert!(
+            silent(&peers[0]) && silent(&peers[2]),
+            "refused deposits forward nothing"
+        );
     }
 
     #[test]
     fn misaddressed_deposits_are_named_as_such() {
         let Rig { hub, peers } = rig(3);
         let all = [0, 1, 2];
-        hub.on_frame(1, deposit((1, 0), 5, &all, &[0]));
-        let why = error_to(&peers[1]);
+        for (frame, expect) in [
+            (
+                deposit((1, 0), 5, &all, &[0]),
+                "member index 5 of a 3-member group",
+            ),
+            (
+                deposit((1, 0), 2, &all, &[0]),
+                "which is rank 2, not the depositing rank 1",
+            ),
+            (
+                deposit((1, 0), 1, &[0, 1, 4], &[0]),
+                "lists rank 4 of a 3-rank world",
+            ),
+        ] {
+            hub.on_frame(1, frame);
+            let why = error_to(&peers[1]);
+            assert!(why.contains(expect), "got: {why}");
+        }
         assert!(
-            why.contains("member index 5 of a 3-member group"),
-            "got: {why}"
-        );
-        hub.on_frame(1, deposit((1, 0), 2, &all, &[0]));
-        let why = error_to(&peers[1]);
-        assert!(
-            why.contains("which is rank 2, not the depositing rank 1"),
-            "got: {why}"
-        );
-        assert!(hub.lock().slots.is_empty(), "refused deposits open no slot");
-
-        hub.on_frame(0, deposit((1, 0), 0, &all, &[0]));
-        hub.on_frame(1, deposit((1, 0), 1, &[0, 1], &[0]));
-        let why = error_to(&peers[1]);
-        assert!(
-            why.contains("lists members [0, 1] but the rendezvous was opened with [0, 1, 2]"),
-            "got: {why}"
-        );
-        // A genuine double deposit still reads as one.
-        hub.on_frame(0, deposit((1, 0), 0, &all, &[0]));
-        let why = error_to(&peers[0]);
-        assert!(why.contains("deposited twice"), "got: {why}");
-    }
-
-    #[test]
-    fn oversize_collect_is_refused_with_a_named_error() {
-        let Rig { hub, peers } = rig(3);
-        let (key, all) = ((1, 0), [0, 1, 2]);
-        // Two deposits of just over half the frame cap each: either fits
-        // a frame, their sum in one COLLECT does not.
-        let half = (frame::MAX_FRAME as usize >> 1) + 1;
-        hub.on_frame(0, untouched_deposit(key, 0, &all, half));
-        hub.on_frame(1, untouched_deposit(key, 1, &all, half));
-        hub.on_frame(2, deposit(key, 2, &all, &[0]));
-        hub.on_frame(2, wait(key, 2, &all));
-        let why = error_to(&peers[2]);
-        assert!(
-            why.contains("collect for comm 1 seq 0 cannot be sent")
-                && why.contains(&format!("{}-byte cap", frame::MAX_FRAME)),
-            "got: {why}"
+            silent(&peers[0]) && silent(&peers[2]),
+            "refused deposits forward nothing"
         );
     }
 
     #[test]
-    fn client_substitutes_its_own_deposit_and_refuses_a_collect_without_one() {
-        let (ours, _theirs) = UnixStream::pair().expect("socket pair");
-        let link = SocketLink {
-            id: 7,
-            client: Arc::new(SocketClient {
-                rank: 1,
-                writer: Mutex::new(ours),
-                rx: Mutex::new(mpsc::channel().1),
-                pending: Mutex::new(HashMap::new()),
-            }),
+    fn refused_hellos_are_named_and_take_no_ranks_place() {
+        let path = socket_path();
+        let _guard = SocketGuard(path.clone());
+        let listener = UnixListener::bind(&path).expect("bind");
+        let registry = Registry::for_run(&Cluster::new(2).with_timeout(Duration::from_secs(5)));
+        let hub = Arc::new(Hub::new(registry.clone(), 2, 0));
+        {
+            let hub = hub.clone();
+            std::thread::spawn(move || accept_loop(listener, hub));
+        }
+        let connect = |fr: Frame| {
+            let mut s = UnixStream::connect(&path).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            frame::write_frame(&mut s, fr.kind, &fr.body).expect("hello");
+            s
         };
-        let collect = || {
-            let mut body = Vec::new();
-            CollectMsg::put_head(&mut body, 7, 4, 2);
-            CollectMsg::put_entry(&mut body, 1.0, &None, 8);
-            body.extend_from_slice(&frame::encode(&42u64));
-            CollectMsg::put_entry(&mut body, 2.0, &None, 0);
-            Frame {
-                kind: FrameKind::Collect,
-                body,
-            }
+        let hello = |rank, world, run| Frame {
+            kind: FrameKind::Hello,
+            body: frame::encode(&HelloMsg { rank, world, run }),
         };
-        let Err(CollectError::Transport(why)) = link.accept_collect(collect(), 4, 1, 2) else {
-            panic!("a collect with no pending own deposit must be refused");
-        };
-        assert!(
-            why.contains("protocol error") && why.contains("no deposit pending"),
-            "got: {why}"
-        );
 
-        let own: Payload = Arc::new(9u64);
-        link.client
-            .pending
-            .lock()
-            .expect("pending")
-            .insert((7, 4), own.clone());
-        let Ok(deposits) = link.accept_collect(collect(), 4, 1, 2) else {
-            panic!("collect with a pending own deposit");
+        let one = connect(hello(1, 2, 0));
+        // A second claimant of rank 1 is refused by name, and closing it
+        // is no death of rank 1.
+        let duplicate = connect(hello(1, 2, 0));
+        assert_eq!(error_to(&duplicate), "rank 1 is already connected");
+        drop(duplicate);
+        for (fr, why) in [
+            (hello(7, 2, 0), "HELLO names rank 7 of a 2-rank world"),
+            (
+                hello(0, 3, 0),
+                "HELLO expects a 3-rank world, but this run has 2",
+            ),
+            (
+                hello(0, 2, 9),
+                "HELLO is for socket run 9, but this hub serves run 0",
+            ),
+            (
+                deposit((1, 0), 0, &[0, 1], &[0]),
+                "expected a HELLO frame, got Deposit",
+            ),
+        ] {
+            assert_eq!(error_to(&connect(fr)), why);
+        }
+
+        // Rank 0 still gets in, and its deposit reaches the first
+        // claimant of rank 1.
+        let zero = connect(hello(0, 2, 0));
+        let mut zero_ref = &zero;
+        let dep = deposit((1, 0), 0, &[0, 1], &[5]);
+        frame::write_frame(&mut zero_ref, dep.kind, &dep.body).expect("deposit");
+        assert_eq!(forward_to(&one).1, [5]);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(registry.diag.abort_message(), None, "the run goes on");
+    }
+
+    #[test]
+    fn client_hands_back_its_own_deposit_and_refuses_a_forward_in_its_place() {
+        let (client, hub_end) = client(1);
+        let link = SocketLink { id: 7, client };
+        let pair = [0, 1];
+        let own = Arc::new(9u64);
+        let tx = TxDeposit {
+            entry: 2.0,
+            fp: None,
+            payload: TxPayload::of(own.clone()),
+        };
+        link.deposit(CollectiveKind::Bcast, 4, 1, &pair, tx)
+            .unwrap_or_else(|_| panic!("own deposit"));
+        // The deposit went to the hub whole, as this rank's.
+        let (sent, payload) = forward_to(&hub_end);
+        assert_eq!((sent.comm, sent.seq, sent.my_idx), (7, 4, 1));
+        assert_eq!(frame::decode::<u64>(&payload).ok(), Some(9));
+
+        send_to_client(&hub_end, &deposit((7, 4), 0, &pair, &frame::encode(&42u64)));
+        let Ok(deposits) = collect(&link, 4, 1, &pair) else {
+            panic!("collect with both deposits");
         };
         assert_eq!(*deposits[0].payload.extract::<u64>(), 42);
+        assert_eq!(deposits[0].payload.wire_len(), 8);
+        assert_eq!((deposits[0].entry, deposits[1].entry), (0.5, 2.0));
         match &deposits[1].payload {
-            RxPayload::Local(p) => assert!(Arc::ptr_eq(p, &own)),
+            RxPayload::Local(p) => assert!(Arc::ptr_eq(
+                &p.clone().downcast::<u64>().expect("u64"),
+                &own
+            )),
             RxPayload::Remote { .. } => panic!("own slot must be the stored Arc"),
         }
+
+        // A forward naming this rank's own member index is a protocol
+        // error.
+        send_to_client(&hub_end, &deposit((7, 5), 1, &pair, &[0]));
+        let why = transport_error(collect(&link, 5, 1, &pair));
+        assert_eq!(
+            why,
+            "protocol error: deposit at comm 7 seq 5 forwarded to rank 1 names its own member \
+             index 1"
+        );
+    }
+
+    #[test]
+    fn mailbox_refuses_a_second_deposit_and_another_member_list_on_both_transports() {
+        let twice = "rank deposited twice at comm 1 seq 0 — collective misuse";
+        let mismatch = "protocol error: deposit at comm 1 seq 0 lists members [0, 2] but the \
+                        rendezvous was opened with [0, 1, 2]";
+
+        // Threads: the depositing rank is refused.
+        let registry = Registry::for_run(&Cluster::new(3));
+        let link = SharedLink::world(&registry);
+        let put = |idx, members: &[usize]| match link.deposit(
+            CollectiveKind::Bcast,
+            0,
+            idx,
+            members,
+            unit_deposit(),
+        ) {
+            Ok(()) => None,
+            Err(CollectError::Transport(why)) => Some(why),
+            Err(_) => panic!("a refused deposit is a transport error"),
+        };
+        assert_eq!(put(0, &[0, 1, 2]), None);
+        assert_eq!(put(0, &[0, 1, 2]).as_deref(), Some(twice));
+        assert_eq!(put(1, &[0, 2]).as_deref(), Some(mismatch));
+
+        // Sockets: the rank the deposit was forwarded to fails its
+        // collects by name.
+        for (second, why) in [
+            (deposit((1, 0), 0, &[0, 1, 2], &[0]), twice),
+            (deposit((1, 0), 0, &[0, 2], &[0]), mismatch),
+        ] {
+            let (client, hub_end) = client(2);
+            let link = SocketLink::world(client);
+            send_to_client(&hub_end, &deposit((1, 0), 0, &[0, 1, 2], &[0]));
+            send_to_client(&hub_end, &second);
+            assert_eq!(transport_error(collect(&*link, 0, 2, &[0, 1, 2])), why);
+        }
+    }
+
+    #[test]
+    fn an_error_fails_the_waiting_collect_and_the_next_and_waits_are_noticed_once() {
+        let (client, hub_end) = client(1);
+        let link = Arc::new(SocketLink { id: 3, client });
+        let pair = [0, 1];
+        // A complete slot is collected without a notice.
+        link.deposit(CollectiveKind::Bcast, 0, 1, &pair, unit_deposit())
+            .unwrap_or_else(|_| panic!("deposit"));
+        assert_eq!(answer_to(&hub_end).kind, FrameKind::Deposit);
+        send_to_client(&hub_end, &deposit((3, 0), 0, &pair, &frame::encode(&())));
+        while !link.client.mailbox.is_complete((3, 0)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(collect(&*link, 0, 1, &pair).is_ok());
+        assert!(silent(&hub_end), "no notice for a complete slot");
+
+        // An incomplete one is noticed, and an ERROR fails it.
+        let waiting = {
+            let link = link.clone();
+            std::thread::spawn(move || transport_error(collect(&*link, 1, 1, &[0, 1])))
+        };
+        let notice = answer_to(&hub_end);
+        assert_eq!(notice.kind, FrameKind::Wait);
+        let wait = frame::decode::<WaitMsg>(&notice.body).expect("wait body");
+        assert_eq!((wait.comm, wait.seq, wait.my_idx), (3, 1, 1));
+        let error = Frame {
+            kind: FrameKind::Error,
+            body: frame::encode(&ErrorMsg {
+                message: "rank 0 panicked during bcast".to_string(),
+            }),
+        };
+        send_to_client(&hub_end, &error);
+        assert_eq!(
+            waiting.join().expect("waiting collect"),
+            "rank 0 panicked during bcast"
+        );
+        let next = transport_error(collect(&*link, 2, 1, &pair));
+        assert_eq!(next, "rank 0 panicked during bcast");
     }
 
     #[test]

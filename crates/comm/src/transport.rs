@@ -6,16 +6,23 @@
 //! **above** the [`CommLink`] trait defined here. A link only moves
 //! opaque deposits: it accepts one `(entry clock, fingerprint, payload)`
 //! triple per member and hands back the full member-ordered set once the
-//! rendezvous is complete. Two implementations exist:
+//! rendezvous is complete.
 //!
-//! * [`SharedLink`] — the original shared-memory simulator: deposits are
-//!   `Arc` pointer copies through a generation-keyed mailbox guarded by
-//!   a mutex + condvar. Deterministic, dependency-free, the CI fast
-//!   path and the default.
+//! Both implementations complete that rendezvous in one place, the
+//! [`Mailbox`]: deposits are filed under `(comm, seq)` as they arrive, in
+//! any order, and a collect waits until its slot holds one per member.
+//!
+//! * [`SharedLink`] — the shared-memory simulator: the member threads of
+//!   a communicator file `Arc` pointer copies into one mailbox.
+//!   Deterministic, dependency-free, the CI fast path and the default.
 //! * `SocketLink` (in `proc.rs`) — real multi-process transport: rank 0
 //!   spawns worker processes connected over Unix domain sockets, and
-//!   deposits travel as length-prefixed binary frames (`frame.rs`).
+//!   deposits travel as length-prefixed binary frames (`frame.rs`). Each
+//!   rank's mailbox holds its own deposits and those the launcher's hub
+//!   forwards to it.
 //!
+//! Communicators are named alike on both: the world is
+//! [`WORLD_COMM_ID`] and a split-off group [`derived_id`] of its parent.
 //! Because everything above the trait is shared code operating on
 //! bit-exact inputs (entry clocks cross the wire as `f64::to_bits`),
 //! losses, weights, word counts, and timelines are bit-identical across
@@ -24,8 +31,8 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint};
 
@@ -219,6 +226,7 @@ impl RxPayload {
 }
 
 /// One member's deposit as handed back by [`CommLink::collect`].
+#[derive(Clone)]
 pub(crate) struct RxDeposit {
     /// The depositor's modeled entry clock (bit-exact on both backends).
     pub entry: f64,
@@ -230,19 +238,17 @@ pub(crate) struct RxDeposit {
 
 /// Why a deposit or collect could not complete. The
 /// [`Communicator`](crate::comm::Communicator) maps each variant onto
-/// the exact panic the shared-memory backend has always raised, so
-/// failure modes read identically on both transports.
+/// one panic, so failure modes read identically on both transports.
 pub(crate) enum CollectError {
     /// The run-wide abort flag was raised (peer panic, watchdog).
     Abort(String),
     /// The rendezvous stayed incomplete past the collective timeout.
     Timeout {
-        /// How many members had arrived when time ran out, when the
-        /// transport knows.
-        arrived: Option<usize>,
+        /// How many members had arrived when time ran out.
+        arrived: usize,
     },
-    /// The link itself failed: poisoned rendezvous, dead peer process,
-    /// socket error. The string names the cause (and the rank, where
+    /// The link itself failed: a refused deposit, a dead peer process,
+    /// a socket error. The string names the cause (and the rank, where
     /// known).
     Transport(String),
 }
@@ -281,61 +287,202 @@ pub(crate) trait CommLink: Send + Sync {
 
     /// The link for a sub-communicator split off this one: `key_seq` is
     /// the parent's sequence number at the split and `color` the group
-    /// color, so every member derives the same link without out-of-band
-    /// coordination. `size` is the sub-group's member count.
-    fn derive(&self, key_seq: u64, color: u64, size: usize) -> Arc<dyn CommLink>;
+    /// color, so every member derives the same link, with the id
+    /// [`derived_id`] gives, without out-of-band coordination.
+    fn derive(&self, key_seq: u64, color: u64) -> Arc<dyn CommLink>;
 }
 
-struct CallSlot {
-    deposits: Vec<Option<(f64, Option<Fingerprint>, Payload)>>,
+/// The world communicator's id on both transports.
+pub(crate) const WORLD_COMM_ID: u64 = 1;
+
+/// The id of the communicator split off `parent` at its sequence number
+/// `key_seq` with group color `color`: FNV-1a over the three, with the
+/// top bit forced so derived ids never collide with the world id. Both
+/// transports name a communicator by it, so deadlock reports, panic
+/// labels and fingerprints read the same for the same program.
+pub(crate) fn derived_id(parent: u64, key_seq: u64, color: u64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in [parent, key_seq, color] {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h | (1 << 63)
+}
+
+/// One rendezvous in a [`Mailbox`]: the member list it was opened with
+/// and the deposits filed so far, in member order.
+struct Slot {
+    members: Vec<usize>,
+    deposits: Vec<Option<RxDeposit>>,
     arrived: usize,
+    /// How many collects have taken the complete slot.
     consumed: usize,
 }
 
-/// State shared by all member threads of one shared-memory communicator.
-pub(crate) struct CommInner {
-    pub(crate) id: u64,
-    pub(crate) size: usize,
-    slots: Mutex<HashMap<u64, CallSlot>>,
+impl Slot {
+    fn complete(&self) -> bool {
+        self.arrived == self.deposits.len()
+    }
+}
+
+#[derive(Default)]
+struct Slots {
+    open: HashMap<(u64, u64), Slot>,
+    /// Why every collect not yet complete fails from now on.
+    poisoned: Option<String>,
+}
+
+/// The rendezvous both transports complete collectives from: deposits
+/// filed under `(comm, seq)` in whatever order they arrive, and collects
+/// that wait for one deposit per member. The member threads of one
+/// shared-memory communicator share one mailbox; each socket client owns
+/// one, into which its rank files its own deposits and its reader thread
+/// the deposits the hub forwards.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    slots: Mutex<Slots>,
     cv: Condvar,
 }
 
-impl CommInner {
-    pub(crate) fn new(id: u64, size: usize) -> Self {
-        CommInner {
-            id,
-            size,
-            slots: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
+impl Mailbox {
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        // Nothing panics under this lock, so a poisoned one still holds
+        // consistent slots.
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// File member `idx`'s deposit into the rendezvous `key` of the group
+    /// `members`, opening it at the first arrival. Refuses, by name, an
+    /// index outside the group, a member list other than the one the
+    /// rendezvous was opened with, and a second deposit for one member.
+    pub(crate) fn file(
+        &self,
+        key: (u64, u64),
+        members: &[usize],
+        idx: usize,
+        dep: RxDeposit,
+    ) -> Result<(), String> {
+        let at = || format!("comm {} seq {}", key.0, key.1);
+        if idx >= members.len() {
+            return Err(format!(
+                "protocol error: deposit at {} names member index {idx} of a {}-member group",
+                at(),
+                members.len()
+            ));
+        }
+        let mut slots = self.lock();
+        let slot = slots.open.entry(key).or_insert_with(|| Slot {
+            members: members.to_vec(),
+            deposits: vec![None; members.len()],
+            arrived: 0,
+            consumed: 0,
+        });
+        if slot.members != members {
+            return Err(format!(
+                "protocol error: deposit at {} lists members {members:?} but the rendezvous was \
+                 opened with {:?}",
+                at(),
+                slot.members
+            ));
+        }
+        if slot.deposits[idx].is_some() {
+            return Err(format!(
+                "rank deposited twice at {} — collective misuse",
+                at()
+            ));
+        }
+        slot.deposits[idx] = Some(dep);
+        slot.arrived += 1;
+        if slot.complete() {
+            self.cv.notify_all();
+        }
+        Ok(())
+    }
+
+    /// Whether the rendezvous `key` already holds every member's deposit.
+    pub(crate) fn is_complete(&self, key: (u64, u64)) -> bool {
+        self.lock().open.get(&key).is_some_and(Slot::complete)
+    }
+
+    /// Fail every collect that is waiting, or will wait, on this mailbox
+    /// with `why`. The first reason stands.
+    pub(crate) fn poison(&self, why: String) {
+        self.lock().poisoned.get_or_insert(why);
+        self.cv.notify_all();
+    }
+
+    /// Block until the rendezvous `key` is complete and return its
+    /// deposits in member order; the `readers`-th collect of it retires
+    /// it. Waking every [`WAIT_TICK`], it fails with the poison reason,
+    /// with `abort`'s message once that returns one, or with the arrival
+    /// count once `timeout` has passed.
+    pub(crate) fn collect(
+        &self,
+        key: (u64, u64),
+        readers: usize,
+        abort: &dyn Fn() -> Option<String>,
+        timeout: Duration,
+    ) -> Result<Vec<RxDeposit>, CollectError> {
+        let deadline = Instant::now() + timeout;
+        let mut slots = self.lock();
+        loop {
+            if let Some(slot) = slots.open.get_mut(&key).filter(|s| s.complete()) {
+                slot.consumed += 1;
+                if slot.consumed < readers {
+                    return Ok(slot.deposits.iter().flatten().cloned().collect());
+                }
+                let Some(slot) = slots.open.remove(&key) else {
+                    unreachable!("the slot was just found")
+                };
+                return Ok(slot.deposits.into_iter().flatten().collect());
+            }
+            if let Some(why) = &slots.poisoned {
+                return Err(CollectError::Transport(why.clone()));
+            }
+            if let Some(why) = abort() {
+                return Err(CollectError::Abort(why));
+            }
+            if Instant::now() >= deadline {
+                let arrived = slots.open.get(&key).map_or(0, |s| s.arrived);
+                return Err(CollectError::Timeout { arrived });
+            }
+            slots = match self.cv.wait_timeout(slots, WAIT_TICK) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
     }
 }
 
-/// The shared-memory transport: a generation-keyed mailbox of `Arc`
-/// deposits guarded by a mutex + condvar. "Communication" is a pointer
-/// copy; all costs are modeled.
+/// The shared-memory transport: the member threads of a communicator
+/// file `Arc` deposits into one [`Mailbox`]. "Communication" is a
+/// pointer copy; all costs are modeled.
 pub(crate) struct SharedLink {
-    inner: Arc<CommInner>,
+    id: u64,
+    mailbox: Arc<Mailbox>,
     registry: Arc<Registry>,
 }
 
 impl SharedLink {
     /// The world link of a fresh run.
-    pub(crate) fn world(registry: &Arc<Registry>, size: usize) -> Arc<dyn CommLink> {
-        Arc::new(SharedLink {
-            inner: registry.fresh_world(size),
-            registry: registry.clone(),
-        })
+    pub(crate) fn world(registry: &Arc<Registry>) -> Arc<dyn CommLink> {
+        Self::at(registry, WORLD_COMM_ID)
     }
 
-    fn poisoned() -> CollectError {
-        CollectError::Transport("a peer rank panicked inside a collective".to_string())
+    fn at(registry: &Arc<Registry>, id: u64) -> Arc<dyn CommLink> {
+        Arc::new(SharedLink {
+            id,
+            mailbox: registry.mailbox(id),
+            registry: registry.clone(),
+        })
     }
 }
 
 impl CommLink for SharedLink {
     fn id(&self) -> u64 {
-        self.inner.id
+        self.id
     }
 
     fn deposit(
@@ -346,24 +493,14 @@ impl CommLink for SharedLink {
         members: &[usize],
         dep: TxDeposit,
     ) -> Result<(), CollectError> {
-        let size = members.len();
-        let mut slots = self.inner.slots.lock().map_err(|_| Self::poisoned())?;
-        let slot = slots.entry(seq).or_insert_with(|| CallSlot {
-            deposits: vec![None; size],
-            arrived: 0,
-            consumed: 0,
-        });
-        assert!(
-            slot.deposits[my_idx].is_none(),
-            "rank deposited twice at comm {} seq {seq} — collective misuse",
-            self.inner.id
-        );
-        slot.deposits[my_idx] = Some((dep.entry, dep.fp, dep.payload.local));
-        slot.arrived += 1;
-        if slot.arrived == size {
-            self.inner.cv.notify_all();
-        }
-        Ok(())
+        let dep = RxDeposit {
+            entry: dep.entry,
+            fp: dep.fp,
+            payload: RxPayload::Local(dep.payload.local),
+        };
+        self.mailbox
+            .file((self.id, seq), members, my_idx, dep)
+            .map_err(CollectError::Transport)
     }
 
     fn collect(
@@ -375,79 +512,13 @@ impl CommLink for SharedLink {
         abort: &dyn Fn() -> Option<String>,
         timeout: Duration,
     ) -> Result<Vec<RxDeposit>, CollectError> {
-        let size = members.len();
-        let mut slots = self.inner.slots.lock().map_err(|_| Self::poisoned())?;
-        // Wait for the full group, waking every WAIT_TICK to observe the
-        // run-wide abort flag (set when a peer panics or the watchdog
-        // declares deadlock) so one failure stops the whole run quickly.
-        let mut waited = Duration::ZERO;
-        loop {
-            let ready = slots.get(&seq).map(|s| s.arrived == size).unwrap_or(false);
-            if ready {
-                break;
-            }
-            if let Some(why) = abort() {
-                return Err(CollectError::Abort(why));
-            }
-            let (guard, result) = match self.inner.cv.wait_timeout(slots, WAIT_TICK) {
-                Ok(pair) => pair,
-                Err(_) => return Err(Self::poisoned()),
-            };
-            slots = guard;
-            if result.timed_out() {
-                waited += WAIT_TICK;
-                if waited >= timeout {
-                    // A spurious-looking timeout can race the final
-                    // arrival; recheck under the lock before giving up.
-                    if slots.get(&seq).map(|s| s.arrived == size).unwrap_or(false) {
-                        break;
-                    }
-                    let arrived = slots.get(&seq).map(|s| s.arrived).unwrap_or(0);
-                    return Err(CollectError::Timeout {
-                        arrived: Some(arrived),
-                    });
-                }
-            }
-        }
-        let (out, done) = {
-            let Some(slot) = slots.get_mut(&seq) else {
-                unreachable!(
-                    "comm {} seq {seq}: slot vanished before consumption",
-                    self.inner.id
-                )
-            };
-            let mut out = Vec::with_capacity(size);
-            for (idx, d) in slot.deposits.iter().enumerate() {
-                let Some((t, fp, p)) = d.as_ref() else {
-                    unreachable!(
-                        "comm {} seq {seq}: member {idx} deposit missing",
-                        self.inner.id
-                    )
-                };
-                out.push(RxDeposit {
-                    entry: *t,
-                    fp: fp.clone(),
-                    payload: RxPayload::Local(p.clone()),
-                });
-            }
-            slot.consumed += 1;
-            (out, slot.consumed == size)
-        };
-        if done {
-            slots.remove(&seq);
-        }
-        Ok(out)
+        // Every member thread collects the one slot.
+        self.mailbox
+            .collect((self.id, seq), members.len(), abort, timeout)
     }
 
-    fn derive(&self, key_seq: u64, color: u64, size: usize) -> Arc<dyn CommLink> {
-        let inner = self
-            .registry
-            .get_or_create((self.inner.id, key_seq, color), size);
-        assert_eq!(inner.size, size, "split group size disagreement");
-        Arc::new(SharedLink {
-            inner,
-            registry: self.registry.clone(),
-        })
+    fn derive(&self, key_seq: u64, color: u64) -> Arc<dyn CommLink> {
+        Self::at(&self.registry, derived_id(self.id, key_seq, color))
     }
 }
 
@@ -504,5 +575,88 @@ mod tests {
     fn remote_payload_rejects_wrong_type() {
         let rx = remote_at(0, &crate::frame::encode(&3u8));
         let _ = rx.extract::<Vec<f64>>();
+    }
+
+    fn dep(tag: u64) -> RxDeposit {
+        RxDeposit {
+            entry: tag as f64,
+            fp: None,
+            payload: RxPayload::Local(Arc::new(tag)),
+        }
+    }
+
+    fn tags(deposits: &[RxDeposit]) -> Vec<u64> {
+        deposits
+            .iter()
+            .map(|d| *d.payload.extract::<u64>())
+            .collect()
+    }
+
+    fn collect(mailbox: &Mailbox, key: (u64, u64), readers: usize) -> Vec<RxDeposit> {
+        match mailbox.collect(key, readers, &|| None, Duration::from_secs(5)) {
+            Ok(deposits) => deposits,
+            Err(_) => panic!("{key:?} must complete"),
+        }
+    }
+
+    #[test]
+    fn mailbox_files_deposits_in_any_order() {
+        let mailbox = Mailbox::default();
+        let pair = [0, 1];
+        let file = |key, idx, tag| {
+            mailbox
+                .file(key, &pair, idx, dep(tag))
+                .unwrap_or_else(|why| panic!("{why}"));
+        };
+        // A later seq and another comm arrive ahead of the current
+        // collect, and a peer's deposit ahead of the rank's own: all are
+        // held, none refused.
+        file((7, 1), 0, 71);
+        file((9, 0), 0, 90);
+        file((7, 0), 0, 70);
+        assert!(!mailbox.is_complete((7, 0)));
+        file((7, 0), 1, 170);
+        assert!(mailbox.is_complete((7, 0)));
+        assert_eq!(tags(&collect(&mailbox, (7, 0), 1)), [70, 170]);
+        assert!(!mailbox.is_complete((7, 0)), "one reader retires the slot");
+        file((7, 1), 1, 171);
+        file((9, 0), 1, 190);
+        // With two readers, both get the deposits in member order and the
+        // second retires the slot.
+        for _ in 0..2 {
+            assert_eq!(tags(&collect(&mailbox, (9, 0), 2)), [90, 190]);
+        }
+        assert_eq!(tags(&collect(&mailbox, (7, 1), 1)), [71, 171]);
+        assert!(mailbox.lock().open.is_empty());
+    }
+
+    #[test]
+    fn mailbox_fails_collects_by_poison_abort_and_timeout() {
+        let mailbox = Mailbox::default();
+        let pair = [0, 1];
+        let fail = |key, abort: &dyn Fn() -> Option<String>| match mailbox.collect(
+            key,
+            1,
+            abort,
+            Duration::from_millis(60),
+        ) {
+            Ok(_) => panic!("{key:?} cannot complete"),
+            Err(CollectError::Abort(why)) => format!("abort: {why}"),
+            Err(CollectError::Timeout { arrived }) => format!("timeout: {arrived}"),
+            Err(CollectError::Transport(why)) => format!("transport: {why}"),
+        };
+        mailbox
+            .file((1, 0), &pair, 1, dep(1))
+            .unwrap_or_else(|why| panic!("{why}"));
+        assert_eq!(fail((1, 0), &|| None), "timeout: 1");
+        assert_eq!(fail((1, 1), &|| Some("stop".into())), "abort: stop");
+        mailbox.poison("hub lost".into());
+        mailbox.poison("later".into());
+        assert_eq!(fail((1, 0), &|| None), "transport: hub lost");
+        // A slot that completes still completes.
+        mailbox
+            .file((1, 0), &pair, 0, dep(0))
+            .unwrap_or_else(|why| panic!("{why}"));
+        assert_eq!(tags(&collect(&mailbox, (1, 0), 1)), [0, 1]);
     }
 }

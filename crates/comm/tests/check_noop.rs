@@ -31,10 +31,9 @@ fn workload(p: usize, check: CheckMode) -> Vec<((f64, Vec<TraceEvent>), Timeline
         let parts = ctx.world.allgather(vec![r as f64], Cat::SparseComm);
         sum += parts.iter().map(|v| v[0]).sum::<f64>();
 
-        let swapped = ctx
-            .world
-            .alltoall((0..p).map(|j| (r * p + j) as f64).collect(), Cat::DenseComm);
-        sum += swapped.iter().sum::<f64>();
+        let last = (r == p - 1).then(|| Arc::new(Mat::from_fn(2, p, |i, j| (i * p + j) as f64)));
+        let shared = ctx.world.bcast_shared(p - 1, last, Cat::DenseComm);
+        sum += shared.as_slice().iter().sum::<f64>();
 
         let root_block = (r == 0).then(|| Arc::new(Mat::from_fn(p, 2, |i, j| (i + j) as f64)));
         let rows = ctx

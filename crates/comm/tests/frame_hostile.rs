@@ -1,5 +1,6 @@
-//! Hostile `DEPOSIT` and `COLLECT` bodies and row parts — a gather's
-//! served rows, a reduce-scatter's rows of one block:
+//! Hostile `DEPOSIT` bodies — as a client sends them and as the hub
+//! forwards them — and row parts — a gather's served rows, a
+//! reduce-scatter's rows of one block:
 //! every prefix truncation and every inflated count field of a valid
 //! body must be rejected as `Malformed`, with the codec's established
 //! messages, and without a single allocation larger than the input — the
@@ -14,8 +15,8 @@ use std::cell::Cell;
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
 use cagnet_comm::frame::{
-    read_frame, write_frame, CollectMsg, DepositMsg, FrameError, FrameKind, Precision, RowsPart,
-    Wire, VERSION,
+    read_frame, write_frame, DepositMsg, FrameError, FrameKind, Precision, RowsPart, Wire,
+    HEADER_LEN, VERSION,
 };
 use cagnet_dense::Mat;
 
@@ -282,13 +283,23 @@ fn hostile_reduced_rows_are_malformed_and_allocate_nothing_large() {
 
 #[test]
 fn frames_and_parts_of_the_previous_layout_are_refused() {
-    // Version 3 headers: refused before the body is read.
+    // Version 3 and 4 headers: refused before the body is read.
     let mut frame = Vec::new();
     write_frame(&mut frame, FrameKind::Hello, b"x").expect("write");
-    frame[4] = VERSION - 1;
+    for old in [3, 4] {
+        frame[4] = old;
+        assert!(matches!(
+            read_frame(&mut &frame[..]),
+            Err(FrameError::BadVersion(v)) if v == old
+        ));
+    }
+    // Kind 4 was the retired hub → client `COLLECT`: refused from the
+    // header alone, at the current version.
+    frame[4] = VERSION;
+    frame[5] = 4;
     assert!(matches!(
-        read_frame(&mut &frame[..]),
-        Err(FrameError::BadVersion(v)) if v == VERSION - 1
+        read_frame(&mut &frame[..HEADER_LEN]),
+        Err(FrameError::BadKind(4))
     ));
     // A version-3 row part had no index flag: the first value byte is
     // read as the flag, and the values then never fit.
@@ -308,27 +319,35 @@ fn frames_and_parts_of_the_previous_layout_are_refused() {
 }
 
 #[test]
-fn hostile_collect_bodies_are_malformed_and_allocate_nothing_large() {
-    // Counts: 3 members, the 25-byte fingerprint dtype twice, payloads
-    // of 2000, 0 (the receiver's own) and 1000 bytes. The zero-length
-    // slot is inflated like the rest but cannot be told from padding by
-    // value, so it is located by construction.
-    let mut body = Vec::new();
-    CollectMsg::put_head(&mut body, 0xC0_0000_0001, 0x5E_0000_0002, 3);
-    CollectMsg::put_entry(&mut body, 0.25, &fingerprint(), 2000);
-    body.resize(body.len() + 2000, 0xAB);
-    CollectMsg::put_entry(&mut body, 0.5, &None, 0);
-    let own_len_at = body.len() - 8;
-    CollectMsg::put_entry(&mut body, 0.75, &fingerprint(), 1000);
-    body.resize(body.len() + 1000, 0xCD);
-    check_all("collect", &body, &[3, 25, 2000, 1000], 5, CollectMsg::parse);
-
-    let remaining = (body.len() - own_len_at - 8) as u64;
-    for value in inflations(0, remaining) {
-        let mut input = body.clone();
-        input[own_len_at..own_len_at + 8].copy_from_slice(&value.to_le_bytes());
-        let (parsed, largest) = largest_allocation(|| CollectMsg::parse(&input));
-        let what = format!("collect own-payload length inflated 0 -> {value}");
-        assert_rejected(&what, &input, parsed, largest);
-    }
+fn hostile_forwarded_deposit_bodies_are_malformed_and_allocate_nothing_large() {
+    // What the hub forwards to member 2 of a served row gather: the
+    // root's head without its part table, then only member 2's 2000-byte
+    // part. Counts: 3 members, a 6-byte dtype, the fingerprint's
+    // 25-byte dtype, the 2000-byte part.
+    let forwarded = DepositMsg {
+        comm: 0xC0_0000_0001,
+        seq: 0x5E_0000_0002,
+        kind: CollectiveKind::GatherRows,
+        my_idx: 0,
+        members: vec![40, 41, 42],
+        entry: 0.25,
+        dtype: "served".to_string(),
+        fp: fingerprint(),
+        parts: None,
+    };
+    let body = forwarded.encode(|out| out.resize(out.len() + 2000, 0xCD));
+    check_all(
+        "forwarded deposit",
+        &body,
+        &[3, 6, 25, 2000],
+        4,
+        DepositMsg::parse,
+    );
+    // A bystander's forwarded unit: the shortest payload there is.
+    let unit = DepositMsg {
+        my_idx: 1,
+        ..forwarded
+    };
+    let body = unit.encode(|out| ().put(out));
+    check_all("forwarded unit", &body, &[3, 6, 25], 3, DepositMsg::parse);
 }

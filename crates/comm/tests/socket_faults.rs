@@ -11,7 +11,8 @@
 
 use std::time::{Duration, Instant};
 
-use cagnet_comm::{Cat, Cluster, TransportKind};
+use cagnet_comm::{Cat, Cluster, Grid2D, TransportKind};
+use cagnet_dense::Mat;
 
 /// Sanity: a collective round-trips over real processes with the same
 /// value the shared backend computes.
@@ -182,10 +183,10 @@ fn watchdog_detects_deadlock_over_socket() {
     );
 }
 
-/// With the watchdog off, the rendezvous timeout is the backstop. A
-/// socket client knows only that its own wait expired, so its message
-/// names the comm and seq and claims no arrival count; the thread
-/// transport counts the arrivals and says so.
+/// With the watchdog off, the rendezvous timeout is the backstop. Both
+/// transports count the arrivals in the waiting rank's own mailbox — a
+/// socket client files its own deposit and every forwarded one — so
+/// both name the comm, the seq and the count.
 #[test]
 fn rendezvous_timeout_claims_only_what_the_transport_knows() {
     let run = |transport| {
@@ -208,16 +209,57 @@ fn rendezvous_timeout_claims_only_what_the_transport_knows() {
     // The socket run first: a worker re-executes this test and must
     // reach it as its target run.
     let socket = run(TransportKind::Socket);
-    assert!(
-        socket.contains("collective deadlock: comm 1 seq 0: the rendezvous did not complete"),
-        "{socket}"
-    );
-    assert!(!socket.contains("arrived"), "{socket}");
     let threads = run(TransportKind::Shared);
-    assert!(
-        threads.contains("collective deadlock: comm 1 seq 0: only 1/2 ranks arrived"),
-        "{threads}"
-    );
+    for msg in [socket, threads] {
+        assert!(
+            msg.contains("collective deadlock: comm 1 seq 0: only 1/2 ranks arrived"),
+            "{msg}"
+        );
+    }
+}
+
+/// Both transports name a split-off communicator by the same derived id,
+/// so a failure reads the same wherever the program runs: on a 2 × 2
+/// grid, a rank that panics inside a row-communicator collective is
+/// reported at the same `comm C seq S` in three thread runs and one
+/// socket run.
+#[test]
+fn a_failing_row_collective_names_the_same_comm_on_both_transports() {
+    let run = |transport| {
+        let err = std::panic::catch_unwind(|| {
+            Cluster::new(4)
+                .with_transport(transport)
+                .with_timeout(Duration::from_secs(30))
+                .run_wire(|ctx| {
+                    let grid = Grid2D::new(ctx, 2, 2);
+                    // Rank 3's row peer broadcasts a vector; rank 3 reads
+                    // it as a matrix and panics extracting it.
+                    if ctx.rank == 3 {
+                        grid.row.bcast::<Mat>(0, None, Cat::DenseComm).len()
+                    } else {
+                        let data = (grid.j == 0).then(|| vec![0.5f64; 3]);
+                        grid.row.bcast(0, data, Cat::DenseComm).len()
+                    }
+                })
+        })
+        .expect_err("a panicking rank fails the run");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "(non-string panic)".to_string());
+        let at = msg
+            .find("bcast on comm ")
+            .unwrap_or_else(|| panic!("{msg}"));
+        let slot = &msg[at + "bcast on ".len()..];
+        slot[..slot.find(':').unwrap_or_else(|| panic!("{msg}"))].to_string()
+    };
+    // The socket run first: a worker re-executes this test and must
+    // reach it as its target run.
+    let socket = run(TransportKind::Socket);
+    assert_ne!(socket, "comm 1 seq 0", "a row communicator, not the world");
+    for _ in 0..3 {
+        assert_eq!(run(TransportKind::Shared), socket);
+    }
 }
 
 /// Hostile frame headers are rejected by `read_frame` before any body

@@ -39,7 +39,6 @@ pub mod onedim_row;
 mod rows;
 mod shell;
 pub mod threedim;
-pub mod transpose;
 pub mod twodim;
 
 pub(crate) use shell::State;
