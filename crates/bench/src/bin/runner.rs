@@ -10,7 +10,7 @@
 //!   --dataset  reddit|amazon|protein|rmat:<scale>:<degree>   (default rmat:10:8)
 //!   --algo     1d|1d-row|1.5d:<c>|2d|2d:<pr>x<pc>|3d         (default 2d)
 //!   --processes <P>                                          (default 4)
-//!   --epochs    <E>                                          (default 3)
+//!   --epochs    <E>      at least 1                      (default 3)
 //!   --alpha     <seconds>    network latency                 (default 15e-6)
 //!   --beta-gbps <GB/s>       network bandwidth               (default 10)
 //!   --hidden    <width>      hidden layer width              (default 16)
@@ -206,6 +206,11 @@ fn main() {
         std::process::exit(2);
     }
     let epochs: usize = or_exit(parse_num("--epochs", &get("epochs", "3")));
+    if epochs == 0 {
+        // Every per-epoch figure would divide by zero epochs.
+        eprintln!("--epochs must be at least 1, got 0");
+        std::process::exit(2);
+    }
     let alpha: f64 = or_exit(parse_num("--alpha", &get("alpha", "15e-6")));
     let gbps: f64 = or_exit(parse_num("--beta-gbps", &get("beta-gbps", "10")));
     let hidden: usize = or_exit(parse_num("--hidden", &get("hidden", "16")));

@@ -98,6 +98,14 @@ fn bad_geometry_and_numeric_values_are_named_errors() {
         "stderr: {err}"
     );
 
+    // Zero epochs used to print a 0 ms epoch and NaN words per epoch.
+    let (code, err) = run_err(&["--epochs", "0"]);
+    assert_eq!(code, 2);
+    assert!(
+        err.contains("--epochs must be at least 1, got 0"),
+        "stderr: {err}"
+    );
+
     let (code, err) = run_err(&["--algo", "1.5d:x"]);
     assert_eq!(code, 2);
     assert!(

@@ -8,9 +8,9 @@
 //!
 //! Both transports run a rank through one body, `Cluster::run_rank`:
 //! the thread runner here, and the socket launcher's rank 0 and each
-//! socket worker (`proc.rs`) differ only in the link they hand it and in
-//! what a panic does — resume it on the thread, fail the launch, or ship
-//! a `PANIC` frame and exit.
+//! socket worker (`proc.rs`) differ only in the leg their deposits take
+//! to the other members' mailboxes and in what a panic does — resume it
+//! on the thread, fail the launch, or ship a `PANIC` frame and exit.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -24,7 +24,7 @@ use crate::cost::{Cat, CostModel};
 use crate::diag::FirstPanic;
 use crate::frame::{Precision, Wire};
 use crate::timeline::{Meter, TimelineReport};
-use crate::transport::{CommLink, SharedLink, TransportKind};
+use crate::transport::{Leg, TransportKind};
 use cagnet_check::waitgraph::{deadlock_report, is_quiescent_deadlock, RankPhase};
 use cagnet_check::CheckMode;
 use cagnet_parallel::ParallelCtx;
@@ -248,7 +248,7 @@ impl Cluster {
     /// [`Wire`] bound on `R`. Single-rank runs never spawn.
     ///
     /// Results are bit-identical across backends: all collective
-    /// semantics live above the transport trait, and every `f64`
+    /// semantics live above the per-rank link, and every `f64`
     /// crosses the wire as its exact bit pattern.
     pub fn run_wire<R, F>(&self, f: F) -> Vec<(R, TimelineReport)>
     where
@@ -293,17 +293,18 @@ impl Cluster {
         }
     }
 
-    /// Run `f` as world rank `rank` over `link` — the one rank body of
-    /// both transports: build the meter, world communicator and [`Ctx`],
-    /// run `f` under `catch_unwind`, and record the rank `Done` or, on a
-    /// panic, its first-panic entry, its `Panicked` phase and the abort
-    /// flag, so peers stop within one wait tick. Returns the result and
-    /// timeline report, or what was recorded of the panic and its payload;
-    /// the caller decides what a panic does to its process.
+    /// Run `f` as world rank `rank`, whose deposits take `leg` to its
+    /// peers — the one rank body of both transports: build the meter,
+    /// world communicator and [`Ctx`], run `f` under `catch_unwind`, and
+    /// record the rank `Done` or, on a panic, its first-panic entry, its
+    /// `Panicked` phase and the abort flag, so peers stop within one wait
+    /// tick. Returns the result and timeline report, or what was recorded
+    /// of the panic and its payload; the caller decides what a panic does
+    /// to its process.
     pub(crate) fn run_rank<R, F>(
         &self,
         registry: &Arc<Registry>,
-        link: Arc<dyn CommLink>,
+        leg: Leg,
         rank: usize,
         f: &F,
     ) -> RankRun<R>
@@ -311,7 +312,7 @@ impl Cluster {
         F: Fn(&mut Ctx) -> R,
     {
         let meter = Rc::new(RefCell::new(Meter::new(self.effective_model())));
-        let world = Communicator::new_world(registry.clone(), link, self.size, rank, meter.clone());
+        let world = Communicator::new_world(registry.clone(), leg, self.size, rank, meter.clone());
         let parallel = ParallelCtx::new(self.threads_per_rank);
         let mut ctx = Ctx::for_rank(rank, self.size, world, parallel, meter.clone());
         let diag = &registry.diag;
@@ -341,7 +342,7 @@ impl Cluster {
         F: Fn(&mut Ctx) -> R + Send + Sync,
     {
         let registry = Registry::for_run(self);
-        let world_link = SharedLink::world(&registry);
+        let leg = Leg::Threads(registry.clone());
         let f = &f;
         std::thread::scope(|scope| {
             // The watchdog polls rank states and declares quiescent
@@ -353,8 +354,8 @@ impl Cluster {
             }
             let handles: Vec<_> = (0..self.size)
                 .map(|rank| {
-                    let (registry, link) = (&registry, world_link.clone());
-                    scope.spawn(move || match self.run_rank(registry, link, rank, f) {
+                    let (registry, leg) = (&registry, leg.clone());
+                    scope.spawn(move || match self.run_rank(registry, leg, rank, f) {
                         Ok(done) => done,
                         Err((_, payload)) => std::panic::resume_unwind(payload),
                     })

@@ -4,9 +4,10 @@
 //! process group (world, grid row, grid column, fiber, ...). Collectives
 //! are **bulk-synchronous**: all members must call the same collectives in
 //! the same order, exactly as the paper's NCCL-backed implementation
-//! requires. Payloads move through a [`CommLink`] — `Arc` pointer copies
-//! on the shared-memory backend, framed bytes over Unix sockets on the
-//! multi-process backend (see [`crate::transport`]) — while all *costs*
+//! requires. Payloads move through each rank's link into the members'
+//! mailboxes — `Arc` pointer copies on the shared-memory backend, framed
+//! bytes over Unix sockets on the multi-process backend (see
+//! [`crate::transport`]) — while all *costs*
 //! are charged through the α–β model of [`crate::cost::CostModel`] onto
 //! each rank's [`crate::timeline::Timeline`].
 //!
@@ -19,16 +20,14 @@
 //! and wait hides it. The bandwidth-term word count is recorded under
 //! the caller-supplied category ([`Cat::DenseComm`] or
 //! [`Cat::SparseComm`]). Entry clocks, fingerprint verification, and
-//! deterministic member-order reductions all live here, above the
-//! transport trait, which is why results are bit-identical across
-//! backends.
+//! deterministic member-order reductions all live here, above the link,
+//! which is why results are bit-identical across backends.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::cluster::Cluster;
@@ -36,7 +35,9 @@ use crate::cost::{Cat, CommWords, CostModel};
 use crate::diag::Diagnostics;
 use crate::frame::{PackedMat, Precision, RowsPart, Wire};
 use crate::timeline::Meter;
-use crate::transport::{CollectError, CommLink, Mailbox, RxPayload, TxDeposit, TxPayload};
+use crate::transport::{
+    CollectError, Leg, Link, Mailbox, RxPayload, TxDeposit, TxPayload, WORLD_COMM_ID,
+};
 use cagnet_check::fingerprint::{self, CollectiveKind, Fingerprint, Shape};
 use cagnet_check::waitgraph::{deadlock_report, HistoryEntry, SlotId, WaitSlot};
 use cagnet_check::CheckMode;
@@ -399,11 +400,11 @@ impl GatheredRows {
     }
 }
 
-/// One run's registry: creates a shared-memory communicator's mailbox on
-/// first touch, by communicator id, so that `split` needs no
-/// out-of-band coordination.
+/// One run's registry: its settings, its diagnostics, and one mailbox
+/// per world rank, which every communicator of the rank files into.
 pub(crate) struct Registry {
-    comms: Mutex<HashMap<u64, Arc<Mailbox>>>,
+    /// Each world rank's mailbox, by rank.
+    pub(crate) mailboxes: Vec<Arc<Mailbox>>,
     /// How long a rank waits at a collective before declaring the program
     /// deadlocked (collective order mismatch across ranks).
     pub(crate) timeout: Duration,
@@ -420,7 +421,7 @@ impl Registry {
     /// check mode and wire precision, with diagnostics sized to its ranks.
     pub(crate) fn for_run(cluster: &Cluster) -> Arc<Self> {
         let registry = Registry {
-            comms: Mutex::new(HashMap::new()),
+            mailboxes: (0..cluster.size).map(|_| Arc::default()).collect(),
             timeout: cluster.timeout,
             check: cluster.check,
             precision: cluster.precision,
@@ -429,14 +430,6 @@ impl Registry {
         registry.diag.init(cluster.size);
         Arc::new(registry)
     }
-
-    /// The mailbox of the shared-memory communicator `id`.
-    pub(crate) fn mailbox(&self, id: u64) -> Arc<Mailbox> {
-        // The table stays consistent across a poisoning panic (plain
-        // entry/insert), so recover the guard rather than cascading.
-        let mut comms = self.comms.lock().unwrap_or_else(PoisonError::into_inner);
-        comms.entry(id).or_default().clone()
-    }
 }
 
 /// A per-thread handle to one process group.
@@ -444,7 +437,7 @@ impl Registry {
 /// Cloning is cheap; the handle is deliberately `!Send` (it carries the
 /// rank-local meter) — create communicators inside the rank closure.
 pub struct Communicator {
-    link: Arc<dyn CommLink>,
+    link: Link,
     registry: Arc<Registry>,
     /// World ranks of the members, ascending.
     members: Arc<Vec<usize>>,
@@ -458,14 +451,21 @@ pub struct Communicator {
 }
 
 impl Communicator {
+    /// World rank `rank`'s world communicator, whose deposits take `leg`
+    /// to the other ranks.
     pub(crate) fn new_world(
         registry: Arc<Registry>,
-        link: Arc<dyn CommLink>,
+        leg: Leg,
         size: usize,
         rank: usize,
         meter: Rc<RefCell<Meter>>,
     ) -> Self {
         let precision = Cell::new(registry.precision);
+        let link = Link {
+            id: WORLD_COMM_ID,
+            mailbox: registry.mailboxes[rank].clone(),
+            leg,
+        };
         Communicator {
             link,
             registry,
@@ -569,7 +569,7 @@ impl Communicator {
     /// both backends.
     fn link_failure(&self, kind: CollectiveKind, seq: u64, err: CollectError) -> ! {
         let slot_id = SlotId {
-            comm: self.link.id(),
+            comm: self.link.id,
             seq,
         };
         let my_world = self.world_rank();
@@ -584,7 +584,7 @@ impl Communicator {
                 panic!(
                     "collective deadlock: comm {} seq {seq}: only {arrived}/{} ranks arrived \
                      within {:?} — ranks are calling collectives in different orders\n{report}",
-                    self.link.id(),
+                    self.link.id,
                     self.size(),
                     self.registry.timeout
                 );
@@ -616,7 +616,7 @@ impl Communicator {
             self.world_rank(),
             HistoryEntry {
                 slot: SlotId {
-                    comm: self.link.id(),
+                    comm: self.link.id,
                     seq,
                 },
                 kind,
@@ -644,7 +644,7 @@ impl Communicator {
     fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
         let size = self.size();
         let slot_id = SlotId {
-            comm: self.link.id(),
+            comm: self.link.id,
             seq,
         };
         let diag = &self.registry.diag;
@@ -1635,7 +1635,7 @@ impl<T> Drop for PendingOp<'_, T> {
              nonblocking collective must be completed on all control-flow paths",
             self.comm.world_rank(),
             self.kind,
-            self.comm.link.id()
+            self.comm.link.id
         );
     }
 }

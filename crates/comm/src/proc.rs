@@ -1,32 +1,37 @@
 //! The multi-process socket transport: real worker processes behind
-//! [`CommLink`].
+//! the same per-rank link and mailbox as threads.
 //!
 //! Topology is hub-and-spoke. The launcher (the process that called
 //! [`Cluster::run_wire`](crate::cluster::Cluster::run_wire)) binds a
 //! Unix domain socket, spawns `size - 1` worker processes by
-//! re-executing the current binary, and runs a **hub** that routes
-//! frames between them and keeps no rendezvous state: a client's
-//! `DEPOSIT` is checked, mirrored, and forwarded at once to every other
-//! member of its group. Each client files its own deposits and the
-//! forwarded ones into its [`Mailbox`], and completes every collective
-//! from it exactly as threads do — so a prefetched stage's bytes move
-//! while the rank computes. A `WAIT` is a one-way notice for the
-//! watchdog mirror; an `ERROR` fails the rank's waiting and later
-//! collects. Rank 0 itself is a client too and receives over its own
-//! socket, but shares the hub's process, so it hands the hub its frames
-//! by a call instead of copying them through the socket.
+//! re-executing the current binary, runs rank 0 itself, and runs a
+//! **hub** that routes deposits and keeps no rendezvous state: a
+//! deposit is checked, mirrored, and delivered at once to every other
+//! member of its group. Every rank files its own deposits into its
+//! [`Mailbox`] and completes every collective from it exactly as threads
+//! do — so a prefetched stage's bytes move while the rank computes.
+//!
+//! Only the delivery differs by rank. A worker sends its deposit to the
+//! hub as a `DEPOSIT` frame, and its reader thread files what the hub
+//! forwards it into its mailbox; a `WAIT` is a one-way notice for the
+//! watchdog mirror, and an `ERROR` fails the rank's waiting and later
+//! collects. Rank 0 shares the hub's process and has no socket: it hands
+//! the hub its deposit by a call, and the hub files what rank 0 receives
+//! straight into rank 0's mailbox and delivers its errors by poisoning
+//! that mailbox.
 //!
 //! A payload is copied once per process it passes through: the sender
 //! encodes it straight into its `DEPOSIT` body, the hub keeps that
-//! received body as one shared buffer and writes each forward's part
-//! from it in place, and the receiver decodes on demand from a range of
-//! the forwarded body it read (DESIGN.md §11).
+//! received body as one shared buffer — writing each worker's part from
+//! it in place, and filing rank 0's as a range of it — and a worker
+//! decodes on demand from a range of the forwarded body it read
+//! (DESIGN.md §11).
 //!
-//! Everything above [`CommLink`] is shared with the thread backend:
-//! entry clocks travel as exact `f64` bit patterns, CheckMode
-//! fingerprints piggyback on `DEPOSIT` frames, and the deadlock
-//! watchdog runs unmodified in the launcher because the hub mirrors
-//! every remote deposit/wait/result/panic into the launcher's
+//! Everything above the link is shared with the thread backend: entry
+//! clocks travel as exact `f64` bit patterns, CheckMode fingerprints
+//! piggyback on `DEPOSIT` frames, and the deadlock watchdog runs
+//! unmodified in the launcher because the hub mirrors every worker's
+//! deposit/wait/result/panic into the launcher's
 //! [`Diagnostics`](crate::diag) tables.
 //!
 //! Workers are re-executions of the current binary (test runner or
@@ -46,7 +51,6 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::net::Shutdown;
 use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -65,11 +69,7 @@ use crate::frame::{
     self, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg, WaitMsg, Wire,
 };
 use crate::timeline::TimelineReport;
-use crate::transport::{
-    derived_id, CollectError, CommLink, Mailbox, RxDeposit, RxPayload, TxDeposit, WAIT_TICK,
-    WORLD_COMM_ID,
-};
-use cagnet_check::fingerprint::CollectiveKind;
+use crate::transport::{Leg, Mailbox, RxDeposit, RxPayload, WAIT_TICK};
 
 /// How long clients retry connecting to the hub socket (covers worker
 /// process startup and run replay).
@@ -151,75 +151,44 @@ pub fn connect_with_retry(path: &Path, timeout: Duration) -> Result<UnixStream, 
     }
 }
 
-/// One rank's connection to the hub: a writer half guarded by a mutex,
-/// and the rank's [`Mailbox`], which a dedicated reader thread fills with
-/// the deposits the hub forwards. Collects wait on the mailbox, so they
-/// poll the abort flag every wait tick without a read timeout ever
-/// landing mid-frame on the socket.
-struct SocketClient {
+/// A worker's connection to the hub: a writer half guarded by a mutex,
+/// and a dedicated reader thread that files the deposits the hub forwards
+/// into the rank's mailbox. Collects wait on the mailbox, so they poll
+/// the abort flag every wait tick without a read timeout ever landing
+/// mid-frame on the socket.
+pub(crate) struct SocketClient {
     rank: usize,
     writer: Mutex<UnixStream>,
-    /// The hub itself, for the launcher's rank 0, which shares its
-    /// process: that rank's frames are handed to the hub in the buffers
-    /// they were encoded into instead of being copied through the socket.
-    hub: Option<Arc<Hub>>,
-    mailbox: Arc<Mailbox>,
 }
 
 impl SocketClient {
-    fn connect(
-        path: &Path,
-        rank: usize,
-        world: usize,
-        run: u64,
-        timeout: Duration,
-        hub: Option<Arc<Hub>>,
-    ) -> Result<Arc<Self>, String> {
-        let mut stream = connect_with_retry(path, timeout)?;
-        frame::write_frame(
-            &mut stream,
-            FrameKind::Hello,
-            &frame::encode(&HelloMsg { rank, world, run }),
-        )
-        .map_err(|e| format!("rank {rank}: hello failed: {e}"))?;
-        Self::start(rank, stream, hub)
+    /// Connect worker `env` to its launcher's hub and say `HELLO`.
+    fn connect(env: &WorkerEnv, mailbox: Arc<Mailbox>) -> Result<Arc<Self>, String> {
+        let (rank, world, run) = (env.rank, env.world, env.run);
+        let mut stream = connect_with_retry(&env.socket, CONNECT_TIMEOUT)?;
+        let hello = frame::encode(&HelloMsg { rank, world, run });
+        frame::write_frame(&mut stream, FrameKind::Hello, &hello)
+            .map_err(|e| format!("rank {rank}: hello failed: {e}"))?;
+        Self::start(rank, stream, mailbox)
     }
 
     /// The client of `rank` over a connection that has said `HELLO`: start
-    /// the reader thread that files what arrives into the mailbox.
-    fn start(rank: usize, stream: UnixStream, hub: Option<Arc<Hub>>) -> Result<Arc<Self>, String> {
+    /// the reader thread that files what arrives into `mailbox`.
+    fn start(rank: usize, stream: UnixStream, mailbox: Arc<Mailbox>) -> Result<Arc<Self>, String> {
         let reader = stream
             .try_clone()
             .map_err(|e| format!("rank {rank}: could not clone socket: {e}"))?;
-        let mailbox = Arc::new(Mailbox::default());
-        {
-            let mailbox = mailbox.clone();
-            std::thread::spawn(move || read_loop(rank, reader, &mailbox));
-        }
+        std::thread::spawn(move || read_loop(rank, reader, &mailbox));
         Ok(Arc::new(SocketClient {
             rank,
             writer: Mutex::new(stream),
-            hub,
-            mailbox,
         }))
     }
 
-    fn send(&self, kind: FrameKind, body: Vec<u8>) -> Result<(), String> {
-        if let Some(hub) = &self.hub {
-            hub.on_frame(self.rank, Frame { kind, body });
-            return Ok(());
-        }
+    pub(crate) fn send(&self, kind: FrameKind, body: Vec<u8>) -> Result<(), String> {
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         frame::write_frame(&mut *w, kind, &body)
             .map_err(|e| format!("rank {}: sending {kind:?} frame failed: {e}", self.rank))
-    }
-
-    /// Shut the connection down so the hub's per-connection thread (and
-    /// our reader thread) unblock; used by rank 0, whose result never
-    /// travels through the hub.
-    fn close(&self) {
-        let w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.shutdown(Shutdown::Both);
     }
 }
 
@@ -267,15 +236,7 @@ fn file_forwarded(rank: usize, fr: Frame, mailbox: &Mailbox) -> Result<(), Strin
                 }
                 Some(_) => {}
             }
-            let dep = RxDeposit {
-                entry: msg.entry,
-                fp: msg.fp,
-                payload: RxPayload::Remote {
-                    body: Arc::new(fr.body),
-                    range: payload,
-                },
-            };
-            mailbox.file((msg.comm, msg.seq), &msg.members, msg.my_idx, dep)
+            file_remote(mailbox, &msg, Arc::new(fr.body), payload)
         }
         FrameKind::Error => Err(match frame::decode::<ErrorMsg>(&fr.body) {
             Ok(e) => e.message,
@@ -287,99 +248,21 @@ fn file_forwarded(rank: usize, fr: Frame, mailbox: &Mailbox) -> Result<(), Strin
     }
 }
 
-/// [`CommLink`] over a [`SocketClient`]. Every communicator of the rank
-/// shares the client's one mailbox, keyed by communicator id, and a
-/// split derives its id with [`derived_id`] exactly as the thread
-/// backend does.
-struct SocketLink {
-    id: u64,
-    client: Arc<SocketClient>,
-}
-
-impl SocketLink {
-    fn world(client: Arc<SocketClient>) -> Arc<dyn CommLink> {
-        Arc::new(SocketLink {
-            id: WORLD_COMM_ID,
-            client,
-        })
-    }
-}
-
-impl CommLink for SocketLink {
-    fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn deposit(
-        &self,
-        kind: CollectiveKind,
-        seq: u64,
-        my_idx: usize,
-        members: &[usize],
-        dep: TxDeposit,
-    ) -> Result<(), CollectError> {
-        let body = DepositMsg {
-            comm: self.id,
-            seq,
-            kind,
-            my_idx,
-            members: members.to_vec(),
-            entry: dep.entry,
-            dtype: dep.payload.dtype.to_string(),
-            fp: dep.fp.clone(),
-            parts: dep.payload.parts.clone(),
-        }
-        .encode(|out| dep.payload.encode_into(out));
-        // The rank's own deposit stays the same `Arc`, so its view of its
-        // own payload is zero-copy, exactly like the shared backend.
-        let own = RxDeposit {
-            entry: dep.entry,
-            fp: dep.fp,
-            payload: RxPayload::Local(dep.payload.local),
-        };
-        self.client
-            .mailbox
-            .file((self.id, seq), members, my_idx, own)
-            .map_err(CollectError::Transport)?;
-        self.client
-            .send(FrameKind::Deposit, body)
-            .map_err(CollectError::Transport)
-    }
-
-    fn collect(
-        &self,
-        kind: CollectiveKind,
-        seq: u64,
-        my_idx: usize,
-        members: &[usize],
-        abort: &dyn Fn() -> Option<String>,
-        timeout: Duration,
-    ) -> Result<Vec<RxDeposit>, CollectError> {
-        let key = (self.id, seq);
-        // The notice feeds the launcher's watchdog mirror of a worker; a
-        // complete slot is collected without a wait, and rank 0, beside
-        // the hub, keeps its own diagnostics.
-        if self.client.hub.is_none() && !self.client.mailbox.is_complete(key) {
-            let msg = WaitMsg {
-                comm: self.id,
-                seq,
-                kind,
-                my_idx,
-                members: members.to_vec(),
-            };
-            self.client
-                .send(FrameKind::Wait, frame::encode(&msg))
-                .map_err(CollectError::Transport)?;
-        }
-        self.client.mailbox.collect(key, 1, abort, timeout)
-    }
-
-    fn derive(&self, key_seq: u64, color: u64) -> Arc<dyn CommLink> {
-        Arc::new(SocketLink {
-            id: derived_id(self.id, key_seq, color),
-            client: self.client.clone(),
-        })
-    }
+/// File `msg`'s deposit, whose payload lies at `range` in the received
+/// `body`, into `mailbox`.
+fn file_remote(
+    mailbox: &Mailbox,
+    msg: &DepositMsg,
+    body: Arc<Vec<u8>>,
+    range: Range<usize>,
+) -> Result<(), String> {
+    let payload = RxPayload::Remote { body, range };
+    let dep = RxDeposit {
+        entry: msg.entry,
+        fp: msg.fp.clone(),
+        payload,
+    };
+    mailbox.file((msg.comm, msg.seq), &msg.members, msg.my_idx, dep)
 }
 
 // ---------------------------------------------------------------------
@@ -387,7 +270,6 @@ impl CommLink for SocketLink {
 // ---------------------------------------------------------------------
 
 /// One frame on a connection's queue.
-#[derive(Clone)]
 struct Outgoing {
     kind: FrameKind,
     /// The leading bytes of the body.
@@ -395,53 +277,6 @@ struct Outgoing {
     /// The rest of the body: a range of a received body, written from
     /// where it lies.
     payload: Option<(Arc<Vec<u8>>, Range<usize>)>,
-}
-
-impl Outgoing {
-    fn error(why: &str) -> Self {
-        Outgoing {
-            kind: FrameKind::Error,
-            head: frame::encode(&ErrorMsg {
-                message: why.to_string(),
-            }),
-            payload: None,
-        }
-    }
-}
-
-/// The `DEPOSIT` frames that forward `msg`, whose payload lies at
-/// `payload` in the received `body`, to every member but its sender: the
-/// same head without a part table, then the member's part — or the whole
-/// payload, unparted — written from `body` in place.
-fn forwards(
-    mut msg: DepositMsg,
-    body: &Arc<Vec<u8>>,
-    payload: Range<usize>,
-) -> Vec<(usize, Outgoing)> {
-    let parts = msg.parts.take();
-    let head = msg.head(0);
-    let len_at = head.len() - 8;
-    let mut out = Vec::with_capacity(msg.members.len().saturating_sub(1));
-    for (idx, &member) in msg.members.iter().enumerate() {
-        if idx == msg.my_idx {
-            continue;
-        }
-        let part = match &parts {
-            None => payload.clone(),
-            Some(parts) => payload.start + parts[idx].start..payload.start + parts[idx].end,
-        };
-        let mut head = head.clone();
-        head[len_at..].copy_from_slice(&(part.len() as u64).to_le_bytes());
-        out.push((
-            member,
-            Outgoing {
-                kind: FrameKind::Deposit,
-                head,
-                payload: Some((body.clone(), part)),
-            },
-        ));
-    }
-    out
 }
 
 /// A connection's writer thread: write every queued frame, in order, to
@@ -467,30 +302,33 @@ struct HubState {
     dead: Vec<bool>,
 }
 
-/// The router between the ranks' connections. It keeps no rendezvous
-/// state: each `DEPOSIT` is forwarded at once to the other members, whose
-/// mailboxes complete the rendezvous. It mirrors every remote rank's
-/// deposits, waits, results and panics into the launcher's diagnostics so
-/// the watchdog and failure reports work identically to the thread
-/// backend; rank 0's own thread maintains its diagnostics directly, so
-/// its frames are not mirrored.
+/// The router between the workers' connections and the launcher's
+/// rank 0. It keeps no rendezvous state: each `DEPOSIT` is delivered at
+/// once to the other members, whose mailboxes complete the rendezvous —
+/// rank 0's by filing into it directly, a worker's by a forwarded frame.
+/// It mirrors every worker's deposits, waits, results and panics into the
+/// launcher's diagnostics so the watchdog and failure reports work
+/// identically to the thread backend; rank 0's own thread maintains its
+/// diagnostics directly, so its deposits are not mirrored.
 ///
-/// Writes: each rank's frames go onto its own queue, which one writer
+/// Writes: each worker's frames go onto its own queue, which one writer
 /// thread per connection drains, so a peer that stops draining its
 /// socket stalls its own queue and nothing else — not other ranks'
 /// forwards, not abort delivery. The queues exist from the start, so
-/// frames for a rank that has not connected yet wait for it. `state`
-/// guards results and deaths only and is never held across a send.
-struct Hub {
+/// frames for a worker that has not connected yet wait for it. `state`
+/// guards results and deaths only and is never held across a send or
+/// while filing.
+pub(crate) struct Hub {
     registry: Arc<Registry>,
     size: usize,
     /// Index of the socket run this hub serves; a `HELLO` must name it.
     run: u64,
+    /// Each worker's queue, by rank; rank 0's is never used.
     queues: Vec<Sender<Outgoing>>,
-    /// The draining end of each rank's queue until that rank's `HELLO`
-    /// claims it; a second `HELLO` for the rank finds it taken.
+    /// The draining end of each worker's queue until that worker's
+    /// `HELLO` claims it; a second `HELLO` for the rank finds it taken.
     unclaimed: Mutex<Vec<Option<Receiver<Outgoing>>>>,
-    /// Set once the abort `ERROR` has been queued to every rank.
+    /// Set once the abort has been delivered to every rank.
     aborted: AtomicBool,
     state: Mutex<HubState>,
 }
@@ -498,9 +336,9 @@ struct Hub {
 impl Hub {
     fn new(registry: Arc<Registry>, size: usize, run: u64) -> Self {
         let (queues, unclaimed) = (0..size)
-            .map(|_| {
+            .map(|rank| {
                 let (tx, rx) = mpsc::channel();
-                (tx, Some(rx))
+                (tx, (rank != 0).then_some(rx))
             })
             .unzip();
         Hub {
@@ -528,7 +366,7 @@ impl Hub {
     }
 
     /// Admit a connection's `HELLO`: check it names this run's world and
-    /// a rank not yet connected, and start the rank's writer thread on
+    /// a worker not yet connected, and start the worker's writer thread on
     /// `stream`. The `Err` says why the `HELLO` is refused.
     fn admit(&self, hello: &HelloMsg, stream: UnixStream) -> Result<(), String> {
         let rank = hello.rank;
@@ -543,6 +381,9 @@ impl Hub {
                 "HELLO is for socket run {}, but this hub serves run {}",
                 hello.run, self.run
             ));
+        }
+        if rank == 0 {
+            return Err("HELLO names rank 0, which the launcher runs itself".to_string());
         }
         let queue = match self.lock_unclaimed().get_mut(rank) {
             None => {
@@ -564,7 +405,12 @@ impl Hub {
         self.lock_unclaimed().iter().all(Option::is_none)
     }
 
-    /// Queue one frame for `rank`. A closed queue means its writer
+    /// The mailbox of the launcher's rank 0, into which the hub files.
+    fn rank0(&self) -> &Mailbox {
+        &self.registry.mailboxes[0]
+    }
+
+    /// Queue one frame for worker `rank`. A closed queue means its writer
     /// stopped because the peer died, which its connection reader
     /// reports.
     fn send(&self, rank: usize, out: Outgoing) {
@@ -573,25 +419,39 @@ impl Hub {
         }
     }
 
+    /// Fail `rank`'s waiting and later collects with `why`: poison rank
+    /// 0's mailbox, or queue an `ERROR` to a worker.
     fn send_error(&self, rank: usize, why: String) {
-        self.send(rank, Outgoing::error(&why));
+        if rank == 0 {
+            return self.rank0().poison(why);
+        }
+        let head = frame::encode(&ErrorMsg { message: why });
+        self.send(
+            rank,
+            Outgoing {
+                kind: FrameKind::Error,
+                head,
+                payload: None,
+            },
+        );
     }
 
-    /// Queue one `ERROR` carrying `why` to every rank, the first time
-    /// only. Called on panic, death, and whenever the monitor thread
-    /// observes the abort flag (covering rank-0 panics and
-    /// watchdog-declared deadlocks).
+    /// Deliver `why` as an error to every rank, the first time only.
+    /// Called on panic, death, and whenever the monitor thread observes
+    /// the abort flag (covering rank-0 panics and watchdog-declared
+    /// deadlocks).
     fn abort(&self, why: &str) {
         if self.aborted.swap(true, Ordering::Relaxed) {
             return;
         }
-        let error = Outgoing::error(why);
         for rank in 0..self.size {
-            self.send(rank, error.clone());
+            self.send_error(rank, why.to_string());
         }
     }
 
-    fn on_frame(&self, rank: usize, fr: Frame) {
+    /// Dispatch one frame from `rank`: a worker's, read off its
+    /// connection, or a deposit of rank 0's, handed over by a call.
+    pub(crate) fn on_frame(&self, rank: usize, fr: Frame) {
         match fr.kind {
             FrameKind::Deposit => match DepositMsg::parse(&fr.body) {
                 Ok((m, payload)) => self.on_deposit(rank, m, Arc::new(fr.body), payload),
@@ -613,8 +473,17 @@ impl Hub {
     }
 
     /// Check that `rank`'s deposit names it as its sender and only ranks
-    /// of this world as members, mirror it, and forward it.
-    fn on_deposit(&self, rank: usize, msg: DepositMsg, body: Arc<Vec<u8>>, payload: Range<usize>) {
+    /// of this world as members, mirror it, and deliver it to every other
+    /// member: rank 0's part is filed into its mailbox as a range of the
+    /// received `body`; a worker's is forwarded as a `DEPOSIT` frame with
+    /// the same head, without a part table, written from `body` in place.
+    fn on_deposit(
+        &self,
+        rank: usize,
+        mut msg: DepositMsg,
+        body: Arc<Vec<u8>>,
+        payload: Range<usize>,
+    ) {
         let at = || format!("comm {} seq {}", msg.comm, msg.seq);
         let refusal = match msg.members.get(msg.my_idx) {
             Some(&m) if m != rank => Some(format!(
@@ -655,27 +524,44 @@ impl Hub {
                 },
             );
         }
-        for (member, out) in forwards(msg, &body, payload) {
-            self.send(member, out);
+        let parts = msg.parts.take();
+        for (idx, &member) in msg.members.iter().enumerate() {
+            if idx == msg.my_idx {
+                continue;
+            }
+            let part = match &parts {
+                None => payload.clone(),
+                Some(parts) => payload.start + parts[idx].start..payload.start + parts[idx].end,
+            };
+            if member == 0 {
+                if let Err(why) = file_remote(self.rank0(), &msg, body.clone(), part) {
+                    self.rank0().poison(why);
+                }
+            } else {
+                let out = Outgoing {
+                    kind: FrameKind::Deposit,
+                    head: msg.head(part.len()),
+                    payload: Some((body.clone(), part)),
+                };
+                self.send(member, out);
+            }
         }
     }
 
     /// Mirror a worker's `WAIT` notice; it is never answered, and the
     /// rank reads as running again from its next `DEPOSIT`.
     fn on_wait(&self, rank: usize, msg: WaitMsg) {
-        if rank != 0 {
-            self.registry.diag.set_blocked(
-                rank,
-                WaitSlot {
-                    slot: SlotId {
-                        comm: msg.comm,
-                        seq: msg.seq,
-                    },
-                    kind: msg.kind,
-                    members: msg.members,
+        self.registry.diag.set_blocked(
+            rank,
+            WaitSlot {
+                slot: SlotId {
+                    comm: msg.comm,
+                    seq: msg.seq,
                 },
-            );
-        }
+                kind: msg.kind,
+                members: msg.members,
+            },
+        );
     }
 
     fn on_result(&self, rank: usize, body: Vec<u8>) {
@@ -685,9 +571,7 @@ impl Hub {
                 *slot = Some(body);
             }
         }
-        if rank != 0 {
-            self.registry.diag.set_phase(rank, RankPhase::Done);
-        }
+        self.registry.diag.set_phase(rank, RankPhase::Done);
     }
 
     fn on_panic(&self, rank: usize, msg: PanicMsg) {
@@ -703,15 +587,10 @@ impl Hub {
         self.abort(&why);
     }
 
-    /// A client connection closed (or its process exited) without a
+    /// A worker's connection closed (or its process exited) without a
     /// result: record the death, raise the abort flag, and tell every
-    /// rank by name so no peer hangs until timeout. Rank 0 lives in the
-    /// launcher process, so its connection closing is never a death.
-    /// Idempotent.
+    /// rank by name so no peer hangs until timeout. Idempotent.
     fn rank_closed(&self, rank: usize, reason: String) {
-        if rank == 0 {
-            return;
-        }
         {
             let mut state = self.lock();
             let finished = state.results.get(rank).is_some_and(|r| r.is_some());
@@ -748,7 +627,7 @@ impl Hub {
 // Connection handling.
 // ---------------------------------------------------------------------
 
-/// Accept connections until every rank has been admitted. Each `HELLO`
+/// Accept connections until every worker has been admitted. Each `HELLO`
 /// is read here, one connection at a time and for at most
 /// [`HELLO_TIMEOUT`]; a refused one is answered with an `ERROR` naming
 /// why, its frames are never dispatched, and it takes no rank's place.
@@ -929,8 +808,8 @@ fn monitor_loop(
 // ---------------------------------------------------------------------
 
 /// Run a socket-transport cluster from the launcher side: bind the hub,
-/// spawn workers, run rank 0 in-process as an ordinary socket client,
-/// and assemble every rank's `(result, report)` — decoding the workers'
+/// spawn workers, run rank 0 in-process — its deposits handed to the hub
+/// by a call, and the hub filing into its mailbox — and assemble every rank's `(result, report)` — decoding the workers'
 /// from their `RESULT` frames — in rank order, exactly like
 /// `run_threads`.
 pub(crate) fn run_launcher<R, F>(cl: &Cluster, run_idx: u64, f: F) -> Vec<(R, TimelineReport)>
@@ -967,33 +846,13 @@ where
 
     let f = &f;
     let registry_ref = &registry;
-    let sock_ref = &sock_path;
-    let hub_ref = &hub;
+    let leg = Leg::Hub(hub.clone());
     let rank0_res: Option<(R, TimelineReport)> = std::thread::scope(|scope| {
         if cl.check.is_on() {
             let registry = registry.clone();
             scope.spawn(move || watchdog(&registry));
         }
-        let handle = scope.spawn(move || {
-            let beside = Some(hub_ref.clone());
-            let client =
-                match SocketClient::connect(sock_ref, 0, size, run_idx, CONNECT_TIMEOUT, beside) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        registry_ref
-                            .diag
-                            .set_abort(format!("rank 0 could not reach its own hub: {e}"));
-                        return None;
-                    }
-                };
-            let out = cl
-                .run_rank(registry_ref, SocketLink::world(client.clone()), 0, f)
-                .ok();
-            // Unblock the hub's reader for rank 0 — the launcher keeps
-            // no long-lived client once rank 0 is finished.
-            client.close();
-            out
-        });
+        let handle = scope.spawn(move || cl.run_rank(registry_ref, leg, 0, f).ok());
         handle.join().ok().flatten()
     });
 
@@ -1064,22 +923,22 @@ where
         "socket worker run {}: cluster size {} != spawned world size {}",
         env.run, cl.size, env.world
     );
-    let client = match SocketClient::connect(
-        &env.socket,
-        env.rank,
-        env.world,
+    assert!(
+        env.rank < env.world,
+        "socket worker run {}: rank {} is outside a {}-rank world",
         env.run,
-        CONNECT_TIMEOUT,
-        None,
-    ) {
+        env.rank,
+        env.world
+    );
+    let registry = Registry::for_run(cl);
+    let client = match SocketClient::connect(env, registry.mailboxes[env.rank].clone()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cagnet socket worker rank {}: {e}", env.rank);
             std::process::exit(3);
         }
     };
-    let link = SocketLink::world(client.clone());
-    match cl.run_rank(&Registry::for_run(cl), link, env.rank, &f) {
+    match cl.run_rank(&registry, Leg::Socket(client.clone()), env.rank, &f) {
         Ok(done) => match client.send(FrameKind::Result, frame::encode(&done)) {
             Ok(()) => std::process::exit(0),
             Err(e) => {
@@ -1101,21 +960,29 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{SharedLink, TxPayload};
+    use crate::transport::{derived_id, CollectError, Link, TxDeposit, TxPayload, WORLD_COMM_ID};
+    use cagnet_check::fingerprint::CollectiveKind;
     use std::io::{ErrorKind, Read};
 
-    /// A hub for `size` ranks whose connections are socket pairs:
-    /// `hub.on_frame(rank, ..)` stands in for `rank`'s connection
-    /// thread, and what the hub sends `rank` arrives on `peers[rank]`.
+    /// A hub for `size` ranks whose workers' connections are socket
+    /// pairs: `hub.on_frame(rank, ..)` stands in for `rank`'s connection
+    /// thread, what the hub sends worker `rank` arrives on `peer(rank)`,
+    /// and what it delivers to rank 0 lands in rank 0's mailbox.
     struct Rig {
         hub: Arc<Hub>,
         peers: Vec<UnixStream>,
     }
 
+    impl Rig {
+        fn peer(&self, rank: usize) -> &UnixStream {
+            &self.peers[rank - 1]
+        }
+    }
+
     fn rig(size: usize) -> Rig {
         let registry = Registry::for_run(&Cluster::new(size).with_timeout(Duration::from_secs(5)));
         let hub = Arc::new(Hub::new(registry, size, 0));
-        let peers = (0..size)
+        let peers = (1..size)
             .map(|rank| {
                 let (hub_end, peer) = UnixStream::pair().expect("socket pair");
                 peer.set_read_timeout(Some(Duration::from_secs(5)))
@@ -1223,16 +1090,79 @@ mod tests {
         matches!(got, Err(FrameError::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut))
     }
 
-    /// A client of `rank` whose hub end is the returned stream.
-    fn client(rank: usize) -> (Arc<SocketClient>, UnixStream) {
+    fn unit_rx() -> RxDeposit {
+        RxDeposit {
+            entry: 0.0,
+            fp: None,
+            payload: RxPayload::Local(Arc::new(())),
+        }
+    }
+
+    /// Rank 0's collect of the rendezvous `key` of `members`, in which it
+    /// is member 0, once it has filed its own deposit.
+    fn rank0_collect(hub: &Hub, key: (u64, u64), members: &[usize]) -> Vec<RxDeposit> {
+        hub.rank0()
+            .file(key, members, 0, unit_rx())
+            .unwrap_or_else(|why| panic!("{why}"));
+        match hub.rank0().collect(key, &|| None, Duration::from_secs(5)) {
+            Ok(deposits) => deposits,
+            Err(_) => panic!("{key:?} must complete at rank 0"),
+        }
+    }
+
+    /// How many deposits rank 0's mailbox holds for `key`, which must
+    /// stay incomplete.
+    fn rank0_arrived(hub: &Hub, key: (u64, u64)) -> usize {
+        match hub
+            .rank0()
+            .collect(key, &|| None, Duration::from_millis(50))
+        {
+            Err(CollectError::Timeout { arrived }) => arrived,
+            _ => panic!("{key:?} must time out at rank 0"),
+        }
+    }
+
+    /// Why rank 0's collects fail.
+    fn rank0_error(hub: &Hub) -> String {
+        transport_error(
+            hub.rank0()
+                .collect((u64::MAX, 0), &|| None, Duration::from_secs(5)),
+        )
+    }
+
+    /// The bytes of a payload that arrived over the wire.
+    fn remote_bytes(dep: &RxDeposit) -> &[u8] {
+        match &dep.payload {
+            RxPayload::Remote { body, range } => &body[range.clone()],
+            RxPayload::Local(_) => panic!("a forwarded payload is remote"),
+        }
+    }
+
+    /// A worker link of `rank` to communicator `id`, whose hub end is the
+    /// returned stream.
+    fn client(rank: usize, id: u64) -> (Link, UnixStream) {
         let (ours, hub_end) = UnixStream::pair().expect("socket pair");
         hub_end
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
-        (
-            SocketClient::start(rank, ours, None).expect("client"),
-            hub_end,
-        )
+        let mailbox = Arc::new(Mailbox::default());
+        let client = SocketClient::start(rank, ours, mailbox.clone()).expect("client");
+        let link = Link {
+            id,
+            mailbox,
+            leg: Leg::Socket(client),
+        };
+        (link, hub_end)
+    }
+
+    /// World rank `rank`'s link to the world communicator of
+    /// `registry`'s run.
+    fn world_link(registry: &Registry, rank: usize, leg: Leg) -> Link {
+        Link {
+            id: WORLD_COMM_ID,
+            mailbox: registry.mailboxes[rank].clone(),
+            leg,
+        }
     }
 
     fn send_to_client(hub_end: &UnixStream, fr: &Frame) {
@@ -1241,7 +1171,7 @@ mod tests {
     }
 
     fn collect(
-        link: &dyn CommLink,
+        link: &Link,
         seq: u64,
         my_idx: usize,
         members: &[usize],
@@ -1275,25 +1205,28 @@ mod tests {
 
     #[test]
     fn stalled_peer_blocks_neither_other_rendezvous_nor_abort_delivery() {
-        let Rig { hub, peers } = rig(4);
-        // Rank 0 broadcasts 8 MiB to ranks 1 and 2. Nobody drains rank
-        // 1's socket, so the forward to it stalls once the socket buffer
-        // is full; the frame header arriving proves that write is in
-        // flight.
-        let n = 8 << 20;
-        hub.on_frame(0, deposit((1, 0), 0, &[0, 1, 2], &vec![7u8; n]));
+        let rig = rig(4);
+        let hub = &rig.hub;
+        // Rank 2 broadcasts 8 MiB to ranks 0 and 1, after rank 1's
+        // bystander deposit. Nobody drains rank 1's socket, so the
+        // forward to it stalls once the socket buffer is full; the frame
+        // header arriving proves that write is in flight.
+        let (all, n) = ([0, 1, 2], 8 << 20);
+        hub.on_frame(1, deposit((1, 0), 1, &all, &[]));
+        hub.on_frame(2, deposit((1, 0), 2, &all, &vec![7u8; n]));
         let mut header = [0u8; frame::HEADER_LEN];
-        (&peers[1]).read_exact(&mut header).expect("forward header");
+        rig.peer(1).read_exact(&mut header).expect("forward header");
 
-        // Meanwhile ranks 2 and 3 deposit on another communicator and
-        // the run aborts — on a thread, so a hub that writes them behind
-        // the stalled forward fails this test instead of hanging it.
+        // Meanwhile ranks 2 and 3 deposit to rank 0 on another
+        // communicator and the run aborts — on a thread, so a hub that
+        // delivers them behind the stalled forward fails this test
+        // instead of hanging it.
         let (done_tx, done_rx) = mpsc::channel();
         {
             let hub = hub.clone();
             std::thread::spawn(move || {
-                let others = [2, 3];
-                for idx in 0..2 {
+                let others = [0, 2, 3];
+                for idx in 1..3 {
                     hub.on_frame(others[idx], deposit((9, 0), idx, &others, &[idx as u8]));
                 }
                 hub.abort("abort");
@@ -1303,33 +1236,40 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(1))
             .expect("handled within a second of the stall");
-        // The other member of the stalled deposit gets its forward, the
-        // other rendezvous its forwards, everyone the error.
-        let (msg, payload) = forward_to(&peers[2]);
-        assert_eq!((msg.comm, msg.my_idx, payload.len()), (1, 0, n));
-        assert_eq!(forward_to(&peers[2]).1, [1]);
-        assert_eq!(forward_to(&peers[3]).1, [0]);
-        for rank in [0, 2, 3] {
-            assert_eq!(error_to(&peers[rank]), "abort");
+        // Rank 0's mailbox holds both rendezvous, and the abort poisons
+        // it; the other workers get their forwards and the error.
+        let bcast = rank0_collect(hub, (1, 0), &all);
+        assert_eq!(remote_bytes(&bcast[2]).len(), n);
+        let other = rank0_collect(hub, (9, 0), &[0, 2, 3]);
+        assert_eq!(
+            (remote_bytes(&other[1]), remote_bytes(&other[2])),
+            (&[1u8][..], &[2u8][..])
+        );
+        assert_eq!(rank0_error(hub), "abort");
+        assert_eq!(forward_to(rig.peer(2)).0.my_idx, 1);
+        assert_eq!(forward_to(rig.peer(2)).1, [2]);
+        assert_eq!(forward_to(rig.peer(3)).1, [1]);
+        for rank in [2, 3] {
+            assert_eq!(error_to(rig.peer(rank)), "abort");
         }
         // Abort is sent once.
         hub.abort("again");
-        assert!(silent(&peers[0]));
+        assert!(silent(rig.peer(2)));
 
         // Drain rank 1: the stalled forward completes, then its error.
         let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
         let mut rest = vec![0u8; len as usize];
-        (&peers[1]).read_exact(&mut rest).expect("forward body");
-        assert_eq!(error_to(&peers[1]), "abort");
+        rig.peer(1).read_exact(&mut rest).expect("forward body");
+        assert_eq!(error_to(rig.peer(1)), "abort");
     }
 
     #[test]
     fn frames_sent_to_the_wrong_side_are_named_protocol_errors() {
         // Client-only kinds at the hub, after the handshake.
-        let Rig { hub, peers } = rig(2);
+        let rig = rig(2);
         for kind in [FrameKind::Hello, FrameKind::Error] {
-            hub.on_frame(1, Frame { kind, body: vec![] });
-            let why = error_to(&peers[1]);
+            rig.hub.on_frame(1, Frame { kind, body: vec![] });
+            let why = error_to(rig.peer(1));
             assert_eq!(why, format!("unexpected {kind:?} frame from a client"));
         }
 
@@ -1341,8 +1281,7 @@ mod tests {
             FrameKind::Result,
             FrameKind::Panic,
         ] {
-            let (client, hub_end) = client(1);
-            let link = SocketLink { id: 7, client };
+            let (link, hub_end) = client(1, 7);
             send_to_client(&hub_end, &Frame { kind, body: vec![] });
             let why = transport_error(collect(&link, 0, 1, &[0, 1]));
             assert_eq!(
@@ -1354,37 +1293,53 @@ mod tests {
 
     #[test]
     fn deposits_are_forwarded_to_every_other_member_from_the_received_buffer() {
-        let Rig { hub, peers } = rig(3);
+        // No worker has connected, so what the hub forwards them waits on
+        // their queues as it was sent.
+        let registry = Registry::for_run(&Cluster::new(3).with_timeout(Duration::from_secs(5)));
+        let hub = Arc::new(Hub::new(registry.clone(), 3, 0));
+        let queue = |rank: usize| hub.lock_unclaimed()[rank].take().expect("unclaimed");
+        let (to_one, to_two) = (queue(1), queue(2));
+
         let (key, all, n) = ((1, 3), [0, 1, 2], 64 << 10);
-        let root = deposit(key, 0, &all, &vec![0xAB; n]);
-        let (head, payload) = DepositMsg::parse(&root.body).expect("root deposit");
-        // What goes out is the received buffer's bytes, in place: one
-        // forward per other member, each holding that very buffer.
-        let body = Arc::new(root.body.clone());
-        let outs = forwards(head.clone(), &body, payload.clone());
-        assert_eq!(outs.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [1, 2]);
-        for (_, out) in &outs {
-            let Some((buf, at)) = &out.payload else {
-                panic!("a forward carries the payload");
-            };
-            assert!(Arc::ptr_eq(buf, &body));
-            assert_eq!(*at, payload);
-        }
-        assert_eq!(Arc::strong_count(&body), 3);
+        let sent = deposit(key, 1, &all, &vec![0xAB; n]);
+        let (head, payload) = DepositMsg::parse(&sent.body).expect("deposit");
+        let body = Arc::new(sent.body);
+        hub.on_deposit(1, head.clone(), body.clone(), payload.clone());
+        // Rank 2's forward is the received buffer's bytes, in place, after
+        // the head as sent.
+        let out = to_two.try_recv().expect("a forward to rank 2");
+        let Some((buf, at)) = &out.payload else {
+            panic!("a forward carries the payload");
+        };
+        assert!(Arc::ptr_eq(buf, &body));
+        assert_eq!(*at, payload);
+        let forwarded = [&out.head[..], &buf[at.clone()]].concat();
+        assert_eq!(DepositMsg::parse(&forwarded).expect("forward").0, head);
+        assert!(
+            to_one.try_recv().is_err(),
+            "the sender was echoed its deposit"
+        );
 
-        hub.on_frame(0, root);
-        for rank in [1, 2] {
-            let (msg, got) = forward_to(&peers[rank]);
-            assert_eq!(msg, head, "the head travels as sent");
-            assert!(got.len() == n && got.iter().all(|&b| b == 0xAB));
+        // Rank 0's copy is filed into its mailbox as a range of that very
+        // buffer: no socket, no second copy.
+        hub.on_frame(2, deposit(key, 2, &all, &[]));
+        to_one.try_recv().expect("rank 2's deposit reaches rank 1");
+        let deposits = rank0_collect(&hub, key, &all);
+        match &deposits[1].payload {
+            RxPayload::Remote { body: got, range } => {
+                assert!(Arc::ptr_eq(got, &body));
+                assert_eq!(*range, payload);
+            }
+            RxPayload::Local(_) => panic!("a forwarded payload is remote"),
         }
-        assert!(silent(&peers[0]), "the root was echoed its own deposit");
+        assert_eq!(
+            (deposits[1].entry, deposits[1].payload.wire_len()),
+            (0.5, n)
+        );
 
-        // The launcher's rank 0, beside the hub, hands its deposit over in
-        // memory; it is forwarded alike.
-        let (ours, _unused) = UnixStream::pair().expect("socket pair");
-        let client = SocketClient::start(0, ours, Some(hub.clone())).expect("client");
-        let beside = SocketLink { id: 1, client };
+        // The launcher's rank 0 hands its deposit to the hub by a call; it
+        // is forwarded alike.
+        let beside = world_link(&registry, 0, Leg::Hub(hub.clone()));
         let tx = TxDeposit {
             entry: 0.5,
             fp: None,
@@ -1393,54 +1348,45 @@ mod tests {
         beside
             .deposit(CollectiveKind::Bcast, 4, 0, &all, tx)
             .unwrap_or_else(|_| panic!("deposit beside the hub"));
-        for rank in [1, 2] {
-            let (msg, got) = forward_to(&peers[rank]);
+        for queue in [&to_one, &to_two] {
+            let out = queue.try_recv().expect("a forward from rank 0");
+            let forwarded = match &out.payload {
+                Some((buf, at)) => [&out.head[..], &buf[at.clone()]].concat(),
+                None => out.head.clone(),
+            };
+            let (msg, at) = DepositMsg::parse(&forwarded).expect("forward");
             assert_eq!((msg.comm, msg.seq, msg.my_idx), (1, 4, 0));
-            assert_eq!(frame::decode::<u64>(&got).ok(), Some(7));
+            assert_eq!(frame::decode::<u64>(&forwarded[at]).ok(), Some(7));
         }
-        assert!(silent(&peers[0]));
     }
 
     #[test]
     fn served_gathers_route_each_member_only_its_part() {
-        let Rig { hub, peers } = rig(3);
+        let rig = rig(3);
+        let hub = &rig.hub;
         let all = [0, 1, 2];
         let (requests, serve) = ((1, 0), (1, 1));
 
         // Round one: each receiver's request is parted to reach only the
-        // root, member 0.
+        // root, rank 0.
         hub.on_frame(1, parted_deposit(requests, 1, &all, &[1; 16], &[16, 0, 0]));
         hub.on_frame(2, parted_deposit(requests, 2, &all, &[2; 24], &[24, 0, 0]));
-        for (from, bytes) in [(1, vec![1; 16]), (2, vec![2; 24])] {
-            let (msg, got) = forward_to(&peers[0]);
-            assert_eq!((msg.my_idx, msg.parts, got), (from, None, bytes));
-        }
+        let got = rank0_collect(hub, requests, &all);
+        assert_eq!(remote_bytes(&got[1]), [1; 16]);
+        assert_eq!(remote_bytes(&got[2]), [2; 24]);
         for (rank, other) in [(1, 2), (2, 1)] {
-            let (msg, got) = forward_to(&peers[rank]);
+            let (msg, got) = forward_to(rig.peer(rank));
             assert_eq!(msg.my_idx, other);
             assert!(got.is_empty(), "rank {rank} sees no request");
         }
 
         // Round two: the root serves 3000 bytes to member 1 and 5000 to
-        // member 2 in one deposit; each part goes out from the one
-        // received body, in place.
+        // member 2 in one deposit, and each receives only its part.
         let mut served = vec![0xA1; 3000];
         served.extend_from_slice(&[0xA2; 5000]);
-        let root = parted_deposit(serve, 0, &all, &served, &[0, 3000, 5000]);
-        let (head, payload) = DepositMsg::parse(&root.body).expect("serve deposit");
-        let body = Arc::new(root.body.clone());
-        let at = payload.start;
-        let outs = forwards(head, &body, payload);
-        for ((member, out), part) in outs.iter().zip([at..at + 3000, at + 3000..at + 8000]) {
-            let Some((buf, at)) = &out.payload else {
-                panic!("member {member}: a forward carries its part");
-            };
-            assert!(Arc::ptr_eq(buf, &body), "member {member}");
-            assert_eq!(*at, part);
-        }
-        hub.on_frame(0, root);
-        let (to_one, one) = forward_to(&peers[1]);
-        let (to_two, two) = forward_to(&peers[2]);
+        hub.on_frame(0, parted_deposit(serve, 0, &all, &served, &[0, 3000, 5000]));
+        let (to_one, one) = forward_to(rig.peer(1));
+        let (to_two, two) = forward_to(rig.peer(2));
         assert_eq!((one, two), (vec![0xA1; 3000], vec![0xA2; 5000]));
         // Nothing but the part after the head: the same head both ways,
         // with no part table.
@@ -1450,7 +1396,7 @@ mod tests {
 
     #[test]
     fn malformed_part_tables_are_refused_by_name() {
-        let Rig { hub, peers } = rig(3);
+        let rig = rig(3);
         let all = [0, 1, 2];
         for (parts, why) in [
             (vec![0..4, 2..6, 6..6], "part ranges overlap"),
@@ -1465,22 +1411,21 @@ mod tests {
             (vec![0..2, 2..6, 6..9], "part range runs past the payload"),
             (vec![0..2, 3..6, 6..6], "part ranges leave a gap"),
         ] {
-            hub.on_frame(1, deposit_with_parts((1, 0), 1, &all, &[7; 6], parts));
-            let got = error_to(&peers[1]);
+            rig.hub
+                .on_frame(1, deposit_with_parts((1, 0), 1, &all, &[7; 6], parts));
+            let got = error_to(rig.peer(1));
             assert!(
                 got.contains("bad deposit frame") && got.contains(why),
                 "got: {got}"
             );
         }
-        assert!(
-            silent(&peers[0]) && silent(&peers[2]),
-            "refused deposits forward nothing"
-        );
+        assert_eq!(rank0_arrived(&rig.hub, (1, 0)), 0);
+        assert!(silent(rig.peer(2)), "refused deposits forward nothing");
     }
 
     #[test]
     fn misaddressed_deposits_are_named_as_such() {
-        let Rig { hub, peers } = rig(3);
+        let rig = rig(3);
         let all = [0, 1, 2];
         for (frame, expect) in [
             (
@@ -1496,14 +1441,12 @@ mod tests {
                 "lists rank 4 of a 3-rank world",
             ),
         ] {
-            hub.on_frame(1, frame);
-            let why = error_to(&peers[1]);
+            rig.hub.on_frame(1, frame);
+            let why = error_to(rig.peer(1));
             assert!(why.contains(expect), "got: {why}");
         }
-        assert!(
-            silent(&peers[0]) && silent(&peers[2]),
-            "refused deposits forward nothing"
-        );
+        assert_eq!(rank0_arrived(&rig.hub, (1, 0)), 0);
+        assert!(silent(rig.peer(2)), "refused deposits forward nothing");
     }
 
     #[test]
@@ -1511,8 +1454,8 @@ mod tests {
         let path = socket_path();
         let _guard = SocketGuard(path.clone());
         let listener = UnixListener::bind(&path).expect("bind");
-        let registry = Registry::for_run(&Cluster::new(2).with_timeout(Duration::from_secs(5)));
-        let hub = Arc::new(Hub::new(registry.clone(), 2, 0));
+        let registry = Registry::for_run(&Cluster::new(3).with_timeout(Duration::from_secs(5)));
+        let hub = Arc::new(Hub::new(registry.clone(), 3, 0));
         {
             let hub = hub.clone();
             std::thread::spawn(move || accept_loop(listener, hub));
@@ -1529,45 +1472,48 @@ mod tests {
             body: frame::encode(&HelloMsg { rank, world, run }),
         };
 
-        let one = connect(hello(1, 2, 0));
-        // A second claimant of rank 1 is refused by name, and closing it
-        // is no death of rank 1.
-        let duplicate = connect(hello(1, 2, 0));
-        assert_eq!(error_to(&duplicate), "rank 1 is already connected");
-        drop(duplicate);
         for (fr, why) in [
-            (hello(7, 2, 0), "HELLO names rank 7 of a 2-rank world"),
             (
                 hello(0, 3, 0),
-                "HELLO expects a 3-rank world, but this run has 2",
+                "HELLO names rank 0, which the launcher runs itself",
+            ),
+            (hello(7, 3, 0), "HELLO names rank 7 of a 3-rank world"),
+            (
+                hello(1, 2, 0),
+                "HELLO expects a 2-rank world, but this run has 3",
             ),
             (
-                hello(0, 2, 9),
+                hello(1, 3, 9),
                 "HELLO is for socket run 9, but this hub serves run 0",
             ),
             (
-                deposit((1, 0), 0, &[0, 1], &[0]),
+                deposit((1, 0), 1, &[0, 1], &[0]),
                 "expected a HELLO frame, got Deposit",
             ),
         ] {
             assert_eq!(error_to(&connect(fr)), why);
         }
 
-        // Rank 0 still gets in, and its deposit reaches the first
-        // claimant of rank 1.
-        let zero = connect(hello(0, 2, 0));
-        let mut zero_ref = &zero;
-        let dep = deposit((1, 0), 0, &[0, 1], &[5]);
-        frame::write_frame(&mut zero_ref, dep.kind, &dep.body).expect("deposit");
-        assert_eq!(forward_to(&one).1, [5]);
-        std::thread::sleep(Duration::from_millis(100));
+        // Rank 1 still gets in; a second claimant of it is refused by
+        // name, and closing that one is no death of rank 1.
+        let one = connect(hello(1, 3, 0));
+        let duplicate = connect(hello(1, 3, 0));
+        assert_eq!(error_to(&duplicate), "rank 1 is already connected");
+        drop(duplicate);
+
+        // Rank 1's deposit reaches rank 0's mailbox.
+        let mut one_ref = &one;
+        let dep = deposit((1, 0), 1, &[0, 1], &[5]);
+        frame::write_frame(&mut one_ref, dep.kind, &dep.body).expect("deposit");
+        assert_eq!(remote_bytes(&rank0_collect(&hub, (1, 0), &[0, 1])[1]), [5]);
         assert_eq!(registry.diag.abort_message(), None, "the run goes on");
+        // The last worker lets the accept loop finish.
+        let _two = connect(hello(2, 3, 0));
     }
 
     #[test]
     fn client_hands_back_its_own_deposit_and_refuses_a_forward_in_its_place() {
-        let (client, hub_end) = client(1);
-        let link = SocketLink { id: 7, client };
+        let (link, hub_end) = client(1, 7);
         let pair = [0, 1];
         let own = Arc::new(9u64);
         let tx = TxDeposit {
@@ -1610,62 +1556,68 @@ mod tests {
 
     #[test]
     fn mailbox_refuses_a_second_deposit_and_another_member_list_on_both_transports() {
-        let twice = "rank deposited twice at comm 1 seq 0 — collective misuse";
-        let mismatch = "protocol error: deposit at comm 1 seq 0 lists members [0, 2] but the \
-                        rendezvous was opened with [0, 1, 2]";
-
-        // Threads: the depositing rank is refused.
-        let registry = Registry::for_run(&Cluster::new(3));
-        let link = SharedLink::world(&registry);
-        let put = |idx, members: &[usize]| match link.deposit(
-            CollectiveKind::Bcast,
-            0,
-            idx,
-            members,
-            unit_deposit(),
-        ) {
-            Ok(()) => None,
-            Err(CollectError::Transport(why)) => Some(why),
-            Err(_) => panic!("a refused deposit is a transport error"),
+        let twice = |seq| format!("rank deposited twice at comm 1 seq {seq} — collective misuse");
+        let mismatch = |seq| {
+            format!(
+                "protocol error: deposit at comm 1 seq {seq} lists members [0, 2] but the \
+                 rendezvous was opened with [0, 1, 2]"
+            )
         };
-        assert_eq!(put(0, &[0, 1, 2]), None);
-        assert_eq!(put(0, &[0, 1, 2]).as_deref(), Some(twice));
-        assert_eq!(put(1, &[0, 2]).as_deref(), Some(mismatch));
+
+        // Threads: the depositing rank is refused, by its own mailbox ...
+        let registry = Registry::for_run(&Cluster::new(3));
+        let put = |rank, seq, idx, members: &[usize]| {
+            let link = world_link(&registry, rank, Leg::Threads(registry.clone()));
+            match link.deposit(CollectiveKind::Bcast, seq, idx, members, unit_deposit()) {
+                Ok(()) => None,
+                Err(CollectError::Transport(why)) => Some(why),
+                Err(_) => panic!("a refused deposit is a transport error"),
+            }
+        };
+        assert_eq!(put(0, 0, 0, &[0, 1, 2]), None);
+        assert_eq!(put(0, 0, 0, &[0, 1, 2]), Some(twice(0)));
+        assert_eq!(put(0, 0, 1, &[0, 2]), Some(mismatch(0)));
+        // ... or by a peer's: rank 1's deposit at seq 1 has reached rank
+        // 0's mailbox, not yet rank 2's, when rank 2 files one for another
+        // group.
+        registry.mailboxes[0]
+            .file((1, 1), &[0, 1, 2], 1, unit_rx())
+            .unwrap_or_else(|why| panic!("{why}"));
+        assert_eq!(put(2, 1, 1, &[0, 2]), Some(mismatch(1)));
 
         // Sockets: the rank the deposit was forwarded to fails its
         // collects by name.
         for (second, why) in [
-            (deposit((1, 0), 0, &[0, 1, 2], &[0]), twice),
-            (deposit((1, 0), 0, &[0, 2], &[0]), mismatch),
+            (deposit((1, 0), 0, &[0, 1, 2], &[0]), twice(0)),
+            (deposit((1, 0), 0, &[0, 2], &[0]), mismatch(0)),
         ] {
-            let (client, hub_end) = client(2);
-            let link = SocketLink::world(client);
+            let (link, hub_end) = client(2, WORLD_COMM_ID);
             send_to_client(&hub_end, &deposit((1, 0), 0, &[0, 1, 2], &[0]));
             send_to_client(&hub_end, &second);
-            assert_eq!(transport_error(collect(&*link, 0, 2, &[0, 1, 2])), why);
+            assert_eq!(transport_error(collect(&link, 0, 2, &[0, 1, 2])), why);
         }
     }
 
     #[test]
     fn an_error_fails_the_waiting_collect_and_the_next_and_waits_are_noticed_once() {
-        let (client, hub_end) = client(1);
-        let link = Arc::new(SocketLink { id: 3, client });
+        let (link, hub_end) = client(1, 3);
+        let link = Arc::new(link);
         let pair = [0, 1];
         // A complete slot is collected without a notice.
         link.deposit(CollectiveKind::Bcast, 0, 1, &pair, unit_deposit())
             .unwrap_or_else(|_| panic!("deposit"));
         assert_eq!(answer_to(&hub_end).kind, FrameKind::Deposit);
         send_to_client(&hub_end, &deposit((3, 0), 0, &pair, &frame::encode(&())));
-        while !link.client.mailbox.is_complete((3, 0)) {
+        while !link.mailbox.is_complete((3, 0)) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(collect(&*link, 0, 1, &pair).is_ok());
+        assert!(collect(&link, 0, 1, &pair).is_ok());
         assert!(silent(&hub_end), "no notice for a complete slot");
 
         // An incomplete one is noticed, and an ERROR fails it.
         let waiting = {
             let link = link.clone();
-            std::thread::spawn(move || transport_error(collect(&*link, 1, 1, &[0, 1])))
+            std::thread::spawn(move || transport_error(collect(&link, 1, 1, &[0, 1])))
         };
         let notice = answer_to(&hub_end);
         assert_eq!(notice.kind, FrameKind::Wait);
@@ -1682,7 +1634,7 @@ mod tests {
             waiting.join().expect("waiting collect"),
             "rank 0 panicked during bcast"
         );
-        let next = transport_error(collect(&*link, 2, 1, &pair));
+        let next = transport_error(collect(&link, 2, 1, &pair));
         assert_eq!(next, "rank 0 panicked during bcast");
     }
 

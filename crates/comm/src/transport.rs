@@ -1,32 +1,38 @@
-//! The transport abstraction under the collective layer.
+//! The transport layer under the collective layer.
 //!
 //! [`Communicator`](crate::comm::Communicator) implements every
 //! collective — BSP entry-clock maximisation, α–β charging, CheckMode
 //! fingerprint verification, deterministic member-order reduction —
-//! **above** the [`CommLink`] trait defined here. A link only moves
-//! opaque deposits: it accepts one `(entry clock, fingerprint, payload)`
-//! triple per member and hands back the full member-ordered set once the
-//! rendezvous is complete.
+//! above one crate-private `Link` per rank and communicator. A link only
+//! moves opaque deposits: it accepts its rank's `(entry clock,
+//! fingerprint, payload)` triple and hands back the full member-ordered
+//! set once the rendezvous is complete.
 //!
-//! Both implementations complete that rendezvous in one place, the
-//! [`Mailbox`]: deposits are filed under `(comm, seq)` as they arrive, in
-//! any order, and a collect waits until its slot holds one per member.
+//! Every rank has one mailbox, shared by all its communicators: deposits
+//! are filed under `(comm, seq)` as they arrive, in any order, and a
+//! collect waits on the rank's own mailbox until the slot holds one
+//! deposit per member. A deposit is filed into its rank's own mailbox
+//! first and then delivered to the other members' — the one step in
+//! which the transports differ:
 //!
-//! * [`SharedLink`] — the shared-memory simulator: the member threads of
-//!   a communicator file `Arc` pointer copies into one mailbox.
+//! * [`TransportKind::Shared`] — ranks are threads of one process, and a
+//!   thread files its deposit's `Arc` into each member's mailbox itself.
 //!   Deterministic, dependency-free, the CI fast path and the default.
-//! * `SocketLink` (in `proc.rs`) — real multi-process transport: rank 0
-//!   spawns worker processes connected over Unix domain sockets, and
-//!   deposits travel as length-prefixed binary frames (`frame.rs`). Each
-//!   rank's mailbox holds its own deposits and those the launcher's hub
-//!   forwards to it.
+//! * [`TransportKind::Socket`] — ranks are worker processes connected
+//!   over Unix domain sockets to a hub in the launcher, and deposits
+//!   travel as length-prefixed binary frames (`frame.rs`). A worker sends
+//!   its deposit to the hub as a `DEPOSIT` frame, and the launcher's
+//!   rank 0 hands it over by a call. The hub forwards each worker its
+//!   part as a frame and files rank 0's straight into rank 0's mailbox,
+//!   as a range of the body it received.
 //!
-//! Communicators are named alike on both: the world is
-//! [`WORLD_COMM_ID`] and a split-off group [`derived_id`] of its parent.
-//! Because everything above the trait is shared code operating on
-//! bit-exact inputs (entry clocks cross the wire as `f64::to_bits`),
-//! losses, weights, word counts, and timelines are bit-identical across
-//! backends — pinned by `crates/core/tests/socket_transport.rs`.
+//! Communicators are named alike on both: the world by id 1, and a
+//! split-off group by a hash of its parent's id, the parent's sequence
+//! number at the split, and the group's color. Because everything above
+//! the link is shared code operating on bit-exact inputs (entry clocks
+//! cross the wire as `f64::to_bits`), losses, weights, word counts, and
+//! timelines are bit-identical across backends — pinned by
+//! `crates/core/tests/socket_transport.rs`.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -38,6 +44,10 @@ use cagnet_check::fingerprint::{CollectiveKind, Fingerprint};
 
 use crate::comm::Registry;
 use crate::frame::Wire;
+#[cfg(unix)]
+use crate::frame::{DepositMsg, Frame, FrameKind, WaitMsg};
+#[cfg(unix)]
+use crate::proc::{Hub, SocketClient};
 
 /// An `Arc`-boxed collective payload as it lives in shared memory.
 pub(crate) type Payload = Arc<dyn Any + Send + Sync>;
@@ -225,7 +235,7 @@ impl RxPayload {
     }
 }
 
-/// One member's deposit as handed back by [`CommLink::collect`].
+/// One member's deposit as handed back by [`Link::collect`].
 #[derive(Clone)]
 pub(crate) struct RxDeposit {
     /// The depositor's modeled entry clock (bit-exact on both backends).
@@ -253,45 +263,6 @@ pub(crate) enum CollectError {
     Transport(String),
 }
 
-/// A communicator's rendezvous channel. Object-safe so the collective
-/// layer can hold `Arc<dyn CommLink>` and stay byte-for-byte identical
-/// across backends.
-pub(crate) trait CommLink: Send + Sync {
-    /// Stable id of this communicator (keys diagnostic slot ids).
-    fn id(&self) -> u64;
-
-    /// Place `my_idx`'s deposit into the rendezvous for `seq`.
-    /// `members` are the world ranks of the group, ascending.
-    fn deposit(
-        &self,
-        kind: CollectiveKind,
-        seq: u64,
-        my_idx: usize,
-        members: &[usize],
-        dep: TxDeposit,
-    ) -> Result<(), CollectError>;
-
-    /// Block until the rendezvous for `seq` holds one deposit per
-    /// member and return them in member order. Polls `abort` every wait
-    /// tick so one failing rank stops the whole run quickly; gives up
-    /// after `timeout`.
-    fn collect(
-        &self,
-        kind: CollectiveKind,
-        seq: u64,
-        my_idx: usize,
-        members: &[usize],
-        abort: &dyn Fn() -> Option<String>,
-        timeout: Duration,
-    ) -> Result<Vec<RxDeposit>, CollectError>;
-
-    /// The link for a sub-communicator split off this one: `key_seq` is
-    /// the parent's sequence number at the split and `color` the group
-    /// color, so every member derives the same link, with the id
-    /// [`derived_id`] gives, without out-of-band coordination.
-    fn derive(&self, key_seq: u64, color: u64) -> Arc<dyn CommLink>;
-}
-
 /// The world communicator's id on both transports.
 pub(crate) const WORLD_COMM_ID: u64 = 1;
 
@@ -317,8 +288,6 @@ struct Slot {
     members: Vec<usize>,
     deposits: Vec<Option<RxDeposit>>,
     arrived: usize,
-    /// How many collects have taken the complete slot.
-    consumed: usize,
 }
 
 impl Slot {
@@ -334,12 +303,10 @@ struct Slots {
     poisoned: Option<String>,
 }
 
-/// The rendezvous both transports complete collectives from: deposits
-/// filed under `(comm, seq)` in whatever order they arrive, and collects
-/// that wait for one deposit per member. The member threads of one
-/// shared-memory communicator share one mailbox; each socket client owns
-/// one, into which its rank files its own deposits and its reader thread
-/// the deposits the hub forwards.
+/// One rank's rendezvous, on either transport: deposits filed under
+/// `(comm, seq)` in whatever order they arrive — the rank's own and every
+/// peer's — and collects that wait for one deposit per member. Only its
+/// rank collects from it.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     slots: Mutex<Slots>,
@@ -377,7 +344,6 @@ impl Mailbox {
             members: members.to_vec(),
             deposits: vec![None; members.len()],
             arrived: 0,
-            consumed: 0,
         });
         if slot.members != members {
             return Err(format!(
@@ -413,26 +379,20 @@ impl Mailbox {
         self.cv.notify_all();
     }
 
-    /// Block until the rendezvous `key` is complete and return its
-    /// deposits in member order; the `readers`-th collect of it retires
-    /// it. Waking every [`WAIT_TICK`], it fails with the poison reason,
+    /// Block until the rendezvous `key` is complete, retire it and return
+    /// its deposits in member order. Waking every [`WAIT_TICK`], it fails with the poison reason,
     /// with `abort`'s message once that returns one, or with the arrival
     /// count once `timeout` has passed.
     pub(crate) fn collect(
         &self,
         key: (u64, u64),
-        readers: usize,
         abort: &dyn Fn() -> Option<String>,
         timeout: Duration,
     ) -> Result<Vec<RxDeposit>, CollectError> {
         let deadline = Instant::now() + timeout;
         let mut slots = self.lock();
         loop {
-            if let Some(slot) = slots.open.get_mut(&key).filter(|s| s.complete()) {
-                slot.consumed += 1;
-                if slot.consumed < readers {
-                    return Ok(slot.deposits.iter().flatten().cloned().collect());
-                }
+            if slots.open.get(&key).is_some_and(Slot::complete) {
                 let Some(slot) = slots.open.remove(&key) else {
                     unreachable!("the slot was just found")
                 };
@@ -456,69 +416,143 @@ impl Mailbox {
     }
 }
 
-/// The shared-memory transport: the member threads of a communicator
-/// file `Arc` deposits into one [`Mailbox`]. "Communication" is a
-/// pointer copy; all costs are modeled.
-pub(crate) struct SharedLink {
-    id: u64,
-    mailbox: Arc<Mailbox>,
-    registry: Arc<Registry>,
+/// How a rank's deposit reaches the other members' mailboxes — the one
+/// step in which the transports differ.
+#[derive(Clone)]
+pub(crate) enum Leg {
+    /// A thread: it files the deposit into each member's mailbox itself,
+    /// from the run's registry.
+    Threads(Arc<Registry>),
+    /// A socket worker: it sends the deposit to the hub as a `DEPOSIT`
+    /// frame, and the hub forwards it.
+    #[cfg(unix)]
+    Socket(Arc<SocketClient>),
+    /// The launcher's rank 0: it hands the deposit to the hub in its
+    /// process with a call.
+    #[cfg(unix)]
+    Hub(Arc<Hub>),
 }
 
-impl SharedLink {
-    /// The world link of a fresh run.
-    pub(crate) fn world(registry: &Arc<Registry>) -> Arc<dyn CommLink> {
-        Self::at(registry, WORLD_COMM_ID)
-    }
-
-    fn at(registry: &Arc<Registry>, id: u64) -> Arc<dyn CommLink> {
-        Arc::new(SharedLink {
-            id,
-            mailbox: registry.mailbox(id),
-            registry: registry.clone(),
-        })
-    }
+/// A rank's channel into the rendezvous of one communicator: the
+/// communicator's id, the rank's mailbox, and the leg its deposits take
+/// to the other members.
+#[derive(Clone)]
+pub(crate) struct Link {
+    /// Stable id of the communicator (keys mailbox slots and diagnostic
+    /// slot ids).
+    pub(crate) id: u64,
+    /// The rank's mailbox, shared by all its communicators.
+    pub(crate) mailbox: Arc<Mailbox>,
+    /// How deposits reach the other members.
+    pub(crate) leg: Leg,
 }
 
-impl CommLink for SharedLink {
-    fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn deposit(
+impl Link {
+    /// File `my_idx`'s deposit for `seq` into this rank's mailbox, then
+    /// deliver it to the other members. `members` are the world ranks of
+    /// the group, ascending.
+    pub(crate) fn deposit(
         &self,
-        _kind: CollectiveKind,
+        kind: CollectiveKind,
         seq: u64,
         my_idx: usize,
         members: &[usize],
         dep: TxDeposit,
     ) -> Result<(), CollectError> {
-        let dep = RxDeposit {
-            entry: dep.entry,
-            fp: dep.fp,
-            payload: RxPayload::Local(dep.payload.local),
+        let key = (self.id, seq);
+        let file = |mailbox: &Mailbox, dep| {
+            mailbox
+                .file(key, members, my_idx, dep)
+                .map_err(CollectError::Transport)
         };
-        self.mailbox
-            .file((self.id, seq), members, my_idx, dep)
-            .map_err(CollectError::Transport)
+        // The rank's own deposit stays the same `Arc`, so its view of its
+        // own payload is zero-copy on both transports.
+        let own = RxDeposit {
+            entry: dep.entry,
+            fp: dep.fp.clone(),
+            payload: RxPayload::Local(dep.payload.local.clone()),
+        };
+        file(&self.mailbox, own.clone())?;
+        #[cfg(unix)]
+        let body = || {
+            DepositMsg {
+                comm: self.id,
+                seq,
+                kind,
+                my_idx,
+                members: members.to_vec(),
+                entry: dep.entry,
+                dtype: dep.payload.dtype.to_string(),
+                fp: dep.fp.clone(),
+                parts: dep.payload.parts.clone(),
+            }
+            .encode(|out| dep.payload.encode_into(out))
+        };
+        match &self.leg {
+            // One mailbox at a time: no mailbox lock is held while
+            // another is taken.
+            Leg::Threads(registry) => members
+                .iter()
+                .enumerate()
+                .filter(|&(idx, _)| idx != my_idx)
+                .try_for_each(|(_, &rank)| file(&registry.mailboxes[rank], own.clone())),
+            #[cfg(unix)]
+            Leg::Socket(client) => client
+                .send(FrameKind::Deposit, body())
+                .map_err(CollectError::Transport),
+            #[cfg(unix)]
+            Leg::Hub(hub) => {
+                let (kind, body) = (FrameKind::Deposit, body());
+                hub.on_frame(0, Frame { kind, body });
+                Ok(())
+            }
+        }
     }
 
-    fn collect(
+    /// Block until this rank's mailbox holds one deposit per member for
+    /// `seq` and return them in member order. Polls `abort` every wait
+    /// tick so one failing rank stops the whole run quickly; gives up
+    /// after `timeout`.
+    pub(crate) fn collect(
         &self,
-        _kind: CollectiveKind,
+        kind: CollectiveKind,
         seq: u64,
-        _my_idx: usize,
+        my_idx: usize,
         members: &[usize],
         abort: &dyn Fn() -> Option<String>,
         timeout: Duration,
     ) -> Result<Vec<RxDeposit>, CollectError> {
-        // Every member thread collects the one slot.
-        self.mailbox
-            .collect((self.id, seq), members.len(), abort, timeout)
+        let key = (self.id, seq);
+        // A worker's notice feeds the launcher's watchdog mirror; a
+        // complete slot is collected without one, and ranks in the
+        // launcher's process keep their own diagnostics.
+        #[cfg(unix)]
+        if let Leg::Socket(client) = &self.leg {
+            if !self.mailbox.is_complete(key) {
+                let msg = WaitMsg {
+                    comm: self.id,
+                    seq,
+                    kind,
+                    my_idx,
+                    members: members.to_vec(),
+                };
+                client
+                    .send(FrameKind::Wait, crate::frame::encode(&msg))
+                    .map_err(CollectError::Transport)?;
+            }
+        }
+        self.mailbox.collect(key, abort, timeout)
     }
 
-    fn derive(&self, key_seq: u64, color: u64) -> Arc<dyn CommLink> {
-        Self::at(&self.registry, derived_id(self.id, key_seq, color))
+    /// The link for a sub-communicator split off this one: `key_seq` is
+    /// the parent's sequence number at the split and `color` the group
+    /// color, so every member derives the same id, with [`derived_id`],
+    /// without out-of-band coordination. It files into the same mailbox.
+    pub(crate) fn derive(&self, key_seq: u64, color: u64) -> Self {
+        Link {
+            id: derived_id(self.id, key_seq, color),
+            ..self.clone()
+        }
     }
 }
 
@@ -592,8 +626,8 @@ mod tests {
             .collect()
     }
 
-    fn collect(mailbox: &Mailbox, key: (u64, u64), readers: usize) -> Vec<RxDeposit> {
-        match mailbox.collect(key, readers, &|| None, Duration::from_secs(5)) {
+    fn collect(mailbox: &Mailbox, key: (u64, u64)) -> Vec<RxDeposit> {
+        match mailbox.collect(key, &|| None, Duration::from_secs(5)) {
             Ok(deposits) => deposits,
             Err(_) => panic!("{key:?} must complete"),
         }
@@ -617,16 +651,12 @@ mod tests {
         assert!(!mailbox.is_complete((7, 0)));
         file((7, 0), 1, 170);
         assert!(mailbox.is_complete((7, 0)));
-        assert_eq!(tags(&collect(&mailbox, (7, 0), 1)), [70, 170]);
-        assert!(!mailbox.is_complete((7, 0)), "one reader retires the slot");
+        assert_eq!(tags(&collect(&mailbox, (7, 0))), [70, 170]);
+        assert!(!mailbox.is_complete((7, 0)), "the collect retires the slot");
         file((7, 1), 1, 171);
         file((9, 0), 1, 190);
-        // With two readers, both get the deposits in member order and the
-        // second retires the slot.
-        for _ in 0..2 {
-            assert_eq!(tags(&collect(&mailbox, (9, 0), 2)), [90, 190]);
-        }
-        assert_eq!(tags(&collect(&mailbox, (7, 1), 1)), [71, 171]);
+        assert_eq!(tags(&collect(&mailbox, (9, 0))), [90, 190]);
+        assert_eq!(tags(&collect(&mailbox, (7, 1))), [71, 171]);
         assert!(mailbox.lock().open.is_empty());
     }
 
@@ -636,7 +666,6 @@ mod tests {
         let pair = [0, 1];
         let fail = |key, abort: &dyn Fn() -> Option<String>| match mailbox.collect(
             key,
-            1,
             abort,
             Duration::from_millis(60),
         ) {
@@ -657,6 +686,6 @@ mod tests {
         mailbox
             .file((1, 0), &pair, 0, dep(0))
             .unwrap_or_else(|why| panic!("{why}"));
-        assert_eq!(tags(&collect(&mailbox, (1, 0), 1)), [0, 1]);
+        assert_eq!(tags(&collect(&mailbox, (1, 0))), [0, 1]);
     }
 }

@@ -103,6 +103,30 @@ pub fn epoch_seed(base: u64, epoch: u64) -> u64 {
     base.wrapping_add(epoch.wrapping_mul(0x9E37_79B9))
 }
 
+/// Epoch `epoch`'s sampled problem, the one both the serial and the
+/// distributed sampled trainers train on: the neighbor-capped adjacency
+/// of `raw`, renormalized, and the mini-batch mask of `base`'s training
+/// set — each only when `sampler` asks for it.
+fn sampled_problem(raw: &Csr, base: &Problem, sampler: &SamplerConfig, epoch: u64) -> Problem {
+    let seed = epoch_seed(sampler.seed, epoch);
+    let adj = match sampler.neighbor_cap {
+        Some(cap) => gcn_normalize(&sample_neighbors(raw, cap, seed)),
+        None => base.adj.clone(),
+    };
+    let mask = if sampler.batch_fraction < 1.0 {
+        sample_batch_mask(&base.train_mask, sampler.batch_fraction, seed ^ 0xB47C)
+    } else {
+        base.train_mask.clone()
+    };
+    Problem::new(
+        adj,
+        base.features.clone(),
+        base.labels.clone(),
+        mask,
+        base.num_classes,
+    )
+}
+
 /// Serial trainer with per-epoch sampling. Holds the **raw** graph and
 /// regenerates a normalized sampled adjacency (and/or mini-batch mask)
 /// every epoch.
@@ -137,27 +161,7 @@ impl SampledTrainer {
     pub fn epoch(&mut self) -> f64 {
         let e = self.epoch_counter;
         self.epoch_counter += 1;
-        let seed = epoch_seed(self.sampler.seed, e);
-        let adj = match self.sampler.neighbor_cap {
-            Some(cap) => gcn_normalize(&sample_neighbors(&self.raw, cap, seed)),
-            None => self.base.adj.clone(),
-        };
-        let mask = if self.sampler.batch_fraction < 1.0 {
-            sample_batch_mask(
-                &self.base.train_mask,
-                self.sampler.batch_fraction,
-                seed ^ 0xB47C,
-            )
-        } else {
-            self.base.train_mask.clone()
-        };
-        let problem = Problem::new(
-            adj,
-            self.base.features.clone(),
-            self.base.labels.clone(),
-            mask,
-            self.base.num_classes,
-        );
+        let problem = sampled_problem(&self.raw, &self.base, &self.sampler, e);
         let mut t = SerialTrainer::new(&problem, self.cfg.clone());
         t.set_weights(std::mem::take(&mut self.weights));
         let loss = t.epoch();
@@ -218,23 +222,7 @@ pub fn train_distributed_sampled(
         let mut weights: Option<Vec<cagnet_dense::Mat>> = None;
         let mut losses = Vec::with_capacity(epochs);
         for e in 0..epochs {
-            let seed = epoch_seed(sampler.seed, e as u64);
-            let adj = match sampler.neighbor_cap {
-                Some(cap) => gcn_normalize(&sample_neighbors(raw, cap, seed)),
-                None => base.adj.clone(),
-            };
-            let mask = if sampler.batch_fraction < 1.0 {
-                sample_batch_mask(&base.train_mask, sampler.batch_fraction, seed ^ 0xB47C)
-            } else {
-                base.train_mask.clone()
-            };
-            let problem = Problem::new(
-                adj,
-                base.features.clone(),
-                base.labels.clone(),
-                mask,
-                base.num_classes,
-            );
+            let problem = sampled_problem(raw, base, &sampler, e as u64);
             let mut t = OneDimTrainer::setup(ctx, &problem, cfg);
             if let Some(w) = weights.take() {
                 t.set_weights(w);

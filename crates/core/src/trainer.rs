@@ -121,7 +121,7 @@ impl Trainer<Box<dyn Layout>> {
 /// its relabeling pass (see [`TrainConfig::partition`]).
 #[derive(Clone, Debug)]
 pub enum PartitionSpec {
-    /// Run [`partition_greedy_bfs`] on the problem's adjacency with this
+    /// Run [`partition_greedy_bfs`](cagnet_sparse::partitioner::partition_greedy_bfs) on the problem's adjacency with this
     /// configuration. `num_parts` is overridden with the algorithm's
     /// [`Algorithm::row_groups`] so parts land on whole row blocks.
     Auto(PartitionConfig),

@@ -20,7 +20,7 @@
 //!
 //! Every kernel comes in two flavors: the plain entry point (serial, same
 //! as always) and a `_with` variant taking a
-//! [`ParallelCtx`](cagnet_parallel::ParallelCtx) that forks the
+//! [`ParallelCtx`] that forks the
 //! computation over contiguous panels of **output rows**. Each panel runs
 //! the identical serial micro-kernel over its own rows, and no thread
 //! touches another panel's rows, so the parallel results are bit-for-bit

@@ -1,11 +1,10 @@
 //! Block partitioning of matrices onto 1D / 2D / 3D process geometries.
 //!
-//! These functions realize Tables III–V of the paper: the 1D algorithm
-//! stores `A` by block columns and `H` by block rows; the 2D algorithm
-//! stores both on a `√P x √P` grid; the 3D algorithm splits each 2D block
-//! of `A` along columns across layers and `H` along rows across layers
-//! (§IV-D). Uneven dimensions are handled by giving the first
-//! `n mod P` parts one extra row/column (balanced block distribution).
+//! Every trainer lays its blocks out on the balanced block distribution
+//! of [`block_ranges`] (Tables III–V of the paper): uneven dimensions
+//! give the first `n mod P` parts one extra row/column. The 2D helpers
+//! here cut and reassemble `pr x pc` grid blocks; the 3D trainer slices
+//! its own blocks from the same ranges.
 
 use crate::csr::Csr;
 use cagnet_dense::Mat;
@@ -36,48 +35,6 @@ pub fn block_range(n: usize, p: usize, i: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Which part owns global index `g` under the balanced block distribution.
-pub fn owner_of(n: usize, p: usize, g: usize) -> usize {
-    debug_assert!(g < n);
-    let base = n / p;
-    let extra = n % p;
-    let boundary = extra * (base + 1);
-    if g < boundary {
-        g / (base + 1)
-    } else {
-        extra + (g - boundary) / base.max(1)
-    }
-}
-
-/// Split a sparse matrix into `p` block rows.
-pub fn split_rows_sparse(a: &Csr, p: usize) -> Vec<Csr> {
-    block_ranges(a.rows(), p)
-        .into_iter()
-        .map(|(r0, r1)| a.block(r0, r1, 0, a.cols()))
-        .collect()
-}
-
-/// Split a sparse matrix into `p` block columns.
-pub fn split_cols_sparse(a: &Csr, p: usize) -> Vec<Csr> {
-    block_ranges(a.cols(), p)
-        .into_iter()
-        .map(|(c0, c1)| a.block(0, a.rows(), c0, c1))
-        .collect()
-}
-
-/// Split a dense matrix into `p` block rows.
-pub fn split_rows_dense(h: &Mat, p: usize) -> Vec<Mat> {
-    block_ranges(h.rows(), p)
-        .into_iter()
-        .map(|(r0, r1)| h.block(r0, r1, 0, h.cols()))
-        .collect()
-}
-
-/// Reassemble block rows into the full dense matrix.
-pub fn join_rows_dense(parts: &[Mat]) -> Mat {
-    Mat::vstack(parts)
-}
-
 /// 2D block of a sparse matrix for grid position `(i, j)` on a `pr x pc`
 /// grid.
 pub fn grid_block_sparse(a: &Csr, pr: usize, pc: usize, i: usize, j: usize) -> Csr {
@@ -102,27 +59,6 @@ pub fn join_grid_dense(blocks: &[Mat], pr: usize, pc: usize) -> Mat {
         .map(|i| Mat::hstack(&blocks[i * pc..(i + 1) * pc]))
         .collect();
     Mat::vstack(&rows)
-}
-
-/// The 3D "Block Split" piece of `A` for mesh position `(i, j, k)` on a
-/// `q x q x q` mesh (`P = q³`): the 2D block `(i, j)` on the `q x q` grid,
-/// further split along *columns* into `q` slices, of which slice `k` is
-/// returned. Its shape is `n/q x n/q²` as in §IV-D.
-pub fn split3d_block_sparse(a: &Csr, q: usize, i: usize, j: usize, k: usize) -> Csr {
-    let (r0, r1) = block_range(a.rows(), q, i);
-    let (c0, c1) = block_range(a.cols(), q, j);
-    let sub = block_range(c1 - c0, q, k);
-    a.block(r0, r1, c0 + sub.0, c0 + sub.1)
-}
-
-/// The 3D "Block Split" piece of a dense matrix for mesh position
-/// `(i, j, k)`: the 2D block `(i, j)` split along *rows* into `q` slices,
-/// slice `k` returned; shape `n/q² x f/q` as in §IV-D.
-pub fn split3d_block_dense(h: &Mat, q: usize, i: usize, j: usize, k: usize) -> Mat {
-    let (r0, r1) = block_range(h.rows(), q, i);
-    let (c0, c1) = block_range(h.cols(), q, j);
-    let sub = block_range(r1 - r0, q, k);
-    h.block(r0 + sub.0, r0 + sub.1, c0, c1)
 }
 
 #[cfg(test)]
@@ -158,38 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_of_consistent() {
-        for &(n, p) in &[(13usize, 4usize), (10, 3), (5, 5), (100, 7)] {
-            let ranges = block_ranges(n, p);
-            for g in 0..n {
-                let o = owner_of(n, p, g);
-                assert!(ranges[o].0 <= g && g < ranges[o].1, "owner wrong for {g}");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_row_split_reassembles() {
-        let a = erdos_renyi(50, 4.0, 1);
-        let parts = split_rows_sparse(&a, 4);
-        let total: usize = parts.iter().map(Csr::nnz).sum();
-        assert_eq!(total, a.nnz());
-        // Dense reassembly matches.
-        let dense_parts: Vec<Mat> = parts.iter().map(Csr::to_dense).collect();
-        assert!(Mat::vstack(&dense_parts).approx_eq(&a.to_dense(), 0.0));
-    }
-
-    #[test]
-    fn sparse_col_split_reassembles() {
-        let a = erdos_renyi(50, 4.0, 2);
-        let parts = split_cols_sparse(&a, 3);
-        let total: usize = parts.iter().map(Csr::nnz).sum();
-        assert_eq!(total, a.nnz());
-        let dense_parts: Vec<Mat> = parts.iter().map(Csr::to_dense).collect();
-        assert!(Mat::hstack(&dense_parts).approx_eq(&a.to_dense(), 0.0));
-    }
-
-    #[test]
     fn dense_grid_split_reassembles() {
         let h = Mat::from_fn(11, 7, |i, j| (i * 7 + j) as f64);
         let (pr, pc) = (3, 2);
@@ -209,29 +113,5 @@ mod tests {
             .map(|(i, j)| grid_block_sparse(&a, pr, pc, i, j).nnz())
             .sum();
         assert_eq!(total, a.nnz());
-    }
-
-    #[test]
-    fn split3d_shapes_and_conservation() {
-        let q = 2; // P = 8
-        let a = erdos_renyi(16, 3.0, 4);
-        let h = Mat::from_fn(16, 8, |i, j| (i * 8 + j) as f64);
-        let mut nnz_total = 0;
-        let mut h_total = 0;
-        for i in 0..q {
-            for j in 0..q {
-                for k in 0..q {
-                    let ab = split3d_block_sparse(&a, q, i, j, k);
-                    assert_eq!(ab.rows(), 8); // n/q
-                    assert_eq!(ab.cols(), 4); // n/q²
-                    nnz_total += ab.nnz();
-                    let hb = split3d_block_dense(&h, q, i, j, k);
-                    assert_eq!(hb.shape(), (4, 4)); // n/q² x f/q
-                    h_total += hb.len();
-                }
-            }
-        }
-        assert_eq!(nnz_total, a.nnz());
-        assert_eq!(h_total, h.len());
     }
 }

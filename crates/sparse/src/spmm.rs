@@ -94,7 +94,7 @@ pub fn spmm_scratch_len(b_rows: usize, f: usize) -> usize {
 /// (any shape, any contents; it is reshaped and overwritten, and grows
 /// only if it holds fewer than [`spmm_scratch_len`] elements).
 ///
-/// Every width runs the one row kernel, [`spmm_rows`] (DESIGN.md §14):
+/// Every width runs the one row kernel, `spmm_rows` (DESIGN.md §14):
 /// the `C` row is loaded once into the accumulator, the row's nonzeros
 /// fold into it in stored-entry order, and it is stored once. Up to
 /// `SPMM_DIRECT_WIDTH` columns that is a single pass reading `B` in

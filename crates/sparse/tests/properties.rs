@@ -8,8 +8,7 @@ use cagnet_sparse::edgecut::{block_partition, evaluate_partition};
 use cagnet_sparse::generate::{apply_permutation, erdos_renyi};
 use cagnet_sparse::normalize::gcn_normalize;
 use cagnet_sparse::partition::{
-    block_ranges, grid_block_dense, grid_block_sparse, join_grid_dense, split_cols_sparse,
-    split_rows_sparse,
+    block_ranges, grid_block_dense, grid_block_sparse, join_grid_dense,
 };
 use cagnet_sparse::spmm::{
     outer_product_from_transposed, spmm, spmm_acc, spmm_acc_with, spmm_semiring_acc,
@@ -104,16 +103,6 @@ proptest! {
         let got = outer_product_from_transposed(&at, &b);
         let reference = cagnet_dense::matmul(&at.to_dense().transpose(), &b);
         prop_assert!(got.approx_eq(&reference, 1e-10));
-    }
-
-    #[test]
-    fn row_and_col_splits_conserve_nnz(
-        (a, p) in (4usize..20).prop_flat_map(|n| (sparse(n, n, 80), 1usize..8))
-    ) {
-        let rows: usize = split_rows_sparse(&a, p).iter().map(Csr::nnz).sum();
-        let cols: usize = split_cols_sparse(&a, p).iter().map(Csr::nnz).sum();
-        prop_assert_eq!(rows, a.nnz());
-        prop_assert_eq!(cols, a.nnz());
     }
 
     #[test]

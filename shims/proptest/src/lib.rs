@@ -1,9 +1,10 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the slice of the proptest API this workspace uses — the
-//! [`Strategy`] trait with `prop_map`/`prop_flat_map`, range and tuple
-//! strategies, [`collection::vec`], the [`proptest!`]/[`prop_assert!`]
-//! family, [`ProptestConfig`] and [`TestCaseError`] — as a deterministic
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
+//! range and tuple strategies, [`collection::vec()`], the
+//! [`proptest!`]/[`prop_assert!`] family, `ProptestConfig`
+//! ([`test_runner::Config`]) and [`TestCaseError`](test_runner::TestCaseError) — as a deterministic
 //! random-case runner. There is no shrinking: a failing case reports its
 //! case index and message, and the seed is a stable function of the test
 //! name, so failures reproduce exactly across runs and machines.
@@ -159,7 +160,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Admissible element counts for [`vec`]: an exact count or a
+    /// Admissible element counts for [`vec()`]: an exact count or a
     /// half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
