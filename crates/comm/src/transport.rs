@@ -303,6 +303,21 @@ struct Slots {
     poisoned: Option<String>,
 }
 
+impl Slots {
+    /// A collect's outcome for `key`, once decided: the rendezvous'
+    /// deposits in member order (retiring it) when complete, else the
+    /// poison reason.
+    fn settle(&mut self, key: (u64, u64)) -> Option<Result<Vec<RxDeposit>, CollectError>> {
+        if self.open.get(&key).is_some_and(Slot::complete) {
+            let slot = self.open.remove(&key)?;
+            return Some(Ok(slot.deposits.into_iter().flatten().collect()));
+        }
+        self.poisoned
+            .as_ref()
+            .map(|why| Err(CollectError::Transport(why.clone())))
+    }
+}
+
 /// One rank's rendezvous, on either transport: deposits filed under
 /// `(comm, seq)` in whatever order they arrive — the rank's own and every
 /// peer's — and collects that wait for one deposit per member. Only its
@@ -380,9 +395,11 @@ impl Mailbox {
     }
 
     /// Block until the rendezvous `key` is complete, retire it and return
-    /// its deposits in member order. Waking every [`WAIT_TICK`], it fails with the poison reason,
-    /// with `abort`'s message once that returns one, or with the arrival
-    /// count once `timeout` has passed.
+    /// its deposits in member order. Waking every [`WAIT_TICK`], it fails
+    /// with the poison reason, with `abort`'s message once that returns
+    /// one, or with the arrival count once `timeout` has passed. `abort`
+    /// runs with the slots unlocked, and completion is re-checked under
+    /// the lock before every wait, so no `notify_all` is lost.
     pub(crate) fn collect(
         &self,
         key: (u64, u64),
@@ -390,28 +407,27 @@ impl Mailbox {
         timeout: Duration,
     ) -> Result<Vec<RxDeposit>, CollectError> {
         let deadline = Instant::now() + timeout;
-        let mut slots = self.lock();
         loop {
-            if slots.open.get(&key).is_some_and(Slot::complete) {
-                let Some(slot) = slots.open.remove(&key) else {
-                    unreachable!("the slot was just found")
+            {
+                let mut slots = self.lock();
+                if let Some(done) = slots.settle(key) {
+                    return done;
+                }
+                slots = match self.cv.wait_timeout(slots, WAIT_TICK) {
+                    Ok((guard, _)) => guard,
+                    Err(poisoned) => poisoned.into_inner().0,
                 };
-                return Ok(slot.deposits.into_iter().flatten().collect());
-            }
-            if let Some(why) = &slots.poisoned {
-                return Err(CollectError::Transport(why.clone()));
+                if let Some(done) = slots.settle(key) {
+                    return done;
+                }
             }
             if let Some(why) = abort() {
                 return Err(CollectError::Abort(why));
             }
             if Instant::now() >= deadline {
-                let arrived = slots.open.get(&key).map_or(0, |s| s.arrived);
+                let arrived = self.lock().open.get(&key).map_or(0, |s| s.arrived);
                 return Err(CollectError::Timeout { arrived });
             }
-            slots = match self.cv.wait_timeout(slots, WAIT_TICK) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
         }
     }
 }
