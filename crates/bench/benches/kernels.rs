@@ -6,10 +6,10 @@
 //! nonzero count, decreasing density — sustained flop rate should fall as
 //! the average degree drops.
 
-use cagnet_dense::{activation, init, matmul, matmul_nt, matmul_tn, matmul_with, Mat};
+use cagnet_dense::{activation, init, matmul_nt_with, matmul_tn_with, matmul_with, Mat};
 use cagnet_parallel::ParallelCtx;
 use cagnet_sparse::generate::erdos_renyi;
-use cagnet_sparse::spmm::{spmm, spmm_with};
+use cagnet_sparse::spmm::spmm_with;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_spmm_hypersparsity(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_spmm_hypersparsity(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("d{}", degree as usize)),
             &(a, h),
-            |b, (a, h)| b.iter(|| spmm(a, h)),
+            |b, (a, h)| b.iter(|| spmm_with(ParallelCtx::serial(), a, h)),
         );
     }
     g.finish();
@@ -40,7 +40,7 @@ fn bench_spmm_skinny(c: &mut Criterion) {
         let flops = 2 * a.nnz() as u64 * f as u64;
         g.throughput(Throughput::Elements(flops));
         g.bench_with_input(BenchmarkId::from_parameter(f), &h, |b, h| {
-            b.iter(|| spmm(&a, h))
+            b.iter(|| spmm_with(ParallelCtx::serial(), &a, h))
         });
     }
     g.finish();
@@ -55,15 +55,15 @@ fn bench_gemm(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("nn", n),
             &(a.clone(), b_.clone()),
-            |b, (x, y)| b.iter(|| matmul(x, y)),
+            |b, (x, y)| b.iter(|| matmul_with(ParallelCtx::serial(), x, y)),
         );
         g.bench_with_input(
             BenchmarkId::new("tn", n),
             &(a.clone(), b_.clone()),
-            |b, (x, y)| b.iter(|| matmul_tn(x, y)),
+            |b, (x, y)| b.iter(|| matmul_tn_with(ParallelCtx::serial(), x, y)),
         );
         g.bench_with_input(BenchmarkId::new("nt", n), &(a, b_), |b, (x, y)| {
-            b.iter(|| matmul_nt(x, y))
+            b.iter(|| matmul_nt_with(ParallelCtx::serial(), x, y))
         });
     }
     g.finish();
@@ -80,7 +80,7 @@ fn bench_tall_skinny_gemm(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("{fin}x{fout}")),
             &(t, w),
-            |b, (t, w)| b.iter(|| matmul(t, w)),
+            |b, (t, w)| b.iter(|| matmul_with(ParallelCtx::serial(), t, w)),
         );
     }
     g.finish();
@@ -95,7 +95,9 @@ fn bench_parallel_gemm_threads(c: &mut Criterion) {
     let a = init::uniform(n, n, -1.0, 1.0, 15);
     let b_ = init::uniform(n, n, -1.0, 1.0, 16);
     g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
-    g.bench_function("serial", |b| b.iter(|| matmul(&a, &b_)));
+    g.bench_function("serial", |b| {
+        b.iter(|| matmul_with(ParallelCtx::serial(), &a, &b_))
+    });
     for threads in [2usize, 4, 8] {
         let ctx = ParallelCtx::new(threads);
         g.bench_with_input(BenchmarkId::new("threads", threads), &ctx, |b, ctx| {
@@ -113,7 +115,9 @@ fn bench_parallel_spmm_threads(c: &mut Criterion) {
     let h = init::uniform(16384, 64, -1.0, 1.0, 18);
     let flops = 2 * a.nnz() as u64 * 64;
     g.throughput(Throughput::Elements(flops));
-    g.bench_function("serial", |b| b.iter(|| spmm(&a, &h)));
+    g.bench_function("serial", |b| {
+        b.iter(|| spmm_with(ParallelCtx::serial(), &a, &h))
+    });
     for threads in [2usize, 4, 8] {
         let ctx = ParallelCtx::new(threads);
         g.bench_with_input(BenchmarkId::new("threads", threads), &ctx, |b, ctx| {

@@ -15,15 +15,12 @@
 //!    dumps each rank's last-N collective history, so cross-communicator
 //!    ordering bugs are caught in milliseconds instead of by CI timeout.
 //! 3. **Static analysis** ([`lint`]): a token-level source analyzer
-//!    (own lexer + brace-aware item model, no rustc plumbing) enforcing
-//!    the six repo invariants that neither the compiler nor a runtime
+//!    (own lexer + brace-aware file model, no rustc plumbing) enforcing
+//!    the three repo invariants that neither the compiler nor a runtime
 //!    test can see: no `unwrap`/`expect` in library code outside tests,
-//!    no serial kernel calls where a `_with` ParallelCtx variant exists,
-//!    no raw socket I/O outside the framed codec, no scalar
-//!    multiply-accumulate loops outside the blessed microkernels, an
-//!    acyclic Mutex acquisition order, and no suppression marker naming
-//!    an unknown rule. `tests/lint_tree.rs` requires the tree to lint
-//!    clean.
+//!    no scalar multiply-accumulate loops outside the blessed
+//!    microkernels, and no suppression marker naming an unknown rule.
+//!    `tests/lint_tree.rs` requires the tree to lint clean.
 //!
 //! This crate is dependency-free and is depended on *by* `cagnet-comm`
 //! (never the reverse): the runtime feeds it plain data, it returns

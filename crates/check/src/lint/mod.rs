@@ -1,39 +1,34 @@
 //! The repo's static-analysis pass. Its gate is
 //! `crates/check/tests/lint_tree.rs`, so plain `cargo test` runs it.
 //!
-//! A small Rust lexer (`lexer`) feeds a brace-aware item model (`model`:
-//! function spans, `#[cfg(test)]` scoping, suppression markers), on which
-//! six rules run. Each guards an invariant that neither the compiler nor
-//! a runtime test sees:
+//! A small Rust lexer (`lexer`) feeds a file model (`model`: line table,
+//! `#[cfg(test)]` scoping, suppression markers), on which three rules
+//! run. Each guards an invariant that neither the compiler nor a runtime
+//! test sees:
 //!
 //! * **`unwrap`**: no `.unwrap()` / `.expect(` in library code outside
 //!   `#[cfg(test)]` modules and `src/bin/` entrypoints. A panic in a
 //!   rank thread poisons the collective state for every peer.
-//! * **`serial-kernel`**: no direct serial `gemm`/`spmm` calls in
-//!   `crates/core/src/dist/` where a `_with` ParallelCtx variant
-//!   exists.
-//! * **`raw-socket-io`**: comm-layer code never reads or writes a raw
-//!   byte stream outside `frame.rs` — every wire byte passes through
-//!   the framed codec's header validation.
 //! * **`scalar-hot-loop`**: no raw per-element multiply-accumulate
 //!   loops in `dense/src/` or `sparse/src/` outside the blessed
 //!   microkernel modules (`gemm.rs`, `spmm.rs`, the `reference.rs`
 //!   oracles). Scalar MAC loops silently forfeit the register-blocked
 //!   kernels' throughput; route the math through them instead.
-//! * **`lock-order`** (`locks`): the Mutex acquisition graph over
-//!   `comm/src` must be acyclic, locks are never re-acquired while
-//!   held, and `.lock().unwrap()` never bypasses the blessed
-//!   poison-recovering helpers.
 //! * **`unknown-allow`**: a suppression marker naming a rule that does
 //!   not exist — a typo'd marker would otherwise suppress nothing,
 //!   silently.
+//!
+//! What the code cannot express needs no rule: every GEMM / SpMM kernel
+//! takes a `ParallelCtx` (no serial twin exists to call by mistake),
+//! comm code holds sockets as `frame::Conn`, which has no raw reads or
+//! writes, and every comm lock is a `Lock` that panics when a second one
+//! is taken on the same thread (DESIGN.md §12).
 //!
 //! Suppress a finding with `// lint:allow(<rule>): <reason>` on the
 //! offending line or the line above it. Markers only count inside
 //! comments.
 
 mod lexer;
-mod locks;
 mod model;
 mod rules;
 
@@ -50,15 +45,8 @@ use model::FileModel;
 pub enum Rule {
     /// `.unwrap()` / `.expect(` in library code outside tests.
     UnwrapInLib,
-    /// Serial kernel call in `dist/` where a `_with` variant exists.
-    SerialKernelInDist,
-    /// Raw byte-stream read/write in `comm/src/` outside `frame.rs`.
-    RawSocketIo,
     /// A `lint:allow(...)` marker naming a rule that does not exist.
     UnknownAllow,
-    /// Cyclic or re-entrant Mutex acquisition, or an unblessed
-    /// `.lock().unwrap()`.
-    LockOrder,
     /// Raw per-element multiply-accumulate loop in `dense/src/` or
     /// `sparse/src/` outside the blessed microkernel modules.
     ScalarHotLoop,
@@ -69,24 +57,14 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnwrapInLib => "unwrap",
-            Rule::SerialKernelInDist => "serial-kernel",
-            Rule::RawSocketIo => "raw-socket-io",
             Rule::UnknownAllow => "unknown-allow",
-            Rule::LockOrder => "lock-order",
             Rule::ScalarHotLoop => "scalar-hot-loop",
         }
     }
 
     /// All rules, for marker validation and docs.
-    pub fn all() -> [Rule; 6] {
-        [
-            Rule::UnwrapInLib,
-            Rule::SerialKernelInDist,
-            Rule::RawSocketIo,
-            Rule::UnknownAllow,
-            Rule::LockOrder,
-            Rule::ScalarHotLoop,
-        ]
+    pub fn all() -> [Rule; 3] {
+        [Rule::UnwrapInLib, Rule::UnknownAllow, Rule::ScalarHotLoop]
     }
 }
 
@@ -125,12 +103,6 @@ pub(crate) struct PathFlags {
     pub path: PathBuf,
     /// Under `src/bin/` — binaries may unwrap.
     pub is_bin: bool,
-    /// Under `core/src/dist/` — the serial-kernel rule applies.
-    pub is_dist: bool,
-    /// Under `comm/src/` — lock-order analysis applies.
-    pub is_comm: bool,
-    /// Under `comm/src/` but not `frame.rs` — raw-I/O rule applies.
-    pub is_comm_nonframe: bool,
     /// Under `dense/src/` or `sparse/src/` but outside the blessed
     /// microkernel modules — the scalar-hot-loop rule applies.
     pub is_kernel_hot: bool,
@@ -154,19 +126,9 @@ impl PathFlags {
         PathFlags {
             path: path.to_path_buf(),
             is_bin: norm.contains("/src/bin/"),
-            is_dist: norm.contains("core/src/dist/"),
-            is_comm: norm.contains("comm/src/"),
-            is_comm_nonframe: norm.contains("comm/src/") && !norm.ends_with("frame.rs"),
             is_kernel_hot: is_kernel_crate && !is_blessed,
         }
     }
-}
-
-/// One parsed source file plus its path scoping, as consumed by the
-/// cross-file lock-order analysis.
-pub(crate) struct SourceFile<'s> {
-    pub flags: PathFlags,
-    pub model: FileModel<'s>,
 }
 
 /// Build a finding at `span`.
@@ -212,24 +174,20 @@ fn check_allow_markers(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Findi
     }
 }
 
-/// Lint a set of sources as one unit. The lock-order analysis sees the
-/// whole set; per-file rules run on each file. Findings come back sorted
-/// by (file, line, col) and deduplicated by (rule, file, line, col).
+/// Lint a set of sources, each file on its own. Findings come back
+/// sorted by (file, line, col) and deduplicated by (rule, file, line,
+/// col).
 pub fn lint_sources(files: &[(PathBuf, String)]) -> Vec<Finding> {
-    let parsed: Vec<SourceFile<'_>> = files
-        .iter()
-        .filter(|(p, _)| p.to_string_lossy().ends_with(".rs"))
-        .map(|(p, content)| SourceFile {
-            flags: PathFlags::new(p),
-            model: FileModel::new(content),
-        })
-        .collect();
     let mut out = Vec::new();
-    for sf in &parsed {
-        rules::run(&sf.model, &sf.flags, &mut out);
-        check_allow_markers(&sf.model, &sf.flags, &mut out);
+    for (path, content) in files {
+        if !path.to_string_lossy().ends_with(".rs") {
+            continue;
+        }
+        let flags = PathFlags::new(path);
+        let model = FileModel::new(content);
+        rules::run(&model, &flags, &mut out);
+        check_allow_markers(&model, &flags, &mut out);
     }
-    locks::run(&parsed, &mut out);
 
     out.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.rule.name()).cmp(&(&b.file, b.line, b.col, b.rule.name()))
@@ -239,7 +197,7 @@ pub fn lint_sources(files: &[(PathBuf, String)]) -> Vec<Finding> {
 }
 
 /// Lint a single file's content. `path` is used for scoping decisions
-/// (library vs binary, `dist/`, `comm/src/`) and for reporting.
+/// (library vs binary, kernel crates) and for reporting.
 pub fn lint_file(path: &Path, content: &str) -> Vec<Finding> {
     lint_sources(&[(path.to_path_buf(), content.to_string())])
 }
@@ -345,6 +303,23 @@ mod tests {
         assert!(lint(LIB, "/// docs about .expect( behavior\nfn g() {}\n").is_empty());
     }
 
+    #[test]
+    fn lock_unwrap_outside_blessed_helpers_is_flagged() {
+        // Comm locks recover from poisoning inside `Lock`; a bare
+        // `.lock().unwrap()` anywhere in library code is an `unwrap`
+        // finding.
+        let comm = "crates/comm/src/hub.rs";
+        let v = lint(
+            comm,
+            "fn f(&self) { let g = self.state.lock().unwrap(); }\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::UnwrapInLib);
+        let ok =
+            "fn f(&self) { let g = self.state.lock().unwrap_or_else(PoisonError::into_inner); }\n";
+        assert!(lint(comm, ok).is_empty());
+    }
+
     // ---- lexing: the old line scanner's false states ------------------
 
     #[test]
@@ -392,236 +367,6 @@ mod tests {
         // `lint:allow(<rule>)` in docs is not marker syntax at all.
         let src = "//! Suppress with `lint:allow(<rule>): reason`.\nfn f() {}\n";
         assert!(lint(LIB, src).is_empty());
-    }
-
-    // ---- serial-kernel -------------------------------------------------
-
-    #[test]
-    fn flags_serial_kernel_in_dist() {
-        let path = "crates/core/src/dist/onedim.rs";
-        let v = lint(path, "fn f() { let z = matmul(&t, &w); }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::SerialKernelInDist);
-        assert!(lint(
-            path,
-            "fn f() { let z = matmul_with(ctx.parallel(), &t, &w); }\n"
-        )
-        .is_empty());
-        assert!(lint(
-            path,
-            "fn f() { spmm_acc_with(ctx.parallel(), &a, &h, &mut t); }\n"
-        )
-        .is_empty());
-        assert!(lint(path, "fn f() { ctx.charge_spmm(a.nnz(), a.rows(), f); }\n").is_empty());
-    }
-
-    #[test]
-    fn serial_kernel_outside_dist_is_fine() {
-        assert!(lint(
-            "crates/core/src/serial.rs",
-            "fn f() { let z = matmul(&t, &w); }\n"
-        )
-        .is_empty());
-    }
-
-    // ---- raw-socket-io -------------------------------------------------
-
-    #[test]
-    fn flags_raw_socket_io_in_comm() {
-        let path = "crates/comm/src/sock.rs";
-        for call in [
-            "fn f() { stream.read_exact(&mut header); }\n",
-            "fn f() { let n = stream.read(&mut buf); }\n",
-            "fn f() { stream.read_to_end(&mut body); }\n",
-            "fn f() { writer.write_all(&bytes); }\n",
-            "fn f() { let n = writer.write(&bytes); }\n",
-        ] {
-            let v = lint(path, call);
-            assert_eq!(v.len(), 1, "for {call}");
-            assert_eq!(v[0].rule, Rule::RawSocketIo);
-        }
-    }
-
-    #[test]
-    fn frame_rs_may_do_raw_io() {
-        let src = "fn f() { r.read_exact(&mut header); w.write_all(&body); }\n";
-        assert!(lint("crates/comm/src/frame.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_io_outside_comm_is_fine() {
-        assert!(lint(
-            "crates/bench/src/lib.rs",
-            "fn f() { file.write_all(json.as_bytes()); }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn framed_calls_in_comm_pass() {
-        let path = "crates/comm/src/sock.rs";
-        let src = "fn f() { let frame = frame::read_frame(&mut stream); frame::write_frame(&mut w, kind, &body); }\n";
-        assert!(lint(path, src).is_empty());
-    }
-
-    #[test]
-    fn raw_socket_io_allow_marker_suppresses() {
-        let path = "crates/comm/src/sock.rs";
-        let src =
-            "fn f() {\n// lint:allow(raw-socket-io): probing liveness, no payload\nstream.read(&mut probe);\n}\n";
-        assert!(lint(path, src).is_empty());
-    }
-
-    #[test]
-    fn raw_socket_io_in_comm_tests_is_exempt() {
-        let path = "crates/comm/src/sock.rs";
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { s.read_exact(&mut b).unwrap(); }\n}\n";
-        assert!(lint(path, src).is_empty());
-    }
-
-    // ---- lock-order ----------------------------------------------------
-
-    const COMM: &str = "crates/comm/src/hub.rs";
-
-    #[test]
-    fn inverted_lock_pair_is_a_cycle() {
-        let src = "\
-impl Hub {
-    fn a(&self) {
-        let g = lock(&self.states);
-        let h = lock(&self.history);
-    }
-    fn b(&self) {
-        let g = lock(&self.history);
-        let h = lock(&self.states);
-    }
-}
-";
-        let v = lint(COMM, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::LockOrder);
-        assert!(v[0].message.contains("cyclic"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn consistent_lock_order_passes() {
-        let src = "\
-impl Hub {
-    fn a(&self) {
-        let g = lock(&self.states);
-        let h = lock(&self.history);
-    }
-    fn b(&self) {
-        let g = lock(&self.states);
-        let h = lock(&self.history);
-    }
-}
-";
-        assert!(lint(COMM, src).is_empty());
-    }
-
-    #[test]
-    fn drop_releases_before_second_acquire() {
-        // a: states then (after drop) history; b: history then states.
-        // Without the drop this would be a cycle; with it there is no
-        // states→history edge.
-        let src = "\
-impl Hub {
-    fn a(&self) {
-        let g = lock(&self.states);
-        drop(g);
-        let h = lock(&self.history);
-    }
-    fn b(&self) {
-        let g = lock(&self.history);
-        let h = lock(&self.states);
-    }
-}
-";
-        assert!(lint(COMM, src).is_empty());
-    }
-
-    #[test]
-    fn block_scope_releases_guard() {
-        let src = "\
-impl Hub {
-    fn a(&self) {
-        {
-            let g = lock(&self.states);
-        }
-        let h = lock(&self.history);
-    }
-    fn b(&self) {
-        let g = lock(&self.history);
-        let h = lock(&self.states);
-    }
-}
-";
-        assert!(lint(COMM, src).is_empty());
-    }
-
-    #[test]
-    fn reacquire_via_callee_is_flagged() {
-        let src = "\
-impl Hub {
-    fn outer(&self) {
-        let g = self.state.lock().unwrap_or_else(recover);
-        self.helper();
-    }
-    fn helper(&self) {
-        let g = self.state.lock().unwrap_or_else(recover);
-    }
-}
-";
-        let v = lint(COMM, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::LockOrder);
-        assert!(v[0].message.contains("re-acquires"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn guard_returning_helper_holds_at_call_site() {
-        // `self.lock()` returns a MutexGuard over `state`; calling it
-        // twice without dropping is a deterministic deadlock.
-        let src = "\
-impl Hub {
-    fn lock(&self) -> MutexGuard<'_, HubState> {
-        self.state.lock().unwrap_or_else(recover)
-    }
-    fn double(&self) {
-        let a = self.lock();
-        let b = self.lock();
-    }
-}
-";
-        let v = lint(COMM, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::LockOrder);
-        assert!(v[0].message.contains("already held"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn lock_unwrap_outside_blessed_helpers_is_flagged() {
-        let src = "fn f(&self) { let g = self.state.lock().unwrap(); }\n";
-        let v = lint(COMM, src);
-        assert!(
-            v.iter()
-                .any(|f| f.rule == Rule::LockOrder && f.message.contains("poisoning")),
-            "{v:?}"
-        );
-        // Poison-recovering forms pass the lock-order rule.
-        let ok =
-            "fn f(&self) { let g = self.state.lock().unwrap_or_else(PoisonError::into_inner); }\n";
-        assert!(lint(COMM, ok).iter().all(|f| f.rule != Rule::LockOrder));
-    }
-
-    #[test]
-    fn lock_order_outside_comm_is_not_analyzed() {
-        let src = "\
-fn a(&self) { let g = lock(&self.x); let h = lock(&self.y); }
-fn b(&self) { let g = lock(&self.y); let h = lock(&self.x); }
-";
-        assert!(lint("crates/bench/src/lib.rs", src).is_empty());
     }
 
     // ---- scalar-hot-loop -----------------------------------------------

@@ -1,25 +1,10 @@
 //! Brace-aware file model built on the token stream: line table,
-//! `#[cfg(test)]` ranges, function spans, and `lint:allow(...)` markers.
+//! `#[cfg(test)]` ranges, and `lint:allow(...)` markers.
 //!
 //! Everything here works on *code token indices* (comments filtered
 //! out) so the rules never see comment or string interior text as code.
 
 use super::lexer::{self, Span, TokKind, Token};
-
-/// A function item: `fn name … { body }` (or a bodyless declaration).
-#[derive(Clone, Debug)]
-pub struct FnItem {
-    /// Code-token index of the `fn` keyword.
-    pub kw: usize,
-    /// Code-token index of the function's name identifier.
-    pub name_idx: usize,
-    /// Half-open code-token range of the header: `[kw, body-open)` (or
-    /// through the terminating `;` for declarations).
-    pub header: (usize, usize),
-    /// Inclusive code-token range `[open-brace, close-brace]` of the
-    /// body, when the function has one.
-    pub body: Option<(usize, usize)>,
-}
 
 /// A `lint:allow(<name>)` marker found in a comment token.
 #[derive(Clone, Debug)]
@@ -44,8 +29,6 @@ pub struct FileModel<'s> {
     line_starts: Vec<usize>,
     /// Byte ranges covered by `#[cfg(test)]` items.
     pub test_ranges: Vec<(usize, usize)>,
-    /// All function items, in source order (nested fns included).
-    pub functions: Vec<FnItem>,
     /// All `lint:allow` markers (valid and unknown alike).
     pub allows: Vec<AllowMarker>,
 }
@@ -75,11 +58,9 @@ impl<'s> FileModel<'s> {
             comments,
             line_starts,
             test_ranges: Vec::new(),
-            functions: Vec::new(),
             allows: Vec::new(),
         };
         m.find_test_ranges();
-        m.find_functions();
         m.find_allows();
         m
     }
@@ -197,48 +178,6 @@ impl<'s> FileModel<'s> {
         }
     }
 
-    fn find_functions(&mut self) {
-        let n = self.code.len();
-        let mut i = 0;
-        while i < n {
-            if !(self.code[i].kind == TokKind::Ident && self.text(i) == "fn") {
-                i += 1;
-                continue;
-            }
-            // `fn` as a type (`fn(usize) -> u8`) has no name ident next.
-            if i + 1 >= n || self.code[i + 1].kind != TokKind::Ident {
-                i += 1;
-                continue;
-            }
-            let name_idx = i + 1;
-            // Header runs to the first `{` or `;` at ()/[] depth 0.
-            let mut depth = 0i32;
-            let mut j = name_idx + 1;
-            let mut open = None;
-            while j < n {
-                match self.code[j].kind {
-                    TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
-                    TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
-                    TokKind::Punct(b'{') if depth == 0 => {
-                        open = Some(j);
-                        break;
-                    }
-                    TokKind::Punct(b';') if depth == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let body = open.and_then(|o| self.matching_close(o).map(|c| (o, c)));
-            self.functions.push(FnItem {
-                kw: i,
-                name_idx,
-                header: (i, open.unwrap_or(j.min(n))),
-                body,
-            });
-            i = name_idx + 1;
-        }
-    }
-
     /// Scan comment tokens for `lint:allow(<name>)` markers. Names are
     /// runs of `[A-Za-z0-9_-]`; anything else between the parens (for
     /// example the `<rule>` placeholder in docs) is not a marker.
@@ -292,22 +231,6 @@ mod tests {
         assert!(m.in_test(unwrap_pos));
         assert!(!m.in_test(src.find("fn lib").expect("present")));
         assert!(!m.in_test(src.find("fn after").expect("present")));
-    }
-
-    #[test]
-    fn functions_and_bodies() {
-        let src = "fn a(x: u8) -> u8 { x }\nfn b();\nimpl T { fn c(&self) { inner(); } }\n";
-        let m = FileModel::new(src);
-        let names: Vec<&str> = m.functions.iter().map(|f| m.text(f.name_idx)).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert!(m.functions[0].body.is_some());
-        assert!(m.functions[1].body.is_none());
-    }
-
-    #[test]
-    fn fn_pointer_type_is_not_an_item() {
-        let m = FileModel::new("fn a(cb: fn(usize) -> u8) -> u8 { cb(1) }");
-        assert_eq!(m.functions.len(), 1);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The per-file token rules: `unwrap`, `serial-kernel`, `raw-socket-io`
-//! and `scalar-hot-loop`.
+//! The per-file token rules: `unwrap` and `scalar-hot-loop`.
 //!
 //! Each rule walks code tokens (comments and string interiors already
 //! excluded by the lexer), so none of the old line-scanner false states
@@ -9,32 +8,6 @@ use super::lexer::TokKind;
 use super::model::FileModel;
 use super::{Finding, PathFlags, Rule};
 
-/// Serial kernels that have `_with` ParallelCtx variants; calling these
-/// bare inside `dist/` bypasses the per-rank thread budget.
-const SERIAL_KERNELS: [&str; 8] = [
-    "matmul",
-    "matmul_acc",
-    "matmul_tn",
-    "matmul_tn_acc",
-    "matmul_nt",
-    "spmm",
-    "spmm_acc",
-    "spmm_semiring_acc",
-];
-
-/// Raw byte-stream calls that belong only in `frame.rs` — anywhere
-/// else in `comm/src/` they would move wire bytes around the framed
-/// codec's header validation.
-const RAW_STREAM_CALLS: [&str; 7] = [
-    "read",
-    "read_exact",
-    "read_to_end",
-    "read_to_string",
-    "write",
-    "write_all",
-    "write_vectored",
-];
-
 /// Is code token `i` the method name of a `.name(` call?
 fn method_call(m: &FileModel<'_>, i: usize) -> bool {
     m.code[i].kind == TokKind::Ident
@@ -42,12 +15,6 @@ fn method_call(m: &FileModel<'_>, i: usize) -> bool {
         && m.code[i - 1].is_punct(b'.')
         && i + 1 < m.code.len()
         && m.code[i + 1].is_punct(b'(')
-}
-
-/// Is code token `i` a bare `name(` call (not a method, not part of a
-/// longer identifier — token equality guarantees the latter)?
-fn bare_call(m: &FileModel<'_>, i: usize) -> bool {
-    m.code[i].kind == TokKind::Ident && i + 1 < m.code.len() && m.code[i + 1].is_punct(b'(')
 }
 
 /// Run the token-level rules over one file.
@@ -72,36 +39,6 @@ pub(super) fn run(m: &FileModel<'_>, flags: &PathFlags, out: &mut Vec<Finding>) 
                 m.code[i].span,
                 Rule::UnwrapInLib,
                 format!("`.{name}(` in library code outside tests"),
-            ));
-        }
-
-        // Serial kernels in dist/.
-        if flags.is_dist
-            && bare_call(m, i)
-            && SERIAL_KERNELS.contains(&name)
-            && !m.allow_on(line, Rule::SerialKernelInDist.name())
-        {
-            out.push(super::finding(
-                m,
-                flags,
-                m.code[i].span,
-                Rule::SerialKernelInDist,
-                format!("serial `{name}(` in dist/ — use the `_with` ParallelCtx variant"),
-            ));
-        }
-
-        // Raw stream I/O in comm/ outside the framed codec.
-        if flags.is_comm_nonframe
-            && method_call(m, i)
-            && RAW_STREAM_CALLS.contains(&name)
-            && !m.allow_on(line, Rule::RawSocketIo.name())
-        {
-            out.push(super::finding(
-                m,
-                flags,
-                m.code[i].span,
-                Rule::RawSocketIo,
-                format!("raw `.{name}(` bypasses the framed codec (frame.rs)"),
             ));
         }
     }

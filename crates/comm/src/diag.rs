@@ -4,14 +4,15 @@
 //! failing rank take the whole run down with a single clear error
 //! instead of leaving its peers parked until the collective timeout.
 //!
-//! Every lock here recovers from poisoning (`PoisonError::into_inner`):
-//! this state is diagnostic metadata that must stay readable precisely
-//! when some rank has panicked.
+//! Every table sits behind its own [`Lock`], which recovers from
+//! poisoning: this state is diagnostic metadata that must stay readable
+//! precisely when some rank has panicked.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, PoisonError};
 
 use cagnet_check::waitgraph::{HistoryEntry, RankPhase, RankSnapshot, WaitSlot};
+
+use crate::lock::Lock;
 
 /// How many collective history entries are kept per rank for deadlock
 /// and timeout reports.
@@ -37,32 +38,46 @@ impl FirstPanic {
 }
 
 /// Run-wide diagnostic state shared by all ranks and the watchdog.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Diagnostics {
-    states: Mutex<Vec<RankSnapshot>>,
-    logs: Mutex<Vec<RankLog>>,
-    first_panic: Mutex<Option<FirstPanic>>,
-    abort: Mutex<Option<String>>,
+    states: Lock<Vec<RankSnapshot>>,
+    logs: Lock<Vec<RankLog>>,
+    first_panic: Lock<Option<FirstPanic>>,
+    abort: Lock<Option<String>>,
+}
+
+impl Default for Diagnostics {
+    fn default() -> Self {
+        Diagnostics {
+            states: Lock::new("diag.states", Vec::new()),
+            logs: Lock::new("diag.logs", Vec::new()),
+            first_panic: Lock::new("diag.first_panic", None),
+            abort: Lock::new("diag.abort", None),
+        }
+    }
 }
 
 impl Diagnostics {
     /// Size the per-rank tables; called once per cluster run.
     pub fn init(&self, size: usize) {
-        *lock(&self.states) = vec![RankSnapshot::running(); size];
-        *lock(&self.logs) = vec![RankLog::default(); size];
+        self.states
+            .with(|s| *s = vec![RankSnapshot::running(); size]);
+        self.logs.with(|l| *l = vec![RankLog::default(); size]);
     }
 
     /// Record that `rank` deposited into `entry.slot`: the entry joins its
     /// history ring, and the slot's seq becomes its highest deposited on
     /// that communicator (deposits on one communicator are in seq order).
     pub fn record_deposit(&self, rank: usize, entry: HistoryEntry) {
-        if let Some(log) = lock(&self.logs).get_mut(rank) {
-            if log.history.len() == HISTORY_LEN {
-                log.history.pop_front();
+        self.logs.with(|logs| {
+            if let Some(log) = logs.get_mut(rank) {
+                if log.history.len() == HISTORY_LEN {
+                    log.history.pop_front();
+                }
+                log.history.push_back(entry);
+                log.highest.insert(entry.slot.comm, entry.slot.seq);
             }
-            log.history.push_back(entry);
-            log.highest.insert(entry.slot.comm, entry.slot.seq);
-        }
+        });
     }
 
     /// Set a rank's lifecycle phase (clears any wait registration).
@@ -73,26 +88,25 @@ impl Diagnostics {
     /// mirrored frame handled after the monitor recorded its death, say —
     /// would hang the launcher.
     pub fn set_phase(&self, rank: usize, phase: RankPhase) {
-        let mut s = lock(&self.states);
-        if let Some(snap) = s.get_mut(rank) {
-            if terminal(snap.phase) {
-                return;
+        self.states.with(|s| {
+            if let Some(snap) = s.get_mut(rank) {
+                if !terminal(snap.phase) {
+                    snap.phase = phase;
+                    snap.wait = None;
+                }
             }
-            snap.phase = phase;
-            snap.wait = None;
-        }
+        });
     }
 
     /// Mark `rank` blocked on `wait`; the returned guard restores it to
     /// running when the collective completes (or unwinds).
     pub fn enter_wait<'d>(&'d self, rank: usize, wait: WaitSlot) -> WaitGuard<'d> {
-        {
-            let mut s = lock(&self.states);
+        self.states.with(|s| {
             if let Some(snap) = s.get_mut(rank) {
                 snap.phase = RankPhase::Blocked;
                 snap.wait = Some(wait);
             }
-        }
+        });
         WaitGuard { diag: self, rank }
     }
 
@@ -101,47 +115,49 @@ impl Diagnostics {
     /// diagnostics (the rank reads as running again from its next
     /// `DEPOSIT`, and done from its `RESULT`).
     pub fn set_blocked(&self, rank: usize, wait: WaitSlot) {
-        let mut s = lock(&self.states);
-        if let Some(snap) = s.get_mut(rank) {
-            if terminal(snap.phase) {
-                return;
+        self.states.with(|s| {
+            if let Some(snap) = s.get_mut(rank) {
+                if !terminal(snap.phase) {
+                    snap.phase = RankPhase::Blocked;
+                    snap.wait = Some(wait);
+                }
             }
-            snap.phase = RankPhase::Blocked;
-            snap.wait = Some(wait);
-        }
+        });
     }
 
     /// Clone the current rank states.
     pub fn snapshot(&self) -> Vec<RankSnapshot> {
-        lock(&self.states).clone()
+        self.states.with(|s| s.clone())
     }
 
     /// Clone the per-rank collective histories.
     pub fn histories(&self) -> Vec<Vec<HistoryEntry>> {
-        lock(&self.logs)
-            .iter()
-            .map(|log| log.history.iter().copied().collect())
-            .collect()
+        self.logs.with(|logs| {
+            logs.iter()
+                .map(|log| log.history.iter().copied().collect())
+                .collect()
+        })
     }
 
     /// Per rank, the highest seq it has deposited on each communicator.
     pub fn deposited(&self) -> Vec<HashMap<u64, u64>> {
-        lock(&self.logs)
-            .iter()
-            .map(|log| log.highest.clone())
-            .collect()
+        self.logs
+            .with(|logs| logs.iter().map(|log| log.highest.clone()).collect())
     }
 
     /// The label of the collective `rank` most recently entered, for
     /// "panicked during ..." context.
     pub fn last_collective_label(&self, rank: usize) -> String {
-        if let Some(w) = lock(&self.states).get(rank).and_then(|s| s.wait.clone()) {
+        let waiting = self
+            .states
+            .with(|s| s.get(rank).and_then(|s| s.wait.clone()));
+        if let Some(w) = waiting {
             return format!("{} on {}", w.kind, w.slot);
         }
-        match lock(&self.logs)
-            .get(rank)
-            .and_then(|log| log.history.back())
-        {
+        let last = self
+            .logs
+            .with(|logs| logs.get(rank).and_then(|log| log.history.back().copied()));
+        match last {
             Some(e) => format!("{} on {}", e.kind, e.slot),
             None => "(no collective in flight)".to_string(),
         }
@@ -149,29 +165,28 @@ impl Diagnostics {
 
     /// Record the run's first panic; later records are ignored.
     pub fn record_first_panic(&self, fp: FirstPanic) {
-        let mut slot = lock(&self.first_panic);
-        if slot.is_none() {
-            *slot = Some(fp);
-        }
+        self.first_panic.with(|slot| {
+            slot.get_or_insert(fp);
+        });
     }
 
     /// The first panic, rendered, if any rank has failed.
     pub fn first_panic_render(&self) -> Option<String> {
-        lock(&self.first_panic).as_ref().map(FirstPanic::render)
+        self.first_panic
+            .with(|slot| slot.as_ref().map(FirstPanic::render))
     }
 
     /// Raise the abort flag (first writer wins). Blocked ranks observe
     /// it within one wait tick and panic with the message.
     pub fn set_abort(&self, message: String) {
-        let mut slot = lock(&self.abort);
-        if slot.is_none() {
-            *slot = Some(message);
-        }
+        self.abort.with(|slot| {
+            slot.get_or_insert(message);
+        });
     }
 
     /// The abort message, if the run is being taken down.
     pub fn abort_message(&self) -> Option<String> {
-        lock(&self.abort).clone()
+        self.abort.with(|slot| slot.clone())
     }
 }
 
@@ -194,10 +209,6 @@ impl Drop for WaitGuard<'_> {
     fn drop(&mut self) {
         self.diag.set_phase(self.rank, RankPhase::Running);
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Whether a phase is terminal: the rank has reported a result or a

@@ -3,11 +3,11 @@
 //! payload type that can ride through a collective.
 //!
 //! **All raw socket I/O in `cagnet-comm` lives in this module** — the
-//! rest of the transport layer (`proc.rs`, `transport.rs`) speaks only
-//! in [`Frame`]s through [`read_frame`] / [`write_frame`]. The repo's
-//! lint pass enforces this boundary (`raw-socket-io` rule), so
-//! partial reads, header parsing, and allocation-size validation are
-//! audited in exactly one place.
+//! rest of the transport layer (`proc.rs`, `transport.rs`) holds each
+//! socket as a [`Conn`], which speaks only in [`Frame`]s. `Conn`
+//! implements neither `Read` nor `Write`, so the compiler keeps partial
+//! reads, header parsing, and allocation-size validation in exactly one
+//! place.
 //!
 //! ## Frame format
 //!
@@ -55,13 +55,18 @@ use std::collections::HashSet;
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+use std::sync::{Arc, OnceLock};
+#[cfg(unix)]
+use std::time::Duration;
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
 use cagnet_dense::Mat;
 use cagnet_sparse::Csr;
 
 use crate::cost::Cat;
+use crate::lock::Lock;
 use crate::trace::TraceEvent;
 
 /// Frame header magic bytes (`CGNT`).
@@ -253,6 +258,67 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
     Ok(Frame { kind, body })
+}
+
+/// One end of a socket-transport connection, which moves whole frames
+/// only. It is wrapped around each `UnixStream` the moment it is
+/// connected or accepted, and implements neither `Read` nor `Write`, so
+/// no byte reaches the wire around [`read_frame`]'s header validation.
+///
+/// ```
+/// use cagnet_comm::frame::{Conn, Frame, FrameError};
+/// fn next(conn: &mut Conn) -> Result<Frame, FrameError> {
+///     conn.read_frame()
+/// }
+/// ```
+///
+/// ```compile_fail
+/// use cagnet_comm::frame::Conn;
+/// fn raw(conn: &mut Conn, buf: &mut [u8]) -> std::io::Result<usize> {
+///     std::io::Read::read(conn, buf)
+/// }
+/// ```
+#[cfg(unix)]
+#[derive(Debug)]
+pub struct Conn(UnixStream);
+
+#[cfg(unix)]
+impl Conn {
+    /// Wrap a freshly connected or accepted stream.
+    pub(crate) fn new(stream: UnixStream) -> Conn {
+        Conn(stream)
+    }
+
+    /// Read one frame ([`read_frame`]).
+    pub fn read_frame(&mut self) -> Result<Frame, FrameError> {
+        read_frame(&mut self.0)
+    }
+
+    /// Write one frame ([`write_frame`]).
+    pub fn write_frame(&mut self, kind: FrameKind, body: &[u8]) -> Result<(), FrameError> {
+        write_frame(&mut self.0, kind, body)
+    }
+
+    /// Write one frame from the parts of its body ([`write_frame_parts`]).
+    pub fn write_frame_parts(
+        &mut self,
+        kind: FrameKind,
+        parts: &[&[u8]],
+    ) -> Result<(), FrameError> {
+        write_frame_parts(&mut self.0, kind, parts)
+    }
+
+    /// A second handle on the same connection, for a reader or writer
+    /// thread of its own.
+    pub fn try_clone(&self) -> std::io::Result<Conn> {
+        self.0.try_clone().map(Conn)
+    }
+
+    /// Bound how long a read waits (`None`: forever) — the hub's limit
+    /// on a fresh connection's `HELLO`.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.0.set_read_timeout(timeout)
+    }
 }
 
 /// Encode a [`Wire`] value into a fresh byte vector.
@@ -1246,15 +1312,16 @@ impl Wire for TraceEvent {
 /// strings crossing the wire (dtype names, trace labels) is small and
 /// fixed by the program text, so the leaked total is bounded.
 fn intern(s: String) -> &'static str {
-    static SET: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let set = SET.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut guard = set.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&existing) = guard.get(s.as_str()) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.into_boxed_str());
-    guard.insert(leaked);
-    leaked
+    static SET: OnceLock<Lock<HashSet<&'static str>>> = OnceLock::new();
+    let set = SET.get_or_init(|| Lock::new("frame.intern", HashSet::new()));
+    set.with(|set| {
+        if let Some(&existing) = set.get(s.as_str()) {
+            return existing;
+        }
+        let leaked: &'static str = Box::leak(s.into_boxed_str());
+        set.insert(leaked);
+        leaked
+    })
 }
 
 // ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ pub mod cost;
 mod diag;
 pub mod frame;
 pub mod grid;
+mod lock;
 #[cfg(unix)]
 mod proc;
 pub mod timeline;
@@ -33,7 +34,5 @@ pub use comm::{Communicator, GatheredRows, PendingOp};
 pub use cost::{Cat, CommWords, CostModel, ALL_CATS, NUM_CATS};
 pub use frame::{PackedMat, Precision, Wire};
 pub use grid::{Grid2D, Grid3D};
-#[cfg(unix)]
-pub use proc::connect_with_retry;
 pub use timeline::{Timeline, TimelineReport};
 pub use transport::TransportKind;

@@ -44,10 +44,9 @@
 //! `(result, timeline report)` back as a `RESULT` frame, and exits
 //! without returning to the caller.
 //!
-//! All wire I/O in this module goes through [`frame::read_frame`] /
-//! [`frame::write_frame`] / [`frame::write_frame_parts`] — the
-//! `raw-socket-io` lint rule keeps raw socket reads/writes confined to
-//! `frame.rs`.
+//! Every socket is wrapped in a [`Conn`] the moment it is connected or
+//! accepted. A `Conn` moves whole frames only, so all wire I/O in this
+//! module goes through the framed codec in `frame.rs`.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -57,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cagnet_check::waitgraph::{HistoryEntry, RankPhase, SlotId, WaitSlot};
@@ -66,8 +65,10 @@ use crate::cluster::{watchdog, Cluster, Ctx};
 use crate::comm::Registry;
 use crate::diag::FirstPanic;
 use crate::frame::{
-    self, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg, WaitMsg, Wire,
+    self, Conn, DepositMsg, ErrorMsg, Frame, FrameError, FrameKind, HelloMsg, PanicMsg, WaitMsg,
+    Wire,
 };
+use crate::lock::Lock;
 use crate::timeline::TimelineReport;
 use crate::transport::{Leg, Mailbox, RxDeposit, RxPayload, WAIT_TICK};
 
@@ -133,11 +134,11 @@ pub(crate) fn worker_env() -> Option<WorkerEnv> {
 
 /// Connect to `path`, retrying until `timeout` — the listener may not
 /// be bound yet when a freshly spawned worker first tries.
-pub fn connect_with_retry(path: &Path, timeout: Duration) -> Result<UnixStream, String> {
+fn connect_with_retry(path: &Path, timeout: Duration) -> Result<Conn, String> {
     let deadline = Instant::now() + timeout;
     loop {
         match UnixStream::connect(path) {
-            Ok(s) => return Ok(s),
+            Ok(s) => return Ok(Conn::new(s)),
             Err(e) => {
                 if Instant::now() >= deadline {
                     return Err(format!(
@@ -151,43 +152,43 @@ pub fn connect_with_retry(path: &Path, timeout: Duration) -> Result<UnixStream, 
     }
 }
 
-/// A worker's connection to the hub: a writer half guarded by a mutex,
+/// A worker's connection to the hub: a writer half behind a lock,
 /// and a dedicated reader thread that files the deposits the hub forwards
 /// into the rank's mailbox. Collects wait on the mailbox, so they poll
 /// the abort flag every wait tick without a read timeout ever landing
 /// mid-frame on the socket.
 pub(crate) struct SocketClient {
     rank: usize,
-    writer: Mutex<UnixStream>,
+    writer: Lock<Conn>,
 }
 
 impl SocketClient {
     /// Connect worker `env` to its launcher's hub and say `HELLO`.
     fn connect(env: &WorkerEnv, mailbox: Arc<Mailbox>) -> Result<Arc<Self>, String> {
         let (rank, world, run) = (env.rank, env.world, env.run);
-        let mut stream = connect_with_retry(&env.socket, CONNECT_TIMEOUT)?;
+        let mut conn = connect_with_retry(&env.socket, CONNECT_TIMEOUT)?;
         let hello = frame::encode(&HelloMsg { rank, world, run });
-        frame::write_frame(&mut stream, FrameKind::Hello, &hello)
+        conn.write_frame(FrameKind::Hello, &hello)
             .map_err(|e| format!("rank {rank}: hello failed: {e}"))?;
-        Self::start(rank, stream, mailbox)
+        Self::start(rank, conn, mailbox)
     }
 
     /// The client of `rank` over a connection that has said `HELLO`: start
     /// the reader thread that files what arrives into `mailbox`.
-    fn start(rank: usize, stream: UnixStream, mailbox: Arc<Mailbox>) -> Result<Arc<Self>, String> {
-        let reader = stream
+    fn start(rank: usize, conn: Conn, mailbox: Arc<Mailbox>) -> Result<Arc<Self>, String> {
+        let reader = conn
             .try_clone()
             .map_err(|e| format!("rank {rank}: could not clone socket: {e}"))?;
         std::thread::spawn(move || read_loop(rank, reader, &mailbox));
         Ok(Arc::new(SocketClient {
             rank,
-            writer: Mutex::new(stream),
+            writer: Lock::new("client.writer", conn),
         }))
     }
 
     pub(crate) fn send(&self, kind: FrameKind, body: Vec<u8>) -> Result<(), String> {
-        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        frame::write_frame(&mut *w, kind, &body)
+        self.writer
+            .with(|w| w.write_frame(kind, &body))
             .map_err(|e| format!("rank {}: sending {kind:?} frame failed: {e}", self.rank))
     }
 }
@@ -196,9 +197,9 @@ impl SocketClient {
 /// `mailbox`, and poison it — so the waiting collect and every later one
 /// fail by name — on an `ERROR`, a frame that breaks the protocol, or a
 /// lost connection.
-fn read_loop(rank: usize, mut stream: UnixStream, mailbox: &Mailbox) {
+fn read_loop(rank: usize, mut conn: Conn, mailbox: &Mailbox) {
     loop {
-        match frame::read_frame(&mut stream) {
+        match conn.read_frame() {
             Ok(fr) => {
                 if let Err(why) = file_forwarded(rank, fr, mailbox) {
                     mailbox.poison(why);
@@ -280,15 +281,18 @@ struct Outgoing {
 }
 
 /// A connection's writer thread: write every queued frame, in order, to
-/// `stream`, until the queue closes or a write fails (the peer is gone,
+/// `conn`, until the queue closes or a write fails (the peer is gone,
 /// which its connection reader reports).
-fn write_loop(mut stream: UnixStream, queue: Receiver<Outgoing>) {
+fn write_loop(mut conn: Conn, queue: Receiver<Outgoing>) {
     for out in queue {
         let payload = out
             .payload
             .as_ref()
             .map_or(&[][..], |(buf, at)| &buf[at.clone()]);
-        if frame::write_frame_parts(&mut stream, out.kind, &[&out.head, payload]).is_err() {
+        if conn
+            .write_frame_parts(out.kind, &[&out.head, payload])
+            .is_err()
+        {
             return;
         }
     }
@@ -327,10 +331,10 @@ pub(crate) struct Hub {
     queues: Vec<Sender<Outgoing>>,
     /// The draining end of each worker's queue until that worker's
     /// `HELLO` claims it; a second `HELLO` for the rank finds it taken.
-    unclaimed: Mutex<Vec<Option<Receiver<Outgoing>>>>,
+    unclaimed: Lock<Vec<Option<Receiver<Outgoing>>>>,
     /// Set once the abort has been delivered to every rank.
     aborted: AtomicBool,
-    state: Mutex<HubState>,
+    state: Lock<HubState>,
 }
 
 impl Hub {
@@ -346,29 +350,22 @@ impl Hub {
             size,
             run,
             queues,
-            unclaimed: Mutex::new(unclaimed),
+            unclaimed: Lock::new("hub.unclaimed", unclaimed),
             aborted: AtomicBool::new(false),
-            state: Mutex::new(HubState {
-                results: vec![None; size],
-                dead: vec![false; size],
-            }),
+            state: Lock::new(
+                "hub.state",
+                HubState {
+                    results: vec![None; size],
+                    dead: vec![false; size],
+                },
+            ),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HubState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_unclaimed(&self) -> MutexGuard<'_, Vec<Option<Receiver<Outgoing>>>> {
-        self.unclaimed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Admit a connection's `HELLO`: check it names this run's world and
     /// a worker not yet connected, and start the worker's writer thread on
-    /// `stream`. The `Err` says why the `HELLO` is refused.
-    fn admit(&self, hello: &HelloMsg, stream: UnixStream) -> Result<(), String> {
+    /// `conn`. The `Err` says why the `HELLO` is refused.
+    fn admit(&self, hello: &HelloMsg, conn: Conn) -> Result<(), String> {
         let rank = hello.rank;
         if hello.world != self.size {
             return Err(format!(
@@ -385,24 +382,21 @@ impl Hub {
         if rank == 0 {
             return Err("HELLO names rank 0, which the launcher runs itself".to_string());
         }
-        let queue = match self.lock_unclaimed().get_mut(rank) {
-            None => {
-                return Err(format!(
-                    "HELLO names rank {rank} of a {}-rank world",
-                    self.size
-                ))
-            }
-            Some(slot) => slot.take(),
+        let Some(queue) = self.unclaimed.with(|u| u.get_mut(rank).map(Option::take)) else {
+            return Err(format!(
+                "HELLO names rank {rank} of a {}-rank world",
+                self.size
+            ));
         };
         let Some(queue) = queue else {
             return Err(format!("rank {rank} is already connected"));
         };
-        std::thread::spawn(move || write_loop(stream, queue));
+        std::thread::spawn(move || write_loop(conn, queue));
         Ok(())
     }
 
     fn all_admitted(&self) -> bool {
-        self.lock_unclaimed().iter().all(Option::is_none)
+        self.unclaimed.with(|u| u.iter().all(Option::is_none))
     }
 
     /// The mailbox of the launcher's rank 0, into which the hub files.
@@ -565,12 +559,11 @@ impl Hub {
     }
 
     fn on_result(&self, rank: usize, body: Vec<u8>) {
-        {
-            let mut state = self.lock();
+        self.state.with(|state| {
             if let Some(slot) = state.results.get_mut(rank) {
                 *slot = Some(body);
             }
-        }
+        });
         self.registry.diag.set_phase(rank, RankPhase::Done);
     }
 
@@ -591,14 +584,18 @@ impl Hub {
     /// result: record the death, raise the abort flag, and tell every
     /// rank by name so no peer hangs until timeout. Idempotent.
     fn rank_closed(&self, rank: usize, reason: String) {
-        {
-            let mut state = self.lock();
-            let finished = state.results.get(rank).is_some_and(|r| r.is_some());
-            let already = state.dead.get(rank).copied().unwrap_or(true);
-            if finished || already {
-                return;
+        let newly_dead = self.state.with(|state| {
+            let finished = state.results.get(rank).is_some_and(Option::is_some);
+            match state.dead.get_mut(rank) {
+                Some(dead) if !*dead && !finished => {
+                    *dead = true;
+                    true
+                }
+                _ => false,
             }
-            state.dead[rank] = true;
+        });
+        if !newly_dead {
+            return;
         }
         let diag = &self.registry.diag;
         let during = diag.last_collective_label(rank);
@@ -614,12 +611,12 @@ impl Hub {
     }
 
     fn all_worker_results(&self) -> bool {
-        let state = self.lock();
-        state.results.iter().skip(1).all(|r| r.is_some())
+        self.state
+            .with(|state| state.results.iter().skip(1).all(|r| r.is_some()))
     }
 
     fn take_results(&self) -> Vec<Option<Vec<u8>>> {
-        std::mem::take(&mut self.lock().results)
+        self.state.with(|state| std::mem::take(&mut state.results))
     }
 }
 
@@ -633,11 +630,12 @@ impl Hub {
 /// why, its frames are never dispatched, and it takes no rank's place.
 fn accept_loop(listener: UnixListener, hub: Arc<Hub>) {
     while !hub.all_admitted() {
-        let Ok((mut stream, _)) = listener.accept() else {
+        let Ok((stream, _)) = listener.accept() else {
             return;
         };
-        let admitted = read_hello(&mut stream).and_then(|hello| {
-            let writer = stream
+        let mut conn = Conn::new(stream);
+        let admitted = read_hello(&mut conn).and_then(|hello| {
+            let writer = conn
                 .try_clone()
                 .map_err(|e| format!("could not clone socket: {e}"))?;
             hub.admit(&hello, writer)?;
@@ -646,37 +644,36 @@ fn accept_loop(listener: UnixListener, hub: Arc<Hub>) {
         match admitted {
             Ok(rank) => {
                 let hub = hub.clone();
-                std::thread::spawn(move || handle_conn(rank, stream, &hub));
+                std::thread::spawn(move || handle_conn(rank, conn, &hub));
             }
             Err(why) => {
                 let body = frame::encode(&ErrorMsg { message: why });
-                let _ = frame::write_frame(&mut stream, FrameKind::Error, &body);
+                let _ = conn.write_frame(FrameKind::Error, &body);
             }
         }
     }
 }
 
 /// Read a fresh connection's `HELLO`, waiting at most [`HELLO_TIMEOUT`].
-fn read_hello(stream: &mut UnixStream) -> Result<HelloMsg, String> {
-    let fr = stream
+fn read_hello(conn: &mut Conn) -> Result<HelloMsg, String> {
+    let fr = conn
         .set_read_timeout(Some(HELLO_TIMEOUT))
         .map_err(FrameError::Io)
-        .and_then(|()| frame::read_frame(stream))
+        .and_then(|()| conn.read_frame())
         .map_err(|e| format!("expected a HELLO frame: {e}"))?;
     if fr.kind != FrameKind::Hello {
         return Err(format!("expected a HELLO frame, got {:?}", fr.kind));
     }
     let hello = frame::decode(&fr.body).map_err(|e| format!("bad hello frame: {e}"))?;
-    stream
-        .set_read_timeout(None)
+    conn.set_read_timeout(None)
         .map_err(|e| format!("could not clear the read timeout: {e}"))?;
     Ok(hello)
 }
 
 /// Dispatch an admitted rank's frames until its connection closes.
-fn handle_conn(rank: usize, mut stream: UnixStream, hub: &Hub) {
+fn handle_conn(rank: usize, mut conn: Conn, hub: &Hub) {
     loop {
-        match frame::read_frame(&mut stream) {
+        match conn.read_frame() {
             Ok(fr) => hub.on_frame(rank, fr),
             Err(e) => return hub.rank_closed(rank, format!("connection lost: {e}")),
         }
@@ -738,30 +735,31 @@ fn spawn_workers(sock: &Path, size: usize, run_idx: u64) -> std::io::Result<Vec<
 
 /// Kill (when the run failed) and reap every worker, with a bounded
 /// wait so a wedged child can never hang the launcher.
-fn reap_children(children: &Mutex<Vec<(usize, Child)>>, kill: bool) {
-    let mut kids = children.lock().unwrap_or_else(PoisonError::into_inner);
-    if kill {
-        for (_, child) in kids.iter_mut() {
-            let _ = child.kill();
+fn reap_children(children: &Lock<Vec<(usize, Child)>>, kill: bool) {
+    children.with(|kids| {
+        if kill {
+            for (_, child) in kids.iter_mut() {
+                let _ = child.kill();
+            }
         }
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    for (_, child) in kids.iter_mut() {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) | Err(_) => break,
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (_, child) in kids.iter_mut() {
+            loop {
+                match child.try_wait() {
+                    Ok(Some(_)) | Err(_) => break,
+                    Ok(None) => {
+                        if Instant::now() >= deadline {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
                 }
             }
         }
-    }
-    kids.clear();
+        kids.clear();
+    });
 }
 
 /// The monitor thread: sends the abort flag out to every rank (covering
@@ -769,7 +767,7 @@ fn reap_children(children: &Mutex<Vec<(usize, Child)>>, kill: bool) {
 /// hub) and detects worker processes that exit without reporting.
 fn monitor_loop(
     hub: &Hub,
-    children: &Mutex<Vec<(usize, Child)>>,
+    children: &Lock<Vec<(usize, Child)>>,
     registry: &Registry,
     stop: &AtomicBool,
 ) {
@@ -784,8 +782,7 @@ fn monitor_loop(
         if let Some(why) = registry.diag.abort_message() {
             hub.abort(&why);
         }
-        {
-            let mut kids = children.lock().unwrap_or_else(PoisonError::into_inner);
+        children.with(|kids| {
             for (rank, child) in kids.iter_mut() {
                 if let Ok(Some(status)) = child.try_wait() {
                     exited_at
@@ -793,7 +790,7 @@ fn monitor_loop(
                         .or_insert_with(|| (Instant::now(), format!("{status}")));
                 }
             }
-        }
+        });
         for (rank, (seen, status)) in &exited_at {
             if seen.elapsed() >= EXIT_GRACE {
                 hub.rank_closed(*rank, format!("exited with {status} before reporting"));
@@ -832,7 +829,7 @@ where
         std::thread::spawn(move || accept_loop(listener, hub));
     }
     let children = match spawn_workers(&sock_path, size, run_idx) {
-        Ok(c) => Arc::new(Mutex::new(c)),
+        Ok(c) => Arc::new(Lock::new("children", c)),
         Err(e) => panic!("socket transport: spawning workers failed: {e}"),
     };
     let stop = Arc::new(AtomicBool::new(false));
@@ -992,7 +989,7 @@ mod tests {
                     world: size,
                     run: 0,
                 };
-                hub.admit(&hello, hub_end).expect("admitted");
+                hub.admit(&hello, Conn::new(hub_end)).expect("admitted");
                 peer
             })
             .collect();
@@ -1146,7 +1143,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
         let mailbox = Arc::new(Mailbox::default());
-        let client = SocketClient::start(rank, ours, mailbox.clone()).expect("client");
+        let client = SocketClient::start(rank, Conn::new(ours), mailbox.clone()).expect("client");
         let link = Link {
             id,
             mailbox,
@@ -1297,7 +1294,7 @@ mod tests {
         // their queues as it was sent.
         let registry = Registry::for_run(&Cluster::new(3).with_timeout(Duration::from_secs(5)));
         let hub = Arc::new(Hub::new(registry.clone(), 3, 0));
-        let queue = |rank: usize| hub.lock_unclaimed()[rank].take().expect("unclaimed");
+        let queue = |rank: usize| hub.unclaimed.with(|u| u[rank].take()).expect("unclaimed");
         let (to_one, to_two) = (queue(1), queue(2));
 
         let (key, all, n) = ((1, 3), [0, 1, 2], 64 << 10);
@@ -1659,11 +1656,16 @@ mod tests {
         assert_eq!(other, 0, "each thread counts its own socket runs");
     }
 
+    /// Connecting to a socket nobody is listening on fails with a clear
+    /// error once the retry budget is spent — the path a worker takes
+    /// when its launcher is already gone.
     #[test]
     fn connect_with_retry_reports_timeout() {
         let path = std::env::temp_dir().join("cagnet-no-such-hub.sock");
+        let start = Instant::now();
         let err = connect_with_retry(&path, Duration::from_millis(50))
             .expect_err("dead socket must not connect");
         assert!(err.contains("could not connect"), "got: {err}");
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 }

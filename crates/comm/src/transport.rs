@@ -37,7 +37,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint};
@@ -46,6 +46,7 @@ use crate::comm::Registry;
 use crate::frame::Wire;
 #[cfg(unix)]
 use crate::frame::{DepositMsg, Frame, FrameKind, WaitMsg};
+use crate::lock::Lock;
 #[cfg(unix)]
 use crate::proc::{Hub, SocketClient};
 
@@ -322,19 +323,21 @@ impl Slots {
 /// `(comm, seq)` in whatever order they arrive — the rank's own and every
 /// peer's — and collects that wait for one deposit per member. Only its
 /// rank collects from it.
-#[derive(Default)]
 pub(crate) struct Mailbox {
-    slots: Mutex<Slots>,
+    slots: Lock<Slots>,
     cv: Condvar,
 }
 
-impl Mailbox {
-    fn lock(&self) -> MutexGuard<'_, Slots> {
-        // Nothing panics under this lock, so a poisoned one still holds
-        // consistent slots.
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+impl Default for Mailbox {
+    fn default() -> Self {
+        Mailbox {
+            slots: Lock::new("mailbox.slots", Slots::default()),
+            cv: Condvar::new(),
+        }
     }
+}
 
+impl Mailbox {
     /// File member `idx`'s deposit into the rendezvous `key` of the group
     /// `members`, opening it at the first arrival. Refuses, by name, an
     /// index outside the group, a member list other than the one the
@@ -354,43 +357,47 @@ impl Mailbox {
                 members.len()
             ));
         }
-        let mut slots = self.lock();
-        let slot = slots.open.entry(key).or_insert_with(|| Slot {
-            members: members.to_vec(),
-            deposits: vec![None; members.len()],
-            arrived: 0,
-        });
-        if slot.members != members {
-            return Err(format!(
-                "protocol error: deposit at {} lists members {members:?} but the rendezvous was \
-                 opened with {:?}",
-                at(),
-                slot.members
-            ));
-        }
-        if slot.deposits[idx].is_some() {
-            return Err(format!(
-                "rank deposited twice at {} — collective misuse",
-                at()
-            ));
-        }
-        slot.deposits[idx] = Some(dep);
-        slot.arrived += 1;
-        if slot.complete() {
-            self.cv.notify_all();
-        }
-        Ok(())
+        self.slots.with(|slots| {
+            let slot = slots.open.entry(key).or_insert_with(|| Slot {
+                members: members.to_vec(),
+                deposits: vec![None; members.len()],
+                arrived: 0,
+            });
+            if slot.members != members {
+                return Err(format!(
+                    "protocol error: deposit at {} lists members {members:?} but the rendezvous \
+                     was opened with {:?}",
+                    at(),
+                    slot.members
+                ));
+            }
+            if slot.deposits[idx].is_some() {
+                return Err(format!(
+                    "rank deposited twice at {} — collective misuse",
+                    at()
+                ));
+            }
+            slot.deposits[idx] = Some(dep);
+            slot.arrived += 1;
+            if slot.complete() {
+                self.cv.notify_all();
+            }
+            Ok(())
+        })
     }
 
     /// Whether the rendezvous `key` already holds every member's deposit.
     pub(crate) fn is_complete(&self, key: (u64, u64)) -> bool {
-        self.lock().open.get(&key).is_some_and(Slot::complete)
+        self.slots
+            .with(|slots| slots.open.get(&key).is_some_and(Slot::complete))
     }
 
     /// Fail every collect that is waiting, or will wait, on this mailbox
     /// with `why`. The first reason stands.
     pub(crate) fn poison(&self, why: String) {
-        self.lock().poisoned.get_or_insert(why);
+        self.slots.with(|slots| {
+            slots.poisoned.get_or_insert(why);
+        });
         self.cv.notify_all();
     }
 
@@ -408,24 +415,19 @@ impl Mailbox {
     ) -> Result<Vec<RxDeposit>, CollectError> {
         let deadline = Instant::now() + timeout;
         loop {
+            if let Some(done) = self
+                .slots
+                .wait_tick(&self.cv, WAIT_TICK, |slots| slots.settle(key))
             {
-                let mut slots = self.lock();
-                if let Some(done) = slots.settle(key) {
-                    return done;
-                }
-                slots = match self.cv.wait_timeout(slots, WAIT_TICK) {
-                    Ok((guard, _)) => guard,
-                    Err(poisoned) => poisoned.into_inner().0,
-                };
-                if let Some(done) = slots.settle(key) {
-                    return done;
-                }
+                return done;
             }
             if let Some(why) = abort() {
                 return Err(CollectError::Abort(why));
             }
             if Instant::now() >= deadline {
-                let arrived = self.lock().open.get(&key).map_or(0, |s| s.arrived);
+                let arrived = self
+                    .slots
+                    .with(|slots| slots.open.get(&key).map_or(0, |s| s.arrived));
                 return Err(CollectError::Timeout { arrived });
             }
         }
@@ -673,7 +675,7 @@ mod tests {
         file((9, 0), 1, 190);
         assert_eq!(tags(&collect(&mailbox, (9, 0))), [90, 190]);
         assert_eq!(tags(&collect(&mailbox, (7, 1))), [71, 171]);
-        assert!(mailbox.lock().open.is_empty());
+        assert!(mailbox.slots.with(|slots| slots.open.is_empty()));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use cagnet_dense::activation::Activation;
 use cagnet_dense::ops::hadamard_assign;
-use cagnet_dense::{matmul_acc, matmul_nt_acc, matmul_tn, Mat};
+use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::ParallelCtx;
 
 /// Serial full-batch GCN trainer (the correctness reference).
@@ -98,7 +98,7 @@ impl<'p> SerialTrainer<'p> {
                 &mut t,
             );
             let mut z = self.ws.keep_zeros(t.rows(), f_out);
-            matmul_acc(&t, &self.weights[l], &mut z);
+            matmul_acc_with(ParallelCtx::serial(), &t, &self.weights[l], &mut z);
             self.ws.give(t);
             let mut h = self.ws.keep(z.len());
             if l + 1 == l_total {
@@ -146,10 +146,10 @@ impl<'p> SerialTrainer<'p> {
             let mut ag = self.ws.zeros(g.rows(), g.cols());
             self.ws
                 .spmm_acc_with(ParallelCtx::serial(), &self.problem.adj, &g, &mut ag);
-            grads[l] = matmul_tn(&self.hs[l], &ag);
+            grads[l] = matmul_tn_with(ParallelCtx::serial(), &self.hs[l], &ag);
             if l > 0 {
                 g.reset(ag.rows(), self.cfg.dims[l]);
-                matmul_nt_acc(&ag, &self.weights[l], &mut g);
+                matmul_nt_acc_with(ParallelCtx::serial(), &ag, &self.weights[l], &mut g);
                 self.act.mul_prime_assign(&mut g, &self.zs[l - 1]);
                 if let Some(mask) = self.drop_masks[l - 1].take() {
                     hadamard_assign(&mut g, &mask);

@@ -18,15 +18,14 @@
 //! `nan_and_inf_propagate` in `tests/properties.rs` and the reference
 //! kernels kept in [`crate::reference`] for benchmarking).
 //!
-//! Every kernel comes in two flavors: the plain entry point (serial, same
-//! as always) and a `_with` variant taking a
-//! [`ParallelCtx`] that forks the
-//! computation over contiguous panels of **output rows**. Each panel runs
-//! the identical serial micro-kernel over its own rows, and no thread
-//! touches another panel's rows, so the parallel results are bit-for-bit
-//! identical to serial for every thread count — the floating-point
-//! accumulation order per output element depends only on the global
-//! `jc`/`pc` tile walk, never on panel or register-tile boundaries.
+//! Every kernel takes a [`ParallelCtx`] (`ParallelCtx::serial()` for one
+//! thread) and forks the computation over contiguous panels of **output
+//! rows**. Each panel runs the identical serial micro-kernel over its own
+//! rows, and no thread touches another panel's rows, so the parallel
+//! results are bit-for-bit identical to serial for every thread count —
+//! the floating-point accumulation order per output element depends only
+//! on the global `jc`/`pc` tile walk, never on panel or register-tile
+//! boundaries.
 
 use crate::matrix::Mat;
 use cagnet_parallel::ParallelCtx;
@@ -51,15 +50,26 @@ const NR: usize = 8;
 /// overhead dwarfs the row's flops for GCN-width operands.
 const MIN_PAR_ROWS: usize = 16;
 
-/// `C = A · B`.
+/// `C = A · B`, row panels forked across `ctx`'s thread budget
+/// (`ParallelCtx::serial()` for one thread).
+///
+/// ```
+/// use cagnet_dense::{matmul_with, Mat};
+/// use cagnet_parallel::ParallelCtx;
+/// let a = Mat::eye(3);
+/// assert_eq!(matmul_with(ParallelCtx::serial(), &a, &a), a);
+/// ```
+///
+/// No kernel has a serial twin that skips the thread budget:
+///
+/// ```compile_fail
+/// use cagnet_dense::Mat;
+/// let a = Mat::eye(3);
+/// let _ = cagnet_dense::matmul(&a, &a);
+/// ```
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
-pub fn matmul(a: &Mat, b: &Mat) -> Mat {
-    matmul_with(ParallelCtx::serial(), a, b)
-}
-
-/// `C = A · B`, row panels forked across `ctx`'s thread budget.
 pub fn matmul_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
     assert_eq!(
         a.cols(),
@@ -75,15 +85,9 @@ pub fn matmul_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
     c
 }
 
-/// `C += A · B` with accumulation into an existing output.
-///
-/// This is the primitive used by the SUMMA stages, where every stage adds a
+/// `C += A · B`, row panels forked across `ctx`'s thread budget. This is
+/// the primitive used by the SUMMA stages, where every stage adds a
 /// rank-`b` update into the running local block.
-pub fn matmul_acc(a: &Mat, b: &Mat, c: &mut Mat) {
-    matmul_acc_with(ParallelCtx::serial(), a, b, c);
-}
-
-/// `C += A · B`, row panels forked across `ctx`'s thread budget.
 pub fn matmul_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
@@ -220,16 +224,10 @@ fn edge_tile(
     }
 }
 
-/// `C = Aᵀ · B` without materializing `Aᵀ`.
-///
-/// Used for the weight-gradient product `Y = (H^{l-1})ᵀ (A G^l)` (paper
-/// Eq. 3), where `H` is tall-skinny and the output is a small `f x f`
-/// matrix.
-pub fn matmul_tn(a: &Mat, b: &Mat) -> Mat {
-    matmul_tn_with(ParallelCtx::serial(), a, b)
-}
-
-/// `C = Aᵀ · B`, output-row panels forked across `ctx`.
+/// `C = Aᵀ · B` without materializing `Aᵀ`, output-row panels forked
+/// across `ctx`. Used for the weight-gradient product
+/// `Y = (H^{l-1})ᵀ (A G^l)` (paper Eq. 3), where `H` is tall-skinny and
+/// the output is a small `f x f` matrix.
 pub fn matmul_tn_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
     let (k, m) = a.shape(); // logical op is (m x k) = (a.cols x a.rows)
     let (kb, n) = b.shape();
@@ -237,11 +235,6 @@ pub fn matmul_tn_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
     let mut c = Mat::zeros(m, n);
     matmul_tn_acc_with(ctx, a, b, &mut c);
     c
-}
-
-/// `C += Aᵀ · B` with accumulation.
-pub fn matmul_tn_acc(a: &Mat, b: &Mat, c: &mut Mat) {
-    matmul_tn_acc_with(ParallelCtx::serial(), a, b, c);
 }
 
 /// `C += Aᵀ · B`, output-row panels (columns of `A`) forked across
@@ -282,23 +275,13 @@ pub fn matmul_tn_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     });
 }
 
-/// `C = A · Bᵀ` without materializing `Bᵀ`.
-///
-/// Used for the backpropagation product `G^l (W^l)ᵀ` (paper Eq. 2).
-pub fn matmul_nt(a: &Mat, b: &Mat) -> Mat {
-    matmul_nt_with(ParallelCtx::serial(), a, b)
-}
-
-/// `C = A · Bᵀ`, row panels forked across `ctx`.
+/// `C = A · Bᵀ` without materializing `Bᵀ`, row panels forked across
+/// `ctx`. Used for the backpropagation product `G^l (W^l)ᵀ` (paper
+/// Eq. 2).
 pub fn matmul_nt_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
     let mut c = Mat::zeros(a.rows(), b.rows());
     matmul_nt_acc_with(ctx, a, b, &mut c);
     c
-}
-
-/// `C += A · Bᵀ` with accumulation.
-pub fn matmul_nt_acc(a: &Mat, b: &Mat, c: &mut Mat) {
-    matmul_nt_acc_with(ParallelCtx::serial(), a, b, c);
 }
 
 /// `C += A · Bᵀ`, row panels forked across `ctx`. Each output element
@@ -380,7 +363,7 @@ mod tests {
         ] {
             let a = rand_mat(m, k, 1);
             let b = rand_mat(k, n, 2);
-            let fast = matmul(&a, &b);
+            let fast = matmul_with(ParallelCtx::serial(), &a, &b);
             let slow = matmul_naive(&a, &b);
             assert!(
                 fast.approx_eq(&slow, 1e-10),
@@ -394,8 +377,8 @@ mod tests {
     fn tn_matches_explicit_transpose() {
         let a = rand_mat(40, 17, 3);
         let b = rand_mat(40, 23, 4);
-        let direct = matmul_tn(&a, &b);
-        let explicit = matmul(&a.transpose(), &b);
+        let direct = matmul_tn_with(ParallelCtx::serial(), &a, &b);
+        let explicit = matmul_with(ParallelCtx::serial(), &a.transpose(), &b);
         assert!(direct.approx_eq(&explicit, 1e-10));
     }
 
@@ -403,8 +386,8 @@ mod tests {
     fn nt_matches_explicit_transpose() {
         let a = rand_mat(21, 34, 5);
         let b = rand_mat(19, 34, 6);
-        let direct = matmul_nt(&a, &b);
-        let explicit = matmul(&a, &b.transpose());
+        let direct = matmul_nt_with(ParallelCtx::serial(), &a, &b);
+        let explicit = matmul_with(ParallelCtx::serial(), &a, &b.transpose());
         assert!(direct.approx_eq(&explicit, 1e-10));
     }
 
@@ -412,33 +395,33 @@ mod tests {
     fn acc_accumulates() {
         let a = rand_mat(8, 8, 7);
         let b = rand_mat(8, 8, 8);
-        let mut c = matmul(&a, &b);
-        matmul_acc(&a, &b, &mut c);
-        let doubled = matmul(&a, &b).map(|x| 2.0 * x);
+        let mut c = matmul_with(ParallelCtx::serial(), &a, &b);
+        matmul_acc_with(ParallelCtx::serial(), &a, &b, &mut c);
+        let doubled = matmul_with(ParallelCtx::serial(), &a, &b).map(|x| 2.0 * x);
         assert!(c.approx_eq(&doubled, 1e-10));
     }
 
     #[test]
     fn identity_is_neutral() {
         let a = rand_mat(12, 12, 9);
-        assert!(matmul(&a, &Mat::eye(12)).approx_eq(&a, 1e-12));
-        assert!(matmul(&Mat::eye(12), &a).approx_eq(&a, 1e-12));
+        assert!(matmul_with(ParallelCtx::serial(), &a, &Mat::eye(12)).approx_eq(&a, 1e-12));
+        assert!(matmul_with(ParallelCtx::serial(), &Mat::eye(12), &a).approx_eq(&a, 1e-12));
     }
 
     #[test]
     fn empty_dims_ok() {
         let a = Mat::zeros(0, 5);
         let b = Mat::zeros(5, 3);
-        assert_eq!(matmul(&a, &b).shape(), (0, 3));
+        assert_eq!(matmul_with(ParallelCtx::serial(), &a, &b).shape(), (0, 3));
         let a = Mat::zeros(4, 0);
         let b = Mat::zeros(0, 3);
-        assert_eq!(matmul(&a, &b).shape(), (4, 3));
+        assert_eq!(matmul_with(ParallelCtx::serial(), &a, &b).shape(), (4, 3));
     }
 
     #[test]
     #[should_panic(expected = "inner dims")]
     fn dim_mismatch_panics() {
-        let _ = matmul(&Mat::zeros(2, 3), &Mat::zeros(4, 2));
+        let _ = matmul_with(ParallelCtx::serial(), &Mat::zeros(2, 3), &Mat::zeros(4, 2));
     }
 
     #[test]
@@ -453,7 +436,7 @@ mod tests {
         for &(m, k, n) in &[(1usize, 7usize, 9usize), (67, 131, 258), (130, 40, 70)] {
             let a = rand_mat(m, k, 21);
             let b = rand_mat(k, n, 22);
-            let serial = matmul(&a, &b);
+            let serial = matmul_with(ParallelCtx::serial(), &a, &b);
             for threads in [2usize, 3, 5, 8] {
                 let ctx = ParallelCtx::new(threads);
                 let par = matmul_with(ctx, &a, &b);
@@ -469,10 +452,10 @@ mod tests {
     fn parallel_tn_nt_bit_identical() {
         let a = rand_mat(90, 37, 31);
         let b = rand_mat(90, 53, 32);
-        let serial_tn = matmul_tn(&a, &b);
+        let serial_tn = matmul_tn_with(ParallelCtx::serial(), &a, &b);
         let c = rand_mat(44, 37, 33);
         let d = rand_mat(29, 37, 34);
-        let serial_nt = matmul_nt(&c, &d);
+        let serial_nt = matmul_nt_with(ParallelCtx::serial(), &c, &d);
         for threads in [2usize, 4, 7] {
             let ctx = ParallelCtx::new(threads);
             assert_eq!(matmul_tn_with(ctx, &a, &b), serial_tn);
@@ -486,7 +469,7 @@ mod tests {
         let b = rand_mat(33, 48, 42);
         let mut serial = rand_mat(70, 48, 43);
         let mut par = serial.clone();
-        matmul_acc(&a, &b, &mut serial);
+        matmul_acc_with(ParallelCtx::serial(), &a, &b, &mut serial);
         matmul_acc_with(ParallelCtx::new(6), &a, &b, &mut par);
         assert_eq!(par, serial);
     }

@@ -12,10 +12,11 @@ use std::fmt;
 /// A dense row-major matrix of `f64`.
 ///
 /// ```
-/// use cagnet_dense::{matmul, Mat};
+/// use cagnet_dense::{matmul_with, Mat};
+/// use cagnet_parallel::ParallelCtx;
 /// let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let i = Mat::eye(2);
-/// assert_eq!(matmul(&a, &i), a);
+/// assert_eq!(matmul_with(ParallelCtx::serial(), &a, &i), a);
 /// assert_eq!(a.transpose()[(0, 1)], 3.0);
 /// ```
 #[derive(Clone, PartialEq)]

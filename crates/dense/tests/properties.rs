@@ -3,10 +3,7 @@
 
 use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows, softmax_rows};
 use cagnet_dense::ops::{add, hadamard, scale, sub};
-use cagnet_dense::{
-    matmul, matmul_acc, matmul_acc_with, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_with,
-    matmul_with, Mat,
-};
+use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, matmul_with, Mat};
 use cagnet_parallel::ParallelCtx;
 use proptest::prelude::*;
 
@@ -116,22 +113,25 @@ proptest! {
         (a, b, c2) in (1usize..10, 1usize..10, 1usize..10)
             .prop_flat_map(|(m, k, n)| (mat(m, k), mat(k, n), mat(k, n)))
     ) {
-        let lhs = matmul(&a, &add(&b, &c2));
-        let rhs = add(&matmul(&a, &b), &matmul(&a, &c2));
+        let one = ParallelCtx::serial();
+        let lhs = matmul_with(one, &a, &add(&b, &c2));
+        let rhs = add(&matmul_with(one, &a, &b), &matmul_with(one, &a, &c2));
         prop_assert!(lhs.approx_eq(&rhs, 1e-8), "distributivity failed");
     }
 
     #[test]
     fn transpose_reverses_products((a, b, _c) in chain3()) {
-        let lhs = matmul(&a, &b).transpose();
-        let rhs = matmul(&b.transpose(), &a.transpose());
+        let one = ParallelCtx::serial();
+        let lhs = matmul_with(one, &a, &b).transpose();
+        let rhs = matmul_with(one, &b.transpose(), &a.transpose());
         prop_assert!(lhs.approx_eq(&rhs, 1e-9));
     }
 
     #[test]
     fn matmul_is_associative((a, b, c) in chain3()) {
-        let lhs = matmul(&matmul(&a, &b), &c);
-        let rhs = matmul(&a, &matmul(&b, &c));
+        let one = ParallelCtx::serial();
+        let lhs = matmul_with(one, &matmul_with(one, &a, &b), &c);
+        let rhs = matmul_with(one, &a, &matmul_with(one, &b, &c));
         prop_assert!(lhs.approx_eq(&rhs, 1e-6 * (1.0 + lhs.frobenius())));
     }
 
@@ -140,7 +140,9 @@ proptest! {
         (a, b) in (1usize..10, 1usize..10, 1usize..10)
             .prop_flat_map(|(k, m, n)| (mat(k, m), mat(k, n)))
     ) {
-        prop_assert!(matmul_tn(&a, &b).approx_eq(&matmul(&a.transpose(), &b), 1e-9));
+        let one = ParallelCtx::serial();
+        let explicit = matmul_with(one, &a.transpose(), &b);
+        prop_assert!(matmul_tn_with(one, &a, &b).approx_eq(&explicit, 1e-9));
     }
 
     #[test]
@@ -148,7 +150,9 @@ proptest! {
         (c, d) in (1usize..10, 1usize..10, 1usize..10)
             .prop_flat_map(|(m, k, n)| (mat(m, k), mat(n, k)))
     ) {
-        prop_assert!(matmul_nt(&c, &d).approx_eq(&matmul(&c, &d.transpose()), 1e-9));
+        let one = ParallelCtx::serial();
+        let explicit = matmul_with(one, &c, &d.transpose());
+        prop_assert!(matmul_nt_with(one, &c, &d).approx_eq(&explicit, 1e-9));
     }
 
     #[test]
@@ -220,8 +224,8 @@ proptest! {
         // Exact equality, not approx: the panel decomposition preserves
         // the serial accumulation order per output element. `m` may be 0
         // (a rank owning no rows).
-        let ctx = ParallelCtx::new(threads);
-        prop_assert_eq!(matmul_with(ctx, &a, &b), matmul(&a, &b));
+        let (ctx, one) = (ParallelCtx::new(threads), ParallelCtx::serial());
+        prop_assert_eq!(matmul_with(ctx, &a, &b), matmul_with(one, &a, &b));
     }
 
     #[test]
@@ -230,17 +234,17 @@ proptest! {
             .prop_flat_map(|(m, k, n)| (mat(m, k), mat(k, n), mat(m, n))),
         threads in 1usize..=8,
     ) {
-        let ctx = ParallelCtx::new(threads);
+        let (ctx, one) = (ParallelCtx::new(threads), ParallelCtx::serial());
         // NT: (m x k) · (n x k)ᵀ — reuse shapes: a · (aᵀ rows) needs
         // second operand with k columns; b.transpose() is (n x k).
         let bt = b.transpose();
-        prop_assert_eq!(matmul_nt_with(ctx, &a, &bt), matmul_nt(&a, &bt));
+        prop_assert_eq!(matmul_nt_with(ctx, &a, &bt), matmul_nt_with(one, &a, &bt));
         // TN: (m x k)ᵀ · (m x n).
-        prop_assert_eq!(matmul_tn_with(ctx, &a, &c0), matmul_tn(&a, &c0));
+        prop_assert_eq!(matmul_tn_with(ctx, &a, &c0), matmul_tn_with(one, &a, &c0));
         // ACC: both paths accumulate into identical non-zero state.
         let mut acc_s = c0.clone();
         let mut acc_p = c0.clone();
-        matmul_acc(&a, &b, &mut acc_s);
+        matmul_acc_with(one, &a, &b, &mut acc_s);
         matmul_acc_with(ctx, &a, &b, &mut acc_p);
         prop_assert_eq!(acc_p, acc_s);
     }
@@ -272,7 +276,7 @@ proptest! {
         }
         type MatMulFn<'a> = &'a dyn Fn(&Mat, &Mat) -> Mat;
         let fns: [MatMulFn; 2] = [
-            &matmul,
+            &|x, y| matmul_with(ParallelCtx::serial(), x, y),
             &|x, y| matmul_with(ParallelCtx::new(threads), x, y),
         ];
         for f in fns {
@@ -304,7 +308,8 @@ proptest! {
         // inside every cache panel — the same order as the scalar
         // reference kernel — so on these sub-panel shapes the results are
         // bit-identical, not merely approximately equal.
-        prop_assert_eq!(matmul(&a, &b), cagnet_dense::reference::matmul_reference(&a, &b));
+        let reference = cagnet_dense::reference::matmul_reference(&a, &b);
+        prop_assert_eq!(matmul_with(ParallelCtx::serial(), &a, &b), reference);
     }
 
     #[test]

@@ -27,4 +27,3 @@ pub mod spmm;
 pub use cagnet_parallel::ParallelCtx;
 pub use coo::Coo;
 pub use csr::Csr;
-pub use spmm::{spmm, spmm_acc, spmm_semiring};

@@ -118,7 +118,7 @@ mod tests {
         let ahat = gcn_normalize(&path_graph(16));
         let mut x = cagnet_dense::Mat::filled(16, 1, 1.0);
         for _ in 0..30 {
-            let y = crate::spmm::spmm(&ahat, &x);
+            let y = crate::spmm::spmm_with(crate::ParallelCtx::serial(), &ahat, &x);
             let ny = y.frobenius();
             let nx = x.frobenius();
             assert!(ny <= nx * (1.0 + 1e-12), "norm grew: {ny} > {nx}");

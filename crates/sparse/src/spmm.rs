@@ -13,23 +13,8 @@ use cagnet_dense::Mat;
 use cagnet_parallel::ParallelCtx;
 use core::ops::Range;
 
-/// `C = A · B` where `A` is CSR and `B` dense.
-///
-/// ```
-/// use cagnet_dense::Mat;
-/// use cagnet_sparse::{spmm, Csr};
-/// let a = Csr::identity(3);
-/// let b = Mat::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
-/// assert_eq!(spmm(&a, &b), b);
-/// ```
-///
-/// # Panics
-/// Panics on inner-dimension mismatch.
-pub fn spmm(a: &Csr, b: &Mat) -> Mat {
-    spmm_with(ParallelCtx::serial(), a, b)
-}
-
-/// `C = A · B`, row chunks forked across `ctx`'s thread budget.
+/// `C = A · B` where `A` is CSR and `B` dense, row chunks forked across
+/// `ctx`'s thread budget (`ParallelCtx::serial()` for one thread).
 ///
 /// Chunks are balanced by **nonzero count**, not row count — under the
 /// power-law degree distributions of real graphs (and the hypersparse
@@ -37,18 +22,35 @@ pub fn spmm(a: &Csr, b: &Mat) -> Mat {
 /// work-imbalanced. Each chunk still owns a contiguous, disjoint range
 /// of output rows processed by the identical serial row loop, so the
 /// result is bit-for-bit equal to serial for every thread count.
+///
+/// ```
+/// use cagnet_dense::Mat;
+/// use cagnet_sparse::spmm::spmm_with;
+/// use cagnet_sparse::{Csr, ParallelCtx};
+/// let a = Csr::identity(3);
+/// let b = Mat::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
+/// assert_eq!(spmm_with(ParallelCtx::serial(), &a, &b), b);
+/// ```
+///
+/// No kernel has a serial twin that skips the thread budget:
+///
+/// ```compile_fail
+/// use cagnet_dense::Mat;
+/// use cagnet_sparse::Csr;
+/// let b = Mat::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
+/// let _ = cagnet_sparse::spmm(&Csr::identity(3), &b);
+/// ```
+///
+/// # Panics
+/// Panics on inner-dimension mismatch.
 pub fn spmm_with(ctx: ParallelCtx, a: &Csr, b: &Mat) -> Mat {
     let mut c = Mat::zeros(a.rows(), b.cols());
     spmm_acc_with(ctx, a, b, &mut c);
     c
 }
 
-/// `C += A · B` with accumulation — the SUMMA-stage primitive.
-pub fn spmm_acc(a: &Csr, b: &Mat, c: &mut Mat) {
-    spmm_acc_with(ParallelCtx::serial(), a, b, c);
-}
-
-/// `C += A · B`, nnz-balanced row chunks forked across `ctx`:
+/// `C += A · B`, the SUMMA-stage primitive, nnz-balanced row chunks
+/// forked across `ctx`:
 /// [`spmm_acc_scratch`] with a pack buffer of its own. Callers that
 /// multiply wide operands repeatedly keep one and call that instead.
 pub fn spmm_acc_with(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat) {
@@ -348,24 +350,21 @@ impl Semiring for MaxTimes {
 
 /// SpMM over an arbitrary semiring: `C[i,j] = ⊕_k A[i,k] ⊗ B[k,j]`, where
 /// the ⊕ ranges over the *stored* entries of row `i` (implicit zeros do
-/// not participate, matching GraphBLAS semantics).
-pub fn spmm_semiring<S: Semiring>(a: &Csr, b: &Mat, s: &S) -> Mat {
+/// not participate, matching GraphBLAS semantics). Row chunks are forked
+/// across `ctx` as in [`spmm_semiring_acc_with`].
+pub fn spmm_semiring_with<S: Semiring>(ctx: ParallelCtx, a: &Csr, b: &Mat, s: &S) -> Mat {
     let mut c = Mat::filled(a.rows(), b.cols(), s.zero());
-    spmm_semiring_acc(a, b, s, &mut c);
+    spmm_semiring_acc_with(ctx, a, b, s, &mut c);
     c
 }
 
 /// `C ⊕= A ⊗ B` over a semiring — the accumulating form a block
-/// algorithm runs once per stage. `c` must have been initialized with
-/// `s.zero()` (or hold a previous partial).
-pub fn spmm_semiring_acc<S: Semiring>(a: &Csr, b: &Mat, s: &S, c: &mut Mat) {
-    spmm_semiring_acc_with(ParallelCtx::serial(), a, b, s, c);
-}
-
-/// `C ⊕= A ⊗ B` over a semiring, nnz-balanced row chunks forked across
-/// `ctx`. Disjoint output rows keep the ⊕ fold order per element
-/// independent of the thread count, so non-associative-under-rounding
-/// aggregations still produce serial-identical bits.
+/// algorithm runs once per stage; `c` must have been initialized with
+/// `s.zero()` (or hold a previous partial). Nnz-balanced row chunks are
+/// forked across `ctx`. Disjoint output rows keep the ⊕ fold order per
+/// element independent of the thread count, so
+/// non-associative-under-rounding aggregations still produce
+/// serial-identical bits.
 pub fn spmm_semiring_acc_with<S: Semiring>(ctx: ParallelCtx, a: &Csr, b: &Mat, s: &S, c: &mut Mat) {
     assert_eq!(a.cols(), b.rows(), "spmm_semiring: inner dims");
     assert_eq!(
@@ -463,8 +462,8 @@ mod tests {
     fn spmm_matches_densified_gemm() {
         let a = sample_csr();
         let b = sample_dense();
-        let sparse = spmm(&a, &b);
-        let dense = cagnet_dense::matmul(&a.to_dense(), &b);
+        let sparse = spmm_with(ParallelCtx::serial(), &a, &b);
+        let dense = cagnet_dense::matmul_with(ParallelCtx::serial(), &a.to_dense(), &b);
         assert!(sparse.approx_eq(&dense, 1e-12));
     }
 
@@ -472,9 +471,9 @@ mod tests {
     fn spmm_acc_accumulates() {
         let a = sample_csr();
         let b = sample_dense();
-        let mut c = spmm(&a, &b);
-        spmm_acc(&a, &b, &mut c);
-        let doubled = spmm(&a, &b).map(|x| 2.0 * x);
+        let mut c = spmm_with(ParallelCtx::serial(), &a, &b);
+        spmm_acc_with(ParallelCtx::serial(), &a, &b, &mut c);
+        let doubled = spmm_with(ParallelCtx::serial(), &a, &b).map(|x| 2.0 * x);
         assert!(c.approx_eq(&doubled, 1e-12));
     }
 
@@ -482,7 +481,7 @@ mod tests {
     fn empty_rows_produce_zero_rows() {
         let a = Csr::empty(3, 3);
         let b = Mat::filled(3, 2, 7.0);
-        let c = spmm(&a, &b);
+        let c = spmm_with(ParallelCtx::serial(), &a, &b);
         assert!(c.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -490,8 +489,8 @@ mod tests {
     fn plus_times_semiring_matches_plain_spmm() {
         let a = sample_csr();
         let b = sample_dense();
-        let plain = spmm(&a, &b);
-        let semi = spmm_semiring(&a, &b, &PlusTimes);
+        let plain = spmm_with(ParallelCtx::serial(), &a, &b);
+        let semi = spmm_semiring_with(ParallelCtx::serial(), &a, &b, &PlusTimes);
         assert!(plain.approx_eq(&semi, 1e-12));
     }
 
@@ -500,7 +499,7 @@ mod tests {
         // One-step min-plus relaxation from a distance vector.
         let a = Csr::from_coo(Coo::from_entries(2, 2, vec![(0, 1, 1.0), (1, 0, 2.0)]));
         let d = Mat::from_rows(&[&[0.0], &[10.0]]);
-        let r = spmm_semiring(&a, &d, &MinPlus);
+        let r = spmm_semiring_with(ParallelCtx::serial(), &a, &d, &MinPlus);
         // r[0] = min over stored entries: a[0][1] + d[1] = 11
         // r[1] = a[1][0] + d[0] = 2
         assert_eq!(r[(0, 0)], 11.0);
@@ -515,7 +514,7 @@ mod tests {
             vec![(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0)],
         ));
         let b = Mat::from_rows(&[&[3.0], &[9.0], &[5.0]]);
-        let r = spmm_semiring(&a, &b, &MaxTimes);
+        let r = spmm_semiring_with(ParallelCtx::serial(), &a, &b, &MaxTimes);
         assert_eq!(r[(0, 0)], 9.0);
     }
 
@@ -539,7 +538,7 @@ mod tests {
         let b = Mat::from_fn(2, 2, |i, j| (i + j) as f64 + 1.0);
         let got = outer_product_from_transposed(&at_block, &b);
         let a_cols = a_full.to_dense().block(0, 4, 1, 3);
-        let expect = cagnet_dense::matmul(&a_cols, &b);
+        let expect = cagnet_dense::matmul_with(ParallelCtx::serial(), &a_cols, &b);
         assert!(got.approx_eq(&expect, 1e-12));
     }
 
@@ -552,7 +551,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner dims")]
     fn spmm_dim_mismatch_panics() {
-        let _ = spmm(&sample_csr(), &Mat::zeros(3, 2));
+        let _ = spmm_with(ParallelCtx::serial(), &sample_csr(), &Mat::zeros(3, 2));
     }
 
     #[test]
@@ -584,7 +583,7 @@ mod tests {
             let b = Mat::from_fn(300, f, |i, j| {
                 ((i * 37 + j * 101) % 17) as f64 * 0.125 - 1.0
             });
-            let fast = spmm(&a, &b);
+            let fast = spmm_with(ParallelCtx::serial(), &a, &b);
             let slow = crate::reference::spmm_reference(&a, &b);
             assert_eq!(fast, slow, "f={f} diverged from the reference kernel");
         }
@@ -675,7 +674,7 @@ mod tests {
     fn parallel_spmm_is_bit_identical_to_serial() {
         let a = crate::generate::erdos_renyi(200, 5.0, 17);
         let b = Mat::from_fn(200, 7, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
-        let serial = spmm(&a, &b);
+        let serial = spmm_with(ParallelCtx::serial(), &a, &b);
         for threads in [2usize, 3, 4, 8] {
             let got = spmm_with(ParallelCtx::new(threads), &a, &b);
             assert_eq!(got, serial, "{threads} threads diverged");
@@ -687,7 +686,7 @@ mod tests {
         let a = crate::generate::erdos_renyi(150, 4.0, 23);
         let b = Mat::from_fn(150, 5, |i, j| (i + j) as f64 * 0.25);
         let mut serial = Mat::filled(150, 5, MinPlus.zero());
-        spmm_semiring_acc(&a, &b, &MinPlus, &mut serial);
+        spmm_semiring_acc_with(ParallelCtx::serial(), &a, &b, &MinPlus, &mut serial);
         for threads in [2usize, 5] {
             let mut par = Mat::filled(150, 5, MinPlus.zero());
             spmm_semiring_acc_with(ParallelCtx::new(threads), &a, &b, &MinPlus, &mut par);

@@ -11,8 +11,8 @@ use cagnet_sparse::partition::{
     block_ranges, grid_block_dense, grid_block_sparse, join_grid_dense,
 };
 use cagnet_sparse::spmm::{
-    outer_product_from_transposed, spmm, spmm_acc, spmm_acc_with, spmm_semiring_acc,
-    spmm_semiring_acc_with, spmm_with, MinPlus, Semiring,
+    outer_product_from_transposed, spmm_acc_with, spmm_semiring_acc_with, spmm_with, MinPlus,
+    Semiring,
 };
 use cagnet_sparse::{Coo, Csr};
 use proptest::prelude::*;
@@ -41,8 +41,8 @@ proptest! {
         (a, b) in (1usize..16, 1usize..16, 1usize..8)
             .prop_flat_map(|(m, k, f)| (sparse(m, k, 40), dense(k, f)))
     ) {
-        let fast = spmm(&a, &b);
-        let reference = cagnet_dense::matmul(&a.to_dense(), &b);
+        let fast = spmm_with(ParallelCtx::serial(), &a, &b);
+        let reference = cagnet_dense::matmul_with(ParallelCtx::serial(), &a.to_dense(), &b);
         prop_assert!(fast.approx_eq(&reference, 1e-10));
     }
 
@@ -59,10 +59,10 @@ proptest! {
         // Random matrices here routinely contain empty rows (the 0 x k
         // degenerate block has its own test below).
         let ctx = ParallelCtx::new(threads);
-        prop_assert_eq!(spmm_with(ctx, &a, &b), spmm(&a, &b));
+        prop_assert_eq!(spmm_with(ctx, &a, &b), spmm_with(ParallelCtx::serial(), &a, &b));
         let mut acc_s = Mat::filled(a.rows(), b.cols(), 0.25);
         let mut acc_p = acc_s.clone();
-        spmm_acc(&a, &b, &mut acc_s);
+        spmm_acc_with(ParallelCtx::serial(), &a, &b, &mut acc_s);
         spmm_acc_with(ctx, &a, &b, &mut acc_p);
         prop_assert_eq!(acc_p, acc_s);
     }
@@ -76,7 +76,7 @@ proptest! {
         let ctx = ParallelCtx::new(threads);
         let mut acc_s = Mat::filled(a.rows(), b.cols(), MinPlus.zero());
         let mut acc_p = acc_s.clone();
-        spmm_semiring_acc(&a, &b, &MinPlus, &mut acc_s);
+        spmm_semiring_acc_with(ParallelCtx::serial(), &a, &b, &MinPlus, &mut acc_s);
         spmm_semiring_acc_with(ctx, &a, &b, &MinPlus, &mut acc_p);
         prop_assert_eq!(acc_p, acc_s);
     }
@@ -101,7 +101,8 @@ proptest! {
     ) {
         // at is the transpose of a column block; reference: atᵀ · b.
         let got = outer_product_from_transposed(&at, &b);
-        let reference = cagnet_dense::matmul(&at.to_dense().transpose(), &b);
+        let a_dense = at.to_dense().transpose();
+        let reference = cagnet_dense::matmul_with(ParallelCtx::serial(), &a_dense, &b);
         prop_assert!(got.approx_eq(&reference, 1e-10));
     }
 

@@ -12,8 +12,8 @@
 //! Run with: `cargo run --release --example semiring_aggregation`
 
 use cagnet::dense::Mat;
-use cagnet::sparse::spmm::{spmm_semiring, MaxTimes, MinPlus, PlusTimes};
-use cagnet::sparse::{Coo, Csr};
+use cagnet::sparse::spmm::{spmm_semiring_with, MaxTimes, MinPlus, PlusTimes};
+use cagnet::sparse::{Coo, Csr, ParallelCtx};
 
 fn main() {
     // A small weighted digraph:
@@ -33,10 +33,20 @@ fn main() {
     let h = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 2.0], &[1.0, 1.0]]);
 
     println!("standard (+,*) aggregation — weighted neighbor sums:");
-    print_mat(&spmm_semiring(&a, &h, &PlusTimes));
+    print_mat(&spmm_semiring_with(
+        ParallelCtx::serial(),
+        &a,
+        &h,
+        &PlusTimes,
+    ));
 
     println!("max-pooling (max,*) aggregation — strongest neighbor signal:");
-    print_mat(&spmm_semiring(&a, &h, &MaxTimes));
+    print_mat(&spmm_semiring_with(
+        ParallelCtx::serial(),
+        &a,
+        &h,
+        &MaxTimes,
+    ));
 
     // Tropical semiring: distances from vertex 0. dist column starts at
     // [0, inf, inf, inf]; each (min,+) SpMM is one relaxation hop over
@@ -45,7 +55,7 @@ fn main() {
     let mut dist = Mat::from_rows(&[&[0.0], &[f64::INFINITY], &[f64::INFINITY], &[f64::INFINITY]]);
     println!("(min,+) semiring — SSSP relaxation from vertex 0:");
     for hop in 1..=3 {
-        let relaxed = spmm_semiring(&at, &dist, &MinPlus);
+        let relaxed = spmm_semiring_with(ParallelCtx::serial(), &at, &dist, &MinPlus);
         // Keep the best of (stay, relax) — elementwise min with previous.
         for i in 0..dist.rows() {
             dist[(i, 0)] = dist[(i, 0)].min(relaxed[(i, 0)]);
