@@ -9,12 +9,12 @@
 //! included. The check is always on: the socket suites and the
 //! benchmark run in release mode.
 //!
-//! A poisoned lock is recovered: every value kept here stays consistent
-//! between statements, and the diagnostic state must stay readable
-//! precisely when some rank has panicked.
+//! A poisoned lock is recovered: no closure here leaves its value
+//! half-updated when it panics, and the diagnostic state must stay
+//! readable precisely when some rank has panicked.
 
 use std::cell::Cell;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 thread_local! {
@@ -59,18 +59,11 @@ impl<T> Lock<T> {
         }
     }
 
-    fn acquire(&self) -> (Held, MutexGuard<'_, T>) {
-        let held = Held::enter(self.name);
-        (
-            held,
-            self.inner.lock().unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-
     /// Run `f` on the value with the lock held. Panics if this thread
     /// already holds a `Lock`.
     pub(crate) fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let (_held, mut guard) = self.acquire();
+        let _held = Held::enter(self.name);
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
     }
 
@@ -84,7 +77,8 @@ impl<T> Lock<T> {
         tick: Duration,
         mut ready: impl FnMut(&mut T) -> Option<R>,
     ) -> Option<R> {
-        let (_held, mut guard) = self.acquire();
+        let _held = Held::enter(self.name);
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(r) = ready(&mut guard) {
             return Some(r);
         }
