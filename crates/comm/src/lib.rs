@@ -34,5 +34,7 @@ pub use comm::{Communicator, GatheredRows, PendingOp};
 pub use cost::{Cat, CommWords, CostModel, ALL_CATS, NUM_CATS};
 pub use frame::{PackedMat, Precision, Wire};
 pub use grid::{Grid2D, Grid3D};
+#[cfg(unix)]
+pub use proc::connect_with_retry;
 pub use timeline::{Timeline, TimelineReport};
 pub use transport::TransportKind;

@@ -134,7 +134,7 @@ pub(crate) fn worker_env() -> Option<WorkerEnv> {
 
 /// Connect to `path`, retrying until `timeout` — the listener may not
 /// be bound yet when a freshly spawned worker first tries.
-fn connect_with_retry(path: &Path, timeout: Duration) -> Result<Conn, String> {
+pub fn connect_with_retry(path: &Path, timeout: Duration) -> Result<Conn, String> {
     let deadline = Instant::now() + timeout;
     loop {
         match UnixStream::connect(path) {

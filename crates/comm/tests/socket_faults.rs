@@ -92,6 +92,20 @@ fn killed_worker_fails_run_with_named_rank() {
     );
 }
 
+/// Connecting to a socket nobody is listening on must fail with a clear
+/// error once the retry budget is spent — the fallback path a worker
+/// takes when its launcher is already gone.
+#[test]
+fn connect_to_dead_hub_fails_promptly() {
+    let path = std::env::temp_dir().join("cagnet-test-dead-hub.sock");
+    let _ = std::fs::remove_file(&path);
+    let start = Instant::now();
+    let err = cagnet_comm::connect_with_retry(&path, Duration::from_millis(100))
+        .expect_err("no listener — the connect must fail");
+    assert!(err.contains("could not connect"), "got: {err}");
+    assert!(start.elapsed() < Duration::from_secs(5));
+}
+
 /// CheckMode fingerprints piggyback on deposit frames: with checking on
 /// and every rank agreeing, a socket run succeeds and produces the same
 /// bits as an unchecked one.
