@@ -8,11 +8,12 @@
 //!
 //! options:
 //!   --dataset  reddit|amazon|protein|rmat:<scale>:<degree>   (default rmat:10:8)
+//!                            scale below usize::BITS
 //!   --algo     1d|1d-row|1.5d:<c>|2d|2d:<pr>x<pc>|3d         (default 2d)
-//!   --processes <P>                                          (default 4)
+//!   --processes <P>      at most the graph's vertex count    (default 4)
 //!   --epochs    <E>      at least 1                      (default 3)
-//!   --alpha     <seconds>    network latency                 (default 15e-6)
-//!   --beta-gbps <GB/s>       network bandwidth               (default 10)
+//!   --alpha     <seconds>    network latency, finite, >= 0   (default 15e-6)
+//!   --beta-gbps <GB/s>       network bandwidth, finite, > 0  (default 10)
 //!   --hidden    <width>      hidden layer width              (default 16)
 //!   --overlap   on|off       nonblocking comm/compute overlap (default on)
 //!   --comm-mode dense|sparse|cached:<k>
@@ -160,6 +161,19 @@ where
         .map_err(|e| format!("{flag}: cannot parse '{s}' ({e})"))
 }
 
+/// Parse a cost-model parameter that must be finite and pass `ok`
+/// (described by `rule`): a NaN or negative one fails the cost model's
+/// clamps, and a zero or infinite one leaves the modeled epoch time
+/// undefined.
+fn parse_param(flag: &str, s: &str, rule: &str, ok: fn(f64) -> bool) -> Result<f64, String> {
+    let v: f64 = parse_num(flag, s)?;
+    if v.is_finite() && ok(v) {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be finite and {rule}, got '{s}'"))
+    }
+}
+
 fn parse_algo(s: &str) -> Result<Algorithm, String> {
     Ok(match s {
         "1d" => Algorithm::OneD,
@@ -211,8 +225,18 @@ fn main() {
         eprintln!("--epochs must be at least 1, got 0");
         std::process::exit(2);
     }
-    let alpha: f64 = or_exit(parse_num("--alpha", &get("alpha", "15e-6")));
-    let gbps: f64 = or_exit(parse_num("--beta-gbps", &get("beta-gbps", "10")));
+    let alpha = or_exit(parse_param(
+        "--alpha",
+        &get("alpha", "15e-6"),
+        ">= 0",
+        |a| a >= 0.0,
+    ));
+    let gbps = or_exit(parse_param(
+        "--beta-gbps",
+        &get("beta-gbps", "10"),
+        "> 0",
+        |b| b > 0.0,
+    ));
     let hidden: usize = or_exit(parse_num("--hidden", &get("hidden", "16")));
     let overlap = match get("overlap", "on").as_str() {
         "on" => true,
@@ -249,8 +273,14 @@ fn main() {
             spec.split_once(':')
                 .ok_or_else(|| format!("{RMAT} needs a scale and a degree, got '{dataset}'")),
         );
+        let scale: u32 = or_exit(parse_num(RMAT, scale));
+        if scale >= usize::BITS {
+            // `1 << scale` vertices would wrap.
+            eprintln!("{RMAT}: scale must be below {}, got {scale}", usize::BITS);
+            std::process::exit(2);
+        }
         let g = rmat_symmetric(
-            or_exit(parse_num(RMAT, scale)),
+            scale,
             or_exit(parse_num(RMAT, degree)),
             RmatParams::default(),
             7,
@@ -277,6 +307,16 @@ fn main() {
         gcn.dims[2] = hidden;
         (problem, gcn, dataset.clone())
     };
+
+    if p > problem.vertices() {
+        // The row layouts need a vertex per rank; one bound serves
+        // every layout.
+        eprintln!(
+            "--processes {p} exceeds the {} vertices of {name}",
+            problem.vertices()
+        );
+        std::process::exit(2);
+    }
 
     let tc = TrainConfig {
         epochs,

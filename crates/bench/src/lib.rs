@@ -18,10 +18,9 @@
 //! | `runner`       | any dataset × algorithm × P × tier, one row        |
 //! | `trace`        | a Perfetto trace of one 2D epoch                   |
 //!
-//! Criterion benches (`cargo bench`) cover the local kernels, the
-//! simulated collectives and whole training epochs. Wall-clock epochs
-//! and the per-layer kernel, codec and transport numbers are the
-//! repository benchmark's (`benchmark/`).
+//! Every figure here is modeled. Wall-clock epochs and the per-layer
+//! kernel, collective, codec and transport numbers are the repository
+//! benchmark's (`benchmark/`).
 //!
 //! All binaries print human-readable tables and emit JSON rows (serde) so
 //! EXPERIMENTS.md can quote machine-checked numbers.

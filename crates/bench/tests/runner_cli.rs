@@ -112,4 +112,46 @@ fn bad_geometry_and_numeric_values_are_named_errors() {
         err.contains("--algo 1.5d:<c>: cannot parse 'x'"),
         "stderr: {err}"
     );
+
+    // A NaN or negative α or β used to panic in the cost model's
+    // clamps; a zero bandwidth printed a null epoch time and exited 0.
+    for (args, named) in [
+        (
+            ["--alpha", "-1"],
+            "--alpha must be finite and >= 0, got '-1'",
+        ),
+        (
+            ["--alpha", "nan"],
+            "--alpha must be finite and >= 0, got 'nan'",
+        ),
+        (
+            ["--beta-gbps", "-3"],
+            "--beta-gbps must be finite and > 0, got '-3'",
+        ),
+        (
+            ["--beta-gbps", "0"],
+            "--beta-gbps must be finite and > 0, got '0'",
+        ),
+    ] {
+        let (code, err) = run_err(&args);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+
+    // `1 << 70` vertices wrapped and panicked in the COO builder.
+    let (code, err) = run_err(&["--dataset", "rmat:70:8"]);
+    assert_eq!(code, 2);
+    let named = format!(
+        "rmat:<scale>:<degree>: scale must be below {}, got 70",
+        usize::BITS
+    );
+    assert!(err.contains(&named), "stderr: {err}");
+
+    // More ranks than vertices panicked in the 1D trainer's set-up.
+    let (code, err) = run_err(&["--dataset", "rmat:4:2", "--processes", "64", "--algo", "1d"]);
+    assert_eq!(code, 2);
+    assert!(
+        err.contains("--processes 64 exceeds the 16 vertices of rmat:4:2"),
+        "stderr: {err}"
+    );
 }

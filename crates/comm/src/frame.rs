@@ -21,8 +21,11 @@
 //! The header is validated **before** the body is allocated: bad magic,
 //! unknown version/kind, or a length above [`MAX_FRAME`] is rejected
 //! without reserving a byte — a truncated or corrupt header can never
-//! drive an attacker-controlled allocation (mirroring the hardened
-//! checkpoint loader).
+//! drive an attacker-controlled allocation. [`decode`] treats a body the
+//! same way: every element count and matrix dimension is checked
+//! against the bytes left before capacity is reserved. Weight
+//! checkpoints (`cagnet_core::checkpoint`) are a magic followed by
+//! [`encode`] of the weight stack, so their loader inherits these checks.
 //!
 //! A `Deposit` body carries `{comm id, seq, collective kind, rank,
 //! members, entry clock, dtype, optional CheckMode fingerprint, optional

@@ -13,6 +13,11 @@
 //! half-updated when it panics, and the diagnostic state must stay
 //! readable precisely when some rank has panicked.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "`Lock` wraps the crate's one raw `Mutex`; clippy.toml refuses it everywhere else"
+)]
+
 use std::cell::Cell;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;

@@ -2,7 +2,9 @@
 //! file, so a model trained under one geometry can be served later (see
 //! [`crate::trainer::infer_distributed`]) or training can resume.
 //!
-//! Format (all little-endian):
+//! A checkpoint is the magic `CAGNETW1` followed by the stack in the
+//! socket transport's codec ([`frame::encode`] of a `Vec<Mat>`), which
+//! is, all little-endian:
 //!
 //! ```text
 //! magic   8 bytes  "CAGNETW1"
@@ -12,9 +14,14 @@
 //!   cols  u64
 //!   data  rows*cols f64
 //! ```
+//!
+//! Loading decodes with [`frame::decode`], whose count and dimension
+//! checks reject a header that claims more data than the input holds
+//! before anything is allocated.
 
+use cagnet_comm::frame;
 use cagnet_dense::Mat;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"CAGNETW1";
@@ -46,114 +53,18 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Write a weight stack to any writer.
-pub fn save_weights<W: Write>(writer: W, weights: &[Mat]) -> Result<(), CheckpointError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    w.write_all(&(weights.len() as u64).to_le_bytes())?;
-    for m in weights {
-        w.write_all(&(m.rows() as u64).to_le_bytes())?;
-        w.write_all(&(m.cols() as u64).to_le_bytes())?;
-        for &x in m.as_slice() {
-            w.write_all(&x.to_le_bytes())?;
-        }
-    }
-    w.flush()?;
+pub fn save_weights<W: Write>(mut writer: W, weights: &[Mat]) -> Result<(), CheckpointError> {
+    writer.write_all(MAGIC)?;
+    writer.write_all(&frame::encode(&weights.to_vec()))?;
+    writer.flush()?;
     Ok(())
 }
 
-/// Read a weight stack from any reader.
-///
-/// Equivalent to [`load_weights_limited`] with an unknown input length:
-/// declared sizes are still bounds-checked and allocation is grown
-/// incrementally, but a corrupted header can only be caught when the
-/// data read runs dry. Prefer [`load_weights_file`] (which knows the
-/// file size) when reading from disk.
-pub fn load_weights<R: Read>(reader: R) -> Result<Vec<Mat>, CheckpointError> {
-    load_weights_limited(reader, None)
-}
-
-/// Preallocation cap (elements) when the input length is unknown: a
-/// hostile header then costs at most 512 KiB up front, with the vector
-/// growing only as actual data arrives.
-const PREALLOC_CAP: usize = 1 << 16;
-
-/// Read a weight stack, validating every declared matrix size against
-/// the total input length when it is known. A corrupted or hostile
-/// header (e.g. `rows = 2^16, cols = 2^16` in a 40-byte file) is then
-/// rejected with [`CheckpointError::Format`] *before* any allocation or
-/// data read happens, instead of attempting a multi-gigabyte
-/// `Vec::with_capacity`.
-pub fn load_weights_limited<R: Read>(
-    reader: R,
-    input_len: Option<u64>,
-) -> Result<Vec<Mat>, CheckpointError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|_| CheckpointError::Format("file too short for header".into()))?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::Format("wrong magic bytes".into()));
-    }
-    let count = read_u64(&mut r)? as usize;
-    if count > 1 << 20 {
-        return Err(CheckpointError::Format(format!(
-            "implausible matrix count {count}"
-        )));
-    }
-    // Bytes consumed so far: magic + count, then per-matrix headers and
-    // data as we go.
-    let mut consumed: u64 = 16;
-    let mut out = Vec::with_capacity(count.min(PREALLOC_CAP));
-    for i in 0..count {
-        let rows = read_u64(&mut r)? as usize;
-        let cols = read_u64(&mut r)? as usize;
-        consumed += 16;
-        let elems = rows
-            .checked_mul(cols)
-            .ok_or_else(|| CheckpointError::Format(format!("matrix {i}: size overflow")))?;
-        if elems > 1 << 32 {
-            return Err(CheckpointError::Format(format!(
-                "matrix {i}: implausible size {rows}x{cols}"
-            )));
-        }
-        let data_bytes = elems as u64 * 8;
-        if let Some(len) = input_len {
-            if consumed + data_bytes > len {
-                return Err(CheckpointError::Format(format!(
-                    "matrix {i}: declared size {rows}x{cols} exceeds remaining input \
-                     ({data_bytes} bytes needed, {} available)",
-                    len.saturating_sub(consumed)
-                )));
-            }
-        }
-        let cap = if input_len.is_some() {
-            elems
-        } else {
-            elems.min(PREALLOC_CAP)
-        };
-        let mut data = Vec::with_capacity(cap);
-        let mut buf = [0u8; 8];
-        for _ in 0..elems {
-            r.read_exact(&mut buf)
-                .map_err(|_| CheckpointError::Format(format!("matrix {i}: truncated data")))?;
-            data.push(f64::from_le_bytes(buf));
-        }
-        consumed += data_bytes;
-        out.push(Mat::from_vec(rows, cols, data));
-    }
-    // Trailing garbage is a corruption signal.
-    let mut extra = [0u8; 1];
-    if r.read(&mut extra)? != 0 {
-        return Err(CheckpointError::Format("trailing bytes after data".into()));
-    }
-    Ok(out)
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, CheckpointError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)
-        .map_err(|_| CheckpointError::Format("truncated integer".into()))?;
-    Ok(u64::from_le_bytes(buf))
+/// Read a weight stack from any reader, to its end.
+pub fn load_weights<R: Read>(mut reader: R) -> Result<Vec<Mat>, CheckpointError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    decode(&bytes)
 }
 
 /// Save a weight stack to a file path.
@@ -161,13 +72,21 @@ pub fn save_weights_file<P: AsRef<Path>>(path: P, weights: &[Mat]) -> Result<(),
     save_weights(std::fs::File::create(path)?, weights)
 }
 
-/// Load a weight stack from a file path. The file size bounds every
-/// declared matrix size up front (see [`load_weights_limited`]), so
-/// corrupted headers fail fast without large allocations.
+/// Load a weight stack from a file path.
 pub fn load_weights_file<P: AsRef<Path>>(path: P) -> Result<Vec<Mat>, CheckpointError> {
-    let f = std::fs::File::open(path)?;
-    let len = f.metadata()?.len();
-    load_weights_limited(f, Some(len))
+    decode(&std::fs::read(path)?)
+}
+
+fn decode(bytes: &[u8]) -> Result<Vec<Mat>, CheckpointError> {
+    let Some(body) = bytes.strip_prefix(MAGIC) else {
+        let what = if bytes.len() < MAGIC.len() {
+            "file too short for header"
+        } else {
+            "wrong magic bytes"
+        };
+        return Err(CheckpointError::Format(what.into()));
+    };
+    frame::decode(body).map_err(|e| CheckpointError::Format(e.to_string()))
 }
 
 #[cfg(test)]
@@ -184,6 +103,8 @@ mod tests {
         ];
         let mut buf = Vec::new();
         save_weights(&mut buf, &weights).unwrap();
+        let encoded = [&MAGIC[..], &frame::encode(&weights)].concat();
+        assert_eq!(buf, encoded, "the magic, then the codec's bytes");
         let back = load_weights(&buf[..]).unwrap();
         assert_eq!(weights.len(), back.len());
         for (a, b) in weights.iter().zip(&back) {
@@ -238,24 +159,19 @@ mod tests {
 
     #[test]
     fn hostile_size_header_is_rejected_before_allocation() {
-        // A 40-byte file claiming one 2^16 x 2^16 matrix: the element
-        // count (2^32) passes the absolute plausibility cap, but the 32
-        // GiB of data it implies cannot fit the remaining input. With a
-        // known input length this must fail up front.
+        // A 40-byte file claiming one 2^16 x 2^16 matrix: the 32 GiB of
+        // data it implies cannot fit the remaining input, so the codec
+        // refuses before reserving the matrix.
         let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&(1u64 << 16).to_le_bytes());
         buf.extend_from_slice(&(1u64 << 16).to_le_bytes());
-        let err = load_weights_limited(&buf[..], Some(buf.len() as u64)).unwrap_err();
-        match err {
+        match load_weights(&buf[..]).unwrap_err() {
             CheckpointError::Format(m) => {
-                assert!(m.contains("exceeds remaining input"), "{m}")
+                assert!(m.contains("matrix data exceeds body"), "{m}")
             }
             e => panic!("expected Format error, got: {e}"),
         }
-        // Unknown input length: still an error (data runs dry), still no
-        // huge up-front allocation (bounded by PREALLOC_CAP).
-        assert!(load_weights(&buf[..]).is_err());
     }
 
     #[test]
@@ -283,7 +199,6 @@ mod tests {
             if rng() % 4 == 0 {
                 buf.truncate(rng() as usize % (base.len() + 1));
             }
-            let _ = load_weights_limited(&buf[..], Some(buf.len() as u64));
             let _ = load_weights(&buf[..]);
         }
     }
