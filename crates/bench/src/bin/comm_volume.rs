@@ -17,9 +17,11 @@
 //! against the paper's broadcast form less the closed-form saving of
 //! moving the narrow side of each dense-weight product
 //! ([`cagnet_bench::grid_epoch_words`]), on a shape where both directions
-//! fire and on uniform widths, where the saving must be zero. Forcing the
-//! broadcast form in `dist/grid.rs` makes the first shape's rows
-//! mismatch.
+//! fire and on uniform widths, where the saving must be zero. The closed
+//! form's output layer moves `rows·3·(q − 1)` words (the split
+//! log-sum-exp's three statistics per row). Forcing the broadcast form in
+//! `dist/grid.rs` makes the first shape's rows mismatch, and gathering
+//! whole class rows again makes every row mismatch.
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin comm_volume`
 

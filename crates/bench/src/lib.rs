@@ -215,6 +215,8 @@ pub fn measure_epochs_traced(
 pub struct GridWords {
     /// With every dense-weight product in the paper's form: the forward
     /// partial SUMMA broadcasts `T` blocks, the backward row-gathers `AG`.
+    /// The output layer row-gathers three statistics per row of `Z^L`
+    /// (the split log-sum-exp), not its `f_out` logits.
     pub broadcast_form: Vec<u64>,
     /// What moving the narrow side saves against that: forward layers
     /// with `f_out < f_in` reduce-scatter their `f_out`-wide terms; backward
@@ -276,7 +278,9 @@ pub fn grid_epoch_words(n: usize, dims: &[usize], algo: Algorithm, p: usize) -> 
             words += spmm(f_in) + t_blocks + spmm(f_out) + part(rows * f_out, qr);
             words += allreduce(cols(f_in) * f_out, qy) + part(f_in * f_out, qr);
             if l + 1 == layers {
-                words += part(rows * f_out, qr);
+                // The output layer's split log-sum-exp: `[m, s, a]` per row
+                // from every other member of the process row.
+                words += rows * 3 * (qr - 1);
             }
             if qr > 1 && f_out < f_in {
                 saved += t_blocks as i64 - part(rows * f_out, qr) as i64;

@@ -3,8 +3,9 @@
 //! grid (in 3D, over each layer of the mesh) and `W` is replicated. Per
 //! layer, forward runs a SUMMA SpMM `T = AᵀH`, then the product against
 //! `W` along the process row; the output layer's `log_softmax` is not
-//! elementwise, so the process row all-gathers its `Z` blocks first
-//! (§IV-C.2, §IV-D.2). Backward runs the SUMMA SpMM for `AG`, row-all-
+//! elementwise (§IV-C.2, §IV-D.2), so the process row all-gathers three
+//! numbers per row of its `Z` blocks, a split log-sum-exp (DESIGN.md
+//! §14). Backward runs the SUMMA SpMM for `AG`, row-all-
 //! gathers one slab for both the weight gradient `Y = Hᵀ(AG)` (§IV-C.4)
 //! and `AG·Wᵀ`, and reduces `Y` over the ranks sharing the rank's feature
 //! columns.
@@ -22,11 +23,9 @@
 //! transpose charge and the row order of the gathered embeddings.
 
 use super::shell::State;
-use super::{output_layer, pipeline, CommMode, Lead, Workspace};
-use crate::loss::output_gradient_from_probs;
+use super::{pipeline, CommMode, Lead, Workspace};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
-use cagnet_dense::activation::log_softmax_probs_into;
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
 use cagnet_sparse::Csr;
@@ -100,9 +99,10 @@ impl Side {
 
 /// The geometry of a SUMMA-family layout.
 pub struct Grid {
-    /// Process row: `S` panels, partial-`W` `T` blocks and the `Z`, `AG`
-    /// and `Y` all-gathers. Its size is the number of feature-column
-    /// blocks and this rank's index in it its own.
+    /// Process row: `S` panels, partial-`W` `T` blocks, the output
+    /// layer's row statistics and the `AG` and `Y` all-gathers. Its size
+    /// is the number of feature-column blocks and this rank's index in it
+    /// its own.
     pub(crate) row: Communicator,
     /// Process column: `D` panels.
     pub(crate) col: Communicator,
@@ -117,8 +117,10 @@ pub struct Grid {
     /// 2D: the nnz to charge as two local transposes per backward (the
     /// paper implementation's "trpose" in Figure 3).
     pub(crate) transpose_nnz: Option<usize>,
-    /// World ranks whose output row blocks, stacked in this order, are
-    /// the global output rows.
+    /// Every world rank, ordered so that consecutive runs of a process
+    /// row's size are the members of one process row in member order, and
+    /// the runs stack in global row order: the output blocks, joined
+    /// across each run and stacked, are `H^L`.
     pub(crate) output_ranks: Vec<usize>,
 }
 
@@ -129,19 +131,14 @@ impl Grid {
         c0..c1
     }
 
-    /// Width of the widest slab a pass row-gathers: `Z^L`, and per
-    /// backward layer `AG` or `Hˡ` ([`gather_h`]).
+    /// Width of the widest slab a pass row-gathers: per backward layer
+    /// `AG` or `Hˡ` ([`gather_h`]).
     pub(crate) fn widest_row_gather(&self, dims: &[usize]) -> usize {
         let q = self.row.size();
         (0..dims.len() - 1)
             .map(|l| dims[if gather_h(dims, l, q) { l } else { l + 1 }])
-            .chain(dims.last().copied())
             .max()
             .unwrap_or(0)
-    }
-
-    pub(crate) fn owns_output(&self) -> bool {
-        self.row.my_idx() == 0
     }
 
     pub(crate) fn set_panels(&mut self, mode: CommMode) {
@@ -317,39 +314,6 @@ impl Grid {
         g
     }
 
-    /// All-gather a `Z^L` block along the process row into whole class
-    /// rows, in a workspace buffer.
-    fn gather_class_rows(&self, s: &State, z: &Arc<Mat>) -> Mat {
-        let mut z_row = s.ws.borrow_mut().take(z.rows() * s.cfg.f_out());
-        let parts = self.row.allgather_shared(z.clone(), Cat::DenseComm);
-        Mat::hstack_into(&parts, &mut z_row);
-        z_row
-    }
-
-    /// Output-layer gradient block `G^L_ij`, in the buffer of the
-    /// probabilities block the forward kept. When the stored `Z^L` came
-    /// from a pass that kept none (a bare inference `forward`), its class
-    /// rows are gathered once more and go through the same row kernel:
-    /// one extra row all-gather, the same bits.
-    fn output_gradient_block(&self, s: &mut State) -> Mat {
-        let cols = self.cols(s.cfg.f_out());
-        let mut g = match s.probs.take() {
-            Some(p) => p,
-            None => {
-                let z_row = self.gather_class_rows(s, &s.zs[s.zs.len() - 1]);
-                let ws = s.ws.get_mut();
-                let mut log_p = ws.take(z_row.len());
-                let mut p = ws.take(z_row.rows() * cols.len());
-                log_softmax_probs_into(&z_row, cols.clone(), &mut log_p, &mut p);
-                ws.give(log_p);
-                ws.give(z_row);
-                p
-            }
-        };
-        output_gradient_from_probs(&mut g, &s.labels, &s.mask, s.r0, cols.start, s.train_count);
-        g
-    }
-
     /// The `Y` reduction group: the ranks sharing this rank's feature
     /// columns.
     fn y_comm(&self) -> &Communicator {
@@ -370,35 +334,30 @@ fn d_panel(ws: &RefCell<Workspace>, d_mine: &Arc<Mat>, r0: usize, r1: usize) -> 
     ws.lend(panel)
 }
 
-/// The layers of a forward pass.
-pub(crate) fn forward(g: &Grid, s: &mut State, ctx: &Ctx) {
+/// The layers of a forward pass; returns the rank's share of the summed
+/// NLL.
+pub(crate) fn forward(g: &Grid, s: &mut State, ctx: &Ctx) -> f64 {
     let l_total = s.cfg.layers();
+    let mut nll = 0.0;
     for l in 0..l_total {
         let f_out = s.cfg.dims[l + 1];
         let t = g.aggregate(s, ctx, &g.fwd, &s.hs[l], l);
         let t = s.ws.get_mut().lend(t);
         let z = Arc::new(g.partial_w(s, ctx, &t, l));
-        let mut h = s.ws.get_mut().keep(z.len());
-        let cols = g.cols(f_out);
         if l + 1 == l_total {
-            let z_row = g.gather_class_rows(s, &z);
-            ctx.charge_elementwise(2 * z_row.len());
-            let ws = s.ws.get_mut();
-            let mut h_row = ws.keep(z_row.len());
-            s.probs = output_layer(ws, s.training, &z_row, cols.clone(), &mut h_row);
-            s.out_row = Arc::new(h_row);
-            s.out_row
-                .block_into(0, z_row.rows(), cols.start, cols.end, &mut h);
-            s.ws.get_mut().give(z_row);
+            ctx.charge_elementwise(2 * z.len());
+            nll = s.output_layer(Some(&g.row), &z);
         } else {
             ctx.charge_elementwise(z.len());
+            let mut h = s.ws.get_mut().keep(z.len());
             s.act.apply_into(&z, &mut h);
-            s.apply_dropout(l, f_out, cols, &mut h);
+            s.apply_dropout(l, f_out, g.cols(f_out), &mut h);
+            s.hs.push(Arc::new(h));
         }
         s.zs.push(z);
-        s.hs.push(Arc::new(h));
         s.ws.get_mut().end_layer();
     }
+    nll
 }
 
 /// The layers of a backward pass and the replicated update.
@@ -410,7 +369,7 @@ pub(crate) fn backward(g: &Grid, s: &mut State, ctx: &Ctx) {
         ctx.charge_transpose(2 * nnz);
     }
     s.ws.get_mut().reclaim();
-    let grad = g.output_gradient_block(s);
+    let grad = s.output_gradient(g.cols(s.cfg.f_out()).start);
     // Shared, like `hs`, for the whole-block SUMMA stages.
     let mut grad = s.ws.get_mut().lend(grad);
     ctx.charge_elementwise(grad.len());

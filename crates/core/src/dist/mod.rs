@@ -21,8 +21,8 @@
 //! * the grid family (`A`, `H`, `G` block-2D):
 //!   - [`twodim`] — 2D SUMMA (Algorithm 2) on square or rectangular
 //!     grids: SUMMA SpMM stages plus "partial SUMMA" against the
-//!     replicated `W`, with a row all-gather for the non-elementwise
-//!     `log_softmax`.
+//!     replicated `W`, and the non-elementwise `log_softmax` as a
+//!     split log-sum-exp: three numbers per row across the process row.
 //!   - [`threedim`] — Split-3D-SpMM (§IV-D): a `∛P`-sided mesh;
 //!     independent 2D SUMMAs per mesh layer followed by fiber
 //!     reduce-scatters. The paper analyzes but does not implement this
@@ -44,16 +44,13 @@ pub mod twodim;
 pub(crate) use shell::State;
 pub use shell::{Layout, Trainer};
 
-use crate::loss::{output_gradient_from_probs, output_gradient_into};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, GatheredRows, PendingOp};
-use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows_into};
 use cagnet_dense::Mat;
 use cagnet_sparse::spmm::{spmm_acc_scratch, spmm_scratch_len};
 use cagnet_sparse::{Csr, ParallelCtx};
 use std::cell::RefCell;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// How the distributed trainers move dense feature/gradient blocks
@@ -186,26 +183,32 @@ impl Workspace {
     /// and contents are whatever the last user left: overwrite it through
     /// an `_into` kernel or [`Mat::reset`] before reading.
     pub(crate) fn take(&mut self, len: usize) -> Mat {
-        let fit = (0..self.free.len())
-            .filter(|&i| self.free[i].capacity() >= len)
-            .min_by_key(|&i| self.free[i].capacity());
-        self.remove_or_empty(fit.filter(|_| len > 0))
+        self.tightest(len, usize::MAX)
     }
 
     /// A buffer for a block that will be *stored* — a `Z`, an `H`, a
-    /// dropout mask, kept until the next pass hands it back: only a free
-    /// buffer of exactly `len` elements is recycled into it. Stored
-    /// blocks have the same sizes every epoch, so from the second epoch
-    /// on each finds its own; what this rules out is a small stored block
-    /// sitting in, and for a whole pass withholding, a buffer many times
-    /// its size while the large requests it was made for allocate anew.
+    /// dropout mask, kept until the next pass hands it back: the tightest
+    /// free fit of at most `2·len` elements. Stored blocks have the same
+    /// sizes every epoch, so from the second epoch on each mostly finds
+    /// its own; the bound rules out a small stored block sitting in, and
+    /// for a whole pass withholding, a buffer many times its size while
+    /// the large requests it was made for allocate anew, and the slack
+    /// spares a stored block whose own buffer a smaller request borrowed
+    /// from allocating another.
     pub(crate) fn keep(&mut self, len: usize) -> Mat {
-        let fit = self.free.iter().position(|m| m.capacity() == len);
-        self.remove_or_empty(fit.filter(|_| len > 0))
+        self.tightest(len, len.saturating_mul(2))
     }
 
-    fn remove_or_empty(&mut self, fit: Option<usize>) -> Mat {
-        fit.map_or_else(|| Mat::zeros(0, 0), |i| self.free.swap_remove(i))
+    /// The first of the smallest free buffers holding `len..=max`
+    /// elements, or an empty matrix to grow when there is none.
+    fn tightest(&mut self, len: usize, max: usize) -> Mat {
+        let fit = (0..self.free.len())
+            .filter(|&i| (len..=max).contains(&self.free[i].capacity()))
+            .min_by_key(|&i| self.free[i].capacity());
+        match fit.filter(|_| len > 0) {
+            Some(i) => self.free.swap_remove(i),
+            None => Mat::zeros(0, 0),
+        }
     }
 
     /// A `rows x cols` accumulator of zeros, as [`Mat::zeros`] would
@@ -281,55 +284,6 @@ impl Workspace {
     pub(crate) fn reclaim(&mut self) {
         self.end_layer();
         self.end_layer();
-    }
-}
-
-/// The output layer of a forward pass (DESIGN.md §14) over whole class
-/// rows `z`: `log p` over `log_p`, and on a training pass — the kind a
-/// backward follows — columns `cols` of the probabilities as well, from
-/// the same single `exp` per logit, in a `ws` buffer that the backward
-/// turns into `G^L` in place. An inference pass returns `None`, and so
-/// tells the trainer that it holds no probabilities for this `Z^L`.
-pub(crate) fn output_layer(
-    ws: &mut Workspace,
-    training: bool,
-    z: &Mat,
-    cols: Range<usize>,
-    log_p: &mut Mat,
-) -> Option<Mat> {
-    if training {
-        let mut p = ws.take(z.rows() * cols.len());
-        log_softmax_probs_into(z, cols, log_p, &mut p);
-        Some(p)
-    } else {
-        log_softmax_rows_into(z, log_p);
-        None
-    }
-}
-
-/// `G^L` over a block of whole class rows (serial, 1D, 1D-row, 1.5D), in
-/// the buffer of the probabilities the forward kept — or, when the stored
-/// `z` came from a pass that kept none, from `z` through the same row
-/// kernel into a `ws` buffer. Same bits either way.
-pub(crate) fn output_gradient_rows(
-    ws: &mut Workspace,
-    probs: Option<Mat>,
-    z: &Mat,
-    labels: &[usize],
-    mask: &[bool],
-    row_offset: usize,
-    train_count: usize,
-) -> Mat {
-    match probs {
-        Some(mut g) => {
-            output_gradient_from_probs(&mut g, labels, mask, row_offset, 0, train_count);
-            g
-        }
-        None => {
-            let mut g = ws.take(z.len());
-            output_gradient_into(z, labels, mask, row_offset, train_count, &mut g);
-            g
-        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! block rows ([`outer_product`], [`reduce`]) — in each direction.
 
 use super::shell::State;
-use super::{output_gradient_rows, output_layer, pipeline, CommMode};
+use super::{pipeline, CommMode};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
@@ -28,9 +28,11 @@ pub trait RowLayout {
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, l: usize, g: Mat) -> Mat;
 }
 
-/// The layers of a forward pass.
-pub(crate) fn forward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) {
+/// The layers of a forward pass; returns the rank's share of the summed
+/// NLL.
+pub(crate) fn forward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) -> f64 {
     let l_total = s.cfg.layers();
+    let mut nll = 0.0;
     for l in 0..l_total {
         let (f_in, f_out) = (s.cfg.dims[l], s.cfg.dims[l + 1]);
         let t = r.aggregate(s, ctx, l);
@@ -39,36 +41,28 @@ pub(crate) fn forward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) {
         matmul_acc_with(ctx.parallel(), &t, &s.weights[l], &mut z);
         ctx.charge_gemm(t.rows(), f_in, f_out);
         ws.give(t);
-        let mut h = ws.keep(z.len());
         if l + 1 == l_total {
             // H is row-partitioned, so even the non-elementwise
             // log_softmax needs no communication (§IV-A.2).
-            s.probs = output_layer(ws, s.training, &z, 0..f_out, &mut h);
+            nll = s.output_layer(None, &z);
         } else {
+            let mut h = ws.keep(z.len());
             s.act.apply_into(&z, &mut h);
             s.apply_dropout(l, f_out, 0..f_out, &mut h);
+            s.hs.push(Arc::new(h));
         }
         ctx.charge_elementwise(z.len());
         s.zs.push(Arc::new(z));
-        s.hs.push(Arc::new(h));
         s.ws.get_mut().end_layer();
     }
-    s.out_row = s.hs[l_total].clone();
+    nll
 }
 
 /// The layers of a backward pass and the replicated update.
 pub(crate) fn backward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) {
     let l_total = s.cfg.layers();
     s.ws.get_mut().reclaim();
-    let mut g = output_gradient_rows(
-        s.ws.get_mut(),
-        s.probs.take(),
-        &s.zs[l_total - 1],
-        &s.labels,
-        &s.mask,
-        s.r0,
-        s.train_count,
-    );
+    let mut g = s.output_gradient(0);
     ctx.charge_elementwise(g.len());
     for l in (0..l_total).rev() {
         let (f_in, f_out) = (s.cfg.dims[l], s.cfg.dims[l + 1]);

@@ -14,15 +14,20 @@ use super::grid::{self, Grid};
 use super::rows::{self, RowLayout};
 use super::{CommMode, HaloCache, StorageReport, Workspace};
 use crate::dropout::{mask_block_into, DropoutKey};
-use crate::loss::{accuracy_counts, nll_sum};
+use crate::loss::{nll_sum_block, output_gradient_from_probs};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
 use crate::trainer::TrainConfig;
+use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
-use cagnet_dense::activation::Activation;
+use cagnet_dense::activation::{
+    lse_argmax, lse_block_stats, lse_combine, lse_log_probs_into, lse_probs_assign, lse_row,
+    Activation,
+};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_nt_acc_with, Mat};
+use cagnet_sparse::partition::block_range;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -61,13 +66,13 @@ pub enum Family<'a> {
 }
 
 impl Family<'_> {
-    /// Whether this rank's output block counts toward the loss, the
-    /// accuracy and the gathered embeddings: every rank in the row
-    /// family, one per process row (grid column 0) in the grid family.
-    fn owns_output(&self) -> bool {
+    /// This rank's columns of the `f_out` classes: all of them in the row
+    /// family, its column block in the grid family. A rank counts the
+    /// loss and accuracy of the rows whose label falls among them.
+    fn class_cols(&self, f_out: usize) -> Range<usize> {
         match self {
-            Family::Rows(_) => true,
-            Family::Grid(g) => g.owns_output(),
+            Family::Rows(_) => 0..f_out,
+            Family::Grid(g) => g.cols(f_out),
         }
     }
 }
@@ -113,13 +118,14 @@ pub struct State {
     /// Stored pre-activation blocks from the last forward pass.
     pub(crate) zs: Vec<Arc<Mat>>,
     /// Stored activation blocks (`hs[0]` = my feature block), shared so
-    /// the owner's block enters stage fetches without a copy.
+    /// the owner's block enters stage fetches without a copy. The output
+    /// layer's `log p` is not stored: it is `Z^L − lse`, from `zs` and
+    /// [`State::lse_stats`], wherever it is read.
     pub(crate) hs: Vec<Arc<Mat>>,
-    /// This rank's rows of the output log-probabilities, all classes
-    /// (`hs[L]` itself in the row family; the row-all-gathered block,
-    /// identical across a process row, in the grid family); shared so
-    /// `gather_embeddings` moves it without a copy.
-    pub(crate) out_row: Arc<Mat>,
+    /// `[M, S, argmax]` per row of the last forward's `Z^L`, combined
+    /// over the ranks sharing the rows ([`lse_combine`]): `lse = M + ln S`
+    /// and the predicted class, identical on each of those ranks.
+    pub(crate) lse_stats: Vec<f64>,
     /// The rank's block of the output probabilities of the stored `Z^L`,
     /// kept by a training forward for the backward to turn into `G^L`
     /// (DESIGN.md §14); `None` once consumed and after an inference
@@ -159,7 +165,7 @@ impl<L: Layout> Trainer<L> {
                 drop_masks: Vec::new(),
                 zs: Vec::new(),
                 hs: vec![Arc::new(h0)],
-                out_row: Arc::new(Mat::zeros(0, 0)),
+                lse_stats: Vec::new(),
                 probs: None,
                 mode: CommMode::Dense,
                 overlap: true,
@@ -173,19 +179,19 @@ impl<L: Layout> Trainer<L> {
 
     /// Forward pass; returns the global mean masked NLL loss.
     pub fn forward(&mut self, ctx: &Ctx) -> f64 {
+        let local = self.forward_layers(ctx);
+        ctx.world.allreduce_scalar(local, Cat::DenseComm) / self.state.train_count as f64
+    }
+
+    /// The layers of a forward pass; returns this rank's share of the
+    /// summed NLL: its masked rows whose label is among its class columns.
+    fn forward_layers(&mut self, ctx: &Ctx) -> f64 {
         let s = &mut self.state;
         s.hand_back();
-        let family = self.layout.family();
-        match family {
+        match self.layout.family() {
             Family::Rows(r) => rows::forward(r, s, ctx),
             Family::Grid(g) => grid::forward(g, s, ctx),
         }
-        let local = if family.owns_output() {
-            nll_sum(&s.out_row, &s.labels, &s.mask, s.r0)
-        } else {
-            0.0
-        };
-        ctx.world.allreduce_scalar(local, Cat::DenseComm) / s.train_count as f64
     }
 
     /// Backward pass + replicated gradient-descent step.
@@ -219,21 +225,24 @@ impl<L: Layout> Trainer<L> {
     }
 
     /// Global training accuracy of the current model (runs a forward
-    /// pass).
+    /// pass). Each rank counts its masked rows whose label is among its
+    /// class columns and the output layer predicts; one world all-reduce
+    /// sums the counts over the known training-row count.
     pub fn accuracy(&mut self, ctx: &Ctx) -> f64 {
-        let _ = self.forward(ctx);
+        let _ = self.forward_layers(ctx);
         let s = &self.state;
-        let (c, t) = if self.layout.family().owns_output() {
-            accuracy_counts(&s.out_row, &s.labels, &s.mask, s.r0)
-        } else {
-            (0, 0)
-        };
-        let c = ctx.world.allreduce_scalar(c as f64, Cat::DenseComm);
-        let t = ctx.world.allreduce_scalar(t as f64, Cat::DenseComm);
-        if t == 0.0 {
+        let cols = self.layout.family().class_cols(s.cfg.f_out());
+        let correct = (0..s.hs[0].rows())
+            .filter(|&i| {
+                let (g, label) = (s.r0 + i, s.labels[s.r0 + i]);
+                s.mask[g] && cols.contains(&label) && lse_argmax(&s.lse_stats, i) == label
+            })
+            .count();
+        let c = ctx.world.allreduce_scalar(correct as f64, Cat::DenseComm);
+        if s.train_count == 0 {
             0.0
         } else {
-            c / t
+            c / s.train_count as f64
         }
     }
 
@@ -318,17 +327,24 @@ impl<L: Layout> Trainer<L> {
         self.layout.storage(&self.state)
     }
 
-    /// Assemble the full output embedding matrix `H^L` on every rank.
+    /// Assemble the full output embedding matrix `H^L` on every rank,
+    /// from each rank's block `log p = Z^L − lse` of the last forward.
     pub fn gather_embeddings(&self, ctx: &Ctx) -> Mat {
-        let blocks = ctx
-            .world
-            .allgather_shared(self.state.out_row.clone(), Cat::DenseComm);
+        let s = &self.state;
+        let mut log_p = Mat::zeros(0, 0);
+        if let Some(z) = s.zs.last() {
+            lse_log_probs_into(z, &s.lse_stats, &mut log_p);
+        }
+        let blocks = ctx.world.allgather(log_p, Cat::DenseComm);
         match self.layout.family() {
             Family::Rows(_) => Mat::vstack(&blocks),
             Family::Grid(g) => {
-                let parts: Vec<Arc<Mat>> =
-                    g.output_ranks.iter().map(|&r| blocks[r].clone()).collect();
-                Mat::vstack(&parts)
+                let rows: Vec<Mat> = g
+                    .output_ranks
+                    .chunks(g.row.size())
+                    .map(|row| Mat::hstack(&row.iter().map(|&r| &*blocks[r]).collect::<Vec<_>>()))
+                    .collect();
+                Mat::vstack(&rows)
             }
         }
     }
@@ -364,12 +380,62 @@ impl State {
         ws.reclaim();
         self.zs.drain(..).for_each(|z| ws.give_shared(z));
         self.hs.drain(1..).for_each(|h| ws.give_shared(h));
-        ws.give_shared(std::mem::replace(
-            &mut self.out_row,
-            Arc::new(Mat::zeros(0, 0)),
-        ));
         self.drop_masks.drain(..).flatten().for_each(|m| ws.give(m));
         self.drop_masks.resize(self.cfg.layers(), None);
+    }
+
+    /// The output layer (DESIGN.md §14) on this rank's block `z` of `Z^L`
+    /// as a split log-sum-exp: the block's `[m, s, a]` per row go to the
+    /// ranks of `row`, which hold the other column blocks of the same rows
+    /// in member order (`None`: this rank holds whole rows), and every one
+    /// of them folds the same parts into the same [`State::lse_stats`]. A
+    /// training pass also keeps the block's probabilities, from the same
+    /// single `exp` per logit, for the backward to turn into `G^L`.
+    /// Returns the rank's share of the summed NLL ([`nll_sum_block`]).
+    pub(crate) fn output_layer(&mut self, row: Option<&Communicator>, z: &Mat) -> f64 {
+        let mut p = self.training.then(|| self.ws.get_mut().take(z.len()));
+        let mut mine = Vec::with_capacity(3 * z.rows());
+        lse_block_stats(z, p.as_mut(), &mut mine);
+        let parts = match row {
+            Some(row) => row.allgather(mine, Cat::DenseComm),
+            None => vec![Arc::new(mine)],
+        };
+        let (f_out, q) = (self.cfg.f_out(), parts.len());
+        let me = row.map_or(0, Communicator::my_idx);
+        let widths: Vec<usize> = (0..q)
+            .map(|r| block_range(f_out, q, r))
+            .map(|(c0, c1)| c1 - c0)
+            .collect();
+        lse_combine(&parts, &widths, &mut self.lse_stats);
+        if let Some(p) = &mut p {
+            lse_probs_assign(p, &parts[me], &self.lse_stats);
+        }
+        self.probs = p;
+        let lse = |i| lse_row(&self.lse_stats, i);
+        let col0 = widths[..me].iter().sum();
+        nll_sum_block(z, lse, &self.labels, &self.mask, self.r0, col0)
+    }
+
+    /// `G^L` on this rank's block — the classes from column `col0` on — in
+    /// the buffer of the probabilities the forward kept. When the stored
+    /// `Z^L` came from a pass that kept none (a bare inference `forward`),
+    /// they are rebuilt from it and the kept [`State::lse_stats`]: the
+    /// same bits, and no communication.
+    pub(crate) fn output_gradient(&mut self, col0: usize) -> Mat {
+        let mut g = match self.probs.take() {
+            Some(p) => p,
+            None => {
+                let z = &self.zs[self.zs.len() - 1];
+                let mut p = self.ws.get_mut().take(z.len());
+                let mut mine = Vec::with_capacity(3 * z.rows());
+                lse_block_stats(z, Some(&mut p), &mut mine);
+                lse_probs_assign(&mut p, &mine, &self.lse_stats);
+                p
+            }
+        };
+        let (labels, mask) = (&self.labels, &self.mask);
+        output_gradient_from_probs(&mut g, labels, mask, self.r0, col0, self.train_count);
+        g
     }
 
     /// Apply layer `layer`'s dropout to `h`, this rank's columns `cols`

@@ -99,10 +99,10 @@ impl Trainer<ThreeDim> {
                 d_local: (s == i).then(|| (0, r1 - r0)),
             });
         }
-        // Global row order: row block i, then sub-block k; contributed by
-        // rank (i, j=0, k) = k·q² + i·q.
+        // Global row order: row block i, then sub-block k; the process row
+        // of (i, k) is ranks k·q² + i·q + j over j.
         let output_ranks = (0..q)
-            .flat_map(|i| (0..q).map(move |k| k * q * q + i * q))
+            .flat_map(|i| (0..q).flat_map(move |k| (0..q).map(move |j| k * q * q + i * q + j)))
             .collect();
         let grid = Grid {
             row,
@@ -140,7 +140,7 @@ impl Layout for ThreeDim {
         let partial = g.fwd.rows() * s.cfg.f_max().div_ceil(g.row.size());
         StorageReport {
             adjacency: g.adjacency_words(),
-            dense_state: s.dense_words() + s.out_row.len(),
+            dense_state: s.dense_words(),
             // Pre-fiber-reduction partial (n/q rows x ~f/q cols) next to
             // the widest row-gathered slab.
             intermediate: partial + s.hs[0].rows() * g.widest_row_gather(&s.cfg.dims),

@@ -5,8 +5,8 @@
 //! Data distribution (Table IV): `A`, `H^l`, `G^l` all block-2D on a
 //! `Pr x Pc` grid; `W^l` fully replicated. The layer body is the SUMMA
 //! family's (`dist/grid.rs`): SUMMA SpMM, partial SUMMA against `W`, a
-//! process-row all-gather of `Z^L` for the non-elementwise
-//! `log_softmax`, and a grid-column reduction of `Y`.
+//! process-row exchange of three numbers per row of `Z^L` for the
+//! non-elementwise `log_softmax`, and a grid-column reduction of `Y`.
 //!
 //! **Stage structure.** The vertex dimension is partitioned into
 //! `K = lcm(Pr, Pc)` *fine* blocks; `A`'s column groups and `H`'s row
@@ -163,7 +163,7 @@ impl Trainer<TwoDim> {
             transpose_nnz: Some(a_ij.nnz()),
             fwd: Side::new(problem.adj_t.block(r0, r1, c0, c1), needed_fwd),
             bwd: Side::new(a_ij, needed_bwd),
-            output_ranks: (0..pr).map(|i| i * pc).collect(),
+            output_ranks: (0..pr * pc).collect(),
         };
         let (fc0, fc1) = block_range(problem.features.cols(), pc, j);
         let h0 = problem.features.block(r0, r1, fc0, fc1);
@@ -187,7 +187,7 @@ impl Layout for TwoDim {
     fn storage(&self, s: &State) -> StorageReport {
         StorageReport {
             adjacency: self.0.adjacency_words(),
-            dense_state: s.dense_words() + s.out_row.len(),
+            dense_state: s.dense_words(),
             // The widest row-gathered slab (n/Pr rows) dominates
             // transients.
             intermediate: s.hs[0].rows() * self.0.widest_row_gather(&s.cfg.dims),

@@ -7,7 +7,7 @@
 //! log-softmax + NLL collapses to the classic `softmax(Z) − onehot`,
 //! scaled by `1/|train|` on masked rows and zero elsewhere.
 
-use cagnet_dense::activation::softmax_rows_into;
+use cagnet_dense::activation::{row_argmax, softmax_rows_into};
 use cagnet_dense::Mat;
 
 /// Mean NLL over the masked rows of a log-probability matrix.
@@ -22,6 +22,31 @@ pub fn nll_sum(log_probs: &Mat, labels: &[usize], mask: &[bool], row_offset: usi
         let g = row_offset + i;
         if mask[g] {
             total -= log_probs[(i, labels[g])];
+        }
+    }
+    total
+}
+
+/// [`nll_sum`] over a block of logits `z` — class columns
+/// `col0..col0 + z.cols()` of the rows from global row `row_offset` —
+/// whose log-sum-exp is `lse(i)` on local row `i`: `lse(i) − z[i, c]`
+/// summed over the masked rows whose label `col0 + c` is one of the
+/// block's columns. A rank holding whole rows (`col0 = 0`) counts every
+/// masked row, with the bits [`nll_sum`] gets from `log p = z − lse`.
+pub(crate) fn nll_sum_block(
+    z: &Mat,
+    lse: impl Fn(usize) -> f64,
+    labels: &[usize],
+    mask: &[bool],
+    row_offset: usize,
+    col0: usize,
+) -> f64 {
+    let mut total = 0.0;
+    for i in 0..z.rows() {
+        let g = row_offset + i;
+        let col = labels[g].checked_sub(col0);
+        if let (true, Some(&x)) = (mask[g], col.and_then(|c| z.row(i).get(c))) {
+            total -= x - lse(i);
         }
     }
     total
@@ -86,7 +111,8 @@ pub fn output_gradient_from_probs(
 }
 
 /// Classification accuracy over masked rows: fraction of rows whose argmax
-/// log-probability matches the label. Returns `(correct, considered)`.
+/// log-probability ([`row_argmax`]) matches the label. Returns
+/// `(correct, considered)`.
 pub fn accuracy_counts(
     log_probs: &Mat,
     labels: &[usize],
@@ -99,16 +125,7 @@ pub fn accuracy_counts(
         let g = row_offset + i;
         if mask[g] {
             total += 1;
-            let row = log_probs.row(i);
-            // total_cmp gives NaN a defined order, so no unwrap is needed
-            // and a NaN logit cannot panic the accuracy pass.
-            let argmax = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .unwrap_or(0);
-            if argmax == labels[g] {
+            if row_argmax(log_probs.row(i)) == labels[g] {
                 correct += 1;
             }
         }

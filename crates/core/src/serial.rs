@@ -15,12 +15,12 @@
 //! floating point accumulation errors" as serial PyTorch (§V-A), and the
 //! integration tests assert the same property here.
 
-use crate::dist::{output_gradient_rows, output_layer, Workspace};
-use crate::loss::{accuracy_counts, nll_sum};
+use crate::dist::Workspace;
+use crate::loss::{accuracy_counts, nll_sum, output_gradient_from_probs, output_gradient_into};
 use crate::model::GcnConfig;
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::problem::Problem;
-use cagnet_dense::activation::Activation;
+use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows_into, Activation};
 use cagnet_dense::ops::hadamard_assign;
 use cagnet_dense::{matmul_acc_with, matmul_nt_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::ParallelCtx;
@@ -102,7 +102,16 @@ impl<'p> SerialTrainer<'p> {
             self.ws.give(t);
             let mut h = self.ws.keep(z.len());
             if l + 1 == l_total {
-                self.probs = output_layer(&mut self.ws, self.training, &z, 0..f_out, &mut h);
+                // A training pass keeps the probabilities for its backward
+                // (DESIGN.md §14), from the same single `exp` per logit.
+                self.probs = if self.training {
+                    let mut p = self.ws.take(z.len());
+                    log_softmax_probs_into(&z, 0..f_out, &mut h, &mut p);
+                    Some(p)
+                } else {
+                    log_softmax_rows_into(&z, &mut h);
+                    None
+                };
             } else {
                 self.act.apply_into(&z, &mut h);
                 self.apply_dropout(l, 0, f_out, 0, f_out, &mut h);
@@ -131,15 +140,21 @@ impl<'p> SerialTrainer<'p> {
         let l_total = self.cfg.layers();
         assert_eq!(self.zs.len(), l_total, "forward must run before backward");
         let mut grads = vec![Mat::zeros(0, 0); l_total];
-        let mut g = output_gradient_rows(
-            &mut self.ws,
-            self.probs.take(),
-            &self.zs[l_total - 1],
-            &self.problem.labels,
-            &self.problem.train_mask,
-            0,
-            self.problem.train_count(),
-        );
+        // G^L in the buffer of the probabilities the forward kept, or from
+        // the stored Z^L through the same row kernel: same bits either way.
+        let (labels, mask) = (&self.problem.labels, &self.problem.train_mask);
+        let count = self.problem.train_count();
+        let mut g = match self.probs.take() {
+            Some(mut g) => {
+                output_gradient_from_probs(&mut g, labels, mask, 0, 0, count);
+                g
+            }
+            None => {
+                let mut g = self.ws.take(self.zs[l_total - 1].len());
+                output_gradient_into(&self.zs[l_total - 1], labels, mask, 0, count, &mut g);
+                g
+            }
+        };
         for l in (0..l_total).rev() {
             // Shared intermediate A G^l (reused by both Y and G^{l-1}, as
             // the paper's §IV-A.4 notes).

@@ -4,13 +4,15 @@
 //! hidden layers and row-wise `log_softmax` on the output layer. The paper
 //! singles out `log_softmax` as the one activation that is *not*
 //! elementwise and therefore forces an extra all-gather in the 2D/3D
-//! distributions (§IV-C.2, §IV-D.2): a row of `Z` must be assembled before
-//! its log-sum-exp can be computed. The row-wise kernels here operate on
-//! full rows so that the distributed trainers can apply them after their
-//! row all-gathers, and share one row kernel that evaluates a single `exp`
-//! per logit whichever of `log p` and `p` is asked for.
+//! distributions (§IV-C.2, §IV-D.2), where each rank holds a column block
+//! of a row of `Z`. The row-wise kernels here operate on full rows and
+//! share one row kernel that evaluates a single `exp` per logit whichever
+//! of `log p` and `p` is asked for; the split log-sum-exp (`lse_*`) gets
+//! the same results from per-block statistics, so the distributed
+//! trainers exchange three numbers per row instead of the row.
 
 use crate::matrix::Mat;
+use std::borrow::Borrow;
 use std::ops::Range;
 
 /// An elementwise hidden-layer activation, selectable per model. The
@@ -196,6 +198,128 @@ pub fn log_softmax_probs_into(z: &Mat, cols: Range<usize>, log_p: &mut Mat, p: &
     });
 }
 
+/// The predicted class of a row of log-probabilities (or of logits —
+/// `log p = z − lse` keeps their order): the last index of its largest
+/// value, a `NaN` ranking below every number and level with every other
+/// `NaN`, so that a row whose log-sum-exp is `NaN` answers its last index
+/// whatever bits its `NaN`s carry. 0 for an empty row.
+pub fn row_argmax(row: &[f64]) -> usize {
+    let mut best = 0;
+    for (j, &x) in row.iter().enumerate().skip(1) {
+        if x >= row[best] || row[best].is_nan() {
+            best = j;
+        }
+    }
+    best
+}
+
+/// The split log-sum-exp (DESIGN.md §14), step one: per row of the
+/// column block `z`, `[m, s, a]` written over `stats` — the block max `m`
+/// (`−inf` when the block holds no number), `s = Σ_j exp(z_j − k)` folded
+/// in column order and its argmax `a` ([`row_argmax`], local column).
+/// The shift `k` is `m`, or 0 when `m = −inf`, so that a block of `−inf`s
+/// sums to 0 instead of `NaN` while a `NaN` or a `+inf` still makes `s`
+/// `NaN`. `e`, when given, receives the `exp(z_j − k)`, shaped like `z`.
+pub fn lse_block_stats(z: &Mat, mut e: Option<&mut Mat>, stats: &mut Vec<f64>) {
+    stats.clear();
+    if let Some(e) = e.as_deref_mut() {
+        e.reset(z.rows(), z.cols());
+    }
+    for i in 0..z.rows() {
+        let row = z.row(i);
+        let a = row_argmax(row);
+        let m = row.get(a).copied().filter(|x| !x.is_nan());
+        let m = m.unwrap_or(f64::NEG_INFINITY);
+        let k = if m == f64::NEG_INFINITY { 0.0 } else { m };
+        let mut s = 0.0;
+        match e.as_deref_mut() {
+            Some(e) => {
+                for (e, &x) in e.row_mut(i).iter_mut().zip(row) {
+                    *e = (x - k).exp();
+                    s += *e;
+                }
+            }
+            None => row.iter().for_each(|&x| s += (x - k).exp()),
+        }
+        stats.extend([m, s, a as f64]);
+    }
+}
+
+/// The split log-sum-exp, step two: fold the [`lse_block_stats`] of the
+/// `q` column blocks of the same rows — `parts[r]` of member `r`, whose
+/// block is `widths[r]` columns wide, in column order — into
+/// `[M, S, argmax]` per row over `out`: `M = max_r m_r`,
+/// `S = Σ_r s_r·exp(m_r − M)` in member order, so `lse = M + ln S`, and
+/// the row's global argmax by [`row_argmax`]'s rule on `log p` (the last
+/// column when `S` is `NaN`, which makes every `log p` `NaN`; else the
+/// argmax of the last non-empty member whose max is `M`). Every member
+/// folding the same parts gets the same bits.
+pub fn lse_combine<V: Borrow<Vec<f64>>>(parts: &[V], widths: &[usize], out: &mut Vec<f64>) {
+    assert_eq!(parts.len(), widths.len(), "lse_combine: one width per part");
+    let rows = parts.first().map_or(0, |p| p.borrow().len() / 3);
+    let last = widths.iter().sum::<usize>().saturating_sub(1);
+    out.clear();
+    for i in 0..rows {
+        let stat = |r: usize| &parts[r].borrow()[3 * i..3 * i + 3];
+        let big_m = (0..parts.len()).fold(f64::NEG_INFINITY, |acc, r| acc.max(stat(r)[0]));
+        let big_s = (0..parts.len()).fold(0.0, |acc, r| {
+            let (m, s) = (stat(r)[0], stat(r)[1]);
+            acc + s * (m - big_m).exp()
+        });
+        let argmax = if big_s.is_nan() {
+            last
+        } else {
+            let mut offset = 0;
+            let mut best = last;
+            for (r, &w) in widths.iter().enumerate() {
+                if w > 0 && stat(r)[0] == big_m {
+                    best = offset + stat(r)[2] as usize;
+                }
+                offset += w;
+            }
+            best
+        };
+        out.extend([big_m, big_s, argmax as f64]);
+    }
+}
+
+/// Row `i`'s log-sum-exp `M + ln S` from the [`lse_combine`] output
+/// `combined`.
+pub fn lse_row(combined: &[f64], i: usize) -> f64 {
+    combined[3 * i] + combined[3 * i + 1].ln()
+}
+
+/// Row `i`'s predicted class from the [`lse_combine`] output `combined`.
+pub fn lse_argmax(combined: &[f64], i: usize) -> usize {
+    combined[3 * i + 2] as usize
+}
+
+/// The split log-sum-exp, step three: `log p = z − lse` over `log_p`,
+/// per row of `z` and of the [`lse_combine`] output `combined`.
+pub fn lse_log_probs_into(z: &Mat, combined: &[f64], log_p: &mut Mat) {
+    log_p.reset(z.rows(), z.cols());
+    for i in 0..z.rows() {
+        let lse = lse_row(combined, i);
+        for (o, &x) in log_p.row_mut(i).iter_mut().zip(z.row(i)) {
+            *o = x - lse;
+        }
+    }
+}
+
+/// The split log-sum-exp's probabilities, in place: `e` holds a block's
+/// `exp(z_j − k)` from [`lse_block_stats`] (whose `stats` are `block`) on
+/// entry and `p_j = e_j·exp(m − M) / S` on return. A lone block, where
+/// `exp(m − M) = 1`, gets [`log_softmax_probs_into`]'s bits.
+pub fn lse_probs_assign(e: &mut Mat, block: &[f64], combined: &[f64]) {
+    for i in 0..e.rows() {
+        let (big_m, big_s) = (combined[3 * i], combined[3 * i + 1]);
+        let scale = (block[3 * i] - big_m).exp();
+        for p in e.row_mut(i) {
+            *p = *p * scale / big_s;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,5 +415,107 @@ mod tests {
         assert!(ls.as_slice().iter().all(|x| x.is_finite()));
         // Row of equal values -> uniform distribution.
         assert!((ls[(1, 0)] - (0.5f64).ln()).abs() < 1e-12);
+    }
+
+    /// Rows of width `w`: the non-finite cases of the split log-sum-exp's
+    /// contract, then drawn rows in `[-4, 4)`.
+    fn split_rows(w: usize) -> Mat {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ w as u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0
+        };
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let mut rows: Vec<Vec<f64>> = (0..16).map(|_| (0..w).map(|_| draw()).collect()).collect();
+        // A −inf logit under a finite max.
+        rows[0][w / 2] = -inf;
+        // The tail all −inf, so the last blocks are while the first is not.
+        rows[1][w.div_ceil(2)..].fill(-inf);
+        rows[2].fill(-inf);
+        rows[3][w / 2] = nan;
+        rows[4][w - 1] = inf;
+        // Equal maxima at both ends: in two blocks whenever q > 1.
+        rows[5][0] = 5.0;
+        rows[5][w - 1] = 5.0;
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        Mat::from_rows(&refs)
+    }
+
+    #[test]
+    fn split_log_sum_exp_matches_the_row_kernel() {
+        for w in [1, 3, 7, 10] {
+            let z = split_rows(w);
+            let (mut log_p, mut p) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+            log_softmax_probs_into(&z, 0..w, &mut log_p, &mut p);
+            let mut whole = Mat::zeros(0, 0);
+            log_softmax_rows_into(&z, &mut whole);
+            assert_eq!(whole.as_slice().len(), log_p.as_slice().len());
+            for q in [1, 2, 3, 4, 7] {
+                // Member r's columns; some are empty when q > w.
+                let bounds: Vec<(usize, usize)> =
+                    (0..q).map(|r| (r * w / q, (r + 1) * w / q)).collect();
+                let blocks: Vec<Mat> = bounds
+                    .iter()
+                    .map(|&(c0, c1)| z.block(0, z.rows(), c0, c1))
+                    .collect();
+                let (mut parts, mut es) = (Vec::new(), Vec::new());
+                for b in &blocks {
+                    let (mut e, mut stats) = (Mat::zeros(0, 0), Vec::new());
+                    lse_block_stats(b, Some(&mut e), &mut stats);
+                    let mut bare = Vec::new();
+                    lse_block_stats(b, None, &mut bare);
+                    assert_eq!(bits(&bare), bits(&stats), "w={w} q={q}");
+                    parts.push(stats);
+                    es.push(e);
+                }
+                let widths: Vec<usize> = bounds.iter().map(|&(c0, c1)| c1 - c0).collect();
+                let mut combined = Vec::new();
+                lse_combine(&parts, &widths, &mut combined);
+                let (mut lp_parts, mut p_parts) = (Vec::new(), Vec::new());
+                for ((b, mut e), stats) in blocks.iter().zip(es).zip(&parts) {
+                    let mut lp = Mat::zeros(0, 0);
+                    lse_log_probs_into(b, &combined, &mut lp);
+                    lse_probs_assign(&mut e, stats, &combined);
+                    lp_parts.push(lp);
+                    p_parts.push(e);
+                }
+                let (split_lp, split_p) = (Mat::hstack(&lp_parts), Mat::hstack(&p_parts));
+                for (got, want) in [(&split_lp, &log_p), (&split_p, &p)] {
+                    for (k, (&a, &b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        let at = (k / w, k % w);
+                        assert_eq!(a.is_nan(), b.is_nan(), "w={w} q={q} {at:?}: {a} vs {b}");
+                        if q == 1 && !b.is_nan() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "w={w} {at:?}");
+                        } else if b.is_infinite() {
+                            assert_eq!(a, b, "w={w} q={q} {at:?}");
+                        } else if !b.is_nan() {
+                            let err = (a - b).abs();
+                            assert!(err <= 1e-12 * b.abs(), "w={w} q={q} {at:?}: {a} vs {b}");
+                        }
+                    }
+                }
+                for i in 0..z.rows() {
+                    let want = row_argmax(log_p.row(i));
+                    assert_eq!(lse_argmax(&combined, i), want, "w={w} q={q} row {i}");
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_argmax_takes_the_last_maximum_and_ranks_nan_lowest() {
+        let nan = f64::NAN;
+        assert_eq!(row_argmax(&[]), 0);
+        assert_eq!(row_argmax(&[1.0, 3.0, 3.0, 2.0]), 2);
+        assert_eq!(row_argmax(&[nan, 1.0, nan]), 1);
+        assert_eq!(row_argmax(&[nan, -nan, nan]), 2);
+        assert_eq!(row_argmax(&[f64::NEG_INFINITY, nan]), 0);
+        assert_eq!(row_argmax(&[0.0, -0.0]), 1);
     }
 }

@@ -216,9 +216,9 @@ fn three_d_intermediate_replicates_by_cube_root_p() {
     let (i8, d8) = run(8);
     // q = 2: the pre-reduction partial holds n/q rows where the rank's
     // own state holds n/q² — a q-fold blow-up on the dominant buffer.
-    // dense_state includes all layers + the output row slabs, so compare
-    // against a single state block: n/q² * f ≈ dense_state / (#stored
-    // mats ≈ 2L+1 plus output slabs). Use the direct shape instead:
+    // dense_state includes all layers' stored blocks, so compare against
+    // a single state block: n/q² * f ≈ dense_state / (#stored mats ≈ 2L).
+    // Use the direct shape instead:
     let n = prob.vertices();
     let q = 2;
     let single_block = (n / (q * q)) * F;
