@@ -25,6 +25,8 @@
 //! All binaries print human-readable tables and emit JSON rows (serde) so
 //! EXPERIMENTS.md can quote machine-checked numbers.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use cagnet_comm::{Cat, CostModel, TimelineReport};
 use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
@@ -326,10 +328,13 @@ pub fn epoch_dense_words(
 
 /// Print rows as a JSON array on the final line (machine-readable trailer
 /// after the human tables).
+#[expect(
+    clippy::expect_used,
+    reason = "the serde shim only errors on non-string map keys"
+)]
 pub fn emit_json<T: Serialize>(rows: &[T]) {
     println!(
         "\nJSON: {}",
-        // lint:allow(unwrap): the serde shim only errors on non-string map keys
         serde_json::to_string(rows).expect("serialize")
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! Verification subsystem for the simulated distributed runtime, in the
 //! spirit of MPI correctness checkers like MUST but built into our own
-//! simulator. Three layers:
+//! simulator. Two layers:
 //!
 //! 1. **Checked collectives** ([`fingerprint`]): every rank publishes a
 //!    fingerprint of the collective it is entering (kind, root, payload
@@ -14,13 +14,8 @@
 //!    graph over blocked ranks — cycle/stall detection plus a report that
 //!    dumps each rank's last-N collective history, so cross-communicator
 //!    ordering bugs are caught in milliseconds instead of by CI timeout.
-//! 3. **Static analysis** ([`lint`]): a token-level source analyzer
-//!    (own lexer + brace-aware file model, no rustc plumbing) enforcing
-//!    the three repo invariants that neither the compiler nor a runtime
-//!    test can see: no `unwrap`/`expect` in library code outside tests,
-//!    no scalar multiply-accumulate loops outside the blessed
-//!    microkernels, and no suppression marker naming an unknown rule.
-//!    `tests/lint_tree.rs` requires the tree to lint clean.
+//!
+//! Static checks are the compiler's and clippy's (DESIGN.md §12).
 //!
 //! This crate is dependency-free and is depended on *by* `cagnet-comm`
 //! (never the reverse): the runtime feeds it plain data, it returns
@@ -28,9 +23,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod fingerprint;
-pub mod lint;
 pub mod waitgraph;
 
 pub use fingerprint::{CollectiveKind, Fingerprint, Mismatch, Shape};

@@ -126,6 +126,12 @@ pub struct State {
     /// over the ranks sharing the rows ([`lse_combine`]): `lse = M + ln S`
     /// and the predicted class, identical on each of those ranks.
     pub(crate) lse_stats: Vec<f64>,
+    /// This rank's own `[m, s, a]` per row of the last forward's `Z^L`
+    /// block ([`lse_block_stats`]), kept so the next pass refills the
+    /// same buffer. `Arc::make_mut` copies it only while a peer still
+    /// holds it, and the row members it was sent to drop theirs before
+    /// the world all-reduce that ends every forward.
+    pub(crate) block_stats: Arc<Vec<f64>>,
     /// The rank's block of the output probabilities of the stored `Z^L`,
     /// kept by a training forward for the backward to turn into `G^L`
     /// (DESIGN.md §14); `None` once consumed and after an inference
@@ -166,6 +172,7 @@ impl<L: Layout> Trainer<L> {
                 zs: Vec::new(),
                 hs: vec![Arc::new(h0)],
                 lse_stats: Vec::new(),
+                block_stats: Arc::default(),
                 probs: None,
                 mode: CommMode::Dense,
                 overlap: true,
@@ -394,11 +401,11 @@ impl State {
     /// Returns the rank's share of the summed NLL ([`nll_sum_block`]).
     pub(crate) fn output_layer(&mut self, row: Option<&Communicator>, z: &Mat) -> f64 {
         let mut p = self.training.then(|| self.ws.get_mut().take(z.len()));
-        let mut mine = Vec::with_capacity(3 * z.rows());
-        lse_block_stats(z, p.as_mut(), &mut mine);
+        lse_block_stats(z, p.as_mut(), Arc::make_mut(&mut self.block_stats));
+        let mine = Arc::clone(&self.block_stats);
         let parts = match row {
-            Some(row) => row.allgather(mine, Cat::DenseComm),
-            None => vec![Arc::new(mine)],
+            Some(row) => row.allgather_shared(mine, Cat::DenseComm),
+            None => vec![mine],
         };
         let (f_out, q) = (self.cfg.f_out(), parts.len());
         let me = row.map_or(0, Communicator::my_idx);
@@ -427,9 +434,9 @@ impl State {
             None => {
                 let z = &self.zs[self.zs.len() - 1];
                 let mut p = self.ws.get_mut().take(z.len());
-                let mut mine = Vec::with_capacity(3 * z.rows());
-                lse_block_stats(z, Some(&mut p), &mut mine);
-                lse_probs_assign(&mut p, &mine, &self.lse_stats);
+                let mine = Arc::make_mut(&mut self.block_stats);
+                lse_block_stats(z, Some(&mut p), mine);
+                lse_probs_assign(&mut p, mine, &self.lse_stats);
                 p
             }
         };

@@ -7,10 +7,6 @@
 //! their only users: a second, structurally different implementation the
 //! optimized kernels must match to the bit. They are **not** called by any
 //! trainer.
-//!
-//! This module is a blessed micro-kernel module for the `scalar-hot-loop`
-//! lint (see `crates/check/src/lint/rules.rs`): raw multiply-accumulate
-//! loops are expected here.
 
 use crate::matrix::Mat;
 

@@ -20,6 +20,8 @@
 //! the buffer into disjoint `&mut` panels via `split_at_mut` (safe
 //! Rust, no aliasing) and runs the kernel on scoped threads.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::num::NonZeroUsize;
 use std::ops::Range;
 

@@ -6,9 +6,6 @@
 //! whose results the new kernels must match bit for bit, since they fold
 //! each output element's products in the same stored-entry order. It is
 //! **not** called by any trainer.
-//!
-//! This module is a blessed micro-kernel module for the
-//! `scalar-hot-loop` lint (see `crates/check/src/lint/rules.rs`).
 
 use crate::csr::Csr;
 use cagnet_dense::Mat;

@@ -52,6 +52,8 @@
 //! assert!(w_3d < w_2d); // the further O(P^(1/6))
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub use cagnet_comm as comm;
 pub use cagnet_core as core;
 pub use cagnet_dense as dense;

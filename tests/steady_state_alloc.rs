@@ -14,7 +14,9 @@
 //! trainers run again with layer-0 operands 192 columns wide, where SpMM
 //! packs tiles of `B` into a pooled buffer, and so does the serial
 //! reference; the 2D and 3D trainers run once more at widths where every
-//! dense-weight product moves its narrow side, both directions. The
+//! dense-weight product moves its narrow side, both directions. The 1D
+//! and 2D trainers run once more on 4096 rows per rank at width 8, where
+//! the output layer's `rows × 3` block statistics reach 96 KiB. The
 //! epoch-1 census is printed per cell — that is the
 //! workspace being built, and its total is the workspace footprint.
 //!
@@ -144,12 +146,17 @@ fn no_large_allocation_after_the_second_epoch() {
     // reduce-scatters transposed `T·W` terms, and layer 1 widens past
     // 2·f_in, so the backward row-gathers `H¹` and reduce-scatters the
     // transposed next-gradient terms — every such buffer 256 KiB here.
+    //
+    // The last two hold 4096 rows per rank, so the output layer's block
+    // statistics (`rows × 3` f64, sent whole in 2D and kept in 1D) are
+    // 96 KiB; width 8 keeps every block × f buffer at 256 KiB.
     let both_sides = GcnConfig {
         dims: vec![64, 32, 128, 32],
         ..GcnConfig::three_layer(64, 32, 32)
     };
     let narrow = GcnConfig::three_layer(64, 64, 64);
     let wide = GcnConfig::three_layer(192, 32, 32);
+    let tall = GcnConfig::three_layer(8, 8, 8);
     let cells = [
         (Algorithm::OneD, 2, 1024, narrow.clone()),
         (Algorithm::OneDRow, 2, 1024, narrow.clone()),
@@ -160,6 +167,8 @@ fn no_large_allocation_after_the_second_epoch() {
         (Algorithm::TwoD, 4, 2048, GcnConfig::three_layer(384, 8, 8)),
         (Algorithm::TwoD, 4, 2048, both_sides.clone()),
         (Algorithm::ThreeD, 8, 4096, both_sides),
+        (Algorithm::OneD, 2, 8192, tall.clone()),
+        (Algorithm::TwoD, 4, 8192, tall),
     ];
     let modes = [
         CommMode::Dense,
