@@ -2,12 +2,13 @@
 //! rendezvous, and the matching rules that decide whether the
 //! participants agree.
 //!
-//! A fingerprint rides along with the payload deposit, so verification
-//! needs no extra synchronization: once the rendezvous is full, every
-//! rank sees all fingerprints and checks them against its own. The rules
-//! are collective-specific — an all-reduce must agree on the matrix
-//! shape, an all-gather legitimately mixes contribution sizes, a
-//! broadcast must agree on its root.
+//! A fingerprint rides along with the payload deposit — it is the
+//! deposit's one description of its collective, built and verified on
+//! every run — so verification needs no extra synchronization: once the
+//! rendezvous is full, every rank sees all fingerprints and checks them
+//! against its own. The rules are collective-specific — an all-reduce
+//! must agree on the matrix shape, an all-gather legitimately mixes
+//! contribution sizes, a broadcast must agree on its root.
 
 use std::fmt;
 

@@ -4,16 +4,17 @@
 //! spirit of MPI correctness checkers like MUST but built into our own
 //! simulator. Two layers:
 //!
-//! 1. **Checked collectives** ([`fingerprint`]): every rank publishes a
-//!    fingerprint of the collective it is entering (kind, root, payload
-//!    type, shape); the communicator verifies all participants agree
-//!    before proceeding, turning silent corruption (e.g. two ranks
-//!    broadcasting with different roots) into an immediate per-rank
-//!    diagnostic.
+//! 1. **Checked collectives** ([`fingerprint`]): on every run, every rank
+//!    publishes a fingerprint of the collective it is entering (kind,
+//!    root, payload type, shape) as its deposit's only description of
+//!    it; the communicator verifies all participants agree before
+//!    proceeding, turning silent corruption (e.g. two ranks broadcasting
+//!    with different roots) into an immediate per-rank diagnostic.
 //! 2. **Deadlock detection** ([`waitgraph`]): pure analysis of a wait-for
 //!    graph over blocked ranks — cycle/stall detection plus a report that
 //!    dumps each rank's last-N collective history, so cross-communicator
 //!    ordering bugs are caught in milliseconds instead of by CI timeout.
+//!    The watchdog that feeds it runs under [`CheckMode::On`].
 //!
 //! Static checks are the compiler's and clippy's (DESIGN.md §12).
 //!
@@ -31,24 +32,25 @@ pub mod waitgraph;
 pub use fingerprint::{CollectiveKind, Fingerprint, Mismatch, Shape};
 pub use waitgraph::{HistoryEntry, RankPhase, RankSnapshot, SlotId, WaitSlot};
 
-/// Whether the runtime verifies collectives and runs the deadlock
-/// watchdog. Off by default; [`CheckMode::from_env`] reads the
-/// `CAGNET_CHECK` environment variable so CI can run the whole test suite
-/// checked without code changes.
+/// Whether the runtime runs the deadlock watchdog. Collective
+/// fingerprints are verified on every run, in either mode. Off by
+/// default; [`CheckMode::from_env`] reads the `CAGNET_CHECK` environment
+/// variable so CI can run the whole test suite watched without code
+/// changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CheckMode {
-    /// No fingerprint verification, no watchdog. Collective mismatches
-    /// surface only through downcast panics or the wait timeout.
+    /// No watchdog: a deadlock (ranks calling collectives in different
+    /// orders across communicators) surfaces only at the wait timeout.
     #[default]
     Off,
-    /// Fingerprint every collective, verify participants match, and run
-    /// the wait-for-graph watchdog. Modeled costs, traces, and results
+    /// Run the wait-for-graph watchdog, which declares a quiescent
+    /// deadlock within milliseconds. Modeled costs, traces, and results
     /// are bit-identical to [`CheckMode::Off`] on correct programs.
     On,
 }
 
 impl CheckMode {
-    /// True when checking is enabled.
+    /// True when the watchdog is enabled.
     pub fn is_on(self) -> bool {
         matches!(self, CheckMode::On)
     }

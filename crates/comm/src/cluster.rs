@@ -156,9 +156,10 @@ pub struct Cluster {
 
 impl Cluster {
     /// A cluster of `size` ranks with the default (Summit-like) cost model
-    /// and a serial (1-thread) per-rank compute budget. Collective
-    /// verification defaults to the `CAGNET_CHECK` environment variable
-    /// (see [`CheckMode::from_env`]); override with [`Cluster::with_check`].
+    /// and a serial (1-thread) per-rank compute budget. Every collective's
+    /// fingerprint is verified on every run; the deadlock watchdog
+    /// defaults to the `CAGNET_CHECK` environment variable (see
+    /// [`CheckMode::from_env`]); override with [`Cluster::with_check`].
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "cluster needs at least one rank");
         Cluster {
@@ -192,10 +193,11 @@ impl Cluster {
         self
     }
 
-    /// Enable or disable collective verification (fingerprint matching on
-    /// every collective plus the deadlock watchdog). Checking never
-    /// changes modeled results: timelines and traces are bit-identical
-    /// with it on and off.
+    /// Enable or disable the deadlock watchdog, which declares a run
+    /// whose ranks wait on each other deadlocked long before the
+    /// collective timeout. Fingerprints are verified either way. The
+    /// watchdog never changes modeled results: timelines and traces are
+    /// bit-identical with it on and off.
     pub fn with_check(mut self, check: CheckMode) -> Self {
         self.check = check;
         self

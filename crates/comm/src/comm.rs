@@ -40,7 +40,6 @@ use crate::transport::{
 };
 use cagnet_check::fingerprint::{self, CollectiveKind, Fingerprint, Shape};
 use cagnet_check::waitgraph::{deadlock_report, HistoryEntry, SlotId, WaitSlot};
-use cagnet_check::CheckMode;
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::block_range;
 
@@ -408,8 +407,6 @@ pub(crate) struct Registry {
     /// How long a rank waits at a collective before declaring the program
     /// deadlocked (collective order mismatch across ranks).
     pub(crate) timeout: Duration,
-    /// Whether collective fingerprint verification is enabled.
-    pub(crate) check: CheckMode,
     /// Wire precision every rank's communicators start with.
     pub(crate) precision: Precision,
     /// Run-wide rank states, histories, first-panic record, abort flag.
@@ -417,13 +414,12 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// The registry of a fresh run of `cluster`: its collective timeout,
-    /// check mode and wire precision, with diagnostics sized to its ranks.
+    /// The registry of a fresh run of `cluster`: its collective timeout
+    /// and wire precision, with diagnostics sized to its ranks.
     pub(crate) fn for_run(cluster: &Cluster) -> Arc<Self> {
         let registry = Registry {
             mailboxes: (0..cluster.size).map(|_| Arc::default()).collect(),
             timeout: cluster.timeout,
-            check: cluster.check,
             precision: cluster.precision,
             diag: Diagnostics::default(),
         };
@@ -504,10 +500,10 @@ impl Communicator {
 
     /// Override the wire precision on this handle. Every member of the
     /// communicator must make the same change before the next dense
-    /// collective — under `CheckMode` a mismatched pair is caught by the
-    /// fingerprint dtype cross-check (the override exists for exactly
-    /// that fault-injection test, and for trainers that want a lower
-    /// precision on one sub-communicator only).
+    /// collective — a mismatched pair is caught by the fingerprint dtype
+    /// cross-check (the override exists for exactly that fault-injection
+    /// test, and for trainers that want a lower precision on one
+    /// sub-communicator only).
     pub fn set_precision(&self, precision: Precision) {
         self.precision.set(precision);
     }
@@ -543,22 +539,22 @@ impl Communicator {
         self.members[self.my_idx]
     }
 
-    /// Build this collective's fingerprint when verification is on.
-    /// `root` is a member index and is translated to a world rank so
-    /// diagnostics stay meaningful across sub-communicators.
+    /// Build this collective's fingerprint. `root` is a member index and
+    /// is translated to a world rank so diagnostics stay meaningful
+    /// across sub-communicators.
     fn fingerprint(
         &self,
         kind: CollectiveKind,
         root: Option<usize>,
         dtype: &'static str,
         shape: Shape,
-    ) -> Option<Fingerprint> {
-        self.registry.check.is_on().then(|| Fingerprint {
+    ) -> Fingerprint {
+        Fingerprint {
             kind,
             root: root.map(|i| self.members[i]),
             dtype,
             shape,
-        })
+        }
     }
 
     /// Abort this rank because the transport reported a failure. Each
@@ -599,17 +595,17 @@ impl Communicator {
         }
     }
 
-    /// Issue half of every collective: deposit this rank's payload (with
-    /// its fingerprint when checking) under the next sequence number and
+    /// Issue half of every collective: deposit this rank's payload with
+    /// its fingerprint `fp` under the next sequence number and
     /// return that number, without blocking. The rank stays `Running`,
     /// and its deposit is on record (DESIGN.md §8), so the watchdog never
     /// misreads an issued op as a stuck rendezvous; the wait registration
     /// happens in [`Communicator::complete_raw`].
     ///
-    /// Fingerprints ride along with the payload deposits, so checked mode
-    /// adds no synchronization and charges no modeled cost — timelines
-    /// are bit-identical with checking on and off.
-    fn issue_raw(&self, kind: CollectiveKind, fp: Option<Fingerprint>, payload: TxPayload) -> u64 {
+    /// The fingerprint rides along with the payload deposit, so
+    /// verification adds no synchronization and charges no modeled cost.
+    fn issue_raw(&self, fp: Fingerprint, payload: TxPayload) -> u64 {
+        let kind = fp.kind;
         let entry = self.meter.borrow().timeline.clock();
         let seq = self.next_seq();
         self.registry.diag.record_deposit(
@@ -624,10 +620,7 @@ impl Communicator {
             },
         );
         let dep = TxDeposit { entry, fp, payload };
-        if let Err(e) = self
-            .link
-            .deposit(kind, seq, self.my_idx, &self.members, dep)
-        {
+        if let Err(e) = self.link.deposit(seq, self.my_idx, &self.members, dep) {
             self.link_failure(kind, seq, e);
         }
         seq
@@ -636,10 +629,11 @@ impl Communicator {
     /// Wait half of every collective: register the wait (for deadlock
     /// diagnostics), block until every member's deposit for `seq` is
     /// present, and consume it: returns all payloads in member order plus
-    /// their [`Arrival`], and verifies fingerprints when checking is on.
+    /// their [`Arrival`], after verifying that every member's fingerprint
+    /// agrees.
     ///
-    /// Fingerprint verification runs here — above the transport — so
-    /// CheckMode gives the identical guarantee whether the fingerprints
+    /// Fingerprint verification runs here — above the transport — on
+    /// every run, so the guarantee is identical whether the fingerprints
     /// arrived through shared memory or piggybacked on socket frames.
     fn complete_raw(&self, kind: CollectiveKind, seq: u64) -> (Vec<RxPayload>, Arrival) {
         let size = self.size();
@@ -681,18 +675,14 @@ impl Communicator {
         for (idx, d) in deposits.into_iter().enumerate() {
             at.tmax = at.tmax.max(d.entry);
             at.rx_bytes += d.payload.wire_len() as u64;
-            if let Some(f) = d.fp {
-                fps.push((self.members[idx], f));
-            }
+            fps.push((self.members[idx], d.fp));
             out.push(d.payload);
         }
-        if fps.len() == size {
-            if let Err(mismatch) = fingerprint::verify(&fps) {
-                panic!(
-                    "collective check failed at {slot_id}:\n{}",
-                    mismatch.message
-                );
-            }
+        if let Err(mismatch) = fingerprint::verify(&fps) {
+            panic!(
+                "collective check failed at {slot_id}:\n{}",
+                mismatch.message
+            );
         }
         (out, at)
     }
@@ -714,17 +704,17 @@ impl Communicator {
         m.timeline.record_rx(cat, at.rx_bytes);
     }
 
-    /// Issue a `kind` collective: deposit `payload` now; the returned op
-    /// completes it through `finish` at [`PendingOp::wait`].
+    /// Issue the collective `fp` describes: deposit `payload` now; the
+    /// returned op completes it through `finish` at [`PendingOp::wait`].
     fn issue<'c, T>(
         &'c self,
-        kind: CollectiveKind,
         cat: Cat,
-        fp: Option<Fingerprint>,
+        fp: Fingerprint,
         payload: TxPayload,
         finish: Finisher<'c, T>,
     ) -> PendingOp<'c, T> {
-        let seq = self.issue_raw(kind, fp, payload);
+        let kind = fp.kind;
+        let seq = self.issue_raw(fp, payload);
         PendingOp::in_flight(self, kind, cat, seq, 0, finish)
     }
 
@@ -734,28 +724,23 @@ impl Communicator {
     /// which are zero there, are dropped.
     fn issue_and_wait<'c, T>(
         &'c self,
-        kind: CollectiveKind,
         cat: Cat,
-        fp: Option<Fingerprint>,
+        fp: Fingerprint,
         payload: TxPayload,
         finish: impl FnOnce(&Communicator, Vec<RxPayload>) -> (T, f64, u64) + 'c,
     ) -> T {
         if self.size() == 1 {
             return finish(self, vec![RxPayload::Local(payload.local)]).0;
         }
-        self.issue(kind, cat, fp, payload, Box::new(finish)).wait()
+        self.issue(cat, fp, payload, Box::new(finish)).wait()
     }
 
     /// Barrier across the group.
     pub fn barrier(&self) {
         let fp = self.fingerprint(CollectiveKind::Barrier, None, "()", Shape::Words(0));
-        self.issue_and_wait(
-            CollectiveKind::Barrier,
-            Cat::Misc,
-            fp,
-            TxPayload::unit(),
-            |comm, _| ((), comm.model().barrier_time(comm.size()), 0),
-        );
+        self.issue_and_wait(Cat::Misc, fp, TxPayload::unit(), |comm, _| {
+            ((), comm.model().barrier_time(comm.size()), 0)
+        });
     }
 
     /// Broadcast from member `root_idx`: [`Communicator::ibcast_shared`],
@@ -831,7 +816,6 @@ impl Communicator {
             shape,
         );
         self.issue(
-            CollectiveKind::Bcast,
             carry.cat(cat),
             fp,
             payload,
@@ -863,10 +847,9 @@ impl Communicator {
     ///
     /// `expect` is each receiver's declaration of the root block's
     /// dimensions, cross-checked against the root's deposit both at
-    /// runtime and — under `CheckMode` — through the collective
-    /// fingerprint (`Shape::Dims`), so a root broadcasting a
-    /// wrong-shaped panel mid-SUMMA is caught and attributed instead of
-    /// silently mis-slicing. Pass `None` only when the receiver
+    /// runtime and through the collective fingerprint (`Shape::Dims`), so
+    /// a root broadcasting a wrong-shaped panel mid-SUMMA is caught and
+    /// attributed instead of silently mis-slicing. Pass `None` only when the receiver
     /// genuinely cannot know the dims (fingerprints then use the
     /// `Shape::Unknown` wildcard).
     ///
@@ -912,10 +895,10 @@ impl Communicator {
 
     /// Cached-mode refresh epoch variant of
     /// [`Communicator::igather_rows`]: identical exchange, costs, and
-    /// words, but fingerprinted as `gather_rows_refresh` so — under
-    /// CheckMode — a rank serving its stale cache while a peer refreshes
-    /// is reported as a kind mismatch instead of hanging or silently
-    /// diverging (DESIGN.md §13).
+    /// words, but fingerprinted as `gather_rows_refresh` so a rank
+    /// serving its stale cache while a peer refreshes is reported as a
+    /// kind mismatch instead of hanging or silently diverging (DESIGN.md
+    /// §13).
     pub fn igather_rows_refresh(
         &self,
         root_idx: usize,
@@ -984,7 +967,7 @@ impl Communicator {
             lens[root_idx] = 8 * (1 + needed.len());
             TxPayload::parted(rows.clone(), &lens, |rows, out| rows.put(out))
         };
-        let seq = self.issue_raw(kind, fp.clone(), request);
+        let seq = self.issue_raw(fp.clone(), request);
         let (items, round_one) = self.complete_raw(kind, seq);
         let (payload, end) = match data {
             Some(block) => {
@@ -1014,7 +997,7 @@ impl Communicator {
                 },
             ),
         };
-        let seq = self.issue_raw(kind, fp, payload);
+        let seq = self.issue_raw(fp, payload);
         PendingOp::in_flight(
             self,
             kind,
@@ -1131,7 +1114,6 @@ impl Communicator {
             Shape::Dims(m.rows(), m.cols()),
         );
         self.issue(
-            CollectiveKind::AllreduceMat,
             carry.cat(cat),
             fp,
             payload,
@@ -1155,25 +1137,13 @@ impl Communicator {
     }
 
     /// All-gather: every member contributes `data`; returns all
-    /// contributions in member order.
+    /// contributions in member order. Each member hands over an `Arc`, so
+    /// a block a trainer keeps resident (its activation slice, its output
+    /// row block) rides into the rendezvous without being copied. Under a
+    /// narrow wire precision every member packs its own contribution and
+    /// widens **all** of them — its own included — so the gathered vector
+    /// is replicated bit-identically across ranks.
     pub fn allgather<T: Any + Send + Sync + CommWords + Wire>(
-        &self,
-        data: T,
-        cat: Cat,
-    ) -> Vec<Arc<T>> {
-        self.allgather_shared(Arc::new(data), cat)
-    }
-
-    /// All-gather of an already-shared payload: like
-    /// [`Communicator::allgather`], but each member hands over an `Arc`
-    /// instead of an owned value, so a block a trainer keeps resident
-    /// (its activation slice, its output row block) rides into the
-    /// rendezvous without being copied. Fingerprinting and charging are
-    /// identical to `allgather`. Under a narrow wire precision every
-    /// member packs its own contribution and widens **all** of them — its
-    /// own included — so the gathered vector is replicated bit-identically
-    /// across ranks.
-    pub fn allgather_shared<T: Any + Send + Sync + CommWords + Wire>(
         &self,
         data: Arc<T>,
         cat: Cat,
@@ -1187,26 +1157,20 @@ impl Communicator {
             carry.dtype::<T>(),
             Shape::Unknown,
         );
-        self.issue_and_wait(
-            CollectiveKind::Allgather,
-            carry.cat(cat),
-            fp,
-            payload,
-            |comm, items| {
-                let mut total = 0;
-                let out = items
-                    .into_iter()
-                    .map(|item| {
-                        let (part, words) = carry.rx::<T>(item);
-                        total += words;
-                        part
-                    })
-                    .collect();
-                let p = comm.size();
-                let cost = comm.model().allgather_time(p, total);
-                (out, cost, total * (p as u64 - 1) / p as u64)
-            },
-        )
+        self.issue_and_wait(carry.cat(cat), fp, payload, |comm, items| {
+            let mut total = 0;
+            let out = items
+                .into_iter()
+                .map(|item| {
+                    let (part, words) = carry.rx::<T>(item);
+                    total += words;
+                    part
+                })
+                .collect();
+            let p = comm.size();
+            let cost = comm.model().allgather_time(p, total);
+            (out, cost, total * (p as u64 - 1) / p as u64)
+        })
     }
 
     /// All-reduce (sum) of scalars.
@@ -1217,16 +1181,10 @@ impl Communicator {
             "f64",
             Shape::Words(1),
         );
-        self.issue_and_wait(
-            CollectiveKind::AllreduceScalar,
-            cat,
-            fp,
-            TxPayload::of(Arc::new(x)),
-            |comm, items| {
-                let sum = items.into_iter().map(|p| *p.extract::<f64>()).sum();
-                (sum, comm.model().allreduce_time(comm.size(), 1), 2)
-            },
-        )
+        self.issue_and_wait(cat, fp, TxPayload::of(Arc::new(x)), |comm, items| {
+            let sum = items.into_iter().map(|p| *p.extract::<f64>()).sum();
+            (sum, comm.model().allreduce_time(comm.size(), 1), 2)
+        })
     }
 
     /// Reduce-scatter over block rows: every member contributes an
@@ -1304,7 +1262,6 @@ impl Communicator {
         };
         let sparse = sends.is_some();
         self.issue_and_wait(
-            CollectiveKind::ReduceScatterRows,
             carry.cat(cat),
             fp,
             contribution.into_payload(),
@@ -1388,7 +1345,7 @@ impl Communicator {
             // Colors are legitimately rank-dependent: wildcard shape. The
             // exchange is bookkeeping, so it settles nothing.
             let fp = self.fingerprint(CollectiveKind::Split, None, "u64", Shape::Unknown);
-            let seq = self.issue_raw(CollectiveKind::Split, fp, TxPayload::of(Arc::new(color)));
+            let seq = self.issue_raw(fp, TxPayload::of(Arc::new(color)));
             let (items, _) = self.complete_raw(CollectiveKind::Split, seq);
             items.into_iter().map(|p| *p.extract::<u64>()).collect()
         };
@@ -1538,7 +1495,7 @@ enum PendingState<'c, T> {
 /// `allgather`, `reduce_scatter_rows`, ...) issue and wait at once.
 ///
 /// The rendezvous deposit happened at issue time — peers can already
-/// consume it, and CheckMode fingerprints ride along with it — so
+/// consume it, and its fingerprint rides along with it — so
 /// issuing is free and, for every collective but the row gathers, never
 /// blocks: an issued row gather first runs its small
 /// request rendezvous (round one, unmetered), because the root can serve
@@ -1597,7 +1554,7 @@ impl<'c, T> PendingOp<'c, T> {
     }
 
     /// Complete the op: block until every member's deposit is present,
-    /// verify fingerprints (when checking), settle the uncovered
+    /// verify fingerprints, settle the uncovered
     /// remainder of the α–β cost, and return the payload.
     pub fn wait(mut self) -> T {
         let Some(state) = self.state.take() else {
@@ -1664,7 +1621,9 @@ mod tests {
     #[test]
     fn allgather_orders_by_member() {
         let results = Cluster::new(3).run(|ctx| {
-            let got = ctx.world.allgather(vec![ctx.rank as f64], Cat::DenseComm);
+            let got = ctx
+                .world
+                .allgather(Arc::new(vec![ctx.rank as f64]), Cat::DenseComm);
             got.iter().map(|v| v[0]).collect::<Vec<f64>>()
         });
         for (r, _) in results {
@@ -1715,7 +1674,7 @@ mod tests {
             let color = (ctx.rank % 2) as u64;
             let sub = ctx.world.split(color);
             // Members of my subgroup, via allgather on the subgroup.
-            let got = sub.allgather(vec![ctx.rank as f64], Cat::DenseComm);
+            let got = sub.allgather(Arc::new(vec![ctx.rank as f64]), Cat::DenseComm);
             (
                 sub.size(),
                 sub.my_idx(),
@@ -1815,10 +1774,10 @@ mod tests {
     }
 
     #[test]
-    fn allgather_shared_skips_contributor_copies() {
+    fn allgather_skips_contributor_copies() {
         let results = Cluster::new(3).run(|ctx| {
             let mine = Arc::new(Mat::filled(2, 2, ctx.rank as f64));
-            let got = ctx.world.allgather_shared(mine.clone(), Cat::DenseComm);
+            let got = ctx.world.allgather(mine.clone(), Cat::DenseComm);
             (
                 Arc::ptr_eq(&got[ctx.rank], &mine),
                 got.iter().map(|m| m[(0, 0)]).collect::<Vec<f64>>(),
@@ -1828,26 +1787,6 @@ mod tests {
             // Every rank's own allocation travels; no clone anywhere.
             assert!(same_alloc);
             assert_eq!(vals, vec![0.0, 1.0, 2.0]);
-        }
-    }
-
-    #[test]
-    fn allgather_shared_charges_like_allgather() {
-        let run = |shared: bool| {
-            Cluster::new(4).run(move |ctx| {
-                if shared {
-                    let m = Arc::new(Mat::zeros(5, 3));
-                    ctx.world.allgather_shared(m, Cat::DenseComm);
-                } else {
-                    ctx.world.allgather(Mat::zeros(5, 3), Cat::DenseComm);
-                }
-                ctx.report()
-            })
-        };
-        for ((a, _), (b, _)) in run(true).iter().zip(run(false).iter()) {
-            assert_eq!(a.clock, b.clock);
-            assert_eq!(a.words(Cat::DenseComm), b.words(Cat::DenseComm));
-            assert_eq!(a.messages(Cat::DenseComm), b.messages(Cat::DenseComm));
         }
     }
 
@@ -1922,14 +1861,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "receiver-declared dims")]
     fn gather_rows_rejects_wrong_expected_dims() {
-        // CheckMode off: this pins the runtime assert, which guards even
-        // unchecked runs (the fingerprint path has its own test in
-        // crates/comm/tests/check_faults.rs).
-        Cluster::new(2).with_check(CheckMode::Off).run(|ctx| {
+        // The root fingerprints its block's dims, not the dims it
+        // declares, so the runtime assert is what catches a root whose
+        // declaration disagrees with its own block (a block that differs
+        // from the receivers' declarations fails the fingerprint check,
+        // in crates/comm/tests/check_faults.rs).
+        Cluster::new(2).run(|ctx| {
             let payload = (ctx.rank == 0).then(|| Arc::new(Mat::zeros(4, 3)));
-            // Receiver declares the wrong row count; caught even with
-            // CheckMode off.
-            let expect = Some(if ctx.rank == 0 { (4, 3) } else { (5, 3) });
+            let expect = Some(if ctx.rank == 0 { (5, 3) } else { (4, 3) });
             ctx.world
                 .gather_rows(0, payload, &[1], expect, Cat::DenseComm);
         });
@@ -2180,7 +2119,6 @@ mod tests {
                     "allreduce_mat",
                     "barrier",
                     "allgather",
-                    "allgather_shared",
                     "allreduce_scalar",
                     "reduce_scatter_rows",
                     "reduce_scatter_rows_sparse",
@@ -2219,10 +2157,7 @@ mod tests {
                                 }
                                 "barrier" => world.barrier(),
                                 "allgather" => {
-                                    world.allgather((*block).clone(), dense);
-                                }
-                                "allgather_shared" => {
-                                    world.allgather_shared(block, dense);
+                                    world.allgather(block, dense);
                                 }
                                 "allreduce_scalar" => {
                                     world.allreduce_scalar(1.5, dense);
@@ -2280,7 +2215,7 @@ mod tests {
                                     (model.allreduce_time(p, w), 2 * w * others / p as u64)
                                 }
                                 "barrier" => (model.barrier_time(p), 0),
-                                "allgather" | "allgather_shared" => {
+                                "allgather" => {
                                     let total = p as u64 * wire(rows * cols);
                                     (model.allgather_time(p, total), total * others / p as u64)
                                 }

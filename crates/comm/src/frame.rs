@@ -27,11 +27,13 @@
 //! checkpoints (`cagnet_core::checkpoint`) are a magic followed by
 //! [`encode`] of the weight stack, so their loader inherits these checks.
 //!
-//! A `Deposit` body carries `{comm id, seq, collective kind, rank,
-//! members, entry clock, dtype, optional CheckMode fingerprint, optional
-//! part table, payload}` — the fingerprint piggybacks on the frame
-//! exactly as it piggybacks on in-memory rendezvous deposits, so checked
-//! mode works unchanged over the wire. A part table cuts the payload into
+//! A `Deposit` body carries `{comm id, seq, rank, members, entry clock,
+//! fingerprint, optional part table, payload}`. The fingerprint
+//! (collective kind, root, dtype, shape) is the deposit's only
+//! description of its collective: it piggybacks on the frame exactly as
+//! it piggybacks on in-memory rendezvous deposits, and every receiver
+//! verifies it, so a mismatched collective fails the same way over the
+//! wire as in shared memory. A part table cuts the payload into
 //! one byte range per member, tiling it in member order; the hub then
 //! forwards each member only its own part (a row gather's served rows, a
 //! request only the root reads, a reduce-scatter's rows of one member's
@@ -78,8 +80,10 @@ pub const MAGIC: [u8; 4] = *b"CGNT";
 /// fingerprints drop the send/recv partner field; 4: a [`RowsPart`]
 /// carries an index flag, and a reduce-scatter deposit is parted, one
 /// [`RowsPart`] per member; 5: the hub forwards each `Deposit` at once,
-/// `Wait` is a one-way notice, and the `Collect` kind is gone).
-pub const VERSION: u8 = 5;
+/// `Wait` is a one-way notice, and the `Collect` kind is gone; 6: a
+/// `Deposit` head always carries its fingerprint, and no separate kind
+/// or dtype).
+pub const VERSION: u8 = 6;
 /// Maximum accepted frame body length (1 GiB). Validated before any
 /// allocation happens.
 pub const MAX_FRAME: u32 = 1 << 30;
@@ -788,7 +792,7 @@ impl Precision {
         }
     }
 
-    /// Payload dtype recorded in CheckMode fingerprints. Distinct per
+    /// Payload dtype recorded in collective fingerprints. Distinct per
     /// precision, so a precision-mismatched rank pair fails the
     /// fingerprint cross-check with a *named* dtype mismatch instead of
     /// a downcast panic.
@@ -1368,28 +1372,24 @@ impl Wire for Range<usize> {
 }
 
 /// `Deposit` body head: one rank's contribution to a rendezvous — the
-/// wire twin of the in-memory deposit tuple, with the CheckMode
-/// fingerprint piggybacked when verification is on. On the wire the
-/// head is followed by a `u64` byte count and the [`Wire`]-encoded
-/// payload, which runs to the end of the body.
+/// wire twin of the in-memory deposit tuple, its fingerprint the one
+/// description of the collective. On the wire the head is followed by a
+/// `u64` byte count and the [`Wire`]-encoded payload, which runs to the
+/// end of the body.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DepositMsg {
     /// Communicator id.
     pub comm: u64,
     /// Per-communicator collective sequence number.
     pub seq: u64,
-    /// Which collective the rank claims to be entering.
-    pub kind: CollectiveKind,
     /// Depositor's index within the communicator.
     pub my_idx: usize,
     /// World ranks of all communicator members, ascending.
     pub members: Vec<usize>,
     /// Depositor's modeled entry clock (bit-exact via `to_bits`).
     pub entry: f64,
-    /// `std::any::type_name` of the payload type.
-    pub dtype: String,
-    /// CheckMode fingerprint (present exactly when checking is on).
-    pub fp: Option<Fingerprint>,
+    /// The collective the rank claims to be entering.
+    pub fp: Fingerprint,
     /// Per-member parts of the payload, as byte ranges relative to its
     /// start that tile it in member order: member `i` is forwarded only
     /// part `i`. `None` forwards the whole payload to every member.
@@ -1415,11 +1415,9 @@ impl DepositMsg {
         let mut out = Vec::new();
         self.comm.put(&mut out);
         self.seq.put(&mut out);
-        self.kind.put(&mut out);
         self.my_idx.put(&mut out);
         self.members.put(&mut out);
         self.entry.put(&mut out);
-        self.dtype.put(&mut out);
         self.fp.put(&mut out);
         self.parts.put(&mut out);
         payload_len.put(&mut out);
@@ -1435,12 +1433,10 @@ impl DepositMsg {
         let head = DepositMsg {
             comm: u64::take(&mut r)?,
             seq: u64::take(&mut r)?,
-            kind: CollectiveKind::take(&mut r)?,
             my_idx: usize::take(&mut r)?,
             members: Vec::<usize>::take(&mut r)?,
             entry: f64::take(&mut r)?,
-            dtype: String::take(&mut r)?,
-            fp: <Option<Fingerprint> as Wire>::take(&mut r)?,
+            fp: Fingerprint::take(&mut r)?,
             parts: <Option<Vec<Range<usize>>> as Wire>::take(&mut r)?,
         };
         let payload = r.counted_span()?;
@@ -1778,17 +1774,15 @@ mod tests {
         DepositMsg {
             comm: 1,
             seq: 7,
-            kind: CollectiveKind::Bcast,
             my_idx: 2,
             members: vec![0, 1, 2, 3],
             entry: 0.125,
-            dtype: "f64".into(),
-            fp: Some(Fingerprint {
+            fp: Fingerprint {
                 kind: CollectiveKind::Bcast,
                 root: Some(0),
                 dtype: "f64",
                 shape: Shape::Words(1),
-            }),
+            },
             parts: None,
         }
     }

@@ -128,6 +128,7 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::cost::Cat;
+    use std::sync::Arc;
 
     #[test]
     fn int_roots() {
@@ -145,13 +146,13 @@ mod tests {
             let g = Grid2D::new(ctx, 2, 3);
             let row_members = g
                 .row
-                .allgather(vec![ctx.rank as f64], Cat::DenseComm)
+                .allgather(Arc::new(vec![ctx.rank as f64]), Cat::DenseComm)
                 .iter()
                 .map(|v| v[0] as usize)
                 .collect::<Vec<_>>();
             let col_members = g
                 .col
-                .allgather(vec![ctx.rank as f64], Cat::DenseComm)
+                .allgather(Arc::new(vec![ctx.rank as f64]), Cat::DenseComm)
                 .iter()
                 .map(|v| v[0] as usize)
                 .collect::<Vec<_>>();
@@ -172,7 +173,7 @@ mod tests {
             let g = Grid3D::new(ctx, 2);
             let fiber = g
                 .fiber
-                .allgather(vec![ctx.rank as f64], Cat::DenseComm)
+                .allgather(Arc::new(vec![ctx.rank as f64]), Cat::DenseComm)
                 .iter()
                 .map(|v| v[0] as usize)
                 .collect::<Vec<_>>();

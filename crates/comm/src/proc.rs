@@ -28,7 +28,7 @@
 //! (DESIGN.md §11).
 //!
 //! Everything above the link is shared with the thread backend: entry
-//! clocks travel as exact `f64` bit patterns, CheckMode fingerprints
+//! clocks travel as exact `f64` bit patterns, collective fingerprints
 //! piggyback on `DEPOSIT` frames, and the deadlock watchdog runs
 //! unmodified in the launcher because the hub mirrors every worker's
 //! deposit/wait/result/panic into the launcher's
@@ -513,7 +513,7 @@ impl Hub {
                         comm: msg.comm,
                         seq: msg.seq,
                     },
-                    kind: msg.kind,
+                    kind: msg.fp.kind,
                     clock: msg.entry,
                 },
             );
@@ -958,7 +958,7 @@ where
 mod tests {
     use super::*;
     use crate::transport::{derived_id, CollectError, Link, TxDeposit, TxPayload, WORLD_COMM_ID};
-    use cagnet_check::fingerprint::CollectiveKind;
+    use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
     use std::io::{ErrorKind, Read};
 
     /// A hub for `size` ranks whose workers' connections are socket
@@ -1000,13 +1000,20 @@ mod tests {
         DepositMsg {
             comm: key.0,
             seq: key.1,
-            kind: CollectiveKind::Bcast,
             my_idx,
             members: members.to_vec(),
             entry: 0.5,
-            dtype: "test".to_string(),
-            fp: None,
+            fp: test_fp(),
             parts: None,
+        }
+    }
+
+    fn test_fp() -> Fingerprint {
+        Fingerprint {
+            kind: CollectiveKind::Bcast,
+            root: None,
+            dtype: "test",
+            shape: Shape::Unknown,
         }
     }
 
@@ -1090,7 +1097,7 @@ mod tests {
     fn unit_rx() -> RxDeposit {
         RxDeposit {
             entry: 0.0,
-            fp: None,
+            fp: test_fp(),
             payload: RxPayload::Local(Arc::new(())),
         }
     }
@@ -1195,7 +1202,7 @@ mod tests {
     fn unit_deposit() -> TxDeposit {
         TxDeposit {
             entry: 0.0,
-            fp: None,
+            fp: test_fp(),
             payload: TxPayload::unit(),
         }
     }
@@ -1339,11 +1346,11 @@ mod tests {
         let beside = world_link(&registry, 0, Leg::Hub(hub.clone()));
         let tx = TxDeposit {
             entry: 0.5,
-            fp: None,
+            fp: test_fp(),
             payload: TxPayload::of(Arc::new(7u64)),
         };
         beside
-            .deposit(CollectiveKind::Bcast, 4, 0, &all, tx)
+            .deposit(4, 0, &all, tx)
             .unwrap_or_else(|_| panic!("deposit beside the hub"));
         for queue in [&to_one, &to_two] {
             let out = queue.try_recv().expect("a forward from rank 0");
@@ -1515,10 +1522,10 @@ mod tests {
         let own = Arc::new(9u64);
         let tx = TxDeposit {
             entry: 2.0,
-            fp: None,
+            fp: test_fp(),
             payload: TxPayload::of(own.clone()),
         };
-        link.deposit(CollectiveKind::Bcast, 4, 1, &pair, tx)
+        link.deposit(4, 1, &pair, tx)
             .unwrap_or_else(|_| panic!("own deposit"));
         // The deposit went to the hub whole, as this rank's.
         let (sent, payload) = forward_to(&hub_end);
@@ -1565,7 +1572,7 @@ mod tests {
         let registry = Registry::for_run(&Cluster::new(3));
         let put = |rank, seq, idx, members: &[usize]| {
             let link = world_link(&registry, rank, Leg::Threads(registry.clone()));
-            match link.deposit(CollectiveKind::Bcast, seq, idx, members, unit_deposit()) {
+            match link.deposit(seq, idx, members, unit_deposit()) {
                 Ok(()) => None,
                 Err(CollectError::Transport(why)) => Some(why),
                 Err(_) => panic!("a refused deposit is a transport error"),
@@ -1601,7 +1608,7 @@ mod tests {
         let link = Arc::new(link);
         let pair = [0, 1];
         // A complete slot is collected without a notice.
-        link.deposit(CollectiveKind::Bcast, 0, 1, &pair, unit_deposit())
+        link.deposit(0, 1, &pair, unit_deposit())
             .unwrap_or_else(|_| panic!("deposit"));
         assert_eq!(answer_to(&hub_end).kind, FrameKind::Deposit);
         send_to_client(&hub_end, &deposit((3, 0), 0, &pair, &frame::encode(&())));

@@ -1,8 +1,8 @@
 //! The transport layer under the collective layer.
 //!
 //! [`Communicator`](crate::comm::Communicator) implements every
-//! collective — BSP entry-clock maximisation, α–β charging, CheckMode
-//! fingerprint verification, deterministic member-order reduction —
+//! collective — BSP entry-clock maximisation, α–β charging, fingerprint
+//! verification, deterministic member-order reduction —
 //! above one crate-private `Link` per rank and communicator. A link only
 //! moves opaque deposits: it accepts its rank's `(entry clock,
 //! fingerprint, payload)` triple and hands back the full member-ordered
@@ -101,8 +101,6 @@ impl TransportKind {
 pub(crate) struct TxPayload {
     /// The payload as shared-memory ranks will receive it.
     pub local: Payload,
-    /// `std::any::type_name` of the concrete payload type.
-    pub dtype: &'static str,
     /// Each member's part of the encoding, as byte ranges tiling it in
     /// member order: over sockets member `i` is forwarded only part `i`.
     /// `None` sends everyone the whole payload.
@@ -120,7 +118,6 @@ impl TxPayload {
         let local: Payload = data.clone();
         TxPayload {
             local,
-            dtype: std::any::type_name::<T>(),
             parts: None,
             encode: Box::new(move |out| data.put(out)),
         }
@@ -146,7 +143,6 @@ impl TxPayload {
         let local: Payload = data.clone();
         TxPayload {
             local,
-            dtype: std::any::type_name::<T>(),
             parts: Some(parts),
             encode: Box::new(move |out| encode(&data, out)),
         }
@@ -175,10 +171,11 @@ impl TxPayload {
 pub(crate) struct TxDeposit {
     /// The depositor's modeled entry clock.
     pub entry: f64,
-    /// CheckMode fingerprint, present exactly when checking is on — it
-    /// piggybacks on the deposit (and, over sockets, on the frame), so
-    /// checked mode adds no synchronization on either backend.
-    pub fp: Option<Fingerprint>,
+    /// What the depositor claims about the collective: its one
+    /// description, verified at every rendezvous. It piggybacks on the
+    /// deposit (and, over sockets, on the frame), so verification adds no
+    /// synchronization on either backend.
+    pub fp: Fingerprint,
     /// The payload.
     pub payload: TxPayload,
 }
@@ -241,8 +238,8 @@ impl RxPayload {
 pub(crate) struct RxDeposit {
     /// The depositor's modeled entry clock (bit-exact on both backends).
     pub entry: f64,
-    /// The depositor's CheckMode fingerprint, when checking is on.
-    pub fp: Option<Fingerprint>,
+    /// The depositor's fingerprint.
+    pub fp: Fingerprint,
     /// The payload.
     pub payload: RxPayload,
 }
@@ -471,7 +468,6 @@ impl Link {
     /// the group, ascending.
     pub(crate) fn deposit(
         &self,
-        kind: CollectiveKind,
         seq: u64,
         my_idx: usize,
         members: &[usize],
@@ -496,11 +492,9 @@ impl Link {
             DepositMsg {
                 comm: self.id,
                 seq,
-                kind,
                 my_idx,
                 members: members.to_vec(),
                 entry: dep.entry,
-                dtype: dep.payload.dtype.to_string(),
                 fp: dep.fp.clone(),
                 parts: dep.payload.parts.clone(),
             }
@@ -577,6 +571,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagnet_check::fingerprint::Shape;
 
     #[test]
     fn transport_kind_parses_env_values() {
@@ -595,7 +590,6 @@ mod tests {
     fn tx_payload_encodes_and_keeps_local_arc() {
         let data = Arc::new(vec![1.0f64, 2.0, 3.0]);
         let tx = TxPayload::of(data.clone());
-        assert!(tx.dtype.contains("Vec<f64>"));
         let mut bytes = vec![0xAA];
         tx.encode_into(&mut bytes);
         let back: Vec<f64> = crate::frame::decode(&bytes[1..]).expect("decode");
@@ -632,7 +626,12 @@ mod tests {
     fn dep(tag: u64) -> RxDeposit {
         RxDeposit {
             entry: tag as f64,
-            fp: None,
+            fp: Fingerprint {
+                kind: CollectiveKind::Barrier,
+                root: None,
+                dtype: "()",
+                shape: Shape::Words(0),
+            },
             payload: RxPayload::Local(Arc::new(tag)),
         }
     }

@@ -1,12 +1,17 @@
-//! Fault-injection tests for the checked runtime (`CheckMode::On`):
-//! deliberately mismatched collectives, deadlocks, and rank panics must
-//! each die with a diagnostic naming the offending rank and collective —
-//! never hang and never corrupt silently.
+//! Fault-injection tests for the checked runtime: deliberately
+//! mismatched collectives, deadlocks, and rank panics must each die with
+//! a diagnostic naming the offending rank and collective — never hang
+//! and never corrupt silently. Fingerprints are verified on every run,
+//! so mismatches fail alike under either `CheckMode`; the deadlock cases
+//! need the watchdog of `CheckMode::On`.
 
-use cagnet_comm::{Cat, CheckMode, Cluster};
+use cagnet_comm::{Cat, CheckMode, Cluster, Communicator};
 use cagnet_dense::Mat;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
+
+const BOTH: [CheckMode; 2] = [CheckMode::On, CheckMode::Off];
 
 /// Run `f`, require it to panic, and return the panic message.
 fn panic_text<F: FnOnce()>(f: F) -> String {
@@ -22,18 +27,23 @@ fn panic_text<F: FnOnce()>(f: F) -> String {
 
 #[test]
 fn root_mismatch_names_offender() {
-    let msg = panic_text(|| {
-        Cluster::new(2).with_check(CheckMode::On).run(|ctx| {
-            // Each rank believes itself the broadcast root: same slot,
-            // different root fields.
-            let root = ctx.rank;
-            let payload = Some(vec![1.0f64]);
-            let _ = ctx.world.bcast(root, payload, Cat::DenseComm);
+    for check in BOTH {
+        let msg = panic_text(|| {
+            Cluster::new(2).with_check(check).run(|ctx| {
+                // Each rank believes itself the broadcast root: same slot,
+                // different root fields.
+                let root = ctx.rank;
+                let payload = Some(vec![ctx.rank as f64]);
+                let _ = ctx.world.bcast(root, payload, Cat::DenseComm);
+            });
         });
-    });
-    assert!(msg.contains("collective fingerprint mismatch"), "{msg}");
-    assert!(msg.contains("bcast"), "{msg}");
-    assert!(msg.contains("offending rank(s)"), "{msg}");
+        assert!(
+            msg.contains("collective fingerprint mismatch"),
+            "{check:?}: {msg}"
+        );
+        assert!(msg.contains("bcast"), "{check:?}: {msg}");
+        assert!(msg.contains("offending rank(s)"), "{check:?}: {msg}");
+    }
 }
 
 #[test]
@@ -53,22 +63,42 @@ fn shape_mismatch_names_offender() {
 
 #[test]
 fn kind_mismatch_names_both_collectives() {
-    let msg = panic_text(|| {
-        Cluster::new(2).with_check(CheckMode::On).run(|ctx| {
-            // Same communicator, same sequence number, different
-            // collectives — the classic mismatched-call-order bug.
-            if ctx.rank == 0 {
-                ctx.world.barrier();
+    // Same communicator, same sequence number, different collectives —
+    // the classic mismatched-call-order bug. A broadcast met by an
+    // all-gather of the same type would otherwise complete on both
+    // ranks, each with a plausible result.
+    type Calls = fn(&Communicator, usize);
+    let cases: [(&str, &str, Calls); 2] = [
+        ("barrier", "allreduce_scalar", |world, rank| {
+            if rank == 0 {
+                world.barrier();
             } else {
-                let _ = ctx.world.allreduce_scalar(1.0, Cat::DenseComm);
+                let _ = world.allreduce_scalar(1.0, Cat::DenseComm);
             }
-        });
-    });
-    assert!(msg.contains("collective fingerprint mismatch"), "{msg}");
-    assert!(
-        msg.contains("barrier") && msg.contains("allreduce"),
-        "{msg}"
-    );
+        }),
+        ("bcast", "allgather", |world, rank| {
+            if rank == 0 {
+                let _ = world.bcast(0, Some(vec![0.0]), Cat::DenseComm);
+            } else {
+                let _ = world.allgather(Arc::new(vec![1.0]), Cat::DenseComm);
+            }
+        }),
+    ];
+    for check in BOTH {
+        for (first, second, calls) in cases {
+            let msg = panic_text(|| {
+                Cluster::new(2)
+                    .with_check(check)
+                    .run(|ctx| calls(&ctx.world, ctx.rank));
+            });
+            let case = format!("{first} vs {second}, {check:?}");
+            assert!(
+                msg.contains("collective fingerprint mismatch"),
+                "{case}: {msg}"
+            );
+            assert!(msg.contains(first) && msg.contains(second), "{case}: {msg}");
+        }
+    }
 }
 
 #[test]

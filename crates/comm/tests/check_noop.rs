@@ -1,6 +1,7 @@
-//! CheckMode must be free: on matching collectives the checked runtime
-//! publishes and verifies fingerprints but charges nothing, so results,
-//! cost totals, and traces are bit-identical with the check on and off.
+//! CheckMode must be free: on matching collectives the watchdog it
+//! starts charges nothing, and fingerprints — verified in both modes —
+//! charge nothing either, so results, cost totals, and traces are
+//! bit-identical with the check on and off.
 
 use cagnet_comm::trace::TraceEvent;
 use cagnet_comm::{Cat, CheckMode, Cluster, TimelineReport};
@@ -28,7 +29,9 @@ fn workload(p: usize, check: CheckMode) -> Vec<((f64, Vec<TraceEvent>), Timeline
             .reduce_scatter_rows(Arc::new(m), None, &mut block, Cat::DenseComm);
         sum += block.as_slice()[0];
 
-        let parts = ctx.world.allgather(vec![r as f64], Cat::SparseComm);
+        let parts = ctx
+            .world
+            .allgather(Arc::new(vec![r as f64]), Cat::SparseComm);
         sum += parts.iter().map(|v| v[0]).sum::<f64>();
 
         let last = (r == p - 1).then(|| Arc::new(Mat::from_fn(2, p, |i, j| (i * p + j) as f64)));

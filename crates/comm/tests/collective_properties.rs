@@ -26,7 +26,7 @@ proptest! {
             let mut scattered = Mat::zeros(0, 0);
             ctx.world
                 .reduce_scatter_rows(Arc::new(m), None, &mut scattered, Cat::DenseComm);
-            let parts = ctx.world.allgather(scattered, Cat::DenseComm);
+            let parts = ctx.world.allgather(Arc::new(scattered), Cat::DenseComm);
             let composed = Mat::vstack(&parts);
             (direct, composed)
         });
@@ -83,7 +83,7 @@ proptest! {
     fn allgather_preserves_all_contributions(p in 1usize..8, len in 1usize..20) {
         let results = Cluster::new(p).run(|ctx| {
             let data: Vec<f64> = (0..len).map(|i| (ctx.rank * 1000 + i) as f64).collect();
-            let got = ctx.world.allgather(data, Cat::DenseComm);
+            let got = ctx.world.allgather(Arc::new(data), Cat::DenseComm);
             got.iter().map(|v| (**v).clone()).collect::<Vec<Vec<f64>>>()
         });
         for (got, _) in results {

@@ -15,7 +15,7 @@ use std::cell::Cell;
 
 use cagnet_check::fingerprint::{CollectiveKind, Fingerprint, Shape};
 use cagnet_comm::frame::{
-    read_frame, write_frame, DepositMsg, FrameError, FrameKind, Precision, RowsPart, Wire,
+    encode, read_frame, write_frame, DepositMsg, FrameError, FrameKind, Precision, RowsPart, Wire,
     HEADER_LEN, VERSION,
 };
 use cagnet_dense::Mat;
@@ -112,13 +112,15 @@ fn assert_rejected<T: std::fmt::Debug>(
     );
 }
 
-fn fingerprint() -> Option<Fingerprint> {
-    Some(Fingerprint {
-        kind: CollectiveKind::Bcast,
-        root: Some(1),
+/// An unrooted collective's fingerprint: a small root's zero high bytes
+/// would let a members count inflated by one re-parse the shifted head.
+fn fingerprint(kind: CollectiveKind) -> Fingerprint {
+    Fingerprint {
+        kind,
+        root: None,
         dtype: "cagnet_dense::matrix::Mat",
         shape: Shape::Dims(8, 16),
-    })
+    }
 }
 
 /// Values an attacker would try in a count field of a body with
@@ -182,38 +184,86 @@ fn check_all<T: std::fmt::Debug>(
 
 #[test]
 fn hostile_deposit_bodies_are_malformed_and_allocate_nothing_large() {
-    // Counts: 5 members, a 6-byte dtype, the fingerprint's 25-byte
-    // dtype, a 3001-byte payload.
+    // Counts: 5 members, the fingerprint's 25-byte dtype, a 3001-byte
+    // payload.
+    let body = allreduce_deposit();
+    check_all("deposit", &body, &[5, 25, 3001], 3, DepositMsg::parse);
+}
+
+/// A 3001-byte all-reduce deposit of member 2 of five.
+fn allreduce_deposit() -> Vec<u8> {
     let head = DepositMsg {
         comm: 0xC0_0000_0001,
         seq: 0x5E_0000_0002,
-        kind: CollectiveKind::Bcast,
         my_idx: 2,
         members: vec![10, 11, 12, 13, 14],
         entry: 0.125,
-        dtype: "matrix".to_string(),
-        fp: fingerprint(),
+        fp: fingerprint(CollectiveKind::AllreduceMat),
         parts: None,
     };
-    let body = head.encode(|out| out.resize(out.len() + 3001, 0xAB));
-    check_all("deposit", &body, &[5, 6, 25, 3001], 4, DepositMsg::parse);
+    head.encode(|out| out.resize(out.len() + 3001, 0xAB))
+}
+
+#[test]
+fn deposit_heads_with_a_bad_fingerprint_are_refused_before_the_payload() {
+    // The fingerprint is the head's one description of its collective. A
+    // head cut inside it, or naming a collective kind or shape tag no
+    // version defines, is refused by name, and nothing as large as the
+    // payload is allocated.
+    let body = allreduce_deposit();
+    DepositMsg::parse(&body).expect("the fixture itself is valid");
+    let head_len = body.len() - 3001;
+    let fp = fingerprint(CollectiveKind::AllreduceMat);
+    let fp_bytes = encode(&fp);
+    let at = body
+        .windows(fp_bytes.len())
+        .position(|w| w == fp_bytes)
+        .expect("the head holds its fingerprint");
+    let refused = |what: &str, input: &[u8]| {
+        let (parsed, largest) = largest_allocation(|| DepositMsg::parse(input));
+        assert!(largest < head_len, "{what}: allocated {largest} bytes");
+        match parsed {
+            Err(FrameError::Malformed(msg)) => msg,
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+    };
+    for cut in at..at + fp_bytes.len() {
+        let what = format!("fingerprint cut after {} bytes", cut - at);
+        let msg = refused(&what, &body[..cut]);
+        assert!(KNOWN.contains(&msg), "{what}: unfamiliar message '{msg}'");
+    }
+    let shape_at = at + fp_bytes.len() - encode(&fp.shape).len();
+    let bad_tags = [
+        (
+            at,
+            "collective kind out of range",
+            vec![6u8, 7, 8, 9, 12, 13, 14, 16, 0xFF],
+        ),
+        (shape_at, "shape tag out of range", vec![3, 4, 0xFF]),
+    ];
+    for (tag_at, expected, tags) in bad_tags {
+        for tag in tags {
+            let mut input = body.clone();
+            input[tag_at] = tag;
+            let what = format!("tag {tag} at head byte {tag_at}");
+            assert_eq!(refused(&what, &input), expected, "{what}");
+        }
+    }
 }
 
 #[test]
 fn hostile_part_tables_are_malformed_and_allocate_nothing_large() {
     // The deposit above, parted: five members' parts tile the 3001-byte
-    // payload. Counts: 5 members and 5 parts, the two dtypes, the
-    // payload length, and every part boundary (1000 four times, 2000
+    // payload. Counts: 5 members and 5 parts, the fingerprint's dtype,
+    // the payload length, and every part boundary (1000 four times, 2000
     // twice, 3001 three times more) — moving any one breaks the tiling.
     let head = DepositMsg {
         comm: 0xC0_0000_0001,
         seq: 0x5E_0000_0002,
-        kind: CollectiveKind::GatherRows,
         my_idx: 2,
         members: vec![10, 11, 12, 13, 14],
         entry: 0.125,
-        dtype: "matrix".to_string(),
-        fp: fingerprint(),
+        fp: fingerprint(CollectiveKind::ReduceScatterRows),
         parts: Some(vec![
             0..1000,
             1000..1000,
@@ -226,8 +276,8 @@ fn hostile_part_tables_are_malformed_and_allocate_nothing_large() {
     check_all(
         "parted deposit",
         &body,
-        &[5, 6, 25, 3001, 1000, 2000],
-        14,
+        &[5, 25, 3001, 1000, 2000],
+        13,
         DepositMsg::parse,
     );
 }
@@ -283,10 +333,12 @@ fn hostile_reduced_rows_are_malformed_and_allocate_nothing_large() {
 
 #[test]
 fn frames_and_parts_of_the_previous_layout_are_refused() {
-    // Version 3 and 4 headers: refused before the body is read.
+    // Version 3, 4 and 5 headers: refused before the body is read. A
+    // version-5 `Deposit` head carried a kind and a dtype of its own
+    // and an optional fingerprint.
     let mut frame = Vec::new();
     write_frame(&mut frame, FrameKind::Hello, b"x").expect("write");
-    for old in [3, 4] {
+    for old in [3, 4, 5] {
         frame[4] = old;
         assert!(matches!(
             read_frame(&mut &frame[..]),
@@ -320,34 +372,33 @@ fn frames_and_parts_of_the_previous_layout_are_refused() {
 
 #[test]
 fn hostile_forwarded_deposit_bodies_are_malformed_and_allocate_nothing_large() {
-    // What the hub forwards to member 2 of a served row gather: the
-    // root's head without its part table, then only member 2's 2000-byte
-    // part. Counts: 3 members, a 6-byte dtype, the fingerprint's
-    // 25-byte dtype, the 2000-byte part.
+    // What the hub forwards to member 2 of a reduce-scatter: the
+    // sender's head without its part table, then only member 2's
+    // 2000-byte part. Counts: 3 members, the fingerprint's 25-byte dtype, the
+    // 2000-byte part.
     let forwarded = DepositMsg {
         comm: 0xC0_0000_0001,
         seq: 0x5E_0000_0002,
-        kind: CollectiveKind::GatherRows,
         my_idx: 0,
         members: vec![40, 41, 42],
         entry: 0.25,
-        dtype: "served".to_string(),
-        fp: fingerprint(),
+        fp: fingerprint(CollectiveKind::ReduceScatterRows),
         parts: None,
     };
     let body = forwarded.encode(|out| out.resize(out.len() + 2000, 0xCD));
     check_all(
         "forwarded deposit",
         &body,
-        &[3, 6, 25, 2000],
-        4,
+        &[3, 25, 2000],
+        3,
         DepositMsg::parse,
     );
-    // A bystander's forwarded unit: the shortest payload there is.
+    // A barrier's forwarded unit: the shortest payload there is.
     let unit = DepositMsg {
         my_idx: 1,
+        fp: fingerprint(CollectiveKind::Barrier),
         ..forwarded
     };
     let body = unit.encode(|out| ().put(out));
-    check_all("forwarded unit", &body, &[3, 6, 25], 3, DepositMsg::parse);
+    check_all("forwarded unit", &body, &[3, 25], 2, DepositMsg::parse);
 }

@@ -2,8 +2,8 @@
 //! `f64` mode must be bit-identical to the historical behaviour, packed
 //! modes must replicate identically on every rank, halve (f32) or
 //! quarter (bf16) the metered dense words under their own categories,
-//! keep root-resident data exact, and fail CheckMode with a *named*
-//! dtype when ranks disagree on the wire precision.
+//! keep root-resident data exact, and fail the fingerprint check with a
+//! *named* dtype when ranks disagree on the wire precision.
 
 use cagnet_comm::{Cat, CheckMode, Cluster, CostModel, Precision};
 use cagnet_dense::Mat;
@@ -243,8 +243,8 @@ fn precision_mismatch_fails_check_with_named_dtype() {
     let err = catch_unwind(AssertUnwindSafe(|| {
         Cluster::new(2).with_check(CheckMode::On).run(|ctx| {
             // Rank 0 silently flips its wire precision — the classic
-            // misconfigured-rank fault. CheckMode must name the packed
-            // dtype, not die in a payload downcast.
+            // misconfigured-rank fault. The fingerprint check must name
+            // the packed dtype, not die in a payload downcast.
             if ctx.rank == 0 {
                 ctx.world.set_precision(Precision::F32);
             }

@@ -106,9 +106,9 @@ fn connect_to_dead_hub_fails_promptly() {
     assert!(start.elapsed() < Duration::from_secs(5));
 }
 
-/// CheckMode fingerprints piggyback on deposit frames: with checking on
-/// and every rank agreeing, a socket run succeeds and produces the same
-/// bits as an unchecked one.
+/// Fingerprints piggyback on every deposit frame: with every rank
+/// agreeing, a socket run succeeds and produces the same bits with the
+/// deadlock watchdog on and off.
 #[test]
 fn checkmode_piggybacks_cleanly_over_socket() {
     let run = |check| {
@@ -123,7 +123,7 @@ fn checkmode_piggybacks_cleanly_over_socket() {
 }
 
 /// A collective mismatch (different broadcast roots) must be caught by
-/// the fingerprint verifier with checking on — the fingerprints crossed
+/// the fingerprint verifier — the fingerprints crossed
 /// the wire on the deposit frames.
 #[test]
 fn checkmode_catches_mismatch_over_socket() {

@@ -57,7 +57,7 @@ pub(crate) struct Stage {
     /// Member of the process column that holds the stage's `D` panel.
     pub(crate) d_root: usize,
     /// Rows of the `D` panel — known to every rank from the balanced
-    /// partition, fingerprinted by gather receivers under CheckMode.
+    /// partition, fingerprinted by gather receivers.
     pub(crate) d_rows: usize,
     /// Where this rank is the `S` root: the panel's columns of its
     /// resident sparse block.
@@ -392,7 +392,7 @@ pub(crate) fn backward(g: &Grid, s: &mut State, ctx: &Ctx) {
         };
         let mut slab = s.ws.get_mut().take(my_rows * width);
         {
-            let parts = g.row.allgather_shared(mine, Cat::DenseComm);
+            let parts = g.row.allgather(mine, Cat::DenseComm);
             Mat::hstack_into(&parts, &mut slab);
         }
         // Y = (Hˡ)ᵀ (A G): a local product giving a block of Y's rows (AG
@@ -417,9 +417,10 @@ pub(crate) fn backward(g: &Grid, s: &mut State, ctx: &Ctx) {
             };
             grad = s.ws.get_mut().lend(next);
         }
-        let y_parts = g
-            .row
-            .allgather(y_op.unwrap_or_else(reduce_y).wait(), Cat::DenseComm);
+        let y_parts = g.row.allgather(
+            Arc::new(y_op.unwrap_or_else(reduce_y).wait()),
+            Cat::DenseComm,
+        );
         let y = if h_side {
             Mat::hstack(&y_parts)
         } else {

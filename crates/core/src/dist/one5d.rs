@@ -181,7 +181,7 @@ impl RowLayout for One5D {
         // blocks are free again when they expect them to be.
         let mut g_coarse = s.ws.borrow_mut().take(self.at_bwd.rows() * g.cols());
         {
-            let parts = self.team.allgather_shared(g.clone(), Cat::DenseComm);
+            let parts = self.team.allgather(g.clone(), Cat::DenseComm);
             Mat::vstack_into(&parts, &mut g_coarse);
         }
         // Outer product restricted to output fine blocks ≡ r (mod c),

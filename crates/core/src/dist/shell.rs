@@ -342,7 +342,7 @@ impl<L: Layout> Trainer<L> {
         if let Some(z) = s.zs.last() {
             lse_log_probs_into(z, &s.lse_stats, &mut log_p);
         }
-        let blocks = ctx.world.allgather(log_p, Cat::DenseComm);
+        let blocks = ctx.world.allgather(Arc::new(log_p), Cat::DenseComm);
         match self.layout.family() {
             Family::Rows(_) => Mat::vstack(&blocks),
             Family::Grid(g) => {
@@ -404,7 +404,7 @@ impl State {
         lse_block_stats(z, p.as_mut(), Arc::make_mut(&mut self.block_stats));
         let mine = Arc::clone(&self.block_stats);
         let parts = match row {
-            Some(row) => row.allgather_shared(mine, Cat::DenseComm),
+            Some(row) => row.allgather(mine, Cat::DenseComm),
             None => vec![mine],
         };
         let (f_out, q) = (self.cfg.f_out(), parts.len());

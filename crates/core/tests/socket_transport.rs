@@ -177,7 +177,7 @@ fn twod_dense_p4() {
 
 /// The hub sends no rank its own payload back; the client puts the
 /// `Arc` it kept in that place. Pin that off the world communicator and
-/// with fingerprints riding along (`CAGNET_CHECK=1` semantics): on two
+/// with the watchdog on (`CAGNET_CHECK=1` semantics): on two
 /// split groups of two, every rank is root once — so it both keeps its
 /// own block and decodes its peer's — across a broadcast, a row gather
 /// and an all-reduce, bit-identically to the thread backend.
@@ -329,9 +329,10 @@ fn served_rows_are_bit_identical_at_every_precision() {
 }
 
 /// A receiver that declared the wrong block dims is stopped by the
-/// runtime check even with `CheckMode` off, from the head of its part.
+/// fingerprint check of the request round, before a row is served, even
+/// with `CheckMode` off: fingerprints cross the wire on every run.
 #[test]
-#[should_panic(expected = "receiver-declared dims")]
+#[should_panic(expected = "collective fingerprint mismatch")]
 fn gather_rows_rejects_wrong_expected_dims_over_sockets() {
     Cluster::new(2)
         .with_transport(TransportKind::Socket)

@@ -1,4 +1,4 @@
-//! Cached-mode collectives under `CheckMode`: every rank must agree,
+//! Cached-mode collectives under the watchdog: every rank must agree,
 //! epoch by epoch, on whether a halo exchange is a *refresh* gather
 //! (`gather_rows_refresh` / `igather_rows_refresh` fingerprint kinds) or
 //! skipped entirely — over both the shared-memory and socket transports.
@@ -7,7 +7,7 @@
 //! must complete clean and bit-identically across backends.
 //!
 //! `CAGNET_CHECK` is set process-wide here: every test in this binary
-//! wants checking on, and socket workers (re-executions of this binary)
+//! wants the watchdog on, and socket workers (re-executions of this binary)
 //! inherit it.
 
 #![cfg(unix)]

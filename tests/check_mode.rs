@@ -1,6 +1,6 @@
 //! End-to-end CheckMode coverage: every distributed trainer runs clean
-//! under the checked runtime (its collectives all match), produces the
-//! same losses as the unchecked run, and the `try_setup` constructors
+//! under the watchdog (its collectives all match), produces the same
+//! losses as the run without it, and the `try_setup` constructors
 //! report geometry errors as values instead of panics.
 
 use cagnet::comm::{CheckMode, Cluster};
