@@ -5,14 +5,17 @@
 //! (§IV-B), and 3D's pre-reduction partials carry the ∛P replication that
 //! made the paper skip implementing it (§IV-D).
 //!
+//! Each footprint is measured after one epoch — the sparse blocks a rank
+//! holds, its stored dense blocks and the largest workspace buffer it was
+//! served — and printed next to `analysis`'s closed form for the same
+//! quantity.
+//!
 //! Run with: `cargo run --release -p cagnet-bench --bin memory`
 
 use cagnet_comm::Cluster;
-use cagnet_core::dist::{
-    one5d::One5DTrainer, onedim::OneDimTrainer, threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
-    StorageReport,
-};
-use cagnet_core::trainer::TwoDimConfig;
+use cagnet_core::analysis::{self, Shape};
+use cagnet_core::dist::{StorageReport, Trainer};
+use cagnet_core::trainer::{Algorithm, TwoDimConfig};
 use cagnet_core::{GcnConfig, Problem};
 use cagnet_sparse::generate::{rmat_symmetric, RmatParams};
 use serde::Serialize;
@@ -25,6 +28,10 @@ struct Row {
     dense_state_words: usize,
     intermediate_words: usize,
     total_words: usize,
+    model_adjacency_words: f64,
+    model_dense_state_words: f64,
+    model_intermediate_words: f64,
+    model_total_words: f64,
 }
 
 fn main() {
@@ -36,108 +43,91 @@ fn main() {
         lr: 0.01,
         seed: 17,
     };
+    let shape = Shape::new(problem.vertices(), problem.adj.nnz(), F, gcn.layers());
     println!(
-        "PER-RANK MEMORY (words, max over ranks) — n={}, nnz={}, f={F}\n",
+        "PER-RANK MEMORY (words, max over ranks, measured after one epoch; \
+         model = analysis::memory_*) — n={}, nnz={}, f={F}\n",
         problem.vertices(),
         problem.adj.nnz()
     );
     println!(
-        "{:<12} {:>4} {:>12} {:>12} {:>13} {:>12}",
-        "algorithm", "P", "adjacency", "dense state", "intermediate", "total"
+        "{:<12} {:>4} {:>12} {:>12} {:>13} {:>12}   {:>10} {:>10} {:>10} {:>10}",
+        "algorithm",
+        "P",
+        "adjacency",
+        "dense state",
+        "intermediate",
+        "total",
+        "model adj",
+        "model st",
+        "model int",
+        "model tot"
     );
 
-    let max_report = |reports: Vec<StorageReport>| {
-        reports
-            .into_iter()
-            .fold(StorageReport::default(), |a, r| StorageReport {
-                adjacency: a.adjacency.max(r.adjacency),
-                dense_state: a.dense_state.max(r.dense_state),
-                intermediate: a.intermediate.max(r.intermediate),
-            })
-    };
-
+    use Algorithm::{One5D, OneD, ThreeD, TwoD};
+    let groups = [
+        [(OneD, 4), (OneD, 16), (OneD, 64)],
+        [
+            (One5D { c: 2 }, 16),
+            (One5D { c: 4 }, 16),
+            (One5D { c: 8 }, 16),
+        ],
+        [(TwoD, 4), (TwoD, 16), (TwoD, 64)],
+        [(ThreeD, 8), (ThreeD, 27), (ThreeD, 64)],
+    ];
     let mut rows = Vec::new();
-    let mut emit = |name: String, p: usize, s: StorageReport| {
-        println!(
-            "{:<12} {:>4} {:>12} {:>12} {:>13} {:>12}",
-            name,
-            p,
-            s.adjacency,
-            s.dense_state,
-            s.intermediate,
-            s.total()
-        );
-        rows.push(Row {
-            algorithm: name,
-            processes: p,
-            adjacency_words: s.adjacency,
-            dense_state_words: s.dense_state,
-            intermediate_words: s.intermediate,
-            total_words: s.total(),
-        });
-    };
-
-    for p in [4usize, 16, 64] {
-        let s = max_report(
-            Cluster::new(p)
+    for group in groups {
+        for (algo, p) in group {
+            let s = Cluster::new(p)
                 .run(|ctx| {
-                    let mut t = OneDimTrainer::setup(ctx, &problem, &gcn);
-                    t.forward(ctx);
+                    let twod = TwoDimConfig::default();
+                    let mut t = Trainer::for_algorithm(ctx, &problem, &gcn, algo, twod);
+                    t.epoch(ctx);
                     t.storage_words()
                 })
                 .into_iter()
-                .map(|(r, _)| r)
-                .collect(),
-        );
-        emit("1d".into(), p, s);
-    }
-    println!();
-    for c in [2usize, 4, 8] {
-        let s = max_report(
-            Cluster::new(16)
-                .run(|ctx| {
-                    let mut t = One5DTrainer::setup(ctx, &problem, &gcn, c);
-                    t.forward(ctx);
-                    t.storage_words()
-                })
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect(),
-        );
-        emit(format!("1.5d(c={c})"), 16, s);
-    }
-    println!();
-    for p in [4usize, 16, 64] {
-        let s = max_report(
-            Cluster::new(p)
-                .run(|ctx| {
-                    let mut t = TwoDimTrainer::setup(ctx, &problem, &gcn, TwoDimConfig::default());
-                    t.forward(ctx);
-                    t.storage_words()
-                })
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect(),
-        );
-        emit("2d".into(), p, s);
-    }
-    println!();
-    for p in [8usize, 27, 64] {
-        let s = max_report(
-            Cluster::new(p)
-                .run(|ctx| {
-                    let mut t = ThreeDimTrainer::setup(ctx, &problem, &gcn);
-                    t.forward(ctx);
-                    t.storage_words()
-                })
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect(),
-        );
-        emit("3d".into(), p, s);
+                .fold(StorageReport::default(), |a, (r, _)| StorageReport {
+                    adjacency: a.adjacency.max(r.adjacency),
+                    dense_state: a.dense_state.max(r.dense_state),
+                    intermediate: a.intermediate.max(r.intermediate),
+                });
+            let m = match algo {
+                OneD => analysis::memory_one_d(&shape, p),
+                One5D { c } => analysis::memory_one5_d(&shape, p, c),
+                TwoD => analysis::memory_two_d(&shape, p),
+                _ => analysis::memory_three_d(&shape, p),
+            };
+            let name = algo.name();
+            println!(
+                "{:<12} {:>4} {:>12} {:>12} {:>13} {:>12}   {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
+                name,
+                p,
+                s.adjacency,
+                s.dense_state,
+                s.intermediate,
+                s.total(),
+                m.adjacency,
+                m.dense_state,
+                m.intermediate,
+                m.total()
+            );
+            rows.push(Row {
+                algorithm: name,
+                processes: p,
+                adjacency_words: s.adjacency,
+                dense_state_words: s.dense_state,
+                intermediate_words: s.intermediate,
+                total_words: s.total(),
+                model_adjacency_words: m.adjacency,
+                model_dense_state_words: m.dense_state,
+                model_intermediate_words: m.intermediate,
+                model_total_words: m.total(),
+            });
+        }
+        println!();
     }
     println!(
-        "\n1D's intermediate column stays flat at n·f while everything in the\n\
+        "1D's intermediate column stays flat at n·f while everything in the\n\
          2D rows shrinks with P (memory-optimal); 3D intermediates carry the\n\
          ∛P pre-reduction replication relative to its own state blocks."
     );

@@ -8,7 +8,8 @@
 //!
 //! options:
 //!   --dataset  reddit|amazon|protein|rmat:<scale>:<degree>   (default rmat:10:8)
-//!                            scale below usize::BITS
+//!                            scale below usize::BITS, and
+//!                            2^scale · degree edges within usize
 //!   --algo     1d|1d-row|1.5d:<c>|2d|2d:<pr>x<pc>|3d         (default 2d)
 //!   --processes <P>      at most the graph's vertex count    (default 4)
 //!   --epochs    <E>      at least 1                      (default 3)
@@ -279,12 +280,13 @@ fn main() {
             eprintln!("{RMAT}: scale must be below {}, got {scale}", usize::BITS);
             std::process::exit(2);
         }
-        let g = rmat_symmetric(
-            scale,
-            or_exit(parse_num(RMAT, degree)),
-            RmatParams::default(),
-            7,
-        );
+        let degree: usize = or_exit(parse_num(RMAT, degree));
+        if (1usize << scale).checked_mul(degree).is_none() {
+            // The generator's edge count would wrap.
+            eprintln!("{RMAT}: 2^{scale} · {degree} edges overflow usize");
+            std::process::exit(2);
+        }
+        let g = rmat_symmetric(scale, degree, RmatParams::default(), 7);
         let f = 64;
         let classes = 16;
         let problem = Problem::synthetic(&g, f, classes, 1.0, 8);

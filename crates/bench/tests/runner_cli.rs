@@ -147,6 +147,15 @@ fn bad_geometry_and_numeric_values_are_named_errors() {
     );
     assert!(err.contains(&named), "stderr: {err}");
 
+    // `2^63 · 8` edges wrapped and panicked with a capacity overflow in
+    // the generator.
+    let (code, err) = run_err(&["--dataset", "rmat:63:8"]);
+    assert_eq!(code, 2);
+    assert!(
+        err.contains("--dataset rmat:<scale>:<degree>: 2^63 · 8 edges overflow usize"),
+        "stderr: {err}"
+    );
+
     // More ranks than vertices panicked in the 1D trainer's set-up.
     let (code, err) = run_err(&["--dataset", "rmat:4:2", "--processes", "64", "--algo", "1d"]);
     assert_eq!(code, 2);

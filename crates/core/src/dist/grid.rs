@@ -131,17 +131,11 @@ impl Grid {
         c0..c1
     }
 
-    /// Width of the widest slab a pass row-gathers: per backward layer
-    /// `AG` or `Hˡ` ([`gather_h`]).
-    pub(crate) fn widest_row_gather(&self, dims: &[usize]) -> usize {
-        let q = self.row.size();
-        (0..dims.len() - 1)
-            .map(|l| dims[if gather_h(dims, l, q) { l } else { l + 1 }])
-            .max()
-            .unwrap_or(0)
-    }
-
-    pub(crate) fn set_panels(&mut self, mode: CommMode) {
+    /// Build both sides' stage panels under comm tier `mode`; returns the
+    /// storage words of both sparse blocks and of every served panel that
+    /// is a copy rather than the block itself.
+    pub(crate) fn set_panels(&mut self, mode: CommMode) -> usize {
+        let mut words = 0;
         for side in [&mut self.fwd, &mut self.bwd] {
             let block = &side.block;
             side.panels = self
@@ -161,23 +155,14 @@ impl Grid {
                     })
                 })
                 .collect();
+            let copies = side.panels.iter().flatten();
+            words += super::csr_words(&side.block)
+                + copies
+                    .filter(|p| !Arc::ptr_eq(p, &side.block))
+                    .map(|p| super::csr_words(p))
+                    .sum::<usize>();
         }
-    }
-
-    /// Storage words of both sparse blocks and of every served panel that
-    /// is a copy rather than the block itself.
-    pub(crate) fn adjacency_words(&self) -> usize {
-        [&self.fwd, &self.bwd]
-            .into_iter()
-            .map(|side| {
-                let copies = side.panels.iter().flatten();
-                super::csr_words(&side.block)
-                    + copies
-                        .filter(|p| !Arc::ptr_eq(p, &side.block))
-                        .map(|p| super::csr_words(p))
-                        .sum::<usize>()
-            })
-            .sum()
+        words
     }
 
     /// One SpMM `side · D`, `d_mine` being this rank's `D` block: the

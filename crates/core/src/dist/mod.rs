@@ -174,6 +174,9 @@ pub(crate) struct Workspace {
     lent: Vec<Arc<Mat>>,
     /// Payloads lent during the layer before it.
     lent_before: Vec<Arc<Mat>>,
+    /// The largest request [`take`](Self::take) has served: the
+    /// trainer's measured [`StorageReport::intermediate`].
+    pub(crate) peak: usize,
 }
 
 impl Workspace {
@@ -183,6 +186,7 @@ impl Workspace {
     /// and contents are whatever the last user left: overwrite it through
     /// an `_into` kernel or [`Mat::reset`] before reading.
     pub(crate) fn take(&mut self, len: usize) -> Mat {
+        self.peak = self.peak.max(len);
         self.tightest(len, usize::MAX)
     }
 
@@ -598,17 +602,24 @@ impl HaloCache {
 /// `c`-fold replication (§IV-B), the 1D backward materializes `O(nf)`
 /// low-rank intermediates (§IV-A.3), and 3D replicates intermediates by
 /// `∛P` (§IV-D).
+///
+/// Every term is measured from what the trainer holds, not computed from
+/// a per-layout formula, so read it ([`Trainer::storage_words`]) after an
+/// epoch: the backward's buffers count only once a backward has run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageReport {
     /// Sparse adjacency blocks held by this rank (2 words per stored
-    /// nonzero + row pointers), counting replicas.
+    /// nonzero + row pointers), counting replicas and the compact copies
+    /// the sparse tiers serve.
     pub adjacency: usize,
-    /// Persistent dense state after a forward pass: feature block plus
-    /// stored activations `H^l` and pre-activations `Z^l` for backprop.
+    /// Stored dense blocks after the last pass: feature block plus
+    /// stored activations `H^l` and pre-activations `Z^l` for backprop,
+    /// and the output probabilities a training forward keeps.
     pub dense_state: usize,
-    /// Largest transient buffer the algorithm materializes during an
-    /// epoch (outer-product contributions, SUMMA partial sums,
-    /// all-gathered row slabs).
+    /// Largest transient buffer the trainer's workspace has served since
+    /// setup (outer-product contributions, SUMMA partial sums, stage
+    /// accumulators, row-gathered slabs). Stored blocks are not counted
+    /// here: they are `dense_state`.
     pub intermediate: usize,
 }
 

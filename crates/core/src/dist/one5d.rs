@@ -30,7 +30,7 @@
 
 use super::rows::{outer_product, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
-use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
+use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
@@ -204,21 +204,7 @@ impl Layout for One5D {
         Family::Rows(self)
     }
 
-    fn set_panels(&mut self, mode: CommMode) {
-        self.stages.set_panels(mode);
-    }
-
-    /// The adjacency term carries the `c`-fold replication of §IV-B.
-    fn storage(&self, s: &State) -> StorageReport {
-        let f_max = s.cfg.f_max();
-        let coarse_rows = self.stages.rows();
-        StorageReport {
-            adjacency: self.stages.words() + super::csr_words(&self.at_bwd),
-            dense_state: s.dense_words(),
-            // Forward coarse partial + backward sliced outer product and
-            // team-gathered G.
-            intermediate: (coarse_rows * f_max)
-                .max(self.at_bwd.cols() * f_max + coarse_rows * f_max),
-        }
+    fn set_panels(&mut self, mode: CommMode) -> usize {
+        self.stages.set_panels(mode) + super::csr_words(&self.at_bwd)
     }
 }

@@ -15,7 +15,7 @@
 
 use super::rows::{outer_product, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
-use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
+use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
@@ -101,17 +101,7 @@ impl Layout for OneDim {
         Family::Rows(self)
     }
 
-    fn set_panels(&mut self, mode: CommMode) {
-        self.stages.set_panels(mode);
-    }
-
-    fn storage(&self, s: &State) -> StorageReport {
-        StorageReport {
-            adjacency: super::csr_words(&self.at_row) + self.stages.words(),
-            dense_state: s.dense_words(),
-            // The §IV-A.3 full-height low-rank product: n x f, regardless
-            // of P — 1D's memory-scalability problem.
-            intermediate: self.at_row.cols() * s.cfg.f_max(),
-        }
+    fn set_panels(&mut self, mode: CommMode) -> usize {
+        super::csr_words(&self.at_row) + self.stages.set_panels(mode)
     }
 }

@@ -13,7 +13,7 @@
 
 use super::rows::{outer_product, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
-use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
+use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
@@ -95,17 +95,7 @@ impl Layout for OneDimRow {
         Family::Rows(self)
     }
 
-    fn set_panels(&mut self, mode: CommMode) {
-        self.stages.set_panels(mode);
-    }
-
-    fn storage(&self, s: &State) -> StorageReport {
-        StorageReport {
-            adjacency: super::csr_words(&self.a_row) + self.stages.words(),
-            dense_state: s.dense_words(),
-            // The forward outer product materializes the full n x f
-            // contribution here (mirror of the column variant's backward).
-            intermediate: self.a_row.cols() * s.cfg.f_max(),
-        }
+    fn set_panels(&mut self, mode: CommMode) -> usize {
+        super::csr_words(&self.a_row) + self.stages.set_panels(mode)
     }
 }

@@ -125,7 +125,9 @@ impl Stages {
         self.blocks[0].rows()
     }
 
-    pub(crate) fn set_panels(&mut self, mode: CommMode) {
+    /// Build the compact copies the sparse tiers serve; returns the
+    /// storage words of the stage blocks and their compact copies.
+    pub(crate) fn set_panels(&mut self, mode: CommMode) -> usize {
         if mode.sparse_exchange() && self.compact.is_empty() {
             self.compact = self
                 .blocks
@@ -134,10 +136,6 @@ impl Stages {
                 .map(|(a, nd)| a.compact_cols(nd))
                 .collect();
         }
-    }
-
-    /// Storage words of the stage blocks and their compact copies.
-    pub(crate) fn words(&self) -> usize {
         self.blocks
             .iter()
             .chain(&self.compact)

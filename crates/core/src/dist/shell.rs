@@ -50,11 +50,10 @@ pub trait Layout: sealed::Sealed {
     fn family(&self) -> Family<'_>;
 
     /// Build the stage panels this rank multiplies or serves under comm
-    /// tier `mode`; called by [`Trainer::set_comm_mode`].
-    fn set_panels(&mut self, mode: CommMode);
-
-    /// This rank's storage footprint given the shell's state `s`.
-    fn storage(&self, s: &State) -> StorageReport;
+    /// tier `mode`; called by [`Trainer::set_comm_mode`]. Returns the
+    /// words of the sparse blocks the layout then holds, copies counted
+    /// ([`StorageReport::adjacency`]).
+    fn set_panels(&mut self, mode: CommMode) -> usize;
 }
 
 /// Which shared body runs a layout's passes.
@@ -88,18 +87,17 @@ impl Layout for Box<dyn Layout> {
         (**self).family()
     }
 
-    fn set_panels(&mut self, mode: CommMode) {
+    fn set_panels(&mut self, mode: CommMode) -> usize {
         (**self).set_panels(mode)
-    }
-
-    fn storage(&self, s: &State) -> StorageReport {
-        (**self).storage(s)
     }
 }
 
 /// Everything a trainer keeps besides its layout's geometry.
 pub struct State {
     pub(crate) cfg: GcnConfig,
+    /// Words of the layout's sparse blocks, as its last
+    /// [`Layout::set_panels`] left them.
+    pub(crate) adjacency: usize,
     /// Global index of the first row of this rank's `H` block.
     pub(crate) r0: usize,
     pub(crate) train_count: usize,
@@ -152,12 +150,20 @@ impl<L: Layout> Trainer<L> {
     /// Wrap `layout` for a rank whose `H` block starts at global row `r0`
     /// and holds features `h0`, with the initial weights, SGD, ReLU, no
     /// dropout, the dense tier and overlap on.
-    pub(crate) fn new(layout: L, problem: &Problem, cfg: &GcnConfig, r0: usize, h0: Mat) -> Self {
+    pub(crate) fn new(
+        mut layout: L,
+        problem: &Problem,
+        cfg: &GcnConfig,
+        r0: usize,
+        h0: Mat,
+    ) -> Self {
         let weights = cfg.init_weights();
-        let mut t = Trainer {
+        let adjacency = layout.set_panels(CommMode::Dense);
+        Trainer {
             layout,
             state: State {
                 cfg: cfg.clone(),
+                adjacency,
                 r0,
                 train_count: problem.train_count(),
                 labels: problem.labels.clone(),
@@ -179,9 +185,7 @@ impl<L: Layout> Trainer<L> {
                 cache: RefCell::default(),
                 ws: RefCell::default(),
             },
-        };
-        t.layout.set_panels(CommMode::Dense);
-        t
+        }
     }
 
     /// Forward pass; returns the global mean masked NLL loss.
@@ -269,7 +273,7 @@ impl<L: Layout> Trainer<L> {
     /// every rank. Always drops any halo cache, so a mode change (or
     /// re-set after mutating state) can never serve stale blocks.
     pub fn set_comm_mode(&mut self, mode: CommMode) {
-        self.layout.set_panels(mode);
+        self.state.adjacency = self.layout.set_panels(mode);
         self.state.cache.get_mut().invalidate();
         self.state.mode = mode;
     }
@@ -328,10 +332,22 @@ impl<L: Layout> Trainer<L> {
         &self.state.weights
     }
 
-    /// Per-rank storage footprint (run after at least one forward pass so
-    /// the stored activations exist). See [`StorageReport`].
+    /// Per-rank storage footprint, measured: the sparse blocks the layout
+    /// holds, the stored dense blocks, and the largest workspace buffer
+    /// served since setup. Read it after an [`epoch`](Self::epoch): a
+    /// forward alone leaves out the backward's buffers, and before any
+    /// pass only the feature block and the sparse blocks count. See
+    /// [`StorageReport`].
     pub fn storage_words(&self) -> StorageReport {
-        self.layout.storage(&self.state)
+        let s = &self.state;
+        let stored: usize = s.hs.iter().chain(&s.zs).map(|m| m.len()).sum();
+        StorageReport {
+            adjacency: s.adjacency,
+            // The probabilities a training forward keeps next to `Z^L`
+            // are block for block the same shape.
+            dense_state: stored + s.zs.last().map_or(0, |z| z.len()),
+            intermediate: s.ws.borrow().peak,
+        }
     }
 
     /// Assemble the full output embedding matrix `H^L` on every rank,
@@ -513,13 +529,5 @@ impl State {
             self.ws.get_mut().give(mask);
         }
         ctx.charge_elementwise(g.len());
-    }
-
-    /// Words of the stored `H` and `Z` blocks plus the probabilities a
-    /// training forward keeps next to `Z^L`, block for block the same
-    /// shape.
-    pub(crate) fn dense_words(&self) -> usize {
-        let stored: usize = self.hs.iter().chain(&self.zs).map(|m| m.len()).sum();
-        stored + self.zs.last().map_or(0, |z| z.len())
     }
 }

@@ -20,8 +20,8 @@
 //! column.
 
 use super::grid::{Grid, Side, Stage};
-use super::shell::{expect_setup, sealed, Family, State};
-use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
+use super::shell::{expect_setup, sealed, Family};
+use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::grid::int_cbrt;
@@ -128,22 +128,7 @@ impl Layout for ThreeDim {
         Family::Grid(&self.0)
     }
 
-    fn set_panels(&mut self, mode: CommMode) {
-        self.0.set_panels(mode);
-    }
-
-    /// The intermediate term is the §IV-D replication: each SUMMA partial
-    /// is `n/q x f/q` — `q = ∛P` times larger than the rank's own
-    /// `n/q² x f/q` state blocks.
-    fn storage(&self, s: &State) -> StorageReport {
-        let g = &self.0;
-        let partial = g.fwd.rows() * s.cfg.f_max().div_ceil(g.row.size());
-        StorageReport {
-            adjacency: g.adjacency_words(),
-            dense_state: s.dense_words(),
-            // Pre-fiber-reduction partial (n/q rows x ~f/q cols) next to
-            // the widest row-gathered slab.
-            intermediate: partial + s.hs[0].rows() * g.widest_row_gather(&s.cfg.dims),
-        }
+    fn set_panels(&mut self, mode: CommMode) -> usize {
+        self.0.set_panels(mode)
     }
 }

@@ -23,8 +23,8 @@
 //! `tests/rect_grid.rs`.
 
 use super::grid::{Grid, Side, Stage};
-use super::shell::{expect_setup, sealed, Family, State};
-use super::{CommMode, Layout, SetupError, StorageReport, Trainer};
+use super::shell::{expect_setup, sealed, Family};
+use super::{CommMode, Layout, SetupError, Trainer};
 use crate::analysis::gcf;
 use crate::model::GcnConfig;
 use crate::problem::Problem;
@@ -178,19 +178,7 @@ impl Layout for TwoDim {
         Family::Grid(&self.0)
     }
 
-    fn set_panels(&mut self, mode: CommMode) {
-        self.0.set_panels(mode);
-    }
-
-    /// 2D is the memory-optimal distribution (§I): every term scales as
-    /// 1/P or 1/√P.
-    fn storage(&self, s: &State) -> StorageReport {
-        StorageReport {
-            adjacency: self.0.adjacency_words(),
-            dense_state: s.dense_words(),
-            // The widest row-gathered slab (n/Pr rows) dominates
-            // transients.
-            intermediate: s.hs[0].rows() * self.0.widest_row_gather(&s.cfg.dims),
-        }
+    fn set_panels(&mut self, mode: CommMode) -> usize {
+        self.0.set_panels(mode)
     }
 }

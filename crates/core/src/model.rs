@@ -51,12 +51,6 @@ impl GcnConfig {
         self.dims[self.dims.len() - 1]
     }
 
-    /// Widest layer width `max_l f^l` — bounds the transient dense
-    /// buffers every distribution materializes.
-    pub fn f_max(&self) -> usize {
-        self.dims.iter().copied().fold(0, usize::max)
-    }
-
     /// Initialize the weight stack `W¹..W^L` deterministically.
     pub fn init_weights(&self) -> Vec<Mat> {
         (0..self.layers())

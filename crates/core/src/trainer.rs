@@ -10,7 +10,7 @@ use crate::model::GcnConfig;
 use crate::optimizer::OptimizerKind;
 use crate::problem::Problem;
 use cagnet_comm::trace::TraceEvent;
-use cagnet_comm::{Cluster, CostModel, Ctx, Precision, TimelineReport, TransportKind};
+use cagnet_comm::{Cluster, CostModel, Ctx, Precision, TimelineReport, TransportKind, Wire};
 use cagnet_dense::activation::Activation;
 use cagnet_dense::Mat;
 
@@ -300,6 +300,47 @@ fn prepare_partition(
     Some(problem.relabeled(&part, groups))
 }
 
+/// What [`infer_distributed`] and [`train_distributed`] share: check that
+/// `algo` fits `p`, relabel the problem as `tc.partition` asks, and run
+/// `body` on every rank of the cluster `model` and `tc` describe, on
+/// `algo`'s trainer set up and configured. `body` returns its result and
+/// the rank's embeddings. Returns every rank's result, rank 0's embeddings
+/// in original vertex ids (an empty matrix passes through) and the
+/// relabeling.
+fn run_ranks<R: Send + Wire>(
+    problem: &Problem,
+    gcn: &GcnConfig,
+    algo: Algorithm,
+    p: usize,
+    model: CostModel,
+    tc: &TrainConfig,
+    body: impl Fn(&Ctx, &mut Trainer<Box<dyn Layout>>) -> (R, Mat) + Send + Sync,
+) -> (Vec<R>, Mat, Option<Relabeling>) {
+    assert!(algo.supports(p), "{} does not support P={p}", algo.name());
+    let prepared = prepare_partition(problem, algo, p, tc);
+    let problem = prepared.as_ref().map_or(problem, |(prob, _)| prob);
+    let mut cluster = Cluster::new(p)
+        .with_model(model)
+        .with_threads_per_rank(tc.threads_per_rank)
+        .with_precision(tc.precision);
+    if let Some(t) = tc.transport {
+        cluster = cluster.with_transport(t);
+    }
+    let mut per_rank = cluster.run_wire(|ctx| {
+        let mut t = Trainer::for_algorithm(ctx, problem, gcn, algo, tc.twod);
+        t.configure(tc);
+        body(ctx, &mut t)
+    });
+    let relabeling = prepared.map(|(_, rl)| rl);
+    let embeddings = std::mem::replace(&mut per_rank[0].0 .1, Mat::zeros(0, 0));
+    let embeddings = match &relabeling {
+        Some(rl) if embeddings.rows() == rl.len() => rl.unpermute_rows(&embeddings),
+        _ => embeddings,
+    };
+    let results = per_rank.into_iter().map(|((r, _), _)| r).collect();
+    (results, embeddings, relabeling)
+}
+
 /// Distributed inference: one forward pass of `algo` on `p` ranks with a
 /// *given* weight stack (e.g. from a prior training run). The paper notes
 /// all of its algorithms apply unchanged to inference (§I); this is that
@@ -317,39 +358,19 @@ pub fn infer_distributed(
     model: CostModel,
     tc: &TrainConfig,
 ) -> InferResult {
-    assert!(algo.supports(p), "{} does not support P={p}", algo.name());
-    let prepared = prepare_partition(problem, algo, p, tc);
-    let (problem, relabeling) = match &prepared {
-        Some((prob, rl)) => (prob, Some(rl)),
-        None => (problem, None),
-    };
-    let mut cluster = Cluster::new(p)
-        .with_model(model)
-        .with_threads_per_rank(tc.threads_per_rank)
-        .with_precision(tc.precision);
-    if let Some(t) = tc.transport {
-        cluster = cluster.with_transport(t);
-    }
-    let per_rank = cluster.run_wire(|ctx| {
-        let mut t = Trainer::for_algorithm(ctx, problem, gcn, algo, tc.twod);
-        t.configure(tc);
+    let (per_rank, embeddings, _) = run_ranks(problem, gcn, algo, p, model, tc, |ctx, t| {
         t.set_weights(weights.to_vec());
         let loss = t.forward(ctx);
         let report = ctx.report();
         let accuracy = t.accuracy(ctx);
-        let embeddings = t.gather_embeddings(ctx);
-        (loss, accuracy, report, embeddings)
+        ((loss, accuracy, report), t.gather_embeddings(ctx))
     });
-    let (loss, accuracy, _, embeddings) = per_rank[0].0.clone();
-    let embeddings = match relabeling {
-        Some(rl) if embeddings.rows() == rl.len() => rl.unpermute_rows(&embeddings),
-        _ => embeddings,
-    };
+    let (loss, accuracy, _) = per_rank[0];
     InferResult {
         embeddings,
         loss,
         accuracy,
-        reports: per_rank.iter().map(|((_, _, r, _), _)| *r).collect(),
+        reports: per_rank.iter().map(|r| r.2).collect(),
     }
 }
 
@@ -366,60 +387,38 @@ pub fn train_distributed(
     model: CostModel,
     tc: &TrainConfig,
 ) -> DistTrainResult {
-    assert!(algo.supports(p), "{} does not support P={p}", algo.name());
-    let prepared = prepare_partition(problem, algo, p, tc);
-    let (problem, relabeling) = match &prepared {
-        Some((prob, rl)) => (prob, Some(rl.clone())),
-        None => (problem, None),
-    };
-    let mut cluster = Cluster::new(p)
-        .with_model(model)
-        .with_threads_per_rank(tc.threads_per_rank)
-        .with_precision(tc.precision);
-    if let Some(t) = tc.transport {
-        cluster = cluster.with_transport(t);
-    }
-    let per_rank = cluster.run_wire(|ctx| {
-        let mut t = Trainer::for_algorithm(ctx, problem, gcn, algo, tc.twod);
-        t.configure(tc);
-        if tc.trace {
-            ctx.enable_tracing();
-        }
-        let losses: Vec<f64> = (0..tc.epochs).map(|_| t.epoch(ctx)).collect();
-        // Snapshot the timed-epoch ledger (and trace) before the
-        // (untimed-in-spirit) evaluation pass.
-        let report = ctx.report();
-        let trace = if tc.trace {
-            ctx.take_trace()
-        } else {
-            Vec::new()
-        };
-        let accuracy = t.accuracy(ctx);
-        let outputs = tc
-            .collect_outputs
-            .then(|| (t.weights().to_vec(), t.gather_embeddings(ctx)));
-        (losses, accuracy, report, trace, outputs)
-    });
-
-    let ((losses0, accuracy, _, _, _), _) = &per_rank[0];
-    let reports: Vec<TimelineReport> = per_rank.iter().map(|((_, _, r, _, _), _)| *r).collect();
-    let traces: Vec<Vec<TraceEvent>> = per_rank
-        .iter()
-        .map(|((_, _, _, t, _), _)| t.clone())
+    let (mut per_rank, embeddings, relabeling) =
+        run_ranks(problem, gcn, algo, p, model, tc, |ctx, t| {
+            if tc.trace {
+                ctx.enable_tracing();
+            }
+            let losses: Vec<f64> = (0..tc.epochs).map(|_| t.epoch(ctx)).collect();
+            // Snapshot the timed-epoch ledger (and trace) before the
+            // (untimed-in-spirit) evaluation pass.
+            let report = ctx.report();
+            let trace = if tc.trace {
+                ctx.take_trace()
+            } else {
+                Vec::new()
+            };
+            let accuracy = t.accuracy(ctx);
+            // Weights are row-id-agnostic and need no mapping back.
+            let (weights, embeddings) = if tc.collect_outputs {
+                (t.weights().to_vec(), t.gather_embeddings(ctx))
+            } else {
+                (Vec::new(), Mat::zeros(0, 0))
+            };
+            ((losses, accuracy, report, trace, weights), embeddings)
+        });
+    let reports = per_rank.iter().map(|r| r.2).collect();
+    let traces = per_rank
+        .iter_mut()
+        .map(|r| std::mem::take(&mut r.3))
         .collect();
-    let (weights, embeddings) = match &per_rank[0].0 .4 {
-        Some((w, e)) => (w.clone(), e.clone()),
-        None => (Vec::new(), Mat::zeros(0, 0)),
-    };
-    // Hand embeddings back in original vertex ids; weights are
-    // row-id-agnostic and need no mapping.
-    let embeddings = match &relabeling {
-        Some(rl) if embeddings.rows() == rl.len() => rl.unpermute_rows(&embeddings),
-        _ => embeddings,
-    };
+    let (losses, accuracy, _, _, weights) = per_rank.swap_remove(0);
     DistTrainResult {
-        losses: losses0.clone(),
-        accuracy: *accuracy,
+        losses,
+        accuracy,
         reports,
         weights,
         embeddings,

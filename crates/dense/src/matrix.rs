@@ -135,11 +135,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume the matrix, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Elements the backing allocation can hold without growing — what a
     /// buffer pool keys on when it hands this matrix out for reuse.
     #[inline]

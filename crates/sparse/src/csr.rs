@@ -151,11 +151,6 @@ impl Csr {
         &self.vals
     }
 
-    /// Mutable nonzero values (pattern is fixed).
-    pub fn vals_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
-    }
-
     /// Iterate over the `(col, value)` pairs of row `i`.
     pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let lo = self.row_ptr[i];

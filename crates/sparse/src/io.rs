@@ -262,14 +262,6 @@ pub fn read_edge_list<R: Read>(reader: R, num_vertices: Option<usize>) -> Result
     Ok(Csr::from_coo(coo))
 }
 
-/// Read an edge list from disk.
-pub fn read_edge_list_file<P: AsRef<Path>>(
-    path: P,
-    num_vertices: Option<usize>,
-) -> Result<Csr, IoError> {
-    read_edge_list(std::fs::File::open(path)?, num_vertices)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,10 @@
 //! measurable: 2D is memory-optimal (§I), the 1D backward holds an O(nf)
 //! intermediate regardless of P (§IV-A.3), 1.5D replicates `A` by `c`
 //! (§IV-B), and 3D replicates intermediates by ∛P (§IV-D, the paper's
-//! stated reason for not implementing it).
+//! stated reason for not implementing it). Every footprint is the
+//! measured one — the sparse blocks a rank holds, its stored dense
+//! blocks and the largest workspace buffer it was served — read after an
+//! epoch, so the backward's buffers count.
 
 use cagnet::comm::Cluster;
 use cagnet::core::dist::{
@@ -33,7 +36,7 @@ fn storage_1d(p: usize) -> Vec<StorageReport> {
     Cluster::new(p)
         .run(|ctx| {
             let mut t = OneDimTrainer::setup(ctx, &prob, &gcn());
-            t.forward(ctx);
+            t.epoch(ctx);
             t.storage_words()
         })
         .into_iter()
@@ -58,13 +61,36 @@ fn one_d_intermediate_does_not_shrink_with_p() {
 }
 
 #[test]
+fn one_d_intermediate_at_paper_widths() {
+    // Reddit-like widths [602, 16, 16, 41]: the largest buffer is the
+    // forward stage accumulator (n/P x 602) while it outweighs the
+    // backward outer product (n x f_out, whatever P), and the outer
+    // product once P is large enough.
+    let g = rmat_symmetric(10, 8, RmatParams::default(), 81);
+    let dims = vec![602, 16, 16, 41];
+    let prob = Problem::synthetic(&g, dims[0], dims[3], 1.0, 82);
+    let cfg = GcnConfig { dims, ..gcn() };
+    let n = prob.vertices();
+    for (p, expect) in [(2, (n / 2) * 602), (16, n * 41)] {
+        let reports = Cluster::new(p).run(|ctx| {
+            let mut t = OneDimTrainer::setup(ctx, &prob, &cfg);
+            t.epoch(ctx);
+            t.storage_words().intermediate
+        });
+        for (i, _) in reports {
+            assert_eq!(i, expect, "1D intermediate at P = {p}");
+        }
+    }
+}
+
+#[test]
 fn two_d_memory_scales_with_p() {
     let prob = problem();
     let run = |p: usize| -> StorageReport {
         Cluster::new(p)
             .run(|ctx| {
                 let mut t = TwoDimTrainer::setup(ctx, &prob, &gcn(), TwoDimConfig::default());
-                t.forward(ctx);
+                t.epoch(ctx);
                 t.storage_words()
             })
             .into_iter()
@@ -88,24 +114,25 @@ fn two_d_memory_scales_with_p() {
 
 #[test]
 fn grid_intermediate_is_the_widest_row_gathered_slab() {
-    // The 2D intermediate is the widest slab a pass row-gathers: `Z^L`,
-    // and per backward layer `AG` (f_out wide) — or `Hˡ` (f_in wide) when
-    // the layer widens past what gathering it moves (`dist/grid.rs`). On
-    // an Amazon-like [300, 16, 16, 24] nothing gathered is wider than 24
-    // columns, though f_max is 300; a hidden layer widening 8 → 40
-    // gathers `H¹` at 8 instead of `AG` at 40, which leaves `Z^L`'s 12
-    // the widest; uniform widths keep rows x f.
+    // What crosses a process row is bounded by the narrow side of each
+    // layer (`gather_h` in `dist/grid.rs`): on an Amazon-like
+    // [300, 16, 16, 24] nothing gathered is wider than 24 columns. That
+    // rule does not bound the SUMMA partial a rank holds, though: the
+    // layer-0 forward partial is n/2 rows x 300/2 columns, so the largest
+    // buffer is rows x 150. A hidden layer widening 8 → 40 gathers `H¹`
+    // at 8, but its forward partial is rows x 40/2 = rows x 20. Uniform
+    // widths keep rows x f.
     let g = rmat_symmetric(10, 8, RmatParams::default(), 81);
     for (dims, widest) in [
-        (vec![300, 16, 16, 24], 24),
-        (vec![16, 8, 40, 12], 12),
+        (vec![300, 16, 16, 24], 150),
+        (vec![16, 8, 40, 12], 20),
         (vec![F, F, F], F),
     ] {
         let prob = Problem::synthetic(&g, dims[0], dims[dims.len() - 1], 1.0, 82);
         let cfg = GcnConfig { dims, ..gcn() };
         let reports = Cluster::new(4).run(|ctx| {
             let mut t = TwoDimTrainer::setup(ctx, &prob, &cfg, TwoDimConfig::default());
-            t.forward(ctx);
+            t.epoch(ctx);
             (t.storage_words(), prob.vertices() / 2)
         });
         for ((s, rows), _) in reports {
@@ -127,7 +154,7 @@ fn one5_d_memory_lives_in_partial_sums_not_adjacency() {
         Cluster::new(16)
             .run(|ctx| {
                 let mut t = One5DTrainer::setup(ctx, &prob, &gcn(), c);
-                t.forward(ctx);
+                t.epoch(ctx);
                 t.storage_words()
             })
             .into_iter()
@@ -179,7 +206,7 @@ fn dense_state_grows_linearly_with_depth() {
         Cluster::new(4)
             .run(|ctx| {
                 let mut t = OneDimTrainer::setup(ctx, &prob, &cfg);
-                t.forward(ctx);
+                t.epoch(ctx);
                 t.storage_words().dense_state
             })
             .into_iter()
@@ -204,7 +231,7 @@ fn three_d_intermediate_replicates_by_cube_root_p() {
         Cluster::new(p)
             .run(|ctx| {
                 let mut t = ThreeDimTrainer::setup(ctx, &prob, &gcn());
-                t.forward(ctx);
+                t.epoch(ctx);
                 let s = t.storage_words();
                 (s.intermediate, s.dense_state)
             })
@@ -217,11 +244,10 @@ fn three_d_intermediate_replicates_by_cube_root_p() {
     // q = 2: the pre-reduction partial holds n/q rows where the rank's
     // own state holds n/q² — a q-fold blow-up on the dominant buffer.
     // dense_state includes all layers' stored blocks, so compare against
-    // a single state block: n/q² * f ≈ dense_state / (#stored mats ≈ 2L).
-    // Use the direct shape instead:
+    // a single state block at its real shape, n/q² x f/q:
     let n = prob.vertices();
     let q = 2;
-    let single_block = (n / (q * q)) * F;
+    let single_block = (n / (q * q)) * (F / q);
     assert!(
         i8 >= q * single_block,
         "3D partial ({i8}) should be ≥ q x a state block ({single_block})"
