@@ -270,8 +270,7 @@ fn predict_1d(problem: &Problem, dims: &[usize], p: usize) -> Predicted {
     let k: Vec<Vec<usize>> = blocks
         .iter()
         .map(|&(r0, r1)| {
-            let at_row = problem.adj_t.block(r0, r1, 0, n);
-            let stage = |&(c0, c1): &(usize, usize)| at_row.block(0, r1 - r0, c0, c1);
+            let stage = |&(c0, c1): &(usize, usize)| problem.adj_t.block(r0, r1, c0, c1);
             blocks
                 .iter()
                 .map(|b| stage(b).needed_cols().len())

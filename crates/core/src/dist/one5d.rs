@@ -12,11 +12,12 @@
 //! Geometry: `P = p₁·c` ranks on a `p₁ x c` grid; rank `(i, r)` has world
 //! id `i·c + r`. `Aᵀ` is partitioned into `p₁` *coarse* block rows whose
 //! work is shared by the team `(i, ·)`; each replica stores only the
-//! column slices it multiplies (the fine blocks `≡ r (mod c)`), so
-//! per-rank adjacency storage stays `O(nnz/P)`. The §IV-B memory premium
-//! appears instead in the *intermediates*: the forward partial sum spans
-//! the whole coarse block (`c` fine blocks tall) and the backward
-//! outer-product contribution spans `n/c` rows —
+//! column slices it multiplies (the fine blocks `≡ r (mod c)`), once —
+//! the forward stages and the backward outer product read the same
+//! slices — so per-rank adjacency storage stays `O(nnz/P)`. The §IV-B
+//! memory premium appears instead in the *intermediates*: the forward
+//! partial sum spans the whole coarse block (`c` fine blocks tall) and
+//! the backward outer-product contribution spans `n/c` rows —
 //! `tests/memory_replication.rs` pins this down. Dense matrices are
 //! partitioned into `P` *fine* block rows, fine block `b = i·c + r`
 //! living on rank `(i, r)`.
@@ -28,7 +29,7 @@
 //! all-gather of `G`, a column-sliced outer product per replica, and a
 //! replica-group reduce-scatter back to fine blocks.
 
-use super::rows::{outer_product, reduce, RowLayout, Stages};
+use super::rows::{block_row, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
@@ -52,15 +53,14 @@ pub struct One5D {
     team: Communicator,
     /// Replica-group communicator `(·, r)` of size `p₁`.
     rep: Communicator,
-    /// Forward stage operands: `Aᵀ(coarse rows i, fine cols i'·c + r)`
-    /// for `i' = 0..p₁`, stage `i'` multiplying the fine `H` block of
-    /// replica-group member `i'`.
+    /// `Aᵀ(coarse rows i, fine cols i'·c + r)` for `i' = 0..p₁`: stage
+    /// `i'` multiplies the fine `H` block of replica-group member `i'` in
+    /// the forward, and the backward outer product stacks the stages'
+    /// products in that order.
     stages: Stages,
-    /// Backward operand: `Aᵀ(coarse rows i, ·)` restricted to the columns
-    /// of all fine blocks `≡ r (mod c)`, concatenated in team order.
-    at_bwd: Csr,
     /// Per team member, the rows of its fine block that the coarse
-    /// partial can make nonzero: the rows `at_bwd` stores entries in.
+    /// partial can make nonzero: the rows any stage block stores entries
+    /// in.
     team_sends: Arc<Vec<Vec<usize>>>,
 }
 
@@ -86,14 +86,8 @@ impl Trainer<One5D> {
                 "replication factor {c} must divide P={p}"
             )));
         }
-        let p1 = p / c;
-        let n = problem.vertices();
-        if p > n {
-            return Err(SetupError::TooManyRanks {
-                ranks: p,
-                vertices: n,
-            });
-        }
+        let (fr0, _, h0) = block_row(ctx, problem)?;
+        let (p1, n) = (p / c, problem.vertices());
         let ti = ctx.rank / c;
         let tr = ctx.rank % c;
         let team = ctx.world.split(ti as u64);
@@ -106,47 +100,27 @@ impl Trainer<One5D> {
         // balanced fine split is what makes the reduce-scatters land
         // exactly on fine blocks).
         let (cr0, cr1) = (fine[ti * c].0, fine[(ti + 1) * c - 1].1);
-        let at_coarse = problem.adj_t.block(cr0, cr1, 0, n);
-        let at_fwd: Vec<Csr> = (0..p1)
+        let blocks: Vec<Csr> = (0..p1)
             .map(|ip| {
                 let (b0, b1) = fine[ip * c + tr];
-                at_coarse.block(0, cr1 - cr0, b0, b1)
+                problem.adj_t.block(cr0, cr1, b0, b1)
             })
             .collect();
-        // Backward: same column slices, concatenated in team order i'.
-        let at_bwd = {
-            let cols = at_fwd.iter().map(Csr::cols).sum();
-            let mut coo = cagnet_sparse::Coo::new(cr1 - cr0, cols);
-            let mut col_off = 0;
-            for blk in &at_fwd {
-                for row in 0..blk.rows() {
-                    for (col, v) in blk.row_entries(row) {
-                        coo.push(row, col_off + col, v);
-                    }
-                }
-                col_off += blk.cols();
-            }
-            Csr::from_coo(coo)
-        };
-
         let team_sends = block_ranges(cr1 - cr0, c)
             .into_iter()
             .map(|(b0, b1)| {
                 (b0..b1)
-                    .filter(|&v| at_bwd.row_nnz(v) > 0)
+                    .filter(|&v| blocks.iter().any(|a| a.row_nnz(v) > 0))
                     .map(|v| v - b0)
                     .collect()
             })
             .collect();
 
-        let (fr0, fr1) = fine[ctx.rank];
-        let h0 = problem.features.block(fr0, fr1, 0, problem.features.cols());
         let layout = One5D {
             c,
             team,
             rep,
-            stages: Stages::new(at_fwd),
-            at_bwd,
+            stages: Stages::new(blocks),
             team_sends: Arc::new(team_sends),
         };
         Ok(Trainer::new(layout, problem, cfg, fr0, h0))
@@ -179,14 +153,14 @@ impl RowLayout for One5D {
         // needs it for its column slice of the outer product). The
         // gathered handles go before the next collective, so the peers'
         // blocks are free again when they expect them to be.
-        let mut g_coarse = s.ws.borrow_mut().take(self.at_bwd.rows() * g.cols());
+        let mut g_coarse = s.ws.borrow_mut().take(self.stages.rows() * g.cols());
         {
             let parts = self.team.allgather(g.clone(), Cat::DenseComm);
             Mat::vstack_into(&parts, &mut g_coarse);
         }
         // Outer product restricted to output fine blocks ≡ r (mod c),
         // stacked in team order.
-        let contrib = outer_product(s, ctx, &self.at_bwd, &g_coarse);
+        let contrib = self.stages.outer_product(s, ctx, &g_coarse);
         s.ws.borrow_mut().give(g_coarse);
         // Replica-group reduce-scatter: piece i' sums across teams and
         // lands on rank (i', r) — exactly my fine block of A G, sent only
@@ -205,6 +179,6 @@ impl Layout for One5D {
     }
 
     fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.stages.set_panels(mode) + super::csr_words(&self.at_bwd)
+        self.stages.set_panels(mode)
     }
 }

@@ -13,28 +13,23 @@
 //! all-reduce (§IV-A.4), and finishes with the replicated gradient-descent
 //! step.
 
-use super::rows::{outer_product, reduce, RowLayout, Stages};
+use super::rows::{block_row, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
 use cagnet_dense::Mat;
-use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::Csr;
+use cagnet_sparse::partition::block_ranges;
 
 /// The 1D trainer.
 pub type OneDimTrainer = Trainer<OneDim>;
 
-/// The 1D layout: this rank's block row of `Aᵀ`, whole and split into
-/// the `P` stage blocks of the forward.
+/// The 1D layout: this rank's block row `Aᵀ_i` (`n_i x n`, the
+/// CSR-of-transpose of `A`'s column block `i`), held once as the `P`
+/// stage blocks `Aᵀ_{ij}`. Stage `j` multiplies rank `j`'s `H` block in
+/// the forward; the backward outer product runs over the same blocks.
 pub struct OneDim {
-    /// The full block row `Aᵀ_i` (`n_i x n`) — the CSR-of-transpose of
-    /// `A`'s column block `i`, used directly by the backward outer
-    /// product.
-    at_row: Csr,
-    /// `Aᵀ_i` split into `P` column blocks `Aᵀ_{ij}`, stage `j`
-    /// multiplying rank `j`'s `H` block.
     stages: Stages,
 }
 
@@ -52,23 +47,12 @@ impl Trainer<OneDim> {
     /// Fallible constructor: returns [`SetupError`] instead of panicking
     /// when the cluster does not fit the problem.
     pub fn try_setup(ctx: &Ctx, problem: &Problem, cfg: &GcnConfig) -> Result<Self, SetupError> {
-        let n = problem.vertices();
-        let p = ctx.size;
-        if p > n {
-            return Err(SetupError::TooManyRanks {
-                ranks: p,
-                vertices: n,
-            });
-        }
-        let (r0, r1) = block_range(n, p, ctx.rank);
-        let at_row = problem.adj_t.block(r0, r1, 0, n);
-        let blocks = block_ranges(n, p)
+        let (r0, r1, h0) = block_row(ctx, problem)?;
+        let blocks = block_ranges(problem.vertices(), ctx.size)
             .into_iter()
-            .map(|(c0, c1)| at_row.block(0, r1 - r0, c0, c1))
+            .map(|(c0, c1)| problem.adj_t.block(r0, r1, c0, c1))
             .collect();
-        let h0 = problem.features.block(r0, r1, 0, problem.features.cols());
         let layout = OneDim {
-            at_row,
             stages: Stages::new(blocks),
         };
         Ok(Trainer::new(layout, problem, cfg, r0, h0))
@@ -77,14 +61,14 @@ impl Trainer<OneDim> {
 
 impl RowLayout for OneDim {
     fn aggregate(&self, s: &State, ctx: &Ctx, l: usize) -> Mat {
-        let mut t = s.ws.borrow_mut().zeros(self.at_row.rows(), s.hs[l].cols());
+        let mut t = s.ws.borrow_mut().zeros(self.stages.rows(), s.hs[l].cols());
         self.stages
             .multiply(s, ctx, &ctx.world, &s.hs[l], l, &mut t);
         t
     }
 
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, _l: usize, g: Mat) -> Mat {
-        let contrib = outer_product(s, ctx, &self.at_row, &g);
+        let contrib = self.stages.outer_product(s, ctx, &g);
         // G^l has done its work; A·G^l is reduced into its buffer. Row v
         // of the contribution is nonzero only where Aᵀ_i has column v:
         // member j is sent the columns of stage block j.
@@ -102,6 +86,6 @@ impl Layout for OneDim {
     }
 
     fn set_panels(&mut self, mode: CommMode) -> usize {
-        super::csr_words(&self.at_row) + self.stages.set_panels(mode)
+        self.stages.set_panels(mode)
     }
 }

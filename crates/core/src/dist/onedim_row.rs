@@ -11,27 +11,23 @@
 //! same total communication cost." `tests/onedim_variants.rs` verifies
 //! that claim on measured word counters.
 
-use super::rows::{outer_product, reduce, RowLayout, Stages};
+use super::rows::{block_row, reduce, RowLayout, Stages};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
 use cagnet_dense::Mat;
-use cagnet_sparse::partition::{block_range, block_ranges};
-use cagnet_sparse::Csr;
+use cagnet_sparse::partition::block_ranges;
 
 /// The row-partitioned 1D trainer.
 pub type OneDimRowTrainer = Trainer<OneDimRow>;
 
-/// The 1D-row layout: this rank's block row of `A`, whole and split into
-/// the `P` stage blocks of the backward.
+/// The 1D-row layout: this rank's block row `A_i` (`n_i x n`, the
+/// CSR-of-transpose of `Aᵀ`'s column block `i`), held once as the `P`
+/// stage blocks `A_{ij}`. The forward outer product runs over them, and
+/// stage `j` multiplies rank `j`'s `G` block in the backward.
 pub struct OneDimRow {
-    /// `A`'s block row `A_i` (`n_i x n`) — used directly by the forward
-    /// outer product (it is the CSR-of-transpose of `Aᵀ`'s column block).
-    a_row: Csr,
-    /// `A_i` split into `P` column blocks for the backward block-row
-    /// multiply, stage `j` multiplying rank `j`'s `G` block.
     stages: Stages,
 }
 
@@ -44,23 +40,12 @@ impl Trainer<OneDimRow> {
     /// Fallible constructor: returns [`SetupError`] instead of panicking
     /// when the cluster does not fit the problem.
     pub fn try_setup(ctx: &Ctx, problem: &Problem, cfg: &GcnConfig) -> Result<Self, SetupError> {
-        let n = problem.vertices();
-        let p = ctx.size;
-        if p > n {
-            return Err(SetupError::TooManyRanks {
-                ranks: p,
-                vertices: n,
-            });
-        }
-        let (r0, r1) = block_range(n, p, ctx.rank);
-        let a_row = problem.adj.block(r0, r1, 0, n);
-        let blocks = block_ranges(n, p)
+        let (r0, r1, h0) = block_row(ctx, problem)?;
+        let blocks = block_ranges(problem.vertices(), ctx.size)
             .into_iter()
-            .map(|(c0, c1)| a_row.block(0, r1 - r0, c0, c1))
+            .map(|(c0, c1)| problem.adj.block(r0, r1, c0, c1))
             .collect();
-        let h0 = problem.features.block(r0, r1, 0, problem.features.cols());
         let layout = OneDimRow {
-            a_row,
             stages: Stages::new(blocks),
         };
         Ok(Trainer::new(layout, problem, cfg, r0, h0))
@@ -72,7 +57,7 @@ impl RowLayout for OneDimRow {
         // Large outer product: Aᵀ(:, my block) · H_i, reduce-scattered
         // back to block rows — member j is sent the rows of its block
         // that are columns of stage block j.
-        let contrib = outer_product(s, ctx, &self.a_row, &s.hs[l]);
+        let contrib = self.stages.outer_product(s, ctx, &s.hs[l]);
         let mut t = s.ws.borrow_mut().take(s.hs[l].len());
         reduce(s, &ctx.world, contrib, self.stages.needed(), &mut t);
         t
@@ -82,7 +67,7 @@ impl RowLayout for OneDimRow {
         // Block-row multiply: AG_i = Σ_j A_ij G_j via P fetches, my block
         // shared so it enters its stage without a copy.
         let g = s.ws.borrow_mut().lend(g);
-        let mut ag = s.ws.borrow_mut().zeros(self.a_row.rows(), g.cols());
+        let mut ag = s.ws.borrow_mut().zeros(self.stages.rows(), g.cols());
         self.stages.multiply(s, ctx, &ctx.world, &g, l, &mut ag);
         ag
     }
@@ -96,6 +81,6 @@ impl Layout for OneDimRow {
     }
 
     fn set_panels(&mut self, mode: CommMode) -> usize {
-        super::csr_words(&self.a_row) + self.stages.set_panels(mode)
+        self.stages.set_panels(mode)
     }
 }

@@ -5,14 +5,18 @@
 //! activation (or the row-local output layer, §IV-A.2), and its backward
 //! is `Y = Hᵀ(AG)` with an `f x f` world all-reduce (§IV-A.4) plus the
 //! next `G`. The layouts differ only in how they aggregate — stage
-//! fetches ([`Stages`]) or a large outer product reduce-scattered back to
-//! block rows ([`outer_product`], [`reduce`]) — in each direction.
+//! fetches ([`Stages::multiply`]) or a large outer product
+//! reduce-scattered back to block rows ([`Stages::outer_product`],
+//! [`reduce`]) — in each direction. Either way a rank holds its block
+//! once, as the stage blocks both directions read.
 
 use super::shell::State;
-use super::{pipeline, CommMode};
+use super::{pipeline, CommMode, SetupError};
+use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
+use cagnet_sparse::partition::block_range;
 use cagnet_sparse::spmm::outer_product_from_transposed_into;
 use cagnet_sparse::Csr;
 use std::sync::Arc;
@@ -91,7 +95,9 @@ pub(crate) fn backward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) {
 
 /// A block row of a sparse operand split into stage column blocks, the
 /// `j`-th multiplying the dense block member `j` of a communicator owns:
-/// `out += Σ_j blocks[j] · D_j`.
+/// `out += Σ_j blocks[j] · D_j`. It is the only copy of the block row a
+/// layout holds: the outer product of the other direction runs over the
+/// same blocks.
 pub(crate) struct Stages {
     blocks: Vec<Csr>,
     /// Per stage: the sorted distinct columns of `blocks[j]` — the rows
@@ -123,6 +129,25 @@ impl Stages {
     /// Rows of every stage block.
     pub(crate) fn rows(&self) -> usize {
         self.blocks[0].rows()
+    }
+
+    /// The large outer product through the transpose of this block row
+    /// (§IV-A.3): stage `j`'s product `blocks[j]ᵀ · d` fills rows
+    /// `off_j .. off_j + blocks[j].cols()` of the contribution, `off_j`
+    /// being the widths of the stages before it. Built in a workspace
+    /// buffer and lent to the reduce-scatter it rides into, whose send
+    /// sets are [`Stages::needed`].
+    pub(crate) fn outer_product(&self, s: &State, ctx: &Ctx, d: &Mat) -> Arc<Mat> {
+        let nnz = self.blocks.iter().map(Csr::nnz).sum();
+        ctx.charge_spmm(nnz, self.rows(), d.cols());
+        let height = self.blocks.iter().map(Csr::cols).sum();
+        let mut contrib = s.ws.borrow_mut().zeros(height, d.cols());
+        let mut off = 0;
+        for a in &self.blocks {
+            outer_product_from_transposed_into(a, d, &mut contrib, off);
+            off += a.cols();
+        }
+        s.ws.borrow_mut().lend(contrib)
     }
 
     /// Build the compact copies the sparse tiers serve; returns the
@@ -196,12 +221,18 @@ pub(crate) fn reduce(
     comm.reduce_scatter_rows(m, sends, out, Cat::DenseComm);
 }
 
-/// The large 1D outer product `A(:, my block) · d` (`at` is the CSR of
-/// `Aᵀ`'s block row, so the product is full height, §IV-A.3), built in a
-/// workspace buffer and lent to the reduce-scatter it rides into.
-pub(crate) fn outer_product(s: &State, ctx: &Ctx, at: &Csr, d: &Mat) -> Arc<Mat> {
-    ctx.charge_spmm(at.nnz(), at.rows(), d.cols());
-    let mut contrib = s.ws.borrow_mut().zeros(at.cols(), d.cols());
-    outer_product_from_transposed_into(at, d, &mut contrib);
-    s.ws.borrow_mut().lend(contrib)
+/// The prologue of every row layout's `try_setup`: refuse more ranks
+/// than vertices, else this rank's block `r0..r1` of the balanced
+/// `P`-way row split and its layer-0 feature block.
+pub(crate) fn block_row(ctx: &Ctx, problem: &Problem) -> Result<(usize, usize, Mat), SetupError> {
+    let (n, p) = (problem.vertices(), ctx.size);
+    if p > n {
+        return Err(SetupError::TooManyRanks {
+            ranks: p,
+            vertices: n,
+        });
+    }
+    let (r0, r1) = block_range(n, p, ctx.rank);
+    let h0 = problem.features.block(r0, r1, 0, problem.features.cols());
+    Ok((r0, r1, h0))
 }

@@ -400,23 +400,28 @@ pub fn spmm_semiring_acc_with<S: Semiring>(ctx: ParallelCtx, a: &Csr, b: &Mat, s
 /// reduce-scattered (paper §IV-A.3).
 pub fn outer_product_from_transposed(at_block: &Csr, b: &Mat) -> Mat {
     let mut c = Mat::zeros(at_block.cols(), b.cols());
-    outer_product_from_transposed_into(at_block, b, &mut c);
+    outer_product_from_transposed_into(at_block, b, &mut c, 0);
     c
 }
 
-/// [`outer_product_from_transposed`] accumulated onto a caller-kept
-/// `n x f` destination: `C += A(:, c0..c1) · B`. Hand it zeros (a re-armed
-/// accumulator, [`Mat::reset`]) for the plain product — every element
-/// then folds the same products in the same order as a fresh result.
-pub fn outer_product_from_transposed_into(at_block: &Csr, b: &Mat, c: &mut Mat) {
+/// [`outer_product_from_transposed`] accumulated onto rows
+/// `row0 .. row0 + at_block.cols()` of a caller-kept destination with
+/// `f` columns: `C[row0..] += A(:, c0..c1) · B`. Hand it zeros (a
+/// re-armed accumulator, [`Mat::reset`]) for the plain product — every
+/// element then folds the same products in the same order as a fresh
+/// result. Column blocks of one block row written at their column
+/// offsets build that block row's product bit for bit: each destination
+/// row lives in one column block and still folds in ascending source-row
+/// order.
+pub fn outer_product_from_transposed_into(at_block: &Csr, b: &Mat, c: &mut Mat, row0: usize) {
     assert_eq!(at_block.rows(), b.rows(), "outer product: inner dims");
     let f = b.cols();
-    assert_eq!(
-        c.shape(),
-        (at_block.cols(), f),
+    let row1 = row0 + at_block.cols();
+    assert!(
+        c.cols() == f && row1 <= c.rows(),
         "outer product: output shape"
     );
-    let cv = c.as_mut_slice();
+    let cv = &mut c.as_mut_slice()[row0 * f..row1 * f];
     let bv = b.as_slice();
     for k in 0..at_block.rows() {
         let brow = &bv[k * f..(k + 1) * f];
@@ -540,6 +545,35 @@ mod tests {
         let a_cols = a_full.to_dense().block(0, 4, 1, 3);
         let expect = cagnet_dense::matmul_with(ParallelCtx::serial(), &a_cols, &b);
         assert!(got.approx_eq(&expect, 1e-12));
+    }
+
+    #[test]
+    fn staged_outer_products_match_the_whole_block_bit_for_bit() {
+        // A 6 x 11 block of Aᵀ split into column stages of widths 2, 5
+        // and 4. Stage 0 has entries only in source rows 1 and 4, and
+        // source row 3 is empty everywhere.
+        let mut entries = Vec::new();
+        for k in [0usize, 1, 2, 4, 5] {
+            for c in 0..11 {
+                if (k * 7 + c * 3) % 4 != 0 && (c >= 2 || k % 3 == 1) {
+                    entries.push((k, c, 1.0 / (k * 11 + c + 3) as f64));
+                }
+            }
+        }
+        let at = Csr::from_coo(Coo::from_entries(6, 11, entries));
+        let b = Mat::from_fn(6, 3, |i, j| ((i * 5 + j * 7) as f64).sin() / 3.0);
+        let expect = outer_product_from_transposed(&at, &b);
+
+        let mut got = Mat::zeros(11, 3);
+        for (c0, c1) in [(0, 2), (2, 7), (7, 11)] {
+            let stage = at.block(0, 6, c0, c1);
+            if c0 == 0 {
+                assert_eq!(stage.row_nnz(0), 0, "stage 0 keeps empty rows");
+            }
+            outer_product_from_transposed_into(&stage, &b, &mut got, c0);
+        }
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expect));
     }
 
     #[test]

@@ -10,11 +10,13 @@
 use cagnet::comm::Cluster;
 use cagnet::core::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
-    StorageReport,
+    StorageReport, Trainer,
 };
-use cagnet::core::trainer::TwoDimConfig;
+use cagnet::core::trainer::{Algorithm, TwoDimConfig};
 use cagnet::core::{GcnConfig, Problem};
 use cagnet::sparse::generate::{rmat_symmetric, RmatParams};
+use cagnet::sparse::partition::block_ranges;
+use cagnet::sparse::Csr;
 
 const F: usize = 32;
 
@@ -79,6 +81,54 @@ fn one_d_intermediate_at_paper_widths() {
         });
         for (i, _) in reports {
             assert_eq!(i, expect, "1D intermediate at P = {p}");
+        }
+    }
+}
+
+#[test]
+fn row_family_holds_its_block_once_as_stage_blocks() {
+    // A row-family rank holds its block row once, split into the stage
+    // blocks that both directions read: its adjacency is the CSR words
+    // (values, column indices, row pointers) of those blocks and nothing
+    // more.
+    let prob = problem();
+    let p = 4;
+    let fine = block_ranges(prob.vertices(), p);
+    let words = |a: &Csr| 2 * a.nnz() + a.rows() + 1;
+    // 1D and 1D-row: rank i's block row of Aᵀ (of A), one stage per rank.
+    let one_d = |a: &Csr, i: usize| -> usize {
+        let (r0, r1) = fine[i];
+        fine.iter()
+            .map(|&(c0, c1)| words(&a.block(r0, r1, c0, c1)))
+            .sum()
+    };
+    // 1.5D: the team's coarse block row of Aᵀ, one stage per fine column
+    // block ≡ r (mod c).
+    let c = 2;
+    let one5_d = |i: usize| -> usize {
+        let (t, r) = (i / c, i % c);
+        let (cr0, cr1) = (fine[t * c].0, fine[t * c + c - 1].1);
+        (0..p / c)
+            .map(|ip| {
+                let (b0, b1) = fine[ip * c + r];
+                words(&prob.adj_t.block(cr0, cr1, b0, b1))
+            })
+            .sum()
+    };
+    for algo in [Algorithm::OneD, Algorithm::OneDRow, Algorithm::One5D { c }] {
+        let reports = Cluster::new(p).run(|ctx| {
+            let twod = TwoDimConfig::default();
+            let mut t = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
+            t.epoch(ctx);
+            (ctx.rank, t.storage_words().adjacency)
+        });
+        for ((i, adjacency), _) in reports {
+            let expect = match algo {
+                Algorithm::OneD => one_d(&prob.adj_t, i),
+                Algorithm::OneDRow => one_d(&prob.adj, i),
+                _ => one5_d(i),
+            };
+            assert_eq!(adjacency, expect, "{} rank {i}", algo.name());
         }
     }
 }
