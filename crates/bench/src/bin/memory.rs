@@ -7,8 +7,10 @@
 //!
 //! Each footprint is measured after one epoch — the sparse blocks a rank
 //! holds, its stored dense blocks and the largest workspace buffer it was
-//! served — and printed next to `analysis`'s closed form for the same
-//! quantity.
+//! served — as the max and the mean over ranks, and printed next to
+//! `analysis`'s closed form for the same quantity. The closed forms
+//! assume a balanced split, so they model the mean: on a skewed R-MAT
+//! graph the heaviest rank's blocks hold several times the mean nonzeros.
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin memory`
 
@@ -28,6 +30,10 @@ struct Row {
     dense_state_words: usize,
     intermediate_words: usize,
     total_words: usize,
+    mean_adjacency_words: f64,
+    mean_dense_state_words: f64,
+    mean_intermediate_words: f64,
+    mean_total_words: f64,
     model_adjacency_words: f64,
     model_dense_state_words: f64,
     model_intermediate_words: f64,
@@ -45,13 +51,13 @@ fn main() {
     };
     let shape = Shape::new(problem.vertices(), problem.adj.nnz(), F, gcn.layers());
     println!(
-        "PER-RANK MEMORY (words, max over ranks, measured after one epoch; \
-         model = analysis::memory_*) — n={}, nnz={}, f={F}\n",
+        "PER-RANK MEMORY (words, measured after one epoch: max / mean over \
+         ranks; model = analysis::memory_*, a balanced split) — n={}, nnz={}, f={F}\n",
         problem.vertices(),
         problem.adj.nnz()
     );
     println!(
-        "{:<12} {:>4} {:>12} {:>12} {:>13} {:>12}   {:>10} {:>10} {:>10} {:>10}",
+        "{:<12} {:>4} {:>15} {:>15} {:>15} {:>15}   {:>10} {:>10} {:>10} {:>10}",
         "algorithm",
         "P",
         "adjacency",
@@ -78,7 +84,7 @@ fn main() {
     let mut rows = Vec::new();
     for group in groups {
         for (algo, p) in group {
-            let s = Cluster::new(p)
+            let reports: Vec<StorageReport> = Cluster::new(p)
                 .run(|ctx| {
                     let twod = TwoDimConfig::default();
                     let mut t = Trainer::for_algorithm(ctx, &problem, &gcn, algo, twod);
@@ -86,11 +92,24 @@ fn main() {
                     t.storage_words()
                 })
                 .into_iter()
-                .fold(StorageReport::default(), |a, (r, _)| StorageReport {
+                .map(|(r, _)| r)
+                .collect();
+            let s = reports
+                .iter()
+                .fold(StorageReport::default(), |a, r| StorageReport {
                     adjacency: a.adjacency.max(r.adjacency),
                     dense_state: a.dense_state.max(r.dense_state),
                     intermediate: a.intermediate.max(r.intermediate),
                 });
+            let mean = |word: fn(&StorageReport) -> usize| {
+                reports.iter().map(word).sum::<usize>() as f64 / p as f64
+            };
+            let mean = [
+                mean(|r| r.adjacency),
+                mean(|r| r.dense_state),
+                mean(|r| r.intermediate),
+                mean(StorageReport::total),
+            ];
             let m = match algo {
                 OneD => analysis::memory_one_d(&shape, p),
                 One5D { c } => analysis::memory_one5_d(&shape, p, c),
@@ -98,14 +117,18 @@ fn main() {
                 _ => analysis::memory_three_d(&shape, p),
             };
             let name = algo.name();
+            let max = [s.adjacency, s.dense_state, s.intermediate, s.total()];
+            let cells: Vec<String> = (max.iter().zip(mean))
+                .map(|(max, mean)| format!("{max}/{mean:.0}"))
+                .collect();
             println!(
-                "{:<12} {:>4} {:>12} {:>12} {:>13} {:>12}   {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
+                "{:<12} {:>4} {:>15} {:>15} {:>15} {:>15}   {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
                 name,
                 p,
-                s.adjacency,
-                s.dense_state,
-                s.intermediate,
-                s.total(),
+                cells[0],
+                cells[1],
+                cells[2],
+                cells[3],
                 m.adjacency,
                 m.dense_state,
                 m.intermediate,
@@ -118,6 +141,10 @@ fn main() {
                 dense_state_words: s.dense_state,
                 intermediate_words: s.intermediate,
                 total_words: s.total(),
+                mean_adjacency_words: mean[0],
+                mean_dense_state_words: mean[1],
+                mean_intermediate_words: mean[2],
+                mean_total_words: mean[3],
                 model_adjacency_words: m.adjacency,
                 model_dense_state_words: m.dense_state,
                 model_intermediate_words: m.intermediate,

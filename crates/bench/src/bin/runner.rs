@@ -252,12 +252,9 @@ fn main() {
     let partition = or_exit(parse_partition(&get("partition", "block")));
     let transport = match get("transport", "").as_str() {
         "" => None,
-        "shared" => Some(TransportKind::Shared),
-        "socket" => Some(TransportKind::Socket),
-        other => {
-            eprintln!("--transport must be shared|socket, got '{other}'");
-            std::process::exit(2);
-        }
+        v => Some(or_exit(
+            TransportKind::parse(v).map_err(|e| format!("--transport {e}")),
+        )),
     };
     let trace_path = args.get("trace").cloned();
     let json_only = args.contains_key("json");

@@ -27,7 +27,7 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cluster::Cluster;
@@ -196,9 +196,8 @@ fn part_words(rows: usize, indexed: bool, cols: usize, prec: Option<Precision>) 
 /// A receiver's view is the **compact** form: a `k × f` matrix whose row
 /// `i` is row `needed[i]` of the root's block (`rows() == Some(needed)`).
 /// It is extracted on demand — [`GatheredRows::compact_into`] writes it
-/// straight into a caller-kept buffer, [`GatheredRows::mat`] /
-/// [`GatheredRows::compact`] allocate it once — so the receiver never
-/// allocates more than `O(k·f)`; until then it holds either a handle on
+/// straight into a caller-kept buffer — so the receiver never allocates
+/// more than `O(k·f)`; until then it holds either a handle on
 /// the root's block (shared memory) or its still-encoded part of the
 /// root's served payload (sockets). The root — and every rank at
 /// `P = 1` — gets its own full block back without a copy
@@ -206,8 +205,6 @@ fn part_words(rows: usize, indexed: bool, cols: usize, prec: Option<Precision>) 
 #[derive(Clone)]
 pub struct GatheredRows {
     src: Source,
-    /// A receiver's allocated compact copy, built on first use.
-    compact: OnceLock<Arc<Mat>>,
 }
 
 #[derive(Clone)]
@@ -262,14 +259,11 @@ impl Served {
 }
 
 impl GatheredRows {
-    /// Wrap a rank-resident full block with the identity row map — the
-    /// same payload the root of a [`Communicator::gather_rows`] receives.
-    /// Cached-mode serve epochs use this to compact the rank's own fresh
-    /// block through the exact code path of a root-side gather result.
-    pub fn full(mat: Arc<Mat>) -> Self {
+    /// Wrap a rank-resident full block with the identity row map: what
+    /// the root of a [`Communicator::gather_rows`] receives.
+    pub(crate) fn full(mat: Arc<Mat>) -> Self {
         GatheredRows {
             src: Source::Full(mat),
-            compact: OnceLock::new(),
         }
     }
 
@@ -325,21 +319,7 @@ impl GatheredRows {
         }
         Ok(GatheredRows {
             src: Source::Requested { rows, served },
-            compact: OnceLock::new(),
         })
-    }
-
-    /// The gathered payload: compact `k × f` at receivers, the root's
-    /// full block at the root and at `P = 1`.
-    pub fn mat(&self) -> &Arc<Mat> {
-        match &self.src {
-            Source::Full(block) => block,
-            Source::Requested { rows, served } => self.compact.get_or_init(|| {
-                let mut m = Mat::zeros(0, 0);
-                served.write_into(rows, &mut m);
-                Arc::new(m)
-            }),
-        }
     }
 
     /// Width `f` of the gathered rows.
@@ -350,9 +330,8 @@ impl GatheredRows {
         }
     }
 
-    /// Row indices of the root block that [`GatheredRows::mat`]'s rows
-    /// correspond to, in order; `None` means the identity map (the full
-    /// block).
+    /// Row indices of the root block a receiver was served, in request
+    /// order; `None` means the identity map (the full block).
     pub fn rows(&self) -> Option<&[usize]> {
         match &self.src {
             Source::Full(_) => None,
@@ -361,41 +340,26 @@ impl GatheredRows {
     }
 
     /// The compact `needed.len() × f` operand for an SpMM against a
-    /// column-compacted sparse panel ([`cagnet_sparse::Csr::compact_cols`]).
-    /// A receiver's copy is built once and shared; the root and `P = 1`
-    /// extract their needed rows locally — unmetered local work on a
-    /// block the rank already owns, like any slice of its own data.
-    /// `needed` must be the same list passed to the collective.
-    pub fn compact(&self, needed: &[usize]) -> Arc<Mat> {
-        match &self.src {
-            Source::Full(block) => Arc::new(block.select_rows(needed)),
-            Source::Requested { .. } => {
-                self.check_request(needed);
-                self.mat().clone()
-            }
-        }
-    }
-
-    /// [`GatheredRows::compact`] written over `out`, reusing its
-    /// allocation: the same rows in the same order, on the root and on
-    /// receivers alike, with nothing allocated when `out` is large
-    /// enough. A socket receiver decodes its part straight into `out`.
+    /// column-compacted sparse panel ([`cagnet_sparse::Csr::compact_cols`]),
+    /// written over `out`, reusing its allocation: the same rows in the
+    /// same order on the root and on receivers alike, with nothing
+    /// allocated when `out` is large enough. The root and `P = 1` extract
+    /// their needed rows locally — unmetered local work on a block the
+    /// rank already owns; a socket receiver decodes its part straight
+    /// into `out`. `needed` must be the same list passed to the
+    /// collective.
     pub fn compact_into(&self, needed: &[usize], out: &mut Mat) {
         match &self.src {
             Source::Full(block) => block.select_rows_into(needed.iter().copied(), out),
             Source::Requested { rows, served } => {
-                self.check_request(needed);
+                debug_assert_eq!(
+                    &rows[..],
+                    needed,
+                    "gather_rows: compact_into called with a different needed set"
+                );
                 served.write_into(rows, out);
             }
         }
-    }
-
-    fn check_request(&self, needed: &[usize]) {
-        debug_assert_eq!(
-            self.rows(),
-            Some(needed),
-            "gather_rows: compact() called with a different needed set"
-        );
     }
 }
 
@@ -1602,6 +1566,18 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
 
+    /// Whether a gather handed this rank `block` itself, with no copy.
+    fn holds_block(got: &GatheredRows, block: &Arc<Mat>) -> bool {
+        matches!(&got.src, Source::Full(b) if Arc::ptr_eq(b, block))
+    }
+
+    /// A gather's compact operand for `needed`.
+    fn compact(got: &GatheredRows, needed: &[usize]) -> Mat {
+        let mut m = Mat::zeros(0, 0);
+        got.compact_into(needed, &mut m);
+        m
+    }
+
     #[test]
     fn bcast_delivers_root_payload() {
         let results = Cluster::new(4).run(|ctx| {
@@ -1800,26 +1776,25 @@ mod tests {
                 .world
                 .gather_rows(1, payload, &needed, Some((6, 2)), Cat::DenseComm);
             (
-                Arc::ptr_eq(got.mat(), &block),
+                holds_block(&got, &block),
                 got.rows().map(|r| r.to_vec()),
-                got.mat().as_ref().clone(),
+                compact(&got, &needed),
             )
         });
         for (rank, ((same_alloc, rows, m), _)) in results.iter().enumerate() {
+            // The root keeps its own allocation; receivers hold exactly
+            // the requested rows, in order.
+            assert_eq!(*same_alloc, rank == 1);
             if rank == 1 {
-                // Root keeps its own allocation, fully populated.
-                assert!(*same_alloc);
                 assert!(rows.is_none());
-                assert!(m.approx_eq(&Mat::from_fn(6, 2, |i, j| (10 * i + j) as f64), 0.0));
             } else {
-                // Receivers hold exactly the requested rows, in order.
-                assert!(!*same_alloc);
-                assert_eq!(m.shape(), (2, 2));
                 assert_eq!(rows.as_deref(), Some(&[rank, rank + 3][..]));
-                for (pos, src) in [rank, rank + 3].into_iter().enumerate() {
-                    for j in 0..2 {
-                        assert_eq!(m[(pos, j)], (10 * src + j) as f64, "rank {rank}");
-                    }
+            }
+            // Either way the compact operand is the requested rows.
+            assert_eq!(m.shape(), (2, 2));
+            for (pos, src) in [rank, rank + 3].into_iter().enumerate() {
+                for j in 0..2 {
+                    assert_eq!(m[(pos, j)], (10 * src + j) as f64, "rank {rank}");
                 }
             }
         }
@@ -1829,7 +1804,7 @@ mod tests {
     fn gather_rows_receiver_allocation_is_compact() {
         // Regression (receiver memory = O(k·f), not O(n·f)): against a
         // 512-row block, a 3-row request must come back as a 3-row
-        // matrix, and compact() must be the identity on it.
+        // matrix, written into the caller's buffer without growing it.
         let results = Cluster::new(2).run(|ctx| {
             let block = Arc::new(Mat::from_fn(512, 4, |i, j| (i * 4 + j) as f64));
             let payload = (ctx.rank == 0).then(|| block.clone());
@@ -1837,24 +1812,22 @@ mod tests {
             let got = ctx
                 .world
                 .gather_rows(0, payload, &needed, Some((512, 4)), Cat::DenseComm);
-            let compact = got.compact(&needed);
-            (
-                got.mat().shape(),
-                Arc::ptr_eq(&compact, got.mat()),
-                compact.as_ref().clone(),
-            )
+            let mut out = Mat::zeros(3, 4);
+            let capacity = out.capacity();
+            got.compact_into(&needed, &mut out);
+            (out.capacity() == capacity, out)
         });
-        let ((shape, identity, compact), _) = &results[1];
-        assert_eq!(*shape, (3, 4), "receiver must not allocate the full block");
-        assert!(*identity, "compact() on a compact result must not copy");
+        let ((kept, compact), _) = &results[1];
+        assert_eq!(compact.shape(), (3, 4));
+        assert!(*kept, "receiver must not allocate the full block");
         for (pos, src) in [7usize, 100, 511].into_iter().enumerate() {
             for j in 0..4 {
                 assert_eq!(compact[(pos, j)], (src * 4 + j) as f64);
             }
         }
-        // The root's compact() extracts the same operand from its block.
-        let ((root_shape, _, root_compact), _) = &results[0];
-        assert_eq!(*root_shape, (512, 4));
+        // The root extracts the same operand from its block.
+        let ((root_kept, root_compact), _) = &results[0];
+        assert!(*root_kept);
         assert!(root_compact.approx_eq(compact, 0.0));
     }
 
@@ -1929,7 +1902,7 @@ mod tests {
                 Some((3, 3)),
                 Cat::DenseComm,
             );
-            (Arc::ptr_eq(got.mat(), &block), ctx.clock(), ctx.report())
+            (holds_block(&got, &block), ctx.clock(), ctx.report())
         });
         let ((same, clock, rep), _) = &results[0];
         assert!(same);
@@ -1945,7 +1918,7 @@ mod tests {
             let got = ctx
                 .world
                 .gather_rows(0, payload, &[ctx.rank], Some((4, 2)), Cat::DenseComm);
-            got.compact(&[ctx.rank])[(0, 0)]
+            compact(&got, &[ctx.rank])[(0, 0)]
         });
         for (v, _) in results {
             assert_eq!(v, 1.0);
@@ -2310,7 +2283,7 @@ mod tests {
                     ctx.world
                         .gather_rows(1, payload, &needed, Some((6, 2)), Cat::DenseComm)
                 };
-                (got.compact(&needed).as_ref().clone(), ctx.report())
+                (compact(&got, &needed), ctx.report())
             })
         };
         for ((a, ra), (b, rb)) in run(true)
@@ -2371,7 +2344,7 @@ mod tests {
                 .wait();
             (
                 Arc::ptr_eq(&a, &block),
-                Arc::ptr_eq(b.mat(), &block),
+                holds_block(&b, &block),
                 c,
                 ctx.clock(),
             )

@@ -74,21 +74,29 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Resolve the backend from `CAGNET_TRANSPORT`: `socket` selects the
-    /// multi-process backend, `shared` (or unset) the in-process
-    /// simulator.
+    /// Parse a transport name, as `--transport` and `CAGNET_TRANSPORT`
+    /// spell it: `shared` or `socket`. A rejection names the bad input
+    /// and the accepted set.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "shared" => Ok(TransportKind::Shared),
+            "socket" => Ok(TransportKind::Socket),
+            other => Err(format!("must be shared|socket, got '{other}'")),
+        }
+    }
+
+    /// Resolve the backend from `CAGNET_TRANSPORT` ([`TransportKind::parse`]);
+    /// unset or empty means `Shared`.
     ///
     /// # Panics
     /// On an unrecognised value, so CI typos fail loudly instead of
     /// silently testing the wrong backend.
     pub fn from_env() -> Self {
         match std::env::var("CAGNET_TRANSPORT") {
-            Err(_) => TransportKind::Shared,
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "" | "shared" | "thread" | "threads" => TransportKind::Shared,
-                "socket" | "sockets" | "process" => TransportKind::Socket,
-                other => panic!("CAGNET_TRANSPORT must be 'shared' or 'socket', got '{other}'"),
-            },
+            Ok(v) if !v.is_empty() => {
+                Self::parse(&v).unwrap_or_else(|e| panic!("CAGNET_TRANSPORT {e}"))
+            }
+            _ => TransportKind::Shared,
         }
     }
 }
@@ -575,15 +583,14 @@ mod tests {
 
     #[test]
     fn transport_kind_parses_env_values() {
-        // from_env reads the live environment; exercise the match arms
-        // through a local copy of the mapping instead of mutating env.
-        let map = |v: &str| match v {
-            "" | "shared" | "thread" | "threads" => TransportKind::Shared,
-            "socket" | "sockets" | "process" => TransportKind::Socket,
-            other => panic!("unexpected {other}"),
-        };
-        assert_eq!(map("shared"), TransportKind::Shared);
-        assert_eq!(map("socket"), TransportKind::Socket);
+        // from_env reads the live environment, so its parser is tested
+        // instead of mutating the environment.
+        assert_eq!(TransportKind::parse("shared"), Ok(TransportKind::Shared));
+        assert_eq!(TransportKind::parse("socket"), Ok(TransportKind::Socket));
+        for bad in ["", "threads", "Socket", "tcp"] {
+            let err = TransportKind::parse(bad).unwrap_err();
+            assert!(err.contains("shared|socket") && err.contains(&format!("'{bad}'")));
+        }
     }
 
     #[test]

@@ -145,11 +145,13 @@ fn f32_gather_rows_keeps_root_exact_and_rounds_receivers() {
             Some((8, 3)),
             Cat::DenseComm,
         );
-        ((**got.mat()).clone(), got.rows().is_some(), ctx.report())
+        let mut mat = Mat::zeros(0, 0);
+        got.compact_into(needed, &mut mat);
+        (mat, got.rows().is_some(), ctx.report())
     });
     // Root-resident data never rides the wire, so it is never rounded.
     let (root_mat, root_compact, root_rep) = &results[0].0;
-    assert_eq!(root_mat, &block);
+    assert_eq!(root_mat, &block.select_rows(needed));
     assert!(!root_compact);
     assert_eq!(root_rep.words(Cat::DenseComm32), 0);
     // Receivers hold the f32-rounded requested rows, metered at packed
@@ -191,26 +193,17 @@ fn packed_nonblocking_forms_match_blocking() {
                 Cat::DenseComm,
             )
             .wait();
-        (
-            blocking,
-            nonblocking,
-            (*b).clone(),
-            (*ib).clone(),
-            (**ig.mat()).clone(),
-        )
+        let mut ig_rows = Mat::zeros(0, 0);
+        ig.compact_into(&[0, 4], &mut ig_rows);
+        (blocking, nonblocking, (*b).clone(), (*ib).clone(), ig_rows)
     });
-    let ig_expect_receiver = {
-        let rounded = round_f32(&irr_mat(5, 2, 4));
-        let mut m = Mat::zeros(2, 2);
-        m.row_mut(0).copy_from_slice(rounded.row(0));
-        m.row_mut(1).copy_from_slice(rounded.row(4));
-        m
-    };
+    let ig_expect_receiver = round_f32(&irr_mat(5, 2, 4)).select_rows(&[0, 4]);
     for (rank, ((blocking, nonblocking, b, ib, ig), _)) in results.iter().enumerate() {
         assert_eq!(blocking, nonblocking, "rank {rank} iallreduce diverged");
         assert_eq!(b, ib, "rank {rank} ibcast diverged");
         if rank == 2 {
-            assert_eq!(*ig, irr_mat(5, 2, 4), "igather root must stay exact");
+            let exact = irr_mat(5, 2, 4).select_rows(&[0, 4]);
+            assert_eq!(*ig, exact, "igather root must stay exact");
         } else {
             assert_eq!(*ig, ig_expect_receiver, "rank {rank} igather diverged");
         }

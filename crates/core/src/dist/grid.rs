@@ -18,17 +18,17 @@
 //! unless the layer widens past what gathering `Hˡ` and reduce-scattering
 //! the `f_in`-wide next gradient move. Ties keep the paper's form.
 //!
-//! The two layouts differ only in data: the stage table ([`Stage`]), the
+//! The two layouts differ only in data: the stage tables ([`Stages`]), the
 //! `Y` reduction group, 3D's fiber reduce-scatter after each SpMM, 2D's
 //! transpose charge and the row order of the gathered embeddings.
 
 use super::shell::State;
-use super::{pipeline, CommMode, Lead, Workspace};
+use super::stages::{Comms, Stages};
+use super::{pipeline, CommMode, Workspace};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
-use cagnet_sparse::Csr;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -50,53 +50,6 @@ pub(crate) fn gather_h(dims: &[usize], l: usize, q: usize) -> bool {
     q > 1 && moved < dims[l + 1]
 }
 
-/// One SUMMA stage as every rank sees it.
-pub(crate) struct Stage {
-    /// Member of the process row that broadcasts the stage's `S` panel.
-    pub(crate) s_root: usize,
-    /// Member of the process column that holds the stage's `D` panel.
-    pub(crate) d_root: usize,
-    /// Rows of the `D` panel — known to every rank from the balanced
-    /// partition, fingerprinted by gather receivers.
-    pub(crate) d_rows: usize,
-    /// Where this rank is the `S` root: the panel's columns of its
-    /// resident sparse block.
-    pub(crate) s_cols: Option<(usize, usize)>,
-    /// Where this rank is the `D` root: the panel's rows of its resident
-    /// dense block.
-    pub(crate) d_local: Option<(usize, usize)>,
-}
-
-/// One direction's sparse operand: this rank's block of `Aᵀ` (forward)
-/// or `A` (backward), and per stage the rows of the `D` panel its
-/// process row's `S` panel references (sparse tiers).
-pub(crate) struct Side {
-    block: Arc<Csr>,
-    needed: Vec<Vec<usize>>,
-    /// Per stage, `Some` exactly where this rank is the `S` root: the
-    /// panel it serves, built for the current tier by
-    /// [`Grid::set_panels`] — the block itself when a dense-tier stage
-    /// spans all of it, else a column slice, compacted to the stage's
-    /// needed rows in the sparse tiers (same nnz, so the same SparseComm
-    /// words).
-    panels: Vec<Option<Arc<Csr>>>,
-}
-
-impl Side {
-    pub(crate) fn new(block: Csr, needed: Vec<Vec<usize>>) -> Self {
-        Side {
-            block: Arc::new(block),
-            needed,
-            panels: Vec::new(),
-        }
-    }
-
-    /// Rows of the sparse block (of a SpMM's partial sum).
-    pub(crate) fn rows(&self) -> usize {
-        self.block.rows()
-    }
-}
-
 /// The geometry of a SUMMA-family layout.
 pub struct Grid {
     /// Process row: `S` panels, partial-`W` `T` blocks, the output
@@ -111,9 +64,10 @@ pub struct Grid {
     pub(crate) jgroup: Option<Communicator>,
     /// 3D: the fiber each SpMM's partial sums reduce-scatter over.
     pub(crate) fiber: Option<Communicator>,
-    pub(crate) stages: Vec<Stage>,
-    pub(crate) fwd: Side,
-    pub(crate) bwd: Side,
+    /// This rank's block of `Aᵀ` (forward) and of `A` (backward) as the
+    /// stage panels of its grid column, over the same stage geometry.
+    pub(crate) fwd: Stages,
+    pub(crate) bwd: Stages,
     /// 2D: the nnz to charge as two local transposes per backward (the
     /// paper implementation's "trpose" in Figure 3).
     pub(crate) transpose_nnz: Option<usize>,
@@ -131,89 +85,21 @@ impl Grid {
         c0..c1
     }
 
-    /// Build both sides' stage panels under comm tier `mode`; returns the
-    /// storage words of both sparse blocks and of every served panel that
-    /// is a copy rather than the block itself.
+    /// Keep both directions' stage panels for comm tier `mode`; returns
+    /// their storage words.
     pub(crate) fn set_panels(&mut self, mode: CommMode) -> usize {
-        let mut words = 0;
-        for side in [&mut self.fwd, &mut self.bwd] {
-            let block = &side.block;
-            side.panels = self
-                .stages
-                .iter()
-                .zip(&side.needed)
-                .map(|(st, needed)| {
-                    let (c0, c1) = st.s_cols?;
-                    let whole = c0 == 0 && c1 == block.cols();
-                    Some(match (mode.sparse_exchange(), whole) {
-                        (false, true) => block.clone(),
-                        (false, false) => Arc::new(block.block(0, block.rows(), c0, c1)),
-                        (true, true) => Arc::new(block.compact_cols(needed)),
-                        (true, false) => {
-                            Arc::new(block.block(0, block.rows(), c0, c1).compact_cols(needed))
-                        }
-                    })
-                })
-                .collect();
-            let copies = side.panels.iter().flatten();
-            words += super::csr_words(&side.block)
-                + copies
-                    .filter(|p| !Arc::ptr_eq(p, &side.block))
-                    .map(|p| super::csr_words(p))
-                    .sum::<usize>();
-        }
-        words
+        self.fwd.set_panels(mode) + self.bwd.set_panels(mode)
     }
 
-    /// One SpMM `side · D`, `d_mine` being this rank's `D` block: the
-    /// stages of a SUMMA (each an `S` panel along the process row, then a
-    /// `D` panel through the shell's stage fetch along the process
-    /// column), pipelined against the stage SpMMs; in 3D followed by the
-    /// fiber reduce-scatter of the `∛P`-replicated partial sums. `slot` is
-    /// the SpMM's index among a pass's SpMMs (forward layers first), for
-    /// the halo cache.
-    fn aggregate(&self, s: &State, ctx: &Ctx, side: &Side, d_mine: &Arc<Mat>, slot: usize) -> Mat {
-        let f = d_mine.cols();
-        let mut out = s.ws.borrow_mut().zeros(side.rows(), f);
-        let slot_base = slot * self.stages.len();
-        let issue = |k: usize| {
-            let st = &self.stages[k];
-            let s_op = self
-                .row
-                .ibcast_shared(st.s_root, side.panels[k].clone(), Cat::SparseComm);
-            let s_op = Lead::new(s_op, s.overlap);
-            let d_payload = st.d_local.map(|(r0, r1)| d_panel(&s.ws, d_mine, r0, r1));
-            let dims = (st.d_rows, f);
-            let d_op = s.fetch(
-                &self.col,
-                st.d_root,
-                d_payload,
-                &side.needed[k],
-                dims,
-                slot_base + k,
-            );
-            (s_op, d_op)
-        };
-        pipeline(s.overlap, self.stages.len(), issue, |_, (s_op, d_op)| {
-            let a = s_op.wait();
-            let d = d_op.wait();
-            // In the sparse tiers both panels are compact: the S panel's
-            // columns are renumbered to needed order (same nnz/rows) and
-            // the D panel holds exactly those rows, so the accumulation
-            // order — and the charged cost — matches the dense tier bit
-            // for bit.
-            ctx.charge_spmm(a.nnz(), a.rows(), d.cols());
-            s.ws.borrow_mut()
-                .spmm_acc_with(ctx.parallel(), &a, &d, &mut out);
-            d.release(&s.ws);
-        });
-        let Some(fiber) = &self.fiber else {
-            return out;
-        };
-        let partial = s.ws.borrow_mut().lend(out);
-        let mut out = s.ws.borrow_mut().take(s.hs[0].rows() * f);
-        fiber.reduce_scatter_rows(partial, None, &mut out, Cat::DenseComm);
-        out
+    /// The communicators of a SUMMA stage loop: `S` panels along the
+    /// process row, `D` panels along the process column, and in 3D the
+    /// fiber reduce-scatter of the `∛P`-replicated partial sums.
+    fn comms(&self) -> Comms<'_> {
+        Comms {
+            row: Some(&self.row),
+            col: &self.col,
+            reduce: self.fiber.as_ref().map(|fiber| (fiber, None)),
+        }
     }
 
     /// `Z_ij = Σ_k T_ik · W[in-block k, out-block j]` over the process
@@ -306,19 +192,6 @@ impl Grid {
     }
 }
 
-/// Rows `r0..r1` of my resident dense block as a stage payload: the block
-/// itself when the stage spans all of it, else a copy in a workspace
-/// buffer lent for the fetch.
-fn d_panel(ws: &RefCell<Workspace>, d_mine: &Arc<Mat>, r0: usize, r1: usize) -> Arc<Mat> {
-    if r0 == 0 && r1 == d_mine.rows() {
-        return d_mine.clone();
-    }
-    let mut ws = ws.borrow_mut();
-    let mut panel = ws.take((r1 - r0) * d_mine.cols());
-    d_mine.block_into(r0, r1, 0, d_mine.cols(), &mut panel);
-    ws.lend(panel)
-}
-
 /// The layers of a forward pass; returns the rank's share of the summed
 /// NLL.
 pub(crate) fn forward(g: &Grid, s: &mut State, ctx: &Ctx) -> f64 {
@@ -326,7 +199,7 @@ pub(crate) fn forward(g: &Grid, s: &mut State, ctx: &Ctx) -> f64 {
     let mut nll = 0.0;
     for l in 0..l_total {
         let f_out = s.cfg.dims[l + 1];
-        let t = g.aggregate(s, ctx, &g.fwd, &s.hs[l], l);
+        let t = g.fwd.aggregate(s, ctx, &g.comms(), &s.hs[l], l);
         let t = s.ws.get_mut().lend(t);
         let z = Arc::new(g.partial_w(s, ctx, &t, l));
         if l + 1 == l_total {
@@ -362,7 +235,7 @@ pub(crate) fn backward(g: &Grid, s: &mut State, ctx: &Ctx) {
     for l in (0..l_total).rev() {
         let (f_in, f_out) = (s.cfg.dims[l], s.cfg.dims[l + 1]);
         // AG = A G, saved and reused (§IV-C.4, §IV-D.4).
-        let ag = g.aggregate(s, ctx, &g.bwd, &grad, l_total + l);
+        let ag = g.bwd.aggregate(s, ctx, &g.comms(), &grad, l_total + l);
         let ag = s.ws.get_mut().lend(ag);
         // One row all-gather serves both Y and the next gradient: of AG,
         // or of Hˡ when the layer widens. The local block rides into the

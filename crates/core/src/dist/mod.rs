@@ -4,8 +4,9 @@
 //! algorithm shares — weights, optimizer, activation, dropout, the stored
 //! `Z`/`H` blocks, the comm tier, overlap, the halo cache and the
 //! workspace — and implements the epoch, the setters and the stage fetch
-//! (`State::fetch`) once. A [`Layout`] supplies only its geometry and
-//! stage loops, and runs through one of two shared bodies:
+//! (`State::fetch`) once, and every layout's stage loop runs through one
+//! stage table (`dist/stages.rs`). A [`Layout`] supplies only its
+//! geometry, and runs through one of two shared bodies:
 //!
 //! * the row family (`H`/`G` by block rows, whole class rows per rank):
 //!   - [`onedim`] — 1D block-row (Algorithm 1): `A` by block columns.
@@ -38,6 +39,7 @@ pub mod onedim;
 pub mod onedim_row;
 mod rows;
 mod shell;
+mod stages;
 pub mod threedim;
 pub mod twodim;
 

@@ -29,8 +29,9 @@
 //! all-gather of `G`, a column-sliced outer product per replica, and a
 //! replica-group reduce-scatter back to fine blocks.
 
-use super::rows::{block_row, reduce, RowLayout, Stages};
+use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
+use super::stages::{reduce, Comms, RowSets, Stages};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
@@ -38,7 +39,6 @@ use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::Mat;
 use cagnet_sparse::partition::block_ranges;
-use cagnet_sparse::Csr;
 use std::sync::Arc;
 
 /// The 1.5D trainer.
@@ -61,7 +61,7 @@ pub struct One5D {
     /// Per team member, the rows of its fine block that the coarse
     /// partial can make nonzero: the rows any stage block stores entries
     /// in.
-    team_sends: Arc<Vec<Vec<usize>>>,
+    team_sends: RowSets,
 }
 
 impl Trainer<One5D> {
@@ -100,17 +100,13 @@ impl Trainer<One5D> {
         // balanced fine split is what makes the reduce-scatters land
         // exactly on fine blocks).
         let (cr0, cr1) = (fine[ti * c].0, fine[(ti + 1) * c - 1].1);
-        let blocks: Vec<Csr> = (0..p1)
-            .map(|ip| {
-                let (b0, b1) = fine[ip * c + tr];
-                problem.adj_t.block(cr0, cr1, b0, b1)
-            })
-            .collect();
+        let spans = (0..p1).map(|ip| fine[ip * c + tr]).collect();
+        let stages = stages(&problem.adj_t, (cr0, cr1), spans, ti);
         let team_sends = block_ranges(cr1 - cr0, c)
             .into_iter()
             .map(|(b0, b1)| {
                 (b0..b1)
-                    .filter(|&v| blocks.iter().any(|a| a.row_nnz(v) > 0))
+                    .filter(|&v| stages.row_occupied(v))
                     .map(|v| v - b0)
                     .collect()
             })
@@ -120,7 +116,7 @@ impl Trainer<One5D> {
             c,
             team,
             rep,
-            stages: Stages::new(blocks),
+            stages,
             team_sends: Arc::new(team_sends),
         };
         Ok(Trainer::new(layout, problem, cfg, fr0, h0))
@@ -134,16 +130,14 @@ impl Trainer<One5D> {
 
 impl RowLayout for One5D {
     fn aggregate(&self, s: &State, ctx: &Ctx, l: usize) -> Mat {
-        // The coarse partial sum: replica r's stages b ≡ r (mod c) via
-        // replica-group fetches of fine H blocks.
-        let mut partial = s.ws.borrow_mut().zeros(self.stages.rows(), s.hs[l].cols());
-        self.stages
-            .multiply(s, ctx, &self.rep, &s.hs[l], l, &mut partial);
-        // Team reduce-scatter: coarse partials → my fine block of T.
-        let partial = s.ws.borrow_mut().lend(partial);
-        let mut t = s.ws.borrow_mut().take(s.hs[l].len());
-        reduce(s, &self.team, partial, &self.team_sends, &mut t);
-        t
+        // The coarse partial sum of replica r's stages b ≡ r (mod c), via
+        // replica-group fetches of fine H blocks, team reduce-scattered to
+        // my fine block of T.
+        let comms = Comms {
+            reduce: Some((&self.team, Some(&self.team_sends))),
+            ..Comms::along(&self.rep)
+        };
+        self.stages.aggregate(s, ctx, &comms, &s.hs[l], l)
     }
 
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, _l: usize, g: Mat) -> Mat {
@@ -166,7 +160,7 @@ impl RowLayout for One5D {
         // lands on rank (i', r) — exactly my fine block of A G, sent only
         // the columns of stage block i'.
         let mut ag = s.ws.borrow_mut().take(g.len());
-        reduce(s, &self.rep, contrib, self.stages.needed(), &mut ag);
+        reduce(s, &self.rep, contrib, Some(self.stages.needed()), &mut ag);
         ag
     }
 }

@@ -13,8 +13,9 @@
 //! all-reduce (§IV-A.4), and finishes with the replicated gradient-descent
 //! step.
 
-use super::rows::{block_row, reduce, RowLayout, Stages};
+use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
+use super::stages::{reduce, Comms, Stages};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
@@ -48,12 +49,9 @@ impl Trainer<OneDim> {
     /// when the cluster does not fit the problem.
     pub fn try_setup(ctx: &Ctx, problem: &Problem, cfg: &GcnConfig) -> Result<Self, SetupError> {
         let (r0, r1, h0) = block_row(ctx, problem)?;
-        let blocks = block_ranges(problem.vertices(), ctx.size)
-            .into_iter()
-            .map(|(c0, c1)| problem.adj_t.block(r0, r1, c0, c1))
-            .collect();
+        let spans = block_ranges(problem.vertices(), ctx.size);
         let layout = OneDim {
-            stages: Stages::new(blocks),
+            stages: stages(&problem.adj_t, (r0, r1), spans, ctx.rank),
         };
         Ok(Trainer::new(layout, problem, cfg, r0, h0))
     }
@@ -61,10 +59,8 @@ impl Trainer<OneDim> {
 
 impl RowLayout for OneDim {
     fn aggregate(&self, s: &State, ctx: &Ctx, l: usize) -> Mat {
-        let mut t = s.ws.borrow_mut().zeros(self.stages.rows(), s.hs[l].cols());
-        self.stages
-            .multiply(s, ctx, &ctx.world, &s.hs[l], l, &mut t);
-        t
+        let comms = Comms::along(&ctx.world);
+        self.stages.aggregate(s, ctx, &comms, &s.hs[l], l)
     }
 
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, _l: usize, g: Mat) -> Mat {
@@ -73,7 +69,7 @@ impl RowLayout for OneDim {
         // of the contribution is nonzero only where Aᵀ_i has column v:
         // member j is sent the columns of stage block j.
         let mut ag = g;
-        reduce(s, &ctx.world, contrib, self.stages.needed(), &mut ag);
+        reduce(s, &ctx.world, contrib, Some(self.stages.needed()), &mut ag);
         ag
     }
 }

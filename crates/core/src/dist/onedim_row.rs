@@ -11,8 +11,9 @@
 //! same total communication cost." `tests/onedim_variants.rs` verifies
 //! that claim on measured word counters.
 
-use super::rows::{block_row, reduce, RowLayout, Stages};
+use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
+use super::stages::{reduce, Comms, Stages};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
@@ -41,12 +42,9 @@ impl Trainer<OneDimRow> {
     /// when the cluster does not fit the problem.
     pub fn try_setup(ctx: &Ctx, problem: &Problem, cfg: &GcnConfig) -> Result<Self, SetupError> {
         let (r0, r1, h0) = block_row(ctx, problem)?;
-        let blocks = block_ranges(problem.vertices(), ctx.size)
-            .into_iter()
-            .map(|(c0, c1)| problem.adj.block(r0, r1, c0, c1))
-            .collect();
+        let spans = block_ranges(problem.vertices(), ctx.size);
         let layout = OneDimRow {
-            stages: Stages::new(blocks),
+            stages: stages(&problem.adj, (r0, r1), spans, ctx.rank),
         };
         Ok(Trainer::new(layout, problem, cfg, r0, h0))
     }
@@ -59,7 +57,7 @@ impl RowLayout for OneDimRow {
         // that are columns of stage block j.
         let contrib = self.stages.outer_product(s, ctx, &s.hs[l]);
         let mut t = s.ws.borrow_mut().take(s.hs[l].len());
-        reduce(s, &ctx.world, contrib, self.stages.needed(), &mut t);
+        reduce(s, &ctx.world, contrib, Some(self.stages.needed()), &mut t);
         t
     }
 
@@ -67,9 +65,8 @@ impl RowLayout for OneDimRow {
         // Block-row multiply: AG_i = Σ_j A_ij G_j via P fetches, my block
         // shared so it enters its stage without a copy.
         let g = s.ws.borrow_mut().lend(g);
-        let mut ag = s.ws.borrow_mut().zeros(self.stages.rows(), g.cols());
-        self.stages.multiply(s, ctx, &ctx.world, &g, l, &mut ag);
-        ag
+        let comms = Comms::along(&ctx.world);
+        self.stages.aggregate(s, ctx, &comms, &g, l)
     }
 }
 

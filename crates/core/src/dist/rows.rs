@@ -4,20 +4,19 @@
 //! aggregation is local: a layer's forward is `Z = (AᵀH)W` then the
 //! activation (or the row-local output layer, §IV-A.2), and its backward
 //! is `Y = Hᵀ(AG)` with an `f x f` world all-reduce (§IV-A.4) plus the
-//! next `G`. The layouts differ only in how they aggregate — stage
-//! fetches ([`Stages::multiply`]) or a large outer product
-//! reduce-scattered back to block rows ([`Stages::outer_product`],
-//! [`reduce`]) — in each direction. Either way a rank holds its block
-//! once, as the stage blocks both directions read.
+//! next `G`. The layouts differ only in how they aggregate — the stage
+//! loop ([`Stages::aggregate`]) or a large outer product reduce-scattered
+//! back to block rows ([`Stages::outer_product`]) — in each direction.
+//! Either way a rank holds its block once, as the stage panels of one
+//! table ([`stages`]) that both directions read.
 
 use super::shell::State;
-use super::{pipeline, CommMode, SetupError};
+use super::stages::{Stage, Stages};
+use super::SetupError;
 use crate::problem::Problem;
-use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
 use cagnet_sparse::partition::block_range;
-use cagnet_sparse::spmm::outer_product_from_transposed_into;
 use cagnet_sparse::Csr;
 use std::sync::Arc;
 
@@ -93,132 +92,24 @@ pub(crate) fn backward(r: &dyn RowLayout, s: &mut State, ctx: &Ctx) {
     }
 }
 
-/// A block row of a sparse operand split into stage column blocks, the
-/// `j`-th multiplying the dense block member `j` of a communicator owns:
-/// `out += Σ_j blocks[j] · D_j`. It is the only copy of the block row a
-/// layout holds: the outer product of the other direction runs over the
-/// same blocks.
-pub(crate) struct Stages {
-    blocks: Vec<Csr>,
-    /// Per stage: the sorted distinct columns of `blocks[j]` — the rows
-    /// of `D_j` this rank actually reads (sparse tiers), and so the rows
-    /// of member `j`'s block that an outer product through the transpose
-    /// of this block row can make nonzero.
-    needed: Arc<Vec<Vec<usize>>>,
-    /// Column-compacted copies of `blocks` (columns renumbered to
-    /// `needed[j]` order) for multiplying compact gathered operands.
-    /// Built on the first switch to a sparse tier.
-    compact: Vec<Csr>,
-}
-
-impl Stages {
-    pub(crate) fn new(blocks: Vec<Csr>) -> Self {
-        let needed = Arc::new(blocks.iter().map(Csr::needed_cols).collect());
-        Stages {
-            blocks,
-            needed,
-            compact: Vec::new(),
-        }
-    }
-
-    /// Per stage `j`, the sorted distinct columns of `blocks[j]`.
-    pub(crate) fn needed(&self) -> &Arc<Vec<Vec<usize>>> {
-        &self.needed
-    }
-
-    /// Rows of every stage block.
-    pub(crate) fn rows(&self) -> usize {
-        self.blocks[0].rows()
-    }
-
-    /// The large outer product through the transpose of this block row
-    /// (§IV-A.3): stage `j`'s product `blocks[j]ᵀ · d` fills rows
-    /// `off_j .. off_j + blocks[j].cols()` of the contribution, `off_j`
-    /// being the widths of the stages before it. Built in a workspace
-    /// buffer and lent to the reduce-scatter it rides into, whose send
-    /// sets are [`Stages::needed`].
-    pub(crate) fn outer_product(&self, s: &State, ctx: &Ctx, d: &Mat) -> Arc<Mat> {
-        let nnz = self.blocks.iter().map(Csr::nnz).sum();
-        ctx.charge_spmm(nnz, self.rows(), d.cols());
-        let height = self.blocks.iter().map(Csr::cols).sum();
-        let mut contrib = s.ws.borrow_mut().zeros(height, d.cols());
-        let mut off = 0;
-        for a in &self.blocks {
-            outer_product_from_transposed_into(a, d, &mut contrib, off);
-            off += a.cols();
-        }
-        s.ws.borrow_mut().lend(contrib)
-    }
-
-    /// Build the compact copies the sparse tiers serve; returns the
-    /// storage words of the stage blocks and their compact copies.
-    pub(crate) fn set_panels(&mut self, mode: CommMode) -> usize {
-        if mode.sparse_exchange() && self.compact.is_empty() {
-            self.compact = self
-                .blocks
-                .iter()
-                .zip(self.needed.iter())
-                .map(|(a, nd)| a.compact_cols(nd))
-                .collect();
-        }
-        self.blocks
-            .iter()
-            .chain(&self.compact)
-            .map(super::csr_words)
-            .sum()
-    }
-
-    /// `out += Σ_j blocks[j] · D_j` for layer `l`'s stages, where `mine`
-    /// is this rank's `D` block on `comm`: one stage fetch per member,
-    /// pipelined against the stage SpMMs.
-    pub(crate) fn multiply(
-        &self,
-        s: &State,
-        ctx: &Ctx,
-        comm: &Communicator,
-        mine: &Arc<Mat>,
-        l: usize,
-        out: &mut Mat,
-    ) {
-        let f = mine.cols();
-        // Stage j fetches D_j from member j — an Arc clone only: the
-        // owner's resident block is never deep-copied, root or not.
-        let issue = |j: usize| {
-            let payload = (j == comm.my_idx()).then(|| mine.clone());
-            let dims = (self.blocks[j].cols(), f);
-            let slot = l * self.blocks.len() + j;
-            s.fetch(comm, j, payload, &self.needed[j], dims, slot)
-        };
-        pipeline(s.overlap, self.blocks.len(), issue, |j, fetch| {
-            let d = fetch.wait();
-            // The compact panel has the same nnz/rows as the full block
-            // (columns are only renumbered), so the charged SpMM cost —
-            // and the accumulation order — is identical in every tier.
-            let a = if s.mode.sparse_exchange() {
-                &self.compact[j]
-            } else {
-                &self.blocks[j]
-            };
-            ctx.charge_spmm(a.nnz(), a.rows(), f);
-            s.ws.borrow_mut().spmm_acc_with(ctx.parallel(), a, &d, out);
-            d.release(&s.ws);
-        });
-    }
-}
-
-/// Reduce-scatter `m` over `comm` into `out`. In the sparse tiers each
-/// member `j` is sent only the rows `sends[j]` of its block that `m` can
-/// make nonzero (DESIGN.md §9); `Dense` sends every member its whole
-/// block.
-pub(crate) fn reduce(
-    s: &State,
-    comm: &Communicator,
-    m: Arc<Mat>,
-    sends: &Arc<Vec<Vec<usize>>>,
-    out: &mut Mat,
-) {
-    let sends = s.mode.sparse_exchange().then_some(sends);
-    comm.reduce_scatter_rows(m, sends, out, Cat::DenseComm);
+/// The row family's stage table over rows `r0..r1` of `a`: stage `j`
+/// spans columns `spans[j]` and multiplies the `D` block of member `j` of
+/// the communicator on which this rank is member `me`. Every panel is
+/// this rank's own.
+pub(crate) fn stages(
+    a: &Csr,
+    rows: (usize, usize),
+    spans: Vec<(usize, usize)>,
+    me: usize,
+) -> Stages {
+    let stages = (spans.into_iter().enumerate())
+        .map(|(j, span)| Stage {
+            s_root: me,
+            d_root: j,
+            span,
+        })
+        .collect();
+    Stages::new(a, rows, stages, me)
 }
 
 /// The prologue of every row layout's `try_setup`: refuse more ranks

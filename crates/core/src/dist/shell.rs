@@ -5,10 +5,10 @@
 //! stored `Z`/`H` blocks and output probabilities, the comm tier, the
 //! overlap switch, the halo cache and the workspace — and implements the
 //! epoch, every setter and the forward hand-back prologue once. Its
-//! [`Layout`] supplies only geometry: which blocks of `A` this rank
-//! holds, what each stage fetches, and the stage loops its family's
-//! shared body calls ([`super::rows`] for 1D / 1D-row / 1.5D,
-//! [`super::grid`] for 2D / 3D).
+//! [`Layout`] supplies only geometry: its stage tables (which panels of
+//! `A` this rank holds, what each stage fetches) and communicators, and
+//! the aggregations its family's shared body calls ([`super::rows`] for
+//! 1D / 1D-row / 1.5D, [`super::grid`] for 2D / 3D).
 
 use super::grid::{self, Grid};
 use super::rows::{self, RowLayout};
@@ -49,9 +49,10 @@ pub trait Layout: sealed::Sealed {
     /// The family body this layout's passes run through.
     fn family(&self) -> Family<'_>;
 
-    /// Build the stage panels this rank multiplies or serves under comm
-    /// tier `mode`; called by [`Trainer::set_comm_mode`]. Returns the
-    /// words of the sparse blocks the layout then holds, copies counted
+    /// Keep the stage panels this rank multiplies or serves under comm
+    /// tier `mode` (compact copies only in a sparse tier); called by
+    /// [`Trainer::set_comm_mode`]. Returns the words of the sparse panels
+    /// the layout then holds, copies counted
     /// ([`StorageReport::adjacency`]).
     fn set_panels(&mut self, mode: CommMode) -> usize;
 }

@@ -19,8 +19,9 @@
 //! (`dist/grid.rs`), with `Y` reduced over all ranks sharing the grid
 //! column.
 
-use super::grid::{Grid, Side, Stage};
+use super::grid::Grid;
 use super::shell::{expect_setup, sealed, Family};
+use super::stages::{Stage, Stages};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
@@ -71,34 +72,25 @@ impl Trainer<ThreeDim> {
         } = Grid3D::new(ctx, q);
         // All ranks sharing my grid column j (size q²): the Y reduction.
         let jgroup = ctx.world.split(j as u64);
-        // A blocks: rows block i; columns = sub-block k of column block j.
+        // A blocks: rows block i, columns sub-block k of each column
+        // block. Dense blocks: rows sub-block k of row block i, columns
+        // block j of f.
         let (r0b, r1b) = block_range(n, q, i);
-        let (c0, c1) = block_range(n, q, j);
-        let sub = block_range(c1 - c0, q, k);
-        let at_ijk = problem.adj_t.block(r0b, r1b, c0 + sub.0, c0 + sub.1);
-        let a_ijk = problem.adj.block(r0b, r1b, c0 + sub.0, c0 + sub.1);
-        // Dense blocks: rows = sub-block k of row block i; cols block j of f.
         let rsub = block_range(r1b - r0b, q, k);
         let (r0, r1) = (r0b + rsub.0, r0b + rsub.1);
         // SUMMA stage s of my mesh layer: the S block of grid column s,
-        // the D block of grid row s. Needed sets and D heights from the
-        // global adjacency (uncharged setup, like the slicing above).
-        let mut stages = Vec::with_capacity(q);
-        let (mut needed_fwd, mut needed_bwd) = (Vec::new(), Vec::new());
-        for s in 0..q {
-            let (cs0, cs1) = block_range(n, q, s);
-            let ssub = block_range(cs1 - cs0, q, k);
-            let (g0, g1) = (cs0 + ssub.0, cs0 + ssub.1);
-            needed_fwd.push(problem.adj_t.needed_cols_in(r0b, r1b, g0, g1));
-            needed_bwd.push(problem.adj.needed_cols_in(r0b, r1b, g0, g1));
-            stages.push(Stage {
-                s_root: s,
-                d_root: s,
-                d_rows: g1 - g0,
-                s_cols: (s == j).then(|| (0, at_ijk.cols())),
-                d_local: (s == i).then(|| (0, r1 - r0)),
-            });
-        }
+        // the D block of grid row s.
+        let stages: Vec<Stage> = (0..q)
+            .map(|s| {
+                let (cs0, cs1) = block_range(n, q, s);
+                let ssub = block_range(cs1 - cs0, q, k);
+                Stage {
+                    s_root: s,
+                    d_root: s,
+                    span: (cs0 + ssub.0, cs0 + ssub.1),
+                }
+            })
+            .collect();
         // Global row order: row block i, then sub-block k; the process row
         // of (i, k) is ranks k·q² + i·q + j over j.
         let output_ranks = (0..q)
@@ -109,9 +101,8 @@ impl Trainer<ThreeDim> {
             col,
             jgroup: Some(jgroup),
             fiber: Some(fiber),
-            stages,
-            fwd: Side::new(at_ijk, needed_fwd),
-            bwd: Side::new(a_ijk, needed_bwd),
+            fwd: Stages::new(&problem.adj_t, (r0b, r1b), stages.clone(), j),
+            bwd: Stages::new(&problem.adj, (r0b, r1b), stages, j),
             transpose_nnz: None,
             output_ranks,
         };

@@ -22,8 +22,9 @@
 //! sparse-matrix traffic (`nnz/Pr`) at the cost of the dense terms — see
 //! `tests/rect_grid.rs`.
 
-use super::grid::{Grid, Side, Stage};
+use super::grid::Grid;
 use super::shell::{expect_setup, sealed, Family};
+use super::stages::{Stage, Stages};
 use super::{CommMode, Layout, SetupError, Trainer};
 use crate::analysis::gcf;
 use crate::model::GcnConfig;
@@ -129,40 +130,30 @@ impl Trainer<TwoDim> {
         let Grid2D { i, j, row, col, .. } = Grid2D::new(ctx, pr, pc);
         let fine = block_ranges(n, k_total);
         let (r0, r1) = coarse_ranges(&fine, pr)[i];
-        let (c0, c1) = coarse_ranges(&fine, pc)[j];
         // SUMMA stage (k, t), index k·sub + t: fine block k's t-th
         // sub-panel, its S panel owned by grid column k / (K/Pc) and its
-        // D panel by grid row k / (K/Pr). The needed sets come from the
-        // global adjacency (uncharged setup): only the owning grid column
-        // holds the panel locally, but every rank of a grid row shares it.
+        // D panel by grid row k / (K/Pr).
         let mut stages = Vec::with_capacity(k_total * sub);
-        let (mut needed_fwd, mut needed_bwd) = (Vec::new(), Vec::new());
         for (k, &(fk0, fk1)) in fine.iter().enumerate() {
             let (s_root, d_root) = (k / (k_total / pc), k / (k_total / pr));
             for t in 0..sub {
                 let (t0, t1) = block_range(fk1 - fk0, sub, t);
-                let (g0, g1) = (fk0 + t0, fk0 + t1);
-                needed_fwd.push(problem.adj_t.needed_cols_in(r0, r1, g0, g1));
-                needed_bwd.push(problem.adj.needed_cols_in(r0, r1, g0, g1));
                 stages.push(Stage {
                     s_root,
                     d_root,
-                    d_rows: g1 - g0,
-                    s_cols: (s_root == j).then(|| (g0 - c0, g1 - c0)),
-                    d_local: (d_root == i).then(|| (g0 - r0, g1 - r0)),
+                    span: (fk0 + t0, fk0 + t1),
                 });
             }
         }
-        let a_ij = problem.adj.block(r0, r1, c0, c1);
+        let bwd = Stages::new(&problem.adj, (r0, r1), stages.clone(), j);
         let grid = Grid {
             row,
             col,
             jgroup: None,
             fiber: None,
-            stages,
-            transpose_nnz: Some(a_ij.nnz()),
-            fwd: Side::new(problem.adj_t.block(r0, r1, c0, c1), needed_fwd),
-            bwd: Side::new(a_ij, needed_bwd),
+            transpose_nnz: Some(bwd.nnz()),
+            fwd: Stages::new(&problem.adj_t, (r0, r1), stages, j),
+            bwd,
             output_ranks: (0..pr * pc).collect(),
         };
         let (fc0, fc1) = block_range(problem.features.cols(), pc, j);

@@ -53,16 +53,6 @@ impl ParallelCtx {
         ParallelCtx::new(1)
     }
 
-    /// A budget matching the machine's available parallelism (1 if it
-    /// cannot be queried).
-    pub fn available() -> Self {
-        ParallelCtx::new(
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
     /// The thread budget.
     pub fn threads(&self) -> usize {
         self.threads.get()
@@ -185,38 +175,6 @@ impl ParallelCtx {
         });
     }
 
-    /// Run `task` once per chunk of `0..n` (no output buffer to split);
-    /// chunking is identical to [`ParallelCtx::par_rows`]. Useful when
-    /// the kernel owns its outputs some other way (e.g. writes into
-    /// per-chunk locals returned via channels is *not* provided — this
-    /// is strictly for side-effect-free-per-range work such as
-    /// read-only scans).
-    pub fn par_ranges<F>(&self, n: usize, min_per_chunk: usize, task: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let chunks = self.chunk_count(n, min_per_chunk);
-        if chunks <= 1 {
-            task(0..n);
-            return;
-        }
-        let ranges = split_rows(n, chunks);
-        std::thread::scope(|scope| {
-            let task = &task;
-            let mut iter = ranges.into_iter();
-            let Some(local) = iter.next() else {
-                return; // chunks > 1 guarantees a first chunk
-            };
-            for r in iter {
-                scope.spawn(move || task(r));
-            }
-            task(local);
-        });
-    }
-
     fn chunk_count(&self, rows: usize, min_rows: usize) -> usize {
         if rows == 0 {
             return 0;
@@ -302,20 +260,6 @@ mod tests {
         // 10 rows with min_rows 8 → at most 2 chunks even with 8 threads.
         let ranges = split_rows(10, ParallelCtx::new(8).chunk_count(10, 8));
         assert_eq!(ranges.len(), 2);
-    }
-
-    #[test]
-    fn par_ranges_partitions() {
-        use std::sync::Mutex;
-        let ctx = ParallelCtx::new(3);
-        let seen = Mutex::new(vec![0u32; 20]);
-        ctx.par_ranges(20, 1, |r| {
-            let mut s = seen.lock().unwrap();
-            for i in r {
-                s[i] += 1;
-            }
-        });
-        assert!(seen.into_inner().unwrap().iter().all(|&c| c == 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cagnet::core::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
     StorageReport, Trainer,
 };
-use cagnet::core::trainer::{Algorithm, TwoDimConfig};
+use cagnet::core::trainer::{Algorithm, CommMode, TwoDimConfig};
 use cagnet::core::{GcnConfig, Problem};
 use cagnet::sparse::generate::{rmat_symmetric, RmatParams};
 use cagnet::sparse::partition::block_ranges;
@@ -129,6 +129,117 @@ fn row_family_holds_its_block_once_as_stage_blocks() {
                 _ => one5_d(i),
             };
             assert_eq!(adjacency, expect, "{} rank {i}", algo.name());
+        }
+    }
+}
+
+#[test]
+fn grid_family_holds_each_stage_panel_once() {
+    // A grid rank holds, in each direction, the stage panels of its grid
+    // column — column slices of its block rows of Aᵀ and A — and nothing
+    // more: not its whole block next to them. A sparse tier adds one
+    // compact copy per panel, with the same nnz and rows, so the same
+    // words.
+    let prob = problem();
+    let n = prob.vertices();
+    let words = |a: &Csr| 2 * a.nnz() + a.rows() + 1;
+    // The words of the panels rows `r` x spans `spans` of Aᵀ and of A.
+    let held = |(r0, r1): (usize, usize), spans: Vec<(usize, usize)>| -> usize {
+        spans
+            .into_iter()
+            .map(|(g0, g1)| {
+                words(&prob.adj_t.block(r0, r1, g0, g1)) + words(&prob.adj.block(r0, r1, g0, g1))
+            })
+            .sum()
+    };
+    // 2D on a pr x pc grid with `sub` stages per fine block: rank (i, j)
+    // holds the sub-panels of the fine blocks of its column group.
+    let two_d = |pr: usize, pc: usize, sub: usize, rank: usize| -> usize {
+        let k_total = (1..).map(|m| m * pr).find(|m| m % pc == 0).unwrap();
+        let fine = block_ranges(n, k_total);
+        let (i, j) = (rank / pc, rank % pc);
+        let per_row = k_total / pr;
+        let rows = (fine[i * per_row].0, fine[(i + 1) * per_row - 1].1);
+        let spans = fine
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k / (k_total / pc) == j)
+            .flat_map(|(_, &(f0, f1))| {
+                block_ranges(f1 - f0, sub)
+                    .into_iter()
+                    .map(move |(t0, t1)| (f0 + t0, f0 + t1))
+            })
+            .collect();
+        held(rows, spans)
+    };
+    // 3D at q = 2: rank (i, j, k) holds sub-block k of column block j.
+    let three_d = |rank: usize| -> usize {
+        let q = 2;
+        let (k, i, j) = (rank / (q * q), rank % (q * q) / q, rank % q);
+        let (c0, c1) = block_ranges(n, q)[j];
+        let (s0, s1) = block_ranges(c1 - c0, q)[k];
+        held(block_ranges(n, q)[i], vec![(c0 + s0, c0 + s1)])
+    };
+    let cells = [
+        (Algorithm::TwoD, 4, 2),
+        (Algorithm::TwoDRect { pr: 4, pc: 2 }, 8, 1),
+        (Algorithm::ThreeD, 8, 1),
+    ];
+    for (algo, p, sub) in cells {
+        for (mode, copies) in [(CommMode::Dense, 1), (CommMode::SparsityAware, 2)] {
+            let reports = Cluster::new(p).run(|ctx| {
+                let twod = TwoDimConfig {
+                    stages_per_block: sub,
+                };
+                let mut t = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
+                t.set_comm_mode(mode);
+                t.epoch(ctx);
+                (ctx.rank, t.storage_words().adjacency)
+            });
+            for ((rank, adjacency), _) in reports {
+                let panels = match algo {
+                    Algorithm::TwoD => two_d(2, 2, sub, rank),
+                    Algorithm::TwoDRect { pr, pc } => two_d(pr, pc, sub, rank),
+                    _ => three_d(rank),
+                };
+                let name = algo.name();
+                assert_eq!(adjacency, copies * panels, "{name} {mode:?} rank {rank}");
+            }
+        }
+    }
+}
+
+#[test]
+fn returning_to_a_tier_restores_its_fresh_adjacency() {
+    // A rank's compact panel copies live exactly as long as a sparse tier
+    // is on: Dense → SparsityAware → Dense leaves the adjacency of a fresh
+    // Dense trainer, and the reverse flip that of a fresh sparse one.
+    let prob = problem();
+    let algos = [
+        (Algorithm::OneD, 4),
+        (Algorithm::OneDRow, 4),
+        (Algorithm::One5D { c: 2 }, 4),
+        (Algorithm::TwoD, 4),
+        (Algorithm::ThreeD, 8),
+    ];
+    let (dense, sparse) = (CommMode::Dense, CommMode::SparsityAware);
+    for (algo, p) in algos {
+        for flips in [[dense, sparse, dense], [sparse, dense, sparse]] {
+            let reports = Cluster::new(p).run(|ctx| {
+                let twod = TwoDimConfig::default();
+                let mut fresh = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
+                fresh.set_comm_mode(flips[2]);
+                let mut flipped = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
+                for mode in flips {
+                    flipped.set_comm_mode(mode);
+                }
+                let adjacency = |t: &Trainer<_>| t.storage_words().adjacency;
+                (adjacency(&flipped), adjacency(&fresh))
+            });
+            for (rank, ((flipped, fresh), _)) in reports.into_iter().enumerate() {
+                let name = algo.name();
+                assert_eq!(flipped, fresh, "{name} {flips:?} rank {rank}");
+            }
         }
     }
 }
