@@ -181,8 +181,8 @@ pub fn memory_one_d(s: &Shape, p: usize) -> MemoryEstimate {
 
 /// 1.5D memory: adjacency stays `nnz/P` nonzeros (sliced, not replicated
 /// in our variant, and held once for both directions); the premium is the
-/// coarse forward partial (`n/p₁ x f`) plus the backward contribution
-/// (`n/c x f`).
+/// larger of the coarse forward partial (`n/p₁ x f`) and the backward
+/// contribution (`n/c x f`), which live in different passes.
 pub fn memory_one5_d(s: &Shape, p: usize, c: usize) -> MemoryEstimate {
     assert!(c >= 1 && p.is_multiple_of(c), "c must divide P");
     let p1 = (p / c) as f64;
@@ -190,7 +190,7 @@ pub fn memory_one5_d(s: &Shape, p: usize, c: usize) -> MemoryEstimate {
     MemoryEstimate {
         adjacency: 2.0 * s.nnz / p as f64,
         dense_state: (2.0 * s.layers + 1.0) * s.n * s.f / p as f64,
-        intermediate: (s.n / p1 + s.n / cf) * s.f,
+        intermediate: (s.n / p1).max(s.n / cf) * s.f,
     }
 }
 

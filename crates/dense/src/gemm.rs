@@ -2,49 +2,72 @@
 //!
 //! These are the local GEMM kernels called by every training algorithm for
 //! the `T·W`, `G·Wᵀ`, and `Hᵀ·(AG)` products of the paper's §III-C/D
-//! equations. The implementation is a cache-blocked loop nest with a
-//! **register-blocked micro-kernel** (DESIGN.md §14); no BLAS is linked,
-//! per the project's build-everything rule.
+//! equations. No BLAS is linked, per the project's build-everything rule.
 //!
-//! Inside each `MC×KC×NC` cache panel, the micro-kernel computes a fixed
-//! `MR×NR` tile of `C` held entirely in registers: the tile is loaded
-//! once, accumulates all `KC` rank-1 updates of the panel, and is stored
-//! once. The inner loops run over fixed-size arrays so rustc
-//! autovectorizes them (lane = `C` column; no reassociation across the
-//! shared dimension), and edge tiles fall back to a scalar loop with the
-//! identical per-element accumulation order. Zero entries of `A` are
-//! **not** skipped: `0.0 × inf` and `0.0 × NaN` must propagate per IEEE
-//! 754, which the pre-register-blocking kernel got wrong (see
-//! `nan_and_inf_propagate` in `tests/properties.rs` and the reference
-//! kernels kept in [`crate::reference`] for benchmarking).
+//! All three products — `A·B` (NN), `Aᵀ·B` (TN) and `A·Bᵀ` (NT) — run
+//! one **register tile** (`Operands::tile`, DESIGN.md §14): an `R × W`
+//! block of `C` held in locals the compiler keeps in SIMD registers, fed
+//! one rank-1 update per shared-dimension step `p`, in ascending `p`.
+//! Tiles are `MR = 4` rows by 16, then 8, then 1 columns, with single-row
+//! tiles for the rows left over (`walk`). The products differ only in
+//! where a step's `R` values of `A` and `W` values of `B` come from
+//! (`Operands`):
+//!
+//! - NN: `R` rows of `A` at column `p`; row `p` of `B`. The tile folds the
+//!   whole shared dimension when `n ≤ 64` (trainers' `T·W`, 8192 × 602 ×
+//!   16), and `KC`-step blocks of `NC`-column panels above it.
+//! - TN: `R` adjacent elements of row `p` of `A`; row `p` of `B`. `A` is
+//!   read in storage order, `TN_KC` = 16 rows at a time.
+//! - NT: `R` rows of `A` at column `p`; row `p` of a transposed block of
+//!   the small operand `B`, kept on the stack.
+//!
+//! Every element keeps the fold order of the loops it replaced, which
+//! [`crate::reference`] keeps as oracles: NN and TN load `C` and add the
+//! products in ascending `p`; NT folds the products from `+0.0` and then
+//! adds the sum to `C` once. rustc neither contracts `x * y + c` into an
+//! FMA nor reassociates, so every element is bit-identical to its
+//! reference whatever the tile, block or panel it lands in. Zero entries
+//! of `A` are **not** skipped: `0.0 × inf` and `0.0 × NaN` must propagate
+//! per IEEE 754 (`nan_and_inf_propagate` in `tests/properties.rs`).
 //!
 //! Every kernel takes a [`ParallelCtx`] (`ParallelCtx::serial()` for one
 //! thread) and forks the computation over contiguous panels of **output
-//! rows**. Each panel runs the identical serial micro-kernel over its own
-//! rows, and no thread touches another panel's rows, so the parallel
-//! results are bit-for-bit identical to serial for every thread count —
-//! the floating-point accumulation order per output element depends only
-//! on the global `jc`/`pc` tile walk, never on panel or register-tile
-//! boundaries.
+//! rows**. Each panel runs the identical serial walk over its own rows and
+//! no thread touches another panel's rows, so the parallel results are
+//! bit-for-bit identical to serial for every thread count.
 
 use crate::matrix::Mat;
 use cagnet_parallel::ParallelCtx;
 use core::ops::Range;
 
-/// Loop blocking sizes. `MC x KC` panels of `a` are streamed against `KC x
-/// NC` panels of `b`; values chosen so the working set fits comfortably in
-/// L2 for f64.
-const MC: usize = 64;
+/// Register-tile rows: `A` values per rank-1 step, each broadcast across
+/// the tile's columns.
+const MR: usize = 4;
+/// Widest register tile: `MR × NR` = 64 `f64` accumulators, eight 512-bit
+/// or sixteen 256-bit vectors, leaving registers for the `B` row.
+const NR: usize = 16;
+
+/// NN folds the whole shared dimension into each tile up to this many
+/// output columns: the `k × n` operand `B` stays in L2 while the tiles
+/// walk down the rows of `A`, and `A` streams through once.
+const WHOLE_K_N: usize = 64;
+/// Wider NN products fold `KC`-step blocks of `NC`-column panels, so the
+/// `KC × NC` block of `B` a tile row reuses stays in L2.
 const KC: usize = 128;
 const NC: usize = 256;
 
-/// Register-tile rows: `A` values per rank-1 step, each broadcast across
-/// the `NR` lanes. `MR·NR` f64 accumulators (4·8 = four 512-bit or eight
-/// 256-bit vectors) stay comfortably within the 16 SIMD registers of
-/// x86-64 alongside the `B` row load.
-const MR: usize = 4;
-/// Register-tile columns: one or two hardware vectors of f64 lanes.
-const NR: usize = 8;
+/// TN folds this many rows of `A` into every tile of `C` before moving on,
+/// so `A` is read in storage order through a block that stays in L1 while
+/// the tiles walk across it, and `C` is loaded and stored once per block
+/// rather than once per row of `A`. Tiles that instead fold all of `k`
+/// read a wide `A` down its columns, a new page every row.
+const TN_KC: usize = 16;
+
+/// NT transposes `NT_KC` columns by `NT_NC` rows of `B` into a stack block
+/// and keeps the partial sums of `NT_MB` rows of `C` beside it.
+const NT_KC: usize = 128;
+const NT_NC: usize = 32;
+const NT_MB: usize = 64;
 
 /// Minimum output rows per forked chunk: below this the fork-join
 /// overhead dwarfs the row's flops for GCN-width operands.
@@ -96,132 +119,24 @@ pub fn matmul_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let cv = c.as_mut_slice();
-
-    ctx.par_rows(m, n, cv, MIN_PAR_ROWS, |rows, panel| {
-        matmul_acc_panel(av, bv, panel, rows, k, n)
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let (kc, nc) = if n <= WHOLE_K_N { (k, n) } else { (KC, NC) };
+    ctx.par_rows(m, n, c.as_mut_slice(), MIN_PAR_ROWS, |rows, c| {
+        for jc in (0..n).step_by(nc) {
+            for pc in (0..k).step_by(kc) {
+                let steps = pc..k.min(pc + kc);
+                let mut nn = Operands {
+                    a: (a, k, 1),
+                    b: (b, 0),
+                    c: (c, rows.start),
+                    ld: n,
+                    j0: 0,
+                    steps,
+                };
+                walk(&mut nn, rows.clone(), jc..n.min(jc + nc));
+            }
+        }
     });
-}
-
-/// The blocked serial kernel over one panel of output rows
-/// `rows.start..rows.end`; `cpanel` holds exactly those rows. The `jc`
-/// (B column tile) and `pc` (shared-dimension tile) loops are identical
-/// for every panel, so each `C[i][j]` accumulates its `k` products in
-/// the same order — a single accumulator fed in ascending `p` — whether
-/// the element lands in a full `MR×NR` register tile, an edge tile, or a
-/// different row panel.
-fn matmul_acc_panel(
-    av: &[f64],
-    bv: &[f64],
-    cpanel: &mut [f64],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-) {
-    let r0 = rows.start;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let mut ic = rows.start;
-            while ic < rows.end {
-                let mc = MC.min(rows.end - ic);
-                // Register-blocked walk of this MC×nc block: full MR×NR
-                // tiles through the micro-kernel, edges through the
-                // scalar fallback with the same per-element order.
-                let mut i = ic;
-                while i + MR <= ic + mc {
-                    let mut j = jc;
-                    while j + NR <= jc + nc {
-                        microkernel(av, bv, cpanel, i - r0, i, j, pc, kc, k, n);
-                        j += NR;
-                    }
-                    if j < jc + nc {
-                        edge_tile(av, bv, cpanel, i - r0, i, MR, j, jc + nc - j, pc, kc, k, n);
-                    }
-                    i += MR;
-                }
-                if i < ic + mc {
-                    edge_tile(av, bv, cpanel, i - r0, i, ic + mc - i, jc, nc, pc, kc, k, n);
-                }
-                ic += mc;
-            }
-        }
-    }
-}
-
-/// `MR×NR` register tile at output rows `i..i+MR`, columns `j..j+NR`:
-/// load the tile, accumulate the `kc` rank-1 updates of the current
-/// cache panel with `p` ascending, store the tile. The fixed-size
-/// accumulator array lives in SIMD registers and the `NR`-lane inner
-/// loops autovectorize; every product `a·b` is added to exactly one
-/// lane, so there is no reassociation and the result is bit-identical
-/// to the scalar fallback.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn microkernel(
-    av: &[f64],
-    bv: &[f64],
-    cpanel: &mut [f64],
-    pr: usize, // panel-relative row of the tile's first row
-    i: usize,  // absolute row in A
-    j: usize,  // absolute column in B/C
-    pc: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&cpanel[(pr + r) * n + j..(pr + r) * n + j + NR]);
-    }
-    for p in pc..pc + kc {
-        let brow = &bv[p * n + j..p * n + j + NR];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let aval = av[(i + r) * k + p];
-            for (cj, &bval) in accr.iter_mut().zip(brow) {
-                *cj += aval * bval;
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        cpanel[(pr + r) * n + j..(pr + r) * n + j + NR].copy_from_slice(accr);
-    }
-}
-
-/// Edge-tile fallback for the rows/columns left over after the `MR×NR`
-/// walk: one scalar accumulator per element, `p` ascending — the exact
-/// accumulation order of the micro-kernel, so full and edge tiles are
-/// indistinguishable bit-for-bit.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn edge_tile(
-    av: &[f64],
-    bv: &[f64],
-    cpanel: &mut [f64],
-    pr: usize,
-    i: usize,
-    mr: usize,
-    j: usize,
-    nr: usize,
-    pc: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-) {
-    for r in 0..mr {
-        let arow = &av[(i + r) * k + pc..(i + r) * k + pc + kc];
-        for c in 0..nr {
-            let mut acc = cpanel[(pr + r) * n + j + c];
-            for (p, &aval) in arow.iter().enumerate() {
-                acc += aval * bv[(pc + p) * n + j + c];
-            }
-            cpanel[(pr + r) * n + j + c] = acc;
-        }
-    }
 }
 
 /// `C = Aᵀ · B` without materializing `Aᵀ`, output-row panels forked
@@ -238,9 +153,8 @@ pub fn matmul_tn_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
 }
 
 /// `C += Aᵀ · B`, output-row panels (columns of `A`) forked across
-/// `ctx`. Every worker scans the full shared dimension `k` in the same
-/// ascending order, restricted to its own C rows, so accumulation order
-/// per element is thread-count independent.
+/// `ctx`. Every worker reads all `k` rows of `A` in storage order,
+/// restricted to its own columns.
 pub fn matmul_tn_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     let (k, m) = a.shape();
     let (kb, n) = b.shape();
@@ -249,28 +163,21 @@ pub fn matmul_tn_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     if m == 0 || n == 0 {
         return;
     }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let cv = c.as_mut_slice();
+    let (a, b) = (a.as_slice(), b.as_slice());
     // The output here is small (f x f); forking pays off only when A is
     // wide enough that each worker still owns several columns.
-    ctx.par_rows(m, n, cv, 4, |rows, panel| {
-        let r0 = rows.start;
-        // Outer-product accumulation over the shared dimension: each row
-        // p of A scatters into the C rows this panel owns, with both A
-        // and B rows read unit-stride.
-        // No zero-skip here either: `0.0 × inf` must produce NaN per
-        // IEEE 754, the same contract as `matmul_acc_panel`.
-        for p in 0..k {
-            let arow = &av[p * m..(p + 1) * m];
-            let brow = &bv[p * n..(p + 1) * n];
-            for i in rows.clone() {
-                let aval = arow[i];
-                let crow = &mut panel[(i - r0) * n..(i - r0 + 1) * n];
-                for (cj, &bval) in crow.iter_mut().zip(brow) {
-                    *cj += aval * bval;
-                }
-            }
+    ctx.par_rows(m, n, c.as_mut_slice(), MR, |rows, c| {
+        for pc in (0..k).step_by(TN_KC) {
+            let steps = pc..k.min(pc + TN_KC);
+            let mut tn = Operands {
+                a: (a, 1, m),
+                b: (b, 0),
+                c: (c, rows.start),
+                ld: n,
+                j0: 0,
+                steps,
+            };
+            walk(&mut tn, rows.clone(), 0..n);
         }
     });
 }
@@ -286,8 +193,7 @@ pub fn matmul_nt_with(ctx: ParallelCtx, a: &Mat, b: &Mat) -> Mat {
 
 /// `C += A · Bᵀ`, row panels forked across `ctx`. Each output element
 /// is one dot product folded in ascending `k` from a `+0.0` seed and
-/// then added to `C` once, so this parallelizes with no ordering
-/// hazards at all.
+/// then added to `C` once, so `k = 0` still adds `+0.0`.
 pub fn matmul_nt_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     let (m, k) = a.shape();
     let (n, kb) = b.shape();
@@ -296,50 +202,126 @@ pub fn matmul_nt_acc_with(ctx: ParallelCtx, a: &Mat, b: &Mat, c: &mut Mat) {
     if m == 0 || n == 0 {
         return;
     }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let cv = c.as_mut_slice();
-    ctx.par_rows(m, n, cv, MIN_PAR_ROWS, |rows, panel| {
-        let r0 = rows.start;
-        for i in rows {
-            let arow = &av[i * k..(i + 1) * k];
-            let crow = &mut panel[(i - r0) * n..(i - r0 + 1) * n];
-            for (j, cval) in crow.iter_mut().enumerate() {
-                let brow = &bv[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    acc += x * y;
+    let (a, b) = (a.as_slice(), b.as_slice());
+    ctx.par_rows(m, n, c.as_mut_slice(), MIN_PAR_ROWS, |rows, c| {
+        let mut bt = [0.0; NT_KC * NT_NC];
+        let mut sums = [0.0; NT_MB * NT_NC];
+        for jc in (0..n).step_by(NT_NC) {
+            let nc = NT_NC.min(n - jc);
+            for ib in rows.clone().step_by(NT_MB) {
+                let mb = NT_MB.min(rows.end - ib);
+                let sums = &mut sums[..mb * nc];
+                sums.fill(0.0);
+                for pc in (0..k).step_by(NT_KC) {
+                    let kc = NT_KC.min(k - pc);
+                    // `bt[q·nc + t] = B[jc + t][pc + q]`: a `kc × nc` block of `Bᵀ`.
+                    for t in 0..nc {
+                        let row = &b[(jc + t) * k + pc..(jc + t) * k + pc + kc];
+                        for (q, &x) in row.iter().enumerate() {
+                            bt[q * nc + t] = x;
+                        }
+                    }
+                    let mut nt = Operands {
+                        a: (a, k, 1),
+                        b: (&bt[..kc * nc], pc),
+                        c: (&mut *sums, ib),
+                        ld: nc,
+                        j0: jc,
+                        steps: pc..pc + kc,
+                    };
+                    walk(&mut nt, ib..ib + mb, jc..jc + nc);
                 }
-                *cval += acc;
+                for (r, part) in sums.chunks_exact(nc).enumerate() {
+                    let at = (ib + r - rows.start) * n + jc;
+                    for (cv, &s) in c[at..at + nc].iter_mut().zip(part) {
+                        *cv += s;
+                    }
+                }
             }
         }
     });
 }
 
-/// Reference triple-loop GEMM used only to validate the blocked kernels.
-pub fn matmul_naive(a: &Mat, b: &Mat) -> Mat {
-    assert_eq!(a.cols(), b.rows(), "matmul_naive: inner dims");
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for j in 0..b.cols() {
-            let mut acc = 0.0;
-            for p in 0..a.cols() {
-                acc += a[(i, p)] * b[(p, j)];
-            }
-            c[(i, j)] = acc;
-        }
-    }
-    c
+/// One product as `walk` sees it, in the logical terms of `C += A·B`
+/// over the output rows and columns it is handed:
+///
+/// - `a = (a, row, step)`: `A[i][p]` is `a[i·row + p·step]` — NN and NT
+///   read a row-major `A`, TN reads it transposed;
+/// - `b = (b, p0)`: row `p` of `B` starts at `b[(p − p0)·ld]`;
+/// - `c = (c, i0)`: `C[i][j]` is `c[(i − i0)·ld + j − j0]`, and column `j`
+///   of `B` lies `j − j0` into its row;
+/// - `steps`: the shared-dimension steps every tile folds.
+struct Operands<'a> {
+    a: (&'a [f64], usize, usize),
+    b: (&'a [f64], usize),
+    c: (&'a mut [f64], usize),
+    ld: usize,
+    j0: usize,
+    steps: Range<usize>,
 }
 
-/// Flop count of an `m x k · k x n` GEMM (multiply-adds counted as 2 flops).
-pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
-    2 * (m as u64) * (k as u64) * (n as u64)
+impl Operands<'_> {
+    /// Loads the `R × W` tile of `C` at row `i`, column `j`, folds
+    /// `steps` into it and stores it back.
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(&mut self, i: usize, j: usize) {
+        let ((a, row, step), (b, p0)) = (self.a, self.b);
+        let (ld, t) = (self.ld, j - self.j0);
+        let at = (i - self.c.1) * ld + t;
+        let mut acc: [[f64; W]; R] = core::array::from_fn(|r| {
+            let mut lane = [0.0; W];
+            lane.copy_from_slice(&self.c.0[at + r * ld..at + r * ld + W]);
+            lane
+        });
+        for p in self.steps.clone() {
+            let b = &b[(p - p0) * ld + t..(p - p0) * ld + t + W];
+            for (r, lane) in acc.iter_mut().enumerate() {
+                let x = a[(i + r) * row + p * step];
+                for (cv, &y) in lane.iter_mut().zip(b) {
+                    *cv += x * y;
+                }
+            }
+        }
+        for (r, lane) in acc.iter().enumerate() {
+            self.c.0[at + r * ld..at + r * ld + W].copy_from_slice(lane);
+        }
+    }
+}
+
+/// Covers `rows × cols` with tiles: `MR`-row tiles, then single rows;
+/// along each, `NR`-column tiles, then one of `NR / 2`, then single
+/// columns.
+fn walk(ops: &mut Operands, rows: Range<usize>, cols: Range<usize>) {
+    let mut i = rows.start;
+    while i + MR <= rows.end {
+        strip::<MR>(ops, i, cols.clone());
+        i += MR;
+    }
+    for i in i..rows.end {
+        strip::<1>(ops, i, cols.clone());
+    }
+}
+
+#[inline(always)]
+fn strip<const R: usize>(ops: &mut Operands, i: usize, cols: Range<usize>) {
+    let mut j = cols.start;
+    while j + NR <= cols.end {
+        ops.tile::<R, NR>(i, j);
+        j += NR;
+    }
+    if j + NR / 2 <= cols.end {
+        ops.tile::<R, { NR / 2 }>(i, j);
+        j += NR / 2;
+    }
+    for j in j..cols.end {
+        ops.tile::<R, 1>(i, j);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::matmul_reference;
 
     fn rand_mat(r: usize, c: usize, seed: u64) -> Mat {
         // Small deterministic LCG keeps this test free of external deps.
@@ -360,16 +342,12 @@ mod tests {
             (64, 64, 64),
             (65, 130, 33),
             (100, 1, 100),
+            (37, 300, 200),
         ] {
             let a = rand_mat(m, k, 1);
             let b = rand_mat(k, n, 2);
             let fast = matmul_with(ParallelCtx::serial(), &a, &b);
-            let slow = matmul_naive(&a, &b);
-            assert!(
-                fast.approx_eq(&slow, 1e-10),
-                "mismatch at {m}x{k}x{n}: {}",
-                fast.max_abs_diff(&slow)
-            );
+            assert_eq!(fast, matmul_reference(&a, &b), "mismatch at {m}x{k}x{n}");
         }
     }
 
@@ -416,6 +394,17 @@ mod tests {
         let a = Mat::zeros(4, 0);
         let b = Mat::zeros(0, 3);
         assert_eq!(matmul_with(ParallelCtx::serial(), &a, &b).shape(), (4, 3));
+        // `k = 0` leaves NN and TN alone, and NT adds its `+0.0` sum.
+        let one = ParallelCtx::serial();
+        let mut c = Mat::filled(4, 3, -0.0);
+        matmul_acc_with(one, &a, &b, &mut c);
+        matmul_tn_acc_with(one, &Mat::zeros(0, 4), &b, &mut c);
+        assert!(c
+            .as_slice()
+            .iter()
+            .all(|x| x.to_bits() == (-0.0f64).to_bits()));
+        matmul_nt_acc_with(one, &a, &Mat::zeros(3, 0), &mut c);
+        assert!(c.as_slice().iter().all(|x| x.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]
@@ -425,13 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn flop_count() {
-        assert_eq!(gemm_flops(2, 3, 4), 48);
-    }
-
-    #[test]
     fn parallel_is_bit_identical_to_serial() {
-        // Awkward shapes spanning multiple MC/KC/NC tiles, plus the
+        // Awkward shapes spanning multiple KC/NC blocks, plus the
         // degenerate single-row case.
         for &(m, k, n) in &[(1usize, 7usize, 9usize), (67, 131, 258), (130, 40, 70)] {
             let a = rand_mat(m, k, 21);

@@ -1,12 +1,13 @@
 //! Pre-optimization reference kernels, kept for differential tests.
 //!
-//! These are the scalar cache-blocked loops that `gemm.rs` shipped before
-//! the `MR×NR` micro-kernel landed (DESIGN.md §14), minus the IEEE-breaking
-//! `aval == 0.0` skip, and the `log_softmax` / `softmax` pair the trainers
-//! called before the one-`exp` output-layer kernel replaced it. Tests are
-//! their only users: a second, structurally different implementation the
-//! optimized kernels must match to the bit. They are **not** called by any
-//! trainer.
+//! These are the scalar loops `gemm.rs` shipped before the register tile
+//! served its three products (DESIGN.md §14) — the cache-blocked NN loop,
+//! minus the IEEE-breaking `aval == 0.0` skip, the TN outer-product loop
+//! and the NT dot-product loop — and the `log_softmax` / `softmax` pair
+//! the trainers called before the one-`exp` output-layer kernel replaced
+//! it. Tests are their only users: a second, structurally different
+//! implementation the optimized kernels must match to the bit. They are
+//! **not** called by any trainer.
 
 use crate::matrix::Mat;
 
@@ -55,6 +56,54 @@ pub fn matmul_reference(a: &Mat, b: &Mat) -> Mat {
     let mut c = Mat::zeros(a.rows(), b.cols());
     matmul_acc_reference(a, b, &mut c);
     c
+}
+
+/// `C += Aᵀ · B` as `gemm.rs` computed it before the register tile: an
+/// outer-product loop that adds row `p` of `A` times row `p` of `B` into
+/// every row of `C`, `p` ascending.
+pub fn matmul_tn_acc_reference(a: &Mat, b: &Mat, c: &mut Mat) {
+    let (k, m) = a.shape();
+    let (kb, n) = b.shape();
+    assert_eq!(k, kb, "matmul_tn_acc_reference: inner dimension mismatch");
+    assert_eq!(c.shape(), (m, n), "matmul_tn_acc_reference: output shape");
+    let av = a.as_slice();
+    let bv = b.as_slice();
+    let cv = c.as_mut_slice();
+    for p in 0..k {
+        let arow = &av[p * m..(p + 1) * m];
+        let brow = &bv[p * n..(p + 1) * n];
+        for (i, &aval) in arow.iter().enumerate() {
+            let crow = &mut cv[i * n..(i + 1) * n];
+            for (cj, &bval) in crow.iter_mut().zip(brow) {
+                *cj += aval * bval;
+            }
+        }
+    }
+}
+
+/// `C += A · Bᵀ` as `gemm.rs` computed it before the register tile: one
+/// dot product per element, folded from `+0.0` in ascending `p` and then
+/// added to `C`.
+pub fn matmul_nt_acc_reference(a: &Mat, b: &Mat, c: &mut Mat) {
+    let (m, k) = a.shape();
+    let (n, kb) = b.shape();
+    assert_eq!(k, kb, "matmul_nt_acc_reference: inner dimension mismatch");
+    assert_eq!(c.shape(), (m, n), "matmul_nt_acc_reference: output shape");
+    let av = a.as_slice();
+    let bv = b.as_slice();
+    let cv = c.as_mut_slice();
+    for i in 0..m {
+        let arow = &av[i * k..(i + 1) * k];
+        let crow = &mut cv[i * n..(i + 1) * n];
+        for (j, cval) in crow.iter_mut().enumerate() {
+            let brow = &bv[j * k..(j + 1) * k];
+            let mut acc = 0.0;
+            for (&x, &y) in arow.iter().zip(brow) {
+                acc += x * y;
+            }
+            *cval += acc;
+        }
+    }
 }
 
 /// Row-wise softmax as the trainers computed it before

@@ -3,7 +3,13 @@
 
 use cagnet_dense::activation::{log_softmax_probs_into, log_softmax_rows, softmax_rows};
 use cagnet_dense::ops::{add, hadamard, scale, sub};
-use cagnet_dense::{matmul_acc_with, matmul_nt_with, matmul_tn_with, matmul_with, Mat};
+use cagnet_dense::reference::{
+    matmul_acc_reference, matmul_nt_acc_reference, matmul_reference, matmul_tn_acc_reference,
+};
+use cagnet_dense::{
+    matmul_acc_with, matmul_nt_acc_with, matmul_nt_with, matmul_tn_acc_with, matmul_tn_with,
+    matmul_with, Mat,
+};
 use cagnet_parallel::ParallelCtx;
 use proptest::prelude::*;
 
@@ -23,6 +29,18 @@ fn chain3() -> impl Strategy<Value = (Mat, Mat, Mat)> {
 fn pair() -> impl Strategy<Value = (Mat, Mat)> {
     (1usize..10, 1usize..10).prop_flat_map(|(r, c)| (mat(r, c), mat(r, c)))
 }
+
+/// GEMM shapes `(m, k, n)` that cross every block boundary of the
+/// kernels: `m % 4` ragged and up to three 16-row fork chunks, `k` over
+/// many 16-step TN blocks and past two 128-step NN / NT blocks, and `n`
+/// from 1 to one past the whole-`k` NN limit of 64 — half the draws at a
+/// width the trainers meet or at 65 (`GEMM_WIDTHS`).
+fn gemm_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    (0usize..=40, 0usize..=320, 1usize..=65, 0usize..12)
+        .prop_map(|(m, k, n, pick)| (m, k, GEMM_WIDTHS.get(pick).copied().unwrap_or(n)))
+}
+
+const GEMM_WIDTHS: [usize; 6] = [8, 12, 16, 24, 41, 65];
 
 /// Widths the output layer meets: one column, the benchmark's class
 /// counts (16, 24, 41, 256) and a few ragged ones.
@@ -261,7 +279,8 @@ proptest! {
         // IEEE 754: any product chain touching a NaN — including
         // `0.0 × inf` — must yield NaN. The pre-register-blocking kernel
         // skipped zero entries of A, silently laundering `0 × inf` into
-        // finite output; the micro-kernel must not.
+        // finite output; the register tile must not, in any of the three
+        // products.
         let mut a = a;
         let mut b = b;
         let poison_zero = poison_pick == 0;
@@ -274,10 +293,15 @@ proptest! {
         } else {
             b[(0, col)] = f64::NAN;
         }
+        // TN and NT compute the same product from `Aᵀ` and `Bᵀ`.
         type MatMulFn<'a> = &'a dyn Fn(&Mat, &Mat) -> Mat;
-        let fns: [MatMulFn; 2] = [
+        let fns: [MatMulFn; 6] = [
             &|x, y| matmul_with(ParallelCtx::serial(), x, y),
             &|x, y| matmul_with(ParallelCtx::new(threads), x, y),
+            &|x, y| matmul_tn_with(ParallelCtx::serial(), &x.transpose(), y),
+            &|x, y| matmul_tn_with(ParallelCtx::new(threads), &x.transpose(), y),
+            &|x, y| matmul_nt_with(ParallelCtx::serial(), x, &y.transpose()),
+            &|x, y| matmul_nt_with(ParallelCtx::new(threads), x, &y.transpose()),
         ];
         for f in fns {
             let c = f(&a, &b);
@@ -300,16 +324,46 @@ proptest! {
 
     #[test]
     fn microkernel_matches_reference_bits(
-        (a, b) in (1usize..24, 1usize..24, 1usize..24)
-            .prop_flat_map(|(m, k, n)| (mat(m, k), mat(k, n))),
+        (a, b) in gemm_shape().prop_flat_map(|(m, k, n)| (mat(m, k), mat(k, n))),
     ) {
-        // The register-blocked kernel accumulates each element's products
-        // with a single accumulator in ascending shared-dimension order
-        // inside every cache panel — the same order as the scalar
-        // reference kernel — so on these sub-panel shapes the results are
+        // The register tile accumulates each element's products with a
+        // single accumulator in ascending shared-dimension order — the
+        // same order as the scalar reference kernel — so the results are
         // bit-identical, not merely approximately equal.
-        let reference = cagnet_dense::reference::matmul_reference(&a, &b);
-        prop_assert_eq!(matmul_with(ParallelCtx::serial(), &a, &b), reference);
+        let reference = matmul_reference(&a, &b);
+        prop_assert_eq!(bits(&matmul_with(ParallelCtx::serial(), &a, &b)), bits(&reference));
+    }
+
+    #[test]
+    fn acc_kernels_match_reference_bits(
+        (a, b, at, bt, c0) in gemm_shape().prop_flat_map(|(m, k, n)| {
+            (mat(m, k), mat(k, n), mat(k, m), mat(n, k), mat(m, n))
+        }),
+    ) {
+        // All three `_acc_with` kernels against the loops they replaced,
+        // bit for bit, into a `C` that already holds values — one of them
+        // `-0.0`, which NT's `+0.0`-seeded sum turns into `+0.0` at
+        // `k = 0` and the other two leave alone.
+        let mut c0 = c0;
+        if let Some(x) = c0.as_mut_slice().first_mut() {
+            *x = -0.0;
+        }
+        let (mut nn, mut tn, mut nt) = (c0.clone(), c0.clone(), c0.clone());
+        matmul_acc_reference(&a, &b, &mut nn);
+        matmul_tn_acc_reference(&at, &b, &mut tn);
+        matmul_nt_acc_reference(&a, &bt, &mut nt);
+        for threads in 1..=3 {
+            let ctx = ParallelCtx::new(threads);
+            let mut c = c0.clone();
+            matmul_acc_with(ctx, &a, &b, &mut c);
+            prop_assert_eq!(bits(&c), bits(&nn), "NN at {} threads", threads);
+            let mut c = c0.clone();
+            matmul_tn_acc_with(ctx, &at, &b, &mut c);
+            prop_assert_eq!(bits(&c), bits(&tn), "TN at {} threads", threads);
+            let mut c = c0.clone();
+            matmul_nt_acc_with(ctx, &a, &bt, &mut c);
+            prop_assert_eq!(bits(&c), bits(&nt), "NT at {} threads", threads);
+        }
     }
 
     #[test]
