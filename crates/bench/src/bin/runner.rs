@@ -47,7 +47,7 @@ use cagnet_core::trainer::{
 };
 use cagnet_core::{CommMode, GcnConfig, Problem};
 use cagnet_sparse::datasets;
-use cagnet_sparse::generate::{rmat_symmetric, RmatParams};
+use cagnet_sparse::generate::{rmat_size, rmat_symmetric, RmatParams};
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
@@ -272,17 +272,9 @@ fn main() {
                 .ok_or_else(|| format!("{RMAT} needs a scale and a degree, got '{dataset}'")),
         );
         let scale: u32 = or_exit(parse_num(RMAT, scale));
-        if scale >= usize::BITS {
-            // `1 << scale` vertices would wrap.
-            eprintln!("{RMAT}: scale must be below {}, got {scale}", usize::BITS);
-            std::process::exit(2);
-        }
         let degree: usize = or_exit(parse_num(RMAT, degree));
-        if (1usize << scale).checked_mul(degree).is_none() {
-            // The generator's edge count would wrap.
-            eprintln!("{RMAT}: 2^{scale} · {degree} edges overflow usize");
-            std::process::exit(2);
-        }
+        // The generator's own limits, refused here instead of panicking.
+        or_exit(rmat_size(scale, degree).map_err(|e| format!("{RMAT}: {e}")));
         let g = rmat_symmetric(scale, degree, RmatParams::default(), 7);
         let f = 64;
         let classes = 16;

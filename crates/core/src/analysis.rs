@@ -209,13 +209,21 @@ pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
 /// 3D memory (§IV-D): the pre-fiber-reduction partial is `∛P` times the
 /// rank's own state block — the replication that made the paper skip the
 /// implementation.
+///
+/// The largest intermediate is one of two buffers that never coexist:
+/// the SUMMA partial sum (`n/∛P x f/∛P`, built by both passes' stage
+/// loops and reduce-scattered along the fiber) and the backward's row
+/// slab (`n/∛P² x f`, the all-gathered `AG` or `Hˡ` of a process row).
+/// Both are `n·f/∛P²` words; the model takes the larger, not the sum.
 pub fn memory_three_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     let p13 = pf.cbrt();
+    let partial = (s.n / p13) * (s.f / p13);
+    let slab = s.n / (p13 * p13) * s.f;
     MemoryEstimate {
         adjacency: 2.0 * 2.0 * s.nnz / pf,
         dense_state: (2.0 * s.layers + 1.0) * s.n * s.f / pf,
-        intermediate: s.n * s.f / (p13 * p13) + s.n * s.f / pf * p13,
+        intermediate: partial.max(slab),
     }
 }
 

@@ -1,8 +1,12 @@
 //! Coordinate-format (triplet) sparse matrix.
 //!
-//! COO is the assembly format: graph generators and file readers emit
-//! triplets, duplicates are merged, and the result is converted to
-//! [`crate::csr::Csr`] for computation.
+//! COO is the input format of the file readers and of hand-built test
+//! graphs: triplets in any order, duplicates allowed. [`Csr::from_coo`]
+//! buckets them by row, sorts each row and sums duplicates in insertion
+//! order (DESIGN.md §11); the generators assemble CSR the same way
+//! without going through COO.
+//!
+//! [`Csr::from_coo`]: crate::csr::Csr::from_coo
 
 /// A sparse matrix stored as `(row, col, value)` triplets.
 #[derive(Clone, Debug)]
@@ -62,8 +66,8 @@ impl Coo {
         self.cols
     }
 
-    /// Raw triplets (unsorted, may contain duplicates until
-    /// [`Coo::sum_duplicates`] is called).
+    /// Raw triplets in insertion order (unsorted, may contain
+    /// duplicates).
     pub fn entries(&self) -> &[(usize, usize, f64)] {
         &self.entries
     }
@@ -72,43 +76,12 @@ impl Coo {
     pub fn nnz(&self) -> usize {
         self.entries.len()
     }
-
-    /// Sort triplets row-major and sum duplicate coordinates.
-    pub fn sum_duplicates(&mut self) {
-        self.entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match out.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => out.push((r, c, v)),
-            }
-        }
-        self.entries = out;
-    }
-
-    /// Make the matrix pattern-symmetric by adding the transpose of every
-    /// entry (duplicates merged, values of mirrored pairs summed). Requires
-    /// a square matrix. This mirrors the undirected-graph case of the paper
-    /// where `A = Aᵀ`.
-    pub fn symmetrize(&mut self) {
-        assert_eq!(self.rows, self.cols, "symmetrize requires square");
-        let mirrored: Vec<(usize, usize, f64)> = self
-            .entries
-            .iter()
-            .filter(|&&(r, c, _)| r != c)
-            .map(|&(r, c, v)| (c, r, v))
-            .collect();
-        self.entries.extend(mirrored);
-        self.sum_duplicates();
-        // Collapse any value differences by keeping the max magnitude is not
-        // needed: summation already makes (i,j) and (j,i) equal because both
-        // received the same pair of contributions.
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
 
     #[test]
     fn push_and_count() {
@@ -120,30 +93,47 @@ mod tests {
 
     #[test]
     fn sum_duplicates_merges() {
-        let mut c = Coo::from_entries(2, 2, vec![(0, 0, 1.0), (0, 0, 2.0), (1, 1, 3.0)]);
-        c.sum_duplicates();
-        assert_eq!(c.nnz(), 2);
-        assert_eq!(c.entries()[0], (0, 0, 3.0));
+        let c = Coo::from_entries(2, 2, vec![(0, 0, 1.0), (1, 1, 3.0), (0, 0, 2.0)]);
+        assert_eq!(c.nnz(), 3, "COO keeps every triplet");
+        let a = Csr::from_coo(c);
+        assert_eq!(a.nnz(), 2);
+        assert_eq!(a.get(0, 0), 3.0);
+        assert_eq!(a.get(1, 1), 3.0);
+    }
+
+    #[test]
+    fn duplicates_fold_in_insertion_order() {
+        // Floating-point addition is not associative: left to right in
+        // insertion order, (1 + 1e16) - 1e16 = 0 (the 1 is absorbed);
+        // reversed, (-1e16 + 1e16) + 1 = 1.
+        let c = Coo::from_entries(
+            1,
+            2,
+            vec![(0, 1, 1.0), (0, 0, 7.0), (0, 1, 1e16), (0, 1, -1e16)],
+        );
+        let a = Csr::from_coo(c);
+        assert_eq!(a.col_idx(), &[0, 1]);
+        assert_eq!(a.vals()[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn symmetrize_mirrors_offdiagonal() {
-        let mut c = Coo::from_entries(3, 3, vec![(0, 1, 1.0), (2, 2, 5.0)]);
-        c.symmetrize();
-        let e = c.entries();
-        assert!(e.contains(&(0, 1, 1.0)));
-        assert!(e.contains(&(1, 0, 1.0)));
-        assert!(e.contains(&(2, 2, 5.0)));
-        assert_eq!(c.nnz(), 3);
+        let c = Coo::from_entries(3, 3, vec![(0, 1, 1.0), (2, 2, 5.0)]);
+        let s = Csr::from_coo(c).symmetrized();
+        assert_eq!(s.get(0, 1), 1.0);
+        assert_eq!(s.get(1, 0), 1.0);
+        assert_eq!(s.get(2, 2), 5.0, "the diagonal is not doubled");
+        assert_eq!(s.nnz(), 3);
     }
 
     #[test]
     fn symmetrize_sums_existing_pairs() {
-        let mut c = Coo::from_entries(2, 2, vec![(0, 1, 1.0), (1, 0, 2.0)]);
-        c.symmetrize();
+        let c = Coo::from_entries(2, 2, vec![(0, 1, 1.0), (1, 0, 2.0)]);
+        let s = Csr::from_coo(c).symmetrized();
         // Each direction receives 1.0 + 2.0.
-        assert!(c.entries().contains(&(0, 1, 3.0)));
-        assert!(c.entries().contains(&(1, 0, 3.0)));
+        assert_eq!(s.get(0, 1), 3.0);
+        assert_eq!(s.get(1, 0), 3.0);
+        assert_eq!(s.nnz(), 2);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::coo::Coo;
 use cagnet_dense::Mat;
+use std::cmp::Ordering;
 
 /// Compressed Sparse Row matrix of `f64`.
 ///
@@ -27,33 +28,14 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from COO; duplicates are summed.
-    pub fn from_coo(mut coo: Coo) -> Self {
-        coo.sum_duplicates();
-        let rows = coo.rows();
-        let cols = coo.cols();
-        let mut row_ptr = vec![0usize; rows + 1];
-        for &(r, _, _) in coo.entries() {
-            row_ptr[r + 1] += 1;
+    /// Build from COO: triplets bucketed by row, each row sorted by
+    /// column, duplicate coordinates summed in insertion order.
+    pub fn from_coo(coo: Coo) -> Self {
+        let mut buckets = RowBuckets::new(coo.rows(), coo.entries().iter().map(|e| e.0));
+        for &(r, c, v) in coo.entries() {
+            buckets.push(r, c, v);
         }
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = coo.nnz();
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        // Entries are already row-major sorted by sum_duplicates.
-        for &(_, c, v) in coo.entries() {
-            col_idx.push(c);
-            vals.push(v);
-        }
-        Csr {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            vals,
-        }
+        buckets.assemble(coo.cols())
     }
 
     /// Build directly from raw CSR arrays.
@@ -159,6 +141,12 @@ impl Csr {
             .iter()
             .copied()
             .zip(self.vals[lo..hi].iter().copied())
+    }
+
+    /// Column indices and values of row `i`.
+    fn row_slices(&self, i: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        (&self.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
     /// Number of nonzeros in row `i`.
@@ -289,6 +277,64 @@ impl Csr {
         }
     }
 
+    /// `A + Aᵀ` of a square matrix with the diagonal taken once: every
+    /// off-diagonal `(i, j)` holds `A[i,j] + A[j,i]`, so the result is
+    /// symmetric — the undirected-graph case of the paper where `A = Aᵀ`.
+    /// Each row is a sorted merge of row `i` of `A` and of its
+    /// counting-sort [`transpose`](Csr::transpose).
+    pub fn symmetrized(&self) -> Csr {
+        assert_eq!(self.rows, self.cols, "symmetrize requires square");
+        let t = self.transpose();
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(2 * self.nnz());
+        let mut vals = Vec::with_capacity(2 * self.nnz());
+        for i in 0..self.rows {
+            let (a_cols, a_vals) = self.row_slices(i);
+            let (b_cols, b_vals) = t.row_slices(i);
+            let (mut x, mut y) = (0, 0);
+            while x < a_cols.len() || y < b_cols.len() {
+                // The diagonal is its own mirror: take it from `A` only.
+                if b_cols.get(y) == Some(&i) {
+                    y += 1;
+                    continue;
+                }
+                // Real column indices are below `cols`, so MAX marks an
+                // exhausted row.
+                let ja = a_cols.get(x).copied().unwrap_or(usize::MAX);
+                let jb = b_cols.get(y).copied().unwrap_or(usize::MAX);
+                let (j, v) = match ja.cmp(&jb) {
+                    Ordering::Less => (ja, a_vals[x]),
+                    Ordering::Greater => (jb, b_vals[y]),
+                    Ordering::Equal => (ja, a_vals[x] + b_vals[y]),
+                };
+                col_idx.push(j);
+                vals.push(v);
+                x += usize::from(ja <= jb);
+                y += usize::from(jb <= ja);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Csr {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            vals,
+        }
+    }
+
+    /// The same pattern with every value replaced by `f(row, col, value)`.
+    pub(crate) fn map_entries(mut self, mut f: impl FnMut(usize, usize, f64) -> f64) -> Csr {
+        for i in 0..self.rows {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            for (&j, v) in self.col_idx[lo..hi].iter().zip(&mut self.vals[lo..hi]) {
+                *v = f(i, j, *v);
+            }
+        }
+        self
+    }
+
     /// Extract the sub-matrix of rows `r0..r1` and columns `c0..c1`,
     /// reindexed to local coordinates. This is the primitive behind every
     /// 1D/2D/3D distribution of `A`.
@@ -341,6 +387,96 @@ impl Csr {
             }
         }
         coo
+    }
+}
+
+/// Triplets bucketed by row: the one assembly path from unordered
+/// triplets to CSR behind [`Csr::from_coo`], the graph generators and the
+/// vertex permutations.
+///
+/// A counting sort places each entry in its row's bucket in insertion
+/// order; [`assemble`](RowBuckets::assemble) then sorts each (short) row
+/// by column — stably, so duplicates stay in insertion order — and folds
+/// duplicate coordinates left to right. Nothing is sorted globally.
+#[derive(Debug)]
+pub(crate) struct RowBuckets {
+    /// Bucket `i` is `entries[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    /// Next free slot of each bucket.
+    next: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl RowBuckets {
+    /// Buckets for `rows` rows sized by a first pass over the row of
+    /// every entry that will be [`push`](RowBuckets::push)ed.
+    pub(crate) fn new(rows: usize, entry_rows: impl Iterator<Item = usize>) -> Self {
+        let mut counts = vec![0usize; rows];
+        for r in entry_rows {
+            counts[r] += 1;
+        }
+        Self::with_counts(counts)
+    }
+
+    /// Buckets holding `counts[i]` entries in row `i`.
+    pub(crate) fn with_counts(mut counts: Vec<usize>) -> Self {
+        let mut total = 0usize;
+        for c in &mut counts {
+            (*c, total) = (total, total + *c);
+        }
+        let mut start = counts;
+        let next = start.clone();
+        start.push(total);
+        RowBuckets {
+            start,
+            next,
+            entries: vec![(0, 0.0); total],
+        }
+    }
+
+    /// Append `(c, v)` to row `r`'s bucket.
+    pub(crate) fn push(&mut self, r: usize, c: usize, v: f64) {
+        let k = self.next[r];
+        assert!(k < self.start[r + 1], "row {r} bucket overflow");
+        self.entries[k] = (c, v);
+        self.next[r] = k + 1;
+    }
+
+    /// Sort each row by column and fold duplicates in insertion order.
+    pub(crate) fn assemble(mut self, cols: usize) -> Csr {
+        let rows = self.next.len();
+        // An unfilled slot would become a stored `(row, 0, 0.0)` entry.
+        assert!(
+            (0..rows).all(|i| self.next[i] == self.start[i + 1]),
+            "buckets not filled"
+        );
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        let mut col_idx: Vec<usize> = Vec::with_capacity(self.entries.len());
+        let mut vals: Vec<f64> = Vec::with_capacity(self.entries.len());
+        for i in 0..rows {
+            let row = &mut self.entries[self.start[i]..self.start[i + 1]];
+            row.sort_by_key(|e| e.0);
+            let first = col_idx.len();
+            for &(c, v) in row.iter() {
+                assert!(c < cols, "column {c} out of {cols}");
+                match vals.last_mut() {
+                    Some(last) if col_idx.len() > first && col_idx.last() == Some(&c) => *last += v,
+                    _ => {
+                        col_idx.push(c);
+                        vals.push(v);
+                    }
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            vals,
+        }
     }
 }
 

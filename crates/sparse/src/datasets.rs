@@ -112,6 +112,9 @@ pub fn generate(spec: &DatasetSpec, scale_down: usize, max_degree: usize, seed: 
         .max(1);
     let raw = rmat_symmetric(scale, d, RmatParams::default(), seed);
     let (permuted, _) = permute_symmetric(&raw, seed ^ 0x5eed);
+    // Freed before the normalized copy is built, so the three graphs are
+    // never resident at once.
+    drop(raw);
     let avg_degree = permuted.avg_degree();
     let adj = gcn_normalize(&permuted);
     Dataset {

@@ -11,10 +11,13 @@
 //!   datasets (§V-A); the power-law structure is what produces the load
 //!   imbalance and hypersparsity effects the paper discusses (§VI).
 //!
-//! All generators take explicit seeds and are deterministic.
+//! All generators take explicit seeds and are deterministic. They draw
+//! their edges as `(row, col)` pairs and assemble CSR directly — bucketed
+//! by row, each row sorted, repeats counted — and undirected graphs are
+//! the sum with the counting-sort transpose ([`Csr::symmetrized`]); no
+//! triplet list is ever sorted (DESIGN.md §11).
 
-use crate::coo::Coo;
-use crate::csr::Csr;
+use crate::csr::{Csr, RowBuckets};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -25,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 pub fn erdos_renyi(n: usize, avg_degree: f64, seed: u64) -> Csr {
     assert!(n > 0, "empty graph");
     let p = (avg_degree / n as f64).clamp(0.0, 1.0);
-    let mut coo = Coo::new(n, n);
+    let mut pairs = Vec::new();
     if p > 0.0 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let total = (n as u128) * (n as u128);
@@ -47,11 +50,21 @@ pub fn erdos_renyi(n: usize, avg_degree: f64, seed: u64) -> Csr {
             let r = flat / n;
             let c = flat % n;
             if r != c {
-                coo.push(r, c, 1.0);
+                pairs.push((r, c));
             }
         }
     }
-    Csr::from_coo(coo)
+    count_matrix(n, &pairs)
+}
+
+/// The `n x n` count matrix of `pairs`: entry `(r, c)` is how often the
+/// pair occurs (1.0 per occurrence, summed).
+fn count_matrix(n: usize, pairs: &[(usize, usize)]) -> Csr {
+    let mut buckets = RowBuckets::new(n, pairs.iter().map(|&(r, _)| r));
+    for &(r, c) in pairs {
+        buckets.push(r, c, 1.0);
+    }
+    buckets.assemble(n)
 }
 
 /// Parameters of the R-MAT recursive quadrant distribution. The classic
@@ -76,14 +89,55 @@ impl Default for RmatParams {
     }
 }
 
+/// Vertex and sampled-edge counts of an R-MAT draw: `2^scale` vertices
+/// and `edges_per_vertex · 2^scale` edges — the limits [`rmat`] checks.
+///
+/// # Errors
+/// `"scale must be below {usize::BITS}, got {scale}"` when `2^scale`
+/// does not fit a `usize`, and `"2^{scale} · {edges_per_vertex} edges
+/// overflow usize"` when the edge count does not.
+pub fn rmat_size(scale: u32, edges_per_vertex: usize) -> Result<(usize, usize), String> {
+    if scale >= usize::BITS {
+        return Err(format!("scale must be below {}, got {scale}", usize::BITS));
+    }
+    let n = 1usize << scale;
+    match n.checked_mul(edges_per_vertex) {
+        Some(m) => Ok((n, m)),
+        None => Err(format!(
+            "2^{scale} · {edges_per_vertex} edges overflow usize"
+        )),
+    }
+}
+
 /// R-MAT (Kronecker) graph on `2^scale` vertices with `edges_per_vertex ·
 /// 2^scale` sampled directed edges (duplicates merged, self-loops dropped,
 /// weight 1.0). Optionally symmetrized by the caller.
+///
+/// # Panics
+/// Panics with [`rmat_size`]'s message when the vertex or edge count
+/// overflows `usize`.
 pub fn rmat(scale: u32, edges_per_vertex: usize, params: RmatParams, seed: u64) -> Csr {
-    let n = 1usize << scale;
-    let m = n * edges_per_vertex;
+    let (n, pairs) = rmat_edges(scale, edges_per_vertex, params, seed);
+    count_matrix(n, &pairs)
+}
+
+/// The vertex count and the directed edges [`rmat`] samples, in draw
+/// order, self-loops dropped.
+///
+/// # Panics
+/// As [`rmat`].
+pub(crate) fn rmat_edges(
+    scale: u32,
+    edges_per_vertex: usize,
+    params: RmatParams,
+    seed: u64,
+) -> (usize, Vec<(usize, usize)>) {
+    let (n, m) = match rmat_size(scale, edges_per_vertex) {
+        Ok(size) => size,
+        Err(e) => panic!("rmat: {e}"),
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut coo = Coo::new(n, n);
+    let mut pairs = Vec::with_capacity(m);
     // Slight per-level noise decorrelates the quadrant probabilities, the
     // standard trick to avoid exactly-repeating Kronecker structure.
     for _ in 0..m {
@@ -98,29 +152,28 @@ pub fn rmat(scale: u32, edges_per_vertex: usize, params: RmatParams, seed: u64) 
             let cc = params.c * noise;
             let total = a + b + cc + (1.0 - params.a - params.b - params.c) * noise;
             let u = u * total;
-            if u < a {
-                // top-left: no bits set
-            } else if u < a + b {
-                c |= bit;
-            } else if u < a + b + cc {
-                r |= bit;
-            } else {
-                r |= bit;
-                c |= bit;
-            }
+            // Quadrants a | b / c | d: the lower half is c or d, the
+            // right half b or d. Branch-free: the draws are random, so
+            // each branch would be a coin flip for the predictor.
+            let lower = u >= a + b;
+            let right = (u >= a && !lower) || u >= a + b + cc;
+            r |= bit * usize::from(lower);
+            c |= bit * usize::from(right);
         }
         if r != c {
-            coo.push(r, c, 1.0);
+            pairs.push((r, c));
         }
     }
-    Csr::from_coo(coo)
+    (n, pairs)
 }
 
-/// Undirected (symmetrized) R-MAT graph — the common benchmark shape.
+/// Undirected (symmetrized) R-MAT graph — the common benchmark shape:
+/// the count matrix plus its transpose.
+///
+/// # Panics
+/// As [`rmat`].
 pub fn rmat_symmetric(scale: u32, edges_per_vertex: usize, params: RmatParams, seed: u64) -> Csr {
-    let mut coo = rmat(scale, edges_per_vertex, params, seed).to_coo();
-    coo.symmetrize();
-    Csr::from_coo(coo)
+    rmat(scale, edges_per_vertex, params, seed).symmetrized()
 }
 
 /// Parameters for [`planted_partition`].
@@ -152,7 +205,7 @@ pub fn planted_partition(n: usize, params: PlantedPartitionParams, seed: u64) ->
     let k = params.communities.max(1);
     assert!(n >= k, "need at least one vertex per community");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut coo = Coo::new(n, n);
+    let mut pairs = Vec::new();
     let comm_of = |v: usize| v * k / n; // contiguous equal-ish communities
     let comm_range = |c: usize| ((c * n) / k, ((c + 1) * n) / k);
     for v in 0..n {
@@ -164,14 +217,14 @@ pub fn planted_partition(n: usize, params: PlantedPartitionParams, seed: u64) ->
         for _ in 0..n_in {
             let u = rng.gen_range(lo..hi);
             if u != v {
-                coo.push(v, u, 1.0);
+                pairs.push((v, u));
             }
         }
         let n_out = poisson_like(&mut rng, d_out);
         for _ in 0..n_out {
             let u = rng.gen_range(0..n);
             if u != v && comm_of(u) != c {
-                coo.push(v, u, 1.0);
+                pairs.push((v, u));
             }
         }
     }
@@ -179,12 +232,11 @@ pub fn planted_partition(n: usize, params: PlantedPartitionParams, seed: u64) ->
         for _ in 0..params.hub_degree {
             let u = rng.gen_range(0..n);
             if u != h {
-                coo.push(h, u, 1.0);
+                pairs.push((h, u));
             }
         }
     }
-    coo.symmetrize();
-    Csr::from_coo(coo)
+    count_matrix(n, &pairs).symmetrized()
 }
 
 /// Crude integer sample with the given mean (uniform on `[0, 2·mean]`) —
@@ -213,15 +265,21 @@ pub fn permute_symmetric(a: &Csr, seed: u64) -> (Csr, Vec<usize>) {
 }
 
 /// Apply a given row+column relabeling: vertex `v` becomes `perm[v]`.
+/// Old row `i` lands whole in bucket `perm[i]`, its columns renamed and
+/// re-sorted.
 pub fn apply_permutation(a: &Csr, perm: &[usize]) -> Csr {
     assert_eq!(a.rows(), perm.len(), "permutation length mismatch");
-    let mut coo = Coo::new(a.rows(), a.cols());
-    for i in 0..a.rows() {
+    let mut counts = vec![0usize; a.rows()];
+    for (i, &p) in perm.iter().enumerate() {
+        counts[p] += a.row_nnz(i);
+    }
+    let mut buckets = RowBuckets::with_counts(counts);
+    for (i, &p) in perm.iter().enumerate() {
         for (j, v) in a.row_entries(i) {
-            coo.push(perm[i], perm[j], v);
+            buckets.push(p, perm[j], v);
         }
     }
-    Csr::from_coo(coo)
+    buckets.assemble(a.cols())
 }
 
 #[cfg(test)]

@@ -5,18 +5,39 @@
 //! "ensure that each node does not forget its embedding" and `D` is the
 //! diagonal of modified degrees. All training algorithms operate on `Â`,
 //! which the paper continues to call `A`.
+//!
+//! Both steps keep the input's CSR layout: the self-loops are merged into
+//! each sorted row, and the scaling rewrites values over the unchanged
+//! pattern (DESIGN.md §11).
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 
 /// Add self-loops: `A + I`. Entries already on the diagonal get `+1`.
 pub fn add_self_loops(a: &Csr) -> Csr {
     assert_eq!(a.rows(), a.cols(), "self-loops require a square matrix");
-    let mut coo = a.to_coo();
-    for i in 0..a.rows() {
-        coo.push(i, i, 1.0);
+    let n = a.rows();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(a.nnz() + n);
+    let mut vals = Vec::with_capacity(a.nnz() + n);
+    for i in 0..n {
+        let (lo, hi) = (a.row_ptr()[i], a.row_ptr()[i + 1]);
+        let (cols, row_vals) = (&a.col_idx()[lo..hi], &a.vals()[lo..hi]);
+        // Columns below the diagonal, the diagonal (+1, or a new 1), the rest.
+        let at = cols.partition_point(|&j| j < i);
+        let (diag, rest) = match cols.get(at) {
+            Some(&j) if j == i => (row_vals[at] + 1.0, at + 1),
+            _ => (1.0, at),
+        };
+        col_idx.extend_from_slice(&cols[..at]);
+        vals.extend_from_slice(&row_vals[..at]);
+        col_idx.push(i);
+        vals.push(diag);
+        col_idx.extend_from_slice(&cols[rest..]);
+        vals.extend_from_slice(&row_vals[rest..]);
+        row_ptr.push(col_idx.len());
     }
-    Csr::from_coo(coo)
+    Csr::from_raw(n, n, row_ptr, col_idx, vals)
 }
 
 /// Symmetric GCN normalization of an adjacency matrix *that already
@@ -25,30 +46,29 @@ pub fn add_self_loops(a: &Csr) -> Csr {
 /// With self-loops present every row sum is ≥ 1, so no division by zero can
 /// occur.
 pub fn sym_normalize(m: &Csr) -> Csr {
+    scale_symmetric(m.clone())
+}
+
+/// [`sym_normalize`] in place: `inv[i] · v · inv[j]` over `m`'s pattern,
+/// each degree summed along its row in column order.
+fn scale_symmetric(m: Csr) -> Csr {
     assert_eq!(m.rows(), m.cols(), "normalization requires square");
-    let n = m.rows();
-    let mut deg = vec![0.0f64; n];
-    for (i, d) in deg.iter_mut().enumerate() {
-        for (_, v) in m.row_entries(i) {
-            *d += v;
-        }
-    }
-    let inv_sqrt: Vec<f64> = deg
-        .iter()
-        .map(|&d| if d > 0.0 { d.powf(-0.5) } else { 0.0 })
+    let inv_sqrt: Vec<f64> = (0..m.rows())
+        .map(|i| {
+            let d: f64 = m.row_entries(i).fold(0.0, |d, (_, v)| d + v);
+            if d > 0.0 {
+                d.powf(-0.5)
+            } else {
+                0.0
+            }
+        })
         .collect();
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        for (j, v) in m.row_entries(i) {
-            coo.push(i, j, inv_sqrt[i] * v * inv_sqrt[j]);
-        }
-    }
-    Csr::from_coo(coo)
+    m.map_entries(|i, j, v| inv_sqrt[i] * v * inv_sqrt[j])
 }
 
 /// The full GCN preprocessing pipeline: `Â = D^{-1/2}(A + I)D^{-1/2}`.
 pub fn gcn_normalize(a: &Csr) -> Csr {
-    sym_normalize(&add_self_loops(a))
+    scale_symmetric(add_self_loops(a))
 }
 
 #[cfg(test)]

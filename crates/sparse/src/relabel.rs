@@ -107,7 +107,7 @@ impl Relabeling {
     /// (features, labels-as-one-hot, ...).
     pub fn permute_rows(&self, m: &Mat) -> Mat {
         assert_eq!(m.rows(), self.len(), "relabel row-count mismatch");
-        Mat::from_fn(m.rows(), m.cols(), |i, j| m.row(self.new_to_old[i])[j])
+        m.select_rows(&self.new_to_old)
     }
 
     /// Reorder matrix rows from new-id order back into old-id order —
@@ -115,7 +115,7 @@ impl Relabeling {
     /// embeddings computed on a relabeled problem back in original ids.
     pub fn unpermute_rows(&self, m: &Mat) -> Mat {
         assert_eq!(m.rows(), self.len(), "relabel row-count mismatch");
-        Mat::from_fn(m.rows(), m.cols(), |i, j| m.row(self.old_to_new[i])[j])
+        m.select_rows(&self.old_to_new)
     }
 }
 

@@ -137,9 +137,7 @@ proptest! {
 
     #[test]
     fn normalization_keeps_symmetry_and_bounds(n in 2usize..24, d in 0.5f64..6.0, seed in 0u64..500) {
-        let mut coo = erdos_renyi(n, d, seed).to_coo();
-        coo.symmetrize();
-        let a = Csr::from_coo(coo);
+        let a = erdos_renyi(n, d, seed).symmetrized();
         let ahat = gcn_normalize(&a);
         // Symmetric in, symmetric out.
         prop_assert!(ahat.to_dense().approx_eq(&ahat.transpose().to_dense(), 1e-12));

@@ -5,73 +5,99 @@
 
 use rand::{RngCore, SeedableRng};
 
+/// Keystream blocks computed per refill. The eight blocks run side by
+/// side, one per vector lane, so the double rounds vectorize; the words
+/// come out in the same order as one block at a time.
+const BLOCKS: usize = 8;
+
+/// Words buffered per refill.
+const WORDS: usize = 16 * BLOCKS;
+
 /// ChaCha with 8 rounds as a counter-mode PRNG.
 #[derive(Clone, Debug)]
 pub struct ChaCha8Rng {
     /// Key words (seed).
     key: [u32; 8],
-    /// 64-bit block counter + 64-bit stream id.
+    /// 64-bit counter of the next block to compute (the stream id is 0).
     counter: u64,
-    /// Current keystream block, 16 words.
-    block: [u32; 16],
-    /// Next unread word within `block` (16 = exhausted).
+    /// The current [`BLOCKS`] keystream blocks, in stream order.
+    buf: [u32; WORDS],
+    /// Next unread word within `buf` (`WORDS` = exhausted).
     index: usize,
 }
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
+/// Row `w` holds state word `w` of every block in flight, one per lane.
+type Lanes = [[u32; BLOCKS]; 16];
+
 #[inline(always)]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
+fn quarter_round(x: &mut Lanes, a: usize, b: usize, c: usize, d: usize) {
+    // Whole rows in and out, so each step below is one vector operation
+    // over the lanes.
+    let (mut va, mut vb, mut vc, mut vd) = (x[a], x[b], x[c], x[d]);
+    for l in 0..BLOCKS {
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(16);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(12);
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(8);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(7);
+    }
+    (x[a], x[b], x[c], x[d]) = (va, vb, vc, vd);
 }
 
 impl ChaCha8Rng {
+    /// Compute the next [`BLOCKS`] blocks (counters `counter ..
+    /// counter + BLOCKS`) into `buf`.
     fn refill(&mut self) {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&CONSTANTS);
-        state[4..12].copy_from_slice(&self.key);
-        state[12] = self.counter as u32;
-        state[13] = (self.counter >> 32) as u32;
-        state[14] = 0;
-        state[15] = 0;
-        let input = state;
+        let mut input: Lanes = [[0; BLOCKS]; 16];
+        for (w, &c) in CONSTANTS.iter().enumerate() {
+            input[w] = [c; BLOCKS];
+        }
+        for (w, &k) in self.key.iter().enumerate() {
+            input[4 + w] = [k; BLOCKS];
+        }
+        let counters: [u64; BLOCKS] = std::array::from_fn(|l| self.counter.wrapping_add(l as u64));
+        input[12] = counters.map(|c| c as u32);
+        input[13] = counters.map(|c| (c >> 32) as u32);
+        // Words 14 and 15 (the stream id) stay 0.
+        let mut x = input;
         for _ in 0..4 {
             // One double round: a column round then a diagonal round.
-            quarter_round(&mut state, 0, 4, 8, 12);
-            quarter_round(&mut state, 1, 5, 9, 13);
-            quarter_round(&mut state, 2, 6, 10, 14);
-            quarter_round(&mut state, 3, 7, 11, 15);
-            quarter_round(&mut state, 0, 5, 10, 15);
-            quarter_round(&mut state, 1, 6, 11, 12);
-            quarter_round(&mut state, 2, 7, 8, 13);
-            quarter_round(&mut state, 3, 4, 9, 14);
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
         }
-        for (out, inp) in state.iter_mut().zip(input) {
-            *out = out.wrapping_add(inp);
+        for (w, (xw, iw)) in x.iter().zip(&input).enumerate() {
+            for l in 0..BLOCKS {
+                self.buf[16 * l + w] = xw[l].wrapping_add(iw[l]);
+            }
         }
-        self.block = state;
-        self.counter = self.counter.wrapping_add(1);
+        self.counter = self.counter.wrapping_add(BLOCKS as u64);
         self.index = 0;
     }
 }
 
 impl RngCore for ChaCha8Rng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
-        if self.index >= 16 {
+        if self.index >= WORDS {
             self.refill();
         }
-        let w = self.block[self.index];
+        let w = self.buf[self.index];
         self.index += 1;
         w
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
@@ -90,8 +116,8 @@ impl SeedableRng for ChaCha8Rng {
         ChaCha8Rng {
             key,
             counter: 0,
-            block: [0; 16],
-            index: 16,
+            buf: [0; WORDS],
+            index: WORDS,
         }
     }
 }

@@ -8,6 +8,7 @@
 //! epoch, so the backward's buffers count.
 
 use cagnet::comm::Cluster;
+use cagnet::core::analysis::{memory_three_d, Shape};
 use cagnet::core::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
     StorageReport, Trainer,
@@ -420,4 +421,39 @@ fn three_d_intermediate_replicates_by_cube_root_p() {
         i64 < i8,
         "3D intermediate should shrink with P: {i8} -> {i64}"
     );
+}
+
+#[test]
+fn three_d_intermediate_matches_the_model() {
+    // The `memory` bin's problem: `analysis::memory_three_d` must model
+    // the measured workspace peak, the larger of the SUMMA partial and
+    // the backward slab, not their sum (which read twice the bin).
+    let g = rmat_symmetric(11, 12, RmatParams::default(), 93);
+    let prob = Problem::synthetic(&g, F, F, 1.0, 94);
+    let cfg = GcnConfig {
+        dims: vec![F, F, F],
+        lr: 0.01,
+        seed: 17,
+    };
+    let shape = Shape::new(prob.vertices(), prob.adj.nnz(), F, cfg.layers());
+    for p in [8, 27] {
+        let peaks: Vec<usize> = Cluster::new(p)
+            .run(|ctx| {
+                let mut t = ThreeDimTrainer::setup(ctx, &prob, &cfg);
+                t.epoch(ctx);
+                t.storage_words().intermediate
+            })
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
+        let mean = peaks.iter().sum::<usize>() as f64 / p as f64;
+        let model = memory_three_d(&shape, p).intermediate;
+        // Exact where ∛P divides n and f; block rounding (n/3 rows, f/3
+        // columns) otherwise.
+        let tol = if p == 8 { 0.0 } else { 0.05 };
+        assert!(
+            (mean - model).abs() <= tol * model,
+            "P = {p}: measured mean {mean} against model {model}"
+        );
+    }
 }
