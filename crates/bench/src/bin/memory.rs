@@ -11,6 +11,10 @@
 //! `analysis`'s closed form for the same quantity. The closed forms
 //! assume a balanced split, so they model the mean: on a skewed R-MAT
 //! graph the heaviest rank's blocks hold several times the mean nonzeros.
+//! The dense state holds, besides the `2L + 1` stored blocks, the remote
+//! `H⁰` blocks of layer 0's forward stages that the first pass keeps so
+//! later passes need not fetch them: `(P−1)/P · n·f₀` in 1D, `(p₁−1)/P ·
+//! n·f₀` in 1.5D, `(√P−1)/P · n·f₀` in 2D and `(∛P−1)/P · n·f₀` in 3D.
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin memory`
 

@@ -212,14 +212,21 @@ pub fn measure_epochs_traced(
 
 /// Closed-form `DenseComm` words of one Dense-tier, f64-wire training
 /// epoch of the 2D (`TwoD`, `TwoDRect`) or 3D trainer at each rank, in
-/// world-rank order.
+/// world-rank order. A steady-state epoch — every one after the first
+/// pass — meters `broadcast_form − input_fetch − saved`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GridWords {
-    /// With every dense-weight product in the paper's form: the forward
-    /// partial SUMMA broadcasts `T` blocks, the backward row-gathers `AG`.
-    /// The output layer row-gathers three statistics per row of `Z^L`
-    /// (the split log-sum-exp), not its `f_out` logits.
+    /// With every layer fetching its `H` panels and every dense-weight
+    /// product in the paper's form: the forward partial SUMMA broadcasts
+    /// `T` blocks, the backward row-gathers `AG`. The output layer
+    /// row-gathers three statistics per row of `Z^L` (the split
+    /// log-sum-exp), not its `f_out` logits.
     pub broadcast_form: Vec<u64>,
+    /// Layer 0's forward `H⁰` panel broadcasts, which only the first pass
+    /// pays: every member of a broadcast meters the panel, and the rank's
+    /// stages read `n` rows (2D) or its mesh layer's share (3D) at its
+    /// column block's width `f₀/q`.
+    pub input_fetch: Vec<u64>,
     /// What moving the narrow side saves against that: forward layers
     /// with `f_out < f_in` reduce-scatter their `f_out`-wide terms; backward
     /// layers with `f_in·(1 + [l > 0]) < f_out` row-gather `Hˡ`,
@@ -296,14 +303,16 @@ pub fn grid_epoch_words(n: usize, dims: &[usize], algo: Algorithm, p: usize) -> 
             }
         }
         out.broadcast_form.push(words as u64);
+        out.input_fetch
+            .push((d_rows * cols(dims[0]) * usize::from(qc > 1)) as u64);
         out.saved.push(saved);
     }
     out
 }
 
-/// `DenseComm` words each rank meters in one Dense-tier training epoch
-/// (default run options otherwise): two epochs less one, so the setup's
-/// words cancel.
+/// `DenseComm` words each rank meters in one steady-state Dense-tier
+/// training epoch (default run options otherwise): two epochs less one,
+/// so the setup's words and the first pass's layer-0 fetch cancel.
 pub fn epoch_dense_words(
     problem: &Problem,
     gcn: &GcnConfig,

@@ -1045,12 +1045,22 @@ impl Communicator {
         }
     }
 
-    /// Meter a cache-served stage operand: record the words the skipped
-    /// gather would have moved (plus one message) under [`Cat::CacheHit`].
+    /// Meter a stage operand served from what this rank kept instead of a
+    /// `DenseComm` collective: record under [`Cat::CacheHit`] the words
+    /// the skipped collective would have recorded here, at this handle's
+    /// wire precision, plus one message — a dense broadcast's whole
+    /// `rows × cols` block (`indexed: false`, every member), or a row
+    /// gather's `rows` requested rows and their indices (`indexed: true`,
+    /// a receiver). A group of one moves nothing and records nothing.
     /// Purely bookkeeping — no rendezvous, no clock movement, and no
     /// effect on `comm_words()`, so the dense-word collapse of cached
     /// training stays honest (DESIGN.md §13).
-    pub fn cache_hit(&self, words: u64) {
+    pub fn cache_hit(&self, rows: usize, cols: usize, indexed: bool) {
+        if self.size() == 1 {
+            return;
+        }
+        let prec = self.carry::<Mat>(Cat::DenseComm).precision();
+        let words = part_words(rows, indexed, cols, prec);
         self.meter
             .borrow_mut()
             .timeline

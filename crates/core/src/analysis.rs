@@ -5,6 +5,12 @@
 //! (the coefficient of β), per process, per **epoch** (the paper presents
 //! per-epoch totals).
 //!
+//! The paper's forms fetch `Hˡ` for every one of the `L` layers of every
+//! epoch. Layer 0's `H⁰ = X` never changes, so the trainers fetch it once,
+//! in the first pass, and serve it from then on (DESIGN.md §9): a
+//! steady-state epoch pays the `H` fetch of `L − 1` layers, and the first
+//! pass pays layer 0's on top ([`CommCost::first_pass_words`]).
+//!
 //! The `comm_volume` bench cross-checks these closed forms against the
 //! word counters *measured* from the executing implementations, and the
 //! property tests in this module check internal consistency (e.g. the 2D /
@@ -46,8 +52,12 @@ impl Shape {
 pub struct CommCost {
     /// Coefficient of α (number of latency units).
     pub latency_units: f64,
-    /// Coefficient of β (words moved per process).
+    /// Coefficient of β (words moved per process) in a steady-state
+    /// epoch.
     pub words: f64,
+    /// Words per process of layer 0's `H⁰` fetch, which only the first
+    /// pass pays, on top of `words`.
+    pub first_pass_words: f64,
 }
 
 impl CommCost {
@@ -61,29 +71,38 @@ fn lg(p: f64) -> f64 {
     p.max(2.0).log2()
 }
 
+/// A steady-state epoch of `L` layers that each cost `layer`, given as
+/// `(latency units, words)`: layer 0's `H` fetch, `fetch`, is the first
+/// pass's alone.
+fn epoch(s: &Shape, layer: (f64, f64), fetch: (f64, f64)) -> CommCost {
+    CommCost {
+        latency_units: s.layers * layer.0 - fetch.0,
+        words: s.layers * layer.1 - fetch.1,
+        first_pass_words: fetch.1,
+    }
+}
+
 /// §IV-A.5: 1D block-row algorithm, general (directed) case:
-/// `T = L(α·3·lg P + β(edgecut·f + n·f + f²))`.
+/// `T = L(α·3·lg P + β(edgecut·f + n·f + f²))`, less layer 0's forward
+/// broadcast of `H⁰` (`α·lg P + β·n·f`).
 ///
 /// `edgecut` defaults to the paper's non-adversarial random-partition
 /// bound `n(P−1)/P` when `None`.
 pub fn one_d(s: &Shape, p: usize, edgecut: Option<f64>) -> CommCost {
     let pf = p as f64;
     let cut = edgecut.unwrap_or(s.n * (pf - 1.0) / pf);
-    CommCost {
-        latency_units: s.layers * 3.0 * lg(pf),
-        words: s.layers * (cut * s.f + s.n * s.f + s.f * s.f),
-    }
+    let layer = (3.0 * lg(pf), cut * s.f + s.n * s.f + s.f * s.f);
+    epoch(s, layer, (lg(pf), s.n * s.f))
 }
 
 /// §IV-A.6: 1D symmetric case (`A = Aᵀ` usable interchangeably):
-/// `T = L(α·3·lg P + β(2·edgecut·f + f²))`.
+/// `T = L(α·3·lg P + β(2·edgecut·f + f²))`, less layer 0's forward fetch
+/// of the `edgecut` rows of `H⁰` (`α·lg P + β·edgecut·f`).
 pub fn one_d_symmetric(s: &Shape, p: usize, edgecut: Option<f64>) -> CommCost {
     let pf = p as f64;
     let cut = edgecut.unwrap_or(s.n * (pf - 1.0) / pf);
-    CommCost {
-        latency_units: s.layers * 3.0 * lg(pf),
-        words: s.layers * (2.0 * cut * s.f + s.f * s.f),
-    }
+    let layer = (3.0 * lg(pf), 2.0 * cut * s.f + s.f * s.f);
+    epoch(s, layer, (lg(pf), cut * s.f))
 }
 
 /// §IV-A.7: the transposing 1D variant — pays two transposes per epoch
@@ -95,6 +114,7 @@ pub fn one_d_transposing(s: &Shape, p: usize, edgecut: Option<f64>) -> CommCost 
     CommCost {
         latency_units: base.latency_units + 2.0 * pf * pf,
         words: base.words + 2.0 * s.nnz / pf,
+        ..base
     }
 }
 
@@ -102,55 +122,62 @@ pub fn one_d_transposing(s: &Shape, p: usize, edgecut: Option<f64>) -> CommCost 
 /// replication factor `c` on a `p₁ x c` grid (`p₁ = P/c`):
 /// per layer ≈ `β(2nf/c + 2nf/p₁ + 2f²)` with latency
 /// `p₁ + lg c + lg p₁ + 2·lg P` (broadcast stages + the
-/// reduce-scatter/all-gather trees).
+/// reduce-scatter/all-gather trees), less layer 0's `p₁` forward stage
+/// broadcasts of `H⁰` (`α·p₁ + β·nf/c`).
 pub fn one5_d(s: &Shape, p: usize, c: usize) -> CommCost {
     assert!(c >= 1 && p.is_multiple_of(c), "c must divide P");
     let p1 = (p / c) as f64;
     let cf = c as f64;
     let pf = p as f64;
-    CommCost {
-        latency_units: s.layers * (p1 + lg(cf) + lg(p1) + 2.0 * lg(pf)),
-        words: s.layers * (2.0 * s.n * s.f / cf + 2.0 * s.n * s.f / p1 + 2.0 * s.f * s.f),
-    }
+    let layer = (
+        p1 + lg(cf) + lg(p1) + 2.0 * lg(pf),
+        2.0 * s.n * s.f / cf + 2.0 * s.n * s.f / p1 + 2.0 * s.f * s.f,
+    );
+    epoch(s, layer, (p1, s.n * s.f / cf))
 }
 
 /// §IV-C.5: 2D SUMMA on a `√P x √P` grid:
-/// `T ≈ L(α(5√P + 3 lg P) + β(8nf/√P + 2nnz/√P + f²))`.
+/// `T ≈ L(α(5√P + 3 lg P) + β(8nf/√P + 2nnz/√P + f²))`, less layer 0's
+/// `√P` forward `H⁰` panel broadcasts (`α·√P + β·nf/√P`).
 pub fn two_d(s: &Shape, p: usize) -> CommCost {
     let pf = p as f64;
     let rp = pf.sqrt();
-    CommCost {
-        latency_units: s.layers * (5.0 * rp + 3.0 * lg(pf)),
-        words: s.layers * (8.0 * s.n * s.f / rp + 2.0 * s.nnz / rp + s.f * s.f),
-    }
+    let layer = (
+        5.0 * rp + 3.0 * lg(pf),
+        8.0 * s.n * s.f / rp + 2.0 * s.nnz / rp + s.f * s.f,
+    );
+    epoch(s, layer, (rp, s.n * s.f / rp))
 }
 
 /// §IV-C.6: rectangular-grid 2D forward propagation only:
-/// `α·gcf(Pr,Pc) + β(nnz/Pr + nf/Pc + nf/Pr)`.
+/// `α·gcf(Pr,Pc) + β(nnz/Pr + nf/Pc + nf/Pr)`. One layer, as the paper
+/// gives it, so no first-pass term.
 pub fn two_d_rect_forward(s: &Shape, pr: usize, pc: usize) -> CommCost {
     let g = gcf(pr, pc) as f64;
     CommCost {
         latency_units: g,
         words: s.nnz / pr as f64 + s.n * s.f / pc as f64 + s.n * s.f / pr as f64,
+        first_pass_words: 0.0,
     }
 }
 
 /// §IV-D.5: Split-3D-SpMM on a `∛P`-sided mesh:
-/// `T ≈ L(α·4·P^{1/3} + β(2nnz/P^{2/3} + 12nf/P^{2/3}))`.
+/// `T ≈ L(α·4·P^{1/3} + β(2nnz/P^{2/3} + 12nf/P^{2/3}))`, less layer 0's
+/// `∛P` forward `H⁰` panel broadcasts (`α·∛P + β·nf/P^{2/3}`).
 pub fn three_d(s: &Shape, p: usize) -> CommCost {
     let pf = p as f64;
     let p13 = pf.cbrt();
     let p23 = p13 * p13;
-    CommCost {
-        latency_units: s.layers * 4.0 * p13,
-        words: s.layers * (2.0 * s.nnz / p23 + 12.0 * s.n * s.f / p23),
-    }
+    let layer = (4.0 * p13, 2.0 * s.nnz / p23 + 12.0 * s.n * s.f / p23);
+    epoch(s, layer, (p13, s.n * s.f / p23))
 }
 
 /// Closed-form per-rank memory estimates (words), the counterparts of the
-/// measured `dist::StorageReport`. `layers` counts stored activation +
-/// pre-activation stacks (`2L + 1` dense state blocks of average width
-/// `f`).
+/// measured `dist::StorageReport` of a Dense-tier trainer after an epoch.
+/// `layers` counts stored activation + pre-activation stacks (`2L + 1`
+/// dense state blocks of average width `f`); the dense state also holds
+/// the remote `H⁰` blocks of layer 0's forward stages, which the first
+/// pass keeps so that later passes need not fetch them again.
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryEstimate {
     /// Sparse adjacency words (2 per nonzero, pointers ignored).
@@ -168,13 +195,19 @@ impl MemoryEstimate {
     }
 }
 
+/// The `2L + 1` stored blocks of a rank's `n·f/P` dense state.
+fn stored_blocks(s: &Shape, p: f64) -> f64 {
+    (2.0 * s.layers + 1.0) * s.n * s.f / p
+}
+
 /// 1D memory (§IV-A.3): state scales with `1/P` but the backward holds a
-/// full-height `n x f` low-rank product.
+/// full-height `n x f` low-rank product, and the kept `H⁰` blocks of the
+/// other `P − 1` ranks add `(P−1)/P · n·f`.
 pub fn memory_one_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     MemoryEstimate {
         adjacency: 2.0 * s.nnz / pf,
-        dense_state: (2.0 * s.layers + 1.0) * s.n * s.f / pf,
+        dense_state: stored_blocks(s, pf) + (pf - 1.0) / pf * s.n * s.f,
         intermediate: s.n * s.f,
     }
 }
@@ -182,26 +215,30 @@ pub fn memory_one_d(s: &Shape, p: usize) -> MemoryEstimate {
 /// 1.5D memory: adjacency stays `nnz/P` nonzeros (sliced, not replicated
 /// in our variant, and held once for both directions); the premium is the
 /// larger of the coarse forward partial (`n/p₁ x f`) and the backward
-/// contribution (`n/c x f`), which live in different passes.
+/// contribution (`n/c x f`), which live in different passes. The kept
+/// `H⁰` blocks of the other `p₁ − 1` replica-group members add
+/// `(p₁−1)/P · n·f`.
 pub fn memory_one5_d(s: &Shape, p: usize, c: usize) -> MemoryEstimate {
     assert!(c >= 1 && p.is_multiple_of(c), "c must divide P");
     let p1 = (p / c) as f64;
     let cf = c as f64;
+    let pf = p as f64;
     MemoryEstimate {
-        adjacency: 2.0 * s.nnz / p as f64,
-        dense_state: (2.0 * s.layers + 1.0) * s.n * s.f / p as f64,
+        adjacency: 2.0 * s.nnz / pf,
+        dense_state: stored_blocks(s, pf) + (p1 - 1.0) / pf * s.n * s.f,
         intermediate: (s.n / p1).max(s.n / cf) * s.f,
     }
 }
 
 /// 2D memory (§I: "consumes optimal memory"): everything scales with `P`
-/// or `√P`.
+/// or `√P`. The kept `H⁰` panels of the other `√P − 1` grid rows add
+/// `(√P−1)/P · n·f`.
 pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     let rp = pf.sqrt();
     MemoryEstimate {
         adjacency: 2.0 * 2.0 * s.nnz / pf, // A and Aᵀ blocks
-        dense_state: (2.0 * s.layers + 1.0) * s.n * s.f / pf,
+        dense_state: stored_blocks(s, pf) + (rp - 1.0) / pf * s.n * s.f,
         intermediate: s.n * s.f / rp,
     }
 }
@@ -215,6 +252,8 @@ pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
 /// loops and reduce-scattered along the fiber) and the backward's row
 /// slab (`n/∛P² x f`, the all-gathered `AG` or `Hˡ` of a process row).
 /// Both are `n·f/∛P²` words; the model takes the larger, not the sum.
+/// The kept `H⁰` panels of the other `∛P − 1` stages of the rank's mesh
+/// layer add `(∛P−1)/P · n·f`.
 pub fn memory_three_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     let p13 = pf.cbrt();
@@ -222,7 +261,7 @@ pub fn memory_three_d(s: &Shape, p: usize) -> MemoryEstimate {
     let slab = s.n / (p13 * p13) * s.f;
     MemoryEstimate {
         adjacency: 2.0 * 2.0 * s.nnz / pf,
-        dense_state: (2.0 * s.layers + 1.0) * s.n * s.f / pf,
+        dense_state: stored_blocks(s, pf) + (p13 - 1.0) / pf * s.n * s.f,
         intermediate: partial.max(slab),
     }
 }
@@ -390,10 +429,53 @@ mod tests {
     }
 
     #[test]
+    fn first_pass_pays_the_layer_zero_fetch_once() {
+        // Each form is the paper's `L` layers less layer 0's `H⁰` fetch,
+        // which the first pass pays on top.
+        let s = shape();
+        let (n, f, nnz, l) = (s.n, s.f, s.nnz, s.layers);
+        let cut = s.n * 15.0 / 16.0;
+        let cases = [
+            (one_d(&s, 16, None), l * (cut * f + n * f + f * f), n * f),
+            (
+                one_d_symmetric(&s, 16, None),
+                l * (2.0 * cut * f + f * f),
+                cut * f,
+            ),
+            (
+                one5_d(&s, 16, 4),
+                l * (2.0 * n * f / 4.0 + 2.0 * n * f / 4.0 + 2.0 * f * f),
+                n * f / 4.0,
+            ),
+            (
+                two_d(&s, 16),
+                l * (8.0 * n * f / 4.0 + 2.0 * nnz / 4.0 + f * f),
+                n * f / 4.0,
+            ),
+            (
+                three_d(&s, 64),
+                l * (2.0 * nnz / 16.0 + 12.0 * n * f / 16.0),
+                n * f / 16.0,
+            ),
+        ];
+        for (i, (cost, paper, fetch)) in cases.into_iter().enumerate() {
+            let tol = 1e-9 * paper;
+            assert!((cost.first_pass_words - fetch).abs() < tol, "case {i}");
+            assert!((cost.words + fetch - paper).abs() < tol, "case {i}");
+        }
+        let t = one_d_transposing(&s, 16, None);
+        assert_eq!(
+            t.first_pass_words,
+            one_d_symmetric(&s, 16, None).first_pass_words
+        );
+    }
+
+    #[test]
     fn cost_time_combines_terms() {
         let c = CommCost {
             latency_units: 10.0,
             words: 1000.0,
+            first_pass_words: 0.0,
         };
         assert!((c.time(1e-6, 1e-9) - (1e-5 + 1e-6)).abs() < 1e-18);
     }

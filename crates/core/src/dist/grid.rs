@@ -24,7 +24,7 @@
 
 use super::shell::State;
 use super::stages::{Comms, Stages};
-use super::{pipeline, CommMode, Workspace};
+use super::{pipeline, CommMode, Spmm, Workspace};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
@@ -199,7 +199,9 @@ pub(crate) fn forward(g: &Grid, s: &mut State, ctx: &Ctx) -> f64 {
     let mut nll = 0.0;
     for l in 0..l_total {
         let f_out = s.cfg.dims[l + 1];
-        let t = g.fwd.aggregate(s, ctx, &g.comms(), &s.hs[l], l);
+        let t = g
+            .fwd
+            .aggregate(s, ctx, &g.comms(), &s.hs[l], Spmm::forward(l));
         let t = s.ws.get_mut().lend(t);
         let z = Arc::new(g.partial_w(s, ctx, &t, l));
         if l + 1 == l_total {
@@ -235,7 +237,9 @@ pub(crate) fn backward(g: &Grid, s: &mut State, ctx: &Ctx) {
     for l in (0..l_total).rev() {
         let (f_in, f_out) = (s.cfg.dims[l], s.cfg.dims[l + 1]);
         // AG = A G, saved and reused (§IV-C.4, §IV-D.4).
-        let ag = g.bwd.aggregate(s, ctx, &g.comms(), &grad, l_total + l);
+        let ag = g
+            .bwd
+            .aggregate(s, ctx, &g.comms(), &grad, Spmm::Pass(l_total + l));
         let ag = s.ws.get_mut().lend(ag);
         // One row all-gather serves both Y and the next gradient: of AG,
         // or of Hˡ when the layer widens. The local block rides into the

@@ -47,7 +47,7 @@ pub(crate) use shell::State;
 pub use shell::{Layout, Trainer};
 
 use cagnet_comm::comm::Communicator;
-use cagnet_comm::{Cat, GatheredRows, PendingOp};
+use cagnet_comm::{Cat, GatheredRows, PendingOp, Precision};
 use cagnet_dense::Mat;
 use cagnet_sparse::spmm::{spmm_acc_scratch, spmm_scratch_len};
 use cagnet_sparse::{Csr, ParallelCtx};
@@ -393,17 +393,66 @@ impl<'c, T> Lead<'c, T> {
     }
 }
 
+/// A pass's SpMM, as its stage fetches key the operands they keep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Spmm {
+    /// Layer 0's forward `AᵀH⁰`. Its `D` blocks are blocks of `H⁰ = X`,
+    /// which nothing rewrites and no dropout touches, so every pass
+    /// fetches the same rows: the first pass keeps the remote blocks and
+    /// every later pass serves them ([`State::inputs`]).
+    Input,
+    /// The pass's SpMM number `n`: its stages are halo-cache slots
+    /// `n·stages + k` (`CommMode::Cached`).
+    Pass(usize),
+}
+
+impl Spmm {
+    /// Layer `l`'s forward SpMM: the input's at layer 0.
+    pub(crate) fn forward(l: usize) -> Self {
+        if l == 0 {
+            Spmm::Input
+        } else {
+            Spmm::Pass(l)
+        }
+    }
+
+    /// Where stage `k` of this SpMM's `stages` is kept.
+    pub(crate) fn slot(self, k: usize, stages: usize) -> Slot {
+        match self {
+            Spmm::Input => Slot::Input(k),
+            Spmm::Pass(n) => Slot::Halo(n * stages + k),
+        }
+    }
+}
+
+/// Where a stage fetch keeps its remote operand ([`State::fetch`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// Stage `k` of [`Spmm::Input`], in [`State::inputs`].
+    Input(usize),
+    /// Halo-cache slot `slot`.
+    Halo(usize),
+}
+
 impl State {
     /// Issue one stage fetch: member `root` of `comm` holds the stage's
     /// `dims`-shaped block (`payload`, `Some` exactly at the root) and
     /// this rank multiplies rows `needed` of it. `Dense` broadcasts the
-    /// whole block; the sparse tiers gather the needed rows. In cached
-    /// mode a training pass either refreshes — gathers through the
-    /// `igather_rows_refresh` kind and keeps remote blocks in cache slot
-    /// `slot` — or serves: no collective at all, the rank's own block
-    /// compacted fresh and remote blocks read from the cache. Evaluation
-    /// passes always gather fresh. Every stage fetch of every trainer
-    /// goes through here.
+    /// whole block; the sparse tiers gather the needed rows. Every stage
+    /// fetch of every trainer goes through here, and two rules let it
+    /// skip the collective:
+    ///
+    /// * a stage of [`Spmm::Input`] is fetched by the first forward pass,
+    ///   training or evaluation, which keeps the remote block; every
+    ///   later pass serves it (DESIGN.md §9);
+    /// * in cached mode a training pass either refreshes — gathers
+    ///   through the `igather_rows_refresh` kind and keeps remote blocks
+    ///   in halo-cache slot `slot` — or serves them (DESIGN.md §13).
+    ///   Evaluation passes always gather fresh.
+    ///
+    /// A served stage costs no collective: the rank's own block is
+    /// rebuilt from local state and a remote one read from where it was
+    /// kept.
     pub(crate) fn fetch<'a>(
         &'a self,
         comm: &'a Communicator,
@@ -411,68 +460,84 @@ impl State {
         payload: Option<Arc<Mat>>,
         needed: &'a [usize],
         dims: (usize, usize),
-        slot: usize,
+        slot: Slot,
     ) -> Fetch<'a> {
-        let expect = Some(dims);
-        let cached_serving = self.training && !self.cache.borrow().refreshing();
-        let mut keep = None;
-        let op = match self.mode {
-            CommMode::Dense => FetchOp::Bcast(comm.ibcast_shared(root, payload, Cat::DenseComm)),
-            CommMode::SparsityAware => {
-                FetchOp::Gather(comm.igather_rows(root, payload, needed, expect, Cat::DenseComm))
-            }
-            CommMode::Cached { .. } => {
-                if cached_serving {
-                    FetchOp::Served(self.serve_cached(comm, payload, needed, dims.1, slot))
-                } else if self.training {
-                    keep = (root != comm.my_idx()).then_some(slot);
-                    FetchOp::Gather(comm.igather_rows_refresh(
-                        root,
-                        payload,
-                        needed,
-                        expect,
-                        Cat::DenseComm,
-                    ))
-                } else {
-                    FetchOp::Gather(comm.igather_rows(
-                        root,
-                        payload,
-                        needed,
-                        expect,
-                        Cat::DenseComm,
-                    ))
+        let cached = self.training && self.mode.cached_refresh().is_some();
+        let refreshing = cached && self.cache.borrow().refreshing();
+        let (serve, keep) = match slot {
+            Slot::Input(_) => (self.inputs_kept, true),
+            Slot::Halo(_) => (cached && !refreshing, refreshing),
+        };
+        let own = payload.clone();
+        let op = if serve {
+            FetchOp::Served(self.serve(comm, payload, needed, dims, slot))
+        } else {
+            let expect = Some(dims);
+            match self.mode {
+                CommMode::Dense => {
+                    FetchOp::Bcast(comm.ibcast_shared(root, payload, Cat::DenseComm))
                 }
+                _ if refreshing => FetchOp::Gather(comm.igather_rows_refresh(
+                    root,
+                    payload,
+                    needed,
+                    expect,
+                    Cat::DenseComm,
+                )),
+                _ => FetchOp::Gather(comm.igather_rows(
+                    root,
+                    payload,
+                    needed,
+                    expect,
+                    Cat::DenseComm,
+                )),
             }
         };
+        let keep = !serve && keep && root != comm.my_idx();
         Fetch {
             op,
             needed,
-            keep,
+            own,
+            keep: keep.then_some(slot),
             state: self,
         }
     }
 
-    /// Serve a stage from the halo cache, with no collective: the root's
-    /// own block compacts fresh from local state (zero words, like the
-    /// root of the skipped gather); a remote block is the cached one,
-    /// metering the words the skipped gather would have moved under
-    /// [`Cat::CacheHit`].
-    fn serve_cached(
+    /// Serve a stage with no collective. The root's own block is rebuilt
+    /// from local state as the skipped collective would hand it back: the
+    /// block itself (under `Dense` rounded to the wire precision, as a
+    /// packed broadcast's root receives it). A remote block is the kept
+    /// one. Each
+    /// rank meters the words the skipped collective would have recorded
+    /// at it under [`Cat::CacheHit`]: a broadcast's at every member, a
+    /// gather's at its receivers.
+    fn serve(
         &self,
         comm: &Communicator,
         payload: Option<Arc<Mat>>,
         needed: &[usize],
-        cols: usize,
-        slot: usize,
+        (rows, cols): (usize, usize),
+        slot: Slot,
     ) -> Operand {
-        match payload {
-            Some(block) => Operand::pooled(&self.ws, needed.len() * cols, |m| {
-                block.select_rows_into(needed.iter().copied(), m)
-            }),
-            None => {
-                comm.cache_hit(needed.len() as u64 * (cols as u64 + 1));
-                Operand::shared(self.cache.borrow().get(slot))
-            }
+        let sparse = self.mode.sparse_exchange();
+        if payload.is_none() || !sparse {
+            let rows = if sparse { needed.len() } else { rows };
+            comm.cache_hit(rows, cols, sparse);
+        }
+        let Some(block) = payload else {
+            return Operand::shared(match slot {
+                Slot::Input(k) => self.inputs.borrow().get(k),
+                Slot::Halo(k) => self.cache.borrow().slots.get(k),
+            });
+        };
+        let p = comm.precision();
+        if sparse || p == Precision::F64 || comm.size() == 1 {
+            Operand::shared(block)
+        } else {
+            Operand::pooled(&self.ws, block.len(), |m| {
+                let rounded = block.as_slice().iter().map(|&x| p.round_trip(x));
+                m.assign(rows, cols, rounded)
+            })
         }
     }
 }
@@ -483,8 +548,10 @@ impl State {
 pub(crate) struct Fetch<'a> {
     op: FetchOp<'a>,
     needed: &'a [usize],
-    /// On a refresh epoch, the cache slot a remote block is kept in.
-    keep: Option<usize>,
+    /// The root's own block (`None` elsewhere).
+    own: Option<Arc<Mat>>,
+    /// Where a fetched remote block is kept, if it is.
+    keep: Option<Slot>,
     state: &'a State,
 }
 
@@ -493,38 +560,82 @@ enum FetchOp<'c> {
     Bcast(PendingOp<'c, Arc<Mat>>),
     /// Row gather.
     Gather(PendingOp<'c, GatheredRows>),
-    /// Served by the cached tier with no collective.
+    /// Served with no collective.
     Served(Operand),
 }
 
 impl Fetch<'_> {
-    /// Block until the stage operand is available. In the sparse tiers it
-    /// holds exactly the `needed` rows in request order, written into a
-    /// workspace buffer — pair it with the column-compacted sparse panel
-    /// ([`cagnet_sparse::Csr::compact_cols`]) so accumulation order, and
-    /// therefore every bit of the result, matches the dense path.
+    /// Block until the stage operand is available. At the root it is the
+    /// root's whole block in every tier. At a receiver in the sparse
+    /// tiers it holds exactly the `needed` rows in request order, written
+    /// into a workspace buffer — pair it with the column-compacted sparse
+    /// panel ([`cagnet_sparse::Csr::compact_cols`]) so accumulation order,
+    /// and therefore every bit of the result, matches the dense path.
     pub(crate) fn wait(self) -> Operand {
         let operand = match self.op {
             FetchOp::Bcast(op) => Operand::shared(op.wait()),
             FetchOp::Gather(op) => {
                 let gathered = op.wait();
-                Operand::pooled(&self.state.ws, self.needed.len() * gathered.cols(), |m| {
-                    gathered.compact_into(self.needed, m)
-                })
+                match self.own {
+                    Some(block) => Operand::shared(block),
+                    None => {
+                        Operand::pooled(&self.state.ws, self.needed.len() * gathered.cols(), |m| {
+                            gathered.compact_into(self.needed, m)
+                        })
+                    }
+                }
             }
             FetchOp::Served(operand) => operand,
         };
         if let Some(slot) = self.keep {
             let block = operand.handle().clone();
-            self.state.cache.borrow_mut().store(slot, block);
+            match slot {
+                Slot::Input(k) => self.state.inputs.borrow_mut().store(k, block),
+                Slot::Halo(k) => self.state.cache.borrow_mut().slots.store(k, block),
+            }
         }
         operand
     }
 }
 
+/// Stage operands a rank keeps, one slot each.
+#[derive(Debug, Default)]
+pub(crate) struct Slots(Vec<Option<Arc<Mat>>>);
+
+impl Slots {
+    /// Keep `block` in `slot`.
+    pub(crate) fn store(&mut self, slot: usize, block: Arc<Mat>) {
+        if self.0.len() <= slot {
+            self.0.resize(slot + 1, None);
+        }
+        self.0[slot] = Some(block);
+    }
+
+    /// The block kept in `slot`.
+    pub(crate) fn get(&self, slot: usize) -> Arc<Mat> {
+        match self.0.get(slot) {
+            Some(Some(b)) => b.clone(),
+            _ => panic!(
+                "serve of slot {slot} before any pass kept it (invalidation or scheduling bug)"
+            ),
+        }
+    }
+
+    /// Words of the kept blocks.
+    pub(crate) fn words(&self) -> usize {
+        self.0.iter().flatten().map(|b| b.len()).sum()
+    }
+
+    /// Let go of every kept block.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = Arc<Mat>> + '_ {
+        self.0.drain(..).flatten()
+    }
+}
+
 /// Rank-local cache of the compact stage operands a trainer fetched on
 /// its last refresh epoch (`CommMode::Cached`, DESIGN.md §13). One slot
-/// per (layer, stage) — trainers compute the slot index. The
+/// per (SpMM, stage) of a pass ([`Spmm::slot`]); layer 0's forward stages
+/// are kept once in [`State::inputs`] instead, never refreshed. The
 /// refresh-vs-serve decision is taken **once per training epoch**
 /// ([`HaloCache::begin_epoch`]) and replicated across ranks (epoch
 /// counters and refresh periods are identical everywhere), so on serve
@@ -533,7 +644,7 @@ impl Fetch<'_> {
 /// `igather_rows_refresh`-fingerprinted collective.
 #[derive(Debug, Default)]
 pub(crate) struct HaloCache {
-    slots: Vec<Option<Arc<Mat>>>,
+    pub(crate) slots: Slots,
     /// Whether the current training epoch refreshes (gathers fresh rows)
     /// instead of serving the cache.
     refresh_now: bool,
@@ -557,10 +668,7 @@ impl HaloCache {
         // swapped, never written through while a stage multiplies it.
         if self.refresh_now {
             self.valid = true;
-            self.slots
-                .drain(..)
-                .flatten()
-                .for_each(|b| ws.give_shared(b));
+            self.slots.drain().for_each(|b| ws.give_shared(b));
         }
     }
 
@@ -574,28 +682,9 @@ impl HaloCache {
     /// refresh — required whenever the precomputed needed-row sets or the
     /// adjacency may have changed (re-setup, `set_comm_mode`).
     pub(crate) fn invalidate(&mut self) {
-        self.slots.clear();
+        self.slots = Slots::default();
         self.valid = false;
         self.refresh_now = false;
-    }
-
-    /// Store the compact block fetched for `slot` on a refresh epoch.
-    pub(crate) fn store(&mut self, slot: usize, block: Arc<Mat>) {
-        if self.slots.len() <= slot {
-            self.slots.resize(slot + 1, None);
-        }
-        self.slots[slot] = Some(block);
-    }
-
-    /// Serve the cached compact block for `slot`.
-    pub(crate) fn get(&self, slot: usize) -> Arc<Mat> {
-        match self.slots.get(slot) {
-            Some(Some(b)) => b.clone(),
-            _ => panic!(
-                "halo cache: serve of slot {slot} before any refresh epoch populated it \
-                 (cache invalidation or refresh scheduling bug)"
-            ),
-        }
     }
 }
 

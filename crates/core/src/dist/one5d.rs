@@ -32,7 +32,7 @@
 use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::stages::{reduce, Comms, RowSets, Stages};
-use super::{CommMode, Layout, SetupError, Trainer};
+use super::{CommMode, Layout, SetupError, Spmm, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
@@ -137,7 +137,8 @@ impl RowLayout for One5D {
             reduce: Some((&self.team, Some(&self.team_sends))),
             ..Comms::along(&self.rep)
         };
-        self.stages.aggregate(s, ctx, &comms, &s.hs[l], l)
+        self.stages
+            .aggregate(s, ctx, &comms, &s.hs[l], Spmm::forward(l))
     }
 
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, _l: usize, g: Mat) -> Mat {

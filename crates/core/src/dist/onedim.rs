@@ -16,7 +16,7 @@
 use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::stages::{reduce, Comms, Stages};
-use super::{CommMode, Layout, SetupError, Trainer};
+use super::{CommMode, Layout, SetupError, Spmm, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
@@ -60,7 +60,8 @@ impl Trainer<OneDim> {
 impl RowLayout for OneDim {
     fn aggregate(&self, s: &State, ctx: &Ctx, l: usize) -> Mat {
         let comms = Comms::along(&ctx.world);
-        self.stages.aggregate(s, ctx, &comms, &s.hs[l], l)
+        self.stages
+            .aggregate(s, ctx, &comms, &s.hs[l], Spmm::forward(l))
     }
 
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, _l: usize, g: Mat) -> Mat {

@@ -14,7 +14,7 @@
 use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::stages::{reduce, Comms, Stages};
-use super::{CommMode, Layout, SetupError, Trainer};
+use super::{CommMode, Layout, SetupError, Spmm, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
@@ -66,7 +66,7 @@ impl RowLayout for OneDimRow {
         // shared so it enters its stage without a copy.
         let g = s.ws.borrow_mut().lend(g);
         let comms = Comms::along(&ctx.world);
-        self.stages.aggregate(s, ctx, &comms, &g, l)
+        self.stages.aggregate(s, ctx, &comms, &g, Spmm::Pass(l))
     }
 }
 

@@ -12,7 +12,7 @@
 
 use super::grid::{self, Grid};
 use super::rows::{self, RowLayout};
-use super::{CommMode, HaloCache, StorageReport, Workspace};
+use super::{CommMode, HaloCache, Slots, StorageReport, Workspace};
 use crate::dropout::{mask_block_into, DropoutKey};
 use crate::loss::{nll_sum_block, output_gradient_from_probs};
 use crate::model::GcnConfig;
@@ -143,6 +143,13 @@ pub struct State {
     /// Cached-tier halo cache (DESIGN.md §13). Interior-mutable, like
     /// `ws`, so the `&State` stage loops can store refreshed blocks.
     pub(crate) cache: RefCell<HaloCache>,
+    /// The remote `D` blocks of layer 0's forward stages
+    /// ([`super::Spmm::Input`]), one slot per stage, kept by the first
+    /// forward pass in every tier (DESIGN.md §9).
+    pub(crate) inputs: RefCell<Slots>,
+    /// A forward pass has filled `inputs` since setup or the last
+    /// [`Trainer::set_comm_mode`]: every later pass serves them.
+    pub(crate) inputs_kept: bool,
     /// Large scratch matrices kept across epochs (DESIGN.md §16).
     pub(crate) ws: RefCell<Workspace>,
 }
@@ -184,6 +191,8 @@ impl<L: Layout> Trainer<L> {
                 mode: CommMode::Dense,
                 overlap: true,
                 cache: RefCell::default(),
+                inputs: RefCell::default(),
+                inputs_kept: false,
                 ws: RefCell::default(),
             },
         }
@@ -200,10 +209,14 @@ impl<L: Layout> Trainer<L> {
     fn forward_layers(&mut self, ctx: &Ctx) -> f64 {
         let s = &mut self.state;
         s.hand_back();
-        match self.layout.family() {
+        let nll = match self.layout.family() {
             Family::Rows(r) => rows::forward(r, s, ctx),
             Family::Grid(g) => grid::forward(g, s, ctx),
-        }
+        };
+        // The pass kept layer 0's remote stage operands: later passes
+        // serve them.
+        s.inputs_kept = true;
+        nll
     }
 
     /// Backward pass + replicated gradient-descent step.
@@ -271,12 +284,16 @@ impl<L: Layout> Trainer<L> {
     /// cached tier for the stage fetches (see [`CommMode`]). `Dense` and
     /// `SparsityAware` train bit-identically; `Cached` is bit-identical
     /// only at `refresh: 1` (DESIGN.md §13). Must be set identically on
-    /// every rank. Always drops any halo cache, so a mode change (or
-    /// re-set after mutating state) can never serve stale blocks.
+    /// every rank. Always drops any halo cache and the kept layer-0
+    /// operands, so a mode change (or re-set after mutating state) can
+    /// never serve stale blocks: the next pass fetches them again.
     pub fn set_comm_mode(&mut self, mode: CommMode) {
-        self.state.adjacency = self.layout.set_panels(mode);
-        self.state.cache.get_mut().invalidate();
-        self.state.mode = mode;
+        let s = &mut self.state;
+        s.adjacency = self.layout.set_panels(mode);
+        s.cache.get_mut().invalidate();
+        *s.inputs.get_mut() = Slots::default();
+        s.inputs_kept = false;
+        s.mode = mode;
     }
 
     /// Enable or disable communication/computation overlap (default on).
@@ -346,7 +363,7 @@ impl<L: Layout> Trainer<L> {
             adjacency: s.adjacency,
             // The probabilities a training forward keeps next to `Z^L`
             // are block for block the same shape.
-            dense_state: stored + s.zs.last().map_or(0, |z| z.len()),
+            dense_state: stored + s.zs.last().map_or(0, |z| z.len()) + s.inputs.borrow().words(),
             intermediate: s.ws.borrow().peak,
         }
     }

@@ -8,7 +8,7 @@
 //! the row family's outer product reads the same panels.
 
 use super::shell::State;
-use super::{pipeline, CommMode, Lead, Workspace};
+use super::{pipeline, CommMode, Lead, Operand, Spmm, Workspace};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::Mat;
@@ -144,8 +144,8 @@ impl Stages {
     /// `comms.col`: per stage the `S` panel — broadcast along the process
     /// row, or this rank's own — then the `D` block through the shell's
     /// stage fetch ([`State::fetch`]), pipelined against the stage SpMMs;
-    /// where the sums are partial, then their reduce-scatter. `slot` is
-    /// the SpMM's index among a pass's SpMMs, for the halo cache. The
+    /// where the sums are partial, then their reduce-scatter. `spmm` says
+    /// which of a pass's SpMMs this is, for what the fetches keep. The
     /// result is in a workspace buffer.
     pub(crate) fn aggregate(
         &self,
@@ -153,16 +153,21 @@ impl Stages {
         ctx: &Ctx,
         comms: &Comms<'_>,
         d_mine: &Arc<Mat>,
-        slot: usize,
+        spmm: Spmm,
     ) -> Mat {
         let f = d_mine.cols();
         let mut out = s.ws.borrow_mut().zeros(self.rows, f);
+        // In the sparse tiers both operands are compact: the panel's
+        // columns renumbered to needed order, the D block holding exactly
+        // those rows — the dense tier's accumulation order and charged
+        // cost, bit for bit. A stage's D root holds its block whole, and
+        // where it holds the panel whole too it multiplies both as they
+        // are: the renumbering is monotone, so that is the same product
+        // in the same order, with no compact copy of the block.
+        let mine = |k: usize| self.stages[k].d_root == comms.col.my_idx();
+        let whole = |k: usize| mine(k) && self.panels[k].is_some();
         let issue = |k: usize| {
             let st = &self.stages[k];
-            // In the sparse tiers both operands are compact: the panel's
-            // columns renumbered to needed order, the D block holding
-            // exactly those rows — the dense tier's accumulation order
-            // and charged cost, bit for bit.
             let served = self.compact[k]
                 .as_ref()
                 .or(self.panels[k].as_ref())
@@ -176,16 +181,27 @@ impl Stages {
                 (None, None) => unreachable!("a layout without a process row holds every panel"),
             };
             let (g0, g1) = st.span;
-            let mine = st.d_root == comms.col.my_idx();
-            let payload = mine.then(|| d_panel(&s.ws, d_mine, g0 - s.r0, g1 - s.r0));
+            let payload = mine(k).then(|| d_panel(&s.ws, d_mine, g0 - s.r0, g1 - s.r0));
             let dims = (g1 - g0, f);
-            let slot = slot * self.stages.len() + k;
+            let slot = spmm.slot(k, self.stages.len());
             let d_op = s.fetch(comms.col, st.d_root, payload, &self.needed[k], dims, slot);
             (s_op, d_op)
         };
-        pipeline(s.overlap, self.stages.len(), issue, |_, (s_op, d_op)| {
+        let sparse = s.mode.sparse_exchange();
+        pipeline(s.overlap, self.stages.len(), issue, |k, (s_op, d_op)| {
             let a = s_op.wait();
-            let d = d_op.wait();
+            let a = match &self.panels[k] {
+                Some(panel) if whole(k) => panel.clone(),
+                _ => a,
+            };
+            let mut d = d_op.wait();
+            if sparse && mine(k) && !whole(k) {
+                let needed = &self.needed[k];
+                let block = d;
+                d = Operand::pooled(&s.ws, needed.len() * f, |m| {
+                    block.select_rows_into(needed.iter().copied(), m)
+                });
+            }
             ctx.charge_spmm(a.nnz(), a.rows(), f);
             s.ws.borrow_mut()
                 .spmm_acc_with(ctx.parallel(), &a, &d, &mut out);

@@ -316,9 +316,10 @@ fn reducing_epochs_move_their_metered_words() {
     // (one part head each), the gathers and the f × f all-reduces within
     // their heads, the loss all-reduce a word short. Only a dense
     // broadcast's root meters words it never receives — 1D's forward
-    // stage roots, n·f per layer, added back below. 1.5D at c = 2 runs
-    // its team reduce-scatter forward; at c = 1, its replica-group one
-    // backward.
+    // stage roots, n·f per layer above layer 0, taken off below: layer 0's
+    // `H⁰` blocks cross once, in the first epoch, and the second serves
+    // them. 1.5D at c = 2 runs its team reduce-scatter forward; at c = 1,
+    // its replica-group one backward.
     let p = 2;
     let cached = CommMode::Cached { refresh: 2 };
     let cases = [
@@ -345,7 +346,8 @@ fn reducing_epochs_move_their_metered_words() {
             Precision::F64,
         ),
     ];
-    let dims = [6u64, 8, 8];
+    // The input widths of layers 1 and 2.
+    let dims = [8u64, 8];
     let traffic: Vec<_> = cases
         .iter()
         .map(|&(algo, mode, precision)| epoch_traffic(algo, p, mode, precision))
@@ -376,6 +378,46 @@ fn reducing_epochs_move_their_metered_words() {
         assert!(
             ratio < 1.0,
             "{mode:?}: the sparse tiers receive fewer bytes"
+        );
+    }
+}
+
+#[test]
+fn steady_epochs_receive_no_layer_zero_bytes() {
+    // 1D at P = 2 over sockets: the first epoch fetches the two 32 × 6
+    // blocks of H⁰ — broadcast whole, or gathered by needed rows — and
+    // the second serves them from what it kept. What the second epoch no
+    // longer meters under DenseComm it meters under CacheHit, and the
+    // bytes it no longer receives are 8 × the receivers' share of those
+    // words within a head per message: a Dense broadcast's root meters
+    // its own block, which never crosses. Every run comes before the
+    // first assertion (socket workers replay earlier runs on threads).
+    let (n, f0) = (64u64, 6u64);
+    let modes = [CommMode::Dense, CommMode::SparsityAware];
+    let runs: Vec<_> = modes
+        .iter()
+        .map(|&mode| [0, 1, 2].map(|epochs| trained(Algorithm::OneD, 2, mode, epochs)))
+        .collect();
+    for (mode, [r0, r1, r2]) in modes.into_iter().zip(runs) {
+        let (first, second) = (delta(&r0, &r1), delta(&r1, &r2));
+        let words = first.1 - second.1;
+        let hits = r2.words(Cat::CacheHit) - r1.words(Cat::CacheHit);
+        assert_eq!(hits, words, "{mode:?}: served words");
+        assert_eq!(
+            r1.words(Cat::CacheHit),
+            0,
+            "{mode:?}: the first epoch serves nothing"
+        );
+        let received = if mode == CommMode::Dense {
+            assert_eq!(words, 2 * n * f0, "{mode:?}: both ranks meter both blocks");
+            words - n * f0
+        } else {
+            words
+        };
+        let (bytes, msgs) = (first.0 - second.0, first.2 - second.2);
+        assert!(
+            received > 0 && (8 * received..=8 * received + msgs * HEAD).contains(&bytes),
+            "{mode:?}: {bytes} fewer bytes for {received} fewer received words in {msgs} messages"
         );
     }
 }

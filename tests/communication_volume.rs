@@ -177,10 +177,11 @@ fn sparse_traffic_only_in_2d_and_3d() {
 #[test]
 fn narrow_side_drop_matches_closed_form_to_the_word() {
     // Every dense-weight product of the grid family moves its narrow side
-    // across the process row. The metered Dense-tier epoch must equal the
-    // paper's broadcast form less the closed-form saving, word for word
-    // at every rank; with uniform widths nothing fires and the saving is
-    // zero.
+    // across the process row, and only the first pass fetches layer 0's
+    // `H⁰` panels. The metered steady-state Dense-tier epoch must equal
+    // the paper's broadcast form less the layer-0 fetch and the
+    // closed-form saving, word for word at every rank; with uniform
+    // widths nothing fires and the saving is zero.
     let g = rmat_symmetric(8, 8, RmatParams::default(), 41); // 256 vertices
     let shapes: [&[usize]; 3] = [
         // Layer 0 and the output layer narrow; layer 1 widens past 2·f_in.
@@ -208,7 +209,7 @@ fn narrow_side_drop_matches_closed_form_to_the_word() {
                 let drop = want.broadcast_form[r] as i64 - m as i64;
                 assert_eq!(
                     drop,
-                    want.saved[r],
+                    want.saved[r] + want.input_fetch[r] as i64,
                     "{} P={p} {dims:?} rank {r}: metered {m}, broadcast form {}",
                     algo.name(),
                     want.broadcast_form[r]

@@ -11,7 +11,7 @@ use cagnet::comm::Cluster;
 use cagnet::core::analysis::{memory_three_d, Shape};
 use cagnet::core::dist::{
     one5d::One5DTrainer, onedim::OneDimTrainer, threedim::ThreeDimTrainer, twodim::TwoDimTrainer,
-    StorageReport, Trainer,
+    Layout, StorageReport, Trainer,
 };
 use cagnet::core::trainer::{Algorithm, CommMode, TwoDimConfig};
 use cagnet::core::{GcnConfig, Problem};
@@ -357,8 +357,12 @@ fn one5_d_memory_lives_in_partial_sums_not_adjacency() {
 fn dense_state_grows_linearly_with_depth() {
     // §VII: "the memory costs become O(nfL), which is prohibitive for
     // deep networks" — stored activations + pre-activations scale with
-    // the layer count.
+    // the layer count. The other ranks' `H⁰` blocks, which every rank
+    // keeps for layer 0's stages, do not: `(n − n_r)·f₀` words at rank r
+    // ((P−1)/P · n·f₀ on a balanced split), taken off here and measured
+    // on their own by `kept_input_blocks_are_the_remote_rows_of_x`.
     let prob = problem();
+    let n = prob.vertices();
     let run = |layers: usize| -> usize {
         let cfg = GcnConfig {
             dims: vec![F; layers + 1],
@@ -369,7 +373,8 @@ fn dense_state_grows_linearly_with_depth() {
             .run(|ctx| {
                 let mut t = OneDimTrainer::setup(ctx, &prob, &cfg);
                 t.epoch(ctx);
-                t.storage_words().dense_state
+                let (r0, r1) = block_ranges(n, ctx.size)[ctx.rank];
+                t.storage_words().dense_state - (n - (r1 - r0)) * F
             })
             .into_iter()
             .map(|(r, _)| r)
@@ -384,6 +389,57 @@ fn dense_state_grows_linearly_with_depth() {
     let r2 = d8 as f64 / d4 as f64;
     assert!((1.6..2.0).contains(&r1), "L 2->4 ratio {r1}");
     assert!((1.7..2.1).contains(&r2), "L 4->8 ratio {r2}");
+}
+
+/// The dense-state words `t` lets go when its comm tier is set to `mode`.
+fn kept<L: Layout>(t: &mut Trainer<L>, mode: CommMode) -> usize {
+    let before = t.storage_words().dense_state;
+    t.set_comm_mode(mode);
+    before - t.storage_words().dense_state
+}
+
+#[test]
+fn kept_input_blocks_are_the_remote_rows_of_x() {
+    // The first pass keeps the remote `H⁰` blocks of layer 0's forward
+    // stages, and `set_comm_mode` lets them go: the dense state it drops
+    // is exactly what the rank keeps. 1D Dense keeps the other ranks'
+    // whole blocks, (n − n_r)·f₀ = (P−1)/P · n·f₀ on a balanced split;
+    // the sparse tier only the needed rows of each remote stage,
+    // Σ_{j≠r} k_j·f₀; 2D Dense the other grid rows' panels of its grid
+    // column, (n − n_i)·f₀/Pc = (√P−1)/P · n·f₀.
+    let prob = problem();
+    let n = prob.vertices();
+    let p = 4;
+    let per_rank = Cluster::new(p).run(|ctx| {
+        let blocks = block_ranges(n, p);
+        let (r0, r1) = blocks[ctx.rank];
+        let mut dense = OneDimTrainer::setup(ctx, &prob, &gcn());
+        dense.epoch(ctx);
+        assert_eq!(kept(&mut dense, CommMode::Dense), (n - (r1 - r0)) * F);
+        let mut sparse = OneDimTrainer::setup(ctx, &prob, &gcn());
+        sparse.set_comm_mode(CommMode::SparsityAware);
+        sparse.epoch(ctx);
+        let needed: usize = (blocks.iter().enumerate())
+            .filter(|&(j, _)| j != ctx.rank)
+            .map(|(_, &(c0, c1))| prob.adj_t.block(r0, r1, c0, c1).needed_cols().len())
+            .sum();
+        assert_eq!(kept(&mut sparse, CommMode::SparsityAware), needed * F);
+        let mut grid = TwoDimTrainer::setup(ctx, &prob, &gcn(), TwoDimConfig::default());
+        grid.epoch(ctx);
+        let rows = block_ranges(n, 2)[ctx.rank / 2];
+        assert_eq!(
+            kept(&mut grid, CommMode::Dense),
+            (n - (rows.1 - rows.0)) * (F / 2)
+        );
+        // After the drop the next pass fetches them again and keeps the
+        // same words, whatever passes follow.
+        grid.epoch(ctx);
+        grid.epoch(ctx);
+        kept(&mut grid, CommMode::Dense)
+    });
+    for (words, _) in per_rank {
+        assert_eq!(words, (n / 2) * (F / 2));
+    }
 }
 
 #[test]

@@ -100,22 +100,33 @@ fn accuracy_reduces_once_and_reads_zero_without_training_rows() {
     // Each rank counts the rows whose label falls in its class columns
     // and one world all-reduce sums the counts over `train_count`: an
     // accuracy pass meters the messages of a forward, whose loss
-    // all-reduce it replaces.
+    // all-reduce it replaces. Only the first pass fetches layer 0's `H⁰`
+    // blocks, one broadcast per forward stage of layer 0 (none in 1D-row,
+    // whose forward is an outer product), so both are set against a
+    // second forward.
     let (problem, gcn) = problem();
     let mut untrained = problem.clone();
     untrained.train_mask.fill(false);
-    for (algo, p) in GEOMETRIES {
+    // Layer 0's forward stages: P (1D), P/c (1.5D), lcm(Pr, Pc) (2D), ∛P (3D).
+    let input_stages = [4, 0, 2, 2, 6, 2];
+    for ((algo, p), stages) in GEOMETRIES.into_iter().zip(input_stages) {
         let per_rank = Cluster::new(p).run(|ctx| {
             let mut t = AnyTrainer::setup(ctx, algo, &problem, &gcn);
+            let (_, first_msgs) = messages(ctx, || t.forward(ctx));
             let (_, forward_msgs) = messages(ctx, || t.forward(ctx));
             let (acc, accuracy_msgs) = messages(ctx, || t.accuracy(ctx));
             let none = AnyTrainer::setup(ctx, algo, &untrained, &gcn).accuracy(ctx);
-            (forward_msgs == accuracy_msgs, acc, none)
+            let same_msgs = forward_msgs == accuracy_msgs;
+            (same_msgs, first_msgs - forward_msgs == stages, acc, none)
         });
-        let acc0 = per_rank[0].0 .1;
-        for (rank, ((same_msgs, acc, none), _)) in per_rank.iter().enumerate() {
+        let acc0 = per_rank[0].0 .2;
+        for (rank, ((same_msgs, once, acc, none), _)) in per_rank.iter().enumerate() {
             let name = algo.name();
             assert!(same_msgs, "{name} P={p}, rank {rank}: accuracy messages");
+            assert!(
+                once,
+                "{name} P={p}, rank {rank}: first-pass layer-0 messages"
+            );
             assert_eq!(acc.to_bits(), acc0.to_bits(), "{name} P={p}, rank {rank}");
             assert_eq!(*none, 0.0, "{name} P={p}, rank {rank}: no training rows");
         }
