@@ -8,20 +8,27 @@
 //! Each footprint is measured after one epoch — the sparse blocks a rank
 //! holds, its stored dense blocks and the largest workspace buffer it was
 //! served — as the max and the mean over ranks, and printed next to
-//! `analysis`'s closed form for the same quantity. The closed forms
-//! assume a balanced split, so they model the mean: on a skewed R-MAT
-//! graph the heaviest rank's blocks hold several times the mean nonzeros.
+//! `analysis`'s closed form for the same quantity (1D-row, which swaps
+//! 1D's passes, against 1D's). The closed forms assume a balanced split,
+//! so they model the mean: on a skewed R-MAT graph the heaviest rank's
+//! blocks hold several times the mean nonzeros.
 //! The dense state holds, besides the `2L + 1` stored blocks, the remote
 //! `H⁰` blocks of layer 0's forward stages that the first pass keeps so
 //! later passes need not fetch them: `(P−1)/P · n·f₀` in 1D, `(p₁−1)/P ·
-//! n·f₀` in 1.5D, `(√P−1)/P · n·f₀` in 2D and `(∛P−1)/P · n·f₀` in 3D.
+//! n·f₀` in 1.5D, `(√P−1)/P · n·f₀` in 2D and `(∛P−1)/P · n·f₀` in 3D,
+//! and none in 1D-row, whose stage loop is the backward's.
+//!
+//! Every layout is measured a second time in the `SparsityAware` tier. A
+//! rank holds one copy of each stage panel, fixed at setup and read by
+//! every tier, so the bin exits non-zero when any rank's adjacency there
+//! differs from its `Dense` adjacency.
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin memory`
 
 use cagnet_comm::Cluster;
 use cagnet_core::analysis::{self, Shape};
 use cagnet_core::dist::{StorageReport, Trainer};
-use cagnet_core::trainer::{Algorithm, TwoDimConfig};
+use cagnet_core::trainer::{Algorithm, CommMode, TwoDimConfig};
 use cagnet_core::{GcnConfig, Problem};
 use cagnet_sparse::generate::{rmat_symmetric, RmatParams};
 use serde::Serialize;
@@ -34,6 +41,7 @@ struct Row {
     dense_state_words: usize,
     intermediate_words: usize,
     total_words: usize,
+    sparse_adjacency_words: usize,
     mean_adjacency_words: f64,
     mean_dense_state_words: f64,
     mean_intermediate_words: f64,
@@ -74,9 +82,10 @@ fn main() {
         "model tot"
     );
 
-    use Algorithm::{One5D, OneD, ThreeD, TwoD};
+    use Algorithm::{One5D, OneD, OneDRow, ThreeD, TwoD};
     let groups = [
         [(OneD, 4), (OneD, 16), (OneD, 64)],
+        [(OneDRow, 4), (OneDRow, 16), (OneDRow, 64)],
         [
             (One5D { c: 2 }, 16),
             (One5D { c: 4 }, 16),
@@ -86,18 +95,33 @@ fn main() {
         [(ThreeD, 8), (ThreeD, 27), (ThreeD, 64)],
     ];
     let mut rows = Vec::new();
+    let mut tier_dependent = Vec::new();
     for group in groups {
         for (algo, p) in group {
-            let reports: Vec<StorageReport> = Cluster::new(p)
+            let tiers: Vec<[StorageReport; 2]> = Cluster::new(p)
                 .run(|ctx| {
-                    let twod = TwoDimConfig::default();
-                    let mut t = Trainer::for_algorithm(ctx, &problem, &gcn, algo, twod);
-                    t.epoch(ctx);
-                    t.storage_words()
+                    [CommMode::Dense, CommMode::SparsityAware].map(|mode| {
+                        let twod = TwoDimConfig::default();
+                        let mut t = Trainer::for_algorithm(ctx, &problem, &gcn, algo, twod);
+                        t.set_comm_mode(mode);
+                        t.epoch(ctx);
+                        t.storage_words()
+                    })
                 })
                 .into_iter()
                 .map(|(r, _)| r)
                 .collect();
+            let reports: Vec<StorageReport> = tiers.iter().map(|[dense, _]| *dense).collect();
+            for (rank, [dense, sparse]) in tiers.iter().enumerate() {
+                if sparse.adjacency != dense.adjacency {
+                    tier_dependent.push(format!(
+                        "{} P={p} rank {rank}: {} words in SparsityAware, {} in Dense",
+                        algo.name(),
+                        sparse.adjacency,
+                        dense.adjacency
+                    ));
+                }
+            }
             let s = reports
                 .iter()
                 .fold(StorageReport::default(), |a, r| StorageReport {
@@ -115,7 +139,7 @@ fn main() {
                 mean(StorageReport::total),
             ];
             let m = match algo {
-                OneD => analysis::memory_one_d(&shape, p),
+                OneD | OneDRow => analysis::memory_one_d(&shape, p),
                 One5D { c } => analysis::memory_one5_d(&shape, p, c),
                 TwoD => analysis::memory_two_d(&shape, p),
                 _ => analysis::memory_three_d(&shape, p),
@@ -142,6 +166,7 @@ fn main() {
                 algorithm: name,
                 processes: p,
                 adjacency_words: s.adjacency,
+                sparse_adjacency_words: tiers.iter().map(|[_, r]| r.adjacency).max().unwrap_or(0),
                 dense_state_words: s.dense_state,
                 intermediate_words: s.intermediate,
                 total_words: s.total(),
@@ -163,4 +188,10 @@ fn main() {
          ∛P pre-reduction replication relative to its own state blocks."
     );
     cagnet_bench::emit_json(&rows);
+    if !tier_dependent.is_empty() {
+        eprintln!("adjacency depends on the comm tier:");
+        tier_dependent.iter().for_each(|line| eprintln!("  {line}"));
+        std::process::exit(1);
+    }
+    println!("SparsityAware adjacency equals Dense adjacency on every rank of every layout.");
 }

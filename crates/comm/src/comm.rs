@@ -340,14 +340,15 @@ impl GatheredRows {
     }
 
     /// The compact `needed.len() × f` operand for an SpMM against a
-    /// column-compacted sparse panel ([`cagnet_sparse::Csr::compact_cols`]),
-    /// written over `out`, reusing its allocation: the same rows in the
-    /// same order on the root and on receivers alike, with nothing
-    /// allocated when `out` is large enough. The root and `P = 1` extract
-    /// their needed rows locally — unmetered local work on a block the
-    /// rank already owns; a socket receiver decodes its part straight
-    /// into `out`. `needed` must be the same list passed to the
-    /// collective.
+    /// sparse panel whose columns are numbered by `needed`
+    /// ([`cagnet_sparse::Csr::compact_cols`]), which it then multiplies
+    /// with no row map. Written over `out`, reusing its allocation: the
+    /// same rows in the same order on the root and on receivers alike,
+    /// with nothing allocated when `out` is large enough. The root and
+    /// `P = 1` extract their needed rows locally — unmetered local work
+    /// on a block the rank already owns; a socket receiver decodes its
+    /// part straight into `out`. `needed` must be the same list passed
+    /// to the collective.
     pub fn compact_into(&self, needed: &[usize], out: &mut Mat) {
         match &self.src {
             Source::Full(block) => block.select_rows_into(needed.iter().copied(), out),

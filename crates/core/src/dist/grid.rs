@@ -24,7 +24,7 @@
 
 use super::shell::State;
 use super::stages::{Comms, Stages};
-use super::{pipeline, CommMode, Spmm, Workspace};
+use super::{pipeline, Spmm, Workspace};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::{matmul_acc_with, matmul_tn_with, Mat};
@@ -85,10 +85,9 @@ impl Grid {
         c0..c1
     }
 
-    /// Keep both directions' stage panels for comm tier `mode`; returns
-    /// their storage words.
-    pub(crate) fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.fwd.set_panels(mode) + self.bwd.set_panels(mode)
+    /// Storage words of both directions' stage panels.
+    pub(crate) fn words(&self) -> usize {
+        self.fwd.words() + self.bwd.words()
     }
 
     /// The communicators of a SUMMA stage loop: `S` panels along the

@@ -111,8 +111,9 @@ impl CommMode {
 
     /// Whether stage operands move as compact needed-row sets (the
     /// sparsity-aware and cached tiers) rather than full-block
-    /// broadcasts. Trainers use this to decide when to build and
-    /// multiply against column-compacted sparse panels.
+    /// broadcasts. It decides only how stage operands move and are kept:
+    /// the stage panels are the same in every tier, and the stage loop
+    /// tells a compact operand from a whole block by its shape.
     pub(crate) fn sparse_exchange(self) -> bool {
         !matches!(self, CommMode::Dense)
     }
@@ -233,12 +234,20 @@ impl Workspace {
         m
     }
 
-    /// `c += a · b` on `par` threads, the wide kernel's pack buffer
+    /// `c += a · b[rows]` on `par` threads, the pack buffer
     /// ([`spmm_acc_scratch`]) drawn from the pool and handed back: zero
-    /// elements, so no buffer at all, for operands up to 128 columns.
-    pub(crate) fn spmm_acc_with(&mut self, par: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat) {
-        let mut pack = self.take(spmm_scratch_len(b.rows(), b.cols()));
-        spmm_acc_scratch(par, a, b, c, &mut pack);
+    /// elements, so no buffer at all, for operands up to 128 columns read
+    /// without a row map, else one tile of `a.cols()` rows.
+    pub(crate) fn spmm_acc_with(
+        &mut self,
+        par: ParallelCtx,
+        a: &Csr,
+        b: &Mat,
+        rows: Option<&[usize]>,
+        c: &mut Mat,
+    ) {
+        let mut pack = self.take(spmm_scratch_len(a.cols(), b.cols(), rows.is_some()));
+        spmm_acc_scratch(par, a, b, rows, c, &mut pack);
         self.give(pack);
     }
 
@@ -566,11 +575,13 @@ enum FetchOp<'c> {
 
 impl Fetch<'_> {
     /// Block until the stage operand is available. At the root it is the
-    /// root's whole block in every tier. At a receiver in the sparse
-    /// tiers it holds exactly the `needed` rows in request order, written
-    /// into a workspace buffer — pair it with the column-compacted sparse
-    /// panel ([`cagnet_sparse::Csr::compact_cols`]) so accumulation order,
-    /// and therefore every bit of the result, matches the dense path.
+    /// root's whole block in every tier, which the stage SpMM reads
+    /// through the panel's column map. At a receiver in the sparse tiers
+    /// it holds exactly the `needed` rows in request order, written into
+    /// a workspace buffer — the rows the panel's columns are numbered by
+    /// ([`cagnet_sparse::Csr::compact_cols`]), so it multiplies with no
+    /// map, in the accumulation order, and therefore to every bit, of the
+    /// dense path.
     pub(crate) fn wait(self) -> Operand {
         let operand = match self.op {
             FetchOp::Bcast(op) => Operand::shared(op.wait()),
@@ -700,8 +711,8 @@ impl HaloCache {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageReport {
     /// Sparse adjacency blocks held by this rank (2 words per stored
-    /// nonzero + row pointers), counting replicas and the compact copies
-    /// the sparse tiers serve.
+    /// nonzero + row pointers), counting replicas: the stage panels, cut
+    /// once at setup and the same in every comm tier.
     pub adjacency: usize,
     /// Stored dense blocks after the last pass: feature block plus
     /// stored activations `H^l` and pre-activations `Z^l` for backprop,
@@ -719,9 +730,4 @@ impl StorageReport {
     pub fn total(&self) -> usize {
         self.adjacency + self.dense_state + self.intermediate
     }
-}
-
-/// Storage words of a CSR block: values + column indices + row pointers.
-pub(crate) fn csr_words(a: &cagnet_sparse::Csr) -> usize {
-    2 * a.nnz() + a.rows() + 1
 }

@@ -32,7 +32,7 @@
 use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::stages::{reduce, Comms, RowSets, Stages};
-use super::{CommMode, Layout, SetupError, Spmm, Trainer};
+use super::{Layout, SetupError, Spmm, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::comm::Communicator;
@@ -119,7 +119,8 @@ impl Trainer<One5D> {
             stages,
             team_sends: Arc::new(team_sends),
         };
-        Ok(Trainer::new(layout, problem, cfg, fr0, h0))
+        let words = layout.stages.words();
+        Ok(Trainer::new(words, layout, problem, cfg, fr0, h0))
     }
 
     /// Replication factor in effect.
@@ -171,9 +172,5 @@ impl sealed::Sealed for One5D {}
 impl Layout for One5D {
     fn family(&self) -> Family<'_> {
         Family::Rows(self)
-    }
-
-    fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.stages.set_panels(mode)
     }
 }

@@ -16,7 +16,7 @@
 use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::stages::{reduce, Comms, Stages};
-use super::{CommMode, Layout, SetupError, Spmm, Trainer};
+use super::{Layout, SetupError, Spmm, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
@@ -53,7 +53,8 @@ impl Trainer<OneDim> {
         let layout = OneDim {
             stages: stages(&problem.adj_t, (r0, r1), spans, ctx.rank),
         };
-        Ok(Trainer::new(layout, problem, cfg, r0, h0))
+        let words = layout.stages.words();
+        Ok(Trainer::new(words, layout, problem, cfg, r0, h0))
     }
 }
 
@@ -80,9 +81,5 @@ impl sealed::Sealed for OneDim {}
 impl Layout for OneDim {
     fn family(&self) -> Family<'_> {
         Family::Rows(self)
-    }
-
-    fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.stages.set_panels(mode)
     }
 }

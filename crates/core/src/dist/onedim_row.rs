@@ -14,7 +14,7 @@
 use super::rows::{block_row, stages, RowLayout};
 use super::shell::{expect_setup, sealed, Family, State};
 use super::stages::{reduce, Comms, Stages};
-use super::{CommMode, Layout, SetupError, Spmm, Trainer};
+use super::{Layout, SetupError, Spmm, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::Ctx;
@@ -46,7 +46,8 @@ impl Trainer<OneDimRow> {
         let layout = OneDimRow {
             stages: stages(&problem.adj, (r0, r1), spans, ctx.rank),
         };
-        Ok(Trainer::new(layout, problem, cfg, r0, h0))
+        let words = layout.stages.words();
+        Ok(Trainer::new(words, layout, problem, cfg, r0, h0))
     }
 }
 
@@ -75,9 +76,5 @@ impl sealed::Sealed for OneDimRow {}
 impl Layout for OneDimRow {
     fn family(&self) -> Family<'_> {
         Family::Rows(self)
-    }
-
-    fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.stages.set_panels(mode)
     }
 }

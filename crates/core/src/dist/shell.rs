@@ -43,18 +43,13 @@ pub struct Trainer<L> {
     state: State,
 }
 
-/// Per-algorithm geometry of a [`Trainer`]. Sealed: the five layouts of
-/// this module (and `Box<dyn Layout>` over them) are all there is.
+/// Per-algorithm geometry of a [`Trainer`]: its stage tables, built once
+/// at setup in the one panel format every comm tier reads, and its
+/// communicators. Sealed: the five layouts of this module (and
+/// `Box<dyn Layout>` over them) are all there is.
 pub trait Layout: sealed::Sealed {
     /// The family body this layout's passes run through.
     fn family(&self) -> Family<'_>;
-
-    /// Keep the stage panels this rank multiplies or serves under comm
-    /// tier `mode` (compact copies only in a sparse tier); called by
-    /// [`Trainer::set_comm_mode`]. Returns the words of the sparse panels
-    /// the layout then holds, copies counted
-    /// ([`StorageReport::adjacency`]).
-    fn set_panels(&mut self, mode: CommMode) -> usize;
 }
 
 /// Which shared body runs a layout's passes.
@@ -87,17 +82,12 @@ impl Layout for Box<dyn Layout> {
     fn family(&self) -> Family<'_> {
         (**self).family()
     }
-
-    fn set_panels(&mut self, mode: CommMode) -> usize {
-        (**self).set_panels(mode)
-    }
 }
 
 /// Everything a trainer keeps besides its layout's geometry.
 pub struct State {
     pub(crate) cfg: GcnConfig,
-    /// Words of the layout's sparse blocks, as its last
-    /// [`Layout::set_panels`] left them.
+    /// Words of the stage panels the layout holds, fixed at setup.
     pub(crate) adjacency: usize,
     /// Global index of the first row of this rank's `H` block.
     pub(crate) r0: usize,
@@ -155,18 +145,20 @@ pub struct State {
 }
 
 impl<L: Layout> Trainer<L> {
-    /// Wrap `layout` for a rank whose `H` block starts at global row `r0`
-    /// and holds features `h0`, with the initial weights, SGD, ReLU, no
-    /// dropout, the dense tier and overlap on.
+    /// Wrap `layout`, whose stage panels hold `adjacency` words
+    /// ([`Stages::words`](super::stages::Stages::words)), for a rank whose
+    /// `H` block starts at global row `r0` and holds features `h0`, with
+    /// the initial weights, SGD, ReLU, no dropout, the dense tier and
+    /// overlap on.
     pub(crate) fn new(
-        mut layout: L,
+        adjacency: usize,
+        layout: L,
         problem: &Problem,
         cfg: &GcnConfig,
         r0: usize,
         h0: Mat,
     ) -> Self {
         let weights = cfg.init_weights();
-        let adjacency = layout.set_panels(CommMode::Dense);
         Trainer {
             layout,
             state: State {
@@ -286,10 +278,10 @@ impl<L: Layout> Trainer<L> {
     /// only at `refresh: 1` (DESIGN.md §13). Must be set identically on
     /// every rank. Always drops any halo cache and the kept layer-0
     /// operands, so a mode change (or re-set after mutating state) can
-    /// never serve stale blocks: the next pass fetches them again.
+    /// never serve stale blocks: the next pass fetches them again. The
+    /// stage panels are the same in every tier, so nothing else changes.
     pub fn set_comm_mode(&mut self, mode: CommMode) {
         let s = &mut self.state;
-        s.adjacency = self.layout.set_panels(mode);
         s.cache.get_mut().invalidate();
         *s.inputs.get_mut() = Slots::default();
         s.inputs_kept = false;

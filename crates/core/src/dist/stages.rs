@@ -5,10 +5,12 @@
 //! 1.5D) holds every panel it multiplies; the grid family (2D, 3D) holds
 //! the panels of its grid column and broadcasts each along the process
 //! row. One [`Stages::aggregate`] runs the loop for all five layouts, and
-//! the row family's outer product reads the same panels.
+//! the row family's outer product reads the same panels. Each held panel
+//! is cut once, at setup, with its columns numbered by the stage's
+//! needed-row list, and that list is its column map in every comm tier.
 
 use super::shell::State;
-use super::{pipeline, CommMode, Lead, Operand, Spmm, Workspace};
+use super::{pipeline, Lead, Spmm, Workspace};
 use cagnet_comm::comm::Communicator;
 use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::Mat;
@@ -42,17 +44,17 @@ pub(crate) struct Stages {
     stages: Vec<Stage>,
     /// Rows of every panel: of the stage loop's partial sum.
     rows: usize,
-    /// Per stage, the sorted distinct columns of the panel — the rows of
-    /// the `D` block it reads (sparse tiers), and so the rows of that
-    /// block an outer product through the panel's transpose can make
-    /// nonzero.
+    /// Per stage, the sorted distinct columns of the panel, relative to
+    /// its span — the rows of the `D` block it reads, and so the rows of
+    /// that block an outer product through the panel's transpose can make
+    /// nonzero. It is the panel's column map: panel column `j` is span
+    /// row `needed[k][j]`.
     needed: RowSets,
-    /// Per stage, `Some` exactly where this rank holds the panel.
+    /// Per stage, `Some` exactly where this rank holds the panel, its
+    /// columns numbered by `needed` ([`Csr::compact_cols`]: a monotone
+    /// renumbering, so every row folds the same products in the same
+    /// order, and the same nnz, so the same `SparseComm` words).
     panels: Vec<Option<Arc<Csr>>>,
-    /// While a sparse tier is on, per held panel its copy with columns
-    /// renumbered to the stage's needed rows ([`Csr::compact_cols`]: same
-    /// nnz, so the same `SparseComm` words and accumulation order).
-    compact: Vec<Option<Arc<Csr>>>,
 }
 
 /// The communicators one stage loop runs over.
@@ -81,8 +83,9 @@ impl<'a> Comms<'a> {
 
 impl Stages {
     /// Cut `stages` from rows `r0..r1` of `a`; this rank holds the panels
-    /// whose `s_root` is `me`. A needed-row set comes from the panel where
-    /// this rank holds it, else from the global `a` (uncharged setup).
+    /// whose `s_root` is `me`, each with its columns numbered by its
+    /// needed-row set. That set comes from the panel where this rank
+    /// holds it, else from the global `a` (uncharged setup).
     pub(crate) fn new(a: &Csr, (r0, r1): (usize, usize), stages: Vec<Stage>, me: usize) -> Self {
         let (needed, panels) = stages
             .iter()
@@ -92,14 +95,15 @@ impl Stages {
                     return (a.needed_cols_in(r0, r1, g0, g1), None);
                 }
                 let panel = a.block(r0, r1, g0, g1);
-                (panel.needed_cols(), Some(Arc::new(panel)))
+                let needed = panel.needed_cols();
+                let panel = panel.compact_cols(&needed);
+                (needed, Some(Arc::new(panel)))
             })
             .unzip();
         Stages {
             rows: r1 - r0,
             needed: Arc::new(needed),
             panels,
-            compact: vec![None; stages.len()],
             stages,
         }
     }
@@ -124,20 +128,11 @@ impl Stages {
         self.panels.iter().flatten().map(|p| p.nnz()).sum()
     }
 
-    /// Keep the panels comm tier `mode` multiplies and serves: the compact
-    /// copies while a sparse tier is on, none under `Dense`. Returns the
-    /// storage words of the held panels and their compact copies.
-    pub(crate) fn set_panels(&mut self, mode: CommMode) -> usize {
-        let held = self
-            .panels
-            .iter()
-            .map(|p| p.as_ref().filter(|_| mode.sparse_exchange()));
-        self.compact = (held.zip(self.needed.iter()))
-            .map(|(p, needed)| Some(Arc::new(p?.compact_cols(needed))))
-            .collect();
-        (self.panels.iter().chain(&self.compact).flatten())
-            .map(|a| super::csr_words(a))
-            .sum()
+    /// Storage words of the panels this rank holds: values, column
+    /// indices and row pointers.
+    pub(crate) fn words(&self) -> usize {
+        let words = |a: &Arc<Csr>| 2 * a.nnz() + a.rows() + 1;
+        self.panels.iter().flatten().map(words).sum()
     }
 
     /// `S · D` for this rank's rows, `d_mine` being its `D` block on
@@ -147,6 +142,14 @@ impl Stages {
     /// where the sums are partial, then their reduce-scatter. `spmm` says
     /// which of a pass's SpMMs this is, for what the fetches keep. The
     /// result is in a workspace buffer.
+    ///
+    /// A stage's `D` operand arrives compact — gathered, served or cached
+    /// rows, exactly the needed ones in needed order — or whole: a
+    /// `Dense` broadcast, the root's own block, a kept layer-0 block. A
+    /// whole block is read through the panel's column map; the shapes
+    /// alone tell the two apart. Either way each row folds the products
+    /// of the full block in the same order: the same bits and the same
+    /// charged cost in every tier.
     pub(crate) fn aggregate(
         &self,
         s: &State,
@@ -157,22 +160,9 @@ impl Stages {
     ) -> Mat {
         let f = d_mine.cols();
         let mut out = s.ws.borrow_mut().zeros(self.rows, f);
-        // In the sparse tiers both operands are compact: the panel's
-        // columns renumbered to needed order, the D block holding exactly
-        // those rows — the dense tier's accumulation order and charged
-        // cost, bit for bit. A stage's D root holds its block whole, and
-        // where it holds the panel whole too it multiplies both as they
-        // are: the renumbering is monotone, so that is the same product
-        // in the same order, with no compact copy of the block.
-        let mine = |k: usize| self.stages[k].d_root == comms.col.my_idx();
-        let whole = |k: usize| mine(k) && self.panels[k].is_some();
         let issue = |k: usize| {
             let st = &self.stages[k];
-            let served = self.compact[k]
-                .as_ref()
-                .or(self.panels[k].as_ref())
-                .cloned();
-            let s_op = match (comms.row, served) {
+            let s_op = match (comms.row, self.panels[k].clone()) {
                 (Some(row), a) => {
                     let op = row.ibcast_shared(st.s_root, a, Cat::SparseComm);
                     Lead::new(op, s.overlap)
@@ -181,30 +171,19 @@ impl Stages {
                 (None, None) => unreachable!("a layout without a process row holds every panel"),
             };
             let (g0, g1) = st.span;
-            let payload = mine(k).then(|| d_panel(&s.ws, d_mine, g0 - s.r0, g1 - s.r0));
+            let mine = st.d_root == comms.col.my_idx();
+            let payload = mine.then(|| d_panel(&s.ws, d_mine, g0 - s.r0, g1 - s.r0));
             let dims = (g1 - g0, f);
             let slot = spmm.slot(k, self.stages.len());
             let d_op = s.fetch(comms.col, st.d_root, payload, &self.needed[k], dims, slot);
             (s_op, d_op)
         };
-        let sparse = s.mode.sparse_exchange();
         pipeline(s.overlap, self.stages.len(), issue, |k, (s_op, d_op)| {
-            let a = s_op.wait();
-            let a = match &self.panels[k] {
-                Some(panel) if whole(k) => panel.clone(),
-                _ => a,
-            };
-            let mut d = d_op.wait();
-            if sparse && mine(k) && !whole(k) {
-                let needed = &self.needed[k];
-                let block = d;
-                d = Operand::pooled(&s.ws, needed.len() * f, |m| {
-                    block.select_rows_into(needed.iter().copied(), m)
-                });
-            }
+            let (a, d) = (s_op.wait(), d_op.wait());
+            let map = (d.rows() != a.cols()).then_some(&self.needed[k][..]);
             ctx.charge_spmm(a.nnz(), a.rows(), f);
             s.ws.borrow_mut()
-                .spmm_acc_with(ctx.parallel(), &a, &d, &mut out);
+                .spmm_acc_with(ctx.parallel(), &a, &d, map, &mut out);
             d.release(&s.ws);
         });
         let Some((comm, sends)) = comms.reduce else {
@@ -218,7 +197,8 @@ impl Stages {
 
     /// The large outer product through the transpose of this rank's
     /// panels (§IV-A.3), all of which it holds: stage `k`'s product
-    /// `panelₖᵀ · d` fills the rows of its span, stacked in stage order.
+    /// `panelₖᵀ · d` fills the rows of its span, stacked in stage order,
+    /// written through the panel's column map where it skips span rows.
     /// Built in a workspace buffer and lent to the reduce-scatter it rides
     /// into, whose send sets are [`Stages::needed`].
     pub(crate) fn outer_product(&self, s: &State, ctx: &Ctx, d: &Mat) -> Arc<Mat> {
@@ -226,9 +206,10 @@ impl Stages {
         let spans = self.stages.iter().map(|st| st.span.1 - st.span.0);
         let mut contrib = s.ws.borrow_mut().zeros(spans.clone().sum(), d.cols());
         let mut off = 0;
-        for (p, height) in self.panels.iter().zip(spans) {
+        for ((p, height), needed) in self.panels.iter().zip(spans).zip(self.needed.iter()) {
             if let Some(p) = p {
-                outer_product_from_transposed_into(p, d, &mut contrib, off);
+                let map = (p.cols() != height).then_some(&needed[..]);
+                outer_product_from_transposed_into(p, d, map, &mut contrib, off);
             }
             off += height;
         }

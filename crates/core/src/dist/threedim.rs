@@ -22,7 +22,7 @@
 use super::grid::Grid;
 use super::shell::{expect_setup, sealed, Family};
 use super::stages::{Stage, Stages};
-use super::{CommMode, Layout, SetupError, Trainer};
+use super::{Layout, SetupError, Trainer};
 use crate::model::GcnConfig;
 use crate::problem::Problem;
 use cagnet_comm::grid::int_cbrt;
@@ -108,7 +108,8 @@ impl Trainer<ThreeDim> {
         };
         let (fc0, fc1) = block_range(problem.features.cols(), q, j);
         let h0 = problem.features.block(r0, r1, fc0, fc1);
-        Ok(Trainer::new(ThreeDim(grid), problem, cfg, r0, h0))
+        let words = grid.words();
+        Ok(Trainer::new(words, ThreeDim(grid), problem, cfg, r0, h0))
     }
 }
 
@@ -117,9 +118,5 @@ impl sealed::Sealed for ThreeDim {}
 impl Layout for ThreeDim {
     fn family(&self) -> Family<'_> {
         Family::Grid(&self.0)
-    }
-
-    fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.0.set_panels(mode)
     }
 }

@@ -25,7 +25,7 @@
 use super::grid::Grid;
 use super::shell::{expect_setup, sealed, Family};
 use super::stages::{Stage, Stages};
-use super::{CommMode, Layout, SetupError, Trainer};
+use super::{Layout, SetupError, Trainer};
 use crate::analysis::gcf;
 use crate::model::GcnConfig;
 use crate::problem::Problem;
@@ -158,7 +158,8 @@ impl Trainer<TwoDim> {
         };
         let (fc0, fc1) = block_range(problem.features.cols(), pc, j);
         let h0 = problem.features.block(r0, r1, fc0, fc1);
-        Ok(Trainer::new(TwoDim(grid), problem, cfg, r0, h0))
+        let words = grid.words();
+        Ok(Trainer::new(words, TwoDim(grid), problem, cfg, r0, h0))
     }
 }
 
@@ -167,9 +168,5 @@ impl sealed::Sealed for TwoDim {}
 impl Layout for TwoDim {
     fn family(&self) -> Family<'_> {
         Family::Grid(&self.0)
-    }
-
-    fn set_panels(&mut self, mode: CommMode) -> usize {
-        self.0.set_panels(mode)
     }
 }

@@ -95,6 +95,7 @@ impl<'p> SerialTrainer<'p> {
                 ParallelCtx::serial(),
                 &self.problem.adj_t,
                 &self.hs[l],
+                None,
                 &mut t,
             );
             let mut z = self.ws.keep_zeros(t.rows(), f_out);
@@ -160,7 +161,7 @@ impl<'p> SerialTrainer<'p> {
             // the paper's §IV-A.4 notes).
             let mut ag = self.ws.zeros(g.rows(), g.cols());
             self.ws
-                .spmm_acc_with(ParallelCtx::serial(), &self.problem.adj, &g, &mut ag);
+                .spmm_acc_with(ParallelCtx::serial(), &self.problem.adj, &g, None, &mut ag);
             grads[l] = matmul_tn_with(ParallelCtx::serial(), &self.hs[l], &ag);
             if l > 0 {
                 g.reset(ag.rows(), self.cfg.dims[l]);

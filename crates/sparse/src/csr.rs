@@ -215,13 +215,14 @@ impl Csr {
     /// Panics if a stored column index is absent from `needed`.
     pub fn compact_cols(&self, needed: &[usize]) -> Csr {
         debug_assert!(needed.windows(2).all(|w| w[0] < w[1]), "needed not sorted");
-        let col_idx = self
-            .col_idx
-            .iter()
-            .map(|&c| match needed.binary_search(&c) {
-                Ok(pos) => pos,
-                Err(_) => panic!("column {c} not in the needed set"),
-            })
+        // Each column's position in `needed`: one table the width of the
+        // matrix, not a search per nonzero.
+        let mut pos = vec![None; self.cols];
+        for (i, &c) in needed.iter().enumerate().filter(|&(_, &c)| c < self.cols) {
+            pos[c] = Some(i);
+        }
+        let col_idx = (self.col_idx.iter())
+            .map(|&c| pos[c].unwrap_or_else(|| panic!("column {c} not in the needed set")))
             .collect();
         Csr {
             rows: self.rows,

@@ -51,10 +51,11 @@ pub fn spmm_with(ctx: ParallelCtx, a: &Csr, b: &Mat) -> Mat {
 
 /// `C += A · B`, the SUMMA-stage primitive, nnz-balanced row chunks
 /// forked across `ctx`:
-/// [`spmm_acc_scratch`] with a pack buffer of its own. Callers that
-/// multiply wide operands repeatedly keep one and call that instead.
+/// [`spmm_acc_scratch`] with a pack buffer of its own and no row map.
+/// Callers that multiply wide or row-mapped operands repeatedly keep one
+/// and call that instead.
 pub fn spmm_acc_with(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat) {
-    spmm_acc_scratch(ctx, a, b, c, &mut Mat::zeros(0, 0));
+    spmm_acc_scratch(ctx, a, b, None, c, &mut Mat::zeros(0, 0));
 }
 
 /// Widest `f` multiplied straight out of `B`. Beyond it a row of `B` is
@@ -81,41 +82,62 @@ const SPMM_WARM_ROWS: usize = 64;
 /// Fewest operand rows worth a thread of their own when packing a tile.
 const PACK_MIN_ROWS: usize = 1024;
 
-/// Elements of pack buffer [`spmm_acc_scratch`] fills for an operand of
-/// `b_rows x f` — what to ask a buffer pool for. Zero up to
-/// `SPMM_DIRECT_WIDTH`, where nothing is packed.
-pub fn spmm_scratch_len(b_rows: usize, f: usize) -> usize {
-    if f > SPMM_DIRECT_WIDTH {
-        b_rows * SPMM_COL_TILE
+/// Elements of pack buffer [`spmm_acc_scratch`] fills for an `inner x f`
+/// operand — `inner` being `A`'s column count, read through a row map
+/// when `mapped` — what to ask a buffer pool for: one tile of at most
+/// `SPMM_COL_TILE` columns, and nothing up to `SPMM_DIRECT_WIDTH`
+/// without a map, where nothing is packed.
+pub fn spmm_scratch_len(inner: usize, f: usize, mapped: bool) -> usize {
+    if f > SPMM_DIRECT_WIDTH || mapped {
+        inner * SPMM_COL_TILE.min(f)
     } else {
         0
     }
 }
 
-/// `C += A · B` with the wide path's pack buffer supplied by the caller
-/// (any shape, any contents; it is reshaped and overwritten, and grows
-/// only if it holds fewer than [`spmm_scratch_len`] elements).
+/// `C += A · B[rows]`: with a row map, column `j` of `A` multiplies row
+/// `rows[j]` of `B` — the rows a panel with columns numbered by a
+/// needed-row list reads out of the whole block; without one, row `j`.
+/// The pack buffer is the caller's (any shape, any contents; it is
+/// reshaped and overwritten, and grows only if it holds fewer than
+/// [`spmm_scratch_len`] elements).
 ///
 /// Every width runs the one row kernel, `spmm_rows` (DESIGN.md §14):
 /// the `C` row is loaded once into the accumulator, the row's nonzeros
 /// fold into it in stored-entry order, and it is stored once. Up to
-/// `SPMM_DIRECT_WIDTH` columns that is a single pass reading `B` in
-/// place. Wider operands go `SPMM_COL_TILE` columns at a time: the tile
-/// of `B` is first copied into `pack` as a contiguous `rows(B) x tile`
-/// matrix, which all row chunks of the fork then read, so the gathers of
-/// a pass stay inside those 256 bytes per row instead of striding across
-/// the whole of `B`. Every output element folds the same products in
-/// the same order on every path, so results are bit-identical to the
-/// historical per-nonzero axpy loop (kept in [`crate::reference`]) and
-/// to serial at every thread count.
-pub fn spmm_acc_scratch(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat, pack: &mut Mat) {
+/// `SPMM_DIRECT_WIDTH` columns with no row map that is a single pass
+/// reading `B` in place. Wider operands go `SPMM_COL_TILE` columns at a
+/// time: the tile of `B` is first copied into `pack` as a contiguous
+/// `cols(A) x tile` matrix, which all row chunks of the fork then read,
+/// so the gathers of a pass stay inside those 256 bytes per row instead
+/// of striding across the whole of `B`. The row map is applied there and
+/// only there, and a mapped operand is packed tile by tile at every
+/// width: its buffer is never wider than a tile, where a whole-width
+/// copy of the mapped rows would add `needed × f` words to the peak.
+/// Every output element folds the same products in the same order on
+/// every path, so results are bit-identical to the historical
+/// per-nonzero axpy loop (kept in [`crate::reference`]) on `B[rows]`,
+/// and to serial at every thread count.
+///
+/// # Panics
+/// Panics on inner-dimension or output-shape mismatch, and on a map
+/// entry past the last row of `B`.
+pub fn spmm_acc_scratch(
+    ctx: ParallelCtx,
+    a: &Csr,
+    b: &Mat,
+    rows: Option<&[usize]>,
+    c: &mut Mat,
+    pack: &mut Mat,
+) {
+    let inner = rows.map_or(b.rows(), <[usize]>::len);
     assert_eq!(
         a.cols(),
-        b.rows(),
+        inner,
         "spmm: inner dims {}x{} · {}x{}",
         a.rows(),
         a.cols(),
-        b.rows(),
+        inner,
         b.cols()
     );
     assert_eq!(c.shape(), (a.rows(), b.cols()), "spmm: output shape");
@@ -162,20 +184,21 @@ pub fn spmm_acc_scratch(ctx: ParallelCtx, a: &Csr, b: &Mat, c: &mut Mat, pack: &
             }
         });
     };
-    if f <= SPMM_DIRECT_WIDTH {
-        return pass(b.as_slice(), 0, f);
-    }
     let bv = b.as_slice();
+    if f <= SPMM_DIRECT_WIDTH && rows.is_none() {
+        return pass(bv, 0, f);
+    }
     for col0 in (0..f).step_by(SPMM_COL_TILE) {
         let w = SPMM_COL_TILE.min(f - col0);
         // Only the first and the ragged last tile change the shape;
         // the copy below overwrites every element either way.
-        if pack.shape() != (b.rows(), w) {
-            pack.reset(b.rows(), w);
+        if pack.shape() != (inner, w) {
+            pack.reset(inner, w);
         }
-        let tile = pack.as_mut_slice();
-        ctx.par_rows(b.rows(), w, tile, PACK_MIN_ROWS, |rows, out| {
-            for (dst, i) in out.chunks_exact_mut(w).zip(rows) {
+        let out = pack.as_mut_slice();
+        ctx.par_rows(inner, w, out, PACK_MIN_ROWS, |range, out| {
+            for (dst, j) in out.chunks_exact_mut(w).zip(range) {
+                let i = rows.map_or(j, |rows| rows[j]);
                 dst.copy_from_slice(&bv[i * f + col0..i * f + col0 + w]);
             }
         });
@@ -400,32 +423,45 @@ pub fn spmm_semiring_acc_with<S: Semiring>(ctx: ParallelCtx, a: &Csr, b: &Mat, s
 /// reduce-scattered (paper §IV-A.3).
 pub fn outer_product_from_transposed(at_block: &Csr, b: &Mat) -> Mat {
     let mut c = Mat::zeros(at_block.cols(), b.cols());
-    outer_product_from_transposed_into(at_block, b, &mut c, 0);
+    outer_product_from_transposed_into(at_block, b, None, &mut c, 0);
     c
 }
 
-/// [`outer_product_from_transposed`] accumulated onto rows
-/// `row0 .. row0 + at_block.cols()` of a caller-kept destination with
-/// `f` columns: `C[row0..] += A(:, c0..c1) · B`. Hand it zeros (a
-/// re-armed accumulator, [`Mat::reset`]) for the plain product — every
-/// element then folds the same products in the same order as a fresh
-/// result. Column blocks of one block row written at their column
-/// offsets build that block row's product bit for bit: each destination
-/// row lives in one column block and still folds in ascending source-row
-/// order.
-pub fn outer_product_from_transposed_into(at_block: &Csr, b: &Mat, c: &mut Mat, row0: usize) {
+/// [`outer_product_from_transposed`] accumulated onto a caller-kept
+/// destination with `f` columns, from row `row0` on: `C[row0 + rows[j]]
+/// += (column j of A) · B` with a row map — the destination rows of a
+/// column block whose columns are numbered by a needed-row list — else
+/// `C[row0 + j]`. Hand it zeros (a re-armed accumulator, [`Mat::reset`])
+/// for the plain product — every element then folds the same products
+/// in the same order as a fresh result. Column blocks of one block row
+/// written at their column offsets build that block row's product bit
+/// for bit: each destination row lives in one column block and still
+/// folds in ascending source-row order, and a monotone map keeps it so.
+///
+/// # Panics
+/// Panics on inner-dimension mismatch, a map shorter than
+/// `at_block.cols()`, or a destination row past `C`'s last or past the
+/// map's last entry (a map is ascending, so that entry bounds the rest).
+pub fn outer_product_from_transposed_into(
+    at_block: &Csr,
+    b: &Mat,
+    rows: Option<&[usize]>,
+    c: &mut Mat,
+    row0: usize,
+) {
     assert_eq!(at_block.rows(), b.rows(), "outer product: inner dims");
     let f = b.cols();
-    let row1 = row0 + at_block.cols();
+    let height = rows.map_or(at_block.cols(), |rows| rows.last().map_or(0, |&r| r + 1));
     assert!(
-        c.cols() == f && row1 <= c.rows(),
+        c.cols() == f && row0 + height <= c.rows(),
         "outer product: output shape"
     );
-    let cv = &mut c.as_mut_slice()[row0 * f..row1 * f];
+    let cv = &mut c.as_mut_slice()[row0 * f..(row0 + height) * f];
     let bv = b.as_slice();
     for k in 0..at_block.rows() {
         let brow = &bv[k * f..(k + 1) * f];
-        for (dst_row, aval) in at_block.row_entries(k) {
+        for (j, aval) in at_block.row_entries(k) {
+            let dst_row = rows.map_or(j, |rows| rows[j]);
             let crow = &mut cv[dst_row * f..(dst_row + 1) * f];
             for (cj, &bval) in crow.iter_mut().zip(brow) {
                 *cj += aval * bval;
@@ -570,7 +606,7 @@ mod tests {
             if c0 == 0 {
                 assert_eq!(stage.row_nnz(0), 0, "stage 0 keeps empty rows");
             }
-            outer_product_from_transposed_into(&stage, &b, &mut got, c0);
+            outer_product_from_transposed_into(&stage, &b, None, &mut got, c0);
         }
         let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&expect));
@@ -677,10 +713,10 @@ mod tests {
                 let ctx = ParallelCtx::new(threads);
                 let mut pack = Mat::filled(n + 9, 40, f64::NAN);
                 let mut fresh = Mat::zeros(n, f);
-                spmm_acc_scratch(ctx, &a, &b, &mut fresh, &mut pack);
+                spmm_acc_scratch(ctx, &a, &b, None, &mut fresh, &mut pack);
                 assert_eq!(bits(&fresh), bits(&want_fresh), "f={f} threads={threads}");
                 let mut acc = filled.clone();
-                spmm_acc_scratch(ctx, &a, &b, &mut acc, &mut pack);
+                spmm_acc_scratch(ctx, &a, &b, None, &mut acc, &mut pack);
                 assert_eq!(bits(&acc), bits(&want_filled), "f={f} threads={threads}");
                 assert_eq!(bits(&spmm_with(ctx, &a, &b)), bits(&want_fresh));
             }
@@ -691,6 +727,7 @@ mod tests {
                 ParallelCtx::new(3),
                 &Csr::empty(0, n),
                 &b,
+                None,
                 &mut none,
                 &mut pack,
             );
@@ -700,8 +737,11 @@ mod tests {
 
     #[test]
     fn scratch_len_is_zero_up_to_the_direct_width() {
-        assert_eq!(spmm_scratch_len(1000, 128), 0);
-        assert_eq!(spmm_scratch_len(1000, 129), 1000 * SPMM_COL_TILE);
+        assert_eq!(spmm_scratch_len(1000, 128, false), 0);
+        assert_eq!(spmm_scratch_len(1000, 16, true), 1000 * 16);
+        assert_eq!(spmm_scratch_len(1000, 128, true), 1000 * SPMM_COL_TILE);
+        assert_eq!(spmm_scratch_len(1000, 129, false), 1000 * SPMM_COL_TILE);
+        assert_eq!(spmm_scratch_len(1000, 129, true), 1000 * SPMM_COL_TILE);
     }
 
     #[test]

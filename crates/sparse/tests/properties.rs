@@ -11,8 +11,8 @@ use cagnet_sparse::partition::{
     block_ranges, grid_block_dense, grid_block_sparse, join_grid_dense,
 };
 use cagnet_sparse::spmm::{
-    outer_product_from_transposed, spmm_acc_with, spmm_semiring_acc_with, spmm_with, MinPlus,
-    Semiring,
+    outer_product_from_transposed, outer_product_from_transposed_into, spmm_acc_scratch,
+    spmm_acc_with, spmm_semiring_acc_with, spmm_with, MinPlus, Semiring,
 };
 use cagnet_sparse::{Coo, Csr};
 use proptest::prelude::*;
@@ -31,6 +31,89 @@ fn sparse(rows: usize, cols: usize, max_nnz: usize) -> impl Strategy<Value = Csr
 fn dense(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
     proptest::collection::vec(-5.0f64..5.0, rows * cols)
         .prop_map(move |v| Mat::from_vec(rows, cols, v))
+}
+
+/// Operand widths on both sides of the SpMM's direct width (128) and of
+/// a 32-column tile edge.
+const MAP_WIDTHS: [usize; 8] = [1, 8, 16, 33, 64, 128, 129, 300];
+
+/// A stage panel cut whole — `rows × span`, every fifth row empty — and
+/// a needed-row list for it: its own needed columns (empty for an empty
+/// panel), those plus some span rows it does not read, or the whole
+/// span.
+fn stage_panel() -> impl Strategy<Value = (Csr, Vec<usize>)> {
+    (1usize..96, 1usize..128, 0usize..3)
+        .prop_flat_map(|(rows, span, kind)| {
+            let extra = proptest::collection::vec(0usize..3, span);
+            (sparse(rows, span, 8000), extra, Just(kind))
+        })
+        .prop_map(|(whole, extra, kind)| {
+            let entries = (0..whole.rows())
+                .filter(|i| i % 5 != 2)
+                .flat_map(|i| whole.row_entries(i).map(move |(j, v)| (i, j, v)))
+                .collect();
+            let whole = Csr::from_coo(Coo::from_entries(whole.rows(), whole.cols(), entries));
+            let own = whole.needed_cols();
+            let needed = match kind {
+                0 => own,
+                1 => (0..whole.cols())
+                    .filter(|c| extra[*c] == 0 || own.contains(c))
+                    .collect(),
+                _ => (0..whole.cols()).collect(),
+            };
+            (whole, needed)
+        })
+}
+
+/// A deterministic operand with no two equal neighbours, so a misplaced
+/// row shows in the bits.
+fn operand(rows: usize, f: usize, seed: u64) -> Mat {
+    Mat::from_fn(rows, f, |i, j| {
+        let x = (i as u64 * 1_000_003 + j as u64 * 7919 + seed) % 65_521;
+        x as f64 / 4096.0 - 7.9
+    })
+}
+
+fn bits(m: &Mat) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The row-mapped kernels against the full-panel ones, bit for bit: the
+/// panel with its columns numbered by `needed`, times the whole block
+/// read through `needed` (SpMM), and its transpose product written
+/// through `needed` (outer product), on `threads` threads.
+fn assert_map_matches_whole(whole: &Csr, needed: &[usize], threads: usize, seed: u64) {
+    let ctx = ParallelCtx::new(threads);
+    let compact = whole.compact_cols(needed);
+    let (rows, span) = (whole.rows(), whole.cols());
+    for f in MAP_WIDTHS {
+        let d = operand(span, f, seed);
+        let start = operand(rows, f, seed + 1);
+        let mut want = start.clone();
+        spmm_acc_with(ctx, whole, &d, &mut want);
+        let mut got = start.clone();
+        let mut pack = Mat::filled(3, 5, f64::NAN);
+        spmm_acc_scratch(ctx, &compact, &d, Some(needed), &mut got, &mut pack);
+        assert_eq!(bits(&got), bits(&want), "spmm f={f} threads={threads}");
+        // The compact rows, as a gather delivers them, need no map.
+        let mut got = start.clone();
+        let rows_of_d = d.select_rows(needed);
+        spmm_acc_scratch(ctx, &compact, &rows_of_d, None, &mut got, &mut pack);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "compact spmm f={f} threads={threads}"
+        );
+
+        let g = operand(rows, f, seed + 2);
+        let (row0, height) = (3, span + 5);
+        let start = operand(height, f, seed + 3);
+        let mut want = start.clone();
+        outer_product_from_transposed_into(whole, &g, None, &mut want, row0);
+        let mut got = start.clone();
+        outer_product_from_transposed_into(&compact, &g, Some(needed), &mut got, row0);
+        assert_eq!(bits(&got), bits(&want), "outer product f={f}");
+    }
 }
 
 proptest! {
@@ -107,6 +190,15 @@ proptest! {
     }
 
     #[test]
+    fn row_map_matches_the_whole_panel_bit_for_bit(
+        (whole, needed) in stage_panel(),
+        threads in 1usize..=3,
+        seed in 0u64..1000,
+    ) {
+        assert_map_matches_whole(&whole, &needed, threads, seed);
+    }
+
+    #[test]
     fn grid_blocks_reassemble(
         (a, pr, pc) in (4usize..16).prop_flat_map(|n| (sparse(n, n, 60), 1usize..5, 1usize..5))
     ) {
@@ -169,6 +261,32 @@ proptest! {
         prop_assert_eq!(orig.total_cut_edges, moved.total_cut_edges);
         prop_assert_eq!(orig.edgecut_max(), moved.edgecut_max());
     }
+}
+
+#[test]
+fn row_map_edge_cases_match_the_whole_panel() {
+    // An empty panel against an empty list and against the whole span; a
+    // panel with an empty list of rows it reads; and one large enough to
+    // fork the SpMM and the pack (over 4096 nonzeros, over 1024 needed
+    // rows), reading every other span row.
+    let big = {
+        let entries = (0..200usize)
+            .flat_map(|i| (0..40).map(move |t| (i, (i * 37 + t * 151) % 1500 * 2, 0.5 + t as f64)))
+            .collect();
+        Csr::from_coo(Coo::from_entries(200, 3000, entries))
+    };
+    let cases = [
+        (Csr::empty(4, 9), vec![]),
+        (Csr::empty(4, 9), (0..9).collect()),
+        (Csr::empty(0, 5), vec![1, 3]),
+        (big.clone(), big.needed_cols()),
+    ];
+    for (whole, needed) in cases {
+        for threads in 1..=3 {
+            assert_map_matches_whole(&whole, &needed, threads, 11);
+        }
+    }
+    assert!(big.nnz() > 4096 && big.needed_cols().len() > 1024);
 }
 
 #[test]

@@ -91,7 +91,7 @@ fn row_family_holds_its_block_once_as_stage_blocks() {
     // A row-family rank holds its block row once, split into the stage
     // blocks that both directions read: its adjacency is the CSR words
     // (values, column indices, row pointers) of those blocks and nothing
-    // more.
+    // more, in every comm tier.
     let prob = problem();
     let p = 4;
     let fine = block_ranges(prob.vertices(), p);
@@ -116,20 +116,28 @@ fn row_family_holds_its_block_once_as_stage_blocks() {
             })
             .sum()
     };
+    let modes = [
+        CommMode::Dense,
+        CommMode::SparsityAware,
+        CommMode::Cached { refresh: 2 },
+    ];
     for algo in [Algorithm::OneD, Algorithm::OneDRow, Algorithm::One5D { c }] {
-        let reports = Cluster::new(p).run(|ctx| {
-            let twod = TwoDimConfig::default();
-            let mut t = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
-            t.epoch(ctx);
-            (ctx.rank, t.storage_words().adjacency)
-        });
-        for ((i, adjacency), _) in reports {
-            let expect = match algo {
-                Algorithm::OneD => one_d(&prob.adj_t, i),
-                Algorithm::OneDRow => one_d(&prob.adj, i),
-                _ => one5_d(i),
-            };
-            assert_eq!(adjacency, expect, "{} rank {i}", algo.name());
+        for mode in modes {
+            let reports = Cluster::new(p).run(|ctx| {
+                let twod = TwoDimConfig::default();
+                let mut t = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
+                t.set_comm_mode(mode);
+                t.epoch(ctx);
+                (ctx.rank, t.storage_words().adjacency)
+            });
+            for ((i, adjacency), _) in reports {
+                let expect = match algo {
+                    Algorithm::OneD => one_d(&prob.adj_t, i),
+                    Algorithm::OneDRow => one_d(&prob.adj, i),
+                    _ => one5_d(i),
+                };
+                assert_eq!(adjacency, expect, "{} {mode:?} rank {i}", algo.name());
+            }
         }
     }
 }
@@ -138,9 +146,10 @@ fn row_family_holds_its_block_once_as_stage_blocks() {
 fn grid_family_holds_each_stage_panel_once() {
     // A grid rank holds, in each direction, the stage panels of its grid
     // column — column slices of its block rows of Aᵀ and A — and nothing
-    // more: not its whole block next to them. A sparse tier adds one
-    // compact copy per panel, with the same nnz and rows, so the same
-    // words.
+    // more: not its whole block next to them, and in a sparse tier no
+    // second copy of a panel. Every tier reads the one panel, its columns
+    // numbered by the stage's needed rows: the same nnz and rows, so the
+    // same words.
     let prob = problem();
     let n = prob.vertices();
     let words = |a: &Csr| 2 * a.nnz() + a.rows() + 1;
@@ -187,7 +196,7 @@ fn grid_family_holds_each_stage_panel_once() {
         (Algorithm::ThreeD, 8, 1),
     ];
     for (algo, p, sub) in cells {
-        for (mode, copies) in [(CommMode::Dense, 1), (CommMode::SparsityAware, 2)] {
+        for mode in [CommMode::Dense, CommMode::SparsityAware] {
             let reports = Cluster::new(p).run(|ctx| {
                 let twod = TwoDimConfig {
                     stages_per_block: sub,
@@ -204,7 +213,7 @@ fn grid_family_holds_each_stage_panel_once() {
                     _ => three_d(rank),
                 };
                 let name = algo.name();
-                assert_eq!(adjacency, copies * panels, "{name} {mode:?} rank {rank}");
+                assert_eq!(adjacency, panels, "{name} {mode:?} rank {rank}");
             }
         }
     }
@@ -212,9 +221,10 @@ fn grid_family_holds_each_stage_panel_once() {
 
 #[test]
 fn returning_to_a_tier_restores_its_fresh_adjacency() {
-    // A rank's compact panel copies live exactly as long as a sparse tier
-    // is on: Dense → SparsityAware → Dense leaves the adjacency of a fresh
-    // Dense trainer, and the reverse flip that of a fresh sparse one.
+    // A rank's stage panels are fixed at setup, in the one format every
+    // tier reads: Dense → SparsityAware → Dense and the reverse flip leave
+    // the adjacency of a fresh trainer, and that adjacency is the same in
+    // every tier.
     let prob = problem();
     let algos = [
         (Algorithm::OneD, 4),
@@ -228,18 +238,20 @@ fn returning_to_a_tier_restores_its_fresh_adjacency() {
         for flips in [[dense, sparse, dense], [sparse, dense, sparse]] {
             let reports = Cluster::new(p).run(|ctx| {
                 let twod = TwoDimConfig::default();
+                let adjacency = |t: &Trainer<_>| t.storage_words().adjacency;
+                let dense = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
                 let mut fresh = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
                 fresh.set_comm_mode(flips[2]);
                 let mut flipped = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
                 for mode in flips {
                     flipped.set_comm_mode(mode);
                 }
-                let adjacency = |t: &Trainer<_>| t.storage_words().adjacency;
-                (adjacency(&flipped), adjacency(&fresh))
+                (adjacency(&flipped), adjacency(&fresh), adjacency(&dense))
             });
-            for (rank, ((flipped, fresh), _)) in reports.into_iter().enumerate() {
+            for (rank, ((flipped, fresh, dense), _)) in reports.into_iter().enumerate() {
                 let name = algo.name();
                 assert_eq!(flipped, fresh, "{name} {flips:?} rank {rank}");
+                assert_eq!(fresh, dense, "{name} {flips:?} rank {rank}: tier-dependent");
             }
         }
     }
