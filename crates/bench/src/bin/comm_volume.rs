@@ -6,14 +6,21 @@
 //! `O(√P)` fewer words than 1D; the 3D algorithm another `O(P^{1/6})`
 //! fewer than 2D; 1.5D interpolates with its replication factor `c`. The
 //! measured words are a two-epoch mean, so the formula column is a
-//! steady-state epoch plus half the first pass's layer-0 `H⁰` fetch
-//! ([`analysis::CommCost::first_pass_words`]).
+//! steady-state epoch plus half of what only the first passes pay: the
+//! layer-0 `H⁰` fetch and, in 2D and 3D, the `S` panels of `A`
+//! ([`analysis::CommCost::one_time_words`]).
+//!
+//! Kept-panel section: for 2D (2×2, 2×3) and 3D (`P = 8`) in the Dense
+//! and sparse tiers, the `SparseComm` words of the first epoch at every
+//! rank are set against the words of the process row's panels, from the
+//! block partitions ([`cagnet_bench::grid_panel_words`]), and a
+//! steady-state epoch must meter none.
 //!
 //! Sparse-tier section: for 1D and 1.5D at `P = 4`, the reduce-scatter
 //! words a `SparsityAware` epoch meters are set against the prediction
 //! from the needed-row sets — `Σ min(k·(f+1), rows·f)` over every part a
 //! rank receives. The binary exits non-zero on any mismatch in this
-//! section or the next.
+//! section or the two others.
 //!
 //! Narrow-side section: for 2D (2×2, 2×3) and 3D (`P = 8`), the
 //! `DenseComm` words a Dense-tier epoch meters at every rank are set
@@ -107,7 +114,7 @@ fn main() {
                     analysis::two_d(&shape, p)
                 }
             };
-            let formula = cost.words + cost.first_pass_words / epochs as f64;
+            let formula = cost.words + cost.one_time_words / epochs as f64;
             println!(
                 "{:<12} {:>5} {:>15.0} {:>15.0} {:>8.2}",
                 algo.name(),
@@ -194,6 +201,40 @@ fn main() {
                 want.reduce_dense,
                 want.reduce_sparse,
                 metered
+            );
+        }
+    }
+
+    println!("\nKEPT A PANELS — partition prediction vs metered SparseComm (words, all ranks)\n");
+    println!(
+        "{:<12} {:>5} {:>14} {:>15} {:>15} {:>15}",
+        "algorithm", "P", "tier", "predicted", "first epoch", "steady epoch"
+    );
+    for (algo, p) in [
+        (Algorithm::TwoD, 4),
+        (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
+        (Algorithm::ThreeD, 8),
+    ] {
+        let want = cagnet_bench::grid_panel_words(&problem, algo, p);
+        for mode in [CommMode::Dense, CommMode::SparsityAware] {
+            let [one, two] = [1, 2].map(|epochs| {
+                cagnet_bench::rank_words(&problem, &gcn, algo, p, epochs, mode, Cat::SparseComm)
+            });
+            let steady: Vec<u64> = two.iter().zip(&one).map(|(b, a)| b - a).collect();
+            let verdict = if one == want && steady.iter().all(|&w| w == 0) {
+                "ok"
+            } else {
+                mismatches += 1;
+                "MISMATCH"
+            };
+            println!(
+                "{:<12} {:>5} {:>14} {:>15} {:>15} {:>15} {verdict}",
+                algo.name(),
+                p,
+                format!("{mode:?}"),
+                want.iter().sum::<u64>(),
+                one.iter().sum::<u64>(),
+                steady.iter().sum::<u64>()
             );
         }
     }

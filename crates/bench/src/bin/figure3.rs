@@ -1,6 +1,12 @@
 //! Figure 3: per-epoch time breakdown of the 2D implementation across
 //! device counts — the stacked categories misc / trpose / dcomm / scomm /
-//! spmm, per dataset.
+//! spmm, per dataset, as a mean over two epochs.
+//!
+//! The paper's code broadcast `A`'s panels in every layer of every epoch;
+//! here each rank keeps the panels it receives, so `scomm` is paid once,
+//! by the first forward and backward. The last four columns split it:
+//! words per rank and seconds of the first epoch, and of a steady one
+//! (two epochs less one).
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin figure3`
 
@@ -19,29 +25,40 @@ fn main() {
         let gcn = bench_gcn(&ds);
         println!("{}:", spec.name);
         println!(
-            "  {:>4}  {:>10} {:>10} {:>10} {:>10} {:>10}  {:>10}",
-            "P", "misc", "trpose", "dcomm", "scomm", "spmm", "total"
+            "  {:>4}  {:>10} {:>10} {:>10} {:>10} {:>10}  {:>10}  {:>12} {:>10} {:>12} {:>10}",
+            "P",
+            "misc",
+            "trpose",
+            "dcomm",
+            "scomm",
+            "spmm",
+            "total",
+            "scomm once w",
+            "s",
+            "steady w",
+            "s"
         );
         for p in figure_process_counts(spec.name) {
-            let row = measure_epochs(
-                &problem,
-                &gcn,
-                spec.name,
-                Algorithm::TwoD,
-                p,
-                epochs,
-                cagnet_bench::figure_model(),
-            );
+            let [first, row] = [1, epochs].map(|epochs| {
+                let model = cagnet_bench::figure_model();
+                measure_epochs(&problem, &gcn, spec.name, Algorithm::TwoD, p, epochs, model)
+            });
             let b = row.breakdown;
+            // The two-epoch sums less the first epoch.
+            let steady = |mean: f64, once: f64| epochs as f64 * mean - once;
             println!(
-                "  {:>4}  {:>10.5} {:>10.5} {:>10.5} {:>10.5} {:>10.5}  {:>10.5}",
+                "  {:>4}  {:>10.5} {:>10.5} {:>10.5} {:>10.5} {:>10.5}  {:>10.5}  {:>12.0} {:>10.5} {:>12.0} {:>10.5}",
                 p,
                 b.misc,
                 b.trpose,
                 b.dcomm,
                 b.scomm,
                 b.spmm,
-                b.total()
+                b.total(),
+                first.scomm_words,
+                first.breakdown.scomm,
+                steady(row.scomm_words, first.scomm_words),
+                steady(b.scomm, first.breakdown.scomm)
             );
             rows.push(row);
         }

@@ -1,6 +1,6 @@
 //! Per-rank memory footprints across algorithms and process counts — the
-//! quantities behind the paper's memory arguments: 2D is memory-optimal
-//! (§I), 1D's backward materializes O(nf) low-rank intermediates
+//! quantities behind the paper's memory arguments: 2D's state shrinks
+//! with P (§I), 1D's backward materializes O(nf) low-rank intermediates
 //! (§IV-A.3), 1.5D trades intermediate growth for broadcast volume
 //! (§IV-B), and 3D's pre-reduction partials carry the ∛P replication that
 //! made the paper skip implementing it (§IV-D).
@@ -16,11 +16,14 @@
 //! `H⁰` blocks of layer 0's forward stages that the first pass keeps so
 //! later passes need not fetch them: `(P−1)/P · n·f₀` in 1D, `(p₁−1)/P ·
 //! n·f₀` in 1.5D, `(√P−1)/P · n·f₀` in 2D and `(∛P−1)/P · n·f₀` in 3D,
-//! and none in 1D-row, whose stage loop is the backward's.
+//! and none in 1D-row, whose stage loop is the backward's. The 2D and 3D
+//! adjacency is the grid row's `S` panels, which the first forward and
+//! backward broadcast and every rank keeps: `4nnz/√P` and
+//! `4nnz/P^{2/3}` words.
 //!
 //! Every layout is measured a second time in the `SparsityAware` tier. A
-//! rank holds one copy of each stage panel, fixed at setup and read by
-//! every tier, so the bin exits non-zero when any rank's adjacency there
+//! rank holds one copy of each stage panel, the same in every tier, so
+//! the bin exits non-zero when any rank's adjacency there
 //! differs from its `Dense` adjacency.
 //!
 //! Run with: `cargo run --release -p cagnet-bench --bin memory`
@@ -184,8 +187,9 @@ fn main() {
     }
     println!(
         "1D's intermediate column stays flat at n·f while everything in the\n\
-         2D rows shrinks with P (memory-optimal); 3D intermediates carry the\n\
-         ∛P pre-reduction replication relative to its own state blocks."
+         2D rows shrinks with P (the kept grid-row panels as 1/√P); 3D\n\
+         intermediates carry the ∛P pre-reduction replication relative to\n\
+         its own state blocks."
     );
     cagnet_bench::emit_json(&rows);
     if !tier_dependent.is_empty() {

@@ -28,7 +28,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cagnet_comm::{Cat, CostModel, TimelineReport};
-use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
+use cagnet_core::trainer::{train_distributed, Algorithm, CommMode, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
 use cagnet_sparse::datasets::{self, Dataset, DatasetSpec};
 use serde::Serialize;
@@ -319,20 +319,80 @@ pub fn epoch_dense_words(
     algo: Algorithm,
     p: usize,
 ) -> Vec<u64> {
-    let words = |epochs| {
-        let tc = TrainConfig {
-            epochs,
-            collect_outputs: false,
-            ..Default::default()
-        };
-        let r = train_distributed(problem, gcn, algo, p, CostModel::summit_like(), &tc);
-        r.reports
-            .iter()
-            .map(|rep| rep.words(Cat::DenseComm))
-            .collect::<Vec<_>>()
-    };
-    let (one, two) = (words(1), words(2));
+    let [one, two] =
+        [1, 2].map(|e| rank_words(problem, gcn, algo, p, e, CommMode::Dense, Cat::DenseComm));
     two.iter().zip(one).map(|(b, a)| b - a).collect()
+}
+
+/// The words each rank meters under `cat` over setup and `epochs`
+/// training epochs of `algo` on `p` ranks in tier `mode` (default run
+/// options otherwise), in world-rank order.
+pub fn rank_words(
+    problem: &Problem,
+    gcn: &GcnConfig,
+    algo: Algorithm,
+    p: usize,
+    epochs: usize,
+    comm_mode: CommMode,
+    cat: Cat,
+) -> Vec<u64> {
+    let tc = TrainConfig {
+        epochs,
+        comm_mode,
+        collect_outputs: false,
+        ..Default::default()
+    };
+    let r = train_distributed(problem, gcn, algo, p, CostModel::summit_like(), &tc);
+    r.reports.iter().map(|rep| rep.words(cat)).collect()
+}
+
+/// The `SparseComm` words each rank of the 2D (`TwoD`, `TwoDRect`) or 3D
+/// trainer meters for the `S` panels it keeps, in world-rank order, from
+/// the block partitions alone: the stages of its process row span its
+/// rows of `Aᵀ` and of `A` — every column in 2D, sub-block `k` of each
+/// column block in 3D at mesh layer `k` — and every member of a panel's
+/// broadcast meters its `2·nnz` words, once per trainer.
+pub fn grid_panel_words(problem: &Problem, algo: Algorithm, p: usize) -> Vec<u64> {
+    use cagnet_sparse::partition::{block_range, block_ranges};
+    let n = problem.vertices();
+    let side = |e: u32| (1..=p).find(|q| q.pow(e) == p).unwrap_or(1);
+    (0..p)
+        .map(|rank| {
+            // This rank's rows, its process-row size and its panels' spans.
+            let ((r0, r1), qr, spans) = match algo {
+                Algorithm::ThreeD => {
+                    let q = side(3);
+                    let (k, i) = (rank / (q * q), rank % (q * q) / q);
+                    let sub = |(c0, c1): (usize, usize)| {
+                        let (s0, s1) = block_range(c1 - c0, q, k);
+                        (c0 + s0, c0 + s1)
+                    };
+                    let spans = block_ranges(n, q).into_iter().map(sub).collect();
+                    (block_range(n, q, i), q, spans)
+                }
+                Algorithm::TwoD | Algorithm::TwoDRect { .. } => {
+                    let (pr, pc) = match algo {
+                        Algorithm::TwoDRect { pr, pc } => (pr, pc),
+                        _ => (side(2), side(2)),
+                    };
+                    let fine = block_ranges(n, pr / cagnet_core::analysis::gcf(pr, pc) * pc);
+                    let (per, i) = (fine.len() / pr, rank / pc);
+                    let rows = (fine[i * per].0, fine[(i + 1) * per - 1].1);
+                    (rows, pc, vec![(0, n)])
+                }
+                other => panic!("{} is not a grid trainer", other.name()),
+            };
+            let nnz = |(c0, c1)| {
+                problem.adj_t.block(r0, r1, c0, c1).nnz() + problem.adj.block(r0, r1, c0, c1).nnz()
+            };
+            let nnz: usize = spans.into_iter().map(nnz).sum();
+            if qr > 1 {
+                2 * nnz as u64
+            } else {
+                0
+            }
+        })
+        .collect()
 }
 
 /// Print rows as a JSON array on the final line (machine-readable trailer

@@ -9,7 +9,11 @@
 //! epoch. Layer 0's `H⁰ = X` never changes, so the trainers fetch it once,
 //! in the first pass, and serve it from then on (DESIGN.md §9): a
 //! steady-state epoch pays the `H` fetch of `L − 1` layers, and the first
-//! pass pays layer 0's on top ([`CommCost::first_pass_words`]).
+//! pass pays layer 0's on top. Neither does `A`: 2D and 3D broadcast each
+//! `S` panel along the process row in the first forward (`Aᵀ`) and the
+//! first backward (`A`) only, and keep it, so the paper's per-layer
+//! `2nnz/√P` (`2nnz/P^{2/3}`) is paid once per trainer. Both are in
+//! [`CommCost::one_time_words`].
 //!
 //! The `comm_volume` bench cross-checks these closed forms against the
 //! word counters *measured* from the executing implementations, and the
@@ -55,9 +59,10 @@ pub struct CommCost {
     /// Coefficient of β (words moved per process) in a steady-state
     /// epoch.
     pub words: f64,
-    /// Words per process of layer 0's `H⁰` fetch, which only the first
-    /// pass pays, on top of `words`.
-    pub first_pass_words: f64,
+    /// Words per process that only a trainer's first passes pay, on top
+    /// of `words`: layer 0's `H⁰` fetch (the first forward) and, in 2D
+    /// and 3D, the `S` panels of `A` (the first forward and backward).
+    pub one_time_words: f64,
 }
 
 impl CommCost {
@@ -73,12 +78,12 @@ fn lg(p: f64) -> f64 {
 
 /// A steady-state epoch of `L` layers that each cost `layer`, given as
 /// `(latency units, words)`: layer 0's `H` fetch, `fetch`, is the first
-/// pass's alone.
-fn epoch(s: &Shape, layer: (f64, f64), fetch: (f64, f64)) -> CommCost {
+/// pass's alone, and the `once` words of the kept `A` panels are on top.
+fn epoch(s: &Shape, layer: (f64, f64), fetch: (f64, f64), once: f64) -> CommCost {
     CommCost {
         latency_units: s.layers * layer.0 - fetch.0,
         words: s.layers * layer.1 - fetch.1,
-        first_pass_words: fetch.1,
+        one_time_words: fetch.1 + once,
     }
 }
 
@@ -92,7 +97,7 @@ pub fn one_d(s: &Shape, p: usize, edgecut: Option<f64>) -> CommCost {
     let pf = p as f64;
     let cut = edgecut.unwrap_or(s.n * (pf - 1.0) / pf);
     let layer = (3.0 * lg(pf), cut * s.f + s.n * s.f + s.f * s.f);
-    epoch(s, layer, (lg(pf), s.n * s.f))
+    epoch(s, layer, (lg(pf), s.n * s.f), 0.0)
 }
 
 /// §IV-A.6: 1D symmetric case (`A = Aᵀ` usable interchangeably):
@@ -102,7 +107,7 @@ pub fn one_d_symmetric(s: &Shape, p: usize, edgecut: Option<f64>) -> CommCost {
     let pf = p as f64;
     let cut = edgecut.unwrap_or(s.n * (pf - 1.0) / pf);
     let layer = (3.0 * lg(pf), 2.0 * cut * s.f + s.f * s.f);
-    epoch(s, layer, (lg(pf), cut * s.f))
+    epoch(s, layer, (lg(pf), cut * s.f), 0.0)
 }
 
 /// §IV-A.7: the transposing 1D variant — pays two transposes per epoch
@@ -133,20 +138,19 @@ pub fn one5_d(s: &Shape, p: usize, c: usize) -> CommCost {
         p1 + lg(cf) + lg(p1) + 2.0 * lg(pf),
         2.0 * s.n * s.f / cf + 2.0 * s.n * s.f / p1 + 2.0 * s.f * s.f,
     );
-    epoch(s, layer, (p1, s.n * s.f / cf))
+    epoch(s, layer, (p1, s.n * s.f / cf), 0.0)
 }
 
 /// §IV-C.5: 2D SUMMA on a `√P x √P` grid:
 /// `T ≈ L(α(5√P + 3 lg P) + β(8nf/√P + 2nnz/√P + f²))`, less layer 0's
-/// `√P` forward `H⁰` panel broadcasts (`α·√P + β·nf/√P`).
+/// `√P` forward `H⁰` panel broadcasts (`α·√P + β·nf/√P`) and the `2√P`
+/// `S` panel broadcasts of each layer (`α·2√P + β·2nnz/√P`): the panels
+/// move once per trainer, their words in `one_time_words`.
 pub fn two_d(s: &Shape, p: usize) -> CommCost {
     let pf = p as f64;
     let rp = pf.sqrt();
-    let layer = (
-        5.0 * rp + 3.0 * lg(pf),
-        8.0 * s.n * s.f / rp + 2.0 * s.nnz / rp + s.f * s.f,
-    );
-    epoch(s, layer, (rp, s.n * s.f / rp))
+    let layer = (3.0 * rp + 3.0 * lg(pf), 8.0 * s.n * s.f / rp + s.f * s.f);
+    epoch(s, layer, (rp, s.n * s.f / rp), 2.0 * s.nnz / rp)
 }
 
 /// §IV-C.6: rectangular-grid 2D forward propagation only:
@@ -157,19 +161,21 @@ pub fn two_d_rect_forward(s: &Shape, pr: usize, pc: usize) -> CommCost {
     CommCost {
         latency_units: g,
         words: s.nnz / pr as f64 + s.n * s.f / pc as f64 + s.n * s.f / pr as f64,
-        first_pass_words: 0.0,
+        one_time_words: 0.0,
     }
 }
 
 /// §IV-D.5: Split-3D-SpMM on a `∛P`-sided mesh:
 /// `T ≈ L(α·4·P^{1/3} + β(2nnz/P^{2/3} + 12nf/P^{2/3}))`, less layer 0's
-/// `∛P` forward `H⁰` panel broadcasts (`α·∛P + β·nf/P^{2/3}`).
+/// `∛P` forward `H⁰` panel broadcasts (`α·∛P + β·nf/P^{2/3}`) and the
+/// `2∛P` `S` panel broadcasts of each layer (`α·2∛P + β·2nnz/P^{2/3}`):
+/// the panels move once per trainer, their words in `one_time_words`.
 pub fn three_d(s: &Shape, p: usize) -> CommCost {
     let pf = p as f64;
     let p13 = pf.cbrt();
     let p23 = p13 * p13;
-    let layer = (4.0 * p13, 2.0 * s.nnz / p23 + 12.0 * s.n * s.f / p23);
-    epoch(s, layer, (p13, s.n * s.f / p23))
+    let layer = (2.0 * p13, 12.0 * s.n * s.f / p23);
+    epoch(s, layer, (p13, s.n * s.f / p23), 2.0 * s.nnz / p23)
 }
 
 /// Closed-form per-rank memory estimates (words), the counterparts of the
@@ -230,14 +236,18 @@ pub fn memory_one5_d(s: &Shape, p: usize, c: usize) -> MemoryEstimate {
     }
 }
 
-/// 2D memory (§I: "consumes optimal memory"): everything scales with `P`
-/// or `√P`. The kept `H⁰` panels of the other `√P − 1` grid rows add
-/// `(√P−1)/P · n·f`.
+/// 2D memory: the dense state and intermediates scale with `P` or `√P`.
+/// The adjacency is the grid row's `S` panels of `Aᵀ` and of `A`, which
+/// the first forward and backward broadcast and every rank keeps:
+/// `4nnz/√P` words, `√P` times the `4nnz/P` of the rank's own blocks,
+/// traded for the `2nnz/√P` words per layer per epoch the paper's form
+/// re-broadcasts ([`two_d`]). The kept `H⁰` panels of the other `√P − 1`
+/// grid rows add `(√P−1)/P · n·f`.
 pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     let rp = pf.sqrt();
     MemoryEstimate {
-        adjacency: 2.0 * 2.0 * s.nnz / pf, // A and Aᵀ blocks
+        adjacency: 2.0 * 2.0 * s.nnz / rp, // the grid row of A and of Aᵀ
         dense_state: stored_blocks(s, pf) + (rp - 1.0) / pf * s.n * s.f,
         intermediate: s.n * s.f / rp,
     }
@@ -254,13 +264,19 @@ pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
 /// Both are `n·f/∛P²` words; the model takes the larger, not the sum.
 /// The kept `H⁰` panels of the other `∛P − 1` stages of the rank's mesh
 /// layer add `(∛P−1)/P · n·f`.
+///
+/// The adjacency is the `S` panels of the rank's process row, of `Aᵀ`
+/// and of `A`, kept from the first forward and backward: `4nnz/P^{2/3}`
+/// words, `∛P` times the rank's own slices, traded for the
+/// `2nnz/P^{2/3}` words per layer per epoch the paper's form
+/// re-broadcasts ([`three_d`]).
 pub fn memory_three_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     let p13 = pf.cbrt();
     let partial = (s.n / p13) * (s.f / p13);
     let slab = s.n / (p13 * p13) * s.f;
     MemoryEstimate {
-        adjacency: 2.0 * 2.0 * s.nnz / pf,
+        adjacency: 2.0 * 2.0 * s.nnz / (p13 * p13),
         dense_state: stored_blocks(s, pf) + (p13 - 1.0) / pf * s.n * s.f,
         intermediate: partial.max(slab),
     }
@@ -431,42 +447,59 @@ mod tests {
     #[test]
     fn first_pass_pays_the_layer_zero_fetch_once() {
         // Each form is the paper's `L` layers less layer 0's `H⁰` fetch,
-        // which the first pass pays on top.
+        // which the first pass pays on top, and in 2D and 3D less every
+        // layer's `A` panel words, which the first forward and backward
+        // pay once.
         let s = shape();
         let (n, f, nnz, l) = (s.n, s.f, s.nnz, s.layers);
         let cut = s.n * 15.0 / 16.0;
         let cases = [
-            (one_d(&s, 16, None), l * (cut * f + n * f + f * f), n * f),
+            (
+                one_d(&s, 16, None),
+                l * (cut * f + n * f + f * f),
+                n * f,
+                0.0,
+            ),
             (
                 one_d_symmetric(&s, 16, None),
                 l * (2.0 * cut * f + f * f),
                 cut * f,
+                0.0,
             ),
             (
                 one5_d(&s, 16, 4),
                 l * (2.0 * n * f / 4.0 + 2.0 * n * f / 4.0 + 2.0 * f * f),
                 n * f / 4.0,
+                0.0,
             ),
             (
                 two_d(&s, 16),
                 l * (8.0 * n * f / 4.0 + 2.0 * nnz / 4.0 + f * f),
                 n * f / 4.0,
+                2.0 * nnz / 4.0,
             ),
             (
                 three_d(&s, 64),
                 l * (2.0 * nnz / 16.0 + 12.0 * n * f / 16.0),
                 n * f / 16.0,
+                2.0 * nnz / 16.0,
             ),
         ];
-        for (i, (cost, paper, fetch)) in cases.into_iter().enumerate() {
+        for (i, (cost, paper, fetch, panels)) in cases.into_iter().enumerate() {
             let tol = 1e-9 * paper;
-            assert!((cost.first_pass_words - fetch).abs() < tol, "case {i}");
-            assert!((cost.words + fetch - paper).abs() < tol, "case {i}");
+            assert!(
+                (cost.one_time_words - fetch - panels).abs() < tol,
+                "case {i}"
+            );
+            assert!(
+                (cost.words + fetch + l * panels - paper).abs() < tol,
+                "case {i}"
+            );
         }
         let t = one_d_transposing(&s, 16, None);
         assert_eq!(
-            t.first_pass_words,
-            one_d_symmetric(&s, 16, None).first_pass_words
+            t.one_time_words,
+            one_d_symmetric(&s, 16, None).one_time_words
         );
     }
 
@@ -475,7 +508,7 @@ mod tests {
         let c = CommCost {
             latency_units: 10.0,
             words: 1000.0,
-            first_pass_words: 0.0,
+            one_time_words: 0.0,
         };
         assert!((c.time(1e-6, 1e-9) - (1e-5 + 1e-6)).abs() < 1e-18);
     }

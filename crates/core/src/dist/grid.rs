@@ -18,6 +18,12 @@
 //! unless the layer widens past what gathering `Hˡ` and reduce-scattering
 //! the `f_in`-wide next gradient move. Ties keep the paper's form.
 //!
+//! The `S` panels of `A` never change, so they move once: each table's
+//! first stage loop (the first forward for `Aᵀ`, the first backward for
+//! `A`) broadcasts every panel along the process row, each member keeps
+//! what it receives, and every later loop multiplies the held panels
+//! with no row collective (DESIGN.md §9).
+//!
 //! The two layouts differ only in data: the stage tables ([`Stages`]), the
 //! `Y` reduction group, 3D's fiber reduce-scatter after each SpMM, 2D's
 //! transpose charge and the row order of the gathered embeddings.
@@ -52,10 +58,10 @@ pub(crate) fn gather_h(dims: &[usize], l: usize, q: usize) -> bool {
 
 /// The geometry of a SUMMA-family layout.
 pub struct Grid {
-    /// Process row: `S` panels, partial-`W` `T` blocks, the output
-    /// layer's row statistics and the `AG` and `Y` all-gathers. Its size
-    /// is the number of feature-column blocks and this rank's index in it
-    /// its own.
+    /// Process row: `S` panels (a table's first loop only), partial-`W`
+    /// `T` blocks, the output layer's row statistics and the `AG` and `Y`
+    /// all-gathers. Its size is the number of feature-column blocks and
+    /// this rank's index in it its own.
     pub(crate) row: Communicator,
     /// Process column: `D` panels.
     pub(crate) col: Communicator,
@@ -64,8 +70,9 @@ pub struct Grid {
     pub(crate) jgroup: Option<Communicator>,
     /// 3D: the fiber each SpMM's partial sums reduce-scatter over.
     pub(crate) fiber: Option<Communicator>,
-    /// This rank's block of `Aᵀ` (forward) and of `A` (backward) as the
-    /// stage panels of its grid column, over the same stage geometry.
+    /// This rank's block rows of `Aᵀ` (forward) and of `A` (backward) as
+    /// stage panels over the same stage geometry: those of its grid
+    /// column from setup, its grid row's once the table has run a loop.
     pub(crate) fwd: Stages,
     pub(crate) bwd: Stages,
     /// 2D: the nnz to charge as two local transposes per backward (the
@@ -85,7 +92,7 @@ impl Grid {
         c0..c1
     }
 
-    /// Storage words of both directions' stage panels.
+    /// Storage words of both directions' stage panels held now.
     pub(crate) fn words(&self) -> usize {
         self.fwd.words() + self.bwd.words()
     }

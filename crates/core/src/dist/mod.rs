@@ -703,7 +703,9 @@ impl HaloCache {
 /// paper's memory arguments: 2D "consumes optimal memory" (§I), 1.5D pays
 /// `c`-fold replication (§IV-B), the 1D backward materializes `O(nf)`
 /// low-rank intermediates (§IV-A.3), and 3D replicates intermediates by
-/// `∛P` (§IV-D).
+/// `∛P` (§IV-D). 2D and 3D trade some of that optimum for
+/// communication: each rank keeps the `S` panels its process row
+/// broadcasts, so `A` moves once per trainer and not once per layer.
 ///
 /// Every term is measured from what the trainer holds, not computed from
 /// a per-layout formula, so read it ([`Trainer::storage_words`]) after an
@@ -711,8 +713,12 @@ impl HaloCache {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageReport {
     /// Sparse adjacency blocks held by this rank (2 words per stored
-    /// nonzero + row pointers), counting replicas: the stage panels, cut
-    /// once at setup and the same in every comm tier.
+    /// nonzero + row pointers), counting replicas: the stage panels, the
+    /// same in every comm tier. The row family holds its block row from
+    /// setup on. A 2D or 3D rank holds its grid column's panels of `Aᵀ`
+    /// and `A` at setup and, after its first forward and backward, its
+    /// grid row's, each once: about `4nnz/√P` words in 2D and
+    /// `4nnz/P^{2/3}` in 3D, against `4nnz/P` before.
     pub adjacency: usize,
     /// Stored dense blocks after the last pass: feature block plus
     /// stored activations `H^l` and pre-activations `Z^l` for backprop,

@@ -119,8 +119,7 @@ impl Trainer<One5D> {
             stages,
             team_sends: Arc::new(team_sends),
         };
-        let words = layout.stages.words();
-        Ok(Trainer::new(words, layout, problem, cfg, fr0, h0))
+        Ok(Trainer::new(layout, problem, cfg, fr0, h0))
     }
 
     /// Replication factor in effect.
@@ -164,6 +163,10 @@ impl RowLayout for One5D {
         let mut ag = s.ws.borrow_mut().take(g.len());
         reduce(s, &self.rep, contrib, Some(self.stages.needed()), &mut ag);
         ag
+    }
+
+    fn adjacency(&self) -> usize {
+        self.stages.words()
     }
 }
 

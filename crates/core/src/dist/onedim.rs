@@ -53,8 +53,7 @@ impl Trainer<OneDim> {
         let layout = OneDim {
             stages: stages(&problem.adj_t, (r0, r1), spans, ctx.rank),
         };
-        let words = layout.stages.words();
-        Ok(Trainer::new(words, layout, problem, cfg, r0, h0))
+        Ok(Trainer::new(layout, problem, cfg, r0, h0))
     }
 }
 
@@ -73,6 +72,10 @@ impl RowLayout for OneDim {
         let mut ag = g;
         reduce(s, &ctx.world, contrib, Some(self.stages.needed()), &mut ag);
         ag
+    }
+
+    fn adjacency(&self) -> usize {
+        self.stages.words()
     }
 }
 

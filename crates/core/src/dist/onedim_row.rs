@@ -46,8 +46,7 @@ impl Trainer<OneDimRow> {
         let layout = OneDimRow {
             stages: stages(&problem.adj, (r0, r1), spans, ctx.rank),
         };
-        let words = layout.stages.words();
-        Ok(Trainer::new(words, layout, problem, cfg, r0, h0))
+        Ok(Trainer::new(layout, problem, cfg, r0, h0))
     }
 }
 
@@ -68,6 +67,10 @@ impl RowLayout for OneDimRow {
         let g = s.ws.borrow_mut().lend(g);
         let comms = Comms::along(&ctx.world);
         self.stages.aggregate(s, ctx, &comms, &g, Spmm::Pass(l))
+    }
+
+    fn adjacency(&self) -> usize {
+        self.stages.words()
     }
 }
 

@@ -29,6 +29,9 @@ pub trait RowLayout {
     /// This rank's block of `A·Gˡ` from its block `g` of `Gˡ`, in a
     /// workspace buffer (`g`'s own, where the layout can reuse it).
     fn aggregate_grad(&self, s: &State, ctx: &Ctx, l: usize, g: Mat) -> Mat;
+
+    /// Storage words of the stage panels ([`Stages::words`]).
+    fn adjacency(&self) -> usize;
 }
 
 /// The layers of a forward pass; returns the rank's share of the summed

@@ -70,6 +70,14 @@ impl Family<'_> {
             Family::Grid(g) => g.cols(f_out),
         }
     }
+
+    /// Storage words of the stage panels this rank holds now.
+    fn adjacency(&self) -> usize {
+        match self {
+            Family::Rows(r) => r.adjacency(),
+            Family::Grid(g) => g.words(),
+        }
+    }
 }
 
 pub(crate) mod sealed {
@@ -87,8 +95,6 @@ impl Layout for Box<dyn Layout> {
 /// Everything a trainer keeps besides its layout's geometry.
 pub struct State {
     pub(crate) cfg: GcnConfig,
-    /// Words of the stage panels the layout holds, fixed at setup.
-    pub(crate) adjacency: usize,
     /// Global index of the first row of this rank's `H` block.
     pub(crate) r0: usize,
     pub(crate) train_count: usize,
@@ -145,25 +151,15 @@ pub struct State {
 }
 
 impl<L: Layout> Trainer<L> {
-    /// Wrap `layout`, whose stage panels hold `adjacency` words
-    /// ([`Stages::words`](super::stages::Stages::words)), for a rank whose
-    /// `H` block starts at global row `r0` and holds features `h0`, with
-    /// the initial weights, SGD, ReLU, no dropout, the dense tier and
-    /// overlap on.
-    pub(crate) fn new(
-        adjacency: usize,
-        layout: L,
-        problem: &Problem,
-        cfg: &GcnConfig,
-        r0: usize,
-        h0: Mat,
-    ) -> Self {
+    /// Wrap `layout` for a rank whose `H` block starts at global row `r0`
+    /// and holds features `h0`, with the initial weights, SGD, ReLU, no
+    /// dropout, the dense tier and overlap on.
+    pub(crate) fn new(layout: L, problem: &Problem, cfg: &GcnConfig, r0: usize, h0: Mat) -> Self {
         let weights = cfg.init_weights();
         Trainer {
             layout,
             state: State {
                 cfg: cfg.clone(),
-                adjacency,
                 r0,
                 train_count: problem.train_count(),
                 labels: problem.labels.clone(),
@@ -279,7 +275,8 @@ impl<L: Layout> Trainer<L> {
     /// every rank. Always drops any halo cache and the kept layer-0
     /// operands, so a mode change (or re-set after mutating state) can
     /// never serve stale blocks: the next pass fetches them again. The
-    /// stage panels are the same in every tier, so nothing else changes.
+    /// stage panels, the ones a grid rank received included, are the
+    /// same in every tier, so they stay.
     pub fn set_comm_mode(&mut self, mode: CommMode) {
         let s = &mut self.state;
         s.cache.get_mut().invalidate();
@@ -342,17 +339,18 @@ impl<L: Layout> Trainer<L> {
         &self.state.weights
     }
 
-    /// Per-rank storage footprint, measured: the sparse blocks the layout
-    /// holds, the stored dense blocks, and the largest workspace buffer
-    /// served since setup. Read it after an [`epoch`](Self::epoch): a
-    /// forward alone leaves out the backward's buffers, and before any
-    /// pass only the feature block and the sparse blocks count. See
+    /// Per-rank storage footprint, measured: the sparse panels the layout
+    /// holds now, the stored dense blocks, and the largest workspace
+    /// buffer served since setup. Read it after an [`epoch`](Self::epoch):
+    /// a forward alone leaves out the backward's buffers and, in 2D and
+    /// 3D, the backward's received panels, and before any pass only the
+    /// feature block and the rank's own panels count. See
     /// [`StorageReport`].
     pub fn storage_words(&self) -> StorageReport {
         let s = &self.state;
         let stored: usize = s.hs.iter().chain(&s.zs).map(|m| m.len()).sum();
         StorageReport {
-            adjacency: s.adjacency,
+            adjacency: self.layout.family().adjacency(),
             // The probabilities a training forward keeps next to `Z^L`
             // are block for block the same shape.
             dense_state: stored + s.zs.last().map_or(0, |z| z.len()) + s.inputs.borrow().words(),

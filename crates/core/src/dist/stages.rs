@@ -2,12 +2,14 @@
 //! sparse-times-dense product `S · D` as a loop of stages, each an `S`
 //! panel — columns of this rank's block rows of `Aᵀ` or `A` — times the
 //! `D` block holding those columns' rows. The row family (1D, 1D-row,
-//! 1.5D) holds every panel it multiplies; the grid family (2D, 3D) holds
-//! the panels of its grid column and broadcasts each along the process
-//! row. One [`Stages::aggregate`] runs the loop for all five layouts, and
-//! the row family's outer product reads the same panels. Each held panel
-//! is cut once, at setup, with its columns numbered by the stage's
-//! needed-row list, and that list is its column map in every comm tier.
+//! 1.5D) holds every panel it multiplies; the grid family (2D, 3D) cuts
+//! the panels of its grid column, the first stage loop over a table
+//! broadcasts each along the process row, and every member keeps what it
+//! receives, so later loops multiply held panels with no row collective.
+//! One [`Stages::aggregate`] runs the loop for all five layouts, and the
+//! row family's outer product reads the same panels. Each panel is cut
+//! once, at setup, with its columns numbered by the stage's needed-row
+//! list, and that list is its column map in every comm tier.
 
 use super::shell::State;
 use super::{pipeline, Lead, Spmm, Workspace};
@@ -16,7 +18,7 @@ use cagnet_comm::{Cat, Ctx};
 use cagnet_dense::Mat;
 use cagnet_sparse::spmm::outer_product_from_transposed_into;
 use cagnet_sparse::Csr;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
 
 /// Per member of a communicator, rows of its block: the needed-row sets
@@ -26,9 +28,9 @@ pub(crate) type RowSets = Arc<Vec<Vec<usize>>>;
 /// One stage's geometry as every rank sees it.
 #[derive(Clone)]
 pub(crate) struct Stage {
-    /// Member of the process row that holds the stage's `S` panel and
-    /// broadcasts it; in the row family, which has no process row, the
-    /// `me` its table is built with.
+    /// Member of the process row that cuts the stage's `S` panel and
+    /// broadcasts it in the table's first loop; in the row family, which
+    /// has no process row, the `me` its table is built with.
     pub(crate) s_root: usize,
     /// Member of the `D` communicator that holds the stage's `D` block.
     pub(crate) d_root: usize,
@@ -50,11 +52,13 @@ pub(crate) struct Stages {
     /// nonzero. It is the panel's column map: panel column `j` is span
     /// row `needed[k][j]`.
     needed: RowSets,
-    /// Per stage, `Some` exactly where this rank holds the panel, its
-    /// columns numbered by `needed` ([`Csr::compact_cols`]: a monotone
+    /// Per stage, the panel once this rank holds it, its columns
+    /// numbered by `needed` ([`Csr::compact_cols`]: a monotone
     /// renumbering, so every row folds the same products in the same
-    /// order, and the same nnz, so the same `SparseComm` words).
-    panels: Vec<Option<Arc<Csr>>>,
+    /// order, and the same nnz, so the same `SparseComm` words). Setup
+    /// fills the rank's own; the first stage loop keeps the rest as they
+    /// arrive.
+    panels: Vec<OnceCell<Arc<Csr>>>,
 }
 
 /// The communicators one stage loop runs over.
@@ -82,22 +86,23 @@ impl<'a> Comms<'a> {
 }
 
 impl Stages {
-    /// Cut `stages` from rows `r0..r1` of `a`; this rank holds the panels
-    /// whose `s_root` is `me`, each with its columns numbered by its
-    /// needed-row set. That set comes from the panel where this rank
-    /// holds it, else from the global `a` (uncharged setup).
+    /// Cut `stages` from rows `r0..r1` of `a`; this rank starts out
+    /// holding the panels whose `s_root` is `me`, each with its columns
+    /// numbered by its needed-row set. That set comes from the panel
+    /// where this rank cuts it, else from the global `a` (uncharged
+    /// setup).
     pub(crate) fn new(a: &Csr, (r0, r1): (usize, usize), stages: Vec<Stage>, me: usize) -> Self {
         let (needed, panels) = stages
             .iter()
             .map(|st| {
                 let (g0, g1) = st.span;
                 if st.s_root != me {
-                    return (a.needed_cols_in(r0, r1, g0, g1), None);
+                    return (a.needed_cols_in(r0, r1, g0, g1), OnceCell::new());
                 }
                 let panel = a.block(r0, r1, g0, g1);
                 let needed = panel.needed_cols();
                 let panel = panel.compact_cols(&needed);
-                (needed, Some(Arc::new(panel)))
+                (needed, OnceCell::from(Arc::new(panel)))
             })
             .unzip();
         Stages {
@@ -118,30 +123,41 @@ impl Stages {
         self.rows
     }
 
+    /// The panels this rank holds.
+    fn held(&self) -> impl Iterator<Item = &Arc<Csr>> {
+        self.panels.iter().filter_map(OnceCell::get)
+    }
+
     /// Whether a panel this rank holds stores entries in row `v`.
     pub(crate) fn row_occupied(&self, v: usize) -> bool {
-        (self.panels.iter().flatten()).any(|p| p.row_nnz(v) > 0)
+        self.held().any(|p| p.row_nnz(v) > 0)
     }
 
     /// Nonzeros of the panels this rank holds.
     pub(crate) fn nnz(&self) -> usize {
-        self.panels.iter().flatten().map(|p| p.nnz()).sum()
+        self.held().map(|p| p.nnz()).sum()
     }
 
     /// Storage words of the panels this rank holds: values, column
     /// indices and row pointers.
     pub(crate) fn words(&self) -> usize {
-        let words = |a: &Arc<Csr>| 2 * a.nnz() + a.rows() + 1;
-        self.panels.iter().flatten().map(words).sum()
+        self.held().map(|a| 2 * a.nnz() + a.rows() + 1).sum()
     }
 
     /// `S · D` for this rank's rows, `d_mine` being its `D` block on
-    /// `comms.col`: per stage the `S` panel — broadcast along the process
-    /// row, or this rank's own — then the `D` block through the shell's
-    /// stage fetch ([`State::fetch`]), pipelined against the stage SpMMs;
-    /// where the sums are partial, then their reduce-scatter. `spmm` says
-    /// which of a pass's SpMMs this is, for what the fetches keep. The
-    /// result is in a workspace buffer.
+    /// `comms.col`: per stage the `S` panel, then the `D` block through
+    /// the shell's stage fetch ([`State::fetch`]), pipelined against the
+    /// stage SpMMs; where the sums are partial, then their
+    /// reduce-scatter. `spmm` says which of a pass's SpMMs this is, for
+    /// what the fetches keep. The result is in a workspace buffer.
+    ///
+    /// Until this rank holds every panel of the table, each `S` panel is
+    /// broadcast along the process row and kept where it lands; from then
+    /// on the held panel is read with no collective and nothing metered:
+    /// `A` never changes, so the first loop's `SparseComm` words are all
+    /// a table ever moves. No member holds every panel before a row's
+    /// first loop ends unless the row is one rank, so every member takes
+    /// the same branch.
     ///
     /// A stage's `D` operand arrives compact — gathered, served or cached
     /// rows, exactly the needed ones in needed order — or whole: a
@@ -160,15 +176,16 @@ impl Stages {
     ) -> Mat {
         let f = d_mine.cols();
         let mut out = s.ws.borrow_mut().zeros(self.rows, f);
+        let held = self.panels.iter().all(|p| p.get().is_some());
         let issue = |k: usize| {
             let st = &self.stages[k];
-            let s_op = match (comms.row, self.panels[k].clone()) {
-                (Some(row), a) => {
-                    let op = row.ibcast_shared(st.s_root, a, Cat::SparseComm);
+            let s_op = match (self.panels[k].get(), comms.row) {
+                (Some(a), _) if held => Lead::Landed(Arc::clone(a)),
+                (a, Some(row)) => {
+                    let op = row.ibcast_shared(st.s_root, a.cloned(), Cat::SparseComm);
                     Lead::new(op, s.overlap)
                 }
-                (None, Some(a)) => Lead::Landed(a),
-                (None, None) => unreachable!("a layout without a process row holds every panel"),
+                (_, None) => unreachable!("a layout without a process row holds every panel"),
             };
             let (g0, g1) = st.span;
             let mine = st.d_root == comms.col.my_idx();
@@ -180,6 +197,10 @@ impl Stages {
         };
         pipeline(s.overlap, self.stages.len(), issue, |k, (s_op, d_op)| {
             let (a, d) = (s_op.wait(), d_op.wait());
+            if !held {
+                // The root's own panel is already there.
+                let _ = self.panels[k].set(Arc::clone(&a));
+            }
             let map = (d.rows() != a.cols()).then_some(&self.needed[k][..]);
             ctx.charge_spmm(a.nnz(), a.rows(), f);
             s.ws.borrow_mut()
@@ -207,7 +228,7 @@ impl Stages {
         let mut contrib = s.ws.borrow_mut().zeros(spans.clone().sum(), d.cols());
         let mut off = 0;
         for ((p, height), needed) in self.panels.iter().zip(spans).zip(self.needed.iter()) {
-            if let Some(p) = p {
+            if let Some(p) = p.get() {
                 let map = (p.cols() != height).then_some(&needed[..]);
                 outer_product_from_transposed_into(p, d, map, &mut contrib, off);
             }

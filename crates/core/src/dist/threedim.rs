@@ -108,8 +108,7 @@ impl Trainer<ThreeDim> {
         };
         let (fc0, fc1) = block_range(problem.features.cols(), q, j);
         let h0 = problem.features.block(r0, r1, fc0, fc1);
-        let words = grid.words();
-        Ok(Trainer::new(words, ThreeDim(grid), problem, cfg, r0, h0))
+        Ok(Trainer::new(ThreeDim(grid), problem, cfg, r0, h0))
     }
 }
 

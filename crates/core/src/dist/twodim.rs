@@ -11,7 +11,9 @@
 //! **Stage structure.** The vertex dimension is partitioned into
 //! `K = lcm(Pr, Pc)` *fine* blocks; `A`'s column groups and `H`'s row
 //! groups are unions of consecutive fine blocks, so each SUMMA stage
-//! broadcasts one fine panel from its (column-group, row-group) owners.
+//! broadcasts one fine panel from its (column-group, row-group) owners —
+//! the `S` panel in the first pass over its table only, since every rank
+//! keeps the `S` panels it receives.
 //! On a square grid `K = Pr = Pc` and this is exactly Algorithm 2's
 //! per-process staging. The `stages_per_block` knob subdivides each fine
 //! stage into narrower panels — the paper's blocking parameter `b`:
@@ -158,8 +160,7 @@ impl Trainer<TwoDim> {
         };
         let (fc0, fc1) = block_range(problem.features.cols(), pc, j);
         let h0 = problem.features.block(r0, r1, fc0, fc1);
-        let words = grid.words();
-        Ok(Trainer::new(words, TwoDim(grid), problem, cfg, r0, h0))
+        Ok(Trainer::new(TwoDim(grid), problem, cfg, r0, h0))
     }
 }
 

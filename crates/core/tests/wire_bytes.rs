@@ -421,3 +421,41 @@ fn steady_epochs_receive_no_layer_zero_bytes() {
         );
     }
 }
+
+#[test]
+fn steady_epochs_receive_no_adjacency_bytes() {
+    // 2D at P = 4 over sockets: the first forward broadcasts each S panel
+    // of Aᵀ along the process row and the first backward each panel of A,
+    // every member metering a panel's 2·nnz words, so the four ranks
+    // meter 2 members × 2 tables × 2 words per nonzero of A. The ranks
+    // keep what they receive: the second epoch receives no SparseComm
+    // byte, word or message. Its DenseComm drop is the layer-0 inputs it
+    // serves, metered under CacheHit; its SparseComm drop is the panels,
+    // which the first epoch's words already cover. A receiver's bytes
+    // are 8 × its words plus each panel's 33 row pointers and a head.
+    let g = erdos_renyi(64, 3.0, 0xB17E5);
+    let nnz = Problem::synthetic(&g, 6, 3, 1.0, 7).adj.nnz() as u64;
+    let modes = [CommMode::Dense, CommMode::SparsityAware];
+    let runs: Vec<_> = modes
+        .iter()
+        .map(|&mode| [0, 1, 2].map(|epochs| trained(Algorithm::TwoD, 4, mode, epochs)))
+        .collect();
+    for (mode, [r0, r1, r2]) in modes.into_iter().zip(runs) {
+        let (first, second) = (
+            delta_in(Cat::SparseComm, &r0, &r1),
+            delta_in(Cat::SparseComm, &r1, &r2),
+        );
+        assert_eq!(first.1, 8 * nnz, "{mode:?}: the first epoch's panel words");
+        assert_eq!(second, (0, 0, 0), "{mode:?}: a steady epoch moves no panel");
+        let dense = delta(&r0, &r1).1 - delta(&r1, &r2).1;
+        let hits = r2.words(Cat::CacheHit) - r1.words(Cat::CacheHit);
+        assert_eq!(hits, dense, "{mode:?}: served layer-0 words");
+        // Half of every broadcast's metered words are its root's own.
+        let (bytes, received, msgs) = (first.0, first.1 / 2, first.2);
+        assert!(
+            (8 * received..=8 * received + msgs * (8 * 33 + HEAD)).contains(&bytes),
+            "{mode:?}: {bytes} bytes received for {received} received panel words in {msgs} \
+             messages"
+        );
+    }
+}

@@ -1,11 +1,13 @@
 //! Per-rank memory footprints — the paper's replication arguments made
-//! measurable: 2D is memory-optimal (§I), the 1D backward holds an O(nf)
-//! intermediate regardless of P (§IV-A.3), 1.5D replicates `A` by `c`
-//! (§IV-B), and 3D replicates intermediates by ∛P (§IV-D, the paper's
-//! stated reason for not implementing it). Every footprint is the
-//! measured one — the sparse blocks a rank holds, its stored dense
-//! blocks and the largest workspace buffer it was served — read after an
-//! epoch, so the backward's buffers count.
+//! measurable: 2D's dense state and intermediates shrink with `P` (§I;
+//! its adjacency is the grid row of `A` it keeps, `√P` times the
+//! optimum), the 1D backward holds an O(nf) intermediate regardless of
+//! P (§IV-A.3), 1.5D replicates `A` by `c` (§IV-B), and 3D replicates
+//! intermediates by ∛P (§IV-D, the paper's stated reason for not
+//! implementing it). Every footprint is the measured one — the sparse
+//! blocks a rank holds, its stored dense blocks and the largest
+//! workspace buffer it was served — read after an epoch, so the
+//! backward's buffers count.
 
 use cagnet::comm::Cluster;
 use cagnet::core::analysis::{memory_three_d, Shape};
@@ -144,12 +146,14 @@ fn row_family_holds_its_block_once_as_stage_blocks() {
 
 #[test]
 fn grid_family_holds_each_stage_panel_once() {
-    // A grid rank holds, in each direction, the stage panels of its grid
-    // column — column slices of its block rows of Aᵀ and A — and nothing
-    // more: not its whole block next to them, and in a sparse tier no
-    // second copy of a panel. Every tier reads the one panel, its columns
-    // numbered by the stage's needed rows: the same nnz and rows, so the
-    // same words.
+    // A grid rank cuts, in each direction, the stage panels of its grid
+    // column — column slices of its block rows of Aᵀ and A — and before
+    // any pass holds exactly those: not its whole block next to them. The
+    // first pass over each table keeps the panels the process row
+    // broadcasts, so after an epoch the rank holds its grid row's panels,
+    // each once: in a sparse tier no second copy of a panel. Every tier
+    // reads the one panel, its columns numbered by the stage's needed
+    // rows: the same nnz and rows, so the same words.
     let prob = problem();
     let n = prob.vertices();
     let words = |a: &Csr| 2 * a.nnz() + a.rows() + 1;
@@ -163,8 +167,9 @@ fn grid_family_holds_each_stage_panel_once() {
             .sum()
     };
     // 2D on a pr x pc grid with `sub` stages per fine block: rank (i, j)
-    // holds the sub-panels of the fine blocks of its column group.
-    let two_d = |pr: usize, pc: usize, sub: usize, rank: usize| -> usize {
+    // cuts the sub-panels of the fine blocks of its column group (`mine`)
+    // and multiplies those of every fine block.
+    let two_d = |pr: usize, pc: usize, sub: usize, rank: usize, mine: bool| -> usize {
         let k_total = (1..).map(|m| m * pr).find(|m| m % pc == 0).unwrap();
         let fine = block_ranges(n, k_total);
         let (i, j) = (rank / pc, rank % pc);
@@ -173,7 +178,7 @@ fn grid_family_holds_each_stage_panel_once() {
         let spans = fine
             .iter()
             .enumerate()
-            .filter(|&(k, _)| k / (k_total / pc) == j)
+            .filter(|&(k, _)| !mine || k / (k_total / pc) == j)
             .flat_map(|(_, &(f0, f1))| {
                 block_ranges(f1 - f0, sub)
                     .into_iter()
@@ -182,13 +187,19 @@ fn grid_family_holds_each_stage_panel_once() {
             .collect();
         held(rows, spans)
     };
-    // 3D at q = 2: rank (i, j, k) holds sub-block k of column block j.
-    let three_d = |rank: usize| -> usize {
+    // 3D at q = 2: rank (i, j, k) cuts sub-block k of column block j and
+    // multiplies sub-block k of every column block.
+    let three_d = |rank: usize, mine: bool| -> usize {
         let q = 2;
         let (k, i, j) = (rank / (q * q), rank % (q * q) / q, rank % q);
-        let (c0, c1) = block_ranges(n, q)[j];
-        let (s0, s1) = block_ranges(c1 - c0, q)[k];
-        held(block_ranges(n, q)[i], vec![(c0 + s0, c0 + s1)])
+        let spans = (block_ranges(n, q).into_iter().enumerate())
+            .filter(|&(s, _)| !mine || s == j)
+            .map(|(_, (c0, c1))| {
+                let (s0, s1) = block_ranges(c1 - c0, q)[k];
+                (c0 + s0, c0 + s1)
+            })
+            .collect();
+        held(block_ranges(n, q)[i], spans)
     };
     let cells = [
         (Algorithm::TwoD, 4, 2),
@@ -203,17 +214,19 @@ fn grid_family_holds_each_stage_panel_once() {
                 };
                 let mut t = Trainer::for_algorithm(ctx, &prob, &gcn(), algo, twod);
                 t.set_comm_mode(mode);
+                let before = t.storage_words().adjacency;
                 t.epoch(ctx);
-                (ctx.rank, t.storage_words().adjacency)
+                (ctx.rank, before, t.storage_words().adjacency)
             });
-            for ((rank, adjacency), _) in reports {
-                let panels = match algo {
-                    Algorithm::TwoD => two_d(2, 2, sub, rank),
-                    Algorithm::TwoDRect { pr, pc } => two_d(pr, pc, sub, rank),
-                    _ => three_d(rank),
+            for ((rank, before, after), _) in reports {
+                let panels = |mine| match algo {
+                    Algorithm::TwoD => two_d(2, 2, sub, rank, mine),
+                    Algorithm::TwoDRect { pr, pc } => two_d(pr, pc, sub, rank, mine),
+                    _ => three_d(rank, mine),
                 };
                 let name = algo.name();
-                assert_eq!(adjacency, panels, "{name} {mode:?} rank {rank}");
+                assert_eq!(before, panels(true), "{name} {mode:?} rank {rank}: column");
+                assert_eq!(after, panels(false), "{name} {mode:?} rank {rank}: row");
             }
         }
     }
@@ -221,8 +234,9 @@ fn grid_family_holds_each_stage_panel_once() {
 
 #[test]
 fn returning_to_a_tier_restores_its_fresh_adjacency() {
-    // A rank's stage panels are fixed at setup, in the one format every
-    // tier reads: Dense → SparsityAware → Dense and the reverse flip leave
+    // A rank's stage panels are cut at setup in the one format every tier
+    // reads, and a tier flip keeps them: Dense → SparsityAware → Dense and
+    // the reverse flip leave
     // the adjacency of a fresh trainer, and that adjacency is the same in
     // every tier.
     let prob = problem();

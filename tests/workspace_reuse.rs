@@ -16,7 +16,10 @@
 //! point, and run through the segment's epochs alone. Losses and
 //! weights must be bit-equal. Segments start at `set_comm_mode`, which
 //! drops the halo cache, so the cached tier's deliberate staleness is
-//! the same on both sides.
+//! the same on both sides. It keeps the stage panels, though: a 2D or 3D
+//! rank broadcasts `A`'s panels in the first segment's first epoch only,
+//! and the reused trainer meters no `SparseComm` word in any later
+//! segment.
 //!
 //! Shapes include the degenerate ones — one row per block (`n = P`),
 //! stage blocks with no nonzeros (isolated vertices), `f = 1`, and
@@ -26,7 +29,7 @@
 
 mod common;
 
-use cagnet::comm::Cluster;
+use cagnet::comm::{Cat, Cluster};
 use cagnet::core::trainer::Algorithm;
 use cagnet::core::{CommMode, GcnConfig, Problem};
 use cagnet::dense::Mat;
@@ -101,6 +104,8 @@ fn check(name: &str, algo: Algorithm, p: usize, problem: &Problem, gcn: &GcnConf
                 None => reused.weights().to_vec(),
             };
             apply(&mut reused, seg, start.clone());
+            let panel_words = || ctx.report().words(Cat::SparseComm);
+            let before = panel_words();
             let mut losses = Vec::new();
             for _ in 0..seg.epochs {
                 losses.push(reused.epoch(ctx).to_bits());
@@ -108,6 +113,10 @@ fn check(name: &str, algo: Algorithm, p: usize, problem: &Problem, gcn: &GcnConf
                 // epoch and must leave no trace in the next one.
                 let _ = reused.accuracy(ctx);
                 let _ = reused.forward(ctx);
+            }
+            let fetched = panel_words() - before;
+            if s > 0 && fetched > 0 {
+                mismatches.push(format!("segment {s}: {fetched} panel words fetched again"));
             }
 
             let mut fresh = AnyTrainer::setup(ctx, algo, problem, gcn);
