@@ -10,11 +10,23 @@
 //! layer-0 `H⁰` fetch and, in 2D and 3D, the `S` panels of `A`
 //! ([`analysis::CommCost::one_time_words`]).
 //!
+//! Table II's scaling is gated on that sweep, one `PASS|FAIL` line each:
+//! the least-squares exponent of measured words per rank against P must
+//! lie within 0.15 of Table II's (1D 0, 2D −1/2, 3D −2/3), and 1D/2D at
+//! P = 64 must reach the paper's √P/5. The tolerance covers what the
+//! asymptotic exponents drop at n = 2048: the P-independent `f²` weight
+//! all-reduce and the loss's words per row, the one-time panels averaged
+//! over two epochs, and 1D's edge cut `n(P−1)/P`, which grows over the
+//! sweep (+0.05 in the closed form itself). √P/5 assumes `d ≈ f`; here
+//! `d < f` and 2D's panels move once, so 1D/2D only has a floor.
+//!
 //! Kept-panel section: for 2D (2×2, 2×3) and 3D (`P = 8`) in the Dense
 //! and sparse tiers, the `SparseComm` words of the first epoch at every
 //! rank are set against the words of the process row's panels, from the
 //! block partitions ([`cagnet_bench::grid_panel_words`]), and a
-//! steady-state epoch must meter none.
+//! steady-state epoch must meter none. On the square and cubic grids the
+//! per-rank mean must also equal the closed form's panel term,
+//! `4nnz/√P` and `4nnz/P^{2/3}` (`one_time_words` less the `H⁰` fetch).
 //!
 //! Sparse-tier section: for 1D and 1.5D at `P = 4`, the reduce-scatter
 //! words a `SparsityAware` epoch meters are set against the prediction
@@ -38,7 +50,7 @@
 
 use cagnet_bench::measure_epochs;
 use cagnet_comm::{Cat, CostModel};
-use cagnet_core::analysis::{self, Shape};
+use cagnet_core::analysis::{self, CommCost, Shape};
 use cagnet_core::dist::CommMode;
 use cagnet_core::trainer::{train_distributed, Algorithm, TrainConfig};
 use cagnet_core::{GcnConfig, Problem};
@@ -67,102 +79,77 @@ fn main() {
         seed: 9,
     };
     let shape = Shape::new(problem.vertices(), problem.adj.nnz(), F, gcn.layers());
+    let (n, nnz, layers) = (problem.vertices(), problem.adj.nnz(), gcn.layers());
     println!(
-        "COMMUNICATION VOLUME — measured vs closed form (n={}, nnz={}, f={F}, L={})\n",
-        problem.vertices(),
-        problem.adj.nnz(),
-        gcn.layers()
+        "COMMUNICATION VOLUME — measured vs closed form (n={n}, nnz={nnz}, f={F}, L={layers})\n"
     );
-    println!(
-        "{:<12} {:>5} {:>15} {:>15} {:>8}",
-        "algorithm", "P", "measured w/rank", "formula w/rank", "ratio"
-    );
+    println!("algorithm        P measured w/rank  formula w/rank    ratio");
 
     let epochs = 2;
-    let cases: Vec<(Algorithm, Vec<usize>)> = vec![
-        (Algorithm::OneD, vec![4, 16, 64]),
-        (Algorithm::One5D { c: 2 }, vec![16, 64]),
-        (Algorithm::One5D { c: 8 }, vec![16, 64]),
-        (Algorithm::TwoD, vec![4, 16, 64]),
-        (Algorithm::ThreeD, vec![8, 27, 64]),
+    type Model = fn(&Shape, usize) -> CommCost;
+    let cases: [(Algorithm, &[usize], Model); 5] = [
+        (Algorithm::OneD, &[4, 16, 64], |s, p| {
+            analysis::one_d(s, p, None)
+        }),
+        (Algorithm::One5D { c: 2 }, &[16, 64], |s, p| {
+            analysis::one5_d(s, p, 2)
+        }),
+        (Algorithm::One5D { c: 8 }, &[16, 64], |s, p| {
+            analysis::one5_d(s, p, 8)
+        }),
+        (Algorithm::TwoD, &[4, 16, 64], analysis::two_d),
+        (Algorithm::ThreeD, &[8, 27, 64], analysis::three_d),
     ];
-    let mut rows = Vec::new();
-    let mut words_at = std::collections::HashMap::new();
-    for (algo, ps) in cases {
-        for p in ps {
-            let row = measure_epochs(
-                &problem,
-                &gcn,
-                "rmat",
-                algo,
-                p,
-                epochs,
-                CostModel::summit_like(),
-            );
-            let measured = row.dcomm_words + row.scomm_words;
-            let cost = match algo {
-                Algorithm::OneD => analysis::one_d(&shape, p, None),
-                Algorithm::One5D { c } => analysis::one5_d(&shape, p, c),
-                Algorithm::TwoD => analysis::two_d(&shape, p),
-                Algorithm::ThreeD => analysis::three_d(&shape, p),
-                Algorithm::OneDRow => analysis::one_d(&shape, p, None),
-                Algorithm::TwoDRect { pr, pc } => {
-                    // Forward-only rectangular formula scaled to a full
-                    // epoch is not given by the paper; reuse the square
-                    // bound as the reference.
-                    let _ = (pr, pc);
-                    analysis::two_d(&shape, p)
-                }
-            };
+    let (mut rows, mut mismatches, mut words_at) = (Vec::new(), 0, Vec::new());
+    for (algo, ps, model) in cases {
+        for &p in ps {
+            let cost = CostModel::summit_like();
+            let row = measure_epochs(&problem, &gcn, "rmat", algo, p, epochs, cost);
+            let (measured, cost) = (row.dcomm_words + row.scomm_words, model(&shape, p));
             let formula = cost.words + cost.one_time_words / epochs as f64;
-            println!(
-                "{:<12} {:>5} {:>15.0} {:>15.0} {:>8.2}",
-                algo.name(),
-                p,
-                measured,
-                formula,
-                measured / formula
-            );
-            words_at.insert((algo.name(), p), measured);
+            let (algorithm, ratio) = (algo.name(), measured / formula);
+            println!("{algorithm:<12} {p:>5} {measured:>15.0} {formula:>15.0} {ratio:>8.2}");
+            words_at.push((algo.name(), p, measured));
             rows.push(Row {
-                algorithm: algo.name(),
+                algorithm,
                 processes: p,
                 measured_words: measured,
                 formula_words: formula,
-                ratio: measured / formula,
+                ratio,
             });
         }
         println!();
     }
 
-    // The asymptotic claims, checked on measured values at P = 64.
-    let w1d = words_at[&("1d".to_string(), 64usize)];
-    let w2d = words_at[&("2d".to_string(), 64usize)];
-    let w3d = words_at[&("3d".to_string(), 64usize)];
-    println!(
-        "at P=64: 1d/2d = {:.2}x (paper predicts ~√P/5 = {:.2}x under its",
-        w1d / w2d,
-        64f64.sqrt() / 5.0
-    );
-    println!(
-        "assumptions), 2d/3d = {:.2}x (paper predicts O(P^(1/6)) = {:.2}x)",
-        w2d / w3d,
-        64f64.powf(1.0 / 6.0)
-    );
+    // Table II's scaling: the least-squares slope of ln(words) on ln(P).
+    for (name, want) in [("1d", 0.0), ("2d", -0.5), ("3d", -2.0 / 3.0)] {
+        let at = words_at.iter().filter(|(algo, _, _)| algo == name);
+        let pts: Vec<(f64, f64)> = at.map(|&(_, p, w)| ((p as f64).ln(), w.ln())).collect();
+        let got = slope(&pts);
+        let claim = format!("Table II {name} exponent of words per rank in P");
+        let (measured, expected) = (format!("{got:+.2}"), format!("{want:+.2} ± 0.15"));
+        mismatches += verdict((got - want).abs() <= 0.15, &claim, measured, &expected);
+    }
+    let at64 = |name: &str| {
+        words_at
+            .iter()
+            .find(|w| w.0 == name && w.1 == 64)
+            .map_or(0.0, |w| w.2)
+    };
+    let (ratio, floor) = (at64("1d") / at64("2d"), 64f64.sqrt() / 5.0);
+    let expected = format!("at least √P/5 = {floor:.2}x");
+    let claim = "Table II 1d/2d words per rank at P = 64";
+    mismatches += verdict(ratio >= floor, claim, format!("{ratio:.2}x"), &expected);
     cagnet_bench::emit_json(&rows);
 
     println!("\nSPARSE-TIER REDUCE-SCATTERS — needed-row prediction vs metered (words per epoch, all ranks)\n");
-    println!(
-        "{:<12} {:>5} {:>12} {:>15} {:>15} {:>15}",
-        "algorithm", "P", "dims", "dense", "predicted", "metered"
-    );
+    println!("algorithm        P         dims           dense       predicted         metered");
     // The narrow widths make many parts no smaller indexed than whole,
     // so the dense-when-not-smaller rule is exercised too.
     let narrow = GcnConfig {
         dims: vec![F, 1, F],
         ..gcn.clone()
     };
-    let mut mismatches = 0;
     for gcn in [&gcn, &narrow] {
         for (algo, p) in [(Algorithm::OneD, 4), (Algorithm::One5D { c: 2 }, 4)] {
             let want = match algo {
@@ -193,57 +180,53 @@ fn main() {
                 mismatches += 1;
                 "MISMATCH"
             };
+            let (name, dims) = (algo.name(), format!("{:?}", gcn.dims));
+            let (dense, sparse) = (want.reduce_dense, want.reduce_sparse);
             println!(
-                "{:<12} {:>5} {:>12} {:>15} {:>15} {:>15} {verdict}",
-                algo.name(),
-                p,
-                format!("{:?}", gcn.dims),
-                want.reduce_dense,
-                want.reduce_sparse,
-                metered
+                "{name:<12} {p:>5} {dims:>12} {dense:>15} {sparse:>15} {metered:>15} {verdict}"
             );
         }
     }
 
     println!("\nKEPT A PANELS — partition prediction vs metered SparseComm (words, all ranks)\n");
-    println!(
-        "{:<12} {:>5} {:>14} {:>15} {:>15} {:>15}",
-        "algorithm", "P", "tier", "predicted", "first epoch", "steady epoch"
-    );
+    println!("algorithm        P           tier       predicted     closed form     first epoch    steady epoch");
     for (algo, p) in [
         (Algorithm::TwoD, 4),
         (Algorithm::TwoDRect { pr: 2, pc: 3 }, 6),
         (Algorithm::ThreeD, 8),
     ] {
         let want = cagnet_bench::grid_panel_words(&problem, algo, p);
+        // The closed form's panel term over all ranks: the one-time words
+        // less the H⁰ fetch, on the square and cubic grids.
+        let closed_form = match algo {
+            Algorithm::TwoD => Some((analysis::two_d(&shape, p), (p as f64).sqrt())),
+            Algorithm::ThreeD => Some((analysis::three_d(&shape, p), (p as f64).cbrt().powi(2))),
+            _ => None,
+        }
+        .map(|(c, side)| p as f64 * (c.one_time_words - shape.n * shape.f / side));
         for mode in [CommMode::Dense, CommMode::SparsityAware] {
             let [one, two] = [1, 2].map(|epochs| {
                 cagnet_bench::rank_words(&problem, &gcn, algo, p, epochs, mode, Cat::SparseComm)
             });
-            let steady: Vec<u64> = two.iter().zip(&one).map(|(b, a)| b - a).collect();
-            let verdict = if one == want && steady.iter().all(|&w| w == 0) {
+            let (first, steady) = (
+                one.iter().sum::<u64>(),
+                two.iter().sum::<u64>() - one.iter().sum::<u64>(),
+            );
+            let exact = closed_form.is_none_or(|w| w == first as f64);
+            let status = if exact && one == want && two == one {
                 "ok"
             } else {
                 mismatches += 1;
                 "MISMATCH"
             };
-            println!(
-                "{:<12} {:>5} {:>14} {:>15} {:>15} {:>15} {verdict}",
-                algo.name(),
-                p,
-                format!("{mode:?}"),
-                want.iter().sum::<u64>(),
-                one.iter().sum::<u64>(),
-                steady.iter().sum::<u64>()
-            );
+            let closed = closed_form.map_or("-".into(), |w| format!("{w:.0}"));
+            let (name, mode, want) = (algo.name(), format!("{mode:?}"), want.iter().sum::<u64>());
+            println!("{name:<12} {p:>5} {mode:>14} {want:>15} {closed:>15} {first:>15} {steady:>15} {status}");
         }
     }
 
     println!("\nNARROW SIDE OF THE DENSE-WEIGHT PRODUCTS — closed form vs metered (Dense tier, words per epoch, all ranks)\n");
-    println!(
-        "{:<12} {:>5} {:>16} {:>15} {:>12} {:>12} {:>15}",
-        "algorithm", "P", "dims", "broadcast form", "layer-0 H", "saved", "metered"
-    );
+    println!("algorithm        P             dims  broadcast form    layer-0 H        saved         metered");
     // Layers 0 and 2 narrow and hidden layer 1 widens past 2·f_in, so the
     // forward reduce-scatters T·W terms and the backward gathers H¹; the
     // uniform shape fires nothing and must save exactly zero.
@@ -270,22 +253,36 @@ fn main() {
                 mismatches += 1;
                 "MISMATCH"
             };
-            println!(
-                "{:<12} {:>5} {:>16} {:>15} {:>12} {:>12} {:>15} {verdict}",
-                algo.name(),
-                p,
-                format!("{:?}", gcn.dims),
-                want.broadcast_form.iter().sum::<u64>(),
-                want.input_fetch.iter().sum::<u64>(),
-                want.saved.iter().sum::<i64>(),
-                metered.iter().sum::<u64>()
-            );
+            let (name, dims) = (algo.name(), format!("{:?}", gcn.dims));
+            let [form, fetch, metered] =
+                [&want.broadcast_form, &want.input_fetch, &metered].map(|w| w.iter().sum::<u64>());
+            let saved = want.saved.iter().sum::<i64>();
+            println!("{name:<12} {p:>5} {dims:>16} {form:>15} {fetch:>12} {saved:>12} {metered:>15} {verdict}");
         }
     }
     if mismatches > 0 {
         eprintln!("{mismatches} word count(s) differ from the prediction");
         std::process::exit(1);
     }
+}
+
+/// The least-squares slope of `y` on `x` over `pts`.
+fn slope(pts: &[(f64, f64)]) -> f64 {
+    let n = pts.len() as f64;
+    let (mx, my) = pts
+        .iter()
+        .fold((0.0, 0.0), |(a, b), (x, y)| (a + x / n, b + y / n));
+    let (sxy, sxx) = pts.iter().fold((0.0, 0.0), |(a, b), (x, y)| {
+        (a + (x - mx) * (y - my), b + (x - mx) * (x - mx))
+    });
+    sxy / sxx
+}
+
+/// Print `PASS|FAIL <claim>: measured … vs expected …`; 1 on a failure.
+fn verdict(ok: bool, claim: &str, measured: String, expected: &str) -> usize {
+    let verdict = if ok { "PASS" } else { "FAIL" };
+    println!("{verdict} {claim}: measured {measured} vs expected {expected}");
+    usize::from(!ok)
 }
 
 /// Closed-form `DenseComm` words of one epoch's stage fetches and

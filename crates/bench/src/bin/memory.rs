@@ -71,19 +71,7 @@ fn main() {
         problem.vertices(),
         problem.adj.nnz()
     );
-    println!(
-        "{:<12} {:>4} {:>15} {:>15} {:>15} {:>15}   {:>10} {:>10} {:>10} {:>10}",
-        "algorithm",
-        "P",
-        "adjacency",
-        "dense state",
-        "intermediate",
-        "total",
-        "model adj",
-        "model st",
-        "model int",
-        "model tot"
-    );
+    println!("algorithm       P       adjacency     dense state    intermediate           total    model adj   model st  model int  model tot");
 
     use Algorithm::{One5D, OneD, OneDRow, ThreeD, TwoD};
     let groups = [
@@ -152,19 +140,10 @@ fn main() {
             let cells: Vec<String> = (max.iter().zip(mean))
                 .map(|(max, mean)| format!("{max}/{mean:.0}"))
                 .collect();
-            println!(
-                "{:<12} {:>4} {:>15} {:>15} {:>15} {:>15}   {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
-                name,
-                p,
-                cells[0],
-                cells[1],
-                cells[2],
-                cells[3],
-                m.adjacency,
-                m.dense_state,
-                m.intermediate,
-                m.total()
-            );
+            let [adj, st, int, tot] = [&cells[0], &cells[1], &cells[2], &cells[3]];
+            let model = [m.adjacency, m.dense_state, m.intermediate, m.total()];
+            let model = model.map(|w| format!("{w:>10.0}")).join(" ");
+            println!("{name:<12} {p:>4} {adj:>15} {st:>15} {int:>15} {tot:>15}   {model}");
             rows.push(Row {
                 algorithm: name,
                 processes: p,

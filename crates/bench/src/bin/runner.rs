@@ -40,10 +40,10 @@
 //!                            CAGNET_WORKER_* environment) parse cleanly
 //! ```
 
-use cagnet_bench::{bench_dataset, bench_gcn, measure_epochs_traced};
+use cagnet_bench::{bench_dataset, bench_gcn, EpochRow};
 use cagnet_comm::{CostModel, Precision, TransportKind};
 use cagnet_core::trainer::{
-    Algorithm, PartitionConfig, PartitionObjective, PartitionSpec, TrainConfig,
+    train_distributed, Algorithm, PartitionConfig, PartitionObjective, PartitionSpec, TrainConfig,
 };
 use cagnet_core::{CommMode, GcnConfig, Problem};
 use cagnet_sparse::datasets;
@@ -332,9 +332,10 @@ fn main() {
             precision.name()
         );
     }
-    let (row, traces) = measure_epochs_traced(&problem, &gcn, &name, algo, p, model, &tc);
+    let r = train_distributed(&problem, &gcn, algo, p, model, &tc);
+    let row = EpochRow::from_reports(&name, algo, p, tc.overlap, &r.reports, tc.epochs);
     if let Some(path) = &trace_path {
-        let json = cagnet_comm::trace::to_chrome_json(&traces);
+        let json = cagnet_comm::trace::to_chrome_json(&r.traces);
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write trace to {path}: {e}");
             std::process::exit(2);

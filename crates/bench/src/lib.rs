@@ -3,26 +3,19 @@
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§V–§VI), plus the analysis-section comparisons:
 //!
-//! | binary         | reproduces                                         |
-//! |----------------|----------------------------------------------------|
-//! | `table6`       | Table VI — dataset characteristics                 |
-//! | `figure2`      | Figure 2 — 2D epoch throughput vs device count     |
-//! | `figure3`      | Figure 3 — per-epoch time breakdown                |
-//! | `comm_volume`  | §IV cost analysis — measured vs closed-form words  |
-//! | `edgecut`      | §IV-A.8 — partitioner vs random distribution       |
-//! | `rect_grid`    | §IV-C.6 — rectangular grid sparse/dense trade      |
-//! | `paper_scale`  | §IV formulas at the paper's real Table VI sizes    |
-//! | `memory`       | per-rank memory footprints across algorithms       |
-//! | `load_balance` | §I — load balance across distributions             |
-//! | `ablations`    | design-choice ablations called out in DESIGN.md    |
-//! | `runner`       | any dataset × algorithm × P × tier, one row        |
-//! | `trace`        | a Perfetto trace of one 2D epoch                   |
+//! | binary        | reproduces                                         |
+//! |---------------|----------------------------------------------------|
+//! | `paper`       | Table VI, Figs. 2–3, the §I/§IV/§VI claims, gated  |
+//! | `comm_volume` | §IV, Table II — measured vs closed-form words      |
+//! | `memory`      | per-rank memory footprints across algorithms       |
+//! | `runner`      | any dataset × algorithm × P × tier, one row        |
+//! | `trace`       | a Perfetto trace of one 2D epoch                   |
 //!
 //! Every figure here is modeled. Wall-clock epochs and the per-layer
 //! kernel, collective, codec and transport numbers are the repository
 //! benchmark's (`benchmark/`).
 //!
-//! All binaries print human-readable tables and emit JSON rows (serde) so
+//! The binaries print human-readable tables and emit JSON rows (serde) so
 //! EXPERIMENTS.md can quote machine-checked numbers.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -173,41 +166,36 @@ pub fn measure_epochs(
         collect_outputs: false,
         ..Default::default()
     };
-    measure_epochs_traced(problem, gcn, dataset, algo, p, model, &tc).0
+    let r = train_distributed(problem, gcn, algo, p, model, &tc);
+    EpochRow::from_reports(dataset, algo, p, tc.overlap, &r.reports, epochs)
 }
 
-/// Like [`measure_epochs`] but with full control over the run options
-/// (epochs come from `tc.epochs`), also returning the per-rank execution
-/// traces over the timed epochs (empty unless `tc.trace` is set) for
-/// export via [`cagnet_comm::trace::to_chrome_json`].
-pub fn measure_epochs_traced(
-    problem: &Problem,
-    gcn: &GcnConfig,
-    dataset: &str,
-    algo: Algorithm,
-    p: usize,
-    model: CostModel,
-    tc: &TrainConfig,
-) -> (EpochRow, Vec<Vec<cagnet_comm::trace::TraceEvent>>) {
-    let epochs = tc.epochs;
-    let r = train_distributed(problem, gcn, algo, p, model, tc);
-    let mean = TimelineReport::mean_over(&r.reports);
-    let epoch_seconds = r.epoch_seconds(epochs);
-    let row = EpochRow {
-        dataset: dataset.to_string(),
-        algorithm: algo.name(),
-        processes: p,
-        overlap: tc.overlap,
-        epoch_seconds,
-        epochs_per_second: 1.0 / epoch_seconds.max(1e-12),
-        dcomm_words: (mean.words(Cat::DenseComm)
-            + mean.words(Cat::DenseComm32)
-            + mean.words(Cat::DenseComm16)) as f64
-            / epochs as f64,
-        scomm_words: mean.words(Cat::SparseComm) as f64 / epochs as f64,
-        breakdown: Breakdown::from_report(&mean, epochs),
-    };
-    (row, r.traces)
+impl EpochRow {
+    /// The row of a run whose per-rank reports cover `epochs` epochs: the
+    /// BSP epoch is the slowest rank's clock, the rest are rank means.
+    pub fn from_reports(
+        dataset: &str,
+        algo: Algorithm,
+        p: usize,
+        overlap: bool,
+        reports: &[TimelineReport],
+        epochs: usize,
+    ) -> EpochRow {
+        let mean = TimelineReport::mean_over(reports);
+        let epoch_seconds = TimelineReport::max_over(reports).clock / epochs.max(1) as f64;
+        let dense = [Cat::DenseComm, Cat::DenseComm32, Cat::DenseComm16];
+        EpochRow {
+            dataset: dataset.to_string(),
+            algorithm: algo.name(),
+            processes: p,
+            overlap,
+            epoch_seconds,
+            epochs_per_second: 1.0 / epoch_seconds.max(1e-12),
+            dcomm_words: dense.map(|c| mean.words(c)).iter().sum::<u64>() as f64 / epochs as f64,
+            scomm_words: mean.words(Cat::SparseComm) as f64 / epochs as f64,
+            breakdown: Breakdown::from_report(&mean, epochs),
+        }
+    }
 }
 
 /// Closed-form `DenseComm` words of one Dense-tier, f64-wire training

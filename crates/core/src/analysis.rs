@@ -12,8 +12,10 @@
 //! pass pays layer 0's on top. Neither does `A`: 2D and 3D broadcast each
 //! `S` panel along the process row in the first forward (`Aᵀ`) and the
 //! first backward (`A`) only, and keep it, so the paper's per-layer
-//! `2nnz/√P` (`2nnz/P^{2/3}`) is paid once per trainer. Both are in
-//! [`CommCost::one_time_words`].
+//! `2nnz/√P` (`2nnz/P^{2/3}`) is paid once per trainer. The paper counts
+//! one word per nonzero; a broadcast `Csr` meters two (index and value),
+//! so the kept panels of `Aᵀ` and `A` meter `4nnz/√P` (`4nnz/P^{2/3}`).
+//! Both are in [`CommCost::one_time_words`].
 //!
 //! The `comm_volume` bench cross-checks these closed forms against the
 //! word counters *measured* from the executing implementations, and the
@@ -145,12 +147,13 @@ pub fn one5_d(s: &Shape, p: usize, c: usize) -> CommCost {
 /// `T ≈ L(α(5√P + 3 lg P) + β(8nf/√P + 2nnz/√P + f²))`, less layer 0's
 /// `√P` forward `H⁰` panel broadcasts (`α·√P + β·nf/√P`) and the `2√P`
 /// `S` panel broadcasts of each layer (`α·2√P + β·2nnz/√P`): the panels
-/// move once per trainer, their words in `one_time_words`.
+/// move once per trainer. The paper counts one word per nonzero, but a
+/// broadcast `Csr` meters two, so `one_time_words` holds `4nnz/√P`.
 pub fn two_d(s: &Shape, p: usize) -> CommCost {
     let pf = p as f64;
     let rp = pf.sqrt();
     let layer = (3.0 * rp + 3.0 * lg(pf), 8.0 * s.n * s.f / rp + s.f * s.f);
-    epoch(s, layer, (rp, s.n * s.f / rp), 2.0 * s.nnz / rp)
+    epoch(s, layer, (rp, s.n * s.f / rp), 4.0 * s.nnz / rp)
 }
 
 /// §IV-C.6: rectangular-grid 2D forward propagation only:
@@ -169,13 +172,15 @@ pub fn two_d_rect_forward(s: &Shape, pr: usize, pc: usize) -> CommCost {
 /// `T ≈ L(α·4·P^{1/3} + β(2nnz/P^{2/3} + 12nf/P^{2/3}))`, less layer 0's
 /// `∛P` forward `H⁰` panel broadcasts (`α·∛P + β·nf/P^{2/3}`) and the
 /// `2∛P` `S` panel broadcasts of each layer (`α·2∛P + β·2nnz/P^{2/3}`):
-/// the panels move once per trainer, their words in `one_time_words`.
+/// the panels move once per trainer. The paper counts one word per
+/// nonzero, but a broadcast `Csr` meters two, so `one_time_words` holds
+/// `4nnz/P^{2/3}`.
 pub fn three_d(s: &Shape, p: usize) -> CommCost {
     let pf = p as f64;
     let p13 = pf.cbrt();
     let p23 = p13 * p13;
     let layer = (2.0 * p13, 12.0 * s.n * s.f / p23);
-    epoch(s, layer, (p13, s.n * s.f / p23), 2.0 * s.nnz / p23)
+    epoch(s, layer, (p13, s.n * s.f / p23), 4.0 * s.nnz / p23)
 }
 
 /// Closed-form per-rank memory estimates (words), the counterparts of the
@@ -240,8 +245,9 @@ pub fn memory_one5_d(s: &Shape, p: usize, c: usize) -> MemoryEstimate {
 /// The adjacency is the grid row's `S` panels of `Aᵀ` and of `A`, which
 /// the first forward and backward broadcast and every rank keeps:
 /// `4nnz/√P` words, `√P` times the `4nnz/P` of the rank's own blocks,
-/// traded for the `2nnz/√P` words per layer per epoch the paper's form
-/// re-broadcasts ([`two_d`]). The kept `H⁰` panels of the other `√P − 1`
+/// traded for the `2nnz/√P` per layer per epoch the paper's form
+/// re-broadcasts ([`two_d`]), which counts one word per nonzero where a
+/// stored or broadcast `Csr` takes two. The kept `H⁰` panels of the other `√P − 1`
 /// grid rows add `(√P−1)/P · n·f`.
 pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
@@ -268,8 +274,9 @@ pub fn memory_two_d(s: &Shape, p: usize) -> MemoryEstimate {
 /// The adjacency is the `S` panels of the rank's process row, of `Aᵀ`
 /// and of `A`, kept from the first forward and backward: `4nnz/P^{2/3}`
 /// words, `∛P` times the rank's own slices, traded for the
-/// `2nnz/P^{2/3}` words per layer per epoch the paper's form
-/// re-broadcasts ([`three_d`]).
+/// `2nnz/P^{2/3}` per layer per epoch the paper's form re-broadcasts
+/// ([`three_d`]), which counts one word per nonzero where a stored or
+/// broadcast `Csr` takes two.
 pub fn memory_three_d(s: &Shape, p: usize) -> MemoryEstimate {
     let pf = p as f64;
     let p13 = pf.cbrt();
@@ -449,7 +456,8 @@ mod tests {
         // Each form is the paper's `L` layers less layer 0's `H⁰` fetch,
         // which the first pass pays on top, and in 2D and 3D less every
         // layer's `A` panel words, which the first forward and backward
-        // pay once.
+        // pay once: metered at two words per nonzero, twice the paper's
+        // per-layer term.
         let s = shape();
         let (n, f, nnz, l) = (s.n, s.f, s.nnz, s.layers);
         let cut = s.n * 15.0 / 16.0;
@@ -488,7 +496,7 @@ mod tests {
         for (i, (cost, paper, fetch, panels)) in cases.into_iter().enumerate() {
             let tol = 1e-9 * paper;
             assert!(
-                (cost.one_time_words - fetch - panels).abs() < tol,
+                (cost.one_time_words - fetch - 2.0 * panels).abs() < tol,
                 "case {i}"
             );
             assert!(
